@@ -219,13 +219,19 @@ impl RestartCost {
 /// the uncached full boot (interned image, `pine_init`, standard
 /// mailbox adds, index build); "restore" is what every farm restart now
 /// executes: a snapshot restore from the per-spec checkpoint cache.
+///
+/// Both run on the reference oracle ([`BootSpec::oracle`]), by name:
+/// the replay a restore stands in for is guest code, so every faster
+/// shipped default shortens it while the restore (a copy of the space)
+/// stays put — under the session default the ratio would track the
+/// tier and lookup layer, not the checkpoint layer the 5× gate guards.
 pub fn measure_restart_cost(reps: usize) -> RestartCost {
     use foc_servers::image::{standard_pine_mailbox, ServerKind};
     use foc_servers::BootSpec;
 
     let reps = reps.max(1);
-    let spec = BootSpec::new(ServerKind::Pine, Mode::FailureOblivious);
-    let image = ServerKind::Pine.image();
+    let spec = BootSpec::oracle(ServerKind::Pine, Mode::FailureOblivious);
+    let image = ServerKind::Pine.image_tier(spec.tier);
     // Warm both layers so the measurement sees the steady state.
     black_box(foc_servers::pine::Pine::boot_spec(
         &spec,
@@ -1185,11 +1191,11 @@ fn fingerprint_of(parts: &[&str]) -> String {
 }
 
 /// Fingerprint for a `restart_cost` trajectory row: schema tag, the
-/// five standard server image identities at the active execution tier
-/// (any guest-source or lowering change reshapes them), the
-/// manufactured violation loop's baseline image, and the rep count.
+/// five standard server image identities at the measured (baseline)
+/// execution tier (any guest-source or lowering change reshapes them),
+/// the manufactured violation loop's baseline image, and the rep count.
 pub fn restart_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+    let tier = foc_compiler::ExecTier::Baseline;
     let mut parts: Vec<String> = vec!["restart_cost/v2".to_string(), tier.label().to_string()];
     for kind in ServerKind::ALL {
         parts.push(kind.image_tier(tier).id().to_string());

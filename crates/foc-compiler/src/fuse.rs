@@ -46,21 +46,23 @@ use crate::bytecode::{pack_scalar, AluOp, CmpOp, CompiledProgram, Instr};
 /// alias in the image or checkpoint caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
-    /// The unfused baseline instruction stream straight out of `lower`.
-    #[default]
+    /// The unfused baseline instruction stream straight out of `lower`:
+    /// the reference oracle every other tier is proven against.
     Baseline,
     /// The superinstruction stream produced by [`fuse_program`].
     Super,
-    /// The fused stream plus an AOT-lowered region artifact
-    /// ([`crate::native::lower_native`]): straight-line runs execute as
-    /// pre-decoded micro-op arrays with no per-instruction dispatch,
-    /// deopting to the interpreter at the same seams the fused opcodes
-    /// use.
+    /// The fused stream plus a region artifact
+    /// ([`crate::native::NativeProgram`], lowered per function on first
+    /// entry): straight-line runs execute as pre-decoded micro-op
+    /// arrays with no per-instruction dispatch, deopting to the
+    /// interpreter at the same seams the fused opcodes use. The shipped
+    /// default.
+    #[default]
     Native,
 }
 
 /// Environment variable selecting the session-default tier
-/// (`baseline`, `super`, or `native`; unset means baseline).
+/// (`baseline`, `super`, or `native`; unset means native).
 pub const EXEC_TIER_ENV: &str = "FOC_EXEC_TIER";
 
 impl ExecTier {
@@ -85,7 +87,8 @@ impl ExecTier {
         }
     }
 
-    /// The session default from `FOC_EXEC_TIER`; unset means baseline.
+    /// The session default from `FOC_EXEC_TIER`; unset means
+    /// [`ExecTier::default`].
     /// An unknown value is a configuration error: the process exits with
     /// a one-line diagnostic listing the valid tiers rather than
     /// silently running a different tier than the operator asked for.
@@ -97,7 +100,7 @@ impl ExecTier {
                 eprintln!("{EXEC_TIER_ENV}: {e}");
                 std::process::exit(2);
             }),
-            Err(_) => ExecTier::Baseline,
+            Err(_) => ExecTier::default(),
         })
     }
 }
@@ -119,15 +122,15 @@ impl std::str::FromStr for ExecTier {
     }
 }
 
-/// Runs the fusion pass over every function of a program, returning the
-/// fused copy. The input program is left untouched (the baseline image
-/// may already be shared).
-pub fn fuse_program(program: &CompiledProgram) -> CompiledProgram {
-    let mut fused = program.clone();
-    for func in &mut fused.funcs {
+/// Runs the fusion pass over every function of a program. Takes the
+/// program by value and rewrites it in place: every caller fuses a
+/// program it has just compiled, so a copy would be set-up time spent
+/// on nothing.
+pub fn fuse_program(mut program: CompiledProgram) -> CompiledProgram {
+    for func in &mut program.funcs {
         fuse_code(&mut func.code);
     }
-    fused
+    program
 }
 
 /// Fuses one function's code in place. Scanning is greedy left-to-right,
@@ -414,8 +417,7 @@ mod tests {
     use crate::compile_source;
 
     fn fused_main(source: &str) -> Vec<Instr> {
-        let program = compile_source(source).expect("compiles");
-        let fused = fuse_program(&program);
+        let fused = fuse_program(compile_source(source).expect("compiles"));
         let idx = fused.func_index("main").unwrap() as usize;
         fused.funcs[idx].code.clone()
     }
@@ -454,7 +456,7 @@ mod tests {
              int main() { return 0; }",
         )
         .unwrap();
-        let fused = fuse_program(&program);
+        let fused = fuse_program(program.clone());
         for (f, g) in program.funcs.iter().zip(&fused.funcs) {
             assert_eq!(f.code.len(), g.code.len(), "{}: length changed", f.name);
             for (i, (a, b)) in f.code.iter().zip(&g.code).enumerate() {

@@ -19,10 +19,10 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::bytecode::CompiledProgram;
-use crate::native::NativeProgram;
+use crate::native::{NativeFunc, NativeProgram};
 
 /// Stable identity of a compiled program: a 64-bit FNV-1a hash of its
 /// full content. Equal ids mean byte-identical images.
@@ -67,55 +67,81 @@ impl fmt::Display for ProgramId {
 /// `image.func_index(..)`) work unchanged.
 #[derive(Debug, Clone)]
 pub struct ProgramImage {
-    id: ProgramId,
-    program: Arc<CompiledProgram>,
-    native: Option<Arc<NativeProgram>>,
+    shared: Arc<Shared>,
+}
+
+/// What every clone of one image shares.
+#[derive(Debug)]
+struct Shared {
+    program: CompiledProgram,
+    native: Option<NativeProgram>,
+    /// Hashed on the first [`ProgramImage::id`] call: the hash walks
+    /// every byte of the program (global initialisers included), and
+    /// booting and running an image never ask for it.
+    id: OnceLock<ProgramId>,
 }
 
 impl ProgramImage {
-    /// Wraps a freshly compiled program, computing its content id once.
+    /// Wraps a freshly compiled program.
     pub fn new(program: CompiledProgram) -> ProgramImage {
-        let id = ProgramId::of(&program);
-        ProgramImage {
-            id,
-            program: Arc::new(program),
-            native: None,
-        }
+        ProgramImage::from_parts(program, None)
     }
 
-    /// Wraps a fused program together with its native-tier artifact.
-    /// The bytecode is byte-identical to the super tier's, so the id
-    /// carries a tag to keep the two from aliasing in any id-keyed
-    /// cache; the artifact itself rides the `Arc` through machine
+    /// Wraps a fused program together with an (empty) native-tier
+    /// artifact; functions are lowered into it as machines first enter
+    /// them. The bytecode is byte-identical to the super tier's, so the
+    /// id carries a tag to keep the two from aliasing in any id-keyed
+    /// cache — and because the id hashes the bytecode, not the
+    /// artifact, it does not depend on which functions have been
+    /// lowered so far. The artifact rides the `Arc` through machine
     /// clones and checkpoint restores.
-    pub fn with_native(program: CompiledProgram, native: NativeProgram) -> ProgramImage {
-        let id = ProgramId::of_tagged(&program, "native");
+    pub fn with_native(program: CompiledProgram) -> ProgramImage {
+        let native = NativeProgram::new(program.funcs.len());
+        ProgramImage::from_parts(program, Some(native))
+    }
+
+    fn from_parts(program: CompiledProgram, native: Option<NativeProgram>) -> ProgramImage {
         ProgramImage {
-            id,
-            program: Arc::new(program),
-            native: Some(Arc::new(native)),
+            shared: Arc::new(Shared {
+                program,
+                native,
+                id: OnceLock::new(),
+            }),
         }
     }
 
     /// The stable content id.
     pub fn id(&self) -> ProgramId {
-        self.id
+        let shared = &*self.shared;
+        *shared.id.get_or_init(|| match shared.native {
+            Some(_) => ProgramId::of_tagged(&shared.program, "native"),
+            None => ProgramId::of(&shared.program),
+        })
     }
 
     /// The underlying program.
     pub fn program(&self) -> &CompiledProgram {
-        &self.program
+        &self.shared.program
     }
 
-    /// The native-tier artifact, when this image was lowered for
+    /// The native-tier artifact, when this image was built for
     /// `ExecTier::Native`.
     pub fn native(&self) -> Option<&NativeProgram> {
-        self.native.as_deref()
+        self.shared.native.as_ref()
+    }
+
+    /// Function `fid`'s native regions, lowered now if no machine has
+    /// entered the function before; `None` on the other tiers. The VM
+    /// calls this once per activation, never per instruction.
+    pub fn native_func(&self, fid: u32) -> Option<&NativeFunc> {
+        let native = self.shared.native.as_ref()?;
+        let fid = fid as usize;
+        Some(native.func(fid, &self.shared.program.funcs[fid].code))
     }
 
     /// How many machines/caches currently share this image (diagnostic).
     pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.program)
+        Arc::strong_count(&self.shared)
     }
 }
 
@@ -123,13 +149,13 @@ impl Deref for ProgramImage {
     type Target = CompiledProgram;
 
     fn deref(&self) -> &CompiledProgram {
-        &self.program
+        &self.shared.program
     }
 }
 
 impl PartialEq for ProgramImage {
     fn eq(&self, other: &ProgramImage) -> bool {
-        self.id == other.id
+        self.id() == other.id()
     }
 }
 

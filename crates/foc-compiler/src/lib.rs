@@ -31,7 +31,7 @@ pub use bytecode::{AluOp, CmpOp, CompiledFunc, CompiledProgram, FrameLayout, Glo
 pub use fuse::{fuse_program, ExecTier, EXEC_TIER_ENV};
 pub use image::{Fnv1a, ProgramId, ProgramImage};
 pub use lower::{compile, CompileError};
-pub use native::{lower_native, NativeProgram};
+pub use native::{NativeFunc, NativeProgram};
 
 /// Convenience: front end plus lowering in one call.
 pub fn compile_source(source: &str) -> Result<CompiledProgram, String> {
@@ -39,9 +39,10 @@ pub fn compile_source(source: &str) -> Result<CompiledProgram, String> {
     compile(&program).map_err(|e| e.to_string())
 }
 
-/// Compiles source straight into a shareable [`ProgramImage`] — the
-/// entry point machines and image caches use. Always the baseline tier;
-/// see [`compile_image_tier`] for the fused stream.
+/// Compiles source straight into a shareable [`ProgramImage`] on the
+/// baseline tier — the reference stream, independent of the session
+/// default. [`compile_image_tier`] builds the other tiers (the shipped
+/// default, [`ExecTier::default`], among them).
 pub fn compile_image(source: &str) -> Result<ProgramImage, String> {
     compile_image_tier(source, ExecTier::Baseline)
 }
@@ -49,17 +50,13 @@ pub fn compile_image(source: &str) -> Result<ProgramImage, String> {
 /// Compiles source into a [`ProgramImage`] for the given execution
 /// tier. Every tier's image has a distinct [`ProgramId`] — the fused
 /// bytecode differs from the baseline, and the native image (same fused
-/// bytecode plus the AOT region artifact) carries a tag in its id — so
-/// tiered images never alias in downstream caches.
+/// bytecode plus the lazily lowered region artifact) carries a tag in
+/// its id — so tiered images never alias in downstream caches.
 pub fn compile_image_tier(source: &str, tier: ExecTier) -> Result<ProgramImage, String> {
     let program = compile_source(source)?;
     Ok(match tier {
         ExecTier::Baseline => ProgramImage::new(program),
-        ExecTier::Super => ProgramImage::new(fuse_program(&program)),
-        ExecTier::Native => {
-            let fused = fuse_program(&program);
-            let native = lower_native(&fused.funcs);
-            ProgramImage::with_native(fused, native)
-        }
+        ExecTier::Super => ProgramImage::new(fuse_program(program)),
+        ExecTier::Native => ProgramImage::with_native(fuse_program(program)),
     })
 }

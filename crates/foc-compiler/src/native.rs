@@ -1,8 +1,9 @@
-//! Native-tier lowering — the `ExecTier::Native` AOT pass.
+//! Native-tier lowering — the `ExecTier::Native` region pass.
 //!
 //! The superinstruction tier still pays one fetch/decode/dispatch per
 //! (fused) opcode plus per-dispatch fuel and counter bookkeeping. This
-//! pass compiles each function *past* fetch/decode ahead of time: it
+//! pass compiles each function *past* fetch/decode, once, the first
+//! time a machine enters it ([`NativeProgram::func`]): it
 //! partitions the fused instruction stream into **regions** — maximal
 //! straight-line runs entered only at known leaders — and lowers every
 //! region to a dense array of pre-decoded micro-ops ([`NOp`]) with all
@@ -37,20 +38,49 @@
 //! set is a superset of the reachable entry points and the entry table
 //! can never mis-align with the interpreter's view of the stream.
 
+use std::sync::OnceLock;
+
 use foc_memory::AccessSize;
 
-use crate::bytecode::{unpack_scalar, AluOp, CmpOp, CompiledFunc, Instr};
+use crate::bytecode::{unpack_scalar, AluOp, CmpOp, Instr};
 
 /// Entry-table sentinel: no region starts at this pc.
 pub const NO_REGION: u32 = u32::MAX;
 
-/// The per-program native artifact (one entry per function, indices
-/// matching `CompiledProgram::funcs`). Immutable and `Sync`: one `Arc`
-/// serves every machine booted from the image, checkpoints included.
-#[derive(Debug, Clone, PartialEq)]
+/// The per-program native artifact (one slot per function, indices
+/// matching `CompiledProgram::funcs`). A slot is filled the first time
+/// a machine enters its function, from the fused code the image
+/// already holds, so building an image costs nothing per function and
+/// a boot pays only for the functions it runs. `Sync`: one `Arc` serves
+/// every machine booted from the image, checkpoints included; threads
+/// racing a first entry publish exactly one [`NativeFunc`].
+#[derive(Debug)]
 pub struct NativeProgram {
-    /// Per-function lowered regions.
-    pub funcs: Vec<NativeFunc>,
+    funcs: Vec<OnceLock<NativeFunc>>,
+}
+
+impl NativeProgram {
+    /// An artifact with one empty slot per function.
+    pub(crate) fn new(func_count: usize) -> NativeProgram {
+        NativeProgram {
+            funcs: (0..func_count).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Function `idx`'s regions, lowered from `code` on first use.
+    /// `code` must be that function's `ExecTier::Super` stream (the
+    /// artifact executes fused opcodes as single micro-ops and relies
+    /// on their layout preservation for mid-pattern entries);
+    /// [`crate::ProgramImage::native_func`] is the accessor that
+    /// guarantees it.
+    pub(crate) fn func(&self, idx: usize, code: &[Instr]) -> &NativeFunc {
+        self.funcs[idx].get_or_init(|| lower_func(code))
+    }
+
+    /// Function `idx`'s regions if some machine has entered it yet.
+    pub fn lowered(&self, idx: usize) -> Option<&NativeFunc> {
+        self.funcs[idx].get()
+    }
 }
 
 /// One function's lowered regions plus the pc → region map.
@@ -613,16 +643,6 @@ pub enum Term {
     Fall(u32),
 }
 
-/// Lowers a fused program's functions to their native artifacts. The
-/// input must be the `ExecTier::Super` stream (the artifact executes
-/// fused opcodes as single micro-ops and relies on their layout
-/// preservation for mid-pattern entries).
-pub fn lower_native(funcs: &[CompiledFunc]) -> NativeProgram {
-    NativeProgram {
-        funcs: funcs.iter().map(|f| lower_func(&f.code)).collect(),
-    }
-}
-
 /// The instruction span a fused opcode covers (1 for plain instrs).
 fn span(instr: Instr) -> usize {
     match instr {
@@ -714,11 +734,15 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     // one), so late discovery cannot invalidate an earlier region.
     let mut entry = vec![NO_REGION; code.len()];
     let mut regions: Vec<NativeRegion> = Vec::new();
+    // One op buffer for every region of the function: lowering runs at
+    // a function's first entry, on a request's time, so it allocates
+    // only what the artifact keeps.
+    let mut scratch: Vec<NOp> = Vec::new();
     while let Some(start) = work.pop() {
         if entry[start as usize] != NO_REGION {
             continue;
         }
-        let region = build_region(code, start, &mut leader, &mut work);
+        let region = build_region(code, start, &mut leader, &mut work, &mut scratch);
         if region.ops.is_empty() && region.term == Term::Fall(start) {
             // A leader that is immediately a call/ret lowers to a no-op
             // region falling to itself. Leave the slot unmapped so the
@@ -733,14 +757,16 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
 }
 
 /// Walks the stream from `start` to the region's end, lowering as it
-/// goes; newly discovered fall-through leaders go onto `work`.
+/// goes; newly discovered fall-through leaders go onto `work`. `ops` is
+/// the caller's scratch buffer (contents irrelevant on entry).
 fn build_region(
     code: &[Instr],
     start: u32,
     leader: &mut [bool],
     work: &mut Vec<u32>,
+    ops: &mut Vec<NOp>,
 ) -> NativeRegion {
-    let mut ops = Vec::new();
+    ops.clear();
     let mut done: u64 = 0;
     let mut pc = start as usize;
     let term = loop {
@@ -936,7 +962,7 @@ fn is_block_member(op: &NOp) -> bool {
 /// [`LOCALS_REGS`] also stay in individual-op form (the executor's
 /// slow path is observationally identical). Blocks are built from a
 /// flat op vector, so they never nest.
-fn group_locals(ops: Vec<NOp>) -> Vec<NOp> {
+fn group_locals(ops: &[NOp]) -> Vec<NOp> {
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
@@ -987,9 +1013,10 @@ fn stack_shape(op: &NOp) -> (i32, i32) {
 /// accesses bake their fault seam and static spill count per site, so
 /// a mid-block fault can reproduce the interpreted operand-stack image
 /// exactly; a `GPtrAdd` feeding the immediately following access fuses
-/// into the combined `GIdx*` form (one placement lookup for the pair,
-/// the same peephole the fused constant-index shapes get). Returns
-/// `None` when the run's stack shape exceeds [`LOCALS_REGS`].
+/// into the combined `GIdx*` form ([`push_access`]: one placement
+/// lookup for the pair, the same peephole the fused constant-index
+/// shapes get). Returns `None` when the run's stack shape exceeds
+/// [`LOCALS_REGS`].
 fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
     // Pass 1: the run's depth envelope relative to its entry depth.
     let mut depth: i32 = 0;
@@ -1099,22 +1126,24 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
                 // Pops the address, pushes the value: same slot. The
                 // spill image on a fault is everything below the
                 // popped address.
-                ops.push(ROp::GLoad {
+                let load = ROp::GLoad {
                     at: r(d - 1),
                     size,
                     signed,
                     seam: at,
                     spill: r(d - 1),
-                });
+                };
+                push_access(&mut ops, load);
             }
             NOp::Store { size, at } => {
-                ops.push(ROp::GStore {
+                let store = ROp::GStore {
                     addr: r(d - 1),
                     val: r(d - 2),
                     size,
                     seam: at,
                     spill: r(d - 2),
-                });
+                };
+                push_access(&mut ops, store);
                 d -= 2;
             }
             NOp::PtrAdd { esz } => {
@@ -1139,7 +1168,6 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
             ref other => unreachable!("non-member op in a locals run: {other:?}"),
         }
     }
-    let ops = fuse_idx_pairs(ops);
     let mem = ops.iter().any(is_heap_rop);
     Some(LocalsBlock {
         consumes: bias as u8,
@@ -1165,70 +1193,68 @@ pub fn is_heap_rop(op: &ROp) -> bool {
     )
 }
 
-/// Fuses each `GPtrAdd` whose derived pointer feeds the immediately
-/// following `GLoad`/`GStore` into the combined one-lookup form. The
-/// pointer register the pair threads through is dead afterwards (the
-/// access pops it), so the rewrite is invisible: on the hit path one
-/// in-unit containment check proves both steps, and on the miss path
-/// the executor runs the exact two-step sequence.
-fn fuse_idx_pairs(ops: Vec<ROp>) -> Vec<ROp> {
-    let mut out: Vec<ROp> = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        if let ROp::GPtrAdd {
+/// Appends a `GLoad`/`GStore` to a block under construction, fusing it
+/// with a directly preceding `GPtrAdd` that derived its address into
+/// the combined one-lookup form. The pointer register the pair threads
+/// through is dead afterwards (the access pops it), so the rewrite is
+/// invisible: on the hit path one in-unit containment check proves both
+/// steps, and on the miss path the executor runs the exact two-step
+/// sequence.
+fn push_access(ops: &mut Vec<ROp>, access: ROp) {
+    let fused = match (ops.last(), access) {
+        (
+            Some(&ROp::GPtrAdd {
+                dst,
+                ptr,
+                count,
+                esz,
+            }),
+            ROp::GLoad {
+                at,
+                size,
+                signed,
+                seam,
+                spill,
+            },
+        ) if at == dst => ROp::GIdxLoad {
             dst,
             ptr,
             count,
             esz,
-        } = ops[i]
-        {
-            match ops.get(i + 1) {
-                Some(&ROp::GLoad {
-                    at,
-                    size,
-                    signed,
-                    seam,
-                    spill,
-                }) if at == dst => {
-                    out.push(ROp::GIdxLoad {
-                        dst,
-                        ptr,
-                        count,
-                        esz,
-                        size,
-                        signed,
-                        seam,
-                        spill,
-                    });
-                    i += 2;
-                    continue;
-                }
-                Some(&ROp::GStore {
-                    addr,
-                    val,
-                    size,
-                    seam,
-                    spill,
-                }) if addr == dst => {
-                    out.push(ROp::GIdxStore {
-                        ptr,
-                        count,
-                        val,
-                        esz,
-                        size,
-                        seam,
-                        spill,
-                    });
-                    i += 2;
-                    continue;
-                }
-                _ => {}
-            }
+            size,
+            signed,
+            seam,
+            spill,
+        },
+        (
+            Some(&ROp::GPtrAdd {
+                dst,
+                ptr,
+                count,
+                esz,
+            }),
+            ROp::GStore {
+                addr,
+                val,
+                size,
+                seam,
+                spill,
+            },
+        ) if addr == dst => ROp::GIdxStore {
+            ptr,
+            count,
+            val,
+            esz,
+            size,
+            seam,
+            spill,
+        },
+        _ => {
+            ops.push(access);
+            return;
         }
-        out.push(ops[i]);
-        i += 1;
-    }
-    out
+    };
+    *ops.last_mut().expect("matched a preceding GPtrAdd") = fused;
 }
 
 /// Lowers one non-terminator, non-breaker instruction. `pc` is the
@@ -1399,11 +1425,24 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_source, fuse_program};
+    use crate::{compile_source, fuse_program, CompiledProgram};
 
-    fn lower(src: &str) -> NativeProgram {
-        let fused = fuse_program(&compile_source(src).unwrap());
-        lower_native(&fused.funcs)
+    fn fused(src: &str) -> CompiledProgram {
+        fuse_program(compile_source(src).unwrap())
+    }
+
+    /// Every function's artifact, each forced through the first-entry
+    /// accessor.
+    fn lower_all(fused: &CompiledProgram) -> Vec<NativeFunc> {
+        let native = NativeProgram::new(fused.funcs.len());
+        let funcs = fused.funcs.iter().enumerate();
+        funcs
+            .map(|(i, f)| native.func(i, &f.code).clone())
+            .collect()
+    }
+
+    fn lower(src: &str) -> Vec<NativeFunc> {
+        lower_all(&fused(src))
     }
 
     const LOOP_SRC: &str = "long spin(long n) { long i; long acc = 0; \
@@ -1416,9 +1455,8 @@ mod tests {
 
     #[test]
     fn entry_table_is_aligned_and_indices_are_valid() {
-        let fused = fuse_program(&compile_source(LOOP_SRC).unwrap());
-        let native = lower_native(&fused.funcs);
-        for (f, nf) in fused.funcs.iter().zip(&native.funcs) {
+        let fused = fused(LOOP_SRC);
+        for (f, nf) in fused.funcs.iter().zip(&lower_all(&fused)) {
             assert_eq!(nf.entry.len(), f.code.len());
             for &r in &nf.entry {
                 assert!(r == NO_REGION || (r as usize) < nf.regions.len());
@@ -1433,7 +1471,7 @@ mod tests {
     #[test]
     fn loop_lowers_to_chained_regions_with_fused_terminators() {
         let native = lower(LOOP_SRC);
-        let nf = &native.funcs[0];
+        let nf = &native[0];
         let has_cmp_head = nf
             .regions
             .iter()
@@ -1459,9 +1497,7 @@ mod tests {
         // A straight-line function: one region covering everything up to
         // the Ret breaker, charging exactly the unfused component count.
         let src = "int f() { int x = 3; int y = 4; return x + y; }";
-        let fused = fuse_program(&compile_source(src).unwrap());
-        let native = lower_native(&fused.funcs);
-        let nf = &native.funcs[0];
+        let nf = &lower(src)[0];
         let entry_region = &nf.regions[nf.entry[0] as usize];
         // The region ends at the Ret; its charge equals the instruction
         // slots it covers (every slot is one component).
@@ -1481,7 +1517,7 @@ mod tests {
                    t = t + u + 3; t = t + 5; u = u + t; return t + u; }";
         let native = lower(src);
         let mut blocks = 0usize;
-        for region in &native.funcs[0].regions {
+        for region in &native[0].regions {
             let mut run = 0usize;
             for op in &region.ops {
                 match op {
@@ -1606,11 +1642,7 @@ mod tests {
         let src = "long f(long a, long b) { long x = a + 1; \
                    long q = x / b; long y = q + 2; return y + x; }";
         let native = lower(src);
-        let ops: Vec<&NOp> = native.funcs[0]
-            .regions
-            .iter()
-            .flat_map(|r| &r.ops)
-            .collect();
+        let ops: Vec<&NOp> = native[0].regions.iter().flat_map(|r| &r.ops).collect();
         assert!(
             ops.iter().any(|op| matches!(op, NOp::Div { .. })),
             "division must stay a top-level op"
@@ -1630,7 +1662,7 @@ mod tests {
         let src = "long f(long n) { long src[4]; long dst[4]; long i; \
                    for (i = 0; i < n; i++) dst[i] = src[i]; return dst[0]; }";
         let native = lower(src);
-        let blocks: Vec<&LocalsBlock> = native.funcs[0]
+        let blocks: Vec<&LocalsBlock> = native[0]
             .regions
             .iter()
             .flat_map(|r| &r.ops)
@@ -1750,7 +1782,7 @@ mod tests {
     fn accum_fault_seam_covers_five_components() {
         let src = "long f() { long acc = 0; long xs[2]; acc += xs[5]; return acc; }";
         let native = lower(src);
-        let accum = native.funcs[0]
+        let accum = native[0]
             .regions
             .iter()
             .flat_map(|r| &r.ops)
@@ -1762,8 +1794,7 @@ mod tests {
         // The load is component 4 of the 9-wide pattern: the seam must
         // surface with exactly `prefix + 5` components charged and the
         // load's own architectural pc.
-        let fused = fuse_program(&compile_source(src).unwrap());
-        let head = fused.funcs[0]
+        let head = fused(src).funcs[0]
             .code
             .iter()
             .position(|i| matches!(i, Instr::FusedLoadIdxAccum { .. }))

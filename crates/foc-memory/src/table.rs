@@ -50,15 +50,17 @@ pub struct Placement {
 /// Which object-table backend to instantiate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TableKind {
-    /// Self-adjusting splay tree (default; as in Jones & Kelly).
-    #[default]
+    /// Self-adjusting splay tree (as in Jones & Kelly; the reference
+    /// oracle).
     Splay,
     /// B-tree baseline.
     BTree,
     /// Sorted interval vector with last-hit memoization.
     Flat,
     /// Adaptive per-space selection: flat until [`AUTO_PROMOTE`]
-    /// entries, then promoted in place to a splay tree.
+    /// entries, then promoted in place to a splay tree (the shipped
+    /// default).
+    #[default]
     Auto,
 }
 

@@ -359,8 +359,7 @@ pub const RESTART_COST_CYCLES: u64 = 220_000;
 
 /// The regenerating process pool (the paper's Apache architecture).
 pub struct ApachePool {
-    mode: Mode,
-    table: TableKind,
+    spec: BootSpec,
     workers: Vec<ApacheWorker>,
     next: usize,
     /// Total virtual cycles spent, including restart overhead.
@@ -372,20 +371,15 @@ pub struct ApachePool {
 }
 
 impl ApachePool {
-    /// Creates a pool with `n` children sharing the interned image.
+    /// Creates a pool with `n` children sharing the interned image, on
+    /// the session-default spec ([`BootSpec::new`]). Children boot (and
+    /// later respawn) from the interned boot checkpoint, so pool
+    /// regeneration never replays worker init.
     pub fn new(mode: Mode, n: usize) -> ApachePool {
-        ApachePool::new_table(mode, TableKind::default(), n)
-    }
-
-    /// Creates a pool whose children all run the given table backend.
-    /// Children boot (and later respawn) from the interned boot
-    /// checkpoint, so pool regeneration never replays worker init.
-    pub fn new_table(mode: Mode, table: TableKind, n: usize) -> ApachePool {
-        let spec = BootSpec::new(ServerKind::Apache, mode).with_table(table);
+        let spec = BootSpec::new(ServerKind::Apache, mode);
         let workers = (0..n).map(|_| ApacheWorker::boot_spec(&spec)).collect();
         ApachePool {
-            mode,
-            table,
+            spec,
             workers,
             next: 0,
             total_cycles: 0,
@@ -409,9 +403,7 @@ impl ApachePool {
             Outcome::Crashed(_) => {
                 self.child_deaths += 1;
                 self.total_cycles += RESTART_COST_CYCLES;
-                self.workers[idx] = ApacheWorker::boot_spec(
-                    &BootSpec::new(ServerKind::Apache, self.mode).with_table(self.table),
-                );
+                self.workers[idx] = ApacheWorker::boot_spec(&self.spec);
             }
         }
         r.outcome

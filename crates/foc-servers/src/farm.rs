@@ -110,13 +110,16 @@ pub struct FarmConfig {
 impl FarmConfig {
     /// A farm of `kind` under `mode` with the default shape: 4 servers,
     /// 4 threads, 100 requests per server, 1-in-8 attacks, and the
-    /// shared supervision budget.
+    /// shared supervision budget. The table backend and lookup layer are
+    /// [`BootSpec::new`]'s, so the farm boots exactly what a lone driver
+    /// would.
     pub fn new(kind: ServerKind, mode: Mode) -> FarmConfig {
+        let spec = BootSpec::new(kind, mode);
         FarmConfig {
             kind,
             mode,
-            table: TableKind::default(),
-            lookup: LookupLayer::from_env(),
+            table: spec.table,
+            lookup: spec.lookup,
             sequence: ValueSequence::default(),
             fuel: None,
             servers: 4,
@@ -1255,10 +1258,30 @@ mod tests {
 
     #[test]
     fn farm_report_is_thread_count_invariant() {
-        let c = quick(ServerKind::Apache, Mode::BoundsCheck);
+        let mut c = quick(ServerKind::Apache, Mode::BoundsCheck);
+        c.servers = 8;
         let one = run_farm(&c.clone().with_threads(1));
-        let two = run_farm(&c.with_threads(2));
+        let two = run_farm(&c.clone().with_threads(2));
+        let eight = run_farm(&c.with_threads(8));
         assert_eq!(one, two);
+        assert_eq!(one, eight);
+    }
+
+    #[test]
+    fn farm_boots_what_a_lone_driver_boots() {
+        // One function owns the session defaults: a farm built with
+        // `FarmConfig::new` runs the spec `BootSpec::new` hands a lone
+        // driver, on every axis (`FOC_TABLE` included).
+        for kind in ServerKind::ALL {
+            for mode in Mode::ALL {
+                assert_eq!(
+                    FarmConfig::new(kind, mode).boot_spec(),
+                    BootSpec::new(kind, mode),
+                    "{} under {mode:?}",
+                    kind.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -135,10 +135,9 @@ pub struct BootSpec {
     pub sequence: ValueSequence,
     /// Per-call instruction budget.
     pub fuel: u64,
-    /// Execution tier of the booted image (baseline vs fused
-    /// superinstructions). Part of the cache key: fused and unfused
-    /// boots never alias in the checkpoint cache, matching their
-    /// distinct [`foc_compiler::ProgramId`]s.
+    /// Execution tier of the booted image. Part of the cache key: the
+    /// tiers' boots never alias in the checkpoint cache, matching
+    /// their distinct [`foc_compiler::ProgramId`]s.
     pub tier: ExecTier,
     /// In-bounds lookup layer of the booted space (page map vs direct
     /// table search). Part of the cache key: a cached checkpoint carries
@@ -151,18 +150,42 @@ impl BootSpec {
     /// session defaults: the paper's cycling sequence, the kind's
     /// standard fuel budget, and the three environment axes — table
     /// backend from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`,
-    /// lookup layer from `FOC_LOOKUP` (each defaulting when unset).
-    /// Unknown env values exit the process with a one-line diagnostic;
-    /// use [`BootSpec::from_env`] to get the error as a value instead.
+    /// lookup layer from `FOC_LOOKUP`. Unset, those are the shipped
+    /// fast path `native`/`paged`/`auto`; `baseline`/`table`/`splay`,
+    /// the reference oracle every faster path is proven against, is
+    /// reached by naming it (in the environment or through the `with_*`
+    /// builders). This is the one place a default is decided:
+    /// [`farm::FarmConfig::new`], [`ServerKind::image`],
+    /// [`Process::boot_source`] and [`apache::ApachePool::new`] all take
+    /// theirs from here. Unknown env values exit the process with a
+    /// one-line diagnostic; use [`BootSpec::from_env`] to get the error
+    /// as a value instead.
     pub fn new(kind: ServerKind, mode: Mode) -> BootSpec {
+        BootSpec::with_budget(mode, kind.fuel())
+    }
+
+    /// [`BootSpec::new`] for a guest that is not one of the five
+    /// servers and so has no standard budget of its own.
+    fn with_budget(mode: Mode, fuel: u64) -> BootSpec {
         BootSpec {
             mode,
             table: TableKind::from_env(),
             sequence: ValueSequence::default(),
-            fuel: kind.fuel(),
+            fuel,
             tier: ExecTier::from_env(),
             lookup: LookupLayer::from_env(),
         }
+    }
+
+    /// The reference oracle for `kind` under `mode`, whatever the
+    /// environment says: the unfused `baseline` stream over the direct
+    /// `table` search of a `splay` tree — the configuration every
+    /// faster path is proven observably identical to.
+    pub fn oracle(kind: ServerKind, mode: Mode) -> BootSpec {
+        BootSpec::new(kind, mode)
+            .with_tier(ExecTier::Baseline)
+            .with_lookup(LookupLayer::Table)
+            .with_table(TableKind::Splay)
     }
 
     /// The strict, fallible twin of [`BootSpec::new`]: reads the same
@@ -290,39 +313,6 @@ pub struct Process {
 }
 
 impl Process {
-    /// Legacy convenience over [`Process::boot_spec`] with the session
-    /// defaults on the table/tier/lookup axes; prefer constructing a
-    /// [`BootSpec`] at the call site.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image fails to load (global region exhaustion —
-    /// a harness bug, since the server images are fixed).
-    pub fn boot(image: &ProgramImage, mode: Mode, fuel: u64) -> Process {
-        Process::boot_table(image, mode, TableKind::from_env(), fuel)
-    }
-
-    /// Legacy convenience over [`Process::boot_spec`] for the
-    /// mode × table subset; prefer constructing a [`BootSpec`] at the
-    /// call site.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the image fails to load, as [`Process::boot`].
-    pub fn boot_table(image: &ProgramImage, mode: Mode, table: TableKind, fuel: u64) -> Process {
-        Process::boot_spec(
-            image,
-            &BootSpec {
-                mode,
-                table,
-                sequence: ValueSequence::default(),
-                fuel,
-                tier: ExecTier::from_env(),
-                lookup: LookupLayer::from_env(),
-            },
-        )
-    }
-
     /// Boots a shared compiled image from a full [`BootSpec`] — every
     /// sweep axis (mode, table backend, value sequence, fuel budget,
     /// execution tier, lookup layer) decided by the caller. This is the
@@ -333,7 +323,8 @@ impl Process {
     ///
     /// # Panics
     ///
-    /// Panics when the image fails to load, as [`Process::boot`].
+    /// Panics when the image fails to load (global region exhaustion —
+    /// a harness bug, since the server images are fixed).
     pub fn boot_spec(image: &ProgramImage, spec: &BootSpec) -> Process {
         let config = MachineConfig {
             mem: foc_memory::MemConfig::with_mode(spec.mode)
@@ -353,20 +344,22 @@ impl Process {
         }
     }
 
-    /// Legacy convenience: compiles `source` cold and boots it through
-    /// [`Process::boot`] — the pre-interning path, kept for one-off
-    /// programs and as the differential baseline the image-sharing
-    /// property tests compare against.
+    /// Compiles `source` cold on the session-default tier and boots it
+    /// under the session-default spec ([`BootSpec::new`]'s axes) — the
+    /// pre-interning path, kept for one-off programs and as the
+    /// differential baseline the image-sharing property tests compare
+    /// against.
     ///
     /// # Panics
     ///
-    /// Panics when the source fails to compile.
+    /// Panics when the source fails to compile, or the image to load.
     pub fn boot_source(source: &str, mode: Mode, fuel: u64) -> Process {
-        let image = match foc_compiler::compile_image(source) {
+        let spec = BootSpec::with_budget(mode, fuel);
+        let image = match foc_compiler::compile_image_tier(source, spec.tier) {
             Ok(image) => image,
             Err(e) => panic!("server source failed to build: {e}"),
         };
-        Process::boot(&image, mode, fuel)
+        Process::boot_spec(&image, &spec)
     }
 
     /// Freezes this process's current state (machine plus spec) for
@@ -510,9 +503,9 @@ mod tests {
     fn boot_spec_from_env_defaults_when_unset() {
         let spec =
             BootSpec::from_env_with(ServerKind::Pine, Mode::FailureOblivious, |_| None).unwrap();
-        assert_eq!(spec.tier, ExecTier::Baseline);
-        assert_eq!(spec.lookup, LookupLayer::Table);
-        assert_eq!(spec.table, TableKind::Splay);
+        assert_eq!(spec.tier, ExecTier::Native);
+        assert_eq!(spec.lookup, LookupLayer::Paged);
+        assert_eq!(spec.table, TableKind::Auto);
         assert_eq!(spec.mode, Mode::FailureOblivious);
         assert_eq!(spec.fuel, ServerKind::Pine.fuel());
         assert_eq!(spec.sequence, ValueSequence::default());

@@ -14,11 +14,14 @@
 //! native artifact must ride through `Checkpoint` capture/restore),
 //! and the §4/§5.1 attack library, across all five servers × all five
 //! modes, plus a property sweep over manufactured-value seeds and fuel
-//! limits that pins identical fuel-out points.
+//! limits that pins identical fuel-out points — and the contract of
+//! lowering per function on first entry: nothing lowered before it is
+//! entered, one artifact per function however many machines, restores
+//! or threads enter it.
 
 use proptest::prelude::*;
 
-use foc_compiler::{compile_image_tier, ExecTier};
+use foc_compiler::{compile_image_tier, ExecTier, NativeFunc};
 use foc_memory::{Mode, ValueSequence};
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
@@ -96,32 +99,45 @@ fn manufactured_value_strategies_are_native_blind() {
     }
 }
 
+const SPIN_SOURCE: &str = "long spin(long n) { int xs[2]; long i; long acc = 0; \
+                           for (i = 0; i < n; i++) acc += xs[5]; return acc; } \
+                           long idle(long n) { return n + 1; }";
+
+fn spin_config() -> MachineConfig {
+    MachineConfig::with_mode(Mode::FailureOblivious).with_fuel(1_000_000)
+}
+
+/// The address of function `name`'s lowered regions in the image a
+/// machine runs, if any machine has entered the function yet.
+fn lowered_at(machine: &Machine, name: &str) -> Option<*const NativeFunc> {
+    let image = machine.image();
+    let fid = image.func_index(name).expect("function exists") as usize;
+    let native = image.native().expect("native-tier image");
+    native.lowered(fid).map(std::ptr::from_ref)
+}
+
 /// A mid-run VM checkpoint of a native-tier machine must restore with
-/// the AOT artifact intact, and the interrupted run must finish exactly
-/// as an uninterrupted baseline run does — stats, space counters, and
-/// results alike. (Server boots restore frozen snapshots on every
-/// `drive_input`, so the batteries above already soak boot-time
-/// restore; this pins the artifact's survival explicitly.)
+/// the lowered artifact intact, and the interrupted run must finish
+/// exactly as an uninterrupted baseline run does — stats, space
+/// counters, and results alike. (Server boots restore frozen snapshots
+/// on every `drive_input`, so the batteries above already soak
+/// boot-time restore; this pins the artifact's survival explicitly.)
 #[test]
 fn native_artifact_survives_checkpoint_restore() {
-    let src = "long spin(long n) { int xs[2]; long i; long acc = 0; \
-               for (i = 0; i < n; i++) acc += xs[5]; return acc; }";
-    let config = MachineConfig::with_mode(Mode::FailureOblivious).with_fuel(1_000_000);
-
-    let image = compile_image_tier(src, ExecTier::Native).expect("compile");
-    let mut native = Machine::load(image, config.clone()).expect("load");
+    let image = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
+    let mut native = Machine::load(image, spin_config()).expect("load");
     native.call("spin", &[4]).expect("warm-up call");
     let ckpt = Checkpoint::capture(&native);
 
     let mut restored = ckpt.restore();
     assert!(
-        restored.image().native().is_some(),
-        "the AOT artifact must ride through capture/restore"
+        lowered_at(&restored, "spin").is_some(),
+        "the regions the warm-up lowered must ride through capture/restore"
     );
 
     let mut reference = Machine::load(
-        compile_image_tier(src, ExecTier::Baseline).expect("compile"),
-        config,
+        compile_image_tier(SPIN_SOURCE, ExecTier::Baseline).expect("compile"),
+        spin_config(),
     )
     .expect("load");
     reference.call("spin", &[4]).expect("warm-up call");
@@ -131,6 +147,84 @@ fn native_artifact_survives_checkpoint_restore() {
     );
     assert_eq!(restored.stats(), reference.stats());
     assert_eq!(restored.space().stats(), reference.space().stats());
+}
+
+/// Lowering happens at a function's first entry and nowhere else: a
+/// loaded image has lowered nothing, a call lowers what it enters, and
+/// a function no machine has entered never gets an artifact. The
+/// image's content id hashes the bytecode, so it cannot tell how much
+/// of the artifact exists.
+#[test]
+fn a_function_never_entered_has_no_artifact() {
+    let image = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
+    let id = image.id();
+    let mut machine = Machine::load(image, spin_config()).expect("load");
+    assert_eq!(lowered_at(&machine, "spin"), None, "loading lowers nothing");
+    machine.call("spin", &[4]).expect("call");
+    assert!(lowered_at(&machine, "spin").is_some());
+    assert_eq!(lowered_at(&machine, "idle"), None);
+    assert_eq!(machine.image().id(), id);
+    let fresh = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
+    assert_eq!(fresh.id(), id, "a never-run image of the same source");
+}
+
+/// One image, one artifact: a sibling machine booted from the same
+/// image and a checkpoint restore both run the very `NativeFunc` the
+/// first machine's first entry lowered — nothing is lowered twice.
+#[test]
+fn machines_and_restores_of_one_image_share_each_artifact() {
+    let image = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
+    let mut first = Machine::load(image.clone(), spin_config()).expect("load");
+    first.call("spin", &[4]).expect("call");
+    let lowered = lowered_at(&first, "spin").expect("first entry lowers");
+
+    let mut sibling = Machine::load(image, spin_config()).expect("load");
+    sibling.call("spin", &[4]).expect("call");
+    assert_eq!(lowered_at(&sibling, "spin"), Some(lowered));
+
+    let mut restored = Checkpoint::capture(&first).restore();
+    restored.call("spin", &[4]).expect("call");
+    assert_eq!(lowered_at(&restored, "spin"), Some(lowered));
+    assert_eq!(restored.stats().instrs, 2 * sibling.stats().instrs);
+}
+
+/// Eight threads released together into the first entry of one
+/// function of one fresh image: exactly one artifact is published, and
+/// every thread computes what the baseline interpreter computes.
+#[test]
+fn racing_first_entries_publish_one_artifact() {
+    const THREADS: usize = 8;
+    let image = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
+    let start = std::sync::Barrier::new(THREADS);
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        let racers: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut machine = Machine::load(image.clone(), spin_config()).expect("load");
+                    start.wait();
+                    let result = machine.call("spin", &[64]);
+                    let lowered = lowered_at(&machine, "spin").map(|at| at as usize);
+                    (result, machine.stats(), *machine.space().stats(), lowered)
+                })
+            })
+            .collect();
+        let joined = racers.into_iter();
+        joined.map(|r| r.join().expect("racer panicked")).collect()
+    });
+
+    let mut reference = Machine::load(
+        compile_image_tier(SPIN_SOURCE, ExecTier::Baseline).expect("compile"),
+        spin_config(),
+    )
+    .expect("load");
+    let result = reference.call("spin", &[64]);
+    let artifact = runs[0].3;
+    assert!(artifact.is_some(), "the first entry lowers the function");
+    for run in &runs {
+        let expected = (&result, reference.stats(), *reference.space().stats());
+        assert_eq!((&run.0, run.1, run.2), expected);
+        assert_eq!(run.3, artifact, "every thread runs the one artifact");
+    }
 }
 
 proptest! {

@@ -364,7 +364,12 @@ impl Machine {
             }};
         }
 
-        let native = program.native();
+        // Native tier (`ExecTier::Native`): the current function's
+        // lowered regions, resolved here and again at every call and
+        // return — once per activation, so the dispatch loop below
+        // never touches the image's lazily filled artifact table. The
+        // first activation of a function is what lowers it.
+        let mut native = program.native_func(func);
         // Scratch register file for register-form pure-local blocks,
         // zeroed once per activation instead of once per block. Block
         // semantics never read a register before writing it (beyond the
@@ -373,9 +378,9 @@ impl Machine {
         let mut nregs = [0i64; LOCALS_REGS];
 
         loop {
-            // Native tier (`ExecTier::Native`): whenever the current pc
-            // is a lowered-region entry and remaining fuel covers the
-            // region's whole charge, run the pre-decoded region array —
+            // Whenever the current pc is a lowered-region entry and
+            // remaining fuel covers the region's whole charge, run the
+            // pre-decoded region array —
             // no per-instruction dispatch, fetch, or fuel check. The
             // region was charged up front, so the only mid-region exits
             // are the memory/divide fault seams, which refund the
@@ -385,8 +390,7 @@ impl Machine {
             // — lands on a pc without a region (or without fuel cover)
             // and falls through to the interpreter below, which is the
             // deopt path.
-            if let Some(np) = native {
-                let nf = &np.funcs[func as usize];
+            if let Some(nf) = native {
                 while let Some(&ri) = nf.entry.get(pc as usize) {
                     if ri == NO_REGION {
                         break;
@@ -586,6 +590,7 @@ impl Machine {
                     func = callee;
                     code = &program.funcs[func as usize].code;
                     frame_total = program.funcs[func as usize].frame.total;
+                    native = program.native_func(func);
                     base = self.frames.last().expect("active frame").frame_base;
                     pc = 0;
                 }
@@ -613,6 +618,7 @@ impl Machine {
                     base = caller.frame_base;
                     code = &program.funcs[func as usize].code;
                     frame_total = program.funcs[func as usize].frame.total;
+                    native = program.native_func(func);
                 }
 
                 // ----------------------------------------------------

@@ -17,15 +17,21 @@
 //!    failure-oblivious version (and its §5.1 variants) survive and keep
 //!    serving — with the FO version converting each attack into the
 //!    anticipated error the paper reports.
+//! 3. **The shipped default is the reference oracle, faster.** A session
+//!    booted from `BootSpec::new` (`native`/`paged`/`auto`) and from the
+//!    explicit `baseline`/`table`/`splay` spec agree on transcripts,
+//!    cycles, `RunStats`, `SpaceStats`, the error log and fault pcs.
 
-use failure_oblivious::memory::Mode;
-use failure_oblivious::servers::Outcome;
+use failure_oblivious::memory::{MemoryErrorRecord, Mode, SpaceStats};
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload};
+use failure_oblivious::servers::{BootSpec, Measured, Outcome, Process, ServerKind};
+use failure_oblivious::vm::RunStats;
+use failure_oblivious::VmFault;
 
 /// What one request looked like to the client: return code + bytes.
 type Observed = (Option<i64>, Vec<u8>);
 
-fn observe(m: failure_oblivious::servers::Measured) -> Observed {
+fn observe(m: Measured) -> Observed {
     (m.outcome.ret(), m.outcome.output().to_vec())
 }
 
@@ -384,5 +390,126 @@ fn mutt_attack_matrix() {
         let r = m.open_folder(&mutt::attack_folder_name(40));
         assert!(r.outcome.survived(), "{mode:?}: {:?}", r.outcome);
         assert_eq!(m.open_folder(b"INBOX").outcome.ret(), Some(0), "{mode:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shipped default against the reference oracle.
+// ---------------------------------------------------------------------
+
+/// Everything one scripted session lets a client or an operator see.
+#[derive(Debug, PartialEq)]
+struct Session {
+    /// Per step: return code, emitted bytes or crash fault, and cycles.
+    steps: Vec<Measured>,
+    run: RunStats,
+    space: SpaceStats,
+    log_total: u64,
+    /// Every retained violation, with the function and pc it faulted at.
+    log: Vec<MemoryErrorRecord>,
+    dead: Option<VmFault>,
+}
+
+fn seal(steps: Vec<Measured>, process: &Process) -> Session {
+    let machine = process.machine();
+    let log = machine.space().error_log();
+    Session {
+        steps,
+        run: machine.stats(),
+        space: *machine.space().stats(),
+        log_total: log.total(),
+        log: log.records().to_vec(),
+        dead: machine.dead_reason().cloned(),
+    }
+}
+
+/// One benign + attack + benign-again session per server.
+fn session(kind: ServerKind, spec: &BootSpec) -> Session {
+    match kind {
+        ServerKind::Apache => {
+            let mut w = apache::ApacheWorker::boot_spec(spec);
+            let steps = vec![
+                w.get(b"/index.html"),
+                w.get(b"/big.bin"),
+                w.get(&apache::attack_url()),
+                w.get(b"/rw/index.html"),
+            ];
+            seal(steps, w.process())
+        }
+        ServerKind::Pine => {
+            let mut p = pine::Pine::boot_spec(spec, pine::Pine::standard_mailbox(3));
+            let steps = vec![
+                p.read(0),
+                p.compose(),
+                p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
+                p.read(3),
+                p.read(1),
+            ];
+            seal(steps, p.process())
+        }
+        ServerKind::Sendmail => {
+            let mut sm = sendmail::Sendmail::boot_spec(spec);
+            let steps = vec![
+                sm.receive(
+                    &workload::sendmail_address(1),
+                    &workload::sendmail_address(2),
+                    b"first message body",
+                ),
+                sm.mail_from(&sendmail::attack_address(120)),
+                sm.send(&workload::sendmail_address(3), b"outbound body"),
+            ];
+            seal(steps, sm.process())
+        }
+        ServerKind::Mc => {
+            let mut m = mc::Mc::boot_spec(spec, &mc::clean_config());
+            m.create(b"/tmp/a.txt", 4096, false);
+            let steps = vec![
+                m.copy(b"/tmp/a.txt", b"/tmp/b.txt"),
+                m.open_archive(&mc::attack_links()),
+                m.component_end(b"noslashhere"),
+                m.mkdir(b"/tmp/newdir"),
+            ];
+            seal(steps, m.process())
+        }
+        ServerKind::Mutt => {
+            let mut m = mutt::Mutt::boot_spec(spec, 3);
+            let steps = vec![
+                m.open_folder(b"INBOX"),
+                m.read_message(0),
+                m.open_folder(&mutt::attack_folder_name(40)),
+                m.open_folder(b"work"),
+            ];
+            seal(steps, m.process())
+        }
+    }
+}
+
+/// What ships by default (`BootSpec::new` with no `FOC_*` variable set:
+/// native tier, paged lookup, auto table) is a faster way to run the
+/// reference configuration, never a different program: the same session
+/// booted from the default spec and from the explicitly named
+/// `baseline`/`table`/`splay` oracle agrees on every surface, where the
+/// continuation code runs (Failure Oblivious) and where the first error
+/// kills the process (Bounds Check).
+#[test]
+fn default_boot_equals_the_baseline_table_splay_oracle() {
+    for kind in ServerKind::ALL {
+        for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
+            let default = BootSpec::new(kind, mode);
+            let shipped = session(kind, &default);
+            assert_eq!(
+                shipped,
+                session(kind, &BootSpec::oracle(kind, mode)),
+                "{} under {mode:?}: {default:?} diverges from the oracle",
+                kind.name()
+            );
+            if mode == Mode::FailureOblivious {
+                assert!(
+                    shipped.log_total > 0 && shipped.dead.is_none(),
+                    "{}: the session must contain an attack the server rides through",
+                    kind.name()
+                );
+            }
+        }
     }
 }
