@@ -291,15 +291,14 @@ pub enum NOp {
     /// operand stack is statically known at every point, so each
     /// push/pop is resolved to a fixed scratch-register index ahead of
     /// time and the ops run back to back with no operand-stack
-    /// traffic. Pure frame-local ops service their accesses off a
-    /// borrowed frame window (no region bounds/commit round-trips);
-    /// checked guest accesses ([`ROp::GLoad`]/[`ROp::GStore`] and the
-    /// pointer ops) stay inside the block too, probing the space's
-    /// placement fast path inline against the live register file and
-    /// deopting to the full access path — seam, spill, refund — only
-    /// on a probe miss. This is the "pre-resolved operands" half of
-    /// the native tier's dispatch win, extended across the memory
-    /// boundary.
+    /// traffic. Pure frame-local ops index the frame window the
+    /// executor's view of the space committed up front; checked guest
+    /// accesses ([`ROp::GLoad`]/[`ROp::GStore`] and the pointer ops)
+    /// stay inside the block too, completing through the same view
+    /// against the live register file and taking the full access path
+    /// — seam, spill, refund — only on a view miss. This is the
+    /// "pre-resolved operands" half of the native tier's dispatch win,
+    /// extended across the memory boundary.
     Locals(LocalsBlock),
 }
 
@@ -309,25 +308,23 @@ pub enum NOp {
 /// front end emits).
 pub const LOCALS_REGS: usize = 64;
 
-/// A pure frame-local run in register form. `consumes` operand-stack
-/// values enter as registers `0..consumes` (`consumes - 1` is the old
-/// top of stack); after the ops run, registers `0..produces` are the
-/// block's operand-stack contribution, pushed back in index order. A
-/// self-contained block (every statement's expression stack starts and
-/// ends empty) has `consumes == produces == 0` and touches the operand
-/// stack not at all.
+/// A run of frame-local and guest-memory ops in register form.
+/// `consumes` operand-stack values enter as registers `0..consumes`
+/// (`consumes - 1` is the old top of stack); after the ops run,
+/// registers `0..produces` are the block's operand-stack contribution,
+/// pushed back in index order. A self-contained block (every
+/// statement's expression stack starts and ends empty) has
+/// `consumes == produces == 0` and touches the operand stack not at
+/// all. Pure and guest-memory ops ([`ROp`]'s `G`-prefixed variants)
+/// mix freely: the VM's one executor runs them in a single loop over
+/// its view of the space, so a block carries no flag saying which kind
+/// it holds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LocalsBlock {
     /// Operand-stack values consumed at entry.
     pub consumes: u8,
     /// Operand-stack values produced at exit.
     pub produces: u8,
-    /// Whether the block contains guest-memory register ops (the
-    /// `G`-prefixed [`ROp`] variants). A pure block (`mem == false`)
-    /// runs on the executor's single-borrow fast path; a memory block
-    /// runs segmented, releasing the frame borrow at each guest access
-    /// so the space's placement machinery is reachable in between.
-    pub mem: bool,
     /// The straight-line register ops.
     pub ops: Box<[ROp]>,
 }
@@ -335,7 +332,7 @@ pub struct LocalsBlock {
 /// A register-form micro-op inside a [`LocalsBlock`]. All register
 /// indices are below [`LOCALS_REGS`]; frame offsets were validated
 /// against the frame layout by the front end, so the executor indexes
-/// its borrowed frame window directly.
+/// the committed frame window directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ROp {
     /// `r[dst] = c`.
@@ -464,9 +461,9 @@ pub enum ROp {
     },
     /// Checked guest load against the live register file: the address
     /// comes from register `at` and the loaded value replaces it. The
-    /// executor probes the space's pre-resolved placement fast path
-    /// inline; a probe miss deopts to the full access path (violation
-    /// continuation included), and a fault spills registers
+    /// executor completes it through its view of the space (placement
+    /// memo, else one lookup); a view miss takes the full access path
+    /// (violation continuation included), and a fault spills registers
     /// `0..spill` back to the operand stack — reproducing the
     /// interpreted stack image after the address pop — before
     /// unwinding at the pre-baked seam.
@@ -498,9 +495,9 @@ pub enum ROp {
         spill: u8,
     },
     /// Checked pointer arithmetic in register form: `r[dst] =
-    /// ptr_add(r[ptr], r[count] * esz)`. Runs the interpreter's exact
-    /// routine (out-of-bounds interning included) — it cannot fault,
-    /// so it needs no seam.
+    /// ptr_add(r[ptr], r[count] * esz)`. A result that leaves its unit
+    /// runs the interpreter's exact routine (out-of-bounds interning
+    /// included) — it cannot fault, so it needs no seam.
     GPtrAdd {
         /// Destination register.
         dst: u8,
@@ -904,12 +901,11 @@ fn build_region(
 
 /// Whether `op` is a pure frame-local micro-op: it touches only the
 /// operand stack and the frame's byte window, cannot fault, and adds no
-/// per-access stat extras. Pure ops run on the block executor's
-/// single-borrow fast path; [`is_block_heap`] ops join blocks too but
-/// force the segmented executor. Division stays top-level (its seam is
-/// cheap to keep there and it never clusters with access traffic), as
-/// do the frame-anchored fused access shapes, whose top-level handlers
-/// already carry their own fast paths.
+/// per-access stat extras. [`is_block_heap`] ops join blocks too.
+/// Division stays top-level (its seam is cheap to keep there and it
+/// never clusters with access traffic), as do the frame-anchored fused
+/// access shapes, whose top-level handlers already answer derivation
+/// and access with one lookup.
 fn is_local_pure(op: &NOp) -> bool {
     matches!(
         op,
@@ -934,10 +930,8 @@ fn is_local_pure(op: &NOp) -> bool {
 }
 
 /// Whether `op` is a guest-memory micro-op a [`LocalsBlock`] can span:
-/// checked loads/stores (probe inline, deopt on miss) and the pointer
-/// ops (which run the interpreter's exact space routines and cannot
-/// fault). These force the block onto the segmented executor — see
-/// [`LocalsBlock::mem`].
+/// checked loads/stores (served by the executor's view, full access
+/// path on a miss) and the pointer ops (which cannot fault).
 fn is_block_heap(op: &NOp) -> bool {
     matches!(
         op,
@@ -1168,29 +1162,11 @@ fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
             ref other => unreachable!("non-member op in a locals run: {other:?}"),
         }
     }
-    let mem = ops.iter().any(is_heap_rop);
     Some(LocalsBlock {
         consumes: bias as u8,
         produces: (d + bias) as u8,
-        mem,
         ops: ops.into_boxed_slice(),
     })
-}
-
-/// Whether a register op touches guest memory (decides
-/// [`LocalsBlock::mem`], and where the segmented executor must release
-/// its frame borrow).
-pub fn is_heap_rop(op: &ROp) -> bool {
-    matches!(
-        op,
-        ROp::GLoad { .. }
-            | ROp::GStore { .. }
-            | ROp::GPtrAdd { .. }
-            | ROp::GPtrDiff { .. }
-            | ROp::GEffAddr { .. }
-            | ROp::GIdxLoad { .. }
-            | ROp::GIdxStore { .. }
-    )
 }
 
 /// Appends a `GLoad`/`GStore` to a block under construction, fusing it
@@ -1657,12 +1633,13 @@ mod tests {
     fn heap_accesses_group_into_memory_blocks() {
         // The access_cost copy shape: the loop body's `dst[i] = src[i]`
         // is address arithmetic plus two checked accesses — all block
-        // members now, so it must collapse into a single memory block
-        // whose address+access pairs fuse into the combined index ops.
+        // members, so load, store and the frame-local index reads must
+        // sit in one block, the address+access pairs fused into the
+        // combined index ops.
         let src = "long f(long n) { long src[4]; long dst[4]; long i; \
                    for (i = 0; i < n; i++) dst[i] = src[i]; return dst[0]; }";
         let native = lower(src);
-        let blocks: Vec<&LocalsBlock> = native[0]
+        let copy_body = native[0]
             .regions
             .iter()
             .flat_map(|r| &r.ops)
@@ -1670,28 +1647,19 @@ mod tests {
                 NOp::Locals(b) => Some(b),
                 _ => None,
             })
-            .collect();
+            .find(|b| b.ops.iter().any(|r| matches!(r, ROp::GIdxStore { .. })))
+            .expect("the indexed store must fuse into a GIdxStore inside a block");
         assert!(
-            blocks.iter().any(|b| b.mem),
-            "the copy body must form a memory-spanning block"
+            copy_body
+                .ops
+                .iter()
+                .any(|r| matches!(r, ROp::GIdxLoad { .. })),
+            "the indexed load must fuse into the same block: {copy_body:?}"
         );
-        let fused_idx = blocks
-            .iter()
-            .flat_map(|b| b.ops.iter())
-            .filter(|r| matches!(r, ROp::GIdxLoad { .. } | ROp::GIdxStore { .. }))
-            .count();
         assert!(
-            fused_idx >= 2,
-            "variable-index load and store must fuse into GIdx forms"
+            copy_body.ops.iter().any(|r| matches!(r, ROp::Load { .. })),
+            "the block must span frame-local reads and guest accesses: {copy_body:?}"
         );
-        for b in &blocks {
-            if !b.mem {
-                assert!(
-                    !b.ops.iter().any(is_heap_rop),
-                    "a pure block must not carry heap ops"
-                );
-            }
-        }
     }
 
     #[test]
@@ -1710,7 +1678,6 @@ mod tests {
             },
         ];
         let block = lower_locals(&run).expect("heap run lowers");
-        assert!(block.mem);
         assert_eq!(block.consumes, 0);
         assert_eq!(block.produces, 1);
         assert_eq!(
@@ -1751,7 +1718,6 @@ mod tests {
             },
         ];
         let block = lower_locals(&run).expect("heap run lowers");
-        assert!(block.mem);
         assert_eq!(block.consumes, 0);
         assert_eq!(block.produces, 0);
         assert_eq!(

@@ -277,6 +277,15 @@ impl Region {
         let at = off - self.commit_base;
         Some(&mut self.bytes[at..at + len])
     }
+
+    /// The committed window as it stands: the address of its first byte
+    /// and its storage. Nothing reachable through the borrow can grow
+    /// or move the window, so an offset into it stays valid for as long
+    /// as the borrow does.
+    #[inline]
+    pub fn committed_mut(&mut self) -> (u64, &mut [u8]) {
+        (self.base + self.commit_base as u64, &mut self.bytes)
+    }
 }
 
 /// Whether `addr` encodes an out-of-bounds descriptor.

@@ -115,6 +115,18 @@ impl OobRegistry {
         self.entries.get(id.0 as usize)?.as_ref()
     }
 
+    /// The address a pointer value *means*: a registered descriptor
+    /// resolves to its intended address, anything else is itself.
+    #[inline]
+    pub fn effective_addr(&self, ptr: u64) -> u64 {
+        if crate::addr::is_oob_zone(ptr) {
+            if let Some(entry) = self.decode(ptr) {
+                return entry.intended;
+            }
+        }
+        ptr
+    }
+
     /// Drops every descriptor derived from `unit`, recycling their slots.
     pub fn purge_unit(&mut self, unit: UnitId) {
         let Some(ids) = self.by_unit.remove(&unit) else {

@@ -378,158 +378,34 @@ impl MemorySpace {
         }
     }
 
-    /// Raw read of a local slot. Frame slots always live in the stack
-    /// region, so this skips [`MemorySpace::read_raw`]'s region
-    /// classification — the VM's native tier calls it on every
-    /// direct-local micro-op. Identical results to `read_raw` for any
-    /// stack address.
-    #[inline(always)]
-    pub fn local_read(&self, a: u64, size: AccessSize) -> Option<u64> {
-        self.stack.read(a, size)
-    }
-
-    /// Raw write of a local slot; see [`MemorySpace::local_read`].
-    #[inline(always)]
-    pub fn local_write(&mut self, a: u64, size: AccessSize, value: u64) -> bool {
-        self.stack.write(a, size, value)
-    }
-
-    /// Mutably borrows a frame's whole byte window on the stack region,
-    /// committing storage as needed. The native tier acquires this once
-    /// per pure-local block and services every local access in the
-    /// block straight off the slice — one bounds check and commit
-    /// round for the block instead of one per access. Committing ahead
-    /// of individual writes is unobservable: uncommitted bytes read as
+    /// Splits the space into the native tier's hit-path view, with the
+    /// frame window `[base, base + frame_total)` committed up front so
+    /// frame-local ops index stack bytes directly. Committing ahead of
+    /// individual writes is unobservable: uncommitted bytes read as
     /// zero and commits zero-fill.
-    #[inline]
-    pub fn frame_mut(&mut self, base: u64, len: u64) -> Option<&mut [u8]> {
-        self.stack.slice_mut(base, len)
-    }
-
-    /// Combined fast path for the fused constant-index access shapes:
-    /// checked `ptr_add(base, delta)` immediately followed by a checked
-    /// load of the result. When the base pointer resolves to a unit and
-    /// the whole target access sits inside that same unit, the derived
-    /// pointer is provably in bounds and the access provably hits —
-    /// units never overlap, so one placement lookup answers both
-    /// questions. Counters advance exactly as the two-step sequence
-    /// would on its hit path. `None` means "run the exact two-step
-    /// sequence": unchecked mode, no provenance, a straddle, or any
-    /// out-of-unit target (including every violation).
-    #[inline]
-    pub fn idx_load_fast(&mut self, ptr: u64, delta: i64, size: AccessSize) -> Option<u64> {
-        if !self.mode.is_checked() {
-            return None;
-        }
-        let target = ptr.wrapping_add(delta as u64);
-        let pl = self.lookup_placement(ptr)?;
-        if target >= pl.base && target.wrapping_add(size.bytes()) <= pl.base + pl.size {
-            self.stats.loads += 1;
-            self.stats.checked_accesses += 1;
-            let value = self
-                .region(target)
-                .and_then(|r| r.read(target, size))
-                .expect("resolved access must be mapped");
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Store twin of [`MemorySpace::idx_load_fast`]; `false` means "run
-    /// the exact two-step sequence" (the value is untouched).
-    #[inline]
-    pub fn idx_store_fast(&mut self, ptr: u64, delta: i64, size: AccessSize, value: u64) -> bool {
-        if !self.mode.is_checked() {
-            return false;
-        }
-        let target = ptr.wrapping_add(delta as u64);
-        let Some(pl) = self.lookup_placement(ptr) else {
-            return false;
-        };
-        if target >= pl.base && target.wrapping_add(size.bytes()) <= pl.base + pl.size {
-            self.stats.stores += 1;
-            self.stats.checked_accesses += 1;
-            let ok = self
-                .region_mut(target)
-                .map(|r| r.write(target, size, value))
-                .unwrap_or(false);
-            debug_assert!(ok, "resolved access must be mapped");
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Pre-resolved probe for a register-form guest load — the
-    /// fast-path entry the native tier's memory-spanning blocks call
-    /// with an address straight out of the live register file. The hit
-    /// path is byte-for-byte the hit path of [`MemorySpace::load`]:
-    /// same placement lookup (shift+mask page probe under
-    /// [`LookupLayer::Paged`], table search under
-    /// [`LookupLayer::Table`]), same bounds compare, same counter
-    /// advances — so a probe hit is observationally indistinguishable
-    /// from the interpreted access. `None` means "run the full access":
-    /// an out-of-bounds-zone pointer, a guard page, a placement miss,
-    /// a bounds failure, or (unchecked mode) an unmapped address. The
-    /// probe touches no counters on a miss, so the caller's fallback
-    /// through [`MemorySpace::load`] re-drives the substrate exactly
-    /// once, violations and faults included.
-    #[inline]
-    pub fn probe_load(&mut self, a: u64, size: AccessSize) -> Option<u64> {
-        if !self.mode.is_checked() {
-            let value = self.region(a)?.read(a, size)?;
-            self.stats.loads += 1;
-            return Some(value);
-        }
-        if addr::is_oob_zone(a) {
-            return None;
-        }
-        let pl = self.lookup_placement(a)?;
-        if a + size.bytes() <= pl.base + pl.size {
-            self.stats.loads += 1;
-            self.stats.checked_accesses += 1;
-            let value = self
-                .region(a)
-                .and_then(|r| r.read(a, size))
-                .expect("resolved access must be mapped");
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    /// Store twin of [`MemorySpace::probe_load`]; `false` means "run
-    /// the full access" (the value is untouched).
-    #[inline]
-    pub fn probe_store(&mut self, a: u64, size: AccessSize, value: u64) -> bool {
-        if !self.mode.is_checked() {
-            let ok = match self.region_mut(a) {
-                Some(r) => r.write(a, size, value),
-                None => false,
-            };
-            if ok {
-                self.stats.stores += 1;
-            }
-            return ok;
-        }
-        if addr::is_oob_zone(a) {
-            return false;
-        }
-        let Some(pl) = self.lookup_placement(a) else {
-            return false;
-        };
-        if a + size.bytes() <= pl.base + pl.size {
-            self.stats.stores += 1;
-            self.stats.checked_accesses += 1;
-            let ok = self
-                .region_mut(a)
-                .map(|r| r.write(a, size, value))
-                .unwrap_or(false);
-            debug_assert!(ok, "resolved access must be mapped");
-            true
-        } else {
-            false
+    ///
+    /// # Panics
+    ///
+    /// Panics when the window is not inside the stack region (the
+    /// machine only ever passes a frame `push_frame` handed out).
+    pub fn native_view(&mut self, base: u64, frame_total: u64) -> NativeView<'_> {
+        let framed = self.stack.slice_mut(base, frame_total).is_some();
+        assert!(framed, "frame window must be mapped");
+        let stack = Window::of(&mut self.stack);
+        NativeView {
+            frame_at: (base - stack.lo) as usize,
+            globals: Window::of(&mut self.globals),
+            heap: Window::of(&mut self.heap),
+            stack,
+            store: &self.store,
+            table: &mut *self.table,
+            pages: &mut self.pages,
+            oob: &self.oob,
+            stats: &mut self.stats,
+            checked: self.mode.is_checked(),
+            lookup: self.lookup,
+            last_load: Span::default(),
+            last_store: Span::default(),
         }
     }
 
@@ -596,60 +472,17 @@ impl MemorySpace {
         self.boundless.forget_unit(id);
     }
 
-    /// Resolves the live unit containing `a`, if any — semantically
-    /// identical to `self.table.lookup(a)` under either lookup layer.
-    ///
-    /// Under [`LookupLayer::Paged`] the page map answers first:
-    ///
-    /// * a guard page proves no unit contains `a` (any such unit would
-    ///   intersect `a`'s page), so the miss needs no search;
-    /// * a single-unit page needs one generation-checked store load and
-    ///   one bounds compare — `a` outside that unit is a proven miss by
-    ///   the same intersection argument;
-    /// * a shared page probes the candidate (containment in a live unit
-    ///   is proof regardless of neighbours) and only then falls back to
-    ///   the table, re-seeding the candidate on a hit.
+    /// Resolves the live unit containing `a`, if any; see the free
+    /// [`lookup_placement`] (shared with [`NativeView`]).
     #[inline]
     fn lookup_placement(&mut self, a: u64) -> Option<Placement> {
-        match self.lookup {
-            LookupLayer::Table => self.table.lookup(a),
-            LookupLayer::Paged => match self.pages.hit(a) {
-                PageHit::Guard => None,
-                PageHit::One(id) => {
-                    if let Some(u) = self.store.get(id) {
-                        if u.live {
-                            return u.contains_addr(a).then_some(Placement {
-                                base: u.base,
-                                size: u.size,
-                                unit: id,
-                            });
-                        }
-                    }
-                    // A stale entry would be a bookkeeping bug; the
-                    // table stays authoritative either way.
-                    debug_assert!(false, "page map names a dead unit at {a:#x}");
-                    self.table.lookup(a)
-                }
-                PageHit::Table(hint) => {
-                    if let Some(id) = hint {
-                        if let Some(u) = self.store.get(id) {
-                            if u.live && u.contains_addr(a) {
-                                return Some(Placement {
-                                    base: u.base,
-                                    size: u.size,
-                                    unit: id,
-                                });
-                            }
-                        }
-                    }
-                    let pl = self.table.lookup(a);
-                    if let Some(pl) = pl {
-                        self.pages.note(a, pl.unit);
-                    }
-                    pl
-                }
-            },
-        }
+        lookup_placement(
+            self.lookup,
+            &mut *self.table,
+            &mut self.pages,
+            &self.store,
+            a,
+        )
     }
 
     /// Looks up a unit by id (for diagnostics). Returns the unit while it
@@ -928,12 +761,7 @@ impl MemorySpace {
     /// subtraction, and pointer-to-integer casts, which CRED supports on
     /// out-of-bounds pointers.
     pub fn effective_addr(&self, ptr: u64) -> u64 {
-        if addr::is_oob_zone(ptr) {
-            if let Some(entry) = self.oob.decode(ptr) {
-                return entry.intended;
-            }
-        }
-        ptr
+        self.oob.effective_addr(ptr)
     }
 
     // ------------------------------------------------------------------
@@ -1246,6 +1074,314 @@ impl MemorySpace {
     /// Direct access to the manufactured-value generator (tests, harness).
     pub fn manufacturer_mut(&mut self) -> &mut Manufacturer {
         &mut self.manufacturer
+    }
+}
+
+/// One region's committed window, borrowed for a [`NativeView`]. Only
+/// accesses wholly inside the window are served; anything else — an
+/// unmapped address, a read of never-written bytes, a write that would
+/// grow the window — is a miss for the full routine to handle.
+#[derive(Debug)]
+struct Window<'a> {
+    lo: u64,
+    bytes: &'a mut [u8],
+}
+
+impl<'a> Window<'a> {
+    fn of(region: &'a mut Region) -> Window<'a> {
+        let (lo, bytes) = region.committed_mut();
+        Window { lo, bytes }
+    }
+}
+
+/// Little-endian scalar read at `at`; `None` when any byte is outside
+/// `bytes`. Each width reads a fixed-size array so the access compiles
+/// to one load, not a variable-length copy.
+#[inline(always)]
+fn scalar_get(bytes: &[u8], at: usize, size: AccessSize) -> Option<u64> {
+    Some(match size {
+        AccessSize::B1 => *bytes.get(at)? as u64,
+        AccessSize::B2 => {
+            let b = bytes.get(at..at.wrapping_add(2))?;
+            u16::from_le_bytes(b.try_into().expect("fixed width")) as u64
+        }
+        AccessSize::B4 => {
+            let b = bytes.get(at..at.wrapping_add(4))?;
+            u32::from_le_bytes(b.try_into().expect("fixed width")) as u64
+        }
+        AccessSize::B8 => {
+            let b = bytes.get(at..at.wrapping_add(8))?;
+            u64::from_le_bytes(b.try_into().expect("fixed width"))
+        }
+    })
+}
+
+/// Write twin of [`scalar_get`]; `false` leaves `bytes` untouched. The
+/// asymmetry is measured, not an oversight: per-width stores here cost
+/// the MC copy loop 19%, a length-generic read in `scalar_get` 35%.
+#[inline(always)]
+fn scalar_put(bytes: &mut [u8], at: usize, size: AccessSize, value: u64) -> bool {
+    let n = size.bytes() as usize;
+    match bytes.get_mut(at..at.wrapping_add(n)) {
+        Some(dst) => {
+            dst.copy_from_slice(&value.to_le_bytes()[..n]);
+            true
+        }
+        None => false,
+    }
+}
+
+/// A remembered unit extent (`size == 0` remembers nothing).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    base: u64,
+    size: u64,
+}
+
+impl Span {
+    /// Whether `[a, a + n)` lies inside the extent, for any `a` at all
+    /// — no sum is formed, so an address near `2^64` cannot wrap in.
+    #[inline(always)]
+    fn holds(self, a: u64, n: u64) -> bool {
+        let off = a.wrapping_sub(self.base);
+        off < self.size && n <= self.size - off
+    }
+}
+
+/// The native tier's hit path: the space split field by field, borrowed
+/// for as long as the executor stays on in-bounds, committed accesses.
+///
+/// **Miss contract.** Every checked method either completes the access
+/// with exactly the counters the full routine ([`MemorySpace::load`],
+/// [`MemorySpace::store`], [`MemorySpace::ptr_add`]) advances on its
+/// hit path, or reports a miss (`None`/`false`) having changed nothing
+/// observable — no counter, no byte, no log record. The caller then
+/// drops the view, runs the full routine on the space, and takes a
+/// fresh view. Misses are: a violation of any kind, an out-of-bounds
+/// descriptor pointer, an unmapped address, and an access outside a
+/// region's committed window.
+///
+/// **Placement memo.** The view remembers the extent of the unit the
+/// last load and the last store resolved to. Units die only through
+/// `free`, `realloc` and `pop_frame`, all of which need
+/// `&mut MemorySpace` — which the view's borrows rule out. So for the
+/// view's lifetime a pointer inside a remembered extent *is* inside
+/// that live unit, and the memo needs no generation, epoch, or flush:
+/// the borrow checker invalidates it.
+///
+/// Unchecked ([`Mode::Standard`]) spaces ride the same view: an access
+/// is a window read or write with the load/store counter.
+#[derive(Debug)]
+pub struct NativeView<'a> {
+    globals: Window<'a>,
+    heap: Window<'a>,
+    stack: Window<'a>,
+    /// Offset of the frame base inside the stack window.
+    frame_at: usize,
+    store: &'a UnitStore,
+    table: &'a mut dyn ObjectTable,
+    pages: &'a mut PageMap,
+    oob: &'a OobRegistry,
+    stats: &'a mut SpaceStats,
+    checked: bool,
+    lookup: LookupLayer,
+    last_load: Span,
+    last_store: Span,
+}
+
+impl<'a> NativeView<'a> {
+    /// Reads the frame slot at byte offset `off` (unchecked, like
+    /// [`MemorySpace::read_raw`] on a local).
+    #[inline(always)]
+    pub fn local_get(&self, off: u32, size: AccessSize) -> u64 {
+        scalar_get(self.stack.bytes, self.frame_at + off as usize, size)
+            .expect("frame slot inside the committed frame window")
+    }
+
+    /// Writes the frame slot at byte offset `off`.
+    #[inline(always)]
+    pub fn local_put(&mut self, off: u32, size: AccessSize, value: u64) {
+        let ok = scalar_put(self.stack.bytes, self.frame_at + off as usize, size, value);
+        assert!(ok, "frame slot inside the committed frame window");
+    }
+
+    /// The window that would back `a`. Region bases are layout
+    /// constants, so this is two compares; whether `a` is actually
+    /// inside the window is the access's own bounds check.
+    #[inline(always)]
+    fn window(&mut self, a: u64) -> &mut Window<'a> {
+        if a >= addr::STACK_BASE {
+            &mut self.stack
+        } else if a >= addr::HEAP_BASE {
+            &mut self.heap
+        } else {
+            &mut self.globals
+        }
+    }
+
+    /// The extent of the unit holding `ptr`, provided `[target,
+    /// target + n)` lies inside that same unit: `memo` if it already
+    /// answers, else one placement lookup. Units never overlap, so
+    /// containment of the target proves both the derivation
+    /// `ptr → target` and the access in bounds.
+    #[inline(always)]
+    fn resolve(&mut self, memo: Span, ptr: u64, target: u64, n: u64) -> Option<Span> {
+        if memo.holds(ptr, 1) && memo.holds(target, n) {
+            return Some(memo);
+        }
+        if addr::is_oob_zone(ptr) {
+            return None;
+        }
+        let pl = lookup_placement(self.lookup, self.table, self.pages, self.store, ptr)?;
+        let span = Span {
+            base: pl.base,
+            size: pl.size,
+        };
+        span.holds(target, n).then_some(span)
+    }
+
+    /// Guest load of `size` bytes at `ptr + delta`, where `ptr` is a
+    /// pointer the guest derived the address from (checked `ptr_add`
+    /// immediately followed by a checked load, answered by one
+    /// lookup). `None` is a miss.
+    #[inline]
+    pub fn idx_load(&mut self, ptr: u64, delta: i64, size: AccessSize) -> Option<u64> {
+        let target = ptr.wrapping_add(delta as u64);
+        if self.checked {
+            self.last_load = self.resolve(self.last_load, ptr, target, size.bytes())?;
+        }
+        let w = self.window(target);
+        let value = scalar_get(w.bytes, target.wrapping_sub(w.lo) as usize, size)?;
+        self.stats.loads += 1;
+        self.stats.checked_accesses += self.checked as u64;
+        Some(value)
+    }
+
+    /// Store twin of [`NativeView::idx_load`]; `false` is a miss.
+    #[inline]
+    pub fn idx_store(&mut self, ptr: u64, delta: i64, size: AccessSize, value: u64) -> bool {
+        let target = ptr.wrapping_add(delta as u64);
+        if self.checked {
+            match self.resolve(self.last_store, ptr, target, size.bytes()) {
+                Some(span) => self.last_store = span,
+                None => return false,
+            }
+        }
+        let w = self.window(target);
+        let hit = scalar_put(w.bytes, target.wrapping_sub(w.lo) as usize, size, value);
+        self.stats.stores += hit as u64;
+        self.stats.checked_accesses += (hit & self.checked) as u64;
+        hit
+    }
+
+    /// Guest load of `size` bytes at `a` — the hit path of
+    /// [`MemorySpace::load`].
+    #[inline]
+    pub fn load(&mut self, a: u64, size: AccessSize) -> Option<u64> {
+        self.idx_load(a, 0, size)
+    }
+
+    /// Guest store at `a` — the hit path of [`MemorySpace::store`].
+    #[inline]
+    pub fn store(&mut self, a: u64, size: AccessSize, value: u64) -> bool {
+        self.idx_store(a, 0, size, value)
+    }
+
+    /// Guest pointer arithmetic whose result stays inside the source
+    /// pointer's unit, or whose source has no provenance — the cases
+    /// [`MemorySpace::ptr_add`] answers without touching the
+    /// out-of-bounds registry. `None` (a descriptor operand, or a
+    /// result that leaves its unit) is a miss.
+    #[inline]
+    pub fn ptr_add(&mut self, ptr: u64, delta: i64) -> Option<u64> {
+        let target = ptr.wrapping_add(delta as u64);
+        if !self.checked {
+            return Some(target);
+        }
+        let span = if self.last_load.holds(ptr, 1) {
+            self.last_load
+        } else if self.last_store.holds(ptr, 1) {
+            self.last_store
+        } else if addr::is_oob_zone(ptr) {
+            return None;
+        } else {
+            match lookup_placement(self.lookup, self.table, self.pages, self.store, ptr) {
+                Some(pl) => Span {
+                    base: pl.base,
+                    size: pl.size,
+                },
+                None => return Some(target),
+            }
+        };
+        span.holds(target, 1).then_some(target)
+    }
+
+    /// [`MemorySpace::effective_addr`]; reads only, so never a miss.
+    #[inline]
+    pub fn effective_addr(&self, ptr: u64) -> u64 {
+        self.oob.effective_addr(ptr)
+    }
+}
+
+/// Resolves the live unit containing `a`, if any — semantically
+/// identical to `table.lookup(a)` under either lookup layer.
+///
+/// Under [`LookupLayer::Paged`] the page map answers first:
+///
+/// * a guard page proves no unit contains `a` (any such unit would
+///   intersect `a`'s page), so the miss needs no search;
+/// * a single-unit page needs one generation-checked store load and
+///   one bounds compare — `a` outside that unit is a proven miss by
+///   the same intersection argument;
+/// * a shared page probes the candidate (containment in a live unit
+///   is proof regardless of neighbours) and only then falls back to
+///   the table, re-seeding the candidate on a hit.
+#[inline]
+fn lookup_placement(
+    lookup: LookupLayer,
+    table: &mut dyn ObjectTable,
+    pages: &mut PageMap,
+    store: &UnitStore,
+    a: u64,
+) -> Option<Placement> {
+    match lookup {
+        LookupLayer::Table => table.lookup(a),
+        LookupLayer::Paged => match pages.hit(a) {
+            PageHit::Guard => None,
+            PageHit::One(id) => {
+                if let Some(u) = store.get(id) {
+                    if u.live {
+                        return u.contains_addr(a).then_some(Placement {
+                            base: u.base,
+                            size: u.size,
+                            unit: id,
+                        });
+                    }
+                }
+                // A stale entry would be a bookkeeping bug; the
+                // table stays authoritative either way.
+                debug_assert!(false, "page map names a dead unit at {a:#x}");
+                table.lookup(a)
+            }
+            PageHit::Table(hint) => {
+                if let Some(id) = hint {
+                    if let Some(u) = store.get(id) {
+                        if u.live && u.contains_addr(a) {
+                            return Some(Placement {
+                                base: u.base,
+                                size: u.size,
+                                unit: id,
+                            });
+                        }
+                    }
+                }
+                let pl = table.lookup(a);
+                if let Some(pl) = pl {
+                    pages.note(a, pl.unit);
+                }
+                pl
+            }
+        },
     }
 }
 

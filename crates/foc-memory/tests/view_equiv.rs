@@ -1,0 +1,324 @@
+//! The native view equals the space.
+//!
+//! [`NativeView`](foc_memory::NativeView) is the hit path the native
+//! execution tier holds across micro-ops. Its contract is stated against
+//! the space's own full routines, so it is tested against them: on two
+//! clones of one churned space, each view method and the routine it
+//! stands in for must agree.
+//!
+//! * A view **hit** returns the routine's value (no violation) and
+//!   leaves counters, every region byte and the error log equal to the
+//!   routine's.
+//! * A view **miss** leaves the space as it found it — counters, bytes
+//!   and log — so the caller's fallback drives the substrate exactly
+//!   once.
+//! * A store outside a region's committed window is a miss; the
+//!   fallback commits the window and the next view store hits.
+
+use proptest::prelude::*;
+
+use foc_memory::addr::{HEAP_BASE, STACK_BASE};
+use foc_memory::{
+    AccessCtx, AccessSize, LookupLayer, MemConfig, MemoryErrorRecord, MemorySpace, Mode, SpaceStats,
+};
+
+const CTX: AccessCtx = AccessCtx { func: 3, pc: 7 };
+const GLOBAL_LEN: usize = 16 << 10;
+const HEAP_LEN: usize = 256 << 10;
+const STACK_LEN: usize = 64 << 10;
+const SIZES: [AccessSize; 4] = [
+    AccessSize::B1,
+    AccessSize::B2,
+    AccessSize::B4,
+    AccessSize::B8,
+];
+
+fn config(mode: Mode, lookup: LookupLayer) -> MemConfig {
+    sized_config(mode, lookup, HEAP_LEN, STACK_LEN)
+}
+
+fn sized_config(mode: Mode, lookup: LookupLayer, heap_len: usize, stack_len: usize) -> MemConfig {
+    MemConfig {
+        mode,
+        global_len: GLOBAL_LEN,
+        heap_len,
+        stack_len,
+        lookup,
+        ..MemConfig::default()
+    }
+}
+
+/// Everything about a space a guest or an operator can observe.
+#[derive(Debug, PartialEq)]
+struct Snapshot {
+    stats: SpaceStats,
+    globals: Vec<u8>,
+    heap: Vec<u8>,
+    stack: Vec<u8>,
+    log_total: u64,
+    log: Vec<MemoryErrorRecord>,
+}
+
+fn snapshot(s: &MemorySpace) -> Snapshot {
+    sized_snapshot(s, HEAP_LEN, STACK_LEN)
+}
+
+fn sized_snapshot(s: &MemorySpace, heap_len: usize, stack_len: usize) -> Snapshot {
+    let bytes = |base: u64, len: usize| s.read_bytes_raw(base, len as u64).expect("region");
+    Snapshot {
+        stats: *s.stats(),
+        globals: bytes(foc_memory::addr::GLOBAL_BASE, GLOBAL_LEN),
+        heap: bytes(HEAP_BASE, heap_len),
+        stack: bytes(STACK_BASE, stack_len),
+        log_total: s.error_log().total(),
+        log: s.error_log().records().to_vec(),
+    }
+}
+
+/// A churned space plus what the probes aim at.
+struct World {
+    space: MemorySpace,
+    /// Pointers worth probing: unit bases and edges, descriptors, wild
+    /// values, the top of the address space.
+    pointers: Vec<u64>,
+    /// The innermost frame's window (an empty one at the stack top when
+    /// no frame is pushed).
+    frame: (u64, u64),
+}
+
+/// Applies an alloc/free/frame script. Each step is `(kind, amount)`.
+fn churn(mode: Mode, lookup: LookupLayer, script: &[(u8, u64)]) -> World {
+    let mut space = MemorySpace::new(config(mode, lookup));
+    let g = space.alloc_global(40, "g").expect("global fits");
+    let mut live: Vec<(u64, u64)> = vec![(g, 40)];
+    let mut heap: Vec<(u64, u64)> = Vec::new();
+    let mut frames: Vec<(u64, u64, usize)> = Vec::new();
+    for &(kind, amount) in script {
+        match kind % 5 {
+            0 | 1 => {
+                let size = 1 + amount % 300;
+                if let Ok(p) = space.malloc(size) {
+                    space.write_raw(p, AccessSize::B1, amount);
+                    heap.push((p, size));
+                }
+            }
+            2 => {
+                if !heap.is_empty() {
+                    let (p, _) = heap.swap_remove(amount as usize % heap.len());
+                    space.free(p, CTX).expect("live block frees");
+                }
+            }
+            3 => {
+                if frames.len() < 6 {
+                    let total = 32 + (amount % 8) * 16;
+                    let base = space.push_frame(total).expect("stack has room");
+                    let before = live.len();
+                    space.register_local(base, 0, 8);
+                    space.register_local(base, 16, total - 16);
+                    live.push((base, 8));
+                    live.push((base + 16, total - 16));
+                    space.write_raw(base + 16, AccessSize::B8, amount);
+                    frames.push((base, total, before));
+                }
+            }
+            _ => {
+                if let Some((_, _, before)) = frames.pop() {
+                    space.pop_frame().expect("canary intact");
+                    live.truncate(before);
+                }
+            }
+        }
+    }
+    live.extend(heap);
+    let mut pointers = vec![
+        0,
+        8,
+        HEAP_BASE + HEAP_LEN as u64 - 4,
+        STACK_BASE + 24,
+        1 << 63,
+        u64::MAX - 8,
+        u64::MAX - 7,
+        u64::MAX,
+    ];
+    for &(base, size) in &live {
+        pointers.extend([
+            base,
+            base + size / 2,
+            base + size - 1,
+            base + size,
+            base - 1,
+        ]);
+        // An out-of-bounds descriptor (the base pointer itself in
+        // Standard mode, which interns nothing).
+        pointers.push(space.ptr_add(base, size as i64 + 16));
+    }
+    let frame = frames
+        .last()
+        .map_or((STACK_BASE + STACK_LEN as u64, 0), |&(b, t, _)| (b, t));
+    World {
+        space,
+        pointers,
+        frame,
+    }
+}
+
+/// One probe: the view method on clone `a`, the routine on clone `b`.
+fn check_probe(w: &World, ptr: u64, delta: i64, size: AccessSize, value: u64) {
+    let before = snapshot(&w.space);
+    let (base, total) = w.frame;
+    let target = ptr.wrapping_add(delta as u64);
+    let what = format!("ptr {ptr:#x} delta {delta} size {size:?}");
+
+    // Hit: equal value and equal space. Miss: `a` untouched.
+    let settle = |name: &str, hit: bool, a: &MemorySpace, b: &MemorySpace| {
+        if hit {
+            assert_eq!(snapshot(a), snapshot(b), "{name} hit diverges: {what}");
+        } else {
+            assert_eq!(snapshot(a), before, "{name} miss touched the space: {what}");
+        }
+    };
+
+    let (mut a, mut b) = (w.space.clone(), w.space.clone());
+    let got = a.native_view(base, total).load(ptr, size);
+    if let Some(v) = got {
+        let out = b.load(ptr, size, CTX).expect("a view hit cannot fault");
+        assert_eq!((v, false), (out.value, out.violation), "load: {what}");
+    }
+    settle("load", got.is_some(), &a, &b);
+
+    let (mut a, mut b) = (w.space.clone(), w.space.clone());
+    let hit = a.native_view(base, total).store(ptr, size, value);
+    if hit {
+        let out = b
+            .store(ptr, size, value, CTX)
+            .expect("a view hit cannot fault");
+        assert!(!out.violation, "store: {what}");
+    }
+    settle("store", hit, &a, &b);
+
+    let (mut a, mut b) = (w.space.clone(), w.space.clone());
+    let got = a.native_view(base, total).idx_load(ptr, delta, size);
+    if let Some(v) = got {
+        let derived = b.ptr_add(ptr, delta);
+        assert_eq!(derived, target, "idx_load derivation: {what}");
+        let out = b.load(derived, size, CTX).expect("a view hit cannot fault");
+        assert_eq!((v, false), (out.value, out.violation), "idx_load: {what}");
+    }
+    settle("idx_load", got.is_some(), &a, &b);
+
+    let (mut a, mut b) = (w.space.clone(), w.space.clone());
+    let hit = a
+        .native_view(base, total)
+        .idx_store(ptr, delta, size, value);
+    if hit {
+        let derived = b.ptr_add(ptr, delta);
+        assert_eq!(derived, target, "idx_store derivation: {what}");
+        let out = b
+            .store(derived, size, value, CTX)
+            .expect("a view hit cannot fault");
+        assert!(!out.violation, "idx_store: {what}");
+    }
+    settle("idx_store", hit, &a, &b);
+
+    let (mut a, mut b) = (w.space.clone(), w.space.clone());
+    let got = a.native_view(base, total).ptr_add(ptr, delta);
+    if let Some(out) = got {
+        assert_eq!(out, b.ptr_add(ptr, delta), "ptr_add: {what}");
+    }
+    settle("ptr_add", got.is_some(), &a, &b);
+
+    assert_eq!(
+        a.native_view(base, total).effective_addr(ptr),
+        w.space.effective_addr(ptr),
+        "effective_addr: {what}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn view_methods_equal_the_space_routines(
+        script in proptest::collection::vec((0u8..5, 0u64..4096), 1..48),
+        probes in proptest::collection::vec(
+            (any::<u64>(), -80i64..80, 0usize..4, 0u8..6, any::<u64>()),
+            4..12,
+        ),
+    ) {
+        for mode in [Mode::FailureOblivious, Mode::BoundsCheck, Mode::Standard] {
+            for lookup in LookupLayer::ALL {
+                let w = churn(mode, lookup, &script);
+                for &(pick, small, size, kind, value) in &probes {
+                    let ptr = w.pointers[pick as usize % w.pointers.len()];
+                    let delta = match kind {
+                        // Lands on `2^64 - 8`: the access end wraps to 0.
+                        0 => (ptr as i64).wrapping_neg().wrapping_sub(8),
+                        1 => i64::MAX,
+                        2 => i64::MIN,
+                        _ => small,
+                    };
+                    check_probe(&w, ptr, delta, SIZES[size], value);
+                }
+            }
+        }
+    }
+
+    /// Frame slots through the view are the stack bytes raw access sees.
+    #[test]
+    fn frame_slots_are_the_stack_bytes(
+        total in 1u64..20,
+        slot in 0u32..16,
+        size in 0usize..4,
+        value in any::<u64>(),
+    ) {
+        let total = total * 16;
+        let off = (slot * 8) % (total as u32 - 8);
+        let mut a = MemorySpace::new(config(Mode::FailureOblivious, LookupLayer::Paged));
+        let base = a.push_frame(total).expect("stack has room");
+        let mut b = a.clone();
+        let mut view = a.native_view(base, total);
+        view.local_put(off, SIZES[size], value);
+        let seen = view.local_get(off, SIZES[size]);
+        prop_assert!(b.write_raw(base + off as u64, SIZES[size], value));
+        prop_assert_eq!(Some(seen), b.read_raw(base + off as u64, SIZES[size]));
+        prop_assert_eq!(snapshot(&a), snapshot(&b));
+    }
+}
+
+/// A store the committed window does not cover is a miss that changes
+/// nothing; the full routine commits the chunk, after which the view
+/// serves the same address. Reads of never-written bytes miss the same
+/// way (the routine answers zero without committing).
+#[test]
+fn uncommitted_chunks_miss_until_the_fallback_commits_them() {
+    const HEAP: usize = 2 << 20;
+    const STACK: usize = 1 << 20;
+    for mode in [Mode::FailureOblivious, Mode::Standard] {
+        let mut s = MemorySpace::new(sized_config(mode, LookupLayer::Paged, HEAP, STACK));
+        let block = s.malloc(1 << 20).expect("heap has room");
+        let top = STACK_BASE + STACK as u64;
+        let frame = s.push_frame(512 << 10).expect("stack has room");
+        s.register_local(frame, 0, 512 << 10);
+        for addr in [block + (600 << 10), frame + 64] {
+            let before = sized_snapshot(&s, HEAP, STACK);
+            assert!(
+                !s.native_view(top, 0).store(addr, AccessSize::B8, 7),
+                "{mode:?}: a store outside the committed window must miss"
+            );
+            assert_eq!(
+                s.native_view(top, 0).load(addr, AccessSize::B8),
+                None,
+                "{mode:?}: a read outside the committed window must miss"
+            );
+            assert_eq!(
+                sized_snapshot(&s, HEAP, STACK),
+                before,
+                "{mode:?}: misses change nothing"
+            );
+            assert_eq!(s.load(addr, AccessSize::B8, CTX).map(|r| r.value), Ok(0));
+            s.store(addr, AccessSize::B8, 7, CTX).expect("in bounds");
+            assert!(s.native_view(top, 0).store(addr, AccessSize::B8, 9));
+            assert_eq!(s.native_view(top, 0).load(addr, AccessSize::B8), Some(9));
+        }
+    }
+}

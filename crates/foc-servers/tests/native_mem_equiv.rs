@@ -255,6 +255,160 @@ fn all_servers_all_modes_attack_library_under_paged_lookup() {
     assert!(attacks >= 5, "the library must cover every server's attack");
 }
 
+// ---------------------------------------------------------------------
+// Chained-executor seams: the native tier runs region after region over
+// one borrowed view of the space. Each test aims at one place where the
+// chain, the view or its placement memo could leak into what a guest or
+// an operator observes.
+// ---------------------------------------------------------------------
+
+/// A loop of two chained regions (the compare head, then the body with
+/// a memory block and the increment latch), entered from a straight
+/// prologue and left through an epilogue.
+const TWO_REGION_LOOP: &str = "long walk(long n) {\n\
+     long xs[6];\n\
+     long i;\n\
+     long t = 0;\n\
+     for (i = 0; i < n; i++) { xs[i] = i + t; t = t + xs[i] * 3; }\n\
+     return t;\n\
+ }";
+
+/// Every fuel budget from nothing to completion: exhaustion lands
+/// before the loop, between the chained head and body, inside the
+/// body's block (where only the interpreter's per-op seams can stop),
+/// on the latch, and — with `n` past the array — on either side of the
+/// view misses. Each budget must fuel out at the baseline's pc with the
+/// baseline's counters.
+#[test]
+fn every_fuel_budget_of_a_chained_loop_is_tier_blind() {
+    for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
+        let full = observe(
+            TWO_REGION_LOOP,
+            "walk",
+            8,
+            ExecTier::Baseline,
+            MachineConfig::with_mode(mode),
+            0,
+        );
+        let budget = full.stats.instrs + 2;
+        assert!(budget > 100, "the sweep must cross several iterations");
+        for fuel in 0..budget {
+            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
+            assert_mem_blind(TWO_REGION_LOOP, "walk", 8, &config, 0);
+        }
+    }
+}
+
+/// The loop reads its heap buffer, frees it half-way, and keeps
+/// reading. `free` is a builtin, so it runs outside the native
+/// executor and its view: if anything remembered the buffer's placement
+/// across it, the reads after the free would be served from dead bytes
+/// instead of taking the violation path.
+const FREE_MID_LOOP: &str = "long reap(long n) {\n\
+     long *buf = (long *) malloc(64);\n\
+     long i;\n\
+     long t = 0;\n\
+     for (i = 0; i < 8; i++) buf[i] = i + 1;\n\
+     for (i = 0; i < n; i++) {\n\
+         if (i == 4) free(buf);\n\
+         t = t + buf[i % 8];\n\
+         buf[i % 8] = t;\n\
+     }\n\
+     return t;\n\
+ }";
+
+#[test]
+fn a_freed_buffer_is_not_remembered_across_the_free() {
+    for mode in Mode::ALL {
+        for lookup in LookupLayer::ALL {
+            let config = MachineConfig::with_mode(mode)
+                .with_lookup(lookup)
+                .with_sequence(ValueSequence::Cycling { wrap: 5 })
+                .with_fuel(1_000_000);
+            let seen = assert_mem_blind(FREE_MID_LOOP, "reap", 11, &config, 0);
+            if mode == Mode::FailureOblivious {
+                // Iterations 4..11 each read and write the dead buffer.
+                assert_eq!(seen.space.invalid_reads, 7, "{lookup:?}");
+                assert_eq!(seen.space.invalid_writes, 7, "{lookup:?}");
+                // 1 + 2 + 3 + 4 from the live buffer, then manufactured
+                // 0, 1, 2, 0, 1, 3, 0.
+                assert_eq!(seen.result, Ok(10 + 7), "{lookup:?}");
+            }
+        }
+    }
+}
+
+/// The index leaves the array on some iterations and comes back on the
+/// next: each excursion is a view miss that runs the full violation
+/// path and resumes behind the op, and the iterations after it must hit
+/// again with nothing stale (the memo is rebuilt, the frame window
+/// re-taken).
+const OFF_AND_BACK: &str = "long weave(long n) {\n\
+     long xs[4];\n\
+     long ys[4];\n\
+     long i;\n\
+     long t = 0;\n\
+     for (i = 0; i < 4; i++) { xs[i] = i + 1; ys[i] = 10 * i; }\n\
+     for (i = 0; i < n; i++) {\n\
+         t = t + xs[(i * 3) % 7];\n\
+         ys[(i * 5) % 6] = t;\n\
+         t = t + ys[i % 4];\n\
+     }\n\
+     return t;\n\
+ }";
+
+#[test]
+fn excursions_off_a_unit_resume_on_the_hit_path() {
+    for mode in Mode::ALL {
+        for lookup in LookupLayer::ALL {
+            let config = MachineConfig::with_mode(mode)
+                .with_lookup(lookup)
+                .with_fuel(1_000_000);
+            let seen = assert_mem_blind(OFF_AND_BACK, "weave", 21, &config, 0);
+            if mode == Mode::FailureOblivious {
+                assert!(seen.result.is_ok());
+                // (i * 3) % 7 >= 4 on 9 of 21 iterations, (i * 5) % 6
+                // >= 4 on 8.
+                assert_eq!(seen.space.invalid_reads, 9, "{lookup:?}");
+                assert_eq!(seen.space.invalid_writes, 8, "{lookup:?}");
+            }
+        }
+    }
+}
+
+/// A pointer into the current frame, stored through and loaded through
+/// as checked guest accesses in the same block that reads and writes
+/// the slot as a direct local: the view's frame window and its checked
+/// stack accesses must be the same bytes.
+const FRAME_ALIAS: &str = "long alias(long n) {\n\
+     long x = 1;\n\
+     long *p = &x;\n\
+     long i;\n\
+     long t = 0;\n\
+     for (i = 0; i < n; i++) {\n\
+         *p = x + i;\n\
+         x = x * 2;\n\
+         t = t + *p + x;\n\
+     }\n\
+     return t;\n\
+ }";
+
+#[test]
+fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
+    // x: 1 -> (1+0)*2 = 2 -> (2+1)*2 = 6 -> (6+2)*2 = 16; t sums 2x.
+    let expected = 2 * (2 + 6 + 16);
+    for mode in Mode::ALL {
+        for lookup in LookupLayer::ALL {
+            let config = MachineConfig::with_mode(mode)
+                .with_lookup(lookup)
+                .with_fuel(1_000_000);
+            let seen = assert_mem_blind(FRAME_ALIAS, "alias", 3, &config, 0);
+            assert_eq!(seen.result, Ok(expected), "{mode:?}/{lookup:?}");
+            assert_eq!(seen.log_total, 0);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

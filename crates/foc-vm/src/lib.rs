@@ -29,4 +29,4 @@ pub mod machine;
 
 pub use checkpoint::Checkpoint;
 pub use fault::VmFault;
-pub use machine::{Machine, MachineConfig, RunStats};
+pub use machine::{ExecProfile, Machine, MachineConfig, RunStats};

@@ -3,11 +3,9 @@
 use std::collections::VecDeque;
 
 use foc_compiler::bytecode::unpack_scalar;
-use foc_compiler::native::{
-    is_heap_rop, LocalsBlock, NOp, NativeRegion, ROp, Term, LOCALS_REGS, NO_REGION,
-};
+use foc_compiler::native::{NOp, NativeFunc, NativeRegion, ROp, Term, LOCALS_REGS, NO_REGION};
 use foc_compiler::{Instr, ProgramImage};
-use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace};
+use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace, NativeView};
 
 use crate::builtins;
 use crate::cost;
@@ -86,6 +84,29 @@ pub struct RunStats {
     pub calls: u64,
 }
 
+/// Where execution went, beside [`RunStats`] and never inside it: not
+/// `PartialEq`, so no equivalence relation can come to depend on it,
+/// and nothing reads it back into execution. Native residency is
+/// `native_instrs / RunStats::instrs`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ExecProfile {
+    /// Instructions retired inside native regions (fault refunds
+    /// subtracted, like `RunStats::instrs`).
+    pub native_instrs: u64,
+    /// Native regions entered.
+    pub region_entries: u64,
+    /// Stays on the native path that ended at a pc no region starts at
+    /// (call, builtin, return, mid-pattern entry).
+    pub no_region_exits: u64,
+    /// Stays that ended at a region whose charge exceeded the fuel left.
+    pub fuel_short_exits: u64,
+    /// View misses: the executor dropped its view of the space, ran the
+    /// interpreter's full routine for one op, and resumed.
+    pub view_misses: u64,
+    /// Stays that ended in a guest fault at a region's seam.
+    pub faults: u64,
+}
+
 /// An active call frame.
 #[derive(Debug, Clone)]
 struct Frame {
@@ -119,6 +140,7 @@ pub struct Machine {
     fuel_per_call: u64,
     fuel: u64,
     stats: RunStats,
+    profile: ExecProfile,
     dead: Option<VmFault>,
     checked: bool,
 }
@@ -160,6 +182,7 @@ impl Machine {
             fuel_per_call: config.fuel_per_call,
             fuel: 0,
             stats: RunStats::default(),
+            profile: ExecProfile::default(),
             dead: None,
             checked,
         })
@@ -197,6 +220,11 @@ impl Machine {
     /// Execution counters.
     pub fn stats(&self) -> RunStats {
         self.stats
+    }
+
+    /// Where execution went (observability only; see [`ExecProfile`]).
+    pub fn exec_profile(&self) -> ExecProfile {
+        self.profile
     }
 
     /// Why the machine died, if it did.
@@ -379,41 +407,15 @@ impl Machine {
 
         loop {
             // Whenever the current pc is a lowered-region entry and
-            // remaining fuel covers the region's whole charge, run the
-            // pre-decoded region array —
-            // no per-instruction dispatch, fetch, or fuel check. The
-            // region was charged up front, so the only mid-region exits
-            // are the memory/divide fault seams, which refund the
-            // not-yet-executed components and surface the architectural
-            // pc the unfused stream would fault at. Everything else —
-            // fuel exhaustion, calls, builtins, mid-pattern entry points
-            // — lands on a pc without a region (or without fuel cover)
-            // and falls through to the interpreter below, which is the
-            // deopt path.
+            // remaining fuel covers the region's whole charge, the
+            // native executor takes over and chains regions until it
+            // reaches a pc it cannot enter: fuel short of a charge, a
+            // call, builtin or return, or a mid-pattern entry point.
+            // That pc falls through to the interpreter below, which is
+            // the deopt path. A fault inside a region has already been
+            // written back to the architectural state.
             if let Some(nf) = native {
-                while let Some(&ri) = nf.entry.get(pc as usize) {
-                    if ri == NO_REGION {
-                        break;
-                    }
-                    let region = &nf.regions[ri as usize];
-                    if fuel < region.charge {
-                        break;
-                    }
-                    fuel -= region.charge;
-                    self.stats.instrs += region.charge;
-                    self.stats.cycles += region.charge * cost::BASE;
-                    match self.run_region(region, func, base, frame_total, &mut nregs) {
-                        Ok(next) => pc = next,
-                        Err((spent, at, e)) => {
-                            let refund = region.charge - spent;
-                            fuel += refund;
-                            self.stats.instrs -= refund;
-                            self.stats.cycles -= refund * cost::BASE;
-                            pc = at;
-                            fail!(e);
-                        }
-                    }
-                }
+                (pc, fuel) = self.run_native(nf, func, base, frame_total, pc, fuel, &mut nregs)?;
             }
 
             let instr = code[pc as usize];
@@ -872,552 +874,542 @@ impl Machine {
         }
     }
 
-    /// Executes one AOT-lowered region (native tier). The caller has
-    /// already pre-charged the region's full `charge` against fuel,
-    /// instruction, and cycle counts; this routine only adds the
-    /// per-access extras (pointer/memory check and violation cycles)
-    /// exactly where the interpreted stream would. On success it
-    /// returns the successor pc. A fault returns `(spent, pc, fault)`:
-    /// how many charge components the unfused stream would actually
-    /// have consumed before surfacing the fault, and the architectural
-    /// pc it surfaces at — the caller refunds `charge - spent` so the
-    /// observable accounting is byte-identical to the baseline tier.
-    fn run_region(
+    /// The native tier's one executor: runs the region at `pc` and then
+    /// region after region, chained through their terminators, for as
+    /// long as the next pc starts a region whose whole `charge` the
+    /// remaining fuel covers — without returning to the dispatch loop
+    /// in between. Returns the pc and fuel the interpreter resumes with
+    /// (unchanged when `pc` enters no region).
+    ///
+    /// It holds a [`NativeView`] of the space while it stays on the hit
+    /// path: frame-local ops index the committed frame window, checked
+    /// ops complete through the view with the hit path's exact
+    /// counters. A view miss (violation, out-of-bounds descriptor,
+    /// uncommitted bytes) drops the view, runs the interpreter's full
+    /// routine on `&mut self` — continuation code, manufactured values,
+    /// log records and all — then re-takes the view and resumes behind
+    /// the op. Each region is charged up front; this routine only adds
+    /// the per-access extras exactly where the interpreted stream
+    /// would. A fault refunds `charge - spent` from the op's pre-baked
+    /// seam, spills a block's live registers back to the operand stack,
+    /// and writes fuel and the seam's pc back to the architectural
+    /// state, so the post-fault image is the baseline tier's.
+    #[allow(clippy::too_many_arguments)]
+    fn run_native(
         &mut self,
-        region: &NativeRegion,
+        nf: &NativeFunc,
         func: u32,
         base: u64,
         frame_total: u64,
-        nregs: &mut [i64; LOCALS_REGS],
-    ) -> Result<u32, (u64, u32, VmFault)> {
-        for op in &region.ops {
-            match *op {
-                NOp::Const(v) => self.stack.push(v),
-                NOp::Dup => {
-                    let v = *self.stack.last().expect("dup on empty stack");
-                    self.stack.push(v);
-                }
-                NOp::Drop => {
-                    self.stack.pop().expect("drop on empty stack");
-                }
-                NOp::Swap => {
-                    let n = self.stack.len();
-                    self.stack.swap(n - 1, n - 2);
-                }
-                NOp::Rot3 => {
-                    let n = self.stack.len();
-                    let a = self.stack[n - 3];
-                    self.stack[n - 3] = self.stack[n - 2];
-                    self.stack[n - 2] = self.stack[n - 1];
-                    self.stack[n - 1] = a;
-                }
-                NOp::LocalAddr(off) => self.stack.push((base + off as u64) as i64),
-                NOp::GlobalAddr(i) => self.stack.push(self.global_addrs[i as usize] as i64),
-                NOp::StrAddr(i) => self.stack.push(self.string_addrs[i as usize] as i64),
-                NOp::LoadLocal { off, size, signed } => {
-                    let raw = self
-                        .space
-                        .local_read(base + off as u64, size)
-                        .expect("local slot is mapped");
-                    self.stack.push(extend(raw, size, signed));
-                }
-                NOp::StoreLocal { off, size } => {
-                    let value = self.pop();
-                    let ok = self
-                        .space
-                        .local_write(base + off as u64, size, value as u64);
-                    debug_assert!(ok, "local slot is mapped");
-                }
-                NOp::Alu(op) => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    self.stack.push(op.eval(a, b));
-                }
-                NOp::Div { signed, rem, at } => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    if b == 0 {
-                        return Err((at.spent, at.pc, VmFault::DivideByZero));
-                    }
-                    let v = match (signed, rem) {
-                        (true, false) => a.overflowing_div(b).0,
-                        (false, false) => ((a as u64) / (b as u64)) as i64,
-                        (true, true) => a.overflowing_rem(b).0,
-                        (false, true) => ((a as u64) % (b as u64)) as i64,
-                    };
-                    self.stack.push(v);
-                }
-                NOp::Cmp(op) => {
-                    let b = self.pop();
-                    let a = self.pop();
-                    self.stack.push(op.eval(a, b) as i64);
-                }
-                NOp::Neg => {
-                    let v = self.pop();
-                    self.stack.push(v.wrapping_neg());
-                }
-                NOp::BitNot => {
-                    let v = self.pop();
-                    self.stack.push(!v);
-                }
-                NOp::Not => {
-                    let v = self.pop();
-                    self.stack.push((v == 0) as i64);
-                }
-                NOp::Normalize { size, signed } => {
-                    let v = self.pop();
-                    self.stack.push(extend(v as u64, size, signed));
-                }
-                NOp::EffAddr => {
-                    let v = self.pop() as u64;
-                    self.stack.push(self.space.effective_addr(v) as i64);
-                }
-                NOp::PtrAdd { esz } => {
-                    let count = self.pop();
-                    let ptr = self.pop() as u64;
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let delta = count.wrapping_mul(esz as i64);
-                    let out = self.space.ptr_add(ptr, delta);
-                    self.stack.push(out as i64);
-                }
-                NOp::PtrDiff { esz } => {
-                    let rhs = self.pop() as u64;
-                    let lhs = self.pop() as u64;
-                    let l = self.space.effective_addr(lhs) as i64;
-                    let r = self.space.effective_addr(rhs) as i64;
-                    self.stack.push(l.wrapping_sub(r) / esz.max(1) as i64);
-                }
-                NOp::Load { size, signed, at } => {
-                    let addr = self.pop() as u64;
-                    let ctx = AccessCtx { func, pc: at.pc };
-                    match self.g_load_at(addr, size, ctx) {
-                        Ok(raw) => self.stack.push(extend(raw, size, signed)),
-                        Err(e) => return Err((at.spent, at.pc, e)),
-                    }
-                }
-                NOp::Store { size, at } => {
-                    let addr = self.pop() as u64;
-                    let value = self.pop();
-                    let ctx = AccessCtx { func, pc: at.pc };
-                    if let Err(e) = self.g_store_at(addr, size, value as u64, ctx) {
-                        return Err((at.spent, at.pc, e));
-                    }
-                }
-                NOp::IdxLoad {
-                    off,
-                    delta,
-                    size,
-                    signed,
-                    at,
-                } => {
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    if let Some(raw) = self.space.idx_load_fast(base + off as u64, delta, size) {
-                        self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                        self.stack.push(extend(raw, size, signed));
-                    } else {
-                        let ptr = self.space.ptr_add(base + off as u64, delta);
-                        let ctx = AccessCtx { func, pc: at.pc };
-                        match self.g_load_at(ptr, size, ctx) {
-                            Ok(raw) => self.stack.push(extend(raw, size, signed)),
-                            Err(e) => return Err((at.spent, at.pc, e)),
-                        }
-                    }
-                }
-                NOp::IdxStore {
-                    off,
-                    delta,
-                    size,
-                    at,
-                } => {
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let value = self.pop();
-                    if self
-                        .space
-                        .idx_store_fast(base + off as u64, delta, size, value as u64)
-                    {
-                        self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                    } else {
-                        let ptr = self.space.ptr_add(base + off as u64, delta);
-                        let ctx = AccessCtx { func, pc: at.pc };
-                        if let Err(e) = self.g_store_at(ptr, size, value as u64, ctx) {
-                            return Err((at.spent, at.pc, e));
-                        }
-                    }
-                }
-                NOp::IdxAccum {
-                    acc,
-                    acc_size,
-                    acc_signed,
-                    store_size,
-                    addr,
-                    delta,
-                    load_size,
-                    load_signed,
-                    at,
-                } => {
-                    let araw = self
-                        .space
-                        .local_read(base + acc as u64, acc_size)
-                        .expect("local slot is mapped");
-                    let av = extend(araw, acc_size, acc_signed);
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let raw = if let Some(raw) =
-                        self.space
-                            .idx_load_fast(base + addr as u64, delta, load_size)
-                    {
-                        self.stats.cycles += cost::MEM_CHECK_EXTRA;
+        mut pc: u32,
+        mut fuel: u64,
+        regs: &mut [i64; LOCALS_REGS],
+    ) -> Result<(u32, u64), VmFault> {
+        let Ok(mut region) = gate(nf, pc, fuel) else {
+            return Ok((pc, fuel));
+        };
+        let ptr_extra = if self.checked {
+            cost::PTR_CHECK_EXTRA
+        } else {
+            0
+        };
+        let mem_extra = if self.checked {
+            cost::MEM_CHECK_EXTRA
+        } else {
+            0
+        };
+        let mut view = self.space.native_view(base, frame_total);
+
+        macro_rules! pop {
+            () => {
+                self.stack.pop().expect("evaluation stack underflow")
+            };
+        }
+        // The miss path. `$e` borrows the whole machine, which ends the
+        // old view's borrows (and its memo) — it is never read again,
+        // only replaced.
+        macro_rules! full {
+            ($e:expr) => {{
+                self.profile.view_misses += 1;
+                let out = $e;
+                view = self.space.native_view(base, frame_total);
+                out
+            }};
+        }
+        macro_rules! fault {
+            ($seam:expr, $e:expr) => {{
+                let refund = region.charge - $seam.spent;
+                self.stats.instrs -= refund;
+                self.stats.cycles -= refund * cost::BASE;
+                self.profile.native_instrs -= refund;
+                self.profile.faults += 1;
+                self.fuel = fuel + refund;
+                self.frames.last_mut().expect("active frame").pc = $seam.pc;
+                return Err($e);
+            }};
+        }
+        // A guest load: `$hit` through the view, else the full access
+        // at `$target` (evaluated on the whole machine). `$unwind`
+        // restores the operand stack the unfused stream would leave
+        // behind a faulting load.
+        macro_rules! load {
+            ($hit:expr, $target:expr, $size:expr, $seam:expr, $unwind:block) => {
+                match $hit {
+                    Some(raw) => {
+                        self.stats.cycles += mem_extra;
                         raw
-                    } else {
-                        let ptr = self.space.ptr_add(base + addr as u64, delta);
-                        let ctx = AccessCtx { func, pc: at.pc };
-                        match self.g_load_at(ptr, load_size, ctx) {
+                    }
+                    None => {
+                        let ctx = AccessCtx { func, pc: $seam.pc };
+                        match full!({
+                            let target = $target;
+                            self.g_load_at(target, $size, ctx)
+                        }) {
                             Ok(raw) => raw,
                             Err(e) => {
-                                // Same cold seam as the fused handler:
-                                // the unfused stream pushed the
-                                // accumulator before the faulting load.
-                                self.stack.push(av);
-                                return Err((at.spent, at.pc, e));
+                                $unwind
+                                fault!($seam, e)
                             }
                         }
-                    };
-                    let v = av.wrapping_add(extend(raw, load_size, load_signed));
-                    let ok = self
-                        .space
-                        .local_write(base + acc as u64, store_size, v as u64);
-                    debug_assert!(ok, "local slot is mapped");
+                    }
                 }
-                NOp::IncLocal {
+            };
+        }
+        macro_rules! store {
+            ($hit:expr, $target:expr, $size:expr, $value:expr, $seam:expr, $unwind:block) => {
+                if $hit {
+                    self.stats.cycles += mem_extra;
+                } else {
+                    let ctx = AccessCtx { func, pc: $seam.pc };
+                    if let Err(e) = full!({
+                        let target = $target;
+                        self.g_store_at(target, $size, $value, ctx)
+                    }) {
+                        $unwind
+                        fault!($seam, e)
+                    }
+                }
+            };
+        }
+        macro_rules! ptr_add {
+            ($ptr:expr, $delta:expr) => {{
+                self.stats.cycles += ptr_extra;
+                match view.ptr_add($ptr, $delta) {
+                    Some(out) => out,
+                    None => full!(self.space.ptr_add($ptr, $delta)),
+                }
+            }};
+        }
+
+        loop {
+            fuel -= region.charge;
+            self.stats.instrs += region.charge;
+            self.stats.cycles += region.charge * cost::BASE;
+            self.profile.native_instrs += region.charge;
+            self.profile.region_entries += 1;
+            for op in &region.ops {
+                match *op {
+                    NOp::Const(v) => self.stack.push(v),
+                    NOp::Dup => {
+                        let v = *self.stack.last().expect("dup on empty stack");
+                        self.stack.push(v);
+                    }
+                    NOp::Drop => {
+                        pop!();
+                    }
+                    NOp::Swap => {
+                        let n = self.stack.len();
+                        self.stack.swap(n - 1, n - 2);
+                    }
+                    NOp::Rot3 => {
+                        let n = self.stack.len();
+                        self.stack[n - 3..].rotate_left(1);
+                    }
+                    NOp::LocalAddr(off) => self.stack.push((base + off as u64) as i64),
+                    NOp::GlobalAddr(i) => self.stack.push(self.global_addrs[i as usize] as i64),
+                    NOp::StrAddr(i) => self.stack.push(self.string_addrs[i as usize] as i64),
+                    NOp::LoadLocal { off, size, signed } => {
+                        self.stack
+                            .push(extend(view.local_get(off, size), size, signed));
+                    }
+                    NOp::StoreLocal { off, size } | NOp::StoreLocalPop { off, size } => {
+                        let value = pop!();
+                        view.local_put(off, size, value as u64);
+                    }
+                    NOp::Alu(op) => {
+                        let b = pop!();
+                        let a = pop!();
+                        self.stack.push(op.eval(a, b));
+                    }
+                    NOp::Div { signed, rem, at } => {
+                        let b = pop!();
+                        let a = pop!();
+                        if b == 0 {
+                            fault!(at, VmFault::DivideByZero);
+                        }
+                        self.stack.push(match (signed, rem) {
+                            (true, false) => a.overflowing_div(b).0,
+                            (false, false) => ((a as u64) / (b as u64)) as i64,
+                            (true, true) => a.overflowing_rem(b).0,
+                            (false, true) => ((a as u64) % (b as u64)) as i64,
+                        });
+                    }
+                    NOp::Cmp(op) => {
+                        let b = pop!();
+                        let a = pop!();
+                        self.stack.push(op.eval(a, b) as i64);
+                    }
+                    NOp::Neg => {
+                        let v = pop!();
+                        self.stack.push(v.wrapping_neg());
+                    }
+                    NOp::BitNot => {
+                        let v = pop!();
+                        self.stack.push(!v);
+                    }
+                    NOp::Not => {
+                        let v = pop!();
+                        self.stack.push((v == 0) as i64);
+                    }
+                    NOp::Normalize { size, signed } => {
+                        let v = pop!();
+                        self.stack.push(extend(v as u64, size, signed));
+                    }
+                    NOp::ConstAlu { c, op } => {
+                        let a = pop!();
+                        self.stack.push(op.eval(a, c));
+                    }
+                    NOp::IncLocal {
+                        off,
+                        delta,
+                        size,
+                        signed,
+                    } => inc_local(&mut view, off, delta, size, signed),
+                    NOp::EffAddr => {
+                        let v = pop!() as u64;
+                        self.stack.push(view.effective_addr(v) as i64);
+                    }
+                    NOp::PtrDiff { esz } => {
+                        let r = view.effective_addr(pop!() as u64) as i64;
+                        let l = view.effective_addr(pop!() as u64) as i64;
+                        self.stack.push(l.wrapping_sub(r) / esz.max(1) as i64);
+                    }
+                    NOp::PtrAdd { esz } => {
+                        let count = pop!();
+                        let ptr = pop!() as u64;
+                        let out = ptr_add!(ptr, count.wrapping_mul(esz as i64));
+                        self.stack.push(out as i64);
+                    }
+                    NOp::Load { size, signed, at } => {
+                        let addr = pop!() as u64;
+                        let raw = load!(view.load(addr, size), addr, size, at, {});
+                        self.stack.push(extend(raw, size, signed));
+                    }
+                    NOp::Store { size, at } => {
+                        let addr = pop!() as u64;
+                        let value = pop!() as u64;
+                        store!(view.store(addr, size, value), addr, size, value, at, {});
+                    }
+                    NOp::LoadLoad {
+                        off,
+                        size,
+                        signed,
+                        at,
+                    } => {
+                        let addr = view.local_get(off, AccessSize::B8);
+                        let raw = load!(view.load(addr, size), addr, size, at, {});
+                        self.stack.push(extend(raw, size, signed));
+                    }
+                    NOp::IdxLoad {
+                        off,
+                        delta,
+                        size,
+                        signed,
+                        at,
+                    } => {
+                        let p = base + off as u64;
+                        self.stats.cycles += ptr_extra;
+                        let raw = load!(
+                            view.idx_load(p, delta, size),
+                            self.space.ptr_add(p, delta),
+                            size,
+                            at,
+                            {}
+                        );
+                        self.stack.push(extend(raw, size, signed));
+                    }
+                    NOp::IdxStore {
+                        off,
+                        delta,
+                        size,
+                        at,
+                    } => {
+                        let p = base + off as u64;
+                        self.stats.cycles += ptr_extra;
+                        let value = pop!() as u64;
+                        store!(
+                            view.idx_store(p, delta, size, value),
+                            self.space.ptr_add(p, delta),
+                            size,
+                            value,
+                            at,
+                            {}
+                        );
+                    }
+                    NOp::IdxAccum {
+                        acc,
+                        acc_size,
+                        acc_signed,
+                        store_size,
+                        addr,
+                        delta,
+                        load_size,
+                        load_signed,
+                        at,
+                    } => {
+                        let av = extend(view.local_get(acc, acc_size), acc_size, acc_signed);
+                        let p = base + addr as u64;
+                        self.stats.cycles += ptr_extra;
+                        // The unfused stream pushed the accumulator
+                        // before the faulting load.
+                        let raw = load!(
+                            view.idx_load(p, delta, load_size),
+                            self.space.ptr_add(p, delta),
+                            load_size,
+                            at,
+                            { self.stack.push(av) }
+                        );
+                        let v = av.wrapping_add(extend(raw, load_size, load_signed));
+                        view.local_put(acc, store_size, v as u64);
+                    }
+                    NOp::Locals(ref block) => {
+                        // Register form: every operand-stack slot was
+                        // resolved to a scratch register at lowering
+                        // time, so the block touches the operand stack
+                        // only to move its `consumes`/`produces` in and
+                        // out — and to spill below a faulting access.
+                        let consumes = block.consumes as usize;
+                        if consumes != 0 {
+                            let split = self.stack.len() - consumes;
+                            regs[..consumes].copy_from_slice(&self.stack[split..]);
+                            self.stack.truncate(split);
+                        }
+                        for r in block.ops.iter() {
+                            match *r {
+                                ROp::Const { dst, c } => regs[dst as usize] = c,
+                                ROp::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
+                                ROp::Swap { a, b } => regs.swap(a as usize, b as usize),
+                                ROp::Rot3 { a, b, c } => {
+                                    let t = regs[a as usize];
+                                    regs[a as usize] = regs[b as usize];
+                                    regs[b as usize] = regs[c as usize];
+                                    regs[c as usize] = t;
+                                }
+                                ROp::Addr { dst, off } => {
+                                    regs[dst as usize] = (base + off as u64) as i64;
+                                }
+                                ROp::Load {
+                                    dst,
+                                    off,
+                                    size,
+                                    signed,
+                                } => {
+                                    regs[dst as usize] =
+                                        extend(view.local_get(off, size), size, signed);
+                                }
+                                ROp::Store { src, off, size } => {
+                                    view.local_put(off, size, regs[src as usize] as u64);
+                                }
+                                ROp::Alu { dst, a, b, op } => {
+                                    regs[dst as usize] =
+                                        op.eval(regs[a as usize], regs[b as usize]);
+                                }
+                                ROp::ConstAlu { at, c, op } => {
+                                    regs[at as usize] = op.eval(regs[at as usize], c);
+                                }
+                                ROp::Cmp { dst, a, b, op } => {
+                                    regs[dst as usize] =
+                                        op.eval(regs[a as usize], regs[b as usize]) as i64;
+                                }
+                                ROp::Neg { at } => {
+                                    regs[at as usize] = regs[at as usize].wrapping_neg();
+                                }
+                                ROp::BitNot { at } => regs[at as usize] = !regs[at as usize],
+                                ROp::Not { at } => {
+                                    regs[at as usize] = (regs[at as usize] == 0) as i64;
+                                }
+                                ROp::Normalize { at, size, signed } => {
+                                    regs[at as usize] =
+                                        extend(regs[at as usize] as u64, size, signed);
+                                }
+                                ROp::Inc {
+                                    off,
+                                    delta,
+                                    size,
+                                    signed,
+                                } => inc_local(&mut view, off, delta, size, signed),
+                                ROp::GEffAddr { at } => {
+                                    regs[at as usize] =
+                                        view.effective_addr(regs[at as usize] as u64) as i64;
+                                }
+                                ROp::GPtrDiff { dst, a, b, esz } => {
+                                    let l = view.effective_addr(regs[a as usize] as u64) as i64;
+                                    let r = view.effective_addr(regs[b as usize] as u64) as i64;
+                                    regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
+                                }
+                                ROp::GPtrAdd {
+                                    dst,
+                                    ptr,
+                                    count,
+                                    esz,
+                                } => {
+                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
+                                    let p = regs[ptr as usize] as u64;
+                                    regs[dst as usize] = ptr_add!(p, delta) as i64;
+                                }
+                                ROp::GLoad {
+                                    at,
+                                    size,
+                                    signed,
+                                    seam,
+                                    spill,
+                                } => {
+                                    let addr = regs[at as usize] as u64;
+                                    let raw = load!(view.load(addr, size), addr, size, seam, {
+                                        self.stack.extend_from_slice(&regs[..spill as usize])
+                                    });
+                                    regs[at as usize] = extend(raw, size, signed);
+                                }
+                                ROp::GStore {
+                                    addr,
+                                    val,
+                                    size,
+                                    seam,
+                                    spill,
+                                } => {
+                                    let a = regs[addr as usize] as u64;
+                                    let v = regs[val as usize] as u64;
+                                    store!(view.store(a, size, v), a, size, v, seam, {
+                                        self.stack.extend_from_slice(&regs[..spill as usize])
+                                    });
+                                }
+                                ROp::GIdxLoad {
+                                    dst,
+                                    ptr,
+                                    count,
+                                    esz,
+                                    size,
+                                    signed,
+                                    seam,
+                                    spill,
+                                } => {
+                                    let p = regs[ptr as usize] as u64;
+                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
+                                    self.stats.cycles += ptr_extra;
+                                    let raw = load!(
+                                        view.idx_load(p, delta, size),
+                                        self.space.ptr_add(p, delta),
+                                        size,
+                                        seam,
+                                        { self.stack.extend_from_slice(&regs[..spill as usize]) }
+                                    );
+                                    regs[dst as usize] = extend(raw, size, signed);
+                                }
+                                ROp::GIdxStore {
+                                    ptr,
+                                    count,
+                                    val,
+                                    esz,
+                                    size,
+                                    seam,
+                                    spill,
+                                } => {
+                                    let p = regs[ptr as usize] as u64;
+                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
+                                    let v = regs[val as usize] as u64;
+                                    self.stats.cycles += ptr_extra;
+                                    store!(
+                                        view.idx_store(p, delta, size, v),
+                                        self.space.ptr_add(p, delta),
+                                        size,
+                                        v,
+                                        seam,
+                                        { self.stack.extend_from_slice(&regs[..spill as usize]) }
+                                    );
+                                }
+                            }
+                        }
+                        self.stack
+                            .extend_from_slice(&regs[..block.produces as usize]);
+                    }
+                }
+            }
+            pc = match region.term {
+                Term::Jump(t) | Term::Fall(t) => t,
+                Term::JumpIfZero { target, fall } => {
+                    if pop!() == 0 {
+                        target
+                    } else {
+                        fall
+                    }
+                }
+                Term::JumpIfNotZero { target, fall } => {
+                    if pop!() != 0 {
+                        target
+                    } else {
+                        fall
+                    }
+                }
+                Term::FlagJump { op, target, fall } => {
+                    let b = pop!();
+                    let a = pop!();
+                    if op.eval(a, b) {
+                        target
+                    } else {
+                        fall
+                    }
+                }
+                Term::CmpJump {
+                    a,
+                    a_size,
+                    a_signed,
+                    b,
+                    b_size,
+                    b_signed,
+                    op,
+                    target,
+                    fall,
+                } => {
+                    let av = extend(view.local_get(a, a_size), a_size, a_signed);
+                    let bv = extend(view.local_get(b, b_size), b_size, b_signed);
+                    if op.eval(av, bv) {
+                        target
+                    } else {
+                        fall
+                    }
+                }
+                Term::IncJump {
                     off,
                     delta,
                     size,
                     signed,
+                    target,
                 } => {
-                    let raw = self
-                        .space
-                        .local_read(base + off as u64, size)
-                        .expect("local slot is mapped");
-                    let mut new = extend(raw, size, signed).wrapping_add(delta);
-                    if size != AccessSize::B8 {
-                        new = extend(new as u64, size, signed);
-                    }
-                    let ok = self.space.local_write(base + off as u64, size, new as u64);
-                    debug_assert!(ok, "local slot is mapped");
+                    inc_local(&mut view, off, delta, size, signed);
+                    target
                 }
-                NOp::ConstAlu { c, op } => {
-                    let a = self.pop();
-                    self.stack.push(op.eval(a, c));
-                }
-                NOp::StoreLocalPop { off, size } => {
-                    let value = self.pop();
-                    let ok = self
-                        .space
-                        .local_write(base + off as u64, size, value as u64);
-                    debug_assert!(ok, "local slot is mapped");
-                }
-                NOp::LoadLoad {
-                    off,
-                    size,
-                    signed,
-                    at,
-                } => {
-                    let praw = self
-                        .space
-                        .local_read(base + off as u64, AccessSize::B8)
-                        .expect("local slot is mapped");
-                    let ctx = AccessCtx { func, pc: at.pc };
-                    match self.g_load_at(praw, size, ctx) {
-                        Ok(raw) => self.stack.push(extend(raw, size, signed)),
-                        Err(e) => return Err((at.spent, at.pc, e)),
+            };
+            region = match gate(nf, pc, fuel) {
+                Ok(next) => next,
+                Err(why) => {
+                    match why {
+                        NativeExit::NoRegion => self.profile.no_region_exits += 1,
+                        NativeExit::FuelShort => self.profile.fuel_short_exits += 1,
                     }
+                    return Ok((pc, fuel));
                 }
-                NOp::Locals(ref block) => {
-                    // Register-form block: every operand-stack slot was
-                    // resolved to a fixed scratch register at lowering
-                    // time — no operand-stack traffic. A pure block
-                    // (`!block.mem`) borrows the frame's byte range
-                    // once for every local access and cannot fault, so
-                    // no seam or stat bookkeeping is needed inside. A
-                    // memory block runs the segmented executor, which
-                    // releases the frame borrow at each guest access:
-                    // the access probes the placement fast path inline
-                    // against the register file and falls back to the
-                    // full checked path (violation continuations,
-                    // fault seams, spill) on a probe miss.
-                    let consumes = block.consumes as usize;
-                    if consumes != 0 {
-                        let split = self.stack.len() - consumes;
-                        nregs[..consumes].copy_from_slice(&self.stack[split..]);
-                        self.stack.truncate(split);
-                    }
-                    if block.mem {
-                        self.run_mem_block(block, func, base, frame_total, nregs)?;
-                    } else {
-                        let frame = self
-                            .space
-                            .frame_mut(base, frame_total)
-                            .expect("active frame is mapped");
-                        let regs = &mut *nregs;
-                        for r in block.ops.iter() {
-                            frame_rop(*r, regs, frame, base);
-                        }
-                    }
-                    let produces = block.produces as usize;
-                    if produces != 0 {
-                        self.stack.extend_from_slice(&nregs[..produces]);
-                    }
-                }
-            }
+            };
         }
-        Ok(match region.term {
-            Term::Jump(t) => t,
-            Term::JumpIfZero { target, fall } => {
-                if self.pop() == 0 {
-                    target
-                } else {
-                    fall
-                }
-            }
-            Term::JumpIfNotZero { target, fall } => {
-                if self.pop() != 0 {
-                    target
-                } else {
-                    fall
-                }
-            }
-            Term::FlagJump { op, target, fall } => {
-                let b = self.pop();
-                let a = self.pop();
-                if op.eval(a, b) {
-                    target
-                } else {
-                    fall
-                }
-            }
-            Term::CmpJump {
-                a,
-                a_size,
-                a_signed,
-                b,
-                b_size,
-                b_signed,
-                op,
-                target,
-                fall,
-            } => {
-                // Both operands are frame locals, so one frame borrow
-                // answers both reads (same committed-window semantics
-                // as `local_read`, minus the per-access round-trip).
-                let frame = self
-                    .space
-                    .frame_mut(base, frame_total)
-                    .expect("active frame is mapped");
-                let av = extend(frame_get(frame, a, a_size), a_size, a_signed);
-                let bv = extend(frame_get(frame, b, b_size), b_size, b_signed);
-                if op.eval(av, bv) {
-                    target
-                } else {
-                    fall
-                }
-            }
-            Term::IncJump {
-                off,
-                delta,
-                size,
-                signed,
-                target,
-            } => {
-                let frame = self
-                    .space
-                    .frame_mut(base, frame_total)
-                    .expect("active frame is mapped");
-                let raw = frame_get(frame, off, size);
-                let mut new = extend(raw, size, signed).wrapping_add(delta);
-                if size != AccessSize::B8 {
-                    new = extend(new as u64, size, signed);
-                }
-                frame_put(frame, off, size, new as u64);
-                target
-            }
-            Term::Fall(next) => next,
-        })
-    }
-
-    /// Executes a memory-spanning register block: the segmented twin of
-    /// the pure-block loop in the `NOp::Locals` arm. Pure runs between
-    /// guest accesses borrow the frame window once per segment; each
-    /// guest access releases the borrow and probes the placement fast
-    /// path ([`MemorySpace::probe_load`]/[`MemorySpace::probe_store`],
-    /// or the combined index probes for fused address+access pairs)
-    /// with the address straight out of the register file. A probe hit
-    /// charges exactly what the interpreted hit path charges; a probe
-    /// miss deopts to the full access path (`g_load_at`/`g_store_at`),
-    /// which runs the complete checked machinery — violation
-    /// continuations, manufactured values, redirects, log records —
-    /// identically to one-dispatch-at-a-time interpretation. On a fault
-    /// the op's pre-baked seam supplies the architectural pc and the
-    /// spent component count, and the live registers below the faulting
-    /// operand spill back to the operand stack so the machine's
-    /// post-fault image is byte-identical to the baseline tier's.
-    fn run_mem_block(
-        &mut self,
-        block: &LocalsBlock,
-        func: u32,
-        base: u64,
-        frame_total: u64,
-        regs: &mut [i64; LOCALS_REGS],
-    ) -> Result<(), (u64, u32, VmFault)> {
-        let ops = &block.ops;
-        let mut i = 0;
-        while i < ops.len() {
-            if !is_heap_rop(&ops[i]) {
-                let frame = self
-                    .space
-                    .frame_mut(base, frame_total)
-                    .expect("active frame is mapped");
-                while i < ops.len() && !is_heap_rop(&ops[i]) {
-                    frame_rop(ops[i], regs, frame, base);
-                    i += 1;
-                }
-                continue;
-            }
-            match ops[i] {
-                ROp::GLoad {
-                    at,
-                    size,
-                    signed,
-                    seam,
-                    spill,
-                } => {
-                    let addr = regs[at as usize] as u64;
-                    if let Some(raw) = self.space.probe_load(addr, size) {
-                        if self.checked {
-                            self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                        }
-                        regs[at as usize] = extend(raw, size, signed);
-                    } else {
-                        let ctx = AccessCtx { func, pc: seam.pc };
-                        match self.g_load_at(addr, size, ctx) {
-                            Ok(raw) => regs[at as usize] = extend(raw, size, signed),
-                            Err(e) => {
-                                self.stack.extend_from_slice(&regs[..spill as usize]);
-                                return Err((seam.spent, seam.pc, e));
-                            }
-                        }
-                    }
-                }
-                ROp::GStore {
-                    addr,
-                    val,
-                    size,
-                    seam,
-                    spill,
-                } => {
-                    let a = regs[addr as usize] as u64;
-                    let v = regs[val as usize] as u64;
-                    if self.space.probe_store(a, size, v) {
-                        if self.checked {
-                            self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                        }
-                    } else {
-                        let ctx = AccessCtx { func, pc: seam.pc };
-                        if let Err(e) = self.g_store_at(a, size, v, ctx) {
-                            self.stack.extend_from_slice(&regs[..spill as usize]);
-                            return Err((seam.spent, seam.pc, e));
-                        }
-                    }
-                }
-                ROp::GPtrAdd {
-                    dst,
-                    ptr,
-                    count,
-                    esz,
-                } => {
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                    let out = self.space.ptr_add(regs[ptr as usize] as u64, delta);
-                    regs[dst as usize] = out as i64;
-                }
-                ROp::GPtrDiff { dst, a, b, esz } => {
-                    let l = self.space.effective_addr(regs[a as usize] as u64) as i64;
-                    let r = self.space.effective_addr(regs[b as usize] as u64) as i64;
-                    regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
-                }
-                ROp::GEffAddr { at } => {
-                    let v = self.space.effective_addr(regs[at as usize] as u64);
-                    regs[at as usize] = v as i64;
-                }
-                ROp::GIdxLoad {
-                    dst,
-                    ptr,
-                    count,
-                    esz,
-                    size,
-                    signed,
-                    seam,
-                    spill,
-                } => {
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let p = regs[ptr as usize] as u64;
-                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                    if let Some(raw) = self.space.idx_load_fast(p, delta, size) {
-                        self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                        regs[dst as usize] = extend(raw, size, signed);
-                    } else {
-                        let target = self.space.ptr_add(p, delta);
-                        let ctx = AccessCtx { func, pc: seam.pc };
-                        match self.g_load_at(target, size, ctx) {
-                            Ok(raw) => regs[dst as usize] = extend(raw, size, signed),
-                            Err(e) => {
-                                self.stack.extend_from_slice(&regs[..spill as usize]);
-                                return Err((seam.spent, seam.pc, e));
-                            }
-                        }
-                    }
-                }
-                ROp::GIdxStore {
-                    ptr,
-                    count,
-                    val,
-                    esz,
-                    size,
-                    seam,
-                    spill,
-                } => {
-                    if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                    }
-                    let p = regs[ptr as usize] as u64;
-                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                    let v = regs[val as usize] as u64;
-                    if self.space.idx_store_fast(p, delta, size, v) {
-                        self.stats.cycles += cost::MEM_CHECK_EXTRA;
-                    } else {
-                        let target = self.space.ptr_add(p, delta);
-                        let ctx = AccessCtx { func, pc: seam.pc };
-                        if let Err(e) = self.g_store_at(target, size, v, ctx) {
-                            self.stack.extend_from_slice(&regs[..spill as usize]);
-                            return Err((seam.spent, seam.pc, e));
-                        }
-                    }
-                }
-                _ => unreachable!("pure op on the heap-op path"),
-            }
-            i += 1;
-        }
-        Ok(())
     }
 
     fn enter(&mut self, fid: u32, args: &[i64]) -> Result<(), VmFault> {
@@ -1587,112 +1579,41 @@ impl Machine {
     }
 }
 
-/// Executes one pure register op against the scratch register file and
-/// a borrowed frame window. Shared by the pure-block fast loop (one
-/// frame borrow for the whole block) and the segmented memory-block
-/// executor (one borrow per pure segment between guest accesses).
-/// Heap-crossing ops never reach this: both callers route them through
-/// [`Machine::run_mem_block`]'s access arms.
+/// Why the native executor stopped chaining at a pc.
+enum NativeExit {
+    /// No region starts at the pc: a call, builtin or return boundary,
+    /// or a jump target inside a fused pattern's preserved tail.
+    NoRegion,
+    /// A region starts there but fuel does not cover its whole charge.
+    FuelShort,
+}
+
+/// The region `pc` enters: one must start there, and `fuel` must cover
+/// everything it charges (the interpreter's per-opcode deopt seams own
+/// mid-region exhaustion).
 #[inline(always)]
-fn frame_rop(r: ROp, regs: &mut [i64; LOCALS_REGS], frame: &mut [u8], base: u64) {
-    match r {
-        ROp::Const { dst, c } => regs[dst as usize] = c,
-        ROp::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
-        ROp::Swap { a, b } => regs.swap(a as usize, b as usize),
-        ROp::Rot3 { a, b, c } => {
-            let t = regs[a as usize];
-            regs[a as usize] = regs[b as usize];
-            regs[b as usize] = regs[c as usize];
-            regs[c as usize] = t;
-        }
-        ROp::Addr { dst, off } => {
-            regs[dst as usize] = (base + off as u64) as i64;
-        }
-        ROp::Load {
-            dst,
-            off,
-            size,
-            signed,
-        } => {
-            let raw = frame_get(frame, off, size);
-            regs[dst as usize] = extend(raw, size, signed);
-        }
-        ROp::Store { src, off, size } => {
-            frame_put(frame, off, size, regs[src as usize] as u64);
-        }
-        ROp::Alu { dst, a, b, op } => {
-            regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]);
-        }
-        ROp::ConstAlu { at, c, op } => {
-            regs[at as usize] = op.eval(regs[at as usize], c);
-        }
-        ROp::Cmp { dst, a, b, op } => {
-            regs[dst as usize] = op.eval(regs[a as usize], regs[b as usize]) as i64;
-        }
-        ROp::Neg { at } => {
-            regs[at as usize] = regs[at as usize].wrapping_neg();
-        }
-        ROp::BitNot { at } => regs[at as usize] = !regs[at as usize],
-        ROp::Not { at } => {
-            regs[at as usize] = (regs[at as usize] == 0) as i64;
-        }
-        ROp::Normalize { at, size, signed } => {
-            regs[at as usize] = extend(regs[at as usize] as u64, size, signed);
-        }
-        ROp::Inc {
-            off,
-            delta,
-            size,
-            signed,
-        } => {
-            let raw = frame_get(frame, off, size);
-            let mut new = extend(raw, size, signed).wrapping_add(delta);
-            if size != AccessSize::B8 {
-                new = extend(new as u64, size, signed);
+fn gate(nf: &NativeFunc, pc: u32, fuel: u64) -> Result<&NativeRegion, NativeExit> {
+    match nf.entry.get(pc as usize) {
+        Some(&ri) if ri != NO_REGION => {
+            let region = &nf.regions[ri as usize];
+            if fuel >= region.charge {
+                Ok(region)
+            } else {
+                Err(NativeExit::FuelShort)
             }
-            frame_put(frame, off, size, new as u64);
         }
-        ROp::GLoad { .. }
-        | ROp::GStore { .. }
-        | ROp::GPtrAdd { .. }
-        | ROp::GPtrDiff { .. }
-        | ROp::GEffAddr { .. }
-        | ROp::GIdxLoad { .. }
-        | ROp::GIdxStore { .. } => unreachable!("heap op on the pure-block path"),
+        _ => Err(NativeExit::NoRegion),
     }
 }
 
-/// Little-endian scalar read straight off a borrowed frame window.
-/// Bounds are guaranteed by the frame borrow (`off + size` lies inside
-/// the frame layout the lowering resolved against), so this is the
-/// committed-window-free twin of `Region::read`. Each width reads a
-/// fixed-size array so the access compiles to one load, not a
-/// variable-length copy.
+/// Direct-local increment statement against the frame window.
 #[inline(always)]
-fn frame_get(frame: &[u8], off: u32, size: AccessSize) -> u64 {
-    let at = off as usize;
-    match size {
-        AccessSize::B1 => frame[at] as u64,
-        AccessSize::B2 => {
-            u16::from_le_bytes(frame[at..at + 2].try_into().expect("fixed width")) as u64
-        }
-        AccessSize::B4 => {
-            u32::from_le_bytes(frame[at..at + 4].try_into().expect("fixed width")) as u64
-        }
-        AccessSize::B8 => u64::from_le_bytes(frame[at..at + 8].try_into().expect("fixed width")),
+fn inc_local(view: &mut NativeView<'_>, off: u32, delta: i64, size: AccessSize, signed: bool) {
+    let mut new = extend(view.local_get(off, size), size, signed).wrapping_add(delta);
+    if size != AccessSize::B8 {
+        new = extend(new as u64, size, signed);
     }
-}
-
-/// Little-endian scalar write twin of [`frame_get`].
-#[inline(always)]
-fn frame_put(frame: &mut [u8], off: u32, size: AccessSize, value: u64) {
-    let at = off as usize;
-    match size {
-        AccessSize::B1 => frame[at] = value as u8,
-        AccessSize::B2 => frame[at..at + 2].copy_from_slice(&(value as u16).to_le_bytes()),
-        AccessSize::B4 => frame[at..at + 4].copy_from_slice(&(value as u32).to_le_bytes()),
-        AccessSize::B8 => frame[at..at + 8].copy_from_slice(&value.to_le_bytes()),
-    }
+    view.local_put(off, size, new as u64);
 }
 
 /// Sign- or zero-extends the low `size` bytes of `raw`.
@@ -1794,6 +1715,45 @@ mod tests {
         for fuel in 0..220 {
             assert_tier_parity(src, "f", &[9], Mode::FailureOblivious, fuel);
         }
+    }
+
+    #[test]
+    fn exec_profile_is_inert_and_accounts_for_native_work() {
+        // Hits, a view miss per out-of-bounds read, and a builtin
+        // boundary per iteration.
+        let src = "long f(long n) { long xs[4]; long i; long t = 0; \
+                   for (i = 0; i < n; i++) { xs[i % 4] = i; t = t + xs[i % 6]; print_int(t); } \
+                   return t; }";
+        let run = |read_profile: bool| {
+            let image = foc_compiler::compile_image_tier(src, foc_compiler::ExecTier::Native)
+                .expect("compile");
+            let mut m = Machine::load(image, MachineConfig::with_mode(Mode::FailureOblivious))
+                .expect("load");
+            let mut seen = Vec::new();
+            for n in [3, 12] {
+                seen.push(m.call("f", &[n]));
+                if read_profile {
+                    let _ = m.exec_profile();
+                }
+            }
+            (seen, m.take_output(), m.stats(), *m.space().stats(), m)
+        };
+        let (seen, output, stats, space, m) = run(true);
+        let (seen2, output2, stats2, space2, _) = run(false);
+        assert_eq!(
+            (seen, output, stats, space),
+            (seen2, output2, stats2, space2)
+        );
+        let profile = m.exec_profile();
+        assert!(profile.native_instrs > 0 && profile.native_instrs <= stats.instrs);
+        assert!(profile.region_entries > 0);
+        assert_eq!(profile.view_misses, space.invalid_reads);
+        assert!(profile.no_region_exits >= 15, "one per print_int call");
+        assert_eq!(profile.faults, 0);
+        // The baseline stream has no regions to be resident in.
+        let mut base = Machine::from_source(src, MachineConfig::default()).expect("compile");
+        base.call("f", &[3]).expect("runs");
+        assert_eq!(base.exec_profile().native_instrs, 0);
     }
 
     #[test]

@@ -1,0 +1,141 @@
+//! Native residency: how much of each benchmark server's guest work
+//! runs inside native regions, and why the rest does not.
+//!
+//! ```text
+//! cargo run --release --example residency
+//! ```
+//!
+//! One process per `BENCHMARK.json` workload kind, booted through
+//! `BootSpec::new` (the shipped default) over the farm's standard
+//! environment and driven through the farm's request classes in their
+//! stream weights — ten benign requests per round plus the workload's
+//! attack share. Everything printed comes from `Machine::exec_profile`
+//! and `Machine::stats`; a Bounds Check process an attack kills is
+//! replaced the way the supervisor would, its counts kept.
+
+use failure_oblivious::servers::{apache, image, mc, pine, workload};
+use failure_oblivious::servers::{BootSpec, Process, ServerKind};
+use failure_oblivious::vm::ExecProfile;
+use failure_oblivious::Mode;
+
+const ROUNDS: u64 = 8;
+
+#[derive(Default)]
+struct Tally {
+    instrs: u64,
+    profile: ExecProfile,
+}
+
+impl Tally {
+    fn add(&mut self, process: &Process) {
+        let (stats, p) = (process.machine().stats(), process.machine().exec_profile());
+        self.instrs += stats.instrs;
+        self.profile.native_instrs += p.native_instrs;
+        self.profile.region_entries += p.region_entries;
+        self.profile.no_region_exits += p.no_region_exits;
+        self.profile.fuel_short_exits += p.fuel_short_exits;
+        self.profile.view_misses += p.view_misses;
+        self.profile.faults += p.faults;
+    }
+}
+
+fn apache_run(mode: Mode, attack_every: u64) -> Tally {
+    let spec = BootSpec::new(ServerKind::Apache, mode);
+    let mut tally = Tally::default();
+    let mut worker = apache::ApacheWorker::boot_spec(&spec);
+    let benign: [&[u8]; 10] = [
+        b"/index.html",
+        b"/index.html",
+        b"/rw/index.html",
+        b"/index.html",
+        b"/big.bin",
+        b"/index.html",
+        b"/rw/index.html",
+        b"/index.html",
+        b"/nosuchpage.html",
+        b"/index.html",
+    ];
+    for i in 0..ROUNDS * 10 {
+        if i % attack_every == attack_every - 1 {
+            worker.get(&apache::attack_url());
+        } else {
+            worker.get(benign[(i % 10) as usize]);
+        }
+        if worker.is_dead() {
+            tally.add(worker.process());
+            worker = apache::ApacheWorker::boot_spec(&spec);
+        }
+    }
+    tally.add(worker.process());
+    tally
+}
+
+fn mc_run() -> Tally {
+    let spec = BootSpec::new(ServerKind::Mc, Mode::FailureOblivious);
+    let mut m = mc::Mc::boot_spec(&spec, image::standard_mc_config());
+    for i in 0..ROUNDS * 10 {
+        let name = format!("/tmp/copy{i}").into_bytes();
+        match i % 10 {
+            7 => m.open_archive(&mc::attack_links()),
+            0..=3 => m.copy(b"/home/user/data.bin", &name),
+            4 | 5 => m.mkdir(&name),
+            6 | 8 => m.component_end(b"usr/share/component/lib"),
+            _ => m.delete(&format!("/tmp/copy{}", i - 6).into_bytes()),
+        };
+    }
+    let mut tally = Tally::default();
+    tally.add(m.process());
+    tally
+}
+
+fn pine_run() -> Tally {
+    let spec = BootSpec::new(ServerKind::Pine, Mode::FailureOblivious);
+    let mut p = pine::Pine::boot_spec(&spec, image::standard_pine_mailbox().clone());
+    let mut messages = image::PINE_SEED_MESSAGES as i64;
+    for i in 0..ROUNDS * 10 {
+        let outcome = match i % 10 {
+            7 => p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
+            0..=2 => p.deliver(
+                &workload::from_field(i),
+                b"new mail",
+                &workload::lorem(300, i),
+            ),
+            3..=6 => p.read(i as i64 % messages),
+            8 => p.compose(),
+            _ => p.move_message(i as i64 % messages),
+        };
+        if matches!(i % 10, 0..=2 | 7) && outcome.outcome.survived() {
+            messages += 1;
+        }
+    }
+    let mut tally = Tally::default();
+    tally.add(p.process());
+    tally
+}
+
+fn main() {
+    println!(
+        "{:<13} {:>14} {:>9} {:>10} {:>10} {:>10} {:>9} {:>7}",
+        "workload", "instrs", "native", "regions", "no-region", "fuel-short", "view-miss", "faults"
+    );
+    let runs = [
+        ("mc_copy", mc_run()),
+        ("apache_edge", apache_run(Mode::FailureOblivious, 8)),
+        ("apache_flood", apache_run(Mode::BoundsCheck, 2)),
+        ("pine_mail", pine_run()),
+    ];
+    for (name, t) in runs {
+        let p = t.profile;
+        println!(
+            "{:<13} {:>14} {:>8.2}% {:>10} {:>10} {:>10} {:>9} {:>7}",
+            name,
+            t.instrs,
+            100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
+            p.region_entries,
+            p.no_region_exits,
+            p.fuel_short_exits,
+            p.view_misses,
+            p.faults
+        );
+    }
+}

@@ -513,3 +513,70 @@ fn default_boot_equals_the_baseline_table_splay_oracle() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Guest-chosen addresses at the top of the address space.
+// ---------------------------------------------------------------------
+
+/// `a[k]` with `k` chosen so the byte address is `2^64 - 8`: the end of
+/// the access wraps to 0, which an unguarded `target + size <= end`
+/// compare accepts as "inside the unit".
+const WRAPPING_LOAD: &str = "long g[4];\n\
+     long f() { long *a = (long *) g; long p = (long) a; long k = -1 - p / 8;\n\
+                long i; long acc = 0;\n\
+                for (i = 0; i < 2; i++) acc = acc + a[k];\n\
+                return acc; }";
+
+/// Store twin of [`WRAPPING_LOAD`].
+const WRAPPING_STORE: &str = "long g[4];\n\
+     long f() { long *a = (long *) g; long p = (long) a; long k = -1 - p / 8;\n\
+                long i;\n\
+                for (i = 0; i < 2; i++) a[k] = 7;\n\
+                return g[0]; }";
+
+/// An index that wraps the address space is an ordinary violation on
+/// every tier: same result or fault, same counters, same log — and no
+/// host panic — under all five modes and both lookup layers.
+#[test]
+fn wrapping_index_is_a_violation_on_every_tier() {
+    use failure_oblivious::compiler::{compile_image_tier, ExecTier};
+    use failure_oblivious::memory::LookupLayer;
+    use failure_oblivious::{Machine, MachineConfig};
+
+    for source in [WRAPPING_LOAD, WRAPPING_STORE] {
+        for mode in Mode::ALL {
+            for lookup in LookupLayer::ALL {
+                let observed = ExecTier::ALL.map(|tier| {
+                    let image = compile_image_tier(source, tier).expect("source builds");
+                    let config = MachineConfig::with_mode(mode).with_lookup(lookup);
+                    let mut m = Machine::load(image, config).expect("load");
+                    let result = m.call("f", &[]);
+                    let log = m.space().error_log();
+                    (
+                        result,
+                        m.stats(),
+                        *m.space().stats(),
+                        log.total(),
+                        log.records().to_vec(),
+                    )
+                });
+                for (tier, seen) in ExecTier::ALL.iter().zip(&observed) {
+                    assert_eq!(
+                        &observed[0],
+                        seen,
+                        "{tier:?} diverges from {:?} under {mode:?}/{lookup:?}",
+                        ExecTier::ALL[0]
+                    );
+                }
+                if mode == Mode::FailureOblivious {
+                    let (result, _, space, total, _) = &observed[0];
+                    assert_eq!(*total, 2, "both accesses are logged");
+                    assert_eq!(space.invalid_reads + space.invalid_writes, 2);
+                    // Two manufactured reads (0, then 1), or `g[0]` untouched.
+                    let expected = if source == WRAPPING_LOAD { 1 } else { 0 };
+                    assert_eq!(*result, Ok(expected));
+                }
+            }
+        }
+    }
+}
