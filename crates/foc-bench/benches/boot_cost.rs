@@ -13,6 +13,7 @@ use foc_memory::Mode;
 use foc_servers::apache::ApacheWorker;
 use foc_servers::farm::ServerKind;
 use foc_servers::mutt::Mutt;
+use foc_servers::BootSpec;
 
 fn bench_compile_only(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
@@ -30,7 +31,8 @@ fn bench_apache_boot(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
     group.bench_function("apache/cold_compile_boot", |b| {
         b.iter(|| {
-            ApacheWorker::from_image(&ServerKind::Apache.fresh_image(), Mode::FailureOblivious)
+            let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
+            ApacheWorker::boot_image_spec(&ServerKind::Apache.fresh_image(), &spec)
         })
     });
     // Populate the cache outside the timed region.
@@ -44,7 +46,10 @@ fn bench_apache_boot(c: &mut Criterion) {
 fn bench_mutt_boot(c: &mut Criterion) {
     let mut group = c.benchmark_group("boot_cost");
     group.bench_function("mutt/cold_compile_boot", |b| {
-        b.iter(|| Mutt::boot_image(&ServerKind::Mutt.fresh_image(), Mode::FailureOblivious, 2))
+        b.iter(|| {
+            let spec = BootSpec::new(ServerKind::Mutt, Mode::FailureOblivious);
+            Mutt::boot_image_spec(&ServerKind::Mutt.fresh_image(), &spec, 2)
+        })
     });
     let _ = ServerKind::Mutt.image();
     group.bench_function("mutt/cached_image_boot", |b| {

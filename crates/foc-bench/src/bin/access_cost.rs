@@ -9,16 +9,12 @@
 //! to have driven the substrate identically, so the ratio isolates
 //! lookup cost alone.
 //!
-//! Under `FOC_EXEC_TIER=native` the bin additionally measures the
-//! *guest-level* twin of that copy traffic: a checked copy loop whose
-//! accesses the native tier admits into memory-spanning `LocalsBlock`s
-//! and resolves in-block through the placement probe
-//! (`GIdxLoad`/`GIdxStore`), versus the superinstruction tier paying a
-//! full dispatch round per access. The tier axis is read through the
-//! unified strict env path ([`foc_compiler::ExecTier::from_env`], the
-//! same parse `BootSpec::from_env` delegates to), so an unknown
-//! `FOC_EXEC_TIER` spelling dies loudly instead of silently measuring
-//! the default tier.
+//! The bin also measures the *guest-level* twin of that copy traffic:
+//! a checked copy loop whose accesses the native tier admits into
+//! memory-spanning `LocalsBlock`s and resolves in-block through the
+//! placement probe (`GIdxLoad`/`GIdxStore`), versus the baseline
+//! interpreter paying a full dispatch round per access. The
+//! measurement names both tiers itself, whatever `FOC_EXEC_TIER` says.
 //!
 //! Usage:
 //!
@@ -26,15 +22,14 @@
 //!   full measurement (default 24 reps per layer); upserts one row
 //!   into `BENCH_farm.json`'s `access_cost_runs` trajectory (creating
 //!   the section in records that predate it), plus one `mem_cost_runs`
-//!   row under the native tier. Rows are keyed by a fingerprint of the
-//!   measurement shape, so re-running the bin on an unchanged tree
-//!   replaces its row instead of duplicating it.
+//!   row. Rows are keyed by a fingerprint of the measurement shape, so
+//!   re-running the bin on an unchanged tree replaces its row instead
+//!   of duplicating it.
 //! * `cargo run --release -p foc-bench --bin access_cost -- --check`
 //!   — CI gate: asserts the paged layer sustains ≥1.5× the table
-//!   layer's access rate, and — under the native tier — that
-//!   memory-spanning block execution sustains ≥1.5× the super tier's
-//!   rate on the guest copy loop. Exits nonzero with a one-line
-//!   diagnostic otherwise.
+//!   layer's access rate, and that memory-spanning block execution
+//!   sustains ≥1.75× the baseline interpreter's rate on the guest copy
+//!   loop. Exits nonzero with a one-line diagnostic otherwise.
 
 use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
 use foc_bench::farm_report::{
@@ -50,12 +45,12 @@ use foc_bench::farm_report::{
 /// with room on noisy CI hosts.
 const GATE: f64 = 1.5;
 
-/// The CI bar for the guest copy loop under the native tier: in-block
-/// access resolution — no operand-stack round trip, no per-access
-/// dispatch round — must beat the superinstruction tier by this
-/// factor. The measured margin is well above this floor on the
-/// development host; 1.5× holds with room on noisy CI hosts.
-const MEM_GATE: f64 = 1.5;
+/// The CI bar for the guest copy loop: in-block access resolution — no
+/// operand-stack round trip, no per-access dispatch round — must beat
+/// the baseline interpreter by this factor. The measured margin is
+/// near 3× on the development host; 1.75× holds with room on noisy CI
+/// hosts.
+const MEM_GATE: f64 = 1.75;
 
 fn print_measurement(cost: &AccessCost) {
     eprintln!(
@@ -76,19 +71,14 @@ fn print_mem_measurement(cost: &NativeCost) {
         cost.baseline.minstr_per_s, cost.baseline.minstr_ci95, cost.baseline.instrs, cost.reps
     );
     eprintln!(
-        "  copy loop, super tier    {:>8.1} Minstr/s ± {:.1}",
-        cost.fused.minstr_per_s, cost.fused.minstr_ci95
-    );
-    eprintln!(
-        "  copy loop, native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x super, {:.2}x baseline)",
+        "  copy loop, native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline()
+        cost.speedup()
     );
 }
 
-fn run_check(native: bool) -> Result<(), String> {
+fn run_check() -> Result<(), String> {
     eprintln!("access_cost --check: page map vs direct table search ...");
     let cost = measure_access_cost(8);
     print_measurement(&cost);
@@ -101,49 +91,37 @@ fn run_check(native: bool) -> Result<(), String> {
             cost.paged.maccess_per_s, cost.table.maccess_per_s
         ),
     )?;
-    if native {
-        eprintln!("access_cost --check: memory-spanning blocks on the guest copy loop ...");
-        let mem = measure_mem_cost(8);
-        print_mem_measurement(&mem);
-        if mem.native.instrs != mem.fused.instrs || mem.native.instrs != mem.baseline.instrs {
-            return Err(format!(
-                "tiers must retire identical instruction counts on the copy loop: \
-                 baseline {} vs super {} vs native {}",
-                mem.baseline.instrs, mem.fused.instrs, mem.native.instrs
-            ));
-        }
-        check_gate(
-            "memory-spanning block execution over the superinstruction tier",
-            mem.speedup_over_super(),
-            MEM_GATE,
-            &format!(
-                "{:.1} vs {:.1} Minstr/s",
-                mem.native.minstr_per_s, mem.fused.minstr_per_s
-            ),
-        )?;
-        println!(
-            "access_cost --check OK ({:.2}x paged speedup, {:.2}x native copy-loop speedup)",
-            cost.speedup(),
-            mem.speedup_over_super()
-        );
-        return Ok(());
+    eprintln!("access_cost --check: memory-spanning blocks on the guest copy loop ...");
+    let mem = measure_mem_cost(8);
+    print_mem_measurement(&mem);
+    if mem.native.instrs != mem.baseline.instrs {
+        return Err(format!(
+            "tiers must retire identical instruction counts on the copy loop: \
+             baseline {} vs native {}",
+            mem.baseline.instrs, mem.native.instrs
+        ));
     }
+    check_gate(
+        "memory-spanning block execution over the baseline interpreter",
+        mem.speedup(),
+        MEM_GATE,
+        &format!(
+            "{:.1} vs {:.1} Minstr/s",
+            mem.native.minstr_per_s, mem.baseline.minstr_per_s
+        ),
+    )?;
     println!(
-        "access_cost --check OK ({:.2}x paged speedup, {:.1} Maccess/s paged)",
+        "access_cost --check OK ({:.2}x paged speedup, {:.2}x native copy-loop speedup)",
         cost.speedup(),
-        cost.paged.maccess_per_s
+        mem.speedup()
     );
     Ok(())
 }
 
 fn main() {
-    // Read the tier axis once, up front, through the strict parse: a
-    // typo'd FOC_EXEC_TIER exits 2 here rather than silently gating
-    // (or recording) the wrong measurement.
-    let native = foc_compiler::ExecTier::from_env() == foc_compiler::ExecTier::Native;
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check(native) {
+        if let Err(msg) = run_check() {
             check_fail("access_cost --check", &msg);
         }
         return;
@@ -155,10 +133,8 @@ fn main() {
     let row = access_cost_row_json(&cost, &access_cost_fingerprint(reps));
     record_farm_row("access_cost", &row, append_access_cost_row);
 
-    if native {
-        let mem = measure_mem_cost(reps);
-        print_mem_measurement(&mem);
-        let row = mem_cost_row_json(&mem, &mem_cost_fingerprint(reps));
-        record_farm_row("access_cost", &row, append_mem_cost_row);
-    }
+    let mem = measure_mem_cost(reps);
+    print_mem_measurement(&mem);
+    let row = mem_cost_row_json(&mem, &mem_cost_fingerprint(reps));
+    record_farm_row("access_cost", &row, append_mem_cost_row);
 }

@@ -146,7 +146,6 @@ fn run_check() -> Result<(), String> {
         &[],
         &[],
         &[],
-        &[],
     );
     if json.matches('{').count() != json.matches('}').count() {
         return Err("rendered record does not balance".to_string());

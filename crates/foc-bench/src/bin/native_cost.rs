@@ -1,12 +1,12 @@
 //! The native-cost bench: interpretation rate of a violation-free
-//! dispatch-bound loop (fusible local arithmetic plus loop control,
-//! nothing else) under the superinstruction tier versus the native
-//! AOT-region tier. Every tier retires the same guest instruction count
-//! — a lowered region pre-charges exactly the baseline accounting of
-//! the run it replaces — so the ratio isolates what remains of the
-//! dispatch ceiling after fusion: one fetch/decode/match round plus
-//! fuel, stats, and pc bookkeeping per fused pattern, all of which
-//! region execution folds into a single per-region entry.
+//! dispatch-bound loop (local arithmetic plus loop control, nothing
+//! else) under the baseline interpreter versus the native AOT-region
+//! tier. Both tiers retire the same guest instruction count — a
+//! lowered region pre-charges exactly the baseline accounting of the
+//! run it replaces — so the ratio isolates the dispatch ceiling: one
+//! fetch/decode/match round plus fuel, stats, and pc bookkeeping per
+//! instruction, all of which region execution folds into a single
+//! per-region entry.
 //!
 //! Usage:
 //!
@@ -14,12 +14,12 @@
 //!   full measurement (default 24 reps per tier); upserts one row into
 //!   `BENCH_farm.json`'s `native_cost_runs` trajectory (creating the
 //!   section in records that predate it). Rows are keyed by a
-//!   fingerprint of the loop's compiled image under every tier + shape,
+//!   fingerprint of the loop's compiled image under both tiers + shape,
 //!   so re-running the bin on an unchanged tree replaces its row
 //!   instead of duplicating it.
 //! * `cargo run --release -p foc-bench --bin native_cost -- --check` —
-//!   CI gate: asserts region execution interprets the loop at ≥2× the
-//!   superinstruction tier's rate. Exits nonzero with a one-line
+//!   CI gate: asserts region execution interprets the loop at ≥2.5×
+//!   the baseline interpreter's rate. Exits nonzero with a one-line
 //!   diagnostic otherwise.
 
 use foc_bench::check::{check_fail, check_gate, parse_reps, record_farm_row};
@@ -28,12 +28,12 @@ use foc_bench::farm_report::{
     NativeCost,
 };
 
-/// The CI bar: native region execution must beat the superinstruction
-/// tier by this factor on the violation-free loop. A region entry
-/// replaces every per-pattern dispatch round of its straight-line run,
-/// so the measured margin is well above this floor on the development
-/// host; 2× holds with room on noisy CI hosts.
-const GATE: f64 = 2.0;
+/// The CI bar: native region execution must beat the baseline
+/// interpreter by this factor on the violation-free loop. A region
+/// entry replaces every dispatch round of its straight-line run, so
+/// the measured margin is above 3× on the development host; 2.5× holds
+/// with room on noisy CI hosts.
+const GATE: f64 = 2.5;
 
 fn print_measurement(cost: &NativeCost) {
     eprintln!(
@@ -41,41 +41,35 @@ fn print_measurement(cost: &NativeCost) {
         cost.baseline.minstr_per_s, cost.baseline.minstr_ci95, cost.baseline.instrs, cost.reps
     );
     eprintln!(
-        "  super tier    {:>8.1} Minstr/s ± {:.1}",
-        cost.fused.minstr_per_s, cost.fused.minstr_ci95
-    );
-    eprintln!(
-        "  native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x super, {:.2}x baseline)",
+        "  native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline()
+        cost.speedup()
     );
 }
 
 fn run_check() -> Result<(), String> {
-    eprintln!("native_cost --check: superinstruction tier vs native region execution ...");
+    eprintln!("native_cost --check: baseline interpreter vs native region execution ...");
     let cost = measure_native_cost(8);
     print_measurement(&cost);
-    if cost.native.instrs != cost.fused.instrs || cost.native.instrs != cost.baseline.instrs {
+    if cost.native.instrs != cost.baseline.instrs {
         return Err(format!(
-            "tiers must retire identical instruction counts: \
-             baseline {} vs super {} vs native {}",
-            cost.baseline.instrs, cost.fused.instrs, cost.native.instrs
+            "tiers must retire identical instruction counts: baseline {} vs native {}",
+            cost.baseline.instrs, cost.native.instrs
         ));
     }
     check_gate(
-        "native region execution over the superinstruction tier",
-        cost.speedup_over_super(),
+        "native region execution over the baseline interpreter",
+        cost.speedup(),
         GATE,
         &format!(
             "{:.1} vs {:.1} Minstr/s",
-            cost.native.minstr_per_s, cost.fused.minstr_per_s
+            cost.native.minstr_per_s, cost.baseline.minstr_per_s
         ),
     )?;
     println!(
-        "native_cost --check OK ({:.2}x native over super, {:.1} Minstr/s native loop)",
-        cost.speedup_over_super(),
+        "native_cost --check OK ({:.2}x native over baseline, {:.1} Minstr/s native loop)",
+        cost.speedup(),
         cost.native.minstr_per_s
     );
     Ok(())

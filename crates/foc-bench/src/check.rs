@@ -9,8 +9,8 @@
 //! once; the bins contribute only their measurement and its wording.
 
 /// Gates `ratio` against the `min` floor. `name` describes the measured
-/// quantity ("superinstruction tier over baseline interpretation
-/// rate"); `detail` carries the raw readings for the diagnostic ("412.0
+/// quantity ("native region execution over the baseline
+/// interpreter"); `detail` carries the raw readings for the diagnostic ("412.0
 /// vs 233.1 Minstr/s"). Returns the `Err` line the caller hands to
 /// [`check_fail`].
 pub fn check_gate(name: &str, ratio: f64, min: f64, detail: &str) -> Result<(), String> {

@@ -310,11 +310,11 @@ pub fn measure_violation_throughput(reps: usize) -> ViolationThroughput {
     )
 }
 
-/// Measures a manufactured-value spin loop's interpretation rate at the
-/// given execution tier. Same source, same guest instruction stream
-/// semantics under both tiers; the superinstruction tier retires the
-/// same instr count per run (fused ops account for their whole
-/// pattern), so rates across tiers are directly comparable.
+/// Measures a spin loop's interpretation rate at the given execution
+/// tier. Same source, same guest instruction stream under both tiers,
+/// and the native tier retires the same instr count per run (a region
+/// pre-charges its exact component count), so rates across tiers are
+/// directly comparable.
 fn measure_loop_throughput(
     source: &str,
     iters: i64,
@@ -349,120 +349,19 @@ fn measure_loop_throughput(
 }
 
 // ----------------------------------------------------------------------
-// Dispatch cost: baseline vs superinstruction tier on the same loop.
-// ----------------------------------------------------------------------
-
-/// The dispatch-cost loop: seven direct-local increment statements,
-/// one in-bounds accumulate, and one past-the-end accumulate per
-/// iteration. Every iteration manufactures a value, but the loop's
-/// wall time is owned by plain interpretation — local arithmetic and
-/// loop control — the regime the superinstruction tier targets. (The
-/// pure storm of [`VIOLATION_LOOP_SOURCE`] would not do here: the
-/// violation machinery — interning, logging, sequence draw — and the
-/// per-access memory checks are tier-invariant constant work that
-/// swamps dispatch, which is the quantity this benchmark exists to
-/// isolate; that loop's trajectory lives in `restart_cost_runs`.)
-const DISPATCH_LOOP_SOURCE: &str = "long spin(long n) {\n\
-     int xs[2];\n\
-     long i;\n\
-     long t = 0;\n\
-     long acc = 0;\n\
-     for (i = 0; i < n; i++) {\n\
-         t = t + 3; t = t + 5; t = t + 7; t = t + 9;\n\
-         t = t + 11; t = t + 13; t = t + 15;\n\
-         acc += xs[1];\n\
-         acc += xs[5];\n\
-     }\n\
-     return acc + t;\n\
- }";
-
-/// Iterations per measured dispatch run (about two million guest
-/// instructions, matching the violation loop's run length).
-const DISPATCH_LOOP_ITERS: i64 = 29_000;
-
-/// Interpretation-rate measurement of the dispatch loop under every
-/// execution tier. All runs retire the same guest instruction count
-/// (fused opcodes account for every component of the pattern they
-/// replace, and a native region pre-charges its exact baseline count),
-/// so the rate ratios isolate dispatch overhead: fewer
-/// fetch/decode/match rounds per loop iteration, down to none inside a
-/// lowered region.
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchCost {
-    /// Baseline (unfused) tier measurement.
-    pub baseline: ViolationThroughput,
-    /// Superinstruction tier measurement.
-    pub fused: ViolationThroughput,
-    /// Native (AOT region) tier measurement.
-    pub native: ViolationThroughput,
-    /// Repetitions per tier.
-    pub reps: usize,
-}
-
-impl DispatchCost {
-    /// Fused-over-baseline interpretation rate ratio.
-    pub fn speedup(&self) -> f64 {
-        self.fused.minstr_per_s / self.baseline.minstr_per_s
-    }
-
-    /// Native-over-baseline interpretation rate ratio. (On this loop —
-    /// one manufactured value per iteration — the violation machinery
-    /// is tier-invariant constant work, so the ratio understates the
-    /// native tier's dispatch win; `native_cost` isolates that on a
-    /// violation-free loop.)
-    pub fn native_speedup(&self) -> f64 {
-        self.native.minstr_per_s / self.baseline.minstr_per_s
-    }
-}
-
-/// Measures [`DispatchCost`]: `reps` runs of the dispatch loop per
-/// tier, interleaving is unnecessary because each run uses a fresh
-/// machine and the robust summary rejects outliers.
-pub fn measure_dispatch_cost(reps: usize) -> DispatchCost {
-    let baseline = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        DISPATCH_LOOP_SOURCE,
-        DISPATCH_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
-    DispatchCost {
-        baseline,
-        fused,
-        native,
-        reps: reps.max(1),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Native cost: AOT region execution vs the superinstruction ceiling.
+// Native cost: AOT region execution vs the interpreter.
 // ----------------------------------------------------------------------
 
 /// The native-cost loop: a dispatch-bound body with *no* memory
-/// violations and no guest heap traffic. The dispatch loop above
-/// deliberately manufactures a value per iteration — tier-invariant
-/// violation work that swamps the quantity this benchmark isolates:
-/// what a dispatch round itself costs. The body is multi-operand local
-/// expression arithmetic, the shape the superinstruction vocabulary
-/// cannot compress (only constant-operand fragments fuse): the super
-/// tier pays one fetch/decode/match round plus fuel, stats, and pc
-/// bookkeeping for nearly every instruction, while a lowered region
-/// pre-charges its whole straight-line run once, groups the body into
-/// one pure-local block, and executes pre-resolved operands back to
-/// back against a single borrow of the frame window. This loop is
-/// where the interpreter's remaining ceiling lives, so it is the gate
-/// for the native tier.
+/// violations and no guest heap traffic, so nothing tier-invariant
+/// (violation machinery, checked accesses) dilutes the quantity this
+/// benchmark isolates: what a dispatch round itself costs. The body is
+/// multi-operand local expression arithmetic: the interpreter pays one
+/// fetch/decode/match round plus fuel, stats, and pc bookkeeping for
+/// every instruction, while a lowered region pre-charges its whole
+/// straight-line run once, groups the body into one pure-local block,
+/// and executes pre-resolved operands back to back against a single
+/// borrow of the frame window. It is the gate for the native tier.
 const NATIVE_LOOP_SOURCE: &str = "long spin(long n) {\n\
      long i;\n\
      long t = 0;\n\
@@ -484,16 +383,14 @@ const NATIVE_LOOP_SOURCE: &str = "long spin(long n) {\n\
 /// instructions, matching the other loop benchmarks' run length).
 const NATIVE_LOOP_ITERS: i64 = 30_000;
 
-/// Interpretation-rate measurement of the violation-free native-cost
-/// loop under every execution tier. As with [`DispatchCost`], all tiers
-/// retire identical guest instruction counts, so the ratios compare
-/// pure execution machinery.
+/// Interpretation-rate measurement of one guest loop under both
+/// execution tiers. Both retire identical guest instruction counts (a
+/// native region pre-charges its exact baseline count), so the ratio
+/// compares pure execution machinery.
 #[derive(Debug, Clone, Copy)]
 pub struct NativeCost {
-    /// Baseline (unfused) tier measurement.
+    /// Baseline (interpreted) tier measurement.
     pub baseline: ViolationThroughput,
-    /// Superinstruction tier measurement.
-    pub fused: ViolationThroughput,
     /// Native (AOT region) tier measurement.
     pub native: ViolationThroughput,
     /// Repetitions per tier.
@@ -501,45 +398,25 @@ pub struct NativeCost {
 }
 
 impl NativeCost {
-    /// Native-over-superinstruction rate ratio — the headline: how far
-    /// past the fused dispatch ceiling region execution reaches.
-    pub fn speedup_over_super(&self) -> f64 {
-        self.native.minstr_per_s / self.fused.minstr_per_s
-    }
-
-    /// Native-over-baseline rate ratio.
-    pub fn speedup_over_baseline(&self) -> f64 {
+    /// Native-over-baseline rate ratio — the headline.
+    pub fn speedup(&self) -> f64 {
         self.native.minstr_per_s / self.baseline.minstr_per_s
     }
 }
 
-/// Measures [`NativeCost`]: `reps` runs of the violation-free loop per
-/// tier on fresh machines.
-pub fn measure_native_cost(reps: usize) -> NativeCost {
-    let baseline = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        NATIVE_LOOP_SOURCE,
-        NATIVE_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
+/// `reps` runs of `source`'s `spin(iters)` per tier on fresh machines.
+fn measure_tiers(source: &str, iters: i64, reps: usize) -> NativeCost {
+    use foc_compiler::ExecTier;
     NativeCost {
-        baseline,
-        fused,
-        native,
+        baseline: measure_loop_throughput(source, iters, reps, ExecTier::Baseline),
+        native: measure_loop_throughput(source, iters, reps, ExecTier::Native),
         reps: reps.max(1),
     }
+}
+
+/// Measures [`NativeCost`] on the violation-free dispatch-bound loop.
+pub fn measure_native_cost(reps: usize) -> NativeCost {
+    measure_tiers(NATIVE_LOOP_SOURCE, NATIVE_LOOP_ITERS, reps)
 }
 
 // ----------------------------------------------------------------------
@@ -553,10 +430,9 @@ pub fn measure_native_cost(reps: usize) -> NativeCost {
 /// per-site pre-resolved `GIdxLoad`/`GIdxStore` ops: every access
 /// resolves in-block through the placement probe against the live
 /// register file, no operand-stack round trip, no deopt (all accesses
-/// are in bounds). The super tier interprets the same stream one
-/// checked access at a time, so the ratio isolates what in-block
-/// resolution saves on memory-bound code — the headline the tentpole
-/// gate protects.
+/// are in bounds). The interpreter runs the same stream one checked
+/// access at a time, so the ratio isolates what in-block resolution
+/// saves on memory-bound code.
 const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\
      long src[64];\n\
      long dst[64];\n\
@@ -576,34 +452,9 @@ const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\
 /// matching the other loop benchmarks' run length).
 const MEM_LOOP_ITERS: i64 = 2_000;
 
-/// Measures the guest copy loop under every execution tier, reusing
-/// the [`NativeCost`] shape (same three-tier split, same invariant:
-/// identical retired instruction counts across tiers).
+/// Measures [`NativeCost`] on the guest copy loop.
 pub fn measure_mem_cost(reps: usize) -> NativeCost {
-    let baseline = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Baseline,
-    );
-    let fused = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Super,
-    );
-    let native = measure_loop_throughput(
-        MEM_LOOP_SOURCE,
-        MEM_LOOP_ITERS,
-        reps,
-        foc_compiler::ExecTier::Native,
-    );
-    NativeCost {
-        baseline,
-        fused,
-        native,
-        reps: reps.max(1),
-    }
+    measure_tiers(MEM_LOOP_SOURCE, MEM_LOOP_ITERS, reps)
 }
 
 // ----------------------------------------------------------------------
@@ -1037,12 +888,8 @@ pub struct FarmRecord {
     /// Regeneration carries the old rows forward and appends a fresh
     /// measurement, so the trajectory never loses history.
     pub restart_cost_runs: Vec<String>,
-    /// Accumulated `dispatch_cost` rows (per-tier interpretation rate
-    /// on the manufactured loop). Appended by the `dispatch_cost` bin;
-    /// regeneration carries them forward.
-    pub dispatch_cost_runs: Vec<String>,
     /// Accumulated `native_cost` rows (per-tier interpretation rate on
-    /// the violation-free dispatch-bound loop; the native-over-super
+    /// the violation-free dispatch-bound loop; the native-over-baseline
     /// ratio is the AOT tier's headline). Appended by the `native_cost`
     /// bin; regeneration carries them forward.
     pub native_cost_runs: Vec<String>,
@@ -1051,9 +898,9 @@ pub struct FarmRecord {
     /// regeneration carries them forward.
     pub access_cost_runs: Vec<String>,
     /// Accumulated `mem_cost` rows (per-tier interpretation rate on
-    /// the guest copy loop; the native-over-super ratio gates the
+    /// the guest copy loop; the native-over-baseline ratio gates the
     /// memory-spanning block executor). Appended by the `access_cost`
-    /// bin under the native tier; regeneration carries them forward.
+    /// bin; regeneration carries them forward.
     pub mem_cost_runs: Vec<String>,
     /// Accumulated `conn_cost` rows (the socket edge's transport
     /// overhead per scenario plus the connection-level SLO). Appended
@@ -1076,7 +923,6 @@ impl FarmRecord {
             &self.stress,
             &self.churn,
             &self.restart_cost_runs,
-            &self.dispatch_cost_runs,
             &self.native_cost_runs,
             &self.access_cost_runs,
             &self.mem_cost_runs,
@@ -1148,9 +994,6 @@ pub fn measure_record(
         stress,
         churn,
         restart_cost_runs,
-        dispatch_cost_runs: previous_json
-            .map(extract_dispatch_cost_rows)
-            .unwrap_or_default(),
         native_cost_runs: previous_json
             .map(extract_native_cost_rows)
             .unwrap_or_default(),
@@ -1227,28 +1070,11 @@ pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> St
     fingerprint_of(&refs)
 }
 
-/// Fingerprint for a `dispatch_cost` trajectory row: schema tag, the
-/// dispatch loop's image identity under *every* tier (so a lowering
-/// change that reshapes fusion or region extraction re-measures), loop
-/// length, rep count.
-pub fn dispatch_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["dispatch_cost/v2".to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
-        let image = foc_compiler::compile_image_tier(DISPATCH_LOOP_SOURCE, tier)
-            .expect("dispatch loop builds");
-        parts.push(image.id().to_string());
-    }
-    parts.push(DISPATCH_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
 /// Fingerprint for a `native_cost` trajectory row: schema tag, the
 /// violation-free loop's image identity under every tier, loop length,
 /// rep count.
 pub fn native_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["native_cost/v1".to_string()];
+    let mut parts: Vec<String> = vec!["native_cost/v2".to_string()];
     for tier in foc_compiler::ExecTier::ALL {
         let image =
             foc_compiler::compile_image_tier(NATIVE_LOOP_SOURCE, tier).expect("native loop builds");
@@ -1438,87 +1264,24 @@ pub fn append_restart_cost_row(json: &str, row: &str) -> Result<String, String> 
 }
 
 // ----------------------------------------------------------------------
-// The dispatch_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Renders one `dispatch_cost` trajectory row: the manufactured loop's
-/// interpretation rate under all three execution tiers and the
-/// per-tier speedups over baseline.
-pub fn dispatch_cost_row_json(cost: &DispatchCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup\": {:.2}, \"native_speedup\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup(),
-        cost.native_speedup(),
-        cost.fused.instrs,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `dispatch_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_dispatch_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "dispatch_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `dispatch_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_dispatch_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"dispatch_cost_runs\": [") {
-        let mut rows = extract_dispatch_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "dispatch_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor dispatch_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"dispatch_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
 // The native_cost trajectory.
 // ----------------------------------------------------------------------
 
 /// Renders one `native_cost` trajectory row: the violation-free loop's
-/// interpretation rate under all three tiers, with the
-/// native-over-super ratio as the headline speedup.
+/// interpretation rate under both tiers and their ratio.
 pub fn native_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
     format!(
         concat!(
             "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
             "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup_over_super\": {:.2}, \"speedup_over_baseline\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
+            "\"speedup\": {:.2}, \"instrs\": {}, \"reps\": {}, ",
             "\"fingerprint\": \"{}\"}}"
         ),
         cost.baseline.minstr_per_s,
         cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline(),
+        cost.speedup(),
         cost.native.instrs,
         cost.reps,
         fingerprint,
@@ -1627,7 +1390,7 @@ pub fn append_access_cost_row(json: &str, row: &str) -> Result<String, String> {
 /// reshapes block grouping or access fusion re-measures), loop length,
 /// rep count.
 pub fn mem_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["mem_cost/v1".to_string()];
+    let mut parts: Vec<String> = vec!["mem_cost/v2".to_string()];
     for tier in foc_compiler::ExecTier::ALL {
         let image =
             foc_compiler::compile_image_tier(MEM_LOOP_SOURCE, tier).expect("mem loop builds");
@@ -1640,30 +1403,10 @@ pub fn mem_cost_fingerprint(reps: usize) -> String {
 }
 
 /// Renders one `mem_cost` trajectory row: the guest copy loop's
-/// interpretation rate under all three tiers, with the
-/// native-over-super ratio as the headline speedup.
+/// interpretation rate under both tiers and their ratio — the
+/// `native_cost` row shape, over the other loop.
 pub fn mem_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"super_minstr_per_s\": {:.1}, \"super_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup_over_super\": {:.2}, \"speedup_over_baseline\": {:.2}, ",
-            "\"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.fused.minstr_per_s,
-        cost.fused.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup_over_super(),
-        cost.speedup_over_baseline(),
-        cost.native.instrs,
-        cost.reps,
-        fingerprint,
-    )
+    native_cost_row_json(cost, fingerprint)
 }
 
 /// Extracts the `mem_cost_runs` rows from an existing record (empty
@@ -2026,7 +1769,6 @@ pub fn render_farm_json(
     stress: &[StressRow],
     churn: &UnitChurn,
     restart_cost_runs: &[String],
-    dispatch_cost_runs: &[String],
     native_cost_runs: &[String],
     access_cost_runs: &[String],
     mem_cost_runs: &[String],
@@ -2079,24 +1821,6 @@ pub fn render_farm_json(
             out.push_str("    ");
             out.push_str(row);
             if i + 1 < restart_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The dispatch-cost trajectory: baseline vs superinstruction tier
-    // interpretation rate on the manufactured loop, one row per
-    // recorded measurement (the dispatch_cost bin upserts by
-    // fingerprint).
-    if dispatch_cost_runs.is_empty() {
-        out.push_str("  \"dispatch_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"dispatch_cost_runs\": [\n");
-        for (i, row) in dispatch_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < dispatch_cost_runs.len() {
                 out.push(',');
             }
             out.push('\n');
@@ -2281,26 +2005,8 @@ mod tests {
             reps: 3,
         };
         let restart_rows = vec![restart_cost_row_json(&restart, &violation, "fp-restart-1")];
-        let dispatch = DispatchCost {
-            baseline: violation,
-            fused: ViolationThroughput {
-                minstr_per_s: 60.0,
-                minstr_ci95: 2.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            native: ViolationThroughput {
-                minstr_per_s: 90.0,
-                minstr_ci95: 2.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let dispatch_rows = vec![dispatch_cost_row_json(&dispatch, "fp-dispatch-1")];
         let native_cost = NativeCost {
-            baseline: dispatch.baseline,
-            fused: dispatch.fused,
+            baseline: violation,
             native: ViolationThroughput {
                 minstr_per_s: 150.0,
                 minstr_ci95: 3.0,
@@ -2324,8 +2030,7 @@ mod tests {
         };
         let access_rows = vec![access_cost_row_json(&access, "fp-access-1")];
         let mem_cost = NativeCost {
-            baseline: dispatch.baseline,
-            fused: dispatch.fused,
+            baseline: violation,
             native: ViolationThroughput {
                 minstr_per_s: 120.0,
                 minstr_ci95: 3.0,
@@ -2368,7 +2073,6 @@ mod tests {
             &stress,
             &churn,
             &restart_rows,
-            &dispatch_rows,
             &native_rows,
             &access_rows,
             &mem_rows,
@@ -2397,15 +2101,13 @@ mod tests {
         assert!(json.contains("\"restart_cost_runs\""));
         assert!(json.contains("\"checkpoint_restore_ns\""));
         assert!(json.contains("\"violation_minstr_per_s\""));
-        assert!(json.contains("\"dispatch_cost_runs\""));
         assert!(json.contains("\"baseline_minstr_per_s\""));
         assert!(json.contains("\"native_cost_runs\""));
-        assert!(json.contains("\"speedup_over_super\": 2.50"));
-        assert!(json.contains("\"native_speedup\": 3.00"));
+        assert!(json.contains("\"speedup\": 5.00"));
         assert!(json.contains("\"access_cost_runs\""));
         assert!(json.contains("\"paged_maccess_per_s\""));
         assert!(json.contains("\"mem_cost_runs\""));
-        assert!(json.contains("\"speedup_over_super\": 2.00"));
+        assert!(json.contains("\"speedup\": 4.00"));
         assert!(json.contains("\"conn_cost_runs\""));
         assert!(json.contains("\"socket_overhead\": 1.20"));
         assert!(json.contains("\"slo_within_4x_median_bp\": 9250"));
@@ -2455,10 +2157,6 @@ mod tests {
             resweep_rows[1].contains("\"wall_ms\": 101.0"),
             "upsert takes the fresh value"
         );
-        let dgrown =
-            append_dispatch_cost_row(&json, &dispatch_cost_row_json(&dispatch, "fp-dispatch-2"))
-                .expect("append dispatch row");
-        assert_eq!(extract_dispatch_cost_rows(&dgrown).len(), 2);
         assert_eq!(extract_native_cost_rows(&json), native_rows);
         let ngrown =
             append_native_cost_row(&json, &native_cost_row_json(&native_cost, "fp-native-2"))
@@ -2636,42 +2334,25 @@ mod tests {
         let row2 = restart_cost_row_json(&restart, &violation, "fp-old-2");
         let grown2 = append_restart_cost_row(&grown, &row2).expect("append");
         assert_eq!(extract_restart_cost_rows(&grown2).len(), 2);
-        // dispatch_cost_runs gains a section in old records the same way.
-        let drow = dispatch_cost_row_json(
-            &DispatchCost {
-                baseline: violation,
-                fused: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-d1",
-        );
-        let dgrown = append_dispatch_cost_row(&grown2, &drow).expect("create dispatch section");
-        assert_eq!(extract_dispatch_cost_rows(&dgrown), vec![drow.clone()]);
-        assert_eq!(extract_restart_cost_rows(&dgrown).len(), 2);
-        assert_eq!(extract_mode_sweep_rows(&dgrown).len(), 1);
-        let dsame = append_dispatch_cost_row(&dgrown, &drow).expect("upsert dispatch");
-        assert_eq!(extract_dispatch_cost_rows(&dsame).len(), 1);
-        // ... and native_cost_runs.
+        // native_cost_runs gains a section in old records the same way.
         let nrow = native_cost_row_json(
             &NativeCost {
                 baseline: violation,
-                fused: violation,
                 native: violation,
                 reps: 1,
             },
             "fp-old-n1",
         );
-        let ngrown = append_native_cost_row(&dsame, &nrow).expect("create native section");
+        let ngrown = append_native_cost_row(&grown2, &nrow).expect("create native section");
         assert_eq!(extract_native_cost_rows(&ngrown), vec![nrow.clone()]);
-        assert_eq!(extract_dispatch_cost_rows(&ngrown).len(), 1);
+        assert_eq!(extract_restart_cost_rows(&ngrown).len(), 2);
+        assert_eq!(extract_mode_sweep_rows(&ngrown).len(), 1);
         let nsame = append_native_cost_row(&ngrown, &nrow).expect("upsert native");
         assert_eq!(extract_native_cost_rows(&nsame).len(), 1);
         // ... and mem_cost_runs.
         let mrow = mem_cost_row_json(
             &NativeCost {
                 baseline: violation,
-                fused: violation,
                 native: violation,
                 reps: 1,
             },
@@ -2689,8 +2370,6 @@ mod tests {
     fn fingerprints_are_stable_and_shape_sensitive() {
         // Identical inputs reproduce the fingerprint (idempotent
         // reruns); any shape change reshapes it (fresh trajectory row).
-        assert_eq!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(8));
-        assert_ne!(dispatch_cost_fingerprint(8), dispatch_cost_fingerprint(24));
         assert_eq!(
             mode_sweep_fingerprint(150, 17, 4),
             mode_sweep_fingerprint(150, 17, 4)
@@ -2709,11 +2388,6 @@ mod tests {
         assert_ne!(mem_cost_fingerprint(8), mem_cost_fingerprint(24));
         assert_eq!(conn_cost_fingerprint(8), conn_cost_fingerprint(8));
         assert_ne!(conn_cost_fingerprint(8), conn_cost_fingerprint(24));
-        assert_ne!(
-            native_cost_fingerprint(8),
-            dispatch_cost_fingerprint(8),
-            "the two loop benches must never collide"
-        );
         assert_ne!(
             mem_cost_fingerprint(8),
             native_cost_fingerprint(8),

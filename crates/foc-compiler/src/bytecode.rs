@@ -1,4 +1,6 @@
-//! The stack-machine instruction set and compiled program image.
+//! The stack-machine instruction set and compiled program image. Every
+//! image holds this one instruction set: the native tier (`native.rs`)
+//! recognises hot shapes in it at lowering time and never rewrites it.
 
 use std::fmt;
 
@@ -103,141 +105,10 @@ pub enum Instr {
     CallBuiltin(Builtin),
     /// Pop the return value and return to the caller.
     Ret,
-
-    // ------------------------------------------------------------------
-    // Superinstructions (the `ExecTier::Super` fusion pass, `fuse.rs`).
-    //
-    // Every fused opcode is *layout-preserving*: the fusion pass writes
-    // the fused opcode over the first instruction of the matched pattern
-    // and leaves the remaining component instructions in place. Jumps
-    // into the middle of a fused region therefore execute the original
-    // unfused tail, and no jump target is ever rewritten. A fused opcode
-    // charges exactly the fuel/instrs/cycles its components would have
-    // charged; when fewer than `k - 1` fuel units remain (the main loop
-    // already charged one for the fused opcode itself), the VM *deopts*:
-    // it executes only the first component and falls back to the original
-    // instructions at `pc + 1`, reproducing mid-pattern fuel exhaustion
-    // byte-for-byte. Operand `repr` bytes pack an `(AccessSize, signed)`
-    // pair via [`pack_scalar`].
-    // ------------------------------------------------------------------
-    /// `LoadLocal a; LoadLocal b; <cmp>; Normalize; JumpIf(Not)Zero`
-    /// (k = 5) — the loop head. The `Normalize` is an identity on the
-    /// comparison's 0/1 flag; `op` is normalized to jump-when-true: a
-    /// `JumpIfZero` branch stores the negated comparison.
-    FusedCmpJump {
-        /// Frame offset of the lhs local.
-        a: u32,
-        /// Frame offset of the rhs local.
-        b: u32,
-        /// Packed `(AccessSize, signed)` of the lhs local.
-        a_repr: u8,
-        /// Packed `(AccessSize, signed)` of the rhs local.
-        b_repr: u8,
-        /// Comparison; jump taken when it evaluates true.
-        op: CmpOp,
-        /// Branch target (instruction index).
-        target: u32,
-    },
-    /// `LocalAddr; Const idx; PtrAdd esz; Load` (k = 4) — constant-index
-    /// read of a local array, e.g. the paper's `xs[5]` overflow read.
-    FusedLocalIdxLoad {
-        /// Frame offset of the aggregate local.
-        off: u32,
-        /// Constant element index.
-        idx: i32,
-        /// Element size (fusion requires it fit `u16`).
-        esz: u16,
-        /// Packed `(AccessSize, signed)` of the loaded scalar.
-        repr: u8,
-    },
-    /// `LoadLocal acc; LocalAddr; Const idx; PtrAdd esz; Load; Add;
-    /// Dup; StoreLocal acc; Drop` (k = 9) — the whole
-    /// `acc += xs[IDX]` accumulate statement, the inner-loop body of
-    /// every scan/sum kernel. The load is component 4, so a memory
-    /// fault must surface with only components 0..4 charged: the
-    /// handler pre-charges the full pattern and *refunds* the four pure
-    /// stack ops behind the load on the cold fault seam.
-    FusedLoadIdxAccum {
-        /// Frame offset of the accumulator local (load and store).
-        acc: u32,
-        /// Frame offset of the aggregate local.
-        addr: u32,
-        /// Folded byte offset (`idx * esz`; fusion requires it fit
-        /// `i32` without overflow).
-        delta: i32,
-        /// Packed `(AccessSize, signed)` of the loaded element.
-        load_repr: u8,
-        /// Packed `(AccessSize, signed)` of the accumulator load.
-        acc_repr: u8,
-        /// Accumulator store width.
-        size: AccessSize,
-    },
-    /// `LocalAddr; Const idx; PtrAdd esz; Store` (k = 4) — constant-index
-    /// write to a local array (pops the value).
-    FusedLocalIdxStore {
-        /// Frame offset of the aggregate local.
-        off: u32,
-        /// Constant element index.
-        idx: i32,
-        /// Element size (fusion requires it fit `u16`).
-        esz: u16,
-        /// Stored width.
-        size: AccessSize,
-    },
-    /// Direct-local increment statement (k = 6, or 7 with a trailing
-    /// `Normalize`): `LoadLocal; [Dup;] Const d; Add; [Normalize;] [Dup;]
-    /// StoreLocal; Drop` — both prefix and postfix shapes.
-    FusedIncLocal {
-        /// Frame offset of the scalar local.
-        off: u32,
-        /// Increment (the pattern's constant).
-        delta: i32,
-        /// Packed `(AccessSize, signed)` of the local.
-        repr: u8,
-        /// Total fused component count (6 or 7).
-        len: u8,
-    },
-    /// The loop latch (k = 7, or 8 with a `Normalize`): a
-    /// [`Instr::FusedIncLocal`]-shaped increment statement followed by
-    /// an unconditional `Jump` back to the loop head.
-    FusedIncJump {
-        /// Frame offset of the scalar local.
-        off: u32,
-        /// Increment (the pattern's constant).
-        delta: i32,
-        /// Packed `(AccessSize, signed)` of the local.
-        repr: u8,
-        /// Total fused component count (7 or 8), jump included.
-        len: u8,
-        /// Jump target (instruction index).
-        target: u32,
-    },
-    /// `Const c; <alu>` (k = 2) for non-trapping ALU ops.
-    FusedConstAlu {
-        /// The constant rhs (fusion requires it fit `i32`).
-        c: i32,
-        /// The fused operation.
-        op: AluOp,
-    },
-    /// `Dup; StoreLocal; Drop` (k = 3) — the direct-local assignment
-    /// statement tail (pops the value).
-    FusedStoreLocalPop {
-        /// Frame offset of the scalar local.
-        off: u32,
-        /// Stored width.
-        size: AccessSize,
-    },
-    /// `LoadLocal (B8); Load` (k = 2) — pointer-in-local dereference.
-    FusedLoadLoad {
-        /// Frame offset of the pointer local.
-        off: u32,
-        /// Packed `(AccessSize, signed)` of the loaded scalar.
-        repr: u8,
-    },
 }
 
-/// Comparison operator of a [`Instr::FusedCmpJump`], mirroring the
-/// comparison instructions' semantics exactly.
+/// Comparison operator of the native tier's compare-and-branch
+/// terminators, mirroring the comparison instructions exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `==`
@@ -297,7 +168,7 @@ impl CmpOp {
     }
 }
 
-/// ALU operator of a [`Instr::FusedConstAlu`] — the non-trapping binary
+/// ALU operator of the native tier's micro-ops — the non-trapping binary
 /// ops (division and remainder are excluded: their divide-by-zero fault
 /// point must stay a separate architectural instruction).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -323,7 +194,7 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    /// Evaluates the operation exactly as the unfused instruction would.
+    /// Evaluates the operation exactly as the instruction would.
     #[inline(always)]
     pub fn eval(self, a: i64, b: i64) -> i64 {
         match self {
@@ -338,31 +209,6 @@ impl AluOp {
             AluOp::ShrU => ((a as u64).wrapping_shr(b as u32 & 63)) as i64,
         }
     }
-}
-
-/// Packs an `(AccessSize, signed)` scalar representation into one byte
-/// so fused opcodes stay within the 16-byte [`Instr`] footprint.
-#[inline(always)]
-pub fn pack_scalar(size: AccessSize, signed: bool) -> u8 {
-    let log2 = match size {
-        AccessSize::B1 => 0u8,
-        AccessSize::B2 => 1,
-        AccessSize::B4 => 2,
-        AccessSize::B8 => 3,
-    };
-    log2 | ((signed as u8) << 2)
-}
-
-/// Inverse of [`pack_scalar`].
-#[inline(always)]
-pub fn unpack_scalar(repr: u8) -> (AccessSize, bool) {
-    let size = match repr & 0b11 {
-        0 => AccessSize::B1,
-        1 => AccessSize::B2,
-        2 => AccessSize::B4,
-        _ => AccessSize::B8,
-    };
-    (size, repr & 0b100 != 0)
 }
 
 impl fmt::Display for Instr {
@@ -447,5 +293,16 @@ impl CompiledProgram {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn instr_stays_within_16_bytes() {
+        // `Const(i64)` sets the floor (interpreter code-cache footprint).
+        assert_eq!(std::mem::size_of::<Instr>(), 16);
     }
 }

@@ -38,7 +38,7 @@ impl ProgramId {
     }
 
     /// Content id of a program plus an artifact tag. The native tier
-    /// runs the *same* fused bytecode as the super tier with an extra
+    /// runs the *same* bytecode as the baseline tier with an extra
     /// lowered artifact attached; mixing the tag into the hash keeps the
     /// two images from aliasing in id-keyed caches.
     pub fn of_tagged(program: &CompiledProgram, tag: &str) -> ProgramId {
@@ -87,10 +87,10 @@ impl ProgramImage {
         ProgramImage::from_parts(program, None)
     }
 
-    /// Wraps a fused program together with an (empty) native-tier
-    /// artifact; functions are lowered into it as machines first enter
-    /// them. The bytecode is byte-identical to the super tier's, so the
-    /// id carries a tag to keep the two from aliasing in any id-keyed
+    /// Wraps a program together with an (empty) native-tier artifact;
+    /// functions are lowered into it as machines first enter them. The
+    /// bytecode is byte-identical to the baseline tier's, so the id
+    /// carries a tag to keep the two from aliasing in any id-keyed
     /// cache — and because the id hashes the bytecode, not the
     /// artifact, it does not depend on which functions have been
     /// lowered so far. The artifact rides the `Arc` through machine
@@ -131,7 +131,7 @@ impl ProgramImage {
     }
 
     /// Function `fid`'s native regions, lowered now if no machine has
-    /// entered the function before; `None` on the other tiers. The VM
+    /// entered the function before; `None` on the baseline tier. The VM
     /// calls this once per activation, never per instruction.
     pub fn native_func(&self, fid: u32) -> Option<&NativeFunc> {
         let native = self.shared.native.as_ref()?;

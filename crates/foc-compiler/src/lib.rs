@@ -21,14 +21,14 @@
 //! compiled images byte-identical across modes (stronger than the paper:
 //! any behavioural difference is attributable to the policy alone).
 
+use std::sync::OnceLock;
+
 pub mod bytecode;
-pub mod fuse;
 pub mod image;
 pub mod lower;
 pub mod native;
 
 pub use bytecode::{AluOp, CmpOp, CompiledFunc, CompiledProgram, FrameLayout, GlobalImage, Instr};
-pub use fuse::{fuse_program, ExecTier, EXEC_TIER_ENV};
 pub use image::{Fnv1a, ProgramId, ProgramImage};
 pub use lower::{compile, CompileError};
 pub use native::{NativeFunc, NativeProgram};
@@ -39,24 +39,144 @@ pub fn compile_source(source: &str) -> Result<CompiledProgram, String> {
     compile(&program).map_err(|e| e.to_string())
 }
 
+/// Execution tier of a compiled image.
+///
+/// Both tiers hold the same bytecode; the native image carries a tag in
+/// its [`ProgramId`], so the two never alias in the image or checkpoint
+/// caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ExecTier {
+    /// The instruction stream straight out of `lower`, interpreted: the
+    /// reference oracle the native tier is proven against.
+    Baseline,
+    /// The same stream plus a region artifact ([`NativeProgram`],
+    /// lowered per function on first entry): straight-line runs execute
+    /// as pre-decoded micro-op arrays with no per-instruction dispatch,
+    /// deopting to the interpreter at region boundaries. The shipped
+    /// default.
+    #[default]
+    Native,
+}
+
+/// Environment variable selecting the session-default tier (`baseline`
+/// or `native`; unset means native).
+pub const EXEC_TIER_ENV: &str = "FOC_EXEC_TIER";
+
+impl ExecTier {
+    /// Every tier, in cache-slot order.
+    pub const ALL: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Native];
+
+    /// Dense index (cache slot).
+    pub fn index(self) -> usize {
+        match self {
+            ExecTier::Baseline => 0,
+            ExecTier::Native => 1,
+        }
+    }
+
+    /// Stable label used in reports and diagnostics.
+    pub fn label(self) -> &'static str {
+        match self {
+            ExecTier::Baseline => "baseline",
+            ExecTier::Native => "native",
+        }
+    }
+
+    /// The session default from `FOC_EXEC_TIER`; unset means
+    /// [`ExecTier::default`].
+    /// An unknown value is a configuration error: the process exits with
+    /// a one-line diagnostic listing the valid tiers rather than
+    /// silently running a different tier than the operator asked for.
+    /// Read once per process.
+    pub fn from_env() -> ExecTier {
+        static TIER: OnceLock<ExecTier> = OnceLock::new();
+        *TIER.get_or_init(|| match std::env::var(EXEC_TIER_ENV) {
+            Ok(v) => v.parse().unwrap_or_else(|e| {
+                eprintln!("{EXEC_TIER_ENV}: {e}");
+                std::process::exit(2);
+            }),
+            Err(_) => ExecTier::default(),
+        })
+    }
+}
+
+impl std::str::FromStr for ExecTier {
+    type Err = String;
+
+    /// Case-insensitive tier name; the error message lists the valid
+    /// spellings so a typo in `FOC_EXEC_TIER` is self-diagnosing.
+    fn from_str(s: &str) -> Result<ExecTier, String> {
+        for tier in ExecTier::ALL {
+            if s.eq_ignore_ascii_case(tier.label()) {
+                return Ok(tier);
+            }
+        }
+        Err(format!(
+            "unknown execution tier {s:?} (valid tiers: baseline, native)"
+        ))
+    }
+}
+
 /// Compiles source straight into a shareable [`ProgramImage`] on the
-/// baseline tier — the reference stream, independent of the session
-/// default. [`compile_image_tier`] builds the other tiers (the shipped
+/// baseline tier — the reference oracle, independent of the session
+/// default. [`compile_image_tier`] builds either tier (the shipped
 /// default, [`ExecTier::default`], among them).
 pub fn compile_image(source: &str) -> Result<ProgramImage, String> {
     compile_image_tier(source, ExecTier::Baseline)
 }
 
 /// Compiles source into a [`ProgramImage`] for the given execution
-/// tier. Every tier's image has a distinct [`ProgramId`] — the fused
-/// bytecode differs from the baseline, and the native image (same fused
-/// bytecode plus the lazily lowered region artifact) carries a tag in
-/// its id — so tiered images never alias in downstream caches.
+/// tier. Both images hold the same bytecode; the native one attaches
+/// the lazily lowered region artifact and carries a tag in its
+/// [`ProgramId`], so tiered images never alias in downstream caches.
 pub fn compile_image_tier(source: &str, tier: ExecTier) -> Result<ProgramImage, String> {
     let program = compile_source(source)?;
     Ok(match tier {
         ExecTier::Baseline => ProgramImage::new(program),
-        ExecTier::Super => ProgramImage::new(fuse_program(program)),
-        ExecTier::Native => ProgramImage::with_native(fuse_program(program)),
+        ExecTier::Native => ProgramImage::with_native(program),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tier_labels_and_slots_are_stable() {
+        assert_eq!(ExecTier::Baseline.label(), "baseline");
+        assert_eq!(ExecTier::Native.label(), "native");
+        assert_eq!(ExecTier::Baseline.index(), 0);
+        assert_eq!(ExecTier::Native.index(), 1);
+    }
+
+    #[test]
+    fn tier_parsing_round_trips_and_rejects_unknown_values() {
+        for tier in ExecTier::ALL {
+            assert_eq!(tier.label().parse::<ExecTier>(), Ok(tier));
+            assert_eq!(tier.label().to_uppercase().parse::<ExecTier>(), Ok(tier));
+        }
+        for bad in ["jit", "super"] {
+            let err = bad.parse::<ExecTier>().unwrap_err();
+            assert!(
+                err.contains(&format!("{bad:?}")),
+                "names the bad value: {err}"
+            );
+            assert!(err.ends_with("(valid tiers: baseline, native)"), "{err}");
+        }
+        assert!("".parse::<ExecTier>().is_err());
+    }
+
+    #[test]
+    fn both_tiers_hold_the_same_code() {
+        let src = "long f(long n) { int xs[2]; long i; long acc = 0; \
+                   for (i = 0; i < n; i++) acc += xs[5]; return acc; }";
+        let baseline = compile_image_tier(src, ExecTier::Baseline).unwrap();
+        let native = compile_image_tier(src, ExecTier::Native).unwrap();
+        assert_eq!(baseline.funcs.len(), native.funcs.len());
+        for (b, n) in baseline.funcs.iter().zip(&native.funcs) {
+            assert_eq!(b.code, n.code, "{}", b.name);
+        }
+        assert_ne!(baseline.id(), native.id(), "the artifact tags the id");
+        assert!(baseline.native().is_none() && native.native().is_some());
+    }
 }

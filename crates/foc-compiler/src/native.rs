@@ -1,16 +1,20 @@
 //! Native-tier lowering — the `ExecTier::Native` region pass.
 //!
-//! The superinstruction tier still pays one fetch/decode/dispatch per
-//! (fused) opcode plus per-dispatch fuel and counter bookkeeping. This
-//! pass compiles each function *past* fetch/decode, once, the first
-//! time a machine enters it ([`NativeProgram::func`]): it
-//! partitions the fused instruction stream into **regions** — maximal
-//! straight-line runs entered only at known leaders — and lowers every
-//! region to a dense array of pre-decoded micro-ops ([`NOp`]) with all
-//! operands resolved (scalar reprs unpacked, index deltas folded, branch
-//! targets and fault pcs baked in). The VM executes a region with no
-//! per-instruction dispatch: accounting for the whole region is charged
-//! once at entry, and the micro-ops run back to back.
+//! The interpreter pays one fetch/decode/dispatch per opcode plus
+//! per-dispatch fuel and counter bookkeeping. This pass compiles each
+//! function *past* fetch/decode, once, the first time a machine enters
+//! it ([`NativeProgram::func`]): it partitions the baseline instruction
+//! stream into **regions** — maximal straight-line runs entered only at
+//! known leaders — and lowers every region to a dense array of
+//! pre-decoded micro-ops ([`NOp`]) with all operands resolved (index
+//! deltas folded, branch targets and fault pcs baked in). Hot statement
+//! shapes — the two-local loop head, the increment latch, constant-index
+//! array accesses, the `acc += xs[C]` accumulate, assignment tails,
+//! pointer dereferences, constant ALU operands — are recognised as the
+//! walk goes and become single micro-ops ([`match_op`], [`match_term`]).
+//! The VM executes a region with no per-instruction dispatch:
+//! accounting for the whole region is charged once at entry, and the
+//! micro-ops run back to back.
 //!
 //! ## Deopt contract
 //!
@@ -19,38 +23,39 @@
 //!
 //! * **Entry gate.** A region is entered only when the remaining fuel
 //!   covers its whole pre-computed [`NativeRegion::charge`]. Otherwise
-//!   the VM falls back to the interpreter, whose existing per-opcode
-//!   deopt seams reproduce mid-pattern fuel exhaustion exactly.
+//!   the VM falls back to the interpreter, which runs the baseline
+//!   stream one instruction at a time, so fuel exhaustion lands exactly
+//!   where it does on the baseline tier.
 //! * **Fault seams.** Micro-ops that can fault (guest loads/stores,
 //!   division) carry a [`FaultAt`]: the architectural pc the fault must
-//!   surface at and the components the unfused stream would have charged
-//!   by that point. On a fault the VM refunds `charge - spent` and
-//!   unwinds with the baseline tier's exact counters, stack, and log.
+//!   surface at and the components the instruction stream would have
+//!   charged by that point. On a fault the VM refunds `charge - spent`
+//!   and unwinds with the baseline tier's exact counters, stack, and
+//!   log. A recognised shape charges exactly its component count and
+//!   faults only through such a seam, so which shapes a walk picks is
+//!   unobservable.
 //! * **Boundaries.** Calls, builtins, returns, and any pc without a
-//!   region (e.g. a jump target inside a fused pattern's preserved tail)
-//!   drop to the interpreter, which runs the very same fused bytecode —
-//!   the native artifact rides alongside the super tier's program, it
-//!   never replaces it.
+//!   region drop to the interpreter, which runs the very same bytecode
+//!   — the artifact is attached to the image's one instruction stream,
+//!   it never replaces it.
 //!
-//! Region selection is conservative: every slot of every instruction is
-//! scanned for branch targets (fused tails keep their original jump
-//! instructions, and a mid-pattern entry executes them), so the leader
-//! set is a superset of the reachable entry points and the entry table
-//! can never mis-align with the interpreter's view of the stream.
+//! A shape may span a branch target. The region that starts *at* that
+//! target is lowered from the same instructions, matching whatever
+//! shapes fit from there, so a mid-shape entry needs no special case.
 
 use std::sync::OnceLock;
 
 use foc_memory::AccessSize;
 
-use crate::bytecode::{unpack_scalar, AluOp, CmpOp, Instr};
+use crate::bytecode::{AluOp, CmpOp, Instr};
 
 /// Entry-table sentinel: no region starts at this pc.
 pub const NO_REGION: u32 = u32::MAX;
 
 /// The per-program native artifact (one slot per function, indices
 /// matching `CompiledProgram::funcs`). A slot is filled the first time
-/// a machine enters its function, from the fused code the image
-/// already holds, so building an image costs nothing per function and
+/// a machine enters its function, from the code the image already
+/// holds, so building an image costs nothing per function and
 /// a boot pays only for the functions it runs. `Sync`: one `Arc` serves
 /// every machine booted from the image, checkpoints included; threads
 /// racing a first entry publish exactly one [`NativeFunc`].
@@ -67,12 +72,10 @@ impl NativeProgram {
         }
     }
 
-    /// Function `idx`'s regions, lowered from `code` on first use.
-    /// `code` must be that function's `ExecTier::Super` stream (the
-    /// artifact executes fused opcodes as single micro-ops and relies
-    /// on their layout preservation for mid-pattern entries);
-    /// [`crate::ProgramImage::native_func`] is the accessor that
-    /// guarantees it.
+    /// Function `idx`'s regions, lowered from `code` — that function's
+    /// instruction stream — on first use;
+    /// [`crate::ProgramImage::native_func`] is the accessor that pairs
+    /// the two.
     pub(crate) fn func(&self, idx: usize, code: &[Instr]) -> &NativeFunc {
         self.funcs[idx].get_or_init(|| lower_func(code))
     }
@@ -106,7 +109,7 @@ pub struct NativeRegion {
 }
 
 /// Where a faulting micro-op surfaces architecturally: the pc the fault
-/// is reported at, and the components the unfused stream would have
+/// is reported at, and the components the instruction stream would have
 /// charged when it faulted there (the VM refunds `charge - spent`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultAt {
@@ -116,8 +119,8 @@ pub struct FaultAt {
     pub spent: u64,
 }
 
-/// A pre-decoded micro-op. Operand reprs are unpacked and constant
-/// folds (index deltas, branch senses) are done at lowering time.
+/// A pre-decoded micro-op. Constant folds (index deltas, branch senses)
+/// are done at lowering time.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NOp {
     /// Push a constant.
@@ -206,7 +209,8 @@ pub enum NOp {
         /// Fault seam.
         at: FaultAt,
     },
-    /// `FusedLocalIdxLoad`: constant-index read of a local array.
+    /// `LocalAddr; Const idx; PtrAdd esz; Load`: constant-index read of
+    /// a local array, in or out of bounds.
     IdxLoad {
         /// Frame offset of the aggregate.
         off: u32,
@@ -219,7 +223,8 @@ pub enum NOp {
         /// Fault seam.
         at: FaultAt,
     },
-    /// `FusedLocalIdxStore`: constant-index write (pops the value).
+    /// `LocalAddr; Const idx; PtrAdd esz; Store`: constant-index write
+    /// (pops the value).
     IdxStore {
         /// Frame offset of the aggregate.
         off: u32,
@@ -230,7 +235,8 @@ pub enum NOp {
         /// Fault seam.
         at: FaultAt,
     },
-    /// `FusedLoadIdxAccum`: the whole `acc += xs[C]` statement.
+    /// `LoadLocal acc; LocalAddr; Const idx; PtrAdd esz; Load; Add; Dup;
+    /// StoreLocal acc; Drop`: the whole `acc += xs[C]` statement.
     IdxAccum {
         /// Accumulator frame offset.
         acc: u32,
@@ -251,7 +257,7 @@ pub enum NOp {
         /// Fault seam (the load is component 4; `spent` covers 5).
         at: FaultAt,
     },
-    /// `FusedIncLocal`: direct-local increment statement.
+    /// Direct-local increment statement, `i++;` or `++i;`.
     IncLocal {
         /// Frame offset.
         off: u32,
@@ -262,21 +268,22 @@ pub enum NOp {
         /// Signedness.
         signed: bool,
     },
-    /// `FusedConstAlu`: constant-rhs ALU op.
+    /// `Const c; <alu>`: constant-rhs ALU op.
     ConstAlu {
         /// Constant rhs.
         c: i64,
         /// Operation.
         op: AluOp,
     },
-    /// `FusedStoreLocalPop`: store top-of-stack to a local and pop.
+    /// `Dup; StoreLocal; Drop`: the assignment statement tail — store
+    /// top-of-stack to a local and pop.
     StoreLocalPop {
         /// Frame offset.
         off: u32,
         /// Stored width.
         size: AccessSize,
     },
-    /// `FusedLoadLoad`: dereference a pointer held in a local.
+    /// `LoadLocal (B8); Load`: dereference a pointer held in a local.
     LoadLoad {
         /// Pointer local's frame offset.
         off: u32,
@@ -403,7 +410,7 @@ pub enum ROp {
         /// Operation.
         op: AluOp,
     },
-    /// `r[at] = op(r[at], c)` (a resolved `FusedConstAlu`).
+    /// `r[at] = op(r[at], c)` (a resolved [`NOp::ConstAlu`]).
     ConstAlu {
         /// In-place operand register.
         at: u8,
@@ -448,7 +455,7 @@ pub enum ROp {
         signed: bool,
     },
     /// Direct-local increment against the frame window (a resolved
-    /// `FusedIncLocal`; touches no registers).
+    /// [`NOp::IncLocal`]; touches no registers).
     Inc {
         /// Frame offset.
         off: u32,
@@ -529,7 +536,7 @@ pub enum ROp {
     /// [`ROp::GLoad`] — the variable-index access shape. One placement
     /// lookup answers both the derivation and the access on the hit
     /// path (units never overlap, so in-unit containment of the target
-    /// proves both), exactly as the fused constant-index fast path
+    /// proves both), exactly as the constant-index [`NOp::IdxLoad`]
     /// does; a miss runs the exact two-step sequence.
     GIdxLoad {
         /// Destination register (the pair's net stack slot).
@@ -600,7 +607,8 @@ pub enum Term {
         /// Fall-through pc.
         fall: u32,
     },
-    /// `FusedCmpJump`: the two-local loop head.
+    /// `LoadLocal a; LoadLocal b; <cmp>; Normalize; JumpIf(Not)Zero`:
+    /// the two-local loop head.
     CmpJump {
         /// Lhs frame offset.
         a: u32,
@@ -621,7 +629,7 @@ pub enum Term {
         /// Fall-through pc.
         fall: u32,
     },
-    /// `FusedIncJump`: the loop latch (increment + back-jump).
+    /// The loop latch: an increment statement plus its back-jump.
     IncJump {
         /// Frame offset.
         off: u32,
@@ -640,19 +648,250 @@ pub enum Term {
     Fall(u32),
 }
 
-/// The instruction span a fused opcode covers (1 for plain instrs).
-fn span(instr: Instr) -> usize {
-    match instr {
-        Instr::FusedCmpJump { .. } => 5,
-        Instr::FusedLocalIdxLoad { .. } | Instr::FusedLocalIdxStore { .. } => 4,
-        Instr::FusedLoadIdxAccum { .. } => 9,
-        Instr::FusedIncLocal { len, .. } => len as usize,
-        Instr::FusedIncJump { len, .. } => len as usize,
-        Instr::FusedConstAlu { .. } => 2,
-        Instr::FusedStoreLocalPop { .. } => 3,
-        Instr::FusedLoadLoad { .. } => 2,
-        _ => 1,
+/// The seam of a faulting component `n` slots into a shape (or plain
+/// instruction, `n == 1`) that starts at `pc` with `done` components
+/// charged before it: the fault surfaces at the pc behind the
+/// component, with everything up to and including it charged.
+fn seam(pc: usize, done: u64, n: u32) -> FaultAt {
+    FaultAt {
+        pc: pc as u32 + n,
+        spent: done + n as u64,
     }
+}
+
+/// Tries the straight-line shapes at `pc`. Returns the micro-op and
+/// the instruction slots it covers (= the components it charges).
+/// Only a shape's memory access can fault, and it carries its seam;
+/// division joins no shape, because its divide-by-zero fault point
+/// must stay a separate instruction. The shapes' leading instruction
+/// pairs are pairwise distinct, so the order here decides nothing.
+fn match_op(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
+    match_load_idx_accum(code, pc, done)
+        .or_else(|| match_inc_local(code, pc))
+        .or_else(|| match_local_idx(code, pc, done))
+        .or_else(|| match_store_local_pop(code, pc))
+        .or_else(|| match_load_load(code, pc, done))
+        .or_else(|| match_const_alu(code, pc))
+}
+
+/// Tries the terminator shapes at `pc`; [`build_region`] asks before
+/// [`match_op`], so an increment followed by a jump is the latch, not
+/// an increment statement.
+fn match_term(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
+    match_inc_jump(code, pc).or_else(|| match_cmp_jump(code, pc))
+}
+
+/// `LoadLocal a; LoadLocal b; <cmp>; Normalize; JumpIf(Not)Zero t`
+/// (k = 5), the canonical loop head: comparisons produce an `int`, so
+/// the front end re-normalizes the flag before the branch. The
+/// `Normalize` is an identity on the comparison's 0/1 result, and the
+/// branch sense is folded into the stored comparison (jump-when-true).
+fn match_cmp_jump(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
+    let [Instr::LoadLocal(a, a_size, a_signed), Instr::LoadLocal(b, b_size, b_signed), cmp, Instr::Normalize(..), branch] =
+        *code.get(pc..pc + 5)?
+    else {
+        return None;
+    };
+    let op = cmp_op_of(cmp)?;
+    let (op, target) = match branch {
+        Instr::JumpIfNotZero(t) => (op, t),
+        Instr::JumpIfZero(t) => (op.negate(), t),
+        _ => return None,
+    };
+    let term = Term::CmpJump {
+        a,
+        a_size,
+        a_signed,
+        b,
+        b_size,
+        b_signed,
+        op,
+        target,
+        fall: pc as u32 + 5,
+    };
+    Some((term, 5))
+}
+
+/// `LoadLocal acc; LocalAddr; Const idx; PtrAdd esz; Load; Add; Dup;
+/// StoreLocal acc; Drop` (k = 9) — the whole `acc += xs[IDX]`
+/// statement, the inner-loop body of every scan/sum kernel. The index
+/// is folded into a byte delta (`ptr_add` only consumes the wrapping
+/// product). The load is component 4 of 9, so a memory fault surfaces
+/// with exactly components 0..=4 charged.
+fn match_load_idx_accum(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
+    let [Instr::LoadLocal(acc, acc_size, acc_signed), Instr::LocalAddr(addr), Instr::Const(c), Instr::PtrAdd(esz), Instr::Load(load_size, load_signed), Instr::Add, Instr::Dup, Instr::StoreLocal(dst, store_size), Instr::Drop] =
+        *code.get(pc..pc + 9)?
+    else {
+        return None;
+    };
+    // The accumulate idiom: store back into the local that was loaded.
+    if dst != acc {
+        return None;
+    }
+    let op = NOp::IdxAccum {
+        acc,
+        acc_size,
+        acc_signed,
+        store_size,
+        addr,
+        delta: c.wrapping_mul(esz as i64),
+        load_size,
+        load_signed,
+        at: seam(pc, done, 5),
+    };
+    Some((op, 9))
+}
+
+/// `LocalAddr; Const idx; PtrAdd esz; Load|Store` (k = 4) — the
+/// constant-index array access, in or out of bounds (the micro-op still
+/// routes through `ptr_add` and the checked access, so OOB interning,
+/// logging, and manufactured values are identical).
+fn match_local_idx(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
+    let [Instr::LocalAddr(off), Instr::Const(c), Instr::PtrAdd(esz), access] =
+        *code.get(pc..pc + 4)?
+    else {
+        return None;
+    };
+    let delta = c.wrapping_mul(esz as i64);
+    let at = seam(pc, done, 4);
+    let op = match access {
+        Instr::Load(size, signed) => NOp::IdxLoad {
+            off,
+            delta,
+            size,
+            signed,
+            at,
+        },
+        Instr::Store(size) => NOp::IdxStore {
+            off,
+            delta,
+            size,
+            at,
+        },
+        _ => return None,
+    };
+    Some((op, 4))
+}
+
+/// Direct-local increment statements (k = 6 without `Normalize`, 7 with):
+///
+/// * postfix `i++;` — `LoadLocal; Dup; Const d; Add; [Normalize;]
+///   StoreLocal; Drop`
+/// * prefix `++i;` — `LoadLocal; Const d; Add; [Normalize;] Dup;
+///   StoreLocal; Drop`
+///
+/// Both shapes leave the stack untouched and store
+/// `normalize(local + d)`, so one micro-op covers all four.
+fn match_inc_local(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
+    let Instr::LoadLocal(off, size, signed) = *code.get(pc)? else {
+        return None;
+    };
+    let rest = code.get(pc + 1..)?;
+    // Split the two shapes on the position of `Dup`.
+    let (delta, after_add) = match *rest {
+        [Instr::Dup, Instr::Const(d), Instr::Add, ..] => (d, &rest[3..]),
+        [Instr::Const(d), Instr::Add, ..] => (d, &rest[2..]),
+        _ => return None,
+    };
+    let postfix = matches!(rest[0], Instr::Dup);
+    // Narrow locals re-normalize after the add; B8 locals never do.
+    let after_norm = match *after_add.first()? {
+        Instr::Normalize(nsz, nsg) if nsz == size && nsg == signed && size != AccessSize::B8 => {
+            &after_add[1..]
+        }
+        _ if size == AccessSize::B8 => after_add,
+        _ => return None,
+    };
+    let tail_ok = if postfix {
+        matches!(*after_norm, [Instr::StoreLocal(o, s), Instr::Drop, ..] if o == off && s == size)
+    } else {
+        matches!(
+            *after_norm,
+            [Instr::Dup, Instr::StoreLocal(o, s), Instr::Drop, ..] if o == off && s == size
+        )
+    };
+    if !tail_ok {
+        return None;
+    }
+    let op = NOp::IncLocal {
+        off,
+        delta,
+        size,
+        signed,
+    };
+    Some((op, 6 + (after_norm.len() < after_add.len()) as usize))
+}
+
+/// An increment statement followed by an unconditional `Jump` — the
+/// loop latch every counted loop executes per iteration (k = 7 or 8,
+/// jump included).
+fn match_inc_jump(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
+    let (
+        NOp::IncLocal {
+            off,
+            delta,
+            size,
+            signed,
+        },
+        k,
+    ) = match_inc_local(code, pc)?
+    else {
+        return None;
+    };
+    let Instr::Jump(target) = *code.get(pc + k)? else {
+        return None;
+    };
+    let term = Term::IncJump {
+        off,
+        delta,
+        size,
+        signed,
+        target,
+    };
+    Some((term, k + 1))
+}
+
+/// `Dup; StoreLocal; Drop` (k = 3) — the direct-local assignment
+/// statement tail.
+fn match_store_local_pop(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
+    let [Instr::Dup, Instr::StoreLocal(off, size), Instr::Drop] = *code.get(pc..pc + 3)? else {
+        return None;
+    };
+    Some((NOp::StoreLocalPop { off, size }, 3))
+}
+
+/// `LoadLocal (B8); Load` (k = 2) — dereference of a pointer held in a
+/// scalar local. Only pointer-width locals qualify (narrow locals
+/// cannot hold a guest address).
+fn match_load_load(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
+    let [Instr::LoadLocal(off, AccessSize::B8, _), Instr::Load(size, signed)] =
+        *code.get(pc..pc + 2)?
+    else {
+        return None;
+    };
+    let op = NOp::LoadLoad {
+        off,
+        size,
+        signed,
+        at: seam(pc, done, 2),
+    };
+    Some((op, 2))
+}
+
+/// `Const c; <alu>` (k = 2). Comparisons are excluded (they fold with a
+/// following branch instead) and so are division/remainder (fault-point
+/// preservation).
+fn match_const_alu(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
+    let [Instr::Const(c), alu] = *code.get(pc..pc + 2)? else {
+        return None;
+    };
+    Some((
+        NOp::ConstAlu {
+            c,
+            op: alu_op_of(alu)?,
+        },
+        2,
+    ))
 }
 
 fn cmp_op_of(instr: Instr) -> Option<CmpOp> {
@@ -702,10 +941,8 @@ fn note_leader(code_len: usize, leader: &mut [bool], work: &mut Vec<u32>, pc: u3
 
 fn lower_func(code: &[Instr]) -> NativeFunc {
     // Pass 1 — leaders: function entry plus every branch target named
-    // anywhere in the stream. Tail slots of fused patterns keep their
-    // original jump instructions and are reachable through mid-pattern
-    // entries, so every slot is scanned; the result is a conservative
-    // superset of the live entry points, which only ever adds regions.
+    // anywhere in the stream, a conservative superset of the live
+    // entry points, which only ever adds regions.
     let mut leader = vec![false; code.len()];
     let mut work: Vec<u32> = Vec::new();
     if !code.is_empty() {
@@ -717,9 +954,6 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
             Instr::Jump(t) | Instr::JumpIfZero(t) | Instr::JumpIfNotZero(t) => {
                 note_leader(code.len(), &mut leader, &mut work, t)
             }
-            Instr::FusedCmpJump { target, .. } | Instr::FusedIncJump { target, .. } => {
-                note_leader(code.len(), &mut leader, &mut work, target)
-            }
             _ => {}
         }
     }
@@ -727,8 +961,9 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     // Pass 2 — build one region per leader. Fall-through successors of
     // conditional terminators and post-call resume points become new
     // leaders as they are discovered; no region ever crosses them (both
-    // always follow a terminator/breaker, and no fused span contains
-    // one), so late discovery cannot invalidate an earlier region.
+    // always follow a terminator/breaker, and no shape contains one
+    // before its last slot), so late discovery cannot invalidate an
+    // earlier region.
     let mut entry = vec![NO_REGION; code.len()];
     let mut regions: Vec<NativeRegion> = Vec::new();
     // One op buffer for every region of the function: lowering runs at
@@ -806,48 +1041,23 @@ fn build_region(
                     fall: pc as u32 + 1,
                 };
             }
-            Instr::FusedCmpJump {
-                a,
-                b,
-                a_repr,
-                b_repr,
-                op,
-                target,
-            } => {
-                done += 5;
-                let (a_size, a_signed) = unpack_scalar(a_repr);
-                let (b_size, b_signed) = unpack_scalar(b_repr);
-                note_leader(code.len(), leader, work, pc as u32 + 5);
-                break Term::CmpJump {
-                    a,
-                    a_size,
-                    a_signed,
-                    b,
-                    b_size,
-                    b_signed,
-                    op,
-                    target,
-                    fall: pc as u32 + 5,
-                };
-            }
-            Instr::FusedIncJump {
-                off,
-                delta,
-                repr,
-                len,
-                target,
-            } => {
-                done += len as u64;
-                let (size, signed) = unpack_scalar(repr);
-                break Term::IncJump {
-                    off,
-                    delta: delta as i64,
-                    size,
-                    signed,
-                    target,
-                };
-            }
             _ => {}
+        }
+        // Shapes are matched on the instructions alone: one may span a
+        // leader, and the region starting at that leader is lowered
+        // from the same instructions on its own walk.
+        if let Some((term, k)) = match_term(code, pc) {
+            done += k as u64;
+            if let Term::CmpJump { fall, .. } = term {
+                note_leader(code.len(), leader, work, fall);
+            }
+            break term;
+        }
+        if let Some((op, k)) = match_op(code, pc, done) {
+            ops.push(op);
+            done += k as u64;
+            pc += k;
+            continue;
         }
         // Fold a comparison with a directly following branch — the
         // runtime `cmp_arm` peephole, resolved ahead of time. Skipped
@@ -883,10 +1093,9 @@ fn build_region(
             pc += 1;
             continue;
         }
-        let k = span(instr) as u64;
-        ops.push(lower_op(instr, pc as u32, done));
-        done += k;
-        pc += span(instr);
+        ops.push(lower_op(instr, pc, done));
+        done += 1;
+        pc += 1;
     };
     // Every terminator folded its own components into `done` at its
     // break (a `Fall` charges nothing), so the region charge is final.
@@ -903,9 +1112,9 @@ fn build_region(
 /// operand stack and the frame's byte window, cannot fault, and adds no
 /// per-access stat extras. [`is_block_heap`] ops join blocks too.
 /// Division stays top-level (its seam is cheap to keep there and it
-/// never clusters with access traffic), as do the frame-anchored fused
-/// access shapes, whose top-level handlers already answer derivation
-/// and access with one lookup.
+/// never clusters with access traffic), as do the frame-anchored
+/// constant-index access shapes, whose top-level handlers already answer
+/// derivation and access with one lookup.
 fn is_local_pure(op: &NOp) -> bool {
     matches!(
         op,
@@ -1008,8 +1217,8 @@ fn stack_shape(op: &NOp) -> (i32, i32) {
 /// a mid-block fault can reproduce the interpreted operand-stack image
 /// exactly; a `GPtrAdd` feeding the immediately following access fuses
 /// into the combined `GIdx*` form ([`push_access`]: one placement
-/// lookup for the pair, the same peephole the fused constant-index
-/// shapes get). Returns `None` when the run's stack shape exceeds
+/// lookup for the pair, the same peephole the constant-index shapes
+/// get). Returns `None` when the run's stack shape exceeds
 /// [`LOCALS_REGS`].
 fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
     // Pass 1: the run's depth envelope relative to its entry depth.
@@ -1233,9 +1442,10 @@ fn push_access(ops: &mut Vec<ROp>, access: ROp) {
     *ops.last_mut().expect("matched a preceding GPtrAdd") = fused;
 }
 
-/// Lowers one non-terminator, non-breaker instruction. `pc` is the
-/// instruction's own index; `done` the components charged before it.
-fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
+/// Lowers one plain (non-terminator, non-breaker) instruction. `pc` is
+/// the instruction's own index; `done` the components charged before it.
+fn lower_op(instr: Instr, pc: usize, done: u64) -> NOp {
+    let at = seam(pc, done, 1);
     match instr {
         Instr::Const(v) => NOp::Const(v),
         Instr::Dup => NOp::Dup,
@@ -1245,54 +1455,14 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
         Instr::LocalAddr(off) => NOp::LocalAddr(off),
         Instr::GlobalAddr(i) => NOp::GlobalAddr(i),
         Instr::StrAddr(i) => NOp::StrAddr(i),
-        Instr::Load(size, signed) => NOp::Load {
-            size,
-            signed,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::Store(size) => NOp::Store {
-            size,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
+        Instr::Load(size, signed) => NOp::Load { size, signed, at },
+        Instr::Store(size) => NOp::Store { size, at },
         Instr::LoadLocal(off, size, signed) => NOp::LoadLocal { off, size, signed },
         Instr::StoreLocal(off, size) => NOp::StoreLocal { off, size },
-        Instr::DivS => NOp::Div {
-            signed: true,
-            rem: false,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::DivU => NOp::Div {
-            signed: false,
-            rem: false,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::RemS => NOp::Div {
-            signed: true,
-            rem: true,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
-        },
-        Instr::RemU => NOp::Div {
-            signed: false,
-            rem: true,
-            at: FaultAt {
-                pc: pc + 1,
-                spent: done + 1,
-            },
+        Instr::DivS | Instr::DivU | Instr::RemS | Instr::RemU => NOp::Div {
+            signed: matches!(instr, Instr::DivS | Instr::RemS),
+            rem: matches!(instr, Instr::RemS | Instr::RemU),
+            at,
         },
         Instr::Neg => NOp::Neg,
         Instr::BitNot => NOp::BitNot,
@@ -1301,91 +1471,6 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
         Instr::EffAddr => NOp::EffAddr,
         Instr::PtrAdd(esz) => NOp::PtrAdd { esz },
         Instr::PtrDiff(esz) => NOp::PtrDiff { esz },
-        Instr::FusedLocalIdxLoad {
-            off,
-            idx,
-            esz,
-            repr,
-        } => {
-            let (size, signed) = unpack_scalar(repr);
-            NOp::IdxLoad {
-                off,
-                delta: (idx as i64).wrapping_mul(esz as i64),
-                size,
-                signed,
-                at: FaultAt {
-                    pc: pc + 4,
-                    spent: done + 4,
-                },
-            }
-        }
-        Instr::FusedLocalIdxStore {
-            off,
-            idx,
-            esz,
-            size,
-        } => NOp::IdxStore {
-            off,
-            delta: (idx as i64).wrapping_mul(esz as i64),
-            size,
-            at: FaultAt {
-                pc: pc + 4,
-                spent: done + 4,
-            },
-        },
-        Instr::FusedLoadIdxAccum {
-            acc,
-            addr,
-            delta,
-            load_repr,
-            acc_repr,
-            size,
-        } => {
-            let (acc_size, acc_signed) = unpack_scalar(acc_repr);
-            let (load_size, load_signed) = unpack_scalar(load_repr);
-            NOp::IdxAccum {
-                acc,
-                acc_size,
-                acc_signed,
-                store_size: size,
-                addr,
-                delta: delta as i64,
-                load_size,
-                load_signed,
-                // The load is component 4 of 9: a memory fault surfaces
-                // with exactly components 0..=4 charged (the interpreter
-                // refunds the four pure stack ops behind the load).
-                at: FaultAt {
-                    pc: pc + 5,
-                    spent: done + 5,
-                },
-            }
-        }
-        Instr::FusedIncLocal {
-            off, delta, repr, ..
-        } => {
-            let (size, signed) = unpack_scalar(repr);
-            NOp::IncLocal {
-                off,
-                delta: delta as i64,
-                size,
-                signed,
-            }
-        }
-        Instr::FusedConstAlu { c, op } => NOp::ConstAlu { c: c as i64, op },
-        Instr::FusedStoreLocalPop { off, size } => NOp::StoreLocalPop { off, size },
-        Instr::FusedLoadLoad { off, repr } => {
-            let (size, signed) = unpack_scalar(repr);
-            NOp::LoadLoad {
-                off,
-                size,
-                signed,
-                at: FaultAt {
-                    pc: pc + 2,
-                    spent: done + 2,
-                },
-            }
-        }
         other => {
             if let Some(op) = alu_op_of(other) {
                 NOp::Alu(op)
@@ -1401,24 +1486,29 @@ fn lower_op(instr: Instr, pc: u32, done: u64) -> NOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{compile_source, fuse_program, CompiledProgram};
-
-    fn fused(src: &str) -> CompiledProgram {
-        fuse_program(compile_source(src).unwrap())
-    }
+    use crate::{compile_source, CompiledProgram};
 
     /// Every function's artifact, each forced through the first-entry
     /// accessor.
-    fn lower_all(fused: &CompiledProgram) -> Vec<NativeFunc> {
-        let native = NativeProgram::new(fused.funcs.len());
-        let funcs = fused.funcs.iter().enumerate();
+    fn lower_all(program: &CompiledProgram) -> Vec<NativeFunc> {
+        let native = NativeProgram::new(program.funcs.len());
+        let funcs = program.funcs.iter().enumerate();
         funcs
             .map(|(i, f)| native.func(i, &f.code).clone())
             .collect()
     }
 
     fn lower(src: &str) -> Vec<NativeFunc> {
-        lower_all(&fused(src))
+        lower_all(&compile_source(src).unwrap())
+    }
+
+    /// The first function's top-level micro-ops, all regions.
+    fn top_ops(native: &[NativeFunc]) -> Vec<&NOp> {
+        native[0].regions.iter().flat_map(|r| &r.ops).collect()
+    }
+
+    fn has_term(native: &[NativeFunc], want: impl Fn(&Term) -> bool) -> bool {
+        native[0].regions.iter().any(|r| want(&r.term))
     }
 
     const LOOP_SRC: &str = "long spin(long n) { long i; long acc = 0; \
@@ -1431,8 +1521,8 @@ mod tests {
 
     #[test]
     fn entry_table_is_aligned_and_indices_are_valid() {
-        let fused = fused(LOOP_SRC);
-        for (f, nf) in fused.funcs.iter().zip(&lower_all(&fused)) {
+        let program = compile_source(LOOP_SRC).unwrap();
+        for (f, nf) in program.funcs.iter().zip(&lower_all(&program)) {
             assert_eq!(nf.entry.len(), f.code.len());
             for &r in &nf.entry {
                 assert!(r == NO_REGION || (r as usize) < nf.regions.len());
@@ -1471,7 +1561,7 @@ mod tests {
     #[test]
     fn charges_match_component_sums() {
         // A straight-line function: one region covering everything up to
-        // the Ret breaker, charging exactly the unfused component count.
+        // the Ret breaker, charging exactly the component count.
         let src = "int f() { int x = 3; int y = 4; return x + y; }";
         let nf = &lower(src)[0];
         let entry_region = &nf.regions[nf.entry[0] as usize];
@@ -1745,27 +1835,121 @@ mod tests {
     }
 
     #[test]
+    fn spin_loop_fuses_head_body_and_step() {
+        let native = lower(
+            "int main() { int xs[2]; long i; long acc = 0; long n = 4; \
+             for (i = 0; i < n; i++) acc += xs[1]; return 0; }",
+        );
+        assert!(
+            has_term(&native, |t| matches!(t, Term::CmpJump { .. })),
+            "loop head: {native:?}"
+        );
+        assert!(
+            top_ops(&native)
+                .iter()
+                .any(|op| matches!(op, NOp::IdxAccum { .. })),
+            "accumulate body lowers whole: {native:?}"
+        );
+        assert!(
+            has_term(&native, |t| matches!(t, Term::IncJump { .. })),
+            "loop latch (step + back-jump): {native:?}"
+        );
+    }
+
+    #[test]
+    fn accum_mega_op_folds_index_and_keeps_smaller_fusions_elsewhere() {
+        // `acc += xs[5]` with int elements folds to a byte delta of 20;
+        // a non-accumulate read of the same array still takes the
+        // smaller `IdxLoad`.
+        let native = lower(
+            "int main() { int xs[2]; long acc = 0; \
+             acc += xs[5]; return (int) (acc + xs[1]); }",
+        );
+        let ops = top_ops(&native);
+        let delta = ops.iter().find_map(|op| match op {
+            NOp::IdxAccum { delta, .. } => Some(*delta),
+            _ => None,
+        });
+        assert_eq!(delta, Some(20), "{ops:?}");
+        assert!(
+            ops.iter().any(|op| matches!(op, NOp::IdxLoad { .. })),
+            "{ops:?}"
+        );
+    }
+
+    #[test]
     fn accum_fault_seam_covers_five_components() {
         let src = "long f() { long acc = 0; long xs[2]; acc += xs[5]; return acc; }";
         let native = lower(src);
-        let accum = native[0]
-            .regions
+        let accum = top_ops(&native)
             .iter()
-            .flat_map(|r| &r.ops)
             .find_map(|op| match op {
                 NOp::IdxAccum { at, .. } => Some(*at),
                 _ => None,
             })
             .expect("accumulate statement should lower to IdxAccum");
-        // The load is component 4 of the 9-wide pattern: the seam must
-        // surface with exactly `prefix + 5` components charged and the
-        // load's own architectural pc.
-        let head = fused(src).funcs[0]
-            .code
-            .iter()
-            .position(|i| matches!(i, Instr::FusedLoadIdxAccum { .. }))
-            .unwrap() as u32;
-        assert_eq!(accum.pc, head + 5);
-        assert!(accum.spent >= 5);
+        // The load is component 4 of the 9-wide shape: the seam must
+        // surface at the pc behind it with the prefix plus exactly five
+        // components charged (the entry region starts at pc 0, so the
+        // prefix is the shape's own pc).
+        let code = &compile_source(src).unwrap().funcs[0].code;
+        let head = code
+            .windows(2)
+            .position(|w| matches!(w, [Instr::LoadLocal(..), Instr::LocalAddr(_)]))
+            .unwrap();
+        assert_eq!(accum, seam(head, head as u64, 5));
+    }
+
+    #[test]
+    fn const_index_store_fuses() {
+        let native = lower("int main() { int xs[2]; xs[5] = 7; return 0; }");
+        let ops = top_ops(&native);
+        assert!(
+            ops.iter()
+                .any(|op| matches!(op, NOp::IdxStore { delta: 20, .. })),
+            "{ops:?}"
+        );
+    }
+
+    #[test]
+    fn pointer_deref_fuses() {
+        let native = lower("int main() { int x; int *p; p = &x; *p = 3; return *p; }");
+        let ops = top_ops(&native);
+        assert!(
+            ops.iter().any(|op| matches!(op, NOp::LoadLoad { .. })),
+            "{ops:?}"
+        );
+    }
+
+    #[test]
+    fn division_never_fuses() {
+        // `Const 3; DivS` is not a `ConstAlu`: Div/Rem keep their own
+        // micro-op and seam so the divide-by-zero fault pc stays
+        // architectural.
+        let native = lower("int main() { int a; a = 9; return a / 3 + a % 2; }");
+        let ops = top_ops(&native);
+        let divs = ops.iter().filter(|op| matches!(op, NOp::Div { .. }));
+        assert_eq!(divs.count(), 2, "{ops:?}");
+        let const_alu = ops.iter().any(|op| match op {
+            NOp::ConstAlu { .. } => true,
+            NOp::Locals(b) => b.ops.iter().any(|r| matches!(r, ROp::ConstAlu { .. })),
+            _ => false,
+        });
+        assert!(!const_alu, "{ops:?}");
+    }
+
+    #[test]
+    fn cmp_jump_folds_branch_sense() {
+        // `while (i < n)` compiles to LtS + JumpIfZero(end): the
+        // terminator must jump on the *negated* comparison.
+        let native =
+            lower("int main() { long i; long n = 3; i = 0; while (i < n) { i++; } return 0; }");
+        assert!(
+            has_term(&native, |t| matches!(
+                t,
+                Term::CmpJump { op: CmpOp::GeS, .. }
+            )),
+            "{native:?}"
+        );
     }
 }

@@ -24,7 +24,7 @@
 //!   occur in irrelevant data).
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -248,29 +248,6 @@ impl ApacheWorker {
         ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode))
     }
 
-    /// Legacy convenience over [`ApacheWorker::boot_spec`] for the mode
-    /// × table subset; prefer constructing a [`BootSpec`] at the call
-    /// site.
-    pub fn boot_table(mode: Mode, table: TableKind) -> ApacheWorker {
-        ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode).with_table(table))
-    }
-
-    /// Legacy convenience over [`ApacheWorker::boot_image_spec`];
-    /// prefer constructing a [`BootSpec`] at the call site.
-    pub fn from_image(image: &ProgramImage, mode: Mode) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(image, &BootSpec::new(ServerKind::Apache, mode))
-    }
-
-    /// Legacy convenience over [`ApacheWorker::boot_image_spec`] for
-    /// the mode × table subset; prefer constructing a [`BootSpec`] at
-    /// the call site.
-    pub fn from_image_table(image: &ProgramImage, mode: Mode, table: TableKind) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Apache, mode).with_table(table),
-        )
-    }
-
     /// Boots one worker from a full [`BootSpec`]: restored from the
     /// per-spec boot checkpoint, so farm boots, pool respawns, and
     /// supervised restarts cost a snapshot restore instead of the
@@ -285,18 +262,11 @@ impl ApacheWorker {
 
     /// Boots one worker from an explicit image and a full [`BootSpec`],
     /// bypassing the checkpoint cache (the cache's own fill path, and
-    /// the differential baseline of the equivalence tests). Named like
-    /// every other driver's image-spec constructor; `from_image_spec`
-    /// remains as its historical alias.
+    /// the differential baseline of the equivalence tests).
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec) -> ApacheWorker {
         let mut proc = Process::boot_spec(image, spec);
         init_worker(&mut proc);
         ApacheWorker { proc }
-    }
-
-    /// Historical alias of [`ApacheWorker::boot_image_spec`].
-    pub fn from_image_spec(image: &ProgramImage, spec: &BootSpec) -> ApacheWorker {
-        ApacheWorker::boot_image_spec(image, spec)
     }
 
     /// Freezes this worker's state.
@@ -375,7 +345,13 @@ impl ApachePool {
     /// the session-default spec ([`BootSpec::new`]). Children boot (and
     /// later respawn) from the interned boot checkpoint, so pool
     /// regeneration never replays worker init.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n == 0` (a pool with no child can serve nothing —
+    /// a harness bug, not a measurement).
     pub fn new(mode: Mode, n: usize) -> ApachePool {
+        assert!(n > 0, "pool needs at least one child");
         let spec = BootSpec::new(ServerKind::Apache, mode);
         let workers = (0..n).map(|_| ApacheWorker::boot_spec(&spec)).collect();
         ApachePool {
@@ -496,6 +472,12 @@ mod tests {
         // The pool recovered: subsequent requests are served.
         assert!(pool.get(b"/index.html").survived());
         assert!(pool.get(b"/index.html").survived());
+    }
+
+    #[test]
+    #[should_panic(expected = "pool needs at least one child")]
+    fn empty_pool_is_rejected_where_it_is_made() {
+        ApachePool::new(Mode::FailureOblivious, 0);
     }
 
     #[test]

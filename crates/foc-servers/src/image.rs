@@ -38,9 +38,8 @@ pub enum ServerKind {
 
 /// One cache slot per `(ServerKind, ExecTier)` pair, indexed by
 /// `kind.index() * TIERS + tier.index()`. The tiers of one server have
-/// distinct [`foc_compiler::ProgramId`]s (the fused bytecode differs
-/// from the baseline, and the native image's id is tagged), so the
-/// slots never alias.
+/// distinct [`foc_compiler::ProgramId`]s (the native image's id is
+/// tagged), so the slots never alias.
 const TIERS: usize = ExecTier::ALL.len();
 static IMAGES: [OnceLock<ProgramImage>; 5 * TIERS] = [const { OnceLock::new() }; 5 * TIERS];
 
@@ -306,7 +305,7 @@ fn standard_boot(kind: ServerKind, spec: &BootSpec) -> ServerCheckpoint {
     let image = kind.image_tier(spec.tier);
     match kind {
         ServerKind::Apache => ServerCheckpoint::Apache(
-            apache::ApacheWorker::from_image_spec(&image, spec).checkpoint(),
+            apache::ApacheWorker::boot_image_spec(&image, spec).checkpoint(),
         ),
         ServerKind::Sendmail => ServerCheckpoint::Sendmail(
             sendmail::Sendmail::boot_image_spec(&image, spec).checkpoint(),
@@ -365,8 +364,8 @@ mod tests {
 
     #[test]
     fn tier_images_of_one_server_never_alias() {
-        // The native tier runs the same fused bytecode as the super
-        // tier; its tagged id must still claim a distinct cache slot.
+        // The native tier runs the baseline tier's bytecode; its tagged
+        // id must still claim a distinct cache slot.
         for kind in ServerKind::ALL {
             let ids: Vec<_> = ExecTier::ALL
                 .iter()

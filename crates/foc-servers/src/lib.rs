@@ -120,10 +120,10 @@ impl GuestAddr {
 }
 
 /// Everything that decides how one guest server process is built: the
-/// four axes of the mode search-space sweep in one place. `boot_table`
-/// and friends remain as conveniences over the two-axis subset; the
-/// sweep constructs full specs and hands them to the drivers'
-/// `boot_spec` constructors. `Hash` because the spec is half of the
+/// four axes of the mode search-space sweep in one place. The drivers'
+/// `boot_spec`/`boot_image_spec` constructors take a full spec; each
+/// driver's `boot(mode, ..)` is the one convenience, over the default
+/// spec for `mode`. `Hash` because the spec is half of the
 /// boot-checkpoint cache key (see [`image::boot_checkpoint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BootSpec {
@@ -178,7 +178,7 @@ impl BootSpec {
     }
 
     /// The reference oracle for `kind` under `mode`, whatever the
-    /// environment says: the unfused `baseline` stream over the direct
+    /// environment says: the interpreted `baseline` tier over the direct
     /// `table` search of a `splay` tree — the configuration every
     /// faster path is proven observably identical to.
     pub fn oracle(kind: ServerKind, mode: Mode) -> BootSpec {
@@ -541,6 +541,7 @@ mod tests {
     fn boot_spec_from_env_rejects_unknown_values_on_every_axis() {
         for (var, value) in [
             (foc_compiler::EXEC_TIER_ENV, "turbo"),
+            (foc_compiler::EXEC_TIER_ENV, "super"),
             (foc_compiler::EXEC_TIER_ENV, ""),
             (foc_memory::LOOKUP_ENV, "hashed"),
             (foc_memory::LOOKUP_ENV, "paged "),

@@ -18,7 +18,7 @@
 //!   cycling sequence eventually produces `'/'` and the loop exits.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -231,36 +231,6 @@ impl Mc {
     /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
     pub fn boot(mode: Mode, config: &[u8]) -> Mc {
         Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), config)
-    }
-
-    /// Legacy convenience over [`Mc::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(mode: Mode, table: TableKind, config: &[u8]) -> Mc {
-        Mc::boot_spec(
-            &BootSpec::new(ServerKind::Mc, mode).with_table(table),
-            config,
-        )
-    }
-
-    /// Legacy convenience over [`Mc::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode, config: &[u8]) -> Mc {
-        Mc::boot_image_spec(image, &BootSpec::new(ServerKind::Mc, mode), config)
-    }
-
-    /// Legacy convenience over [`Mc::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        config: &[u8],
-    ) -> Mc {
-        Mc::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Mc, mode).with_table(table),
-            config,
-        )
     }
 
     /// Boots MC from a full [`BootSpec`] (interned image). The clean

@@ -23,7 +23,7 @@
 //!   user continues working with legitimate folders.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -260,36 +260,6 @@ impl Mutt {
     /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
     pub fn boot(mode: Mode, seed_messages: usize) -> Mutt {
         Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), seed_messages)
-    }
-
-    /// Legacy convenience over [`Mutt::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(mode: Mode, table: TableKind, seed_messages: usize) -> Mutt {
-        Mutt::boot_spec(
-            &BootSpec::new(ServerKind::Mutt, mode).with_table(table),
-            seed_messages,
-        )
-    }
-
-    /// Legacy convenience over [`Mutt::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode, seed_messages: usize) -> Mutt {
-        Mutt::boot_image_spec(image, &BootSpec::new(ServerKind::Mutt, mode), seed_messages)
-    }
-
-    /// Legacy convenience over [`Mutt::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        seed_messages: usize,
-    ) -> Mutt {
-        Mutt::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Mutt, mode).with_table(table),
-            seed_messages,
-        )
     }
 
     /// Boots Mutt from a full [`BootSpec`] (interned image). The

@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -248,44 +248,6 @@ impl Pine {
     /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
     pub fn boot(mode: Mode, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Pine {
         Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), mailbox)
-    }
-
-    /// Legacy convenience over [`Pine::boot_spec`] for the mode × table
-    /// subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_table(
-        mode: Mode,
-        table: TableKind,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_spec(
-            &BootSpec::new(ServerKind::Pine, mode).with_table(table),
-            mailbox,
-        )
-    }
-
-    /// Legacy convenience over [`Pine::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(
-        image: &ProgramImage,
-        mode: Mode,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_image_spec(image, &BootSpec::new(ServerKind::Pine, mode), mailbox)
-    }
-
-    /// Legacy convenience over [`Pine::boot_image_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot_image_table(
-        image: &ProgramImage,
-        mode: Mode,
-        table: TableKind,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
-        Pine::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Pine, mode).with_table(table),
-            mailbox,
-        )
     }
 
     /// Boots Pine from a full [`BootSpec`] (interned image). The

@@ -25,7 +25,7 @@
 //!   of memory errors during normal execution" of §4.4.4.
 
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind};
+use foc_memory::Mode;
 use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
@@ -254,29 +254,6 @@ impl Sendmail {
     /// site.
     pub fn boot(mode: Mode) -> Sendmail {
         Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_spec`] for the mode ×
-    /// table subset; prefer constructing a [`BootSpec`] at the call
-    /// site.
-    pub fn boot_table(mode: Mode, table: TableKind) -> Sendmail {
-        Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode).with_table(table))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_image_spec`]; prefer
-    /// constructing a [`BootSpec`] at the call site.
-    pub fn boot_image(image: &ProgramImage, mode: Mode) -> Sendmail {
-        Sendmail::boot_image_spec(image, &BootSpec::new(ServerKind::Sendmail, mode))
-    }
-
-    /// Legacy convenience over [`Sendmail::boot_image_spec`] for the
-    /// mode × table subset; prefer constructing a [`BootSpec`] at the
-    /// call site.
-    pub fn boot_image_table(image: &ProgramImage, mode: Mode, table: TableKind) -> Sendmail {
-        Sendmail::boot_image_spec(
-            image,
-            &BootSpec::new(ServerKind::Sendmail, mode).with_table(table),
-        )
     }
 
     /// Boots the daemon from a full [`BootSpec`]: restored from the

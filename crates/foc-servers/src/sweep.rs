@@ -530,7 +530,7 @@ impl Trace {
 /// The raw result of driving one input script under one boot spec,
 /// before classification: every surface a client or operator can
 /// observe. Differential harnesses (the tier-equivalence battery in
-/// `tests/superinstr_equiv.rs`) assert two of these equal to prove a
+/// `tests/native_equiv.rs`) assert two of these equal to prove a
 /// substrate change is invisible end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Driven {

@@ -4,7 +4,7 @@
 //! post-supervision usability, the full space counters, and the full
 //! memory-error log — driving a server under AOT-lowered region
 //! execution must be byte-identical to driving it under the baseline
-//! interpreter *and* the superinstruction tier.
+//! interpreter.
 //!
 //! The VM layer already proves instruction-level parity (fuel, instr,
 //! cycle accounting per opcode; `foc-vm`'s tier-parity battery and the
@@ -27,23 +27,20 @@ use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_F
 use foc_servers::BootSpec;
 use foc_vm::{Checkpoint, Machine, MachineConfig};
 
-/// Drives `input` under all three execution tiers of the same spec and
+/// Drives `input` under both execution tiers of the same spec and
 /// asserts every observable surface agrees, returning the (shared)
 /// observation for callers that want to assert more.
 fn assert_native_blind(input: &SweepInput, spec: BootSpec) -> Driven {
     let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-    for tier in [ExecTier::Super, ExecTier::Native] {
-        let tiered = drive_input(input, &spec.with_tier(tier));
-        assert_eq!(
-            baseline,
-            tiered,
-            "{}/{} under {:?}: {:?} must be observationally identical to baseline",
-            input.kind.name(),
-            input.name,
-            spec,
-            tier
-        );
-    }
+    let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+    assert_eq!(
+        baseline,
+        native,
+        "{}/{} under {:?}: tiers must be observationally identical",
+        input.kind.name(),
+        input.name,
+        spec
+    );
     baseline
 }
 
@@ -231,7 +228,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random (input, mode, manufactured-value seed, fuel limit) points:
-    /// all three tiers must agree on everything — in particular on
+    /// both tiers must agree on everything — in particular on
     /// *where* tight budgets fuel out. A native region is only entered
     /// when remaining fuel covers its whole charge, so a drifted
     /// fuel-out point (a script step completing under one tier and

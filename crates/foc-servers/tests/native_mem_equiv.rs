@@ -114,7 +114,7 @@ fn observe(
     }
 }
 
-/// Asserts all three tiers of (`source`, `config`) agree on every
+/// Asserts both tiers of (`source`, `config`) agree on every
 /// observable surface, returning the shared observation.
 fn assert_mem_blind(
     source: &str,
@@ -131,13 +131,11 @@ fn assert_mem_blind(
         config.clone(),
         churn,
     );
-    for tier in [ExecTier::Super, ExecTier::Native] {
-        let tiered = observe(source, entry, arg, tier, config.clone(), churn);
-        assert_eq!(
-            baseline, tiered,
-            "{entry}({arg}) under {tier:?} must match baseline ({config:?}, churn {churn})"
-        );
-    }
+    let native = observe(source, entry, arg, ExecTier::Native, config.clone(), churn);
+    assert_eq!(
+        baseline, native,
+        "{entry}({arg}) native must match baseline ({config:?}, churn {churn})"
+    );
     baseline
 }
 

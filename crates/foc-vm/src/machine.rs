@@ -2,7 +2,6 @@
 
 use std::collections::VecDeque;
 
-use foc_compiler::bytecode::unpack_scalar;
 use foc_compiler::native::{NOp, NativeFunc, NativeRegion, ROp, Term, LOCALS_REGS, NO_REGION};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace, NativeView};
@@ -96,7 +95,7 @@ pub struct ExecProfile {
     /// Native regions entered.
     pub region_entries: u64,
     /// Stays on the native path that ended at a pc no region starts at
-    /// (call, builtin, return, mid-pattern entry).
+    /// (call, builtin, return).
     pub no_region_exits: u64,
     /// Stays that ended at a region whose charge exceeded the fuel left.
     pub fuel_short_exits: u64,
@@ -409,10 +408,9 @@ impl Machine {
             // Whenever the current pc is a lowered-region entry and
             // remaining fuel covers the region's whole charge, the
             // native executor takes over and chains regions until it
-            // reaches a pc it cannot enter: fuel short of a charge, a
-            // call, builtin or return, or a mid-pattern entry point.
-            // That pc falls through to the interpreter below, which is
-            // the deopt path. A fault inside a region has already been
+            // reaches a pc it cannot enter: fuel short of a charge, or
+            // a call, builtin or return. That pc falls through to the
+            // interpreter below, which is the deopt path. A fault inside a region has already been
             // written back to the architectural state.
             if let Some(nf) = native {
                 (pc, fuel) = self.run_native(nf, func, base, frame_total, pc, fuel, &mut nregs)?;
@@ -622,254 +620,6 @@ impl Machine {
                     frame_total = program.funcs[func as usize].frame.total;
                     native = program.native_func(func);
                 }
-
-                // ----------------------------------------------------
-                // Superinstructions (`ExecTier::Super`). One dispatch
-                // executes a whole fused pattern; the accounting is
-                // exactly the `k` components' worth (the main loop
-                // already charged one unit for the fused opcode, the
-                // handler charges the remaining `k - 1` up front).
-                // When remaining fuel cannot cover the pattern the
-                // handler *deopts*: it executes only the first
-                // component and resumes the interpreter at `pc` (the
-                // original component instructions are still in place —
-                // fusion is layout-preserving), so mid-pattern fuel
-                // exhaustion reproduces the baseline tier's fault pc,
-                // counts, and stack byte-for-byte. Patterns only fault
-                // in their *last* component, which runs after the full
-                // pre-charge — so fault-path accounting also matches
-                // the unfused stream exactly, and memory components
-                // receive the same `AccessCtx` pc the unfused
-                // instruction would (error logs stay identical).
-                // ----------------------------------------------------
-                Instr::FusedCmpJump {
-                    a,
-                    b,
-                    a_repr,
-                    b_repr,
-                    op,
-                    target,
-                } => {
-                    let (asz, asg) = unpack_scalar(a_repr);
-                    let araw = self
-                        .space
-                        .read_raw(base + a as u64, asz)
-                        .expect("local slot is mapped");
-                    let av = extend(araw, asz, asg);
-                    if fuel >= 4 {
-                        fuel -= 4;
-                        self.stats.instrs += 4;
-                        self.stats.cycles += 4 * cost::BASE;
-                        let (bsz, bsg) = unpack_scalar(b_repr);
-                        let braw = self
-                            .space
-                            .read_raw(base + b as u64, bsz)
-                            .expect("local slot is mapped");
-                        let bv = extend(braw, bsz, bsg);
-                        pc = if op.eval(av, bv) { target } else { pc + 4 };
-                    } else {
-                        self.stack.push(av);
-                    }
-                }
-                Instr::FusedLocalIdxLoad {
-                    off,
-                    idx,
-                    esz,
-                    repr,
-                } => {
-                    if fuel >= 3 {
-                        fuel -= 3;
-                        self.stats.instrs += 3;
-                        self.stats.cycles += 3 * cost::BASE;
-                        if self.checked {
-                            self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                        }
-                        let delta = (idx as i64).wrapping_mul(esz as i64);
-                        let ptr = self.space.ptr_add(base + off as u64, delta);
-                        pc += 3;
-                        let (size, signed) = unpack_scalar(repr);
-                        let ctx = AccessCtx { func, pc };
-                        let raw = try_vm!(self.g_load_at(ptr, size, ctx));
-                        self.stack.push(extend(raw, size, signed));
-                    } else {
-                        self.stack.push((base + off as u64) as i64);
-                    }
-                }
-                Instr::FusedLoadIdxAccum {
-                    acc,
-                    addr,
-                    delta,
-                    load_repr,
-                    acc_repr,
-                    size,
-                } => {
-                    let (asz, asg) = unpack_scalar(acc_repr);
-                    let araw = self
-                        .space
-                        .read_raw(base + acc as u64, asz)
-                        .expect("local slot is mapped");
-                    let av = extend(araw, asz, asg);
-                    if fuel >= 8 {
-                        fuel -= 8;
-                        self.stats.instrs += 8;
-                        self.stats.cycles += 8 * cost::BASE;
-                        if self.checked {
-                            self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                        }
-                        let ptr = self.space.ptr_add(base + addr as u64, delta as i64);
-                        let (lsz, lsg) = unpack_scalar(load_repr);
-                        let ctx = AccessCtx { func, pc: pc + 4 };
-                        let raw = match self.g_load_at(ptr, lsz, ctx) {
-                            Ok(raw) => raw,
-                            Err(e) => {
-                                // Cold fault seam: the load is component
-                                // 4 of 9, so the four pure stack ops
-                                // behind it never ran in the unfused
-                                // reference — refund their charge, leave
-                                // the accumulator on the stack (the
-                                // unfused `LoadLocal` pushed it; `Load`
-                                // only popped the pointer), and fault at
-                                // the load's own pc.
-                                fuel += 4;
-                                self.stats.instrs -= 4;
-                                self.stats.cycles -= 4 * cost::BASE;
-                                self.stack.push(av);
-                                pc += 4;
-                                fail!(e);
-                            }
-                        };
-                        let v = av.wrapping_add(extend(raw, lsz, lsg));
-                        let ok = self.space.write_raw(base + acc as u64, size, v as u64);
-                        debug_assert!(ok, "local slot is mapped");
-                        pc += 8;
-                    } else {
-                        self.stack.push(av);
-                    }
-                }
-                Instr::FusedLocalIdxStore {
-                    off,
-                    idx,
-                    esz,
-                    size,
-                } => {
-                    if fuel >= 3 {
-                        fuel -= 3;
-                        self.stats.instrs += 3;
-                        self.stats.cycles += 3 * cost::BASE;
-                        if self.checked {
-                            self.stats.cycles += cost::PTR_CHECK_EXTRA;
-                        }
-                        let delta = (idx as i64).wrapping_mul(esz as i64);
-                        let ptr = self.space.ptr_add(base + off as u64, delta);
-                        pc += 3;
-                        let value = self.pop();
-                        let ctx = AccessCtx { func, pc };
-                        try_vm!(self.g_store_at(ptr, size, value as u64, ctx));
-                    } else {
-                        self.stack.push((base + off as u64) as i64);
-                    }
-                }
-                Instr::FusedIncLocal {
-                    off,
-                    delta,
-                    repr,
-                    len,
-                } => {
-                    let (size, signed) = unpack_scalar(repr);
-                    let raw = self
-                        .space
-                        .read_raw(base + off as u64, size)
-                        .expect("local slot is mapped");
-                    let old = extend(raw, size, signed);
-                    let extra = (len - 1) as u64;
-                    if fuel >= extra {
-                        fuel -= extra;
-                        self.stats.instrs += extra;
-                        self.stats.cycles += extra * cost::BASE;
-                        let mut new = old.wrapping_add(delta as i64);
-                        if size != AccessSize::B8 {
-                            new = extend(new as u64, size, signed);
-                        }
-                        let ok = self.space.write_raw(base + off as u64, size, new as u64);
-                        debug_assert!(ok, "local slot is mapped");
-                        pc += extra as u32;
-                    } else {
-                        self.stack.push(old);
-                    }
-                }
-                Instr::FusedIncJump {
-                    off,
-                    delta,
-                    repr,
-                    len,
-                    target,
-                } => {
-                    let (size, signed) = unpack_scalar(repr);
-                    let raw = self
-                        .space
-                        .read_raw(base + off as u64, size)
-                        .expect("local slot is mapped");
-                    let old = extend(raw, size, signed);
-                    let extra = (len - 1) as u64;
-                    if fuel >= extra {
-                        fuel -= extra;
-                        self.stats.instrs += extra;
-                        self.stats.cycles += extra * cost::BASE;
-                        let mut new = old.wrapping_add(delta as i64);
-                        if size != AccessSize::B8 {
-                            new = extend(new as u64, size, signed);
-                        }
-                        let ok = self.space.write_raw(base + off as u64, size, new as u64);
-                        debug_assert!(ok, "local slot is mapped");
-                        pc = target;
-                    } else {
-                        self.stack.push(old);
-                    }
-                }
-                Instr::FusedConstAlu { c, op } => {
-                    if fuel >= 1 {
-                        fuel -= 1;
-                        self.stats.instrs += 1;
-                        self.stats.cycles += cost::BASE;
-                        let a = self.pop();
-                        self.stack.push(op.eval(a, c as i64));
-                        pc += 1;
-                    } else {
-                        self.stack.push(c as i64);
-                    }
-                }
-                Instr::FusedStoreLocalPop { off, size } => {
-                    if fuel >= 2 {
-                        fuel -= 2;
-                        self.stats.instrs += 2;
-                        self.stats.cycles += 2 * cost::BASE;
-                        let value = self.pop();
-                        let ok = self.space.write_raw(base + off as u64, size, value as u64);
-                        debug_assert!(ok, "local slot is mapped");
-                        pc += 2;
-                    } else {
-                        let v = *self.stack.last().expect("dup on empty stack");
-                        self.stack.push(v);
-                    }
-                }
-                Instr::FusedLoadLoad { off, repr } => {
-                    let praw = self
-                        .space
-                        .read_raw(base + off as u64, AccessSize::B8)
-                        .expect("local slot is mapped");
-                    if fuel >= 1 {
-                        fuel -= 1;
-                        self.stats.instrs += 1;
-                        self.stats.cycles += cost::BASE;
-                        pc += 1;
-                        let (size, signed) = unpack_scalar(repr);
-                        let ctx = AccessCtx { func, pc };
-                        let raw = try_vm!(self.g_load_at(praw, size, ctx));
-                        self.stack.push(extend(raw, size, signed));
-                    } else {
-                        self.stack.push(praw as i64);
-                    }
-                }
             }
         }
     }
@@ -950,8 +700,8 @@ impl Machine {
         }
         // A guest load: `$hit` through the view, else the full access
         // at `$target` (evaluated on the whole machine). `$unwind`
-        // restores the operand stack the unfused stream would leave
-        // behind a faulting load.
+        // restores the operand stack the instruction stream would
+        // leave behind a faulting load.
         macro_rules! load {
             ($hit:expr, $target:expr, $size:expr, $seam:expr, $unwind:block) => {
                 match $hit {
@@ -1170,8 +920,8 @@ impl Machine {
                         let av = extend(view.local_get(acc, acc_size), acc_size, acc_signed);
                         let p = base + addr as u64;
                         self.stats.cycles += ptr_extra;
-                        // The unfused stream pushed the accumulator
-                        // before the faulting load.
+                        // The instruction stream pushed the
+                        // accumulator before the faulting load.
                         let raw = load!(
                             view.idx_load(p, delta, load_size),
                             self.space.ptr_add(p, delta),
@@ -1581,16 +1331,15 @@ impl Machine {
 
 /// Why the native executor stopped chaining at a pc.
 enum NativeExit {
-    /// No region starts at the pc: a call, builtin or return boundary,
-    /// or a jump target inside a fused pattern's preserved tail.
+    /// No region starts at the pc: a call, builtin or return boundary.
     NoRegion,
     /// A region starts there but fuel does not cover its whole charge.
     FuelShort,
 }
 
 /// The region `pc` enters: one must start there, and `fuel` must cover
-/// everything it charges (the interpreter's per-opcode deopt seams own
-/// mid-region exhaustion).
+/// everything it charges (the interpreter, one instruction at a time,
+/// owns mid-region exhaustion).
 #[inline(always)]
 fn gate(nf: &NativeFunc, pc: u32, fuel: u64) -> Result<&NativeRegion, NativeExit> {
     match nf.entry.get(pc as usize) {
@@ -1688,13 +1437,13 @@ mod tests {
         ] {
             assert_tier_parity(src, "spin", &[6], mode, 1_000_000);
         }
-        // Sweep fuel across every mid-pattern exhaustion point of the
-        // first loop iterations: the fused tier must deopt to the same
+        // Sweep fuel across every mid-shape exhaustion point of the
+        // first loop iterations: the native tier must deopt to the same
         // fault pc, counts, and log prefix as the baseline.
         // Standard mode additionally faults on the OOB read itself, so
-        // sweeping it covers the mega-op's mid-pattern fault-refund
-        // seam (charge k-1, refund the components behind the faulting
-        // load) at every interleaving of fuel exhaustion and fault.
+        // sweeping it covers the accumulate op's mid-shape fault-refund
+        // seam (refund the components behind the faulting load) at
+        // every interleaving of fuel exhaustion and fault.
         for fuel in 0..160 {
             assert_tier_parity(src, "spin", &[6], Mode::FailureOblivious, fuel);
             assert_tier_parity(src, "spin", &[6], Mode::Standard, fuel);

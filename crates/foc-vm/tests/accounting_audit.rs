@@ -1,6 +1,6 @@
-//! Accounting audit: the interpreter's fused dispatch paths — the
-//! compare+branch peephole in the main loop and the superinstruction
-//! tier's fused opcodes — charge *exactly* what a naive one-dispatch-
+//! Accounting audit: the fused dispatch paths — the compare+branch
+//! peephole in the interpreter's main loop and the native tier's
+//! whole-region charge — charge *exactly* what a naive one-dispatch-
 //! per-instruction interpreter would, at every fuel interleaving.
 //!
 //! The referee is deliberately independent: a mini interpreter written
@@ -9,9 +9,8 @@
 //! nested calls — accounting there is pinned by the VM's own parity
 //! batteries). It executes the *baseline* bytecode one dispatch at a
 //! time with no peepholes, and the production machine — under every
-//! execution tier in `ExecTier::ALL` (baseline, superinstruction, and
-//! native region execution; new tiers are audited automatically as the
-//! array grows) — must land on identical instruction counts, cycle
+//! execution tier in `ExecTier::ALL` (baseline and native region
+//! execution) — must land on identical instruction counts, cycle
 //! counts, results, and fuel-out points for every budget from zero to
 //! run-to-completion.
 
@@ -238,10 +237,9 @@ fn fuel_out_points_match_the_reference_at_every_budget() {
     // Sweep every budget through entry, several whole loop iterations,
     // and the epilogue: the machine must fault (or finish) with the
     // referee's exact instruction and cycle counts — under the baseline
-    // tier (whose compare+branch peephole is the PR 5 path under audit),
-    // the superinstruction tier (whose deopt seams re-create mid-pattern
-    // exhaustion), and the native tier (whose whole-region pre-charge
-    // gate must surface fuel exhaustion at the same instruction) alike.
+    // tier (whose compare+branch peephole is the PR 5 path under audit)
+    // and the native tier (whose whole-region pre-charge gate must
+    // surface fuel exhaustion at the same instruction) alike.
     let full = reference_run(AUDIT_SRC, "audit", &[4, 9], Mode::Standard, 100_000);
     let run_len = full.instrs;
     for mode in [Mode::Standard, Mode::FailureOblivious] {

@@ -74,7 +74,7 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
     match kind {
         ServerKind::Apache => {
             let cached = apache::ApacheWorker::boot_spec(&spec);
-            let fresh = apache::ApacheWorker::from_image_spec(&kind.image(), &spec);
+            let fresh = apache::ApacheWorker::boot_image_spec(&kind.image(), &spec);
             let drive = |mut w: apache::ApacheWorker| {
                 let steps: Vec<Step> = [
                     w.get(b"/index.html"),
@@ -336,7 +336,7 @@ proptest! {
         let spec = BootSpec::new(ServerKind::Apache, Mode::FailureOblivious);
         let mut cached = apache::ApacheWorker::boot_spec(&spec);
         let mut fresh =
-            apache::ApacheWorker::from_image_spec(&ServerKind::Apache.image(), &spec);
+            apache::ApacheWorker::boot_image_spec(&ServerKind::Apache.image(), &spec);
         for i in 0..requests {
             let x = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let url: Vec<u8> = match x % 4 {

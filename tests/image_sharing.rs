@@ -20,7 +20,7 @@ use failure_oblivious::servers::mc::Mc;
 use failure_oblivious::servers::mutt::Mutt;
 use failure_oblivious::servers::pine::Pine;
 use failure_oblivious::servers::sendmail::Sendmail;
-use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, Measured};
+use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured};
 
 /// Everything a client could observe about one request.
 type Event = (bool, Option<i64>, Vec<u8>, u64);
@@ -43,13 +43,14 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
     } else {
         kind.fresh_image()
     };
+    let spec = BootSpec::new(kind, mode);
     let mut events = Vec::new();
     match kind {
         ServerKind::Apache => {
             let mut w = if cached {
                 ApacheWorker::boot(mode)
             } else {
-                ApacheWorker::from_image(&image, mode)
+                ApacheWorker::boot_image_spec(&image, &spec)
             };
             for req in [
                 b"/index.html".to_vec(),
@@ -65,7 +66,7 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             let mut s = if cached {
                 Sendmail::boot(mode)
             } else {
-                Sendmail::boot_image(&image, mode)
+                Sendmail::boot_image_spec(&image, &spec)
             };
             events.push(sig(&s.receive(
                 &workload::sendmail_address(seed),
@@ -88,7 +89,7 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             let mut p = if cached {
                 Pine::boot(mode, mailbox)
             } else {
-                Pine::boot_image(&image, mode, mailbox)
+                Pine::boot_image_spec(&image, &spec, mailbox)
             };
             events.push(sig(&p.read(0)));
             events.push(sig(&p.deliver(
@@ -104,7 +105,7 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             let mut m = if cached {
                 Mutt::boot(mode, 2)
             } else {
-                Mutt::boot_image(&image, mode, 2)
+                Mutt::boot_image_spec(&image, &spec, 2)
             };
             events.push(sig(&m.open_folder(b"INBOX")));
             events.push(sig(&m.read_message(0)));
@@ -115,7 +116,7 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             let mut m = if cached {
                 Mc::boot(mode, &mc::clean_config())
             } else {
-                Mc::boot_image(&image, mode, &mc::clean_config())
+                Mc::boot_image_spec(&image, &spec, &mc::clean_config())
             };
             events.push(sig(&m.copy(b"/home/user/data.bin", b"/tmp/c1")));
             events.push(sig(&m.mkdir(b"/tmp/d1")));

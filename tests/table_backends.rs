@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use failure_oblivious::memory::{Mode, SpaceStats, TableKind};
 use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
-use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, Measured};
+use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured};
 
 /// One request's observable result, compared byte-for-byte across
 /// backends.
@@ -47,9 +47,10 @@ fn transcript(
     table: TableKind,
     seed: u64,
 ) -> (Vec<Step>, SpaceStats) {
+    let spec = BootSpec::new(kind, mode).with_table(table);
     match kind {
         ServerKind::Apache => {
-            let mut w = apache::ApacheWorker::boot_table(mode, table);
+            let mut w = apache::ApacheWorker::boot_spec(&spec);
             let mut steps = Vec::new();
             for i in 0..10u64 {
                 let r = match i % 5 {
@@ -67,7 +68,7 @@ fn transcript(
             (steps, *w.process().machine().space().stats())
         }
         ServerKind::Sendmail => {
-            let mut s = sendmail::Sendmail::boot_table(mode, table);
+            let mut s = sendmail::Sendmail::boot_spec(&spec);
             let mut steps = Vec::new();
             for i in 0..8u64 {
                 if !s.usable() {
@@ -91,7 +92,7 @@ fn transcript(
             (steps, *s.process().machine().space().stats())
         }
         ServerKind::Pine => {
-            let mut p = pine::Pine::boot_table(mode, table, pine::Pine::standard_mailbox(3));
+            let mut p = pine::Pine::boot_spec(&spec, pine::Pine::standard_mailbox(3));
             let mut steps = Vec::new();
             for i in 0..8i64 {
                 if !p.usable() {
@@ -108,7 +109,7 @@ fn transcript(
             (steps, *p.process().machine().space().stats())
         }
         ServerKind::Mutt => {
-            let mut m = mutt::Mutt::boot_table(mode, table, 2);
+            let mut m = mutt::Mutt::boot_spec(&spec, 2);
             let mut steps = Vec::new();
             for i in 0..8i64 {
                 if m.process().is_dead() {
@@ -125,7 +126,7 @@ fn transcript(
             (steps, *m.process().machine().space().stats())
         }
         ServerKind::Mc => {
-            let mut m = mc::Mc::boot_table(mode, table, &mc::clean_config());
+            let mut m = mc::Mc::boot_spec(&spec, &mc::clean_config());
             let mut steps = Vec::new();
             for i in 0..8u64 {
                 if !m.usable() {
