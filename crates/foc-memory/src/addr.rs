@@ -278,6 +278,21 @@ impl Region {
         Some(&mut self.bytes[at..at + len])
     }
 
+    /// Borrows the longest prefix of `[addr, addr + len)` that is inside
+    /// the committed window, committing nothing: empty when `addr` is
+    /// outside the window (those bytes are logical zeros with no
+    /// storage to lend) or outside the region.
+    pub fn committed_prefix(&self, addr: u64, len: u64) -> &[u8] {
+        let window = self.base + self.commit_base as u64;
+        match addr.checked_sub(window) {
+            Some(at) if at < self.bytes.len() as u64 => {
+                let rest = &self.bytes[at as usize..];
+                &rest[..len.min(rest.len() as u64) as usize]
+            }
+            _ => &[],
+        }
+    }
+
     /// The committed window as it stands: the address of its first byte
     /// and its storage. Nothing reachable through the borrow can grow
     /// or move the window, so an offset into it stays valid for as long

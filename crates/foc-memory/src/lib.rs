@@ -46,8 +46,8 @@ pub use page::{LookupLayer, PageHit, PageMap, LOOKUP_ENV, PAGE_SHIFT, PAGE_SIZE}
 pub use policy::{BoundlessStore, Mode};
 pub use report::{summarize, LogReport, SiteReport};
 pub use space::{
-    AccessCtx, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome, SpaceStats, WriteOutcome,
-    FRAME_GUARD_SIZE,
+    AccessCtx, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome, Run, SpaceStats,
+    WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
 pub use table::{

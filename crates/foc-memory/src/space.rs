@@ -190,6 +190,17 @@ pub struct WriteOutcome {
     pub violation: bool,
 }
 
+/// A run of in-bounds bytes resolved by [`MemorySpace::run`]: `len`
+/// bytes at the plain address `addr`, good until the space next frees
+/// or pops a unit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// Address of the first byte.
+    pub addr: u64,
+    /// Bytes in the run; zero when there is none.
+    pub len: u64,
+}
+
 /// Counters describing a space's activity. `PartialEq` so differential
 /// harnesses can assert two runs drove the substrate identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -971,6 +982,81 @@ impl MemorySpace {
             }
             // Failure-oblivious: discard the write.
             _ => Ok(WriteOutcome { violation: true }),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Runs: many one-byte hits answered by one lookup.
+    // ------------------------------------------------------------------
+
+    /// The run at `base + off`: the longest prefix `len <= want` of the
+    /// byte-wise walk `i = 0, 1, 2, ...` for which every
+    /// `ptr_add(base, off + i)` returns the plain address
+    /// `base + off + i` and every one-byte [`Self::load`] or
+    /// [`Self::store`] there hits — resolved once instead of once per
+    /// byte. In the checked modes that is the rest of the live unit
+    /// holding `base`, and empty when `base` is an out-of-bounds
+    /// descriptor, has no provenance, or `base + off` is outside that
+    /// unit; in Standard mode, where arithmetic is plain and any mapped
+    /// byte hits, it is the rest of the region.
+    ///
+    /// The probe itself is unobservable: it moves no counter, byte or
+    /// log record. A caller that acts on a run accounts for it with
+    /// [`Self::count_run`].
+    pub fn run(&mut self, base: u64, off: u64, want: u64) -> Run {
+        let addr = base.wrapping_add(off);
+        let extent = if !self.mode.is_checked() {
+            self.region(addr).map(|r| Span {
+                base: r.base(),
+                size: r.end() - r.base(),
+            })
+        } else if addr::is_oob_zone(base) {
+            None
+        } else {
+            self.lookup_placement(base).map(|pl| Span {
+                base: pl.base,
+                size: pl.size,
+            })
+        };
+        let len = match extent {
+            Some(span) if span.holds(addr, 1) => want.min(span.size - (addr - span.base)),
+            _ => 0,
+        };
+        Run { addr, len }
+    }
+
+    /// The host bytes of a run for reading: its longest prefix inside
+    /// the region's committed window, so possibly shorter than the run
+    /// and empty where the run starts on never-written bytes (which
+    /// only the byte-wise routine reads, as zeros, without committing
+    /// them).
+    pub fn run_bytes(&self, run: Run) -> &[u8] {
+        match self.region(run.addr) {
+            Some(r) => r.committed_prefix(run.addr, run.len),
+            None => &[],
+        }
+    }
+
+    /// The host bytes of a run for writing, committed as the byte-wise
+    /// stores would commit them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `run` is not wholly inside a region — it did not
+    /// come from [`Self::run`].
+    pub fn run_bytes_mut(&mut self, run: Run) -> &mut [u8] {
+        self.region_mut(run.addr)
+            .and_then(|r| r.slice_mut(run.addr, run.len))
+            .expect("a run lies inside one region")
+    }
+
+    /// Advances the counters by what `loads` one-byte load hits and
+    /// `stores` one-byte store hits advance them.
+    pub fn count_run(&mut self, loads: u64, stores: u64) {
+        self.stats.loads += loads;
+        self.stats.stores += stores;
+        if self.mode.is_checked() {
+            self.stats.checked_accesses += loads + stores;
         }
     }
 

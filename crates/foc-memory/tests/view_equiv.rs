@@ -14,6 +14,10 @@
 //!   once.
 //! * A store outside a region's committed window is a miss; the
 //!   fallback commits the window and the next view store hits.
+//!
+//! [`MemorySpace::run`] — many one-byte hits answered by one lookup, the
+//! libc shim's primitive — is held to the same standard, against the
+//! byte-wise `ptr_add` + `load`/`store` walk it stands in for.
 
 use proptest::prelude::*;
 
@@ -234,8 +238,136 @@ fn check_probe(w: &World, ptr: u64, delta: i64, size: AccessSize, value: u64) {
     );
 }
 
+/// One run probe against the byte-wise walk it summarises: the probe
+/// itself moves nothing; a non-empty run is exactly the walk's prefix
+/// of plain-address hits (an empty one may also mean "no provenance",
+/// where the walk can still stumble into a unit); and acting on the run
+/// plus [`MemorySpace::count_run`] leaves the space where that many
+/// byte-wise loads, then stores, leave it.
+fn check_run(w: &World, ptr: u64, off: u64, want: u64, value: u8) {
+    let what = format!("ptr {ptr:#x} off {off:#x} want {want}");
+    let before = snapshot(&w.space);
+    let mut a = w.space.clone();
+    let run = a.run(ptr, off, want);
+    assert_eq!(snapshot(&a), before, "the probe moved something: {what}");
+    assert!(run.len <= want, "{what}");
+    assert_eq!(run.addr, ptr.wrapping_add(off), "{what}");
+
+    let walk_target = |i: u64| ptr.wrapping_add(off).wrapping_add(i);
+    let walk_delta = |i: u64| off.wrapping_add(i) as i64;
+    let mut b = w.space.clone();
+    let mut prefix = 0;
+    while prefix < want {
+        let p = b.ptr_add(ptr, walk_delta(prefix));
+        let hit = p == walk_target(prefix)
+            && matches!(b.load(p, AccessSize::B1, CTX), Ok(out) if !out.violation)
+            && matches!(b.store(p, AccessSize::B1, 0, CTX), Ok(out) if !out.violation);
+        if !hit {
+            break;
+        }
+        prefix += 1;
+    }
+    assert!(run.len <= prefix, "run overshoots the walk: {what}");
+    if run.len > 0 {
+        assert_eq!(run.len, prefix, "run stops short of the walk: {what}");
+    }
+
+    // Loads: the committed bytes in hand are the bytes the walk loads.
+    let mut c = w.space.clone();
+    let held = a.run_bytes(run).to_vec();
+    for (i, &byte) in held.iter().enumerate() {
+        let p = c.ptr_add(ptr, walk_delta(i as u64));
+        let out = c.load(p, AccessSize::B1, CTX).expect("inside the run");
+        assert_eq!((out.value, out.violation), (byte as u64, false), "{what}");
+    }
+    a.count_run(held.len() as u64, 0);
+    assert_eq!(snapshot(&a), snapshot(&c), "span loads diverge: {what}");
+
+    // Stores: filling the run is storing each byte.
+    if run.len > 0 {
+        a.run_bytes_mut(run).fill(value);
+        a.count_run(0, run.len);
+        for i in 0..run.len {
+            let p = c.ptr_add(ptr, walk_delta(i));
+            let out = c.store(p, AccessSize::B1, value as u64, CTX);
+            assert_eq!(out.map(|o| o.violation), Ok(false), "{what}");
+        }
+        assert_eq!(snapshot(&a), snapshot(&c), "span stores diverge: {what}");
+    }
+}
+
+/// The shapes the shim leans on, one by one: a run is the rest of the
+/// unit, and there is none from a descriptor, a freed unit, a pointer
+/// without provenance, or an offset that leaves the unit — including
+/// offsets and pointers that only land inside by wrapping `2^64`.
+#[test]
+fn runs_end_where_the_unit_does_and_start_nowhere_else() {
+    for mode in Mode::ALL {
+        for lookup in LookupLayer::ALL {
+            let mut s = MemorySpace::new(config(mode, lookup));
+            let p = s.malloc(24).expect("heap has room");
+            let q = s.malloc(24).expect("heap has room");
+            let len = |s: &mut MemorySpace, base, off, want| s.run(base, off, want).len;
+            assert_eq!(len(&mut s, p, 0, 8), 8, "{mode:?}: want caps the run");
+            assert_eq!(len(&mut s, p, 20, 0), 0, "{mode:?}: nothing wanted");
+            assert_eq!(
+                len(&mut s, p + 23, 0, 9),
+                if mode.is_checked() { 1 } else { 9 }
+            );
+            assert_eq!(len(&mut s, p + 4, u64::MAX, 2), 2, "{mode:?}: offset -1");
+            // Plain arithmetic wraps to `p`; checked arithmetic has no
+            // unit to derive it from.
+            let wrapped = if mode.is_checked() { 0 } else { 2 };
+            assert_eq!(len(&mut s, u64::MAX - 3, p + 4, 2), wrapped, "{mode:?}");
+            assert_eq!(len(&mut s, u64::MAX, 0, u64::MAX), 0, "{mode:?}");
+            if !mode.is_checked() {
+                continue;
+            }
+            assert_eq!(
+                len(&mut s, p, 4, u64::MAX),
+                20,
+                "{mode:?}: rest of the unit"
+            );
+            assert_eq!(len(&mut s, p, 24, 1), 0, "{mode:?}: one past the end");
+            assert_eq!(len(&mut s, p, q - p, 1), 0, "{mode:?}: into a neighbour");
+            assert_eq!(len(&mut s, p - 1, 1, 1), 0, "{mode:?}: no provenance");
+            let outside = s.ptr_add(p, 30);
+            assert_eq!(len(&mut s, outside, 0, 1), 0, "{mode:?}: descriptor");
+            assert_eq!(len(&mut s, outside, (-10i64) as u64, 1), 0, "{mode:?}");
+            s.free(q, CTX).expect("live block frees");
+            assert_eq!(len(&mut s, q, 0, 1), 0, "{mode:?}: freed unit");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn runs_equal_the_byte_wise_walk(
+        script in proptest::collection::vec((0u8..5, 0u64..4096), 1..48),
+        probes in proptest::collection::vec(
+            (any::<u64>(), 0u64..80, 0u8..6, 0u64..400, any::<u8>()),
+            4..12,
+        ),
+    ) {
+        for mode in Mode::ALL {
+            for lookup in LookupLayer::ALL {
+                let w = churn(mode, lookup, &script);
+                for &(pick, small, kind, want, value) in &probes {
+                    let ptr = w.pointers[pick as usize % w.pointers.len()];
+                    let off = match kind {
+                        // Walks across `2^64` during the run.
+                        0 => ptr.wrapping_neg().wrapping_sub(8),
+                        1 => small.wrapping_neg(),
+                        2 => i64::MAX as u64,
+                        _ => small,
+                    };
+                    check_run(&w, ptr, off, want, value);
+                }
+            }
+        }
+    }
 
     #[test]
     fn view_methods_equal_the_space_routines(

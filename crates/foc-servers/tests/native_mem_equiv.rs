@@ -18,11 +18,24 @@
 //! pre-charge gate around the faulting block — plus the server-layer
 //! attack battery re-run under the paged lookup layer, which the
 //! in-block probe shares with the interpreter.
+//!
+//! The last section holds the libc shim to the same contract. On the
+//! native tier its string/memory builtins retire whole runs of in-bounds
+//! bytes at once (`foc-vm/src/builtins.rs`); on the baseline tier they
+//! walk byte by byte. Each builtin is driven over operands built to put
+//! a seam of the run everywhere one can fall — the unit's edge, a
+//! missing NUL, a neighbouring unit, a descriptor, a freed unit,
+//! overlap in both directions, never-written bytes, stack, heap and
+//! global units, copies longer than one span — under every mode and
+//! every fuel budget up to completion, and the two tiers must agree on
+//! the result, both stat blocks, the error log, the output and every
+//! byte of guest memory.
 
 use proptest::prelude::*;
 
-use foc_compiler::{compile_image_tier, ExecTier};
-use foc_memory::{LookupLayer, MemoryErrorRecord, Mode, SpaceStats, ValueSequence};
+use foc_compiler::{compile_image_tier, ExecTier, ProgramImage};
+use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+use foc_memory::{LookupLayer, MemConfig, MemoryErrorRecord, Mode, SpaceStats, ValueSequence};
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::BootSpec;
 use foc_vm::{Machine, MachineConfig, RunStats, VmFault};
@@ -103,14 +116,21 @@ fn observe(
         }
     }
     let result = m.call(entry, &[arg]);
-    let log = m.space().error_log();
-    Observed {
-        result,
-        stats: m.stats(),
-        space: *m.space().stats(),
-        log_total: log.total(),
-        log_dropped: log.dropped(),
-        records: log.records().to_vec(),
+    Observed::of(&m, result)
+}
+
+impl Observed {
+    /// Snapshots `m` after a call that returned `result`.
+    fn of(m: &Machine, result: Result<i64, VmFault>) -> Observed {
+        let log = m.space().error_log();
+        Observed {
+            result,
+            stats: m.stats(),
+            space: *m.space().stats(),
+            log_total: log.total(),
+            log_dropped: log.dropped(),
+            records: log.records().to_vec(),
+        }
     }
 }
 
@@ -449,4 +469,255 @@ proptest! {
         let native = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Native, config, churn);
         prop_assert_eq!(baseline, native);
     }
+}
+
+// ---------------------------------------------------------------------
+// The libc shim at every seam of a run.
+// ---------------------------------------------------------------------
+
+/// One wrapper per span-wise builtin, all `(a, b, n)`: `a` is the
+/// operand written (or the first compared), `b` the one read.
+const SHIM_SOURCE: &str = "\
+     long t_strlen(char *a, char *b, long n) { return strlen(b); }\n\
+     long t_strcpy(char *a, char *b, long n) { return (long) strcpy(a, b); }\n\
+     long t_strncpy(char *a, char *b, long n) { return (long) strncpy(a, b, n); }\n\
+     long t_strcat(char *a, char *b, long n) { return (long) strcat(a, b); }\n\
+     long t_strncat(char *a, char *b, long n) { return (long) strncat(a, b, n); }\n\
+     long t_strcmp(char *a, char *b, long n) { return strcmp(a, b); }\n\
+     long t_strncmp(char *a, char *b, long n) { return strncmp(a, b, n); }\n\
+     long t_strchr(char *a, char *b, long n) { return (long) strchr(b, '5'); }\n\
+     long t_strrchr(char *a, char *b, long n) { return (long) strrchr(b, '5'); }\n\
+     long t_memcpy(char *a, char *b, long n) { return (long) memcpy(a, b, n); }\n\
+     long t_memmove(char *a, char *b, long n) { return (long) memmove(a, b, n); }\n\
+     long t_memset(char *a, char *b, long n) { return (long) memset(a, 'm', n); }\n\
+     long t_memcmp(char *a, char *b, long n) { return memcmp(a, b, n); }\n\
+     long t_print_str(char *a, char *b, long n) { print_str(b); return 0; }\n\
+     long t_atoi(char *a, char *b, long n) { return atoi(b); }\n\
+     long t_read_input(char *a, char *b, long n) { return read_input(a, n); }\n\
+     long t_emit_output(char *a, char *b, long n) { emit_output(b, n); return 0; }\n";
+
+const SHIM_ENTRIES: [&str; 17] = [
+    "t_strlen",
+    "t_strcpy",
+    "t_strncpy",
+    "t_strcat",
+    "t_strncat",
+    "t_strcmp",
+    "t_strncmp",
+    "t_strchr",
+    "t_strrchr",
+    "t_memcpy",
+    "t_memmove",
+    "t_memset",
+    "t_memcmp",
+    "t_print_str",
+    "t_atoi",
+    "t_read_input",
+    "t_emit_output",
+];
+
+/// Region sizes small enough to compare every guest byte after every
+/// run; `roomy` leaves heap for a block whose far end no write has
+/// committed.
+fn shim_config(mode: Mode, lookup: LookupLayer, roomy: bool, fuel: u64) -> MachineConfig {
+    MachineConfig {
+        mem: MemConfig {
+            global_len: 8 << 10,
+            heap_len: if roomy { 512 << 10 } else { 16 << 10 },
+            stack_len: 16 << 10,
+            lookup,
+            ..MemConfig::with_mode(mode)
+        },
+        fuel_per_call: fuel,
+    }
+}
+
+/// `len` bytes: `text`, a NUL if there is room, then a non-zero filler
+/// so bytes past the terminator are told apart from never-written ones.
+fn unit_bytes(text: &[u8], len: usize) -> Vec<u8> {
+    let mut bytes = text.to_vec();
+    if bytes.len() < len {
+        bytes.push(0);
+    }
+    bytes.resize(len, b'q');
+    bytes
+}
+
+/// Digits `1..=9` cycling: no NUL, plenty of `'5'`s, a valid `atoi`.
+fn digits(len: usize) -> Vec<u8> {
+    (0..len).map(|i| b'1' + (i % 9) as u8).collect()
+}
+
+/// Operand shapes, each `(name, a, b, n)`, over units the host builds
+/// before the call — so the call under the fuel sweep is the wrapper
+/// and the builtin, nothing else. Both tiers replay the same host
+/// operations, so the addresses agree.
+fn shim_shapes(m: &mut Machine, roomy: bool) -> Vec<(&'static str, u64, u64, i64)> {
+    let space = m.space_mut();
+    let mut heap = |bytes: &[u8]| {
+        let p = space.malloc(bytes.len() as u64).expect("heap has room");
+        assert!(space.write_bytes_raw(p, bytes));
+        p
+    };
+    let dst = heap(&unit_bytes(b"xy", 24));
+    let short = heap(&unit_bytes(b"12345", 24));
+    let exact = heap(&unit_bytes(&digits(23), 24));
+    let solid = heap(&digits(24));
+    let gone = heap(&unit_bytes(b"777", 24));
+    let long_src = heap(&unit_bytes(&digits(599), 600));
+    let long_dst = heap(&unit_bytes(b"ab", 600));
+    let overlap = heap(&unit_bytes(&digits(40), 64));
+    space.free(gone, Default::default()).expect("live block");
+
+    let mut global = |name: &str, bytes: &[u8]| {
+        space
+            .alloc_global_bytes(bytes, name)
+            .expect("globals have room")
+    };
+    let glob_a = global("glob_a", &unit_bytes(b"g", 24));
+    let glob_b = global("glob_b", &unit_bytes(b"5150", 24));
+
+    let frame = space.push_frame(64).expect("stack has room");
+    space.register_local(frame, 0, 24);
+    space.register_local(frame, 32, 24);
+    let (stack_a, stack_b) = (frame, frame + 32);
+    assert!(space.write_bytes_raw(stack_a, &unit_bytes(b"s", 24)));
+    assert!(space.write_bytes_raw(stack_b, &unit_bytes(b"2552", 24)));
+
+    // Descriptors in the checked modes, plain addresses in Standard.
+    let past_exact = space.ptr_add(exact, 30);
+    let past_dst = space.ptr_add(dst, 26);
+
+    let mut shapes = vec![
+        ("within", dst, short, 10),
+        ("length zero", dst, short, 0),
+        ("ends at the edge", dst, exact, 24),
+        ("no NUL in the unit", dst, solid, 30),
+        ("into a neighbour", dst, exact + 20, 12),
+        ("descriptor source", dst, past_exact, 6),
+        ("descriptor destination", past_dst, short, 6),
+        ("freed source", dst, gone, 6),
+        ("freed destination", gone, short, 6),
+        ("destination ahead", overlap + 3, overlap, 20),
+        ("destination behind", overlap, overlap + 3, 20),
+        ("onto itself", overlap, overlap, 8),
+        ("stack units", stack_a, stack_b, 10),
+        ("global units", glob_a, glob_b, 10),
+        ("stack from global", stack_a + 2, glob_b, 24),
+        ("several spans", long_dst, long_src, 600),
+        ("several spans, then off", long_dst + 90, long_src, 600),
+    ];
+    if roomy {
+        let far = space.malloc(300 << 10).expect("heap has room") + (200 << 10);
+        shapes = vec![
+            ("uncommitted destination", far, short, 10),
+            ("uncommitted source", dst, far + 64, 10),
+            ("uncommitted both", far, far + 4096, 10),
+        ];
+    }
+    shapes
+}
+
+/// Everything a run of one wrapper leaves behind.
+#[derive(Debug, PartialEq)]
+struct ShimSeen {
+    observed: Observed,
+    output: Vec<u8>,
+    memory: [Vec<u8>; 3],
+}
+
+/// One wrapper call on a fresh machine: what it left behind, and how
+/// many builtin iterations it retired span-wise (which is nobody's
+/// business but the sweep's own sanity check).
+fn shim_run(
+    image: &ProgramImage,
+    entry: &str,
+    shape: usize,
+    config: &MachineConfig,
+) -> (ShimSeen, u64) {
+    let roomy = config.mem.heap_len > 16 << 10;
+    let mut m = Machine::load(image.clone(), config.clone()).expect("load");
+    let (_, a, b, n) = shim_shapes(&mut m, roomy)[shape];
+    m.push_input(digits(700));
+    let result = m.call(entry, &[a as i64, b as i64, n]);
+    let (space, mem) = (m.space(), &config.mem);
+    let region = |base: u64, len: usize| space.read_bytes_raw(base, len as u64).expect("region");
+    let seen = ShimSeen {
+        observed: Observed::of(&m, result),
+        output: m.output().to_vec(),
+        memory: [
+            region(GLOBAL_BASE, mem.global_len),
+            region(HEAP_BASE, mem.heap_len),
+            region(STACK_BASE, mem.stack_len),
+        ],
+    };
+    (seen, m.exec_profile().span_instrs)
+}
+
+/// Every builtin over `shapes` (indices into [`shim_shapes`]), every
+/// mode, both lookup layers at `full` fuel and every fuel budget from
+/// nothing to one past completion on the shipped layer. `full` covers
+/// every call that ends; a copy that overwrites its own terminator, or
+/// a Redirect scan wrapping round a unit with no NUL, stops there.
+fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
+    let baseline = compile_image_tier(SHIM_SOURCE, ExecTier::Baseline).expect("source builds");
+    let native = compile_image_tier(SHIM_SOURCE, ExecTier::Native).expect("source builds");
+    let spanned_instrs = std::cell::Cell::new(0);
+    for entry in SHIM_ENTRIES {
+        for mode in Mode::ALL {
+            for shape in shapes.clone() {
+                let agree = |lookup: LookupLayer, fuel: u64| {
+                    let config = shim_config(mode, lookup, roomy, fuel);
+                    let (reference, byte_wise) = shim_run(&baseline, entry, shape, &config);
+                    let (spanned, span_wise) = shim_run(&native, entry, shape, &config);
+                    assert_eq!(
+                        reference, spanned,
+                        "{entry} {mode:?} {lookup:?} shape {shape} (roomy {roomy}) fuel {fuel}"
+                    );
+                    assert_eq!(byte_wise, 0, "the baseline tier is the byte-wise reference");
+                    spanned_instrs.set(spanned_instrs.get() + span_wise);
+                    reference.observed.stats.instrs
+                };
+                agree(LookupLayer::Table, full);
+                let instrs = agree(LookupLayer::Paged, full);
+                for fuel in 0..=(instrs + 1).min(full) {
+                    agree(LookupLayer::Paged, fuel);
+                }
+            }
+        }
+    }
+    assert!(
+        spanned_instrs.get() > 0,
+        "the sweep never left the byte-wise path on the native tier"
+    );
+}
+
+#[test]
+fn shim_runs_that_end_inside_and_at_the_edge_of_a_unit_are_tier_blind() {
+    sweep_shim(false, 0..5, 200);
+}
+
+#[test]
+fn shim_runs_from_descriptors_and_freed_units_are_tier_blind() {
+    sweep_shim(false, 5..9, 200);
+}
+
+#[test]
+fn shim_runs_over_overlapping_operands_are_tier_blind() {
+    sweep_shim(false, 9..12, 200);
+}
+
+#[test]
+fn shim_runs_over_stack_and_global_units_are_tier_blind() {
+    sweep_shim(false, 12..15, 200);
+}
+
+#[test]
+fn shim_copies_longer_than_one_span_are_tier_blind() {
+    sweep_shim(false, 15..17, 1400);
+}
+
+#[test]
+fn shim_runs_over_never_written_bytes_are_tier_blind() {
+    sweep_shim(true, 0..3, 200);
 }

@@ -104,6 +104,15 @@ pub struct ExecProfile {
     pub view_misses: u64,
     /// Stays that ended in a guest fault at a region's seam.
     pub faults: u64,
+    /// Builtin calls dispatched.
+    pub builtin_calls: u64,
+    /// Instructions the builtins charged for their byte iterations,
+    /// byte-wise and span-wise together.
+    pub builtin_instrs: u64,
+    /// The span-wise share of `builtin_instrs`: iterations retired
+    /// several at a time over a run of in-bounds bytes (native tier
+    /// only; see `builtins.rs`).
+    pub span_instrs: u64,
 }
 
 /// An active call frame.
@@ -598,6 +607,7 @@ impl Machine {
                     // Builtins observe and charge the architectural
                     // state (fuel via `charge`, context via `ctx`).
                     sync!();
+                    self.profile.builtin_calls += 1;
                     let result = try_vm!(builtins::dispatch(self, b));
                     fuel = self.fuel;
                     self.stack.push(result);
@@ -1297,8 +1307,41 @@ impl Machine {
         self.space.ptr_add(ptr, delta)
     }
 
+    /// How many of the next `want` byte-wise builtin iterations may be
+    /// taken as one span: none on the baseline tier, whose builtins are
+    /// the byte-wise reference, and never more than fuel covers — so
+    /// exhaustion still lands on a byte-wise `charge`.
+    pub(crate) fn span_budget(&self, want: u64) -> u64 {
+        if self.program.native().is_some() {
+            want.min(self.fuel)
+        } else {
+            0
+        }
+    }
+
+    /// Retires `k` builtin iterations at once, each a `charge(1)` plus
+    /// `adds` checked pointer additions and `loads + stores` one-byte
+    /// accesses that all hit: exactly what `k` byte-wise rounds of
+    /// [`Machine::charge`], [`Machine::g_ptr_add`], [`Machine::g_load`]
+    /// and [`Machine::g_store`] advance. `k` comes out of
+    /// [`Machine::span_budget`], so fuel covers it.
+    pub(crate) fn retire_span(&mut self, k: u64, adds: u64, loads: u64, stores: u64) {
+        let extras = if self.checked {
+            adds * cost::PTR_CHECK_EXTRA + (loads + stores) * cost::MEM_CHECK_EXTRA
+        } else {
+            0
+        };
+        self.stats.instrs += k;
+        self.stats.cycles += k * (cost::BASE + extras);
+        self.fuel -= k;
+        self.space.count_run(k * loads, k * stores);
+        self.profile.builtin_instrs += k;
+        self.profile.span_instrs += k;
+    }
+
     /// Charges `n` budgeted instructions from within a builtin loop.
     pub(crate) fn charge(&mut self, n: u64) -> Result<(), VmFault> {
+        self.profile.builtin_instrs += n;
         self.stats.instrs += n;
         self.stats.cycles += n * cost::BASE;
         if self.fuel < n {
@@ -1466,6 +1509,48 @@ mod tests {
         }
     }
 
+    /// A length is the guest's word. `memmove` and `emit_output` stage
+    /// bytes in a host buffer; sizing that buffer from the argument
+    /// aborted the host (`capacity overflow`) before the first byte was
+    /// checked. The call must end the way the mode ends a wild copy.
+    #[test]
+    fn wild_guest_lengths_end_in_a_fault_not_a_host_panic() {
+        let src = "int f(int n) { char a[8]; char b[8]; memmove(a, b, n); return 0; }\n\
+                   int g(long n) { char a[8]; emit_output(a, n); return 0; }";
+        for mode in Mode::ALL {
+            for (func, n) in [("f", -1), ("g", i64::MAX)] {
+                assert_tier_parity(src, func, &[n], mode, 5_000);
+                let config = MachineConfig::with_mode(mode).with_fuel(5_000);
+                let mut m = Machine::from_source(src, config).expect("compile");
+                let fault = m.call(func, &[n]).expect_err("the copy cannot complete");
+                match mode {
+                    Mode::BoundsCheck => assert!(matches!(fault, VmFault::Mem(_)), "{fault:?}"),
+                    Mode::Standard => {}
+                    _ => assert_eq!(fault, VmFault::FuelExhausted, "{mode:?} {func}"),
+                }
+                assert!(m.output().is_empty(), "a copy that faults emits nothing");
+            }
+        }
+    }
+
+    /// Runs that reach the `SCAN_CAP` edge: one span fills four
+    /// mebibytes and the scans stop at the cap, so the span arithmetic
+    /// (`k` × the per-iteration charge) runs at the largest `k` a
+    /// string builtin can reach — which is what the overflow-checks CI
+    /// job is there to watch.
+    #[test]
+    fn spans_at_the_scan_cap_edge_match_the_byte_wise_walk() {
+        let src = "long f(long n) { char *p = (char *) malloc(n); long t; \
+                   memset(p, 'a', n); t = strlen(p); \
+                   if (strchr(p, 'b')) t = t + 1; \
+                   return t + strncmp(p, p + 8, n); }";
+        let cap = 1i64 << 22;
+        for mode in [Mode::FailureOblivious, Mode::Standard] {
+            assert_tier_parity(src, "f", &[cap + 64], mode, 100_000_000);
+        }
+        assert_eq!(run_mode(src, "f", &[cap + 64], Mode::FailureOblivious), cap);
+    }
+
     #[test]
     fn exec_profile_is_inert_and_accounts_for_native_work() {
         // Hits, a view miss per out-of-bounds read, and a builtin
@@ -1499,10 +1584,17 @@ mod tests {
         assert_eq!(profile.view_misses, space.invalid_reads);
         assert!(profile.no_region_exits >= 15, "one per print_int call");
         assert_eq!(profile.faults, 0);
-        // The baseline stream has no regions to be resident in.
+        assert_eq!(profile.builtin_calls, 15, "one per print_int call");
+        assert_eq!(profile.builtin_instrs, 0, "print_int walks no guest bytes");
+        // The baseline stream has no regions to be resident in, and its
+        // builtins walk byte by byte.
+        let src = "long f(long n) { char b[8]; memset(b, 0, n); return strlen(b); }";
         let mut base = Machine::from_source(src, MachineConfig::default()).expect("compile");
-        base.call("f", &[3]).expect("runs");
-        assert_eq!(base.exec_profile().native_instrs, 0);
+        base.call("f", &[8]).expect("runs");
+        let profile = base.exec_profile();
+        assert_eq!(profile.native_instrs, 0);
+        assert_eq!((profile.builtin_calls, profile.builtin_instrs), (2, 9));
+        assert_eq!(profile.span_instrs, 0);
     }
 
     #[test]
