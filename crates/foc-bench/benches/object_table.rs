@@ -1,21 +1,27 @@
-//! Criterion micro-benchmarks: the object-table implementations under
-//! server-like access traces (real wall time — this is the one place the
-//! repository measures host performance rather than virtual time).
+//! Criterion micro-benchmarks: the shipped sorted-vector object table
+//! against the oracle splay tree, each driven through the `Table` enum a
+//! space holds, under server-like access traces (real wall time — this
+//! is the one place the repository measures host performance rather
+//! than virtual time).
 //!
-//! The splay tree's advantage is temporal locality: server request
-//! processing hammers a handful of data units repeatedly, so the splayed
-//! root hits. The uniform-random trace shows the flip side.
+//! The table holds as many units as a guest server does (a few dozen;
+//! `tests/substrate_props.rs` pins the bound). The local trace is what
+//! both structures are built for — long runs on one unit, served by the
+//! vector's last-hit memo and the tree's splayed root; the
+//! uniform-random trace defeats both.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use foc_memory::{BTreeTable, FlatTable, ObjectTable, SplayTable, UnitId};
+use foc_memory::{Table, TableKind, UnitId};
 
-const UNITS: u64 = 1024;
+const UNITS: u64 = 32;
 
-fn populate<T: ObjectTable>(t: &mut T) {
+fn populated(kind: TableKind) -> Table {
+    let mut t = Table::new(kind);
     for i in 0..UNITS {
         t.insert(i * 64, 48, UnitId(i as u32));
     }
+    t
 }
 
 /// A server-like trace: long runs of accesses to the same few units.
@@ -31,7 +37,7 @@ fn local_trace() -> Vec<u64> {
     trace
 }
 
-/// A uniform-random trace (adversarial for the splay tree).
+/// A uniform-random trace (adversarial for memo and splayed root alike).
 fn random_trace() -> Vec<u64> {
     let mut x = 0x12345678u64;
     (0..10_000)
@@ -47,45 +53,21 @@ fn random_trace() -> Vec<u64> {
 fn bench_lookup(c: &mut Criterion) {
     let mut group = c.benchmark_group("object_table_lookup");
     for (trace_name, trace) in [("local", local_trace()), ("random", random_trace())] {
-        group.bench_with_input(BenchmarkId::new("splay", trace_name), &trace, |b, trace| {
-            let mut t = SplayTable::new();
-            populate(&mut t);
-            b.iter(|| {
-                let mut hits = 0u64;
-                for &addr in trace {
-                    if t.lookup(std::hint::black_box(addr)).is_some() {
-                        hits += 1;
+        for kind in TableKind::ALL {
+            let id = BenchmarkId::new(kind.name(), trace_name);
+            group.bench_with_input(id, &trace, |b, trace| {
+                let mut t = populated(kind);
+                b.iter(|| {
+                    let mut hits = 0u64;
+                    for &addr in trace {
+                        if t.lookup(std::hint::black_box(addr)).is_some() {
+                            hits += 1;
+                        }
                     }
-                }
-                hits
+                    hits
+                });
             });
-        });
-        group.bench_with_input(BenchmarkId::new("btree", trace_name), &trace, |b, trace| {
-            let mut t = BTreeTable::new();
-            populate(&mut t);
-            b.iter(|| {
-                let mut hits = 0u64;
-                for &addr in trace {
-                    if t.lookup(std::hint::black_box(addr)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("flat", trace_name), &trace, |b, trace| {
-            let mut t = FlatTable::new();
-            populate(&mut t);
-            b.iter(|| {
-                let mut hits = 0u64;
-                for &addr in trace {
-                    if t.lookup(std::hint::black_box(addr)).is_some() {
-                        hits += 1;
-                    }
-                }
-                hits
-            });
-        });
+        }
     }
     group.finish();
 }
@@ -93,48 +75,22 @@ fn bench_lookup(c: &mut Criterion) {
 fn bench_churn(c: &mut Criterion) {
     // Allocation churn: insert/remove cycles as malloc/free drives them.
     let mut group = c.benchmark_group("object_table_churn");
-    group.bench_function("splay", |b| {
-        b.iter(|| {
-            let mut t = SplayTable::new();
-            for round in 0..8u64 {
-                for i in 0..256u64 {
-                    t.insert(i * 64 + round, 32, UnitId(i as u32));
+    for kind in TableKind::ALL {
+        group.bench_function(kind.name(), |b| {
+            b.iter(|| {
+                let mut t = Table::new(kind);
+                for round in 0..64u64 {
+                    for i in 0..UNITS {
+                        t.insert(i * 64 + round, 32, UnitId(i as u32));
+                    }
+                    for i in 0..UNITS {
+                        t.remove(i * 64 + round);
+                    }
                 }
-                for i in 0..256u64 {
-                    t.remove(i * 64 + round);
-                }
-            }
-            t.len()
+                t.len()
+            });
         });
-    });
-    group.bench_function("btree", |b| {
-        b.iter(|| {
-            let mut t = BTreeTable::new();
-            for round in 0..8u64 {
-                for i in 0..256u64 {
-                    t.insert(i * 64 + round, 32, UnitId(i as u32));
-                }
-                for i in 0..256u64 {
-                    t.remove(i * 64 + round);
-                }
-            }
-            t.len()
-        });
-    });
-    group.bench_function("flat", |b| {
-        b.iter(|| {
-            let mut t = FlatTable::new();
-            for round in 0..8u64 {
-                for i in 0..256u64 {
-                    t.insert(i * 64 + round, 32, UnitId(i as u32));
-                }
-                for i in 0..256u64 {
-                    t.remove(i * 64 + round);
-                }
-            }
-            t.len()
-        });
-    });
+    }
     group.finish();
 }
 

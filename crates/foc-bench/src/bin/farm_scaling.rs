@@ -1,6 +1,6 @@
 //! Runs the server-farm benchmark suite — every server kind under every
 //! mode, a Pine failure-oblivious thread-scaling sweep, the
-//! cold-vs-cached boot-cost split, and the per-backend `farm_stress`
+//! cold-vs-cached boot-cost split, and the per-table `farm_stress`
 //! scale-out point — and writes the result to `BENCH_farm.json` (the
 //! repository's farm perf trajectory record).
 //!
@@ -17,10 +17,10 @@
 
 use foc_bench::check::check_fail;
 use foc_bench::farm_report::{
-    farm_suite, measure_boot_cost, measure_record, measure_restart_cost, measure_unit_churn,
+    farm_suite, measure_boot_cost, measure_record, measure_restart_cost,
     measure_violation_throughput, render_farm_json, restart_cost_row_json, stress_sweep,
     thread_scaling, BootCost, FarmRecord, RecordShape, RestartCost, ScalingRow, StressRow,
-    UnitChurn, ViolationThroughput,
+    ViolationThroughput,
 };
 
 fn print_summary(record: &FarmRecord) {
@@ -30,7 +30,7 @@ fn print_summary(record: &FarmRecord) {
     if let Some(row) = record.restart_cost_runs.last() {
         eprintln!("  restart cost (latest row): {row}");
     }
-    print_stress(&record.stress, &record.churn);
+    print_stress(&record.stress);
 }
 
 fn print_restart(cost: &RestartCost, violation: &ViolationThroughput) {
@@ -77,12 +77,11 @@ fn print_boot(boot: &BootCost) {
     );
 }
 
-fn print_stress(stress: &[StressRow], churn: &UnitChurn) {
+fn print_stress(stress: &[StressRow]) {
     for row in stress {
         eprintln!(
-            "  stress {:<6}/{:<5} {} servers: {:.1} ms ± {:.1}  ({:.0} req/s host, p99.9 {} cycles)",
+            "  stress {:<6} {} servers: {:.1} ms ± {:.1}  ({:.0} req/s host, p99.9 {} cycles)",
             row.backend.name(),
-            row.lookup.name(),
             row.report.config.servers,
             row.wall_ms,
             row.wall_ms_ci95,
@@ -90,13 +89,6 @@ fn print_stress(stress: &[StressRow], churn: &UnitChurn) {
             row.report.stats.latency_p999,
         );
     }
-    eprintln!(
-        "  unit churn ({} machines): arena {:.0} ns vs seed boxed {:.0} ns ({:.2}x)",
-        churn.machines,
-        churn.arena_ns,
-        churn.boxed_ns,
-        churn.speedup()
-    );
 }
 
 fn run_check() -> Result<(), String> {
@@ -125,23 +117,14 @@ fn run_check() -> Result<(), String> {
         ));
     }
     let violation = measure_violation_throughput(2);
-    let stress = stress_sweep(
-        4,
-        3,
-        1,
-        &foc_memory::TableKind::ALL,
-        &foc_memory::LookupLayer::ALL,
-    )?;
-    let churn = measure_unit_churn(16, 2);
+    let stress = stress_sweep(4, 3, 1)?;
     let restart_rows = vec![restart_cost_row_json(&restart, &violation, "check")];
     let json = render_farm_json(
         &reports,
         &scaling,
         &boot,
         &stress,
-        &churn,
         &restart_rows,
-        &[],
         &[],
         &[],
         &[],
@@ -154,7 +137,7 @@ fn run_check() -> Result<(), String> {
     print_scaling(&scaling);
     print_boot(&boot);
     print_restart(&restart, &violation);
-    print_stress(&stress, &churn);
+    print_stress(&stress);
     println!("farm_scaling --check OK ({} reports)", reports.len());
     Ok(())
 }

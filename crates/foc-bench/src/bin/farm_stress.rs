@@ -1,48 +1,35 @@
-//! The scale-out stress point: a thousands-of-servers farm, run once per
-//! object-table backend, plus the arena-vs-seed unit-store churn
-//! measurement — the standing bench row the ROADMAP asks for.
+//! The scale-out stress point: a thousands-of-servers farm, run once on
+//! the oracle splay tree and once on the shipped sorted vector — the
+//! standing bench row the ROADMAP asks for.
 //!
 //! With cached boots at microseconds, a 4096-process Apache farm is an
-//! interactive measurement; this bin finds the next hot path by
-//! attributing the wall-time spread between backends to bounds-lookup
-//! cost (the deterministic farm results are asserted identical across
-//! backends, so nothing else can differ) and by comparing the arena
-//! [`foc_memory::UnitStore`] against the seed tree's boxed per-unit
-//! representation at the same machine count.
+//! interactive measurement; the wall-time spread between the two rows
+//! is bounds-lookup cost (the deterministic farm results are asserted
+//! identical across them, so nothing else can differ).
 //!
 //! Usage:
 //!
 //! * `cargo run --release -p foc-bench --bin farm_stress [servers] [requests]`
 //!   — full run (defaults: 4096 servers × 4 requests, 3 reps per
-//!   backend); regenerates the complete `BENCH_farm.json` so the record
+//!   table); regenerates the complete `BENCH_farm.json` so the record
 //!   stays consistent with the suite sections.
 //! * `cargo run --release -p foc-bench --bin farm_stress -- --check` —
-//!   CI smoke mode: a miniature stress sweep (every backend under both
-//!   lookup layers, the cross-cell equality check, churn measurement,
-//!   JSON rendering) without writing the record. A contract violation
-//!   exits nonzero with a one-line diagnostic.
-//! * `... --check --table <splay|btree|flat|auto>` — same smoke
-//!   restricted to one backend (the CI `TableKind` job matrix runs one
-//!   backend per job; both lookup layers still run, so every matrix job
-//!   keeps a cross-cell equality check).
+//!   CI smoke mode: a miniature stress sweep (both tables, the
+//!   cross-row equality check) without writing the record. A contract
+//!   violation exits nonzero with a one-line diagnostic.
 
 use foc_bench::check::check_fail;
-use foc_bench::farm_report::{measure_record, measure_unit_churn, stress_sweep, RecordShape};
-use foc_memory::{LookupLayer, TableKind};
+use foc_bench::farm_report::{measure_record, stress_sweep, RecordShape};
+use foc_memory::TableKind;
 
-fn run_check(backends: &[TableKind]) -> Result<(), String> {
-    eprintln!(
-        "farm_stress --check: miniature stress sweep ({} backend(s) x {} layers) ...",
-        backends.len(),
-        LookupLayer::ALL.len()
-    );
-    let rows = stress_sweep(96, 3, 2, backends, &LookupLayer::ALL)?;
-    if rows.len() != backends.len() * LookupLayer::ALL.len() {
+fn run_check() -> Result<(), String> {
+    eprintln!("farm_stress --check: miniature stress sweep (oracle and shipped table) ...");
+    let rows = stress_sweep(96, 3, 2)?;
+    if rows.len() != TableKind::ALL.len() {
         return Err(format!(
-            "{} rows for {} backends x {} layers",
+            "{} rows for {} tables",
             rows.len(),
-            backends.len(),
-            LookupLayer::ALL.len()
+            TableKind::ALL.len()
         ));
     }
     for row in &rows {
@@ -68,69 +55,35 @@ fn run_check(backends: &[TableKind]) -> Result<(), String> {
             ));
         }
         eprintln!(
-            "  {:<6}/{:<5} {:.1} ms ± {:.1} ({:.0} req/s host)",
+            "  {:<6} {:.1} ms ± {:.1} ({:.0} req/s host)",
             row.backend.name(),
-            row.lookup.name(),
             row.wall_ms,
             row.wall_ms_ci95,
             row.host_rps
         );
     }
-    let churn = measure_unit_churn(96, 3);
-    if churn.arena_ns <= 0.0 || churn.boxed_ns <= 0.0 {
-        return Err("unit churn measured nothing".to_string());
-    }
-    eprintln!(
-        "  unit churn: arena {:.0} ns vs seed boxed {:.0} ns ({:.2}x)",
-        churn.arena_ns,
-        churn.boxed_ns,
-        churn.speedup()
-    );
     println!("farm_stress --check OK ({} rows)", rows.len());
     Ok(())
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `--table <kind>` restricts the check to one backend (CI matrix).
-    let mut backends: Vec<TableKind> = TableKind::ALL.to_vec();
-    if let Some(at) = args.iter().position(|a| a == "--table") {
-        if at + 1 >= args.len() {
-            eprintln!("farm_stress: --table needs a backend name (splay|btree|flat|auto)");
-            std::process::exit(2);
-        }
-        match args[at + 1].parse() {
-            Ok(kind) => backends = vec![kind],
-            Err(e) => {
-                eprintln!("farm_stress: {e}");
-                std::process::exit(2);
-            }
-        }
-        args.drain(at..at + 2);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && *a != "--check") {
+        // An unrecognized flag must not silently fall through to the
+        // full (file-writing) measurement — `--chek` meant `--check` —
+        // nor ride along with a check that ignores it (`--table`, gone
+        // with the per-backend CI matrix).
+        eprintln!("farm_stress: unknown flag {flag:?} (only --check is supported)");
+        std::process::exit(2);
     }
     if args.iter().any(|a| a == "--check") {
-        if let Err(msg) = run_check(&backends) {
+        if let Err(msg) = run_check() {
             check_fail("farm_stress --check", &msg);
         }
         return;
     }
-    if backends.len() != TableKind::ALL.len() {
-        // The full measurement always records every backend; a lone
-        // --table must not be silently ignored.
-        eprintln!(
-            "farm_stress: --table only applies to --check (the full run records all backends)"
-        );
-        std::process::exit(2);
-    }
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
-        // An unrecognized flag must not silently fall through to the
-        // full (file-writing) measurement — `--chek` meant `--check`.
-        eprintln!("farm_stress: unknown flag {flag:?} (only --check/--table are supported)");
-        std::process::exit(2);
-    }
     let mut shape = RecordShape::default();
-    let positional: Vec<&String> = args.iter().collect();
-    if let Some(arg) = positional.first() {
+    if let Some(arg) = args.first() {
         match arg.parse() {
             Ok(n) if n > 0 => shape.stress_servers = n,
             _ => {
@@ -139,7 +92,7 @@ fn main() {
             }
         }
     }
-    if let Some(arg) = positional.get(1) {
+    if let Some(arg) = args.get(1) {
         match arg.parse() {
             Ok(n) if n > 0 => shape.stress_requests = n,
             _ => {
@@ -158,10 +111,9 @@ fn main() {
     for row in &record.stress {
         let s = &row.report.stats;
         println!(
-            "{:<6}/{:<5} {} servers x {} requests: {:.1} ms ± {:.1}  ({:.0} req/s host, \
+            "{:<6} {} servers x {} requests: {:.1} ms ± {:.1}  ({:.0} req/s host, \
              hist p50/p99/p99.9 ≤ {}/{}/{} cycles)",
             row.backend.name(),
-            row.lookup.name(),
             row.report.config.servers,
             row.report.config.requests_per_server,
             row.wall_ms,
@@ -172,13 +124,6 @@ fn main() {
             s.service_hist.quantile(999, 1000),
         );
     }
-    println!(
-        "unit churn ({} machines): arena {:.0} ns vs seed boxed {:.0} ns ({:.2}x)",
-        record.churn.machines,
-        record.churn.arena_ns,
-        record.churn.boxed_ns,
-        record.churn.speedup()
-    );
 
     std::fs::write(path, record.render()).expect("write BENCH_farm.json");
     println!("wrote {path}");

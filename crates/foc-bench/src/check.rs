@@ -79,15 +79,18 @@ mod tests {
     #[test]
     fn gate_diagnostic_names_the_quantity_floor_and_readings() {
         let msg = check_gate(
-            "paged lookup over table search",
+            "native tier over baseline on the copy loop",
             1.31,
             1.5,
-            "13.1 vs 10.0 Maccess/s",
+            "13.1 vs 10.0 Minstr/s",
         )
         .expect_err("below the floor");
-        assert!(msg.contains("paged lookup over table search"), "{msg}");
+        assert!(
+            msg.contains("native tier over baseline on the copy loop"),
+            "{msg}"
+        );
         assert!(msg.contains("1.5×"), "{msg}");
-        assert!(msg.contains("13.1 vs 10.0 Maccess/s"), "{msg}");
+        assert!(msg.contains("13.1 vs 10.0 Minstr/s"), "{msg}");
         assert!(msg.contains("(1.31x)"), "{msg}");
     }
 }

@@ -15,10 +15,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use criterion::stats::robust_summary;
-use foc_memory::{
-    AccessCtx, AccessSize, LookupLayer, MemConfig, MemorySpace, Mode, TableKind, UnitKind,
-    UnitStore,
-};
+use foc_memory::{Mode, TableKind};
 use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig, FarmReport, ServerKind};
 use foc_servers::latency::LatencyHist;
@@ -224,7 +221,7 @@ impl RestartCost {
 /// the replay a restore stands in for is guest code, so every faster
 /// shipped default shortens it while the restore (a copy of the space)
 /// stays put — under the session default the ratio would track the
-/// tier and lookup layer, not the checkpoint layer the 5× gate guards.
+/// tier and the table, not the checkpoint layer the 5× gate guards.
 pub fn measure_restart_cost(reps: usize) -> RestartCost {
     use foc_servers::image::{standard_pine_mailbox, ServerKind};
     use foc_servers::BootSpec;
@@ -423,9 +420,9 @@ pub fn measure_native_cost(reps: usize) -> NativeCost {
 // Memory-block cost: heap-spanning regions on the guest copy shape.
 // ----------------------------------------------------------------------
 
-/// The memory-block cost loop: the guest-level twin of the access-cost
-/// copy traffic. The inner loop's `dst[i] = src[i]` lowers to a
-/// pointer-arithmetic + checked-access pair per element, exactly the
+/// The memory-block cost loop: a guest copy. The inner loop's
+/// `dst[i] = src[i]` lowers to a pointer-arithmetic + checked-access
+/// pair per element, exactly the
 /// shape the native tier now admits into `LocalsBlock`s and fuses into
 /// per-site pre-resolved `GIdxLoad`/`GIdxStore` ops: every access
 /// resolves in-block through the placement probe against the live
@@ -458,155 +455,14 @@ pub fn measure_mem_cost(reps: usize) -> NativeCost {
 }
 
 // ----------------------------------------------------------------------
-// Access cost: the in-bounds fast path, page map vs object table.
+// The farm_stress scale-out point: thousands of servers, per table.
 // ----------------------------------------------------------------------
 
-/// Depth of the object table behind the measured buffers: this many
-/// small heap allocations precede them, so a table search pays a
-/// realistic log₂(~400) probe while the page map still answers in one
-/// shift+mask.
-const ACCESS_DEPTH_ALLOCS: usize = 384;
-
-/// Bytes per copied buffer: 12 pages each, so nearly every access lands
-/// on an exclusively-covered page (the page map's `One` fast path).
-const ACCESS_BUF_BYTES: u64 = 48 * 1024;
-
-/// Full src→dst copy passes per measured run. Each pass alternates a
-/// load from one multi-page buffer with a store to the other, which is
-/// exactly the traffic that defeats the flat table's one-entry last-hit
-/// memo and the splay tree's locality rotation: every single access
-/// pays the structural search under [`LookupLayer::Table`].
-const ACCESS_COPY_PASSES: usize = 6;
-
-/// One lookup layer's in-bounds access rate.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessRate {
-    /// Robust mean million in-bounds accesses per host second.
-    pub maccess_per_s: f64,
-    /// 95% CI half-width on `maccess_per_s`.
-    pub maccess_ci95: f64,
-}
-
-/// Paired in-bounds load/store rate measurement: the same memory-copy
-/// traffic driven through [`LookupLayer::Table`] and
-/// [`LookupLayer::Paged`] on otherwise identical spaces.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessCost {
-    /// Direct object-table search ([`TableKind::Flat`], memo defeated).
-    pub table: AccessRate,
-    /// Page-map shift+mask probe over the same flat table.
-    pub paged: AccessRate,
-    /// In-bounds accesses per measured run.
-    pub accesses: u64,
-    /// Repetitions per layer.
-    pub reps: usize,
-}
-
-impl AccessCost {
-    /// Paged-over-table access rate ratio.
-    pub fn speedup(&self) -> f64 {
-        self.paged.maccess_per_s / self.table.maccess_per_s
-    }
-}
-
-/// Builds one measurement space: `ACCESS_DEPTH_ALLOCS` small heap
-/// units for table depth, then the two multi-page copy buffers.
-/// Returns the space and the `(src, dst)` buffer bases.
-fn access_cost_space(lookup: LookupLayer) -> (MemorySpace, u64, u64) {
-    let config = MemConfig::with_mode(Mode::FailureOblivious)
-        .with_table(TableKind::Flat)
-        .with_lookup(lookup);
-    let mut space = MemorySpace::new(config);
-    for _ in 0..ACCESS_DEPTH_ALLOCS {
-        space.malloc(48).expect("depth alloc fits");
-    }
-    let src = space.malloc(ACCESS_BUF_BYTES).expect("src buffer fits");
-    let dst = space.malloc(ACCESS_BUF_BYTES).expect("dst buffer fits");
-    (space, src, dst)
-}
-
-/// One timed copy pass: word loads from `src` interleaved with word
-/// stores to `dst`, every access in bounds. Returns a checksum so the
-/// loop cannot be optimised away.
-#[inline(never)]
-fn access_cost_pass(space: &mut MemorySpace, src: u64, dst: u64) -> u64 {
-    let ctx = AccessCtx::default();
-    let mut sum = 0u64;
-    let mut off = 0;
-    while off < ACCESS_BUF_BYTES {
-        let r = space
-            .load(src + off, AccessSize::B8, ctx)
-            .expect("in bounds");
-        debug_assert!(!r.violation);
-        let w = space
-            .store(dst + off, AccessSize::B8, r.value, ctx)
-            .expect("in bounds");
-        debug_assert!(!w.violation);
-        sum = sum.wrapping_add(r.value);
-        off += 8;
-    }
-    sum
-}
-
-/// Measures [`AccessCost`]: `reps` timed runs of the copy traffic per
-/// lookup layer, on spaces whose unit placement is identical by
-/// construction. The two layers' [`foc_memory::SpaceStats`] are
-/// asserted equal afterwards — the microbench doubles as a
-/// host-side equivalence check on the exact traffic it times.
-pub fn measure_access_cost(reps: usize) -> AccessCost {
-    let reps = reps.max(1);
-    let (mut table_space, t_src, t_dst) = access_cost_space(LookupLayer::Table);
-    let (mut paged_space, p_src, p_dst) = access_cost_space(LookupLayer::Paged);
-    assert_eq!(
-        (t_src, t_dst),
-        (p_src, p_dst),
-        "the page map must not change placement"
-    );
-    let accesses = (ACCESS_BUF_BYTES / 8) * 2 * ACCESS_COPY_PASSES as u64;
-    let measure = |space: &mut MemorySpace, src: u64, dst: u64| {
-        let mut rates = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            let mut sum = 0u64;
-            for _ in 0..ACCESS_COPY_PASSES {
-                sum = sum.wrapping_add(access_cost_pass(space, src, dst));
-            }
-            let secs = t.elapsed().as_secs_f64();
-            black_box(sum);
-            rates.push(accesses as f64 / secs / 1e6);
-        }
-        let r = robust_summary(&rates);
-        AccessRate {
-            maccess_per_s: r.mean,
-            maccess_ci95: r.ci95,
-        }
-    };
-    let table = measure(&mut table_space, t_src, t_dst);
-    let paged = measure(&mut paged_space, p_src, p_dst);
-    assert_eq!(
-        table_space.stats(),
-        paged_space.stats(),
-        "lookup layers must drive the substrate identically"
-    );
-    AccessCost {
-        table,
-        paged,
-        accesses,
-        reps,
-    }
-}
-
-// ----------------------------------------------------------------------
-// The farm_stress scale-out point: thousands of servers, per-backend.
-// ----------------------------------------------------------------------
-
-/// One object-table backend's measurement at the scale-out stress point.
+/// One object table's measurement at the scale-out stress point.
 #[derive(Debug, Clone)]
 pub struct StressRow {
-    /// Which backend ran.
+    /// Which table ran.
     pub backend: TableKind,
-    /// Which in-bounds lookup layer ran (page map vs direct table).
-    pub lookup: LookupLayer,
     /// Robust mean host wall time per run, milliseconds.
     pub wall_ms: f64,
     /// Half-width of the 95% confidence interval on `wall_ms`.
@@ -630,199 +486,59 @@ pub fn stress_config(servers: usize, requests: usize) -> FarmConfig {
     config
 }
 
-/// Runs the stress farm once per requested object-table backend ×
-/// lookup layer, `reps` times each, verifying the determinism contract
-/// across the whole grid: every cell must produce the *same*
-/// [`FarmReport`], so the wall-time spread between rows is attributable
-/// to lookup cost alone. (The cross-*layer* half of that check is the
-/// farm-scale equivalence proof of the page-map overlay.) A contract
-/// violation is returned as a one-line diagnostic (the `--check` bins
-/// exit nonzero with it instead of dumping a panic backtrace into CI
-/// logs). Pass [`TableKind::ALL`] × [`LookupLayer::ALL`] for the
-/// recorded sweep or a single cell for a CI matrix job.
+/// Runs the stress farm once per object table ([`TableKind::ALL`]: the
+/// oracle tree, then the shipped vector), `reps` times each, verifying
+/// the determinism contract: both must produce the *same*
+/// [`FarmReport`], so the wall-time spread between the rows is
+/// attributable to lookup cost alone. A contract violation is returned
+/// as a one-line diagnostic (the `--check` bins exit nonzero with it
+/// instead of dumping a panic backtrace into CI logs).
 pub fn stress_sweep(
     servers: usize,
     requests: usize,
     reps: usize,
-    backends: &[TableKind],
-    layers: &[LookupLayer],
 ) -> Result<Vec<StressRow>, String> {
     let reps = reps.max(1);
     let base = stress_config(servers, requests);
     let mut reference: Option<FarmReport> = None;
     let mut rows = Vec::new();
-    for &backend in backends {
-        for &lookup in layers {
-            let config = base.clone().with_table(backend).with_lookup(lookup);
-            let mut walls = Vec::with_capacity(reps);
-            let mut last: Option<FarmReport> = None;
-            for _ in 0..reps {
-                let report = run_farm(&config);
-                match &reference {
-                    Some(r) if *r != report => {
-                        return Err(format!(
-                            "table backend {backend} under {lookup} lookup broke the \
-                             determinism contract (completed {} vs {})",
-                            report.stats.completed, r.stats.completed
-                        ));
-                    }
-                    Some(_) => {}
-                    None => reference = Some(report.clone()),
+    for backend in TableKind::ALL {
+        let config = base.clone().with_table(backend);
+        let mut walls = Vec::with_capacity(reps);
+        let mut last: Option<FarmReport> = None;
+        for _ in 0..reps {
+            let report = run_farm(&config);
+            match &reference {
+                Some(r) if *r != report => {
+                    return Err(format!(
+                        "object table {backend} broke the determinism contract \
+                         (completed {} vs {})",
+                        report.stats.completed, r.stats.completed
+                    ));
                 }
-                walls.push(report.host_wall_ms);
-                last = Some(report);
+                Some(_) => {}
+                None => reference = Some(report.clone()),
             }
-            let report = last.expect("reps >= 1");
-            let s = robust_summary(&walls);
-            let host_rps = if s.mean > 0.0 {
-                report.stats.completed as f64 / (s.mean / 1e3)
-            } else {
-                0.0
-            };
-            rows.push(StressRow {
-                backend,
-                lookup,
-                wall_ms: s.mean,
-                wall_ms_ci95: s.ci95,
-                host_rps,
-                reps,
-                report,
-            });
+            walls.push(report.host_wall_ms);
+            last = Some(report);
         }
+        let report = last.expect("reps >= 1");
+        let s = robust_summary(&walls);
+        let host_rps = if s.mean > 0.0 {
+            report.stats.completed as f64 / (s.mean / 1e3)
+        } else {
+            0.0
+        };
+        rows.push(StressRow {
+            backend,
+            wall_ms: s.mean,
+            wall_ms_ci95: s.ci95,
+            host_rps,
+            reps,
+            report,
+        });
     }
     Ok(rows)
-}
-
-// ----------------------------------------------------------------------
-// Unit-store churn: the arena against the seed's boxed representation.
-// ----------------------------------------------------------------------
-
-/// What one simulated machine does to its unit store over a boot plus a
-/// short serving window, mirroring the stress farm's shape: labelled
-/// globals and string literals at image load, then the heap alloc/free
-/// pairs a short request stream drives through `guest_str`.
-const CHURN_GLOBALS: usize = 24;
-const CHURN_HEAP_PAIRS: usize = 32;
-
-/// The seed tree's per-unit representation, kept here as the measured
-/// baseline: units in a growable `Vec` beside a separate free-slot list,
-/// with a heap-allocated `String` label per global — the per-machine
-/// allocator overhead the arena store removes.
-#[allow(dead_code)] // fields mirror the seed layout; only writes are timed
-struct SeedUnit {
-    base: u64,
-    size: u64,
-    live: bool,
-    label: Option<String>,
-}
-
-#[derive(Default)]
-struct SeedBoxedStore {
-    units: Vec<SeedUnit>,
-    free: Vec<u32>,
-}
-
-impl SeedBoxedStore {
-    fn alloc(&mut self, base: u64, size: u64, label: Option<&str>) -> u32 {
-        let unit = SeedUnit {
-            base,
-            size,
-            live: true,
-            label: label.map(|l| l.to_string()),
-        };
-        if let Some(slot) = self.free.pop() {
-            self.units[slot as usize] = unit;
-            slot
-        } else {
-            self.units.push(unit);
-            (self.units.len() - 1) as u32
-        }
-    }
-
-    fn kill(&mut self, slot: u32) {
-        self.units[slot as usize].live = false;
-        self.free.push(slot);
-    }
-}
-
-/// Arena-vs-seed unit-store cost at farm scale.
-#[derive(Debug, Clone, Copy)]
-pub struct UnitChurn {
-    /// Machines simulated per measured run.
-    pub machines: usize,
-    /// Robust mean nanoseconds per run for the arena [`UnitStore`].
-    pub arena_ns: f64,
-    /// 95% CI half-width on `arena_ns`.
-    pub arena_ci95_ns: f64,
-    /// Robust mean nanoseconds per run for the seed boxed baseline.
-    pub boxed_ns: f64,
-    /// 95% CI half-width on `boxed_ns`.
-    pub boxed_ci95_ns: f64,
-    /// Repetitions measured per flavour.
-    pub reps: usize,
-}
-
-impl UnitChurn {
-    /// How much faster the arena store is than the seed representation.
-    pub fn speedup(&self) -> f64 {
-        if self.arena_ns <= 0.0 {
-            return 0.0;
-        }
-        self.boxed_ns / self.arena_ns
-    }
-}
-
-/// Measures [`UnitChurn`]: `machines` fresh stores each performing the
-/// standard boot-plus-serving unit traffic, arena versus the seed's
-/// boxed representation, `reps` runs per flavour.
-pub fn measure_unit_churn(machines: usize, reps: usize) -> UnitChurn {
-    let reps = reps.max(1);
-    let mut arena = Vec::with_capacity(reps);
-    let mut boxed = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let t = Instant::now();
-        for m in 0..machines {
-            let mut store = UnitStore::new();
-            for g in 0..CHURN_GLOBALS {
-                store.alloc(
-                    (g as u64) << 8,
-                    64,
-                    UnitKind::Global,
-                    Some("server_global_symbol"),
-                );
-            }
-            for h in 0..CHURN_HEAP_PAIRS {
-                let id = store.alloc((h as u64) << 16, 128, UnitKind::Heap, None);
-                store.kill(id);
-            }
-            black_box((m, &store));
-        }
-        arena.push(t.elapsed().as_nanos() as f64);
-
-        let t = Instant::now();
-        for m in 0..machines {
-            let mut store = SeedBoxedStore::default();
-            for g in 0..CHURN_GLOBALS {
-                store.alloc((g as u64) << 8, 64, Some("server_global_symbol"));
-            }
-            for h in 0..CHURN_HEAP_PAIRS {
-                let slot = store.alloc((h as u64) << 16, 128, None);
-                store.kill(slot);
-            }
-            black_box((m, &store.units, &store.free));
-        }
-        boxed.push(t.elapsed().as_nanos() as f64);
-    }
-    let a = robust_summary(&arena);
-    let b = robust_summary(&boxed);
-    UnitChurn {
-        machines,
-        arena_ns: a.mean,
-        arena_ci95_ns: a.ci95,
-        boxed_ns: b.mean,
-        boxed_ci95_ns: b.ci95,
-        reps,
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -848,8 +564,6 @@ pub struct RecordShape {
     pub stress_requests: usize,
     /// Repetitions per stress row.
     pub stress_reps: usize,
-    /// Unit-churn repetitions (machine count follows `stress_servers`).
-    pub churn_reps: usize,
     /// Restart-cost repetitions (violation throughput runs a capped
     /// share of them).
     pub restart_reps: usize,
@@ -865,7 +579,6 @@ impl Default for RecordShape {
             stress_servers: 4096,
             stress_requests: 4,
             stress_reps: 3,
-            churn_reps: 5,
             restart_reps: 24,
         }
     }
@@ -879,10 +592,8 @@ pub struct FarmRecord {
     pub scaling: Vec<ScalingRow>,
     /// Cold-vs-cached boot cost.
     pub boot: BootCost,
-    /// Per-backend stress rows.
+    /// Per-table stress rows.
     pub stress: Vec<StressRow>,
-    /// Arena-vs-seed unit-store churn.
-    pub churn: UnitChurn,
     /// Accumulated `restart_cost` rows (checkpoint-restore vs cold
     /// boot+replay, plus the manufactured-loop violation throughput).
     /// Regeneration carries the old rows forward and appends a fresh
@@ -893,13 +604,9 @@ pub struct FarmRecord {
     /// ratio is the AOT tier's headline). Appended by the `native_cost`
     /// bin; regeneration carries them forward.
     pub native_cost_runs: Vec<String>,
-    /// Accumulated `access_cost` rows (in-bounds access rate, page map
-    /// vs direct table search). Appended by the `access_cost` bin;
-    /// regeneration carries them forward.
-    pub access_cost_runs: Vec<String>,
     /// Accumulated `mem_cost` rows (per-tier interpretation rate on
     /// the guest copy loop; the native-over-baseline ratio gates the
-    /// memory-spanning block executor). Appended by the `access_cost`
+    /// memory-spanning block executor). Appended by the `native_cost`
     /// bin; regeneration carries them forward.
     pub mem_cost_runs: Vec<String>,
     /// Accumulated `conn_cost` rows (the socket edge's transport
@@ -921,10 +628,8 @@ impl FarmRecord {
             &self.scaling,
             &self.boot,
             &self.stress,
-            &self.churn,
             &self.restart_cost_runs,
             &self.native_cost_runs,
-            &self.access_cost_runs,
             &self.mem_cost_runs,
             &self.conn_cost_runs,
             &self.mode_sweep_runs,
@@ -952,30 +657,15 @@ pub fn measure_record(
     eprintln!("measuring restart cost (checkpoint restore vs cold boot+replay) ...");
     let restart = measure_restart_cost(shape.restart_reps);
     let violation = measure_violation_throughput(shape.restart_reps.clamp(3, 8));
-    // The recorded sweep covers the three structural backends plus the
-    // adaptive wrapper, each under both lookup layers.
-    let stress_backends = [
-        TableKind::Splay,
-        TableKind::BTree,
-        TableKind::Flat,
-        TableKind::Auto,
-    ];
     eprintln!(
-        "running farm_stress: {} Apache servers x {} requests, {} backends x {} layers ...",
-        shape.stress_servers,
-        shape.stress_requests,
-        stress_backends.len(),
-        LookupLayer::ALL.len()
+        "running farm_stress: {} Apache servers x {} requests, oracle and shipped table ...",
+        shape.stress_servers, shape.stress_requests,
     );
     let stress = stress_sweep(
         shape.stress_servers,
         shape.stress_requests,
         shape.stress_reps,
-        &stress_backends,
-        &LookupLayer::ALL,
     )?;
-    eprintln!("measuring unit-store churn (arena vs seed boxed baseline) ...");
-    let churn = measure_unit_churn(shape.stress_servers, shape.churn_reps);
     let mut restart_cost_runs = previous_json
         .map(extract_restart_cost_rows)
         .unwrap_or_default();
@@ -992,13 +682,9 @@ pub fn measure_record(
         scaling,
         boot,
         stress,
-        churn,
         restart_cost_runs,
         native_cost_runs: previous_json
             .map(extract_native_cost_rows)
-            .unwrap_or_default(),
-        access_cost_runs: previous_json
-            .map(extract_access_cost_rows)
             .unwrap_or_default(),
         mem_cost_runs: previous_json.map(extract_mem_cost_rows).unwrap_or_default(),
         conn_cost_runs: previous_json
@@ -1267,7 +953,7 @@ pub fn append_restart_cost_row(json: &str, row: &str) -> Result<String, String> 
 // The native_cost trajectory.
 // ----------------------------------------------------------------------
 
-/// Renders one `native_cost` trajectory row: the violation-free loop's
+/// Renders one `native_cost` or `mem_cost` trajectory row: the loop's
 /// interpretation rate under both tiers and their ratio.
 pub fn native_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
     format!(
@@ -1315,73 +1001,6 @@ pub fn append_native_cost_row(json: &str, row: &str) -> Result<String, String> {
 }
 
 // ----------------------------------------------------------------------
-// The access_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Fingerprint for an `access_cost` trajectory row: schema tag and the
-/// measurement shape (table depth, buffer size, passes, rep count). No
-/// guest images are involved — the bench drives the substrate directly
-/// — so only a shape change re-measures.
-pub fn access_cost_fingerprint(reps: usize) -> String {
-    let parts: Vec<String> = vec![
-        "access_cost/v1".to_string(),
-        ACCESS_DEPTH_ALLOCS.to_string(),
-        ACCESS_BUF_BYTES.to_string(),
-        ACCESS_COPY_PASSES.to_string(),
-        reps.to_string(),
-    ];
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Renders one `access_cost` trajectory row: the in-bounds access rate
-/// under both lookup layers and their ratio.
-pub fn access_cost_row_json(cost: &AccessCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"table_maccess_per_s\": {:.1}, \"table_maccess_ci95\": {:.1}, ",
-            "\"paged_maccess_per_s\": {:.1}, \"paged_maccess_ci95\": {:.1}, ",
-            "\"speedup\": {:.2}, \"accesses\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.table.maccess_per_s,
-        cost.table.maccess_ci95,
-        cost.paged.maccess_per_s,
-        cost.paged.maccess_ci95,
-        cost.speedup(),
-        cost.accesses,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `access_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_access_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "access_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `access_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_access_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"access_cost_runs\": [") {
-        let mut rows = extract_access_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "access_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor access_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"access_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
 // The mem_cost trajectory.
 // ----------------------------------------------------------------------
 
@@ -1400,13 +1019,6 @@ pub fn mem_cost_fingerprint(reps: usize) -> String {
     parts.push(reps.to_string());
     let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
     fingerprint_of(&refs)
-}
-
-/// Renders one `mem_cost` trajectory row: the guest copy loop's
-/// interpretation rate under both tiers and their ratio — the
-/// `native_cost` row shape, over the other loop.
-pub fn mem_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    native_cost_row_json(cost, fingerprint)
 }
 
 /// Extracts the `mem_cost_runs` rows from an existing record (empty
@@ -1733,7 +1345,7 @@ fn stress_row_json(row: &StressRow) -> String {
     let s = &row.report.stats;
     format!(
         concat!(
-            "      {{\"backend\": \"{}\", \"lookup\": \"{}\", \"wall_ms\": {:.2}, ",
+            "      {{\"backend\": \"{}\", \"wall_ms\": {:.2}, ",
             "\"wall_ms_ci95\": {:.2}, \"host_rps\": {:.1}, \"reps\": {}, ",
             "\"completed\": {}, \"total_cycles\": {}, ",
             "\"latency_p50\": {}, \"latency_p99\": {}, \"latency_p999\": {}, ",
@@ -1741,7 +1353,6 @@ fn stress_row_json(row: &StressRow) -> String {
             "\"service_hist\": {}, \"restart_hist\": {}}}"
         ),
         row.backend.name(),
-        row.lookup.name(),
         row.wall_ms,
         row.wall_ms_ci95,
         row.host_rps,
@@ -1767,10 +1378,8 @@ pub fn render_farm_json(
     scaling: &[ScalingRow],
     boot: &BootCost,
     stress: &[StressRow],
-    churn: &UnitChurn,
     restart_cost_runs: &[String],
     native_cost_runs: &[String],
-    access_cost_runs: &[String],
     mem_cost_runs: &[String],
     conn_cost_runs: &[String],
     mode_sweep_runs: &[String],
@@ -1844,27 +1453,10 @@ pub fn render_farm_json(
         }
         out.push_str("  ],\n");
     }
-    // The access-cost trajectory: in-bounds access rate under the page
-    // map versus the direct table search, one row per recorded
-    // measurement (the access_cost bin upserts by fingerprint).
-    if access_cost_runs.is_empty() {
-        out.push_str("  \"access_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"access_cost_runs\": [\n");
-        for (i, row) in access_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < access_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
     // The mem_cost trajectory: per-tier interpretation rate on the
     // guest copy loop — the memory-spanning block executor's gate —
-    // one row per recorded measurement (the access_cost bin upserts by
-    // fingerprint under the native tier).
+    // one row per recorded measurement (the native_cost bin upserts by
+    // fingerprint).
     if mem_cost_runs.is_empty() {
         out.push_str("  \"mem_cost_runs\": [],\n");
     } else {
@@ -1913,8 +1505,7 @@ pub fn render_farm_json(
         }
         out.push_str("  ],\n");
     }
-    // The scale-out stress point: per-backend rows plus the arena-vs-seed
-    // unit-store churn measurement.
+    // The scale-out stress point: one row per object table.
     if let Some(first) = stress.first() {
         let c = &first.report.config;
         out.push_str(&format!(
@@ -1934,24 +1525,10 @@ pub fn render_farm_json(
             }
             out.push('\n');
         }
-        out.push_str("    ],\n");
+        out.push_str("    ]\n  }\n");
     } else {
-        out.push_str("  \"farm_stress\": {\n    \"rows\": [],\n");
+        out.push_str("  \"farm_stress\": {\n    \"rows\": []\n  }\n");
     }
-    out.push_str(&format!(
-        concat!(
-            "    \"unit_churn\": {{\"machines\": {}, \"arena_ns\": {:.0}, ",
-            "\"arena_ci95_ns\": {:.0}, \"boxed_seed_ns\": {:.0}, ",
-            "\"boxed_ci95_ns\": {:.0}, \"arena_speedup\": {:.2}, \"reps\": {}}}\n  }}\n"
-        ),
-        churn.machines,
-        churn.arena_ns,
-        churn.arena_ci95_ns,
-        churn.boxed_ns,
-        churn.boxed_ci95_ns,
-        churn.speedup(),
-        churn.reps,
-    ));
     out.push_str("}\n");
     out
 }
@@ -1989,8 +1566,7 @@ mod tests {
             cached_ci95_ns: 500.0,
             reps: 10,
         };
-        let stress = stress_sweep(3, 3, 1, &TableKind::ALL, &LookupLayer::ALL).expect("contract");
-        let churn = measure_unit_churn(4, 2);
+        let stress = stress_sweep(3, 3, 1).expect("contract");
         let restart = RestartCost {
             cold_ns: 500_000.0,
             cold_ci95_ns: 2_000.0,
@@ -2016,19 +1592,6 @@ mod tests {
             reps: 3,
         };
         let native_rows = vec![native_cost_row_json(&native_cost, "fp-native-1")];
-        let access = AccessCost {
-            table: AccessRate {
-                maccess_per_s: 10.0,
-                maccess_ci95: 0.5,
-            },
-            paged: AccessRate {
-                maccess_per_s: 25.0,
-                maccess_ci95: 0.5,
-            },
-            accesses: 73_728,
-            reps: 3,
-        };
-        let access_rows = vec![access_cost_row_json(&access, "fp-access-1")];
         let mem_cost = NativeCost {
             baseline: violation,
             native: ViolationThroughput {
@@ -2039,7 +1602,7 @@ mod tests {
             },
             reps: 3,
         };
-        let mem_rows = vec![mem_cost_row_json(&mem_cost, "fp-mem-1")];
+        let mem_rows = vec![native_cost_row_json(&mem_cost, "fp-mem-1")];
         let edge_rate = ConnEdgeRate {
             wall_ms: 10.0,
             wall_ms_ci95: 0.5,
@@ -2071,10 +1634,8 @@ mod tests {
             &scaling,
             &boot,
             &stress,
-            &churn,
             &restart_rows,
             &native_rows,
-            &access_rows,
             &mem_rows,
             &conn_rows,
             &rows,
@@ -2104,15 +1665,11 @@ mod tests {
         assert!(json.contains("\"baseline_minstr_per_s\""));
         assert!(json.contains("\"native_cost_runs\""));
         assert!(json.contains("\"speedup\": 5.00"));
-        assert!(json.contains("\"access_cost_runs\""));
-        assert!(json.contains("\"paged_maccess_per_s\""));
         assert!(json.contains("\"mem_cost_runs\""));
         assert!(json.contains("\"speedup\": 4.00"));
         assert!(json.contains("\"conn_cost_runs\""));
         assert!(json.contains("\"socket_overhead\": 1.20"));
         assert!(json.contains("\"slo_within_4x_median_bp\": 9250"));
-        assert!(json.contains("\"lookup\": \"table\""));
-        assert!(json.contains("\"lookup\": \"paged\""));
         // Round trip: extract the rows back and append another (a new
         // fingerprint grows the array).
         assert_eq!(extract_restart_cost_rows(&json), restart_rows);
@@ -2166,18 +1723,11 @@ mod tests {
             append_native_cost_row(&ngrown, &native_cost_row_json(&native_cost, "fp-native-2"))
                 .expect("upsert native row");
         assert_eq!(extract_native_cost_rows(&nsame).len(), 2);
-        assert_eq!(extract_access_cost_rows(&json), access_rows);
-        let agrown = append_access_cost_row(&json, &access_cost_row_json(&access, "fp-access-2"))
-            .expect("append access row");
-        assert_eq!(extract_access_cost_rows(&agrown).len(), 2);
-        let asame = append_access_cost_row(&agrown, &access_cost_row_json(&access, "fp-access-2"))
-            .expect("upsert access row");
-        assert_eq!(extract_access_cost_rows(&asame).len(), 2);
         assert_eq!(extract_mem_cost_rows(&json), mem_rows);
-        let mgrown = append_mem_cost_row(&json, &mem_cost_row_json(&mem_cost, "fp-mem-2"))
+        let mgrown = append_mem_cost_row(&json, &native_cost_row_json(&mem_cost, "fp-mem-2"))
             .expect("append mem row");
         assert_eq!(extract_mem_cost_rows(&mgrown).len(), 2);
-        let msame = append_mem_cost_row(&mgrown, &mem_cost_row_json(&mem_cost, "fp-mem-2"))
+        let msame = append_mem_cost_row(&mgrown, &native_cost_row_json(&mem_cost, "fp-mem-2"))
             .expect("upsert mem row");
         assert_eq!(extract_mem_cost_rows(&msame).len(), 2);
         assert_eq!(extract_conn_cost_rows(&json), conn_rows);
@@ -2209,54 +1759,24 @@ mod tests {
             );
         }
         assert!(json.contains("\"service_hist\": [["));
-        assert!(json.contains("\"unit_churn\""));
-        assert!(json.contains("\"arena_speedup\""));
     }
 
     #[test]
-    fn stress_sweep_rows_agree_across_backends_and_layers() {
-        let rows = stress_sweep(4, 5, 2, &TableKind::ALL, &LookupLayer::ALL).expect("contract");
-        assert_eq!(rows.len(), TableKind::ALL.len() * LookupLayer::ALL.len());
+    fn stress_sweep_rows_agree_across_backends() {
+        let rows = stress_sweep(4, 5, 2).expect("contract");
+        assert_eq!(rows.len(), TableKind::ALL.len());
         for pair in rows.windows(2) {
             assert_eq!(
                 pair[0].report, pair[1].report,
-                "{}/{} and {}/{} must compute identical farms",
-                pair[0].backend, pair[0].lookup, pair[1].backend, pair[1].lookup
+                "{} and {} must compute identical farms",
+                pair[0].backend, pair[1].backend
             );
         }
         for row in &rows {
             assert_eq!(row.report.config.table, row.backend);
-            assert_eq!(row.report.config.lookup, row.lookup);
             assert!(row.wall_ms > 0.0);
             assert!(row.host_rps > 0.0);
         }
-    }
-
-    #[test]
-    fn paged_access_rate_beats_the_direct_table_search() {
-        // The acceptance bar of the page-map layer, mirroring the
-        // dispatch-cost gate: on memo-defeating in-bounds traffic the
-        // shift+mask probe must beat the flat table's binary search by
-        // 1.5x with room to spare even on noisy CI hosts. (The
-        // measurement itself asserts both layers drove the substrate
-        // identically.)
-        let cost = measure_access_cost(3);
-        assert!(
-            cost.speedup() >= 1.5,
-            "paged lookup must be ≥1.5× the table search: table {:.1} vs paged {:.1} Maccess/s ({:.2}×)",
-            cost.table.maccess_per_s,
-            cost.paged.maccess_per_s,
-            cost.speedup()
-        );
-    }
-
-    #[test]
-    fn unit_churn_measures_both_flavours() {
-        let churn = measure_unit_churn(32, 4);
-        assert_eq!(churn.machines, 32);
-        assert!(churn.arena_ns > 0.0);
-        assert!(churn.boxed_ns > 0.0);
-        assert!(churn.speedup() > 0.0);
     }
 
     #[test]
@@ -2350,7 +1870,7 @@ mod tests {
         let nsame = append_native_cost_row(&ngrown, &nrow).expect("upsert native");
         assert_eq!(extract_native_cost_rows(&nsame).len(), 1);
         // ... and mem_cost_runs.
-        let mrow = mem_cost_row_json(
+        let mrow = native_cost_row_json(
             &NativeCost {
                 baseline: violation,
                 native: violation,
@@ -2380,8 +1900,6 @@ mod tests {
         );
         assert_eq!(restart_cost_fingerprint(24), restart_cost_fingerprint(24));
         assert_ne!(restart_cost_fingerprint(24), restart_cost_fingerprint(8));
-        assert_eq!(access_cost_fingerprint(8), access_cost_fingerprint(8));
-        assert_ne!(access_cost_fingerprint(8), access_cost_fingerprint(24));
         assert_eq!(native_cost_fingerprint(8), native_cost_fingerprint(8));
         assert_ne!(native_cost_fingerprint(8), native_cost_fingerprint(24));
         assert_eq!(mem_cost_fingerprint(8), mem_cost_fingerprint(8));

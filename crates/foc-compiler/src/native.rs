@@ -1721,7 +1721,7 @@ mod tests {
 
     #[test]
     fn heap_accesses_group_into_memory_blocks() {
-        // The access_cost copy shape: the loop body's `dst[i] = src[i]`
+        // The `mem_cost` copy shape: the loop body's `dst[i] = src[i]`
         // is address arithmetic plus two checked accesses — all block
         // members, so load, store and the frame-local index reads must
         // sit in one block, the address+access pairs fused into the

@@ -94,9 +94,14 @@ impl HeapAllocator {
     }
 
     /// Rounds a request up to the allocation granule. Zero-byte requests
-    /// consume a granule so the returned pointer is unique.
-    fn rounded(size: u64) -> u64 {
-        size.max(1).div_ceil(ALIGN) * ALIGN
+    /// consume a granule so the returned pointer is unique. `None` when
+    /// the block, header included, could not fit `region` even if it
+    /// were empty — which bounds every sum formed from the result, so a
+    /// guest-chosen size (`malloc(-1)`) cannot wrap one.
+    fn rounded(region: &Region, size: u64) -> Option<u64> {
+        let want = size.max(1).checked_next_multiple_of(ALIGN)?;
+        let room = region.end() - region.base();
+        (want <= room.saturating_sub(HEADER_SIZE)).then_some(want)
     }
 
     /// Allocates `size` payload bytes, returning the payload address.
@@ -106,7 +111,7 @@ impl HeapAllocator {
     /// `malloc`. (Fresh memory from the bump pointer is zero because the
     /// region starts zeroed; that also matches common OS behaviour.)
     pub fn malloc(&mut self, region: &mut Region, size: u64) -> Result<u64, HeapError> {
-        let want = Self::rounded(size);
+        let want = Self::rounded(region, size).ok_or(HeapError::OutOfMemory)?;
 
         // First fit over the free list.
         let mut prev: u64 = 0;
@@ -174,11 +179,10 @@ impl HeapAllocator {
         // Bump allocation.
         let header = self.brk;
         let payload = header + HEADER_SIZE;
-        let new_brk = payload + want;
         if !region.contains(header, HEADER_SIZE + want) {
             return Err(HeapError::OutOfMemory);
         }
-        self.brk = new_brk;
+        self.brk = payload + want;
         region.write(header, AccessSize::B8, MAGIC_ALLOCATED);
         region.write(header + 8, AccessSize::B8, want);
         self.live += 1;
@@ -421,6 +425,44 @@ mod tests {
             a.free(&mut r, p).unwrap();
         }
         assert!(a.malloc(&mut r, 64).is_ok());
+    }
+
+    #[test]
+    fn sizes_no_heap_could_hold_change_nothing() {
+        for reuse in [false, true] {
+            let (mut a, mut r) = heap();
+            let keep = a.malloc(&mut r, 48).unwrap();
+            let q = a.malloc(&mut r, 48).unwrap();
+            if reuse {
+                a.free(&mut r, q).unwrap();
+            }
+            let state = |a: &HeapAllocator| (a.free_head, a.brk, a.live, a.live_bytes);
+            let before = state(&a);
+            // Within a granule, a header and a heap base of `2^64`, the
+            // sign bit, and one granule more than the region can hold.
+            for size in [
+                u64::MAX,
+                u64::MAX - 14,
+                u64::MAX - 15,
+                u64::MAX - 16,
+                u64::MAX - 31,
+                u64::MAX - 0x1000 - 47,
+                1 << 63,
+                64 * 1024 - HEADER_SIZE + 1,
+            ] {
+                assert_eq!(
+                    a.malloc(&mut r, size),
+                    Err(HeapError::OutOfMemory),
+                    "size {size:#x}"
+                );
+                assert_eq!(state(&a), before, "size {size:#x}");
+            }
+            // The freed block (or the bump pointer) still serves.
+            let p = a.malloc(&mut r, 48).unwrap();
+            assert_eq!(p == q, reuse);
+            a.free(&mut r, p).unwrap();
+            a.free(&mut r, keep).unwrap();
+        }
     }
 
     #[test]

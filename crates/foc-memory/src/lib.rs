@@ -29,7 +29,6 @@ pub mod heap;
 pub mod log;
 pub mod manufacture;
 pub mod oob;
-pub mod page;
 pub mod policy;
 pub mod report;
 pub mod space;
@@ -42,16 +41,12 @@ pub use heap::HeapError;
 pub use log::{ErrorKind, MemoryErrorLog, MemoryErrorRecord};
 pub use manufacture::{Manufacturer, ValueSequence};
 pub use oob::{OobId, OobRegistry};
-pub use page::{LookupLayer, PageHit, PageMap, LOOKUP_ENV, PAGE_SHIFT, PAGE_SIZE};
 pub use policy::{BoundlessStore, Mode};
 pub use report::{summarize, LogReport, SiteReport};
 pub use space::{
-    AccessCtx, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome, Run, SpaceStats,
-    WriteOutcome, FRAME_GUARD_SIZE,
+    AccessCtx, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome, Run,
+    SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
-pub use table::{
-    AutoTable, BTreeTable, FlatTable, ObjectTable, Placement, SplayTable, TableKind, AUTO_PROMOTE,
-    TABLE_ENV,
-};
+pub use table::{FlatTable, Placement, SplayTable, Table, TableKind, TABLE_ENV};
 pub use unit::{DataUnit, UnitId, UnitKind};

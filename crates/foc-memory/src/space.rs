@@ -10,6 +10,13 @@
 //! * **continuation code** — on a violation, the failure-oblivious family
 //!   of modes discards the write or manufactures a read value (§3 of the
 //!   paper), while Bounds Check mode returns a fatal [`MemFault`].
+//!
+//! The space owns its parts by value and derives `Clone`: the unit store
+//! (who the data units are), one [`Table`] (where they are — the only
+//! structure an in-bounds access consults, `table.lookup(a)`), the
+//! policy state (descriptors, boundless store, manufacturer) and the
+//! error log. [`NativeView`] borrows the same table for the native
+//! tier's hit path.
 
 use std::fmt;
 
@@ -18,10 +25,9 @@ use crate::heap::{HeapAllocator, HeapError};
 use crate::log::{ErrorKind, MemoryErrorLog};
 use crate::manufacture::{Manufacturer, ValueSequence};
 use crate::oob::OobRegistry;
-use crate::page::{LookupLayer, PageHit, PageMap};
 use crate::policy::{BoundlessStore, Mode};
 use crate::store::UnitStore;
-use crate::table::{ObjectTable, Placement, TableKind};
+use crate::table::{Table, TableKind};
 use crate::unit::{DataUnit, UnitId, UnitKind};
 
 /// First canary token word written at the top of each stack frame.
@@ -45,10 +51,8 @@ pub struct MemConfig {
     pub stack_len: usize,
     /// Manufactured-value strategy for invalid reads.
     pub sequence: ValueSequence,
-    /// Object table backend.
+    /// Object table structure.
     pub table: TableKind,
-    /// In-bounds lookup layer (page map vs direct table search).
-    pub lookup: LookupLayer,
     /// Retention capacity of the memory-error log.
     pub log_capacity: usize,
 }
@@ -76,10 +80,9 @@ impl MemConfig {
         self
     }
 
-    /// Same configuration on a different in-bounds lookup layer. A pure
-    /// performance axis: both layers are observationally identical.
-    pub fn with_lookup(mut self, lookup: LookupLayer) -> MemConfig {
-        self.lookup = lookup;
+    /// The same configuration: there is one lookup layer (see
+    /// [`LookupLayer`]).
+    pub fn with_lookup(self, _lookup: LookupLayer) -> MemConfig {
         self
     }
 }
@@ -92,10 +95,31 @@ impl Default for MemConfig {
             heap_len: 64 << 20,
             stack_len: 8 << 20,
             sequence: ValueSequence::default(),
+            // The oracle's, not `TableKind::default()`: a bare config
+            // is what the equivalence batteries use as the reference.
             table: TableKind::Splay,
-            lookup: LookupLayer::Table,
             log_capacity: 4096,
         }
+    }
+}
+
+/// What is left of the deleted page-map axis: every in-bounds
+/// resolution is a table lookup, so there is one layer and nothing to
+/// choose. The type, [`LookupLayer::name`], `MemConfig::with_lookup` and
+/// `BootSpec::lookup` exist only because the frozen `bench/` package
+/// names them (its description line reads `lookup=table`); they go at
+/// the next `benchmark` revision (ROADMAP).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum LookupLayer {
+    /// Every checked access searches the object table.
+    #[default]
+    Table,
+}
+
+impl LookupLayer {
+    /// Stable lower-case name.
+    pub fn name(self) -> &'static str {
+        "table"
     }
 }
 
@@ -241,16 +265,14 @@ struct FrameRec {
 /// booted space is the memory half of a boot checkpoint: restoring it
 /// is a memcpy of the committed windows instead of a re-run of boot and
 /// environment replay, which is what makes supervised restarts O(1).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemorySpace {
     mode: Mode,
     globals: Region,
     heap: Region,
     stack: Region,
     store: UnitStore,
-    table: Box<dyn ObjectTable>,
-    lookup: LookupLayer,
-    pages: PageMap,
+    table: Table,
     oob: OobRegistry,
     allocator: HeapAllocator,
     boundless: BoundlessStore,
@@ -261,31 +283,6 @@ pub struct MemorySpace {
     sp: u64,
     frames: Vec<FrameRec>,
     frame_units: Vec<u32>,
-}
-
-impl Clone for MemorySpace {
-    fn clone(&self) -> MemorySpace {
-        MemorySpace {
-            mode: self.mode,
-            globals: self.globals.clone(),
-            heap: self.heap.clone(),
-            stack: self.stack.clone(),
-            store: self.store.clone(),
-            table: self.table.boxed_clone(),
-            lookup: self.lookup,
-            pages: self.pages.clone(),
-            oob: self.oob.clone(),
-            allocator: self.allocator.clone(),
-            boundless: self.boundless.clone(),
-            manufacturer: self.manufacturer.clone(),
-            log: self.log.clone(),
-            stats: self.stats,
-            global_brk: self.global_brk,
-            sp: self.sp,
-            frames: self.frames.clone(),
-            frame_units: self.frame_units.clone(),
-        }
-    }
 }
 
 impl MemorySpace {
@@ -305,9 +302,7 @@ impl MemorySpace {
             sp,
             stack,
             store: UnitStore::new(),
-            table: config.table.build(),
-            lookup: config.lookup,
-            pages: PageMap::new(config.global_len, config.heap_len, config.stack_len),
+            table: Table::new(config.table),
             oob: OobRegistry::new(),
             boundless: BoundlessStore::new(),
             manufacturer: Manufacturer::new(config.sequence),
@@ -408,13 +403,10 @@ impl MemorySpace {
             globals: Window::of(&mut self.globals),
             heap: Window::of(&mut self.heap),
             stack,
-            store: &self.store,
-            table: &mut *self.table,
-            pages: &mut self.pages,
+            table: &mut self.table,
             oob: &self.oob,
             stats: &mut self.stats,
             checked: self.mode.is_checked(),
-            lookup: self.lookup,
             last_load: Span::default(),
             last_store: Span::default(),
         }
@@ -463,37 +455,14 @@ impl MemorySpace {
     fn new_unit(&mut self, base: u64, size: u64, kind: UnitKind, label: Option<&str>) -> UnitId {
         let id = self.store.alloc(base, size, kind, label);
         self.table.insert(base, size, id);
-        if self.lookup == LookupLayer::Paged {
-            self.pages.cover(base, size, id);
-        }
         id
     }
 
     fn kill_unit(&mut self, id: UnitId) {
         let base = self.store.kill(id);
-        let removed = self.table.remove(base);
-        if self.lookup == LookupLayer::Paged {
-            // Invalidate eagerly: a page entry must never outlive its
-            // unit, or a recycled store slot could masquerade as it.
-            if let Some(pl) = removed {
-                self.pages.uncover(pl.base, pl.size, pl.unit);
-            }
-        }
+        self.table.remove(base);
         self.oob.purge_unit(id);
         self.boundless.forget_unit(id);
-    }
-
-    /// Resolves the live unit containing `a`, if any; see the free
-    /// [`lookup_placement`] (shared with [`NativeView`]).
-    #[inline]
-    fn lookup_placement(&mut self, a: u64) -> Option<Placement> {
-        lookup_placement(
-            self.lookup,
-            &mut *self.table,
-            &mut self.pages,
-            &self.store,
-            a,
-        )
     }
 
     /// Looks up a unit by id (for diagnostics). Returns the unit while it
@@ -511,16 +480,6 @@ impl MemorySpace {
     /// The arena-backed unit store (diagnostics, capacity accounting).
     pub fn unit_store(&self) -> &UnitStore {
         &self.store
-    }
-
-    /// Which object-table backend this space runs.
-    pub fn table_kind(&self) -> TableKind {
-        self.table.kind()
-    }
-
-    /// Which in-bounds lookup layer this space runs.
-    pub fn lookup_layer(&self) -> LookupLayer {
-        self.lookup
     }
 
     // ------------------------------------------------------------------
@@ -578,7 +537,7 @@ impl MemorySpace {
             return Ok(());
         }
         // Checked modes: `p` must be the exact base of a live heap unit.
-        let placement = self.lookup_placement(p);
+        let placement = self.table.lookup(p);
         let valid = placement
             .map(|pl| {
                 pl.base == p
@@ -608,7 +567,7 @@ impl MemorySpace {
             return Ok(0);
         }
         let old_size = if self.mode.is_checked() {
-            match self.lookup_placement(p) {
+            match self.table.lookup(p) {
                 Some(pl) if pl.base == p => pl.size,
                 _ => {
                     // Invalid realloc: same policy as invalid free; the
@@ -751,7 +710,7 @@ impl MemorySpace {
             return ptr.wrapping_add(delta as u64);
         }
         let target = ptr.wrapping_add(delta as u64);
-        match self.lookup_placement(ptr) {
+        match self.table.lookup(ptr) {
             Some(pl) => {
                 if target >= pl.base && target < pl.base + pl.size {
                     target
@@ -781,12 +740,11 @@ impl MemorySpace {
 
     /// Guest load of `size` bytes at `a` (zero-extended raw value).
     ///
-    /// The in-bounds hit is a straight-line fast path: one unit lookup
-    /// (a shift+mask page-map probe under [`LookupLayer::Paged`], a
-    /// table search under [`LookupLayer::Table`]), one bounds compare,
-    /// one region read. Everything else — the whole continuation
-    /// machinery — lives in the cold [`Self::load_violation`] so a
-    /// violation-free request stream never pays for it.
+    /// The in-bounds hit is a straight-line fast path: one table
+    /// lookup, one bounds compare, one region read. Everything else —
+    /// the whole continuation machinery — lives in the cold
+    /// [`Self::load_violation`] so a violation-free request stream
+    /// never pays for it.
     #[inline]
     pub fn load(
         &mut self,
@@ -806,7 +764,7 @@ impl MemorySpace {
         }
         self.stats.checked_accesses += 1;
         if !addr::is_oob_zone(a) {
-            if let Some(pl) = self.lookup_placement(a) {
+            if let Some(pl) = self.table.lookup(a) {
                 if a + size.bytes() <= pl.base + pl.size {
                     let value = self
                         .region(a)
@@ -917,7 +875,7 @@ impl MemorySpace {
         }
         self.stats.checked_accesses += 1;
         if !addr::is_oob_zone(a) {
-            if let Some(pl) = self.lookup_placement(a) {
+            if let Some(pl) = self.table.lookup(a) {
                 if a + size.bytes() <= pl.base + pl.size {
                     let ok = self
                         .region_mut(a)
@@ -1013,7 +971,7 @@ impl MemorySpace {
         } else if addr::is_oob_zone(base) {
             None
         } else {
-            self.lookup_placement(base).map(|pl| Span {
+            self.table.lookup(base).map(|pl| Span {
                 base: pl.base,
                 size: pl.size,
             })
@@ -1264,13 +1222,10 @@ pub struct NativeView<'a> {
     stack: Window<'a>,
     /// Offset of the frame base inside the stack window.
     frame_at: usize,
-    store: &'a UnitStore,
-    table: &'a mut dyn ObjectTable,
-    pages: &'a mut PageMap,
+    table: &'a mut Table,
     oob: &'a OobRegistry,
     stats: &'a mut SpaceStats,
     checked: bool,
-    lookup: LookupLayer,
     last_load: Span,
     last_store: Span,
 }
@@ -1318,7 +1273,7 @@ impl<'a> NativeView<'a> {
         if addr::is_oob_zone(ptr) {
             return None;
         }
-        let pl = lookup_placement(self.lookup, self.table, self.pages, self.store, ptr)?;
+        let pl = self.table.lookup(ptr)?;
         let span = Span {
             base: pl.base,
             size: pl.size,
@@ -1391,7 +1346,7 @@ impl<'a> NativeView<'a> {
         } else if addr::is_oob_zone(ptr) {
             return None;
         } else {
-            match lookup_placement(self.lookup, self.table, self.pages, self.store, ptr) {
+            match self.table.lookup(ptr) {
                 Some(pl) => Span {
                     base: pl.base,
                     size: pl.size,
@@ -1406,68 +1361,6 @@ impl<'a> NativeView<'a> {
     #[inline]
     pub fn effective_addr(&self, ptr: u64) -> u64 {
         self.oob.effective_addr(ptr)
-    }
-}
-
-/// Resolves the live unit containing `a`, if any — semantically
-/// identical to `table.lookup(a)` under either lookup layer.
-///
-/// Under [`LookupLayer::Paged`] the page map answers first:
-///
-/// * a guard page proves no unit contains `a` (any such unit would
-///   intersect `a`'s page), so the miss needs no search;
-/// * a single-unit page needs one generation-checked store load and
-///   one bounds compare — `a` outside that unit is a proven miss by
-///   the same intersection argument;
-/// * a shared page probes the candidate (containment in a live unit
-///   is proof regardless of neighbours) and only then falls back to
-///   the table, re-seeding the candidate on a hit.
-#[inline]
-fn lookup_placement(
-    lookup: LookupLayer,
-    table: &mut dyn ObjectTable,
-    pages: &mut PageMap,
-    store: &UnitStore,
-    a: u64,
-) -> Option<Placement> {
-    match lookup {
-        LookupLayer::Table => table.lookup(a),
-        LookupLayer::Paged => match pages.hit(a) {
-            PageHit::Guard => None,
-            PageHit::One(id) => {
-                if let Some(u) = store.get(id) {
-                    if u.live {
-                        return u.contains_addr(a).then_some(Placement {
-                            base: u.base,
-                            size: u.size,
-                            unit: id,
-                        });
-                    }
-                }
-                // A stale entry would be a bookkeeping bug; the
-                // table stays authoritative either way.
-                debug_assert!(false, "page map names a dead unit at {a:#x}");
-                table.lookup(a)
-            }
-            PageHit::Table(hint) => {
-                if let Some(id) = hint {
-                    if let Some(u) = store.get(id) {
-                        if u.live && u.contains_addr(a) {
-                            return Some(Placement {
-                                base: u.base,
-                                size: u.size,
-                                unit: id,
-                            });
-                        }
-                    }
-                }
-                let pl = table.lookup(a);
-                if let Some(pl) = pl {
-                    pages.note(a, pl.unit);
-                }
-                pl
-            }
-        },
     }
 }
 
@@ -1822,23 +1715,24 @@ mod tests {
         );
     }
 
-    fn paged_space(mode: Mode) -> MemorySpace {
+    /// [`space`] on the shipped table (`space` itself runs the oracle).
+    fn flat_space(mode: Mode) -> MemorySpace {
         MemorySpace::new(MemConfig {
             mode,
             global_len: 64 << 10,
             heap_len: 256 << 10,
             stack_len: 64 << 10,
-            lookup: LookupLayer::Paged,
+            table: TableKind::Flat,
             ..MemConfig::default()
         })
     }
 
-    /// Drives the same access script under both lookup layers and
-    /// asserts every observable — outcomes, stats, the full error log —
-    /// is byte-identical.
-    fn assert_layer_blind(mode: Mode, script: impl Fn(&mut MemorySpace) -> Vec<String>) {
+    /// Drives the same access script over both tables and asserts every
+    /// observable — outcomes, stats, the full error log — is
+    /// byte-identical.
+    fn assert_table_blind(mode: Mode, script: impl Fn(&mut MemorySpace) -> Vec<String>) {
         let mut a = space(mode);
-        let mut b = paged_space(mode);
+        let mut b = flat_space(mode);
         let ta = script(&mut a);
         let tb = script(&mut b);
         assert_eq!(ta, tb, "outcomes must match under {mode:?}");
@@ -1851,14 +1745,14 @@ mod tests {
     }
 
     #[test]
-    fn paged_layer_is_observationally_identical_on_mixed_traffic() {
+    fn both_tables_are_observationally_identical_on_mixed_traffic() {
         for mode in Mode::ALL {
-            assert_layer_blind(mode, |s| {
+            assert_table_blind(mode, |s| {
                 let mut t = Vec::new();
-                let big = s.malloc(3 * crate::page::PAGE_SIZE).unwrap(); // multi-page run
+                let big = s.malloc(3 * 4096).unwrap();
                 let a = s.malloc(24).unwrap();
-                let b = s.malloc(24).unwrap(); // shares a's page: table fallback
-                for off in [0u64, 100, 4096, 3 * crate::page::PAGE_SIZE - 8] {
+                let b = s.malloc(24).unwrap();
+                for off in [0u64, 100, 4096, 3 * 4096 - 8] {
                     t.push(format!(
                         "{:?}",
                         s.store(big + off, AccessSize::B8, off, CTX)
@@ -1866,7 +1760,7 @@ mod tests {
                     t.push(format!("{:?}", s.load(big + off, AccessSize::B8, CTX)));
                 }
                 // Straddle, overrun, gap, and null accesses.
-                let end = s.ptr_add(big, 3 * crate::page::PAGE_SIZE as i64 - 4);
+                let end = s.ptr_add(big, 3 * 4096 - 4);
                 t.push(format!("{:?}", s.load(end, AccessSize::B8, CTX)));
                 let oob = s.ptr_add(a, 64);
                 t.push(format!("{:?}", s.store(oob, AccessSize::B4, 7, CTX)));
@@ -1885,20 +1779,20 @@ mod tests {
     }
 
     #[test]
-    fn guard_page_hits_classify_like_table_misses() {
-        // Addresses on pages no unit intersects: below the first global,
-        // in the heap frontier, and between far-apart allocations. Both
-        // layers must log the same kind with no referent.
+    fn far_misses_classify_alike_on_both_tables() {
+        // Addresses far from any unit: below the first global, in the
+        // heap frontier, on a frameless stack, outside every region.
+        // Both tables must log the same kind with no referent.
         for mode in [Mode::BoundsCheck, Mode::FailureOblivious] {
-            assert_layer_blind(mode, |s| {
+            assert_table_blind(mode, |s| {
                 let g = s.alloc_global(8, "g").unwrap();
                 let h = s.malloc(16).unwrap();
                 let mut t = Vec::new();
                 for a in [
-                    g + 3 * crate::page::PAGE_SIZE,    // unmapped global page
-                    h + 40 * crate::page::PAGE_SIZE,   // heap frontier
-                    addr::STACK_BASE + 4,              // stack, no frame
-                    addr::GLOBAL_BASE.wrapping_sub(8), // outside every region
+                    g + 3 * 4096,
+                    h + 40 * 4096,
+                    addr::STACK_BASE + 4,
+                    addr::GLOBAL_BASE.wrapping_sub(8),
                 ] {
                     t.push(format!("{:?}", s.load(a, AccessSize::B4, CTX)));
                     t.push(format!("{:?}", s.store(a, AccessSize::B4, 1, CTX)));
@@ -1909,11 +1803,11 @@ mod tests {
     }
 
     #[test]
-    fn paged_layer_survives_frame_and_slot_churn() {
+    fn both_tables_survive_frame_and_slot_churn() {
         // Push/pop frames and malloc/free in a tight loop so store slots
-        // recycle constantly; the page map must never resolve a stale
-        // id, and both layers must agree throughout.
-        assert_layer_blind(Mode::FailureOblivious, |s| {
+        // recycle constantly; neither table may resolve a dead unit, and
+        // both must agree throughout.
+        assert_table_blind(Mode::FailureOblivious, |s| {
             let mut t = Vec::new();
             for round in 0..50u64 {
                 let fb = s.push_frame(64).unwrap();
@@ -1934,23 +1828,25 @@ mod tests {
     }
 
     #[test]
-    fn paged_space_clone_round_trips_the_page_map() {
-        let mut s = paged_space(Mode::FailureOblivious);
-        let big = s.malloc(2 * crate::page::PAGE_SIZE).unwrap();
-        let small = s.malloc(8).unwrap();
-        s.store(big + 4096, AccessSize::B8, 0xABCD, CTX).unwrap();
-        let mut c = s.clone();
-        assert_eq!(c.lookup_layer(), LookupLayer::Paged);
-        // The clone resolves through its own map copy...
-        assert_eq!(
-            c.load(big + 4096, AccessSize::B8, CTX).unwrap().value,
-            0xABCD
-        );
-        // ...and diverges independently: freeing in the clone restores
-        // its guard pages without touching the original.
-        c.free(big, CTX).unwrap();
-        assert!(c.load(big + 4096, AccessSize::B8, CTX).unwrap().violation);
-        assert!(!s.load(big + 4096, AccessSize::B8, CTX).unwrap().violation);
-        assert!(!c.load(small, AccessSize::B4, CTX).unwrap().violation);
+    fn clones_diverge_independently() {
+        for make in [space, flat_space] {
+            let mut s = make(Mode::FailureOblivious);
+            let big = s.malloc(2 * 4096).unwrap();
+            let small = s.malloc(8).unwrap();
+            s.store(big + 4096, AccessSize::B8, 0xABCD, CTX).unwrap();
+            let mut c = s.clone();
+            // The clone resolves through its own copy of the table...
+            assert_eq!(
+                c.load(big + 4096, AccessSize::B8, CTX).unwrap().value,
+                0xABCD
+            );
+            // ...and diverges independently: a free in the clone kills
+            // the unit there without touching the original.
+            c.free(big, CTX).unwrap();
+            assert!(c.load(big + 4096, AccessSize::B8, CTX).unwrap().violation);
+            assert!(!s.load(big + 4096, AccessSize::B8, CTX).unwrap().violation);
+            assert!(!c.load(small, AccessSize::B4, CTX).unwrap().violation);
+            assert_eq!((s.live_units(), c.live_units()), (2, 1));
+        }
     }
 }

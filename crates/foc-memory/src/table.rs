@@ -1,37 +1,32 @@
 //! The object table: locations → data units.
 //!
 //! Jones & Kelly's checking scheme keeps every live allocation in an
-//! ordered structure searched by address on each pointer operation; their
-//! implementation (and CRED's) used a splay tree because memory accesses
-//! have high temporal locality — the unit touched by one access is very
-//! likely to be touched by the next. The table is a first-class,
-//! swappable backend layer: every implementation of [`ObjectTable`]
-//! provides byte-identical failure-oblivious semantics (asserted by the
-//! cross-backend transcript-equivalence tests), so backend choice is a
-//! pure performance decision made per [`TableKind`] in the memory
-//! configuration and threaded from there through machines, server
-//! drivers, and the farm.
+//! ordered structure searched by address on each pointer operation. The
+//! table stores `(base, size, unit)` entries keyed by base address; a
+//! lookup finds the entry with the greatest base not exceeding the query
+//! address and checks that the address falls inside it. The memory space
+//! guarantees entries never overlap.
 //!
-//! Three searchable backends ship, plus an adaptive wrapper:
+//! A space holds its table by value as a [`Table`], one of two
+//! structures chosen by [`TableKind`] when the space is built:
 //!
-//! * [`SplayTable`] — self-adjusting, faithful to the original runtime;
-//! * [`BTreeTable`] — the standard-library B-tree baseline;
-//! * [`FlatTable`] — a cache-friendly sorted interval vector with
-//!   last-hit memoization, for workloads whose table stays small and hot;
-//! * [`AutoTable`] — per-space auto-selection: flat while the table is
-//!   small (the farm's hot shape), promoted in place to a splay tree
-//!   once it grows past [`AUTO_PROMOTE`] entries (deep single-machine
-//!   traces). `Auto` is deliberately *not* part of [`TableKind::ALL`]:
-//!   the sweep grids and their committed artifacts enumerate the three
-//!   structural backends, and the adaptive wrapper is a policy over
-//!   them, not a fourth structure.
+//! * [`FlatTable`], the shipped default — a base-sorted vector with a
+//!   last-hit memo. No guest server ever holds more than a few dozen
+//!   live units at once (36 at most over every committed workload; the
+//!   tripwire is `tests/substrate_props.rs`), so the whole table is a
+//!   handful of cache lines, a miss of the memo is a five-step binary
+//!   search, and an insert or remove shifts a few hundred bytes. Nothing
+//!   with pointers in it can beat that at this size, and a page map in
+//!   front of it only added a second structure to keep coherent.
+//! * [`SplayTable`] — the self-adjusting tree Jones & Kelly's runtime
+//!   (and CRED's) used because accesses have high temporal locality. It
+//!   is kept as the reference oracle: `BootSpec::oracle` and the `splay`
+//!   sweep cells run on it, and every equivalence battery compares the
+//!   shipped table against it.
 //!
-//! The table stores `(base, size, unit)` entries keyed by base address.
-//! A lookup finds the entry with the greatest base not exceeding the query
-//! address and checks that the address falls before `base + size`. The
-//! memory space guarantees entries never overlap.
+//! Both give byte-identical failure-oblivious semantics, so the choice
+//! never shows in a transcript, a counter or a log record.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::unit::UnitId;
@@ -47,64 +42,36 @@ pub struct Placement {
     pub unit: UnitId,
 }
 
-/// Which object-table backend to instantiate.
+/// Which object-table structure a space runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TableKind {
+    /// Sorted interval vector with last-hit memoization (the shipped
+    /// default).
+    #[default]
+    Flat,
     /// Self-adjusting splay tree (as in Jones & Kelly; the reference
     /// oracle).
     Splay,
-    /// B-tree baseline.
-    BTree,
-    /// Sorted interval vector with last-hit memoization.
-    Flat,
-    /// Adaptive per-space selection: flat until [`AUTO_PROMOTE`]
-    /// entries, then promoted in place to a splay tree (the shipped
-    /// default).
-    #[default]
-    Auto,
 }
 
 impl TableKind {
-    /// Every *structural* backend, in bench-report order. [`TableKind::Auto`]
-    /// is a policy over these and is intentionally excluded — the sweep
-    /// grids and their committed artifacts enumerate structures only.
-    pub const ALL: [TableKind; 3] = [TableKind::Splay, TableKind::BTree, TableKind::Flat];
+    /// Both structures, oracle first (the order of the sweep's cells).
+    pub const ALL: [TableKind; 2] = [TableKind::Splay, TableKind::Flat];
 
-    /// Stable lower-case name (bench rows, CLI flags).
+    /// Stable lower-case name (bench rows, sweep cells, env).
     pub fn name(self) -> &'static str {
         match self {
-            TableKind::Splay => "splay",
-            TableKind::BTree => "btree",
             TableKind::Flat => "flat",
-            TableKind::Auto => "auto",
+            TableKind::Splay => "splay",
         }
     }
 
-    /// Builds an empty table of this kind.
-    ///
-    /// Boxed dispatch costs one indirect call per checked access; the
-    /// 4096-server stress rows show backend *structure* still dominating
-    /// (flat vs splay differ by double digits through the vtable), so
-    /// the open backend layer is worth the indirection. Revisit with an
-    /// enum wrapper only if a profile ever shows the call itself.
-    pub fn build(self) -> Box<dyn ObjectTable> {
-        match self {
-            TableKind::Splay => Box::new(SplayTable::new()),
-            TableKind::BTree => Box::new(BTreeTable::new()),
-            TableKind::Flat => Box::new(FlatTable::new()),
-            TableKind::Auto => Box::new(AutoTable::new()),
-        }
-    }
-}
-
-impl TableKind {
-    /// The backend selected by the [`TABLE_ENV`] environment variable,
-    /// or the default. Strict like `ExecTier::from_env` and
-    /// `LookupLayer::from_env`: an unknown value exits with a one-line
-    /// diagnostic rather than silently benchmarking a different
-    /// backend. Read once per process; `BootSpec::from_env` in
-    /// `foc-servers` parses through `FromStr` for an error value
-    /// instead.
+    /// The structure selected by the [`TABLE_ENV`] environment variable,
+    /// or the default. Strict like `ExecTier::from_env`: an unknown
+    /// value exits with a one-line diagnostic rather than silently
+    /// benchmarking a different structure. Read once per process;
+    /// `BootSpec::from_env` in `foc-servers` parses through `FromStr`
+    /// for an error value instead.
     pub fn from_env() -> TableKind {
         static KIND: std::sync::OnceLock<TableKind> = std::sync::OnceLock::new();
         *KIND.get_or_init(|| match std::env::var(TABLE_ENV) {
@@ -117,7 +84,7 @@ impl TableKind {
     }
 }
 
-/// Environment variable selecting the object-table backend.
+/// Environment variable selecting the object-table structure.
 pub const TABLE_ENV: &str = "FOC_TABLE";
 
 impl fmt::Display for TableKind {
@@ -131,94 +98,78 @@ impl std::str::FromStr for TableKind {
 
     fn from_str(s: &str) -> Result<TableKind, String> {
         match s.to_ascii_lowercase().as_str() {
-            "splay" => Ok(TableKind::Splay),
-            "btree" => Ok(TableKind::BTree),
             "flat" => Ok(TableKind::Flat),
-            "auto" => Ok(TableKind::Auto),
+            "splay" => Ok(TableKind::Splay),
             other => Err(format!(
-                "unknown table backend {other:?} (expected splay, btree, flat, or auto)"
+                "unknown table backend {other:?} (expected flat or splay)"
             )),
         }
     }
 }
 
-/// Address-indexed lookup of live data units.
+/// A space's object table, held by value.
 ///
-/// Lookup takes `&mut self` because self-adjusting implementations (the
-/// splay tree, the flat table's memo) reorganise on every query. `Send`
-/// and `Debug` are supertraits so boxed tables travel with their
-/// machines across farm worker threads; `Sync` so frozen boot
-/// checkpoints holding a table can be shared (`Arc`) across them.
-pub trait ObjectTable: fmt::Debug + Send + Sync {
-    /// Clones the table behind fresh storage — the object-table half of
-    /// a [`crate::MemorySpace`] checkpoint.
-    fn boxed_clone(&self) -> Box<dyn ObjectTable>;
-
-    /// Registers a live unit. The caller guarantees the range does not
-    /// overlap any registered range.
-    fn insert(&mut self, base: u64, size: u64, unit: UnitId);
-
-    /// Removes the unit based at exactly `base`, returning it if present.
-    fn remove(&mut self, base: u64) -> Option<Placement>;
-
-    /// Finds the unit whose range contains `addr`.
-    fn lookup(&mut self, addr: u64) -> Option<Placement>;
-
-    /// Number of live entries.
-    fn len(&self) -> usize;
-
-    /// Whether the table is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Which backend this is (reports, diagnostics).
-    fn kind(&self) -> TableKind;
+/// Lookup takes `&mut self` because both structures reorganise on a
+/// query (the splay tree rotates, the flat table moves its memo).
+#[derive(Debug, Clone)]
+pub enum Table {
+    /// The shipped sorted vector.
+    Flat(FlatTable),
+    /// The oracle splay tree.
+    Splay(SplayTable),
 }
 
-/// Object table backed by the standard library B-tree.
-#[derive(Debug, Clone, Default)]
-pub struct BTreeTable {
-    map: BTreeMap<u64, (u64, UnitId)>,
-}
-
-impl BTreeTable {
-    /// Creates an empty table.
-    pub fn new() -> BTreeTable {
-        BTreeTable::default()
-    }
-}
-
-impl ObjectTable for BTreeTable {
-    fn boxed_clone(&self) -> Box<dyn ObjectTable> {
-        Box::new(self.clone())
-    }
-
-    fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
-        self.map.insert(base, (size, unit));
-    }
-
-    fn remove(&mut self, base: u64) -> Option<Placement> {
-        self.map
-            .remove(&base)
-            .map(|(size, unit)| Placement { base, size, unit })
-    }
-
-    fn lookup(&mut self, addr: u64) -> Option<Placement> {
-        let (&base, &(size, unit)) = self.map.range(..=addr).next_back()?;
-        if addr < base + size {
-            Some(Placement { base, size, unit })
-        } else {
-            None
+impl Table {
+    /// An empty table of the given kind.
+    pub fn new(kind: TableKind) -> Table {
+        match kind {
+            TableKind::Flat => Table::Flat(FlatTable::new()),
+            TableKind::Splay => Table::Splay(SplayTable::new()),
         }
     }
 
-    fn len(&self) -> usize {
-        self.map.len()
+    /// Registers a live unit. The caller guarantees the range does not
+    /// overlap any registered range.
+    pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
+        match self {
+            Table::Flat(t) => t.insert(base, size, unit),
+            Table::Splay(t) => t.insert(base, size, unit),
+        }
     }
 
-    fn kind(&self) -> TableKind {
-        TableKind::BTree
+    /// Removes the unit based at exactly `base`, returning it if present.
+    pub fn remove(&mut self, base: u64) -> Option<Placement> {
+        match self {
+            Table::Flat(t) => t.remove(base),
+            Table::Splay(t) => t.remove(base),
+        }
+    }
+
+    /// Finds the unit whose range contains `addr`.
+    ///
+    /// Deliberately not `#[inline]` (nor are the structures' own
+    /// lookups): inlined into `foc-vm`'s native executor the searches
+    /// crowd its pure-local loop — `native_cost`'s dispatch gate read
+    /// 2.1–2.5× with the attribute against 2.7–3.6× without — and the
+    /// view's memo keeps the call off the hot path anyway.
+    pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
+        match self {
+            Table::Flat(t) => t.lookup(addr),
+            Table::Splay(t) => t.lookup(addr),
+        }
+    }
+
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        match self {
+            Table::Flat(t) => t.len(),
+            Table::Splay(t) => t.len(),
+        }
+    }
+
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -230,7 +181,7 @@ impl ObjectTable for BTreeTable {
 /// one-entry memo instead: the index of the last hit is probed first, in
 /// O(1) and with no structural writes. Inserts and removes shift the
 /// tail (`memmove`), which is exactly the right trade for server-shaped
-/// tables — a few hundred mostly-stable entries hammered by lookups.
+/// tables — a few dozen mostly-stable entries hammered by lookups.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTable {
     entries: Vec<Placement>,
@@ -249,19 +200,15 @@ impl FlatTable {
     fn upper_bound(&self, addr: u64) -> usize {
         self.entries.partition_point(|p| p.base <= addr)
     }
-}
 
-impl ObjectTable for FlatTable {
-    fn boxed_clone(&self) -> Box<dyn ObjectTable> {
-        Box::new(self.clone())
-    }
-
-    fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
+    /// Registers a live unit (see [`Table::insert`]).
+    pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
         let at = self.upper_bound(base);
         self.entries.insert(at, Placement { base, size, unit });
     }
 
-    fn remove(&mut self, base: u64) -> Option<Placement> {
+    /// Removes the unit based at exactly `base`.
+    pub fn remove(&mut self, base: u64) -> Option<Placement> {
         let at = self.upper_bound(base);
         if at == 0 || self.entries[at - 1].base != base {
             return None;
@@ -271,10 +218,11 @@ impl ObjectTable for FlatTable {
         Some(removed)
     }
 
-    fn lookup(&mut self, addr: u64) -> Option<Placement> {
+    /// Finds the unit whose range contains `addr`.
+    pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
         // Memo probe: server traffic touches the same unit in runs.
         if let Some(p) = self.entries.get(self.last_hit) {
-            if p.base <= addr && addr < p.base + p.size {
+            if p.base <= addr && addr - p.base < p.size {
                 return Some(*p);
             }
         }
@@ -283,7 +231,7 @@ impl ObjectTable for FlatTable {
             return None;
         }
         let p = self.entries[at - 1];
-        if addr < p.base + p.size {
+        if addr - p.base < p.size {
             self.last_hit = at - 1;
             Some(p)
         } else {
@@ -291,12 +239,14 @@ impl ObjectTable for FlatTable {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    fn kind(&self) -> TableKind {
-        TableKind::Flat
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
     }
 }
 
@@ -344,6 +294,15 @@ impl SplayTable {
 
     fn node_mut(&mut self, i: NodeIdx) -> &mut SplayNode {
         &mut self.nodes[i as usize]
+    }
+
+    fn placement(&self, i: NodeIdx) -> Placement {
+        let n = self.node(i);
+        Placement {
+            base: n.base,
+            size: n.size,
+            unit: n.unit,
+        }
     }
 
     fn alloc_node(&mut self, base: u64, size: u64, unit: UnitId) -> NodeIdx {
@@ -470,14 +429,9 @@ impl SplayTable {
         walk(self, self.root, None, None, &mut count);
         assert_eq!(count, self.len, "node count mismatch");
     }
-}
 
-impl ObjectTable for SplayTable {
-    fn boxed_clone(&self) -> Box<dyn ObjectTable> {
-        Box::new(self.clone())
-    }
-
-    fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
+    /// Registers a live unit (see [`Table::insert`]).
+    pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
         let fresh = self.alloc_node(base, size, unit);
         if self.root == NONE {
             self.root = fresh;
@@ -509,7 +463,8 @@ impl ObjectTable for SplayTable {
         self.len += 1;
     }
 
-    fn remove(&mut self, base: u64) -> Option<Placement> {
+    /// Removes the unit based at exactly `base`.
+    pub fn remove(&mut self, base: u64) -> Option<Placement> {
         if self.root == NONE {
             return None;
         }
@@ -518,14 +473,7 @@ impl ObjectTable for SplayTable {
         if self.node(root).base != base {
             return None;
         }
-        let removed = {
-            let n = self.node(root);
-            Placement {
-                base: n.base,
-                size: n.size,
-                unit: n.unit,
-            }
-        };
+        let removed = self.placement(root);
         let (left, right) = (self.node(root).left, self.node(root).right);
         self.root = if left == NONE {
             right
@@ -541,162 +489,44 @@ impl ObjectTable for SplayTable {
         Some(removed)
     }
 
-    fn lookup(&mut self, addr: u64) -> Option<Placement> {
+    /// Finds the unit whose range contains `addr`.
+    pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
         if self.root == NONE {
             return None;
         }
         let root = self.splay(self.root, addr);
         self.root = root;
-        let candidate = {
-            let n = self.node(root);
-            if n.base <= addr {
-                Some(Placement {
-                    base: n.base,
-                    size: n.size,
-                    unit: n.unit,
-                })
-            } else {
-                None
-            }
-        };
-        let candidate = candidate.or_else(|| {
+        let mut at = root;
+        if self.node(root).base > addr {
             // Root is the successor of `addr`; the containing unit, if any,
             // is the maximum of the left subtree.
-            let mut n = self.node(root).left;
-            if n == NONE {
+            at = self.node(root).left;
+            if at == NONE {
                 return None;
             }
-            while self.node(n).right != NONE {
-                n = self.node(n).right;
+            while self.node(at).right != NONE {
+                at = self.node(at).right;
             }
-            let node = self.node(n);
-            Some(Placement {
-                base: node.base,
-                size: node.size,
-                unit: node.unit,
-            })
-        })?;
-        if addr < candidate.base + candidate.size {
-            Some(candidate)
-        } else {
-            None
         }
+        let p = self.placement(at);
+        (addr - p.base < p.size).then_some(p)
     }
 
-    fn len(&self) -> usize {
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn kind(&self) -> TableKind {
-        TableKind::Splay
+    /// Whether the table is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
-
-/// Entry count at which an [`AutoTable`] promotes its flat inner table
-/// to a splay tree. Chosen from the stress rows: farm-resident tables
-/// sit at a few dozen entries (flat's cache-dense sweet spot), while
-/// single-machine traces that blow past ~a hundred live units are deep
-/// enough for the splay tree's self-adjustment to pay for itself.
-pub const AUTO_PROMOTE: usize = 96;
-
-#[derive(Debug)]
-enum AutoInner {
-    Flat(FlatTable),
-    Splay(SplayTable),
-}
-
-/// Adaptive object table: starts as a [`FlatTable`] and promotes itself
-/// in place to a [`SplayTable`] when an insert would grow it past
-/// [`AUTO_PROMOTE`] entries. Promotion is one-way — a table that was
-/// ever deep keeps the structure built for depth, so churn around the
-/// threshold cannot thrash migrations. Used directly as a backend and
-/// as the paged lookup layer's natural fallback table (shared pages are
-/// few, so the fallback table stays in its flat regime).
-#[derive(Debug)]
-pub struct AutoTable {
-    inner: AutoInner,
-}
-
-impl Default for AutoTable {
-    fn default() -> AutoTable {
-        AutoTable::new()
-    }
-}
-
-impl AutoTable {
-    /// Creates an empty table (in its flat regime).
-    pub fn new() -> AutoTable {
-        AutoTable {
-            inner: AutoInner::Flat(FlatTable::new()),
-        }
-    }
-
-    /// Which structural backend currently serves this table.
-    pub fn current(&self) -> TableKind {
-        match self.inner {
-            AutoInner::Flat(_) => TableKind::Flat,
-            AutoInner::Splay(_) => TableKind::Splay,
-        }
-    }
-}
-
-impl ObjectTable for AutoTable {
-    fn boxed_clone(&self) -> Box<dyn ObjectTable> {
-        Box::new(AutoTable {
-            inner: match &self.inner {
-                AutoInner::Flat(t) => AutoInner::Flat(t.clone()),
-                AutoInner::Splay(t) => AutoInner::Splay(t.clone()),
-            },
-        })
-    }
-
-    fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
-        if let AutoInner::Flat(flat) = &self.inner {
-            if flat.entries.len() >= AUTO_PROMOTE {
-                let mut splay = SplayTable::new();
-                for p in &flat.entries {
-                    splay.insert(p.base, p.size, p.unit);
-                }
-                self.inner = AutoInner::Splay(splay);
-            }
-        }
-        match &mut self.inner {
-            AutoInner::Flat(t) => t.insert(base, size, unit),
-            AutoInner::Splay(t) => t.insert(base, size, unit),
-        }
-    }
-
-    fn remove(&mut self, base: u64) -> Option<Placement> {
-        match &mut self.inner {
-            AutoInner::Flat(t) => t.remove(base),
-            AutoInner::Splay(t) => t.remove(base),
-        }
-    }
-
-    fn lookup(&mut self, addr: u64) -> Option<Placement> {
-        match &mut self.inner {
-            AutoInner::Flat(t) => t.lookup(addr),
-            AutoInner::Splay(t) => t.lookup(addr),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match &self.inner {
-            AutoInner::Flat(t) => t.len(),
-            AutoInner::Splay(t) => t.len(),
-        }
-    }
-
-    fn kind(&self) -> TableKind {
-        TableKind::Auto
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn exercise<T: ObjectTable + ?Sized>(t: &mut T) {
+    fn exercise(mut t: Table) -> Table {
         t.insert(100, 10, UnitId(1));
         t.insert(200, 20, UnitId(2));
         t.insert(50, 5, UnitId(3));
@@ -721,32 +551,34 @@ mod tests {
         t.insert(200, 8, UnitId(4));
         assert_eq!(t.lookup(207).unwrap().unit, UnitId(4));
         assert_eq!(t.lookup(208), None);
-    }
 
-    #[test]
-    fn btree_table_basics() {
-        exercise(&mut BTreeTable::new());
+        // A unit that ends at the top of the address space: the
+        // containment test forms no `base + size`.
+        t.insert(u64::MAX - 15, 16, UnitId(5));
+        assert_eq!(t.lookup(u64::MAX).unwrap().unit, UnitId(5));
+        assert_eq!(t.lookup(u64::MAX - 16), None);
+        t
     }
 
     #[test]
     fn splay_table_basics() {
-        let mut t = SplayTable::new();
-        exercise(&mut t);
+        let Table::Splay(t) = exercise(Table::new(TableKind::Splay)) else {
+            panic!("splay builds a splay tree");
+        };
         t.check_bst();
     }
 
     #[test]
     fn flat_table_basics() {
-        exercise(&mut FlatTable::new());
+        let t = exercise(Table::new(TableKind::Flat));
+        assert!(matches!(t, Table::Flat(_)), "flat builds a sorted vector");
     }
 
     #[test]
     fn every_kind_builds_a_working_backend() {
         for kind in TableKind::ALL {
-            let mut t = kind.build();
-            assert_eq!(t.kind(), kind);
-            assert!(t.is_empty());
-            exercise(t.as_mut());
+            assert!(Table::new(kind).is_empty());
+            assert_eq!(exercise(Table::new(kind)).len(), 4, "{kind}");
         }
     }
 
@@ -756,53 +588,10 @@ mod tests {
             assert_eq!(kind.name().parse::<TableKind>().unwrap(), kind);
         }
         assert_eq!("SPLAY".parse::<TableKind>().unwrap(), TableKind::Splay);
-        assert_eq!("auto".parse::<TableKind>().unwrap(), TableKind::Auto);
-        assert!("avl".parse::<TableKind>().is_err());
-    }
-
-    #[test]
-    fn auto_table_basics() {
-        let mut t = AutoTable::new();
-        exercise(&mut t);
-        assert_eq!(t.kind(), TableKind::Auto);
-        assert_eq!(t.current(), TableKind::Flat);
-        let mut boxed = TableKind::Auto.build();
-        assert_eq!(boxed.kind(), TableKind::Auto);
-        exercise(boxed.as_mut());
-    }
-
-    #[test]
-    fn auto_table_promotes_once_and_keeps_every_entry() {
-        let mut t = AutoTable::new();
-        for i in 0..(AUTO_PROMOTE as u64 + 32) {
-            t.insert(i * 32, 16, UnitId(i as u32));
-            let expect = if i < AUTO_PROMOTE as u64 {
-                TableKind::Flat
-            } else {
-                TableKind::Splay
-            };
-            assert_eq!(t.current(), expect, "after {} inserts", i + 1);
+        assert_eq!(TableKind::default(), TableKind::Flat);
+        for gone in ["avl", "btree", "auto"] {
+            assert!(gone.parse::<TableKind>().is_err(), "{gone}");
         }
-        // Every entry survived the migration, including lookups across
-        // the promotion boundary and in the gaps.
-        for i in 0..(AUTO_PROMOTE as u64 + 32) {
-            assert_eq!(t.lookup(i * 32 + 3).unwrap().unit, UnitId(i as u32));
-            assert!(t.lookup(i * 32 + 20).is_none());
-        }
-        // Promotion is one-way: shrinking far below the threshold keeps
-        // the splay structure (no migration thrash).
-        for i in 0..(AUTO_PROMOTE as u64 + 24) {
-            assert!(t.remove(i * 32).is_some());
-        }
-        assert_eq!(t.current(), TableKind::Splay);
-        assert_eq!(t.len(), 8);
-        // A clone carries the promoted structure.
-        let mut c = t.boxed_clone();
-        assert_eq!(c.len(), 8);
-        assert_eq!(
-            c.lookup((AUTO_PROMOTE as u64 + 28) * 32).map(|p| p.unit),
-            t.lookup((AUTO_PROMOTE as u64 + 28) * 32).map(|p| p.unit)
-        );
     }
 
     #[test]

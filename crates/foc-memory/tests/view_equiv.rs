@@ -23,7 +23,7 @@ use proptest::prelude::*;
 
 use foc_memory::addr::{HEAP_BASE, STACK_BASE};
 use foc_memory::{
-    AccessCtx, AccessSize, LookupLayer, MemConfig, MemoryErrorRecord, MemorySpace, Mode, SpaceStats,
+    AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, Mode, SpaceStats, TableKind,
 };
 
 const CTX: AccessCtx = AccessCtx { func: 3, pc: 7 };
@@ -37,17 +37,17 @@ const SIZES: [AccessSize; 4] = [
     AccessSize::B8,
 ];
 
-fn config(mode: Mode, lookup: LookupLayer) -> MemConfig {
-    sized_config(mode, lookup, HEAP_LEN, STACK_LEN)
+fn config(mode: Mode, table: TableKind) -> MemConfig {
+    sized_config(mode, table, HEAP_LEN, STACK_LEN)
 }
 
-fn sized_config(mode: Mode, lookup: LookupLayer, heap_len: usize, stack_len: usize) -> MemConfig {
+fn sized_config(mode: Mode, table: TableKind, heap_len: usize, stack_len: usize) -> MemConfig {
     MemConfig {
         mode,
         global_len: GLOBAL_LEN,
         heap_len,
         stack_len,
-        lookup,
+        table,
         ..MemConfig::default()
     }
 }
@@ -91,8 +91,8 @@ struct World {
 }
 
 /// Applies an alloc/free/frame script. Each step is `(kind, amount)`.
-fn churn(mode: Mode, lookup: LookupLayer, script: &[(u8, u64)]) -> World {
-    let mut space = MemorySpace::new(config(mode, lookup));
+fn churn(mode: Mode, table: TableKind, script: &[(u8, u64)]) -> World {
+    let mut space = MemorySpace::new(config(mode, table));
     let g = space.alloc_global(40, "g").expect("global fits");
     let mut live: Vec<(u64, u64)> = vec![(g, 40)];
     let mut heap: Vec<(u64, u64)> = Vec::new();
@@ -303,8 +303,8 @@ fn check_run(w: &World, ptr: u64, off: u64, want: u64, value: u8) {
 #[test]
 fn runs_end_where_the_unit_does_and_start_nowhere_else() {
     for mode in Mode::ALL {
-        for lookup in LookupLayer::ALL {
-            let mut s = MemorySpace::new(config(mode, lookup));
+        for table in TableKind::ALL {
+            let mut s = MemorySpace::new(config(mode, table));
             let p = s.malloc(24).expect("heap has room");
             let q = s.malloc(24).expect("heap has room");
             let len = |s: &mut MemorySpace, base, off, want| s.run(base, off, want).len;
@@ -352,8 +352,8 @@ proptest! {
         ),
     ) {
         for mode in Mode::ALL {
-            for lookup in LookupLayer::ALL {
-                let w = churn(mode, lookup, &script);
+            for table in TableKind::ALL {
+                let w = churn(mode, table, &script);
                 for &(pick, small, kind, want, value) in &probes {
                     let ptr = w.pointers[pick as usize % w.pointers.len()];
                     let off = match kind {
@@ -378,8 +378,8 @@ proptest! {
         ),
     ) {
         for mode in [Mode::FailureOblivious, Mode::BoundsCheck, Mode::Standard] {
-            for lookup in LookupLayer::ALL {
-                let w = churn(mode, lookup, &script);
+            for table in TableKind::ALL {
+                let w = churn(mode, table, &script);
                 for &(pick, small, size, kind, value) in &probes {
                     let ptr = w.pointers[pick as usize % w.pointers.len()];
                     let delta = match kind {
@@ -405,7 +405,7 @@ proptest! {
     ) {
         let total = total * 16;
         let off = (slot * 8) % (total as u32 - 8);
-        let mut a = MemorySpace::new(config(Mode::FailureOblivious, LookupLayer::Paged));
+        let mut a = MemorySpace::new(config(Mode::FailureOblivious, TableKind::Flat));
         let base = a.push_frame(total).expect("stack has room");
         let mut b = a.clone();
         let mut view = a.native_view(base, total);
@@ -426,7 +426,7 @@ fn uncommitted_chunks_miss_until_the_fallback_commits_them() {
     const HEAP: usize = 2 << 20;
     const STACK: usize = 1 << 20;
     for mode in [Mode::FailureOblivious, Mode::Standard] {
-        let mut s = MemorySpace::new(sized_config(mode, LookupLayer::Paged, HEAP, STACK));
+        let mut s = MemorySpace::new(sized_config(mode, TableKind::Flat, HEAP, STACK));
         let block = s.malloc(1 << 20).expect("heap has room");
         let top = STACK_BASE + STACK as u64;
         let frame = s.push_frame(512 << 10).expect("stack has room");

@@ -71,11 +71,11 @@ impl Edge {
     }
 
     /// The edge selected by the [`EDGE_ENV`] environment variable, or
-    /// the default. Strict like `TableKind::from_env` and
-    /// `LookupLayer::from_env`: an unknown value exits with a one-line
-    /// diagnostic rather than silently measuring a different transport
-    /// than the operator asked for. Read once per process; callers who
-    /// want an error value parse through `FromStr` instead.
+    /// the default. Strict like `TableKind::from_env`: an unknown value
+    /// exits with a one-line diagnostic rather than silently measuring
+    /// a different transport than the operator asked for. Read once per
+    /// process; callers who want an error value parse through `FromStr`
+    /// instead.
     pub fn from_env() -> Edge {
         static EDGE: OnceLock<Edge> = OnceLock::new();
         EDGE.get_or_init(|| match std::env::var(EDGE_ENV) {

@@ -38,7 +38,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use foc_memory::{LookupLayer, Mode, TableKind, ValueSequence};
+use foc_memory::{Mode, TableKind, ValueSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -60,17 +60,12 @@ pub struct FarmConfig {
     pub kind: ServerKind,
     /// Compiler/runtime policy for every process in the farm.
     pub mode: Mode,
-    /// Object-table backend for every process in the farm. Backend
-    /// choice never changes what a farm computes (the cross-backend
-    /// equivalence tests assert byte-identical transcripts), only how
-    /// fast the bounds lookups run — so, like `threads`, it is excluded
-    /// from [`FarmReport`] equality.
+    /// Object table for every process in the farm. The choice never
+    /// changes what a farm computes (the shipped-vs-oracle equivalence
+    /// tests assert byte-identical transcripts), only how fast the
+    /// bounds lookups run — so, like `threads`, it is excluded from
+    /// [`FarmReport`] equality.
     pub table: TableKind,
-    /// In-bounds lookup layer for every process in the farm. Like
-    /// `table`, a pure performance axis (the paged-vs-table equivalence
-    /// tests assert byte-identical transcripts), so it too is excluded
-    /// from [`FarmReport`] equality.
-    pub lookup: LookupLayer,
     /// Manufactured-value strategy for every process in the farm.
     /// Unlike `table`, this *does* change the measured data (different
     /// manufactured reads steer different guest paths), so it is part
@@ -110,7 +105,7 @@ pub struct FarmConfig {
 impl FarmConfig {
     /// A farm of `kind` under `mode` with the default shape: 4 servers,
     /// 4 threads, 100 requests per server, 1-in-8 attacks, and the
-    /// shared supervision budget. The table backend and lookup layer are
+    /// shared supervision budget. The object table is
     /// [`BootSpec::new`]'s, so the farm boots exactly what a lone driver
     /// would.
     pub fn new(kind: ServerKind, mode: Mode) -> FarmConfig {
@@ -119,7 +114,6 @@ impl FarmConfig {
             kind,
             mode,
             table: spec.table,
-            lookup: spec.lookup,
             sequence: ValueSequence::default(),
             fuel: None,
             servers: 4,
@@ -151,12 +145,6 @@ impl FarmConfig {
         self
     }
 
-    /// Same farm on a different in-bounds lookup layer.
-    pub fn with_lookup(mut self, lookup: LookupLayer) -> FarmConfig {
-        self.lookup = lookup;
-        self
-    }
-
     /// Same farm with a different manufactured-value strategy.
     pub fn with_sequence(mut self, sequence: ValueSequence) -> FarmConfig {
         self.sequence = sequence;
@@ -173,7 +161,6 @@ impl FarmConfig {
     pub fn boot_spec(&self) -> BootSpec {
         BootSpec::new(self.kind, self.mode)
             .with_table(self.table)
-            .with_lookup(self.lookup)
             .with_sequence(self.sequence)
             .with_fuel(self.fuel.unwrap_or_else(|| self.kind.fuel()))
     }
@@ -317,12 +304,11 @@ impl PartialEq for FarmReport {
     fn eq(&self, other: &FarmReport) -> bool {
         let a = &self.config;
         let b = &other.config;
-        // Thread count, slice grain, table backend, lookup layer, and
-        // the request edge are excluded: they shape host wall time
-        // only, never the measured data — that is the determinism
-        // contract (the backend half is asserted by the cross-backend
-        // transcript-equivalence tests, the layer half by the
-        // paged-vs-table battery, the edge half by the socket-vs-
+        // Thread count, slice grain, object table, and the request
+        // edge are excluded: they shape host wall time only, never the
+        // measured data — that is the determinism contract (the table
+        // half is asserted by the shipped-vs-oracle transcript tests in
+        // `tests/table_backends.rs`, the edge half by the socket-vs-
         // in-process battery in `tests/conn_equiv.rs`).
         a.kind == b.kind
             && a.mode == b.mode
@@ -1286,14 +1272,13 @@ mod tests {
 
     #[test]
     fn farm_report_is_table_backend_invariant() {
-        // The backend is a pure performance knob: reports (stats,
-        // per-server breakdowns, histograms) must compare equal across
-        // all three, in a mode with restarts in play.
+        // The table is a pure performance knob: reports (stats,
+        // per-server breakdowns, histograms) must compare equal on the
+        // shipped vector and the oracle tree, in a mode with restarts in
+        // play.
         let c = quick(ServerKind::Apache, Mode::BoundsCheck).with_attack_ratio(1, 4);
         let splay = run_farm(&c.clone().with_table(TableKind::Splay));
-        let btree = run_farm(&c.clone().with_table(TableKind::BTree));
         let flat = run_farm(&c.with_table(TableKind::Flat));
-        assert_eq!(splay, btree);
         assert_eq!(splay, flat);
     }
 

@@ -395,7 +395,7 @@ mod tests {
         // A different axis is a different cell.
         let c = boot_checkpoint(
             ServerKind::Apache,
-            &spec.with_table(foc_memory::TableKind::Flat),
+            &spec.with_table(foc_memory::TableKind::Splay),
         );
         assert!(!Arc::ptr_eq(&a, &c));
     }

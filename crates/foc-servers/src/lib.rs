@@ -139,23 +139,22 @@ pub struct BootSpec {
     /// tiers' boots never alias in the checkpoint cache, matching
     /// their distinct [`foc_compiler::ProgramId`]s.
     pub tier: ExecTier,
-    /// In-bounds lookup layer of the booted space (page map vs direct
-    /// table search). Part of the cache key: a cached checkpoint carries
-    /// its page map, so paged and table boots never alias.
+    /// Always [`LookupLayer::Table`]. Kept only because the frozen
+    /// `bench/` package reads it; goes with the type at the next
+    /// `benchmark` revision (ROADMAP).
     pub lookup: LookupLayer,
 }
 
 impl BootSpec {
     /// A spec for `kind` under `mode` with the remaining axes at their
     /// session defaults: the paper's cycling sequence, the kind's
-    /// standard fuel budget, and the three environment axes — table
-    /// backend from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`,
-    /// lookup layer from `FOC_LOOKUP`. Unset, those are the shipped
-    /// fast path `native`/`paged`/`auto`; `baseline`/`table`/`splay`,
-    /// the reference oracle every faster path is proven against, is
-    /// reached by naming it (in the environment or through the `with_*`
-    /// builders). This is the one place a default is decided:
-    /// [`farm::FarmConfig::new`], [`ServerKind::image`],
+    /// standard fuel budget, and the two environment axes — object
+    /// table from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`.
+    /// Unset, those are the shipped fast path `native`/`flat`;
+    /// `baseline`/`splay`, the reference oracle every faster path is
+    /// proven against, is reached by naming it (in the environment or
+    /// through the `with_*` builders). This is the one place a default
+    /// is decided: [`farm::FarmConfig::new`], [`ServerKind::image`],
     /// [`Process::boot_source`] and [`apache::ApachePool::new`] all take
     /// theirs from here. Unknown env values exit the process with a
     /// one-line diagnostic; use [`BootSpec::from_env`] to get the error
@@ -173,24 +172,23 @@ impl BootSpec {
             sequence: ValueSequence::default(),
             fuel,
             tier: ExecTier::from_env(),
-            lookup: LookupLayer::from_env(),
+            lookup: LookupLayer::Table,
         }
     }
 
     /// The reference oracle for `kind` under `mode`, whatever the
-    /// environment says: the interpreted `baseline` tier over the direct
-    /// `table` search of a `splay` tree — the configuration every
+    /// environment says: the interpreted `baseline` tier over a `splay`
+    /// tree, Jones & Kelly's own structure — the configuration every
     /// faster path is proven observably identical to.
     pub fn oracle(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec::new(kind, mode)
             .with_tier(ExecTier::Baseline)
-            .with_lookup(LookupLayer::Table)
             .with_table(TableKind::Splay)
     }
 
     /// The strict, fallible twin of [`BootSpec::new`]: reads the same
-    /// three environment axes (`FOC_EXEC_TIER`, `FOC_LOOKUP`,
-    /// `FOC_TABLE`) in one place and returns the first configuration
+    /// two environment axes (`FOC_EXEC_TIER`, `FOC_TABLE`) in one place
+    /// and returns the first configuration
     /// error as a typed [`EnvError`] instead of exiting — the single
     /// entry the bench binaries and CI read session config through, so
     /// an unknown value surfaces as one uniform diagnostic no matter
@@ -224,7 +222,7 @@ impl BootSpec {
             sequence: ValueSequence::default(),
             fuel: kind.fuel(),
             tier: axis(&get, foc_compiler::EXEC_TIER_ENV)?,
-            lookup: axis(&get, foc_memory::LOOKUP_ENV)?,
+            lookup: LookupLayer::Table,
         })
     }
 
@@ -251,17 +249,11 @@ impl BootSpec {
         self.tier = tier;
         self
     }
-
-    /// Same spec on a different in-bounds lookup layer.
-    pub fn with_lookup(mut self, lookup: LookupLayer) -> BootSpec {
-        self.lookup = lookup;
-        self
-    }
 }
 
 /// A rejected environment value from [`BootSpec::from_env`]: which
 /// variable, what it held, and the parser's diagnostic (which lists the
-/// accepted spellings). One error type for all three config axes.
+/// accepted spellings). One error type for both config axes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvError {
     /// The environment variable that failed to parse.
@@ -314,8 +306,8 @@ pub struct Process {
 
 impl Process {
     /// Boots a shared compiled image from a full [`BootSpec`] — every
-    /// sweep axis (mode, table backend, value sequence, fuel budget,
-    /// execution tier, lookup layer) decided by the caller. This is the
+    /// sweep axis (mode, object table, value sequence, fuel budget,
+    /// execution tier) decided by the caller. This is the
     /// one canonical construction path: every other constructor, here
     /// and in the five drivers, is a thin forwarder into it. The farm's
     /// hot path too: no compilation, just globals/strings allocation —
@@ -329,8 +321,7 @@ impl Process {
         let config = MachineConfig {
             mem: foc_memory::MemConfig::with_mode(spec.mode)
                 .with_table(spec.table)
-                .with_sequence(spec.sequence)
-                .with_lookup(spec.lookup),
+                .with_sequence(spec.sequence),
             fuel_per_call: spec.fuel,
         };
         let machine = match Machine::load(image.clone(), config) {
@@ -504,8 +495,7 @@ mod tests {
         let spec =
             BootSpec::from_env_with(ServerKind::Pine, Mode::FailureOblivious, |_| None).unwrap();
         assert_eq!(spec.tier, ExecTier::Native);
-        assert_eq!(spec.lookup, LookupLayer::Paged);
-        assert_eq!(spec.table, TableKind::Auto);
+        assert_eq!(spec.table, TableKind::Flat);
         assert_eq!(spec.mode, Mode::FailureOblivious);
         assert_eq!(spec.fuel, ServerKind::Pine.fuel());
         assert_eq!(spec.sequence, ValueSequence::default());
@@ -514,25 +504,17 @@ mod tests {
     #[test]
     fn boot_spec_from_env_parses_every_valid_spelling() {
         for tier in ExecTier::ALL {
-            for lookup in LookupLayer::ALL {
-                for table in [
-                    TableKind::Splay,
-                    TableKind::BTree,
-                    TableKind::Flat,
-                    TableKind::Auto,
-                ] {
-                    // Upper-case to pin case-insensitivity on all axes.
-                    let vals = [
-                        (foc_compiler::EXEC_TIER_ENV, tier.label().to_uppercase()),
-                        (foc_memory::LOOKUP_ENV, lookup.name().to_uppercase()),
-                        (foc_memory::TABLE_ENV, table.name().to_uppercase()),
-                    ];
-                    let spec = BootSpec::from_env_with(ServerKind::Mutt, Mode::Standard, |var| {
-                        vals.iter().find(|(v, _)| *v == var).map(|(_, s)| s.clone())
-                    })
-                    .unwrap();
-                    assert_eq!((spec.tier, spec.lookup, spec.table), (tier, lookup, table));
-                }
+            for table in TableKind::ALL {
+                // Upper-case to pin case-insensitivity on both axes.
+                let vals = [
+                    (foc_compiler::EXEC_TIER_ENV, tier.label().to_uppercase()),
+                    (foc_memory::TABLE_ENV, table.name().to_uppercase()),
+                ];
+                let spec = BootSpec::from_env_with(ServerKind::Mutt, Mode::Standard, |var| {
+                    vals.iter().find(|(v, _)| *v == var).map(|(_, s)| s.clone())
+                })
+                .unwrap();
+                assert_eq!((spec.tier, spec.table), (tier, table));
             }
         }
     }
@@ -543,9 +525,9 @@ mod tests {
             (foc_compiler::EXEC_TIER_ENV, "turbo"),
             (foc_compiler::EXEC_TIER_ENV, "super"),
             (foc_compiler::EXEC_TIER_ENV, ""),
-            (foc_memory::LOOKUP_ENV, "hashed"),
-            (foc_memory::LOOKUP_ENV, "paged "),
             (foc_memory::TABLE_ENV, "rbtree"),
+            (foc_memory::TABLE_ENV, "btree"),
+            (foc_memory::TABLE_ENV, "auto"),
             (foc_memory::TABLE_ENV, "splay,btree"),
         ] {
             let err = BootSpec::from_env_with(ServerKind::Sendmail, Mode::BoundsCheck, |v| {

@@ -550,6 +550,10 @@ pub struct Driven {
     /// The primary process's full memory-error log at script end, in
     /// commit order.
     pub log: Vec<MemoryErrorRecord>,
+    /// The most data units the primary process ever held live at once
+    /// (its unit store's slot count: the slab grows only when no freed
+    /// slot is left to reuse).
+    pub peak_units: usize,
 }
 
 /// Seals a finished script: reads the primary process's violation
@@ -566,6 +570,7 @@ fn seal<T>(
     let space = proc_of(&subject).machine().space();
     let stats = *space.stats();
     let log = space.error_log().records().to_vec();
+    let peak_units = space.unit_store().slot_count();
     let violations = stats.invalid_reads + stats.invalid_writes;
     let recovered = match trace.fault {
         None => true,
@@ -590,6 +595,7 @@ fn seal<T>(
         recovered,
         stats,
         log,
+        peak_units,
     }
 }
 

@@ -12,12 +12,11 @@
 //! aims straight at the heap seams with direct-machine sources built
 //! to fault *inside* a block (earlier block ops already retired, the
 //! probe misses, the access deopts at its pre-baked `FaultAt` seam),
-//! crossed with both page-lookup layers, alloc/free churn that
-//! reshapes the object table under the probe, manufactured-value
-//! strategies, and a fuel sweep that probes the whole-region
-//! pre-charge gate around the faulting block — plus the server-layer
-//! attack battery re-run under the paged lookup layer, which the
-//! in-block probe shares with the interpreter.
+//! crossed with both object tables, alloc/free churn that reshapes the
+//! table under the probe, manufactured-value strategies, and a fuel
+//! sweep that probes the whole-region pre-charge gate around the
+//! faulting block — plus the server-layer attack battery re-run on the
+//! oracle table, which the in-block probe shares with the interpreter.
 //!
 //! The last section holds the libc shim to the same contract. On the
 //! native tier its string/memory builtins retire whole runs of in-bounds
@@ -35,7 +34,7 @@ use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier, ProgramImage};
 use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
-use foc_memory::{LookupLayer, MemConfig, MemoryErrorRecord, Mode, SpaceStats, ValueSequence};
+use foc_memory::{MemConfig, MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::BootSpec;
 use foc_vm::{Machine, MachineConfig, RunStats, VmFault};
@@ -91,8 +90,8 @@ struct Observed {
 }
 
 /// Boots `source` at `tier`, applies `churn` rounds of host-side
-/// allocate/free traffic (reshaping the object table and page map the
-/// in-block probe resolves against), calls `entry(arg)` once, and
+/// allocate/free traffic (reshaping the object table the in-block
+/// probe resolves against), calls `entry(arg)` once, and
 /// snapshots everything observable.
 fn observe(
     source: &str,
@@ -160,29 +159,29 @@ fn assert_mem_blind(
 }
 
 /// The in-bounds copy loop is byte-identical across tiers, modes, and
-/// both lookup layers — and the two layers agree with *each other*,
+/// both object tables — and the two tables agree with *each other*,
 /// pinning that the in-block probe drives the substrate counters
 /// exactly as interpreted accesses do on the pure fast path.
 #[test]
 fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
     for mode in Mode::ALL {
-        let mut per_layer = Vec::new();
-        for lookup in LookupLayer::ALL {
+        let mut per_table = Vec::new();
+        for table in TableKind::ALL {
             let config = MachineConfig::with_mode(mode)
-                .with_lookup(lookup)
+                .with_table(table)
                 .with_fuel(1_000_000);
             let seen = assert_mem_blind(COPY_SOURCE, "spin", 6, &config, 0);
             assert_eq!(
                 seen.result,
                 Ok(31 * 7 * 6),
-                "the copy loop is violation-free and must complete under {mode:?}/{lookup:?}"
+                "the copy loop is violation-free and must complete under {mode:?}/{table:?}"
             );
             assert_eq!(seen.log_total, 0, "no violations on the in-bounds loop");
-            per_layer.push(seen);
+            per_table.push(seen);
         }
         assert_eq!(
-            per_layer[0], per_layer[1],
-            "lookup layers must be mutually invisible under {mode:?}"
+            per_table[0], per_table[1],
+            "the tables must be mutually invisible under {mode:?}"
         );
     }
 }
@@ -190,14 +189,14 @@ fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
 /// Mid-block access faults: the overrun loop crosses its arrays' ends,
 /// so the fused in-block access deopts. Every mode's full observable
 /// surface — including the fault pc inside the log records and the
-/// refunded `RunStats` — must match the baseline interpreter, under
-/// both lookup layers.
+/// refunded `RunStats` — must match the baseline interpreter, on both
+/// object tables.
 #[test]
 fn mid_block_access_faults_are_tier_blind() {
     for mode in Mode::ALL {
-        for lookup in LookupLayer::ALL {
+        for table in TableKind::ALL {
             let config = MachineConfig::with_mode(mode)
-                .with_lookup(lookup)
+                .with_table(table)
                 .with_fuel(1_000_000);
             let seen = assert_mem_blind(OVERRUN_SOURCE, "smash", 12, &config, 0);
             if mode == Mode::FailureOblivious {
@@ -239,23 +238,23 @@ fn manufactured_values_at_deopt_seams_are_tier_blind() {
     }
 }
 
-/// The server-layer attack battery under the *paged* lookup layer:
-/// all five servers × all five modes × the full input library, native
-/// vs baseline. `native_equiv.rs` covers the table layer; this leg
-/// pins that heap-spanning blocks inside real server images resolve
-/// through the page map identically too.
+/// The server-layer attack battery on the *oracle* table: all five
+/// servers × all five modes × the full input library, native vs
+/// baseline. `native_equiv.rs` covers the shipped table; this leg pins
+/// that heap-spanning blocks inside real server images resolve through
+/// the splay tree identically too.
 #[test]
-fn all_servers_all_modes_attack_library_under_paged_lookup() {
+fn all_servers_all_modes_attack_library_on_the_oracle_table() {
     let mut attacks = 0;
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
-            let spec = BootSpec::new(input.kind, mode).with_lookup(LookupLayer::Paged);
+            let spec = BootSpec::new(input.kind, mode).with_table(TableKind::Splay);
             let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
             let native = drive_input(input, &spec.with_tier(ExecTier::Native));
             assert_eq!(
                 baseline,
                 native,
-                "{}/{} under paged lookup: native must match baseline",
+                "{}/{} on the splay table: native must match baseline",
                 input.kind.name(),
                 input.name
             );
@@ -338,19 +337,19 @@ const FREE_MID_LOOP: &str = "long reap(long n) {\n\
 #[test]
 fn a_freed_buffer_is_not_remembered_across_the_free() {
     for mode in Mode::ALL {
-        for lookup in LookupLayer::ALL {
+        for table in TableKind::ALL {
             let config = MachineConfig::with_mode(mode)
-                .with_lookup(lookup)
+                .with_table(table)
                 .with_sequence(ValueSequence::Cycling { wrap: 5 })
                 .with_fuel(1_000_000);
             let seen = assert_mem_blind(FREE_MID_LOOP, "reap", 11, &config, 0);
             if mode == Mode::FailureOblivious {
                 // Iterations 4..11 each read and write the dead buffer.
-                assert_eq!(seen.space.invalid_reads, 7, "{lookup:?}");
-                assert_eq!(seen.space.invalid_writes, 7, "{lookup:?}");
+                assert_eq!(seen.space.invalid_reads, 7, "{table:?}");
+                assert_eq!(seen.space.invalid_writes, 7, "{table:?}");
                 // 1 + 2 + 3 + 4 from the live buffer, then manufactured
                 // 0, 1, 2, 0, 1, 3, 0.
-                assert_eq!(seen.result, Ok(10 + 7), "{lookup:?}");
+                assert_eq!(seen.result, Ok(10 + 7), "{table:?}");
             }
         }
     }
@@ -378,17 +377,17 @@ const OFF_AND_BACK: &str = "long weave(long n) {\n\
 #[test]
 fn excursions_off_a_unit_resume_on_the_hit_path() {
     for mode in Mode::ALL {
-        for lookup in LookupLayer::ALL {
+        for table in TableKind::ALL {
             let config = MachineConfig::with_mode(mode)
-                .with_lookup(lookup)
+                .with_table(table)
                 .with_fuel(1_000_000);
             let seen = assert_mem_blind(OFF_AND_BACK, "weave", 21, &config, 0);
             if mode == Mode::FailureOblivious {
                 assert!(seen.result.is_ok());
                 // (i * 3) % 7 >= 4 on 9 of 21 iterations, (i * 5) % 6
                 // >= 4 on 8.
-                assert_eq!(seen.space.invalid_reads, 9, "{lookup:?}");
-                assert_eq!(seen.space.invalid_writes, 8, "{lookup:?}");
+                assert_eq!(seen.space.invalid_reads, 9, "{table:?}");
+                assert_eq!(seen.space.invalid_writes, 8, "{table:?}");
             }
         }
     }
@@ -416,12 +415,12 @@ fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
     // x: 1 -> (1+0)*2 = 2 -> (2+1)*2 = 6 -> (6+2)*2 = 16; t sums 2x.
     let expected = 2 * (2 + 6 + 16);
     for mode in Mode::ALL {
-        for lookup in LookupLayer::ALL {
+        for table in TableKind::ALL {
             let config = MachineConfig::with_mode(mode)
-                .with_lookup(lookup)
+                .with_table(table)
                 .with_fuel(1_000_000);
             let seen = assert_mem_blind(FRAME_ALIAS, "alias", 3, &config, 0);
-            assert_eq!(seen.result, Ok(expected), "{mode:?}/{lookup:?}");
+            assert_eq!(seen.result, Ok(expected), "{mode:?}/{table:?}");
             assert_eq!(seen.log_total, 0);
         }
     }
@@ -449,9 +448,9 @@ proptest! {
         prop_assert_eq!(baseline, native);
     }
 
-    /// Alloc/free churn reshapes the object table and page map the
-    /// in-block probe resolves against (splay rotations, page-hint
-    /// shifts, freed-unit tombstones). Random churn volumes crossed
+    /// Alloc/free churn reshapes the object table the in-block probe
+    /// resolves against (splay rotations, shifted vector entries and a
+    /// stale memo, freed-unit tombstones). Random churn volumes crossed
     /// with random overrun depths and manufactured-value seeds must
     /// leave the native tier observationally invisible.
     #[test]
@@ -459,10 +458,10 @@ proptest! {
         churn in 0u32..96,
         n in 0i64..24,
         wrap in 2u64..600,
-        lookup_index in 0usize..LookupLayer::ALL.len(),
+        table_index in 0usize..TableKind::ALL.len(),
     ) {
         let config = MachineConfig::with_mode(Mode::FailureOblivious)
-            .with_lookup(LookupLayer::ALL[lookup_index])
+            .with_table(TableKind::ALL[table_index])
             .with_sequence(ValueSequence::Cycling { wrap })
             .with_fuel(1_000_000);
         let baseline = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Baseline, config.clone(), churn);
@@ -519,13 +518,13 @@ const SHIM_ENTRIES: [&str; 17] = [
 /// Region sizes small enough to compare every guest byte after every
 /// run; `roomy` leaves heap for a block whose far end no write has
 /// committed.
-fn shim_config(mode: Mode, lookup: LookupLayer, roomy: bool, fuel: u64) -> MachineConfig {
+fn shim_config(mode: Mode, table: TableKind, roomy: bool, fuel: u64) -> MachineConfig {
     MachineConfig {
         mem: MemConfig {
             global_len: 8 << 10,
             heap_len: if roomy { 512 << 10 } else { 16 << 10 },
             stack_len: 16 << 10,
-            lookup,
+            table,
             ..MemConfig::with_mode(mode)
         },
         fuel_per_call: fuel,
@@ -655,8 +654,8 @@ fn shim_run(
 }
 
 /// Every builtin over `shapes` (indices into [`shim_shapes`]), every
-/// mode, both lookup layers at `full` fuel and every fuel budget from
-/// nothing to one past completion on the shipped layer. `full` covers
+/// mode, both object tables at `full` fuel and every fuel budget from
+/// nothing to one past completion on the shipped table. `full` covers
 /// every call that ends; a copy that overwrites its own terminator, or
 /// a Redirect scan wrapping round a unit with no NUL, stops there.
 fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
@@ -666,22 +665,22 @@ fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
     for entry in SHIM_ENTRIES {
         for mode in Mode::ALL {
             for shape in shapes.clone() {
-                let agree = |lookup: LookupLayer, fuel: u64| {
-                    let config = shim_config(mode, lookup, roomy, fuel);
+                let agree = |table: TableKind, fuel: u64| {
+                    let config = shim_config(mode, table, roomy, fuel);
                     let (reference, byte_wise) = shim_run(&baseline, entry, shape, &config);
                     let (spanned, span_wise) = shim_run(&native, entry, shape, &config);
                     assert_eq!(
                         reference, spanned,
-                        "{entry} {mode:?} {lookup:?} shape {shape} (roomy {roomy}) fuel {fuel}"
+                        "{entry} {mode:?} {table:?} shape {shape} (roomy {roomy}) fuel {fuel}"
                     );
                     assert_eq!(byte_wise, 0, "the baseline tier is the byte-wise reference");
                     spanned_instrs.set(spanned_instrs.get() + span_wise);
                     reference.observed.stats.instrs
                 };
-                agree(LookupLayer::Table, full);
-                let instrs = agree(LookupLayer::Paged, full);
+                agree(TableKind::Splay, full);
+                let instrs = agree(TableKind::Flat, full);
                 for fuel in 0..=(instrs + 1).min(full) {
-                    agree(LookupLayer::Paged, fuel);
+                    agree(TableKind::Flat, fuel);
                 }
             }
         }

@@ -52,15 +52,6 @@ impl MachineConfig {
         self
     }
 
-    /// Same config with a different in-bounds lookup layer (page map vs
-    /// direct table search) — a pure performance axis, observationally
-    /// identical under either setting and cloned faithfully by
-    /// checkpoints along with the rest of the space.
-    pub fn with_lookup(mut self, lookup: foc_memory::LookupLayer) -> MachineConfig {
-        self.mem.lookup = lookup;
-        self
-    }
-
     /// Same config with a different per-call instruction budget (the
     /// sweep's fuel axis: a tight budget converts manufactured-value
     /// non-termination into a prompt, classifiable fuel-out).
@@ -1529,6 +1520,51 @@ mod tests {
                     _ => assert_eq!(fault, VmFault::FuelExhausted, "{mode:?} {func}"),
                 }
                 assert!(m.output().is_empty(), "a copy that faults emits nothing");
+            }
+        }
+    }
+
+    /// A size is the guest's word too. Sizes within a granule, a header
+    /// or a heap base of `2^64` used to wrap the allocator's arithmetic:
+    /// a zero-capacity block, a size word of `0xFFFF_FFFF_FFFF_FFF0`, a
+    /// unit reaching across the address space, or a host overflow panic.
+    /// Each must end as the allocation `malloc(i64::MAX)` ends — out of
+    /// memory — on the bump path and (after a `free`) on the first-fit
+    /// path, with the heap as it was.
+    #[test]
+    fn wild_guest_sizes_end_out_of_memory_with_the_heap_intact() {
+        use foc_memory::{HeapError, MemFault};
+        let src = "long f(long n, long reuse) { \
+                     char *keep = (char *) malloc(48); char *q = (char *) malloc(48); char *p; \
+                     keep[0] = 'k'; if (reuse) free(q); \
+                     p = (char *) malloc(n); if (p == 0) return 1; p[0] = 'x'; return 0; }\n\
+                   long g(long n, long reuse) { \
+                     char *keep = (char *) malloc(48); char *q = (char *) malloc(48); \
+                     keep[0] = 'k'; if (reuse) free(q); \
+                     keep = (char *) realloc(keep, n); if (keep == 0) return 1; return 0; }";
+        let sizes = [-1, -15, -16, -17, -32, -0x1000_0000, i64::MIN, i64::MAX];
+        for mode in Mode::ALL {
+            for func in ["f", "g"] {
+                for n in sizes {
+                    for reuse in [0, 1] {
+                        let what = format!("{mode:?} {func}({n:#x}, {reuse})");
+                        assert_tier_parity(src, func, &[n, reuse], mode, 5_000);
+                        let config = MachineConfig::with_mode(mode).with_fuel(5_000);
+                        let mut m = Machine::from_source(src, config).expect("compile");
+                        assert_eq!(
+                            m.call(func, &[n, reuse]),
+                            Err(VmFault::Mem(MemFault::Heap(HeapError::OutOfMemory))),
+                            "{what}"
+                        );
+                        // `keep`, and `q` unless freed, are still the
+                        // only blocks; the freed one is handed out again.
+                        let space = m.space_mut();
+                        assert_eq!(space.heap_live(), 2 - reuse as u64, "{what}");
+                        let p = space.malloc(48).expect("the heap is still usable");
+                        assert_eq!(space.heap_live(), 3 - reuse as u64, "{what}");
+                        space.free(p, AccessCtx::default()).expect("and so is free");
+                    }
+                }
             }
         }
     }

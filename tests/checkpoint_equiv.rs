@@ -198,6 +198,41 @@ fn restored_boots_match_fresh_boots_everywhere() {
     }
 }
 
+/// A checkpoint carries its space's object table by value. Through the
+/// sweep's own entry point — boot from the per-spec cache, script,
+/// supervision restarts — the attack inputs must replay identically on
+/// a spec's second, cache-restored boot, on the shipped table and on
+/// the oracle's, and the two tables must agree: a snapshot whose table
+/// came back stale or shared would misclassify the attack's accesses.
+#[test]
+fn cached_boots_replay_the_attack_library_on_both_tables() {
+    use failure_oblivious::memory::TableKind;
+    use failure_oblivious::servers::sweep::{drive_input, INPUT_LIBRARY};
+
+    for input in INPUT_LIBRARY.iter().filter(|i| i.attack) {
+        let per_table = TableKind::ALL.map(|table| {
+            let spec = BootSpec::new(input.kind, Mode::FailureOblivious).with_table(table);
+            let first = drive_input(input, &spec);
+            let restored = drive_input(input, &spec);
+            assert_eq!(
+                first,
+                restored,
+                "{}/{} on {table}: a checkpoint-restored boot must replay identically",
+                input.kind.name(),
+                input.name,
+            );
+            restored
+        });
+        assert_eq!(
+            per_table[0],
+            per_table[1],
+            "{}/{}: the restored tables must agree",
+            input.kind.name(),
+            input.name,
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pine restart chains: restore + delta replay vs full-replay reference.
 // ---------------------------------------------------------------------

@@ -18,8 +18,8 @@
 //!    serving — with the FO version converting each attack into the
 //!    anticipated error the paper reports.
 //! 3. **The shipped default is the reference oracle, faster.** A session
-//!    booted from `BootSpec::new` (`native`/`paged`/`auto`) and from the
-//!    explicit `baseline`/`table`/`splay` spec agree on transcripts,
+//!    booted from `BootSpec::new` (`native`/`flat`) and from the
+//!    explicit `baseline`/`splay` spec agree on transcripts,
 //!    cycles, `RunStats`, `SpaceStats`, the error log and fault pcs.
 
 use failure_oblivious::memory::{MemoryErrorRecord, Mode, SpaceStats};
@@ -485,10 +485,10 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
 }
 
 /// What ships by default (`BootSpec::new` with no `FOC_*` variable set:
-/// native tier, paged lookup, auto table) is a faster way to run the
-/// reference configuration, never a different program: the same session
-/// booted from the default spec and from the explicitly named
-/// `baseline`/`table`/`splay` oracle agrees on every surface, where the
+/// native tier, flat table) is a faster way to run the reference
+/// configuration, never a different program: the same session booted
+/// from the default spec and from the explicitly named
+/// `baseline`/`splay` oracle agrees on every surface, where the
 /// continuation code runs (Failure Oblivious) and where the first error
 /// kills the process (Bounds Check).
 #[test]
@@ -536,19 +536,19 @@ const WRAPPING_STORE: &str = "long g[4];\n\
 
 /// An index that wraps the address space is an ordinary violation on
 /// every tier: same result or fault, same counters, same log — and no
-/// host panic — under all five modes and both lookup layers.
+/// host panic — under all five modes and both object tables.
 #[test]
 fn wrapping_index_is_a_violation_on_every_tier() {
     use failure_oblivious::compiler::{compile_image_tier, ExecTier};
-    use failure_oblivious::memory::LookupLayer;
+    use failure_oblivious::memory::TableKind;
     use failure_oblivious::{Machine, MachineConfig};
 
     for source in [WRAPPING_LOAD, WRAPPING_STORE] {
         for mode in Mode::ALL {
-            for lookup in LookupLayer::ALL {
+            for table in TableKind::ALL {
                 let observed = ExecTier::ALL.map(|tier| {
                     let image = compile_image_tier(source, tier).expect("source builds");
-                    let config = MachineConfig::with_mode(mode).with_lookup(lookup);
+                    let config = MachineConfig::with_mode(mode).with_table(table);
                     let mut m = Machine::load(image, config).expect("load");
                     let result = m.call("f", &[]);
                     let log = m.space().error_log();
@@ -564,7 +564,7 @@ fn wrapping_index_is_a_violation_on_every_tier() {
                     assert_eq!(
                         &observed[0],
                         seen,
-                        "{tier:?} diverges from {:?} under {mode:?}/{lookup:?}",
+                        "{tier:?} diverges from {:?} under {mode:?}/{table:?}",
                         ExecTier::ALL[0]
                     );
                 }

@@ -13,9 +13,11 @@
 
 use proptest::prelude::*;
 
+use std::collections::btree_map::{BTreeMap, Entry};
+
 use failure_oblivious::memory::{
-    AccessCtx, AccessSize, BTreeTable, FlatTable, Manufacturer, MemConfig, MemorySpace, Mode,
-    ObjectTable, SplayTable, ValueSequence,
+    AccessCtx, AccessSize, FlatTable, Manufacturer, MemConfig, MemorySpace, Mode, Placement,
+    SplayTable, Table, TableKind, UnitId, ValueSequence,
 };
 use failure_oblivious::{Machine, MachineConfig};
 
@@ -24,50 +26,66 @@ const CTX: AccessCtx = AccessCtx { func: 0, pc: 0 };
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three object-table backends agree on arbitrary op sequences.
+    /// Both table structures, driven directly and through the `Table`
+    /// enum a space holds, agree with an ordered-map model on arbitrary
+    /// op sequences.
     #[test]
     fn object_tables_agree(ops in proptest::collection::vec((0u8..3, 0u64..64), 1..200)) {
         let mut splay = SplayTable::new();
-        let mut btree = BTreeTable::new();
         let mut flat = FlatTable::new();
-        let mut live: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut held = TableKind::ALL.map(Table::new);
+        // The reference: greatest base at or below the address, then the
+        // bounds test.
+        let mut model: BTreeMap<u64, Placement> = BTreeMap::new();
         for (i, (op, slot)) in ops.into_iter().enumerate() {
             // Non-overlapping 16-byte ranges at 32-byte strides.
             let base = slot * 32;
             match op {
                 0 => {
-                    if !live.contains(&base) {
-                        splay.insert(base, 16, failure_oblivious::memory::UnitId(i as u32));
-                        btree.insert(base, 16, failure_oblivious::memory::UnitId(i as u32));
-                        flat.insert(base, 16, failure_oblivious::memory::UnitId(i as u32));
-                        live.insert(base);
+                    if let Entry::Vacant(slot) = model.entry(base) {
+                        let unit = UnitId(i as u32);
+                        splay.insert(base, 16, unit);
+                        flat.insert(base, 16, unit);
+                        for t in &mut held {
+                            t.insert(base, 16, unit);
+                        }
+                        slot.insert(Placement {
+                            base,
+                            size: 16,
+                            unit,
+                        });
                     }
                 }
                 1 => {
-                    let s = splay.remove(base);
-                    let b = btree.remove(base);
-                    let f = flat.remove(base);
-                    prop_assert_eq!(s.is_some(), b.is_some());
-                    prop_assert_eq!(s, f);
-                    live.remove(&base);
+                    let want = model.remove(&base);
+                    prop_assert_eq!(splay.remove(base), want);
+                    prop_assert_eq!(flat.remove(base), want);
+                    for t in &mut held {
+                        prop_assert_eq!(t.remove(base), want);
+                    }
                 }
                 _ => {
                     // Probe a few addresses around the slot.
                     for probe in [base, base + 8, base + 15, base + 16, base + 24] {
-                        let s = splay.lookup(probe);
-                        let b = btree.lookup(probe);
-                        let f = flat.lookup(probe);
-                        prop_assert_eq!(s, b, "probe {}", probe);
-                        prop_assert_eq!(s, f, "probe {}", probe);
-                        if let Some(pl) = s {
-                            prop_assert!(probe >= pl.base && probe < pl.base + pl.size);
+                        let want = model
+                            .range(..=probe)
+                            .next_back()
+                            .map(|(_, pl)| *pl)
+                            .filter(|pl| probe < pl.base + pl.size);
+                        prop_assert_eq!(splay.lookup(probe), want, "probe {}", probe);
+                        prop_assert_eq!(flat.lookup(probe), want, "probe {}", probe);
+                        for t in &mut held {
+                            prop_assert_eq!(t.lookup(probe), want, "probe {}", probe);
                         }
                     }
                 }
             }
         }
-        prop_assert_eq!(splay.len(), btree.len());
-        prop_assert_eq!(splay.len(), flat.len());
+        prop_assert_eq!(splay.len(), model.len());
+        prop_assert_eq!(flat.len(), model.len());
+        for t in &held {
+            prop_assert_eq!(t.len(), model.len());
+        }
     }
 
     /// The allocator never hands out overlapping blocks, across arbitrary

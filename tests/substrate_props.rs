@@ -14,6 +14,10 @@
 //! 3. **Workloads and farm runs are reproducible**: the same seed yields
 //!    the same bytes, and the same farm config yields the same
 //!    [`FarmReport`] no matter how many OS threads drive it.
+//!
+//! And one assumption the substrate's design rests on: **no guest holds
+//! more than a few dozen live data units at once**, which is why the
+//! object table is a sorted vector.
 
 use proptest::prelude::*;
 
@@ -21,7 +25,8 @@ use failure_oblivious::memory::{
     AccessCtx, AccessSize, Manufacturer, MemConfig, MemorySpace, Mode, ValueSequence,
 };
 use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
-use failure_oblivious::servers::workload;
+use failure_oblivious::servers::sweep::{drive_input, INPUT_LIBRARY};
+use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Process};
 
 const CTX: AccessCtx = AccessCtx { func: 0, pc: 0 };
 
@@ -201,6 +206,170 @@ fn farm_acceptance_four_threads_hundred_requests() {
                 kind.name(),
                 slice
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Live units per space: the traffic assumption behind the object table.
+// ---------------------------------------------------------------------
+
+/// Ceiling on simultaneously live data units in one guest process. The
+/// servers peak at 36 (Apache; Sendmail 33, Mutt 28, MC 24, Pine 23).
+const LIVE_UNIT_CEILING: usize = 64;
+
+/// Requests per (server, mode) stream.
+const STREAM_REQUESTS: u64 = 200;
+
+fn assert_few_live_units(peak: usize, what: &str) {
+    assert!(
+        peak <= LIVE_UNIT_CEILING,
+        "{what}: {peak} data units live at once (ceiling {LIVE_UNIT_CEILING}). The object \
+         table is a sorted vector because no guest holds more than a few dozen live units; \
+         a guest that does re-opens ROADMAP item 1"
+    );
+}
+
+/// Serves [`STREAM_REQUESTS`] requests, rebooting the server whenever it
+/// stops being usable (a request that finds it dead even after the
+/// reboot is dropped), and checks the high-water mark of every process
+/// the stream went through — each one a restart replaces, and the last.
+fn stream<T>(
+    what: &str,
+    boot: impl Fn() -> T,
+    process: impl Fn(&T) -> &Process,
+    usable: impl Fn(&T) -> bool,
+    mut request: impl FnMut(&mut T, u64),
+) {
+    let peak = |server: &T| process(server).machine().space().unit_store().slot_count();
+    let mut server = boot();
+    for i in 0..STREAM_REQUESTS {
+        if !usable(&server) {
+            assert_few_live_units(peak(&server), what);
+            server = boot();
+            if !usable(&server) {
+                continue;
+            }
+        }
+        request(&mut server, i);
+    }
+    assert_few_live_units(peak(&server), what);
+}
+
+/// All five servers under all five modes, legitimate traffic with the
+/// server's attack as every fifth request (arm `2`).
+#[test]
+fn no_guest_holds_more_than_a_few_dozen_live_units() {
+    for kind in ServerKind::ALL {
+        for mode in Mode::ALL {
+            let spec = BootSpec::new(kind, mode);
+            let what = format!("{} under {mode:?}", kind.name());
+            match kind {
+                ServerKind::Apache => stream(
+                    &what,
+                    || apache::ApacheWorker::boot_spec(&spec),
+                    |w| w.process(),
+                    |w| !w.is_dead(),
+                    |w, i| {
+                        let _ = match i % 5 {
+                            2 => w.get(&apache::attack_url()),
+                            0 => w.get(b"/index.html"),
+                            1 => w.get(&workload::apache_url(3 + (i % 4) as usize)),
+                            3 => w.get(b"/big.bin"),
+                            _ => w.get(b"/nosuchpage.html"),
+                        };
+                    },
+                ),
+                ServerKind::Sendmail => stream(
+                    &what,
+                    || sendmail::Sendmail::boot_spec(&spec),
+                    |s| s.process(),
+                    |s| s.usable(),
+                    |s, i| {
+                        let _ = match i % 5 {
+                            2 => s.receive(
+                                &sendmail::attack_address(40),
+                                &workload::sendmail_address(i),
+                                b"attack payload",
+                            ),
+                            0 | 1 => s.receive(
+                                &workload::sendmail_address(i),
+                                &workload::sendmail_address(100 + i),
+                                &workload::lorem(160, i),
+                            ),
+                            3 => s.send(
+                                &workload::sendmail_address(200 + i),
+                                &workload::lorem(200, i),
+                            ),
+                            _ => s.wakeup(),
+                        };
+                    },
+                ),
+                ServerKind::Pine => stream(
+                    &what,
+                    || pine::Pine::boot_spec(&spec, pine::Pine::standard_mailbox(3)),
+                    |p| p.process(),
+                    |p| p.usable(),
+                    |p, i| {
+                        let _ = match i % 5 {
+                            2 => p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
+                            0 => p.deliver(
+                                &workload::from_field(i),
+                                b"new mail",
+                                &workload::lorem(300, i),
+                            ),
+                            1 => p.read((i % 3) as i64),
+                            3 => p.compose(),
+                            _ => p.move_message((i % 3) as i64),
+                        };
+                    },
+                ),
+                ServerKind::Mutt => stream(
+                    &what,
+                    || mutt::Mutt::boot_spec(&spec, 2),
+                    |m| m.process(),
+                    |m| !m.process().is_dead(),
+                    |m, i| {
+                        let _ = match i % 5 {
+                            2 => m.open_folder(&mutt::attack_folder_name(40)),
+                            0 => m.open_folder(b"INBOX"),
+                            1 | 3 => m.read_message((i % 2) as i64),
+                            _ => m.open_folder(b"work"),
+                        };
+                    },
+                ),
+                ServerKind::Mc => stream(
+                    &what,
+                    || mc::Mc::boot_spec(&spec, &mc::clean_config()),
+                    |m| m.process(),
+                    |m| m.usable(),
+                    |m, i| {
+                        let _ = match i % 5 {
+                            2 => m.open_archive(&mc::attack_links()),
+                            // One request in twenty-five copies the 3 MiB file.
+                            0 if i % 25 == 0 => {
+                                m.copy(b"/home/user/data.bin", format!("/tmp/c{i}").as_bytes())
+                            }
+                            0 => m.delete(format!("/tmp/d{}", i - 4).as_bytes()),
+                            1 => m.mkdir(format!("/tmp/d{i}").as_bytes()),
+                            3 => m.component_end(b"usr/share/component/lib"),
+                            _ => m.delete(format!("/tmp/c{}", i - i % 25).as_bytes()),
+                        };
+                    },
+                ),
+            }
+        }
+    }
+}
+
+/// The sweep's input library, every input under every mode.
+#[test]
+fn no_sweep_input_holds_more_than_a_few_dozen_live_units() {
+    for input in INPUT_LIBRARY {
+        for mode in Mode::ALL {
+            let driven = drive_input(input, &BootSpec::new(input.kind, mode));
+            let what = format!("{}/{} under {mode:?}", input.kind.name(), input.name);
+            assert_few_live_units(driven.peak_units, &what);
         }
     }
 }

@@ -1,8 +1,9 @@
-//! Cross-backend equivalence: the object table is a swappable backend
-//! layer, and backend choice must be *invisible* to everything but the
-//! wall clock.
+//! Shipped table against oracle: a space runs on the sorted vector
+//! ([`TableKind::Flat`]) or on Jones & Kelly's splay tree
+//! ([`TableKind::Splay`]), and the choice must be *invisible* to
+//! everything but the wall clock.
 //!
-//! The contract under test, for all three [`TableKind`] backends:
+//! The contract under test:
 //!
 //! 1. identical workload traces produce **byte-identical transcripts**
 //!    (return codes, output bytes, violation flags, virtual cycles) on
@@ -145,8 +146,9 @@ fn transcript(
     }
 }
 
-/// The headline contract: 5 servers × 5 modes × 3 backends, transcripts
-/// and substrate counters byte-identical across backends.
+/// The headline contract: 5 servers × 5 modes, transcripts and
+/// substrate counters byte-identical on the shipped table and the
+/// oracle.
 #[test]
 fn transcripts_identical_across_backends_all_servers_all_modes() {
     for kind in ServerKind::ALL {
@@ -157,21 +159,19 @@ fn transcripts_identical_across_backends_all_servers_all_modes() {
                 "{} under {mode:?} produced no steps",
                 kind.name()
             );
-            for table in [TableKind::BTree, TableKind::Flat] {
-                let (steps, stats) = transcript(kind, mode, table, 7);
-                assert_eq!(
-                    reference,
-                    steps,
-                    "{} under {mode:?}: transcript diverged on {table}",
-                    kind.name()
-                );
-                assert_eq!(
-                    ref_stats,
-                    stats,
-                    "{} under {mode:?}: SpaceStats diverged on {table}",
-                    kind.name()
-                );
-            }
+            let (steps, stats) = transcript(kind, mode, TableKind::Flat, 7);
+            assert_eq!(
+                reference,
+                steps,
+                "{} under {mode:?}: transcript diverged on flat",
+                kind.name()
+            );
+            assert_eq!(
+                ref_stats,
+                stats,
+                "{} under {mode:?}: SpaceStats diverged on flat",
+                kind.name()
+            );
         }
     }
 }
@@ -187,15 +187,13 @@ fn farm_reports_equal_across_backends_all_cells() {
             config.requests_per_server = 8;
             config.attack_ratio = (1, 4);
             let reference = run_farm(&config.clone().with_table(TableKind::Splay));
-            for table in [TableKind::BTree, TableKind::Flat] {
-                let report = run_farm(&config.clone().with_table(table));
-                assert_eq!(
-                    reference,
-                    report,
-                    "{} under {mode:?}: farm diverged on {table}",
-                    kind.name()
-                );
-            }
+            let report = run_farm(&config.with_table(TableKind::Flat));
+            assert_eq!(
+                reference,
+                report,
+                "{} under {mode:?}: farm diverged on flat",
+                kind.name()
+            );
         }
     }
 }
@@ -210,11 +208,9 @@ proptest! {
     fn apache_transcripts_backend_invariant_over_seeds(seed in 0u64..1_000_000) {
         for mode in Mode::ALL {
             let (reference, ref_stats) = transcript(ServerKind::Apache, mode, TableKind::Splay, seed);
-            for table in [TableKind::BTree, TableKind::Flat] {
-                let (steps, stats) = transcript(ServerKind::Apache, mode, table, seed);
-                prop_assert_eq!(&reference, &steps, "mode {:?} table {}", mode, table);
-                prop_assert_eq!(ref_stats, stats, "mode {:?} table {}", mode, table);
-            }
+            let (steps, stats) = transcript(ServerKind::Apache, mode, TableKind::Flat, seed);
+            prop_assert_eq!(&reference, &steps, "mode {:?}", mode);
+            prop_assert_eq!(ref_stats, stats, "mode {:?}", mode);
         }
     }
 
@@ -229,9 +225,7 @@ proptest! {
         config.attack_ratio = (1, 3);
         config.seed = seed;
         let reference = run_farm(&config.clone().with_table(TableKind::Splay));
-        for table in [TableKind::BTree, TableKind::Flat] {
-            let report = run_farm(&config.clone().with_table(table));
-            prop_assert_eq!(&reference, &report, "table {}", table);
-        }
+        let report = run_farm(&config.with_table(TableKind::Flat));
+        prop_assert_eq!(&reference, &report);
     }
 }
