@@ -1,6 +1,8 @@
 //! The restart-cost bench: checkpoint restore versus cold boot +
-//! environment replay, plus the manufactured-loop violation throughput
-//! the batched fast path governs.
+//! environment replay (oracle Pine, the gated pair), the restart
+//! `apache_flood` pays per attack (shipped-default Bounds Check Apache)
+//! with the committed bytes each restore copied, plus the
+//! manufactured-loop violation throughput the batched fast path governs.
 //!
 //! Usage:
 //!
@@ -28,10 +30,15 @@ fn print_measurement(cost: &RestartCost, violation: &ViolationThroughput) {
         cost.cold_ns, cost.cold_ci95_ns, cost.reps
     );
     eprintln!(
-        "  checkpoint restore {:>10.0} ns ± {:.0}  ({:.1}x faster)",
+        "  checkpoint restore {:>10.0} ns ± {:.0}  ({:.1}x faster; {} committed bytes copied)",
         cost.restore_ns,
         cost.restore_ci95_ns,
-        cost.speedup()
+        cost.speedup(),
+        cost.checkpoint_bytes
+    );
+    eprintln!(
+        "  apache restore     {:>10.0} ns ± {:.0}  (shipped default, Bounds Check; {} bytes)",
+        cost.apache_restore_ns, cost.apache_restore_ci95_ns, cost.apache_checkpoint_bytes
     );
     eprintln!(
         "  manufactured loop  {:>10.1} Minstr/s ± {:.1} ({} instrs/run)",

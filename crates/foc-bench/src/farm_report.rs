@@ -196,6 +196,16 @@ pub struct RestartCost {
     pub restore_ns: f64,
     /// 95% CI half-width on `restore_ns`.
     pub restore_ci95_ns: f64,
+    /// Committed region bytes the `restore_ns` restore copied.
+    pub checkpoint_bytes: u64,
+    /// Robust mean nanoseconds for the restart `apache_flood` pays on
+    /// every attack: a Bounds Check Apache worker restored from its
+    /// checkpoint under the shipped default.
+    pub apache_restore_ns: f64,
+    /// 95% CI half-width on `apache_restore_ns`.
+    pub apache_restore_ci95_ns: f64,
+    /// Committed region bytes the Apache restore copied.
+    pub apache_checkpoint_bytes: u64,
     /// Repetitions measured per flavour.
     pub reps: usize,
 }
@@ -222,22 +232,43 @@ impl RestartCost {
 /// shipped default shortens it while the restore (a copy of the space)
 /// stays put — under the session default the ratio would track the
 /// tier and the table, not the checkpoint layer the 5× gate guards.
+///
+/// Pine is also the heaviest *restore* (172 KiB of globals), so beside
+/// the gated pair the row carries the restart the `apache_flood`
+/// workload pays on every attack — a Bounds Check Apache worker under
+/// the shipped default — and the committed bytes each restore copied:
+/// a restore is a copy of the committed windows, so its time follows
+/// those bytes.
 pub fn measure_restart_cost(reps: usize) -> RestartCost {
+    use foc_servers::apache::ApacheWorker;
     use foc_servers::image::{standard_pine_mailbox, ServerKind};
     use foc_servers::BootSpec;
+
+    /// Apache restores timed together per rep: one is ~2 µs, too close
+    /// to the clock's own cost to time alone.
+    const APACHE_BATCH: u32 = 32;
 
     let reps = reps.max(1);
     let spec = BootSpec::oracle(ServerKind::Pine, Mode::FailureOblivious);
     let image = ServerKind::Pine.image_tier(spec.tier);
+    let apache_spec = BootSpec::new(ServerKind::Apache, Mode::BoundsCheck);
+    let committed = |p: &foc_servers::Process| p.machine().space().footprint().committed;
     // Warm both layers so the measurement sees the steady state.
-    black_box(foc_servers::pine::Pine::boot_spec(
-        &spec,
-        standard_pine_mailbox().clone(),
-    ));
+    let checkpoint_bytes = committed(
+        foc_servers::pine::Pine::boot_spec(&spec, standard_pine_mailbox().clone()).process(),
+    );
+    let apache_checkpoint_bytes = committed(ApacheWorker::boot_spec(&apache_spec).process());
 
     let mut cold = Vec::with_capacity(reps);
     let mut restore = Vec::with_capacity(reps);
+    let mut apache = Vec::with_capacity(reps);
     for _ in 0..reps {
+        let t = Instant::now();
+        for _ in 0..APACHE_BATCH {
+            black_box(ApacheWorker::boot_spec(&apache_spec));
+        }
+        apache.push(t.elapsed().as_nanos() as f64 / f64::from(APACHE_BATCH));
+
         let mailbox = standard_pine_mailbox().clone();
         let t = Instant::now();
         black_box(foc_servers::pine::Pine::boot_image_spec(
@@ -252,11 +283,16 @@ pub fn measure_restart_cost(reps: usize) -> RestartCost {
     }
     let c = robust_summary(&cold);
     let r = robust_summary(&restore);
+    let a = robust_summary(&apache);
     RestartCost {
         cold_ns: c.mean,
         cold_ci95_ns: c.ci95,
         restore_ns: r.mean,
         restore_ci95_ns: r.ci95,
+        checkpoint_bytes,
+        apache_restore_ns: a.mean,
+        apache_restore_ci95_ns: a.ci95,
+        apache_checkpoint_bytes,
         reps,
     }
 }
@@ -725,7 +761,7 @@ fn fingerprint_of(parts: &[&str]) -> String {
 /// the manufactured violation loop's baseline image, and the rep count.
 pub fn restart_cost_fingerprint(reps: usize) -> String {
     let tier = foc_compiler::ExecTier::Baseline;
-    let mut parts: Vec<String> = vec!["restart_cost/v2".to_string(), tier.label().to_string()];
+    let mut parts: Vec<String> = vec!["restart_cost/v3".to_string(), tier.label().to_string()];
     for kind in ServerKind::ALL {
         parts.push(kind.image_tier(tier).id().to_string());
     }
@@ -903,6 +939,9 @@ pub fn restart_cost_row_json(
         concat!(
             "{{\"cold_boot_replay_ns\": {:.0}, \"cold_ci95_ns\": {:.0}, ",
             "\"checkpoint_restore_ns\": {:.0}, \"restore_ci95_ns\": {:.0}, ",
+            "\"checkpoint_bytes\": {}, ",
+            "\"apache_restore_ns\": {:.0}, \"apache_restore_ci95_ns\": {:.0}, ",
+            "\"apache_checkpoint_bytes\": {}, ",
             "\"speedup\": {:.1}, \"reps\": {}, ",
             "\"violation_minstr_per_s\": {:.1}, \"violation_minstr_ci95\": {:.1}, ",
             "\"violation_instrs\": {}, \"fingerprint\": \"{}\"}}"
@@ -911,6 +950,10 @@ pub fn restart_cost_row_json(
         restart.cold_ci95_ns,
         restart.restore_ns,
         restart.restore_ci95_ns,
+        restart.checkpoint_bytes,
+        restart.apache_restore_ns,
+        restart.apache_restore_ci95_ns,
+        restart.apache_checkpoint_bytes,
         restart.speedup(),
         restart.reps,
         violation.minstr_per_s,
@@ -1572,6 +1615,10 @@ mod tests {
             cold_ci95_ns: 2_000.0,
             restore_ns: 50_000.0,
             restore_ci95_ns: 500.0,
+            checkpoint_bytes: 192_512,
+            apache_restore_ns: 2_000.0,
+            apache_restore_ci95_ns: 50.0,
+            apache_checkpoint_bytes: 24_576,
             reps: 8,
         };
         let violation = ViolationThroughput {
@@ -1835,6 +1882,10 @@ mod tests {
             cold_ci95_ns: 0.0,
             restore_ns: 1.0,
             restore_ci95_ns: 0.0,
+            checkpoint_bytes: 1,
+            apache_restore_ns: 1.0,
+            apache_restore_ci95_ns: 0.0,
+            apache_checkpoint_bytes: 1,
             reps: 1,
         };
         let violation = ViolationThroughput {

@@ -101,12 +101,21 @@ impl AccessSize {
 /// storage; everything outside the window is logically zero. Reads
 /// manufacture those zeros without allocating; writes grow the window
 /// geometrically toward the touched offset (which handles both the
-/// upward-growing heap and the downward-growing stack). This is what
-/// makes booting a machine cheap — a fresh space costs three empty
-/// `Vec`s instead of ~76 MB of eager zeroing — which in turn is what
-/// makes farm restarts cheap (§4.7's availability argument prices every
-/// restart). `Clone` snapshots the committed window — the region half
-/// of a boot checkpoint.
+/// upward-growing heap and the downward-growing stack).
+///
+/// **The window is what everything downstream pays for, byte for
+/// byte**: a cold boot zeroes it, `grow` reallocates it, `Clone` — the
+/// region half of a boot checkpoint, so every supervised restart —
+/// memcpys it, the checkpoint cache holds one per entry, and resident
+/// memory carries it. So the rule is that a window tracks what the
+/// guest *touched*, never what the region reserves: it anchors at the
+/// first touch, opens at two to four pages ([`COMMIT_PAGE`]: one of
+/// padding on each side that the region has room for, edges rounded
+/// outward) and at most doubles per growth. Grown from its region's edge
+/// — the heap from its base, the stack from its top — it stays within
+/// 2 × touched + 2 pages, and sequential growth is O(final size). A
+/// booted server's three windows come to 16–188 KiB (Apache 24 KiB)
+/// against 76 MB reserved.
 #[derive(Debug, Clone)]
 pub struct Region {
     kind: RegionKind,
@@ -119,8 +128,19 @@ pub struct Region {
     bytes: Vec<u8>,
 }
 
-/// Commit granularity (window edges are aligned to it).
-const COMMIT_CHUNK: usize = 64 << 10;
+/// Commit granularity: window edges are aligned to it, or clipped to
+/// the region's own bounds.
+///
+/// Measured, not inherited (ISSUE 18). At 64 KiB — chosen before
+/// checkpoints existed — a booted Apache worker committed 3 × 128 KiB
+/// to hold 1 720 B of globals, ≤160 B of heap and <1 KiB of stack, and
+/// restoring that memcpy was 42% of `apache_flood`'s wall
+/// (`BENCHMARK.json` harness, `throughput_rps`: 25.9k req/s at 64 KiB,
+/// 35.3k at 16 KiB, 39.6k at 4 KiB, 41.4k at 1 KiB — within 5% at and
+/// below the page, where the copy is no longer the restart's largest
+/// term, so the page it is). Not a setting: nothing a caller knows
+/// could pick a better value than the measurement did.
+const COMMIT_PAGE: usize = 4 << 10;
 
 impl Region {
     /// Creates a logically zero region of `len` bytes starting at
@@ -142,7 +162,7 @@ impl Region {
 
     /// Extends the committed window to cover `[off, end)`, padding
     /// geometrically (at least the current window size, at least one
-    /// chunk) in the direction(s) that grew so repeated nearby touches
+    /// page) in the direction(s) that grew so repeated nearby touches
     /// amortise to O(final window).
     #[cold]
     fn grow(&mut self, off: usize, end: usize) {
@@ -154,7 +174,7 @@ impl Region {
         } else {
             (self.commit_base, self.commit_base + self.bytes.len())
         };
-        let pad = self.bytes.len().max(COMMIT_CHUNK);
+        let pad = self.bytes.len().max(COMMIT_PAGE);
         let mut lo = cur_lo.min(off);
         let mut hi = cur_hi.max(end);
         if self.bytes.is_empty() || off < cur_lo {
@@ -163,8 +183,8 @@ impl Region {
         if self.bytes.is_empty() || end > cur_hi {
             hi = hi.saturating_add(pad);
         }
-        lo -= lo % COMMIT_CHUNK;
-        hi = hi.div_ceil(COMMIT_CHUNK) * COMMIT_CHUNK;
+        lo -= lo % COMMIT_PAGE;
+        hi = hi.div_ceil(COMMIT_PAGE) * COMMIT_PAGE;
         hi = hi.min(self.len);
         debug_assert!(lo <= off && end <= hi);
         let mut grown = vec![0u8; hi - lo];
@@ -313,6 +333,10 @@ pub const fn is_oob_zone(addr: u64) -> bool {
 mod tests {
     use super::*;
 
+    /// Absolute on purpose: a bound written in terms of the granule
+    /// constant passes at any granule.
+    const PAGE: usize = 4096;
+
     #[test]
     fn region_round_trips_all_access_sizes() {
         let mut r = Region::new(RegionKind::Heap, 0x1000, 64);
@@ -370,24 +394,99 @@ mod tests {
         assert_eq!(r.committed_bytes(), 0);
         // Reads never commit.
         assert_eq!(r.read(4 << 20, AccessSize::B8), Some(0));
+        assert_eq!(
+            r.read_bytes(1 << 20, 1 << 16).map(|b| b.len()),
+            Some(1 << 16)
+        );
+        assert!(r.committed_prefix(4 << 20, 64).is_empty());
         assert_eq!(r.committed_bytes(), 0);
         // The first write near the TOP of the region (where the
-        // downward-growing stack starts) must not commit the whole
-        // region — the window anchors at the touched offset.
+        // downward-growing stack starts) anchors the window at the
+        // touched offset: pages, not a share of the reservation.
         let top = (8 << 20) - 16;
         assert!(r.write(top, AccessSize::B8, 0xDEAD));
         assert!(
-            r.committed_bytes() <= 4 * COMMIT_CHUNK,
+            r.committed_bytes() <= 3 * PAGE,
             "first stack write committed {} bytes",
             r.committed_bytes()
         );
-        // The window then grows geometrically toward deeper frames and
-        // reads straddling the window edge see committed and zero bytes.
+        // The window then grows toward deeper frames, and reads
+        // straddling the window edge see committed and zero bytes.
         assert!(r.write(top - (1 << 20), AccessSize::B8, 0xBEEF));
         assert_eq!(r.read(top, AccessSize::B8), Some(0xDEAD));
         assert_eq!(r.read(top - (1 << 20), AccessSize::B8), Some(0xBEEF));
         assert_eq!(r.read(1024, AccessSize::B8), Some(0));
-        assert!(r.committed_bytes() <= (3 << 20));
+        assert!(r.committed_bytes() <= (1 << 20) + 4 * PAGE);
+        // Reads outside the grown window still commit nothing.
+        let before = r.committed_bytes();
+        assert_eq!(r.read(64, AccessSize::B8), Some(0));
+        assert_eq!(r.committed_bytes(), before);
+    }
+
+    /// Writes `span` bytes in 64-byte steps (ascending from offset 0, or
+    /// descending from the region's top) and returns how many distinct
+    /// window sizes the region passed through. At every step the window
+    /// must stay within 2 × touched + 2 pages.
+    fn sweep(r: &mut Region, span: usize, downward: bool) -> usize {
+        let mut sizes = 0;
+        let mut last = 0;
+        for step in 0..span / 64 {
+            let off = if downward {
+                r.len - 64 * (step + 1)
+            } else {
+                64 * step
+            };
+            assert!(r.write(r.base + off as u64, AccessSize::B8, step as u64 + 1));
+            if r.committed_bytes() != last {
+                last = r.committed_bytes();
+                sizes += 1;
+                let touched = 64 * (step + 1);
+                assert!(
+                    last <= 2 * touched + 2 * PAGE,
+                    "{last} bytes committed for {touched} touched"
+                );
+            }
+        }
+        sizes
+    }
+
+    #[test]
+    fn growth_stays_geometric_at_page_granularity() {
+        // A page-sized granule must not make sequential growth
+        // quadratic: 4 MiB touched 64 bytes at a time reallocates the
+        // window a dozen times, not a thousand, in either direction.
+        let span = 4 << 20;
+        let mut heap = Region::new(RegionKind::Heap, 0x1000_0000, 64 << 20);
+        let sizes = sweep(&mut heap, span, false);
+        assert!(sizes <= 12, "heap passed through {sizes} window sizes");
+        assert!(heap.committed_bytes() >= span);
+        let mut stack = Region::new(RegionKind::Stack, 0x7000_0000, 8 << 20);
+        let sizes = sweep(&mut stack, span, true);
+        assert!(sizes <= 12, "stack passed through {sizes} window sizes");
+        assert!(stack.committed_bytes() >= span);
+        // Every byte written survived every reallocation.
+        assert_eq!(heap.read(0x1000_0000 + 640, AccessSize::B8), Some(11));
+        let top = stack.end();
+        assert_eq!(stack.read(top - 64 * 11, AccessSize::B8), Some(11));
+    }
+
+    #[test]
+    fn window_edges_are_page_aligned_or_clipped_to_the_region() {
+        // A region smaller than a page commits itself, not a page.
+        let mut tiny = Region::new(RegionKind::Heap, 0x1000, 64);
+        assert!(tiny.write(0x1020, AccessSize::B8, 7));
+        assert_eq!((tiny.commit_base, tiny.committed_bytes()), (0, 64));
+        // A ragged region: interior edges sit on pages, the top edge on
+        // the region's own end.
+        let len = 10 * PAGE + 100;
+        let mut r = Region::new(RegionKind::Global, 0x1_0000, len);
+        assert!(r.write(0x1_0000 + 5 * PAGE as u64 + 8, AccessSize::B8, 1));
+        assert_eq!(r.commit_base % PAGE, 0);
+        assert_eq!((r.commit_base + r.committed_bytes()) % PAGE, 0);
+        assert!(r.committed_bytes() <= 3 * PAGE);
+        assert!(r.write(r.end() - 8, AccessSize::B8, 2));
+        assert_eq!(r.commit_base % PAGE, 0);
+        assert_eq!(r.commit_base + r.committed_bytes(), len);
     }
 
     #[test]

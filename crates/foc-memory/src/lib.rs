@@ -44,8 +44,8 @@ pub use oob::{OobId, OobRegistry};
 pub use policy::{BoundlessStore, Mode};
 pub use report::{summarize, LogReport, SiteReport};
 pub use space::{
-    AccessCtx, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome, Run,
-    SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
+    AccessCtx, Footprint, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome,
+    Run, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
 pub use table::{FlatTable, Placement, SplayTable, Table, TableKind, TABLE_ENV};

@@ -17,6 +17,15 @@
 //! policy state (descriptors, boundless store, manufacturer) and the
 //! error log. [`NativeView`] borrows the same table for the native
 //! tier's hit path.
+//!
+//! **A snapshot holds what the guest touched.** The three regions
+//! reserve 76 MB and commit page-granular windows around the bytes
+//! actually written (`addr.rs`), so everything priced per committed
+//! byte — zeroing at boot, the `Clone` behind every checkpoint capture
+//! and restore, a cached checkpoint's residency — is priced by the
+//! guest's footprint: 16–188 KiB for a booted server, 24 KiB for the
+//! Apache worker `apache_flood` restarts on every attack.
+//! [`MemorySpace::footprint`] reports the two sides of that rule.
 
 use std::fmt;
 
@@ -249,6 +258,19 @@ pub struct SpaceStats {
     pub frames: u64,
 }
 
+/// What a space holds against what its guest asked for (diagnostics;
+/// see [`MemorySpace::footprint`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Footprint {
+    /// Bytes of host storage in the three committed region windows: what
+    /// a `Clone` of the space — a checkpoint capture or restore — copies.
+    pub committed: u64,
+    /// Bytes the space's allocators have handed out: the globals break,
+    /// the heap's bump pointer (headers and freed blocks included) and
+    /// the current stack depth, each measured from its region's edge.
+    pub handed_out: u64,
+}
+
 /// A pushed frame's bookkeeping.
 #[derive(Debug, Clone)]
 struct FrameRec {
@@ -263,8 +285,11 @@ struct FrameRec {
 /// unit store, the object table, out-of-bounds descriptors, allocator
 /// and manufacturer state, and the error log. A clone of a freshly
 /// booted space is the memory half of a boot checkpoint: restoring it
-/// is a memcpy of the committed windows instead of a re-run of boot and
-/// environment replay, which is what makes supervised restarts O(1).
+/// is a memcpy of the committed windows — what the guest touched, not
+/// what the regions reserve — instead of a re-run of boot and
+/// environment replay, which is what makes a supervised restart cost
+/// microseconds. The derive is deliberate: a hand-written copy that
+/// missed a field would leak a dead process's state into its successor.
 #[derive(Debug, Clone)]
 pub struct MemorySpace {
     mode: Mode,
@@ -341,6 +366,23 @@ impl MemorySpace {
     /// Live heap allocation count.
     pub fn heap_live(&self) -> u64 {
         self.allocator.live()
+    }
+
+    /// Committed bytes against handed-out bytes. The windows grow on
+    /// touch and at most double, so `committed` stays within
+    /// `2 × handed_out` plus a few pages of rounding and resting stack
+    /// — the rule `tests/substrate_props.rs` holds every server to.
+    pub fn footprint(&self) -> Footprint {
+        let committed = [&self.globals, &self.heap, &self.stack]
+            .iter()
+            .map(|r| r.committed_bytes() as u64)
+            .sum();
+        Footprint {
+            committed,
+            handed_out: (self.global_brk - self.globals.base())
+                + (self.allocator.brk() - self.heap.base())
+                + (self.stack.end() - self.sp),
+        }
     }
 
     // ------------------------------------------------------------------

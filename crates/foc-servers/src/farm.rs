@@ -408,30 +408,13 @@ fn mc_attack() -> &'static [Vec<u8>] {
 }
 
 impl FarmProcess {
-    /// Boots one process of `kind` over the standard environment from
-    /// the interned boot checkpoint — the compiler runs at most once
-    /// per kind per host process, and boot plus standard environment
-    /// replay run at most once per `(kind, spec)`: every farm boot and
-    /// supervised restart after the first restores the frozen snapshot
-    /// (the drivers' `boot_spec` constructors route through
-    /// [`crate::image::boot_checkpoint`]).
-    fn boot(kind: ServerKind, spec: &BootSpec) -> FarmProcess {
-        match kind {
-            ServerKind::Apache => FarmProcess::Apache(apache::ApacheWorker::boot_spec(spec)),
-            ServerKind::Sendmail => FarmProcess::Sendmail(sendmail::Sendmail::boot_spec(spec)),
-            ServerKind::Pine => FarmProcess::Pine(pine::Pine::boot_spec(
-                spec,
-                pine::Pine::standard_mailbox(PINE_SEED_MESSAGES),
-            )),
-            ServerKind::Mutt => FarmProcess::Mutt(mutt::Mutt::boot_spec(spec, MUTT_SEED_MESSAGES)),
-            ServerKind::Mc => FarmProcess::Mc(mc::Mc::boot_spec(spec, &mc::clean_config())),
-        }
-    }
-
-    /// Boots one process over an explicit environment (the sweep's
-    /// poisoned mailboxes and blank configurations). Standard
-    /// environments still hit the boot-checkpoint cache — the drivers'
-    /// eligibility checks compare contents, not provenance.
+    /// Boots one process over `env`. Over the standard environment
+    /// (every farm boot and supervised restart) the compiler runs at
+    /// most once per kind per host process and boot plus environment
+    /// replay at most once per `(kind, spec)`: the drivers' `boot_spec`
+    /// constructors restore [`crate::image::boot_checkpoint`] when the
+    /// environment's *contents* equal the interned standard one. The
+    /// sweep's poisoned mailboxes and blank configurations boot cold.
     pub(crate) fn boot_env(kind: ServerKind, spec: &BootSpec, env: &ServerEnv) -> FarmProcess {
         match kind {
             ServerKind::Apache => FarmProcess::Apache(apache::ApacheWorker::boot_spec(spec)),
@@ -989,7 +972,7 @@ impl ServerRun {
         let gen = RequestGen::new(server_seed(config.seed, index));
         let env = ServerEnv::standard();
         let mut stats = ServerStats::default();
-        let mut process = FarmProcess::boot(config.kind, &config.boot_spec());
+        let mut process = FarmProcess::boot_env(config.kind, &config.boot_spec(), &env);
         supervise(&mut process, &mut stats, config, &env);
         let conn = match &config.edge {
             Edge::InProcess => None,

@@ -10,6 +10,11 @@
 //! space, evaluation stack, counters — the whole process image), and
 //! every later restart restores the snapshot with a memcpy of the
 //! committed region windows instead of re-interpreting initialization.
+//! Those windows hold what the guest touched, at page granularity
+//! (`foc_memory::addr`): 24 KiB for a booted Apache worker, 16 KiB
+//! Sendmail, 60 KiB MC, 164 KiB Mutt, 188 KiB Pine — so a restore is
+//! 1–2 µs for Apache and a few tens of µs for Pine, and its cost moves
+//! with the guest's globals and boot-time heap, nothing else.
 //!
 //! Determinism makes this sound: a boot is a pure function of
 //! `(image, config, environment)`, so the restored machine is

@@ -104,6 +104,10 @@ pub struct ExecProfile {
     /// several at a time over a run of in-bounds bytes (native tier
     /// only; see `builtins.rs`).
     pub span_instrs: u64,
+    /// Frame slots registered as data units on function entry (checked
+    /// modes only): with `RunStats::calls`, what a guest call costs the
+    /// substrate.
+    pub locals_registered: u64,
 }
 
 /// An active call frame.
@@ -1175,6 +1179,7 @@ impl Machine {
         self.stats.cycles += cost::CALL_EXTRA;
         if self.checked {
             self.stats.cycles += func.frame.slots.len() as u64 * cost::LOCAL_REG_EXTRA;
+            self.profile.locals_registered += func.frame.slots.len() as u64;
         }
         let total = func.frame.total;
         let base = self.space.push_frame(total)?;
@@ -1622,6 +1627,11 @@ mod tests {
         assert_eq!(profile.faults, 0);
         assert_eq!(profile.builtin_calls, 15, "one per print_int call");
         assert_eq!(profile.builtin_instrs, 0, "print_int walks no guest bytes");
+        assert_eq!(
+            (stats.calls, profile.locals_registered),
+            (2, 8),
+            "two entries of f: n, xs, i, t"
+        );
         // The baseline stream has no regions to be resident in, and its
         // builtins walk byte by byte.
         let src = "long f(long n) { char b[8]; memset(b, 0, n); return strlen(b); }";

@@ -18,6 +18,8 @@
 //! all instructions, `span%` the share of those iterations retired
 //! several at a time over a run of in-bounds bytes rather than byte by
 //! byte through the checked routines (see `foc-vm/src/builtins.rs`).
+//! `calls` and `locals` are guest function entries and the frame slots
+//! they registered as data units — what ROADMAP item 2 prices a call by.
 
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
 use failure_oblivious::servers::{BootSpec, Process, ServerKind};
@@ -29,6 +31,7 @@ const ROUNDS: u64 = 8;
 #[derive(Default)]
 struct Tally {
     instrs: u64,
+    calls: u64,
     profile: ExecProfile,
 }
 
@@ -36,6 +39,7 @@ impl Tally {
     fn add(&mut self, process: &Process) {
         let (stats, p) = (process.machine().stats(), process.machine().exec_profile());
         self.instrs += stats.instrs;
+        self.calls += stats.calls;
         self.profile.native_instrs += p.native_instrs;
         self.profile.region_entries += p.region_entries;
         self.profile.no_region_exits += p.no_region_exits;
@@ -45,6 +49,7 @@ impl Tally {
         self.profile.builtin_calls += p.builtin_calls;
         self.profile.builtin_instrs += p.builtin_instrs;
         self.profile.span_instrs += p.span_instrs;
+        self.profile.locals_registered += p.locals_registered;
     }
 }
 
@@ -124,7 +129,7 @@ fn pine_run() -> Tally {
 
 fn main() {
     println!(
-        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>9} {:>6}",
+        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
         "workload",
         "instrs",
         "native",
@@ -134,7 +139,9 @@ fn main() {
         "no-region",
         "fuel-short",
         "view-miss",
-        "faults"
+        "faults",
+        "calls",
+        "locals"
     );
     let runs = [
         ("mc_copy", mc_run()),
@@ -145,7 +152,7 @@ fn main() {
     for (name, t) in runs {
         let p = t.profile;
         println!(
-            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9} {:>10} {:>9} {:>6}",
+            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
             name,
             t.instrs,
             100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
@@ -155,7 +162,9 @@ fn main() {
             p.no_region_exits,
             p.fuel_short_exits,
             p.view_misses,
-            p.faults
+            p.faults,
+            t.calls,
+            p.locals_registered
         );
     }
 }
