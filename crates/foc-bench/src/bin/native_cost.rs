@@ -9,10 +9,10 @@
 //!   plus fuel, stats, and pc bookkeeping per instruction, all of which
 //!   region execution folds into a single per-region entry.
 //! * The **copy loop** (`dst[i] = src[i]` over checked arrays) isolates
-//!   memory-spanning blocks: the native tier resolves each access
-//!   in-block through the view's placement probe
-//!   (`GIdxLoad`/`GIdxStore`), the interpreter pays a full dispatch
-//!   round and a full checked access per element.
+//!   checked accesses inside regions: the native tier resolves each
+//!   through the view's placement probe (`IdxLoad`/`IdxStore`, two ops
+//!   and a fused latch per element), the interpreter pays a full
+//!   dispatch round and a full checked access per element.
 //!
 //! The measurement names both tiers itself, whatever `FOC_EXEC_TIER`
 //! says.
@@ -52,8 +52,8 @@ struct Loop {
 
 const LOOPS: [Loop; 2] = [
     // A region entry replaces every dispatch round of its straight-line
-    // run, so the measured margin is above 3× on the development host;
-    // 2.5× holds with room on noisy CI hosts.
+    // run, so the measured margin is around 3× on the development host
+    // (2.9–3.2× at PR 19); 2.5× holds with room on noisy CI hosts.
     Loop {
         name: "dispatch loop",
         what: "native region execution over the baseline interpreter",
@@ -62,9 +62,10 @@ const LOOPS: [Loop; 2] = [
         fingerprint: native_cost_fingerprint,
         append: append_native_cost_row,
     },
-    // In-block access resolution — no operand-stack round trip, no
-    // per-access dispatch round. The measured margin is near 3× on the
-    // development host; 1.75× holds with room on noisy CI hosts.
+    // In-region access resolution — no operand-stack round trip, no
+    // per-access dispatch round. The measured margin is 4.4–5.8× on the
+    // development host since PR 19 folded the loop to two indexed ops
+    // and a fused latch (near 3× before); 1.75× holds with room.
     Loop {
         name: "copy loop",
         what: "memory-spanning block execution over the baseline interpreter",

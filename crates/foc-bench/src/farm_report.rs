@@ -459,11 +459,11 @@ pub fn measure_native_cost(reps: usize) -> NativeCost {
 /// The memory-block cost loop: a guest copy. The inner loop's
 /// `dst[i] = src[i]` lowers to a pointer-arithmetic + checked-access
 /// pair per element, exactly the
-/// shape the native tier now admits into `LocalsBlock`s and fuses into
-/// per-site pre-resolved `GIdxLoad`/`GIdxStore` ops: every access
-/// resolves in-block through the placement probe against the live
-/// register file, no operand-stack round trip, no deopt (all accesses
-/// are in bounds). The interpreter runs the same stream one checked
+/// shape the native tier folds into one `IdxLoad` and one `IdxStore`
+/// naming the array bases and the index slot as operands, under a
+/// fused latch: every access resolves through the view's placement
+/// probe, no operand-stack round trip, no deopt (all accesses are in
+/// bounds). The interpreter runs the same stream one checked
 /// access at a time, so the ratio isolates what in-block resolution
 /// saves on memory-bound code.
 const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\

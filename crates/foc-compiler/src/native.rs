@@ -5,16 +5,56 @@
 //! function *past* fetch/decode, once, the first time a machine enters
 //! it ([`NativeProgram::func`]): it partitions the baseline instruction
 //! stream into **regions** — maximal straight-line runs entered only at
-//! known leaders — and lowers every region to a dense array of
-//! pre-decoded micro-ops ([`NOp`]) with all operands resolved (index
-//! deltas folded, branch targets and fault pcs baked in). Hot statement
-//! shapes — the two-local loop head, the increment latch, constant-index
-//! array accesses, the `acc += xs[C]` accumulate, assignment tails,
-//! pointer dereferences, constant ALU operands — are recognised as the
-//! walk goes and become single micro-ops ([`match_op`], [`match_term`]).
-//! The VM executes a region with no per-instruction dispatch:
+//! known leaders — and lowers every region to one array of
+//! register-form micro-ops ([`NOp`]) plus a terminator ([`Term`]). A
+//! region is straight-line, so the operand-stack depth at each of its
+//! instructions is static: stack slot `d` becomes scratch register `d`
+//! and every push and pop a fixed register index. The VM executes a
+//! region with no per-instruction dispatch and no operand-stack traffic:
 //! accounting for the whole region is charged once at entry, and the
-//! micro-ops run back to back.
+//! ops run back to back over the register file.
+//!
+//! ## The folding pass
+//!
+//! What keeps a region short is one pass, applied as each op is
+//! appended ([`Fold::push`]) and again when a terminator is attached
+//! ([`Fold::seal`]). Charges and fault seams are per *baseline
+//! instruction*, so an op that disappears takes no cycle with it. Four
+//! folds:
+//!
+//! 1. **Operands.** An op's pointer, index, value or compare operand is
+//!    a [`Src`]: a register, a frame slot, a constant or a frame
+//!    address. An operand naming a register that a `Mov` last filled
+//!    from a slot, constant or address names that source instead, and a
+//!    `Mov` nobody reads before its register dies is deleted — so the
+//!    `LoadLocal`/`Const`/`Dup` feeding an op cost nothing.
+//! 2. **Pointer-add + access.** A `PtrAdd` whose result only feeds the
+//!    next load or store becomes one indexed access answered by one
+//!    placement lookup.
+//! 3. **Normalize.** Re-normalizing a value already in range (after a
+//!    same-or-narrower extending load, after a comparison) disappears;
+//!    `slot = normalize(slot ± c)` is one [`NOp::Inc`].
+//! 4. **Terminator.** A region-tail comparison moves into the branch, a
+//!    branch on two constants becomes a jump, and a tail `Inc` rides in
+//!    the terminator ([`Term::IncBranch`], the loop latch).
+//!
+//! Two rules keep this invisible. *Spill:* a faulting op spills
+//! registers `0..spill` back to the operand stack, so a `Mov` is only
+//! deleted when no op that can fault sits between it and the point its
+//! register dies — every register below a later seam's `spill` holds
+//! its interpreted value. *Alias:* a frame read never moves across a
+//! checked store (which may reach the slot through a pointer) nor
+//! across a `StoreLocal`/`Inc` of overlapping bytes.
+//!
+//! ## Linked regions
+//!
+//! After all of a function's regions exist, terminators carry their
+//! successors' region indices ([`Succ`]; `entry[]` serves only the
+//! interpreter → native entry), and a region ending in a jump to an
+//! op-less region takes that region's terminator with it, charges
+//! summed ([`absorb`]): the loop latch carries the loop head's compare,
+//! and the `&&`/`||` short-circuit's `Const; JumpIfZero` folds to a
+//! jump. The absorbed region still exists for whoever enters at its pc.
 //!
 //! ## Deopt contract
 //!
@@ -22,26 +62,23 @@
 //! surface must stay byte-identical to the baseline tier:
 //!
 //! * **Entry gate.** A region is entered only when the remaining fuel
-//!   covers its whole pre-computed [`NativeRegion::charge`]. Otherwise
-//!   the VM falls back to the interpreter, which runs the baseline
-//!   stream one instruction at a time, so fuel exhaustion lands exactly
-//!   where it does on the baseline tier.
-//! * **Fault seams.** Micro-ops that can fault (guest loads/stores,
-//!   division) carry a [`FaultAt`]: the architectural pc the fault must
-//!   surface at and the components the instruction stream would have
-//!   charged by that point. On a fault the VM refunds `charge - spent`
-//!   and unwinds with the baseline tier's exact counters, stack, and
-//!   log. A recognised shape charges exactly its component count and
-//!   faults only through such a seam, so which shapes a walk picks is
-//!   unobservable.
+//!   covers its whole pre-computed [`NativeRegion::charge`] (an absorbed
+//!   successor's included). Otherwise the VM falls back to the
+//!   interpreter, which runs the baseline stream one instruction at a
+//!   time, so fuel exhaustion lands exactly where it does on the
+//!   baseline tier.
+//! * **Fault seams.** Ops that can fault (guest loads/stores, division)
+//!   carry a [`FaultAt`] — the architectural pc the fault must surface
+//!   at and the components the instruction stream would have charged by
+//!   that point — and a `spill` count. On a fault the VM refunds
+//!   `charge - spent`, pushes registers `0..spill` back as the operand
+//!   stack the interpreter would have left, and unwinds with the
+//!   baseline tier's exact counters, stack, and log.
 //! * **Boundaries.** Calls, builtins, returns, and any pc without a
 //!   region drop to the interpreter, which runs the very same bytecode
 //!   — the artifact is attached to the image's one instruction stream,
-//!   it never replaces it.
-//!
-//! A shape may span a branch target. The region that starts *at* that
-//! target is lowered from the same instructions, matching whatever
-//! shapes fit from there, so a mid-shape entry needs no special case.
+//!   it never replaces it. A region whose depth envelope exceeds
+//!   [`NATIVE_REGS`] is simply not lowered.
 
 use std::sync::OnceLock;
 
@@ -49,8 +86,13 @@ use foc_memory::AccessSize;
 
 use crate::bytecode::{AluOp, CmpOp, Instr};
 
-/// Entry-table sentinel: no region starts at this pc.
+/// Entry-table and successor sentinel: no region starts at this pc.
 pub const NO_REGION: u32 = u32::MAX;
+
+/// Scratch registers a region may use; a region whose operand-stack
+/// envelope is deeper stays interpreted (none observed in practice: the
+/// cap comfortably exceeds any expression depth the servers reach).
+pub const NATIVE_REGS: usize = 64;
 
 /// The per-program native artifact (one slot per function, indices
 /// matching `CompiledProgram::funcs`). A slot is filled the first time
@@ -95,21 +137,32 @@ pub struct NativeFunc {
     pub regions: Vec<NativeRegion>,
 }
 
-/// A maximal straight-line run: pre-decoded micro-ops plus a terminator.
+/// A maximal straight-line run: register-form ops plus a terminator.
+/// `consumes` operand-stack values enter as registers `0..consumes`
+/// (`consumes - 1` is the old top of stack); after the terminator,
+/// registers `0..produces` go back in index order. Statement-shaped
+/// code has both at zero and touches the operand stack not at all.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NativeRegion {
     /// Total components (fuel units / instruction counts) the region
     /// charges — the exact sum its instructions would charge when
-    /// interpreted, terminator included.
+    /// interpreted, terminator (and an absorbed successor) included.
     pub charge: u64,
-    /// The straight-line micro-ops.
+    /// Operand-stack values consumed at entry.
+    pub consumes: u8,
+    /// Operand-stack values produced at exit.
+    pub produces: u8,
+    /// Dispatches one pass through the region costs the executor: the
+    /// entry, each op, the terminator (`ExecProfile::native_ops`).
+    pub dispatches: u32,
+    /// The straight-line ops.
     pub ops: Vec<NOp>,
     /// How the region ends.
     pub term: Term,
 }
 
-/// Where a faulting micro-op surfaces architecturally: the pc the fault
-/// is reported at, and the components the instruction stream would have
+/// Where a faulting op surfaces architecturally: the pc the fault is
+/// reported at, and the components the instruction stream would have
 /// charged when it faulted there (the VM refunds `charge - spent`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultAt {
@@ -119,242 +172,42 @@ pub struct FaultAt {
     pub spent: u64,
 }
 
-/// A pre-decoded micro-op. Constant folds (index deltas, branch senses)
-/// are done at lowering time.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NOp {
-    /// Push a constant.
-    Const(i64),
-    /// Duplicate the top of stack.
-    Dup,
-    /// Discard the top of stack.
-    Drop,
-    /// Swap the top two values.
-    Swap,
-    /// Rotate the top three values.
-    Rot3,
-    /// Push a local slot's address.
-    LocalAddr(u32),
-    /// Push a global's address (resolved through the machine's table).
-    GlobalAddr(u32),
-    /// Push an interned string's address.
-    StrAddr(u32),
-    /// Direct scalar load from a local slot.
-    LoadLocal {
-        /// Frame offset.
-        off: u32,
-        /// Scalar width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
-    },
-    /// Direct scalar store to a local slot (pops the value).
-    StoreLocal {
-        /// Frame offset.
-        off: u32,
-        /// Stored width.
-        size: AccessSize,
-    },
-    /// Non-trapping binary ALU op.
-    Alu(AluOp),
-    /// Division/remainder (traps on a zero divisor).
-    Div {
-        /// Signed variant.
-        signed: bool,
-        /// Remainder instead of quotient.
-        rem: bool,
-        /// Divide-by-zero seam.
-        at: FaultAt,
-    },
-    /// Comparison, pushing the 0/1 flag (unfolded form).
-    Cmp(CmpOp),
-    /// Arithmetic negation.
-    Neg,
-    /// Bitwise not.
-    BitNot,
-    /// Logical not.
-    Not,
-    /// Re-normalize the top value.
-    Normalize {
-        /// Width.
-        size: AccessSize,
-        /// Signedness.
-        signed: bool,
-    },
-    /// Replace a pointer with its effective address.
-    EffAddr,
-    /// Checked pointer arithmetic (pops count, pointer).
-    PtrAdd {
-        /// Element size.
-        esz: u64,
-    },
-    /// Pointer difference (pops rhs, lhs).
-    PtrDiff {
-        /// Element size.
-        esz: u64,
-    },
-    /// Checked guest load (pops the address).
-    Load {
-        /// Access width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
-        /// Fault seam.
-        at: FaultAt,
-    },
-    /// Checked guest store (pops address, then value).
-    Store {
-        /// Access width.
-        size: AccessSize,
-        /// Fault seam.
-        at: FaultAt,
-    },
-    /// `LocalAddr; Const idx; PtrAdd esz; Load`: constant-index read of
-    /// a local array, in or out of bounds.
-    IdxLoad {
-        /// Frame offset of the aggregate.
-        off: u32,
-        /// Folded byte delta (`idx * esz`).
-        delta: i64,
-        /// Loaded width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
-        /// Fault seam.
-        at: FaultAt,
-    },
-    /// `LocalAddr; Const idx; PtrAdd esz; Store`: constant-index write
-    /// (pops the value).
-    IdxStore {
-        /// Frame offset of the aggregate.
-        off: u32,
-        /// Folded byte delta.
-        delta: i64,
-        /// Stored width.
-        size: AccessSize,
-        /// Fault seam.
-        at: FaultAt,
-    },
-    /// `LoadLocal acc; LocalAddr; Const idx; PtrAdd esz; Load; Add; Dup;
-    /// StoreLocal acc; Drop`: the whole `acc += xs[C]` statement.
-    IdxAccum {
-        /// Accumulator frame offset.
-        acc: u32,
-        /// Accumulator load width.
-        acc_size: AccessSize,
-        /// Accumulator load signedness.
-        acc_signed: bool,
-        /// Accumulator store width.
-        store_size: AccessSize,
-        /// Aggregate frame offset.
-        addr: u32,
-        /// Folded byte delta.
-        delta: i64,
-        /// Element load width.
-        load_size: AccessSize,
-        /// Element load signedness.
-        load_signed: bool,
-        /// Fault seam (the load is component 4; `spent` covers 5).
-        at: FaultAt,
-    },
-    /// Direct-local increment statement, `i++;` or `++i;`.
-    IncLocal {
-        /// Frame offset.
-        off: u32,
-        /// Increment.
-        delta: i64,
-        /// Scalar width.
-        size: AccessSize,
-        /// Signedness.
-        signed: bool,
-    },
-    /// `Const c; <alu>`: constant-rhs ALU op.
-    ConstAlu {
-        /// Constant rhs.
-        c: i64,
-        /// Operation.
-        op: AluOp,
-    },
-    /// `Dup; StoreLocal; Drop`: the assignment statement tail — store
-    /// top-of-stack to a local and pop.
-    StoreLocalPop {
-        /// Frame offset.
-        off: u32,
-        /// Stored width.
-        size: AccessSize,
-    },
-    /// `LoadLocal (B8); Load`: dereference a pointer held in a local.
-    LoadLoad {
-        /// Pointer local's frame offset.
-        off: u32,
-        /// Loaded width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
-        /// Fault seam.
-        at: FaultAt,
-    },
-    /// A maximal run (length ≥ 2) of register-lowerable micro-ops: the
-    /// operand stack is statically known at every point, so each
-    /// push/pop is resolved to a fixed scratch-register index ahead of
-    /// time and the ops run back to back with no operand-stack
-    /// traffic. Pure frame-local ops index the frame window the
-    /// executor's view of the space committed up front; checked guest
-    /// accesses ([`ROp::GLoad`]/[`ROp::GStore`] and the pointer ops)
-    /// stay inside the block too, completing through the same view
-    /// against the live register file and taking the full access path
-    /// — seam, spill, refund — only on a view miss. This is the
-    /// "pre-resolved operands" half of the native tier's dispatch win,
-    /// extended across the memory boundary.
-    Locals(LocalsBlock),
-}
-
-/// Scratch registers available to a [`LocalsBlock`]. Runs whose stack
-/// shape exceeds this stay in individual-op form (none observed in
-/// practice: the cap comfortably exceeds any expression depth the
-/// front end emits).
-pub const LOCALS_REGS: usize = 64;
-
-/// A run of frame-local and guest-memory ops in register form.
-/// `consumes` operand-stack values enter as registers `0..consumes`
-/// (`consumes - 1` is the old top of stack); after the ops run,
-/// registers `0..produces` are the block's operand-stack contribution,
-/// pushed back in index order. A self-contained block (every
-/// statement's expression stack starts and ends empty) has
-/// `consumes == produces == 0` and touches the operand stack not at
-/// all. Pure and guest-memory ops ([`ROp`]'s `G`-prefixed variants)
-/// mix freely: the VM's one executor runs them in a single loop over
-/// its view of the space, so a block carries no flag saying which kind
-/// it holds.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalsBlock {
-    /// Operand-stack values consumed at entry.
-    pub consumes: u8,
-    /// Operand-stack values produced at exit.
-    pub produces: u8,
-    /// The straight-line register ops.
-    pub ops: Box<[ROp]>,
-}
-
-/// A register-form micro-op inside a [`LocalsBlock`]. All register
-/// indices are below [`LOCALS_REGS`]; frame offsets were validated
-/// against the frame layout by the front end, so the executor indexes
-/// the committed frame window directly.
+/// An operand. Frame offsets were validated against the frame layout by
+/// the front end, so the executor indexes the committed frame window
+/// directly; register indices are below [`NATIVE_REGS`]. Four kinds and
+/// no more: with global and string addresses as a fifth and sixth the
+/// executor's operand decode cost `mc_copy` 5% and gained the other
+/// workloads nothing, so those two stay ops.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ROp {
-    /// `r[dst] = c`.
-    Const {
-        /// Destination register.
-        dst: u8,
-        /// The constant.
-        c: i64,
+pub enum Src {
+    /// A scratch register.
+    Reg(u8),
+    /// A scalar frame slot, read and extended like `LoadLocal`.
+    Slot {
+        /// Frame offset.
+        off: u32,
+        /// Scalar width.
+        size: AccessSize,
+        /// Sign-extend when set.
+        signed: bool,
     },
-    /// `r[dst] = r[src]` (a `Dup` with its stack slots resolved).
-    Copy {
+    /// A constant.
+    Const(i64),
+    /// The address of the frame slot at this offset (`LocalAddr`).
+    Addr(u32),
+}
+
+/// A register-form micro-op. Ops with a `seam` can fault; their `spill`
+/// is the number of low registers that were live operand-stack values
+/// below the instruction's own operands.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NOp {
+    /// `r[dst] = src` (`Const`, `Dup`, `LocalAddr`, `LoadLocal`).
+    Mov {
         /// Destination register.
         dst: u8,
-        /// Source register.
-        src: u8,
+        /// The value.
+        src: Src,
     },
     /// Exchange two registers (a resolved `Swap`).
     Swap {
@@ -372,63 +225,79 @@ pub enum ROp {
         /// Top slot.
         c: u8,
     },
-    /// `r[dst] = base + off` (a resolved `LocalAddr`).
-    Addr {
+    /// `r[dst]` = a global's address (resolved through the machine).
+    GlobalAddr {
         /// Destination register.
         dst: u8,
-        /// Frame offset.
-        off: u32,
+        /// Global index.
+        idx: u32,
     },
-    /// Scalar load straight off the frame window.
-    Load {
+    /// `r[dst]` = an interned string's address.
+    StrAddr {
         /// Destination register.
         dst: u8,
-        /// Frame offset.
-        off: u32,
-        /// Width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
+        /// String index.
+        idx: u32,
     },
     /// Scalar store straight into the frame window.
-    Store {
-        /// Source register.
-        src: u8,
+    StoreLocal {
+        /// The value.
+        src: Src,
         /// Frame offset.
         off: u32,
         /// Width.
         size: AccessSize,
     },
-    /// `r[dst] = op(r[a], r[b])` (`dst == a` in stack-lowered code).
+    /// `slot = normalize(slot + delta)` against the frame window
+    /// (`i++;`, `++i;`, `i--;`; touches no registers).
+    Inc {
+        /// Frame offset.
+        off: u32,
+        /// Increment.
+        delta: i64,
+        /// Scalar width.
+        size: AccessSize,
+        /// Signedness.
+        signed: bool,
+    },
+    /// `r[dst] = op(a, b)`, non-trapping.
     Alu {
         /// Destination register.
         dst: u8,
         /// Left operand.
-        a: u8,
+        a: Src,
         /// Right operand.
-        b: u8,
+        b: Src,
         /// Operation.
         op: AluOp,
     },
-    /// `r[at] = op(r[at], c)` (a resolved [`NOp::ConstAlu`]).
-    ConstAlu {
-        /// In-place operand register.
-        at: u8,
-        /// Constant rhs.
-        c: i64,
-        /// Operation.
-        op: AluOp,
-    },
-    /// `r[dst] = op(r[a], r[b])` as a 0/1 flag.
+    /// `r[dst] = op(a, b)` as a 0/1 flag.
     Cmp {
         /// Destination register.
         dst: u8,
         /// Left operand.
-        a: u8,
+        a: Src,
         /// Right operand.
-        b: u8,
+        b: Src,
         /// Comparison.
         op: CmpOp,
+    },
+    /// Division/remainder (traps on a zero divisor).
+    Div {
+        /// Destination register.
+        dst: u8,
+        /// Dividend register.
+        a: u8,
+        /// Divisor register.
+        b: u8,
+        /// Signed variant.
+        signed: bool,
+        /// Remainder instead of quotient.
+        rem: bool,
+        /// Divide-by-zero seam.
+        seam: FaultAt,
+        /// Live registers to spill on a fault.
+        spill: u8,
     },
     /// In-place arithmetic negation.
     Neg {
@@ -454,70 +323,13 @@ pub enum ROp {
         /// Signedness.
         signed: bool,
     },
-    /// Direct-local increment against the frame window (a resolved
-    /// [`NOp::IncLocal`]; touches no registers).
-    Inc {
-        /// Frame offset.
-        off: u32,
-        /// Increment.
-        delta: i64,
-        /// Scalar width.
-        size: AccessSize,
-        /// Signedness.
-        signed: bool,
-    },
-    /// Checked guest load against the live register file: the address
-    /// comes from register `at` and the loaded value replaces it. The
-    /// executor completes it through its view of the space (placement
-    /// memo, else one lookup); a view miss takes the full access path
-    /// (violation continuation included), and a fault spills registers
-    /// `0..spill` back to the operand stack — reproducing the
-    /// interpreted stack image after the address pop — before
-    /// unwinding at the pre-baked seam.
-    GLoad {
-        /// Address register, also the destination.
+    /// In-place effective-address fold (cannot fault).
+    EffAddr {
+        /// Operand register.
         at: u8,
-        /// Access width.
-        size: AccessSize,
-        /// Sign-extend when set.
-        signed: bool,
-        /// Fault seam.
-        seam: FaultAt,
-        /// Live registers to spill to the operand stack on a fault.
-        spill: u8,
     },
-    /// Checked guest store against the live register file (consumes
-    /// the address and value registers). Probe/deopt/spill contract as
-    /// [`ROp::GLoad`].
-    GStore {
-        /// Address register.
-        addr: u8,
-        /// Value register.
-        val: u8,
-        /// Access width.
-        size: AccessSize,
-        /// Fault seam.
-        seam: FaultAt,
-        /// Live registers to spill to the operand stack on a fault.
-        spill: u8,
-    },
-    /// Checked pointer arithmetic in register form: `r[dst] =
-    /// ptr_add(r[ptr], r[count] * esz)`. A result that leaves its unit
-    /// runs the interpreter's exact routine (out-of-bounds interning
-    /// included) — it cannot fault, so it needs no seam.
-    GPtrAdd {
-        /// Destination register.
-        dst: u8,
-        /// Base-pointer register.
-        ptr: u8,
-        /// Element-count register.
-        count: u8,
-        /// Element size.
-        esz: u64,
-    },
-    /// Pointer difference in register form (effective addresses of
-    /// both operands; cannot fault).
-    GPtrDiff {
+    /// Pointer difference (effective addresses of both; cannot fault).
+    PtrDiff {
         /// Destination register.
         dst: u8,
         /// Lhs register.
@@ -527,24 +339,62 @@ pub enum ROp {
         /// Element size.
         esz: u64,
     },
-    /// Effective-address fold in register form (cannot fault).
-    GEffAddr {
-        /// In-place operand register.
-        at: u8,
-    },
-    /// A [`ROp::GPtrAdd`] whose derived pointer immediately feeds a
-    /// [`ROp::GLoad`] — the variable-index access shape. One placement
-    /// lookup answers both the derivation and the access on the hit
-    /// path (units never overlap, so in-unit containment of the target
-    /// proves both), exactly as the constant-index [`NOp::IdxLoad`]
-    /// does; a miss runs the exact two-step sequence.
-    GIdxLoad {
-        /// Destination register (the pair's net stack slot).
+    /// Checked pointer arithmetic: `r[dst] = ptr_add(ptr, count * esz)`.
+    /// A result that leaves its unit runs the interpreter's exact
+    /// routine (out-of-bounds interning included) — it cannot fault, so
+    /// it needs no seam.
+    PtrAdd {
+        /// Destination register.
         dst: u8,
-        /// Base-pointer register.
-        ptr: u8,
-        /// Element-count register.
-        count: u8,
+        /// Base pointer.
+        ptr: Src,
+        /// Element count.
+        count: Src,
+        /// Element size.
+        esz: u64,
+    },
+    /// Checked guest load. The executor completes it through its view
+    /// of the space (placement memo, else one lookup); a view miss
+    /// takes the full access path, violation continuation included.
+    Load {
+        /// Destination register.
+        dst: u8,
+        /// The address.
+        addr: Src,
+        /// Access width.
+        size: AccessSize,
+        /// Sign-extend when set.
+        signed: bool,
+        /// Fault seam.
+        seam: FaultAt,
+        /// Live registers to spill on a fault.
+        spill: u8,
+    },
+    /// Checked guest store; contract as [`NOp::Load`].
+    Store {
+        /// The address.
+        addr: Src,
+        /// The value.
+        val: Src,
+        /// Access width.
+        size: AccessSize,
+        /// Fault seam.
+        seam: FaultAt,
+        /// Live registers to spill on a fault.
+        spill: u8,
+    },
+    /// A pointer add whose derived pointer only feeds this load — the
+    /// indexed access. One placement lookup answers both the derivation
+    /// and the access on the hit path (units never overlap, so in-unit
+    /// containment of the target proves both); a miss runs the exact
+    /// two-step sequence.
+    IdxLoad {
+        /// Destination register.
+        dst: u8,
+        /// Base pointer.
+        ptr: Src,
+        /// Element count.
+        count: Src,
         /// Element size.
         esz: u64,
         /// Loaded width.
@@ -553,345 +403,580 @@ pub enum ROp {
         signed: bool,
         /// The load's fault seam (`spent` covers the pointer add).
         seam: FaultAt,
-        /// Live registers to spill to the operand stack on a fault.
+        /// Live registers to spill on a fault.
         spill: u8,
     },
-    /// Store twin of [`ROp::GIdxLoad`].
-    GIdxStore {
-        /// Base-pointer register.
-        ptr: u8,
-        /// Element-count register.
-        count: u8,
-        /// Value register.
-        val: u8,
+    /// Store twin of [`NOp::IdxLoad`].
+    IdxStore {
+        /// Base pointer.
+        ptr: Src,
+        /// Element count.
+        count: Src,
+        /// The value.
+        val: Src,
         /// Element size.
         esz: u64,
         /// Stored width.
         size: AccessSize,
         /// The store's fault seam (`spent` covers the pointer add).
         seam: FaultAt,
-        /// Live registers to spill to the operand stack on a fault.
+        /// Live registers to spill on a fault.
         spill: u8,
     },
 }
 
-/// How a region ends. Conditional terminators carry both successors so
-/// the executor can chain into the next region without touching the
-/// interpreter.
+/// A terminator's successor: the pc, for the interpreter to resume at
+/// when the chain stops there, and the region the executor continues
+/// in (or [`NO_REGION`]: a call, builtin or return boundary, or a
+/// region too deep to lower). That is the region starting at `pc`
+/// unless it was an op-less jump, which the edge threads through:
+/// `skip` is what the skipped regions charge, taken (and gated) with
+/// the target's own charge.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Succ {
+    /// Architectural pc.
+    pub pc: u32,
+    /// Index into [`NativeFunc::regions`].
+    pub region: u32,
+    /// Components charged by the jumps threaded through on the way.
+    pub skip: u32,
+}
+
+/// How a region ends.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Term {
-    /// Unconditional jump.
-    Jump(u32),
-    /// Pop; jump when zero.
-    JumpIfZero {
-        /// Branch target.
-        target: u32,
-        /// Fall-through pc.
-        fall: u32,
-    },
-    /// Pop; jump when non-zero.
-    JumpIfNotZero {
-        /// Branch target.
-        target: u32,
-        /// Fall-through pc.
-        fall: u32,
-    },
-    /// A comparison folded with its branch (the interpreter's runtime
-    /// `cmp_arm` peephole, resolved at lowering time): pops rhs then
-    /// lhs, jumps when `op` holds.
-    FlagJump {
+    /// `Jump`, or a straight-line fall to a leader or to a pc the
+    /// interpreter must handle (which charges nothing).
+    Goto(Succ),
+    /// Compare and branch: `JumpIfZero`/`JumpIfNotZero` (`a` against
+    /// constant zero) or a comparison folded with its branch. Jumps to
+    /// `taken` when `op` holds.
+    Branch {
+        /// Left operand.
+        a: Src,
+        /// Right operand.
+        b: Src,
         /// Comparison, normalized to jump-when-true.
         op: CmpOp,
-        /// Branch target.
-        target: u32,
-        /// Fall-through pc.
-        fall: u32,
+        /// Successor when `op` holds.
+        taken: Succ,
+        /// Successor otherwise.
+        fall: Succ,
     },
-    /// `LoadLocal a; LoadLocal b; <cmp>; Normalize; JumpIf(Not)Zero`:
-    /// the two-local loop head.
-    CmpJump {
-        /// Lhs frame offset.
-        a: u32,
-        /// Lhs width.
-        a_size: AccessSize,
-        /// Lhs signedness.
-        a_signed: bool,
-        /// Rhs frame offset.
-        b: u32,
-        /// Rhs width.
-        b_size: AccessSize,
-        /// Rhs signedness.
-        b_signed: bool,
-        /// Comparison, jump taken when true.
-        op: CmpOp,
-        /// Branch target.
-        target: u32,
-        /// Fall-through pc.
-        fall: u32,
-    },
-    /// The loop latch: an increment statement plus its back-jump.
-    IncJump {
-        /// Frame offset.
+    /// An [`NOp::Inc`] followed by a [`Term::Branch`]: the counted
+    /// loop's latch with the loop head's compare absorbed.
+    IncBranch {
+        /// Frame offset of the incremented slot.
         off: u32,
         /// Increment.
         delta: i64,
-        /// Scalar width.
+        /// Slot width.
         size: AccessSize,
-        /// Signedness.
+        /// Slot signedness.
         signed: bool,
-        /// Jump target.
-        target: u32,
+        /// Left operand, read after the increment.
+        a: Src,
+        /// Right operand, read after the increment.
+        b: Src,
+        /// Comparison, jump taken when true.
+        op: CmpOp,
+        /// Successor when `op` holds.
+        taken: Succ,
+        /// Successor otherwise.
+        fall: Succ,
     },
-    /// Straight-line fall to a pc the interpreter (or the next region)
-    /// must handle: a call/builtin/return boundary or a region split at
-    /// a leader. Charges nothing.
-    Fall(u32),
 }
 
-/// The seam of a faulting component `n` slots into a shape (or plain
-/// instruction, `n == 1`) that starts at `pc` with `done` components
-/// charged before it: the fault surfaces at the pc behind the
-/// component, with everything up to and including it charged.
-fn seam(pc: usize, done: u64, n: u32) -> FaultAt {
-    FaultAt {
-        pc: pc as u32 + n,
-        spent: done + n as u64,
+/// Sign- or zero-extends the low `size` bytes of `raw`.
+#[inline]
+pub fn extend(raw: u64, size: AccessSize, signed: bool) -> i64 {
+    match (size, signed) {
+        (AccessSize::B1, true) => raw as u8 as i8 as i64,
+        (AccessSize::B1, false) => raw as u8 as i64,
+        (AccessSize::B2, true) => raw as u16 as i16 as i64,
+        (AccessSize::B2, false) => raw as u16 as i64,
+        (AccessSize::B4, true) => raw as u32 as i32 as i64,
+        (AccessSize::B4, false) => raw as u32 as i64,
+        (AccessSize::B8, _) => raw as i64,
     }
 }
 
-/// Tries the straight-line shapes at `pc`. Returns the micro-op and
-/// the instruction slots it covers (= the components it charges).
-/// Only a shape's memory access can fault, and it carries its seam;
-/// division joins no shape, because its divide-by-zero fault point
-/// must stay a separate instruction. The shapes' leading instruction
-/// pairs are pairwise distinct, so the order here decides nothing.
-fn match_op(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
-    match_load_idx_accum(code, pc, done)
-        .or_else(|| match_inc_local(code, pc))
-        .or_else(|| match_local_idx(code, pc, done))
-        .or_else(|| match_store_local_pop(code, pc))
-        .or_else(|| match_load_load(code, pc, done))
-        .or_else(|| match_const_alu(code, pc))
+/// How an op uses one of its operands ([`NOp::visit`]).
+enum Use<'a> {
+    /// Reads a register.
+    Read(u8),
+    /// Writes a register.
+    Write(u8),
+    /// Reads a foldable operand.
+    Src(&'a mut Src),
 }
 
-/// Tries the terminator shapes at `pc`; [`build_region`] asks before
-/// [`match_op`], so an increment followed by a jump is the latch, not
-/// an increment statement.
-fn match_term(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
-    match_inc_jump(code, pc).or_else(|| match_cmp_jump(code, pc))
-}
-
-/// `LoadLocal a; LoadLocal b; <cmp>; Normalize; JumpIf(Not)Zero t`
-/// (k = 5), the canonical loop head: comparisons produce an `int`, so
-/// the front end re-normalizes the flag before the branch. The
-/// `Normalize` is an identity on the comparison's 0/1 result, and the
-/// branch sense is folded into the stored comparison (jump-when-true).
-fn match_cmp_jump(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
-    let [Instr::LoadLocal(a, a_size, a_signed), Instr::LoadLocal(b, b_size, b_signed), cmp, Instr::Normalize(..), branch] =
-        *code.get(pc..pc + 5)?
-    else {
-        return None;
-    };
-    let op = cmp_op_of(cmp)?;
-    let (op, target) = match branch {
-        Instr::JumpIfNotZero(t) => (op, t),
-        Instr::JumpIfZero(t) => (op.negate(), t),
-        _ => return None,
-    };
-    let term = Term::CmpJump {
-        a,
-        a_size,
-        a_signed,
-        b,
-        b_size,
-        b_signed,
-        op,
-        target,
-        fall: pc as u32 + 5,
-    };
-    Some((term, 5))
-}
-
-/// `LoadLocal acc; LocalAddr; Const idx; PtrAdd esz; Load; Add; Dup;
-/// StoreLocal acc; Drop` (k = 9) — the whole `acc += xs[IDX]`
-/// statement, the inner-loop body of every scan/sum kernel. The index
-/// is folded into a byte delta (`ptr_add` only consumes the wrapping
-/// product). The load is component 4 of 9, so a memory fault surfaces
-/// with exactly components 0..=4 charged.
-fn match_load_idx_accum(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
-    let [Instr::LoadLocal(acc, acc_size, acc_signed), Instr::LocalAddr(addr), Instr::Const(c), Instr::PtrAdd(esz), Instr::Load(load_size, load_signed), Instr::Add, Instr::Dup, Instr::StoreLocal(dst, store_size), Instr::Drop] =
-        *code.get(pc..pc + 9)?
-    else {
-        return None;
-    };
-    // The accumulate idiom: store back into the local that was loaded.
-    if dst != acc {
-        return None;
-    }
-    let op = NOp::IdxAccum {
-        acc,
-        acc_size,
-        acc_signed,
-        store_size,
-        addr,
-        delta: c.wrapping_mul(esz as i64),
-        load_size,
-        load_signed,
-        at: seam(pc, done, 5),
-    };
-    Some((op, 9))
-}
-
-/// `LocalAddr; Const idx; PtrAdd esz; Load|Store` (k = 4) — the
-/// constant-index array access, in or out of bounds (the micro-op still
-/// routes through `ptr_add` and the checked access, so OOB interning,
-/// logging, and manufactured values are identical).
-fn match_local_idx(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
-    let [Instr::LocalAddr(off), Instr::Const(c), Instr::PtrAdd(esz), access] =
-        *code.get(pc..pc + 4)?
-    else {
-        return None;
-    };
-    let delta = c.wrapping_mul(esz as i64);
-    let at = seam(pc, done, 4);
-    let op = match access {
-        Instr::Load(size, signed) => NOp::IdxLoad {
-            off,
-            delta,
-            size,
-            signed,
-            at,
-        },
-        Instr::Store(size) => NOp::IdxStore {
-            off,
-            delta,
-            size,
-            at,
-        },
-        _ => return None,
-    };
-    Some((op, 4))
-}
-
-/// Direct-local increment statements (k = 6 without `Normalize`, 7 with):
-///
-/// * postfix `i++;` — `LoadLocal; Dup; Const d; Add; [Normalize;]
-///   StoreLocal; Drop`
-/// * prefix `++i;` — `LoadLocal; Const d; Add; [Normalize;] Dup;
-///   StoreLocal; Drop`
-///
-/// Both shapes leave the stack untouched and store
-/// `normalize(local + d)`, so one micro-op covers all four.
-fn match_inc_local(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
-    let Instr::LoadLocal(off, size, signed) = *code.get(pc)? else {
-        return None;
-    };
-    let rest = code.get(pc + 1..)?;
-    // Split the two shapes on the position of `Dup`.
-    let (delta, after_add) = match *rest {
-        [Instr::Dup, Instr::Const(d), Instr::Add, ..] => (d, &rest[3..]),
-        [Instr::Const(d), Instr::Add, ..] => (d, &rest[2..]),
-        _ => return None,
-    };
-    let postfix = matches!(rest[0], Instr::Dup);
-    // Narrow locals re-normalize after the add; B8 locals never do.
-    let after_norm = match *after_add.first()? {
-        Instr::Normalize(nsz, nsg) if nsz == size && nsg == signed && size != AccessSize::B8 => {
-            &after_add[1..]
+impl NOp {
+    /// Every operand of the op, reads before writes — the one table the
+    /// folding pass's questions ([`NOp::reads`], [`NOp::writes`]) and
+    /// its rewrites are answered from.
+    fn visit(&mut self, mut f: impl FnMut(Use<'_>)) {
+        use Use::{Read, Src as S, Write};
+        match self {
+            NOp::Mov { dst, src } => {
+                f(S(src));
+                f(Write(*dst));
+            }
+            NOp::Swap { a, b } => [*a, *b].into_iter().for_each(|r| {
+                f(Read(r));
+                f(Write(r));
+            }),
+            NOp::Rot3 { a, b, c } => [*a, *b, *c].into_iter().for_each(|r| {
+                f(Read(r));
+                f(Write(r));
+            }),
+            NOp::GlobalAddr { dst, .. } | NOp::StrAddr { dst, .. } => f(Write(*dst)),
+            NOp::StoreLocal { src, .. } => f(S(src)),
+            NOp::Inc { .. } => {}
+            NOp::Alu { dst, a, b, .. } | NOp::Cmp { dst, a, b, .. } => {
+                f(S(a));
+                f(S(b));
+                f(Write(*dst));
+            }
+            NOp::Div { dst, a, b, .. } | NOp::PtrDiff { dst, a, b, .. } => {
+                f(Read(*a));
+                f(Read(*b));
+                f(Write(*dst));
+            }
+            NOp::Neg { at }
+            | NOp::BitNot { at }
+            | NOp::Not { at }
+            | NOp::Normalize { at, .. }
+            | NOp::EffAddr { at } => {
+                f(Read(*at));
+                f(Write(*at));
+            }
+            NOp::PtrAdd {
+                dst, ptr, count, ..
+            }
+            | NOp::IdxLoad {
+                dst, ptr, count, ..
+            } => {
+                f(S(ptr));
+                f(S(count));
+                f(Write(*dst));
+            }
+            NOp::Load { dst, addr, .. } => {
+                f(S(addr));
+                f(Write(*dst));
+            }
+            NOp::Store { addr, val, .. } => {
+                f(S(addr));
+                f(S(val));
+            }
+            NOp::IdxStore {
+                ptr, count, val, ..
+            } => {
+                f(S(ptr));
+                f(S(count));
+                f(S(val));
+            }
         }
-        _ if size == AccessSize::B8 => after_add,
-        _ => return None,
-    };
-    let tail_ok = if postfix {
-        matches!(*after_norm, [Instr::StoreLocal(o, s), Instr::Drop, ..] if o == off && s == size)
-    } else {
-        matches!(
-            *after_norm,
-            [Instr::Dup, Instr::StoreLocal(o, s), Instr::Drop, ..] if o == off && s == size
-        )
-    };
-    if !tail_ok {
-        return None;
     }
-    let op = NOp::IncLocal {
-        off,
-        delta,
-        size,
-        signed,
-    };
-    Some((op, 6 + (after_norm.len() < after_add.len()) as usize))
+
+    fn reads(mut self, r: u8) -> bool {
+        let mut hit = false;
+        self.visit(|u| match u {
+            Use::Read(x) | Use::Src(&mut Src::Reg(x)) => hit |= x == r,
+            _ => {}
+        });
+        hit
+    }
+
+    fn writes(mut self, r: u8) -> bool {
+        let mut hit = false;
+        self.visit(|u| {
+            if let Use::Write(x) = u {
+                hit |= x == r;
+            }
+        });
+        hit
+    }
+
+    fn can_fault(&self) -> bool {
+        matches!(
+            self,
+            NOp::Div { .. }
+                | NOp::Load { .. }
+                | NOp::Store { .. }
+                | NOp::IdxLoad { .. }
+                | NOp::IdxStore { .. }
+        )
+    }
+
+    /// Whether the op may change the `size` frame bytes at `off`: a
+    /// checked store may reach any slot through a pointer.
+    fn clobbers(&self, off: u32, size: AccessSize) -> bool {
+        match *self {
+            NOp::Store { .. } | NOp::IdxStore { .. } => true,
+            NOp::StoreLocal {
+                off: o, size: s, ..
+            }
+            | NOp::Inc {
+                off: o, size: s, ..
+            } => (o as u64) < off as u64 + size.bytes() && (off as u64) < o as u64 + s.bytes(),
+            _ => false,
+        }
+    }
 }
 
-/// An increment statement followed by an unconditional `Jump` — the
-/// loop latch every counted loop executes per iteration (k = 7 or 8,
-/// jump included).
-fn match_inc_jump(code: &[Instr], pc: usize) -> Option<(Term, usize)> {
-    let (
-        NOp::IncLocal {
+impl Term {
+    /// The compare operands, for the folding pass.
+    fn operands(&mut self) -> impl Iterator<Item = &mut Src> {
+        match self {
+            Term::Goto(_) => [None, None],
+            Term::Branch { a, b, .. } | Term::IncBranch { a, b, .. } => [Some(a), Some(b)],
+        }
+        .into_iter()
+        .flatten()
+    }
+
+    fn reads(mut self, r: u8) -> bool {
+        self.operands().any(|s| *s == Src::Reg(r))
+    }
+
+    /// The successors, for linking.
+    fn succs(&mut self) -> impl Iterator<Item = &mut Succ> {
+        match self {
+            Term::Goto(s) => [Some(s), None],
+            Term::Branch { taken, fall, .. } | Term::IncBranch { taken, fall, .. } => {
+                [Some(taken), Some(fall)]
+            }
+        }
+        .into_iter()
+        .flatten()
+    }
+}
+
+/// A region under construction: the ops so far, folded as they arrive.
+struct Fold {
+    out: Vec<NOp>,
+}
+
+impl Fold {
+    /// Index of the op that last wrote `r`.
+    fn last_writer(&self, r: u8) -> Option<usize> {
+        self.out.iter().rposition(|op| op.writes(r))
+    }
+
+    /// Fold 1, reading side: an operand naming a register that a `Mov`
+    /// last filled names the `Mov`'s source instead, when that source
+    /// still reads the same at the end of `out` (alias rule).
+    fn propagate(&self, s: &mut Src) {
+        while let Src::Reg(r) = *s {
+            let Some(k) = self.last_writer(r) else { return };
+            let NOp::Mov { src, .. } = self.out[k] else {
+                return;
+            };
+            let since = &self.out[k + 1..];
+            let stale = match src {
+                Src::Const(_) | Src::Addr(_) => false,
+                Src::Slot { off, size, .. } => since.iter().any(|op| op.clobbers(off, size)),
+                Src::Reg(y) => since.iter().any(|op| op.writes(y)),
+            };
+            if stale {
+                return;
+            }
+            *s = src;
+        }
+    }
+
+    /// Fold 1, deleting side: register `r` dies here unread by the op
+    /// being appended; if a `Mov` filled it and nothing since reads it
+    /// or can fault (spill rule), the `Mov` goes.
+    fn kill(&mut self, r: u8) {
+        for k in (0..self.out.len()).rev() {
+            let op = self.out[k];
+            if op.writes(r) {
+                if matches!(op, NOp::Mov { .. }) {
+                    self.out.remove(k);
+                }
+                return;
+            }
+            if op.reads(r) || op.can_fault() {
+                return;
+            }
+        }
+    }
+
+    /// Whether register `r` already holds a value `Normalize(size,
+    /// signed)` would leave alone.
+    fn in_range(&self, r: u8, size: AccessSize, signed: bool) -> bool {
+        let fits = |m: AccessSize, m_signed: bool| {
+            (m == size && m_signed == signed) || (m.bytes() < size.bytes() && (!m_signed || signed))
+        };
+        let Some(k) = self.last_writer(r) else {
+            return false;
+        };
+        match self.out[k] {
+            NOp::Cmp { .. } | NOp::Not { .. } => true,
+            NOp::Mov {
+                src: Src::Const(c), ..
+            } => extend(c as u64, size, signed) == c,
+            NOp::Mov {
+                src:
+                    Src::Slot {
+                        size: m,
+                        signed: m_signed,
+                        ..
+                    },
+                ..
+            }
+            | NOp::Load {
+                size: m,
+                signed: m_signed,
+                ..
+            }
+            | NOp::IdxLoad {
+                size: m,
+                signed: m_signed,
+                ..
+            }
+            | NOp::Normalize {
+                size: m,
+                signed: m_signed,
+                ..
+            } => fits(m, m_signed),
+            _ => false,
+        }
+    }
+
+    /// Appends `op`, which takes the operand-stack depth from `before`
+    /// to `after` (registers `after..before` die, as does whatever its
+    /// destination held), applying folds 1–3.
+    fn push(&mut self, mut op: NOp, before: u8, after: u8) {
+        op.visit(|u| {
+            if let Use::Src(s) = u {
+                self.propagate(s);
+            }
+        });
+        // Fold 2: the pointer add the access's address came from.
+        if let Some(&NOp::PtrAdd {
+            dst,
+            ptr,
+            count,
+            esz,
+        }) = self.out.last()
+        {
+            let indexed = match op {
+                NOp::Load {
+                    dst: to,
+                    addr,
+                    size,
+                    signed,
+                    seam,
+                    spill,
+                } if addr == Src::Reg(dst) => Some(NOp::IdxLoad {
+                    dst: to,
+                    ptr,
+                    count,
+                    esz,
+                    size,
+                    signed,
+                    seam,
+                    spill,
+                }),
+                NOp::Store {
+                    addr,
+                    val,
+                    size,
+                    seam,
+                    spill,
+                } if addr == Src::Reg(dst) => Some(NOp::IdxStore {
+                    ptr,
+                    count,
+                    val,
+                    esz,
+                    size,
+                    seam,
+                    spill,
+                }),
+                _ => None,
+            };
+            if let Some(indexed) = indexed {
+                self.out.pop();
+                op = indexed;
+            }
+        }
+        // Fold 3: a re-normalization that changes nothing, and the
+        // increment statement `slot = normalize(slot ± c)`.
+        match op {
+            NOp::Normalize { at, size, signed } if self.in_range(at, size, signed) => return,
+            NOp::Normalize { at, size, .. } => {
+                // Only the last of two narrowings in a row shows.
+                if matches!(self.out.last(), Some(&NOp::Normalize { at: prev, size: wider, .. })
+                    if prev == at && wider.bytes() >= size.bytes())
+                {
+                    self.out.pop();
+                }
+            }
+            NOp::StoreLocal {
+                src: Src::Reg(x),
+                off,
+                size,
+            } if x >= after => {
+                if let Some(inc) = self.inc_of(x, off, size) {
+                    op = inc;
+                }
+            }
+            _ => {}
+        }
+        let mut dying = [None; 3];
+        let mut n = 0;
+        op.visit(|u| {
+            if let Use::Write(r) = u {
+                dying[n] = Some(r);
+                n += 1;
+            }
+        });
+        for r in (after..before).chain(dying.into_iter().flatten()) {
+            if !op.reads(r) {
+                self.kill(r);
+            }
+        }
+        self.out.push(op);
+    }
+
+    /// The tail `Alu { x = slot ± c } [; Normalize x]` that a store of
+    /// `x` back to the same slot completes, taken off `out` as one
+    /// [`NOp::Inc`]. Narrow slots must re-normalize to their own type
+    /// (what `Inc` does); 8-byte slots never do.
+    fn inc_of(&mut self, x: u8, off: u32, size: AccessSize) -> Option<NOp> {
+        let mut alu_at = self.out.len().checked_sub(1)?;
+        let mut renormalized = None;
+        if size != AccessSize::B8 {
+            let NOp::Normalize {
+                at,
+                size: n,
+                signed,
+            } = self.out[alu_at]
+            else {
+                return None;
+            };
+            if at != x || n != size {
+                return None;
+            }
+            renormalized = Some(signed);
+            alu_at = alu_at.checked_sub(1)?;
+        }
+        let NOp::Alu {
+            dst,
+            a:
+                Src::Slot {
+                    off: o,
+                    size: s,
+                    signed,
+                },
+            b: Src::Const(c),
+            op,
+        } = self.out[alu_at]
+        else {
+            return None;
+        };
+        let delta = match op {
+            AluOp::Add => c,
+            AluOp::Sub => c.wrapping_neg(),
+            _ => return None,
+        };
+        if dst != x || o != off || s != size || renormalized.is_some_and(|n| n != signed) {
+            return None;
+        }
+        self.out.truncate(alu_at);
+        Some(NOp::Inc {
             off,
             delta,
             size,
             signed,
-        },
-        k,
-    ) = match_inc_local(code, pc)?
-    else {
-        return None;
-    };
-    let Instr::Jump(target) = *code.get(pc + k)? else {
-        return None;
-    };
-    let term = Term::IncJump {
-        off,
-        delta,
-        size,
-        signed,
-        target,
-    };
-    Some((term, k + 1))
-}
+        })
+    }
 
-/// `Dup; StoreLocal; Drop` (k = 3) — the direct-local assignment
-/// statement tail.
-fn match_store_local_pop(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
-    let [Instr::Dup, Instr::StoreLocal(off, size), Instr::Drop] = *code.get(pc..pc + 3)? else {
-        return None;
-    };
-    Some((NOp::StoreLocalPop { off, size }, 3))
-}
-
-/// `LoadLocal (B8); Load` (k = 2) — dereference of a pointer held in a
-/// scalar local. Only pointer-width locals qualify (narrow locals
-/// cannot hold a guest address).
-fn match_load_load(code: &[Instr], pc: usize, done: u64) -> Option<(NOp, usize)> {
-    let [Instr::LoadLocal(off, AccessSize::B8, _), Instr::Load(size, signed)] =
-        *code.get(pc..pc + 2)?
-    else {
-        return None;
-    };
-    let op = NOp::LoadLoad {
-        off,
-        size,
-        signed,
-        at: seam(pc, done, 2),
-    };
-    Some((op, 2))
-}
-
-/// `Const c; <alu>` (k = 2). Comparisons are excluded (they fold with a
-/// following branch instead) and so are division/remainder (fault-point
-/// preservation).
-fn match_const_alu(code: &[Instr], pc: usize) -> Option<(NOp, usize)> {
-    let [Instr::Const(c), alu] = *code.get(pc..pc + 2)? else {
-        return None;
-    };
-    Some((
-        NOp::ConstAlu {
-            c,
-            op: alu_op_of(alu)?,
-        },
-        2,
-    ))
+    /// Attaches a terminator that takes the depth from `before` to
+    /// `after`, applying folds 1 and 4.
+    fn seal(&mut self, mut term: Term, before: u8, after: u8) -> Term {
+        if let Term::Branch { .. } = term {
+            for s in term.operands() {
+                self.propagate(s);
+            }
+        }
+        for r in after..before {
+            if !term.reads(r) {
+                self.kill(r);
+            }
+        }
+        // A flag tested against zero is its comparison (or, for `== 0`,
+        // the opposite one) — again for the `(a <= b) != 0` the front
+        // end emits for `&&`/`||` operands.
+        while let (
+            Term::Branch {
+                a: Src::Reg(x),
+                b: Src::Const(0),
+                op: sense @ (CmpOp::Eq | CmpOp::Ne),
+                taken,
+                fall,
+            },
+            Some(&NOp::Cmp { dst, a, b, op }),
+        ) = (term, self.out.last())
+        {
+            if dst != x || x < after {
+                break;
+            }
+            self.out.pop();
+            let op = if sense == CmpOp::Ne { op } else { op.negate() };
+            term = Term::Branch {
+                a,
+                b,
+                op,
+                taken,
+                fall,
+            };
+        }
+        match (term, self.out.last()) {
+            (
+                Term::Branch {
+                    a: Src::Const(a),
+                    b: Src::Const(b),
+                    op,
+                    taken,
+                    fall,
+                },
+                _,
+            ) => Term::Goto(if op.eval(a, b) { taken } else { fall }),
+            (
+                Term::Branch {
+                    a,
+                    b,
+                    op,
+                    taken,
+                    fall,
+                },
+                Some(&NOp::Inc {
+                    off,
+                    delta,
+                    size,
+                    signed,
+                }),
+            ) => {
+                self.out.pop();
+                Term::IncBranch {
+                    off,
+                    delta,
+                    size,
+                    signed,
+                    a,
+                    b,
+                    op,
+                    taken,
+                    fall,
+                }
+            }
+            _ => term,
+        }
+    }
 }
 
 fn cmp_op_of(instr: Instr) -> Option<CmpOp> {
@@ -931,6 +1016,35 @@ fn is_breaker(instr: Instr) -> bool {
     matches!(instr, Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret)
 }
 
+/// How an instruction shapes the operand stack: `(consumed, effect)` —
+/// how many values below the current top it reads or removes, and its
+/// net depth change.
+fn stack_shape(instr: Instr) -> (i32, i32) {
+    match instr {
+        Instr::Const(_)
+        | Instr::LocalAddr(_)
+        | Instr::GlobalAddr(_)
+        | Instr::StrAddr(_)
+        | Instr::LoadLocal(..) => (0, 1),
+        Instr::Dup => (1, 1),
+        Instr::Drop | Instr::StoreLocal(..) | Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
+            (1, -1)
+        }
+        Instr::Swap => (2, 0),
+        Instr::Rot3 => (3, 0),
+        Instr::Neg
+        | Instr::BitNot
+        | Instr::Not
+        | Instr::Normalize(..)
+        | Instr::EffAddr
+        | Instr::Load(..) => (1, 0),
+        Instr::Store(_) => (2, -2),
+        Instr::Jump(_) | Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret => (0, 0),
+        // Binary arithmetic, comparisons and the pointer pair.
+        _ => (2, -1),
+    }
+}
+
 /// Marks `pc` as a leader and queues it for region construction.
 fn note_leader(code_len: usize, leader: &mut [bool], work: &mut Vec<u32>, pc: u32) {
     if (pc as usize) < code_len && !leader[pc as usize] {
@@ -961,532 +1075,304 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     // Pass 2 — build one region per leader. Fall-through successors of
     // conditional terminators and post-call resume points become new
     // leaders as they are discovered; no region ever crosses them (both
-    // always follow a terminator/breaker, and no shape contains one
-    // before its last slot), so late discovery cannot invalidate an
-    // earlier region.
+    // always follow a terminator/breaker), so late discovery cannot
+    // invalidate an earlier region.
     let mut entry = vec![NO_REGION; code.len()];
     let mut regions: Vec<NativeRegion> = Vec::new();
-    // One op buffer for every region of the function: lowering runs at
-    // a function's first entry, on a request's time, so it allocates
-    // only what the artifact keeps.
-    let mut scratch: Vec<NOp> = Vec::new();
     while let Some(start) = work.pop() {
         if entry[start as usize] != NO_REGION {
             continue;
         }
-        let region = build_region(code, start, &mut leader, &mut work, &mut scratch);
-        if region.ops.is_empty() && region.term == Term::Fall(start) {
-            // A leader that is immediately a call/ret lowers to a no-op
-            // region falling to itself. Leave the slot unmapped so the
-            // executor hands the pc straight to the interpreter instead
-            // of spinning on a zero-charge region.
-            continue;
+        // A leader that is immediately a call/ret, or whose region is
+        // too deep for the register file, stays unmapped: the executor
+        // hands the pc straight to the interpreter.
+        if let Some(region) = build_region(code, start, &mut leader, &mut work) {
+            entry[start as usize] = regions.len() as u32;
+            regions.push(region);
         }
-        entry[start as usize] = regions.len() as u32;
-        regions.push(region);
+    }
+
+    // Pass 3 — link: successors learn their region indices, then each
+    // region absorbs the op-less regions it jumps to.
+    for region in &mut regions {
+        for s in region.term.succs() {
+            s.region = entry.get(s.pc as usize).copied().unwrap_or(NO_REGION);
+        }
+    }
+    for at in 0..regions.len() {
+        absorb(&mut regions, at);
+        let region = &mut regions[at];
+        region.dispatches = region.ops.len() as u32 + 2;
+    }
+    for at in 0..regions.len() {
+        let mut term = regions[at].term;
+        term.succs().for_each(|s| thread(&regions, s));
+        regions[at].term = term;
     }
     NativeFunc { entry, regions }
 }
 
-/// Walks the stream from `start` to the region's end, lowering as it
-/// goes; newly discovered fall-through leaders go onto `work`. `ops` is
-/// the caller's scratch buffer (contents irrelevant on entry).
+/// Points `s` past the op-less, stack-neutral jumps it lands on (what
+/// [`absorb`] leaves of a short-circuit's `Const; JumpIfZero`), their
+/// charges riding on the edge. Short of fuel for the lot, the chain
+/// stops at `s.pc` with none of it taken.
+fn thread(regions: &[NativeRegion], s: &mut Succ) {
+    for _ in 0..ABSORB_DEPTH {
+        let Some(via) = regions.get(s.region as usize) else {
+            return;
+        };
+        let Term::Goto(next) = via.term else { return };
+        let neutral = via.ops.is_empty() && via.consumes == 0 && via.produces == 0;
+        if !neutral || next.region as usize >= regions.len() {
+            return;
+        }
+        s.region = next.region;
+        s.skip += via.charge as u32 + next.skip;
+    }
+}
+
+/// Most op-less successors one region takes in or one edge threads
+/// through: the short-circuit chains the front end emits are two or
+/// three deep, and a bound keeps a cycle of empty jumps from absorbing
+/// itself forever.
+const ABSORB_DEPTH: usize = 4;
+
+/// While region `at` ends in a jump to an op-less region, takes that
+/// region's terminator (its registers renumbered onto `at`'s exit
+/// stack) and charge, and folds again: the latch gains the loop head's
+/// compare, a `Const` feeding a `JumpIfZero` becomes a plain jump. The
+/// fuel gate then covers both; short of it, the interpreter runs the
+/// instructions one at a time and reaches the absorbed region's pc,
+/// whose own region is untouched.
+fn absorb(regions: &mut [NativeRegion], at: usize) {
+    for _ in 0..ABSORB_DEPTH {
+        let Term::Goto(Succ { region: n, .. }) = regions[at].term else {
+            return;
+        };
+        let produces = regions[at].produces;
+        // `NO_REGION` is past every index.
+        let Some(next) = regions.get(n as usize) else {
+            return;
+        };
+        if n as usize == at || !next.ops.is_empty() || next.consumes > produces {
+            return;
+        }
+        let shift = produces - next.consumes;
+        let (mut term, charge, after) = (next.term, next.charge, next.produces + shift);
+        for s in term.operands() {
+            if let Src::Reg(r) = s {
+                *r += shift;
+            }
+        }
+        let region = &mut regions[at];
+        let mut fold = Fold {
+            out: std::mem::take(&mut region.ops),
+        };
+        region.term = fold.seal(term, produces, after);
+        region.ops = fold.out;
+        region.charge += charge;
+        region.produces = after;
+    }
+}
+
+/// Lowers the region starting at `start`; newly discovered fall-through
+/// leaders go onto `work`. `None` when nothing would be lowered (the
+/// leader is a call or return) or the region is too deep.
 fn build_region(
     code: &[Instr],
     start: u32,
     leader: &mut [bool],
     work: &mut Vec<u32>,
-    ops: &mut Vec<NOp>,
-) -> NativeRegion {
-    ops.clear();
-    let mut done: u64 = 0;
-    let mut pc = start as usize;
-    let term = loop {
-        if pc >= code.len() {
-            // Defensive: the lowering never runs off a well-formed
-            // function (every path ends in `Ret`), but a malformed one
-            // must fail in the interpreter, not here.
-            break Term::Fall(pc as u32);
+) -> Option<NativeRegion> {
+    // Extent and depth envelope relative to the entry depth. Every
+    // instruction is one component, so the components charged before
+    // `pc` are `pc - start`.
+    let (mut depth, mut lowest, mut highest) = (0i32, 0i32, 0i32);
+    let mut end = start as usize;
+    let branches = loop {
+        // Running off the end is defensive: every path of a well-formed
+        // function ends in `Ret`, and a malformed one must fail in the
+        // interpreter, not here.
+        if end >= code.len() || (end != start as usize && leader[end]) {
+            break false;
         }
-        if pc as u32 != start && leader[pc] {
-            // Split at a known entry point; the executor chains into
-            // the next region without leaving the fast path.
-            break Term::Fall(pc as u32);
-        }
-        let instr = code[pc];
+        let instr = code[end];
         if is_breaker(instr) {
             if !matches!(instr, Instr::Ret) {
-                note_leader(code.len(), leader, work, pc as u32 + 1);
+                note_leader(code.len(), leader, work, end as u32 + 1);
             }
-            break Term::Fall(pc as u32);
+            break false;
         }
-        match instr {
-            Instr::Jump(t) => {
-                done += 1;
-                break Term::Jump(t);
-            }
-            Instr::JumpIfZero(t) => {
-                done += 1;
-                note_leader(code.len(), leader, work, pc as u32 + 1);
-                break Term::JumpIfZero {
-                    target: t,
-                    fall: pc as u32 + 1,
-                };
-            }
-            Instr::JumpIfNotZero(t) => {
-                done += 1;
-                note_leader(code.len(), leader, work, pc as u32 + 1);
-                break Term::JumpIfNotZero {
-                    target: t,
-                    fall: pc as u32 + 1,
-                };
-            }
-            _ => {}
-        }
-        // Shapes are matched on the instructions alone: one may span a
-        // leader, and the region starting at that leader is lowered
-        // from the same instructions on its own walk.
-        if let Some((term, k)) = match_term(code, pc) {
-            done += k as u64;
-            if let Term::CmpJump { fall, .. } = term {
-                note_leader(code.len(), leader, work, fall);
-            }
-            break term;
-        }
-        if let Some((op, k)) = match_op(code, pc, done) {
-            ops.push(op);
-            done += k as u64;
-            pc += k;
-            continue;
-        }
-        // Fold a comparison with a directly following branch — the
-        // runtime `cmp_arm` peephole, resolved ahead of time. Skipped
-        // when the branch is itself a leader (the split wins; the flag
-        // is pushed and the next region's terminator pops it, which is
-        // observationally the same thing).
-        if let Some(op) = cmp_op_of(instr) {
-            if pc + 1 < code.len() && !leader[pc + 1] {
-                match code[pc + 1] {
-                    Instr::JumpIfZero(t) => {
-                        done += 2;
-                        note_leader(code.len(), leader, work, pc as u32 + 2);
-                        break Term::FlagJump {
-                            op: op.negate(),
-                            target: t,
-                            fall: pc as u32 + 2,
-                        };
-                    }
-                    Instr::JumpIfNotZero(t) => {
-                        done += 2;
-                        note_leader(code.len(), leader, work, pc as u32 + 2);
-                        break Term::FlagJump {
-                            op,
-                            target: t,
-                            fall: pc as u32 + 2,
-                        };
-                    }
-                    _ => {}
-                }
-            }
-            ops.push(NOp::Cmp(op));
-            done += 1;
-            pc += 1;
-            continue;
-        }
-        ops.push(lower_op(instr, pc, done));
-        done += 1;
-        pc += 1;
-    };
-    // Every terminator folded its own components into `done` at its
-    // break (a `Fall` charges nothing), so the region charge is final.
-    // Charges were computed per original op, and grouping neither adds
-    // nor removes components, so the charge is unaffected by it.
-    NativeRegion {
-        charge: done,
-        ops: group_locals(ops),
-        term,
-    }
-}
-
-/// Whether `op` is a pure frame-local micro-op: it touches only the
-/// operand stack and the frame's byte window, cannot fault, and adds no
-/// per-access stat extras. [`is_block_heap`] ops join blocks too.
-/// Division stays top-level (its seam is cheap to keep there and it
-/// never clusters with access traffic), as do the frame-anchored
-/// constant-index access shapes, whose top-level handlers already answer
-/// derivation and access with one lookup.
-fn is_local_pure(op: &NOp) -> bool {
-    matches!(
-        op,
-        NOp::Const(_)
-            | NOp::Dup
-            | NOp::Drop
-            | NOp::Swap
-            | NOp::Rot3
-            | NOp::LocalAddr(_)
-            | NOp::LoadLocal { .. }
-            | NOp::StoreLocal { .. }
-            | NOp::Alu(_)
-            | NOp::Cmp(_)
-            | NOp::Neg
-            | NOp::BitNot
-            | NOp::Not
-            | NOp::Normalize { .. }
-            | NOp::IncLocal { .. }
-            | NOp::ConstAlu { .. }
-            | NOp::StoreLocalPop { .. }
-    )
-}
-
-/// Whether `op` is a guest-memory micro-op a [`LocalsBlock`] can span:
-/// checked loads/stores (served by the executor's view, full access
-/// path on a miss) and the pointer ops (which cannot fault).
-fn is_block_heap(op: &NOp) -> bool {
-    matches!(
-        op,
-        NOp::Load { .. }
-            | NOp::Store { .. }
-            | NOp::PtrAdd { .. }
-            | NOp::PtrDiff { .. }
-            | NOp::EffAddr
-    )
-}
-
-/// Block-membership predicate for [`group_locals`].
-fn is_block_member(op: &NOp) -> bool {
-    is_local_pure(op) || is_block_heap(op)
-}
-
-/// Groups maximal runs (length ≥ 2) of register-lowerable ops — pure
-/// frame-local ops plus the guest-memory ops of [`is_block_heap`] —
-/// into register-form [`NOp::Locals`] blocks. Singleton runs stay
-/// as-is: the block only pays for its stack-to-register traffic when
-/// at least two ops amortize it. Runs whose stack shape exceeds
-/// [`LOCALS_REGS`] also stay in individual-op form (the executor's
-/// slow path is observationally identical). Blocks are built from a
-/// flat op vector, so they never nest.
-fn group_locals(ops: &[NOp]) -> Vec<NOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    let mut i = 0;
-    while i < ops.len() {
-        if !is_block_member(&ops[i]) {
-            out.push(ops[i].clone());
-            i += 1;
-            continue;
-        }
-        let mut j = i + 1;
-        while j < ops.len() && is_block_member(&ops[j]) {
-            j += 1;
-        }
-        match (j - i >= 2).then(|| lower_locals(&ops[i..j])).flatten() {
-            Some(block) => out.push(NOp::Locals(block)),
-            None => out.extend(ops[i..j].iter().cloned()),
-        }
-        i = j;
-    }
-    out
-}
-
-/// How a pure-local op shapes the operand stack: `(consumed, effect)`
-/// — how many values below the current top it reads or removes, and
-/// its net depth change.
-fn stack_shape(op: &NOp) -> (i32, i32) {
-    match op {
-        NOp::Const(_) | NOp::LocalAddr(_) | NOp::LoadLocal { .. } => (0, 1),
-        NOp::Dup => (1, 1),
-        NOp::Drop | NOp::StoreLocal { .. } | NOp::StoreLocalPop { .. } => (1, -1),
-        NOp::Swap => (2, 0),
-        NOp::Rot3 => (3, 0),
-        NOp::Alu(_) | NOp::Cmp(_) => (2, -1),
-        NOp::Neg | NOp::BitNot | NOp::Not | NOp::Normalize { .. } | NOp::ConstAlu { .. } => (1, 0),
-        NOp::IncLocal { .. } => (0, 0),
-        NOp::Load { .. } | NOp::EffAddr => (1, 0),
-        NOp::Store { .. } => (2, -2),
-        NOp::PtrAdd { .. } | NOp::PtrDiff { .. } => (2, -1),
-        other => unreachable!("non-member op in a locals run: {other:?}"),
-    }
-}
-
-/// Lowers a block-member run to register form. The run is
-/// straight-line, so the operand-stack depth at every op is static:
-/// stack slot `d` (relative to the block's deepest excursion below its
-/// entry depth) becomes scratch register `d`, and every push/pop turns
-/// into a fixed register index. A `Drop` vanishes entirely — the dead
-/// value simply never makes it back to the operand stack. Guest
-/// accesses bake their fault seam and static spill count per site, so
-/// a mid-block fault can reproduce the interpreted operand-stack image
-/// exactly; a `GPtrAdd` feeding the immediately following access fuses
-/// into the combined `GIdx*` form ([`push_access`]: one placement
-/// lookup for the pair, the same peephole the constant-index shapes
-/// get). Returns `None` when the run's stack shape exceeds
-/// [`LOCALS_REGS`].
-fn lower_locals(run: &[NOp]) -> Option<LocalsBlock> {
-    // Pass 1: the run's depth envelope relative to its entry depth.
-    let mut depth: i32 = 0;
-    let mut lowest: i32 = 0;
-    let mut highest: i32 = 0;
-    for op in run {
-        let (consumed, effect) = stack_shape(op);
+        let (consumed, effect) = stack_shape(instr);
         lowest = lowest.min(depth - consumed);
         depth += effect;
         highest = highest.max(depth);
-    }
-    let bias = -lowest;
-    if highest + bias > LOCALS_REGS as i32 {
-        return None;
-    }
-    // Pass 2: emit, mapping relative depth `d` to register `d + bias`.
-    let r = |d: i32| (d + bias) as u8;
-    let mut ops = Vec::with_capacity(run.len());
-    let mut d: i32 = 0;
-    for op in run {
-        match *op {
-            NOp::Const(c) => {
-                ops.push(ROp::Const { dst: r(d), c });
-                d += 1;
+        match instr {
+            Instr::Jump(_) => break true,
+            Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
+                note_leader(code.len(), leader, work, end as u32 + 1);
+                break true;
             }
-            NOp::Dup => {
-                ops.push(ROp::Copy {
-                    dst: r(d),
-                    src: r(d - 1),
-                });
-                d += 1;
-            }
-            NOp::Drop => d -= 1,
-            NOp::Swap => ops.push(ROp::Swap {
-                a: r(d - 1),
-                b: r(d - 2),
-            }),
-            NOp::Rot3 => ops.push(ROp::Rot3 {
-                a: r(d - 3),
-                b: r(d - 2),
-                c: r(d - 1),
-            }),
-            NOp::LocalAddr(off) => {
-                ops.push(ROp::Addr { dst: r(d), off });
-                d += 1;
-            }
-            NOp::LoadLocal { off, size, signed } => {
-                ops.push(ROp::Load {
-                    dst: r(d),
-                    off,
-                    size,
-                    signed,
-                });
-                d += 1;
-            }
-            NOp::StoreLocal { off, size } | NOp::StoreLocalPop { off, size } => {
-                ops.push(ROp::Store {
-                    src: r(d - 1),
-                    off,
-                    size,
-                });
-                d -= 1;
-            }
-            NOp::Alu(op) => {
-                ops.push(ROp::Alu {
-                    dst: r(d - 2),
-                    a: r(d - 2),
-                    b: r(d - 1),
-                    op,
-                });
-                d -= 1;
-            }
-            NOp::Cmp(op) => {
-                ops.push(ROp::Cmp {
-                    dst: r(d - 2),
-                    a: r(d - 2),
-                    b: r(d - 1),
-                    op,
-                });
-                d -= 1;
-            }
-            NOp::Neg => ops.push(ROp::Neg { at: r(d - 1) }),
-            NOp::BitNot => ops.push(ROp::BitNot { at: r(d - 1) }),
-            NOp::Not => ops.push(ROp::Not { at: r(d - 1) }),
-            NOp::Normalize { size, signed } => ops.push(ROp::Normalize {
-                at: r(d - 1),
-                size,
-                signed,
-            }),
-            NOp::ConstAlu { c, op } => ops.push(ROp::ConstAlu {
-                at: r(d - 1),
-                c,
-                op,
-            }),
-            NOp::IncLocal {
-                off,
-                delta,
-                size,
-                signed,
-            } => ops.push(ROp::Inc {
-                off,
-                delta,
-                size,
-                signed,
-            }),
-            NOp::Load { size, signed, at } => {
-                // Pops the address, pushes the value: same slot. The
-                // spill image on a fault is everything below the
-                // popped address.
-                let load = ROp::GLoad {
-                    at: r(d - 1),
-                    size,
-                    signed,
-                    seam: at,
-                    spill: r(d - 1),
-                };
-                push_access(&mut ops, load);
-            }
-            NOp::Store { size, at } => {
-                let store = ROp::GStore {
-                    addr: r(d - 1),
-                    val: r(d - 2),
-                    size,
-                    seam: at,
-                    spill: r(d - 2),
-                };
-                push_access(&mut ops, store);
-                d -= 2;
-            }
-            NOp::PtrAdd { esz } => {
-                ops.push(ROp::GPtrAdd {
-                    dst: r(d - 2),
-                    ptr: r(d - 2),
-                    count: r(d - 1),
-                    esz,
-                });
-                d -= 1;
-            }
-            NOp::PtrDiff { esz } => {
-                ops.push(ROp::GPtrDiff {
-                    dst: r(d - 2),
-                    a: r(d - 2),
-                    b: r(d - 1),
-                    esz,
-                });
-                d -= 1;
-            }
-            NOp::EffAddr => ops.push(ROp::GEffAddr { at: r(d - 1) }),
-            ref other => unreachable!("non-member op in a locals run: {other:?}"),
-        }
-    }
-    Some(LocalsBlock {
-        consumes: bias as u8,
-        produces: (d + bias) as u8,
-        ops: ops.into_boxed_slice(),
-    })
-}
-
-/// Appends a `GLoad`/`GStore` to a block under construction, fusing it
-/// with a directly preceding `GPtrAdd` that derived its address into
-/// the combined one-lookup form. The pointer register the pair threads
-/// through is dead afterwards (the access pops it), so the rewrite is
-/// invisible: on the hit path one in-unit containment check proves both
-/// steps, and on the miss path the executor runs the exact two-step
-/// sequence.
-fn push_access(ops: &mut Vec<ROp>, access: ROp) {
-    let fused = match (ops.last(), access) {
-        (
-            Some(&ROp::GPtrAdd {
-                dst,
-                ptr,
-                count,
-                esz,
-            }),
-            ROp::GLoad {
-                at,
-                size,
-                signed,
-                seam,
-                spill,
-            },
-        ) if at == dst => ROp::GIdxLoad {
-            dst,
-            ptr,
-            count,
-            esz,
-            size,
-            signed,
-            seam,
-            spill,
-        },
-        (
-            Some(&ROp::GPtrAdd {
-                dst,
-                ptr,
-                count,
-                esz,
-            }),
-            ROp::GStore {
-                addr,
-                val,
-                size,
-                seam,
-                spill,
-            },
-        ) if addr == dst => ROp::GIdxStore {
-            ptr,
-            count,
-            val,
-            esz,
-            size,
-            seam,
-            spill,
-        },
-        _ => {
-            ops.push(access);
-            return;
+            _ => end += 1,
         }
     };
-    *ops.last_mut().expect("matched a preceding GPtrAdd") = fused;
-}
-
-/// Lowers one plain (non-terminator, non-breaker) instruction. `pc` is
-/// the instruction's own index; `done` the components charged before it.
-fn lower_op(instr: Instr, pc: usize, done: u64) -> NOp {
-    let at = seam(pc, done, 1);
-    match instr {
-        Instr::Const(v) => NOp::Const(v),
-        Instr::Dup => NOp::Dup,
-        Instr::Drop => NOp::Drop,
-        Instr::Swap => NOp::Swap,
-        Instr::Rot3 => NOp::Rot3,
-        Instr::LocalAddr(off) => NOp::LocalAddr(off),
-        Instr::GlobalAddr(i) => NOp::GlobalAddr(i),
-        Instr::StrAddr(i) => NOp::StrAddr(i),
-        Instr::Load(size, signed) => NOp::Load { size, signed, at },
-        Instr::Store(size) => NOp::Store { size, at },
-        Instr::LoadLocal(off, size, signed) => NOp::LoadLocal { off, size, signed },
-        Instr::StoreLocal(off, size) => NOp::StoreLocal { off, size },
-        Instr::DivS | Instr::DivU | Instr::RemS | Instr::RemU => NOp::Div {
-            signed: matches!(instr, Instr::DivS | Instr::RemS),
-            rem: matches!(instr, Instr::RemS | Instr::RemU),
-            at,
-        },
-        Instr::Neg => NOp::Neg,
-        Instr::BitNot => NOp::BitNot,
-        Instr::Not => NOp::Not,
-        Instr::Normalize(size, signed) => NOp::Normalize { size, signed },
-        Instr::EffAddr => NOp::EffAddr,
-        Instr::PtrAdd(esz) => NOp::PtrAdd { esz },
-        Instr::PtrDiff(esz) => NOp::PtrDiff { esz },
-        other => {
-            if let Some(op) = alu_op_of(other) {
-                NOp::Alu(op)
-            } else if let Some(op) = cmp_op_of(other) {
-                NOp::Cmp(op)
-            } else {
-                unreachable!("terminator/breaker reached lower_op: {other:?}")
-            }
-        }
+    if (end == start as usize && !branches) || (highest - lowest) as usize > NATIVE_REGS {
+        return None;
     }
+
+    let mut fold = Fold {
+        out: Vec::with_capacity(end - start as usize),
+    };
+    let consumes = (-lowest) as u8;
+    let mut d = consumes;
+    for (pc, &instr) in code.iter().enumerate().take(end).skip(start as usize) {
+        let seam = FaultAt {
+            pc: pc as u32 + 1,
+            spent: (pc - start as usize) as u64 + 1,
+        };
+        let (_, effect) = stack_shape(instr);
+        let after = (d as i32 + effect) as u8;
+        // `top` is the old top of stack, `under` the value below it;
+        // a push lands in `d`.
+        let (top, under) = (d.wrapping_sub(1), d.wrapping_sub(2));
+        let op = match instr {
+            Instr::Const(c) => NOp::Mov {
+                dst: d,
+                src: Src::Const(c),
+            },
+            Instr::Dup => NOp::Mov {
+                dst: d,
+                src: Src::Reg(top),
+            },
+            Instr::Drop => {
+                fold.kill(top);
+                d = after;
+                continue;
+            }
+            Instr::Swap => NOp::Swap { a: top, b: under },
+            Instr::Rot3 => NOp::Rot3 {
+                a: d - 3,
+                b: under,
+                c: top,
+            },
+            Instr::LocalAddr(off) => NOp::Mov {
+                dst: d,
+                src: Src::Addr(off),
+            },
+            Instr::GlobalAddr(idx) => NOp::GlobalAddr { dst: d, idx },
+            Instr::StrAddr(idx) => NOp::StrAddr { dst: d, idx },
+            Instr::LoadLocal(off, size, signed) => NOp::Mov {
+                dst: d,
+                src: Src::Slot { off, size, signed },
+            },
+            Instr::StoreLocal(off, size) => NOp::StoreLocal {
+                src: Src::Reg(top),
+                off,
+                size,
+            },
+            Instr::DivS | Instr::DivU | Instr::RemS | Instr::RemU => NOp::Div {
+                dst: under,
+                a: under,
+                b: top,
+                signed: matches!(instr, Instr::DivS | Instr::RemS),
+                rem: matches!(instr, Instr::RemS | Instr::RemU),
+                seam,
+                spill: under,
+            },
+            Instr::Neg => NOp::Neg { at: top },
+            Instr::BitNot => NOp::BitNot { at: top },
+            Instr::Not => NOp::Not { at: top },
+            Instr::Normalize(size, signed) => NOp::Normalize {
+                at: top,
+                size,
+                signed,
+            },
+            Instr::EffAddr => NOp::EffAddr { at: top },
+            Instr::PtrAdd(esz) => NOp::PtrAdd {
+                dst: under,
+                ptr: Src::Reg(under),
+                count: Src::Reg(top),
+                esz,
+            },
+            Instr::PtrDiff(esz) => NOp::PtrDiff {
+                dst: under,
+                a: under,
+                b: top,
+                esz,
+            },
+            // The spill image on a fault is everything below the
+            // popped operands.
+            Instr::Load(size, signed) => NOp::Load {
+                dst: top,
+                addr: Src::Reg(top),
+                size,
+                signed,
+                seam,
+                spill: top,
+            },
+            Instr::Store(size) => NOp::Store {
+                addr: Src::Reg(top),
+                val: Src::Reg(under),
+                size,
+                seam,
+                spill: under,
+            },
+            other => {
+                let (dst, a, b) = (under, Src::Reg(under), Src::Reg(top));
+                if let Some(op) = alu_op_of(other) {
+                    NOp::Alu { dst, a, b, op }
+                } else if let Some(op) = cmp_op_of(other) {
+                    NOp::Cmp { dst, a, b, op }
+                } else {
+                    unreachable!("terminator/breaker inside a region: {other:?}")
+                }
+            }
+        };
+        fold.push(op, d, after);
+        d = after;
+    }
+
+    let unlinked = |pc: u32| Succ {
+        pc,
+        region: NO_REGION,
+        skip: 0,
+    };
+    let mut charge = (end - start as usize) as u64;
+    let (term, after) = if branches {
+        charge += 1;
+        let fall = unlinked(end as u32 + 1);
+        let zero_test = |op, t| Term::Branch {
+            a: Src::Reg(d.wrapping_sub(1)),
+            b: Src::Const(0),
+            op,
+            taken: unlinked(t),
+            fall,
+        };
+        match code[end] {
+            Instr::Jump(t) => (Term::Goto(unlinked(t)), d),
+            Instr::JumpIfZero(t) => (zero_test(CmpOp::Eq, t), d - 1),
+            Instr::JumpIfNotZero(t) => (zero_test(CmpOp::Ne, t), d - 1),
+            other => unreachable!("not a branch: {other:?}"),
+        }
+    } else {
+        (Term::Goto(unlinked(end as u32)), d)
+    };
+    let term = fold.seal(term, d, after);
+    Some(NativeRegion {
+        charge,
+        consumes,
+        produces: after,
+        dispatches: 0,
+        ops: fold.out,
+        term,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{compile_source, CompiledProgram};
+    use AccessSize::{B4, B8};
 
     /// Every function's artifact, each forced through the first-entry
     /// accessor.
@@ -1502,13 +1388,28 @@ mod tests {
         lower_all(&compile_source(src).unwrap())
     }
 
-    /// The first function's top-level micro-ops, all regions.
-    fn top_ops(native: &[NativeFunc]) -> Vec<&NOp> {
-        native[0].regions.iter().flat_map(|r| &r.ops).collect()
+    /// The first function's ops, all regions.
+    fn all_ops(native: &[NativeFunc]) -> Vec<NOp> {
+        let regions = native[0].regions.iter();
+        regions.flat_map(|r| r.ops.iter().copied()).collect()
     }
 
     fn has_term(native: &[NativeFunc], want: impl Fn(&Term) -> bool) -> bool {
         native[0].regions.iter().any(|r| want(&r.term))
+    }
+
+    /// The region entered at pc 0 of a hand-assembled stream.
+    fn entry_region(code: &[Instr]) -> NativeRegion {
+        let nf = lower_func(code);
+        nf.regions[nf.entry[0] as usize].clone()
+    }
+
+    fn slot(off: u32) -> Src {
+        Src::Slot {
+            off,
+            size: B8,
+            signed: true,
+        }
     }
 
     const LOOP_SRC: &str = "long spin(long n) { long i; long acc = 0; \
@@ -1531,31 +1432,59 @@ mod tests {
             for idx in 0..nf.regions.len() as u32 {
                 assert!(nf.entry.contains(&idx), "orphan region {idx}");
             }
+            // Every successor names the region its pc enters, unless the
+            // edge threads through jumps and says what they charge.
+            for region in &nf.regions {
+                let mut term = region.term;
+                for s in term.succs() {
+                    let at_pc = nf.entry.get(s.pc as usize).copied().unwrap_or(NO_REGION);
+                    assert!(s.region == NO_REGION || (s.region as usize) < nf.regions.len());
+                    assert_eq!(s.region == at_pc, s.skip == 0, "{s:?}");
+                }
+                assert_eq!(region.dispatches as usize, region.ops.len() + 2);
+            }
         }
     }
 
     #[test]
     fn loop_lowers_to_chained_regions_with_fused_terminators() {
-        let native = lower(LOOP_SRC);
-        let nf = &native[0];
-        let has_cmp_head = nf
+        let nf = &lower(LOOP_SRC)[0];
+        // The head is an op-less compare of two slots...
+        let head = nf
             .regions
             .iter()
-            .any(|r| matches!(r.term, Term::CmpJump { .. }));
-        let has_latch = nf
-            .regions
-            .iter()
-            .any(|r| matches!(r.term, Term::IncJump { .. }));
-        assert!(has_cmp_head, "loop head should lower to Term::CmpJump");
-        assert!(has_latch, "loop latch should lower to Term::IncJump");
-        // The head's fall-through (the loop body) must itself start a
-        // region, so a full iteration never leaves the native path.
-        for r in &nf.regions {
-            if let Term::CmpJump { target, fall, .. } = r.term {
-                assert_ne!(nf.entry[fall as usize], NO_REGION, "body has a region");
-                assert_ne!(nf.entry[target as usize], NO_REGION, "exit has a region");
-            }
-        }
+            .position(|r| r.ops.is_empty() && matches!(r.term, Term::Branch { .. }))
+            .expect("loop head lowers to an op-less Term::Branch");
+        let Term::Branch {
+            a: Src::Slot { .. },
+            b: Src::Slot { .. },
+            op: CmpOp::GeS,
+            taken,
+            fall,
+        } = nf.regions[head].term
+        else {
+            panic!("head compares i and n in place: {:?}", nf.regions[head]);
+        };
+        // ...and the body's latch took it along: increment, compare and
+        // both successors in one terminator, charges summed, looping
+        // straight back into the body.
+        let body = &nf.regions[fall.region as usize];
+        let Term::IncBranch {
+            delta: 1,
+            op: CmpOp::GeS,
+            taken: exit,
+            fall: again,
+            ..
+        } = body.term
+        else {
+            panic!("latch fuses step, back-jump and compare: {body:?}");
+        };
+        assert_eq!((exit, again), (taken, fall));
+        assert_eq!(again.region, nf.entry[again.pc as usize]);
+        assert_ne!(exit.region, NO_REGION, "the exit has a region");
+        // The latch's back-jump is the instruction before the exit.
+        let own = (exit.pc - again.pc) as u64;
+        assert_eq!(body.charge, own + nf.regions[head].charge);
     }
 
     #[test]
@@ -1568,7 +1497,11 @@ mod tests {
         // The region ends at the Ret; its charge equals the instruction
         // slots it covers (every slot is one component).
         let covered = match entry_region.term {
-            Term::Fall(at) => at as u64,
+            Term::Goto(Succ {
+                pc,
+                region: NO_REGION,
+                skip: 0,
+            }) => pc as u64,
             ref t => panic!("straight-line function should fall to Ret, got {t:?}"),
         };
         assert_eq!(entry_region.charge, covered);
@@ -1576,98 +1509,62 @@ mod tests {
 
     #[test]
     fn pure_local_runs_group_into_register_blocks() {
-        // A dispatch-bound body of local expression arithmetic: the
-        // whole thing must collapse into register-form Locals blocks
-        // with no ungrouped pure-local runs left at top level.
+        // A dispatch-bound body of local expression arithmetic: one
+        // region, and after folding every statement is its ALU ops and
+        // one store — no `Mov` left to feed them.
         let src = "long f(long n) { long t = 0; long u = 1; \
                    t = t + u + 3; t = t + 5; u = u + t; return t + u; }";
         let native = lower(src);
-        let mut blocks = 0usize;
-        for region in &native[0].regions {
-            let mut run = 0usize;
-            for op in &region.ops {
-                match op {
-                    NOp::Locals(block) => {
-                        blocks += 1;
-                        assert!(!block.ops.is_empty(), "empty block");
-                        // Statement-shaped code is self-contained: a
-                        // block never digs below its entry stack, and
-                        // leaves at most the `return` expression's one
-                        // value behind for the Ret breaker.
-                        assert_eq!(block.consumes, 0, "statement block consumes");
-                        assert!(block.produces <= 1, "statement block produces");
-                        for r in block.ops.iter() {
-                            if let ROp::Alu { dst, a, b, .. } = r {
-                                assert!(
-                                    (*dst as usize) < LOCALS_REGS
-                                        && (*a as usize) < LOCALS_REGS
-                                        && (*b as usize) < LOCALS_REGS,
-                                    "register index out of range"
-                                );
-                            }
-                        }
-                        run = 0;
-                    }
-                    op if is_local_pure(op) => {
-                        run += 1;
-                        assert!(run < 2, "ungrouped run of pure local ops");
-                    }
-                    _ => run = 0,
-                }
-            }
-        }
-        assert!(blocks > 0, "local-only body should form a block");
+        assert_eq!(native[0].regions.len(), 1);
+        let region = &native[0].regions[0];
+        // Statement-shaped code is self-contained: the region never digs
+        // below its entry stack, and leaves only the `return`
+        // expression's one value behind for the Ret breaker.
+        assert_eq!((region.consumes, region.produces), (0, 1));
+        let kinds: Vec<&str> = region
+            .ops
+            .iter()
+            .map(|op| match op {
+                NOp::Alu { dst: 0, .. } => "alu",
+                NOp::StoreLocal { .. } => "store",
+                other => panic!("unfolded op {other:?}"),
+            })
+            .collect();
+        let want = "store store alu alu store alu store alu store alu";
+        assert_eq!(kinds.join(" "), want, "{region:?}");
     }
 
     #[test]
     fn register_lowering_resolves_stack_slots() {
-        // `t + u` is LoadLocal t, LoadLocal u, Alu(Add): registers 0
-        // and 1, the add landing in 0, the store reading 0.
-        let run = [
-            NOp::LoadLocal {
-                off: 0,
-                size: AccessSize::B8,
-                signed: true,
-            },
-            NOp::LoadLocal {
-                off: 8,
-                size: AccessSize::B8,
-                signed: true,
-            },
-            NOp::Alu(AluOp::Add),
-            NOp::StoreLocal {
-                off: 0,
-                size: AccessSize::B8,
-            },
-        ];
-        let block = lower_locals(&run).expect("shallow run lowers");
-        assert_eq!(block.consumes, 0);
-        assert_eq!(block.produces, 0);
+        // `t = t + u` is LoadLocal t, LoadLocal u, Add, StoreLocal t:
+        // registers 0 and 1 in stack form; folded, the add reads both
+        // slots itself and lands in register 0, which the store reads.
+        let region = entry_region(&[
+            Instr::LoadLocal(0, B8, true),
+            Instr::LoadLocal(8, B8, true),
+            Instr::Add,
+            Instr::StoreLocal(0, B8),
+            Instr::Const(0),
+            Instr::Ret,
+        ]);
+        assert_eq!((region.consumes, region.produces), (0, 1));
         assert_eq!(
-            &*block.ops,
-            &[
-                ROp::Load {
+            region.ops,
+            [
+                NOp::Alu {
                     dst: 0,
-                    off: 0,
-                    size: AccessSize::B8,
-                    signed: true
-                },
-                ROp::Load {
-                    dst: 1,
-                    off: 8,
-                    size: AccessSize::B8,
-                    signed: true
-                },
-                ROp::Alu {
-                    dst: 0,
-                    a: 0,
-                    b: 1,
+                    a: slot(0),
+                    b: slot(8),
                     op: AluOp::Add
                 },
-                ROp::Store {
-                    src: 0,
+                NOp::StoreLocal {
+                    src: Src::Reg(0),
                     off: 0,
-                    size: AccessSize::B8
+                    size: B8
+                },
+                NOp::Mov {
+                    dst: 0,
+                    src: Src::Const(0)
                 },
             ]
         );
@@ -1675,81 +1572,86 @@ mod tests {
 
     #[test]
     fn register_lowering_biases_entry_stack_consumption() {
-        // A run that digs below its entry depth: the consumed values
-        // become the low registers and the balance is reported so the
-        // executor can move them in and out of the operand stack.
-        let run = [
-            NOp::StoreLocal {
-                off: 0,
-                size: AccessSize::B8,
-            },
-            NOp::Const(7),
-        ];
-        let block = lower_locals(&run).expect("shallow run lowers");
-        assert_eq!(block.consumes, 1, "the store pops an entry value");
-        assert_eq!(block.produces, 1, "the const pushes one back");
+        // A region that digs below its entry depth (here: the value a
+        // call left): the consumed values become the low registers and
+        // the balance is reported so the executor can move them in and
+        // out of the operand stack.
+        let region = entry_region(&[Instr::StoreLocal(0, B8), Instr::Const(7), Instr::Ret]);
+        assert_eq!(region.consumes, 1, "the store pops an entry value");
+        assert_eq!(region.produces, 1, "the const pushes one back");
         assert_eq!(
-            &*block.ops,
-            &[
-                ROp::Store {
-                    src: 0,
+            region.ops,
+            [
+                NOp::StoreLocal {
+                    src: Src::Reg(0),
                     off: 0,
-                    size: AccessSize::B8
+                    size: B8
                 },
-                ROp::Const { dst: 0, c: 7 },
+                NOp::Mov {
+                    dst: 0,
+                    src: Src::Const(7)
+                },
             ]
         );
     }
 
     #[test]
     fn impure_ops_split_locals_blocks() {
-        // The division can trap, so it must stay top-level with its
-        // seam; the pure prefix and suffix group around it.
+        // The division can trap: it stays an op of its own with a seam
+        // and a spill count — in the same op stream as its neighbours,
+        // which fold around it.
         let src = "long f(long a, long b) { long x = a + 1; \
                    long q = x / b; long y = q + 2; return y + x; }";
         let native = lower(src);
-        let ops: Vec<&NOp> = native[0].regions.iter().flat_map(|r| &r.ops).collect();
-        assert!(
-            ops.iter().any(|op| matches!(op, NOp::Div { .. })),
-            "division must stay a top-level op"
-        );
-        assert!(
-            ops.iter().any(|op| matches!(op, NOp::Locals(_))),
-            "pure neighbours should still group"
-        );
+        assert_eq!(native[0].regions.len(), 1, "one region, one op stream");
+        let ops = all_ops(&native);
+        let div = ops.iter().position(|op| matches!(op, NOp::Div { .. }));
+        let div = div.expect("division is an ordinary register op");
+        let NOp::Div { seam, spill: 0, .. } = ops[div] else {
+            panic!("nothing is live below `x / b`: {:?}", ops[div]);
+        };
+        let code = &compile_source(src).unwrap().funcs[0].code;
+        assert_eq!(code[seam.pc as usize - 1], Instr::DivS);
+        assert_eq!(seam.spent, seam.pc as u64);
+        assert!(matches!(ops[div - 3], NOp::StoreLocal { .. }), "{ops:?}");
+        assert!(matches!(ops[div + 1], NOp::StoreLocal { .. }), "{ops:?}");
     }
 
     #[test]
     fn heap_accesses_group_into_memory_blocks() {
         // The `mem_cost` copy shape: the loop body's `dst[i] = src[i]`
-        // is address arithmetic plus two checked accesses — all block
-        // members, so load, store and the frame-local index reads must
-        // sit in one block, the address+access pairs fused into the
-        // combined index ops.
+        // is address arithmetic plus two checked accesses. Folded, it
+        // is two indexed ops naming the array bases and the index slot
+        // directly, and the latch is the terminator.
         let src = "long f(long n) { long src[4]; long dst[4]; long i; \
                    for (i = 0; i < n; i++) dst[i] = src[i]; return dst[0]; }";
         let native = lower(src);
-        let copy_body = native[0]
+        let body = native[0]
             .regions
             .iter()
-            .flat_map(|r| &r.ops)
-            .filter_map(|op| match op {
-                NOp::Locals(b) => Some(b),
-                _ => None,
-            })
-            .find(|b| b.ops.iter().any(|r| matches!(r, ROp::GIdxStore { .. })))
-            .expect("the indexed store must fuse into a GIdxStore inside a block");
-        assert!(
-            copy_body
-                .ops
-                .iter()
-                .any(|r| matches!(r, ROp::GIdxLoad { .. })),
-            "the indexed load must fuse into the same block: {copy_body:?}"
-        );
-        assert!(
-            copy_body.ops.iter().any(|r| matches!(r, ROp::Load { .. })),
-            "the block must span frame-local reads and guest accesses: {copy_body:?}"
-        );
+            .find(|r| matches!(r.term, Term::IncBranch { .. }))
+            .expect("the copy loop's body ends in the fused latch");
+        let [NOp::IdxLoad {
+            dst,
+            ptr: Src::Addr(from),
+            count: i @ Src::Slot { .. },
+            esz: 8,
+            spill: 0,
+            ..
+        }, NOp::IdxStore {
+            ptr: Src::Addr(to),
+            count,
+            val,
+            esz: 8,
+            spill: 1,
+            ..
+        }] = body.ops[..]
+        else {
+            panic!("load and store fold to one indexed op each: {body:?}");
+        };
+        assert_ne!(from, to);
+        assert_eq!((count, val), (i, Src::Reg(dst)));
+        assert_eq!(body.dispatches, 4, "entry, load, store, latch");
     }
 
     #[test]
@@ -1758,30 +1660,18 @@ mod tests {
         // and pushes the value back into the same register. A fault at
         // the load must surface the baked seam with an empty spill
         // image (nothing sat below the popped address).
-        let seam = FaultAt { pc: 7, spent: 3 };
-        let run = [
-            NOp::LocalAddr(16),
-            NOp::Load {
-                size: AccessSize::B8,
-                signed: true,
-                at: seam,
-            },
-        ];
-        let block = lower_locals(&run).expect("heap run lowers");
-        assert_eq!(block.consumes, 0);
-        assert_eq!(block.produces, 1);
+        let region = entry_region(&[Instr::LocalAddr(16), Instr::Load(B8, true), Instr::Ret]);
+        assert_eq!((region.consumes, region.produces), (0, 1));
         assert_eq!(
-            &*block.ops,
-            &[
-                ROp::Addr { dst: 0, off: 16 },
-                ROp::GLoad {
-                    at: 0,
-                    size: AccessSize::B8,
-                    signed: true,
-                    seam,
-                    spill: 0
-                },
-            ]
+            region.ops,
+            [NOp::Load {
+                dst: 0,
+                addr: Src::Addr(16),
+                size: B8,
+                signed: true,
+                seam: FaultAt { pc: 2, spent: 2 },
+                spill: 0
+            }]
         );
     }
 
@@ -1789,48 +1679,105 @@ mod tests {
     fn ptr_add_access_pairs_fuse_into_idx_ops() {
         // value, base, index, PtrAdd, Store — the classic indexed-store
         // pattern. The PtrAdd's derived pointer feeds the store
-        // directly, so the pair must fuse into one GIdxStore carrying
-        // the access's seam and the store's spill image (just the
-        // not-yet-consumed value... nothing: the store pops both).
-        let seam = FaultAt { pc: 11, spent: 4 };
-        let run = [
-            NOp::Const(5),
-            NOp::LocalAddr(0),
-            NOp::LoadLocal {
-                off: 32,
-                size: AccessSize::B8,
-                signed: true,
-            },
-            NOp::PtrAdd { esz: 8 },
-            NOp::Store {
-                size: AccessSize::B8,
-                at: seam,
-            },
-        ];
-        let block = lower_locals(&run).expect("heap run lowers");
-        assert_eq!(block.consumes, 0);
-        assert_eq!(block.produces, 0);
+        // directly, so the pair must fuse into one IdxStore carrying
+        // the access's seam and the store's spill image (nothing: the
+        // store pops both), its three operands named in place.
+        let region = entry_region(&[
+            Instr::Const(5),
+            Instr::LocalAddr(0),
+            Instr::LoadLocal(32, B8, true),
+            Instr::PtrAdd(8),
+            Instr::Store(B8),
+            Instr::Const(0),
+            Instr::Ret,
+        ]);
         assert_eq!(
-            &*block.ops,
-            &[
-                ROp::Const { dst: 0, c: 5 },
-                ROp::Addr { dst: 1, off: 0 },
-                ROp::Load {
-                    dst: 2,
-                    off: 32,
-                    size: AccessSize::B8,
-                    signed: true
-                },
-                ROp::GIdxStore {
-                    ptr: 1,
-                    count: 2,
-                    val: 0,
-                    esz: 8,
-                    size: AccessSize::B8,
-                    seam,
-                    spill: 0
-                },
-            ]
+            region.ops[0],
+            NOp::IdxStore {
+                ptr: Src::Addr(0),
+                count: slot(32),
+                val: Src::Const(5),
+                esz: 8,
+                size: B8,
+                seam: FaultAt { pc: 5, spent: 5 },
+                spill: 0
+            },
+            "{region:?}"
+        );
+        assert_eq!(region.ops.len(), 2);
+    }
+
+    #[test]
+    fn spill_keeps_the_mov_below_a_faulting_access() {
+        // `x + a[k]`: x is on the operand stack when the load faults,
+        // so its `Mov` stays (the add may still read the slot itself);
+        // `a[k] + x` has nothing below the load and folds away.
+        let kept = lower("long f(long k) { long a[2]; long x = 1; return x + a[k]; }");
+        let ops = all_ops(&kept);
+        let load = ops.iter().position(|op| matches!(op, NOp::IdxLoad { .. }));
+        let load = load.expect("indexed load");
+        assert!(matches!(ops[load], NOp::IdxLoad { spill: 1, .. }));
+        assert!(
+            matches!(
+                ops[load - 1],
+                NOp::Mov {
+                    dst: 0,
+                    src: Src::Slot { .. }
+                }
+            ),
+            "{ops:?}"
+        );
+        let gone = lower("long f(long k) { long a[2]; long x = 1; return a[k] + x; }");
+        assert!(
+            !all_ops(&gone)
+                .iter()
+                .any(|op| matches!(op, NOp::Mov { .. })),
+            "{gone:?}"
+        );
+    }
+
+    #[test]
+    fn a_slot_read_stays_put_across_a_write_of_the_slot() {
+        // `k + k++`: the left operand was read before the increment.
+        let native = lower("long f() { long k = 1; return k + k++; }");
+        let ops = all_ops(&native);
+        assert!(
+            ops.iter().any(|op| matches!(
+                op,
+                NOp::Alu {
+                    a: Src::Reg(0),
+                    b: Src::Reg(1),
+                    ..
+                }
+            )),
+            "{ops:?}"
+        );
+    }
+
+    #[test]
+    fn short_circuit_constants_thread_to_plain_jumps() {
+        // `a && b` materialises `Const 0` on the false path and tests it
+        // at the join; absorbed, that region is a plain jump, and the
+        // edge into it threads straight to the else branch.
+        let native = lower(
+            "long f(long a, long b) { long t; if (a > 1 && b > 2) t = 5; else t = 6; return t; }",
+        );
+        assert!(
+            !all_ops(&native).iter().any(|op| matches!(
+                op,
+                NOp::Mov {
+                    src: Src::Const(_),
+                    ..
+                } | NOp::Cmp { .. }
+            )),
+            "every compare and flag constant sits in a terminator: {native:?}"
+        );
+        assert!(
+            has_term(&native, |t| matches!(
+                t,
+                Term::Branch { taken: Succ { skip, .. }, .. } if *skip > 0
+            )),
+            "the false edge skips the join's jumps: {native:?}"
         );
     }
 
@@ -1840,73 +1787,94 @@ mod tests {
             "int main() { int xs[2]; long i; long acc = 0; long n = 4; \
              for (i = 0; i < n; i++) acc += xs[1]; return 0; }",
         );
+        let body = native[0]
+            .regions
+            .iter()
+            .find(|r| matches!(r.term, Term::IncBranch { .. }))
+            .expect("loop latch (step + back-jump + head compare)");
+        // The accumulator is live below the load, so it is read first;
+        // the load names the array and the constant index in place.
         assert!(
-            has_term(&native, |t| matches!(t, Term::CmpJump { .. })),
-            "loop head: {native:?}"
-        );
-        assert!(
-            top_ops(&native)
-                .iter()
-                .any(|op| matches!(op, NOp::IdxAccum { .. })),
-            "accumulate body lowers whole: {native:?}"
-        );
-        assert!(
-            has_term(&native, |t| matches!(t, Term::IncJump { .. })),
-            "loop latch (step + back-jump): {native:?}"
+            matches!(
+                body.ops[..],
+                [
+                    NOp::Mov { dst: 0, .. },
+                    NOp::IdxLoad {
+                        ptr: Src::Addr(_),
+                        count: Src::Const(1),
+                        spill: 1,
+                        ..
+                    },
+                    NOp::Alu { .. },
+                    NOp::StoreLocal { .. }
+                ]
+            ),
+            "{body:?}"
         );
     }
 
     #[test]
     fn accum_mega_op_folds_index_and_keeps_smaller_fusions_elsewhere() {
-        // `acc += xs[5]` with int elements folds to a byte delta of 20;
-        // a non-accumulate read of the same array still takes the
-        // smaller `IdxLoad`.
+        // `acc += xs[5]` and a plain read of the same array both take
+        // the indexed load with the element index as a constant operand
+        // (scaled by the element size when it runs).
         let native = lower(
             "int main() { int xs[2]; long acc = 0; \
              acc += xs[5]; return (int) (acc + xs[1]); }",
         );
-        let ops = top_ops(&native);
-        let delta = ops.iter().find_map(|op| match op {
-            NOp::IdxAccum { delta, .. } => Some(*delta),
-            _ => None,
-        });
-        assert_eq!(delta, Some(20), "{ops:?}");
-        assert!(
-            ops.iter().any(|op| matches!(op, NOp::IdxLoad { .. })),
-            "{ops:?}"
-        );
+        let idx: Vec<(Src, u64)> = all_ops(&native)
+            .iter()
+            .filter_map(|op| match *op {
+                NOp::IdxLoad { count, esz, .. } => Some((count, esz)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(idx, [(Src::Const(5), 4), (Src::Const(1), 4)]);
     }
 
     #[test]
     fn accum_fault_seam_covers_five_components() {
         let src = "long f() { long acc = 0; long xs[2]; acc += xs[5]; return acc; }";
         let native = lower(src);
-        let accum = top_ops(&native)
+        let seam = all_ops(&native)
             .iter()
-            .find_map(|op| match op {
-                NOp::IdxAccum { at, .. } => Some(*at),
+            .find_map(|op| match *op {
+                NOp::IdxLoad { seam, .. } => Some(seam),
                 _ => None,
             })
-            .expect("accumulate statement should lower to IdxAccum");
-        // The load is component 4 of the 9-wide shape: the seam must
-        // surface at the pc behind it with the prefix plus exactly five
-        // components charged (the entry region starts at pc 0, so the
-        // prefix is the shape's own pc).
+            .expect("accumulate statement loads through IdxLoad");
+        // The load is the fifth instruction of the statement: the seam
+        // must surface at the pc behind it with the prefix plus exactly
+        // five components charged (the entry region starts at pc 0, so
+        // the prefix is the statement's own pc).
         let code = &compile_source(src).unwrap().funcs[0].code;
         let head = code
             .windows(2)
             .position(|w| matches!(w, [Instr::LoadLocal(..), Instr::LocalAddr(_)]))
             .unwrap();
-        assert_eq!(accum, seam(head, head as u64, 5));
+        let want = FaultAt {
+            pc: head as u32 + 5,
+            spent: head as u64 + 5,
+        };
+        assert_eq!(seam, want);
     }
 
     #[test]
     fn const_index_store_fuses() {
         let native = lower("int main() { int xs[2]; xs[5] = 7; return 0; }");
-        let ops = top_ops(&native);
+        let ops = all_ops(&native);
         assert!(
-            ops.iter()
-                .any(|op| matches!(op, NOp::IdxStore { delta: 20, .. })),
+            ops.iter().any(|op| matches!(
+                op,
+                NOp::IdxStore {
+                    ptr: Src::Addr(_),
+                    count: Src::Const(5),
+                    val: Src::Const(7),
+                    esz: 4,
+                    size: B4,
+                    ..
+                }
+            )),
             "{ops:?}"
         );
     }
@@ -1914,28 +1882,32 @@ mod tests {
     #[test]
     fn pointer_deref_fuses() {
         let native = lower("int main() { int x; int *p; p = &x; *p = 3; return *p; }");
-        let ops = top_ops(&native);
+        let ops = all_ops(&native);
         assert!(
-            ops.iter().any(|op| matches!(op, NOp::LoadLoad { .. })),
+            ops.iter().any(|op| matches!(
+                op,
+                NOp::Load {
+                    addr: Src::Slot { size: B8, .. },
+                    ..
+                }
+            )),
             "{ops:?}"
         );
     }
 
     #[test]
     fn division_never_fuses() {
-        // `Const 3; DivS` is not a `ConstAlu`: Div/Rem keep their own
-        // micro-op and seam so the divide-by-zero fault pc stays
+        // `Const 3; DivS` keeps its operands in registers and its own
+        // op and seam, so the divide-by-zero fault pc stays
         // architectural.
         let native = lower("int main() { int a; a = 9; return a / 3 + a % 2; }");
-        let ops = top_ops(&native);
+        let ops = all_ops(&native);
         let divs = ops.iter().filter(|op| matches!(op, NOp::Div { .. }));
         assert_eq!(divs.count(), 2, "{ops:?}");
-        let const_alu = ops.iter().any(|op| match op {
-            NOp::ConstAlu { .. } => true,
-            NOp::Locals(b) => b.ops.iter().any(|r| matches!(r, ROp::ConstAlu { .. })),
-            _ => false,
-        });
-        assert!(!const_alu, "{ops:?}");
+        for (dst, c) in [(1, 3), (2, 2)] {
+            let src = Src::Const(c);
+            assert!(ops.contains(&NOp::Mov { dst, src }), "{ops:?}");
+        }
     }
 
     #[test]
@@ -1944,12 +1916,57 @@ mod tests {
         // terminator must jump on the *negated* comparison.
         let native =
             lower("int main() { long i; long n = 3; i = 0; while (i < n) { i++; } return 0; }");
-        assert!(
-            has_term(&native, |t| matches!(
+        let ges = |t: &Term| {
+            matches!(
                 t,
-                Term::CmpJump { op: CmpOp::GeS, .. }
-            )),
+                Term::Branch { op: CmpOp::GeS, .. } | Term::IncBranch { op: CmpOp::GeS, .. }
+            )
+        };
+        assert!(has_term(&native, ges), "{native:?}");
+        assert!(
+            native[0]
+                .regions
+                .iter()
+                .all(|r| !matches!(r.term, Term::Branch { .. }) || ges(&r.term)),
             "{native:?}"
         );
+    }
+
+    #[test]
+    fn normalize_of_a_value_already_in_range_disappears() {
+        // `char c; if (c == 64)`: the char widens to int (a no-op on a
+        // sign-extended byte) and the flag re-normalizes (a no-op on
+        // 0/1); `(char) (c - 32)` narrows twice, and only the last
+        // narrowing shows.
+        let native = lower("int f(char c) { if (c == 64) return 1; c = c - 32; return c; }");
+        let norms: Vec<NOp> = all_ops(&native)
+            .into_iter()
+            .filter(|op| matches!(op, NOp::Normalize { .. }))
+            .collect();
+        assert!(
+            matches!(
+                norms[..],
+                [NOp::Normalize {
+                    size: AccessSize::B1,
+                    ..
+                }]
+            ),
+            "{native:?}"
+        );
+    }
+
+    #[test]
+    fn a_region_deeper_than_the_register_file_is_not_lowered() {
+        // `pushes` values on the stack before the first pop.
+        let sum_of = |pushes: usize| {
+            let mut code = vec![Instr::Const(1); pushes];
+            code.extend(vec![Instr::Add; pushes - 1]);
+            code.push(Instr::Ret);
+            lower_func(&code)
+        };
+        let deep = sum_of(NATIVE_REGS + 1);
+        assert_eq!(deep.entry[0], NO_REGION);
+        assert!(deep.regions.is_empty());
+        assert_eq!(sum_of(NATIVE_REGS).regions.len(), 1);
     }
 }

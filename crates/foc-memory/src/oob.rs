@@ -129,6 +129,11 @@ impl OobRegistry {
 
     /// Drops every descriptor derived from `unit`, recycling their slots.
     pub fn purge_unit(&mut self, unit: UnitId) {
+        // Every dying unit comes through here (each local on every
+        // `Ret`); with no descriptors at all there is nothing to hash.
+        if self.by_unit.is_empty() {
+            return;
+        }
         let Some(ids) = self.by_unit.remove(&unit) else {
             return;
         };

@@ -118,6 +118,9 @@ impl BoundlessStore {
     /// Discards everything stored for the given unit (called on free, since
     /// a new unit may reuse the identifier-less address range).
     pub fn forget_unit(&mut self, unit: UnitId) {
+        if self.bytes.is_empty() {
+            return;
+        }
         self.bytes.retain(|(u, _), _| *u != unit);
     }
 }

@@ -1202,18 +1202,25 @@ fn scalar_get(bytes: &[u8], at: usize, size: AccessSize) -> Option<u64> {
     })
 }
 
-/// Write twin of [`scalar_get`]; `false` leaves `bytes` untouched. The
-/// asymmetry is measured, not an oversight: per-width stores here cost
-/// the MC copy loop 19%, a length-generic read in `scalar_get` 35%.
+/// Write twin of [`scalar_get`]; `false` leaves `bytes` untouched. Each
+/// width writes a fixed-size array, so the store compiles to one move:
+/// a length-generic copy here is a libc `memcpy` call per store.
 #[inline(always)]
 fn scalar_put(bytes: &mut [u8], at: usize, size: AccessSize, value: u64) -> bool {
-    let n = size.bytes() as usize;
-    match bytes.get_mut(at..at.wrapping_add(n)) {
-        Some(dst) => {
-            dst.copy_from_slice(&value.to_le_bytes()[..n]);
-            true
+    fn put<const N: usize>(bytes: &mut [u8], at: usize, le: [u8; N]) -> bool {
+        match bytes.get_mut(at..at.wrapping_add(N)) {
+            Some(dst) => {
+                dst.copy_from_slice(&le);
+                true
+            }
+            None => false,
         }
-        None => false,
+    }
+    match size {
+        AccessSize::B1 => put(bytes, at, [value as u8]),
+        AccessSize::B2 => put(bytes, at, (value as u16).to_le_bytes()),
+        AccessSize::B4 => put(bytes, at, (value as u32).to_le_bytes()),
+        AccessSize::B8 => put(bytes, at, value.to_le_bytes()),
     }
 }
 

@@ -1,22 +1,28 @@
-//! The memory-spanning block executor's invisibility contract: a
-//! `LocalsBlock` that crosses the memory boundary — checked guest
-//! loads and stores resolved in-block through the placement probe
-//! (`GLoad`/`GStore`/`GIdxLoad`/`GIdxStore`) — must be observationally
-//! byte-identical to one-dispatch-at-a-time interpretation on every
-//! surface: call results, crash faults, `RunStats` (so in particular
-//! the `charge − spent` refund taken at a mid-block deopt), the full
-//! `SpaceStats` counters, and the full memory-error log with its fault
-//! pcs and sequence numbers.
+//! The native executor's invisibility contract at the memory boundary:
+//! a region's checked guest loads and stores, resolved through the
+//! view's placement probe (`Load`/`Store`/`IdxLoad`/`IdxStore`), must
+//! be observationally byte-identical to one-dispatch-at-a-time
+//! interpretation on every surface: call results, crash faults,
+//! `RunStats` (so in particular the `charge − spent` refund taken at a
+//! mid-region deopt), the full `SpaceStats` counters, the full
+//! memory-error log with its fault pcs and sequence numbers, and the
+//! operand stack and frame pcs a fault leaves behind.
 //!
 //! `native_equiv.rs` proves the server-layer contract; this battery
 //! aims straight at the heap seams with direct-machine sources built
-//! to fault *inside* a block (earlier block ops already retired, the
-//! probe misses, the access deopts at its pre-baked `FaultAt` seam),
-//! crossed with both object tables, alloc/free churn that reshapes the
-//! table under the probe, manufactured-value strategies, and a fuel
-//! sweep that probes the whole-region pre-charge gate around the
-//! faulting block — plus the server-layer attack battery re-run on the
-//! oracle table, which the in-block probe shares with the interpreter.
+//! to fault *inside* a region (earlier ops already retired, the probe
+//! misses, the access deopts at its pre-baked `FaultAt` seam), crossed
+//! with both object tables, alloc/free churn that reshapes the table
+//! under the probe, manufactured-value strategies, and a fuel sweep
+//! that probes the whole-region pre-charge gate around the faulting
+//! region — plus the server-layer attack battery re-run on the oracle
+//! table, which the probe shares with the interpreter.
+//!
+//! One section holds the lowering's folding pass to its spill, alias
+//! and fuel rules: every folded operand mode and fused terminator with
+//! a live value below a faulting access, every fuel budget across a
+//! fused loop latch, frame slots rewritten between an operand's read
+//! and its use, and a region too deep for the register file.
 //!
 //! The last section holds the libc shim to the same contract. On the
 //! native tier its string/memory builtins retire whole runs of in-bounds
@@ -40,9 +46,8 @@ use foc_servers::BootSpec;
 use foc_vm::{Machine, MachineConfig, RunStats, VmFault};
 
 /// An in-bounds copy loop: the inner `dst[i] = src[i]` lowers to a
-/// pointer-arithmetic + checked-access pair that the native tier
-/// groups into memory-spanning blocks and fuses into
-/// `GIdxLoad`/`GIdxStore`, every access resolving on the probe's fast
+/// pointer-arithmetic + checked-access pair that the native tier folds
+/// into `IdxLoad`/`IdxStore`, every access resolving on the probe's fast
 /// path (no deopt anywhere).
 const COPY_SOURCE: &str = "long spin(long n) {\n\
      long src[32];\n\
@@ -87,6 +92,10 @@ struct Observed {
     log_total: u64,
     log_dropped: u64,
     records: Vec<MemoryErrorRecord>,
+    /// What a fault left: the operand stack and each frame's
+    /// `(function, pc)`.
+    stack: Vec<i64>,
+    frames: Vec<(u32, u32)>,
 }
 
 /// Boots `source` at `tier`, applies `churn` rounds of host-side
@@ -122,7 +131,10 @@ impl Observed {
     /// Snapshots `m` after a call that returned `result`.
     fn of(m: &Machine, result: Result<i64, VmFault>) -> Observed {
         let log = m.space().error_log();
+        let (stack, frames) = m.fault_image();
         Observed {
+            stack: stack.to_vec(),
+            frames,
             result,
             stats: m.stats(),
             space: *m.space().stats(),
@@ -424,6 +436,206 @@ fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
             assert_eq!(seen.log_total, 0);
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// The folding pass: folded operands, fused terminators, linked regions.
+// ----------------------------------------------------------------------
+
+/// One statement per folded operand mode and fused terminator, each
+/// with a live value below the access on the operand stack (`x`, a
+/// constant or a computed sum) when it faults: `k` indexes a 4-element
+/// array, `q` points `k` elements into it.
+const FOLDED_ACCESSES: [&str; 16] = [
+    // Indexed load: frame-address base, slot index; slot value below.
+    "t = x + a[k];",
+    // Pointer-slot base, slot index.
+    "t = x + p[k];",
+    // Constant index (out of bounds whatever `k` is).
+    "t = x + a[9];",
+    // Computed (register) index; constant below.
+    "t = 5 + p[k + 1];",
+    // Plain load through a pointer slot.
+    "t = x + *q;",
+    // Computed value below.
+    "t = (x + v) + a[k];",
+    // Two live values below.
+    "t = x + (v + p[k]);",
+    // Indexed stores: slot, constant and register values.
+    "t = x + (a[k] = v);",
+    "t = x + (p[k] = 7);",
+    "t = x + (p[k] = v + 1);",
+    // Plain store through a pointer slot.
+    "t = x + (*q = v);",
+    // Post-increment through a pointer: the address register outlives
+    // the slot's update.
+    "t = x + (*q++ = v);",
+    // Division by zero when k == 9.
+    "t = x + v / (k - 9);",
+    // The access feeds a comparison folded into the branch.
+    "if (x + a[k] > 3) t = 1;",
+    "if (v - p[k] == 5 && x < v) t = 2; else t = 3;",
+    // A counted loop walking off the array: the fault sits in a region
+    // whose terminator is the fused latch.
+    "for (i = 0; i <= k; i++) t = t + p[i];",
+];
+
+fn folded_source(statement: &str) -> String {
+    format!(
+        "long f(long k) {{\n\
+             long a[4]; long *p = a; long *q = a + k;\n\
+             long x = 3; long v = 7; long t = 0; long i;\n\
+             for (i = 0; i < 4; i++) a[i] = i;\n\
+             {statement}\n\
+             return t + x + v + a[1] + (q - p);\n\
+         }}"
+    )
+}
+
+/// Case (a): every folded form, in bounds (`k = 2`) and out (`k = 9`),
+/// under every mode and both tables. Out of bounds, Bounds Check dies
+/// at the access with the live values still on its operand stack —
+/// `Observed` compares that stack and the fault pc — and Failure
+/// Oblivious manufactures and carries on. A pass that deleted the
+/// `Mov` of a value a later seam spills would show here as a stale
+/// register in the post-fault stack.
+#[test]
+fn folded_operands_fault_and_manufacture_like_the_interpreter() {
+    for statement in FOLDED_ACCESSES {
+        let source = folded_source(statement);
+        for mode in Mode::ALL {
+            for table in TableKind::ALL {
+                let config = MachineConfig::with_mode(mode)
+                    .with_table(table)
+                    .with_fuel(100_000);
+                let hit = assert_mem_blind(&source, "f", 2, &config, 0);
+                let always_out = statement.contains("a[9]") && mode == Mode::BoundsCheck;
+                assert_eq!(hit.result.is_ok(), !always_out, "`{statement}`: {hit:?}");
+                let miss = assert_mem_blind(&source, "f", 9, &config, 0);
+                if mode == Mode::BoundsCheck {
+                    assert!(miss.result.is_err(), "`{statement}` must kill Bounds Check");
+                    assert!(
+                        !miss.stack.is_empty(),
+                        "`{statement}`: a live value sits below the faulting op: {miss:?}"
+                    );
+                }
+                if mode == Mode::FailureOblivious && !statement.contains('/') {
+                    assert!(miss.result.is_ok(), "`{statement}` must survive: {miss:?}");
+                    assert!(miss.log_total > 0, "`{statement}` must log its violation");
+                }
+            }
+        }
+    }
+}
+
+/// Case (b): a loop whose latch carries the head's compare. The region
+/// is gated on the sum of both charges; a budget that ends between the
+/// increment and the compare must run the increment (interpreted) and
+/// fuel out on the compare, exactly as the baseline does.
+const FUSED_LATCH_LOOP: &str = "long sum(long n) {\n\
+     long xs[4];\n\
+     long i;\n\
+     long t = 0;\n\
+     xs[0] = 1; xs[1] = 2; xs[2] = 3; xs[3] = 4;\n\
+     for (i = 0; i < n; i++) t = t + xs[i & 3];\n\
+     return t;\n\
+ }";
+
+#[test]
+fn every_fuel_budget_of_a_fused_latch_loop_is_tier_blind() {
+    let instrs = |n| {
+        let config = MachineConfig::with_mode(Mode::FailureOblivious);
+        let seen = observe(FUSED_LATCH_LOOP, "sum", n, ExecTier::Baseline, config, 0);
+        seen.stats.instrs
+    };
+    // Prologue plus two full iterations, and the epilogue for good
+    // measure: every budget in between ends somewhere inside one.
+    let (two, three) = (instrs(2), instrs(3));
+    assert!(
+        three - two >= 15,
+        "an iteration is body + increment + compare"
+    );
+    for mode in Mode::ALL {
+        for fuel in 0..=two + 2 {
+            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
+            let seen = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 5, &config, 0);
+            assert_eq!(seen.result, Err(VmFault::FuelExhausted), "fuel {fuel}");
+        }
+        for fuel in two..=three + 2 {
+            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
+            assert_mem_blind(FUSED_LATCH_LOOP, "sum", 2, &config, 0);
+        }
+    }
+}
+
+/// Case (c): a frame slot read into an operand is rewritten — through a
+/// pointer, and by `k++` — before the op that consumes the operand, in
+/// the same region. The read may not move across the write.
+const ALIASED_OPERANDS: [(&str, i64); 8] = [
+    // Alu operand.
+    ("t = k + (*p = 3);", 1 + 3),
+    ("t = k + k++;", 1 + 1),
+    // Compare operand, folded into the branch.
+    ("if (k < (*p = 3)) t = 10; else t = 20;", 10),
+    ("if (k == k++) t = 10; else t = 20;", 10),
+    // Stored value: the right-hand side is read before the index runs.
+    ("a[(*p = 3)] = k; t = a[3];", 1),
+    ("a[k++] = k; t = a[1] * 10 + a[2];", 10 + 12),
+    // Folded index, before and after the write.
+    ("t = a[k] + (*p = 3) + a[k];", 11 + 3 + 13),
+    ("t = a[k] * 100 + a[k++] * 10 + a[k];", 1100 + 110 + 12),
+];
+
+#[test]
+fn a_frame_read_does_not_move_across_a_write_of_its_slot() {
+    for (statement, expected) in ALIASED_OPERANDS {
+        let source = format!(
+            "long f(long n) {{\n\
+                 long a[8]; long k = 1; long t = 0; long i; long *p = &k;\n\
+                 for (i = 0; i < 8; i++) a[i] = 10 + i;\n\
+                 {statement}\n\
+                 return t;\n\
+             }}"
+        );
+        for mode in Mode::ALL {
+            let config = MachineConfig::with_mode(mode).with_fuel(100_000);
+            let seen = assert_mem_blind(&source, "f", 0, &config, 0);
+            assert_eq!(seen.result, Ok(expected), "`{statement}` under {mode:?}");
+            assert_eq!(seen.log_total, 0, "`{statement}` stays in bounds");
+        }
+    }
+}
+
+/// Case (d): an expression nested deeper than the register file. Its
+/// region is not lowered; the interpreter runs it, and the regions
+/// around it still chain.
+#[test]
+fn a_region_too_deep_for_the_register_file_runs_interpreted() {
+    let depth = foc_compiler::native::NATIVE_REGS + 6;
+    let source = format!(
+        "long f(long x) {{ long i; long t = 0;\n\
+             for (i = 0; i < 3; i++) t = t + {}x{};\n\
+             return t; }}",
+        "(x + ".repeat(depth),
+        ")".repeat(depth)
+    );
+    for mode in Mode::ALL {
+        for fuel in [100_000, 400] {
+            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
+            let seen = assert_mem_blind(&source, "f", 2, &config, 0);
+            if fuel > 400 {
+                assert_eq!(seen.result, Ok(3 * 2 * (depth as i64 + 1)));
+            }
+        }
+    }
+    let image = compile_image_tier(&source, ExecTier::Native).expect("source builds");
+    let mut m = Machine::load(image, MachineConfig::default()).expect("load");
+    m.call("f", &[2]).expect("runs");
+    let (stats, profile) = (m.stats(), m.exec_profile());
+    assert!(
+        profile.native_instrs > 0 && stats.instrs - profile.native_instrs > 3 * depth as u64,
+        "the deep body is interpreted, the loop control native: {profile:?}"
+    );
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use foc_compiler::native::{NOp, NativeFunc, NativeRegion, ROp, Term, LOCALS_REGS, NO_REGION};
+use foc_compiler::native::{extend, NOp, NativeFunc, Src, Term};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace, NativeView};
 
@@ -85,6 +85,10 @@ pub struct ExecProfile {
     pub native_instrs: u64,
     /// Native regions entered.
     pub region_entries: u64,
+    /// Dispatches inside native regions: per region entered, the entry,
+    /// each of its ops and its terminator — a count fixed at lowering
+    /// (`NativeRegion::dispatches`), so it costs nothing per op.
+    pub native_ops: u64,
     /// Stays on the native path that ended at a pc no region starts at
     /// (call, builtin, return).
     pub no_region_exits: u64,
@@ -230,6 +234,16 @@ impl Machine {
         self.profile
     }
 
+    /// The image a call left behind: the operand stack and the
+    /// `(function, pc)` of every active frame, outermost first. Both are
+    /// empty after a call that returned; after a fault they are what the
+    /// process died with, which the equivalence batteries hold the
+    /// native tier to.
+    pub fn fault_image(&self) -> (&[i64], Vec<(u32, u32)>) {
+        let frames = self.frames.iter().map(|f| (f.func, f.pc)).collect();
+        (&self.stack, frames)
+    }
+
     /// Why the machine died, if it did.
     pub fn dead_reason(&self) -> Option<&VmFault> {
         self.dead.as_ref()
@@ -310,21 +324,26 @@ impl Machine {
     // ------------------------------------------------------------------
 
     fn run_call(&mut self, fid: u32, args: &[i64]) -> Result<i64, VmFault> {
-        self.enter(fid, args)?;
+        // The image handle is `Arc`-backed, so cloning it pins a
+        // borrowable copy of the code and frame layouts independent of
+        // `&mut self`.
+        let program = self.program.clone();
+        let arity = program.funcs[fid as usize].param_count;
+        debug_assert_eq!(args.len(), arity, "arity mismatch in host call");
+        let argc = args.len().min(arity);
+        self.stack.extend_from_slice(&args[..argc]);
+        self.enter(&program, fid, argc)?;
         // Dispatch tightening: the hot interpreter state — current
         // function, program counter, code slice, frame base, and fuel —
         // lives in locals for the whole loop instead of being re-read
         // from (and written back to) `self.frames.last()` on every
-        // instruction. The image handle is `Arc`-backed, so cloning it
-        // pins a borrowable copy of the code independent of `&mut self`.
-        // The frame's architectural `pc` (and `self.fuel`) are synced at
-        // exactly the points where anything can observe them: guest
-        // memory ops receive the context directly, builtin dispatch and
-        // calls write the frame back, and every fault return syncs
-        // before unwinding. Observable accounting (fuel, instruction and
+        // instruction. The frame's architectural `pc` (and `self.fuel`)
+        // are synced at exactly the points where anything can observe
+        // them: guest memory ops receive the context directly, builtin
+        // dispatch and calls write the frame back, and every fault
+        // return syncs before unwinding. Observable accounting (fuel, instruction and
         // cycle counts, log contexts) is bit-identical to per-step
         // bookkeeping.
-        let program = self.program.clone();
         let mut func = fid;
         let mut code: &[Instr] = &program.funcs[func as usize].code;
         let mut base = self.frames.last().expect("active frame").frame_base;
@@ -401,12 +420,11 @@ impl Machine {
         // never touches the image's lazily filled artifact table. The
         // first activation of a function is what lowers it.
         let mut native = program.native_func(func);
-        // Scratch register file for register-form pure-local blocks,
-        // zeroed once per activation instead of once per block. Block
-        // semantics never read a register before writing it (beyond the
-        // `consumes` prefix the executor fills), so stale values from
-        // earlier blocks are dead by construction.
-        let mut nregs = [0i64; LOCALS_REGS];
+        // The native regions' scratch registers, zeroed once per host
+        // call. A region never reads a register before writing it
+        // (beyond the `consumes` prefix the executor fills), so stale
+        // values from earlier regions are dead by construction.
+        let mut nregs: RegFile = [0; 256];
 
         loop {
             // Whenever the current pc is a lowered-region entry and
@@ -586,11 +604,9 @@ impl Machine {
                     }
                 }
                 Instr::Call(callee) => {
-                    let arity = program.funcs[callee as usize].param_count;
-                    let split = self.stack.len() - arity;
-                    let args: Vec<i64> = self.stack.split_off(split);
                     sync!();
-                    try_vm!(self.enter(callee, &args));
+                    let arity = program.funcs[callee as usize].param_count;
+                    try_vm!(self.enter(&program, callee, arity));
                     func = callee;
                     code = &program.funcs[func as usize].code;
                     frame_total = program.funcs[func as usize].frame.total;
@@ -630,55 +646,69 @@ impl Machine {
     }
 
     /// The native tier's one executor: runs the region at `pc` and then
-    /// region after region, chained through their terminators, for as
-    /// long as the next pc starts a region whose whole `charge` the
-    /// remaining fuel covers — without returning to the dispatch loop
-    /// in between. Returns the pc and fuel the interpreter resumes with
-    /// (unchanged when `pc` enters no region).
+    /// region after region, chained through their terminators'
+    /// pre-resolved successors, for as long as the next one exists and
+    /// the remaining fuel covers its whole `charge` — without returning
+    /// to the dispatch loop in between. Returns the pc and fuel the
+    /// interpreter resumes with (unchanged when `pc` enters no region).
     ///
     /// It holds a [`NativeView`] of the space while it stays on the hit
-    /// path: frame-local ops index the committed frame window, checked
-    /// ops complete through the view with the hit path's exact
+    /// path: frame-slot operands index the committed frame window,
+    /// checked ops complete through the view with the hit path's exact
     /// counters. A view miss (violation, out-of-bounds descriptor,
     /// uncommitted bytes) drops the view, runs the interpreter's full
     /// routine on `&mut self` — continuation code, manufactured values,
     /// log records and all — then re-takes the view and resumes behind
-    /// the op. Each region is charged up front; this routine only adds
-    /// the per-access extras exactly where the interpreted stream
-    /// would. A fault refunds `charge - spent` from the op's pre-baked
-    /// seam, spills a block's live registers back to the operand stack,
-    /// and writes fuel and the seam's pc back to the architectural
-    /// state, so the post-fault image is the baseline tier's.
+    /// the op. Each region is charged up front, and the bookkeeping
+    /// lives in locals: instructions retired are the fuel spent, the
+    /// per-access extras and the profile counts accumulate beside it,
+    /// and all of it is written to the machine where the stay ends —
+    /// exit or fault (the miss path only ever adds to the machine's
+    /// counters, so it needs no write-back). A fault refunds
+    /// `charge - spent` from the op's pre-baked seam, spills the live
+    /// registers back to the operand stack, and writes fuel and the
+    /// seam's pc back to the architectural state, so the post-fault
+    /// image is the baseline tier's.
+    // Its own symbol: the interpreter loop keeps its own register
+    // allocation, and this function's placement is what ROADMAP item 2
+    // asks to be read beside an `mc_copy` number.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn run_native(
         &mut self,
         nf: &NativeFunc,
         func: u32,
         base: u64,
         frame_total: u64,
-        mut pc: u32,
+        pc: u32,
         mut fuel: u64,
-        regs: &mut [i64; LOCALS_REGS],
+        regs: &mut RegFile,
     ) -> Result<(u32, u64), VmFault> {
-        let Ok(mut region) = gate(nf, pc, fuel) else {
+        // `NO_REGION` is past every index.
+        let entered = nf.entry.get(pc as usize);
+        let entered = entered.and_then(|&ri| nf.regions.get(ri as usize));
+        let Some(mut region) = entered.filter(|r| fuel >= r.charge) else {
             return Ok((pc, fuel));
         };
-        let ptr_extra = if self.checked {
-            cost::PTR_CHECK_EXTRA
+        let (ptr_extra, mem_extra) = if self.checked {
+            (cost::PTR_CHECK_EXTRA, cost::MEM_CHECK_EXTRA)
         } else {
-            0
-        };
-        let mem_extra = if self.checked {
-            cost::MEM_CHECK_EXTRA
-        } else {
-            0
+            (0, 0)
         };
         let mut view = self.space.native_view(base, frame_total);
+        let fuel_in = fuel;
+        let (mut extras, mut entries, mut ops) = (0u64, 0u64, 0u64);
 
-        macro_rules! pop {
-            () => {
-                self.stack.pop().expect("evaluation stack underflow")
-            };
+        // Writes the stay's bookkeeping to the machine.
+        macro_rules! settle {
+            () => {{
+                let retired = fuel_in - fuel;
+                self.stats.instrs += retired;
+                self.stats.cycles += retired * cost::BASE + extras;
+                self.profile.native_instrs += retired;
+                self.profile.region_entries += entries;
+                self.profile.native_ops += ops;
+            }};
         }
         // The miss path. `$e` borrows the whole machine, which ends the
         // old view's borrows (and its memo) — it is never read again,
@@ -692,26 +722,33 @@ impl Machine {
             }};
         }
         macro_rules! fault {
-            ($seam:expr, $e:expr) => {{
-                let refund = region.charge - $seam.spent;
-                self.stats.instrs -= refund;
-                self.stats.cycles -= refund * cost::BASE;
-                self.profile.native_instrs -= refund;
+            ($seam:expr, $spill:expr, $e:expr) => {{
+                self.stack.extend_from_slice(&regs[..$spill as usize]);
+                fuel += region.charge - $seam.spent;
+                settle!();
                 self.profile.faults += 1;
-                self.fuel = fuel + refund;
+                self.fuel = fuel;
                 self.frames.last_mut().expect("active frame").pc = $seam.pc;
                 return Err($e);
             }};
         }
+        macro_rules! val {
+            ($src:expr) => {
+                match $src {
+                    Src::Reg(r) => regs[r as usize],
+                    Src::Slot { off, size, signed } => slot_get(&view, off, size, signed),
+                    Src::Const(c) => c,
+                    Src::Addr(off) => (base + off as u64) as i64,
+                }
+            };
+        }
         // A guest load: `$hit` through the view, else the full access
-        // at `$target` (evaluated on the whole machine). `$unwind`
-        // restores the operand stack the instruction stream would
-        // leave behind a faulting load.
+        // at `$target` (evaluated on the whole machine).
         macro_rules! load {
-            ($hit:expr, $target:expr, $size:expr, $seam:expr, $unwind:block) => {
+            ($hit:expr, $target:expr, $size:expr, $seam:expr, $spill:expr) => {
                 match $hit {
                     Some(raw) => {
-                        self.stats.cycles += mem_extra;
+                        extras += mem_extra;
                         raw
                     }
                     None => {
@@ -721,487 +758,267 @@ impl Machine {
                             self.g_load_at(target, $size, ctx)
                         }) {
                             Ok(raw) => raw,
-                            Err(e) => {
-                                $unwind
-                                fault!($seam, e)
-                            }
+                            Err(e) => fault!($seam, $spill, e),
                         }
                     }
                 }
             };
         }
         macro_rules! store {
-            ($hit:expr, $target:expr, $size:expr, $value:expr, $seam:expr, $unwind:block) => {
+            ($hit:expr, $target:expr, $size:expr, $value:expr, $seam:expr, $spill:expr) => {
                 if $hit {
-                    self.stats.cycles += mem_extra;
+                    extras += mem_extra;
                 } else {
                     let ctx = AccessCtx { func, pc: $seam.pc };
                     if let Err(e) = full!({
                         let target = $target;
                         self.g_store_at(target, $size, $value, ctx)
                     }) {
-                        $unwind
-                        fault!($seam, e)
+                        fault!($seam, $spill, e)
                     }
                 }
             };
         }
-        macro_rules! ptr_add {
-            ($ptr:expr, $delta:expr) => {{
-                self.stats.cycles += ptr_extra;
-                match view.ptr_add($ptr, $delta) {
-                    Some(out) => out,
-                    None => full!(self.space.ptr_add($ptr, $delta)),
-                }
-            }};
-        }
 
-        loop {
-            fuel -= region.charge;
-            self.stats.instrs += region.charge;
-            self.stats.cycles += region.charge * cost::BASE;
-            self.profile.native_instrs += region.charge;
-            self.profile.region_entries += 1;
+        fuel -= region.charge;
+        let (next_pc, why) = loop {
+            entries += 1;
+            ops += region.dispatches as u64;
+            // One value at a time: a slice copy here is a libc `memcpy`
+            // call for what is almost always zero to three values.
+            for r in (0..region.consumes as usize).rev() {
+                regs[r] = self.stack.pop().expect("evaluation stack underflow");
+            }
             for op in &region.ops {
                 match *op {
-                    NOp::Const(v) => self.stack.push(v),
-                    NOp::Dup => {
-                        let v = *self.stack.last().expect("dup on empty stack");
-                        self.stack.push(v);
+                    NOp::Mov { dst, src } => regs[dst as usize] = val!(src),
+                    NOp::Swap { a, b } => regs.swap(a as usize, b as usize),
+                    NOp::Rot3 { a, b, c } => {
+                        let t = regs[a as usize];
+                        regs[a as usize] = regs[b as usize];
+                        regs[b as usize] = regs[c as usize];
+                        regs[c as usize] = t;
                     }
-                    NOp::Drop => {
-                        pop!();
+                    NOp::GlobalAddr { dst, idx } => {
+                        regs[dst as usize] = self.global_addrs[idx as usize] as i64;
                     }
-                    NOp::Swap => {
-                        let n = self.stack.len();
-                        self.stack.swap(n - 1, n - 2);
+                    NOp::StrAddr { dst, idx } => {
+                        regs[dst as usize] = self.string_addrs[idx as usize] as i64;
                     }
-                    NOp::Rot3 => {
-                        let n = self.stack.len();
-                        self.stack[n - 3..].rotate_left(1);
+                    NOp::StoreLocal { src, off, size } => {
+                        let v = val!(src);
+                        view.local_put(off, size, v as u64);
                     }
-                    NOp::LocalAddr(off) => self.stack.push((base + off as u64) as i64),
-                    NOp::GlobalAddr(i) => self.stack.push(self.global_addrs[i as usize] as i64),
-                    NOp::StrAddr(i) => self.stack.push(self.string_addrs[i as usize] as i64),
-                    NOp::LoadLocal { off, size, signed } => {
-                        self.stack
-                            .push(extend(view.local_get(off, size), size, signed));
-                    }
-                    NOp::StoreLocal { off, size } | NOp::StoreLocalPop { off, size } => {
-                        let value = pop!();
-                        view.local_put(off, size, value as u64);
-                    }
-                    NOp::Alu(op) => {
-                        let b = pop!();
-                        let a = pop!();
-                        self.stack.push(op.eval(a, b));
-                    }
-                    NOp::Div { signed, rem, at } => {
-                        let b = pop!();
-                        let a = pop!();
-                        if b == 0 {
-                            fault!(at, VmFault::DivideByZero);
-                        }
-                        self.stack.push(match (signed, rem) {
-                            (true, false) => a.overflowing_div(b).0,
-                            (false, false) => ((a as u64) / (b as u64)) as i64,
-                            (true, true) => a.overflowing_rem(b).0,
-                            (false, true) => ((a as u64) % (b as u64)) as i64,
-                        });
-                    }
-                    NOp::Cmp(op) => {
-                        let b = pop!();
-                        let a = pop!();
-                        self.stack.push(op.eval(a, b) as i64);
-                    }
-                    NOp::Neg => {
-                        let v = pop!();
-                        self.stack.push(v.wrapping_neg());
-                    }
-                    NOp::BitNot => {
-                        let v = pop!();
-                        self.stack.push(!v);
-                    }
-                    NOp::Not => {
-                        let v = pop!();
-                        self.stack.push((v == 0) as i64);
-                    }
-                    NOp::Normalize { size, signed } => {
-                        let v = pop!();
-                        self.stack.push(extend(v as u64, size, signed));
-                    }
-                    NOp::ConstAlu { c, op } => {
-                        let a = pop!();
-                        self.stack.push(op.eval(a, c));
-                    }
-                    NOp::IncLocal {
+                    NOp::Inc {
                         off,
                         delta,
                         size,
                         signed,
                     } => inc_local(&mut view, off, delta, size, signed),
-                    NOp::EffAddr => {
-                        let v = pop!() as u64;
-                        self.stack.push(view.effective_addr(v) as i64);
+                    NOp::Alu { dst, a, b, op } => regs[dst as usize] = op.eval(val!(a), val!(b)),
+                    NOp::Cmp { dst, a, b, op } => {
+                        regs[dst as usize] = op.eval(val!(a), val!(b)) as i64;
                     }
-                    NOp::PtrDiff { esz } => {
-                        let r = view.effective_addr(pop!() as u64) as i64;
-                        let l = view.effective_addr(pop!() as u64) as i64;
-                        self.stack.push(l.wrapping_sub(r) / esz.max(1) as i64);
+                    NOp::Div {
+                        dst,
+                        a,
+                        b,
+                        signed,
+                        rem,
+                        seam,
+                        spill,
+                    } => {
+                        let (a, b) = (regs[a as usize], regs[b as usize]);
+                        if b == 0 {
+                            fault!(seam, spill, VmFault::DivideByZero);
+                        }
+                        regs[dst as usize] = match (signed, rem) {
+                            (true, false) => a.overflowing_div(b).0,
+                            (false, false) => ((a as u64) / (b as u64)) as i64,
+                            (true, true) => a.overflowing_rem(b).0,
+                            (false, true) => ((a as u64) % (b as u64)) as i64,
+                        };
                     }
-                    NOp::PtrAdd { esz } => {
-                        let count = pop!();
-                        let ptr = pop!() as u64;
-                        let out = ptr_add!(ptr, count.wrapping_mul(esz as i64));
-                        self.stack.push(out as i64);
+                    NOp::Neg { at } => regs[at as usize] = regs[at as usize].wrapping_neg(),
+                    NOp::BitNot { at } => regs[at as usize] = !regs[at as usize],
+                    NOp::Not { at } => regs[at as usize] = (regs[at as usize] == 0) as i64,
+                    NOp::Normalize { at, size, signed } => {
+                        regs[at as usize] = extend(regs[at as usize] as u64, size, signed);
                     }
-                    NOp::Load { size, signed, at } => {
-                        let addr = pop!() as u64;
-                        let raw = load!(view.load(addr, size), addr, size, at, {});
-                        self.stack.push(extend(raw, size, signed));
+                    NOp::EffAddr { at } => {
+                        regs[at as usize] = view.effective_addr(regs[at as usize] as u64) as i64;
                     }
-                    NOp::Store { size, at } => {
-                        let addr = pop!() as u64;
-                        let value = pop!() as u64;
-                        store!(view.store(addr, size, value), addr, size, value, at, {});
+                    NOp::PtrDiff { dst, a, b, esz } => {
+                        let l = view.effective_addr(regs[a as usize] as u64) as i64;
+                        let r = view.effective_addr(regs[b as usize] as u64) as i64;
+                        regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
                     }
-                    NOp::LoadLoad {
-                        off,
+                    NOp::PtrAdd {
+                        dst,
+                        ptr,
+                        count,
+                        esz,
+                    } => {
+                        let p = val!(ptr) as u64;
+                        let delta = val!(count).wrapping_mul(esz as i64);
+                        extras += ptr_extra;
+                        regs[dst as usize] = match view.ptr_add(p, delta) {
+                            Some(out) => out,
+                            None => full!(self.space.ptr_add(p, delta)),
+                        } as i64;
+                    }
+                    NOp::Load {
+                        dst,
+                        addr,
                         size,
                         signed,
-                        at,
+                        seam,
+                        spill,
                     } => {
-                        let addr = view.local_get(off, AccessSize::B8);
-                        let raw = load!(view.load(addr, size), addr, size, at, {});
-                        self.stack.push(extend(raw, size, signed));
+                        let a = val!(addr) as u64;
+                        let raw = load!(view.load(a, size), a, size, seam, spill);
+                        regs[dst as usize] = extend(raw, size, signed);
+                    }
+                    NOp::Store {
+                        addr,
+                        val,
+                        size,
+                        seam,
+                        spill,
+                    } => {
+                        let a = val!(addr) as u64;
+                        let v = val!(val) as u64;
+                        store!(view.store(a, size, v), a, size, v, seam, spill);
                     }
                     NOp::IdxLoad {
-                        off,
-                        delta,
+                        dst,
+                        ptr,
+                        count,
+                        esz,
                         size,
                         signed,
-                        at,
+                        seam,
+                        spill,
                     } => {
-                        let p = base + off as u64;
-                        self.stats.cycles += ptr_extra;
+                        let p = val!(ptr) as u64;
+                        let delta = val!(count).wrapping_mul(esz as i64);
+                        extras += ptr_extra;
                         let raw = load!(
                             view.idx_load(p, delta, size),
                             self.space.ptr_add(p, delta),
                             size,
-                            at,
-                            {}
+                            seam,
+                            spill
                         );
-                        self.stack.push(extend(raw, size, signed));
+                        regs[dst as usize] = extend(raw, size, signed);
                     }
                     NOp::IdxStore {
-                        off,
-                        delta,
+                        ptr,
+                        count,
+                        val,
+                        esz,
                         size,
-                        at,
+                        seam,
+                        spill,
                     } => {
-                        let p = base + off as u64;
-                        self.stats.cycles += ptr_extra;
-                        let value = pop!() as u64;
+                        let p = val!(ptr) as u64;
+                        let delta = val!(count).wrapping_mul(esz as i64);
+                        let v = val!(val) as u64;
+                        extras += ptr_extra;
                         store!(
-                            view.idx_store(p, delta, size, value),
+                            view.idx_store(p, delta, size, v),
                             self.space.ptr_add(p, delta),
                             size,
-                            value,
-                            at,
-                            {}
+                            v,
+                            seam,
+                            spill
                         );
-                    }
-                    NOp::IdxAccum {
-                        acc,
-                        acc_size,
-                        acc_signed,
-                        store_size,
-                        addr,
-                        delta,
-                        load_size,
-                        load_signed,
-                        at,
-                    } => {
-                        let av = extend(view.local_get(acc, acc_size), acc_size, acc_signed);
-                        let p = base + addr as u64;
-                        self.stats.cycles += ptr_extra;
-                        // The instruction stream pushed the
-                        // accumulator before the faulting load.
-                        let raw = load!(
-                            view.idx_load(p, delta, load_size),
-                            self.space.ptr_add(p, delta),
-                            load_size,
-                            at,
-                            { self.stack.push(av) }
-                        );
-                        let v = av.wrapping_add(extend(raw, load_size, load_signed));
-                        view.local_put(acc, store_size, v as u64);
-                    }
-                    NOp::Locals(ref block) => {
-                        // Register form: every operand-stack slot was
-                        // resolved to a scratch register at lowering
-                        // time, so the block touches the operand stack
-                        // only to move its `consumes`/`produces` in and
-                        // out — and to spill below a faulting access.
-                        let consumes = block.consumes as usize;
-                        if consumes != 0 {
-                            let split = self.stack.len() - consumes;
-                            regs[..consumes].copy_from_slice(&self.stack[split..]);
-                            self.stack.truncate(split);
-                        }
-                        for r in block.ops.iter() {
-                            match *r {
-                                ROp::Const { dst, c } => regs[dst as usize] = c,
-                                ROp::Copy { dst, src } => regs[dst as usize] = regs[src as usize],
-                                ROp::Swap { a, b } => regs.swap(a as usize, b as usize),
-                                ROp::Rot3 { a, b, c } => {
-                                    let t = regs[a as usize];
-                                    regs[a as usize] = regs[b as usize];
-                                    regs[b as usize] = regs[c as usize];
-                                    regs[c as usize] = t;
-                                }
-                                ROp::Addr { dst, off } => {
-                                    regs[dst as usize] = (base + off as u64) as i64;
-                                }
-                                ROp::Load {
-                                    dst,
-                                    off,
-                                    size,
-                                    signed,
-                                } => {
-                                    regs[dst as usize] =
-                                        extend(view.local_get(off, size), size, signed);
-                                }
-                                ROp::Store { src, off, size } => {
-                                    view.local_put(off, size, regs[src as usize] as u64);
-                                }
-                                ROp::Alu { dst, a, b, op } => {
-                                    regs[dst as usize] =
-                                        op.eval(regs[a as usize], regs[b as usize]);
-                                }
-                                ROp::ConstAlu { at, c, op } => {
-                                    regs[at as usize] = op.eval(regs[at as usize], c);
-                                }
-                                ROp::Cmp { dst, a, b, op } => {
-                                    regs[dst as usize] =
-                                        op.eval(regs[a as usize], regs[b as usize]) as i64;
-                                }
-                                ROp::Neg { at } => {
-                                    regs[at as usize] = regs[at as usize].wrapping_neg();
-                                }
-                                ROp::BitNot { at } => regs[at as usize] = !regs[at as usize],
-                                ROp::Not { at } => {
-                                    regs[at as usize] = (regs[at as usize] == 0) as i64;
-                                }
-                                ROp::Normalize { at, size, signed } => {
-                                    regs[at as usize] =
-                                        extend(regs[at as usize] as u64, size, signed);
-                                }
-                                ROp::Inc {
-                                    off,
-                                    delta,
-                                    size,
-                                    signed,
-                                } => inc_local(&mut view, off, delta, size, signed),
-                                ROp::GEffAddr { at } => {
-                                    regs[at as usize] =
-                                        view.effective_addr(regs[at as usize] as u64) as i64;
-                                }
-                                ROp::GPtrDiff { dst, a, b, esz } => {
-                                    let l = view.effective_addr(regs[a as usize] as u64) as i64;
-                                    let r = view.effective_addr(regs[b as usize] as u64) as i64;
-                                    regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
-                                }
-                                ROp::GPtrAdd {
-                                    dst,
-                                    ptr,
-                                    count,
-                                    esz,
-                                } => {
-                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                                    let p = regs[ptr as usize] as u64;
-                                    regs[dst as usize] = ptr_add!(p, delta) as i64;
-                                }
-                                ROp::GLoad {
-                                    at,
-                                    size,
-                                    signed,
-                                    seam,
-                                    spill,
-                                } => {
-                                    let addr = regs[at as usize] as u64;
-                                    let raw = load!(view.load(addr, size), addr, size, seam, {
-                                        self.stack.extend_from_slice(&regs[..spill as usize])
-                                    });
-                                    regs[at as usize] = extend(raw, size, signed);
-                                }
-                                ROp::GStore {
-                                    addr,
-                                    val,
-                                    size,
-                                    seam,
-                                    spill,
-                                } => {
-                                    let a = regs[addr as usize] as u64;
-                                    let v = regs[val as usize] as u64;
-                                    store!(view.store(a, size, v), a, size, v, seam, {
-                                        self.stack.extend_from_slice(&regs[..spill as usize])
-                                    });
-                                }
-                                ROp::GIdxLoad {
-                                    dst,
-                                    ptr,
-                                    count,
-                                    esz,
-                                    size,
-                                    signed,
-                                    seam,
-                                    spill,
-                                } => {
-                                    let p = regs[ptr as usize] as u64;
-                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                                    self.stats.cycles += ptr_extra;
-                                    let raw = load!(
-                                        view.idx_load(p, delta, size),
-                                        self.space.ptr_add(p, delta),
-                                        size,
-                                        seam,
-                                        { self.stack.extend_from_slice(&regs[..spill as usize]) }
-                                    );
-                                    regs[dst as usize] = extend(raw, size, signed);
-                                }
-                                ROp::GIdxStore {
-                                    ptr,
-                                    count,
-                                    val,
-                                    esz,
-                                    size,
-                                    seam,
-                                    spill,
-                                } => {
-                                    let p = regs[ptr as usize] as u64;
-                                    let delta = regs[count as usize].wrapping_mul(esz as i64);
-                                    let v = regs[val as usize] as u64;
-                                    self.stats.cycles += ptr_extra;
-                                    store!(
-                                        view.idx_store(p, delta, size, v),
-                                        self.space.ptr_add(p, delta),
-                                        size,
-                                        v,
-                                        seam,
-                                        { self.stack.extend_from_slice(&regs[..spill as usize]) }
-                                    );
-                                }
-                            }
-                        }
-                        self.stack
-                            .extend_from_slice(&regs[..block.produces as usize]);
                     }
                 }
             }
-            pc = match region.term {
-                Term::Jump(t) | Term::Fall(t) => t,
-                Term::JumpIfZero { target, fall } => {
-                    if pop!() == 0 {
-                        target
-                    } else {
-                        fall
-                    }
-                }
-                Term::JumpIfNotZero { target, fall } => {
-                    if pop!() != 0 {
-                        target
-                    } else {
-                        fall
-                    }
-                }
-                Term::FlagJump { op, target, fall } => {
-                    let b = pop!();
-                    let a = pop!();
-                    if op.eval(a, b) {
-                        target
-                    } else {
-                        fall
-                    }
-                }
-                Term::CmpJump {
+            let next = match region.term {
+                Term::Goto(next) => next,
+                Term::Branch {
                     a,
-                    a_size,
-                    a_signed,
                     b,
-                    b_size,
-                    b_signed,
                     op,
-                    target,
+                    taken,
                     fall,
                 } => {
-                    let av = extend(view.local_get(a, a_size), a_size, a_signed);
-                    let bv = extend(view.local_get(b, b_size), b_size, b_signed);
-                    if op.eval(av, bv) {
-                        target
+                    if op.eval(val!(a), val!(b)) {
+                        taken
                     } else {
                         fall
                     }
                 }
-                Term::IncJump {
+                Term::IncBranch {
                     off,
                     delta,
                     size,
                     signed,
-                    target,
+                    a,
+                    b,
+                    op,
+                    taken,
+                    fall,
                 } => {
                     inc_local(&mut view, off, delta, size, signed);
-                    target
-                }
-            };
-            region = match gate(nf, pc, fuel) {
-                Ok(next) => next,
-                Err(why) => {
-                    match why {
-                        NativeExit::NoRegion => self.profile.no_region_exits += 1,
-                        NativeExit::FuelShort => self.profile.fuel_short_exits += 1,
+                    if op.eval(val!(a), val!(b)) {
+                        taken
+                    } else {
+                        fall
                     }
-                    return Ok((pc, fuel));
                 }
             };
+            for &v in &regs[..region.produces as usize] {
+                self.stack.push(v);
+            }
+            match nf.regions.get(next.region as usize) {
+                Some(to) if fuel >= to.charge + next.skip as u64 => {
+                    fuel -= to.charge + next.skip as u64;
+                    region = to;
+                }
+                Some(_) => break (next.pc, NativeExit::FuelShort),
+                None => break (next.pc, NativeExit::NoRegion),
+            }
+        };
+        settle!();
+        match why {
+            NativeExit::NoRegion => self.profile.no_region_exits += 1,
+            NativeExit::FuelShort => self.profile.fuel_short_exits += 1,
         }
+        Ok((next_pc, fuel))
     }
 
-    fn enter(&mut self, fid: u32, args: &[i64]) -> Result<(), VmFault> {
-        let func = &self.program.funcs[fid as usize];
-        debug_assert_eq!(
-            args.len(),
-            func.param_count,
-            "arity mismatch in `{}`",
-            func.name
-        );
+    /// Enters `fid`, whose `argc` arguments are the top of the operand
+    /// stack (last on top): registers the frame's slots, copies the
+    /// arguments in and pops them. Touches the host allocator not at
+    /// all.
+    fn enter(&mut self, program: &ProgramImage, fid: u32, argc: usize) -> Result<(), VmFault> {
+        let func = &program.funcs[fid as usize];
+        let slots = &func.frame.slots;
         self.stats.calls += 1;
         self.stats.cycles += cost::CALL_EXTRA;
         if self.checked {
-            self.stats.cycles += func.frame.slots.len() as u64 * cost::LOCAL_REG_EXTRA;
-            self.profile.locals_registered += func.frame.slots.len() as u64;
+            self.stats.cycles += slots.len() as u64 * cost::LOCAL_REG_EXTRA;
+            self.profile.locals_registered += slots.len() as u64;
         }
-        let total = func.frame.total;
-        let base = self.space.push_frame(total)?;
-        // Registration and parameter copy-in read the layout; clone the
-        // small slot table to sidestep borrowing `self.program` across
-        // `self.space` calls.
-        let slots: Vec<(u64, u64)> = func.frame.slots.clone();
-        let param_count = func.param_count;
-        for &(off, size) in &slots {
+        let base = self.space.push_frame(func.frame.total)?;
+        for &(off, size) in slots {
             self.space.register_local(base, off, size);
         }
-        for (i, &arg) in args.iter().enumerate().take(param_count) {
-            let (off, size) = slots[i];
+        let floor = self.stack.len() - argc;
+        for (&arg, &(off, size)) in self.stack[floor..].iter().zip(slots) {
             let acc = AccessSize::from_bytes(size.clamp(1, 8).next_power_of_two().min(8));
             let ok = self.space.write_raw(base + off, acc, arg as u64);
             debug_assert!(ok, "parameter slot must be mapped");
         }
+        self.stack.truncate(floor);
         self.frames.push(Frame {
             func: fid,
             pc: 0,
             frame_base: base,
-            stack_floor: self.stack.len(),
+            stack_floor: floor,
         });
         Ok(())
     }
@@ -1368,6 +1185,11 @@ impl Machine {
     }
 }
 
+/// The native executor's scratch registers: one per `u8` register index,
+/// so indexing needs no bounds check (lowering uses the first
+/// `foc_compiler::native::NATIVE_REGS`).
+type RegFile = [i64; 256];
+
 /// Why the native executor stopped chaining at a pc.
 enum NativeExit {
     /// No region starts at the pc: a call, builtin or return boundary.
@@ -1376,21 +1198,19 @@ enum NativeExit {
     FuelShort,
 }
 
-/// The region `pc` enters: one must start there, and `fuel` must cover
-/// everything it charges (the interpreter, one instruction at a time,
-/// owns mid-region exhaustion).
+/// A frame slot read and extended in one decode: each arm knows its
+/// width, so the window read and the extension share one branch.
 #[inline(always)]
-fn gate(nf: &NativeFunc, pc: u32, fuel: u64) -> Result<&NativeRegion, NativeExit> {
-    match nf.entry.get(pc as usize) {
-        Some(&ri) if ri != NO_REGION => {
-            let region = &nf.regions[ri as usize];
-            if fuel >= region.charge {
-                Ok(region)
-            } else {
-                Err(NativeExit::FuelShort)
-            }
-        }
-        _ => Err(NativeExit::NoRegion),
+fn slot_get(view: &NativeView<'_>, off: u32, size: AccessSize, signed: bool) -> i64 {
+    use AccessSize::{B1, B2, B4, B8};
+    match (size, signed) {
+        (B8, _) => view.local_get(off, B8) as i64,
+        (B4, true) => view.local_get(off, B4) as u32 as i32 as i64,
+        (B4, false) => view.local_get(off, B4) as i64,
+        (B1, true) => view.local_get(off, B1) as u8 as i8 as i64,
+        (B1, false) => view.local_get(off, B1) as i64,
+        (B2, true) => view.local_get(off, B2) as u16 as i16 as i64,
+        (B2, false) => view.local_get(off, B2) as i64,
     }
 }
 
@@ -1402,20 +1222,6 @@ fn inc_local(view: &mut NativeView<'_>, off: u32, delta: i64, size: AccessSize, 
         new = extend(new as u64, size, signed);
     }
     view.local_put(off, size, new as u64);
-}
-
-/// Sign- or zero-extends the low `size` bytes of `raw`.
-#[inline]
-fn extend(raw: u64, size: AccessSize, signed: bool) -> i64 {
-    match (size, signed) {
-        (AccessSize::B1, true) => raw as u8 as i8 as i64,
-        (AccessSize::B1, false) => raw as u8 as i64,
-        (AccessSize::B2, true) => raw as u16 as i16 as i64,
-        (AccessSize::B2, false) => raw as u16 as i64,
-        (AccessSize::B4, true) => raw as u32 as i32 as i64,
-        (AccessSize::B4, false) => raw as u32 as i64,
-        (AccessSize::B8, _) => raw as i64,
-    }
 }
 
 #[cfg(test)]

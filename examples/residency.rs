@@ -2,7 +2,7 @@
 //! runs inside native regions, and why the rest does not.
 //!
 //! ```text
-//! cargo run --release --example residency
+//! cargo run --release --example residency [-- --check]
 //! ```
 //!
 //! One process per `BENCHMARK.json` workload kind, booted through
@@ -20,6 +20,11 @@
 //! byte through the checked routines (see `foc-vm/src/builtins.rs`).
 //! `calls` and `locals` are guest function entries and the frame slots
 //! they registered as data units — what ROADMAP item 2 prices a call by.
+//! `ops/instr` is what the native executor dispatched — per region
+//! entered: the entry, each op, the terminator — per instruction the
+//! process retired: the count the lowering's folds move (0.55 / 0.87 /
+//! 0.87 / 1.02 before PR 19). `-- --check` exits 1 when a row exceeds
+//! its committed ceiling.
 
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
 use failure_oblivious::servers::{BootSpec, Process, ServerKind};
@@ -42,6 +47,7 @@ impl Tally {
         self.calls += stats.calls;
         self.profile.native_instrs += p.native_instrs;
         self.profile.region_entries += p.region_entries;
+        self.profile.native_ops += p.native_ops;
         self.profile.no_region_exits += p.no_region_exits;
         self.profile.fuel_short_exits += p.fuel_short_exits;
         self.profile.view_misses += p.view_misses;
@@ -128,14 +134,23 @@ fn pine_run() -> Tally {
 }
 
 fn main() {
+    let check = match std::env::args().nth(1).as_deref() {
+        None => false,
+        Some("--check") => true,
+        Some(other) => {
+            eprintln!("residency: unknown argument `{other}` (only `--check`)");
+            std::process::exit(2);
+        }
+    };
     println!(
-        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
+        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
         "workload",
         "instrs",
         "native",
         "builtin",
         "span%",
         "regions",
+        "ops/instr",
         "no-region",
         "fuel-short",
         "view-miss",
@@ -143,22 +158,34 @@ fn main() {
         "calls",
         "locals"
     );
+    // Beside each row, the `ops/instr` it may not exceed under
+    // `--check`: what the committed lowering produces, rounded up in the
+    // fourth place. The count repeats exactly, so any excess is a
+    // lowering regression, not noise; lower a ceiling when the lowering
+    // improves.
     let runs = [
-        ("mc_copy", mc_run()),
-        ("apache_edge", apache_run(Mode::FailureOblivious, 8)),
-        ("apache_flood", apache_run(Mode::BoundsCheck, 2)),
-        ("pine_mail", pine_run()),
+        ("mc_copy", 0.1838, mc_run()),
+        ("apache_edge", 0.3408, apache_run(Mode::FailureOblivious, 8)),
+        ("apache_flood", 0.3310, apache_run(Mode::BoundsCheck, 2)),
+        ("pine_mail", 0.4030, pine_run()),
     ];
-    for (name, t) in runs {
+    let mut over = false;
+    for (name, ceiling, t) in runs {
         let p = t.profile;
+        let ops_per_instr = p.native_ops as f64 / t.instrs.max(1) as f64;
+        if check && ops_per_instr > ceiling {
+            eprintln!("residency --check: {name} dispatches {ops_per_instr:.4} ops/instr, committed ceiling {ceiling}");
+            over = true;
+        }
         println!(
-            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
+            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
             name,
             t.instrs,
             100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
             100.0 * p.builtin_instrs as f64 / t.instrs.max(1) as f64,
             100.0 * p.span_instrs as f64 / p.builtin_instrs.max(1) as f64,
             p.region_entries,
+            ops_per_instr,
             p.no_region_exits,
             p.fuel_short_exits,
             p.view_misses,
@@ -166,5 +193,8 @@ fn main() {
             t.calls,
             p.locals_registered
         );
+    }
+    if over {
+        std::process::exit(1);
     }
 }
