@@ -1,31 +1,14 @@
-//! The mode search-space sweep driver: runs the full recovery-mode ×
-//! value-sequence × fuel × table-backend grid over all five servers and
-//! the benign + §4/§5.1 attack input library, classifies every run into
-//! the stable outcome taxonomy, and maintains the committed matrix
-//! record (`SWEEP_matrix.json` + rendered `SWEEP_matrix.md`).
-//!
-//! Usage:
-//!
-//! * `cargo run --release -p foc-bench --bin mode_sweep` — full grid.
-//!   Writes the matrix after every chunk of cells, so an interrupted
-//!   run leaves a valid partial file; on completion renders the
-//!   markdown matrix and appends a wall-time row to `BENCH_farm.json`'s
-//!   `mode_sweep_runs` trajectory.
-//! * `... -- --resume` — reuses every cell of the existing
-//!   `SWEEP_matrix.json` whose fingerprint matches the current sweep
-//!   contract (and whose file-level reference transcripts match a fresh
-//!   computation), runs only the missing cells, and produces a file
-//!   byte-identical to a from-scratch run.
-//! * `... -- --check` — CI gate: runs the pinned sub-grid fresh and
-//!   diffs outcome classes and transcripts against the committed
-//!   matrix. Any semantic drift in the substrate exits nonzero with a
-//!   one-line diagnostic.
-//! * `... -- --threads N` — worker threads (default 4).
+//! `mode_sweep`: the mode search-space sweep driver. Runs the full
+//! recovery-mode × value-sequence × fuel × table-backend grid over all
+//! five servers and the benign + §4/§5.1 attack input library,
+//! classifies every run into the stable outcome taxonomy, and maintains
+//! the committed matrix record (`SWEEP_matrix.json` + rendered
+//! `SWEEP_matrix.md`).
 
 use std::time::Instant;
 
-use foc_bench::check::check_fail;
-use foc_bench::farm_report::{append_mode_sweep_row, mode_sweep_fingerprint, mode_sweep_row_json};
+use foc_bench::check::{record_farm_row, Args};
+use foc_bench::farm_report::{mode_sweep_fingerprint, mode_sweep_row_json};
 use foc_bench::sweep_report::{
     diff_against_committed, merge_cells, parse_matrix_json, render_matrix_json,
     render_matrix_markdown, split_resume, MATRIX_MD_PATH, MATRIX_PATH,
@@ -39,7 +22,14 @@ const CHUNK_CELLS: usize = 12;
 /// Inputs a sweep worker runs before yielding its cell back.
 const SLICE_INPUTS: usize = 4;
 
-fn run_check(threads: usize) -> Result<(), String> {
+/// The outcome-matrix gate: re-runs the pinned sweep sub-grid fresh and
+/// diffs outcome classes + transcripts against the committed
+/// `SWEEP_matrix.json`, so any semantic drift in the recovery substrate
+/// fails with a one-line diagnostic. Cell fingerprints exclude tier and
+/// edge by construction, so the same committed bytes must come back
+/// under the shipped default, the baseline/splay oracle and the socket
+/// edge (CI runs the three).
+pub fn gate(args: &Args) -> Result<String, String> {
     let committed = std::fs::read_to_string(MATRIX_PATH)
         .map_err(|e| format!("cannot read committed {MATRIX_PATH}: {e}"))?;
     let committed = parse_matrix_json(&committed)?;
@@ -56,22 +46,31 @@ fn run_check(threads: usize) -> Result<(), String> {
         INPUT_LIBRARY.len()
     );
     let reference = reference_transcripts();
-    let fresh = run_cells(&cells, &reference, threads, SLICE_INPUTS);
+    let fresh = run_cells(&cells, &reference, args.threads, SLICE_INPUTS);
     let compared = diff_against_committed(&committed, &reference, &fresh)?;
-    println!(
-        "mode_sweep --check OK ({} cells, {compared} runs match the committed matrix)",
+    Ok(format!(
+        "{} cells, {compared} runs match the committed matrix",
         cells.len()
-    );
-    Ok(())
+    ))
 }
 
-fn run_full(threads: usize, resume: bool) {
+/// The full grid on `--threads N` workers (default 4). Writes the
+/// matrix after every chunk of cells, so an interrupted run leaves a
+/// valid partial file; on completion renders the markdown matrix and
+/// upserts a wall-time row into `BENCH_farm.json`'s `mode_sweep_runs`
+/// trajectory. `--resume` reuses every cell of the existing
+/// `SWEEP_matrix.json` whose fingerprint matches the current sweep
+/// contract (and whose file-level reference transcripts match a fresh
+/// computation), runs only the missing cells, and produces a file
+/// byte-identical to a from-scratch run.
+pub fn full(args: &Args) -> Result<(), String> {
+    let threads = args.threads;
     let grid = SweepGrid::full();
     let all = grid.cells();
     let started = Instant::now();
     let reference = reference_transcripts();
 
-    let parsed = if resume {
+    let parsed = if args.has("--resume") {
         match std::fs::read_to_string(MATRIX_PATH) {
             Ok(text) => match parse_matrix_json(&text) {
                 Ok(parsed) => Some(parsed),
@@ -143,6 +142,11 @@ fn run_full(threads: usize, resume: bool) {
     for (class, n) in &counts {
         println!("  {class:<22} {n:>5}");
     }
+    println!(
+        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({} cells, {:.1}s)",
+        matrix.cells.len(),
+        wall_ms / 1e3
+    );
 
     // Record the sweep's own cost in the farm trajectory. The
     // fingerprint keys the row to the sweep shape + compiled images, so
@@ -155,53 +159,9 @@ fn run_full(threads: usize, resume: bool) {
         wall_ms,
         &mode_sweep_fingerprint(matrix.cells.len(), INPUT_LIBRARY.len(), threads),
     );
-    match std::fs::read_to_string("BENCH_farm.json") {
-        Ok(bench) => match append_mode_sweep_row(&bench, &row) {
-            Ok(updated) => {
-                std::fs::write("BENCH_farm.json", updated).expect("write BENCH_farm.json");
-                println!("appended mode_sweep row to BENCH_farm.json");
-            }
-            Err(e) => eprintln!("mode_sweep: {e}"),
-        },
-        Err(e) => eprintln!("mode_sweep: cannot read BENCH_farm.json: {e}"),
-    }
-    println!(
-        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({} cells, {:.1}s)",
-        matrix.cells.len(),
-        wall_ms / 1e3
-    );
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut threads = 4usize;
-    let mut check = false;
-    let mut resume = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--resume" => resume = true,
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => threads = n,
-                _ => {
-                    eprintln!("mode_sweep: --threads needs a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            other => {
-                eprintln!(
-                    "mode_sweep: unknown argument {other:?} (--check, --resume, --threads N)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    if check {
-        if let Err(msg) = run_check(threads) {
-            check_fail("mode_sweep --check", &msg);
-        }
-        return;
-    }
-    run_full(threads, resume);
+    record_farm_row("mode_sweep", "mode_sweep_runs", &row).map_err(|e| {
+        format!(
+            "{e} ({MATRIX_PATH} and {MATRIX_MD_PATH} are written; only the trajectory row is lost)"
+        )
+    })
 }

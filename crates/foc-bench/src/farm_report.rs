@@ -19,6 +19,9 @@ use foc_memory::{Mode, TableKind};
 use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig, FarmReport, ServerKind};
 use foc_servers::latency::LatencyHist;
+use foc_servers::BootSpec;
+
+use crate::sweep_report::str_field;
 
 /// Shape of the recorded suite: every server kind under every mode.
 pub fn suite_config(kind: ServerKind, mode: Mode, requests: usize) -> FarmConfig {
@@ -38,11 +41,9 @@ pub fn farm_suite(requests: usize) -> Vec<FarmReport> {
     reports
 }
 
-/// One thread count's wall-time measurement in the scaling sweep.
+/// Host wall time of one farm shape over repeated runs.
 #[derive(Debug, Clone, Copy)]
-pub struct ScalingRow {
-    /// Worker threads driving the farm.
-    pub threads: usize,
+pub struct WallRate {
     /// Robust mean host wall time per run, milliseconds.
     pub wall_ms: f64,
     /// Half-width of the 95% confidence interval on `wall_ms`.
@@ -53,56 +54,87 @@ pub struct ScalingRow {
     pub reps: usize,
 }
 
+/// Runs `config` `reps` times and summarises the walls. Every report
+/// must equal `reference` (set from the first run when empty), so a
+/// sweep that shares one reference across its rows can attribute the
+/// wall-time spread between them to the axis it varies and nothing
+/// else. A report that differs is returned as a one-line diagnostic
+/// opening with `what` (the `--check` gates exit nonzero with it
+/// instead of dumping a panic backtrace into CI logs).
+pub fn timed_farm(
+    config: &FarmConfig,
+    reps: usize,
+    reference: &mut Option<FarmReport>,
+    what: &str,
+) -> Result<(WallRate, FarmReport), String> {
+    let reps = reps.max(1);
+    let mut walls = Vec::with_capacity(reps);
+    let mut last = None;
+    for _ in 0..reps {
+        let report = run_farm(config);
+        match reference {
+            Some(r) if *r != report => {
+                return Err(format!(
+                    "{what} (completed {} vs {})",
+                    report.stats.completed, r.stats.completed
+                ));
+            }
+            Some(_) => {}
+            None => *reference = Some(report.clone()),
+        }
+        walls.push(report.host_wall_ms);
+        last = Some(report);
+    }
+    let report = last.expect("at least one rep");
+    let s = robust_summary(&walls);
+    let host_rps = if s.mean > 0.0 {
+        report.stats.completed as f64 / (s.mean / 1e3)
+    } else {
+        0.0
+    };
+    let rate = WallRate {
+        wall_ms: s.mean,
+        wall_ms_ci95: s.ci95,
+        host_rps,
+        reps,
+    };
+    Ok((rate, report))
+}
+
+/// One thread count's wall-time measurement in the scaling sweep.
+#[derive(Debug, Clone, Copy)]
+pub struct ScalingRow {
+    /// Worker threads driving the farm.
+    pub threads: usize,
+    /// Wall time and request rate at this thread count.
+    pub rate: WallRate,
+}
+
 /// Runs the same Pine failure-oblivious farm at increasing thread
 /// counts, `reps` times each. Pine is the most compute-heavy per
 /// request of the fast servers, so the sweep actually exposes parallel
 /// speedup. The deterministic stats are identical across every run
-/// (asserted), so the wall-time statistics isolate parallelism alone.
+/// (checked), so the wall-time statistics isolate parallelism alone.
 pub fn thread_scaling(
     requests: usize,
     thread_counts: &[usize],
     reps: usize,
 ) -> Result<Vec<ScalingRow>, String> {
-    let reps = reps.max(1);
     let base = {
         let mut c = suite_config(ServerKind::Pine, Mode::FailureOblivious, requests);
         c.servers = thread_counts.iter().copied().max().unwrap_or(4).max(4);
         c
     };
-    let mut reference: Option<FarmReport> = None;
+    let mut reference = None;
     let mut rows = Vec::new();
     for &threads in thread_counts {
-        let mut walls = Vec::with_capacity(reps);
-        let mut completed = 0u64;
-        for _ in 0..reps {
-            let report = run_farm(&base.clone().with_threads(threads));
-            match &reference {
-                Some(r) if *r != report => {
-                    return Err(format!(
-                        "thread scaling changed results at {threads} threads \
-                         (completed {} vs {})",
-                        report.stats.completed, r.stats.completed
-                    ));
-                }
-                Some(_) => {}
-                None => reference = Some(report.clone()),
-            }
-            completed = report.stats.completed;
-            walls.push(report.host_wall_ms);
-        }
-        let s = robust_summary(&walls);
-        let host_rps = if s.mean > 0.0 {
-            completed as f64 / (s.mean / 1e3)
-        } else {
-            0.0
-        };
-        rows.push(ScalingRow {
-            threads,
-            wall_ms: s.mean,
-            wall_ms_ci95: s.ci95,
-            host_rps,
+        let (rate, _) = timed_farm(
+            &base.clone().with_threads(threads),
             reps,
-        });
+            &mut reference,
+            &format!("thread scaling changed results at {threads} threads"),
+        )?;
+        rows.push(ScalingRow { threads, rate });
     }
     Ok(rows)
 }
@@ -134,6 +166,13 @@ impl BootCost {
     }
 }
 
+/// Host nanoseconds one call of `f` takes.
+fn timed_ns<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_nanos() as f64
+}
+
 /// Measures [`BootCost`] on the Apache server process (the server whose
 /// pool architecture §4.3.2 charges for process-management overhead),
 /// `reps` boots per flavour. "Boot" here is the process boot the image
@@ -152,20 +191,12 @@ pub fn measure_boot_cost(reps: usize) -> BootCost {
     let mut cold = Vec::with_capacity(reps);
     let mut cached = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let t = Instant::now();
-        black_box(foc_servers::Process::boot_source(
-            kind.source(),
-            mode,
-            kind.fuel(),
-        ));
-        cold.push(t.elapsed().as_nanos() as f64);
-
-        let t = Instant::now();
-        black_box(foc_servers::Process::boot_spec(
-            &kind.image(),
-            &foc_servers::BootSpec::new(kind, mode),
-        ));
-        cached.push(t.elapsed().as_nanos() as f64);
+        cold.push(timed_ns(|| {
+            foc_servers::Process::boot_source(kind.source(), mode, kind.fuel())
+        }));
+        cached.push(timed_ns(|| {
+            foc_servers::Process::boot_spec(&kind.image(), &BootSpec::new(kind, mode))
+        }));
     }
     let c = robust_summary(&cold);
     let h = robust_summary(&cached);
@@ -220,6 +251,12 @@ impl RestartCost {
     }
 }
 
+/// The restart `apache_flood` pays on every attack: a Bounds Check
+/// Apache worker under the session default.
+fn apache_restore_spec() -> BootSpec {
+    BootSpec::new(ServerKind::Apache, Mode::BoundsCheck)
+}
+
 /// Measures [`RestartCost`] on Pine — the server with the heaviest
 /// per-restart environment replay (mail-file load plus index build),
 /// i.e. exactly the §4.7 cost the checkpoint layer removes. "Cold" is
@@ -241,8 +278,7 @@ impl RestartCost {
 /// those bytes.
 pub fn measure_restart_cost(reps: usize) -> RestartCost {
     use foc_servers::apache::ApacheWorker;
-    use foc_servers::image::{standard_pine_mailbox, ServerKind};
-    use foc_servers::BootSpec;
+    use foc_servers::image::standard_pine_mailbox;
 
     /// Apache restores timed together per rep: one is ~2 µs, too close
     /// to the clock's own cost to time alone.
@@ -251,7 +287,7 @@ pub fn measure_restart_cost(reps: usize) -> RestartCost {
     let reps = reps.max(1);
     let spec = BootSpec::oracle(ServerKind::Pine, Mode::FailureOblivious);
     let image = ServerKind::Pine.image_tier(spec.tier);
-    let apache_spec = BootSpec::new(ServerKind::Apache, Mode::BoundsCheck);
+    let apache_spec = apache_restore_spec();
     let committed = |p: &foc_servers::Process| p.machine().space().footprint().committed;
     // Warm both layers so the measurement sees the steady state.
     let checkpoint_bytes = committed(
@@ -263,23 +299,20 @@ pub fn measure_restart_cost(reps: usize) -> RestartCost {
     let mut restore = Vec::with_capacity(reps);
     let mut apache = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let t = Instant::now();
-        for _ in 0..APACHE_BATCH {
-            black_box(ApacheWorker::boot_spec(&apache_spec));
-        }
-        apache.push(t.elapsed().as_nanos() as f64 / f64::from(APACHE_BATCH));
-
+        let batch = timed_ns(|| {
+            for _ in 0..APACHE_BATCH {
+                black_box(ApacheWorker::boot_spec(&apache_spec));
+            }
+        });
+        apache.push(batch / f64::from(APACHE_BATCH));
         let mailbox = standard_pine_mailbox().clone();
-        let t = Instant::now();
-        black_box(foc_servers::pine::Pine::boot_image_spec(
-            &image, &spec, mailbox,
-        ));
-        cold.push(t.elapsed().as_nanos() as f64);
-
+        cold.push(timed_ns(|| {
+            foc_servers::pine::Pine::boot_image_spec(&image, &spec, mailbox)
+        }));
         let mailbox = standard_pine_mailbox().clone();
-        let t = Instant::now();
-        black_box(foc_servers::pine::Pine::boot_spec(&spec, mailbox));
-        restore.push(t.elapsed().as_nanos() as f64);
+        restore.push(timed_ns(|| {
+            foc_servers::pine::Pine::boot_spec(&spec, mailbox)
+        }));
     }
     let c = robust_summary(&cold);
     let r = robust_summary(&restore);
@@ -382,39 +415,8 @@ fn measure_loop_throughput(
 }
 
 // ----------------------------------------------------------------------
-// Native cost: AOT region execution vs the interpreter.
+// Tier cost: AOT region execution vs the interpreter, on two loops.
 // ----------------------------------------------------------------------
-
-/// The native-cost loop: a dispatch-bound body with *no* memory
-/// violations and no guest heap traffic, so nothing tier-invariant
-/// (violation machinery, checked accesses) dilutes the quantity this
-/// benchmark isolates: what a dispatch round itself costs. The body is
-/// multi-operand local expression arithmetic: the interpreter pays one
-/// fetch/decode/match round plus fuel, stats, and pc bookkeeping for
-/// every instruction, while a lowered region pre-charges its whole
-/// straight-line run once, groups the body into one pure-local block,
-/// and executes pre-resolved operands back to back against a single
-/// borrow of the frame window. It is the gate for the native tier.
-const NATIVE_LOOP_SOURCE: &str = "long spin(long n) {\n\
-     long i;\n\
-     long t = 0;\n\
-     long u = 1;\n\
-     for (i = 0; i < n; i++) {\n\
-         t = t + u + i + 3;\n\
-         u = u + t + i + 5;\n\
-         t = t + u + u + 7;\n\
-         u = u + t + t + 9;\n\
-         t = t + u + i + 11;\n\
-         u = u + t + i + 13;\n\
-         t = t + u + u + 15;\n\
-         u = u + t + t + 17;\n\
-     }\n\
-     return t + u;\n\
- }";
-
-/// Iterations per measured native-cost run (about three million guest
-/// instructions, matching the other loop benchmarks' run length).
-const NATIVE_LOOP_ITERS: i64 = 30_000;
 
 /// Interpretation-rate measurement of one guest loop under both
 /// execution tiers. Both retire identical guest instruction counts (a
@@ -426,8 +428,6 @@ pub struct NativeCost {
     pub baseline: ViolationThroughput,
     /// Native (AOT region) tier measurement.
     pub native: ViolationThroughput,
-    /// Repetitions per tier.
-    pub reps: usize,
 }
 
 impl NativeCost {
@@ -437,57 +437,128 @@ impl NativeCost {
     }
 }
 
-/// `reps` runs of `source`'s `spin(iters)` per tier on fresh machines.
-fn measure_tiers(source: &str, iters: i64, reps: usize) -> NativeCost {
-    use foc_compiler::ExecTier;
-    NativeCost {
-        baseline: measure_loop_throughput(source, iters, reps, ExecTier::Baseline),
-        native: measure_loop_throughput(source, iters, reps, ExecTier::Native),
-        reps: reps.max(1),
+/// One violation-free guest loop timed under both tiers: what it runs,
+/// where its rows go and the CI bar on its native-over-baseline ratio.
+#[derive(Debug)]
+pub struct TierLoop {
+    /// The `BENCH_farm.json` trajectory its rows are recorded in.
+    pub key: &'static str,
+    /// Schema tag opening the row fingerprint.
+    tag: &'static str,
+    /// Short name for the printed lines.
+    pub name: &'static str,
+    /// The gated quantity, for the diagnostic.
+    pub what: &'static str,
+    /// MiniC source defining `spin(n)`.
+    source: &'static str,
+    /// `n` per measured run (about three million guest instructions,
+    /// matching the other loop benchmarks' run length).
+    iters: i64,
+    /// The CI bar on native-over-baseline.
+    pub gate: f64,
+}
+
+/// The two loops `native_cost` measures, gates and records.
+pub const TIER_LOOPS: [TierLoop; 2] = [
+    // The dispatch loop: a dispatch-bound body with *no* memory
+    // violations and no guest heap traffic, so nothing tier-invariant
+    // (violation machinery, checked accesses) dilutes the quantity it
+    // isolates: what a dispatch round itself costs. The body is
+    // multi-operand local expression arithmetic: the interpreter pays
+    // one fetch/decode/match round plus fuel, stats, and pc bookkeeping
+    // for every instruction, while a lowered region pre-charges its
+    // whole straight-line run once, groups the body into one pure-local
+    // block, and executes pre-resolved operands back to back against a
+    // single borrow of the frame window. It is the gate for the native
+    // tier: a region entry replaces every dispatch round of its
+    // straight-line run, so the measured margin is around 3× on the
+    // development host (2.9–3.2× at PR 19); 2.5× holds with room on
+    // noisy CI hosts.
+    TierLoop {
+        key: "native_cost_runs",
+        tag: "native_cost/v2",
+        name: "dispatch loop",
+        what: "native region execution over the baseline interpreter",
+        source: "long spin(long n) {\n\
+             long i;\n\
+             long t = 0;\n\
+             long u = 1;\n\
+             for (i = 0; i < n; i++) {\n\
+                 t = t + u + i + 3;\n\
+                 u = u + t + i + 5;\n\
+                 t = t + u + u + 7;\n\
+                 u = u + t + t + 9;\n\
+                 t = t + u + i + 11;\n\
+                 u = u + t + i + 13;\n\
+                 t = t + u + u + 15;\n\
+                 u = u + t + t + 17;\n\
+             }\n\
+             return t + u;\n\
+         }",
+        iters: 30_000,
+        gate: 2.5,
+    },
+    // The copy loop: a guest copy. The inner loop's `dst[i] = src[i]`
+    // lowers to a pointer-arithmetic + checked-access pair per element,
+    // exactly the shape the native tier folds into one `IdxLoad` and
+    // one `IdxStore` naming the array bases and the index slot as
+    // operands, under a fused latch: every access resolves through the
+    // view's placement probe, no operand-stack round trip, no deopt
+    // (all accesses are in bounds). The interpreter runs the same
+    // stream one checked access at a time, so the ratio isolates what
+    // in-block resolution saves on memory-bound code. The measured
+    // margin is 4.4–5.8× on the development host since PR 19 folded the
+    // loop to two indexed ops and a fused latch (near 3× before); 1.75×
+    // holds with room. Each outer iteration copies the 64-element
+    // buffer once.
+    TierLoop {
+        key: "mem_cost_runs",
+        tag: "mem_cost/v2",
+        name: "copy loop",
+        what: "memory-spanning block execution over the baseline interpreter",
+        source: "long spin(long n) {\n\
+             long src[64];\n\
+             long dst[64];\n\
+             long i;\n\
+             long j;\n\
+             long t = 0;\n\
+             for (i = 0; i < 64; i++) src[i] = i * 3;\n\
+             for (j = 0; j < n; j++) {\n\
+                 for (i = 0; i < 64; i++) dst[i] = src[i];\n\
+                 t = t + dst[63];\n\
+             }\n\
+             return t;\n\
+         }",
+        iters: 2_000,
+        gate: 1.75,
+    },
+];
+
+impl TierLoop {
+    /// `reps` runs of the loop per tier on fresh machines.
+    pub fn measure(&self, reps: usize) -> NativeCost {
+        use foc_compiler::ExecTier;
+        NativeCost {
+            baseline: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Baseline),
+            native: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Native),
+        }
     }
-}
 
-/// Measures [`NativeCost`] on the violation-free dispatch-bound loop.
-pub fn measure_native_cost(reps: usize) -> NativeCost {
-    measure_tiers(NATIVE_LOOP_SOURCE, NATIVE_LOOP_ITERS, reps)
-}
-
-// ----------------------------------------------------------------------
-// Memory-block cost: heap-spanning regions on the guest copy shape.
-// ----------------------------------------------------------------------
-
-/// The memory-block cost loop: a guest copy. The inner loop's
-/// `dst[i] = src[i]` lowers to a pointer-arithmetic + checked-access
-/// pair per element, exactly the
-/// shape the native tier folds into one `IdxLoad` and one `IdxStore`
-/// naming the array bases and the index slot as operands, under a
-/// fused latch: every access resolves through the view's placement
-/// probe, no operand-stack round trip, no deopt (all accesses are in
-/// bounds). The interpreter runs the same stream one checked
-/// access at a time, so the ratio isolates what in-block resolution
-/// saves on memory-bound code.
-const MEM_LOOP_SOURCE: &str = "long spin(long n) {\n\
-     long src[64];\n\
-     long dst[64];\n\
-     long i;\n\
-     long j;\n\
-     long t = 0;\n\
-     for (i = 0; i < 64; i++) src[i] = i * 3;\n\
-     for (j = 0; j < n; j++) {\n\
-         for (i = 0; i < 64; i++) dst[i] = src[i];\n\
-         t = t + dst[63];\n\
-     }\n\
-     return t;\n\
- }";
-
-/// Outer iterations per measured memory-cost run (each copies the
-/// 64-element buffer once; about three million guest instructions,
-/// matching the other loop benchmarks' run length).
-const MEM_LOOP_ITERS: i64 = 2_000;
-
-/// Measures [`NativeCost`] on the guest copy loop.
-pub fn measure_mem_cost(reps: usize) -> NativeCost {
-    measure_tiers(MEM_LOOP_SOURCE, MEM_LOOP_ITERS, reps)
+    /// Fingerprint for one of the loop's trajectory rows: schema tag,
+    /// the loop's image identity under every tier (a lowering change
+    /// that reshapes block grouping or access fusion re-measures), loop
+    /// length, rep count.
+    pub fn fingerprint(&self, reps: usize) -> String {
+        let mut parts = Vec::new();
+        for tier in foc_compiler::ExecTier::ALL {
+            let image =
+                foc_compiler::compile_image_tier(self.source, tier).expect("tier loop builds");
+            parts.push(image.id().to_string());
+        }
+        parts.push(self.iters.to_string());
+        parts.push(reps.to_string());
+        fingerprint(self.tag, &parts)
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -499,78 +570,47 @@ pub fn measure_mem_cost(reps: usize) -> NativeCost {
 pub struct StressRow {
     /// Which table ran.
     pub backend: TableKind,
-    /// Robust mean host wall time per run, milliseconds.
-    pub wall_ms: f64,
-    /// Half-width of the 95% confidence interval on `wall_ms`.
-    pub wall_ms_ci95: f64,
-    /// Completed requests per host second at the mean wall time.
-    pub host_rps: f64,
-    /// Repetitions measured.
-    pub reps: usize,
+    /// Wall time and request rate on this table.
+    pub rate: WallRate,
     /// The (backend-invariant) deterministic report of the run.
     pub report: FarmReport,
 }
 
-/// Shape of the scale-out stress farm: `servers` Apache processes under
-/// the failure-oblivious policy, each serving a short stream with the
-/// standard 1-in-8 attack mix.
-pub fn stress_config(servers: usize, requests: usize) -> FarmConfig {
+/// `servers` Apache processes under the failure-oblivious policy, each
+/// serving `requests` with the standard 1-in-8 attack mix — the
+/// highest-request-rate server, so per-request host overheads (table
+/// lookups, transport) are the dominant term being measured.
+fn apache_farm(servers: usize, requests: usize) -> FarmConfig {
     let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious);
     config.servers = servers;
     config.requests_per_server = requests;
-    config.threads = 4;
     config
 }
 
-/// Runs the stress farm once per object table ([`TableKind::ALL`]: the
-/// oracle tree, then the shipped vector), `reps` times each, verifying
-/// the determinism contract: both must produce the *same*
-/// [`FarmReport`], so the wall-time spread between the rows is
-/// attributable to lookup cost alone. A contract violation is returned
-/// as a one-line diagnostic (the `--check` bins exit nonzero with it
-/// instead of dumping a panic backtrace into CI logs).
+/// Runs the stress farm — [`apache_farm`] on short streams — once per
+/// object table ([`TableKind::ALL`]: the oracle tree, then the shipped
+/// vector), `reps` times each, verifying the determinism contract: both
+/// must produce the *same* [`FarmReport`], so the wall-time spread
+/// between the rows is attributable to lookup cost alone.
 pub fn stress_sweep(
     servers: usize,
     requests: usize,
     reps: usize,
 ) -> Result<Vec<StressRow>, String> {
-    let reps = reps.max(1);
-    let base = stress_config(servers, requests);
-    let mut reference: Option<FarmReport> = None;
+    let mut base = apache_farm(servers, requests);
+    base.threads = 4;
+    let mut reference = None;
     let mut rows = Vec::new();
     for backend in TableKind::ALL {
-        let config = base.clone().with_table(backend);
-        let mut walls = Vec::with_capacity(reps);
-        let mut last: Option<FarmReport> = None;
-        for _ in 0..reps {
-            let report = run_farm(&config);
-            match &reference {
-                Some(r) if *r != report => {
-                    return Err(format!(
-                        "object table {backend} broke the determinism contract \
-                         (completed {} vs {})",
-                        report.stats.completed, r.stats.completed
-                    ));
-                }
-                Some(_) => {}
-                None => reference = Some(report.clone()),
-            }
-            walls.push(report.host_wall_ms);
-            last = Some(report);
-        }
-        let report = last.expect("reps >= 1");
-        let s = robust_summary(&walls);
-        let host_rps = if s.mean > 0.0 {
-            report.stats.completed as f64 / (s.mean / 1e3)
-        } else {
-            0.0
-        };
+        let (rate, report) = timed_farm(
+            &base.clone().with_table(backend),
+            reps,
+            &mut reference,
+            &format!("object table {backend} broke the determinism contract"),
+        )?;
         rows.push(StressRow {
             backend,
-            wall_ms: s.mean,
-            wall_ms_ci95: s.ci95,
-            host_rps,
-            reps,
+            rate,
             report,
         });
     }
@@ -581,44 +621,12 @@ pub fn stress_sweep(
 // The whole record, in one place.
 // ----------------------------------------------------------------------
 
-/// Shape of a full `BENCH_farm.json` regeneration. Both recording
-/// binaries (`farm_scaling`, `farm_stress`) build the complete record
-/// through this, so whichever one ran last leaves a consistent file.
-#[derive(Debug, Clone)]
-pub struct RecordShape {
-    /// Requests per server in the kind × mode suite.
-    pub requests: usize,
-    /// Thread counts for the scaling sweep.
-    pub scaling_threads: Vec<usize>,
-    /// Repetitions per scaling row.
-    pub scaling_reps: usize,
-    /// Boot-cost repetitions.
-    pub boot_reps: usize,
-    /// Server processes at the scale-out stress point.
-    pub stress_servers: usize,
-    /// Requests per server at the stress point (short streams).
-    pub stress_requests: usize,
-    /// Repetitions per stress row.
-    pub stress_reps: usize,
-    /// Restart-cost repetitions (violation throughput runs a capped
-    /// share of them).
-    pub restart_reps: usize,
-}
-
-impl Default for RecordShape {
-    fn default() -> RecordShape {
-        RecordShape {
-            requests: 100,
-            scaling_threads: vec![1, 2, 4, 8],
-            scaling_reps: 3,
-            boot_reps: 24,
-            stress_servers: 4096,
-            stress_requests: 4,
-            stress_reps: 3,
-            restart_reps: 24,
-        }
-    }
-}
+/// Default requests per server in the kind × mode suite.
+pub const SUITE_REQUESTS: usize = 100;
+/// Default server processes at the scale-out stress point.
+pub const STRESS_SERVERS: usize = 4096;
+/// Default requests per server at the stress point (short streams).
+pub const STRESS_REQUESTS: usize = 4;
 
 /// The measured sections of one full record.
 pub struct FarmRecord {
@@ -630,124 +638,106 @@ pub struct FarmRecord {
     pub boot: BootCost,
     /// Per-table stress rows.
     pub stress: Vec<StressRow>,
-    /// Accumulated `restart_cost` rows (checkpoint-restore vs cold
-    /// boot+replay, plus the manufactured-loop violation throughput).
-    /// Regeneration carries the old rows forward and appends a fresh
-    /// measurement, so the trajectory never loses history.
-    pub restart_cost_runs: Vec<String>,
-    /// Accumulated `native_cost` rows (per-tier interpretation rate on
-    /// the violation-free dispatch-bound loop; the native-over-baseline
-    /// ratio is the AOT tier's headline). Appended by the `native_cost`
-    /// bin; regeneration carries them forward.
-    pub native_cost_runs: Vec<String>,
-    /// Accumulated `mem_cost` rows (per-tier interpretation rate on
-    /// the guest copy loop; the native-over-baseline ratio gates the
-    /// memory-spanning block executor). Appended by the `native_cost`
-    /// bin; regeneration carries them forward.
-    pub mem_cost_runs: Vec<String>,
-    /// Accumulated `conn_cost` rows (the socket edge's transport
-    /// overhead per scenario plus the connection-level SLO). Appended
-    /// by the `conn_cost` bin; regeneration carries them forward.
-    pub conn_cost_runs: Vec<String>,
-    /// Accumulated `mode_sweep` wall-time rows (pre-rendered JSON
-    /// objects, one per recorded full-grid sweep). Regenerating bins
-    /// carry these forward from the previous record so the sweep's own
-    /// cost trajectory survives re-measurement.
-    pub mode_sweep_runs: Vec<String>,
+    /// The accumulated rows of each of [`TRAJECTORIES`], in that order.
+    pub trajectories: [Vec<String>; 5],
 }
 
 impl FarmRecord {
     /// Renders the record as the `BENCH_farm.json` document.
     pub fn render(&self) -> String {
-        render_farm_json(
-            &self.reports,
-            &self.scaling,
-            &self.boot,
-            &self.stress,
-            &self.restart_cost_runs,
-            &self.native_cost_runs,
-            &self.mem_cost_runs,
-            &self.conn_cost_runs,
-            &self.mode_sweep_runs,
-        )
+        let reports: Vec<String> = self.reports.iter().map(report_json).collect();
+        let scaling: Vec<String> = self.scaling.iter().map(scaling_row_json).collect();
+        let mut out = format!(
+            "{{\n  \"benchmark\": \"farm\",\n  \"reports\": [\n{}  ],\n  \
+             \"thread_scaling\": [\n{}  ],\n  \"boot_cost\": {},\n",
+            array_body(&reports, "    "),
+            array_body(&scaling, "    "),
+            boot_cost_json(&self.boot),
+        );
+        for (key, rows) in TRAJECTORIES.iter().zip(&self.trajectories) {
+            out.push_str(&rows_section(key, rows));
+        }
+        // The scale-out stress point: one row per object table.
+        if let Some(first) = self.stress.first() {
+            let c = &first.report.config;
+            let rows: Vec<String> = self.stress.iter().map(stress_row_json).collect();
+            out.push_str(&format!(
+                "  \"farm_stress\": {{\"server\": {}, \"mode\": {}, \"servers\": {}, \
+                 \"requests_per_server\": {},\n    \"rows\": [\n{}    ]\n  }}\n",
+                quoted(c.kind.name()),
+                quoted(c.mode.name()),
+                c.servers,
+                c.requests_per_server,
+                array_body(&rows, "      "),
+            ));
+        } else {
+            out.push_str("  \"farm_stress\": {\n    \"rows\": []\n  }\n");
+        }
+        out.push_str("}\n");
+        out
     }
 }
 
-/// Runs every measurement of the record at the given shape, carrying
-/// forward any `restart_cost` and `mode_sweep` rows from
-/// `previous_json` (the old record's contents, when the caller has
-/// one) so regeneration never drops trajectory history.
+/// Runs every measurement of the record — the suite at `requests` per
+/// server, the stress point at `stress_servers` × `stress_requests` —
+/// carrying forward every trajectory row of `previous_json` (the old
+/// record's contents, when the caller has one) and upserting a fresh
+/// `restart_cost` row, so regeneration never drops trajectory history.
+/// Both regenerating subcommands (`farm_scaling`, `farm_stress`) build
+/// the complete record through this, so whichever one ran last leaves a
+/// consistent file.
 pub fn measure_record(
-    shape: &RecordShape,
+    requests: usize,
+    stress_servers: usize,
+    stress_requests: usize,
     previous_json: Option<&str>,
 ) -> Result<FarmRecord, String> {
-    eprintln!(
-        "running farm suite: 5 servers x 5 modes, {} requests/server ...",
-        shape.requests
-    );
-    let reports = farm_suite(shape.requests);
+    /// Boot- and restart-cost repetitions.
+    const COST_REPS: usize = 24;
+    /// Repetitions per scaling row and per stress row.
+    const FARM_REPS: usize = 3;
+    eprintln!("running farm suite: 5 servers x 5 modes, {requests} requests/server ...");
+    let reports = farm_suite(requests);
     eprintln!("running thread-scaling sweep (Pine, failure-oblivious) ...");
-    let scaling = thread_scaling(shape.requests, &shape.scaling_threads, shape.scaling_reps)?;
+    let scaling = thread_scaling(requests, &[1, 2, 4, 8], FARM_REPS)?;
     eprintln!("measuring boot cost (cold compile vs cached image) ...");
-    let boot = measure_boot_cost(shape.boot_reps);
+    let boot = measure_boot_cost(COST_REPS);
     eprintln!("measuring restart cost (checkpoint restore vs cold boot+replay) ...");
-    let restart = measure_restart_cost(shape.restart_reps);
-    let violation = measure_violation_throughput(shape.restart_reps.clamp(3, 8));
+    let (_, _, restart_row) = measure_restart_row(COST_REPS);
     eprintln!(
-        "running farm_stress: {} Apache servers x {} requests, oracle and shipped table ...",
-        shape.stress_servers, shape.stress_requests,
+        "running farm_stress: {stress_servers} Apache servers x {stress_requests} requests, \
+         oracle and shipped table ..."
     );
-    let stress = stress_sweep(
-        shape.stress_servers,
-        shape.stress_requests,
-        shape.stress_reps,
-    )?;
-    let mut restart_cost_runs = previous_json
-        .map(extract_restart_cost_rows)
-        .unwrap_or_default();
-    upsert_row(
-        &mut restart_cost_runs,
-        restart_cost_row_json(
-            &restart,
-            &violation,
-            &restart_cost_fingerprint(shape.restart_reps),
-        ),
-    );
+    let stress = stress_sweep(stress_servers, stress_requests, FARM_REPS)?;
+    let mut trajectories =
+        TRAJECTORIES.map(|key| previous_json.map_or(Vec::new(), |json| trajectory_rows(json, key)));
+    upsert_row(&mut trajectories[0], restart_row);
     Ok(FarmRecord {
         reports,
         scaling,
         boot,
         stress,
-        restart_cost_runs,
-        native_cost_runs: previous_json
-            .map(extract_native_cost_rows)
-            .unwrap_or_default(),
-        mem_cost_runs: previous_json.map(extract_mem_cost_rows).unwrap_or_default(),
-        conn_cost_runs: previous_json
-            .map(extract_conn_cost_rows)
-            .unwrap_or_default(),
-        mode_sweep_runs: previous_json
-            .map(extract_mode_sweep_rows)
-            .unwrap_or_default(),
+        trajectories,
     })
 }
 
 // ----------------------------------------------------------------------
-// Trajectory-row fingerprints: idempotent BENCH_farm.json appends.
+// Trajectory-row fingerprints: idempotent BENCH_farm.json upserts.
 // ----------------------------------------------------------------------
 
-/// Hashes an ordered list of identity parts into a 64-bit hex
-/// fingerprint. A trajectory row's fingerprint captures *what was
-/// measured* (bin schema version, compiled guest image identities,
-/// execution tier, measurement shape) and deliberately excludes the
-/// measured values themselves. Re-running an unchanged bin on an
-/// unchanged tree therefore reproduces the fingerprint, and the append
-/// helpers replace the matching row instead of growing the array —
-/// trajectory history survives real changes and dedupes reruns.
-fn fingerprint_of(parts: &[&str]) -> String {
+/// Hashes a schema tag and an ordered list of identity parts into a
+/// 64-bit hex fingerprint. A trajectory row's fingerprint captures
+/// *what was measured* (schema version, compiled guest image
+/// identities, execution tier, measurement shape) and deliberately
+/// excludes the measured values themselves. Re-running an unchanged
+/// subcommand on an unchanged tree therefore reproduces the
+/// fingerprint, and [`upsert_trajectory_row`] replaces the matching row
+/// instead of growing the array — trajectory history survives real
+/// changes and dedupes reruns.
+fn fingerprint<S: AsRef<str>>(tag: &str, parts: &[S]) -> String {
     use std::hash::Hasher;
     let mut h = foc_compiler::Fnv1a::new();
-    for p in parts {
+    for p in std::iter::once(tag).chain(parts.iter().map(AsRef::as_ref)) {
         h.write(p.as_bytes());
         // Separator byte so ["ab","c"] and ["a","bc"] differ.
         h.write(&[0x1f]);
@@ -755,13 +745,20 @@ fn fingerprint_of(parts: &[&str]) -> String {
     format!("{:016x}", h.finish())
 }
 
-/// Fingerprint for a `restart_cost` trajectory row: schema tag, the
-/// five standard server image identities at the measured (baseline)
-/// execution tier (any guest-source or lowering change reshapes them),
-/// the manufactured violation loop's baseline image, and the rep count.
+/// Fingerprint for a `restart_cost` trajectory row: the five standard
+/// server image identities at the gated pair's (baseline) execution
+/// tier (any guest-source or lowering change reshapes them), the
+/// manufactured violation loop's baseline image, the rep count, and
+/// the tier and table the Apache restore ran on — that one follows the
+/// session default, so a run under the oracle environment keeps its
+/// own row instead of replacing the shipped default's.
 pub fn restart_cost_fingerprint(reps: usize) -> String {
+    restart_cost_fingerprint_on(reps, &apache_restore_spec())
+}
+
+fn restart_cost_fingerprint_on(reps: usize, apache: &BootSpec) -> String {
     let tier = foc_compiler::ExecTier::Baseline;
-    let mut parts: Vec<String> = vec!["restart_cost/v3".to_string(), tier.label().to_string()];
+    let mut parts = vec![tier.label().to_string()];
     for kind in ServerKind::ALL {
         parts.push(kind.image_tier(tier).id().to_string());
     }
@@ -769,17 +766,17 @@ pub fn restart_cost_fingerprint(reps: usize) -> String {
         foc_compiler::compile_image(VIOLATION_LOOP_SOURCE).expect("violation loop builds");
     parts.push(violation.id().to_string());
     parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
+    parts.push(apache.tier.label().to_string());
+    parts.push(apache.table.name().to_string());
+    fingerprint("restart_cost/v4", &parts)
 }
 
-/// Fingerprint for a `mode_sweep` trajectory row: schema tag, sweep
-/// shape, execution tier, and the five server image identities the
-/// sweep interpreted.
+/// Fingerprint for a `mode_sweep` trajectory row: sweep shape,
+/// execution tier, and the five server image identities the sweep
+/// interpreted.
 pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> String {
     let tier = foc_compiler::ExecTier::from_env();
-    let mut parts: Vec<String> = vec![
-        "mode_sweep/v2".to_string(),
+    let mut parts = vec![
         tier.label().to_string(),
         cells.to_string(),
         inputs.to_string(),
@@ -788,35 +785,35 @@ pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> St
     for kind in ServerKind::ALL {
         parts.push(kind.image_tier(tier).id().to_string());
     }
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
+    fingerprint("mode_sweep/v2", &parts)
 }
 
-/// Fingerprint for a `native_cost` trajectory row: schema tag, the
-/// violation-free loop's image identity under every tier, loop length,
-/// rep count.
-pub fn native_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["native_cost/v2".to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
-        let image =
-            foc_compiler::compile_image_tier(NATIVE_LOOP_SOURCE, tier).expect("native loop builds");
-        parts.push(image.id().to_string());
-    }
-    parts.push(NATIVE_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
+/// Fingerprint for a `conn_cost` trajectory row: execution tier, the
+/// Apache image identity (the measured guest), the farm and
+/// connection-pool shape, the SLO multiplier, and the rep count.
+pub fn conn_cost_fingerprint(reps: usize) -> String {
+    let tier = foc_compiler::ExecTier::from_env();
+    let pool = SocketEdge::default();
+    fingerprint(
+        "conn_cost/v1",
+        &[
+            tier.label().to_string(),
+            ServerKind::Apache.image_tier(tier).id().to_string(),
+            CONN_COST_SERVERS.to_string(),
+            CONN_COST_REQUESTS.to_string(),
+            pool.connections.to_string(),
+            pool.backlog.to_string(),
+            CONN_SLO_K.to_string(),
+            reps.to_string(),
+        ],
+    )
 }
 
-/// Extracts the `"fingerprint"` value of a pre-rendered row, if it has
-/// one. Rows recorded before fingerprinting existed have none and are
-/// never matched (so they are always preserved).
+/// The fingerprint of a pre-rendered row, if it has one. Rows recorded
+/// before fingerprinting existed have none and are never matched (so
+/// they are always preserved).
 fn row_fingerprint(row: &str) -> Option<&str> {
-    let marker = "\"fingerprint\": \"";
-    let at = row.find(marker)? + marker.len();
-    let rest = &row[at..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
+    str_field(row, "fingerprint")
 }
 
 /// Replaces the row sharing `row`'s fingerprint in place, or appends
@@ -832,33 +829,63 @@ fn upsert_row(rows: &mut Vec<String>, row: String) {
 }
 
 // ----------------------------------------------------------------------
-// The mode_sweep cost trajectory.
+// The keyed trajectory table.
 // ----------------------------------------------------------------------
 
-/// Renders one `mode_sweep` wall-time row: how much the full-grid sweep
-/// itself cost, so the sweep's price is tracked over time next to the
-/// measurements it gates.
-pub fn mode_sweep_row_json(
-    cells: usize,
-    resumed: usize,
-    inputs: usize,
-    threads: usize,
-    wall_ms: f64,
-    fingerprint: &str,
-) -> String {
-    format!(
-        concat!(
-            "{{\"cells\": {}, \"resumed_cells\": {}, \"inputs\": {}, ",
-            "\"threads\": {}, \"wall_ms\": {:.1}, \"fingerprint\": \"{}\"}}"
-        ),
-        cells, resumed, inputs, threads, wall_ms, fingerprint
-    )
+/// The trajectory arrays of `BENCH_farm.json`, in file order. Each
+/// holds pre-rendered one-line row objects, one per recorded
+/// measurement, upserted by fingerprint; the regenerating subcommands
+/// (`farm_scaling`, `farm_stress`) carry all of them forward, so a
+/// trajectory never loses history.
+///
+/// * `restart_cost_runs` — checkpoint restore versus cold boot+replay
+///   plus the manufactured-loop violation throughput (`restart_cost`
+///   and every regeneration).
+/// * `native_cost_runs` — per-tier interpretation rate on the
+///   violation-free dispatch-bound loop; the native-over-baseline ratio
+///   is the AOT tier's headline (`native_cost`).
+/// * `mem_cost_runs` — the same on the guest copy loop, the
+///   memory-spanning block executor's gate (`native_cost`).
+/// * `conn_cost_runs` — the socket edge's transport overhead per
+///   scenario plus the connection-level SLO (`conn_cost`).
+/// * `mode_sweep_runs` — what each recorded full-grid sweep itself
+///   cost, tracked next to the measurements it gates (`mode_sweep`).
+pub const TRAJECTORIES: [&str; 5] = [
+    "restart_cost_runs",
+    "native_cost_runs",
+    "mem_cost_runs",
+    "conn_cost_runs",
+    "mode_sweep_runs",
+];
+
+/// `items` one per line behind `indent`, comma-separated: the body of a
+/// rendered JSON array.
+fn array_body(items: &[String], indent: &str) -> String {
+    let mut out = String::new();
+    for (i, item) in items.iter().enumerate() {
+        out.push_str(indent);
+        out.push_str(item);
+        if i + 1 < items.len() {
+            out.push(',');
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Renders the top-level trajectory array `key` holding `rows`.
+fn rows_section(key: &str, rows: &[String]) -> String {
+    if rows.is_empty() {
+        format!("  \"{key}\": [],\n")
+    } else {
+        format!("  \"{key}\": [\n{}  ],\n", array_body(rows, "    "))
+    }
 }
 
 /// Extracts the pre-rendered rows of the trajectory array named `key`
 /// from an existing `BENCH_farm.json` document (empty when the file
 /// predates the section or has none).
-fn extract_rows_section(json: &str, key: &str) -> Vec<String> {
+pub fn trajectory_rows(json: &str, key: &str) -> Vec<String> {
     let marker = format!("\"{key}\": [");
     let Some(start) = json.find(&marker) else {
         return Vec::new();
@@ -874,220 +901,142 @@ fn extract_rows_section(json: &str, key: &str) -> Vec<String> {
         .collect()
 }
 
-/// Rewrites the trajectory array named `key` in place with `rows`.
-/// Errors when the document has no such section.
-fn replace_rows_section(json: &str, key: &str, rows: &[String]) -> Result<String, String> {
+/// Returns `json` with `row` upserted into its trajectory array `key`,
+/// rewriting that section in place: a row carrying the same
+/// fingerprint is replaced, otherwise `row` is appended, so re-running
+/// an unchanged subcommand on an unchanged tree is idempotent. A record
+/// that predates the section gains one, inserted just before
+/// `mode_sweep_runs` (the oldest trajectory, which every record has),
+/// so a subcommand can record into an old file without a full
+/// regeneration.
+pub fn upsert_trajectory_row(json: &str, key: &str, row: &str) -> Result<String, String> {
     let marker = format!("\"{key}\": [");
     let Some(start) = json.find(&marker) else {
-        return Err(format!(
-            "BENCH_farm.json has no {key} section; regenerate it with farm_scaling"
-        ));
+        let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
+            return Err(format!(
+                "BENCH_farm.json has no mode_sweep_runs section (where {key} rows go, or go \
+                 before); regenerate it with farm_scaling"
+            ));
+        };
+        let section = rows_section(key, &[row.to_string()]);
+        return Ok(format!("{}{}{}", &json[..at], section, &json[at..]));
     };
     let body_at = start + marker.len();
     let Some(end) = json[body_at..].find(']') else {
         return Err(format!("BENCH_farm.json {key} section is unterminated"));
     };
-    let mut section = String::from("\n");
-    for (i, r) in rows.iter().enumerate() {
-        section.push_str("    ");
-        section.push_str(r);
-        if i + 1 < rows.len() {
-            section.push(',');
-        }
-        section.push('\n');
-    }
-    section.push_str("  ");
+    let mut rows = trajectory_rows(json, key);
+    upsert_row(&mut rows, row.to_string());
     Ok(format!(
-        "{}{}{}",
+        "{}\n{}  {}",
         &json[..body_at],
-        section,
+        array_body(&rows, "    "),
         &json[body_at + end..]
     ))
 }
 
-/// Extracts the pre-rendered `mode_sweep_runs` rows from an existing
-/// `BENCH_farm.json` document (empty when the file predates the
-/// section or has none).
-pub fn extract_mode_sweep_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "mode_sweep_runs")
-}
-
-/// Returns `json` with `row` upserted into its `mode_sweep_runs` array
-/// (rewriting the section in place): a row carrying the same
-/// fingerprint is replaced, otherwise `row` is appended, so re-running
-/// the unchanged bin is idempotent. Errors when the document has no
-/// such section — regenerate the record with `farm_scaling` first.
-pub fn append_mode_sweep_row(json: &str, row: &str) -> Result<String, String> {
-    let mut rows = extract_mode_sweep_rows(json);
-    upsert_row(&mut rows, row.to_string());
-    replace_rows_section(json, "mode_sweep_runs", &rows)
-}
-
 // ----------------------------------------------------------------------
-// The restart_cost trajectory.
+// The trajectory rows.
 // ----------------------------------------------------------------------
 
-/// Renders one `restart_cost` trajectory row: the checkpoint-restore
-/// versus cold boot+replay split plus the manufactured-loop violation
-/// throughput measured alongside it.
+/// Renders `{"key": value, …}` on one line from pre-rendered values.
+fn object(fields: &[(&str, String)]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+/// `v` to `digits` decimal places.
+fn fixed(v: f64, digits: usize) -> String {
+    format!("{v:.digits$}")
+}
+
+/// `s` as a JSON string.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+}
+
+/// Renders one `mode_sweep` wall-time row: how much the full-grid sweep
+/// itself cost, so the sweep's price is tracked over time next to the
+/// measurements it gates.
+pub fn mode_sweep_row_json(
+    cells: usize,
+    resumed: usize,
+    inputs: usize,
+    threads: usize,
+    wall_ms: f64,
+    fingerprint: &str,
+) -> String {
+    object(&[
+        ("cells", cells.to_string()),
+        ("resumed_cells", resumed.to_string()),
+        ("inputs", inputs.to_string()),
+        ("threads", threads.to_string()),
+        ("wall_ms", fixed(wall_ms, 1)),
+        ("fingerprint", quoted(fingerprint)),
+    ])
+}
+
+/// One full `restart_cost` measurement — `reps` per flavour, the
+/// violation throughput on a capped share of them — and the trajectory
+/// row it renders to: the checkpoint-restore versus cold boot+replay
+/// split plus the manufactured-loop violation throughput measured
+/// alongside it.
+pub fn measure_restart_row(reps: usize) -> (RestartCost, ViolationThroughput, String) {
+    let restart = measure_restart_cost(reps);
+    let violation = measure_violation_throughput(reps.clamp(3, 8));
+    let row = restart_cost_row_json(&restart, &violation, &restart_cost_fingerprint(reps));
+    (restart, violation, row)
+}
+
+/// Renders one `restart_cost` trajectory row.
 pub fn restart_cost_row_json(
     restart: &RestartCost,
     violation: &ViolationThroughput,
     fingerprint: &str,
 ) -> String {
-    format!(
-        concat!(
-            "{{\"cold_boot_replay_ns\": {:.0}, \"cold_ci95_ns\": {:.0}, ",
-            "\"checkpoint_restore_ns\": {:.0}, \"restore_ci95_ns\": {:.0}, ",
-            "\"checkpoint_bytes\": {}, ",
-            "\"apache_restore_ns\": {:.0}, \"apache_restore_ci95_ns\": {:.0}, ",
-            "\"apache_checkpoint_bytes\": {}, ",
-            "\"speedup\": {:.1}, \"reps\": {}, ",
-            "\"violation_minstr_per_s\": {:.1}, \"violation_minstr_ci95\": {:.1}, ",
-            "\"violation_instrs\": {}, \"fingerprint\": \"{}\"}}"
+    object(&[
+        ("cold_boot_replay_ns", fixed(restart.cold_ns, 0)),
+        ("cold_ci95_ns", fixed(restart.cold_ci95_ns, 0)),
+        ("checkpoint_restore_ns", fixed(restart.restore_ns, 0)),
+        ("restore_ci95_ns", fixed(restart.restore_ci95_ns, 0)),
+        ("checkpoint_bytes", restart.checkpoint_bytes.to_string()),
+        ("apache_restore_ns", fixed(restart.apache_restore_ns, 0)),
+        (
+            "apache_restore_ci95_ns",
+            fixed(restart.apache_restore_ci95_ns, 0),
         ),
-        restart.cold_ns,
-        restart.cold_ci95_ns,
-        restart.restore_ns,
-        restart.restore_ci95_ns,
-        restart.checkpoint_bytes,
-        restart.apache_restore_ns,
-        restart.apache_restore_ci95_ns,
-        restart.apache_checkpoint_bytes,
-        restart.speedup(),
-        restart.reps,
-        violation.minstr_per_s,
-        violation.minstr_ci95,
-        violation.instrs,
-        fingerprint,
-    )
+        (
+            "apache_checkpoint_bytes",
+            restart.apache_checkpoint_bytes.to_string(),
+        ),
+        ("speedup", fixed(restart.speedup(), 1)),
+        ("reps", restart.reps.to_string()),
+        ("violation_minstr_per_s", fixed(violation.minstr_per_s, 1)),
+        ("violation_minstr_ci95", fixed(violation.minstr_ci95, 1)),
+        ("violation_instrs", violation.instrs.to_string()),
+        ("fingerprint", quoted(fingerprint)),
+    ])
 }
-
-/// Extracts the `restart_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_restart_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "restart_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `restart_cost_runs`
-/// array (same-fingerprint rows are replaced in place, so an unchanged
-/// bin rerun is idempotent). A record that predates the section
-/// (rendered before the checkpoint layer existed) gains one, inserted
-/// just before `mode_sweep_runs`, so the `restart_cost` bin can record
-/// into an old file without a full regeneration.
-pub fn append_restart_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"restart_cost_runs\": [") {
-        let mut rows = extract_restart_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "restart_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor restart_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"restart_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The native_cost trajectory.
-// ----------------------------------------------------------------------
 
 /// Renders one `native_cost` or `mem_cost` trajectory row: the loop's
 /// interpretation rate under both tiers and their ratio.
 pub fn native_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"baseline_minstr_per_s\": {:.1}, \"baseline_minstr_ci95\": {:.1}, ",
-            "\"native_minstr_per_s\": {:.1}, \"native_minstr_ci95\": {:.1}, ",
-            "\"speedup\": {:.2}, \"instrs\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
+    object(&[
+        (
+            "baseline_minstr_per_s",
+            fixed(cost.baseline.minstr_per_s, 1),
         ),
-        cost.baseline.minstr_per_s,
-        cost.baseline.minstr_ci95,
-        cost.native.minstr_per_s,
-        cost.native.minstr_ci95,
-        cost.speedup(),
-        cost.native.instrs,
-        cost.reps,
-        fingerprint,
-    )
-}
-
-/// Extracts the `native_cost_runs` rows from an existing record
-/// (empty when the record predates the section).
-pub fn extract_native_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "native_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `native_cost_runs`
-/// array. A record that predates the section gains one, inserted just
-/// before `mode_sweep_runs`.
-pub fn append_native_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"native_cost_runs\": [") {
-        let mut rows = extract_native_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "native_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor native_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"native_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-// ----------------------------------------------------------------------
-// The mem_cost trajectory.
-// ----------------------------------------------------------------------
-
-/// Fingerprint for a `mem_cost` trajectory row: schema tag, the guest
-/// copy loop's image identity under every tier (a lowering change that
-/// reshapes block grouping or access fusion re-measures), loop length,
-/// rep count.
-pub fn mem_cost_fingerprint(reps: usize) -> String {
-    let mut parts: Vec<String> = vec!["mem_cost/v2".to_string()];
-    for tier in foc_compiler::ExecTier::ALL {
-        let image =
-            foc_compiler::compile_image_tier(MEM_LOOP_SOURCE, tier).expect("mem loop builds");
-        parts.push(image.id().to_string());
-    }
-    parts.push(MEM_LOOP_ITERS.to_string());
-    parts.push(reps.to_string());
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
-}
-
-/// Extracts the `mem_cost_runs` rows from an existing record (empty
-/// when the record predates the section).
-pub fn extract_mem_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "mem_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `mem_cost_runs` array.
-/// A record that predates the section gains one, inserted just before
-/// `mode_sweep_runs`.
-pub fn append_mem_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"mem_cost_runs\": [") {
-        let mut rows = extract_mem_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "mem_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor mem_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"mem_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
+        ("baseline_minstr_ci95", fixed(cost.baseline.minstr_ci95, 1)),
+        ("native_minstr_per_s", fixed(cost.native.minstr_per_s, 1)),
+        ("native_minstr_ci95", fixed(cost.native.minstr_ci95, 1)),
+        ("speedup", fixed(cost.speedup(), 2)),
+        ("instrs", cost.native.instrs.to_string()),
+        ("reps", cost.native.reps.to_string()),
+        ("fingerprint", quoted(fingerprint)),
+    ])
 }
 
 // ----------------------------------------------------------------------
@@ -1119,32 +1068,21 @@ pub const CONN_SMOKE_BACKLOG: usize = 8;
 /// request volume).
 pub const CONN_SMOKE_REQUESTS: usize = 6;
 
-/// One edge's wall-time measurement on the conn_cost farm.
-#[derive(Debug, Clone, Copy)]
-pub struct ConnEdgeRate {
-    /// Robust mean host wall time per run, milliseconds.
-    pub wall_ms: f64,
-    /// Half-width of the 95% confidence interval on `wall_ms`.
-    pub wall_ms_ci95: f64,
-    /// Completed requests per host second at the mean wall time.
-    pub host_rps: f64,
-}
-
 /// The connection edge's cost surface: the same farm timed over the
 /// in-process path, the clean socket edge, and the two adversarial
 /// transports, plus the run's connection-level SLO. All four runs are
-/// asserted to produce the *same* [`FarmReport`], so the wall-time
+/// checked to produce the *same* [`FarmReport`], so the wall-time
 /// spread is attributable to transport alone.
 #[derive(Debug, Clone)]
 pub struct ConnCost {
     /// The historical direct-application path.
-    pub in_process: ConnEdgeRate,
+    pub in_process: WallRate,
     /// Clean whole-frame socket transport.
-    pub socket: ConnEdgeRate,
+    pub socket: WallRate,
     /// 3-byte slow-loris drip.
-    pub slow_loris: ConnEdgeRate,
+    pub slow_loris: WallRate,
     /// Mid-frame disconnect + retransmit every 3rd request.
-    pub disconnect: ConnEdgeRate,
+    pub disconnect: WallRate,
     /// Basis points of completed requests within [`CONN_SLO_K`]× the
     /// median service latency (edge-invariant, like everything else in
     /// the report).
@@ -1153,8 +1091,6 @@ pub struct ConnCost {
     pub servers: usize,
     /// Requests per server.
     pub requests: usize,
-    /// Repetitions per edge.
-    pub reps: usize,
 }
 
 impl ConnCost {
@@ -1163,16 +1099,6 @@ impl ConnCost {
     pub fn socket_overhead(&self) -> f64 {
         self.socket.wall_ms / self.in_process.wall_ms
     }
-}
-
-/// The conn_cost farm: Apache under the failure-oblivious policy with
-/// the standard attack mix — the highest-request-rate server, so the
-/// per-request transport overhead is the dominant term being measured.
-fn conn_cost_config(edge: Edge) -> FarmConfig {
-    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious).with_edge(edge);
-    config.servers = CONN_COST_SERVERS;
-    config.requests_per_server = CONN_COST_REQUESTS;
-    config
 }
 
 /// The four measured edges, label order fixed by the row schema.
@@ -1191,39 +1117,19 @@ fn conn_cost_edges() -> [Edge; 4] {
     ]
 }
 
-/// Measures [`ConnCost`]: `reps` timed farm runs per edge, asserting
-/// every edge's report equal to the in-process reference — the bench
+/// Measures [`ConnCost`]: `reps` timed farm runs per edge, every
+/// edge's report checked equal to the in-process reference — the bench
 /// doubles as an equivalence check on the exact traffic it times.
-pub fn measure_conn_cost(reps: usize) -> ConnCost {
-    let reps = reps.max(1);
-    let requests_total = (CONN_COST_SERVERS * CONN_COST_REQUESTS) as f64;
-    let mut reference: Option<FarmReport> = None;
+pub fn measure_conn_cost(reps: usize) -> Result<ConnCost, String> {
+    let mut reference = None;
     let mut rates = Vec::with_capacity(4);
     for edge in conn_cost_edges() {
-        let config = conn_cost_config(edge.clone());
-        let mut walls = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let report = run_farm(&config);
-            walls.push(report.host_wall_ms);
-            match &reference {
-                None => reference = Some(report),
-                Some(reference) => assert_eq!(
-                    *reference,
-                    report,
-                    "{} must reproduce the in-process report",
-                    edge.label()
-                ),
-            }
-        }
-        let r = robust_summary(&walls);
-        rates.push(ConnEdgeRate {
-            wall_ms: r.mean,
-            wall_ms_ci95: r.ci95,
-            host_rps: requests_total / (r.mean / 1e3),
-        });
+        let what = format!("{} must reproduce the in-process report", edge.label());
+        let config = apache_farm(CONN_COST_SERVERS, CONN_COST_REQUESTS).with_edge(edge);
+        rates.push(timed_farm(&config, reps, &mut reference, &what)?.0);
     }
     let reference = reference.expect("at least one run");
-    ConnCost {
+    Ok(ConnCost {
         in_process: rates[0],
         socket: rates[1],
         slow_loris: rates[2],
@@ -1231,8 +1137,7 @@ pub fn measure_conn_cost(reps: usize) -> ConnCost {
         slo_within_bp: slo_within_basis_points(&reference.stats.service_hist, CONN_SLO_K),
         servers: CONN_COST_SERVERS,
         requests: CONN_COST_REQUESTS,
-        reps,
-    }
+    })
 }
 
 /// Runs the 100k-connection smoke farm once over the flooded socket
@@ -1245,94 +1150,36 @@ pub fn conn_cost_smoke() -> (FarmReport, u64) {
         flood: CONN_SMOKE_FLOOD,
         scenario: Scenario::Clean,
     });
-    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious).with_edge(edge);
-    config.servers = CONN_SMOKE_SERVERS;
-    config.requests_per_server = CONN_SMOKE_REQUESTS;
+    let config = apache_farm(CONN_SMOKE_SERVERS, CONN_SMOKE_REQUESTS).with_edge(edge);
     let connections = (CONN_SMOKE_SERVERS * (CONN_SMOKE_POOL + CONN_SMOKE_FLOOD)) as u64;
     (run_farm(&config), connections)
-}
-
-/// Fingerprint for a `conn_cost` trajectory row: schema tag, execution
-/// tier, the Apache image identity (the measured guest), the farm and
-/// connection-pool shape, the SLO multiplier, and the rep count.
-pub fn conn_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
-    let pool = SocketEdge::default();
-    let parts: Vec<String> = vec![
-        "conn_cost/v1".to_string(),
-        tier.label().to_string(),
-        ServerKind::Apache.image_tier(tier).id().to_string(),
-        CONN_COST_SERVERS.to_string(),
-        CONN_COST_REQUESTS.to_string(),
-        pool.connections.to_string(),
-        pool.backlog.to_string(),
-        CONN_SLO_K.to_string(),
-        reps.to_string(),
-    ];
-    let refs: Vec<&str> = parts.iter().map(|s| s.as_str()).collect();
-    fingerprint_of(&refs)
 }
 
 /// Renders one `conn_cost` trajectory row: wall time per edge, the
 /// socket-over-in-process overhead ratio, and the connection-level SLO.
 pub fn conn_cost_row_json(cost: &ConnCost, fingerprint: &str) -> String {
-    format!(
-        concat!(
-            "{{\"in_process_wall_ms\": {:.2}, \"in_process_ci95\": {:.2}, ",
-            "\"socket_wall_ms\": {:.2}, \"socket_ci95\": {:.2}, ",
-            "\"slow_loris_wall_ms\": {:.2}, \"slow_loris_ci95\": {:.2}, ",
-            "\"disconnect_wall_ms\": {:.2}, \"disconnect_ci95\": {:.2}, ",
-            "\"socket_overhead\": {:.2}, \"slo_within_{}x_median_bp\": {}, ",
-            "\"servers\": {}, \"requests_per_server\": {}, \"reps\": {}, ",
-            "\"fingerprint\": \"{}\"}}"
-        ),
-        cost.in_process.wall_ms,
-        cost.in_process.wall_ms_ci95,
-        cost.socket.wall_ms,
-        cost.socket.wall_ms_ci95,
-        cost.slow_loris.wall_ms,
-        cost.slow_loris.wall_ms_ci95,
-        cost.disconnect.wall_ms,
-        cost.disconnect.wall_ms_ci95,
-        cost.socket_overhead(),
-        CONN_SLO_K,
-        cost.slo_within_bp,
-        cost.servers,
-        cost.requests,
-        cost.reps,
-        fingerprint,
-    )
+    let slo_key = format!("slo_within_{CONN_SLO_K}x_median_bp");
+    object(&[
+        ("in_process_wall_ms", fixed(cost.in_process.wall_ms, 2)),
+        ("in_process_ci95", fixed(cost.in_process.wall_ms_ci95, 2)),
+        ("socket_wall_ms", fixed(cost.socket.wall_ms, 2)),
+        ("socket_ci95", fixed(cost.socket.wall_ms_ci95, 2)),
+        ("slow_loris_wall_ms", fixed(cost.slow_loris.wall_ms, 2)),
+        ("slow_loris_ci95", fixed(cost.slow_loris.wall_ms_ci95, 2)),
+        ("disconnect_wall_ms", fixed(cost.disconnect.wall_ms, 2)),
+        ("disconnect_ci95", fixed(cost.disconnect.wall_ms_ci95, 2)),
+        ("socket_overhead", fixed(cost.socket_overhead(), 2)),
+        (slo_key.as_str(), cost.slo_within_bp.to_string()),
+        ("servers", cost.servers.to_string()),
+        ("requests_per_server", cost.requests.to_string()),
+        ("reps", cost.in_process.reps.to_string()),
+        ("fingerprint", quoted(fingerprint)),
+    ])
 }
 
-/// Extracts the `conn_cost_runs` rows from an existing record (empty
-/// when the record predates the section).
-pub fn extract_conn_cost_rows(json: &str) -> Vec<String> {
-    extract_rows_section(json, "conn_cost_runs")
-}
-
-/// Returns `json` with `row` upserted into its `conn_cost_runs` array.
-/// A record that predates the section gains one, inserted just before
-/// `mode_sweep_runs`.
-pub fn append_conn_cost_row(json: &str, row: &str) -> Result<String, String> {
-    if json.contains("\"conn_cost_runs\": [") {
-        let mut rows = extract_conn_cost_rows(json);
-        upsert_row(&mut rows, row.to_string());
-        return replace_rows_section(json, "conn_cost_runs", &rows);
-    }
-    let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-        return Err(
-            "BENCH_farm.json has no mode_sweep_runs section to anchor conn_cost_runs; \
-             regenerate it with farm_scaling"
-                .to_string(),
-        );
-    };
-    let section = format!("  \"conn_cost_runs\": [\n    {row}\n  ],\n");
-    Ok(format!("{}{}{}", &json[..at], section, &json[at..]))
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
+// ----------------------------------------------------------------------
+// The measured sections.
+// ----------------------------------------------------------------------
 
 fn hist_json(h: &LatencyHist) -> String {
     let pairs: Vec<String> = h
@@ -1345,467 +1192,285 @@ fn hist_json(h: &LatencyHist) -> String {
 
 fn report_json(r: &FarmReport) -> String {
     let s = &r.stats;
-    format!(
-        concat!(
-            "    {{\"server\": \"{}\", \"mode\": \"{}\", \"servers\": {}, ",
-            "\"requests\": {}, \"completed\": {}, \"dropped\": {}, \"attacks\": {}, ",
-            "\"deaths\": {}, \"restarts\": {}, \"servers_down\": {}, ",
-            "\"total_cycles\": {}, \"service_cycles\": {}, \"restart_cycles\": {}, ",
-            "\"survival_rate\": {:.4}, ",
-            "\"throughput_per_mcycle\": {:.4}, \"latency_p50\": {}, ",
-            "\"latency_p90\": {}, \"latency_p99\": {}, \"latency_p999\": {}, ",
-            "\"latency_max\": {}, ",
-            "\"tail_service_cycles\": {}, \"tail_restart_cycles\": {}, ",
-            "\"host_wall_ms\": {:.2}}}"
-        ),
-        json_escape(r.config.kind.name()),
-        json_escape(r.config.mode.name()),
-        r.config.servers,
-        s.requests,
-        s.completed,
-        s.dropped,
-        s.attacks,
-        s.deaths,
-        s.restarts,
-        s.servers_down,
-        s.total_cycles,
-        s.service_cycles(),
-        s.restart_cycles,
-        s.survival_rate(),
-        s.throughput_per_mcycle(),
-        s.latency_p50,
-        s.latency_p90,
-        s.latency_p99,
-        s.latency_p999,
-        s.latency_max,
-        s.tail_service_cycles,
-        s.tail_restart_cycles,
-        r.host_wall_ms,
-    )
+    object(&[
+        ("server", quoted(r.config.kind.name())),
+        ("mode", quoted(r.config.mode.name())),
+        ("servers", r.config.servers.to_string()),
+        ("requests", s.requests.to_string()),
+        ("completed", s.completed.to_string()),
+        ("dropped", s.dropped.to_string()),
+        ("attacks", s.attacks.to_string()),
+        ("deaths", s.deaths.to_string()),
+        ("restarts", s.restarts.to_string()),
+        ("servers_down", s.servers_down.to_string()),
+        ("total_cycles", s.total_cycles.to_string()),
+        ("service_cycles", s.service_cycles().to_string()),
+        ("restart_cycles", s.restart_cycles.to_string()),
+        ("survival_rate", fixed(s.survival_rate(), 4)),
+        ("throughput_per_mcycle", fixed(s.throughput_per_mcycle(), 4)),
+        ("latency_p50", s.latency_p50.to_string()),
+        ("latency_p90", s.latency_p90.to_string()),
+        ("latency_p99", s.latency_p99.to_string()),
+        ("latency_p999", s.latency_p999.to_string()),
+        ("latency_max", s.latency_max.to_string()),
+        ("tail_service_cycles", s.tail_service_cycles.to_string()),
+        ("tail_restart_cycles", s.tail_restart_cycles.to_string()),
+        ("host_wall_ms", fixed(r.host_wall_ms, 2)),
+    ])
+}
+
+fn scaling_row_json(row: &ScalingRow) -> String {
+    object(&[
+        ("threads", row.threads.to_string()),
+        ("host_wall_ms", fixed(row.rate.wall_ms, 2)),
+        ("host_wall_ms_ci95", fixed(row.rate.wall_ms_ci95, 2)),
+        ("host_rps", fixed(row.rate.host_rps, 1)),
+        ("reps", row.rate.reps.to_string()),
+    ])
+}
+
+fn boot_cost_json(boot: &BootCost) -> String {
+    object(&[
+        ("cold_compile_boot_ns", fixed(boot.cold_ns, 0)),
+        ("cold_ci95_ns", fixed(boot.cold_ci95_ns, 0)),
+        ("cached_image_boot_ns", fixed(boot.cached_ns, 0)),
+        ("cached_ci95_ns", fixed(boot.cached_ci95_ns, 0)),
+        ("speedup", fixed(boot.speedup(), 1)),
+        ("reps", boot.reps.to_string()),
+    ])
 }
 
 fn stress_row_json(row: &StressRow) -> String {
     let s = &row.report.stats;
-    format!(
-        concat!(
-            "      {{\"backend\": \"{}\", \"wall_ms\": {:.2}, ",
-            "\"wall_ms_ci95\": {:.2}, \"host_rps\": {:.1}, \"reps\": {}, ",
-            "\"completed\": {}, \"total_cycles\": {}, ",
-            "\"latency_p50\": {}, \"latency_p99\": {}, \"latency_p999\": {}, ",
-            "\"tail_service_cycles\": {}, \"tail_restart_cycles\": {}, ",
-            "\"service_hist\": {}, \"restart_hist\": {}}}"
-        ),
-        row.backend.name(),
-        row.wall_ms,
-        row.wall_ms_ci95,
-        row.host_rps,
-        row.reps,
-        s.completed,
-        s.total_cycles,
-        s.latency_p50,
-        s.latency_p99,
-        s.latency_p999,
-        s.tail_service_cycles,
-        s.tail_restart_cycles,
-        hist_json(&s.service_hist),
-        hist_json(&s.restart_hist),
-    )
-}
-
-/// Renders the whole benchmark record. (One positional argument per
-/// top-level record section, in file order — a parameter struct would
-/// just restate the same list.)
-#[allow(clippy::too_many_arguments)]
-pub fn render_farm_json(
-    reports: &[FarmReport],
-    scaling: &[ScalingRow],
-    boot: &BootCost,
-    stress: &[StressRow],
-    restart_cost_runs: &[String],
-    native_cost_runs: &[String],
-    mem_cost_runs: &[String],
-    conn_cost_runs: &[String],
-    mode_sweep_runs: &[String],
-) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"farm\",\n  \"reports\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str(&report_json(r));
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("  ],\n  \"thread_scaling\": [\n");
-    for (i, row) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\"threads\": {}, \"host_wall_ms\": {:.2}, ",
-                "\"host_wall_ms_ci95\": {:.2}, \"host_rps\": {:.1}, \"reps\": {}}}"
-            ),
-            row.threads, row.wall_ms, row.wall_ms_ci95, row.host_rps, row.reps
-        ));
-        if i + 1 < scaling.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        concat!(
-            "  ],\n  \"boot_cost\": {{\"cold_compile_boot_ns\": {:.0}, ",
-            "\"cold_ci95_ns\": {:.0}, \"cached_image_boot_ns\": {:.0}, ",
-            "\"cached_ci95_ns\": {:.0}, \"speedup\": {:.1}, \"reps\": {}}},\n"
-        ),
-        boot.cold_ns,
-        boot.cold_ci95_ns,
-        boot.cached_ns,
-        boot.cached_ci95_ns,
-        boot.speedup(),
-        boot.reps,
-    ));
-    // The restart-cost trajectory: checkpoint-restore vs cold
-    // boot+replay plus the manufactured-loop violation throughput, one
-    // row per recorded measurement (regeneration appends, never drops).
-    if restart_cost_runs.is_empty() {
-        out.push_str("  \"restart_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"restart_cost_runs\": [\n");
-        for (i, row) in restart_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < restart_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The native_cost trajectory: per-tier interpretation rate on the
-    // violation-free dispatch-bound loop, one row per recorded
-    // measurement (the native_cost bin upserts by fingerprint).
-    if native_cost_runs.is_empty() {
-        out.push_str("  \"native_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"native_cost_runs\": [\n");
-        for (i, row) in native_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < native_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The mem_cost trajectory: per-tier interpretation rate on the
-    // guest copy loop — the memory-spanning block executor's gate —
-    // one row per recorded measurement (the native_cost bin upserts by
-    // fingerprint).
-    if mem_cost_runs.is_empty() {
-        out.push_str("  \"mem_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"mem_cost_runs\": [\n");
-        for (i, row) in mem_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < mem_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The conn_cost trajectory: the socket edge's transport overhead
-    // per scenario plus the connection-level SLO, one row per recorded
-    // measurement (the conn_cost bin upserts by fingerprint).
-    if conn_cost_runs.is_empty() {
-        out.push_str("  \"conn_cost_runs\": [],\n");
-    } else {
-        out.push_str("  \"conn_cost_runs\": [\n");
-        for (i, row) in conn_cost_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < conn_cost_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The mode_sweep cost trajectory: one row per recorded full-grid
-    // sweep, appended by the mode_sweep bin and carried forward by the
-    // regenerating bins.
-    if mode_sweep_runs.is_empty() {
-        out.push_str("  \"mode_sweep_runs\": [],\n");
-    } else {
-        out.push_str("  \"mode_sweep_runs\": [\n");
-        for (i, row) in mode_sweep_runs.iter().enumerate() {
-            out.push_str("    ");
-            out.push_str(row);
-            if i + 1 < mode_sweep_runs.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ],\n");
-    }
-    // The scale-out stress point: one row per object table.
-    if let Some(first) = stress.first() {
-        let c = &first.report.config;
-        out.push_str(&format!(
-            concat!(
-                "  \"farm_stress\": {{\"server\": \"{}\", \"mode\": \"{}\", ",
-                "\"servers\": {}, \"requests_per_server\": {},\n    \"rows\": [\n"
-            ),
-            json_escape(c.kind.name()),
-            json_escape(c.mode.name()),
-            c.servers,
-            c.requests_per_server,
-        ));
-        for (i, row) in stress.iter().enumerate() {
-            out.push_str(&stress_row_json(row));
-            if i + 1 < stress.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("    ]\n  }\n");
-    } else {
-        out.push_str("  \"farm_stress\": {\n    \"rows\": []\n  }\n");
-    }
-    out.push_str("}\n");
-    out
+    object(&[
+        ("backend", quoted(row.backend.name())),
+        ("wall_ms", fixed(row.rate.wall_ms, 2)),
+        ("wall_ms_ci95", fixed(row.rate.wall_ms_ci95, 2)),
+        ("host_rps", fixed(row.rate.host_rps, 1)),
+        ("reps", row.rate.reps.to_string()),
+        ("completed", s.completed.to_string()),
+        ("total_cycles", s.total_cycles.to_string()),
+        ("latency_p50", s.latency_p50.to_string()),
+        ("latency_p99", s.latency_p99.to_string()),
+        ("latency_p999", s.latency_p999.to_string()),
+        ("tail_service_cycles", s.tail_service_cycles.to_string()),
+        ("tail_restart_cycles", s.tail_restart_cycles.to_string()),
+        ("service_hist", hist_json(&s.service_hist)),
+        ("restart_hist", hist_json(&s.restart_hist)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_renders_and_balances() {
+    /// A freshly measured (one rep) row of trajectory `key`.
+    fn fresh_row(key: &str) -> String {
+        let tier_loop = TIER_LOOPS.iter().find(|l| l.key == key);
+        match (key, tier_loop) {
+            (_, Some(l)) => native_cost_row_json(&l.measure(1), &l.fingerprint(1)),
+            ("restart_cost_runs", _) => measure_restart_row(1).2,
+            ("conn_cost_runs", _) => conn_cost_row_json(
+                &measure_conn_cost(1).expect("edges agree"),
+                &conn_cost_fingerprint(1),
+            ),
+            ("mode_sweep_runs", _) => {
+                mode_sweep_row_json(100, 0, 17, 4, 1234.5, &mode_sweep_fingerprint(100, 17, 4))
+            }
+            _ => panic!("no row for {key}"),
+        }
+    }
+
+    /// `row` under the fingerprint `fp`.
+    fn refingerprinted(row: &str, fp: &str) -> String {
+        row.replace(row_fingerprint(row).expect("fingerprinted"), fp)
+    }
+
+    /// A small measured record with one fresh row in every trajectory.
+    fn sample_record() -> FarmRecord {
         let mut config = suite_config(ServerKind::Apache, Mode::FailureOblivious, 5);
         config.servers = 2;
         config.threads = 2;
-        let reports = vec![run_farm(&config)];
-        let scaling = vec![
-            ScalingRow {
-                threads: 1,
-                wall_ms: 10.0,
-                wall_ms_ci95: 0.5,
-                host_rps: 100.0,
-                reps: 3,
-            },
-            ScalingRow {
-                threads: 2,
-                wall_ms: 5.0,
-                wall_ms_ci95: 0.25,
-                host_rps: 200.0,
-                reps: 3,
-            },
-        ];
-        let boot = BootCost {
-            cold_ns: 1_000_000.0,
-            cold_ci95_ns: 1000.0,
-            cached_ns: 50_000.0,
-            cached_ci95_ns: 500.0,
-            reps: 10,
+        FarmRecord {
+            reports: vec![run_farm(&config)],
+            scaling: thread_scaling(2, &[1, 2], 1).expect("determinism"),
+            boot: measure_boot_cost(2),
+            stress: stress_sweep(3, 3, 1).expect("contract"),
+            trajectories: TRAJECTORIES.map(|key| vec![fresh_row(key)]),
+        }
+    }
+
+    fn committed_record() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_farm.json");
+        std::fs::read_to_string(path).expect("committed BENCH_farm.json")
+    }
+
+    fn balanced(json: &str) -> bool {
+        json.matches('{').count() == json.matches('}').count()
+            && json.matches('[').count() == json.matches(']').count()
+    }
+
+    /// `json` with its fingerprints dropped and every number reduced to
+    /// `#` plus a `0` per decimal place: keys, order, punctuation and
+    /// precision — a schema.
+    fn shape(json: &str) -> String {
+        let mut out = String::new();
+        let mut decimals = false;
+        for c in json.chars() {
+            if !c.is_ascii_digit() {
+                decimals = c == '.' && out.ends_with('#');
+                out.push(c);
+            } else if decimals {
+                out.push('0');
+            } else if !out.ends_with('#') {
+                out.push('#');
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn json_renders_and_balances() {
+        let record = sample_record();
+        let json = record.render();
+        assert!(balanced(&json), "balanced braces:\n{json}");
+        // The measured sections keep the committed record's schema:
+        // same keys in the same order at the same precision. (The
+        // histograms are data: a smaller farm fills fewer buckets.)
+        let committed = committed_record();
+        let line = |json: &str, needle: &str| {
+            let line = json.lines().find(|l| l.contains(needle));
+            let line = line.unwrap_or_else(|| panic!("no {needle} line"));
+            let head = line.split(", \"service_hist").next().expect("a head");
+            shape(head.trim_end_matches(','))
         };
-        let stress = stress_sweep(3, 3, 1).expect("contract");
-        let restart = RestartCost {
-            cold_ns: 500_000.0,
-            cold_ci95_ns: 2_000.0,
-            restore_ns: 50_000.0,
-            restore_ci95_ns: 500.0,
-            checkpoint_bytes: 192_512,
-            apache_restore_ns: 2_000.0,
-            apache_restore_ci95_ns: 50.0,
-            apache_checkpoint_bytes: 24_576,
-            reps: 8,
-        };
-        let violation = ViolationThroughput {
-            minstr_per_s: 30.0,
-            minstr_ci95: 1.0,
-            instrs: 1_000_000,
-            reps: 3,
-        };
-        let restart_rows = vec![restart_cost_row_json(&restart, &violation, "fp-restart-1")];
-        let native_cost = NativeCost {
-            baseline: violation,
-            native: ViolationThroughput {
-                minstr_per_s: 150.0,
-                minstr_ci95: 3.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let native_rows = vec![native_cost_row_json(&native_cost, "fp-native-1")];
-        let mem_cost = NativeCost {
-            baseline: violation,
-            native: ViolationThroughput {
-                minstr_per_s: 120.0,
-                minstr_ci95: 3.0,
-                instrs: 1_000_000,
-                reps: 3,
-            },
-            reps: 3,
-        };
-        let mem_rows = vec![native_cost_row_json(&mem_cost, "fp-mem-1")];
-        let edge_rate = ConnEdgeRate {
-            wall_ms: 10.0,
-            wall_ms_ci95: 0.5,
-            host_rps: 160_000.0,
-        };
-        let conn = ConnCost {
-            in_process: edge_rate,
-            socket: ConnEdgeRate {
-                wall_ms: 12.0,
-                ..edge_rate
-            },
-            slow_loris: ConnEdgeRate {
-                wall_ms: 15.0,
-                ..edge_rate
-            },
-            disconnect: ConnEdgeRate {
-                wall_ms: 14.0,
-                ..edge_rate
-            },
-            slo_within_bp: 9_250,
-            servers: 32,
-            requests: 50,
-            reps: 3,
-        };
-        let conn_rows = vec![conn_cost_row_json(&conn, "fp-conn-1")];
-        let rows = vec![mode_sweep_row_json(150, 0, 17, 4, 1234.5, "fp-sweep-1")];
-        let json = render_farm_json(
-            &reports,
-            &scaling,
-            &boot,
-            &stress,
-            &restart_rows,
-            &native_rows,
-            &mem_rows,
-            &conn_rows,
-            &rows,
-        );
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces:\n{json}"
-        );
-        assert!(json.contains("\"server\": \"Apache\""));
-        assert!(json.contains("\"mode\": \"Failure Oblivious\""));
-        assert!(json.contains("\"service_cycles\""));
-        assert!(json.contains("\"restart_cycles\""));
-        assert!(json.contains("\"latency_p999\""));
-        assert!(json.contains("\"tail_service_cycles\""));
-        assert!(json.contains("\"tail_restart_cycles\""));
-        assert!(json.contains("\"thread_scaling\""));
-        assert!(json.contains("\"host_wall_ms_ci95\""));
-        assert!(json.contains("\"boot_cost\""));
-        assert!(json.contains("\"speedup\": 20.0"));
-        assert!(json.contains("\"farm_stress\""));
-        assert!(json.contains("\"mode_sweep_runs\""));
-        assert!(json.contains("\"resumed_cells\": 0"));
-        assert!(json.contains("\"restart_cost_runs\""));
-        assert!(json.contains("\"checkpoint_restore_ns\""));
-        assert!(json.contains("\"violation_minstr_per_s\""));
-        assert!(json.contains("\"baseline_minstr_per_s\""));
-        assert!(json.contains("\"native_cost_runs\""));
-        assert!(json.contains("\"speedup\": 5.00"));
-        assert!(json.contains("\"mem_cost_runs\""));
-        assert!(json.contains("\"speedup\": 4.00"));
-        assert!(json.contains("\"conn_cost_runs\""));
-        assert!(json.contains("\"socket_overhead\": 1.20"));
-        assert!(json.contains("\"slo_within_4x_median_bp\": 9250"));
-        // Round trip: extract the rows back and append another (a new
-        // fingerprint grows the array).
-        assert_eq!(extract_restart_cost_rows(&json), restart_rows);
-        let grown = append_restart_cost_row(
-            &json,
-            &restart_cost_row_json(&restart, &violation, "fp-restart-2"),
-        )
-        .expect("append restart row");
-        assert_eq!(extract_restart_cost_rows(&grown).len(), 2);
-        assert_eq!(
-            extract_mode_sweep_rows(&grown),
-            rows,
-            "growing one trajectory must not disturb the other"
-        );
-        // Re-appending an existing fingerprint replaces in place: the
-        // bins are idempotent over unchanged trees.
-        let replaced = append_restart_cost_row(
-            &grown,
-            &restart_cost_row_json(&restart, &violation, "fp-restart-2"),
-        )
-        .expect("upsert restart row");
-        assert_eq!(extract_restart_cost_rows(&replaced).len(), 2);
-        assert_eq!(extract_mode_sweep_rows(&json), rows);
-        let appended = append_mode_sweep_row(
-            &json,
-            &mode_sweep_row_json(150, 120, 17, 4, 99.0, "fp-sweep-2"),
-        )
-        .expect("append");
-        assert_eq!(extract_mode_sweep_rows(&appended).len(), 2);
-        let resweep = append_mode_sweep_row(
-            &appended,
-            &mode_sweep_row_json(150, 120, 17, 4, 101.0, "fp-sweep-2"),
-        )
-        .expect("upsert");
-        let resweep_rows = extract_mode_sweep_rows(&resweep);
-        assert_eq!(
-            resweep_rows.len(),
-            2,
-            "same fingerprint must not grow the array"
-        );
-        assert!(
-            resweep_rows[1].contains("\"wall_ms\": 101.0"),
-            "upsert takes the fresh value"
-        );
-        assert_eq!(extract_native_cost_rows(&json), native_rows);
-        let ngrown =
-            append_native_cost_row(&json, &native_cost_row_json(&native_cost, "fp-native-2"))
-                .expect("append native row");
-        assert_eq!(extract_native_cost_rows(&ngrown).len(), 2);
-        let nsame =
-            append_native_cost_row(&ngrown, &native_cost_row_json(&native_cost, "fp-native-2"))
-                .expect("upsert native row");
-        assert_eq!(extract_native_cost_rows(&nsame).len(), 2);
-        assert_eq!(extract_mem_cost_rows(&json), mem_rows);
-        let mgrown = append_mem_cost_row(&json, &native_cost_row_json(&mem_cost, "fp-mem-2"))
-            .expect("append mem row");
-        assert_eq!(extract_mem_cost_rows(&mgrown).len(), 2);
-        let msame = append_mem_cost_row(&mgrown, &native_cost_row_json(&mem_cost, "fp-mem-2"))
-            .expect("upsert mem row");
-        assert_eq!(extract_mem_cost_rows(&msame).len(), 2);
-        assert_eq!(extract_conn_cost_rows(&json), conn_rows);
-        let cgrown = append_conn_cost_row(&json, &conn_cost_row_json(&conn, "fp-conn-2"))
-            .expect("append conn row");
-        assert_eq!(extract_conn_cost_rows(&cgrown).len(), 2);
-        let csame = append_conn_cost_row(&cgrown, &conn_cost_row_json(&conn, "fp-conn-2"))
-            .expect("upsert conn row");
-        assert_eq!(extract_conn_cost_rows(&csame).len(), 2);
-        assert_eq!(
-            extract_mode_sweep_rows(&cgrown),
-            rows,
-            "growing conn_cost_runs must not disturb the sweep trajectory"
-        );
-        assert_eq!(
-            extract_mode_sweep_rows(&mgrown),
-            rows,
-            "growing mem_cost_runs must not disturb the sweep trajectory"
-        );
-        assert_eq!(
-            appended.matches('{').count(),
-            appended.matches('}').count(),
-            "appended record must stay balanced"
-        );
-        for backend in foc_memory::TableKind::ALL {
-            assert!(
-                json.contains(&format!("\"backend\": \"{}\"", backend.name())),
-                "missing stress row for {backend}"
-            );
+        for needle in [
+            "{\"server\": \"Apache\", \"mode\": \"Failure Oblivious\"",
+            "{\"threads\": 1,",
+            "\"boot_cost\":",
+            "\"farm_stress\":",
+            "{\"backend\": \"splay\"",
+            "{\"backend\": \"flat\"",
+        ] {
+            assert_eq!(line(&json, needle), line(&committed, needle));
         }
         assert!(json.contains("\"service_hist\": [["));
+        // A trajectory with no rows still renders its (empty) section.
+        let bare = FarmRecord {
+            trajectories: Default::default(),
+            ..record
+        }
+        .render();
+        assert!(balanced(&bare));
+        for key in TRAJECTORIES {
+            assert!(bare.contains(&format!("  \"{key}\": [],\n")), "{key}");
+        }
+    }
+
+    #[test]
+    fn trajectory_sections_round_trip() {
+        let record = sample_record();
+        let json = record.render();
+        let committed = committed_record();
+        let others_untouched = |changed: &str, key: &str| {
+            for other in TRAJECTORIES.iter().filter(|other| **other != key) {
+                assert_eq!(
+                    trajectory_rows(changed, other),
+                    trajectory_rows(&json, other),
+                    "touching {key} must not disturb {other}"
+                );
+            }
+        };
+        for (i, key) in TRAJECTORIES.into_iter().enumerate() {
+            // Extract returns what was rendered, and what is rendered
+            // today has the schema of the last row on record.
+            let first = &record.trajectories[i][0];
+            assert_eq!(trajectory_rows(&json, key), std::slice::from_ref(first));
+            let on_record = trajectory_rows(&committed, key);
+            let on_record = refingerprinted(on_record.last().expect("recorded"), "");
+            assert_eq!(
+                shape(&refingerprinted(first, "")),
+                shape(&on_record),
+                "{key}"
+            );
+            // A new fingerprint grows that array by one, and only it.
+            let second = refingerprinted(first, "fp-2");
+            let grown = upsert_trajectory_row(&json, key, &second).expect("append");
+            assert_eq!(
+                trajectory_rows(&grown, key),
+                [first.clone(), second.clone()]
+            );
+            others_untouched(&grown, key);
+            assert!(balanced(&grown), "appended record must stay balanced");
+            // The same fingerprint replaces in place and takes the
+            // fresh value: reruns over unchanged trees are idempotent.
+            let fresh = second.replacen('{', "{\"fresh\": 1, ", 1);
+            let replaced = upsert_trajectory_row(&grown, key, &fresh).expect("upsert");
+            assert_eq!(trajectory_rows(&replaced, key), [first.clone(), fresh]);
+            // A record that predates the section gains it, directly
+            // before mode_sweep_runs — which therefore cannot itself be
+            // missing.
+            let without = json.replacen(&rows_section(key, &record.trajectories[i]), "", 1);
+            assert!(trajectory_rows(&without, key).is_empty());
+            let created = upsert_trajectory_row(&without, key, &second);
+            if key == "mode_sweep_runs" {
+                assert!(created.expect_err("no anchor").contains("regenerate"));
+                continue;
+            }
+            let created = created.expect("create section");
+            let section = rows_section(key, std::slice::from_ref(&second));
+            assert!(
+                created.contains(&format!("{section}  \"mode_sweep_runs\": [")),
+                "{key} must be created before mode_sweep_runs:\n{created}"
+            );
+            others_untouched(&created, key);
+            assert!(balanced(&created));
+        }
+    }
+
+    #[test]
+    fn committed_record_survives_reupserting_its_own_rows() {
+        let json = committed_record();
+        for key in TRAJECTORIES {
+            let rows = trajectory_rows(&json, key);
+            let last = rows
+                .iter()
+                .rfind(|row| row_fingerprint(row).is_some())
+                .unwrap_or_else(|| panic!("{key} has no fingerprinted row"));
+            assert_eq!(
+                upsert_trajectory_row(&json, key, last).expect("upsert"),
+                json,
+                "re-upserting {key}'s own row must return the file byte for byte"
+            );
+        }
+        // The two rows recorded before fingerprinting existed are never
+        // matched (upserting one again appends) and never dropped.
+        for key in ["restart_cost_runs", "mode_sweep_runs"] {
+            let rows = trajectory_rows(&json, key);
+            assert_eq!(row_fingerprint(&rows[0]), None, "{key}");
+            for row in [rows[0].clone(), refingerprinted(&rows[1], "fp-new")] {
+                let grown = upsert_trajectory_row(&json, key, &row).expect("append");
+                let mut want = rows.clone();
+                want.push(row);
+                assert_eq!(trajectory_rows(&grown, key), want, "{key}");
+            }
+        }
+    }
+
+    #[test]
+    fn timed_farm_reports_a_changed_report_as_one_line() {
+        let config = suite_config(ServerKind::Apache, Mode::FailureOblivious, 3);
+        let mut reference = None;
+        let (rate, report) = timed_farm(&config, 2, &mut reference, "unused").expect("first");
+        assert_eq!(reference.as_ref(), Some(&report));
+        assert!(rate.wall_ms > 0.0 && rate.host_rps > 0.0 && rate.wall_ms_ci95 >= 0.0);
+        // A run whose content differs from the reference (here: one
+        // more request) is a diagnostic, not a panic.
+        let other = suite_config(ServerKind::Apache, Mode::FailureOblivious, 4);
+        let what = "socket must reproduce the in-process report";
+        let msg = timed_farm(&other, 1, &mut reference, what).expect_err("differs");
+        assert!(msg.starts_with(what) && !msg.contains('\n'), "{msg}");
+        assert!(msg.contains("(completed "), "{msg}");
     }
 
     #[test]
@@ -1821,8 +1486,8 @@ mod tests {
         }
         for row in &rows {
             assert_eq!(row.report.config.table, row.backend);
-            assert!(row.wall_ms > 0.0);
-            assert!(row.host_rps > 0.0);
+            assert!(row.rate.wall_ms > 0.0);
+            assert!(row.rate.host_rps > 0.0);
         }
     }
 
@@ -1868,76 +1533,6 @@ mod tests {
     }
 
     #[test]
-    fn restart_cost_section_is_created_in_old_records() {
-        // A record rendered before the checkpoint layer (no
-        // restart_cost_runs section) gains one on append.
-        let old = concat!(
-            "{\n  \"benchmark\": \"farm\",\n",
-            "  \"mode_sweep_runs\": [\n",
-            "    {\"cells\": 150}\n",
-            "  ],\n}\n"
-        );
-        let restart = RestartCost {
-            cold_ns: 10.0,
-            cold_ci95_ns: 0.0,
-            restore_ns: 1.0,
-            restore_ci95_ns: 0.0,
-            checkpoint_bytes: 1,
-            apache_restore_ns: 1.0,
-            apache_restore_ci95_ns: 0.0,
-            apache_checkpoint_bytes: 1,
-            reps: 1,
-        };
-        let violation = ViolationThroughput {
-            minstr_per_s: 1.0,
-            minstr_ci95: 0.0,
-            instrs: 1,
-            reps: 1,
-        };
-        let row = restart_cost_row_json(&restart, &violation, "fp-old-1");
-        let grown = append_restart_cost_row(old, &row).expect("create section");
-        assert_eq!(extract_restart_cost_rows(&grown), vec![row.clone()]);
-        assert_eq!(extract_mode_sweep_rows(&grown).len(), 1);
-        // Re-appending the same fingerprint upserts in place; a fresh
-        // fingerprint extends the now-existing section.
-        let same = append_restart_cost_row(&grown, &row).expect("upsert");
-        assert_eq!(extract_restart_cost_rows(&same).len(), 1);
-        let row2 = restart_cost_row_json(&restart, &violation, "fp-old-2");
-        let grown2 = append_restart_cost_row(&grown, &row2).expect("append");
-        assert_eq!(extract_restart_cost_rows(&grown2).len(), 2);
-        // native_cost_runs gains a section in old records the same way.
-        let nrow = native_cost_row_json(
-            &NativeCost {
-                baseline: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-n1",
-        );
-        let ngrown = append_native_cost_row(&grown2, &nrow).expect("create native section");
-        assert_eq!(extract_native_cost_rows(&ngrown), vec![nrow.clone()]);
-        assert_eq!(extract_restart_cost_rows(&ngrown).len(), 2);
-        assert_eq!(extract_mode_sweep_rows(&ngrown).len(), 1);
-        let nsame = append_native_cost_row(&ngrown, &nrow).expect("upsert native");
-        assert_eq!(extract_native_cost_rows(&nsame).len(), 1);
-        // ... and mem_cost_runs.
-        let mrow = native_cost_row_json(
-            &NativeCost {
-                baseline: violation,
-                native: violation,
-                reps: 1,
-            },
-            "fp-old-m1",
-        );
-        let mgrown = append_mem_cost_row(&nsame, &mrow).expect("create mem section");
-        assert_eq!(extract_mem_cost_rows(&mgrown), vec![mrow.clone()]);
-        assert_eq!(extract_native_cost_rows(&mgrown).len(), 1);
-        assert_eq!(extract_mode_sweep_rows(&mgrown).len(), 1);
-        let msame = append_mem_cost_row(&mgrown, &mrow).expect("upsert mem");
-        assert_eq!(extract_mem_cost_rows(&msame).len(), 1);
-    }
-
-    #[test]
     fn fingerprints_are_stable_and_shape_sensitive() {
         // Identical inputs reproduce the fingerprint (idempotent
         // reruns); any shape change reshapes it (fresh trajectory row).
@@ -1951,19 +1546,34 @@ mod tests {
         );
         assert_eq!(restart_cost_fingerprint(24), restart_cost_fingerprint(24));
         assert_ne!(restart_cost_fingerprint(24), restart_cost_fingerprint(8));
-        assert_eq!(native_cost_fingerprint(8), native_cost_fingerprint(8));
-        assert_ne!(native_cost_fingerprint(8), native_cost_fingerprint(24));
-        assert_eq!(mem_cost_fingerprint(8), mem_cost_fingerprint(8));
-        assert_ne!(mem_cost_fingerprint(8), mem_cost_fingerprint(24));
+        for l in &TIER_LOOPS {
+            assert_eq!(l.fingerprint(8), l.fingerprint(8));
+            assert_ne!(l.fingerprint(8), l.fingerprint(24));
+        }
         assert_eq!(conn_cost_fingerprint(8), conn_cost_fingerprint(8));
         assert_ne!(conn_cost_fingerprint(8), conn_cost_fingerprint(24));
         assert_ne!(
-            mem_cost_fingerprint(8),
-            native_cost_fingerprint(8),
+            TIER_LOOPS[0].fingerprint(8),
+            TIER_LOOPS[1].fingerprint(8),
             "the copy loop and the pure-local loop must never collide"
         );
+        // The Apache restore follows the session default, so the
+        // oracle's measurement must not replace the shipped default's.
+        let apache = |tier, table| {
+            let spec = apache_restore_spec().with_tier(tier).with_table(table);
+            restart_cost_fingerprint_on(24, &spec)
+        };
+        use foc_compiler::ExecTier;
+        assert_ne!(
+            apache(ExecTier::Native, TableKind::Flat),
+            apache(ExecTier::Baseline, TableKind::Flat)
+        );
+        assert_ne!(
+            apache(ExecTier::Native, TableKind::Flat),
+            apache(ExecTier::Native, TableKind::Splay)
+        );
         // Concatenation ambiguity is broken by the separator.
-        assert_ne!(fingerprint_of(&["ab", "c"]), fingerprint_of(&["a", "bc"]));
+        assert_ne!(fingerprint("ab", &["c"]), fingerprint("a", &["bc"]));
     }
 
     #[test]
@@ -1971,10 +1581,10 @@ mod tests {
         let rows = thread_scaling(4, &[1, 2], 3).expect("determinism");
         assert_eq!(rows.len(), 2);
         for row in rows {
-            assert_eq!(row.reps, 3);
-            assert!(row.wall_ms > 0.0);
-            assert!(row.host_rps > 0.0);
-            assert!(row.wall_ms_ci95 >= 0.0);
+            assert_eq!(row.rate.reps, 3);
+            assert!(row.rate.wall_ms > 0.0);
+            assert!(row.rate.host_rps > 0.0);
+            assert!(row.rate.wall_ms_ci95 >= 0.0);
         }
     }
 }

@@ -5,9 +5,9 @@
 //! set, running at least twenty repetitions per request per compiler
 //! version and reporting mean ± standard deviation of the *virtual*
 //! request processing time (see `foc_vm::cost` for why virtual time).
-//! The binaries in `src/bin` print one table each; `all_experiments`
-//! prints the complete paper-versus-measured report used to fill
-//! EXPERIMENTS.md.
+//! `bench paper <name>` prints one table; `bench paper` prints the
+//! complete paper-versus-measured report, committed as
+//! `PAPER_tables.md` and gated by `bench paper --check` ([`paper`]).
 //!
 //! Scaling note: MC's Copy/Move/Delete sizes are divided by
 //! [`MC_SIZE_SCALE`] so a full experiment sweep stays interactive; the
@@ -16,6 +16,7 @@
 
 pub mod check;
 pub mod farm_report;
+pub mod paper;
 pub mod sweep_report;
 
 use foc_memory::Mode;
@@ -94,86 +95,64 @@ fn expect_ok(m: &Measured, what: &str) -> u64 {
 }
 
 // ----------------------------------------------------------------------
-// Figure 2: Pine request processing times.
+// Figures 2–6: request processing times per server.
 // ----------------------------------------------------------------------
+
+/// One figure: `run` serves [`REPS`] rounds of the figure's `N` requests
+/// under a mode and returns each request's cycle series; the rows pair
+/// the Standard and Failure Oblivious runs with the paper's slowdowns.
+fn rpt_rows<const N: usize>(
+    requests: [&str; N],
+    paper: [f64; N],
+    run: impl Fn(Mode) -> [Vec<u64>; N],
+) -> Vec<RptRow> {
+    let std = run(Mode::Standard);
+    let fo = run(Mode::FailureOblivious);
+    (0..N)
+        .map(|i| RptRow {
+            request: requests[i].into(),
+            standard: stats_ms(&std[i]),
+            failure_oblivious: stats_ms(&fo[i]),
+            paper_slowdown: paper[i],
+        })
+        .collect()
+}
 
 /// Reproduces Figure 2 (Pine: Read / Compose / Move).
 pub fn fig2_pine() -> Vec<RptRow> {
-    let mut rows = Vec::new();
-    let run = |mode: Mode| -> (Vec<u64>, Vec<u64>, Vec<u64>) {
+    rpt_rows(["Read", "Compose", "Move"], [6.9, 8.1, 1.34], |mode| {
         let mut p = pine::Pine::boot_spec(
             &BootSpec::new(ServerKind::Pine, mode),
             pine::Pine::standard_mailbox(REPS + 10),
         );
         assert!(p.usable());
-        let mut read = Vec::new();
-        let mut compose = Vec::new();
-        let mut mv = Vec::new();
+        let mut out: [Vec<u64>; 3] = Default::default();
         for i in 0..REPS {
-            read.push(expect_ok(&p.read(3), "pine read"));
-            compose.push(expect_ok(&p.compose(), "pine compose"));
-            mv.push(expect_ok(&p.move_message(8 + i as i64), "pine move"));
+            out[0].push(expect_ok(&p.read(3), "pine read"));
+            out[1].push(expect_ok(&p.compose(), "pine compose"));
+            out[2].push(expect_ok(&p.move_message(8 + i as i64), "pine move"));
         }
-        (read, compose, mv)
-    };
-    let std = run(Mode::Standard);
-    let fo = run(Mode::FailureOblivious);
-    for (name, s, f, paper) in [
-        ("Read", &std.0, &fo.0, 6.9),
-        ("Compose", &std.1, &fo.1, 8.1),
-        ("Move", &std.2, &fo.2, 1.34),
-    ] {
-        rows.push(RptRow {
-            request: name.into(),
-            standard: stats_ms(s),
-            failure_oblivious: stats_ms(f),
-            paper_slowdown: paper,
-        });
-    }
-    rows
+        out
+    })
 }
-
-// ----------------------------------------------------------------------
-// Figure 3: Apache request processing times.
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 3 (Apache: Small / Large page serves).
 pub fn fig3_apache() -> Vec<RptRow> {
-    let run = |mode: Mode| -> (Vec<u64>, Vec<u64>) {
+    rpt_rows(["Small", "Large"], [1.06, 1.03], |mode| {
         let mut w = apache::ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode));
-        let mut small = Vec::new();
-        let mut large = Vec::new();
+        let mut out: [Vec<u64>; 2] = Default::default();
         for _ in 0..REPS {
-            small.push(expect_ok(&w.get(b"/index.html"), "apache small"));
-            large.push(expect_ok(&w.get(b"/big.bin"), "apache large"));
+            out[0].push(expect_ok(&w.get(b"/index.html"), "apache small"));
+            out[1].push(expect_ok(&w.get(b"/big.bin"), "apache large"));
         }
-        (small, large)
-    };
-    let std = run(Mode::Standard);
-    let fo = run(Mode::FailureOblivious);
-    vec![
-        RptRow {
-            request: "Small".into(),
-            standard: stats_ms(&std.0),
-            failure_oblivious: stats_ms(&fo.0),
-            paper_slowdown: 1.06,
-        },
-        RptRow {
-            request: "Large".into(),
-            standard: stats_ms(&std.1),
-            failure_oblivious: stats_ms(&fo.1),
-            paper_slowdown: 1.03,
-        },
-    ]
+        out
+    })
 }
-
-// ----------------------------------------------------------------------
-// Figure 4: Sendmail request processing times.
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 4 (Sendmail: Recv/Send × Small/Large).
 pub fn fig4_sendmail() -> Vec<RptRow> {
-    let run = |mode: Mode| -> [Vec<u64>; 4] {
+    let requests = ["Recv Small", "Recv Large", "Send Small", "Send Large"];
+    rpt_rows(requests, [3.9, 3.9, 3.7, 3.6], |mode| {
         let mut sm = sendmail::Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode));
         assert!(sm.usable(), "sendmail must boot in {mode:?}");
         let mut out: [Vec<u64>; 4] = Default::default();
@@ -188,24 +167,8 @@ pub fn fig4_sendmail() -> Vec<RptRow> {
             out[3].push(expect_ok(&sm.send(&to, &large), "send large"));
         }
         out
-    };
-    let std = run(Mode::Standard);
-    let fo = run(Mode::FailureOblivious);
-    let names = ["Recv Small", "Recv Large", "Send Small", "Send Large"];
-    let paper = [3.9, 3.9, 3.7, 3.6];
-    (0..4)
-        .map(|i| RptRow {
-            request: names[i].into(),
-            standard: stats_ms(&std[i]),
-            failure_oblivious: stats_ms(&fo[i]),
-            paper_slowdown: paper[i],
-        })
-        .collect()
+    })
 }
-
-// ----------------------------------------------------------------------
-// Figure 5: Midnight Commander request processing times.
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 5 (MC: Copy / Move / MkDir / Delete). Sizes are the
 /// paper's (31 MB copy/move tree, 3.2 MB delete) divided by
@@ -213,7 +176,8 @@ pub fn fig4_sendmail() -> Vec<RptRow> {
 pub fn fig5_mc() -> Vec<RptRow> {
     let copy_size = 31 * 1024 * 1024 / MC_SIZE_SCALE;
     let del_size = 3_276_800 / MC_SIZE_SCALE;
-    let run = |mode: Mode| -> [Vec<u64>; 4] {
+    let requests = ["Copy", "Move", "MkDir", "Delete"];
+    rpt_rows(requests, [1.4, 1.4, 1.8, 1.1], |mode| {
         let mut m = mc::Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), &mc::clean_config());
         assert!(m.usable());
         let mut out: [Vec<u64>; 4] = Default::default();
@@ -241,57 +205,24 @@ pub fn fig5_mc() -> Vec<RptRow> {
             m.delete(format!("/bench/dir{i}").as_bytes());
         }
         out
-    };
-    let std = run(Mode::Standard);
-    let fo = run(Mode::FailureOblivious);
-    let names = ["Copy", "Move", "MkDir", "Delete"];
-    let paper = [1.4, 1.4, 1.8, 1.1];
-    (0..4)
-        .map(|i| RptRow {
-            request: names[i].into(),
-            standard: stats_ms(&std[i]),
-            failure_oblivious: stats_ms(&fo[i]),
-            paper_slowdown: paper[i],
-        })
-        .collect()
+    })
 }
-
-// ----------------------------------------------------------------------
-// Figure 6: Mutt request processing times.
-// ----------------------------------------------------------------------
 
 /// Reproduces Figure 6 (Mutt: Read / Move).
 pub fn fig6_mutt() -> Vec<RptRow> {
-    let run = |mode: Mode| -> (Vec<u64>, Vec<u64>) {
+    rpt_rows(["Read", "Move"], [3.6, 1.4], |mode| {
         let mut mt = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), REPS + 5);
         assert_eq!(mt.open_folder(b"INBOX").outcome.ret(), Some(0));
-        let mut read = Vec::new();
-        let mut mv = Vec::new();
+        let mut out: [Vec<u64>; 2] = Default::default();
         for i in 0..REPS {
-            read.push(expect_ok(&mt.read_message(0), "mutt read"));
-            mv.push(expect_ok(
+            out[0].push(expect_ok(&mt.read_message(0), "mutt read"));
+            out[1].push(expect_ok(
                 &mt.move_message(1 + i as i64, b"work"),
                 "mutt move",
             ));
         }
-        (read, mv)
-    };
-    let std = run(Mode::Standard);
-    let fo = run(Mode::FailureOblivious);
-    vec![
-        RptRow {
-            request: "Read".into(),
-            standard: stats_ms(&std.0),
-            failure_oblivious: stats_ms(&fo.0),
-            paper_slowdown: 3.6,
-        },
-        RptRow {
-            request: "Move".into(),
-            standard: stats_ms(&std.1),
-            failure_oblivious: stats_ms(&fo.1),
-            paper_slowdown: 1.4,
-        },
-    ]
+        out
+    })
 }
 
 // ----------------------------------------------------------------------
@@ -402,6 +333,15 @@ fn describe(outcome: &foc_servers::Outcome) -> String {
 /// Runs the attack/recovery scenario for every server under `mode`.
 pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
     let mut cells = Vec::new();
+    let mut cell = |server, init_ok, attack, serves_after| {
+        cells.push(MatrixCell {
+            server,
+            mode,
+            init_ok,
+            attack,
+            serves_after,
+        })
+    };
 
     // Pine: poisoned mailbox present at startup.
     {
@@ -411,13 +351,7 @@ pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
         let init_ok = p.usable();
         let attack = describe(p.init_outcome());
         let serves_after = init_ok && p.read(0).outcome.ret() == Some(0);
-        cells.push(MatrixCell {
-            server: "Pine",
-            mode,
-            init_ok,
-            attack,
-            serves_after,
-        });
+        cell("Pine", init_ok, attack, serves_after);
     }
 
     // Apache: attack URL against a single child.
@@ -426,13 +360,7 @@ pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
         let r = w.get(&apache::attack_url());
         let attack = describe(&r.outcome);
         let serves_after = w.get(b"/index.html").outcome.ret() == Some(200);
-        cells.push(MatrixCell {
-            server: "Apache",
-            mode,
-            init_ok: true,
-            attack,
-            serves_after,
-        });
+        cell("Apache", true, attack, serves_after);
     }
 
     // Sendmail: daemon wake-up at boot, then the attack address.
@@ -454,13 +382,7 @@ pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
                 .outcome
                 .ret()
                 == Some(250);
-        cells.push(MatrixCell {
-            server: "Sendmail",
-            mode,
-            init_ok,
-            attack,
-            serves_after,
-        });
+        cell("Sendmail", init_ok, attack, serves_after);
     }
 
     // MC: blank config line at startup, then the archive attack.
@@ -479,13 +401,7 @@ pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
             m.create(b"/x", 1024, false);
             m.copy(b"/x", b"/y").outcome.ret() == Some(1024)
         };
-        cells.push(MatrixCell {
-            server: "MC",
-            mode,
-            init_ok,
-            attack,
-            serves_after,
-        });
+        cell("MC", init_ok, attack, serves_after);
     }
 
     // Mutt: malicious folder name.
@@ -495,13 +411,7 @@ pub fn security_matrix(mode: Mode) -> Vec<MatrixCell> {
         let attack = describe(&r.outcome);
         let serves_after = mt.open_folder(b"INBOX").outcome.ret() == Some(0)
             && mt.read_message(0).outcome.ret() == Some(0);
-        cells.push(MatrixCell {
-            server: "Mutt",
-            mode,
-            init_ok: true,
-            attack,
-            serves_after,
-        });
+        cell("Mutt", true, attack, serves_after);
     }
 
     cells
@@ -584,17 +494,11 @@ pub fn ablation_values() -> Vec<AblationResult> {
             cfg.fuel_per_call = 2_000_000;
             let mut m = Machine::from_source(mc::MC_SOURCE, cfg).expect("compile");
             let p = m.alloc_cstring(b"noslashhere").expect("alloc");
-            match m.call("mc_component_end", &[p as i64]) {
-                Ok(_) => AblationResult {
-                    strategy,
-                    terminated: true,
-                    reads: m.space().error_log().total_reads(),
-                },
-                Err(_) => AblationResult {
-                    strategy,
-                    terminated: false,
-                    reads: m.space().error_log().total_reads(),
-                },
+            let terminated = m.call("mc_component_end", &[p as i64]).is_ok();
+            AblationResult {
+                strategy,
+                terminated,
+                reads: m.space().error_log().total_reads(),
             }
         })
         .collect()

@@ -202,7 +202,7 @@ pub struct ParsedMatrix {
 }
 
 /// Extracts the string value of `"key": "…"` from a single line.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+pub(crate) fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let marker = format!("\"{key}\": \"");
     let start = line.find(&marker)? + marker.len();
     let end = line[start..].find('"')?;
