@@ -16,6 +16,7 @@
 //! id, which is what lets caches, tests, and reports talk about "the
 //! Apache image" without comparing whole programs structurally.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -75,6 +76,10 @@ pub struct ProgramImage {
 struct Shared {
     program: CompiledProgram,
     native: Option<NativeProgram>,
+    /// Function name → index, built once with the image: a host call
+    /// names its entry point on every request, and the farm makes
+    /// millions.
+    by_name: HashMap<String, u32>,
     /// Hashed on the first [`ProgramImage::id`] call: the hash walks
     /// every byte of the program (global initialisers included), and
     /// booting and running an image never ask for it.
@@ -101,10 +106,16 @@ impl ProgramImage {
     }
 
     fn from_parts(program: CompiledProgram, native: Option<NativeProgram>) -> ProgramImage {
+        let mut by_name = HashMap::with_capacity(program.funcs.len());
+        for (i, f) in program.funcs.iter().enumerate() {
+            // The first of two functions with one name, as a scan finds.
+            by_name.entry(f.name.clone()).or_insert(i as u32);
+        }
         ProgramImage {
             shared: Arc::new(Shared {
                 program,
                 native,
+                by_name,
                 id: OnceLock::new(),
             }),
         }
@@ -128,6 +139,12 @@ impl ProgramImage {
     /// `ExecTier::Native`.
     pub fn native(&self) -> Option<&NativeProgram> {
         self.shared.native.as_ref()
+    }
+
+    /// Finds a function index by name: [`CompiledProgram::func_index`]'s
+    /// answer from one map lookup instead of a scan of every name.
+    pub fn func_index(&self, name: &str) -> Option<u32> {
+        self.shared.by_name.get(name).copied()
     }
 
     /// Function `fid`'s native regions, lowered now if no machine has
@@ -284,7 +301,8 @@ mod tests {
     #[test]
     fn deref_exposes_the_program() {
         let a = ProgramImage::new(compile_source(SRC_A).unwrap());
-        assert!(a.func_index("f").is_some());
+        assert_eq!(a.func_index("f"), a.program().func_index("f"));
+        assert_eq!(a.func_index("g"), None);
         assert!(a.instr_count() > 0);
     }
 

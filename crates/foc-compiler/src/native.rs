@@ -55,6 +55,8 @@
 //! summed ([`absorb`]): the loop latch carries the loop head's compare,
 //! and the `&&`/`||` short-circuit's `Const; JumpIfZero` folds to a
 //! jump. The absorbed region still exists for whoever enters at its pc.
+//! Last of all, each 8-byte frame-slot operand is sealed to the kind the
+//! executor decodes in one step ([`Src::Slot8`]).
 //!
 //! ## Deopt contract
 //!
@@ -174,10 +176,15 @@ pub struct FaultAt {
 
 /// An operand. Frame offsets were validated against the frame layout by
 /// the front end, so the executor indexes the committed frame window
-/// directly; register indices are below [`NATIVE_REGS`]. Four kinds and
-/// no more: with global and string addresses as a fifth and sixth the
-/// executor's operand decode cost `mc_copy` 5% and gained the other
-/// workloads nothing, so those two stay ops.
+/// directly; register indices are below [`NATIVE_REGS`]. A kind must
+/// remove more decode than it adds, and two measurements draw the line.
+/// Global and string addresses as kinds added an arm to every operand's
+/// decode to save a rare dispatch: `mc_copy` −5%, nothing elsewhere, so
+/// those two stay ops. [`Src::Slot8`] adds an arm too, but takes a whole
+/// decode level — the second match, on `(size, signed)` — off the
+/// operand a copy loop reads six times per iteration: `mc_copy` +12%.
+/// One kind per width × sign gained nothing over it, so narrower slots
+/// stay [`Src::Slot`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Src {
     /// A scratch register.
@@ -191,6 +198,9 @@ pub enum Src {
         /// Sign-extend when set.
         signed: bool,
     },
+    /// A whole 8-byte frame slot: one fixed-width window read, nothing to
+    /// extend. Only lowering's last step makes one (the folds want `size`).
+    Slot8(u32),
     /// A constant.
     Const(i64),
     /// The address of the frame slot at this offset (`LocalAddr`).
@@ -677,6 +687,7 @@ impl Fold {
             let stale = match src {
                 Src::Const(_) | Src::Addr(_) => false,
                 Src::Slot { off, size, .. } => since.iter().any(|op| op.clobbers(off, size)),
+                Src::Slot8(off) => since.iter().any(|op| op.clobbers(off, AccessSize::B8)),
                 Src::Reg(y) => since.iter().any(|op| op.writes(y)),
             };
             if stale {
@@ -1104,10 +1115,27 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
         let region = &mut regions[at];
         region.dispatches = region.ops.len() as u32 + 2;
     }
+    // Pass 4 — thread the edges, then seal: every fold is done, so what
+    // lowering knows about an 8-byte slot is decided once, not per run.
+    let seal = |s: &mut Src| {
+        if let Src::Slot { off, size, .. } = *s {
+            if size == AccessSize::B8 {
+                *s = Src::Slot8(off);
+            }
+        }
+    };
     for at in 0..regions.len() {
         let mut term = regions[at].term;
         term.succs().for_each(|s| thread(&regions, s));
+        term.operands().for_each(seal);
         regions[at].term = term;
+        for op in &mut regions[at].ops {
+            op.visit(|u| {
+                if let Use::Src(s) = u {
+                    seal(s);
+                }
+            });
+        }
     }
     NativeFunc { entry, regions }
 }
@@ -1404,12 +1432,10 @@ mod tests {
         nf.regions[nf.entry[0] as usize].clone()
     }
 
+    /// An 8-byte frame slot as the executor sees it: whatever its
+    /// `LoadLocal` said about sign, sealing leaves one spelling.
     fn slot(off: u32) -> Src {
-        Src::Slot {
-            off,
-            size: B8,
-            signed: true,
-        }
+        Src::Slot8(off)
     }
 
     const LOOP_SRC: &str = "long spin(long n) { long i; long acc = 0; \
@@ -1456,8 +1482,8 @@ mod tests {
             .position(|r| r.ops.is_empty() && matches!(r.term, Term::Branch { .. }))
             .expect("loop head lowers to an op-less Term::Branch");
         let Term::Branch {
-            a: Src::Slot { .. },
-            b: Src::Slot { .. },
+            a: Src::Slot8(_),
+            b: Src::Slot8(_),
             op: CmpOp::GeS,
             taken,
             fall,
@@ -1634,7 +1660,7 @@ mod tests {
         let [NOp::IdxLoad {
             dst,
             ptr: Src::Addr(from),
-            count: i @ Src::Slot { .. },
+            count: i @ Src::Slot8(_),
             esz: 8,
             spill: 0,
             ..
@@ -1722,7 +1748,7 @@ mod tests {
                 ops[load - 1],
                 NOp::Mov {
                     dst: 0,
-                    src: Src::Slot { .. }
+                    src: Src::Slot8(_)
                 }
             ),
             "{ops:?}"
@@ -1887,7 +1913,7 @@ mod tests {
             ops.iter().any(|op| matches!(
                 op,
                 NOp::Load {
-                    addr: Src::Slot { size: B8, .. },
+                    addr: Src::Slot8(_),
                     ..
                 }
             )),

@@ -31,6 +31,7 @@ pub mod manufacture;
 pub mod oob;
 pub mod policy;
 pub mod report;
+pub mod roomy;
 pub mod space;
 pub mod store;
 pub mod table;
@@ -43,6 +44,7 @@ pub use manufacture::{Manufacturer, ValueSequence};
 pub use oob::{OobId, OobRegistry};
 pub use policy::{BoundlessStore, Mode};
 pub use report::{summarize, LogReport, SiteReport};
+pub use roomy::RoomyVec;
 pub use space::{
     AccessCtx, Footprint, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome,
     Run, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,

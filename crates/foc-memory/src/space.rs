@@ -35,7 +35,8 @@ use crate::log::{ErrorKind, MemoryErrorLog};
 use crate::manufacture::{Manufacturer, ValueSequence};
 use crate::oob::OobRegistry;
 use crate::policy::{BoundlessStore, Mode};
-use crate::store::UnitStore;
+use crate::roomy::RoomyVec;
+use crate::store::{UnitStore, UNIT_ROOM};
 use crate::table::{Table, TableKind};
 use crate::unit::{DataUnit, UnitId, UnitKind};
 
@@ -306,8 +307,8 @@ pub struct MemorySpace {
     stats: SpaceStats,
     global_brk: u64,
     sp: u64,
-    frames: Vec<FrameRec>,
-    frame_units: Vec<u32>,
+    frames: RoomyVec<FrameRec>,
+    frame_units: RoomyVec<u32>,
 }
 
 impl MemorySpace {
@@ -318,6 +319,9 @@ impl MemorySpace {
         let stack = Region::new(RegionKind::Stack, addr::STACK_BASE, config.stack_len);
         let allocator = HeapAllocator::new(&heap);
         let sp = stack.end();
+        // Standard mode keeps no units.
+        let checked = config.mode.is_checked();
+        let room = if checked { UNIT_ROOM } else { 0 };
         MemorySpace {
             mode: config.mode,
             global_brk: globals.base(),
@@ -326,15 +330,15 @@ impl MemorySpace {
             allocator,
             sp,
             stack,
-            store: UnitStore::new(),
-            table: Table::new(config.table),
+            store: UnitStore::with_room(room),
+            table: Table::with_room(config.table, room),
             oob: OobRegistry::new(),
             boundless: BoundlessStore::new(),
             manufacturer: Manufacturer::new(config.sequence),
             log: MemoryErrorLog::new(config.log_capacity),
             stats: SpaceStats::default(),
-            frames: Vec::new(),
-            frame_units: Vec::new(),
+            frames: RoomyVec::default(),
+            frame_units: RoomyVec::with_capacity(room),
         }
     }
 
@@ -1334,7 +1338,7 @@ impl<'a> NativeView<'a> {
     /// pointer the guest derived the address from (checked `ptr_add`
     /// immediately followed by a checked load, answered by one
     /// lookup). `None` is a miss.
-    #[inline]
+    #[inline(always)]
     pub fn idx_load(&mut self, ptr: u64, delta: i64, size: AccessSize) -> Option<u64> {
         let target = ptr.wrapping_add(delta as u64);
         if self.checked {
@@ -1348,7 +1352,7 @@ impl<'a> NativeView<'a> {
     }
 
     /// Store twin of [`NativeView::idx_load`]; `false` is a miss.
-    #[inline]
+    #[inline(always)]
     pub fn idx_store(&mut self, ptr: u64, delta: i64, size: AccessSize, value: u64) -> bool {
         let target = ptr.wrapping_add(delta as u64);
         if self.checked {
@@ -1366,13 +1370,13 @@ impl<'a> NativeView<'a> {
 
     /// Guest load of `size` bytes at `a` — the hit path of
     /// [`MemorySpace::load`].
-    #[inline]
+    #[inline(always)]
     pub fn load(&mut self, a: u64, size: AccessSize) -> Option<u64> {
         self.idx_load(a, 0, size)
     }
 
     /// Guest store at `a` — the hit path of [`MemorySpace::store`].
-    #[inline]
+    #[inline(always)]
     pub fn store(&mut self, a: u64, size: AccessSize, value: u64) -> bool {
         self.idx_store(a, 0, size, value)
     }

@@ -24,6 +24,7 @@
 //! slot is actually reused, matching the behaviour the error log and the
 //! out-of-bounds registry were built against.
 
+use crate::roomy::RoomyVec;
 use crate::unit::{DataUnit, UnitId, UnitKind};
 
 /// Sentinel for "no next free slot".
@@ -43,11 +44,19 @@ struct Slot {
     label: (u32, u32),
 }
 
+/// Units a checked space has room for before any vector of its unit
+/// bookkeeping (this slab, the flat table, the frames' unit lists)
+/// reallocates: the ceiling `tests/substrate_props.rs` holds every guest
+/// under (the servers peak at 36). The vectors keep their capacity
+/// through `clone`, so a process restored from a checkpoint serves its
+/// first request without a `realloc` on the call path.
+pub const UNIT_ROOM: usize = 64;
+
 /// Generational slab of data units with arena-allocated labels.
 /// `Clone` snapshots the whole slab (boot checkpoints).
 #[derive(Debug, Clone)]
 pub struct UnitStore {
-    slots: Vec<Slot>,
+    slots: RoomyVec<Slot>,
     /// Head of the intrusive free list (`NONE` when full).
     free_head: u32,
     /// Number of live units.
@@ -65,8 +74,13 @@ impl Default for UnitStore {
 impl UnitStore {
     /// Creates an empty store.
     pub fn new() -> UnitStore {
+        UnitStore::with_room(0)
+    }
+
+    /// An empty store that holds `units` slots before it reallocates.
+    pub fn with_room(units: usize) -> UnitStore {
         UnitStore {
-            slots: Vec::new(),
+            slots: RoomyVec::with_capacity(units),
             free_head: NONE,
             live: 0,
             label_arena: String::new(),

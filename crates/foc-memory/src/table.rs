@@ -29,6 +29,7 @@
 
 use std::fmt;
 
+use crate::roomy::RoomyVec;
 use crate::unit::UnitId;
 
 /// A table entry: a live allocation's placement.
@@ -122,8 +123,17 @@ pub enum Table {
 impl Table {
     /// An empty table of the given kind.
     pub fn new(kind: TableKind) -> Table {
+        Table::with_room(kind, 0)
+    }
+
+    /// An empty table that holds `units` entries before it reallocates
+    /// (the oracle allocates per node and ignores the hint).
+    pub fn with_room(kind: TableKind, units: usize) -> Table {
         match kind {
-            TableKind::Flat => Table::Flat(FlatTable::new()),
+            TableKind::Flat => Table::Flat(FlatTable {
+                entries: RoomyVec::with_capacity(units),
+                last_hit: 0,
+            }),
             TableKind::Splay => Table::Splay(SplayTable::new()),
         }
     }
@@ -184,7 +194,7 @@ impl Table {
 /// tables — a few dozen mostly-stable entries hammered by lookups.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTable {
-    entries: Vec<Placement>,
+    entries: RoomyVec<Placement>,
     /// Index of the most recent lookup hit (memo; may be stale).
     last_hit: usize,
 }

@@ -395,6 +395,59 @@ proptest! {
         }
     }
 
+    /// One view held across accesses that alternate between four units
+    /// in three regions: every change of unit is a memo miss answered by
+    /// the table and a memo refill, and the space the view leaves behind
+    /// — counter for counter, byte for byte — is the one the full
+    /// routines leave. A pointer into one unit never reaches a neighbour
+    /// the memo happens to remember.
+    #[test]
+    fn one_view_alternating_between_units_refills_its_memo_like_the_space(
+        steps in proptest::collection::vec(
+            (0usize..4, 0u64..64, 0usize..4, any::<bool>(), any::<u64>()),
+            8..64,
+        ),
+    ) {
+        for mode in [Mode::FailureOblivious, Mode::BoundsCheck, Mode::Standard] {
+            for table in TableKind::ALL {
+                let mut a = MemorySpace::new(config(mode, table));
+                let g = a.alloc_global(40, "g").expect("global fits");
+                let (h1, h2) = (a.malloc(64).expect("room"), a.malloc(24).expect("room"));
+                let frame = a.push_frame(48).expect("stack has room");
+                a.register_local(frame, 0, 8);
+                a.register_local(frame, 16, 32);
+                let units = [(g, 40), (h1, 64), (h2, 24), (frame + 16, 32)];
+                for &(base, size) in &units {
+                    prop_assert!(a.write_bytes_raw(base, &vec![0x5a; size as usize]));
+                }
+                let mut b = a.clone();
+                let mut view = a.native_view(frame, 48);
+                // A round-robin prefix, so every run alternates over all
+                // four whatever the generator picked.
+                let round_robin = (0..8).map(|i| (i % 4, i as u64 * 5, 3, i % 2 == 0, i as u64));
+                for (pick, at, size, is_store, value) in round_robin.chain(steps.iter().copied()) {
+                    let ((base, len), size) = (units[pick], SIZES[size]);
+                    let delta = (at % (len - size.bytes() + 1)) as i64;
+                    let derived = b.ptr_add(base, delta);
+                    if is_store {
+                        prop_assert!(view.idx_store(base, delta, size, value));
+                        prop_assert_eq!(b.store(derived, size, value, CTX).map(|o| o.violation), Ok(false));
+                    } else {
+                        let want = b.load(derived, size, CTX).expect("in bounds");
+                        prop_assert_eq!(view.idx_load(base, delta, size), Some(want.value));
+                    }
+                    if mode.is_checked() {
+                        let (other, _) = units[(pick + 1) % 4];
+                        let reach = other.wrapping_sub(base) as i64;
+                        prop_assert_eq!(view.idx_load(other, reach.wrapping_neg(), size), None);
+                        prop_assert!(!view.idx_store(base, reach, size, value));
+                    }
+                }
+                prop_assert_eq!(snapshot(&a), snapshot(&b));
+            }
+        }
+    }
+
     /// Frame slots through the view are the stack bytes raw access sees.
     #[test]
     fn frame_slots_are_the_stack_bytes(

@@ -528,6 +528,52 @@ mod tests {
     }
 
     #[test]
+    fn copy_loop_lowers_to_two_indexed_ops_and_a_fused_latch() {
+        // `for (k = 0; k < words; k++) d[k] = s[k];` is what `mc_copy`
+        // spends its time in: two indexed accesses and the latch, every
+        // pointer, count and compare operand an 8-byte slot sealed to
+        // the one-step kind.
+        use foc_compiler::native::{NOp, Src, Term};
+        let image = foc_compiler::compile_image_tier(MC_SOURCE, foc_compiler::ExecTier::Native)
+            .expect("MC compiles");
+        let fid = image.func_index("mc_copy_file").expect("function exists");
+        let regions = &image.native_func(fid).expect("native image").regions;
+        let mut latches = regions
+            .iter()
+            .filter(|r| matches!(r.term, Term::IncBranch { .. }));
+        let body = latches.next().expect("the copy loop's fused latch");
+        assert!(latches.next().is_none(), "one counted loop");
+        let [NOp::IdxLoad {
+            dst,
+            ptr: Src::Slot8(s),
+            count: Src::Slot8(k),
+            esz: 8,
+            ..
+        }, NOp::IdxStore {
+            ptr: Src::Slot8(d),
+            count: Src::Slot8(k2),
+            val: Src::Reg(v),
+            esz: 8,
+            ..
+        }] = body.ops[..]
+        else {
+            panic!("body is one indexed load and one indexed store: {body:?}");
+        };
+        assert!(s != d && k == k2 && v == dst, "{body:?}");
+        let Term::IncBranch {
+            off,
+            delta: 1,
+            a: Src::Slot8(counter),
+            b: Src::Slot8(words),
+            ..
+        } = body.term
+        else {
+            panic!("latch compares two sealed slots: {body:?}");
+        };
+        assert!(off == k && counter == k && words != k, "{body:?}");
+    }
+
+    #[test]
     fn copy_slowdown_is_modest() {
         // Figure 5: Copy ≈ 1.4×, dominated by I/O with per-word copying.
         let mut std = Mc::boot(Mode::Standard, &clean_config());

@@ -59,7 +59,7 @@ pub(crate) fn dispatch(m: &mut Machine, b: Builtin) -> Result<i64, VmFault> {
     let argc = b.arity();
     let mut args = [0i64; 3];
     for i in (0..argc).rev() {
-        args[i] = m.pop_value();
+        args[i] = m.pop();
     }
     let a0 = args[0];
     let a1 = args[1];

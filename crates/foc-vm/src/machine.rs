@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 
 use foc_compiler::native::{extend, NOp, NativeFunc, Src, Term};
 use foc_compiler::{Instr, ProgramImage};
-use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace, NativeView};
+use foc_memory::{AccessCtx, AccessSize, MemConfig, MemorySpace, NativeView, RoomyVec};
 
 use crate::builtins;
 use crate::cost;
@@ -140,8 +140,8 @@ pub struct Machine {
     space: MemorySpace,
     global_addrs: Vec<u64>,
     string_addrs: Vec<u64>,
-    stack: Vec<i64>,
-    frames: Vec<Frame>,
+    stack: RoomyVec<i64>,
+    frames: RoomyVec<Frame>,
     input: VecDeque<Vec<u8>>,
     output: Vec<u8>,
     fuel_per_call: u64,
@@ -182,8 +182,8 @@ impl Machine {
             space,
             global_addrs,
             string_addrs,
-            stack: Vec::with_capacity(256),
-            frames: Vec::with_capacity(64),
+            stack: RoomyVec::with_capacity(256),
+            frames: RoomyVec::with_capacity(64),
             input: VecDeque::new(),
             output: Vec::new(),
             fuel_per_call: config.fuel_per_call,
@@ -259,9 +259,11 @@ impl Machine {
         self.input.push_back(bytes.into());
     }
 
-    /// Drains and returns everything the guest has written.
+    /// Drains and returns everything the guest has written, leaving room
+    /// for as much again: the next response is not regrown from nothing.
     pub fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.output)
+        let fresh = Vec::with_capacity(self.output.capacity());
+        std::mem::replace(&mut self.output, fresh)
     }
 
     /// Borrows the pending output.
@@ -736,6 +738,7 @@ impl Machine {
             ($src:expr) => {
                 match $src {
                     Src::Reg(r) => regs[r as usize],
+                    Src::Slot8(off) => view.local_get(off, AccessSize::B8) as i64,
                     Src::Slot { off, size, signed } => slot_get(&view, off, size, signed),
                     Src::Const(c) => c,
                     Src::Addr(off) => (base + off as u64) as i64,
@@ -781,7 +784,7 @@ impl Machine {
         }
 
         fuel -= region.charge;
-        let (next_pc, why) = loop {
+        let next_pc = loop {
             entries += 1;
             ops += region.dispatches as u64;
             // One value at a time: a slice copy here is a libc `memcpy`
@@ -978,15 +981,19 @@ impl Machine {
                     fuel -= to.charge + next.skip as u64;
                     region = to;
                 }
-                Some(_) => break (next.pc, NativeExit::FuelShort),
-                None => break (next.pc, NativeExit::NoRegion),
+                // A region starts there, but fuel does not cover it.
+                Some(_) => {
+                    self.profile.fuel_short_exits += 1;
+                    break next.pc;
+                }
+                // No region: a call, builtin or return boundary.
+                None => {
+                    self.profile.no_region_exits += 1;
+                    break next.pc;
+                }
             }
         };
         settle!();
-        match why {
-            NativeExit::NoRegion => self.profile.no_region_exits += 1,
-            NativeExit::FuelShort => self.profile.fuel_short_exits += 1,
-        }
         Ok((next_pc, fuel))
     }
 
@@ -1023,14 +1030,10 @@ impl Machine {
         Ok(())
     }
 
+    /// Pops one value (the dispatch loop; builtin argument marshalling).
     #[inline]
-    fn pop(&mut self) -> i64 {
+    pub(crate) fn pop(&mut self) -> i64 {
         self.stack.pop().expect("evaluation stack underflow")
-    }
-
-    /// Pops one value (builtin argument marshalling).
-    pub(crate) fn pop_value(&mut self) -> i64 {
-        self.pop()
     }
 
     #[inline]
@@ -1190,16 +1193,9 @@ impl Machine {
 /// `foc_compiler::native::NATIVE_REGS`).
 type RegFile = [i64; 256];
 
-/// Why the native executor stopped chaining at a pc.
-enum NativeExit {
-    /// No region starts at the pc: a call, builtin or return boundary.
-    NoRegion,
-    /// A region starts there but fuel does not cover its whole charge.
-    FuelShort,
-}
-
-/// A frame slot read and extended in one decode: each arm knows its
-/// width, so the window read and the extension share one branch.
+/// A narrow frame slot read and extended in one decode: each arm knows
+/// its width, so the window read and the extension share one branch (an
+/// 8-byte slot is sealed to `Src::Slot8` and never gets here).
 #[inline(always)]
 fn slot_get(view: &NativeView<'_>, off: u32, size: AccessSize, signed: bool) -> i64 {
     use AccessSize::{B1, B2, B4, B8};

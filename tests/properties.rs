@@ -187,6 +187,43 @@ proptest! {
         }
     }
 
+    /// For every `(size, signed)` and every 8 bytes of frame content, the
+    /// operand the native executor decodes — the sealed 8-byte kind or a
+    /// narrower slot — reads what `LoadLocal` pushes on the baseline tier.
+    #[test]
+    fn sealed_frame_operands_read_what_load_local_pushes(
+        content in any::<i64>(),
+        other in any::<i64>(),
+        second in any::<bool>(),
+    ) {
+        use failure_oblivious::compiler::native::{NOp, Src};
+        use failure_oblivious::compiler::{CompiledFunc, CompiledProgram, FrameLayout, Instr, ProgramImage};
+        let off = if second { 8 } else { 0 };
+        let args = if second { [other, content] } else { [content, other] };
+        for size in [AccessSize::B1, AccessSize::B2, AccessSize::B4, AccessSize::B8] {
+            for signed in [false, true] {
+                let program = CompiledProgram {
+                    funcs: vec![CompiledFunc {
+                        name: "f".to_owned(),
+                        param_count: 2,
+                        frame: FrameLayout { slots: vec![(0, 8), (8, 8)], total: 16 },
+                        code: vec![Instr::LoadLocal(off, size, signed), Instr::Ret],
+                    }],
+                    ..CompiledProgram::default()
+                };
+                let native = ProgramImage::with_native(program.clone());
+                let ops = &native.native_func(0).expect("native image").regions[0].ops;
+                let sealed = matches!(ops[..], [NOp::Mov { src: Src::Slot8(at), .. }] if at == off);
+                prop_assert_eq!(sealed, size == AccessSize::B8, "{:?}", ops);
+                let run = |image: ProgramImage| {
+                    let mut m = Machine::load(image, MachineConfig::default()).unwrap();
+                    (m.call("f", &args), m.stats())
+                };
+                prop_assert_eq!(run(native), run(ProgramImage::new(program)));
+            }
+        }
+    }
+
     /// A failure-oblivious guest hammering a random out-of-bounds index
     /// pattern never faults and always runs to completion.
     #[test]
