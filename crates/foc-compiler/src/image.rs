@@ -2,7 +2,7 @@
 //! wrapper around [`CompiledProgram`].
 //!
 //! A farm of thousands of server processes runs the *same* five compiled
-//! programs. Before this layer existed every [`foc_vm::Machine`] owned its
+//! programs. Before this layer existed every `foc_vm::Machine` owned its
 //! `CompiledProgram` by value, so every boot (and every supervisor
 //! restart) recompiled the MiniC source and then carried a private copy
 //! of the bytecode. [`ProgramImage`] holds the program behind an `Arc`,

@@ -71,8 +71,7 @@ impl TableKind {
     /// or the default. Strict like `ExecTier::from_env`: an unknown
     /// value exits with a one-line diagnostic rather than silently
     /// benchmarking a different structure. Read once per process;
-    /// `BootSpec::from_env` in `foc-servers` parses through `FromStr`
-    /// for an error value instead.
+    /// callers who want an error value parse through `FromStr` instead.
     pub fn from_env() -> TableKind {
         static KIND: std::sync::OnceLock<TableKind> = std::sync::OnceLock::new();
         *KIND.get_or_init(|| match std::env::var(TABLE_ENV) {

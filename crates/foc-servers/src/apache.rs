@@ -25,10 +25,9 @@
 
 use foc_compiler::ProgramImage;
 use foc_memory::Mode;
-use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
-use crate::{BootSpec, Measured, Outcome, Process, ProcessCheckpoint};
+use crate::{Arg, BootSpec, Measured, Outcome, Process, Server};
 
 /// MiniC source of the Apache worker.
 pub const APACHE_SOURCE: &str = r#"
@@ -216,28 +215,20 @@ pub fn attack_url() -> Vec<u8> {
 fn init_worker(proc: &mut Process) {
     let docs = [SMALL_PAGE, LARGE_FILE, ("/s0", 512)];
     for (path, size) in docs {
-        let p = proc.guest_str(path.as_bytes());
-        let r = proc.request("apache_add_doc", &[p.arg(), size]);
+        let r = proc.call(
+            "apache_add_doc",
+            &[Arg::Str(path.as_bytes()), Arg::Int(size)],
+        );
         assert!(r.outcome.survived(), "init add_doc");
-        proc.free_guest_str(p);
     }
-    let pat = proc.guest_str(b"%");
-    let rep = proc.guest_str(b"/$0");
-    let r = proc.request("apache_set_rewrite", &[pat.arg(), rep.arg()]);
+    let r = proc.call("apache_set_rewrite", &[Arg::Str(b"%"), Arg::Str(b"/$0")]);
     assert!(r.outcome.survived(), "init rewrite");
-    proc.free_guest_str(pat);
-    proc.free_guest_str(rep);
 }
 
 /// A single Apache child process.
+#[derive(Clone)]
 pub struct ApacheWorker {
     proc: Process,
-}
-
-/// A frozen standard boot of one Apache worker (see
-/// [`crate::image::boot_checkpoint`]).
-pub struct ApacheCheckpoint {
-    proc: ProcessCheckpoint,
 }
 
 impl ApacheWorker {
@@ -248,39 +239,24 @@ impl ApacheWorker {
         ApacheWorker::boot_spec(&BootSpec::new(ServerKind::Apache, mode))
     }
 
-    /// Boots one worker from a full [`BootSpec`]: restored from the
-    /// per-spec boot checkpoint, so farm boots, pool respawns, and
-    /// supervised restarts cost a snapshot restore instead of the
+    /// Boots one worker from a full [`BootSpec`]: a clone of the
+    /// per-spec frozen boot, so farm boots, pool respawns, and
+    /// supervised restarts cost a copy of the process instead of the
     /// document/rewrite-rule replay.
     pub fn boot_spec(spec: &BootSpec) -> ApacheWorker {
-        let ckpt = image::boot_checkpoint(ServerKind::Apache, spec);
-        let image::ServerCheckpoint::Apache(worker) = ckpt.as_ref() else {
-            unreachable!("Apache cache slot holds an Apache checkpoint");
+        let Server::Apache(worker) = &*image::boot_checkpoint(ServerKind::Apache, spec) else {
+            unreachable!("Apache cache slot holds an Apache worker");
         };
-        ApacheWorker::restore(worker)
+        worker.clone()
     }
 
     /// Boots one worker from an explicit image and a full [`BootSpec`],
-    /// bypassing the checkpoint cache (the cache's own fill path, and
-    /// the differential baseline of the equivalence tests).
+    /// bypassing the boot cache (the cache's own fill path, and the
+    /// differential baseline of the equivalence tests).
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec) -> ApacheWorker {
         let mut proc = Process::boot_spec(image, spec);
         init_worker(&mut proc);
         ApacheWorker { proc }
-    }
-
-    /// Freezes this worker's state.
-    pub fn checkpoint(&self) -> ApacheCheckpoint {
-        ApacheCheckpoint {
-            proc: self.proc.checkpoint(),
-        }
-    }
-
-    /// Materialises a worker in exactly the captured state.
-    pub fn restore(ckpt: &ApacheCheckpoint) -> ApacheWorker {
-        ApacheWorker {
-            proc: Process::restore(&ckpt.proc),
-        }
     }
 
     /// The underlying process.
@@ -298,26 +274,14 @@ impl ApacheWorker {
         self.proc.is_dead()
     }
 
+    /// Whether this child can serve.
+    pub fn usable(&self) -> bool {
+        !self.is_dead()
+    }
+
     /// Serves one request.
     pub fn get(&mut self, url: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return Measured {
-                outcome: Outcome::Crashed(
-                    self.proc
-                        .machine()
-                        .dead_reason()
-                        .cloned()
-                        .unwrap_or(VmFault::MachineDead),
-                ),
-                cycles: 0,
-            };
-        }
-        let p = self.proc.guest_str(url);
-        let r = self.proc.request("handle_request", &[p.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r
+        self.proc.call("handle_request", &[Arg::Str(url)])
     }
 }
 
@@ -343,7 +307,7 @@ pub struct ApachePool {
 impl ApachePool {
     /// Creates a pool with `n` children sharing the interned image, on
     /// the session-default spec ([`BootSpec::new`]). Children boot (and
-    /// later respawn) from the interned boot checkpoint, so pool
+    /// later respawn) as clones of the interned frozen boot, so pool
     /// regeneration never replays worker init.
     ///
     /// # Panics

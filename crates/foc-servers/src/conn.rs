@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 
 use netshim::{ConnectError, Fd, Interest, NetStack, ReadOutcome, WriteOutcome};
 
-use crate::farm::{Bytes, FarmProcess, Links, Request};
+use crate::farm::{Bytes, Links, Request, Server};
 use crate::image::ServerKind;
 use crate::latency::LatencyHist;
 use crate::{Measured, Outcome};
@@ -631,7 +631,7 @@ impl ConnSession {
     /// authoritative measurement (the client-decoded response is
     /// verified against it). Closed-loop: the call does not return
     /// until the response frame is fully read back.
-    pub(crate) fn transact(&mut self, request: &Request, process: &mut FarmProcess) -> Measured {
+    pub(crate) fn transact(&mut self, request: &Request, process: &mut Server) -> Measured {
         debug_assert_eq!(
             request.kind(),
             self.kind,
@@ -773,7 +773,7 @@ impl ConnSession {
         slot: usize,
         seq: u32,
         expected: &Request,
-        process: &mut FarmProcess,
+        process: &mut Server,
         measured: &mut Option<Measured>,
     ) {
         self.drain_server(slot);
@@ -1099,8 +1099,8 @@ mod tests {
     fn socket_matches_in_process(kind: ServerKind, edge: &SocketEdge, requests: &[Request]) {
         let spec = spec(kind);
         let env = ServerEnv::standard();
-        let mut wired = FarmProcess::boot_env(kind, &spec, &env);
-        let mut plain = FarmProcess::boot_env(kind, &spec, &env);
+        let mut wired = Server::boot(kind, &spec, env);
+        let mut plain = Server::boot(kind, &spec, env);
         let mut session = ConnSession::new(kind, edge);
         for request in requests {
             let over_wire = session.transact(request, &mut wired);
@@ -1176,8 +1176,7 @@ mod tests {
             ..SocketEdge::default()
         };
         let spec = spec(ServerKind::Apache);
-        let env = ServerEnv::standard();
-        let mut process = FarmProcess::boot_env(ServerKind::Apache, &spec, &env);
+        let mut process = Server::boot(ServerKind::Apache, &spec, ServerEnv::standard());
         let mut session = ConnSession::new(ServerKind::Apache, &edge);
         for _ in 0..4 {
             session.transact(

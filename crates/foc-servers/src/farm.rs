@@ -38,6 +38,7 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use foc_compiler::ProgramImage;
 use foc_memory::{Mode, TableKind, ValueSequence};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -335,25 +336,33 @@ impl FarmReport {
     }
 }
 
-/// One guest server process under farm supervision. Driver-side
-/// workload state (Pine's mailbox-size view, MC's file counter) lives
-/// in [`RequestGen`], not here: the process is pure service, so the
-/// same enum can sit behind either request edge and behind the sweep's
-/// scripted inputs.
-pub(crate) enum FarmProcess {
+/// One guest server process: the one enum over the five drivers, which
+/// the farm supervises, the boot cache freezes ([`crate::image`]), the
+/// sweep scripts and both request edges apply [`Request`]s to.
+/// Driver-side workload state (Pine's mailbox-size view, MC's file
+/// counter) lives in `RequestGen`, not here: the process is pure
+/// service. `Clone` is the restore half of a frozen boot.
+#[derive(Clone)]
+pub enum Server {
+    /// An Apache worker.
     Apache(apache::ApacheWorker),
+    /// A Sendmail daemon.
     Sendmail(sendmail::Sendmail),
+    /// A Pine reader.
     Pine(pine::Pine),
+    /// A Mutt reader.
     Mutt(mutt::Mutt),
+    /// A Midnight Commander.
     Mc(mc::Mc),
 }
 
 /// The persistent environment a server process boots over — the
 /// "files on disk" that survive supervised restarts: Pine's mail file,
 /// MC's configuration, Mutt's folder seed. The farm always uses the
-/// standard environment (which the boot-checkpoint cache captures);
-/// the sweep's input library substitutes poisoned variants.
-pub(crate) struct ServerEnv {
+/// standard environment (which the boot cache freezes); the sweep's
+/// input library substitutes poisoned variants.
+#[derive(Debug, Clone)]
+pub struct ServerEnv {
     /// Pine's seed mailbox (the mail file).
     pub pine_mailbox: crate::image::Mailbox,
     /// MC's configuration file contents.
@@ -363,13 +372,15 @@ pub(crate) struct ServerEnv {
 }
 
 impl ServerEnv {
-    /// The standard environment every farm process boots over.
-    pub fn standard() -> ServerEnv {
-        ServerEnv {
+    /// The standard environment every farm process boots over, interned
+    /// once per host process.
+    pub fn standard() -> &'static ServerEnv {
+        static ENV: OnceLock<ServerEnv> = OnceLock::new();
+        ENV.get_or_init(|| ServerEnv {
             pine_mailbox: crate::image::standard_pine_mailbox().clone(),
             mc_config: crate::image::standard_mc_config().clone(),
             mutt_seed: MUTT_SEED_MESSAGES,
-        }
+        })
     }
 }
 
@@ -407,70 +418,97 @@ fn mc_attack() -> &'static [Vec<u8>] {
     P.get_or_init(mc::attack_links)
 }
 
-impl FarmProcess {
+impl Server {
     /// Boots one process over `env`. Over the standard environment
     /// (every farm boot and supervised restart) the compiler runs at
     /// most once per kind per host process and boot plus environment
     /// replay at most once per `(kind, spec)`: the drivers' `boot_spec`
-    /// constructors restore [`crate::image::boot_checkpoint`] when the
+    /// constructors clone [`crate::image::boot_checkpoint`] when the
     /// environment's *contents* equal the interned standard one. The
     /// sweep's poisoned mailboxes and blank configurations boot cold.
-    pub(crate) fn boot_env(kind: ServerKind, spec: &BootSpec, env: &ServerEnv) -> FarmProcess {
+    pub fn boot(kind: ServerKind, spec: &BootSpec, env: &ServerEnv) -> Server {
         match kind {
-            ServerKind::Apache => FarmProcess::Apache(apache::ApacheWorker::boot_spec(spec)),
-            ServerKind::Sendmail => FarmProcess::Sendmail(sendmail::Sendmail::boot_spec(spec)),
-            ServerKind::Pine => {
-                FarmProcess::Pine(pine::Pine::boot_spec(spec, env.pine_mailbox.clone()))
+            ServerKind::Apache => Server::Apache(apache::ApacheWorker::boot_spec(spec)),
+            ServerKind::Sendmail => Server::Sendmail(sendmail::Sendmail::boot_spec(spec)),
+            ServerKind::Pine => Server::Pine(pine::Pine::boot_spec(spec, env.pine_mailbox.clone())),
+            ServerKind::Mutt => Server::Mutt(mutt::Mutt::boot_spec(spec, env.mutt_seed)),
+            ServerKind::Mc => Server::Mc(mc::Mc::boot_spec(spec, &env.mc_config)),
+        }
+    }
+
+    /// Boots one process of `image` over `env` from scratch — guest
+    /// initialisation and environment replay interpreted, no cache
+    /// consulted. The boot cache's own fill path, and the reference the
+    /// equivalence batteries hold [`Server::boot`] to.
+    pub fn boot_cold(
+        kind: ServerKind,
+        image: &ProgramImage,
+        spec: &BootSpec,
+        env: &ServerEnv,
+    ) -> Server {
+        match kind {
+            ServerKind::Apache => {
+                Server::Apache(apache::ApacheWorker::boot_image_spec(image, spec))
             }
-            ServerKind::Mutt => FarmProcess::Mutt(mutt::Mutt::boot_spec(spec, env.mutt_seed)),
-            ServerKind::Mc => FarmProcess::Mc(mc::Mc::boot_spec(spec, &env.mc_config)),
+            ServerKind::Sendmail => {
+                Server::Sendmail(sendmail::Sendmail::boot_image_spec(image, spec))
+            }
+            ServerKind::Pine => Server::Pine(pine::Pine::boot_image_spec(
+                image,
+                spec,
+                env.pine_mailbox.clone(),
+            )),
+            ServerKind::Mutt => {
+                Server::Mutt(mutt::Mutt::boot_image_spec(image, spec, env.mutt_seed))
+            }
+            ServerKind::Mc => Server::Mc(mc::Mc::boot_image_spec(image, spec, &env.mc_config)),
         }
     }
 
     /// Whether the process can serve requests.
-    pub(crate) fn usable(&self) -> bool {
+    pub fn usable(&self) -> bool {
         match self {
-            FarmProcess::Apache(w) => !w.is_dead(),
-            FarmProcess::Sendmail(s) => s.usable(),
-            FarmProcess::Pine(pine) => pine.usable(),
-            FarmProcess::Mutt(m) => !m.process().is_dead(),
-            FarmProcess::Mc(mc) => mc.usable(),
+            Server::Apache(w) => w.usable(),
+            Server::Sendmail(s) => s.usable(),
+            Server::Pine(pine) => pine.usable(),
+            Server::Mutt(m) => m.usable(),
+            Server::Mc(mc) => mc.usable(),
         }
     }
 
     /// The underlying guest process (violation counters, error log).
-    pub(crate) fn process(&self) -> &crate::Process {
+    pub fn process(&self) -> &crate::Process {
         match self {
-            FarmProcess::Apache(w) => w.process(),
-            FarmProcess::Sendmail(s) => s.process(),
-            FarmProcess::Pine(pine) => pine.process(),
-            FarmProcess::Mutt(m) => m.process(),
-            FarmProcess::Mc(mc) => mc.process(),
+            Server::Apache(w) => w.process(),
+            Server::Sendmail(s) => s.process(),
+            Server::Pine(pine) => pine.process(),
+            Server::Mutt(m) => m.process(),
+            Server::Mc(mc) => mc.process(),
         }
     }
 
     /// The boot/initialization outcome, for the kinds whose init runs
     /// guest code that can itself die (§4.4.4, §4.7). `None` for the
     /// kinds that boot inertly (Apache's worker, Mutt).
-    pub(crate) fn init_outcome(&self) -> Option<Outcome> {
+    pub fn init_outcome(&self) -> Option<&Outcome> {
         match self {
-            FarmProcess::Apache(_) | FarmProcess::Mutt(_) => None,
-            FarmProcess::Sendmail(s) => Some(s.init_outcome().clone()),
-            FarmProcess::Pine(pine) => Some(pine.init_outcome().clone()),
-            FarmProcess::Mc(mc) => Some(mc.init_outcome().clone()),
+            Server::Apache(_) | Server::Mutt(_) => None,
+            Server::Sendmail(s) => Some(s.init_outcome()),
+            Server::Pine(pine) => Some(pine.init_outcome()),
+            Server::Mc(mc) => Some(mc.init_outcome()),
         }
     }
 
     /// Replaces the dead process, preserving the persistent environment
     /// (the Pine mailbox survives restarts — it is the mail file on
-    /// disk; MC re-reads the same configuration). Both arms are
-    /// checkpoint restores: Pine restores its pre-index restart base
-    /// and replays only the delivered delta; the others restore the
-    /// boot snapshot of their environment.
-    pub(crate) fn restart(&mut self, kind: ServerKind, spec: &BootSpec, env: &ServerEnv) {
+    /// disk; MC re-reads the same configuration). Over the standard
+    /// environment both arms clone a frozen process: Pine its pre-index
+    /// restart base, replaying only the delivered delta; the others the
+    /// frozen boot of their environment.
+    pub fn restart(&mut self, kind: ServerKind, spec: &BootSpec, env: &ServerEnv) {
         match self {
-            FarmProcess::Pine(pine) => pine.restart(),
-            other => *other = FarmProcess::boot_env(kind, spec, env),
+            Server::Pine(pine) => pine.restart(),
+            other => *other = Server::boot(kind, spec, env),
         }
     }
 }
@@ -487,7 +525,7 @@ impl FarmProcess {
 /// is by *content*, not provenance — a decoded `Owned` frame equals the
 /// `Static` original it was framed from.
 #[derive(Debug, Clone)]
-pub(crate) enum Bytes {
+pub enum Bytes {
     /// Interned constant content.
     Static(&'static [u8]),
     /// Generated or decoded content.
@@ -516,7 +554,7 @@ impl Eq for Bytes {}
 /// MC archive link lists, static/owned like [`Bytes`] (and, like it,
 /// compared by content).
 #[derive(Debug, Clone)]
-pub(crate) enum Links {
+pub enum Links {
     /// The interned attack archive.
     Static(&'static [Vec<u8>]),
     /// A decoded archive.
@@ -547,7 +585,7 @@ impl Eq for Links {}
 /// directly. Covers the farm's generated mix *and* the sweep's scripted
 /// vocabulary (`SendmailMailFrom` appears only in scripts).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum Request {
+pub enum Request {
     /// `GET path` against the Apache worker.
     ApacheGet { path: Bytes },
     /// Inbound mail through Sendmail's prescan.
@@ -588,7 +626,7 @@ pub(crate) enum Request {
 
 impl Request {
     /// Which server kind this request addresses.
-    pub(crate) fn kind(&self) -> ServerKind {
+    pub fn kind(&self) -> ServerKind {
         match self {
             Request::ApacheGet { .. } => ServerKind::Apache,
             Request::SendmailReceive { .. }
@@ -616,33 +654,33 @@ impl Request {
     ///
     /// Panics when the request and process kinds disagree (a framing or
     /// harness bug, never data-dependent).
-    pub(crate) fn apply(&self, process: &mut FarmProcess) -> Measured {
+    pub fn apply(&self, process: &mut Server) -> Measured {
         match (self, process) {
-            (Request::ApacheGet { path }, FarmProcess::Apache(w)) => w.get(path),
-            (Request::SendmailReceive { from, to, body }, FarmProcess::Sendmail(s)) => {
+            (Request::ApacheGet { path }, Server::Apache(w)) => w.get(path),
+            (Request::SendmailReceive { from, to, body }, Server::Sendmail(s)) => {
                 s.receive(from, to, body)
             }
-            (Request::SendmailSend { to, body }, FarmProcess::Sendmail(s)) => s.send(to, body),
-            (Request::SendmailWakeup, FarmProcess::Sendmail(s)) => s.wakeup(),
-            (Request::SendmailMailFrom { from }, FarmProcess::Sendmail(s)) => s.mail_from(from),
+            (Request::SendmailSend { to, body }, Server::Sendmail(s)) => s.send(to, body),
+            (Request::SendmailWakeup, Server::Sendmail(s)) => s.wakeup(),
+            (Request::SendmailMailFrom { from }, Server::Sendmail(s)) => s.mail_from(from),
             (
                 Request::PineDeliver {
                     from,
                     subject,
                     body,
                 },
-                FarmProcess::Pine(p),
+                Server::Pine(p),
             ) => p.deliver(from, subject, body),
-            (Request::PineRead { index }, FarmProcess::Pine(p)) => p.read(*index),
-            (Request::PineCompose, FarmProcess::Pine(p)) => p.compose(),
-            (Request::PineMove { index }, FarmProcess::Pine(p)) => p.move_message(*index),
-            (Request::MuttOpenFolder { name }, FarmProcess::Mutt(m)) => m.open_folder(name),
-            (Request::MuttRead { index }, FarmProcess::Mutt(m)) => m.read_message(*index),
-            (Request::McCopy { src, dst }, FarmProcess::Mc(m)) => m.copy(src, dst),
-            (Request::McMkdir { path }, FarmProcess::Mc(m)) => m.mkdir(path),
-            (Request::McDelete { path }, FarmProcess::Mc(m)) => m.delete(path),
-            (Request::McComponentEnd { name }, FarmProcess::Mc(m)) => m.component_end(name),
-            (Request::McOpenArchive { links }, FarmProcess::Mc(m)) => m.open_archive(links),
+            (Request::PineRead { index }, Server::Pine(p)) => p.read(*index),
+            (Request::PineCompose, Server::Pine(p)) => p.compose(),
+            (Request::PineMove { index }, Server::Pine(p)) => p.move_message(*index),
+            (Request::MuttOpenFolder { name }, Server::Mutt(m)) => m.open_folder(name),
+            (Request::MuttRead { index }, Server::Mutt(m)) => m.read_message(*index),
+            (Request::McCopy { src, dst }, Server::Mc(m)) => m.copy(src, dst),
+            (Request::McMkdir { path }, Server::Mc(m)) => m.mkdir(path),
+            (Request::McDelete { path }, Server::Mc(m)) => m.delete(path),
+            (Request::McComponentEnd { name }, Server::Mc(m)) => m.component_end(name),
+            (Request::McOpenArchive { links }, Server::Mc(m)) => m.open_archive(links),
             _ => panic!("request kind does not match the server process"),
         }
     }
@@ -921,12 +959,7 @@ fn server_seed(farm_seed: u64, index: usize) -> u64 {
 /// attempt loop itself is the shared [`supervisor::restart_until_usable`]
 /// helper — one definition of supervision for the farm and the §4.7
 /// study.
-fn supervise(
-    process: &mut FarmProcess,
-    stats: &mut ServerStats,
-    config: &FarmConfig,
-    env: &ServerEnv,
-) {
+fn supervise(process: &mut Server, stats: &mut ServerStats, config: &FarmConfig) {
     let remaining = u64::from(config.restart_budget).saturating_sub(stats.restarts);
     let budget = u32::try_from(remaining).unwrap_or(u32::MAX);
     let (kind, spec) = (config.kind, config.boot_spec());
@@ -934,7 +967,7 @@ fn supervise(
         process,
         budget,
         |p| p.usable(),
-        |p| p.restart(kind, &spec, env),
+        |p| p.restart(kind, &spec, ServerEnv::standard()),
     );
     stats.restarts += u64::from(attempts);
     stats.total_cycles += u64::from(attempts) * RESTART_COST_CYCLES;
@@ -953,8 +986,7 @@ fn supervise(
 struct ServerRun {
     index: usize,
     gen: RequestGen,
-    process: FarmProcess,
-    env: ServerEnv,
+    process: Server,
     /// The socket session carrying this server's stream, when the farm
     /// runs behind [`Edge::Socket`]. `None` is the in-process edge:
     /// requests apply directly, no framing.
@@ -970,10 +1002,9 @@ impl ServerRun {
     /// wake-up, §4.4.4).
     fn boot(config: &FarmConfig, index: usize) -> Box<ServerRun> {
         let gen = RequestGen::new(server_seed(config.seed, index));
-        let env = ServerEnv::standard();
         let mut stats = ServerStats::default();
-        let mut process = FarmProcess::boot_env(config.kind, &config.boot_spec(), &env);
-        supervise(&mut process, &mut stats, config, &env);
+        let mut process = Server::boot(config.kind, &config.boot_spec(), ServerEnv::standard());
+        supervise(&mut process, &mut stats, config);
         let conn = match &config.edge {
             Edge::InProcess => None,
             Edge::Socket(socket) => Some(Box::new(ConnSession::new(config.kind, socket))),
@@ -982,7 +1013,6 @@ impl ServerRun {
             index,
             gen,
             process,
-            env,
             conn,
             stats,
             issued: 0,
@@ -1026,7 +1056,7 @@ impl ServerRun {
             Outcome::Crashed(_) => {
                 self.stats.dropped += 1;
                 self.stats.deaths += 1;
-                supervise(&mut self.process, &mut self.stats, config, &self.env);
+                supervise(&mut self.process, &mut self.stats, config);
             }
         }
     }

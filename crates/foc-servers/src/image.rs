@@ -19,6 +19,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use foc_compiler::{ExecTier, ProgramImage};
 
+use crate::farm::{Server, ServerEnv};
 use crate::{apache, mc, mutt, pine, sendmail, BootSpec};
 
 /// Which of the paper's five servers is meant.
@@ -149,7 +150,7 @@ impl ServerKind {
 }
 
 // ---------------------------------------------------------------------
-// Boot checkpoints: the restart layer above the image cache.
+// Frozen boots: the restart layer above the image cache.
 // ---------------------------------------------------------------------
 
 /// Messages every standard Pine boot seeds its mailbox with (the farm's
@@ -175,32 +176,7 @@ pub fn standard_mc_config() -> &'static Vec<u8> {
     CONFIG.get_or_init(mc::clean_config)
 }
 
-/// A frozen *standard boot* of one server kind under one [`BootSpec`]:
-/// the fully initialised driver state (machine image, init outcome,
-/// driver bookkeeping) captured immediately after boot plus standard
-/// environment replay. Restoring one is byte-identical to re-running
-/// the boot — boots are pure functions of `(image, spec, environment)`
-/// — so the farm, the sweep, and the supervisor restart by restoring
-/// instead of re-interpreting initialization.
-///
-/// A checkpoint of a boot that *dies* (Bounds Check Sendmail's wake-up,
-/// §4.4.4) is cached and restored just the same: the restored process
-/// is dead in exactly the way a fresh boot would be, which is what the
-/// persistent-trigger semantics require.
-pub enum ServerCheckpoint {
-    /// A booted Apache worker.
-    Apache(apache::ApacheCheckpoint),
-    /// A booted (or dead-at-init) Sendmail daemon.
-    Sendmail(sendmail::SendmailCheckpoint),
-    /// A booted Pine reader over the standard mailbox.
-    Pine(pine::PineCheckpoint),
-    /// A booted Mutt reader with the standard seed messages.
-    Mutt(mutt::MuttCheckpoint),
-    /// A booted MC over the clean configuration.
-    Mc(mc::McCheckpoint),
-}
-
-/// Cap on cached checkpoints. A full mode sweep visits hundreds of
+/// Cap on cached frozen boots. A full mode sweep visits hundreds of
 /// distinct specs and each entry holds a whole machine image — the
 /// committed windows of a booted space plus its unit tables: 16 KiB
 /// (Sendmail) to 188 KiB (Pine, whose entry keeps two, the boot and
@@ -214,13 +190,13 @@ pub enum ServerCheckpoint {
 /// distinct spec appeared.)
 const CHECKPOINT_CACHE_CAP: usize = 64;
 
-/// One cached boot plus its last-touched stamp (monotone per cache).
+/// One frozen boot plus its last-touched stamp (monotone per cache).
 struct CheckpointEntry {
-    ckpt: Arc<ServerCheckpoint>,
+    frozen: Arc<Server>,
     last_used: u64,
 }
 
-/// The checkpoint cache: one frozen boot per `(kind, spec)` with LRU
+/// The boot cache: one frozen boot per `(kind, spec)` with LRU
 /// bookkeeping.
 #[derive(Default)]
 struct CheckpointCache {
@@ -230,21 +206,17 @@ struct CheckpointCache {
 
 impl CheckpointCache {
     /// Looks up a cell, refreshing its recency on a hit.
-    fn get(&mut self, key: &(ServerKind, BootSpec)) -> Option<Arc<ServerCheckpoint>> {
+    fn get(&mut self, key: &(ServerKind, BootSpec)) -> Option<Arc<Server>> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.map.get_mut(key)?;
         entry.last_used = tick;
-        Some(Arc::clone(&entry.ckpt))
+        Some(Arc::clone(&entry.frozen))
     }
 
     /// Inserts a freshly built cell (or returns the racing winner),
     /// evicting the least-recently-used entry when the cache is full.
-    fn insert(
-        &mut self,
-        key: (ServerKind, BootSpec),
-        built: Arc<ServerCheckpoint>,
-    ) -> Arc<ServerCheckpoint> {
+    fn insert(&mut self, key: (ServerKind, BootSpec), built: Arc<Server>) -> Arc<Server> {
         if let Some(hit) = self.get(&key) {
             return hit;
         }
@@ -264,7 +236,7 @@ impl CheckpointCache {
         self.map.insert(
             key,
             CheckpointEntry {
-                ckpt: Arc::clone(&built),
+                frozen: Arc::clone(&built),
                 last_used: self.tick,
             },
         );
@@ -277,52 +249,38 @@ fn checkpoint_cache() -> &'static Mutex<CheckpointCache> {
     CACHE.get_or_init(|| Mutex::new(CheckpointCache::default()))
 }
 
-/// Number of currently cached boot checkpoints (diagnostics; the LRU
+/// Number of currently cached frozen boots (diagnostics; the LRU
 /// regression test asserts the cap holds).
 pub fn checkpoint_cache_len() -> usize {
     checkpoint_cache().lock().unwrap().map.len()
 }
 
-/// The interned standard-boot checkpoint for `(kind, spec)`: performed
-/// at most once per residency, then restored by every farm boot, pool
-/// respawn, and supervised restart of that configuration. Sits
-/// directly above [`ServerKind::image`] in the boot stack:
-/// compile → image → **checkpoint** → machine.
-pub fn boot_checkpoint(kind: ServerKind, spec: &BootSpec) -> Arc<ServerCheckpoint> {
+/// The interned *frozen standard boot* for `(kind, spec)`: a [`Server`]
+/// booted over [`ServerEnv::standard`] — machine image, init outcome,
+/// driver bookkeeping — that nobody calls, so `Arc` is all the
+/// immutability it needs. Performed at most once per residency, then
+/// cloned by every farm boot, pool respawn, and supervised restart of
+/// that configuration: boots are pure functions of `(image, spec,
+/// environment)`, so the clone is byte-identical to re-running the
+/// boot. Sits directly above [`ServerKind::image`] in the boot stack:
+/// compile → image → **frozen boot** → machine.
+///
+/// A boot that *dies* (Bounds Check Sendmail's wake-up, §4.4.4) is
+/// cached and cloned just the same: the clone is dead in exactly the
+/// way a fresh boot would be, which is what the persistent-trigger
+/// semantics require.
+pub fn boot_checkpoint(kind: ServerKind, spec: &BootSpec) -> Arc<Server> {
     let key = (kind, *spec);
     if let Some(hit) = checkpoint_cache().lock().unwrap().get(&key) {
         return hit;
     }
     // Boot outside the lock: first boots interpret guest code, and
     // concurrent first callers of *different* cells must not serialize.
-    // Racing first callers of the same cell build identical snapshots;
+    // Racing first callers of the same cell build identical servers;
     // `insert` publishes one winner.
-    let built = Arc::new(standard_boot(kind, spec));
-    checkpoint_cache().lock().unwrap().insert(key, built)
-}
-
-/// Runs the uncached standard boot for `kind` and freezes it. The
-/// environments here define "standard": they must match what the
-/// drivers' cached `boot_spec` constructors compare against.
-fn standard_boot(kind: ServerKind, spec: &BootSpec) -> ServerCheckpoint {
     let image = kind.image_tier(spec.tier);
-    match kind {
-        ServerKind::Apache => ServerCheckpoint::Apache(
-            apache::ApacheWorker::boot_image_spec(&image, spec).checkpoint(),
-        ),
-        ServerKind::Sendmail => ServerCheckpoint::Sendmail(
-            sendmail::Sendmail::boot_image_spec(&image, spec).checkpoint(),
-        ),
-        ServerKind::Pine => ServerCheckpoint::Pine(
-            pine::Pine::boot_image_spec(&image, spec, standard_pine_mailbox().clone()).checkpoint(),
-        ),
-        ServerKind::Mutt => ServerCheckpoint::Mutt(
-            mutt::Mutt::boot_image_spec(&image, spec, MUTT_SEED_MESSAGES).checkpoint(),
-        ),
-        ServerKind::Mc => ServerCheckpoint::Mc(
-            mc::Mc::boot_image_spec(&image, spec, standard_mc_config()).checkpoint(),
-        ),
-    }
+    let built = Arc::new(Server::boot_cold(kind, &image, spec, ServerEnv::standard()));
+    checkpoint_cache().lock().unwrap().insert(key, built)
 }
 
 #[cfg(test)]
@@ -406,8 +364,8 @@ mod tests {
     #[test]
     fn dead_standard_boots_are_cached_dead() {
         // §4.4.4: the Bounds Check Sendmail daemon dies during init;
-        // its checkpoint must capture (and every restore reproduce)
-        // exactly that dead state.
+        // its frozen boot must hold (and every clone reproduce) exactly
+        // that dead state.
         let spec = BootSpec::new(ServerKind::Sendmail, foc_memory::Mode::BoundsCheck);
         let first = sendmail::Sendmail::boot_spec(&spec);
         let second = sendmail::Sendmail::boot_spec(&spec);

@@ -11,9 +11,17 @@
 //! * unit tests asserting the paper's qualitative results per mode.
 //!
 //! The drivers model one OS process per [`foc_vm::Machine`]: a fault kills
-//! the process and all its state; `restart` builds a fresh machine and
+//! the process and all its state; a restart builds a fresh machine and
 //! replays initialisation (which may itself fault — the Pine/Mutt/MC
 //! situation where the Bounds Check version dies during startup, §4.7).
+//!
+//! Two things are shared by all five. Every driver request method is one
+//! [`Process::call`] (or a short sequence of them), which owns the
+//! dead-process answer and the copy-in/free-if-survived marshalling of
+//! byte arguments. And [`Process`] and the drivers are `Clone`, so a
+//! *frozen boot* is nothing but a booted [`Server`] nobody calls: the
+//! boot cache ([`image::boot_checkpoint`]) holds one `Arc<Server>` per
+//! `(kind, spec)` and restoring it is `clone()`.
 
 pub mod apache;
 pub mod conn;
@@ -29,6 +37,7 @@ pub mod supervisor;
 pub mod sweep;
 pub mod workload;
 
+pub use farm::{Request, Server, ServerEnv};
 pub use image::ServerKind;
 
 pub use foc_compiler::ExecTier;
@@ -84,41 +93,6 @@ pub struct Measured {
     pub cycles: u64,
 }
 
-/// A guest address handed out by the driver-side allocator
-/// ([`Process::guest_str`]), typed so the alloc/arg/free round-trip
-/// can't silently mix addresses with ordinary guest integers or lose
-/// bits in unchecked casts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GuestAddr(u64);
-
-impl GuestAddr {
-    /// Wraps a raw guest address.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the address does not fit the guest calling
-    /// convention's `i64` argument slot (the memory map never hands out
-    /// such addresses; one here is a harness bug).
-    pub fn new(raw: u64) -> GuestAddr {
-        assert!(
-            i64::try_from(raw).is_ok(),
-            "guest address {raw:#x} overflows the i64 argument slot"
-        );
-        GuestAddr(raw)
-    }
-
-    /// The raw address (for direct [`Machine`] APIs).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-
-    /// The address as a guest call argument. Infallible by the
-    /// [`GuestAddr::new`] invariant.
-    pub fn arg(self) -> i64 {
-        self.0 as i64
-    }
-}
-
 /// Everything that decides how one guest server process is built: the
 /// four axes of the mode search-space sweep in one place. The drivers'
 /// `boot_spec`/`boot_image_spec` constructors take a full spec; each
@@ -157,8 +131,7 @@ impl BootSpec {
     /// is decided: [`farm::FarmConfig::new`], [`ServerKind::image`],
     /// [`Process::boot_source`] and [`apache::ApachePool::new`] all take
     /// theirs from here. Unknown env values exit the process with a
-    /// one-line diagnostic; use [`BootSpec::from_env`] to get the error
-    /// as a value instead.
+    /// one-line diagnostic.
     pub fn new(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec::with_budget(mode, kind.fuel())
     }
@@ -186,46 +159,6 @@ impl BootSpec {
             .with_table(TableKind::Splay)
     }
 
-    /// The strict, fallible twin of [`BootSpec::new`]: reads the same
-    /// two environment axes (`FOC_EXEC_TIER`, `FOC_TABLE`) in one place
-    /// and returns the first configuration
-    /// error as a typed [`EnvError`] instead of exiting — the single
-    /// entry the bench binaries and CI read session config through, so
-    /// an unknown value surfaces as one uniform diagnostic no matter
-    /// which axis it hit.
-    pub fn from_env(kind: ServerKind, mode: Mode) -> Result<BootSpec, EnvError> {
-        BootSpec::from_env_with(kind, mode, |var| std::env::var(var).ok())
-    }
-
-    /// [`BootSpec::from_env`] over an arbitrary variable source, so the
-    /// unknown-value matrix is unit-testable without mutating the
-    /// process environment.
-    fn from_env_with(
-        kind: ServerKind,
-        mode: Mode,
-        get: impl Fn(&str) -> Option<String>,
-    ) -> Result<BootSpec, EnvError> {
-        fn axis<T>(get: &impl Fn(&str) -> Option<String>, var: &'static str) -> Result<T, EnvError>
-        where
-            T: Default + std::str::FromStr<Err = String>,
-        {
-            match get(var) {
-                Some(value) => value
-                    .parse()
-                    .map_err(|detail| EnvError { var, value, detail }),
-                None => Ok(T::default()),
-            }
-        }
-        Ok(BootSpec {
-            mode,
-            table: axis(&get, foc_memory::TABLE_ENV)?,
-            sequence: ValueSequence::default(),
-            fuel: kind.fuel(),
-            tier: axis(&get, foc_compiler::EXEC_TIER_ENV)?,
-            lookup: LookupLayer::Table,
-        })
-    }
-
     /// Same spec on a different object-table backend.
     pub fn with_table(mut self, table: TableKind) -> BootSpec {
         self.table = table;
@@ -251,57 +184,28 @@ impl BootSpec {
     }
 }
 
-/// A rejected environment value from [`BootSpec::from_env`]: which
-/// variable, what it held, and the parser's diagnostic (which lists the
-/// accepted spellings). One error type for both config axes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvError {
-    /// The environment variable that failed to parse.
-    pub var: &'static str,
-    /// The rejected value.
-    pub value: String,
-    /// Why it was rejected, with the valid spellings.
-    pub detail: String,
+/// One argument of a guest call ([`Process::call`]).
+#[derive(Debug, Clone, Copy)]
+pub enum Arg<'a> {
+    /// An integer, passed as is.
+    Int(i64),
+    /// A byte string, copied NUL-terminated into the guest heap for the
+    /// duration of the call and passed by address.
+    Str(&'a [u8]),
 }
 
-impl std::fmt::Display for EnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={:?}: {}", self.var, self.value, self.detail)
-    }
-}
-
-impl std::error::Error for EnvError {}
-
-/// Cap on pooled scratch buffers per process (a driver never has more
-/// than a handful of request strings in flight at once).
-const SCRATCH_POOL: usize = 4;
-
-/// A frozen [`Process`]: a machine checkpoint plus the boot spec it was
-/// built from. Restoring one yields a process byte-identical to the one
-/// captured — the unit the per-server boot-checkpoint cache stores and
-/// the restart paths restore from.
-#[derive(Clone)]
-pub struct ProcessCheckpoint {
-    machine: foc_vm::Checkpoint,
-    spec: BootSpec,
-}
-
-impl ProcessCheckpoint {
-    /// The boot spec of the captured process.
-    pub fn spec(&self) -> &BootSpec {
-        &self.spec
-    }
-}
+/// The most arguments any server entry point takes.
+const MAX_ARGS: usize = 3;
 
 /// Shared plumbing: one guest process running a compiled server.
+///
+/// `Clone` copies the whole process (see [`Machine`]'s `Clone`): a
+/// process that is booted once and afterwards only cloned is a frozen
+/// boot, which is all a restart restores from.
+#[derive(Clone)]
 pub struct Process {
     machine: Machine,
     spec: BootSpec,
-    /// Reusable host-side byte buffers for building request content;
-    /// taken with [`Process::scratch`], returned with
-    /// [`Process::recycle`] so per-request `Vec` churn stays off the
-    /// host allocator at farm scale.
-    scratch: Vec<Vec<u8>>,
 }
 
 impl Process {
@@ -331,7 +235,6 @@ impl Process {
         Process {
             machine,
             spec: *spec,
-            scratch: Vec::new(),
         }
     }
 
@@ -353,28 +256,6 @@ impl Process {
         Process::boot_spec(&image, &spec)
     }
 
-    /// Freezes this process's current state (machine plus spec) for
-    /// later restoration. Captured once after a standard boot, a
-    /// checkpoint turns every subsequent supervised restart into a
-    /// memcpy instead of a boot-plus-environment replay.
-    pub fn checkpoint(&self) -> ProcessCheckpoint {
-        ProcessCheckpoint {
-            machine: self.machine.checkpoint(),
-            spec: self.spec,
-        }
-    }
-
-    /// Materialises a fresh process in exactly the captured state (the
-    /// host-side scratch pool starts empty — it never affects guest
-    /// state).
-    pub fn restore(ckpt: &ProcessCheckpoint) -> Process {
-        Process {
-            machine: ckpt.machine.restore(),
-            spec: ckpt.spec,
-            scratch: Vec::new(),
-        }
-    }
-
     /// The policy this process runs under.
     pub fn mode(&self) -> Mode {
         self.spec.mode
@@ -388,23 +269,6 @@ impl Process {
     /// The full boot spec this process was built from.
     pub fn spec(&self) -> &BootSpec {
         &self.spec
-    }
-
-    /// Takes a cleared reusable byte buffer from the process's scratch
-    /// pool (allocating only when the pool is dry). Pair with
-    /// [`Process::recycle`]; the take/return shape sidesteps borrow
-    /// conflicts with the `&mut self` request methods.
-    pub fn scratch(&mut self) -> Vec<u8> {
-        self.scratch.pop().unwrap_or_default()
-    }
-
-    /// Returns a scratch buffer to the pool, keeping its capacity for
-    /// the next request.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        if self.scratch.len() < SCRATCH_POOL {
-            buf.clear();
-            self.scratch.push(buf);
-        }
     }
 
     /// The fuel budget per call.
@@ -427,40 +291,62 @@ impl Process {
         self.machine.is_dead()
     }
 
-    /// Calls a guest entry point, measuring the cycles it consumed.
-    pub fn request(&mut self, func: &str, args: &[i64]) -> Measured {
-        let before = self.machine.stats().cycles;
-        let result = self.machine.call(func, args);
-        let cycles = self.machine.stats().cycles - before;
-        let outcome = match result {
-            Ok(ret) => Outcome::Done {
-                ret,
-                output: self.machine.take_output(),
-            },
-            Err(fault) => Outcome::Crashed(fault),
-        };
-        Measured { outcome, cycles }
-    }
-
-    /// Copies a byte string into the guest heap, NUL-terminated,
-    /// returning the typed address for the call/free round-trip.
+    /// Serves one request: calls guest entry point `func`, measuring the
+    /// cycles it consumed. The one way a driver reaches its guest.
+    ///
+    /// A dead process answers with the fault it died of, for 0 cycles,
+    /// and nothing else happens. Otherwise each [`Arg::Str`] is copied
+    /// into the guest heap in argument order, the entry point runs, and
+    /// the copies are freed in the same order *iff the call survived* —
+    /// a crash takes the heap with it, and a free on a dead space would
+    /// still move [`foc_memory::SpaceStats::frees`].
     ///
     /// # Panics
     ///
-    /// Panics when the guest heap is exhausted (drivers allocate tiny
-    /// request strings; exhaustion indicates a harness bug).
-    pub fn guest_str(&mut self, bytes: &[u8]) -> GuestAddr {
-        GuestAddr::new(
-            self.machine
-                .alloc_cstring(bytes)
-                .expect("guest heap exhausted"),
-        )
-    }
-
-    /// Frees a driver-allocated guest string.
-    pub fn free_guest_str(&mut self, addr: GuestAddr) {
-        // Tolerate failure: freeing after a fault is pointless anyway.
-        let _ = self.machine.free_guest(addr.raw());
+    /// Panics on more than three arguments, or when the guest heap
+    /// cannot hold the copies (drivers pass tiny request strings; either
+    /// is a harness bug).
+    pub fn call(&mut self, func: &str, args: &[Arg<'_>]) -> Measured {
+        if let Some(fault) = self.machine.dead_reason() {
+            return Measured {
+                outcome: Outcome::Crashed(fault.clone()),
+                cycles: 0,
+            };
+        }
+        let mut raw = [0i64; MAX_ARGS];
+        let mut copies = [None; MAX_ARGS];
+        for (i, arg) in args.iter().enumerate() {
+            raw[i] = match *arg {
+                Arg::Int(v) => v,
+                Arg::Str(bytes) => {
+                    let addr = self
+                        .machine
+                        .alloc_cstring(bytes)
+                        .expect("guest heap exhausted");
+                    copies[i] = Some(addr);
+                    i64::try_from(addr).expect("guest address fits the i64 argument slot")
+                }
+            };
+        }
+        let before = self.machine.stats().cycles;
+        let result = self.machine.call(func, &raw[..args.len()]);
+        let cycles = self.machine.stats().cycles - before;
+        let outcome = match result {
+            Ok(ret) => {
+                for addr in copies.into_iter().flatten() {
+                    // A Standard-mode guest may have smashed the copy's
+                    // header and lived; the host `free` then refuses,
+                    // and the process carries on as the real one would.
+                    let _ = self.machine.free_guest(addr);
+                }
+                Outcome::Done {
+                    ret,
+                    output: self.machine.take_output(),
+                }
+            }
+            Err(fault) => Outcome::Crashed(fault),
+        };
+        Measured { outcome, cycles }
     }
 }
 
@@ -490,78 +376,76 @@ mod tests {
         assert_eq!(mean_stddev(&[3.0]), (3.0, 0.0));
     }
 
-    #[test]
-    fn boot_spec_from_env_defaults_when_unset() {
-        let spec =
-            BootSpec::from_env_with(ServerKind::Pine, Mode::FailureOblivious, |_| None).unwrap();
-        assert_eq!(spec.tier, ExecTier::Native);
-        assert_eq!(spec.table, TableKind::Flat);
-        assert_eq!(spec.mode, Mode::FailureOblivious);
-        assert_eq!(spec.fuel, ServerKind::Pine.fuel());
-        assert_eq!(spec.sequence, ValueSequence::default());
+    /// A guest small enough to read whole: `gap` survives and reports
+    /// where its two strings landed, `boom` dies after touching both.
+    const CALL_GUEST: &str = "long gap(char *a, char *b) { return b - a; } \
+                              long boom(char *a, char *b) { int z = 0; return (a[0] + b[0]) / z; }";
+
+    fn call_guest(mode: Mode) -> Process {
+        Process::boot_source(CALL_GUEST, mode, 1_000_000)
     }
 
     #[test]
-    fn boot_spec_from_env_parses_every_valid_spelling() {
-        for tier in ExecTier::ALL {
-            for table in TableKind::ALL {
-                // Upper-case to pin case-insensitivity on both axes.
-                let vals = [
-                    (foc_compiler::EXEC_TIER_ENV, tier.label().to_uppercase()),
-                    (foc_memory::TABLE_ENV, table.name().to_uppercase()),
-                ];
-                let spec = BootSpec::from_env_with(ServerKind::Mutt, Mode::Standard, |var| {
-                    vals.iter().find(|(v, _)| *v == var).map(|(_, s)| s.clone())
-                })
-                .unwrap();
-                assert_eq!((spec.tier, spec.table), (tier, table));
-            }
-        }
-    }
-
-    #[test]
-    fn boot_spec_from_env_rejects_unknown_values_on_every_axis() {
-        for (var, value) in [
-            (foc_compiler::EXEC_TIER_ENV, "turbo"),
-            (foc_compiler::EXEC_TIER_ENV, "super"),
-            (foc_compiler::EXEC_TIER_ENV, ""),
-            (foc_memory::TABLE_ENV, "rbtree"),
-            (foc_memory::TABLE_ENV, "btree"),
-            (foc_memory::TABLE_ENV, "auto"),
-            (foc_memory::TABLE_ENV, "splay,btree"),
-        ] {
-            let err = BootSpec::from_env_with(ServerKind::Sendmail, Mode::BoundsCheck, |v| {
-                (v == var).then(|| value.to_string())
-            })
-            .expect_err("unknown value must be rejected");
-            assert_eq!(err.var, var);
-            assert_eq!(err.value, value);
-            assert!(
-                err.detail.contains("unknown"),
-                "diagnostic names the problem: {}",
-                err.detail
-            );
-            let shown = err.to_string();
-            assert!(
-                shown.contains(var) && shown.contains(&format!("{value:?}")),
-                "display carries variable and value: {shown}"
+    fn a_dead_process_answers_with_the_fault_it_died_of() {
+        for mode in [Mode::Standard, Mode::FailureOblivious] {
+            let mut p = call_guest(mode);
+            let args = [Arg::Str(b"left"), Arg::Str(b"right")];
+            let Outcome::Crashed(died_of) = p.call("boom", &args).outcome else {
+                panic!("{mode:?}: a division by zero kills the process");
+            };
+            assert_ne!(died_of, VmFault::MachineDead);
+            let space = p.machine().space();
+            let (stats, live) = (*space.stats(), space.heap_live());
+            let again = p.call("gap", &args);
+            assert_eq!(again.outcome, Outcome::Crashed(died_of), "{mode:?}");
+            assert_eq!(again.cycles, 0, "{mode:?}");
+            let space = p.machine().space();
+            assert_eq!(
+                (*space.stats(), space.heap_live()),
+                (stats, live),
+                "{mode:?}"
             );
         }
     }
 
     #[test]
-    fn boot_spec_from_env_reports_the_axis_that_failed_first() {
-        // Two bad axes: the error must be attributed to one of them
-        // (the table axis is read first), never mixed.
-        let err = BootSpec::from_env_with(ServerKind::Mc, Mode::Standard, |var| {
-            Some(match var {
-                v if v == foc_memory::TABLE_ENV => "cuckoo".to_string(),
-                _ => "bogus".to_string(),
-            })
-        })
-        .expect_err("bad config must be rejected");
-        assert_eq!(err.var, foc_memory::TABLE_ENV);
-        assert_eq!(err.value, "cuckoo");
+    fn byte_arguments_are_freed_iff_the_call_survived() {
+        for mode in [Mode::Standard, Mode::FailureOblivious] {
+            let mut p = call_guest(mode);
+            let args = [Arg::Str(b"left"), Arg::Str(b"right")];
+            let base = (
+                *p.machine().space().stats(),
+                p.machine().space().heap_live(),
+            );
+            assert!(p.call("gap", &args).outcome.survived(), "{mode:?}");
+            let space = p.machine().space();
+            assert_eq!(space.heap_live(), base.1, "{mode:?}: copies freed");
+            assert_eq!(space.stats().mallocs, base.0.mallocs + 2, "{mode:?}");
+            assert_eq!(space.stats().frees, base.0.frees + 2, "{mode:?}");
+            assert!(!p.call("boom", &args).outcome.survived(), "{mode:?}");
+            let space = p.machine().space();
+            assert_eq!(space.stats().mallocs, base.0.mallocs + 4, "{mode:?}");
+            assert_eq!(space.stats().frees, base.0.frees + 2, "{mode:?}: no free");
+            assert_eq!(space.heap_live(), base.1 + 2, "{mode:?}");
+        }
+    }
+
+    #[test]
+    fn byte_arguments_land_in_argument_order() {
+        for mode in [Mode::Standard, Mode::FailureOblivious] {
+            let mut p = call_guest(mode);
+            let gap = p.call("gap", &[Arg::Str(b"left"), Arg::Str(b"right")]);
+            let gap = gap.outcome.ret().expect("gap survives");
+            assert!(
+                gap > 0,
+                "{mode:?}: first Str gets the lower address ({gap})"
+            );
+            // Integers pass through untouched, between the strings too.
+            let src = "long pick(char *a, long n, char *b) { return n + (b > a); }";
+            let mut p = Process::boot_source(src, mode, 1_000_000);
+            let args = [Arg::Str(b"x"), Arg::Int(-7), Arg::Str(b"y")];
+            assert_eq!(p.call("pick", &args).outcome.ret(), Some(-6), "{mode:?}");
+        }
     }
 
     #[test]
@@ -571,10 +455,10 @@ mod tests {
             Mode::FailureOblivious,
             1_000_000,
         );
-        let r1 = p.request("bump", &[]);
+        let r1 = p.call("bump", &[]);
         assert_eq!(r1.outcome.ret(), Some(1));
         assert!(r1.cycles > 0);
-        let r2 = p.request("bump", &[]);
+        let r2 = p.call("bump", &[]);
         assert_eq!(r2.outcome.ret(), Some(2));
     }
 }

@@ -19,10 +19,9 @@
 
 use foc_compiler::ProgramImage;
 use foc_memory::Mode;
-use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
-use crate::{BootSpec, Measured, Outcome, Process, ProcessCheckpoint};
+use crate::{Arg, BootSpec, Measured, Outcome, Process, Server};
 
 /// MiniC source of the Midnight Commander model.
 pub const MC_SOURCE: &str = r#"
@@ -197,15 +196,9 @@ int mc_file_count() {
 "#;
 
 /// A Midnight Commander process.
+#[derive(Clone)]
 pub struct Mc {
     proc: Process,
-    init_outcome: Outcome,
-}
-
-/// A frozen standard (clean-config) boot of MC (see
-/// [`crate::image::boot_checkpoint`]).
-pub struct McCheckpoint {
-    proc: ProcessCheckpoint,
     init_outcome: Outcome,
 }
 
@@ -233,45 +226,24 @@ impl Mc {
         Mc::boot_spec(&BootSpec::new(ServerKind::Mc, mode), config)
     }
 
-    /// Boots MC from a full [`BootSpec`] (interned image). The clean
-    /// standard configuration restores from the per-spec boot
-    /// checkpoint; hostile configurations (the §4.5.4 blank line) boot
+    /// Boots MC from a full [`BootSpec`] (interned image). Over the
+    /// clean standard configuration it is a clone of the per-spec frozen
+    /// boot; hostile configurations (the §4.5.4 blank line) boot
     /// fresh — their replay *is* the persistent trigger under study.
     pub fn boot_spec(spec: &BootSpec, config: &[u8]) -> Mc {
         if config == image::standard_mc_config().as_slice() {
-            let ckpt = image::boot_checkpoint(ServerKind::Mc, spec);
-            let image::ServerCheckpoint::Mc(mc) = ckpt.as_ref() else {
-                unreachable!("MC cache slot holds an MC checkpoint");
+            let Server::Mc(mc) = &*image::boot_checkpoint(ServerKind::Mc, spec) else {
+                unreachable!("MC cache slot holds an MC");
             };
-            return Mc::restore(mc);
+            return mc.clone();
         }
         Mc::boot_image_spec(&ServerKind::Mc.image_tier(spec.tier), spec, config)
-    }
-
-    /// Freezes this process's state.
-    pub fn checkpoint(&self) -> McCheckpoint {
-        McCheckpoint {
-            proc: self.proc.checkpoint(),
-            init_outcome: self.init_outcome.clone(),
-        }
-    }
-
-    /// Materialises an MC in exactly the captured state.
-    pub fn restore(ckpt: &McCheckpoint) -> Mc {
-        Mc {
-            proc: Process::restore(&ckpt.proc),
-            init_outcome: ckpt.init_outcome.clone(),
-        }
     }
 
     /// Boots MC from an explicit image and a full [`BootSpec`].
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec, config: &[u8]) -> Mc {
         let mut proc = Process::boot_spec(image, spec);
-        let cfg = proc.guest_str(config);
-        let init_outcome = proc.request("mc_load_config", &[cfg.arg()]).outcome;
-        if init_outcome.survived() {
-            proc.free_guest_str(cfg);
-        }
+        let init_outcome = proc.call("mc_load_config", &[Arg::Str(config)]).outcome;
         let mut mc = Mc { proc, init_outcome };
         if mc.usable() {
             // Seed the working directory.
@@ -306,108 +278,52 @@ impl Mc {
         &mut self.proc
     }
 
-    fn call1(&mut self, func: &str, arg: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let p = self.proc.guest_str(arg);
-        let r = self.proc.request(func, &[p.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r
-    }
-
     /// Creates a file/directory entry (driver-side seeding).
     pub fn create(&mut self, name: &[u8], size: i64, is_dir: bool) -> Option<i64> {
-        if self.proc.is_dead() {
-            return None;
-        }
-        let p = self.proc.guest_str(name);
-        let r = self
-            .proc
-            .request("fs_create", &[p.arg(), size, is_dir as i64]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r.outcome.ret()
+        let args = [Arg::Str(name), Arg::Int(size), Arg::Int(is_dir as i64)];
+        self.proc.call("fs_create", &args).outcome.ret()
     }
 
     /// Queues the symlinks of an archive, then opens it (the attack path).
     pub fn open_archive(&mut self, links: &[Vec<u8>]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let r = self.proc.request("mc_clear_links", &[]);
+        let r = self.proc.call("mc_clear_links", &[]);
         if !r.outcome.survived() {
             return r;
         }
         for l in links {
-            let p = self.proc.guest_str(l);
-            let r = self.proc.request("mc_add_link", &[p.arg()]);
+            let r = self.proc.call("mc_add_link", &[Arg::Str(l)]);
             if !r.outcome.survived() {
                 return r;
             }
-            self.proc.free_guest_str(p);
         }
-        self.proc.request("mc_open_tgz", &[])
+        self.proc.call("mc_open_tgz", &[])
     }
 
     /// Figure 5 "Copy".
     pub fn copy(&mut self, src: &[u8], dst: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let s = self.proc.guest_str(src);
-        let d = self.proc.guest_str(dst);
-        let r = self.proc.request("mc_copy_file", &[s.arg(), d.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(s);
-            self.proc.free_guest_str(d);
-        }
-        r
+        self.proc
+            .call("mc_copy_file", &[Arg::Str(src), Arg::Str(dst)])
     }
 
     /// Figure 5 "Move".
     pub fn move_file(&mut self, src: &[u8], dst: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let s = self.proc.guest_str(src);
-        let d = self.proc.guest_str(dst);
-        let r = self.proc.request("mc_move_file", &[s.arg(), d.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(s);
-            self.proc.free_guest_str(d);
-        }
-        r
+        self.proc
+            .call("mc_move_file", &[Arg::Str(src), Arg::Str(dst)])
     }
 
     /// Figure 5 "MkDir".
     pub fn mkdir(&mut self, name: &[u8]) -> Measured {
-        self.call1("mc_mkdir", name)
+        self.proc.call("mc_mkdir", &[Arg::Str(name)])
     }
 
     /// Figure 5 "Delete".
     pub fn delete(&mut self, name: &[u8]) -> Measured {
-        self.call1("mc_delete", name)
+        self.proc.call("mc_delete", &[Arg::Str(name)])
     }
 
     /// The §3 `'/'`-scan (ablation experiment entry point).
     pub fn component_end(&mut self, name: &[u8]) -> Measured {
-        self.call1("mc_component_end", name)
-    }
-}
-
-fn dead(proc: &Process) -> Measured {
-    Measured {
-        outcome: Outcome::Crashed(
-            proc.machine()
-                .dead_reason()
-                .cloned()
-                .unwrap_or(VmFault::MachineDead),
-        ),
-        cycles: 0,
+        self.proc.call("mc_component_end", &[Arg::Str(name)])
     }
 }
 
@@ -415,7 +331,7 @@ fn dead(proc: &Process) -> Measured {
 mod tests {
     use super::*;
     use foc_memory::ValueSequence;
-    use foc_vm::{Machine, MachineConfig};
+    use foc_vm::{Machine, MachineConfig, VmFault};
 
     #[test]
     fn file_operations_work_in_every_mode() {

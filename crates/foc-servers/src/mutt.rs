@@ -24,10 +24,9 @@
 
 use foc_compiler::ProgramImage;
 use foc_memory::Mode;
-use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
-use crate::{BootSpec, Measured, Outcome, Process, ProcessCheckpoint};
+use crate::{Arg, BootSpec, Measured, Process, Server};
 
 /// MiniC source of the Mutt model.
 pub const MUTT_SOURCE: &str = r#"
@@ -233,14 +232,9 @@ int mutt_message_count() {
 "#;
 
 /// A Mutt process under a given policy.
+#[derive(Clone)]
 pub struct Mutt {
     proc: Process,
-}
-
-/// A frozen standard boot of Mutt (see
-/// [`crate::image::boot_checkpoint`]).
-pub struct MuttCheckpoint {
-    proc: ProcessCheckpoint,
 }
 
 /// A folder name that triggers the Figure 1 overflow: `pairs` repetitions
@@ -262,37 +256,22 @@ impl Mutt {
         Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), seed_messages)
     }
 
-    /// Boots Mutt from a full [`BootSpec`] (interned image). The
-    /// standard seed count restores from the per-spec boot checkpoint.
+    /// Boots Mutt from a full [`BootSpec`] (interned image). With the
+    /// standard seed count it is a clone of the per-spec frozen boot.
     pub fn boot_spec(spec: &BootSpec, seed_messages: usize) -> Mutt {
         if seed_messages == image::MUTT_SEED_MESSAGES {
-            let ckpt = image::boot_checkpoint(ServerKind::Mutt, spec);
-            let image::ServerCheckpoint::Mutt(mutt) = ckpt.as_ref() else {
-                unreachable!("Mutt cache slot holds a Mutt checkpoint");
+            let Server::Mutt(mutt) = &*image::boot_checkpoint(ServerKind::Mutt, spec) else {
+                unreachable!("Mutt cache slot holds a Mutt reader");
             };
-            return Mutt::restore(mutt);
+            return mutt.clone();
         }
         Mutt::boot_image_spec(&ServerKind::Mutt.image_tier(spec.tier), spec, seed_messages)
-    }
-
-    /// Freezes this reader's state.
-    pub fn checkpoint(&self) -> MuttCheckpoint {
-        MuttCheckpoint {
-            proc: self.proc.checkpoint(),
-        }
-    }
-
-    /// Materialises a reader in exactly the captured state.
-    pub fn restore(ckpt: &MuttCheckpoint) -> Mutt {
-        Mutt {
-            proc: Process::restore(&ckpt.proc),
-        }
     }
 
     /// Boots Mutt from an explicit image and a full [`BootSpec`].
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec, seed_messages: usize) -> Mutt {
         let mut proc = Process::boot_spec(image, spec);
-        let r = proc.request("mutt_init", &[]);
+        let r = proc.call("mutt_init", &[]);
         assert!(
             r.outcome.survived(),
             "mutt_init cannot fail: {:?}",
@@ -320,78 +299,43 @@ impl Mutt {
         &mut self.proc
     }
 
+    /// Whether the reader can serve.
+    pub fn usable(&self) -> bool {
+        !self.proc.is_dead()
+    }
+
     /// Adds a message to the open mailbox (driver-side seeding).
     pub fn add_message(&mut self, from: &[u8], subject: &[u8], body: &[u8]) -> Option<i64> {
-        let f = self.proc.guest_str(from);
-        let s = self.proc.guest_str(subject);
-        let b = self.proc.guest_str(body);
-        let r = self
-            .proc
-            .request("mutt_add_message", &[f.arg(), s.arg(), b.arg()]);
-        for p in [f, s, b] {
-            self.proc.free_guest_str(p);
-        }
-        r.outcome.ret()
+        let args = [Arg::Str(from), Arg::Str(subject), Arg::Str(body)];
+        self.proc.call("mutt_add_message", &args).outcome.ret()
     }
 
     /// Opens a folder by UTF-8 name (the vulnerable request).
     pub fn open_folder(&mut self, name: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let p = self.proc.guest_str(name);
-        let r = self.proc.request("mutt_open_folder", &[p.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r
+        self.proc.call("mutt_open_folder", &[Arg::Str(name)])
     }
 
     /// Reads message `idx` (Figure 6 "Read" request).
     pub fn read_message(&mut self, idx: i64) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        self.proc.request("mutt_read_message", &[idx])
+        self.proc.call("mutt_read_message", &[Arg::Int(idx)])
     }
 
     /// Moves message `idx` to `dest` (Figure 6 "Move" request).
     pub fn move_message(&mut self, idx: i64, dest: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let p = self.proc.guest_str(dest);
-        let r = self.proc.request("mutt_move_message", &[idx, p.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r
+        self.proc
+            .call("mutt_move_message", &[Arg::Int(idx), Arg::Str(dest)])
     }
 
     /// Live message count (consistency checks in stability runs).
     pub fn message_count(&mut self) -> Option<i64> {
-        if self.proc.is_dead() {
-            return None;
-        }
-        self.proc.request("mutt_message_count", &[]).outcome.ret()
-    }
-}
-
-fn dead(proc: &Process) -> Measured {
-    Measured {
-        outcome: Outcome::Crashed(
-            proc.machine()
-                .dead_reason()
-                .cloned()
-                .unwrap_or(VmFault::MachineDead),
-        ),
-        cycles: 0,
+        self.proc.call("mutt_message_count", &[]).outcome.ret()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Outcome;
 
     #[test]
     fn legitimate_folders_work_in_every_mode() {

@@ -24,11 +24,10 @@ use std::sync::Arc;
 
 use foc_compiler::ProgramImage;
 use foc_memory::Mode;
-use foc_vm::VmFault;
 
-use crate::image::{self, ServerKind};
+use crate::image::{self, Mailbox, ServerKind};
 use crate::workload;
-use crate::{BootSpec, Measured, Outcome, Process, ProcessCheckpoint};
+use crate::{Arg, BootSpec, Measured, Outcome, Process, Server};
 
 /// MiniC source of the Pine model.
 pub const PINE_SOURCE: &str = r#"
@@ -209,31 +208,23 @@ int pine_message_count() {
 "#;
 
 /// A Pine process plus the driver-side mailbox replay state.
+#[derive(Clone)]
 pub struct Pine {
     proc: Process,
     /// The mail file: replayed into any restarted process (the mailbox
     /// persists on disk even when the reader crashes).
-    mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
+    mailbox: Mailbox,
     /// Outcome of the initial index build (the init-time vulnerability).
     init_outcome: Outcome,
-    /// Snapshot of the process after `pine_init` plus the boot-time
-    /// mailbox adds, taken *before* the index build: the restart base.
-    /// A restart restores it and replays only the messages delivered
-    /// since boot plus the index build — the exact call sequence a
-    /// from-scratch boot performs, so the restarted reader is
-    /// byte-identical to one that re-read the whole mail file, at
-    /// O(delta) instead of O(mailbox) cost.
-    restart_base: Option<Arc<ProcessCheckpoint>>,
+    /// The process frozen after `pine_init` plus the boot-time mailbox
+    /// adds, *before* the index build: the restart base. A restart
+    /// clones it and replays only the messages delivered since boot
+    /// plus the index build — the exact call sequence a from-scratch
+    /// boot performs, so the restarted reader is byte-identical to one
+    /// that re-read the whole mail file, at O(delta) instead of
+    /// O(mailbox) cost.
+    restart_base: Option<Arc<Process>>,
     /// Messages of `mailbox` already loaded in `restart_base`.
-    base_messages: usize,
-}
-
-/// A frozen standard boot of Pine (see [`crate::image::boot_checkpoint`]).
-pub struct PineCheckpoint {
-    booted: ProcessCheckpoint,
-    init_outcome: Outcome,
-    mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    restart_base: Option<Arc<ProcessCheckpoint>>,
     base_messages: usize,
 }
 
@@ -246,74 +237,52 @@ pub fn attack_from(quoted: usize) -> Vec<u8> {
 impl Pine {
     /// Legacy convenience over [`Pine::boot_spec`] with a default spec
     /// for `mode`; prefer constructing a [`BootSpec`] at the call site.
-    pub fn boot(mode: Mode, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Pine {
+    pub fn boot(mode: Mode, mailbox: Mailbox) -> Pine {
         Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), mailbox)
     }
 
-    /// Boots Pine from a full [`BootSpec`] (interned image). The
-    /// standard seed mailbox restores from the per-spec boot-checkpoint
-    /// cache instead of replaying initialization.
-    pub fn boot_spec(spec: &BootSpec, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Pine {
+    /// Boots Pine from a full [`BootSpec`] (interned image). Over the
+    /// standard seed mailbox it is a clone of the per-spec frozen boot
+    /// instead of a replay of initialization.
+    pub fn boot_spec(spec: &BootSpec, mailbox: Mailbox) -> Pine {
         if &mailbox == image::standard_pine_mailbox() {
-            let ckpt = image::boot_checkpoint(ServerKind::Pine, spec);
-            let image::ServerCheckpoint::Pine(pine) = ckpt.as_ref() else {
-                unreachable!("Pine cache slot holds a Pine checkpoint");
+            let Server::Pine(pine) = &*image::boot_checkpoint(ServerKind::Pine, spec) else {
+                unreachable!("Pine cache slot holds a Pine reader");
             };
-            return Pine::restore(pine);
+            return pine.clone();
         }
         Pine::boot_image_spec(&ServerKind::Pine.image_tier(spec.tier), spec, mailbox)
     }
 
     /// Boots Pine from an explicit image and a full [`BootSpec`],
-    /// bypassing the checkpoint cache (the cache's own fill path, and
-    /// the differential baseline the equivalence tests compare against).
-    pub fn boot_image_spec(
-        image: &ProgramImage,
-        spec: &BootSpec,
-        mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-    ) -> Pine {
+    /// bypassing the boot cache (the cache's own fill path, and the
+    /// differential baseline the equivalence tests compare against).
+    pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec, mailbox: Mailbox) -> Pine {
         let mut proc = Process::boot_spec(image, spec);
-        let r = proc.request("pine_init", &[]);
+        let r = proc.call("pine_init", &[]);
         assert!(r.outcome.survived(), "pine_init cannot fail");
         let mut pine = Pine {
             proc,
             mailbox,
-            init_outcome: Outcome::Done {
-                ret: -99,
-                output: Vec::new(),
-            },
+            init_outcome: r.outcome,
             restart_base: None,
             base_messages: 0,
         };
-        pine.load_mailbox();
+        pine.add_messages(0);
+        // Freeze the pre-index state: `pine_init` plus every boot-time
+        // add is captured here, so restarts clone this base and replay
+        // only the delta (messages delivered after boot) before the
+        // index build — the same call sequence as a fresh boot.
+        if !pine.proc.is_dead() {
+            pine.restart_base = Some(Arc::new(pine.proc.clone()));
+            pine.base_messages = pine.mailbox.len();
+        }
+        pine.finish_index();
         pine
     }
 
-    /// Freezes this reader's full state (see
-    /// [`crate::image::boot_checkpoint`]).
-    pub fn checkpoint(&self) -> PineCheckpoint {
-        PineCheckpoint {
-            booted: self.proc.checkpoint(),
-            init_outcome: self.init_outcome.clone(),
-            mailbox: self.mailbox.clone(),
-            restart_base: self.restart_base.clone(),
-            base_messages: self.base_messages,
-        }
-    }
-
-    /// Materialises a reader in exactly the captured state.
-    pub fn restore(ckpt: &PineCheckpoint) -> Pine {
-        Pine {
-            proc: Process::restore(&ckpt.booted),
-            mailbox: ckpt.mailbox.clone(),
-            init_outcome: ckpt.init_outcome.clone(),
-            restart_base: ckpt.restart_base.clone(),
-            base_messages: ckpt.base_messages,
-        }
-    }
-
     /// A standard mailbox of `n` ordinary messages.
-    pub fn standard_mailbox(n: usize) -> Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> {
+    pub fn standard_mailbox(n: usize) -> Mailbox {
         (0..n)
             .map(|i| {
                 (
@@ -325,55 +294,21 @@ impl Pine {
             .collect()
     }
 
-    fn load_mailbox(&mut self) {
-        self.add_messages(0);
-        // Freeze the pre-index state: `pine_init` plus every boot-time
-        // add is captured here, so restarts restore this base and replay
-        // only the delta (messages delivered after boot) before the
-        // index build — the same call sequence as a fresh boot.
-        if !self.proc.is_dead() {
-            self.restart_base = Some(Arc::new(self.proc.checkpoint()));
-            self.base_messages = self.mailbox.len();
-        }
-        self.finish_index();
-    }
-
-    /// Feeds `mailbox[from..]` to the running process in order,
-    /// stopping early if the process dies mid-replay.
+    /// Feeds `mailbox[from..]` to the running process in order; once the
+    /// process dies mid-replay the rest are dead calls.
     fn add_messages(&mut self, from: usize) {
-        // Split borrows: the mail file is read-only while the process
-        // consumes it, so no clone of the message bodies is needed.
-        let Pine { proc, mailbox, .. } = self;
-        for (from_f, subject, body) in &mailbox[from..] {
-            if proc.is_dead() {
-                break;
-            }
-            let f = proc.guest_str(from_f);
-            let s = proc.guest_str(subject);
-            let b = proc.guest_str(body);
-            let r = proc.request("pine_add_message", &[f.arg(), s.arg(), b.arg()]);
-            if r.outcome.survived() {
-                for p in [f, s, b] {
-                    proc.free_guest_str(p);
-                }
-            }
+        for (from_f, subject, body) in &self.mailbox[from..] {
+            self.proc.call(
+                "pine_add_message",
+                &[Arg::Str(from_f), Arg::Str(subject), Arg::Str(body)],
+            );
         }
     }
 
     /// Runs the index build (the init-time vulnerability) and records
     /// how initialization went.
     fn finish_index(&mut self) {
-        self.init_outcome = if self.proc.is_dead() {
-            Outcome::Crashed(
-                self.proc
-                    .machine()
-                    .dead_reason()
-                    .cloned()
-                    .unwrap_or(VmFault::MachineDead),
-            )
-        } else {
-            self.proc.request("pine_build_index", &[]).outcome
-        };
+        self.init_outcome = self.proc.call("pine_build_index", &[]).outcome;
     }
 
     /// How initialization (mail file load) went.
@@ -401,62 +336,44 @@ impl Pine {
     pub fn deliver(&mut self, from: &[u8], subject: &[u8], body: &[u8]) -> Measured {
         self.mailbox
             .push((from.to_vec(), subject.to_vec(), body.to_vec()));
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let f = self.proc.guest_str(from);
-        let s = self.proc.guest_str(subject);
-        let b = self.proc.guest_str(body);
-        let r = self
-            .proc
-            .request("pine_add_message", &[f.arg(), s.arg(), b.arg()]);
-        if !r.outcome.survived() {
+        let r = self.proc.call(
+            "pine_add_message",
+            &[Arg::Str(from), Arg::Str(subject), Arg::Str(body)],
+        );
+        let Some(idx) = r.outcome.ret() else {
             return r;
-        }
-        let idx = r.outcome.ret().unwrap_or(-1);
-        for p in [f, s, b] {
-            self.proc.free_guest_str(p);
-        }
+        };
         // The index view updates as mail arrives: the vulnerable path.
-        self.proc.request("pine_index_entry", &[idx])
+        self.proc.call("pine_index_entry", &[Arg::Int(idx)])
     }
 
     /// Figure 2 "Read".
     pub fn read(&mut self, idx: i64) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        self.proc.request("pine_read", &[idx])
+        self.proc.call("pine_read", &[Arg::Int(idx)])
     }
 
     /// Figure 2 "Compose".
     pub fn compose(&mut self) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        self.proc.request("pine_compose", &[])
+        self.proc.call("pine_compose", &[])
     }
 
     /// Figure 2 "Move".
     pub fn move_message(&mut self, idx: i64) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        self.proc.request("pine_move", &[idx])
+        self.proc.call("pine_move", &[Arg::Int(idx)])
     }
 
     /// Restarts the process and replays the mail file — the §4.7 point:
     /// when the bad message is *in the mailbox*, restarting just dies
     /// again during initialization.
     ///
-    /// The replay restores the pre-index restart base (init plus the
+    /// The replay clones the pre-index restart base (init plus the
     /// boot-time mailbox, frozen at boot) and re-runs only the messages
     /// delivered since, then the index build — byte-identical to a
     /// from-scratch boot over the current mail file, but O(1) in the
     /// boot-time environment.
     pub fn restart(&mut self) {
-        if let Some(base) = self.restart_base.clone() {
-            self.proc = Process::restore(&base);
+        if let Some(base) = &self.restart_base {
+            self.proc = Process::clone(base);
             self.add_messages(self.base_messages);
             self.finish_index();
             return;
@@ -466,18 +383,6 @@ impl Pine {
         let mailbox = self.mailbox.clone();
         let spec = *self.proc.spec();
         *self = Pine::boot_spec(&spec, mailbox);
-    }
-}
-
-fn dead(proc: &Process) -> Measured {
-    Measured {
-        outcome: Outcome::Crashed(
-            proc.machine()
-                .dead_reason()
-                .cloned()
-                .unwrap_or(VmFault::MachineDead),
-        ),
-        cycles: 0,
     }
 }
 

@@ -26,11 +26,10 @@
 
 use foc_compiler::ProgramImage;
 use foc_memory::Mode;
-use foc_vm::VmFault;
 
 use crate::image::{self, ServerKind};
 use crate::workload;
-use crate::{BootSpec, Measured, Outcome, Process, ProcessCheckpoint};
+use crate::{Arg, BootSpec, Measured, Outcome, Process, Server};
 
 /// MiniC source of the Sendmail model.
 pub const SENDMAIL_SOURCE: &str = r#"
@@ -229,17 +228,10 @@ long sendmail_delivered_bytes() {
 "#;
 
 /// A Sendmail process.
+#[derive(Clone)]
 pub struct Sendmail {
     proc: Process,
     /// Outcome of initialization (the first wake-up).
-    init_outcome: Outcome,
-}
-
-/// A frozen standard boot of the Sendmail daemon (see
-/// [`crate::image::boot_checkpoint`]). Dead-at-init boots (the §4.4.4
-/// Bounds Check daemon) checkpoint and restore faithfully dead.
-pub struct SendmailCheckpoint {
-    proc: ProcessCheckpoint,
     init_outcome: Outcome,
 }
 
@@ -256,37 +248,22 @@ impl Sendmail {
         Sendmail::boot_spec(&BootSpec::new(ServerKind::Sendmail, mode))
     }
 
-    /// Boots the daemon from a full [`BootSpec`]: restored from the
-    /// per-spec boot checkpoint, so supervised restarts of the daemon
-    /// never re-interpret the wake-up path.
+    /// Boots the daemon from a full [`BootSpec`]: a clone of the
+    /// per-spec frozen boot, so supervised restarts of the daemon never
+    /// re-interpret the wake-up path. A boot that died at init (the
+    /// §4.4.4 Bounds Check daemon) is frozen, and cloned, faithfully
+    /// dead.
     pub fn boot_spec(spec: &BootSpec) -> Sendmail {
-        let ckpt = image::boot_checkpoint(ServerKind::Sendmail, spec);
-        let image::ServerCheckpoint::Sendmail(daemon) = ckpt.as_ref() else {
-            unreachable!("Sendmail cache slot holds a Sendmail checkpoint");
+        let Server::Sendmail(daemon) = &*image::boot_checkpoint(ServerKind::Sendmail, spec) else {
+            unreachable!("Sendmail cache slot holds a Sendmail daemon");
         };
-        Sendmail::restore(daemon)
-    }
-
-    /// Freezes this daemon's state.
-    pub fn checkpoint(&self) -> SendmailCheckpoint {
-        SendmailCheckpoint {
-            proc: self.proc.checkpoint(),
-            init_outcome: self.init_outcome.clone(),
-        }
-    }
-
-    /// Materialises a daemon in exactly the captured state.
-    pub fn restore(ckpt: &SendmailCheckpoint) -> Sendmail {
-        Sendmail {
-            proc: Process::restore(&ckpt.proc),
-            init_outcome: ckpt.init_outcome.clone(),
-        }
+        daemon.clone()
     }
 
     /// Boots the daemon from an explicit image and a full [`BootSpec`].
     pub fn boot_image_spec(image: &ProgramImage, spec: &BootSpec) -> Sendmail {
         let mut proc = Process::boot_spec(image, spec);
-        let init_outcome = proc.request("sendmail_init", &[]).outcome;
+        let init_outcome = proc.call("sendmail_init", &[]).outcome;
         Sendmail { proc, init_outcome }
     }
 
@@ -312,37 +289,22 @@ impl Sendmail {
 
     /// Periodic daemon wake-up (commits the benign memory error).
     pub fn wakeup(&mut self) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        self.proc.request("sendmail_wakeup", &[])
-    }
-
-    fn call1(&mut self, func: &str, arg: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let p = self.proc.guest_str(arg);
-        let r = self.proc.request(func, &[p.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(p);
-        }
-        r
+        self.proc.call("sendmail_wakeup", &[])
     }
 
     /// `MAIL FROM:` — the vulnerable parse runs on the address.
     pub fn mail_from(&mut self, addr: &[u8]) -> Measured {
-        self.call1("smtp_mail_from", addr)
+        self.proc.call("smtp_mail_from", &[Arg::Str(addr)])
     }
 
     /// `RCPT TO:`.
     pub fn rcpt_to(&mut self, addr: &[u8]) -> Measured {
-        self.call1("smtp_rcpt_to", addr)
+        self.proc.call("smtp_rcpt_to", &[Arg::Str(addr)])
     }
 
     /// `DATA` with the given body.
     pub fn data(&mut self, body: &[u8]) -> Measured {
-        self.call1("smtp_data", body)
+        self.proc.call("smtp_data", &[Arg::Str(body)])
     }
 
     /// Receives a complete message (Figure 4 Recv requests).
@@ -364,40 +326,15 @@ impl Sendmail {
 
     /// Sends a message outbound (Figure 4 Send requests).
     pub fn send(&mut self, to: &[u8], body: &[u8]) -> Measured {
-        if self.proc.is_dead() {
-            return dead(&self.proc);
-        }
-        let t = self.proc.guest_str(to);
-        let b = self.proc.guest_str(body);
-        let r = self.proc.request("smtp_send", &[t.arg(), b.arg()]);
-        if r.outcome.survived() {
-            self.proc.free_guest_str(t);
-            self.proc.free_guest_str(b);
-        }
-        r
+        self.proc.call("smtp_send", &[Arg::Str(to), Arg::Str(body)])
     }
 
     /// Messages delivered so far.
     pub fn delivered_count(&mut self) -> Option<i64> {
-        if self.proc.is_dead() {
-            return None;
-        }
         self.proc
-            .request("sendmail_delivered_count", &[])
+            .call("sendmail_delivered_count", &[])
             .outcome
             .ret()
-    }
-}
-
-fn dead(proc: &Process) -> Measured {
-    Measured {
-        outcome: Outcome::Crashed(
-            proc.machine()
-                .dead_reason()
-                .cloned()
-                .unwrap_or(VmFault::MachineDead),
-        ),
-        cycles: 0,
     }
 }
 
@@ -405,6 +342,7 @@ fn dead(proc: &Process) -> Measured {
 mod tests {
     use super::*;
     use foc_memory::MemFault;
+    use foc_vm::VmFault;
 
     #[test]
     fn legitimate_mail_flows_in_standard_and_fo() {
@@ -475,9 +413,14 @@ mod tests {
         // Boot dies at wake-up already; to exercise the prescan path give
         // the worker a life without wake-up by testing the parse directly.
         let mut proc = Process::boot_source(SENDMAIL_SOURCE, Mode::BoundsCheck, 80_000_000);
-        let addr = proc.guest_str(&attack_address(120));
-        let canon = proc.guest_str(&[0u8; 63]);
-        let r = proc.request("parse_address", &[addr.arg(), canon.arg(), 64]);
+        let r = proc.call(
+            "parse_address",
+            &[
+                Arg::Str(&attack_address(120)),
+                Arg::Str(&[0u8; 63]),
+                Arg::Int(64),
+            ],
+        );
         let Outcome::Crashed(f) = &r.outcome else {
             panic!("expected memory error");
         };

@@ -27,6 +27,7 @@
 //! partially-completed sweep can resume from whatever cells it already
 //! has (the bench-side report keys cells by fingerprint).
 
+use std::borrow::Cow;
 use std::hash::Hasher as _;
 
 // The workspace's one stable content hash (`foc_compiler::Fnv1a`:
@@ -37,7 +38,7 @@ use foc_memory::{MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
 use foc_vm::VmFault;
 
 use crate::conn::{ConnSession, Edge};
-use crate::farm::{Bytes, FarmProcess, Links, Request, ServerEnv};
+use crate::farm::{Bytes, Links, Request, Server, ServerEnv};
 use crate::steal::{run_stealing, Slice};
 use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload};
 use crate::{BootSpec, Measured, Outcome, Process, ServerKind};
@@ -90,12 +91,8 @@ impl FuelBudget {
         }
     }
 
-    /// The per-call instruction budget for `kind` under this policy.
-    /// (Per-kind today the budgets are uniform; the `kind` parameter
-    /// keeps the axis free to scale budgets per server later without
-    /// touching callers.)
-    pub fn limit(self, kind: ServerKind) -> u64 {
-        let _ = kind;
+    /// The per-call instruction budget under this policy.
+    pub fn limit(self) -> u64 {
         match self {
             FuelBudget::Ample => AMPLE_FUEL,
             FuelBudget::Tight => TIGHT_FUEL,
@@ -198,7 +195,7 @@ impl CellSpec {
         BootSpec::new(kind, self.mode)
             .with_table(self.table)
             .with_sequence(self.sequence)
-            .with_fuel(self.fuel.limit(kind))
+            .with_fuel(self.fuel.limit())
     }
 }
 
@@ -607,22 +604,18 @@ fn seal<T>(
 /// (most inputs take the standard one; the poisoned-mailbox and
 /// blank-config scripts seed their persistent trigger here, so every
 /// supervision restart replays it).
-fn script_env(kind: ServerKind, input: &str) -> ServerEnv {
-    let mut env = ServerEnv::standard();
+fn script_env(kind: ServerKind, input: &str) -> Cow<'static, ServerEnv> {
+    let mut env = Cow::Borrowed(ServerEnv::standard());
     match (kind, input) {
-        (ServerKind::Pine, "benign-session" | "attack-from") => {
-            env.pine_mailbox = pine::Pine::standard_mailbox(3);
-        }
         (ServerKind::Pine, "deliver-read") => {
-            env.pine_mailbox = pine::Pine::standard_mailbox(2);
+            env.to_mut().pine_mailbox = pine::Pine::standard_mailbox(2);
         }
         (ServerKind::Pine, "poisoned-mailbox") => {
             let mut mb = pine::Pine::standard_mailbox(4);
             mb.insert(2, (pine::attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
-            env.pine_mailbox = mb;
+            env.to_mut().pine_mailbox = mb;
         }
-        (ServerKind::Mc, "blank-config") => env.mc_config = mc::config_with_blank_line(),
-        (ServerKind::Mc, _) => env.mc_config = mc::clean_config(),
+        (ServerKind::Mc, "blank-config") => env.to_mut().mc_config = mc::config_with_blank_line(),
         _ => {}
     }
     env
@@ -800,7 +793,7 @@ pub fn drive_input_via(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driv
 fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Driven {
     let env = script_env(kind, input);
     let mut t = Trace::new();
-    let mut process = FarmProcess::boot_env(kind, spec, &env);
+    let mut process = Server::boot(kind, spec, &env);
     let mut session = match edge {
         Edge::InProcess => None,
         Edge::Socket(socket) => Some(ConnSession::new(kind, socket)),
@@ -809,7 +802,7 @@ fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Dri
     // per-request workers (Apache, Mutt) do not. A daemon dead at init
     // never sees its script.
     let alive = match process.init_outcome() {
-        Some(outcome) => t.outcome(&outcome),
+        Some(outcome) => t.outcome(outcome),
         None => true,
     };
     if alive {

@@ -11,7 +11,7 @@
 //! independent-referee accounting audit). This battery closes the
 //! remaining gap: real boot images, boot-checkpoint restore (every
 //! `drive_input` boot restores a frozen per-spec snapshot, so the
-//! native artifact must ride through `Checkpoint` capture/restore),
+//! native artifact must ride through a frozen machine's `clone()`),
 //! and the §4/§5.1 attack library, across all five servers × all five
 //! modes, plus a property sweep over manufactured-value seeds and fuel
 //! limits that pins identical fuel-out points — and the contract of
@@ -25,7 +25,7 @@ use foc_compiler::{compile_image_tier, ExecTier, NativeFunc};
 use foc_memory::{Mode, ValueSequence};
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
-use foc_vm::{Checkpoint, Machine, MachineConfig};
+use foc_vm::{Machine, MachineConfig};
 
 /// Drives `input` under both execution tiers of the same spec and
 /// asserts every observable surface agrees, returning the (shared)
@@ -124,12 +124,12 @@ fn native_artifact_survives_checkpoint_restore() {
     let image = compile_image_tier(SPIN_SOURCE, ExecTier::Native).expect("compile");
     let mut native = Machine::load(image, spin_config()).expect("load");
     native.call("spin", &[4]).expect("warm-up call");
-    let ckpt = Checkpoint::capture(&native);
+    let frozen = native.clone();
 
-    let mut restored = ckpt.restore();
+    let mut restored = frozen.clone();
     assert!(
         lowered_at(&restored, "spin").is_some(),
-        "the regions the warm-up lowered must ride through capture/restore"
+        "the regions the warm-up lowered must ride through freeze/restore"
     );
 
     let mut reference = Machine::load(
@@ -179,7 +179,7 @@ fn machines_and_restores_of_one_image_share_each_artifact() {
     sibling.call("spin", &[4]).expect("call");
     assert_eq!(lowered_at(&sibling, "spin"), Some(lowered));
 
-    let mut restored = Checkpoint::capture(&first).restore();
+    let mut restored = first.clone();
     restored.call("spin", &[4]).expect("call");
     assert_eq!(lowered_at(&restored, "spin"), Some(lowered));
     assert_eq!(restored.stats().instrs, 2 * sibling.stats().instrs);

@@ -20,6 +20,10 @@
 //!   (e.g. the Midnight Commander scan loop under a constant manufactured
 //!   value sequence) surface as [`VmFault::FuelExhausted`] rather than
 //!   hanging the host.
+//!
+//! A [`Machine`] is `Clone`, and that is the whole restart layer: a
+//! booted machine kept behind an `Arc` and never called is a frozen
+//! boot, and restoring it is `clone()` (see [`checkpoint`]).
 
 pub mod builtins;
 pub mod checkpoint;
@@ -27,6 +31,5 @@ pub mod cost;
 pub mod fault;
 pub mod machine;
 
-pub use checkpoint::Checkpoint;
 pub use fault::VmFault;
 pub use machine::{ExecProfile, Machine, MachineConfig, RunStats};

@@ -131,9 +131,11 @@ struct Frame {
 /// process restarts discussed in §4.7 of the paper.
 ///
 /// `Clone` snapshots the whole process image (memory space, evaluation
-/// stack, I/O queues, counters); [`crate::Checkpoint`] freezes such a
-/// snapshot so supervised restarts can restore a booted machine instead
-/// of re-running boot and environment replay.
+/// stack, I/O queues, counters). A booted machine that is only ever
+/// cloned is a frozen boot ([`crate::checkpoint`]): supervised restarts
+/// clone it instead of re-running boot and environment replay. The
+/// derive is deliberate — a hand-written copy that missed a field would
+/// leak a dead process's state into its successor.
 #[derive(Clone)]
 pub struct Machine {
     program: ProgramImage,

@@ -313,7 +313,7 @@ pub mod collection {
         VecStrategy { element, size }
     }
 
-    /// The result of [`vec`].
+    /// The result of [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

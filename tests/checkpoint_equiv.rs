@@ -1,11 +1,10 @@
-//! Checkpoint-restore equivalence: a server restored from its boot
-//! checkpoint must be **byte-identical** to one that booted from
-//! scratch — transcripts (return codes, output bytes, virtual cycles),
+//! Frozen-boot equivalence: a server cloned from its frozen boot must
+//! be **byte-identical** to one that booted from scratch — transcripts (return codes, output bytes, virtual cycles),
 //! [`SpaceStats`], and the full `MemoryErrorLog` contents included.
 //!
 //! Boots are pure functions of `(image, spec, environment)`, so the
-//! checkpoint layer is sound exactly when nothing observable can tell a
-//! restored process from a freshly booted one. The battery drives both
+//! boot cache is sound exactly when nothing observable can tell a
+//! cloned process from a freshly booted one. The battery drives both
 //! flavours through the §4/§5.1 attack library for all five servers ×
 //! all five modes, then stresses the stateful case — Pine's
 //! spec-preserving restart, which restores a pre-index base and replays
@@ -16,9 +15,11 @@
 use proptest::prelude::*;
 
 use failure_oblivious::memory::{Mode, SpaceStats};
+use failure_oblivious::servers::farm::{Bytes, Links};
 use failure_oblivious::servers::image::ServerKind;
 use failure_oblivious::servers::{
-    apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Process,
+    apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Process, Request, Server,
+    ServerEnv,
 };
 
 /// One request's observable result plus the substrate state after it.
@@ -65,127 +66,93 @@ fn substrate(proc: &Process) -> SubstrateState {
     }
 }
 
-/// Drives one server's benign + attack script twice — once on the
-/// cached (checkpoint-restored) boot, once on a from-scratch boot of
-/// the same interned image — and asserts byte identity.
+/// One server's benign + §4/§5.1 attack script.
+fn script(kind: ServerKind) -> Vec<Request> {
+    let get = |path| Request::ApacheGet { path };
+    let folder = |name| Request::MuttOpenFolder { name };
+    match kind {
+        ServerKind::Apache => vec![
+            get(Bytes::Static(b"/index.html")),
+            get(Bytes::Owned(apache::attack_url())),
+            get(Bytes::Static(b"/rw/index.html")),
+            get(Bytes::Static(b"/big.bin")),
+        ],
+        ServerKind::Sendmail => vec![
+            Request::SendmailReceive {
+                from: Bytes::Owned(workload::sendmail_address(1)),
+                to: Bytes::Owned(workload::sendmail_address(2)),
+                body: Bytes::Static(b"body one"),
+            },
+            Request::SendmailReceive {
+                from: Bytes::Owned(sendmail::attack_address(40)),
+                to: Bytes::Owned(workload::sendmail_address(3)),
+                body: Bytes::Static(b"attack payload"),
+            },
+            Request::SendmailWakeup,
+            Request::SendmailSend {
+                to: Bytes::Owned(workload::sendmail_address(4)),
+                body: Bytes::Static(b"outbound"),
+            },
+        ],
+        ServerKind::Pine => vec![
+            Request::PineRead { index: 0 },
+            Request::PineDeliver {
+                from: Bytes::Owned(pine::attack_from(40)),
+                subject: Bytes::Static(b"pwn"),
+                body: Bytes::Static(b"payload"),
+            },
+            Request::PineCompose,
+            Request::PineRead { index: 2 },
+            Request::PineMove { index: 1 },
+        ],
+        ServerKind::Mutt => vec![
+            folder(Bytes::Static(b"INBOX")),
+            folder(Bytes::Owned(mutt::attack_folder_name(40))),
+            Request::MuttRead { index: 0 },
+            folder(Bytes::Static(b"work")),
+        ],
+        ServerKind::Mc => vec![
+            Request::McCopy {
+                src: Bytes::Static(b"/home/user/data.bin"),
+                dst: Bytes::Static(b"/tmp/c1"),
+            },
+            Request::McOpenArchive {
+                links: Links::Owned(mc::attack_links()),
+            },
+            Request::McComponentEnd {
+                name: Bytes::Static(b"usr/share/component/lib"),
+            },
+            Request::McMkdir {
+                path: Bytes::Static(b"/tmp/d"),
+            },
+            Request::McDelete {
+                path: Bytes::Static(b"/tmp/c1"),
+            },
+        ],
+    }
+}
+
+/// Drives one server's script twice — once on the cached (cloned from
+/// the frozen boot) server, once on a from-scratch boot of the same
+/// interned image — and asserts byte identity.
 fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
     let spec = BootSpec::new(kind, mode);
     let tag = format!("{}/{mode:?}", kind.name());
-    match kind {
-        ServerKind::Apache => {
-            let cached = apache::ApacheWorker::boot_spec(&spec);
-            let fresh = apache::ApacheWorker::boot_image_spec(&kind.image(), &spec);
-            let drive = |mut w: apache::ApacheWorker| {
-                let steps: Vec<Step> = [
-                    w.get(b"/index.html"),
-                    w.get(&apache::attack_url()),
-                    w.get(b"/rw/index.html"),
-                    w.get(b"/big.bin"),
-                ]
-                .iter()
-                .map(Step::of)
-                .collect();
-                (steps, substrate(w.process()))
-            };
-            assert_eq!(drive(cached), drive(fresh), "{tag}");
-        }
-        ServerKind::Sendmail => {
-            let cached = sendmail::Sendmail::boot_spec(&spec);
-            let fresh = sendmail::Sendmail::boot_image_spec(&kind.image(), &spec);
-            assert_eq!(
-                cached.init_outcome(),
-                fresh.init_outcome(),
-                "{tag}: init outcome"
-            );
-            let drive = |mut s: sendmail::Sendmail| {
-                let steps: Vec<Step> = [
-                    s.receive(
-                        &workload::sendmail_address(1),
-                        &workload::sendmail_address(2),
-                        b"body one",
-                    ),
-                    s.receive(
-                        &sendmail::attack_address(40),
-                        &workload::sendmail_address(3),
-                        b"attack payload",
-                    ),
-                    s.wakeup(),
-                    s.send(&workload::sendmail_address(4), b"outbound"),
-                ]
-                .iter()
-                .map(Step::of)
-                .collect();
-                (steps, substrate(s.process()))
-            };
-            assert_eq!(drive(cached), drive(fresh), "{tag}");
-        }
-        ServerKind::Pine => {
-            let mailbox = failure_oblivious::servers::image::standard_pine_mailbox().clone();
-            let cached = pine::Pine::boot_spec(&spec, mailbox.clone());
-            let fresh = pine::Pine::boot_image_spec(&kind.image(), &spec, mailbox);
-            assert_eq!(
-                cached.init_outcome(),
-                fresh.init_outcome(),
-                "{tag}: init outcome"
-            );
-            let drive = |mut p: pine::Pine| {
-                let steps: Vec<Step> = [
-                    p.read(0),
-                    p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
-                    p.compose(),
-                    p.read(2),
-                    p.move_message(1),
-                ]
-                .iter()
-                .map(Step::of)
-                .collect();
-                (steps, substrate(p.process()))
-            };
-            assert_eq!(drive(cached), drive(fresh), "{tag}");
-        }
-        ServerKind::Mutt => {
-            const SEED: usize = failure_oblivious::servers::image::MUTT_SEED_MESSAGES;
-            let cached = mutt::Mutt::boot_spec(&spec, SEED);
-            let fresh = mutt::Mutt::boot_image_spec(&kind.image(), &spec, SEED);
-            let drive = |mut m: mutt::Mutt| {
-                let steps: Vec<Step> = [
-                    m.open_folder(b"INBOX"),
-                    m.open_folder(&mutt::attack_folder_name(40)),
-                    m.read_message(0),
-                    m.open_folder(b"work"),
-                ]
-                .iter()
-                .map(Step::of)
-                .collect();
-                (steps, substrate(m.process()))
-            };
-            assert_eq!(drive(cached), drive(fresh), "{tag}");
-        }
-        ServerKind::Mc => {
-            let config = failure_oblivious::servers::image::standard_mc_config().clone();
-            let cached = mc::Mc::boot_spec(&spec, &config);
-            let fresh = mc::Mc::boot_image_spec(&kind.image(), &spec, &config);
-            assert_eq!(
-                cached.init_outcome(),
-                fresh.init_outcome(),
-                "{tag}: init outcome"
-            );
-            let drive = |mut m: mc::Mc| {
-                let steps: Vec<Step> = [
-                    m.copy(b"/home/user/data.bin", b"/tmp/c1"),
-                    m.open_archive(&mc::attack_links()),
-                    m.component_end(b"usr/share/component/lib"),
-                    m.mkdir(b"/tmp/d"),
-                    m.delete(b"/tmp/c1"),
-                ]
-                .iter()
-                .map(Step::of)
-                .collect();
-                (steps, substrate(m.process()))
-            };
-            assert_eq!(drive(cached), drive(fresh), "{tag}");
-        }
-    }
+    let cached = Server::boot(kind, &spec, ServerEnv::standard());
+    let fresh = Server::boot_cold(kind, &kind.image(), &spec, ServerEnv::standard());
+    assert_eq!(
+        cached.init_outcome(),
+        fresh.init_outcome(),
+        "{tag}: init outcome"
+    );
+    let drive = |mut server: Server| {
+        let steps: Vec<Step> = script(kind)
+            .iter()
+            .map(|request| Step::of(&request.apply(&mut server)))
+            .collect();
+        (steps, substrate(server.process()))
+    };
+    assert_eq!(drive(cached), drive(fresh), "{tag}");
 }
 
 #[test]
@@ -198,11 +165,11 @@ fn restored_boots_match_fresh_boots_everywhere() {
     }
 }
 
-/// A checkpoint carries its space's object table by value. Through the
+/// A frozen boot carries its space's object table by value. Through the
 /// sweep's own entry point — boot from the per-spec cache, script,
 /// supervision restarts — the attack inputs must replay identically on
-/// a spec's second, cache-restored boot, on the shipped table and on
-/// the oracle's, and the two tables must agree: a snapshot whose table
+/// a spec's second, cache-cloned boot, on the shipped table and on
+/// the oracle's, and the two tables must agree: a clone whose table
 /// came back stale or shared would misclassify the attack's accesses.
 #[test]
 fn cached_boots_replay_the_attack_library_on_both_tables() {
@@ -217,7 +184,7 @@ fn cached_boots_replay_the_attack_library_on_both_tables() {
             assert_eq!(
                 first,
                 restored,
-                "{}/{} on {table}: a checkpoint-restored boot must replay identically",
+                "{}/{} on {table}: a boot cloned from the cache must replay identically",
                 input.kind.name(),
                 input.name,
             );

@@ -17,8 +17,10 @@
 use proptest::prelude::*;
 
 use failure_oblivious::memory::{Mode, SpaceStats, TableKind};
-use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
-use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured};
+use failure_oblivious::servers::farm::{run_farm, Bytes, FarmConfig, Links, ServerKind};
+use failure_oblivious::servers::{
+    apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Request, Server, ServerEnv,
+};
 
 /// One request's observable result, compared byte-for-byte across
 /// backends.
@@ -39,9 +41,84 @@ impl From<Measured> for Step {
     }
 }
 
-/// Drives one server of `kind` under `mode` on `table` through a fixed
-/// seeded trace (legitimate traffic with attacks interleaved) and
-/// returns the transcript plus the final substrate counters.
+/// Request `i` of `kind`'s fixed seeded trace: legitimate traffic with
+/// attacks interleaved.
+fn request(kind: ServerKind, seed: u64, i: u64) -> Request {
+    let owned = |s: String| Bytes::Owned(s.into_bytes());
+    match kind {
+        ServerKind::Apache => Request::ApacheGet {
+            path: match i % 5 {
+                0 => Bytes::Static(b"/index.html"),
+                1 => Bytes::Owned(workload::apache_url(3 + (seed % 4) as usize)),
+                2 => Bytes::Owned(apache::attack_url()),
+                3 => Bytes::Static(b"/big.bin"),
+                _ => Bytes::Static(b"/nosuchpage.html"),
+            },
+        },
+        ServerKind::Sendmail => match i % 4 {
+            0 => Request::SendmailReceive {
+                from: Bytes::Owned(workload::sendmail_address(seed + i)),
+                to: Bytes::Owned(workload::sendmail_address(seed + 100 + i)),
+                body: Bytes::Owned(workload::lorem(120, seed + i)),
+            },
+            1 => Request::SendmailSend {
+                to: Bytes::Owned(workload::sendmail_address(seed + 200 + i)),
+                body: Bytes::Owned(workload::lorem(80, seed + 300 + i)),
+            },
+            2 => Request::SendmailMailFrom {
+                from: Bytes::Owned(sendmail::attack_address(40)),
+            },
+            _ => Request::SendmailWakeup,
+        },
+        ServerKind::Pine => match i % 4 {
+            0 => Request::PineRead {
+                index: i as i64 % 3,
+            },
+            1 => Request::PineCompose,
+            2 => Request::PineDeliver {
+                from: Bytes::Owned(pine::attack_from(40)),
+                subject: Bytes::Static(b"pwn"),
+                body: Bytes::Static(b"payload"),
+            },
+            _ => Request::PineMove {
+                index: i as i64 % 3,
+            },
+        },
+        ServerKind::Mutt => match i % 4 {
+            0 => Request::MuttOpenFolder {
+                name: Bytes::Static(b"INBOX"),
+            },
+            1 => Request::MuttRead {
+                index: i as i64 % 2,
+            },
+            2 => Request::MuttOpenFolder {
+                name: Bytes::Owned(mutt::attack_folder_name(40)),
+            },
+            _ => Request::MuttOpenFolder {
+                name: Bytes::Static(b"work"),
+            },
+        },
+        ServerKind::Mc => match i % 4 {
+            0 => Request::McCopy {
+                src: Bytes::Static(b"/home/user/data.bin"),
+                dst: owned(format!("/tmp/c{i}")),
+            },
+            1 => Request::McMkdir {
+                path: owned(format!("/tmp/d{i}")),
+            },
+            2 => Request::McOpenArchive {
+                links: Links::Owned(mc::attack_links()),
+            },
+            _ => Request::McComponentEnd {
+                name: Bytes::Static(b"usr/share/component/lib"),
+            },
+        },
+    }
+}
+
+/// Drives one server of `kind` under `mode` on `table` through its
+/// trace, for as long as it serves, and returns the transcript plus the
+/// final substrate counters.
 fn transcript(
     kind: ServerKind,
     mode: Mode,
@@ -49,101 +126,16 @@ fn transcript(
     seed: u64,
 ) -> (Vec<Step>, SpaceStats) {
     let spec = BootSpec::new(kind, mode).with_table(table);
-    match kind {
-        ServerKind::Apache => {
-            let mut w = apache::ApacheWorker::boot_spec(&spec);
-            let mut steps = Vec::new();
-            for i in 0..10u64 {
-                let r = match i % 5 {
-                    0 => w.get(b"/index.html"),
-                    1 => w.get(&workload::apache_url(3 + (seed % 4) as usize)),
-                    2 => w.get(&apache::attack_url()),
-                    3 => w.get(b"/big.bin"),
-                    _ => w.get(b"/nosuchpage.html"),
-                };
-                steps.push(Step::from(r));
-                if w.is_dead() {
-                    break;
-                }
-            }
-            (steps, *w.process().machine().space().stats())
+    let mut server = Server::boot(kind, &spec, ServerEnv::standard());
+    let len = if kind == ServerKind::Apache { 10 } else { 8 };
+    let mut steps = Vec::new();
+    for i in 0..len {
+        if !server.usable() {
+            break;
         }
-        ServerKind::Sendmail => {
-            let mut s = sendmail::Sendmail::boot_spec(&spec);
-            let mut steps = Vec::new();
-            for i in 0..8u64 {
-                if !s.usable() {
-                    break;
-                }
-                let r = match i % 4 {
-                    0 => s.receive(
-                        &workload::sendmail_address(seed + i),
-                        &workload::sendmail_address(seed + 100 + i),
-                        &workload::lorem(120, seed + i),
-                    ),
-                    1 => s.send(
-                        &workload::sendmail_address(seed + 200 + i),
-                        &workload::lorem(80, seed + 300 + i),
-                    ),
-                    2 => s.mail_from(&sendmail::attack_address(40)),
-                    _ => s.wakeup(),
-                };
-                steps.push(Step::from(r));
-            }
-            (steps, *s.process().machine().space().stats())
-        }
-        ServerKind::Pine => {
-            let mut p = pine::Pine::boot_spec(&spec, pine::Pine::standard_mailbox(3));
-            let mut steps = Vec::new();
-            for i in 0..8i64 {
-                if !p.usable() {
-                    break;
-                }
-                let r = match i % 4 {
-                    0 => p.read(i % 3),
-                    1 => p.compose(),
-                    2 => p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
-                    _ => p.move_message(i % 3),
-                };
-                steps.push(Step::from(r));
-            }
-            (steps, *p.process().machine().space().stats())
-        }
-        ServerKind::Mutt => {
-            let mut m = mutt::Mutt::boot_spec(&spec, 2);
-            let mut steps = Vec::new();
-            for i in 0..8i64 {
-                if m.process().is_dead() {
-                    break;
-                }
-                let r = match i % 4 {
-                    0 => m.open_folder(b"INBOX"),
-                    1 => m.read_message(i % 2),
-                    2 => m.open_folder(&mutt::attack_folder_name(40)),
-                    _ => m.open_folder(b"work"),
-                };
-                steps.push(Step::from(r));
-            }
-            (steps, *m.process().machine().space().stats())
-        }
-        ServerKind::Mc => {
-            let mut m = mc::Mc::boot_spec(&spec, &mc::clean_config());
-            let mut steps = Vec::new();
-            for i in 0..8u64 {
-                if !m.usable() {
-                    break;
-                }
-                let r = match i % 4 {
-                    0 => m.copy(b"/home/user/data.bin", format!("/tmp/c{i}").as_bytes()),
-                    1 => m.mkdir(format!("/tmp/d{i}").as_bytes()),
-                    2 => m.open_archive(&mc::attack_links()),
-                    _ => m.component_end(b"usr/share/component/lib"),
-                };
-                steps.push(Step::from(r));
-            }
-            (steps, *m.process().machine().space().stats())
-        }
+        steps.push(Step::from(request(kind, seed, i).apply(&mut server)));
     }
+    (steps, *server.process().machine().space().stats())
 }
 
 /// The headline contract: 5 servers × 5 modes, transcripts and
