@@ -90,8 +90,7 @@ fn print_tiers(name: &str, cost: &NativeCost) {
 /// The native-cost gates: AOT-lowered region execution must beat the
 /// baseline interpreter by ≥2.5× on the dispatch-bound local arithmetic
 /// loop and by ≥1.75× on the guest copy loop ([`TIER_LOOPS`]), both
-/// tiers retiring identical instruction counts on each. The measurement
-/// names both tiers itself, whatever `FOC_EXEC_TIER` says.
+/// tiers retiring identical instruction counts on each.
 pub fn native_gate(_: &Args) -> Result<String, String> {
     let mut speedups = Vec::new();
     for l in &TIER_LOOPS {

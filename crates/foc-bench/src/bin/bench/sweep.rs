@@ -13,6 +13,8 @@ use foc_bench::sweep_report::{
     diff_against_committed, merge_cells, parse_matrix_json, render_matrix_json,
     render_matrix_markdown, split_resume, MATRIX_MD_PATH, MATRIX_PATH,
 };
+use foc_compiler::ExecTier;
+use foc_servers::conn::{Edge, SocketEdge};
 use foc_servers::sweep::{reference_transcripts, run_cells, SweepGrid, SweepMatrix, INPUT_LIBRARY};
 
 /// Cells per incremental chunk: small enough that an interrupt loses
@@ -22,13 +24,27 @@ const CHUNK_CELLS: usize = 12;
 /// Inputs a sweep worker runs before yielding its cell back.
 const SLICE_INPUTS: usize = 4;
 
+/// The configurations the gate drives the pinned sub-grid on: what
+/// ships, the interpreted oracle tier, and the socket edge. (The object
+/// table is a cell coordinate, so both tables run at every point.)
+fn gate_points() -> [(&'static str, ExecTier, Edge); 3] {
+    [
+        ("shipped", ExecTier::default(), Edge::InProcess),
+        ("baseline oracle", ExecTier::Baseline, Edge::InProcess),
+        (
+            "socket edge",
+            ExecTier::default(),
+            Edge::Socket(SocketEdge::default()),
+        ),
+    ]
+}
+
 /// The outcome-matrix gate: re-runs the pinned sweep sub-grid fresh and
 /// diffs outcome classes + transcripts against the committed
 /// `SWEEP_matrix.json`, so any semantic drift in the recovery substrate
 /// fails with a one-line diagnostic. Cell fingerprints exclude tier and
-/// edge by construction, so the same committed bytes must come back
-/// under the shipped default, the baseline/splay oracle and the socket
-/// edge (CI runs the three).
+/// edge by construction, so the same committed bytes must come back at
+/// every one of [`gate_points`].
 pub fn gate(args: &Args) -> Result<String, String> {
     let committed = std::fs::read_to_string(MATRIX_PATH)
         .map_err(|e| format!("cannot read committed {MATRIX_PATH}: {e}"))?;
@@ -40,17 +56,25 @@ pub fn gate(args: &Args) -> Result<String, String> {
     // storm intensity, and its transcript must still match the
     // committed matrix byte for byte.
     cells.extend(SweepGrid::pinned_extra_cells());
+    let points = gate_points();
     eprintln!(
-        "mode_sweep --check: pinned sub-grid, {} cells x {} inputs ...",
+        "mode_sweep --check: pinned sub-grid, {} cells x {} inputs at {} points ...",
         cells.len(),
-        INPUT_LIBRARY.len()
+        INPUT_LIBRARY.len(),
+        points.len()
     );
-    let reference = reference_transcripts();
-    let fresh = run_cells(&cells, &reference, args.threads, SLICE_INPUTS);
-    let compared = diff_against_committed(&committed, &reference, &fresh)?;
+    let mut compared = 0;
+    for (name, tier, edge) in &points {
+        let reference = reference_transcripts(*tier, edge);
+        let fresh = run_cells(&cells, &reference, *tier, edge, args.threads, SLICE_INPUTS);
+        compared = diff_against_committed(&committed, &reference, &fresh)
+            .map_err(|e| format!("{name}: {e}"))?;
+    }
     Ok(format!(
-        "{} cells, {compared} runs match the committed matrix",
-        cells.len()
+        "{} cells, {} x {compared} runs match the committed matrix ({})",
+        cells.len(),
+        points.len(),
+        points.map(|(name, ..)| name).join(", ")
     ))
 }
 
@@ -68,7 +92,8 @@ pub fn full(args: &Args) -> Result<(), String> {
     let grid = SweepGrid::full();
     let all = grid.cells();
     let started = Instant::now();
-    let reference = reference_transcripts();
+    let (tier, edge) = (ExecTier::default(), Edge::InProcess);
+    let reference = reference_transcripts(tier, &edge);
 
     let parsed = if args.has("--resume") {
         match std::fs::read_to_string(MATRIX_PATH) {
@@ -98,7 +123,7 @@ pub fn full(args: &Args) -> Result<(), String> {
     // after each chunk so an interrupted sweep can resume.
     let mut done = reused;
     for (i, chunk) in missing.chunks(CHUNK_CELLS).enumerate() {
-        let fresh = run_cells(chunk, &reference, threads, SLICE_INPUTS);
+        let fresh = run_cells(chunk, &reference, tier, &edge, threads, SLICE_INPUTS);
         done.extend(fresh);
         // Partial file: completed cells only, canonical grid order.
         let completed: Vec<_> = all
@@ -164,4 +189,26 @@ pub fn full(args: &Args) -> Result<(), String> {
             "{e} ({MATRIX_PATH} and {MATRIX_MD_PATH} are written; only the trajectory row is lost)"
         )
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A row deleted by accident fails here, not in review.
+    #[test]
+    fn the_gate_covers_the_shipped_default_the_oracle_tier_and_the_socket_edge() {
+        use foc_memory::Mode;
+        use foc_servers::farm::{FarmConfig, ServerKind};
+
+        let shipped = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious);
+        let points = gate_points();
+        let at = |tier, edge: &Edge| points.iter().any(|(_, t, e)| *t == tier && e == edge);
+        assert!(at(shipped.boot_spec().tier, &shipped.edge), "what ships");
+        assert!(at(ExecTier::Baseline, &Edge::InProcess), "the oracle tier");
+        assert!(
+            points.iter().any(|(_, _, e)| matches!(e, Edge::Socket(_))),
+            "the socket edge"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 //!
 //! Wall-time rows are measured over repeated runs and summarised with
 //! IQR outlier rejection plus a 95% confidence interval
-//! ([`criterion::stats::robust_summary`]), so the trajectory points are
+//! ([`robust_summary`]), so the trajectory points are
 //! defensible rather than single noisy observations.
 //!
 //! JSON is rendered by hand: the build environment is offline and the
@@ -14,13 +14,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use criterion::stats::robust_summary;
 use foc_memory::{Mode, TableKind};
 use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig, FarmReport, ServerKind};
 use foc_servers::latency::LatencyHist;
 use foc_servers::BootSpec;
 
+use crate::stats::robust_summary;
 use crate::sweep_report::str_field;
 
 /// Shape of the recorded suite: every server kind under every mode.
@@ -179,7 +179,7 @@ fn timed_ns<T>(f: impl FnOnce() -> T) -> f64 {
 /// layer changed — compile (cold only) plus loading the image into a
 /// fresh machine; the driver-side environment replay (documents, rewrite
 /// rules, mailboxes) is the same work in both flavours and is measured
-/// separately by the `boot_cost` criterion bench's worker lines.
+/// separately by `bench restart_cost`.
 pub fn measure_boot_cost(reps: usize) -> BootCost {
     let reps = reps.max(1);
     let kind = ServerKind::Apache;
@@ -252,7 +252,7 @@ impl RestartCost {
 }
 
 /// The restart `apache_flood` pays on every attack: a Bounds Check
-/// Apache worker under the session default.
+/// Apache worker under the shipped default.
 fn apache_restore_spec() -> BootSpec {
     BootSpec::new(ServerKind::Apache, Mode::BoundsCheck)
 }
@@ -267,7 +267,7 @@ fn apache_restore_spec() -> BootSpec {
 /// Both run on the reference oracle ([`BootSpec::oracle`]), by name:
 /// the replay a restore stands in for is guest code, so every faster
 /// shipped default shortens it while the restore (a copy of the space)
-/// stays put — under the session default the ratio would track the
+/// stays put — under the shipped default the ratio would track the
 /// tier and the table, not the checkpoint layer the 5× gate guards.
 ///
 /// Pine is also the heaviest *restore* (172 KiB of globals), so beside
@@ -749,14 +749,9 @@ fn fingerprint<S: AsRef<str>>(tag: &str, parts: &[S]) -> String {
 /// server image identities at the gated pair's (baseline) execution
 /// tier (any guest-source or lowering change reshapes them), the
 /// manufactured violation loop's baseline image, the rep count, and
-/// the tier and table the Apache restore ran on — that one follows the
-/// session default, so a run under the oracle environment keeps its
-/// own row instead of replacing the shipped default's.
+/// the tier and table the Apache restore ran on (the shipped default).
 pub fn restart_cost_fingerprint(reps: usize) -> String {
-    restart_cost_fingerprint_on(reps, &apache_restore_spec())
-}
-
-fn restart_cost_fingerprint_on(reps: usize, apache: &BootSpec) -> String {
+    let apache = apache_restore_spec();
     let tier = foc_compiler::ExecTier::Baseline;
     let mut parts = vec![tier.label().to_string()];
     for kind in ServerKind::ALL {
@@ -775,7 +770,7 @@ fn restart_cost_fingerprint_on(reps: usize, apache: &BootSpec) -> String {
 /// execution tier, and the five server image identities the sweep
 /// interpreted.
 pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+    let tier = foc_compiler::ExecTier::default();
     let mut parts = vec![
         tier.label().to_string(),
         cells.to_string(),
@@ -792,7 +787,7 @@ pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> St
 /// Apache image identity (the measured guest), the farm and
 /// connection-pool shape, the SLO multiplier, and the rep count.
 pub fn conn_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::from_env();
+    let tier = foc_compiler::ExecTier::default();
     let pool = SocketEdge::default();
     fingerprint(
         "conn_cost/v1",
@@ -1556,21 +1551,6 @@ mod tests {
             TIER_LOOPS[0].fingerprint(8),
             TIER_LOOPS[1].fingerprint(8),
             "the copy loop and the pure-local loop must never collide"
-        );
-        // The Apache restore follows the session default, so the
-        // oracle's measurement must not replace the shipped default's.
-        let apache = |tier, table| {
-            let spec = apache_restore_spec().with_tier(tier).with_table(table);
-            restart_cost_fingerprint_on(24, &spec)
-        };
-        use foc_compiler::ExecTier;
-        assert_ne!(
-            apache(ExecTier::Native, TableKind::Flat),
-            apache(ExecTier::Baseline, TableKind::Flat)
-        );
-        assert_ne!(
-            apache(ExecTier::Native, TableKind::Flat),
-            apache(ExecTier::Native, TableKind::Splay)
         );
         // Concatenation ambiguity is broken by the separator.
         assert_ne!(fingerprint("ab", &["c"]), fingerprint("a", &["bc"]));

@@ -17,6 +17,7 @@
 pub mod check;
 pub mod farm_report;
 pub mod paper;
+pub mod stats;
 pub mod sweep_report;
 
 use foc_memory::Mode;

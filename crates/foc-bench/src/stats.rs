@@ -1,12 +1,11 @@
 //! Robust summary statistics for noisy wall-time samples.
 //!
-//! The offline bench loop measures on shared, unpinned hardware, so raw
-//! batch means carry scheduler spikes. [`robust_summary`] makes the
+//! The `bench` binary measures on shared, unpinned hardware, so raw
+//! rep means carry scheduler spikes. [`robust_summary`] makes the
 //! numbers defensible: Tukey's IQR fences discard outliers, then the
 //! surviving samples get a mean, a sample standard deviation, and a
-//! normal-approximation 95% confidence interval. The same routine
-//! serves the criterion shim's per-benchmark lines and the farm
-//! trajectory record's wall-time rows (`BENCH_farm.json`).
+//! normal-approximation 95% confidence interval — the wall-time rows of
+//! the farm trajectory record (`BENCH_farm.json`).
 
 /// Robust summary of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -422,10 +422,13 @@ pub fn diff_against_committed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_compiler::ExecTier;
+    use foc_servers::conn::Edge;
     use foc_servers::sweep::{reference_transcripts, run_cells, SweepGrid, SweepMatrix};
 
     fn tiny_matrix() -> SweepMatrix {
-        let reference = reference_transcripts();
+        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
+        let reference = reference_transcripts(tier, &edge);
         let grid = SweepGrid {
             modes: vec![
                 foc_memory::Mode::Standard,
@@ -435,7 +438,7 @@ mod tests {
             fuels: vec![foc_servers::sweep::FuelBudget::Tight],
             tables: vec![foc_memory::TableKind::Splay],
         };
-        let cells = run_cells(&grid.cells(), &reference, 2, 4);
+        let cells = run_cells(&grid.cells(), &reference, tier, &edge, 2, 4);
         SweepMatrix {
             grid,
             reference,
@@ -501,7 +504,8 @@ mod tests {
         assert_eq!(missing.len(), all.len());
         // Merge restores canonical order from scattered parts.
         let (reused, missing) = split_resume(&all, Some(&truncated), &matrix.reference);
-        let fresh = run_cells(&missing, &matrix.reference, 1, 8);
+        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
+        let fresh = run_cells(&missing, &matrix.reference, tier, &edge, 1, 8);
         let merged = merge_cells(&all, vec![reused, fresh]);
         assert_eq!(merged, matrix.cells);
     }

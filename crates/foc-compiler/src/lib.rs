@@ -21,8 +21,6 @@
 //! compiled images byte-identical across modes (stronger than the paper:
 //! any behavioural difference is attributable to the policy alone).
 
-use std::sync::OnceLock;
-
 pub mod bytecode;
 pub mod image;
 pub mod lower;
@@ -58,10 +56,6 @@ pub enum ExecTier {
     Native,
 }
 
-/// Environment variable selecting the session-default tier (`baseline`
-/// or `native`; unset means native).
-pub const EXEC_TIER_ENV: &str = "FOC_EXEC_TIER";
-
 impl ExecTier {
     /// Every tier, in cache-slot order.
     pub const ALL: [ExecTier; 2] = [ExecTier::Baseline, ExecTier::Native];
@@ -81,46 +75,11 @@ impl ExecTier {
             ExecTier::Native => "native",
         }
     }
-
-    /// The session default from `FOC_EXEC_TIER`; unset means
-    /// [`ExecTier::default`].
-    /// An unknown value is a configuration error: the process exits with
-    /// a one-line diagnostic listing the valid tiers rather than
-    /// silently running a different tier than the operator asked for.
-    /// Read once per process.
-    pub fn from_env() -> ExecTier {
-        static TIER: OnceLock<ExecTier> = OnceLock::new();
-        *TIER.get_or_init(|| match std::env::var(EXEC_TIER_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{EXEC_TIER_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => ExecTier::default(),
-        })
-    }
-}
-
-impl std::str::FromStr for ExecTier {
-    type Err = String;
-
-    /// Case-insensitive tier name; the error message lists the valid
-    /// spellings so a typo in `FOC_EXEC_TIER` is self-diagnosing.
-    fn from_str(s: &str) -> Result<ExecTier, String> {
-        for tier in ExecTier::ALL {
-            if s.eq_ignore_ascii_case(tier.label()) {
-                return Ok(tier);
-            }
-        }
-        Err(format!(
-            "unknown execution tier {s:?} (valid tiers: baseline, native)"
-        ))
-    }
 }
 
 /// Compiles source straight into a shareable [`ProgramImage`] on the
-/// baseline tier — the reference oracle, independent of the session
-/// default. [`compile_image_tier`] builds either tier (the shipped
-/// default, [`ExecTier::default`], among them).
+/// baseline tier — the reference oracle. [`compile_image_tier`] builds
+/// either tier (the shipped default, [`ExecTier::default`], among them).
 pub fn compile_image(source: &str) -> Result<ProgramImage, String> {
     compile_image_tier(source, ExecTier::Baseline)
 }
@@ -147,23 +106,6 @@ mod tests {
         assert_eq!(ExecTier::Native.label(), "native");
         assert_eq!(ExecTier::Baseline.index(), 0);
         assert_eq!(ExecTier::Native.index(), 1);
-    }
-
-    #[test]
-    fn tier_parsing_round_trips_and_rejects_unknown_values() {
-        for tier in ExecTier::ALL {
-            assert_eq!(tier.label().parse::<ExecTier>(), Ok(tier));
-            assert_eq!(tier.label().to_uppercase().parse::<ExecTier>(), Ok(tier));
-        }
-        for bad in ["jit", "super"] {
-            let err = bad.parse::<ExecTier>().unwrap_err();
-            assert!(
-                err.contains(&format!("{bad:?}")),
-                "names the bad value: {err}"
-            );
-            assert!(err.ends_with("(valid tiers: baseline, native)"), "{err}");
-        }
-        assert!("".parse::<ExecTier>().is_err());
     }
 
     #[test]

@@ -357,11 +357,6 @@ impl MemorySpace {
         &self.log
     }
 
-    /// Clears the error log (between stability phases).
-    pub fn clear_error_log(&mut self) {
-        self.log.clear();
-    }
-
     /// Number of live data units (0 in Standard mode, which keeps none).
     pub fn live_units(&self) -> usize {
         self.table.len()
@@ -516,11 +511,6 @@ impl MemorySpace {
     /// resolves to `None`.
     pub fn unit(&self, id: UnitId) -> Option<&DataUnit> {
         self.store.get(id)
-    }
-
-    /// The arena-allocated debug label of a unit (allocation-site names).
-    pub fn unit_label(&self, id: UnitId) -> Option<&str> {
-        self.store.label(id)
     }
 
     /// The arena-backed unit store (diagnostics, capacity accounting).
@@ -712,11 +702,6 @@ impl MemorySpace {
     /// Current stack depth in frames.
     pub fn frame_depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// Remaining stack bytes.
-    pub fn stack_headroom(&self) -> u64 {
-        self.sp - self.stack.base()
     }
 
     // ------------------------------------------------------------------
@@ -1159,11 +1144,6 @@ impl MemorySpace {
                 pc: ctx.pc,
             })
         }
-    }
-
-    /// Direct access to the manufactured-value generator (tests, harness).
-    pub fn manufacturer_mut(&mut self) -> &mut Manufacturer {
-        &mut self.manufacturer
     }
 }
 

@@ -59,33 +59,14 @@ impl TableKind {
     /// Both structures, oracle first (the order of the sweep's cells).
     pub const ALL: [TableKind; 2] = [TableKind::Splay, TableKind::Flat];
 
-    /// Stable lower-case name (bench rows, sweep cells, env).
+    /// Stable lower-case name (bench rows, sweep cells).
     pub fn name(self) -> &'static str {
         match self {
             TableKind::Flat => "flat",
             TableKind::Splay => "splay",
         }
     }
-
-    /// The structure selected by the [`TABLE_ENV`] environment variable,
-    /// or the default. Strict like `ExecTier::from_env`: an unknown
-    /// value exits with a one-line diagnostic rather than silently
-    /// benchmarking a different structure. Read once per process;
-    /// callers who want an error value parse through `FromStr` instead.
-    pub fn from_env() -> TableKind {
-        static KIND: std::sync::OnceLock<TableKind> = std::sync::OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var(TABLE_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{TABLE_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => TableKind::default(),
-        })
-    }
 }
-
-/// Environment variable selecting the object-table structure.
-pub const TABLE_ENV: &str = "FOC_TABLE";
 
 impl fmt::Display for TableKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

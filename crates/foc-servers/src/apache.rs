@@ -264,11 +264,6 @@ impl ApacheWorker {
         &self.proc
     }
 
-    /// Mutable process access.
-    pub fn process_mut(&mut self) -> &mut Process {
-        &mut self.proc
-    }
-
     /// Whether this child has died.
     pub fn is_dead(&self) -> bool {
         self.proc.is_dead()
@@ -306,7 +301,7 @@ pub struct ApachePool {
 
 impl ApachePool {
     /// Creates a pool with `n` children sharing the interned image, on
-    /// the session-default spec ([`BootSpec::new`]). Children boot (and
+    /// the shipped-default spec ([`BootSpec::new`]). Children boot (and
     /// later respawn) as clones of the interned frozen boot, so pool
     /// regeneration never replays worker init.
     ///

@@ -32,18 +32,12 @@
 //! EOF), and accept-queue floods (idle connections piling onto the
 //! listener past its backlog, the excess refused).
 
-use std::str::FromStr;
-use std::sync::OnceLock;
-
 use netshim::{ConnectError, Fd, Interest, NetStack, ReadOutcome, WriteOutcome};
 
 use crate::farm::{Bytes, Links, Request, Server};
 use crate::image::ServerKind;
 use crate::latency::LatencyHist;
 use crate::{Measured, Outcome};
-
-/// Environment variable selecting the farm's request edge.
-pub const EDGE_ENV: &str = "FOC_EDGE";
 
 /// How requests reach a farm server.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -67,51 +61,6 @@ impl Edge {
                 Scenario::SlowLoris { .. } => "socket-slow-loris",
                 Scenario::Disconnect { .. } => "socket-disconnect",
             },
-        }
-    }
-
-    /// The edge selected by the [`EDGE_ENV`] environment variable, or
-    /// the default. Strict like `TableKind::from_env`: an unknown value
-    /// exits with a one-line diagnostic rather than silently measuring
-    /// a different transport than the operator asked for. Read once per
-    /// process; callers who want an error value parse through `FromStr`
-    /// instead.
-    pub fn from_env() -> Edge {
-        static EDGE: OnceLock<Edge> = OnceLock::new();
-        EDGE.get_or_init(|| match std::env::var(EDGE_ENV) {
-            Ok(v) => v.parse().unwrap_or_else(|e| {
-                eprintln!("{EDGE_ENV}: {e}");
-                std::process::exit(2);
-            }),
-            Err(_) => Edge::InProcess,
-        })
-        .clone()
-    }
-}
-
-impl FromStr for Edge {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Edge, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "in-process" => Ok(Edge::InProcess),
-            "socket" => Ok(Edge::Socket(SocketEdge::default())),
-            "socket-slow-loris" => Ok(Edge::Socket(SocketEdge {
-                scenario: Scenario::SlowLoris { chunk: 3 },
-                ..SocketEdge::default()
-            })),
-            "socket-disconnect" => Ok(Edge::Socket(SocketEdge {
-                scenario: Scenario::Disconnect { every: 3 },
-                ..SocketEdge::default()
-            })),
-            "socket-flood" => Ok(Edge::Socket(SocketEdge {
-                flood: 12,
-                ..SocketEdge::default()
-            })),
-            other => Err(format!(
-                "unknown edge {other:?} (valid: in-process, socket, \
-                 socket-slow-loris, socket-disconnect, socket-flood)"
-            )),
         }
     }
 }
@@ -1076,22 +1025,6 @@ mod tests {
         for cut in 0..frame.len() {
             assert!(decode_response(&frame[..cut]).is_none());
         }
-    }
-
-    #[test]
-    fn edge_labels_parse_back() {
-        for label in [
-            "in-process",
-            "socket",
-            "socket-slow-loris",
-            "socket-disconnect",
-            "socket-flood",
-        ] {
-            let edge: Edge = label.parse().unwrap();
-            assert_eq!(edge.label(), label, "label round-trips");
-        }
-        assert!("tcp".parse::<Edge>().is_err());
-        assert_eq!("SOCKET".parse::<Edge>().unwrap().label(), "socket");
     }
 
     /// Shared harness: drive `requests` through a socket session and

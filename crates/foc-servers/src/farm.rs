@@ -124,7 +124,7 @@ impl FarmConfig {
             attack_ratio: (1, 8),
             restart_budget: supervisor::RESTART_BUDGET,
             slice_requests: 16,
-            edge: Edge::from_env(),
+            edge: Edge::InProcess,
         }
     }
 
@@ -1214,20 +1214,6 @@ pub fn run_farm(config: &FarmConfig) -> FarmReport {
     }
 }
 
-/// Runs one farm per mode for a fixed kind — the cross-mode comparison
-/// the paper's throughput figures make, at farm scale.
-pub fn run_mode_sweep(kind: ServerKind, base: &FarmConfig) -> Vec<FarmReport> {
-    Mode::ALL
-        .iter()
-        .map(|&mode| {
-            let mut config = base.clone();
-            config.kind = kind;
-            config.mode = mode;
-            run_farm(&config)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1268,9 +1254,9 @@ mod tests {
 
     #[test]
     fn farm_boots_what_a_lone_driver_boots() {
-        // One function owns the session defaults: a farm built with
+        // One function owns the defaults: a farm built with
         // `FarmConfig::new` runs the spec `BootSpec::new` hands a lone
-        // driver, on every axis (`FOC_TABLE` included).
+        // driver, on every axis.
         for kind in ServerKind::ALL {
             for mode in Mode::ALL {
                 assert_eq!(

@@ -96,8 +96,8 @@ impl ServerKind {
         }
     }
 
-    /// The interned compiled image on the session-default execution
-    /// tier (`FOC_EXEC_TIER`): compiled at most once per process, then
+    /// The interned compiled image on the shipped-default execution
+    /// tier ([`ExecTier::default`]): compiled at most once per process, then
     /// shared by every machine of this kind. Concurrent first callers
     /// race benignly — `OnceLock` publishes exactly one image, so all
     /// threads observe the same [`foc_compiler::ProgramId`].
@@ -107,7 +107,7 @@ impl ServerKind {
     /// Panics when the server source fails to compile — the sources are
     /// fixed constants, so that is a bug in this crate, not input error.
     pub fn image(self) -> ProgramImage {
-        self.image_tier(ExecTier::from_env())
+        self.image_tier(ExecTier::default())
     }
 
     /// The interned compiled image for an explicit execution tier (one
@@ -124,15 +124,15 @@ impl ServerKind {
     }
 
     /// Compiles a fresh, uncached image from source on the
-    /// session-default tier (cold-boot path; tests and the `boot_cost`
-    /// bench compare it against the cache).
+    /// shipped-default tier (cold-boot path; tests and `bench
+    /// restart_cost` compare it against the cache).
     ///
     /// # Panics
     ///
     /// Panics when the server source fails to compile, as
     /// [`ServerKind::image`] does.
     pub fn fresh_image(self) -> ProgramImage {
-        self.fresh_image_tier(ExecTier::from_env())
+        self.fresh_image_tier(ExecTier::default())
     }
 
     /// Compiles a fresh, uncached image for an explicit execution tier.

@@ -120,18 +120,16 @@ pub struct BootSpec {
 }
 
 impl BootSpec {
-    /// A spec for `kind` under `mode` with the remaining axes at their
-    /// session defaults: the paper's cycling sequence, the kind's
-    /// standard fuel budget, and the two environment axes — object
-    /// table from `FOC_TABLE`, execution tier from `FOC_EXEC_TIER`.
-    /// Unset, those are the shipped fast path `native`/`flat`;
-    /// `baseline`/`splay`, the reference oracle every faster path is
-    /// proven against, is reached by naming it (in the environment or
-    /// through the `with_*` builders). This is the one place a default
-    /// is decided: [`farm::FarmConfig::new`], [`ServerKind::image`],
-    /// [`Process::boot_source`] and [`apache::ApachePool::new`] all take
-    /// theirs from here. Unknown env values exit the process with a
-    /// one-line diagnostic.
+    /// A spec for `kind` under `mode` with the remaining axes at the
+    /// shipped default: the paper's cycling sequence, the kind's
+    /// standard fuel budget, and the fast path `native`/`flat`
+    /// ([`ExecTier::default`], [`TableKind::default`]). Every other
+    /// configuration is named in code — [`BootSpec::oracle`] for the
+    /// `baseline`/`splay` reference every faster path is proven
+    /// against, the `with_*` builders for a single axis. This is the one
+    /// place a default is decided: [`farm::FarmConfig::new`],
+    /// [`ServerKind::image`], [`Process::boot_source`] and
+    /// [`apache::ApachePool::new`] all take theirs from here.
     pub fn new(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec::with_budget(mode, kind.fuel())
     }
@@ -141,18 +139,18 @@ impl BootSpec {
     fn with_budget(mode: Mode, fuel: u64) -> BootSpec {
         BootSpec {
             mode,
-            table: TableKind::from_env(),
+            table: TableKind::default(),
             sequence: ValueSequence::default(),
             fuel,
-            tier: ExecTier::from_env(),
+            tier: ExecTier::default(),
             lookup: LookupLayer::Table,
         }
     }
 
-    /// The reference oracle for `kind` under `mode`, whatever the
-    /// environment says: the interpreted `baseline` tier over a `splay`
-    /// tree, Jones & Kelly's own structure — the configuration every
-    /// faster path is proven observably identical to.
+    /// The reference oracle for `kind` under `mode`: the interpreted
+    /// `baseline` tier over a `splay` tree, Jones & Kelly's own
+    /// structure — the configuration every faster path is proven
+    /// observably identical to.
     pub fn oracle(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec::new(kind, mode)
             .with_tier(ExecTier::Baseline)
@@ -238,8 +236,8 @@ impl Process {
         }
     }
 
-    /// Compiles `source` cold on the session-default tier and boots it
-    /// under the session-default spec ([`BootSpec::new`]'s axes) — the
+    /// Compiles `source` cold on the shipped-default tier and boots it
+    /// under the shipped-default spec ([`BootSpec::new`]'s axes) — the
     /// pre-interning path, kept for one-off programs and as the
     /// differential baseline the image-sharing property tests compare
     /// against.
@@ -279,11 +277,6 @@ impl Process {
     /// The underlying machine.
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Mutable access to the machine (drivers push inputs, read state).
-    pub fn machine_mut(&mut self) -> &mut Machine {
-        &mut self.machine
     }
 
     /// Whether the process has died.

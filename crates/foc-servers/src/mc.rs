@@ -273,11 +273,6 @@ impl Mc {
         &self.proc
     }
 
-    /// Mutable process access.
-    pub fn process_mut(&mut self) -> &mut Process {
-        &mut self.proc
-    }
-
     /// Creates a file/directory entry (driver-side seeding).
     pub fn create(&mut self, name: &[u8], size: i64, is_dir: bool) -> Option<i64> {
         let args = [Arg::Str(name), Arg::Int(size), Arg::Int(is_dir as i64)];

@@ -294,11 +294,6 @@ impl Mutt {
         &self.proc
     }
 
-    /// Mutable access to the process (error log inspection).
-    pub fn process_mut(&mut self) -> &mut Process {
-        &mut self.proc
-    }
-
     /// Whether the reader can serve.
     pub fn usable(&self) -> bool {
         !self.proc.is_dead()

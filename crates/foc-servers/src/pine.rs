@@ -326,11 +326,6 @@ impl Pine {
         &self.proc
     }
 
-    /// Mutable process access.
-    pub fn process_mut(&mut self) -> &mut Process {
-        &mut self.proc
-    }
-
     /// Appends a message to the mail file and delivers it to the running
     /// process (new mail arriving).
     pub fn deliver(&mut self, from: &[u8], subject: &[u8], body: &[u8]) -> Measured {

@@ -282,11 +282,6 @@ impl Sendmail {
         &self.proc
     }
 
-    /// Mutable process access.
-    pub fn process_mut(&mut self) -> &mut Process {
-        &mut self.proc
-    }
-
     /// Periodic daemon wake-up (commits the benign memory error).
     pub fn wakeup(&mut self) -> Measured {
         self.proc.call("sendmail_wakeup", &[])

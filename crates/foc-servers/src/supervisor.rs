@@ -19,8 +19,9 @@
 
 use foc_memory::Mode;
 
+use crate::farm::{Bytes, Request, Server, ServerEnv};
 use crate::image::ServerKind;
-use crate::{mc, mutt, pine, sendmail, BootSpec};
+use crate::{mc, mutt, pine, BootSpec};
 
 /// Outcome of supervising one server under a persistent hostile
 /// environment.
@@ -60,83 +61,96 @@ pub fn restart_until_usable<T>(
     attempts
 }
 
-/// Supervises Pine over a mailbox containing a poisoned message.
-pub fn supervise_pine(mode: Mode) -> RestartStudy {
-    let mut mailbox = pine::Pine::standard_mailbox(4);
-    mailbox.insert(2, (pine::attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
-    let mut p = pine::Pine::boot_spec(&BootSpec::new(ServerKind::Pine, mode), mailbox);
-    let attempts = restart_until_usable(&mut p, RESTART_BUDGET, |p| p.usable(), |p| p.restart());
-    let recovered = p.usable() && p.read(0).outcome.ret() == Some(0);
-    RestartStudy {
-        server: "Pine",
-        mode,
-        attempts,
-        recovered,
-    }
+/// One row of the §4.7 study: a server whose error trigger persists in
+/// its environment.
+struct Row {
+    kind: ServerKind,
+    /// What is on disk, and so waiting for every restarted process.
+    env: ServerEnv,
+    /// What the configuration makes every (re)started process do before
+    /// it serves.
+    startup: Vec<Request>,
+    /// Legitimate requests, each with the return code of a process that
+    /// is serving.
+    probes: Vec<(Request, i64)>,
 }
 
-/// Supervises Mutt configured to open the malicious folder at startup.
-pub fn supervise_mutt(mode: Mode) -> RestartStudy {
-    let boot = |mode| {
-        let mut m = mutt::Mutt::boot_spec(&BootSpec::new(ServerKind::Mutt, mode), 3);
-        // The configured startup folder triggers the conversion.
-        let startup = m.open_folder(&mutt::attack_folder_name(40));
-        (m, startup.outcome.survived())
+/// The four persistent triggers: the poisoned message in Pine's
+/// mailbox, the malicious folder Mutt opens at startup, the blank line
+/// in MC's configuration, and Sendmail's own wake-up error.
+fn rows() -> [Row; 4] {
+    let standard = ServerEnv::standard().clone();
+    let mut pine_mailbox = pine::Pine::standard_mailbox(4);
+    pine_mailbox.insert(2, (pine::attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
+    let poisoned = ServerEnv {
+        pine_mailbox,
+        ..standard.clone()
     };
-    let mut state = boot(mode);
-    let attempts = restart_until_usable(&mut state, RESTART_BUDGET, |s| s.1, |s| *s = boot(mode));
-    let (mut m, up) = state;
-    let recovered = up
-        && m.open_folder(b"INBOX").outcome.ret() == Some(0)
-        && m.read_message(0).outcome.ret() == Some(0);
-    RestartStudy {
-        server: "Mutt",
-        mode,
-        attempts,
-        recovered,
-    }
-}
-
-/// Supervises MC with the blank configuration line on disk.
-pub fn supervise_mc(mode: Mode) -> RestartStudy {
-    let spec = BootSpec::new(ServerKind::Mc, mode);
-    let mut m = mc::Mc::boot_spec(&spec, &mc::config_with_blank_line());
-    let attempts = restart_until_usable(
-        &mut m,
-        RESTART_BUDGET,
-        |m| m.usable(),
-        |m| *m = mc::Mc::boot_spec(&spec, &mc::config_with_blank_line()),
-    );
-    let recovered = m.usable() && {
-        m.create(b"/t", 512, false);
-        m.copy(b"/t", b"/t2").outcome.ret() == Some(512)
+    let blank_line = ServerEnv {
+        mc_config: mc::config_with_blank_line(),
+        ..standard.clone()
     };
-    RestartStudy {
-        server: "MC",
-        mode,
-        attempts,
-        recovered,
-    }
+    let open = |name| Request::MuttOpenFolder { name };
+    let mkdir = Request::McMkdir {
+        path: Bytes::Static(b"/t"),
+    };
+    let receive = Request::SendmailReceive {
+        from: Bytes::Static(b"a@example.org"),
+        to: Bytes::Static(b"b@example.org"),
+        body: Bytes::Static(b"probe"),
+    };
+    let row = |kind, env, startup, probes| Row {
+        kind,
+        env,
+        startup,
+        probes,
+    };
+    [
+        row(
+            ServerKind::Pine,
+            poisoned,
+            vec![],
+            vec![(Request::PineRead { index: 0 }, 0)],
+        ),
+        row(
+            ServerKind::Mutt,
+            standard.clone(),
+            vec![open(Bytes::Owned(mutt::attack_folder_name(40)))],
+            vec![
+                (open(Bytes::Static(b"INBOX")), 0),
+                (Request::MuttRead { index: 0 }, 0),
+            ],
+        ),
+        // A new directory lands in slot 3, behind the three entries a
+        // started MC seeds its working directory with.
+        row(ServerKind::Mc, blank_line, vec![], vec![(mkdir, 3)]),
+        row(ServerKind::Sendmail, standard, vec![], vec![(receive, 250)]),
+    ]
 }
 
-/// Supervises the Sendmail daemon (whose wake-up itself errs).
-pub fn supervise_sendmail(mode: Mode) -> RestartStudy {
-    let spec = BootSpec::new(ServerKind::Sendmail, mode);
-    let mut sm = sendmail::Sendmail::boot_spec(&spec);
-    let attempts = restart_until_usable(
-        &mut sm,
-        RESTART_BUDGET,
-        |sm| sm.usable(),
-        |sm| *sm = sendmail::Sendmail::boot_spec(&spec),
-    );
-    let recovered = sm.usable()
-        && sm
-            .receive(b"a@example.org", b"b@example.org", b"probe")
-            .outcome
-            .ret()
-            == Some(250);
+/// Boots `row`'s server into its hostile environment under `mode`,
+/// restarts it until it is usable or the budget is spent, and probes
+/// whether it serves.
+fn supervise(row: &Row, mode: Mode) -> RestartStudy {
+    let spec = BootSpec::new(row.kind, mode);
+    let start = |server: &mut Server| {
+        for request in &row.startup {
+            request.apply(server);
+        }
+    };
+    let mut server = Server::boot(row.kind, &spec, &row.env);
+    start(&mut server);
+    let attempts = restart_until_usable(&mut server, RESTART_BUDGET, Server::usable, |server| {
+        server.restart(row.kind, &spec, &row.env);
+        start(server);
+    });
+    let recovered = server.usable()
+        && row
+            .probes
+            .iter()
+            .all(|(probe, ret)| probe.apply(&mut server).outcome.ret() == Some(*ret));
     RestartStudy {
-        server: "Sendmail",
+        server: row.kind.name(),
         mode,
         attempts,
         recovered,
@@ -145,12 +159,7 @@ pub fn supervise_sendmail(mode: Mode) -> RestartStudy {
 
 /// Runs the whole study for one mode.
 pub fn study(mode: Mode) -> Vec<RestartStudy> {
-    vec![
-        supervise_pine(mode),
-        supervise_mutt(mode),
-        supervise_mc(mode),
-        supervise_sendmail(mode),
-    ]
+    rows().iter().map(|row| supervise(row, mode)).collect()
 }
 
 #[cfg(test)]

@@ -33,15 +33,16 @@ use std::hash::Hasher as _;
 // The workspace's one stable content hash (`foc_compiler::Fnv1a`:
 // FNV-1a 64, platform-independent) — reused here so transcript hashes
 // and cell fingerprints rest on the same primitive as `ProgramId`.
+use foc_compiler::ExecTier;
 use foc_compiler::Fnv1a;
-use foc_memory::{MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
-use foc_vm::VmFault;
+use foc_memory::{Mode, TableKind, ValueSequence};
+use foc_vm::{Observation, VmFault};
 
 use crate::conn::{ConnSession, Edge};
 use crate::farm::{Bytes, Links, Request, Server, ServerEnv};
 use crate::steal::{run_stealing, Slice};
 use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload};
-use crate::{BootSpec, Measured, Outcome, Process, ServerKind};
+use crate::{BootSpec, Measured, Outcome, ServerKind};
 
 /// Version of the sweep's semantic contract: the input library, the
 /// taxonomy, and the transcript-hash recipe. Part of every cell
@@ -190,9 +191,12 @@ impl CellSpec {
         h.finish()
     }
 
-    /// The boot spec this cell implies for one server kind.
-    pub fn boot_spec(&self, kind: ServerKind) -> BootSpec {
+    /// The boot spec this cell implies for one server kind on `tier`
+    /// (the tier is not a cell coordinate: every tier must reproduce
+    /// the same matrix).
+    pub fn boot_spec(&self, kind: ServerKind, tier: ExecTier) -> BootSpec {
         BootSpec::new(kind, self.mode)
+            .with_tier(tier)
             .with_table(self.table)
             .with_sequence(self.sequence)
             .with_fuel(self.fuel.limit())
@@ -541,34 +545,28 @@ pub struct Driven {
     /// no crash happened, or when a restart within the shared budget
     /// brought a crashed service back.
     pub recovered: bool,
-    /// The primary process's full space counters at script end (before
-    /// any supervision restart).
-    pub stats: SpaceStats,
-    /// The primary process's full memory-error log at script end, in
-    /// commit order.
-    pub log: Vec<MemoryErrorRecord>,
+    /// The primary process at script end, before any supervision
+    /// restart: the whole equivalence relation ([`Observation`]).
+    pub observed: Observation,
     /// The most data units the primary process ever held live at once
     /// (its unit store's slot count: the slab grows only when no freed
     /// slot is left to reuse).
     pub peak_units: usize,
 }
 
-/// Seals a finished script: reads the primary process's violation
-/// counters, then — if the script ended in a crash — supervises the
-/// subject with the shared restart budget to decide whether the trigger
-/// was transient.
-fn seal<T>(
+/// Seals a finished script: snapshots the primary process, then — if
+/// the script ended in a crash — supervises the server with the shared
+/// restart budget to decide whether the trigger was transient.
+fn seal(
     trace: Trace,
-    mut subject: T,
-    proc_of: impl Fn(&T) -> &Process,
-    usable: impl Fn(&T) -> bool,
-    restart: impl FnMut(&mut T),
+    mut server: Server,
+    kind: ServerKind,
+    spec: &BootSpec,
+    env: &ServerEnv,
 ) -> Driven {
-    let space = proc_of(&subject).machine().space();
-    let stats = *space.stats();
-    let log = space.error_log().records().to_vec();
-    let peak_units = space.unit_store().slot_count();
-    let violations = stats.invalid_reads + stats.invalid_writes;
+    let machine = server.process().machine();
+    let observed = machine.observe();
+    let peak_units = machine.space().unit_store().slot_count();
     let recovered = match trace.fault {
         None => true,
         // A fuel-out classifies on the fault alone; restarting a
@@ -577,21 +575,20 @@ fn seal<T>(
         Some(VmFault::FuelExhausted) => false,
         Some(_) => {
             supervisor::restart_until_usable(
-                &mut subject,
+                &mut server,
                 supervisor::RESTART_BUDGET,
-                &usable,
-                restart,
+                Server::usable,
+                |s| s.restart(kind, spec, env),
             );
-            usable(&subject)
+            server.usable()
         }
     };
     Driven {
         transcript: trace.h.finish(),
-        violations,
+        violations: observed.space.invalid_reads + observed.space.invalid_writes,
         fault: trace.fault,
         recovered,
-        stats,
-        log,
+        observed,
         peak_units,
     }
 }
@@ -770,28 +767,16 @@ fn script_requests(kind: ServerKind, input: &str) -> Vec<Request> {
     }
 }
 
-/// Drives one [`INPUT_LIBRARY`] entry under an explicit boot spec and
-/// returns every observable surface of the run. This is the sweep's
-/// differential entry point: callers that need an axis the grid does
-/// not expose (the execution tier, an off-grid fuel budget) build the
-/// [`BootSpec`] themselves instead of going through [`CellSpec`].
-/// Requests travel over the edge the [`EDGE_ENV`][crate::conn::EDGE_ENV]
-/// variable selects, like the farm's.
-pub fn drive_input(input: &SweepInput, spec: &BootSpec) -> Driven {
-    drive_input_via(input, spec, &Edge::from_env())
-}
-
-/// [`drive_input`] with an explicit transport edge: the edge-equivalence
-/// battery (`tests/conn_equiv.rs`) calls this for both edges and asserts
-/// the [`Driven`]s equal — transcripts, violation counts, error logs,
-/// everything a client or operator can see.
-pub fn drive_input_via(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
-    drive_via(input.kind, input.name, spec, edge)
-}
-
-/// Drives one library input under one boot spec over one edge.
-fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Driven {
-    let env = script_env(kind, input);
+/// Drives one [`INPUT_LIBRARY`] entry under an explicit boot spec over
+/// an explicit request edge, and returns every observable surface of
+/// the run. This is the sweep's differential entry point: callers that
+/// need an axis the grid does not expose (the execution tier, an
+/// off-grid fuel budget, the socket edge) name it here instead of going
+/// through [`CellSpec`]; the equivalence batteries assert the
+/// [`Driven`]s of two such configurations equal.
+pub fn drive_input(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
+    let kind = input.kind;
+    let env = script_env(kind, input.name);
     let mut t = Trace::new();
     let mut process = Server::boot(kind, spec, &env);
     let mut session = match edge {
@@ -806,7 +791,7 @@ fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Dri
         None => true,
     };
     if alive {
-        for request in &script_requests(kind, input) {
+        for request in &script_requests(kind, input.name) {
             let measured = match &mut session {
                 Some(session) => session.transact(request, &mut process),
                 None => request.apply(&mut process),
@@ -816,18 +801,7 @@ fn drive_via(kind: ServerKind, input: &str, spec: &BootSpec, edge: &Edge) -> Dri
             }
         }
     }
-    seal(
-        t,
-        process,
-        |p| p.process(),
-        |p| p.usable(),
-        |p| p.restart(kind, spec, &env),
-    )
-}
-
-/// Drives one library input under one boot spec.
-fn drive(kind: ServerKind, input: &str, spec: &BootSpec) -> Driven {
-    drive_via(kind, input, spec, &Edge::from_env())
+    seal(t, process, kind, spec, &env)
 }
 
 // ---------------------------------------------------------------------
@@ -877,12 +851,12 @@ pub fn reference_cell() -> CellSpec {
 }
 
 /// Computes the per-input reference transcripts by driving the whole
-/// library under [`reference_cell`].
-pub fn reference_transcripts() -> Vec<u64> {
+/// library under [`reference_cell`] on `tier` over `edge`.
+pub fn reference_transcripts(tier: ExecTier, edge: &Edge) -> Vec<u64> {
     let cell = reference_cell();
     INPUT_LIBRARY
         .iter()
-        .map(|input| drive(input.kind, input.name, &cell.boot_spec(input.kind)).transcript)
+        .map(|input| drive_input(input, &cell.boot_spec(input.kind, tier), edge).transcript)
         .collect()
 }
 
@@ -908,10 +882,16 @@ fn classify(driven: &Driven, reference: u64) -> OutcomeClass {
     }
 }
 
-/// Runs one input of one cell.
-pub fn run_cell_input(cell: &CellSpec, index: usize, reference: &[u64]) -> SweepRun {
+/// Runs one input of one cell on `tier` over `edge`.
+pub fn run_cell_input(
+    cell: &CellSpec,
+    index: usize,
+    reference: &[u64],
+    tier: ExecTier,
+    edge: &Edge,
+) -> SweepRun {
     let input = &INPUT_LIBRARY[index];
-    let driven = drive(input.kind, input.name, &cell.boot_spec(input.kind));
+    let driven = drive_input(input, &cell.boot_spec(input.kind, tier), edge);
     SweepRun {
         class: classify(&driven, reference[index]),
         transcript: driven.transcript,
@@ -919,11 +899,11 @@ pub fn run_cell_input(cell: &CellSpec, index: usize, reference: &[u64]) -> Sweep
 }
 
 /// Runs one whole cell sequentially.
-pub fn run_cell(cell: &CellSpec, reference: &[u64]) -> CellResult {
+pub fn run_cell(cell: &CellSpec, reference: &[u64], tier: ExecTier, edge: &Edge) -> CellResult {
     CellResult {
         cell: *cell,
         runs: (0..INPUT_LIBRARY.len())
-            .map(|i| run_cell_input(cell, i, reference))
+            .map(|i| run_cell_input(cell, i, reference, tier, edge))
             .collect(),
     }
 }
@@ -933,10 +913,14 @@ pub fn run_cell(cell: &CellSpec, reference: &[u64]) -> CellResult {
 /// slow cell (one deep in standard-fuel manufactured loops) cannot pin
 /// its worker. Results come back in the order of `cells`; each run is a
 /// pure function of its coordinates, so the output is identical for any
-/// `threads`/`slice_inputs` (the sweep property tests assert this).
+/// `threads`/`slice_inputs` (the sweep property tests assert this) —
+/// and for any `tier`/`edge`, which is what `bench mode_sweep --check`
+/// holds.
 pub fn run_cells(
     cells: &[CellSpec],
     reference: &[u64],
+    tier: ExecTier,
+    edge: &Edge,
     threads: usize,
     slice_inputs: usize,
 ) -> Vec<CellResult> {
@@ -964,7 +948,8 @@ pub fn run_cells(
                 break;
             }
             let index = task.runs.len();
-            task.runs.push(run_cell_input(&task.cell, index, reference));
+            task.runs
+                .push(run_cell_input(&task.cell, index, reference, tier, edge));
         }
         if task.runs.len() == INPUT_LIBRARY.len() {
             Slice::Done(
@@ -978,17 +963,6 @@ pub fn run_cells(
             Slice::Yield(task)
         }
     })
-}
-
-/// Runs a whole grid: reference first, then every cell in parallel.
-pub fn run_sweep(grid: &SweepGrid, threads: usize, slice_inputs: usize) -> SweepMatrix {
-    let reference = reference_transcripts();
-    let cells = run_cells(&grid.cells(), &reference, threads, slice_inputs);
-    SweepMatrix {
-        grid: grid.clone(),
-        reference,
-        cells,
-    }
 }
 
 #[cfg(test)]
@@ -1052,8 +1026,9 @@ mod tests {
         // (benign, no violations) or manufactured-continue (violations
         // intercepted, transcript preserved) — never divergent, never a
         // crash class: failure-oblivious mode survives the whole library.
-        let reference = reference_transcripts();
-        let result = run_cell(&reference_cell(), &reference);
+        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
+        let reference = reference_transcripts(tier, &edge);
+        let result = run_cell(&reference_cell(), &reference, tier, &edge);
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             assert!(
                 matches!(
@@ -1085,14 +1060,14 @@ mod tests {
         // §4.4.4 as a taxonomy statement: every Sendmail input under
         // Bounds Check is restart-exhausted (the daemon dies at init,
         // and so does every restart).
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(ExecTier::default(), &Edge::InProcess);
         let cell = CellSpec {
             mode: Mode::BoundsCheck,
             sequence: ValueSequence::default(),
             fuel: FuelBudget::Ample,
             table: TableKind::Splay,
         };
-        let result = run_cell(&cell, &reference);
+        let result = run_cell(&cell, &reference, ExecTier::default(), &Edge::InProcess);
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             if input.kind == ServerKind::Sendmail {
                 assert_eq!(
@@ -1107,7 +1082,7 @@ mod tests {
 
     #[test]
     fn cell_results_are_thread_and_slice_invariant() {
-        let reference = reference_transcripts();
+        let reference = reference_transcripts(ExecTier::default(), &Edge::InProcess);
         let cells = vec![
             CellSpec {
                 mode: Mode::FailureOblivious,
@@ -1122,13 +1097,16 @@ mod tests {
                 table: TableKind::Splay,
             },
         ];
-        let a = run_cells(&cells, &reference, 1, 1);
-        let b = run_cells(&cells, &reference, 4, 5);
-        let c = run_cells(&cells, &reference, 2, usize::MAX);
+        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
+        let run = |threads, slice| run_cells(&cells, &reference, tier, &edge, threads, slice);
+        let (a, b, c) = (run(1, 1), run(4, 5), run(2, usize::MAX));
         assert_eq!(a, b);
         assert_eq!(a, c);
         // And equal to the sequential path.
-        let seq: Vec<CellResult> = cells.iter().map(|c| run_cell(c, &reference)).collect();
+        let seq: Vec<CellResult> = cells
+            .iter()
+            .map(|c| run_cell(c, &reference, tier, &edge))
+            .collect();
         assert_eq!(a, seq);
     }
 }

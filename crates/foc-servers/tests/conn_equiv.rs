@@ -2,8 +2,8 @@
 //! farm over the simulated socket layer must be byte-identical to the
 //! in-process fast path on every observable surface — farm reports
 //! (completion counts, latency histograms, violation totals, restart
-//! accounting) and per-input transcripts (return codes, output bytes,
-//! faults, error logs).
+//! accounting) and per-input transcripts with the process's whole
+//! [`foc_vm::Observation`] behind them.
 //!
 //! The module's unit tests prove per-request `Measured` equality; this
 //! battery closes the remaining gap: whole farms with supervision and
@@ -18,7 +18,7 @@ use proptest::prelude::*;
 use foc_memory::Mode;
 use foc_servers::conn::{Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig};
-use foc_servers::sweep::{drive_input_via, INPUT_LIBRARY};
+use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::{BootSpec, ServerKind};
 
 /// A farm small enough to run fifty times in a test, big enough to see
@@ -88,16 +88,16 @@ fn farm_reports_survive_adversarial_transport() {
 
 /// The full sweep library × all five modes: every observable surface of
 /// every scripted input ([`foc_servers::sweep::Driven`]: transcript
-/// hash, violation counts, fault, recovery, space counters, the whole
-/// memory-error log) agrees across the edge.
+/// hash, fault, recovery, the primary process's `Observation`) agrees
+/// across the edge.
 #[test]
 fn sweep_transcripts_are_edge_invariant() {
     let socket = Edge::Socket(SocketEdge::default());
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
             let spec = BootSpec::new(input.kind, mode);
-            let direct = drive_input_via(input, &spec, &Edge::InProcess);
-            let wired = drive_input_via(input, &spec, &socket);
+            let direct = drive_input(input, &spec, &Edge::InProcess);
+            let wired = drive_input(input, &spec, &socket);
             assert_eq!(
                 direct,
                 wired,
@@ -127,8 +127,8 @@ fn attack_transcripts_survive_adversarial_transport() {
         for edge in &edges {
             for mode in [Mode::FailureOblivious, Mode::Standard] {
                 let spec = BootSpec::new(input.kind, mode);
-                let direct = drive_input_via(input, &spec, &Edge::InProcess);
-                let wired = drive_input_via(input, &spec, edge);
+                let direct = drive_input(input, &spec, &Edge::InProcess);
+                let wired = drive_input(input, &spec, edge);
                 assert_eq!(
                     direct,
                     wired,

@@ -1,10 +1,9 @@
 //! The native tier's end-to-end invisibility contract, at the server
 //! layer: for every observable surface a client or operator has — step
-//! transcripts, intercepted-violation counts, crash faults,
-//! post-supervision usability, the full space counters, and the full
-//! memory-error log — driving a server under AOT-lowered region
-//! execution must be byte-identical to driving it under the baseline
-//! interpreter.
+//! transcripts, crash faults, post-supervision usability and the
+//! primary process's whole [`foc_vm::Observation`] — driving a server
+//! under AOT-lowered region execution must be byte-identical to driving
+//! it under the baseline interpreter.
 //!
 //! The VM layer already proves instruction-level parity (fuel, instr,
 //! cycle accounting per opcode; `foc-vm`'s tier-parity battery and the
@@ -23,6 +22,7 @@ use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier, NativeFunc};
 use foc_memory::{Mode, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, Driven, SweepInput, INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::BootSpec;
 use foc_vm::{Machine, MachineConfig};
@@ -31,8 +31,8 @@ use foc_vm::{Machine, MachineConfig};
 /// asserts every observable surface agrees, returning the (shared)
 /// observation for callers that want to assert more.
 fn assert_native_blind(input: &SweepInput, spec: BootSpec) -> Driven {
-    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-    let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+    let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::InProcess);
+    let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::InProcess);
     assert_eq!(
         baseline,
         native,
@@ -142,8 +142,7 @@ fn native_artifact_survives_checkpoint_restore() {
         restored.call("spin", &[6]).expect("restored call"),
         reference.call("spin", &[6]).expect("reference call"),
     );
-    assert_eq!(restored.stats(), reference.stats());
-    assert_eq!(restored.space().stats(), reference.space().stats());
+    assert_eq!(restored.observe(), reference.observe());
 }
 
 /// Lowering happens at a function's first entry and nowhere else: a
@@ -201,7 +200,7 @@ fn racing_first_entries_publish_one_artifact() {
                     start.wait();
                     let result = machine.call("spin", &[64]);
                     let lowered = lowered_at(&machine, "spin").map(|at| at as usize);
-                    (result, machine.stats(), *machine.space().stats(), lowered)
+                    (result, machine.observe(), lowered)
                 })
             })
             .collect();
@@ -215,12 +214,11 @@ fn racing_first_entries_publish_one_artifact() {
     )
     .expect("load");
     let result = reference.call("spin", &[64]);
-    let artifact = runs[0].3;
+    let artifact = runs[0].2;
     assert!(artifact.is_some(), "the first entry lowers the function");
-    for run in &runs {
-        let expected = (&result, reference.stats(), *reference.space().stats());
-        assert_eq!((&run.0, run.1, run.2), expected);
-        assert_eq!(run.3, artifact, "every thread runs the one artifact");
+    for (racer, observed, lowered) in &runs {
+        assert_eq!((racer, observed), (&result, &reference.observe()));
+        assert_eq!(*lowered, artifact, "every thread runs the one artifact");
     }
 }
 
@@ -247,8 +245,8 @@ proptest! {
         let spec = BootSpec::new(input.kind, Mode::ALL[mode_index])
             .with_sequence(ValueSequence::Cycling { wrap })
             .with_fuel(fuel);
-        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-        let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+        let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::InProcess);
+        let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::InProcess);
         prop_assert_eq!(baseline, native);
     }
 }

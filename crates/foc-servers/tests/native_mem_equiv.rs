@@ -2,11 +2,10 @@
 //! a region's checked guest loads and stores, resolved through the
 //! view's placement probe (`Load`/`Store`/`IdxLoad`/`IdxStore`), must
 //! be observationally byte-identical to one-dispatch-at-a-time
-//! interpretation on every surface: call results, crash faults,
-//! `RunStats` (so in particular the `charge − spent` refund taken at a
-//! mid-region deopt), the full `SpaceStats` counters, the full
-//! memory-error log with its fault pcs and sequence numbers, and the
-//! operand stack and frame pcs a fault leaves behind.
+//! interpretation: equal call results and equal
+//! [`foc_vm::Observation`]s — so in particular the `charge − spent`
+//! refund taken at a mid-region deopt, the log's fault pcs and sequence
+//! numbers, and the operand stack and frame pcs a fault leaves behind.
 //!
 //! `native_equiv.rs` proves the server-layer contract; this battery
 //! aims straight at the heap seams with direct-machine sources built
@@ -33,17 +32,18 @@
 //! overlap in both directions, never-written bytes, stack, heap and
 //! global units, copies longer than one span — under every mode and
 //! every fuel budget up to completion, and the two tiers must agree on
-//! the result, both stat blocks, the error log, the output and every
-//! byte of guest memory.
+//! the result, the `Observation`, the output and every byte of guest
+//! memory.
 
 use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier, ProgramImage};
 use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
-use foc_memory::{MemConfig, MemoryErrorRecord, Mode, SpaceStats, TableKind, ValueSequence};
+use foc_memory::{MemConfig, Mode, TableKind, ValueSequence};
+use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::BootSpec;
-use foc_vm::{Machine, MachineConfig, RunStats, VmFault};
+use foc_vm::{Machine, MachineConfig, Observation, VmFault};
 
 /// An in-bounds copy loop: the inner `dst[i] = src[i]` lowers to a
 /// pointer-arithmetic + checked-access pair that the native tier folds
@@ -83,20 +83,9 @@ const OVERRUN_SOURCE: &str = "long smash(long n) {\n\
      return t;\n\
  }";
 
-/// Every observable surface of one machine run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Observed {
-    result: Result<i64, VmFault>,
-    stats: RunStats,
-    space: SpaceStats,
-    log_total: u64,
-    log_dropped: u64,
-    records: Vec<MemoryErrorRecord>,
-    /// What a fault left: the operand stack and each frame's
-    /// `(function, pc)`.
-    stack: Vec<i64>,
-    frames: Vec<(u32, u32)>,
-}
+/// One machine run: the call's result beside everything it left
+/// observable ([`Observation`] — the relation every test here asserts).
+type Run = (Result<i64, VmFault>, Observation);
 
 /// Boots `source` at `tier`, applies `churn` rounds of host-side
 /// allocate/free traffic (reshaping the object table the in-block
@@ -109,7 +98,7 @@ fn observe(
     tier: ExecTier,
     config: MachineConfig,
     churn: u32,
-) -> Observed {
+) -> Run {
     let image = compile_image_tier(source, tier).expect("source builds");
     let mut m = Machine::load(image, config).expect("load");
     let mut held = Vec::new();
@@ -124,25 +113,7 @@ fn observe(
         }
     }
     let result = m.call(entry, &[arg]);
-    Observed::of(&m, result)
-}
-
-impl Observed {
-    /// Snapshots `m` after a call that returned `result`.
-    fn of(m: &Machine, result: Result<i64, VmFault>) -> Observed {
-        let log = m.space().error_log();
-        let (stack, frames) = m.fault_image();
-        Observed {
-            stack: stack.to_vec(),
-            frames,
-            result,
-            stats: m.stats(),
-            space: *m.space().stats(),
-            log_total: log.total(),
-            log_dropped: log.dropped(),
-            records: log.records().to_vec(),
-        }
-    }
+    (result, m.observe())
 }
 
 /// Asserts both tiers of (`source`, `config`) agree on every
@@ -153,7 +124,7 @@ fn assert_mem_blind(
     arg: i64,
     config: &MachineConfig,
     churn: u32,
-) -> Observed {
+) -> Run {
     let baseline = observe(
         source,
         entry,
@@ -182,9 +153,9 @@ fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
             let config = MachineConfig::with_mode(mode)
                 .with_table(table)
                 .with_fuel(1_000_000);
-            let seen = assert_mem_blind(COPY_SOURCE, "spin", 6, &config, 0);
+            let (result, seen) = assert_mem_blind(COPY_SOURCE, "spin", 6, &config, 0);
             assert_eq!(
-                seen.result,
+                result,
                 Ok(31 * 7 * 6),
                 "the copy loop is violation-free and must complete under {mode:?}/{table:?}"
             );
@@ -210,17 +181,17 @@ fn mid_block_access_faults_are_tier_blind() {
             let config = MachineConfig::with_mode(mode)
                 .with_table(table)
                 .with_fuel(1_000_000);
-            let seen = assert_mem_blind(OVERRUN_SOURCE, "smash", 12, &config, 0);
+            let (result, seen) = assert_mem_blind(OVERRUN_SOURCE, "smash", 12, &config, 0);
             if mode == Mode::FailureOblivious {
                 assert!(
-                    seen.result.is_ok(),
+                    result.is_ok(),
                     "failure-oblivious execution must ride through the overrun"
                 );
                 assert!(
                     seen.log_total > 0,
                     "the overrun must be observable in the error log"
                 );
-                let record = &seen.records[0];
+                let record = &seen.log[0];
                 assert!(
                     record.pc > 0,
                     "log records must carry the interpreter's fault pc"
@@ -246,7 +217,7 @@ fn manufactured_values_at_deopt_seams_are_tier_blind() {
         let config = MachineConfig::with_mode(Mode::FailureOblivious)
             .with_sequence(sequence)
             .with_fuel(1_000_000);
-        assert_mem_blind(OVERRUN_SOURCE, "smash", 20, &config, 0);
+        let _ = assert_mem_blind(OVERRUN_SOURCE, "smash", 20, &config, 0);
     }
 }
 
@@ -261,8 +232,9 @@ fn all_servers_all_modes_attack_library_on_the_oracle_table() {
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
             let spec = BootSpec::new(input.kind, mode).with_table(TableKind::Splay);
-            let baseline = drive_input(input, &spec.with_tier(ExecTier::Baseline));
-            let native = drive_input(input, &spec.with_tier(ExecTier::Native));
+            let baseline =
+                drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::InProcess);
+            let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::InProcess);
             assert_eq!(
                 baseline,
                 native,
@@ -319,11 +291,11 @@ fn every_fuel_budget_of_a_chained_loop_is_tier_blind() {
             MachineConfig::with_mode(mode),
             0,
         );
-        let budget = full.stats.instrs + 2;
+        let budget = full.1.run.instrs + 2;
         assert!(budget > 100, "the sweep must cross several iterations");
         for fuel in 0..budget {
             let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            assert_mem_blind(TWO_REGION_LOOP, "walk", 8, &config, 0);
+            let _ = assert_mem_blind(TWO_REGION_LOOP, "walk", 8, &config, 0);
         }
     }
 }
@@ -354,14 +326,14 @@ fn a_freed_buffer_is_not_remembered_across_the_free() {
                 .with_table(table)
                 .with_sequence(ValueSequence::Cycling { wrap: 5 })
                 .with_fuel(1_000_000);
-            let seen = assert_mem_blind(FREE_MID_LOOP, "reap", 11, &config, 0);
+            let (result, seen) = assert_mem_blind(FREE_MID_LOOP, "reap", 11, &config, 0);
             if mode == Mode::FailureOblivious {
                 // Iterations 4..11 each read and write the dead buffer.
                 assert_eq!(seen.space.invalid_reads, 7, "{table:?}");
                 assert_eq!(seen.space.invalid_writes, 7, "{table:?}");
                 // 1 + 2 + 3 + 4 from the live buffer, then manufactured
                 // 0, 1, 2, 0, 1, 3, 0.
-                assert_eq!(seen.result, Ok(10 + 7), "{table:?}");
+                assert_eq!(result, Ok(10 + 7), "{table:?}");
             }
         }
     }
@@ -393,9 +365,9 @@ fn excursions_off_a_unit_resume_on_the_hit_path() {
             let config = MachineConfig::with_mode(mode)
                 .with_table(table)
                 .with_fuel(1_000_000);
-            let seen = assert_mem_blind(OFF_AND_BACK, "weave", 21, &config, 0);
+            let (result, seen) = assert_mem_blind(OFF_AND_BACK, "weave", 21, &config, 0);
             if mode == Mode::FailureOblivious {
-                assert!(seen.result.is_ok());
+                assert!(result.is_ok());
                 // (i * 3) % 7 >= 4 on 9 of 21 iterations, (i * 5) % 6
                 // >= 4 on 8.
                 assert_eq!(seen.space.invalid_reads, 9, "{table:?}");
@@ -431,8 +403,8 @@ fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
             let config = MachineConfig::with_mode(mode)
                 .with_table(table)
                 .with_fuel(1_000_000);
-            let seen = assert_mem_blind(FRAME_ALIAS, "alias", 3, &config, 0);
-            assert_eq!(seen.result, Ok(expected), "{mode:?}/{table:?}");
+            let (result, seen) = assert_mem_blind(FRAME_ALIAS, "alias", 3, &config, 0);
+            assert_eq!(result, Ok(expected), "{mode:?}/{table:?}");
             assert_eq!(seen.log_total, 0);
         }
     }
@@ -495,7 +467,7 @@ fn folded_source(statement: &str) -> String {
 /// Case (a): every folded form, in bounds (`k = 2`) and out (`k = 9`),
 /// under every mode and both tables. Out of bounds, Bounds Check dies
 /// at the access with the live values still on its operand stack —
-/// `Observed` compares that stack and the fault pc — and Failure
+/// `Observation` compares that stack and the fault pc — and Failure
 /// Oblivious manufactures and carries on. A pass that deleted the
 /// `Mov` of a value a later seam spills would show here as a stale
 /// register in the post-fault stack.
@@ -510,18 +482,18 @@ fn folded_operands_fault_and_manufacture_like_the_interpreter() {
                     .with_fuel(100_000);
                 let hit = assert_mem_blind(&source, "f", 2, &config, 0);
                 let always_out = statement.contains("a[9]") && mode == Mode::BoundsCheck;
-                assert_eq!(hit.result.is_ok(), !always_out, "`{statement}`: {hit:?}");
+                assert_eq!(hit.0.is_ok(), !always_out, "`{statement}`: {hit:?}");
                 let miss = assert_mem_blind(&source, "f", 9, &config, 0);
                 if mode == Mode::BoundsCheck {
-                    assert!(miss.result.is_err(), "`{statement}` must kill Bounds Check");
+                    assert!(miss.0.is_err(), "`{statement}` must kill Bounds Check");
                     assert!(
-                        !miss.stack.is_empty(),
+                        !miss.1.stack.is_empty(),
                         "`{statement}`: a live value sits below the faulting op: {miss:?}"
                     );
                 }
                 if mode == Mode::FailureOblivious && !statement.contains('/') {
-                    assert!(miss.result.is_ok(), "`{statement}` must survive: {miss:?}");
-                    assert!(miss.log_total > 0, "`{statement}` must log its violation");
+                    assert!(miss.0.is_ok(), "`{statement}` must survive: {miss:?}");
+                    assert!(miss.1.log_total > 0, "`{statement}` must log its violation");
                 }
             }
         }
@@ -545,8 +517,8 @@ const FUSED_LATCH_LOOP: &str = "long sum(long n) {\n\
 fn every_fuel_budget_of_a_fused_latch_loop_is_tier_blind() {
     let instrs = |n| {
         let config = MachineConfig::with_mode(Mode::FailureOblivious);
-        let seen = observe(FUSED_LATCH_LOOP, "sum", n, ExecTier::Baseline, config, 0);
-        seen.stats.instrs
+        let (_, seen) = observe(FUSED_LATCH_LOOP, "sum", n, ExecTier::Baseline, config, 0);
+        seen.run.instrs
     };
     // Prologue plus two full iterations, and the epilogue for good
     // measure: every budget in between ends somewhere inside one.
@@ -558,12 +530,12 @@ fn every_fuel_budget_of_a_fused_latch_loop_is_tier_blind() {
     for mode in Mode::ALL {
         for fuel in 0..=two + 2 {
             let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let seen = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 5, &config, 0);
-            assert_eq!(seen.result, Err(VmFault::FuelExhausted), "fuel {fuel}");
+            let (result, _) = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 5, &config, 0);
+            assert_eq!(result, Err(VmFault::FuelExhausted), "fuel {fuel}");
         }
         for fuel in two..=three + 2 {
             let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            assert_mem_blind(FUSED_LATCH_LOOP, "sum", 2, &config, 0);
+            let _ = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 2, &config, 0);
         }
     }
 }
@@ -599,8 +571,8 @@ fn a_frame_read_does_not_move_across_a_write_of_its_slot() {
         );
         for mode in Mode::ALL {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let seen = assert_mem_blind(&source, "f", 0, &config, 0);
-            assert_eq!(seen.result, Ok(expected), "`{statement}` under {mode:?}");
+            let (result, seen) = assert_mem_blind(&source, "f", 0, &config, 0);
+            assert_eq!(result, Ok(expected), "`{statement}` under {mode:?}");
             assert_eq!(seen.log_total, 0, "`{statement}` stays in bounds");
         }
     }
@@ -622,9 +594,9 @@ fn a_region_too_deep_for_the_register_file_runs_interpreted() {
     for mode in Mode::ALL {
         for fuel in [100_000, 400] {
             let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let seen = assert_mem_blind(&source, "f", 2, &config, 0);
+            let (result, _) = assert_mem_blind(&source, "f", 2, &config, 0);
             if fuel > 400 {
-                assert_eq!(seen.result, Ok(3 * 2 * (depth as i64 + 1)));
+                assert_eq!(result, Ok(3 * 2 * (depth as i64 + 1)));
             }
         }
     }
@@ -829,13 +801,9 @@ fn shim_shapes(m: &mut Machine, roomy: bool) -> Vec<(&'static str, u64, u64, i64
     shapes
 }
 
-/// Everything a run of one wrapper leaves behind.
-#[derive(Debug, PartialEq)]
-struct ShimSeen {
-    observed: Observed,
-    output: Vec<u8>,
-    memory: [Vec<u8>; 3],
-}
+/// Everything a run of one wrapper leaves behind: the run itself, the
+/// pending output and every byte of the three guest regions.
+type ShimSeen = (Run, Vec<u8>, [Vec<u8>; 3]);
 
 /// One wrapper call on a fresh machine: what it left behind, and how
 /// many builtin iterations it retired span-wise (which is nobody's
@@ -853,15 +821,12 @@ fn shim_run(
     let result = m.call(entry, &[a as i64, b as i64, n]);
     let (space, mem) = (m.space(), &config.mem);
     let region = |base: u64, len: usize| space.read_bytes_raw(base, len as u64).expect("region");
-    let seen = ShimSeen {
-        observed: Observed::of(&m, result),
-        output: m.output().to_vec(),
-        memory: [
-            region(GLOBAL_BASE, mem.global_len),
-            region(HEAP_BASE, mem.heap_len),
-            region(STACK_BASE, mem.stack_len),
-        ],
-    };
+    let memory = [
+        region(GLOBAL_BASE, mem.global_len),
+        region(HEAP_BASE, mem.heap_len),
+        region(STACK_BASE, mem.stack_len),
+    ];
+    let seen = ((result, m.observe()), m.output().to_vec(), memory);
     (seen, m.exec_profile().span_instrs)
 }
 
@@ -887,7 +852,8 @@ fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
                     );
                     assert_eq!(byte_wise, 0, "the baseline tier is the byte-wise reference");
                     spanned_instrs.set(spanned_instrs.get() + span_wise);
-                    reference.observed.stats.instrs
+                    let ((_, observed), ..) = reference;
+                    observed.run.instrs
                 };
                 agree(TableKind::Splay, full);
                 let instrs = agree(TableKind::Flat, full);

@@ -14,9 +14,9 @@
 //!
 //! Determinism makes this sound: a boot is a pure function of
 //! `(image, config, environment)`, so the clone is *byte-identical* to
-//! the machine a fresh boot would have produced — transcripts,
-//! [`foc_memory::SpaceStats`], error-log contents and manufactured-value
-//! positions included. The tests below pin that at the machine level;
+//! the machine a fresh boot would have produced — transcripts, the
+//! whole [`crate::Observation`] and manufactured-value positions
+//! included. The tests below pin that at the machine level;
 //! the `checkpoint_equiv` battery asserts it across all five servers,
 //! all five modes, and the §4/§5.1 attack library.
 

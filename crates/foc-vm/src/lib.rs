@@ -32,4 +32,4 @@ pub mod fault;
 pub mod machine;
 
 pub use fault::VmFault;
-pub use machine::{ExecProfile, Machine, MachineConfig, RunStats};
+pub use machine::{ExecProfile, Machine, MachineConfig, Observation, RunStats};

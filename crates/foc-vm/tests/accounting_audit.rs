@@ -237,8 +237,8 @@ fn fuel_out_points_match_the_reference_at_every_budget() {
     // Sweep every budget through entry, several whole loop iterations,
     // and the epilogue: the machine must fault (or finish) with the
     // referee's exact instruction and cycle counts — under the baseline
-    // tier (whose compare+branch peephole is the PR 5 path under audit)
-    // and the native tier (whose whole-region pre-charge gate must
+    // tier (whose compare+branch peephole charges two instructions in
+    // one dispatch) and the native tier (whose whole-region pre-charge gate must
     // surface fuel exhaustion at the same instruction) alike.
     let full = reference_run(AUDIT_SRC, "audit", &[4, 9], Mode::Standard, 100_000);
     let run_len = full.instrs;

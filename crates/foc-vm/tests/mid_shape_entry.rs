@@ -2,8 +2,8 @@
 //! native lowering recognises. The region that holds the shape's head
 //! lowers it to one micro-op spanning the target; the region that starts
 //! at the target is lowered from the shape's remaining instructions.
-//! Both must be indistinguishable from the baseline interpreter at
-//! every fuel budget.
+//! Both must be indistinguishable from the baseline interpreter — same
+//! result, same [`foc_vm::Observation`] — at every fuel budget.
 //!
 //! The front end never emits such a jump, so the program is assembled
 //! by hand. Each shape is reached both ways: from its head on even loop
@@ -13,8 +13,8 @@
 use std::collections::HashMap;
 
 use foc_compiler::{CompiledFunc, CompiledProgram, FrameLayout, Instr, ProgramImage};
-use foc_memory::{AccessSize, MemoryErrorRecord, Mode, SpaceStats};
-use foc_vm::{ExecProfile, Machine, MachineConfig, RunStats, VmFault};
+use foc_memory::{AccessSize, Mode};
+use foc_vm::{ExecProfile, Machine, MachineConfig, Observation, VmFault};
 
 use AccessSize::{B4, B8};
 
@@ -217,22 +217,17 @@ fn program() -> CompiledProgram {
     }
 }
 
-/// Everything a run exposes: result, counters, and the error log (whose
-/// records carry the pc each invalid access surfaced at).
-type Observed = (
-    Result<i64, VmFault>,
-    RunStats,
-    SpaceStats,
-    Vec<MemoryErrorRecord>,
-);
-
-fn observe(image: &ProgramImage, mode: Mode, fuel: u64) -> (Observed, ExecProfile) {
+/// One run of `f(5)`: its result and everything it left observable,
+/// and — apart, because it is not — where execution went.
+fn observe(
+    image: &ProgramImage,
+    mode: Mode,
+    fuel: u64,
+) -> ((Result<i64, VmFault>, Observation), ExecProfile) {
     let config = MachineConfig::with_mode(mode).with_fuel(fuel);
     let mut m = Machine::load(image.clone(), config).expect("load");
     let result = m.call("f", &[5]);
-    let log = m.space().error_log().records().to_vec();
-    let seen = (result, m.stats(), *m.space().stats(), log);
-    (seen, m.exec_profile())
+    ((result, m.observe()), m.exec_profile())
 }
 
 #[test]
@@ -241,7 +236,8 @@ fn mid_shape_entries_are_tier_blind_at_every_fuel_budget() {
     let native = ProgramImage::with_native(program.clone());
     let baseline = ProgramImage::new(program);
 
-    let ((result, stats, _, log), _) = observe(&baseline, Mode::FailureOblivious, 1_000_000);
+    let ((result, seen), _) = observe(&baseline, Mode::FailureOblivious, 1_000_000);
+    let (stats, log) = (seen.run, seen.log);
     assert_eq!(result, Ok(18), "acc = 0+1+2+3+4 + a manufactured 0; k = 8");
     // The one invalid read is the final shape's `Load`, nine slots
     // from the end; its record carries the pc behind it.

@@ -1,6 +1,7 @@
 //! Frozen-boot equivalence: a server cloned from its frozen boot must
-//! be **byte-identical** to one that booted from scratch — transcripts (return codes, output bytes, virtual cycles),
-//! [`SpaceStats`], and the full `MemoryErrorLog` contents included.
+//! be **byte-identical** to one that booted from scratch — equal
+//! transcripts (per request: return code, output bytes or fault,
+//! virtual cycles) and equal [`Observation`]s.
 //!
 //! Boots are pure functions of `(image, spec, environment)`, so the
 //! boot cache is sound exactly when nothing observable can tell a
@@ -14,57 +15,14 @@
 
 use proptest::prelude::*;
 
-use failure_oblivious::memory::{Mode, SpaceStats};
+use failure_oblivious::memory::Mode;
+use failure_oblivious::servers::conn::Edge;
 use failure_oblivious::servers::farm::{Bytes, Links};
 use failure_oblivious::servers::image::ServerKind;
 use failure_oblivious::servers::{
-    apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Process, Request, Server,
-    ServerEnv,
+    apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Request, Server, ServerEnv,
 };
-
-/// One request's observable result plus the substrate state after it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Step {
-    ret: Option<i64>,
-    output: Vec<u8>,
-    cycles: u64,
-}
-
-impl Step {
-    fn of(m: &Measured) -> Step {
-        Step {
-            ret: m.outcome.ret(),
-            output: m.outcome.output().to_vec(),
-            cycles: m.cycles,
-        }
-    }
-}
-
-/// Everything the substrate exposes after a trace: the per-space
-/// counters and the complete retained error log (records compared
-/// field-by-field, totals included).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SubstrateState {
-    stats: SpaceStats,
-    log_total: u64,
-    log_reads: u64,
-    log_writes: u64,
-    log_dropped: u64,
-    records: Vec<failure_oblivious::memory::MemoryErrorRecord>,
-}
-
-fn substrate(proc: &Process) -> SubstrateState {
-    let space = proc.machine().space();
-    let log = space.error_log();
-    SubstrateState {
-        stats: *space.stats(),
-        log_total: log.total(),
-        log_reads: log.total_reads(),
-        log_writes: log.total_writes(),
-        log_dropped: log.dropped(),
-        records: log.records().to_vec(),
-    }
-}
+use failure_oblivious::vm::Observation;
 
 /// One server's benign + §4/§5.1 attack script.
 fn script(kind: ServerKind) -> Vec<Request> {
@@ -146,11 +104,11 @@ fn assert_kind_equivalent(kind: ServerKind, mode: Mode) {
         "{tag}: init outcome"
     );
     let drive = |mut server: Server| {
-        let steps: Vec<Step> = script(kind)
+        let steps: Vec<Measured> = script(kind)
             .iter()
-            .map(|request| Step::of(&request.apply(&mut server)))
+            .map(|request| request.apply(&mut server))
             .collect();
-        (steps, substrate(server.process()))
+        (steps, server.process().machine().observe())
     };
     assert_eq!(drive(cached), drive(fresh), "{tag}");
 }
@@ -179,8 +137,8 @@ fn cached_boots_replay_the_attack_library_on_both_tables() {
     for input in INPUT_LIBRARY.iter().filter(|i| i.attack) {
         let per_table = TableKind::ALL.map(|table| {
             let spec = BootSpec::new(input.kind, Mode::FailureOblivious).with_table(table);
-            let first = drive_input(input, &spec);
-            let restored = drive_input(input, &spec);
+            let first = drive_input(input, &spec, &Edge::InProcess);
+            let restored = drive_input(input, &spec, &Edge::InProcess);
             assert_eq!(
                 first,
                 restored,
@@ -211,12 +169,12 @@ fn full_replay_reference(spec: &BootSpec, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8
     pine::Pine::boot_image_spec(&ServerKind::Pine.image(), spec, mailbox)
 }
 
-/// Observable identity of a Pine reader: usability, init outcome shape,
-/// substrate state, and a read transcript over every message.
-fn pine_fingerprint(p: &mut pine::Pine, messages: i64) -> (bool, Vec<Step>, SubstrateState) {
+/// Observable identity of a Pine reader: usability, a read transcript
+/// over every message, and what the process left observable.
+fn pine_fingerprint(p: &mut pine::Pine, messages: i64) -> (bool, Vec<Measured>, Observation) {
     let usable = p.usable();
-    let steps: Vec<Step> = (0..messages).map(|i| Step::of(&p.read(i))).collect();
-    (usable, steps, substrate(p.process()))
+    let steps: Vec<Measured> = (0..messages).map(|i| p.read(i)).collect();
+    (usable, steps, p.process().machine().observe())
 }
 
 /// Drives a poisoned-mailbox restart chain in both implementations and
@@ -246,7 +204,7 @@ fn assert_restart_chain_equivalent(
         let body = workload::lorem(120, seed ^ i as u64);
         let a = fast.deliver(&from, b"live", &body);
         let b = reference.deliver(&from, b"live", &body);
-        assert_eq!(Step::of(&a), Step::of(&b), "{mode:?}: delivery {i}");
+        assert_eq!(a, b, "{mode:?}: delivery {i}");
     }
 
     let messages = (5 + extra_deliveries) as i64;
@@ -298,7 +256,7 @@ fn farm_restart_equivalence_survives_live_attack_deliveries() {
         let mut reference = full_replay_reference(&spec, mailbox.clone());
         let a = fast.deliver(&pine::attack_from(40), b"pwn", b"payload");
         let b = reference.deliver(&pine::attack_from(40), b"pwn", b"payload");
-        assert_eq!(Step::of(&a), Step::of(&b), "{mode:?}: attack delivery");
+        assert_eq!(a, b, "{mode:?}: attack delivery");
         assert!(fast.process().is_dead(), "{mode:?}: attack must kill");
 
         fast.restart();
@@ -347,12 +305,11 @@ proptest! {
                 2 => b"/big.bin".to_vec(),
                 _ => apache::attack_url(),
             };
-            prop_assert_eq!(
-                Step::of(&cached.get(&url)),
-                Step::of(&fresh.get(&url)),
-                "request {}", i
-            );
+            prop_assert_eq!(cached.get(&url), fresh.get(&url), "request {}", i);
         }
-        prop_assert_eq!(substrate(cached.process()), substrate(fresh.process()));
+        prop_assert_eq!(
+            cached.process().machine().observe(),
+            fresh.process().machine().observe()
+        );
     }
 }

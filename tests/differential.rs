@@ -18,15 +18,15 @@
 //!    serving — with the FO version converting each attack into the
 //!    anticipated error the paper reports.
 //! 3. **The shipped default is the reference oracle, faster.** A session
-//!    booted from `BootSpec::new` (`native`/`flat`) and from the
-//!    explicit `baseline`/`splay` spec agree on transcripts,
-//!    cycles, `RunStats`, `SpaceStats`, the error log and fault pcs.
+//!    booted from `BootSpec::new` (`native`/`flat`) and from
+//!    `BootSpec::oracle` (`baseline`/`splay`) agree on the transcript
+//!    (per step: return code, bytes or fault, cycles) and on the
+//!    process's whole [`Observation`].
 
-use failure_oblivious::memory::{MemoryErrorRecord, Mode, SpaceStats};
+use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload};
-use failure_oblivious::servers::{BootSpec, Measured, Outcome, Process, ServerKind};
-use failure_oblivious::vm::RunStats;
-use failure_oblivious::VmFault;
+use failure_oblivious::servers::{BootSpec, Measured, Outcome, ServerKind};
+use failure_oblivious::vm::Observation;
 
 /// What one request looked like to the client: return code + bytes.
 type Observed = (Option<i64>, Vec<u8>);
@@ -397,34 +397,9 @@ fn mutt_attack_matrix() {
 // The shipped default against the reference oracle.
 // ---------------------------------------------------------------------
 
-/// Everything one scripted session lets a client or an operator see.
-#[derive(Debug, PartialEq)]
-struct Session {
-    /// Per step: return code, emitted bytes or crash fault, and cycles.
-    steps: Vec<Measured>,
-    run: RunStats,
-    space: SpaceStats,
-    log_total: u64,
-    /// Every retained violation, with the function and pc it faulted at.
-    log: Vec<MemoryErrorRecord>,
-    dead: Option<VmFault>,
-}
-
-fn seal(steps: Vec<Measured>, process: &Process) -> Session {
-    let machine = process.machine();
-    let log = machine.space().error_log();
-    Session {
-        steps,
-        run: machine.stats(),
-        space: *machine.space().stats(),
-        log_total: log.total(),
-        log: log.records().to_vec(),
-        dead: machine.dead_reason().cloned(),
-    }
-}
-
-/// One benign + attack + benign-again session per server.
-fn session(kind: ServerKind, spec: &BootSpec) -> Session {
+/// One benign + attack + benign-again session per server: its
+/// transcript beside what its process left observable.
+fn session(kind: ServerKind, spec: &BootSpec) -> (Vec<Measured>, Observation) {
     match kind {
         ServerKind::Apache => {
             let mut w = apache::ApacheWorker::boot_spec(spec);
@@ -434,7 +409,7 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
                 w.get(&apache::attack_url()),
                 w.get(b"/rw/index.html"),
             ];
-            seal(steps, w.process())
+            (steps, w.process().machine().observe())
         }
         ServerKind::Pine => {
             let mut p = pine::Pine::boot_spec(spec, pine::Pine::standard_mailbox(3));
@@ -445,7 +420,7 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
                 p.read(3),
                 p.read(1),
             ];
-            seal(steps, p.process())
+            (steps, p.process().machine().observe())
         }
         ServerKind::Sendmail => {
             let mut sm = sendmail::Sendmail::boot_spec(spec);
@@ -458,7 +433,7 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
                 sm.mail_from(&sendmail::attack_address(120)),
                 sm.send(&workload::sendmail_address(3), b"outbound body"),
             ];
-            seal(steps, sm.process())
+            (steps, sm.process().machine().observe())
         }
         ServerKind::Mc => {
             let mut m = mc::Mc::boot_spec(spec, &mc::clean_config());
@@ -469,7 +444,7 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
                 m.component_end(b"noslashhere"),
                 m.mkdir(b"/tmp/newdir"),
             ];
-            seal(steps, m.process())
+            (steps, m.process().machine().observe())
         }
         ServerKind::Mutt => {
             let mut m = mutt::Mutt::boot_spec(spec, 3);
@@ -479,13 +454,13 @@ fn session(kind: ServerKind, spec: &BootSpec) -> Session {
                 m.open_folder(&mutt::attack_folder_name(40)),
                 m.open_folder(b"work"),
             ];
-            seal(steps, m.process())
+            (steps, m.process().machine().observe())
         }
     }
 }
 
-/// What ships by default (`BootSpec::new` with no `FOC_*` variable set:
-/// native tier, flat table) is a faster way to run the reference
+/// What ships by default (`BootSpec::new`: native tier, flat table) is
+/// a faster way to run the reference
 /// configuration, never a different program: the same session booted
 /// from the default spec and from the explicitly named
 /// `baseline`/`splay` oracle agrees on every surface, where the
@@ -505,7 +480,7 @@ fn default_boot_equals_the_baseline_table_splay_oracle() {
             );
             if mode == Mode::FailureOblivious {
                 assert!(
-                    shipped.log_total > 0 && shipped.dead.is_none(),
+                    shipped.1.log_total > 0 && shipped.1.dead.is_none(),
                     "{}: the session must contain an attack the server rides through",
                     kind.name()
                 );
@@ -550,15 +525,7 @@ fn wrapping_index_is_a_violation_on_every_tier() {
                     let image = compile_image_tier(source, tier).expect("source builds");
                     let config = MachineConfig::with_mode(mode).with_table(table);
                     let mut m = Machine::load(image, config).expect("load");
-                    let result = m.call("f", &[]);
-                    let log = m.space().error_log();
-                    (
-                        result,
-                        m.stats(),
-                        *m.space().stats(),
-                        log.total(),
-                        log.records().to_vec(),
-                    )
+                    (m.call("f", &[]), m.observe())
                 });
                 for (tier, seen) in ExecTier::ALL.iter().zip(&observed) {
                     assert_eq!(
@@ -569,9 +536,9 @@ fn wrapping_index_is_a_violation_on_every_tier() {
                     );
                 }
                 if mode == Mode::FailureOblivious {
-                    let (result, _, space, total, _) = &observed[0];
-                    assert_eq!(*total, 2, "both accesses are logged");
-                    assert_eq!(space.invalid_reads + space.invalid_writes, 2);
+                    let (result, seen) = &observed[0];
+                    assert_eq!(seen.log_total, 2, "both accesses are logged");
+                    assert_eq!(seen.space.invalid_reads + seen.space.invalid_writes, 2);
                     // Two manufactured reads (0, then 1), or `g[0]` untouched.
                     let expected = if source == WRAPPING_LOAD { 1 } else { 0 };
                     assert_eq!(*result, Ok(expected));

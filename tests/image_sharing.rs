@@ -1,9 +1,10 @@
 //! Image-sharing equivalence: booting a server from the interned
 //! per-kind image cache must be *observably identical* to compiling it
 //! from source — byte-identical request transcripts (return codes,
-//! output bytes, virtual cycle charges) for all five servers under all
-//! five policies — and every thread of a farm must observe the same
-//! [`ProgramId`] for a kind.
+//! output bytes or faults, virtual cycle charges) and equal
+//! [`Observation`]s for all five servers under all five policies — and
+//! every thread of a farm must observe the same [`ProgramId`] for a
+//! kind.
 //!
 //! These tests are what lets the farm swap `compile_source` out of its
 //! boot and restart paths without weakening the determinism contract:
@@ -21,23 +22,18 @@ use failure_oblivious::servers::mutt::Mutt;
 use failure_oblivious::servers::pine::Pine;
 use failure_oblivious::servers::sendmail::Sendmail;
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured};
-
-/// Everything a client could observe about one request.
-type Event = (bool, Option<i64>, Vec<u8>, u64);
-
-fn sig(m: &Measured) -> Event {
-    (
-        m.outcome.survived(),
-        m.outcome.ret(),
-        m.outcome.output().to_vec(),
-        m.cycles,
-    )
-}
+use failure_oblivious::vm::Observation;
 
 /// Drives a fixed mixed benign/attack script against one server booted
 /// either from the cache (`cached == true`) or from a fresh, uncached
-/// compile, returning the full transcript.
-fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Event> {
+/// compile, returning the full transcript and what the process left
+/// observable.
+fn transcript(
+    kind: ServerKind,
+    mode: Mode,
+    cached: bool,
+    seed: u64,
+) -> (Vec<Measured>, Observation) {
     let image = if cached {
         kind.image()
     } else {
@@ -45,7 +41,7 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
     };
     let spec = BootSpec::new(kind, mode);
     let mut events = Vec::new();
-    match kind {
+    let observed = match kind {
         ServerKind::Apache => {
             let mut w = if cached {
                 ApacheWorker::boot(mode)
@@ -59,8 +55,9 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
                 b"/missing.html".to_vec(),
                 b"/big.bin".to_vec(),
             ] {
-                events.push(sig(&w.get(&req)));
+                events.push(w.get(&req));
             }
+            w.process().machine().observe()
         }
         ServerKind::Sendmail => {
             let mut s = if cached {
@@ -68,21 +65,22 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             } else {
                 Sendmail::boot_image_spec(&image, &spec)
             };
-            events.push(sig(&s.receive(
+            events.push(s.receive(
                 &workload::sendmail_address(seed),
                 &workload::sendmail_address(seed ^ 1),
                 &workload::lorem(120, seed),
-            )));
-            events.push(sig(&s.wakeup()));
-            events.push(sig(&s.receive(
+            ));
+            events.push(s.wakeup());
+            events.push(s.receive(
                 &sendmail::attack_address(40),
                 &workload::sendmail_address(seed ^ 2),
                 b"attack payload",
-            )));
-            events.push(sig(&s.send(
+            ));
+            events.push(s.send(
                 &workload::sendmail_address(seed ^ 3),
                 &workload::lorem(100, seed ^ 3),
-            )));
+            ));
+            s.process().machine().observe()
         }
         ServerKind::Pine => {
             let mailbox = Pine::standard_mailbox(3);
@@ -91,15 +89,16 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             } else {
                 Pine::boot_image_spec(&image, &spec, mailbox)
             };
-            events.push(sig(&p.read(0)));
-            events.push(sig(&p.deliver(
+            events.push(p.read(0));
+            events.push(p.deliver(
                 &workload::from_field(seed),
                 b"new mail",
                 &workload::lorem(250, seed),
-            )));
-            events.push(sig(&p.deliver(&pine::attack_from(40), b"pwn", b"payload")));
-            events.push(sig(&p.compose()));
-            events.push(sig(&p.read(1)));
+            ));
+            events.push(p.deliver(&pine::attack_from(40), b"pwn", b"payload"));
+            events.push(p.compose());
+            events.push(p.read(1));
+            p.process().machine().observe()
         }
         ServerKind::Mutt => {
             let mut m = if cached {
@@ -107,10 +106,11 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             } else {
                 Mutt::boot_image_spec(&image, &spec, 2)
             };
-            events.push(sig(&m.open_folder(b"INBOX")));
-            events.push(sig(&m.read_message(0)));
-            events.push(sig(&m.open_folder(&mutt::attack_folder_name(40))));
-            events.push(sig(&m.open_folder(b"work")));
+            events.push(m.open_folder(b"INBOX"));
+            events.push(m.read_message(0));
+            events.push(m.open_folder(&mutt::attack_folder_name(40)));
+            events.push(m.open_folder(b"work"));
+            m.process().machine().observe()
         }
         ServerKind::Mc => {
             let mut m = if cached {
@@ -118,14 +118,15 @@ fn transcript(kind: ServerKind, mode: Mode, cached: bool, seed: u64) -> Vec<Even
             } else {
                 Mc::boot_image_spec(&image, &spec, &mc::clean_config())
             };
-            events.push(sig(&m.copy(b"/home/user/data.bin", b"/tmp/c1")));
-            events.push(sig(&m.mkdir(b"/tmp/d1")));
-            events.push(sig(&m.open_archive(&mc::attack_links())));
-            events.push(sig(&m.component_end(b"usr/share/component/lib")));
-            events.push(sig(&m.delete(b"/tmp/c1")));
+            events.push(m.copy(b"/home/user/data.bin", b"/tmp/c1"));
+            events.push(m.mkdir(b"/tmp/d1"));
+            events.push(m.open_archive(&mc::attack_links()));
+            events.push(m.component_end(b"usr/share/component/lib"));
+            events.push(m.delete(b"/tmp/c1"));
+            m.process().machine().observe()
         }
-    }
-    events
+    };
+    (events, observed)
 }
 
 #[test]

@@ -217,7 +217,7 @@ proptest! {
                 prop_assert_eq!(sealed, size == AccessSize::B8, "{:?}", ops);
                 let run = |image: ProgramImage| {
                     let mut m = Machine::load(image, MachineConfig::default()).unwrap();
-                    (m.call("f", &args), m.stats())
+                    (m.call("f", &args), m.observe())
                 };
                 prop_assert_eq!(run(native), run(ProgramImage::new(program)));
             }

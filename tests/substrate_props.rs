@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use failure_oblivious::memory::{
     AccessCtx, AccessSize, Manufacturer, MemConfig, MemorySpace, Mode, ValueSequence,
 };
+use failure_oblivious::servers::conn::Edge;
 use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
 use failure_oblivious::servers::sweep::{drive_input, INPUT_LIBRARY};
 use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload, BootSpec, Process};
@@ -415,7 +416,7 @@ fn a_process_commits_what_it_touched() {
 fn no_sweep_input_holds_more_than_a_few_dozen_live_units() {
     for input in INPUT_LIBRARY {
         for mode in Mode::ALL {
-            let driven = drive_input(input, &BootSpec::new(input.kind, mode));
+            let driven = drive_input(input, &BootSpec::new(input.kind, mode), &Edge::InProcess);
             let what = format!("{}/{} under {mode:?}", input.kind.name(), input.name);
             assert_few_live_units(driven.peak_units, &what);
         }

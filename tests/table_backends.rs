@@ -6,9 +6,9 @@
 //! The contract under test:
 //!
 //! 1. identical workload traces produce **byte-identical transcripts**
-//!    (return codes, output bytes, violation flags, virtual cycles) on
-//!    every server driver, in every mode;
-//! 2. the substrate is driven identically — [`SpaceStats`] compare equal
+//!    (return codes, output bytes or faults, virtual cycles) on every
+//!    server driver, in every mode;
+//! 2. the process is left identical — [`Observation`]s compare equal
 //!    across backends after the same trace;
 //! 3. whole farm runs produce equal [`FarmReport`]s across backends, for
 //!    every server kind × mode cell (the farm's determinism contract
@@ -16,30 +16,12 @@
 
 use proptest::prelude::*;
 
-use failure_oblivious::memory::{Mode, SpaceStats, TableKind};
+use failure_oblivious::memory::{Mode, TableKind};
 use failure_oblivious::servers::farm::{run_farm, Bytes, FarmConfig, Links, ServerKind};
 use failure_oblivious::servers::{
     apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Request, Server, ServerEnv,
 };
-
-/// One request's observable result, compared byte-for-byte across
-/// backends.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Step {
-    ret: Option<i64>,
-    output: Vec<u8>,
-    cycles: u64,
-}
-
-impl From<Measured> for Step {
-    fn from(m: Measured) -> Step {
-        Step {
-            ret: m.outcome.ret(),
-            output: m.outcome.output().to_vec(),
-            cycles: m.cycles,
-        }
-    }
-}
+use failure_oblivious::vm::Observation;
 
 /// Request `i` of `kind`'s fixed seeded trace: legitimate traffic with
 /// attacks interleaved.
@@ -117,14 +99,14 @@ fn request(kind: ServerKind, seed: u64, i: u64) -> Request {
 }
 
 /// Drives one server of `kind` under `mode` on `table` through its
-/// trace, for as long as it serves, and returns the transcript plus the
-/// final substrate counters.
+/// trace, for as long as it serves, and returns the transcript plus
+/// what the process left observable.
 fn transcript(
     kind: ServerKind,
     mode: Mode,
     table: TableKind,
     seed: u64,
-) -> (Vec<Step>, SpaceStats) {
+) -> (Vec<Measured>, Observation) {
     let spec = BootSpec::new(kind, mode).with_table(table);
     let mut server = Server::boot(kind, &spec, ServerEnv::standard());
     let len = if kind == ServerKind::Apache { 10 } else { 8 };
@@ -133,35 +115,27 @@ fn transcript(
         if !server.usable() {
             break;
         }
-        steps.push(Step::from(request(kind, seed, i).apply(&mut server)));
+        steps.push(request(kind, seed, i).apply(&mut server));
     }
-    (steps, *server.process().machine().space().stats())
+    (steps, server.process().machine().observe())
 }
 
 /// The headline contract: 5 servers × 5 modes, transcripts and
-/// substrate counters byte-identical on the shipped table and the
-/// oracle.
+/// observations byte-identical on the shipped table and the oracle.
 #[test]
 fn transcripts_identical_across_backends_all_servers_all_modes() {
     for kind in ServerKind::ALL {
         for mode in Mode::ALL {
-            let (reference, ref_stats) = transcript(kind, mode, TableKind::Splay, 7);
+            let reference = transcript(kind, mode, TableKind::Splay, 7);
             assert!(
-                !reference.is_empty() || !matches!(mode, Mode::FailureOblivious),
+                !reference.0.is_empty() || !matches!(mode, Mode::FailureOblivious),
                 "{} under {mode:?} produced no steps",
                 kind.name()
             );
-            let (steps, stats) = transcript(kind, mode, TableKind::Flat, 7);
             assert_eq!(
                 reference,
-                steps,
-                "{} under {mode:?}: transcript diverged on flat",
-                kind.name()
-            );
-            assert_eq!(
-                ref_stats,
-                stats,
-                "{} under {mode:?}: SpaceStats diverged on flat",
+                transcript(kind, mode, TableKind::Flat, 7),
+                "{} under {mode:?}: diverged on flat",
                 kind.name()
             );
         }
@@ -199,10 +173,9 @@ proptest! {
     #[test]
     fn apache_transcripts_backend_invariant_over_seeds(seed in 0u64..1_000_000) {
         for mode in Mode::ALL {
-            let (reference, ref_stats) = transcript(ServerKind::Apache, mode, TableKind::Splay, seed);
-            let (steps, stats) = transcript(ServerKind::Apache, mode, TableKind::Flat, seed);
-            prop_assert_eq!(&reference, &steps, "mode {:?}", mode);
-            prop_assert_eq!(ref_stats, stats, "mode {:?}", mode);
+            let reference = transcript(ServerKind::Apache, mode, TableKind::Splay, seed);
+            let flat = transcript(ServerKind::Apache, mode, TableKind::Flat, seed);
+            prop_assert_eq!(reference, flat, "mode {:?}", mode);
         }
     }
 
