@@ -17,8 +17,8 @@
 //!   records that predate it). Rows are keyed by a fingerprint of the
 //!   measured images + shape, so a rerun on an unchanged tree replaces
 //!   its row instead of duplicating it.
-//! * `mode_sweep [--resume] [--threads N]` — the full recovery-mode
-//!   grid, maintaining the committed `SWEEP_matrix.{json,md}`.
+//! * `mode_sweep [--threads N]` — the full recovery-mode grid,
+//!   maintaining the committed `SWEEP_matrix.{json,md}`.
 //! * `paper [name]` — one table of the paper's evaluation, or with no
 //!   name the full report; `paper --write` commits that report to
 //!   `PAPER_tables.md`.
@@ -86,7 +86,7 @@ const CMDS: [Cmd; 7] = [
     Cmd {
         name: "mode_sweep",
         spec: ArgSpec {
-            flags: &["--resume", "--threads"],
+            flags: &["--threads"],
             counts: &[],
             name: false,
         },
@@ -117,7 +117,8 @@ fn paper_gate(_: &Args) -> Result<String, String> {
     );
     let committed = std::fs::read_to_string(paper::REPORT_PATH)
         .map_err(|e| format!("cannot read committed {}: {e}", paper::REPORT_PATH))?;
-    let lines = paper::diff_report(&committed, &paper::report())?;
+    let lines = paper::diff_report(paper::REPORT_PATH, &committed, &paper::report())
+        .map_err(|e| format!("{e} (`bench paper --write` re-records a change that is meant)"))?;
     Ok(format!("{lines} lines match {}", paper::REPORT_PATH))
 }
 

@@ -1,160 +1,93 @@
 //! `mode_sweep`: the mode search-space sweep driver. Runs the full
-//! recovery-mode × value-sequence × fuel × table-backend grid over all
-//! five servers and the benign + §4/§5.1 attack input library,
-//! classifies every run into the stable outcome taxonomy, and maintains
-//! the committed matrix record (`SWEEP_matrix.json` + rendered
-//! `SWEEP_matrix.md`).
+//! recovery-mode × value-sequence × fuel grid over all five servers and
+//! the benign + §4/§5.1 attack input library, classifies every run into
+//! the stable outcome taxonomy, and maintains the committed matrix record
+//! (`SWEEP_matrix.json` + rendered `SWEEP_matrix.md`).
 
 use std::time::Instant;
 
 use foc_bench::check::{record_farm_row, Args};
 use foc_bench::farm_report::{mode_sweep_fingerprint, mode_sweep_row_json};
-use foc_bench::sweep_report::{
-    diff_against_committed, merge_cells, parse_matrix_json, render_matrix_json,
-    render_matrix_markdown, split_resume, MATRIX_MD_PATH, MATRIX_PATH,
-};
-use foc_compiler::ExecTier;
+use foc_bench::paper::diff_report;
+use foc_bench::sweep_report::{rendered, MATRIX_MD_PATH, MATRIX_PATH};
+use foc_memory::Mode;
 use foc_servers::conn::{Edge, SocketEdge};
-use foc_servers::sweep::{reference_transcripts, run_cells, SweepGrid, SweepMatrix, INPUT_LIBRARY};
-
-/// Cells per incremental chunk: small enough that an interrupt loses
-/// little work, large enough that the work-stealing pool stays busy.
-const CHUNK_CELLS: usize = 12;
+use foc_servers::sweep::{grid, reference_transcripts, run_cells, SweepMatrix, INPUT_LIBRARY};
+use foc_servers::{BootSpec, ServerKind};
 
 /// Inputs a sweep worker runs before yielding its cell back.
 const SLICE_INPUTS: usize = 4;
 
-/// The configurations the gate drives the pinned sub-grid on: what
-/// ships, the interpreted oracle tier, and the socket edge. (The object
-/// table is a cell coordinate, so both tables run at every point.)
-fn gate_points() -> [(&'static str, ExecTier, Edge); 3] {
+/// The configurations the gate renders the whole matrix at, each a base
+/// spec constructor and an edge: what ships, the reference oracle
+/// (baseline tier over the splay table), and the socket edge.
+type GatePoint = (&'static str, fn(ServerKind, Mode) -> BootSpec, Edge);
+
+fn gate_points() -> [GatePoint; 3] {
     [
-        ("shipped", ExecTier::default(), Edge::InProcess),
-        ("baseline oracle", ExecTier::Baseline, Edge::InProcess),
+        ("shipped", BootSpec::new, Edge::InProcess),
+        ("oracle", BootSpec::oracle, Edge::InProcess),
         (
             "socket edge",
-            ExecTier::default(),
+            BootSpec::new,
             Edge::Socket(SocketEdge::default()),
         ),
     ]
 }
 
-/// The outcome-matrix gate: re-runs the pinned sweep sub-grid fresh and
-/// diffs outcome classes + transcripts against the committed
-/// `SWEEP_matrix.json`, so any semantic drift in the recovery substrate
-/// fails with a one-line diagnostic. Cell fingerprints exclude tier and
-/// edge by construction, so the same committed bytes must come back at
-/// every one of [`gate_points`].
+/// The whole grid, run on `base` over `edge` with `threads` workers.
+fn sweep(base: fn(ServerKind, Mode) -> BootSpec, edge: &Edge, threads: usize) -> SweepMatrix {
+    let reference = reference_transcripts(base, edge);
+    let cells = run_cells(&grid(), &reference, base, edge, threads, SLICE_INPUTS);
+    SweepMatrix { reference, cells }
+}
+
+/// The outcome-matrix gate: renders the whole grid afresh at every one
+/// of [`gate_points`] and holds both committed files to it line for
+/// line, so any semantic drift in the recovery substrate — or a
+/// configuration that stops being observably the same — fails with a
+/// one-line diagnostic naming the file and line.
 pub fn gate(args: &Args) -> Result<String, String> {
-    let committed = std::fs::read_to_string(MATRIX_PATH)
-        .map_err(|e| format!("cannot read committed {MATRIX_PATH}: {e}"))?;
-    let committed = parse_matrix_json(&committed)?;
-    let grid = SweepGrid::pinned();
-    let mut cells = grid.cells();
-    // Plus the pinned manufactured-loop fuel-out cell: a constant-1
-    // sequence MC scan exercises the batched violation path at full
-    // storm intensity, and its transcript must still match the
-    // committed matrix byte for byte.
-    cells.extend(SweepGrid::pinned_extra_cells());
     let points = gate_points();
     eprintln!(
-        "mode_sweep --check: pinned sub-grid, {} cells x {} inputs at {} points ...",
-        cells.len(),
+        "mode_sweep --check: {} cells x {} inputs at {} points ...",
+        grid().len(),
         INPUT_LIBRARY.len(),
         points.len()
     );
-    let mut compared = 0;
-    for (name, tier, edge) in &points {
-        let reference = reference_transcripts(*tier, edge);
-        let fresh = run_cells(&cells, &reference, *tier, edge, args.threads, SLICE_INPUTS);
-        compared = diff_against_committed(&committed, &reference, &fresh)
-            .map_err(|e| format!("{name}: {e}"))?;
+    let mut lines = 0;
+    for (name, base, edge) in &points {
+        lines = 0;
+        for (path, fresh) in rendered(&sweep(*base, edge, args.threads)) {
+            let committed = std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read committed {path}: {e}"))?;
+            lines += diff_report(path, &committed, &fresh).map_err(|e| {
+                format!("{name}: {e} (`bench mode_sweep` re-records a change that is meant)")
+            })?;
+        }
     }
     Ok(format!(
-        "{} cells, {} x {compared} runs match the committed matrix ({})",
-        cells.len(),
-        points.len(),
+        "{} cells, {lines} lines of {MATRIX_PATH} + {MATRIX_MD_PATH} match at {}",
+        grid().len(),
         points.map(|(name, ..)| name).join(", ")
     ))
 }
 
-/// The full grid on `--threads N` workers (default 4). Writes the
-/// matrix after every chunk of cells, so an interrupted run leaves a
-/// valid partial file; on completion renders the markdown matrix and
-/// upserts a wall-time row into `BENCH_farm.json`'s `mode_sweep_runs`
-/// trajectory. `--resume` reuses every cell of the existing
-/// `SWEEP_matrix.json` whose fingerprint matches the current sweep
-/// contract (and whose file-level reference transcripts match a fresh
-/// computation), runs only the missing cells, and produces a file
-/// byte-identical to a from-scratch run.
+/// The full grid on `--threads N` workers (default 4), on what ships:
+/// writes both matrix files and upserts a wall-time row into
+/// `BENCH_farm.json`'s `mode_sweep_runs` trajectory.
 pub fn full(args: &Args) -> Result<(), String> {
     let threads = args.threads;
-    let grid = SweepGrid::full();
-    let all = grid.cells();
     let started = Instant::now();
-    let (tier, edge) = (ExecTier::default(), Edge::InProcess);
-    let reference = reference_transcripts(tier, &edge);
-
-    let parsed = if args.has("--resume") {
-        match std::fs::read_to_string(MATRIX_PATH) {
-            Ok(text) => match parse_matrix_json(&text) {
-                Ok(parsed) => Some(parsed),
-                Err(e) => {
-                    eprintln!("mode_sweep: ignoring unreadable {MATRIX_PATH}: {e}");
-                    None
-                }
-            },
-            Err(_) => None,
-        }
-    } else {
-        None
-    };
-    let (reused, missing) = split_resume(&all, parsed.as_ref(), &reference);
     eprintln!(
-        "mode_sweep: {} cells x {} inputs ({} reused, {} to run, {} threads)",
-        all.len(),
-        INPUT_LIBRARY.len(),
-        reused.len(),
-        missing.len(),
-        threads
+        "mode_sweep: {} cells x {} inputs on {threads} threads",
+        grid().len(),
+        INPUT_LIBRARY.len()
     );
-
-    // Run the missing cells chunk by chunk, writing the partial matrix
-    // after each chunk so an interrupted sweep can resume.
-    let mut done = reused;
-    for (i, chunk) in missing.chunks(CHUNK_CELLS).enumerate() {
-        let fresh = run_cells(chunk, &reference, tier, &edge, threads, SLICE_INPUTS);
-        done.extend(fresh);
-        // Partial file: completed cells only, canonical grid order.
-        let completed: Vec<_> = all
-            .iter()
-            .filter(|spec| done.iter().any(|c| c.cell == **spec))
-            .copied()
-            .collect();
-        let partial = SweepMatrix {
-            grid: grid.clone(),
-            reference: reference.clone(),
-            cells: merge_cells(&completed, vec![done.clone()]),
-        };
-        std::fs::write(MATRIX_PATH, render_matrix_json(&partial)).expect("write matrix");
-        eprintln!(
-            "  chunk {}/{}: {} / {} cells done ({:.0?})",
-            i + 1,
-            missing.len().div_ceil(CHUNK_CELLS),
-            partial.cells.len(),
-            all.len(),
-            started.elapsed()
-        );
+    let matrix = sweep(BootSpec::new, &Edge::InProcess, threads);
+    for (path, text) in rendered(&matrix) {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-
-    let resumed_cells = all.len() - missing.len();
-    let matrix = SweepMatrix {
-        grid,
-        reference,
-        cells: merge_cells(&all, vec![done]),
-    };
-    std::fs::write(MATRIX_PATH, render_matrix_json(&matrix)).expect("write matrix");
-    std::fs::write(MATRIX_MD_PATH, render_matrix_markdown(&matrix)).expect("write markdown");
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Class histogram, for the console.
@@ -167,22 +100,22 @@ pub fn full(args: &Args) -> Result<(), String> {
     for (class, n) in &counts {
         println!("  {class:<22} {n:>5}");
     }
+    let cells = matrix.cells.len();
     println!(
-        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({} cells, {:.1}s)",
-        matrix.cells.len(),
+        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({cells} cells, {:.1}s)",
         wall_ms / 1e3
     );
 
     // Record the sweep's own cost in the farm trajectory. The
     // fingerprint keys the row to the sweep shape + compiled images, so
     // re-running on an unchanged tree upserts instead of duplicating.
+    let inputs = INPUT_LIBRARY.len();
     let row = mode_sweep_row_json(
-        matrix.cells.len(),
-        resumed_cells,
-        INPUT_LIBRARY.len(),
+        cells,
+        inputs,
         threads,
         wall_ms,
-        &mode_sweep_fingerprint(matrix.cells.len(), INPUT_LIBRARY.len(), threads),
+        &mode_sweep_fingerprint(cells, inputs, threads),
     );
     record_farm_row("mode_sweep", "mode_sweep_runs", &row).map_err(|e| {
         format!(
@@ -198,14 +131,26 @@ mod tests {
     /// A row deleted by accident fails here, not in review.
     #[test]
     fn the_gate_covers_the_shipped_default_the_oracle_tier_and_the_socket_edge() {
-        use foc_memory::Mode;
-        use foc_servers::farm::{FarmConfig, ServerKind};
+        use foc_compiler::ExecTier;
+        use foc_memory::TableKind;
+        use foc_servers::farm::FarmConfig;
 
-        let shipped = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious);
+        let (kind, mode) = (ServerKind::Apache, Mode::FailureOblivious);
+        let shipped = FarmConfig::new(kind, mode);
         let points = gate_points();
-        let at = |tier, edge: &Edge| points.iter().any(|(_, t, e)| *t == tier && e == edge);
-        assert!(at(shipped.boot_spec().tier, &shipped.edge), "what ships");
-        assert!(at(ExecTier::Baseline, &Edge::InProcess), "the oracle tier");
+        let at = |spec: BootSpec, edge: &Edge| {
+            points
+                .iter()
+                .any(|(_, base, e)| base(kind, mode) == spec && e == edge)
+        };
+        assert!(at(shipped.boot_spec(), &shipped.edge), "what ships");
+        // The oracle point boots the oracle's tier *and* its table.
+        let oracle = BootSpec::oracle(kind, mode);
+        assert_eq!(
+            (oracle.tier, oracle.table),
+            (ExecTier::Baseline, TableKind::Splay)
+        );
+        assert!(at(oracle, &Edge::InProcess), "the oracle tier and table");
         assert!(
             points.iter().any(|(_, _, e)| matches!(e, Edge::Socket(_))),
             "the socket edge"

@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn args_take_what_the_subcommand_names_and_refuse_the_rest() {
         let spec = ArgSpec {
-            flags: &["--resume", "--threads"],
+            flags: &["--write", "--threads"],
             counts: &[("server count", 4096), ("request count", 4)],
             name: true,
         };
@@ -170,10 +170,10 @@ mod tests {
         let bare = parse(&spec, &[]).expect("defaults");
         assert_eq!((bare.threads, bare.name.as_deref()), (4, None));
         assert_eq!(bare.counts, [4096, 4]);
-        assert!(!bare.has("--check") && !bare.has("--resume"));
+        assert!(!bare.has("--check") && !bare.has("--write"));
         let all = [
             "8192",
-            "--resume",
+            "--write",
             "--threads",
             "2",
             "2",
@@ -183,13 +183,13 @@ mod tests {
         let all = parse(&spec, &all).expect("everything at once");
         assert_eq!(all.counts, [8192, 2]);
         assert_eq!((all.threads, all.name.as_deref()), (2, Some("fig5_mc")));
-        assert!(all.has("--check") && all.has("--resume"));
+        assert!(all.has("--check") && all.has("--write"));
         let plain = ArgSpec::counts(&[("rep count", 24)]);
         for (spec, raw, needle) in [
             (
                 &spec,
                 &["--chek"][..],
-                "unknown flag \"--chek\" (accepted: --check, --resume, --threads)",
+                "unknown flag \"--chek\" (accepted: --check, --write, --threads)",
             ),
             (
                 &spec,
@@ -216,8 +216,8 @@ mod tests {
             (&plain, &["3", "4"], "unexpected argument \"4\""),
             (
                 &plain,
-                &["--resume"],
-                "unknown flag \"--resume\" (accepted: --check)",
+                &["--write"],
+                "unknown flag \"--write\" (accepted: --check)",
             ),
         ] {
             let msg = parse(spec, raw).expect_err("refused");

@@ -21,7 +21,6 @@ use foc_servers::latency::LatencyHist;
 use foc_servers::BootSpec;
 
 use crate::stats::robust_summary;
-use crate::sweep_report::str_field;
 
 /// Shape of the recorded suite: every server kind under every mode.
 pub fn suite_config(kind: ServerKind, mode: Mode, requests: usize) -> FarmConfig {
@@ -804,6 +803,14 @@ pub fn conn_cost_fingerprint(reps: usize) -> String {
     )
 }
 
+/// Extracts the string value of `"key": "…"` from a single line.
+fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let marker = format!("\"{key}\": \"");
+    let start = line.find(&marker)? + marker.len();
+    let end = line[start..].find('"')?;
+    Some(&line[start..start + end])
+}
+
 /// The fingerprint of a pre-rendered row, if it has one. Rows recorded
 /// before fingerprinting existed have none and are never matched (so
 /// they are always preserved).
@@ -958,7 +965,6 @@ fn quoted(s: &str) -> String {
 /// measurements it gates.
 pub fn mode_sweep_row_json(
     cells: usize,
-    resumed: usize,
     inputs: usize,
     threads: usize,
     wall_ms: f64,
@@ -966,7 +972,6 @@ pub fn mode_sweep_row_json(
 ) -> String {
     object(&[
         ("cells", cells.to_string()),
-        ("resumed_cells", resumed.to_string()),
         ("inputs", inputs.to_string()),
         ("threads", threads.to_string()),
         ("wall_ms", fixed(wall_ms, 1)),
@@ -1270,7 +1275,7 @@ mod tests {
                 &conn_cost_fingerprint(1),
             ),
             ("mode_sweep_runs", _) => {
-                mode_sweep_row_json(100, 0, 17, 4, 1234.5, &mode_sweep_fingerprint(100, 17, 4))
+                mode_sweep_row_json(50, 17, 4, 1234.5, &mode_sweep_fingerprint(50, 17, 4))
             }
             _ => panic!("no row for {key}"),
         }

@@ -210,10 +210,11 @@ pub fn report() -> String {
     )
 }
 
-/// Holds a `fresh` render of [`report`] against the `committed` file:
-/// the number of matching lines, or a one-line diagnostic naming the
+/// Holds a `fresh` render against the `committed` contents of the file
+/// at `path` (this report, or either sweep matrix file): the number of
+/// matching lines, or a one-line diagnostic naming the file and the
 /// first line that differs.
-pub fn diff_report(committed: &str, fresh: &str) -> Result<usize, String> {
+pub fn diff_report(path: &str, committed: &str, fresh: &str) -> Result<usize, String> {
     let want: Vec<&str> = committed.lines().collect();
     let got: Vec<&str> = fresh.lines().collect();
     let lines = want.len().max(got.len());
@@ -222,8 +223,7 @@ pub fn diff_report(committed: &str, fresh: &str) -> Result<usize, String> {
     };
     let show = |line: Option<&&str>| line.map_or("nothing".to_string(), |l| format!("{l:?}"));
     Err(format!(
-        "{REPORT_PATH} line {} holds {} where a fresh run prints {} \
-         (`bench paper --write` re-records a change that is meant)",
+        "{path} line {} holds {} where a fresh run prints {}",
         at + 1,
         show(want.get(at)),
         show(got.get(at))
@@ -252,21 +252,25 @@ mod tests {
         let path = format!("{}/../../{REPORT_PATH}", env!("CARGO_MANIFEST_DIR"));
         let committed = std::fs::read_to_string(path).expect("committed PAPER_tables.md");
         let fresh = report();
-        assert_eq!(diff_report(&committed, &fresh), Ok(fresh.lines().count()));
+        assert_eq!(
+            diff_report(REPORT_PATH, &committed, &fresh),
+            Ok(fresh.lines().count())
+        );
         // The same experiments run again print the same bytes.
         assert_eq!(report(), fresh);
         // One figure cell edited by hand: one line, naming where.
         let at = committed.lines().position(|l| l.starts_with("Compose"));
         let at = at.expect("Figure 2 has a Compose row") + 1;
         let edited = committed.replacen("Compose ", "Compose 9", 1);
-        let msg = diff_report(&edited, &fresh).expect_err("edited");
+        let msg = diff_report(REPORT_PATH, &edited, &fresh).expect_err("edited");
         assert!(
-            msg.contains(&format!("line {at} ")) && !msg.contains('\n'),
+            msg.starts_with(&format!("{REPORT_PATH} line {at} ")) && !msg.contains('\n'),
             "{msg}"
         );
         // A truncated or over-long file is named too.
         let longer = format!("{committed}extra\n");
-        assert!(diff_report(&longer, &fresh).is_err());
-        assert!(diff_report(&committed, &format!("{fresh}extra\n")).is_err());
+        assert!(diff_report(REPORT_PATH, &longer, &fresh).is_err());
+        let over = format!("{fresh}extra\n");
+        assert!(diff_report(REPORT_PATH, &committed, &over).is_err());
     }
 }

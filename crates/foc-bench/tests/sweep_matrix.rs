@@ -1,135 +1,98 @@
 //! The sweep's determinism contract, end to end through the report
 //! layer:
 //!
-//! 1. **Byte-identical matrices.** Running the same grid twice — at
+//! 1. **Byte-identical matrices.** Running the same cells twice — at
 //!    different thread counts and scheduling grains — renders exactly
-//!    the same `SWEEP_matrix.json` bytes. This is what lets CI diff the
-//!    committed matrix and what makes resume sound.
-//! 2. **Resume completes to the identical file.** Interrupting a sweep
-//!    (simulated by truncating the rendered matrix at a chunk boundary)
-//!    and resuming from the partial file produces the same bytes as the
-//!    uninterrupted run.
+//!    the same `SWEEP_matrix.json` and `SWEEP_matrix.md` bytes. This is
+//!    what lets `mode_sweep --check` hold the committed files line for
+//!    line.
+//! 2. **The oracle reproduces what ships**: the object table (and the
+//!    tier) is a gate point, not a coordinate, so the same cells under
+//!    `BootSpec::oracle` are the same matrix.
 //! 3. **Outcome classes are scheduling-invariant** (property test over
 //!    thread count and slice grain): classification is a pure function
 //!    of the cell coordinates.
 
 use proptest::prelude::*;
 
-use foc_bench::sweep_report::{
-    merge_cells, parse_matrix_json, render_matrix_json, render_matrix_markdown, split_resume,
-};
-use foc_compiler::ExecTier;
-use foc_memory::{Mode, TableKind, ValueSequence};
+use foc_bench::sweep_report::{render_matrix_json, render_matrix_markdown};
+use foc_memory::{Mode, ValueSequence};
 use foc_servers::conn::Edge;
 use foc_servers::sweep::{
-    reference_transcripts, run_cell, run_cells, CellResult, CellSpec, FuelBudget, SweepGrid,
+    grid, reference_transcripts, run_cell, run_cells, CellResult, CellSpec, FuelBudget,
     SweepMatrix, INPUT_LIBRARY,
 };
+use foc_servers::BootSpec;
 
-/// A grid small enough for tests but wide enough to hit every class:
-/// Standard (policy kills), Bounds Check (restart exhaustion),
-/// Failure Oblivious (continuation), two sequences (divergence), tight
-/// fuel (fuel-outs), two backends (collapse/agreement).
-fn test_grid() -> SweepGrid {
-    SweepGrid {
-        modes: vec![Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious],
-        sequences: vec![ValueSequence::Zero, ValueSequence::Cycling { wrap: 256 }],
-        fuels: vec![FuelBudget::Tight],
-        tables: vec![TableKind::Splay, TableKind::Flat],
-    }
+/// The grid filtered to a shape small enough for tests but wide enough
+/// to hit every class: Standard (policy kills), Bounds Check (restart
+/// exhaustion), Failure Oblivious (continuation), two sequences
+/// (divergence), tight fuel (fuel-outs).
+fn test_cells() -> Vec<CellSpec> {
+    grid()
+        .into_iter()
+        .filter(|c| {
+            matches!(
+                c.mode,
+                Mode::Standard | Mode::BoundsCheck | Mode::FailureOblivious
+            ) && matches!(
+                c.sequence,
+                ValueSequence::Zero | ValueSequence::Cycling { wrap: 256 }
+            ) && c.fuel == FuelBudget::Tight
+        })
+        .collect()
 }
 
 /// The reference transcripts on the shipped default.
 fn reference() -> Vec<u64> {
-    reference_transcripts(ExecTier::default(), &Edge::InProcess)
+    reference_transcripts(BootSpec::new, &Edge::InProcess)
 }
 
 /// A scheduled run of `cells` on the shipped default.
 fn run(cells: &[CellSpec], reference: &[u64], threads: usize, slice: usize) -> Vec<CellResult> {
-    let (tier, edge) = (ExecTier::default(), Edge::InProcess);
-    run_cells(cells, reference, tier, &edge, threads, slice)
+    run_cells(
+        cells,
+        reference,
+        BootSpec::new,
+        &Edge::InProcess,
+        threads,
+        slice,
+    )
 }
 
-fn matrix_for(grid: &SweepGrid, threads: usize, slice: usize) -> SweepMatrix {
+fn matrix_for(cells: &[CellSpec], threads: usize, slice: usize) -> SweepMatrix {
     let reference = reference();
-    let cells = run(&grid.cells(), &reference, threads, slice);
-    SweepMatrix {
-        grid: grid.clone(),
-        reference,
-        cells,
-    }
+    let cells = run(cells, &reference, threads, slice);
+    SweepMatrix { reference, cells }
 }
 
 #[test]
 fn same_grid_twice_renders_byte_identical_json() {
-    let grid = test_grid();
-    let a = render_matrix_json(&matrix_for(&grid, 1, usize::MAX));
-    let b = render_matrix_json(&matrix_for(&grid, 4, 2));
+    let cells = test_cells();
+    let a = render_matrix_json(&matrix_for(&cells, 1, usize::MAX));
+    let b = render_matrix_json(&matrix_for(&cells, 4, 2));
     assert_eq!(a, b, "two sweeps of one substrate must render identically");
     // The markdown rendering is deterministic too.
     assert_eq!(
-        render_matrix_markdown(&matrix_for(&grid, 1, 3)),
-        render_matrix_markdown(&matrix_for(&grid, 3, 1)),
-    );
-}
-
-#[test]
-fn resume_after_interrupt_completes_to_identical_bytes() {
-    let grid = test_grid();
-    let full = matrix_for(&grid, 2, 4);
-    let full_json = render_matrix_json(&full);
-
-    // Simulate an interrupt: keep only the first 5 completed cells, as
-    // the chunked writer would have left them.
-    let partial = SweepMatrix {
-        grid: grid.clone(),
-        reference: full.reference.clone(),
-        cells: full.cells[..5].to_vec(),
-    };
-    let partial_json = render_matrix_json(&partial);
-
-    // Resume: parse the partial file, reuse what matches, run the rest.
-    let parsed = parse_matrix_json(&partial_json).expect("parse partial");
-    let reference = reference();
-    let all = grid.cells();
-    let (reused, missing) = split_resume(&all, Some(&parsed), &reference);
-    assert_eq!(reused.len(), 5, "the partial cells must be reusable");
-    assert_eq!(missing.len(), all.len() - 5);
-    let fresh = run(&missing, &reference, 2, 4);
-    let resumed = SweepMatrix {
-        grid,
-        reference,
-        cells: merge_cells(&all, vec![reused, fresh]),
-    };
-    assert_eq!(
-        render_matrix_json(&resumed),
-        full_json,
-        "a resumed sweep must be byte-identical to an uninterrupted one"
+        render_matrix_markdown(&matrix_for(&cells, 1, 3)),
+        render_matrix_markdown(&matrix_for(&cells, 3, 1)),
     );
 }
 
 #[test]
 fn backend_axis_never_changes_outcome_classes() {
-    // The object-table backend is a pure performance knob end to end:
-    // for every (mode, sequence, fuel) group of the test grid, the
-    // per-input classes and transcripts must agree across backends.
-    let matrix = matrix_for(&test_grid(), 2, 8);
-    for a in &matrix.cells {
-        for b in &matrix.cells {
-            if a.cell.mode == b.cell.mode
-                && a.cell.sequence == b.cell.sequence
-                && a.cell.fuel == b.cell.fuel
-            {
-                assert_eq!(
-                    a.runs,
-                    b.runs,
-                    "{} vs {}: backends disagree",
-                    a.cell.label(),
-                    b.cell.label()
-                );
-            }
-        }
-    }
+    // The object table is not a cell coordinate: the oracle (the splay
+    // tree, on the baseline tier) must reproduce what ships — classes,
+    // transcripts and reference alike. `mode_sweep --check` holds the
+    // whole grid to this; here, the filtered cells.
+    let cells = test_cells();
+    let edge = Edge::InProcess;
+    let reference = reference_transcripts(BootSpec::oracle, &edge);
+    let oracle = SweepMatrix {
+        cells: run_cells(&cells, &reference, BootSpec::oracle, &edge, 2, 8),
+        reference,
+    };
+    assert_eq!(oracle, matrix_for(&cells, 2, 8));
 }
 
 proptest! {
@@ -137,7 +100,7 @@ proptest! {
 
     /// Outcome classes (and transcripts) are invariant under the
     /// executor's thread count and slice grain, for a random scheduling
-    /// shape and a random slice of the grid.
+    /// shape and a random slice of the filtered grid.
     #[test]
     fn outcome_classes_are_scheduling_invariant(
         threads in 1usize..6,
@@ -145,12 +108,11 @@ proptest! {
         skip in 0usize..6,
     ) {
         let reference = reference();
-        let all = test_grid().cells();
-        let cells: Vec<CellSpec> = all.into_iter().skip(skip).take(3).collect();
+        let cells: Vec<CellSpec> = test_cells().into_iter().skip(skip).take(3).collect();
         let scheduled = run(&cells, &reference, threads, slice);
         let sequential: Vec<_> = cells
             .iter()
-            .map(|c| run_cell(c, &reference, ExecTier::default(), &Edge::InProcess))
+            .map(|c| run_cell(c, &reference, BootSpec::new, &Edge::InProcess))
             .collect();
         prop_assert_eq!(scheduled, sequential);
     }

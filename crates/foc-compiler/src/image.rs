@@ -185,8 +185,7 @@ impl Eq for ProgramImage {}
 /// resulting [`ProgramId`] is identical on every platform and toolchain.
 ///
 /// Public because it is the workspace's one stable content-hash
-/// primitive: the sweep engine keys transcripts and cell fingerprints
-/// with it too.
+/// primitive: the sweep engine hashes transcripts with it too.
 pub struct Fnv1a(u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -41,7 +41,7 @@ impl Default for ValueSequence {
 }
 
 impl ValueSequence {
-    /// Stable, parseable label for sweep axes and report files:
+    /// Stable label for sweep axes and report files:
     /// `zero`, `constant<v>`, `cycling<wrap>`.
     pub fn label(self) -> String {
         match self {
@@ -55,33 +55,6 @@ impl ValueSequence {
 impl std::fmt::Display for ValueSequence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-impl std::str::FromStr for ValueSequence {
-    type Err = String;
-
-    /// Parses the [`ValueSequence::label`] format back into a strategy.
-    fn from_str(s: &str) -> Result<ValueSequence, String> {
-        let s = s.trim().to_ascii_lowercase();
-        if s == "zero" {
-            return Ok(ValueSequence::Zero);
-        }
-        if let Some(v) = s.strip_prefix("constant") {
-            return v
-                .parse()
-                .map(ValueSequence::Constant)
-                .map_err(|_| format!("bad constant value in {s:?}"));
-        }
-        if let Some(w) = s.strip_prefix("cycling") {
-            return w
-                .parse()
-                .map(|wrap| ValueSequence::Cycling { wrap })
-                .map_err(|_| format!("bad cycling wrap in {s:?}"));
-        }
-        Err(format!(
-            "unknown value sequence {s:?} (want zero, constant<v>, or cycling<wrap>)"
-        ))
     }
 }
 
@@ -222,24 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn labels_round_trip_through_from_str() {
+    fn labels_are_the_stable_report_names() {
+        // The sweep's committed matrix spells cells with these.
         let cases = [
-            ValueSequence::Zero,
-            ValueSequence::Constant(0),
-            ValueSequence::Constant(47),
-            ValueSequence::Cycling { wrap: 4 },
-            ValueSequence::Cycling { wrap: 256 },
+            (ValueSequence::Zero, "zero"),
+            (ValueSequence::Constant(0), "constant0"),
+            (ValueSequence::Constant(47), "constant47"),
+            (ValueSequence::Cycling { wrap: 4 }, "cycling4"),
+            (ValueSequence::Cycling { wrap: 256 }, "cycling256"),
         ];
-        for seq in cases {
-            let label = seq.label();
-            assert_eq!(label.parse::<ValueSequence>().unwrap(), seq, "{label}");
+        for (seq, label) in cases {
+            assert_eq!(seq.label(), label);
+            assert_eq!(seq.to_string(), label);
         }
-        assert_eq!(
-            "ZERO".parse::<ValueSequence>().unwrap(),
-            ValueSequence::Zero
-        );
-        assert!("sawtooth".parse::<ValueSequence>().is_err());
-        assert!("constantx".parse::<ValueSequence>().is_err());
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   front of it only added a second structure to keep coherent.
 //! * [`SplayTable`] — the self-adjusting tree Jones & Kelly's runtime
 //!   (and CRED's) used because accesses have high temporal locality. It
-//!   is kept as the reference oracle: `BootSpec::oracle` and the `splay`
-//!   sweep cells run on it, and every equivalence battery compares the
-//!   shipped table against it.
+//!   is kept as the reference oracle: `BootSpec::oracle` (and so the
+//!   sweep's oracle gate point) runs on it, and every equivalence
+//!   battery compares the shipped table against it.
 //!
 //! Both give byte-identical failure-oblivious semantics, so the choice
 //! never shows in a transcript, a counter or a log record.
@@ -56,10 +56,11 @@ pub enum TableKind {
 }
 
 impl TableKind {
-    /// Both structures, oracle first (the order of the sweep's cells).
+    /// Both structures, oracle first (the order of `farm_stress`'s rows
+    /// and of the equivalence batteries' table loops).
     pub const ALL: [TableKind; 2] = [TableKind::Splay, TableKind::Flat];
 
-    /// Stable lower-case name (bench rows, sweep cells).
+    /// Stable lower-case name (bench rows).
     pub fn name(self) -> &'static str {
         match self {
             TableKind::Flat => "flat",
@@ -71,20 +72,6 @@ impl TableKind {
 impl fmt::Display for TableKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for TableKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<TableKind, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "flat" => Ok(TableKind::Flat),
-            "splay" => Ok(TableKind::Splay),
-            other => Err(format!(
-                "unknown table backend {other:?} (expected flat or splay)"
-            )),
-        }
     }
 }
 
@@ -575,13 +562,10 @@ mod tests {
     #[test]
     fn kind_names_round_trip() {
         for kind in TableKind::ALL {
-            assert_eq!(kind.name().parse::<TableKind>().unwrap(), kind);
+            assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!("SPLAY".parse::<TableKind>().unwrap(), TableKind::Splay);
+        assert_eq!(TableKind::ALL.map(TableKind::name), ["splay", "flat"]);
         assert_eq!(TableKind::default(), TableKind::Flat);
-        for gone in ["avl", "btree", "auto"] {
-            assert!(gone.parse::<TableKind>().is_err(), "{gone}");
-        }
     }
 
     #[test]

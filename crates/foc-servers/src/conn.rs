@@ -32,9 +32,11 @@
 //! EOF), and accept-queue floods (idle connections piling onto the
 //! listener past its backlog, the excess refused).
 
+use std::borrow::Cow;
+
 use netshim::{ConnectError, Fd, Interest, NetStack, ReadOutcome, WriteOutcome};
 
-use crate::farm::{Bytes, Links, Request, Server};
+use crate::farm::{Bytes, Request, Server};
 use crate::image::ServerKind;
 use crate::latency::LatencyHist;
 use crate::{Measured, Outcome};
@@ -280,7 +282,7 @@ fn take_field<'a>(body: &mut &'a [u8]) -> Option<&'a [u8]> {
 }
 
 fn take_owned(body: &mut &[u8]) -> Option<Bytes> {
-    take_field(body).map(|f| Bytes::Owned(f.to_vec()))
+    take_field(body).map(|f| Cow::Owned(f.to_vec()))
 }
 
 fn take_index(body: &mut &[u8]) -> Option<i64> {
@@ -365,7 +367,7 @@ fn decode_request(kind: ServerKind, buf: &[u8]) -> Option<(u32, Request, usize)>
                 links.push(take_field(fields).expect("archive link").to_vec());
             }
             Request::McOpenArchive {
-                links: Links::Owned(links),
+                links: Cow::Owned(links),
             }
         }
         (kind, op) => panic!("unknown opcode {op} for {}", kind.name()),
@@ -911,37 +913,37 @@ mod tests {
             (
                 ServerKind::Apache,
                 Request::ApacheGet {
-                    path: Bytes::Static(b"/index.html"),
+                    path: Cow::Borrowed(b"/index.html"),
                 },
             ),
             (
                 ServerKind::Sendmail,
                 Request::SendmailReceive {
-                    from: Bytes::Owned(b"a@x.test".to_vec()),
-                    to: Bytes::Static(b"b@y.test"),
-                    body: Bytes::Owned(b"hello".to_vec()),
+                    from: Cow::Owned(b"a@x.test".to_vec()),
+                    to: Cow::Borrowed(b"b@y.test"),
+                    body: Cow::Owned(b"hello".to_vec()),
                 },
             ),
             (
                 ServerKind::Sendmail,
                 Request::SendmailSend {
-                    to: Bytes::Owned(b"c@z.test".to_vec()),
-                    body: Bytes::Static(b"outbound"),
+                    to: Cow::Owned(b"c@z.test".to_vec()),
+                    body: Cow::Borrowed(b"outbound"),
                 },
             ),
             (ServerKind::Sendmail, Request::SendmailWakeup),
             (
                 ServerKind::Sendmail,
                 Request::SendmailMailFrom {
-                    from: Bytes::Owned(b"d@w.test".to_vec()),
+                    from: Cow::Owned(b"d@w.test".to_vec()),
                 },
             ),
             (
                 ServerKind::Pine,
                 Request::PineDeliver {
-                    from: Bytes::Owned(b"Eve <eve@test>".to_vec()),
-                    subject: Bytes::Static(b"s"),
-                    body: Bytes::Static(b"b"),
+                    from: Cow::Owned(b"Eve <eve@test>".to_vec()),
+                    subject: Cow::Borrowed(b"s"),
+                    body: Cow::Borrowed(b"b"),
                 },
             ),
             (ServerKind::Pine, Request::PineRead { index: 2 }),
@@ -950,39 +952,39 @@ mod tests {
             (
                 ServerKind::Mutt,
                 Request::MuttOpenFolder {
-                    name: Bytes::Static(b"INBOX"),
+                    name: Cow::Borrowed(b"INBOX"),
                 },
             ),
             (ServerKind::Mutt, Request::MuttRead { index: 0 }),
             (
                 ServerKind::Mc,
                 Request::McCopy {
-                    src: Bytes::Static(b"/home/user/data.bin"),
-                    dst: Bytes::Owned(b"/tmp/c1".to_vec()),
+                    src: Cow::Borrowed(b"/home/user/data.bin"),
+                    dst: Cow::Owned(b"/tmp/c1".to_vec()),
                 },
             ),
             (
                 ServerKind::Mc,
                 Request::McMkdir {
-                    path: Bytes::Static(b"/tmp/d"),
+                    path: Cow::Borrowed(b"/tmp/d"),
                 },
             ),
             (
                 ServerKind::Mc,
                 Request::McComponentEnd {
-                    name: Bytes::Static(b"usr/share/x"),
+                    name: Cow::Borrowed(b"usr/share/x"),
                 },
             ),
             (
                 ServerKind::Mc,
                 Request::McDelete {
-                    path: Bytes::Owned(b"/tmp/c1".to_vec()),
+                    path: Cow::Owned(b"/tmp/c1".to_vec()),
                 },
             ),
             (
                 ServerKind::Mc,
                 Request::McOpenArchive {
-                    links: Links::Owned(vec![b"one".to_vec(), b"two".to_vec(), Vec::new()]),
+                    links: Cow::Owned(vec![b"one".to_vec(), b"two".to_vec(), Vec::new()]),
                 },
             ),
         ]
@@ -1049,13 +1051,13 @@ mod tests {
             &SocketEdge::default(),
             &[
                 Request::ApacheGet {
-                    path: Bytes::Static(b"/index.html"),
+                    path: Cow::Borrowed(b"/index.html"),
                 },
                 Request::ApacheGet {
-                    path: Bytes::Static(b"/big.bin"),
+                    path: Cow::Borrowed(b"/big.bin"),
                 },
                 Request::ApacheGet {
-                    path: Bytes::Static(b"/nosuchpage.html"),
+                    path: Cow::Borrowed(b"/nosuchpage.html"),
                 },
             ],
         );
@@ -1074,9 +1076,9 @@ mod tests {
             &[
                 Request::PineRead { index: 0 },
                 Request::PineDeliver {
-                    from: Bytes::Static(b"Al <al@test>"),
-                    subject: Bytes::Static(b"new mail"),
-                    body: Bytes::Owned(vec![b'x'; 400]),
+                    from: Cow::Borrowed(b"Al <al@test>"),
+                    subject: Cow::Borrowed(b"new mail"),
+                    body: Cow::Owned(vec![b'x'; 400]),
                 },
                 Request::PineRead { index: 3 },
             ],
@@ -1092,7 +1094,7 @@ mod tests {
         };
         let requests: Vec<Request> = (0..6)
             .map(|i| Request::MuttOpenFolder {
-                name: Bytes::Owned(if i % 2 == 0 {
+                name: Cow::Owned(if i % 2 == 0 {
                     b"INBOX".to_vec()
                 } else {
                     b"work".to_vec()
@@ -1114,7 +1116,7 @@ mod tests {
         for _ in 0..4 {
             session.transact(
                 &Request::ApacheGet {
-                    path: Bytes::Static(b"/index.html"),
+                    path: Cow::Borrowed(b"/index.html"),
                 },
                 &mut process,
             );
@@ -1154,10 +1156,10 @@ mod tests {
             &edge,
             &[
                 Request::McMkdir {
-                    path: Bytes::Static(b"/tmp/d1"),
+                    path: Cow::Borrowed(b"/tmp/d1"),
                 },
                 Request::McDelete {
-                    path: Bytes::Static(b"/tmp/d1"),
+                    path: Cow::Borrowed(b"/tmp/d1"),
                 },
             ],
         );

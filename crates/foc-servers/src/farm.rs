@@ -35,6 +35,7 @@
 //! wall time). The property tests assert this; the scaling bins rely on
 //! it to attribute wall-time differences to parallelism alone.
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -517,68 +518,18 @@ impl Server {
 // Requests: content decoupled from transport.
 // ---------------------------------------------------------------------
 
-/// Request content bytes: an interned static payload (the attack
+/// Request content bytes: a borrowed interned payload (the attack
 /// constants, fixed benign paths) or an owned buffer (generated
 /// content, decoded frames). Splitting the two keeps the in-process
 /// fast path allocation-free exactly where the old inline generation
 /// was, while giving the socket edge a decodable owned form. Equality
 /// is by *content*, not provenance — a decoded `Owned` frame equals the
-/// `Static` original it was framed from.
-#[derive(Debug, Clone)]
-pub enum Bytes {
-    /// Interned constant content.
-    Static(&'static [u8]),
-    /// Generated or decoded content.
-    Owned(Vec<u8>),
-}
+/// `Borrowed` original it was framed from.
+pub type Bytes = Cow<'static, [u8]>;
 
-impl std::ops::Deref for Bytes {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            Bytes::Static(b) => b,
-            Bytes::Owned(b) => b,
-        }
-    }
-}
-
-impl PartialEq for Bytes {
-    fn eq(&self, other: &Bytes) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Bytes {}
-
-/// MC archive link lists, static/owned like [`Bytes`] (and, like it,
-/// compared by content).
-#[derive(Debug, Clone)]
-pub enum Links {
-    /// The interned attack archive.
-    Static(&'static [Vec<u8>]),
-    /// A decoded archive.
-    Owned(Vec<Vec<u8>>),
-}
-
-impl std::ops::Deref for Links {
-    type Target = [Vec<u8>];
-
-    fn deref(&self) -> &[Vec<u8>] {
-        match self {
-            Links::Static(l) => l,
-            Links::Owned(l) => l,
-        }
-    }
-}
-
-impl PartialEq for Links {
-    fn eq(&self, other: &Links) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for Links {}
+/// MC archive link lists, borrowed or owned like [`Bytes`] (and, like
+/// it, compared by content).
+pub type Links = Cow<'static, [Vec<u8>]>;
 
 /// One fully-formed request against one server kind — the unit the
 /// connection edge frames onto the wire and the in-process edge applies
@@ -746,7 +697,7 @@ impl RequestGen {
             ServerKind::Apache => {
                 if attack {
                     return Request::ApacheGet {
-                        path: Bytes::Static(apache_attack()),
+                        path: Cow::Borrowed(apache_attack()),
                     };
                 }
                 let path: &'static [u8] = match self.rng.gen_range(0u32..10) {
@@ -756,7 +707,7 @@ impl RequestGen {
                     _ => b"/nosuchpage.html",
                 };
                 Request::ApacheGet {
-                    path: Bytes::Static(path),
+                    path: Cow::Borrowed(path),
                 }
             }
             ServerKind::Sendmail => {
@@ -764,9 +715,9 @@ impl RequestGen {
                     let mut to = self.buf();
                     workload::sendmail_address_into(&mut to, self.rng.next_u64());
                     return Request::SendmailReceive {
-                        from: Bytes::Static(sendmail_attack()),
-                        to: Bytes::Owned(to),
-                        body: Bytes::Static(b"attack payload"),
+                        from: Cow::Borrowed(sendmail_attack()),
+                        to: Cow::Owned(to),
+                        body: Cow::Borrowed(b"attack payload"),
                     };
                 }
                 match self.rng.gen_range(0u32..10) {
@@ -778,9 +729,9 @@ impl RequestGen {
                         workload::sendmail_address_into(&mut to, self.rng.next_u64());
                         workload::lorem_into(&mut body, 160, self.rng.next_u64());
                         Request::SendmailReceive {
-                            from: Bytes::Owned(from),
-                            to: Bytes::Owned(to),
-                            body: Bytes::Owned(body),
+                            from: Cow::Owned(from),
+                            to: Cow::Owned(to),
+                            body: Cow::Owned(body),
                         }
                     }
                     7..=8 => {
@@ -789,8 +740,8 @@ impl RequestGen {
                         workload::sendmail_address_into(&mut to, self.rng.next_u64());
                         workload::lorem_into(&mut body, 200, self.rng.next_u64());
                         Request::SendmailSend {
-                            to: Bytes::Owned(to),
-                            body: Bytes::Owned(body),
+                            to: Cow::Owned(to),
+                            body: Cow::Owned(body),
                         }
                     }
                     _ => Request::SendmailWakeup,
@@ -801,9 +752,9 @@ impl RequestGen {
                     // The poisoned message persists in the mailbox:
                     // every restart replays it (§4.7).
                     return Request::PineDeliver {
-                        from: Bytes::Static(pine_attack()),
-                        subject: Bytes::Static(b"pwn"),
-                        body: Bytes::Static(b"payload"),
+                        from: Cow::Borrowed(pine_attack()),
+                        subject: Cow::Borrowed(b"pwn"),
+                        body: Cow::Borrowed(b"payload"),
                     };
                 }
                 match self.rng.gen_range(0u32..10) {
@@ -813,9 +764,9 @@ impl RequestGen {
                         workload::from_field_into(&mut from, self.rng.next_u64());
                         workload::lorem_into(&mut body, 300, self.rng.next_u64());
                         Request::PineDeliver {
-                            from: Bytes::Owned(from),
-                            subject: Bytes::Static(b"new mail"),
-                            body: Bytes::Owned(body),
+                            from: Cow::Owned(from),
+                            subject: Cow::Borrowed(b"new mail"),
+                            body: Cow::Owned(body),
                         }
                     }
                     3..=6 => Request::PineRead {
@@ -830,25 +781,25 @@ impl RequestGen {
             ServerKind::Mutt => {
                 if attack {
                     return Request::MuttOpenFolder {
-                        name: Bytes::Static(mutt_attack()),
+                        name: Cow::Borrowed(mutt_attack()),
                     };
                 }
                 match self.rng.gen_range(0u32..10) {
                     0..=3 => Request::MuttOpenFolder {
-                        name: Bytes::Static(b"INBOX"),
+                        name: Cow::Borrowed(b"INBOX"),
                     },
                     4..=8 => Request::MuttRead {
                         index: self.rng.gen_range(0..MUTT_SEED_MESSAGES as i64),
                     },
                     _ => Request::MuttOpenFolder {
-                        name: Bytes::Static(b"work"),
+                        name: Cow::Borrowed(b"work"),
                     },
                 }
             }
             ServerKind::Mc => {
                 if attack {
                     return Request::McOpenArchive {
-                        links: Links::Static(mc_attack()),
+                        links: Cow::Borrowed(mc_attack()),
                     };
                 }
                 match self.rng.gen_range(0u32..10) {
@@ -858,8 +809,8 @@ impl RequestGen {
                         let mut dst = self.buf();
                         let _ = write!(dst, "/tmp/copy{files}");
                         Request::McCopy {
-                            src: Bytes::Static(b"/home/user/data.bin"),
-                            dst: Bytes::Owned(dst),
+                            src: Cow::Borrowed(b"/home/user/data.bin"),
+                            dst: Cow::Owned(dst),
                         }
                     }
                     4..=5 => {
@@ -868,18 +819,18 @@ impl RequestGen {
                         let mut dir = self.buf();
                         let _ = write!(dir, "/tmp/dir{files}");
                         Request::McMkdir {
-                            path: Bytes::Owned(dir),
+                            path: Cow::Owned(dir),
                         }
                     }
                     6..=7 => Request::McComponentEnd {
-                        name: Bytes::Static(b"usr/share/component/lib"),
+                        name: Cow::Borrowed(b"usr/share/component/lib"),
                     },
                     _ => {
                         let files = self.files;
                         let mut victim = self.buf();
                         let _ = write!(victim, "/tmp/copy{files}");
                         Request::McDelete {
-                            path: Bytes::Owned(victim),
+                            path: Cow::Owned(victim),
                         }
                     }
                 }
@@ -900,7 +851,7 @@ impl RequestGen {
     /// Returns a request's owned content buffers to the pool.
     pub(crate) fn recycle(&mut self, request: Request) {
         let mut give = |b: Bytes| {
-            if let Bytes::Owned(mut buf) = b {
+            if let Cow::Owned(mut buf) = b {
                 if self.pool.len() < GEN_POOL {
                     buf.clear();
                     self.pool.push(buf);

@@ -93,8 +93,9 @@ pub struct Measured {
     pub cycles: u64,
 }
 
-/// Everything that decides how one guest server process is built: the
-/// four axes of the mode search-space sweep in one place. The drivers'
+/// Everything that decides how one guest server process is built — the
+/// mode search-space sweep's three axes (mode, sequence, fuel) and the
+/// table and tier its gate points vary — in one place. The drivers'
 /// `boot_spec`/`boot_image_spec` constructors take a full spec; each
 /// driver's `boot(mode, ..)` is the one convenience, over the default
 /// spec for `mode`. `Hash` because the spec is half of the
@@ -208,8 +209,8 @@ pub struct Process {
 
 impl Process {
     /// Boots a shared compiled image from a full [`BootSpec`] — every
-    /// sweep axis (mode, object table, value sequence, fuel budget,
-    /// execution tier) decided by the caller. This is the
+    /// axis (mode, object table, value sequence, fuel budget, execution
+    /// tier) decided by the caller. This is the
     /// one canonical construction path: every other constructor, here
     /// and in the five drivers, is a thin forwarder into it. The farm's
     /// hot path too: no compilation, just globals/strings allocation —

@@ -17,9 +17,11 @@
 //! (`farm::FarmConfig::restart_budget`, seeded from the same constant)
 //! routes through it too.
 
+use std::borrow::Cow;
+
 use foc_memory::Mode;
 
-use crate::farm::{Bytes, Request, Server, ServerEnv};
+use crate::farm::{Request, Server, ServerEnv};
 use crate::image::ServerKind;
 use crate::{mc, mutt, pine, BootSpec};
 
@@ -92,12 +94,12 @@ fn rows() -> [Row; 4] {
     };
     let open = |name| Request::MuttOpenFolder { name };
     let mkdir = Request::McMkdir {
-        path: Bytes::Static(b"/t"),
+        path: Cow::Borrowed(b"/t"),
     };
     let receive = Request::SendmailReceive {
-        from: Bytes::Static(b"a@example.org"),
-        to: Bytes::Static(b"b@example.org"),
-        body: Bytes::Static(b"probe"),
+        from: Cow::Borrowed(b"a@example.org"),
+        to: Cow::Borrowed(b"b@example.org"),
+        body: Cow::Borrowed(b"probe"),
     };
     let row = |kind, env, startup, probes| Row {
         kind,
@@ -115,9 +117,9 @@ fn rows() -> [Row; 4] {
         row(
             ServerKind::Mutt,
             standard.clone(),
-            vec![open(Bytes::Owned(mutt::attack_folder_name(40)))],
+            vec![open(Cow::Owned(mutt::attack_folder_name(40)))],
             vec![
-                (open(Bytes::Static(b"INBOX")), 0),
+                (open(Cow::Borrowed(b"INBOX")), 0),
                 (Request::MuttRead { index: 0 }, 0),
             ],
         ),

@@ -9,8 +9,8 @@
 //! strategy chosen. This module drives that grid over our substrate:
 //!
 //! * **axes** — recovery [`Mode`] × [`ValueSequence`] (zero / constant /
-//!   cycling at several wraps) × [`FuelBudget`] × [`TableKind`], each
-//!   combination a [`CellSpec`];
+//!   cycling at several wraps) × [`FuelBudget`], each combination a
+//!   [`CellSpec`] ([`grid`]);
 //! * **subjects** — all five servers over a fixed library of benign and
 //!   §4/§5.1 attack inputs ([`INPUT_LIBRARY`]), each input a short
 //!   deterministic script against a freshly booted process;
@@ -19,36 +19,34 @@
 //!   hash so semantic drift in the substrate (different output, same
 //!   survival) is distinguishable from mere continuation.
 //!
+//! What a cell runs *on* — execution tier, object table, request edge —
+//! is not a coordinate: every such configuration must reproduce the same
+//! matrix. A sweep is driven from a base spec constructor
+//! ([`BootSpec::new`], what ships, or [`BootSpec::oracle`]) over an
+//! [`Edge`], and `bench mode_sweep --check` holds the committed matrix at
+//! the shipped default, the oracle and the socket edge.
+//!
 //! Cells execute in parallel on the same work-stealing executor as the
 //! farm ([`crate::steal`]); each run is a pure function of its
 //! `(cell, server, input)` coordinates — a fresh process, no shared
 //! state, no host randomness — so the whole matrix is reproducible
-//! byte-for-byte regardless of thread count or scheduling grain, and a
-//! partially-completed sweep can resume from whatever cells it already
-//! has (the bench-side report keys cells by fingerprint).
+//! byte-for-byte regardless of thread count or scheduling grain.
 
 use std::borrow::Cow;
 use std::hash::Hasher as _;
 
 // The workspace's one stable content hash (`foc_compiler::Fnv1a`:
 // FNV-1a 64, platform-independent) — reused here so transcript hashes
-// and cell fingerprints rest on the same primitive as `ProgramId`.
-use foc_compiler::ExecTier;
+// rest on the same primitive as `ProgramId`.
 use foc_compiler::Fnv1a;
-use foc_memory::{Mode, TableKind, ValueSequence};
+use foc_memory::{Mode, ValueSequence};
 use foc_vm::{Observation, VmFault};
 
 use crate::conn::{ConnSession, Edge};
-use crate::farm::{Bytes, Links, Request, Server, ServerEnv};
+use crate::farm::{Request, Server, ServerEnv};
 use crate::steal::{run_stealing, Slice};
 use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload};
 use crate::{BootSpec, Measured, Outcome, ServerKind};
-
-/// Version of the sweep's semantic contract: the input library, the
-/// taxonomy, and the transcript-hash recipe. Part of every cell
-/// fingerprint, so a resumed sweep can never mix cells produced under
-/// different contracts.
-pub const SWEEP_SCHEMA: u32 = 1;
 
 // ---------------------------------------------------------------------
 // Axes.
@@ -84,7 +82,7 @@ impl FuelBudget {
     /// Both budgets, sweep order.
     pub const ALL: [FuelBudget; 2] = [FuelBudget::Ample, FuelBudget::Tight];
 
-    /// Stable label for reports and parsing.
+    /// Stable label for reports.
     pub fn label(self) -> &'static str {
         match self {
             FuelBudget::Ample => "ample",
@@ -101,18 +99,6 @@ impl FuelBudget {
     }
 }
 
-impl std::str::FromStr for FuelBudget {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<FuelBudget, String> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "ample" => Ok(FuelBudget::Ample),
-            "tight" => Ok(FuelBudget::Tight),
-            other => Err(format!("unknown fuel budget {other:?}")),
-        }
-    }
-}
-
 /// Stable slug for a [`Mode`] (the display names contain spaces).
 pub fn mode_slug(mode: Mode) -> &'static str {
     match mode {
@@ -124,19 +110,7 @@ pub fn mode_slug(mode: Mode) -> &'static str {
     }
 }
 
-/// Parses a [`mode_slug`] back into its [`Mode`].
-pub fn mode_from_slug(s: &str) -> Result<Mode, String> {
-    match s.trim().to_ascii_lowercase().as_str() {
-        "standard" => Ok(Mode::Standard),
-        "bounds-check" => Ok(Mode::BoundsCheck),
-        "failure-oblivious" => Ok(Mode::FailureOblivious),
-        "boundless" => Ok(Mode::Boundless),
-        "redirect" => Ok(Mode::Redirect),
-        other => Err(format!("unknown mode slug {other:?}")),
-    }
-}
-
-/// One grid cell: a complete configuration of the recovery substrate.
+/// One grid cell: the recovery policy a run is judged under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellSpec {
     /// Access policy.
@@ -145,144 +119,54 @@ pub struct CellSpec {
     pub sequence: ValueSequence,
     /// Per-call fuel policy.
     pub fuel: FuelBudget,
-    /// Object-table backend.
-    pub table: TableKind,
 }
 
 impl CellSpec {
-    /// Stable, parseable cell label: `mode|sequence|fuel|table`.
+    /// Stable cell label: `mode|sequence|fuel`.
     pub fn label(&self) -> String {
         format!(
-            "{}|{}|{}|{}",
+            "{}|{}|{}",
             mode_slug(self.mode),
             self.sequence.label(),
-            self.fuel.label(),
-            self.table.name()
+            self.fuel.label()
         )
     }
 
-    /// Parses a [`CellSpec::label`] back into a spec.
-    pub fn parse(label: &str) -> Result<CellSpec, String> {
-        let parts: Vec<&str> = label.split('|').collect();
-        let [m, s, f, t] = parts.as_slice() else {
-            return Err(format!("cell label {label:?} is not mode|seq|fuel|table"));
-        };
-        Ok(CellSpec {
-            mode: mode_from_slug(m)?,
-            sequence: s.parse()?,
-            fuel: f.parse()?,
-            table: t.parse()?,
-        })
-    }
-
-    /// Fingerprint of this cell's *meaning*: the schema version, the
-    /// cell coordinates, and the full input library the cell is judged
-    /// over. Two sweeps agree on a fingerprint exactly when reusing one
-    /// another's cell results is sound, which is what `--resume` keys on.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write_u64(u64::from(SWEEP_SCHEMA));
-        h.write(self.label().as_bytes());
-        for input in INPUT_LIBRARY {
-            h.write(input.kind.name().as_bytes());
-            h.write(input.name.as_bytes());
-        }
-        h.write_u64(u64::from(supervisor::RESTART_BUDGET));
-        h.finish()
-    }
-
-    /// The boot spec this cell implies for one server kind on `tier`
-    /// (the tier is not a cell coordinate: every tier must reproduce
-    /// the same matrix).
-    pub fn boot_spec(&self, kind: ServerKind, tier: ExecTier) -> BootSpec {
-        BootSpec::new(kind, self.mode)
-            .with_tier(tier)
-            .with_table(self.table)
+    /// The boot spec this cell implies for one server kind on top of
+    /// `base` ([`BootSpec::new`] or [`BootSpec::oracle`]), which decides
+    /// everything that is not a cell coordinate.
+    pub fn boot_spec(&self, kind: ServerKind, base: fn(ServerKind, Mode) -> BootSpec) -> BootSpec {
+        base(kind, self.mode)
             .with_sequence(self.sequence)
             .with_fuel(self.fuel.limit())
     }
 }
 
-/// The swept axes: a grid is the cartesian product, cells ordered
-/// mode-major then sequence, fuel, table — the canonical report order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SweepGrid {
-    /// Recovery modes.
-    pub modes: Vec<Mode>,
-    /// Manufactured-value strategies.
-    pub sequences: Vec<ValueSequence>,
-    /// Fuel policies.
-    pub fuels: Vec<FuelBudget>,
-    /// Object-table backends.
-    pub tables: Vec<TableKind>,
-}
-
-impl SweepGrid {
-    /// The full recorded grid: every mode × {zero, constant 1, cycling
-    /// at wraps 2/8/256} × both fuel budgets × every backend.
-    pub fn full() -> SweepGrid {
-        SweepGrid {
-            modes: Mode::ALL.to_vec(),
-            sequences: vec![
-                ValueSequence::Zero,
-                ValueSequence::Constant(1),
-                ValueSequence::Cycling { wrap: 2 },
-                ValueSequence::Cycling { wrap: 8 },
-                ValueSequence::Cycling { wrap: 256 },
-            ],
-            fuels: FuelBudget::ALL.to_vec(),
-            tables: TableKind::ALL.to_vec(),
-        }
-    }
-
-    /// The pinned CI sub-grid: a strict subset of [`SweepGrid::full`]
-    /// chosen to stay fast (tight fuel only, so manufactured-value
-    /// non-termination costs [`TIGHT_FUEL`] instructions, not the whole
-    /// ample budget) while still covering every mode, the two
-    /// extreme sequences, and two backends.
-    pub fn pinned() -> SweepGrid {
-        SweepGrid {
-            modes: Mode::ALL.to_vec(),
-            sequences: vec![ValueSequence::Zero, ValueSequence::Cycling { wrap: 256 }],
-            fuels: vec![FuelBudget::Tight],
-            tables: vec![TableKind::Splay, TableKind::Flat],
-        }
-    }
-
-    /// Extra pinned cells the CI gate runs beyond [`SweepGrid::pinned`]:
-    /// the constant-1 failure-oblivious cell, whose MC `'/'`-scan is the
-    /// §3 manufactured-value loop that runs to fuel-out — it drives the
-    /// batched violation path (log append + manufacture per iteration)
-    /// hundreds of thousands of times, so the gate proves the fast path
-    /// is transcript-invisible under exactly the storm it accelerates.
-    pub fn pinned_extra_cells() -> Vec<CellSpec> {
-        vec![CellSpec {
-            mode: Mode::FailureOblivious,
-            sequence: ValueSequence::Constant(1),
-            fuel: FuelBudget::Tight,
-            table: TableKind::Splay,
-        }]
-    }
-
-    /// All cells of the grid, in canonical order.
-    pub fn cells(&self) -> Vec<CellSpec> {
-        let mut out = Vec::new();
-        for &mode in &self.modes {
-            for &sequence in &self.sequences {
-                for &fuel in &self.fuels {
-                    for &table in &self.tables {
-                        out.push(CellSpec {
-                            mode,
-                            sequence,
-                            fuel,
-                            table,
-                        });
-                    }
-                }
+/// Every cell of the sweep — [`Mode::ALL`] × {zero, constant 1, the
+/// paper's cycling sequence at wraps 2, 8 and 256} ×
+/// [`FuelBudget::ALL`] — mode-major then sequence, then fuel: the
+/// canonical report order.
+pub fn grid() -> Vec<CellSpec> {
+    let sequences = [
+        ValueSequence::Zero,
+        ValueSequence::Constant(1),
+        ValueSequence::Cycling { wrap: 2 },
+        ValueSequence::Cycling { wrap: 8 },
+        ValueSequence::Cycling { wrap: 256 },
+    ];
+    let mut cells = Vec::new();
+    for mode in Mode::ALL {
+        for sequence in sequences {
+            for fuel in FuelBudget::ALL {
+                cells.push(CellSpec {
+                    mode,
+                    sequence,
+                    fuel,
+                });
             }
         }
-        out
     }
+    cells
 }
 
 // ---------------------------------------------------------------------
@@ -353,20 +237,6 @@ impl OutcomeClass {
     }
 }
 
-impl std::str::FromStr for OutcomeClass {
-    type Err = String;
-
-    /// Parses either the one-letter code or the long name.
-    fn from_str(s: &str) -> Result<OutcomeClass, String> {
-        for class in OutcomeClass::ALL {
-            if s == class.code() || s == class.name() {
-                return Ok(class);
-            }
-        }
-        Err(format!("unknown outcome class {s:?}"))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Input library.
 // ---------------------------------------------------------------------
@@ -376,69 +246,192 @@ impl std::str::FromStr for OutcomeClass {
 pub struct SweepInput {
     /// Which server the script drives.
     pub kind: ServerKind,
-    /// Stable input name (part of cell fingerprints).
+    /// Stable input name (a column of the matrix).
     pub name: &'static str,
     /// Whether the script contains a §4/§5.1 attack (or hostile
     /// persistent environment), as opposed to purely benign traffic.
     pub attack: bool,
+    /// The persistent environment the server boots into when it is not
+    /// [`ServerEnv::standard`] (the poisoned-mailbox and blank-config
+    /// inputs seed their persistent trigger here, so every supervision
+    /// restart replays it).
+    pub env: Option<fn() -> ServerEnv>,
+    /// The request script, in order: plain [`Request`] values, so one
+    /// driver can apply them directly or carry them over the connection
+    /// edge.
+    pub requests: fn() -> Vec<Request>,
 }
 
 /// The benign + attack input library, kind-major in [`ServerKind::ALL`]
-/// order. The scripts live in the `drive_*` functions below; names and
-/// order are part of the sweep's semantic contract ([`SWEEP_SCHEMA`]).
+/// order. Names and order are the matrix's columns.
 pub const INPUT_LIBRARY: &[SweepInput] = &[
     // Pine (§4.2): the From-quoting overflow, transient and persistent.
     SweepInput {
         kind: ServerKind::Pine,
         name: "benign-session",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::PineRead { index: 0 },
+                Request::PineCompose,
+                Request::PineMove { index: 1 },
+                Request::PineRead { index: 2 },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Pine,
         name: "deliver-read",
         attack: false,
+        env: Some(|| ServerEnv {
+            pine_mailbox: pine::Pine::standard_mailbox(2),
+            ..ServerEnv::standard().clone()
+        }),
+        requests: || {
+            vec![
+                Request::PineDeliver {
+                    from: Cow::Owned(workload::from_field(7)),
+                    subject: Cow::Borrowed(b"new mail"),
+                    body: Cow::Borrowed(b"hello there"),
+                },
+                Request::PineRead { index: 2 },
+            ]
+        },
     },
+    // The poisoned message lands in the mail file; if the process dies
+    // delivering it, every restart replays it.
     SweepInput {
         kind: ServerKind::Pine,
         name: "attack-from",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::PineDeliver {
+                    from: Cow::Owned(pine::attack_from(40)),
+                    subject: Cow::Borrowed(b"pwn"),
+                    body: Cow::Borrowed(b"payload"),
+                },
+                Request::PineRead { index: 3 },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Pine,
         name: "poisoned-mailbox",
         attack: true,
+        env: Some(|| {
+            let mut pine_mailbox = pine::Pine::standard_mailbox(4);
+            pine_mailbox.insert(2, (pine::attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
+            ServerEnv {
+                pine_mailbox,
+                ..ServerEnv::standard().clone()
+            }
+        }),
+        requests: || {
+            vec![
+                Request::PineRead { index: 2 },
+                Request::PineRead { index: 0 },
+            ]
+        },
     },
     // Apache (§4.3): the mod_rewrite offsets overflow.
     SweepInput {
         kind: ServerKind::Apache,
         name: "benign-gets",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::ApacheGet {
+                    path: Cow::Borrowed(b"/index.html"),
+                },
+                Request::ApacheGet {
+                    path: Cow::Borrowed(b"/missing.html"),
+                },
+                Request::ApacheGet {
+                    path: Cow::Borrowed(b"/big.bin"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Apache,
         name: "rewrite-ten",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::ApacheGet {
+                    path: Cow::Owned(apache::rewrite_url(10)),
+                },
+                Request::ApacheGet {
+                    path: Cow::Borrowed(b"/index.html"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Apache,
         name: "attack-url",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::ApacheGet {
+                    path: Cow::Owned(apache::attack_url()),
+                },
+                Request::ApacheGet {
+                    path: Cow::Borrowed(b"/index.html"),
+                },
+            ]
+        },
     },
     // Sendmail (§4.4): the prescan overflow; BC dead-at-init daemon.
     SweepInput {
         kind: ServerKind::Sendmail,
         name: "benign-mail",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::SendmailReceive {
+                    from: Cow::Owned(workload::sendmail_address(1)),
+                    to: Cow::Owned(workload::sendmail_address(2)),
+                    body: Cow::Borrowed(b"first message body"),
+                },
+                Request::SendmailSend {
+                    to: Cow::Owned(workload::sendmail_address(3)),
+                    body: Cow::Borrowed(b"outbound body"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Sendmail,
         name: "daemon-wakeup",
         attack: false,
+        env: None,
+        requests: || vec![Request::SendmailWakeup, Request::SendmailWakeup],
     },
     SweepInput {
         kind: ServerKind::Sendmail,
         name: "attack-address",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::SendmailMailFrom {
+                    from: Cow::Owned(sendmail::attack_address(120)),
+                },
+                Request::SendmailReceive {
+                    from: Cow::Owned(workload::sendmail_address(8)),
+                    to: Cow::Owned(workload::sendmail_address(9)),
+                    body: Cow::Borrowed(b"after attack"),
+                },
+            ]
+        },
     },
     // MC (§4.5): the symlink-path overflow; §3's '/'-scan; the blank
     // configuration line persistent trigger.
@@ -446,37 +439,122 @@ pub const INPUT_LIBRARY: &[SweepInput] = &[
         kind: ServerKind::Mc,
         name: "benign-fileops",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::McCopy {
+                    src: Cow::Borrowed(b"/home/user/data.bin"),
+                    dst: Cow::Borrowed(b"/tmp/c1"),
+                },
+                Request::McMkdir {
+                    path: Cow::Borrowed(b"/tmp/d"),
+                },
+                Request::McDelete {
+                    path: Cow::Borrowed(b"/tmp/c1"),
+                },
+            ]
+        },
     },
+    // The second name has no '/' and no room: the scan walks off the
+    // end of its buffer — §3's loop-condition case, where the value
+    // sequence decides termination.
     SweepInput {
         kind: ServerKind::Mc,
         name: "component-scan",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::McComponentEnd {
+                    name: Cow::Borrowed(b"usr/share/component/lib"),
+                },
+                Request::McComponentEnd {
+                    name: Cow::Borrowed(b"noslashhere"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Mc,
         name: "attack-symlinks",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::McOpenArchive {
+                    links: Cow::Owned(mc::attack_links()),
+                },
+                Request::McCopy {
+                    src: Cow::Borrowed(b"/home/user/data.bin"),
+                    dst: Cow::Borrowed(b"/tmp/y"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Mc,
         name: "blank-config",
         attack: true,
+        env: Some(|| ServerEnv {
+            mc_config: mc::config_with_blank_line(),
+            ..ServerEnv::standard().clone()
+        }),
+        requests: || {
+            vec![Request::McCopy {
+                src: Cow::Borrowed(b"/home/user/data.bin"),
+                dst: Cow::Borrowed(b"/tmp/z"),
+            }]
+        },
     },
     // Mutt (§4.6 / Figure 1): the UTF-8→UTF-7 conversion overflow.
     SweepInput {
         kind: ServerKind::Mutt,
         name: "benign-folders",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::MuttOpenFolder {
+                    name: Cow::Borrowed(b"INBOX"),
+                },
+                Request::MuttRead { index: 0 },
+                Request::MuttOpenFolder {
+                    name: Cow::Borrowed(b"work"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Mutt,
         name: "malformed-utf8",
         attack: false,
+        env: None,
+        requests: || {
+            vec![
+                Request::MuttOpenFolder {
+                    name: Cow::Owned(vec![0xC0, 0x80]),
+                },
+                Request::MuttOpenFolder {
+                    name: Cow::Borrowed(b"INBOX"),
+                },
+            ]
+        },
     },
     SweepInput {
         kind: ServerKind::Mutt,
         name: "attack-folder",
         attack: true,
+        env: None,
+        requests: || {
+            vec![
+                Request::MuttOpenFolder {
+                    name: Cow::Owned(mutt::attack_folder_name(40)),
+                },
+                Request::MuttOpenFolder {
+                    name: Cow::Borrowed(b"INBOX"),
+                },
+            ]
+        },
     },
 ];
 
@@ -593,190 +671,19 @@ fn seal(
     }
 }
 
-// ---------------------------------------------------------------------
-// The scripts.
-// ---------------------------------------------------------------------
-
-/// The persistent environment one library input boots its server into
-/// (most inputs take the standard one; the poisoned-mailbox and
-/// blank-config scripts seed their persistent trigger here, so every
-/// supervision restart replays it).
-fn script_env(kind: ServerKind, input: &str) -> Cow<'static, ServerEnv> {
-    let mut env = Cow::Borrowed(ServerEnv::standard());
-    match (kind, input) {
-        (ServerKind::Pine, "deliver-read") => {
-            env.to_mut().pine_mailbox = pine::Pine::standard_mailbox(2);
-        }
-        (ServerKind::Pine, "poisoned-mailbox") => {
-            let mut mb = pine::Pine::standard_mailbox(4);
-            mb.insert(2, (pine::attack_from(40), b"pwn".to_vec(), b"x".to_vec()));
-            env.to_mut().pine_mailbox = mb;
-        }
-        (ServerKind::Mc, "blank-config") => env.to_mut().mc_config = mc::config_with_blank_line(),
-        _ => {}
-    }
-    env
-}
-
-/// The fixed request script of one library input, in order. Scripts are
-/// plain [`Request`] values so one driver can apply them directly or
-/// carry them over the connection edge.
-fn script_requests(kind: ServerKind, input: &str) -> Vec<Request> {
-    match (kind, input) {
-        (ServerKind::Pine, "benign-session") => vec![
-            Request::PineRead { index: 0 },
-            Request::PineCompose,
-            Request::PineMove { index: 1 },
-            Request::PineRead { index: 2 },
-        ],
-        (ServerKind::Pine, "deliver-read") => vec![
-            Request::PineDeliver {
-                from: Bytes::Owned(workload::from_field(7)),
-                subject: Bytes::Static(b"new mail"),
-                body: Bytes::Static(b"hello there"),
-            },
-            Request::PineRead { index: 2 },
-        ],
-        // The poisoned message lands in the mail file; if the process
-        // dies delivering it, every restart replays it.
-        (ServerKind::Pine, "attack-from") => vec![
-            Request::PineDeliver {
-                from: Bytes::Owned(pine::attack_from(40)),
-                subject: Bytes::Static(b"pwn"),
-                body: Bytes::Static(b"payload"),
-            },
-            Request::PineRead { index: 3 },
-        ],
-        (ServerKind::Pine, "poisoned-mailbox") => vec![
-            Request::PineRead { index: 2 },
-            Request::PineRead { index: 0 },
-        ],
-        (ServerKind::Apache, "benign-gets") => vec![
-            Request::ApacheGet {
-                path: Bytes::Static(b"/index.html"),
-            },
-            Request::ApacheGet {
-                path: Bytes::Static(b"/missing.html"),
-            },
-            Request::ApacheGet {
-                path: Bytes::Static(b"/big.bin"),
-            },
-        ],
-        (ServerKind::Apache, "rewrite-ten") => vec![
-            Request::ApacheGet {
-                path: Bytes::Owned(apache::rewrite_url(10)),
-            },
-            Request::ApacheGet {
-                path: Bytes::Static(b"/index.html"),
-            },
-        ],
-        (ServerKind::Apache, "attack-url") => vec![
-            Request::ApacheGet {
-                path: Bytes::Owned(apache::attack_url()),
-            },
-            Request::ApacheGet {
-                path: Bytes::Static(b"/index.html"),
-            },
-        ],
-        (ServerKind::Sendmail, "benign-mail") => vec![
-            Request::SendmailReceive {
-                from: Bytes::Owned(workload::sendmail_address(1)),
-                to: Bytes::Owned(workload::sendmail_address(2)),
-                body: Bytes::Static(b"first message body"),
-            },
-            Request::SendmailSend {
-                to: Bytes::Owned(workload::sendmail_address(3)),
-                body: Bytes::Static(b"outbound body"),
-            },
-        ],
-        (ServerKind::Sendmail, "daemon-wakeup") => {
-            vec![Request::SendmailWakeup, Request::SendmailWakeup]
-        }
-        (ServerKind::Sendmail, "attack-address") => vec![
-            Request::SendmailMailFrom {
-                from: Bytes::Owned(sendmail::attack_address(120)),
-            },
-            Request::SendmailReceive {
-                from: Bytes::Owned(workload::sendmail_address(8)),
-                to: Bytes::Owned(workload::sendmail_address(9)),
-                body: Bytes::Static(b"after attack"),
-            },
-        ],
-        (ServerKind::Mc, "benign-fileops") => vec![
-            Request::McCopy {
-                src: Bytes::Static(b"/home/user/data.bin"),
-                dst: Bytes::Static(b"/tmp/c1"),
-            },
-            Request::McMkdir {
-                path: Bytes::Static(b"/tmp/d"),
-            },
-            Request::McDelete {
-                path: Bytes::Static(b"/tmp/c1"),
-            },
-        ],
-        // The second name has no '/' and no room: the scan walks off
-        // the end of its buffer — §3's loop-condition case, where the
-        // value sequence decides termination.
-        (ServerKind::Mc, "component-scan") => vec![
-            Request::McComponentEnd {
-                name: Bytes::Static(b"usr/share/component/lib"),
-            },
-            Request::McComponentEnd {
-                name: Bytes::Static(b"noslashhere"),
-            },
-        ],
-        (ServerKind::Mc, "attack-symlinks") => vec![
-            Request::McOpenArchive {
-                links: Links::Owned(mc::attack_links()),
-            },
-            Request::McCopy {
-                src: Bytes::Static(b"/home/user/data.bin"),
-                dst: Bytes::Static(b"/tmp/y"),
-            },
-        ],
-        (ServerKind::Mc, "blank-config") => vec![Request::McCopy {
-            src: Bytes::Static(b"/home/user/data.bin"),
-            dst: Bytes::Static(b"/tmp/z"),
-        }],
-        (ServerKind::Mutt, "benign-folders") => vec![
-            Request::MuttOpenFolder {
-                name: Bytes::Static(b"INBOX"),
-            },
-            Request::MuttRead { index: 0 },
-            Request::MuttOpenFolder {
-                name: Bytes::Static(b"work"),
-            },
-        ],
-        (ServerKind::Mutt, "malformed-utf8") => vec![
-            Request::MuttOpenFolder {
-                name: Bytes::Owned(vec![0xC0, 0x80]),
-            },
-            Request::MuttOpenFolder {
-                name: Bytes::Static(b"INBOX"),
-            },
-        ],
-        (ServerKind::Mutt, "attack-folder") => vec![
-            Request::MuttOpenFolder {
-                name: Bytes::Owned(mutt::attack_folder_name(40)),
-            },
-            Request::MuttOpenFolder {
-                name: Bytes::Static(b"INBOX"),
-            },
-        ],
-        (kind, other) => panic!("unknown {} input {other:?}", kind.name()),
-    }
-}
-
 /// Drives one [`INPUT_LIBRARY`] entry under an explicit boot spec over
 /// an explicit request edge, and returns every observable surface of
 /// the run. This is the sweep's differential entry point: callers that
-/// need an axis the grid does not expose (the execution tier, an
-/// off-grid fuel budget, the socket edge) name it here instead of going
-/// through [`CellSpec`]; the equivalence batteries assert the
+/// need a configuration the grid does not expose (one axis of the
+/// oracle at a time, an off-grid fuel budget) name it here instead of
+/// going through [`CellSpec`]; the equivalence batteries assert the
 /// [`Driven`]s of two such configurations equal.
 pub fn drive_input(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
     let kind = input.kind;
-    let env = script_env(kind, input.name);
+    let env = input.env.map_or(
+        Cow::Borrowed(ServerEnv::standard()),
+        |env| Cow::Owned(env()),
+    );
     let mut t = Trace::new();
     let mut process = Server::boot(kind, spec, &env);
     let mut session = match edge {
@@ -791,7 +698,7 @@ pub fn drive_input(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
         None => true,
     };
     if alive {
-        for request in &script_requests(kind, input.name) {
+        for request in &(input.requests)() {
             let measured = match &mut session {
                 Some(session) => session.transact(request, &mut process),
                 None => request.apply(&mut process),
@@ -830,8 +737,6 @@ pub struct CellResult {
 /// A whole sweep: the reference transcripts plus every cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepMatrix {
-    /// The grid the matrix covers.
-    pub grid: SweepGrid,
     /// Per-input reference transcript hashes ([`reference_cell`]).
     pub reference: Vec<u64>,
     /// Cell results in canonical grid order.
@@ -840,23 +745,22 @@ pub struct SweepMatrix {
 
 /// The cell every transcript is compared against: the paper's own
 /// configuration — failure-oblivious continuation, the cycling 0/1/k
-/// sequence, ample fuel, the splay-tree table.
+/// sequence, ample fuel.
 pub fn reference_cell() -> CellSpec {
     CellSpec {
         mode: Mode::FailureOblivious,
         sequence: ValueSequence::default(),
         fuel: FuelBudget::Ample,
-        table: TableKind::Splay,
     }
 }
 
 /// Computes the per-input reference transcripts by driving the whole
-/// library under [`reference_cell`] on `tier` over `edge`.
-pub fn reference_transcripts(tier: ExecTier, edge: &Edge) -> Vec<u64> {
+/// library under [`reference_cell`] on `base` over `edge`.
+pub fn reference_transcripts(base: fn(ServerKind, Mode) -> BootSpec, edge: &Edge) -> Vec<u64> {
     let cell = reference_cell();
     INPUT_LIBRARY
         .iter()
-        .map(|input| drive_input(input, &cell.boot_spec(input.kind, tier), edge).transcript)
+        .map(|input| drive_input(input, &cell.boot_spec(input.kind, base), edge).transcript)
         .collect()
 }
 
@@ -882,16 +786,16 @@ fn classify(driven: &Driven, reference: u64) -> OutcomeClass {
     }
 }
 
-/// Runs one input of one cell on `tier` over `edge`.
+/// Runs one input of one cell on `base` over `edge`.
 pub fn run_cell_input(
     cell: &CellSpec,
     index: usize,
     reference: &[u64],
-    tier: ExecTier,
+    base: fn(ServerKind, Mode) -> BootSpec,
     edge: &Edge,
 ) -> SweepRun {
     let input = &INPUT_LIBRARY[index];
-    let driven = drive_input(input, &cell.boot_spec(input.kind, tier), edge);
+    let driven = drive_input(input, &cell.boot_spec(input.kind, base), edge);
     SweepRun {
         class: classify(&driven, reference[index]),
         transcript: driven.transcript,
@@ -899,11 +803,16 @@ pub fn run_cell_input(
 }
 
 /// Runs one whole cell sequentially.
-pub fn run_cell(cell: &CellSpec, reference: &[u64], tier: ExecTier, edge: &Edge) -> CellResult {
+pub fn run_cell(
+    cell: &CellSpec,
+    reference: &[u64],
+    base: fn(ServerKind, Mode) -> BootSpec,
+    edge: &Edge,
+) -> CellResult {
     CellResult {
         cell: *cell,
         runs: (0..INPUT_LIBRARY.len())
-            .map(|i| run_cell_input(cell, i, reference, tier, edge))
+            .map(|i| run_cell_input(cell, i, reference, base, edge))
             .collect(),
     }
 }
@@ -914,12 +823,12 @@ pub fn run_cell(cell: &CellSpec, reference: &[u64], tier: ExecTier, edge: &Edge)
 /// its worker. Results come back in the order of `cells`; each run is a
 /// pure function of its coordinates, so the output is identical for any
 /// `threads`/`slice_inputs` (the sweep property tests assert this) —
-/// and for any `tier`/`edge`, which is what `bench mode_sweep --check`
+/// and for any `base`/`edge`, which is what `bench mode_sweep --check`
 /// holds.
 pub fn run_cells(
     cells: &[CellSpec],
     reference: &[u64],
-    tier: ExecTier,
+    base: fn(ServerKind, Mode) -> BootSpec,
     edge: &Edge,
     threads: usize,
     slice_inputs: usize,
@@ -949,7 +858,7 @@ pub fn run_cells(
             }
             let index = task.runs.len();
             task.runs
-                .push(run_cell_input(&task.cell, index, reference, tier, edge));
+                .push(run_cell_input(&task.cell, index, reference, base, edge));
         }
         if task.runs.len() == INPUT_LIBRARY.len() {
             Slice::Done(
@@ -970,65 +879,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cell_labels_round_trip() {
-        for cell in SweepGrid::full().cells() {
-            let label = cell.label();
-            assert_eq!(CellSpec::parse(&label).unwrap(), cell, "{label}");
-        }
-        assert!(CellSpec::parse("standard|zero|tight").is_err());
-        assert!(CellSpec::parse("standard|zero|tight|avl").is_err());
-    }
-
-    #[test]
-    fn pinned_grid_is_a_subset_of_full() {
-        let full = SweepGrid::full().cells();
-        for cell in SweepGrid::pinned().cells() {
-            assert!(full.contains(&cell), "{} not in full grid", cell.label());
-        }
-        // The extra gate cells must also exist in the committed matrix
-        // (i.e. the full grid) and not duplicate the pinned sub-grid.
-        let pinned = SweepGrid::pinned().cells();
-        for cell in SweepGrid::pinned_extra_cells() {
-            assert!(full.contains(&cell), "{} not in full grid", cell.label());
-            assert!(!pinned.contains(&cell), "{} already pinned", cell.label());
-        }
-    }
-
-    #[test]
-    fn fingerprints_separate_cells_but_are_stable() {
-        let cells = SweepGrid::full().cells();
-        for (i, a) in cells.iter().enumerate() {
-            assert_eq!(a.fingerprint(), a.fingerprint());
-            for b in &cells[i + 1..] {
-                assert_ne!(
-                    a.fingerprint(),
-                    b.fingerprint(),
-                    "{} vs {}",
-                    a.label(),
-                    b.label()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn outcome_class_codes_round_trip() {
-        for class in OutcomeClass::ALL {
-            assert_eq!(class.code().parse::<OutcomeClass>().unwrap(), class);
-            assert_eq!(class.name().parse::<OutcomeClass>().unwrap(), class);
-        }
-        assert!("X".parse::<OutcomeClass>().is_err());
-    }
-
-    #[test]
     fn reference_cell_classifies_as_clean_or_manufactured() {
         // The reference cell compared against itself can only be clean
         // (benign, no violations) or manufactured-continue (violations
         // intercepted, transcript preserved) — never divergent, never a
         // crash class: failure-oblivious mode survives the whole library.
-        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
-        let reference = reference_transcripts(tier, &edge);
-        let result = run_cell(&reference_cell(), &reference, tier, &edge);
+        let edge = Edge::InProcess;
+        let reference = reference_transcripts(BootSpec::new, &edge);
+        let result = run_cell(&reference_cell(), &reference, BootSpec::new, &edge);
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             assert!(
                 matches!(
@@ -1060,14 +918,13 @@ mod tests {
         // §4.4.4 as a taxonomy statement: every Sendmail input under
         // Bounds Check is restart-exhausted (the daemon dies at init,
         // and so does every restart).
-        let reference = reference_transcripts(ExecTier::default(), &Edge::InProcess);
+        let reference = reference_transcripts(BootSpec::new, &Edge::InProcess);
         let cell = CellSpec {
             mode: Mode::BoundsCheck,
             sequence: ValueSequence::default(),
             fuel: FuelBudget::Ample,
-            table: TableKind::Splay,
         };
-        let result = run_cell(&cell, &reference, ExecTier::default(), &Edge::InProcess);
+        let result = run_cell(&cell, &reference, BootSpec::new, &Edge::InProcess);
         for (input, run) in INPUT_LIBRARY.iter().zip(&result.runs) {
             if input.kind == ServerKind::Sendmail {
                 assert_eq!(
@@ -1082,30 +939,29 @@ mod tests {
 
     #[test]
     fn cell_results_are_thread_and_slice_invariant() {
-        let reference = reference_transcripts(ExecTier::default(), &Edge::InProcess);
+        let reference = reference_transcripts(BootSpec::new, &Edge::InProcess);
         let cells = vec![
             CellSpec {
                 mode: Mode::FailureOblivious,
                 sequence: ValueSequence::Zero,
                 fuel: FuelBudget::Tight,
-                table: TableKind::Flat,
             },
             CellSpec {
                 mode: Mode::BoundsCheck,
                 sequence: ValueSequence::default(),
                 fuel: FuelBudget::Tight,
-                table: TableKind::Splay,
             },
         ];
-        let (tier, edge) = (ExecTier::default(), Edge::InProcess);
-        let run = |threads, slice| run_cells(&cells, &reference, tier, &edge, threads, slice);
+        let edge = Edge::InProcess;
+        let run =
+            |threads, slice| run_cells(&cells, &reference, BootSpec::new, &edge, threads, slice);
         let (a, b, c) = (run(1, 1), run(4, 5), run(2, usize::MAX));
         assert_eq!(a, b);
         assert_eq!(a, c);
         // And equal to the sequential path.
         let seq: Vec<CellResult> = cells
             .iter()
-            .map(|c| run_cell(c, &reference, tier, &edge))
+            .map(|c| run_cell(c, &reference, BootSpec::new, &edge))
             .collect();
         assert_eq!(a, seq);
     }

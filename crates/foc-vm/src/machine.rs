@@ -432,46 +432,6 @@ impl Machine {
                 }
             };
         }
-        // Compare handler with a fused conditional-branch peephole: a
-        // comparison followed by `JumpIfZero`/`JumpIfNotZero` — the
-        // loop-condition pair every scan loop executes per iteration —
-        // branches directly on the flag instead of pushing, re-popping,
-        // and re-dispatching. The fused path charges the second
-        // instruction exactly as a separate dispatch would (one fuel,
-        // one instruction, one base cycle), and falls back to the plain
-        // push when the next instruction is not a branch or fuel is
-        // exhausted (so fuel-out still lands *on* the branch, as it
-        // does unfused).
-        macro_rules! cmp_arm {
-            ($cond:expr) => {{
-                let b = self.pop();
-                let a = self.pop();
-                #[allow(clippy::redundant_closure_call)]
-                let cond: bool = $cond(a, b);
-                match code[pc as usize] {
-                    Instr::JumpIfZero(t) if fuel > 0 => {
-                        pc += 1;
-                        fuel -= 1;
-                        self.stats.instrs += 1;
-                        self.stats.cycles += cost::BASE;
-                        if !cond {
-                            pc = t;
-                        }
-                    }
-                    Instr::JumpIfNotZero(t) if fuel > 0 => {
-                        pc += 1;
-                        fuel -= 1;
-                        self.stats.instrs += 1;
-                        self.stats.cycles += cost::BASE;
-                        if cond {
-                            pc = t;
-                        }
-                    }
-                    _ => self.stack.push(cond as i64),
-                }
-            }};
-        }
-
         // Native tier (`ExecTier::Native`): the current function's
         // lowered regions, resolved here and again at every call and
         // return — once per activation, so the dispatch loop below
@@ -601,16 +561,16 @@ impl Machine {
                 Instr::Shl => self.bin(|a, b| a.wrapping_shl(b as u32 & 63)),
                 Instr::ShrS => self.bin(|a, b| a.wrapping_shr(b as u32 & 63)),
                 Instr::ShrU => self.bin(|a, b| ((a as u64).wrapping_shr(b as u32 & 63)) as i64),
-                Instr::Eq => cmp_arm!(|a: i64, b: i64| a == b),
-                Instr::Ne => cmp_arm!(|a: i64, b: i64| a != b),
-                Instr::LtS => cmp_arm!(|a: i64, b: i64| a < b),
-                Instr::LeS => cmp_arm!(|a: i64, b: i64| a <= b),
-                Instr::GtS => cmp_arm!(|a: i64, b: i64| a > b),
-                Instr::GeS => cmp_arm!(|a: i64, b: i64| a >= b),
-                Instr::LtU => cmp_arm!(|a: i64, b: i64| (a as u64) < b as u64),
-                Instr::LeU => cmp_arm!(|a: i64, b: i64| a as u64 <= b as u64),
-                Instr::GtU => cmp_arm!(|a: i64, b: i64| a as u64 > b as u64),
-                Instr::GeU => cmp_arm!(|a: i64, b: i64| a as u64 >= b as u64),
+                Instr::Eq => self.bin(|a, b| (a == b) as i64),
+                Instr::Ne => self.bin(|a, b| (a != b) as i64),
+                Instr::LtS => self.bin(|a, b| (a < b) as i64),
+                Instr::LeS => self.bin(|a, b| (a <= b) as i64),
+                Instr::GtS => self.bin(|a, b| (a > b) as i64),
+                Instr::GeS => self.bin(|a, b| (a >= b) as i64),
+                Instr::LtU => self.bin(|a, b| ((a as u64) < b as u64) as i64),
+                Instr::LeU => self.bin(|a, b| (a as u64 <= b as u64) as i64),
+                Instr::GtU => self.bin(|a, b| (a as u64 > b as u64) as i64),
+                Instr::GeU => self.bin(|a, b| (a as u64 >= b as u64) as i64),
                 Instr::Neg => {
                     let v = self.pop();
                     self.stack.push(v.wrapping_neg());

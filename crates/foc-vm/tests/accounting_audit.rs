@@ -1,7 +1,7 @@
-//! Accounting audit: the fused dispatch paths — the compare+branch
-//! peephole in the interpreter's main loop and the native tier's
-//! whole-region charge — charge *exactly* what a naive one-dispatch-
-//! per-instruction interpreter would, at every fuel interleaving.
+//! Accounting audit: the native tier's fused dispatch — its
+//! whole-region charge — and the interpreter it falls back to charge
+//! *exactly* what a naive one-dispatch-per-instruction interpreter
+//! would, at every fuel interleaving.
 //!
 //! The referee is deliberately independent: a mini interpreter written
 //! in this test from the instruction-set documentation alone, covering
@@ -201,7 +201,7 @@ fn machine_run(
 }
 
 /// A pure local/arith/branch function whose compiled form contains every
-/// shape the fused paths accelerate: compare+branch loop heads, local
+/// shape the native tier fuses: compare+branch loop heads, local
 /// increments, a loop latch back-jump, constant-operand ALU, and a mix
 /// of `int`/`long` widths (so `Normalize` re-narrowing is in play).
 const AUDIT_SRC: &str = "
@@ -237,9 +237,9 @@ fn fuel_out_points_match_the_reference_at_every_budget() {
     // Sweep every budget through entry, several whole loop iterations,
     // and the epilogue: the machine must fault (or finish) with the
     // referee's exact instruction and cycle counts — under the baseline
-    // tier (whose compare+branch peephole charges two instructions in
-    // one dispatch) and the native tier (whose whole-region pre-charge gate must
-    // surface fuel exhaustion at the same instruction) alike.
+    // tier (one dispatch per instruction) and the native tier (whose
+    // whole-region pre-charge gate must surface fuel exhaustion at the
+    // same instruction) alike.
     let full = reference_run(AUDIT_SRC, "audit", &[4, 9], Mode::Standard, 100_000);
     let run_len = full.instrs;
     for mode in [Mode::Standard, Mode::FailureOblivious] {

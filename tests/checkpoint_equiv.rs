@@ -13,11 +13,12 @@
 //! poisoned-mailbox restart chains and proptests over workload seeds
 //! and restart counts.
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::conn::Edge;
-use failure_oblivious::servers::farm::{Bytes, Links};
 use failure_oblivious::servers::image::ServerKind;
 use failure_oblivious::servers::{
     apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Request, Server, ServerEnv,
@@ -30,61 +31,61 @@ fn script(kind: ServerKind) -> Vec<Request> {
     let folder = |name| Request::MuttOpenFolder { name };
     match kind {
         ServerKind::Apache => vec![
-            get(Bytes::Static(b"/index.html")),
-            get(Bytes::Owned(apache::attack_url())),
-            get(Bytes::Static(b"/rw/index.html")),
-            get(Bytes::Static(b"/big.bin")),
+            get(Cow::Borrowed(b"/index.html")),
+            get(Cow::Owned(apache::attack_url())),
+            get(Cow::Borrowed(b"/rw/index.html")),
+            get(Cow::Borrowed(b"/big.bin")),
         ],
         ServerKind::Sendmail => vec![
             Request::SendmailReceive {
-                from: Bytes::Owned(workload::sendmail_address(1)),
-                to: Bytes::Owned(workload::sendmail_address(2)),
-                body: Bytes::Static(b"body one"),
+                from: Cow::Owned(workload::sendmail_address(1)),
+                to: Cow::Owned(workload::sendmail_address(2)),
+                body: Cow::Borrowed(b"body one"),
             },
             Request::SendmailReceive {
-                from: Bytes::Owned(sendmail::attack_address(40)),
-                to: Bytes::Owned(workload::sendmail_address(3)),
-                body: Bytes::Static(b"attack payload"),
+                from: Cow::Owned(sendmail::attack_address(40)),
+                to: Cow::Owned(workload::sendmail_address(3)),
+                body: Cow::Borrowed(b"attack payload"),
             },
             Request::SendmailWakeup,
             Request::SendmailSend {
-                to: Bytes::Owned(workload::sendmail_address(4)),
-                body: Bytes::Static(b"outbound"),
+                to: Cow::Owned(workload::sendmail_address(4)),
+                body: Cow::Borrowed(b"outbound"),
             },
         ],
         ServerKind::Pine => vec![
             Request::PineRead { index: 0 },
             Request::PineDeliver {
-                from: Bytes::Owned(pine::attack_from(40)),
-                subject: Bytes::Static(b"pwn"),
-                body: Bytes::Static(b"payload"),
+                from: Cow::Owned(pine::attack_from(40)),
+                subject: Cow::Borrowed(b"pwn"),
+                body: Cow::Borrowed(b"payload"),
             },
             Request::PineCompose,
             Request::PineRead { index: 2 },
             Request::PineMove { index: 1 },
         ],
         ServerKind::Mutt => vec![
-            folder(Bytes::Static(b"INBOX")),
-            folder(Bytes::Owned(mutt::attack_folder_name(40))),
+            folder(Cow::Borrowed(b"INBOX")),
+            folder(Cow::Owned(mutt::attack_folder_name(40))),
             Request::MuttRead { index: 0 },
-            folder(Bytes::Static(b"work")),
+            folder(Cow::Borrowed(b"work")),
         ],
         ServerKind::Mc => vec![
             Request::McCopy {
-                src: Bytes::Static(b"/home/user/data.bin"),
-                dst: Bytes::Static(b"/tmp/c1"),
+                src: Cow::Borrowed(b"/home/user/data.bin"),
+                dst: Cow::Borrowed(b"/tmp/c1"),
             },
             Request::McOpenArchive {
-                links: Links::Owned(mc::attack_links()),
+                links: Cow::Owned(mc::attack_links()),
             },
             Request::McComponentEnd {
-                name: Bytes::Static(b"usr/share/component/lib"),
+                name: Cow::Borrowed(b"usr/share/component/lib"),
             },
             Request::McMkdir {
-                path: Bytes::Static(b"/tmp/d"),
+                path: Cow::Borrowed(b"/tmp/d"),
             },
             Request::McDelete {
-                path: Bytes::Static(b"/tmp/c1"),
+                path: Cow::Borrowed(b"/tmp/c1"),
             },
         ],
     }

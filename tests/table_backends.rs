@@ -14,10 +14,12 @@
 //!    every server kind × mode cell (the farm's determinism contract
 //!    extended to the table layer).
 
+use std::borrow::Cow;
+
 use proptest::prelude::*;
 
 use failure_oblivious::memory::{Mode, TableKind};
-use failure_oblivious::servers::farm::{run_farm, Bytes, FarmConfig, Links, ServerKind};
+use failure_oblivious::servers::farm::{run_farm, FarmConfig, ServerKind};
 use failure_oblivious::servers::{
     apache, mc, mutt, pine, sendmail, workload, BootSpec, Measured, Request, Server, ServerEnv,
 };
@@ -26,29 +28,29 @@ use failure_oblivious::vm::Observation;
 /// Request `i` of `kind`'s fixed seeded trace: legitimate traffic with
 /// attacks interleaved.
 fn request(kind: ServerKind, seed: u64, i: u64) -> Request {
-    let owned = |s: String| Bytes::Owned(s.into_bytes());
+    let owned = |s: String| Cow::Owned(s.into_bytes());
     match kind {
         ServerKind::Apache => Request::ApacheGet {
             path: match i % 5 {
-                0 => Bytes::Static(b"/index.html"),
-                1 => Bytes::Owned(workload::apache_url(3 + (seed % 4) as usize)),
-                2 => Bytes::Owned(apache::attack_url()),
-                3 => Bytes::Static(b"/big.bin"),
-                _ => Bytes::Static(b"/nosuchpage.html"),
+                0 => Cow::Borrowed(b"/index.html"),
+                1 => Cow::Owned(workload::apache_url(3 + (seed % 4) as usize)),
+                2 => Cow::Owned(apache::attack_url()),
+                3 => Cow::Borrowed(b"/big.bin"),
+                _ => Cow::Borrowed(b"/nosuchpage.html"),
             },
         },
         ServerKind::Sendmail => match i % 4 {
             0 => Request::SendmailReceive {
-                from: Bytes::Owned(workload::sendmail_address(seed + i)),
-                to: Bytes::Owned(workload::sendmail_address(seed + 100 + i)),
-                body: Bytes::Owned(workload::lorem(120, seed + i)),
+                from: Cow::Owned(workload::sendmail_address(seed + i)),
+                to: Cow::Owned(workload::sendmail_address(seed + 100 + i)),
+                body: Cow::Owned(workload::lorem(120, seed + i)),
             },
             1 => Request::SendmailSend {
-                to: Bytes::Owned(workload::sendmail_address(seed + 200 + i)),
-                body: Bytes::Owned(workload::lorem(80, seed + 300 + i)),
+                to: Cow::Owned(workload::sendmail_address(seed + 200 + i)),
+                body: Cow::Owned(workload::lorem(80, seed + 300 + i)),
             },
             2 => Request::SendmailMailFrom {
-                from: Bytes::Owned(sendmail::attack_address(40)),
+                from: Cow::Owned(sendmail::attack_address(40)),
             },
             _ => Request::SendmailWakeup,
         },
@@ -58,9 +60,9 @@ fn request(kind: ServerKind, seed: u64, i: u64) -> Request {
             },
             1 => Request::PineCompose,
             2 => Request::PineDeliver {
-                from: Bytes::Owned(pine::attack_from(40)),
-                subject: Bytes::Static(b"pwn"),
-                body: Bytes::Static(b"payload"),
+                from: Cow::Owned(pine::attack_from(40)),
+                subject: Cow::Borrowed(b"pwn"),
+                body: Cow::Borrowed(b"payload"),
             },
             _ => Request::PineMove {
                 index: i as i64 % 3,
@@ -68,31 +70,31 @@ fn request(kind: ServerKind, seed: u64, i: u64) -> Request {
         },
         ServerKind::Mutt => match i % 4 {
             0 => Request::MuttOpenFolder {
-                name: Bytes::Static(b"INBOX"),
+                name: Cow::Borrowed(b"INBOX"),
             },
             1 => Request::MuttRead {
                 index: i as i64 % 2,
             },
             2 => Request::MuttOpenFolder {
-                name: Bytes::Owned(mutt::attack_folder_name(40)),
+                name: Cow::Owned(mutt::attack_folder_name(40)),
             },
             _ => Request::MuttOpenFolder {
-                name: Bytes::Static(b"work"),
+                name: Cow::Borrowed(b"work"),
             },
         },
         ServerKind::Mc => match i % 4 {
             0 => Request::McCopy {
-                src: Bytes::Static(b"/home/user/data.bin"),
+                src: Cow::Borrowed(b"/home/user/data.bin"),
                 dst: owned(format!("/tmp/c{i}")),
             },
             1 => Request::McMkdir {
                 path: owned(format!("/tmp/d{i}")),
             },
             2 => Request::McOpenArchive {
-                links: Links::Owned(mc::attack_links()),
+                links: Cow::Owned(mc::attack_links()),
             },
             _ => Request::McComponentEnd {
-                name: Bytes::Static(b"usr/share/component/lib"),
+                name: Cow::Borrowed(b"usr/share/component/lib"),
             },
         },
     }
