@@ -50,5 +50,5 @@ pub use space::{
     Run, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
-pub use table::{FlatTable, Placement, SplayTable, Table, TableKind};
+pub use table::{FlatTable, LookupProfile, Placement, SplayTable, Table, TableKind};
 pub use unit::{DataUnit, UnitId, UnitKind};

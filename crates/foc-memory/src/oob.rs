@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use crate::addr::{OOB_STRIDE, OOB_ZONE_BASE};
+use crate::roomy::RoomyVec;
 use crate::unit::UnitId;
 
 /// Identifier of an out-of-bounds descriptor.
@@ -59,8 +60,12 @@ impl OobEntry {
 #[derive(Debug, Clone, Default)]
 pub struct OobRegistry {
     entries: Vec<Option<OobEntry>>,
+    /// Keyed by a guest-chosen address, so it keeps SipHash.
     dedup: HashMap<(UnitId, u64), OobId>,
-    by_unit: HashMap<UnitId, Vec<OobId>>,
+    /// Each referent's descriptors, indexed by the referent's store slot.
+    /// A slot's list holds only its current occupant's: a unit's
+    /// descriptors are purged when it dies, before its slot is reused.
+    by_unit: RoomyVec<Vec<OobId>>,
     free: Vec<OobId>,
     live: usize,
 }
@@ -98,7 +103,11 @@ impl OobRegistry {
                 OobId((self.entries.len() - 1) as u32)
             };
             self.dedup.insert(key, id);
-            self.by_unit.entry(referent).or_default().push(id);
+            let slot = referent.slot() as usize;
+            if self.by_unit.len() <= slot {
+                self.by_unit.resize_with(slot + 1, Vec::new);
+            }
+            self.by_unit[slot].push(id);
             self.live += 1;
             id
         };
@@ -128,17 +137,19 @@ impl OobRegistry {
     }
 
     /// Drops every descriptor derived from `unit`, recycling their slots.
+    #[inline]
     pub fn purge_unit(&mut self, unit: UnitId) {
         // Every dying unit comes through here (each local on every
-        // `Ret`); with no descriptors at all there is nothing to hash.
-        if self.by_unit.is_empty() {
-            return;
-        }
-        let Some(ids) = self.by_unit.remove(&unit) else {
+        // `Ret`), so the common case is one index and one length check.
+        let Some(ids) = self.by_unit.get_mut(unit.slot() as usize) else {
             return;
         };
-        for id in ids {
+        if ids.is_empty() {
+            return;
+        }
+        for id in ids.drain(..) {
             if let Some(entry) = self.entries[id.0 as usize].take() {
+                debug_assert_eq!(entry.referent, unit, "a slot's list outlived its unit");
                 self.dedup.remove(&(entry.referent, entry.intended));
                 self.free.push(id);
                 self.live -= 1;

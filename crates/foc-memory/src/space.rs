@@ -37,7 +37,7 @@ use crate::oob::OobRegistry;
 use crate::policy::{BoundlessStore, Mode};
 use crate::roomy::RoomyVec;
 use crate::store::{UnitStore, UNIT_ROOM};
-use crate::table::{Table, TableKind};
+use crate::table::{LookupProfile, Placement, Table, TableKind};
 use crate::unit::{DataUnit, UnitId, UnitKind};
 
 /// First canary token word written at the top of each stack frame.
@@ -276,6 +276,7 @@ pub struct Footprint {
 #[derive(Debug, Clone)]
 struct FrameRec {
     prev_sp: u64,
+    /// Where the frame's run starts in [`MemorySpace::frame_units`].
     units_start: usize,
     canary_addr: u64,
 }
@@ -308,7 +309,8 @@ pub struct MemorySpace {
     global_brk: u64,
     sp: u64,
     frames: RoomyVec<FrameRec>,
-    frame_units: RoomyVec<u32>,
+    /// Every pushed frame's locals, as the run the table holds them in.
+    frame_units: RoomyVec<Placement>,
 }
 
 impl MemorySpace {
@@ -365,6 +367,12 @@ impl MemorySpace {
     /// Live heap allocation count.
     pub fn heap_live(&self) -> u64 {
         self.allocator.live()
+    }
+
+    /// How the object table answered its lookups (diagnostics: it
+    /// differs between table kinds, so it is not part of [`SpaceStats`]).
+    pub fn lookup_profile(&self) -> LookupProfile {
+        self.table.lookup_profile()
     }
 
     /// Committed bytes against handed-out bytes. The windows grow on
@@ -499,9 +507,17 @@ impl MemorySpace {
         id
     }
 
+    /// Kills a heap unit (a frame's locals die in `pop_frame`, as a
+    /// run). A unit the store kills but the table kept would still
+    /// resolve as live — a hole in the check — so the two must agree or
+    /// the space stops.
     fn kill_unit(&mut self, id: UnitId) {
         let base = self.store.kill(id);
-        self.table.remove(base);
+        let gone = self.table.remove(base);
+        assert!(
+            gone.is_some_and(|p| p.unit == id),
+            "the table must drop the unit the store kills ({id})"
+        );
         self.oob.purge_unit(id);
         self.boundless.forget_unit(id);
     }
@@ -633,11 +649,16 @@ impl MemorySpace {
     // Stack frames.
     // ------------------------------------------------------------------
 
-    /// Pushes a stack frame with room for `locals_size` bytes of locals,
-    /// returning the frame base address. Individual locals must then be
-    /// registered with [`MemorySpace::register_local`]. A 16-byte canary
-    /// pair sits immediately above the locals.
-    pub fn push_frame(&mut self, locals_size: u64) -> Result<u64, MemFault> {
+    /// Pushes a stack frame with room for `locals_size` bytes of locals
+    /// and registers its locals, returning the frame base address. A
+    /// 16-byte canary pair sits immediately above the locals.
+    ///
+    /// `slots` are the locals as `(offset from the frame base, size)`,
+    /// in increasing offset order and not overlapping — a compiled
+    /// frame layout. In the checked modes each becomes a data unit, ids
+    /// allocated in slot order, and all of them enter the object table
+    /// as one run; Standard mode registers nothing.
+    pub fn push_frame(&mut self, locals_size: u64, slots: &[(u64, u64)]) -> Result<u64, MemFault> {
         self.stats.frames += 1;
         let total = locals_size.div_ceil(16) * 16 + FRAME_GUARD_SIZE;
         let new_sp = self
@@ -648,37 +669,40 @@ impl MemorySpace {
         let canary_addr = new_sp + total - FRAME_GUARD_SIZE;
         self.stack.write(canary_addr, AccessSize::B8, CANARY_A);
         self.stack.write(canary_addr + 8, AccessSize::B8, CANARY_B);
+        let units_start = self.frame_units.len();
         self.frames.push(FrameRec {
             prev_sp: self.sp,
-            units_start: self.frame_units.len(),
+            units_start,
             canary_addr,
         });
         self.sp = new_sp;
+        if self.mode.is_checked() {
+            for &(off, size) in slots {
+                let base = new_sp + off;
+                let unit = self.store.alloc(base, size, UnitKind::Stack, None);
+                self.frame_units.push(Placement { base, size, unit });
+            }
+            self.table.insert_run(&self.frame_units[units_start..]);
+        }
         Ok(new_sp)
     }
 
-    /// Registers one local variable of the current frame as a data unit.
-    ///
-    /// `offset` is relative to the frame base returned by
-    /// [`MemorySpace::push_frame`]. No-op in Standard mode.
-    pub fn register_local(&mut self, frame_base: u64, offset: u64, size: u64) {
-        if !self.mode.is_checked() {
-            return;
-        }
-        let id = self.new_unit(frame_base + offset, size, UnitKind::Stack, None);
-        self.frame_units.push(id.0);
-    }
-
-    /// Pops the current frame, verifying the canary pair.
+    /// Pops the current frame, retiring its locals — out of the table
+    /// as one run, then killed last first — and verifying the canary
+    /// pair.
     ///
     /// A trampled canary means guest writes escaped the frame's data units,
     /// which only Standard mode permits; the fault carries the observed
     /// bytes so callers can attribute the smash to attacker input.
     pub fn pop_frame(&mut self) -> Result<(), MemFault> {
         let rec = self.frames.pop().expect("pop_frame without frame");
-        for i in (rec.units_start..self.frame_units.len()).rev() {
-            let slot = self.frame_units[i];
-            self.kill_unit(UnitId(slot));
+        let run = &self.frame_units[rec.units_start..];
+        let gone = self.table.remove_run(run);
+        assert!(gone, "the table must drop exactly the frame's locals");
+        for p in run.iter().rev() {
+            self.store.kill(p.unit);
+            self.oob.purge_unit(p.unit);
+            self.boundless.forget_unit(p.unit);
         }
         self.frame_units.truncate(rec.units_start);
         let a = self.stack.read(rec.canary_addr, AccessSize::B8);
@@ -1244,7 +1268,10 @@ impl Span {
 /// `&mut MemorySpace` — which the view's borrows rule out. So for the
 /// view's lifetime a pointer inside a remembered extent *is* inside
 /// that live unit, and the memo needs no generation, epoch, or flush:
-/// the borrow checker invalidates it.
+/// the borrow checker invalidates it. (Carrying the memo in the space
+/// from one view to the next, cleared where units die, cut `mc_copy`'s
+/// table lookups by 73% but tied or lost on placement-pinned pairs, so
+/// every view starts empty; see CHANGES.md, PR 26.)
 ///
 /// Unchecked ([`Mode::Standard`]) spaces ride the same view: an access
 /// is a window read or write with the load/store counter.
@@ -1633,9 +1660,7 @@ mod tests {
     #[test]
     fn frame_push_pop_and_locals() {
         let mut s = space(Mode::BoundsCheck);
-        let base = s.push_frame(64).unwrap();
-        s.register_local(base, 0, 16);
-        s.register_local(base, 32, 16);
+        let base = s.push_frame(64, &[(0, 16), (32, 16)]).unwrap();
         s.store(base, AccessSize::B8, 1, CTX).unwrap();
         s.store(base + 32, AccessSize::B8, 2, CTX).unwrap();
         // The gap between locals is not accessible.
@@ -1643,8 +1668,7 @@ mod tests {
         s.pop_frame().unwrap();
         // After pop, the local is dead.
         let mut s2 = space(Mode::FailureOblivious);
-        let base2 = s2.push_frame(32).unwrap();
-        s2.register_local(base2, 0, 16);
+        let base2 = s2.push_frame(32, &[(0, 16)]).unwrap();
         s2.pop_frame().unwrap();
         let r = s2.load(base2, AccessSize::B8, CTX).unwrap();
         assert!(r.violation);
@@ -1653,7 +1677,7 @@ mod tests {
     #[test]
     fn standard_mode_stack_smash_detected_on_pop() {
         let mut s = space(Mode::Standard);
-        let base = s.push_frame(16).unwrap();
+        let base = s.push_frame(16, &[]).unwrap();
         // Overflow: write past the 16 local bytes into the canary.
         s.store(base + 16, AccessSize::B8, 0x4242_4242_4242_4242, CTX)
             .unwrap();
@@ -1671,8 +1695,7 @@ mod tests {
     fn checked_modes_protect_the_canary() {
         for mode in [Mode::BoundsCheck, Mode::FailureOblivious] {
             let mut s = space(mode);
-            let base = s.push_frame(16).unwrap();
-            s.register_local(base, 0, 16);
+            let base = s.push_frame(16, &[(0, 16)]).unwrap();
             // Attempt the same overflow through a derived pointer.
             let p = s.ptr_add(base, 16);
             let _ = s.store(p, AccessSize::B8, 0x4242, CTX);
@@ -1685,7 +1708,7 @@ mod tests {
         let mut s = space(Mode::Standard);
         let mut n = 0;
         loop {
-            match s.push_frame(4096) {
+            match s.push_frame(4096, &[]) {
                 Ok(_) => n += 1,
                 Err(MemFault::StackOverflow) => break,
                 Err(e) => panic!("unexpected {e}"),
@@ -1843,9 +1866,7 @@ mod tests {
         assert_table_blind(Mode::FailureOblivious, |s| {
             let mut t = Vec::new();
             for round in 0..50u64 {
-                let fb = s.push_frame(64).unwrap();
-                s.register_local(fb, 0, 24);
-                s.register_local(fb, 32, 16);
+                let fb = s.push_frame(64, &[(0, 24), (32, 16)]).unwrap();
                 let p = s.malloc(16 + (round % 7) * 8).unwrap();
                 t.push(format!("{:?}", s.store(fb, AccessSize::B8, round, CTX)));
                 t.push(format!("{:?}", s.load(fb + 32, AccessSize::B8, CTX)));

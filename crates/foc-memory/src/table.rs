@@ -14,18 +14,26 @@
 //!   last-hit memo. No guest server ever holds more than a few dozen
 //!   live units at once (36 at most over every committed workload; the
 //!   tripwire is `tests/substrate_props.rs`), so the whole table is a
-//!   handful of cache lines, a miss of the memo is a five-step binary
-//!   search, and an insert or remove shifts a few hundred bytes. Nothing
-//!   with pointers in it can beat that at this size, and a page map in
-//!   front of it only added a second structure to keep coherent.
+//!   handful of cache lines and a miss of the memo is a five-step binary
+//!   search. Most units are stack locals, which come and go a frame at a
+//!   time: a frame's locals are base-sorted and no other unit lies
+//!   between them, so entering a frame is one [`Table::insert_run`] (one
+//!   `splice`) and returning is one [`Table::remove_run`] (one `drain`),
+//!   each shifting the tail once per call rather than once per local.
+//!   Nothing with pointers in it can beat that at this size, and a page
+//!   map in front of it only added a second structure to keep coherent.
 //! * [`SplayTable`] — the self-adjusting tree Jones & Kelly's runtime
 //!   (and CRED's) used because accesses have high temporal locality. It
 //!   is kept as the reference oracle: `BootSpec::oracle` (and so the
 //!   sweep's oracle gate point) runs on it, and every equivalence
-//!   battery compares the shipped table against it.
+//!   battery compares the shipped table against it. It takes a run one
+//!   unit at a time, so those batteries also hold the run path to the
+//!   per-unit one.
 //!
 //! Both give byte-identical failure-oblivious semantics, so the choice
-//! never shows in a transcript, a counter or a log record.
+//! never shows in a transcript, a counter or a log record. Only the
+//! [`LookupProfile`] — diagnostics, kept out of every equivalence
+//! relation — tells them apart.
 
 use std::fmt;
 
@@ -75,6 +83,19 @@ impl fmt::Display for TableKind {
     }
 }
 
+/// How a table answered its lookups (diagnostics: it differs between
+/// the two structures, so it stays out of `SpaceStats` and every
+/// equivalence relation). Counted on the table's own path, which the
+/// native view reaches only when its memo misses.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupProfile {
+    /// Calls to [`Table::lookup`].
+    pub lookups: u64,
+    /// Lookups the table's own memo did not answer: a binary search on
+    /// the flat table, a splay on the oracle (which has no memo).
+    pub searches: u64,
+}
+
 /// A space's object table, held by value.
 ///
 /// Lookup takes `&mut self` because both structures reorganise on a
@@ -99,7 +120,7 @@ impl Table {
         match kind {
             TableKind::Flat => Table::Flat(FlatTable {
                 entries: RoomyVec::with_capacity(units),
-                last_hit: 0,
+                ..FlatTable::default()
             }),
             TableKind::Splay => Table::Splay(SplayTable::new()),
         }
@@ -114,11 +135,33 @@ impl Table {
         }
     }
 
+    /// Registers a run of live units at once: what `insert` of each in
+    /// turn would leave. The caller guarantees the run is base-sorted,
+    /// overlaps no registered range, and has no registered unit between
+    /// its first and last base — a stack frame's locals.
+    pub fn insert_run(&mut self, run: &[Placement]) {
+        match self {
+            Table::Flat(t) => t.insert_run(run),
+            Table::Splay(t) => run.iter().for_each(|p| t.insert(p.base, p.size, p.unit)),
+        }
+    }
+
     /// Removes the unit based at exactly `base`, returning it if present.
     pub fn remove(&mut self, base: u64) -> Option<Placement> {
         match self {
             Table::Flat(t) => t.remove(base),
             Table::Splay(t) => t.remove(base),
+        }
+    }
+
+    /// Removes a run [`Table::insert_run`] registered: what `remove` of
+    /// each unit, last first, would leave. `false` when the table did not
+    /// hold exactly these entries — a bug in the caller's bookkeeping,
+    /// after which the table's contents are unspecified.
+    pub fn remove_run(&mut self, run: &[Placement]) -> bool {
+        match self {
+            Table::Flat(t) => t.remove_run(run),
+            Table::Splay(t) => run.iter().rev().all(|p| t.remove(p.base) == Some(*p)),
         }
     }
 
@@ -148,6 +191,14 @@ impl Table {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// How the lookups so far were answered.
+    pub fn lookup_profile(&self) -> LookupProfile {
+        match self {
+            Table::Flat(t) => t.profile,
+            Table::Splay(t) => t.profile,
+        }
+    }
 }
 
 /// Sorted interval vector with last-hit memoization.
@@ -157,13 +208,16 @@ impl Table {
 /// temporal-locality case the splay tree rotates for is served by a
 /// one-entry memo instead: the index of the last hit is probed first, in
 /// O(1) and with no structural writes. Inserts and removes shift the
-/// tail (`memmove`), which is exactly the right trade for server-shaped
-/// tables — a few dozen mostly-stable entries hammered by lookups.
+/// tail (`memmove`) — once per run of units, not once per unit — which
+/// is exactly the right trade for server-shaped tables: a few dozen
+/// mostly-stable entries hammered by lookups. The memo follows its entry
+/// across every shift and is dropped only when its entry is.
 #[derive(Debug, Clone, Default)]
 pub struct FlatTable {
     entries: RoomyVec<Placement>,
     /// Index of the most recent lookup hit (memo; may be stale).
     last_hit: usize,
+    profile: LookupProfile,
 }
 
 impl FlatTable {
@@ -182,27 +236,81 @@ impl FlatTable {
     pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
         let at = self.upper_bound(base);
         self.entries.insert(at, Placement { base, size, unit });
+        if self.last_hit >= at {
+            self.last_hit += 1;
+        }
+    }
+
+    /// Registers a run of live units (see [`Table::insert_run`]): one
+    /// splice at the place its first base sorts to.
+    pub fn insert_run(&mut self, run: &[Placement]) {
+        let (Some(first), Some(last)) = (run.first(), run.last()) else {
+            return;
+        };
+        let at = self.upper_bound(first.base);
+        debug_assert!(
+            run.windows(2).all(|w| w[0].base < w[1].base),
+            "unsorted run"
+        );
+        debug_assert!(
+            self.entries
+                .get(at)
+                .is_none_or(|next| next.base > last.base),
+            "a registered unit lies inside the run"
+        );
+        self.entries.splice(at..at, run.iter().copied());
+        if self.last_hit >= at {
+            self.last_hit += run.len();
+        }
     }
 
     /// Removes the unit based at exactly `base`.
     pub fn remove(&mut self, base: u64) -> Option<Placement> {
-        let at = self.upper_bound(base);
-        if at == 0 || self.entries[at - 1].base != base {
+        let at = self.upper_bound(base).checked_sub(1)?;
+        if self.entries[at].base != base {
             return None;
         }
-        let removed = self.entries.remove(at - 1);
-        self.last_hit = 0;
+        let removed = self.entries.remove(at);
+        self.forget(at, 1);
         Some(removed)
+    }
+
+    /// Removes a run (see [`Table::remove_run`]): one drain, provided
+    /// the entries from the run's first base on are exactly the run.
+    pub fn remove_run(&mut self, run: &[Placement]) -> bool {
+        let Some(first) = run.first() else {
+            return true;
+        };
+        let at = self.entries.partition_point(|p| p.base < first.base);
+        let end = at + run.len();
+        if self.entries.get(at..end) != Some(run) {
+            return false;
+        }
+        self.entries.drain(at..end);
+        self.forget(at, run.len());
+        true
+    }
+
+    /// Moves the memo past `n` entries removed at `at`: down when it
+    /// sat above them, nowhere when below, dropped when it was one.
+    fn forget(&mut self, at: usize, n: usize) {
+        if self.last_hit >= at + n {
+            self.last_hit -= n;
+        } else if self.last_hit >= at {
+            self.last_hit = 0;
+        }
     }
 
     /// Finds the unit whose range contains `addr`.
     pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
+        self.profile.lookups += 1;
         // Memo probe: server traffic touches the same unit in runs.
         if let Some(p) = self.entries.get(self.last_hit) {
             if p.base <= addr && addr - p.base < p.size {
                 return Some(*p);
             }
         }
+        self.profile.searches += 1;
         let at = self.upper_bound(addr);
         if at == 0 {
             return None;
@@ -252,6 +360,7 @@ pub struct SplayTable {
     root: NodeIdx,
     free: Vec<NodeIdx>,
     len: usize,
+    profile: LookupProfile,
 }
 
 impl SplayTable {
@@ -262,6 +371,7 @@ impl SplayTable {
             root: NONE,
             free: Vec::new(),
             len: 0,
+            profile: LookupProfile::default(),
         }
     }
 
@@ -468,9 +578,11 @@ impl SplayTable {
 
     /// Finds the unit whose range contains `addr`.
     pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
+        self.profile.lookups += 1;
         if self.root == NONE {
             return None;
         }
+        self.profile.searches += 1;
         let root = self.splay(self.root, addr);
         self.root = root;
         let mut at = root;
@@ -584,6 +696,161 @@ mod tests {
         t.insert(10 * 32, 16, UnitId(99));
         assert_eq!(t.lookup(10 * 32 + 3).unwrap().unit, UnitId(99));
         assert_eq!(t.lookup(40 * 32 + 3).unwrap().unit, UnitId(40));
+    }
+
+    /// A frame-shaped run: `n` units of varied sizes from `base` up,
+    /// with gaps between them.
+    fn run_at(base: u64, n: u64, first_id: u32) -> Vec<Placement> {
+        (0..n)
+            .map(|i| Placement {
+                base: base + i * 48,
+                size: 8 + i * 8,
+                unit: UnitId(first_id + i as u32),
+            })
+            .collect()
+    }
+
+    /// Every lookup that could tell two tables apart: each entry's
+    /// edges, one byte either side of them, and the middle.
+    fn probe_edges(t: &mut Table, of: &[Placement]) -> Vec<Option<Placement>> {
+        of.iter()
+            .flat_map(|p| {
+                let end = p.base + p.size;
+                [
+                    p.base - 1,
+                    p.base,
+                    p.base + 1,
+                    p.base + p.size / 2,
+                    end - 1,
+                    end,
+                    end + 1,
+                ]
+            })
+            .map(|a| t.lookup(a))
+            .collect()
+    }
+
+    #[test]
+    fn runs_equal_the_per_unit_operations_on_both_kinds() {
+        // Existing entries at 1000.., 5000.. and 9000..; runs under all
+        // of them, between two, over all, and empty.
+        let resident: Vec<Placement> = [1000, 5000, 9000]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &b)| run_at(b, 2, 100 + 10 * i as u32))
+            .collect();
+        let runs = [
+            run_at(200, 3, 1),
+            run_at(3000, 4, 1),
+            run_at(20_000, 2, 1),
+            run_at(7000, 1, 1),
+            Vec::new(),
+        ];
+        for kind in TableKind::ALL {
+            for run in &runs {
+                let (mut by_run, mut by_unit) = (Table::new(kind), Table::new(kind));
+                for t in [&mut by_run, &mut by_unit] {
+                    resident
+                        .iter()
+                        .for_each(|p| t.insert(p.base, p.size, p.unit));
+                }
+                by_run.insert_run(run);
+                run.iter()
+                    .for_each(|p| by_unit.insert(p.base, p.size, p.unit));
+                let all: Vec<Placement> = resident.iter().chain(run).copied().collect();
+                assert_eq!(by_run.len(), all.len(), "{kind}");
+                assert_eq!(
+                    probe_edges(&mut by_run, &all),
+                    probe_edges(&mut by_unit, &all)
+                );
+
+                assert!(by_run.remove_run(run), "{kind}: the run is registered");
+                for p in run.iter().rev() {
+                    assert_eq!(by_unit.remove(p.base), Some(*p), "{kind}");
+                }
+                assert_eq!(by_run.len(), resident.len(), "{kind}");
+                assert_eq!(
+                    probe_edges(&mut by_run, &all),
+                    probe_edges(&mut by_unit, &all)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_run_the_table_does_not_hold_exactly_is_refused() {
+        for kind in TableKind::ALL {
+            let mut t = Table::new(kind);
+            let run = run_at(4000, 3, 1);
+            t.insert_run(&run);
+            let mut renamed = run.clone();
+            renamed[2].unit = UnitId(77);
+            assert!(!t.remove_run(&renamed), "{kind}: another unit at a base");
+            let mut t = Table::new(kind);
+            t.insert_run(&run[..2]);
+            assert!(!t.remove_run(&run), "{kind}: a unit the table lacks");
+        }
+        let mut t = Table::new(TableKind::Flat);
+        let run = run_at(4000, 3, 1);
+        t.insert_run(&run);
+        let shifted: Vec<Placement> = run
+            .iter()
+            .map(|p| Placement {
+                base: p.base + 1,
+                ..*p
+            })
+            .collect();
+        assert!(!t.remove_run(&shifted), "a run must start at an entry");
+        assert!(!t.remove_run(&[run[0], run[2]]), "and be contiguous");
+        assert_eq!(t.len(), 3, "a refused run leaves the flat table whole");
+    }
+
+    #[test]
+    fn flat_memo_follows_its_entry_across_inserts_and_removals() {
+        let mut t = FlatTable::new();
+        let run = run_at(10_000, 4, 1);
+        for i in 0..8u64 {
+            t.insert(i * 1000, 16, UnitId(50 + i as u32));
+        }
+        t.insert_run(&run);
+        let hot = 5 * 1000 + 3;
+        let memo_hits = |t: &mut FlatTable| {
+            let before = t.profile;
+            assert_eq!(t.lookup(hot).map(|p| p.unit), Some(UnitId(55)));
+            t.profile.searches == before.searches
+        };
+        assert!(!memo_hits(&mut t), "the first lookup searches");
+        assert!(memo_hits(&mut t));
+        assert_eq!(t.remove(7000).map(|p| p.unit), Some(UnitId(57)));
+        assert!(memo_hits(&mut t), "a removal above keeps the memo");
+        assert!(t.remove_run(&run));
+        assert!(memo_hits(&mut t), "a run removed above keeps the memo");
+        assert_eq!(t.remove(1000).map(|p| p.unit), Some(UnitId(51)));
+        assert!(memo_hits(&mut t), "a removal below shifts the memo");
+        t.insert(1000, 16, UnitId(91));
+        assert!(memo_hits(&mut t), "an insert below shifts the memo");
+        t.insert_run(&run_at(100, 3, 1));
+        assert!(memo_hits(&mut t), "a run inserted below shifts the memo");
+        assert!(t.remove_run(&run_at(100, 3, 1)));
+        assert!(memo_hits(&mut t), "a run removed below shifts the memo");
+        assert_eq!(t.remove(5000).map(|p| p.unit), Some(UnitId(55)));
+        assert_eq!(t.lookup(hot), None, "the memo dies with its entry");
+    }
+
+    #[test]
+    fn the_profile_counts_what_each_kind_searched() {
+        for kind in TableKind::ALL {
+            let mut t = Table::new(kind);
+            t.insert_run(&run_at(100, 3, 1));
+            for a in [100, 101, 102, 150, 151] {
+                t.lookup(a);
+            }
+            let profile = t.lookup_profile();
+            assert_eq!(profile.lookups, 5, "{kind}");
+            // The flat memo answers the repeats; the oracle has no memo.
+            let searches = if kind == TableKind::Flat { 2 } else { 5 };
+            assert_eq!(profile.searches, searches, "{kind}");
+        }
     }
 
     #[test]

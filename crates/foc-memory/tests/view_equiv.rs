@@ -114,14 +114,23 @@ fn churn(mode: Mode, table: TableKind, script: &[(u8, u64)]) -> World {
             }
             3 => {
                 if frames.len() < 6 {
-                    let total = 32 + (amount % 8) * 16;
-                    let base = space.push_frame(total).expect("stack has room");
+                    // 0–4 locals of 1–64 bytes, laid out the way the
+                    // compiler lays out a frame: increasing 8-aligned
+                    // offsets with a gap after each.
+                    let mut bits = amount.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let (mut slots, mut total) = (Vec::new(), 0);
+                    for _ in 0..amount % 5 {
+                        let size = 1 + (bits >> 58);
+                        bits = bits.rotate_left(6);
+                        slots.push((total, size));
+                        total = (total + size + 8).next_multiple_of(8);
+                    }
+                    let base = space.push_frame(total, &slots).expect("stack has room");
                     let before = live.len();
-                    space.register_local(base, 0, 8);
-                    space.register_local(base, 16, total - 16);
-                    live.push((base, 8));
-                    live.push((base + 16, total - 16));
-                    space.write_raw(base + 16, AccessSize::B8, amount);
+                    for &(off, size) in &slots {
+                        live.push((base + off, size));
+                        space.write_raw(base + off, AccessSize::B1, amount);
+                    }
                     frames.push((base, total, before));
                 }
             }
@@ -413,9 +422,7 @@ proptest! {
                 let mut a = MemorySpace::new(config(mode, table));
                 let g = a.alloc_global(40, "g").expect("global fits");
                 let (h1, h2) = (a.malloc(64).expect("room"), a.malloc(24).expect("room"));
-                let frame = a.push_frame(48).expect("stack has room");
-                a.register_local(frame, 0, 8);
-                a.register_local(frame, 16, 32);
+                let frame = a.push_frame(48, &[(0, 8), (16, 32)]).expect("stack has room");
                 let units = [(g, 40), (h1, 64), (h2, 24), (frame + 16, 32)];
                 for &(base, size) in &units {
                     prop_assert!(a.write_bytes_raw(base, &vec![0x5a; size as usize]));
@@ -459,7 +466,7 @@ proptest! {
         let total = total * 16;
         let off = (slot * 8) % (total as u32 - 8);
         let mut a = MemorySpace::new(config(Mode::FailureOblivious, TableKind::Flat));
-        let base = a.push_frame(total).expect("stack has room");
+        let base = a.push_frame(total, &[]).expect("stack has room");
         let mut b = a.clone();
         let mut view = a.native_view(base, total);
         view.local_put(off, SIZES[size], value);
@@ -482,8 +489,9 @@ fn uncommitted_chunks_miss_until_the_fallback_commits_them() {
         let mut s = MemorySpace::new(sized_config(mode, TableKind::Flat, HEAP, STACK));
         let block = s.malloc(1 << 20).expect("heap has room");
         let top = STACK_BASE + STACK as u64;
-        let frame = s.push_frame(512 << 10).expect("stack has room");
-        s.register_local(frame, 0, 512 << 10);
+        let frame = s
+            .push_frame(512 << 10, &[(0, 512 << 10)])
+            .expect("stack has room");
         for addr in [block + (600 << 10), frame + 64] {
             let before = sized_snapshot(&s, HEAP, STACK);
             assert!(
@@ -504,6 +512,48 @@ fn uncommitted_chunks_miss_until_the_fallback_commits_them() {
             s.store(addr, AccessSize::B8, 7, CTX).expect("in bounds");
             assert!(s.native_view(top, 0).store(addr, AccessSize::B8, 9));
             assert_eq!(s.native_view(top, 0).load(addr, AccessSize::B8), Some(9));
+        }
+    }
+}
+
+/// A placement memo must not outlive the units it remembers. Warm one
+/// on a local (the store span) and on a heap block (the load span), end
+/// the view, pop the frame and free the block, then place smaller units
+/// at the same two bases: a span that survived into the next view would
+/// let it reach past their ends. Every probe through the new view must
+/// equal the full routine, hit or miss. (Each view starts with an empty
+/// memo today; this is the test a memo carried between views must pass.)
+#[test]
+fn a_memo_dies_with_its_units() {
+    const FRAME: u64 = 64;
+    for mode in [Mode::FailureOblivious, Mode::BoundsCheck, Mode::Standard] {
+        for table in TableKind::ALL {
+            let mut space = MemorySpace::new(config(mode, table));
+            let frame = space
+                .push_frame(FRAME, &[(0, 8), (16, 48)])
+                .expect("stack has room");
+            let block = space.malloc(64).expect("heap has room");
+            let mut view = space.native_view(frame, FRAME);
+            assert!(view.idx_store(frame + 16, 40, AccessSize::B8, 7));
+            assert_eq!(view.idx_load(block, 56, AccessSize::B8), Some(0));
+            space.pop_frame().expect("canary intact");
+            space.free(block, CTX).expect("live block frees");
+
+            let again = space.push_frame(FRAME, &[(16, 8)]).expect("stack has room");
+            let small = space.malloc(16).expect("heap has room");
+            assert_eq!((again, small), (frame, block), "{mode:?}: same bases");
+            let w = World {
+                space,
+                pointers: Vec::new(),
+                frame: (frame, FRAME),
+            };
+            for ptr in [frame + 16, block] {
+                for delta in [0, 7, 8, 15, 16, 40, 56, -1] {
+                    for size in SIZES {
+                        check_probe(&w, ptr, delta, size, 0x5a5a);
+                    }
+                }
+            }
         }
     }
 }

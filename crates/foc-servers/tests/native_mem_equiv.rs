@@ -760,9 +760,9 @@ fn shim_shapes(m: &mut Machine, roomy: bool) -> Vec<(&'static str, u64, u64, i64
     let glob_a = global("glob_a", &unit_bytes(b"g", 24));
     let glob_b = global("glob_b", &unit_bytes(b"5150", 24));
 
-    let frame = space.push_frame(64).expect("stack has room");
-    space.register_local(frame, 0, 24);
-    space.register_local(frame, 32, 24);
+    let frame = space
+        .push_frame(64, &[(0, 24), (32, 24)])
+        .expect("stack has room");
     let (stack_a, stack_b) = (frame, frame + 32);
     assert!(space.write_bytes_raw(stack_a, &unit_bytes(b"s", 24)));
     assert!(space.write_bytes_raw(stack_b, &unit_bytes(b"2552", 24)));

@@ -1026,10 +1026,7 @@ impl Machine {
             self.stats.cycles += slots.len() as u64 * cost::LOCAL_REG_EXTRA;
             self.profile.locals_registered += slots.len() as u64;
         }
-        let base = self.space.push_frame(func.frame.total)?;
-        for &(off, size) in slots {
-            self.space.register_local(base, off, size);
-        }
+        let base = self.space.push_frame(func.frame.total, slots)?;
         let floor = self.stack.len() - argc;
         for (&arg, &(off, size)) in self.stack[floor..].iter().zip(slots) {
             let acc = AccessSize::from_bytes(size.clamp(1, 8).next_power_of_two().min(8));

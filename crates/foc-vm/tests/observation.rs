@@ -1,9 +1,10 @@
 //! The equivalence relation itself ([`Observation`]): every surface in
-//! it is load-bearing, and what is kept out of it ([`ExecProfile`]) may
-//! differ between runs the relation calls equal.
+//! it is load-bearing, and what is kept out of it ([`ExecProfile`], the
+//! table's [`LookupProfile`](foc_memory::LookupProfile)) may differ
+//! between runs the relation calls equal.
 
 use foc_compiler::{compile_image_tier, ExecTier};
-use foc_memory::{Mode, ValueSequence};
+use foc_memory::{Mode, TableKind, ValueSequence};
 use foc_vm::{ExecProfile, Machine, MachineConfig, Observation, VmFault};
 
 /// Four reads past `a`, each indexed by the value the one before
@@ -101,4 +102,27 @@ fn the_tiers_differ_in_their_profiles_and_agree_on_the_observation() {
         "{lowered:?}"
     );
     assert_eq!(baseline, native);
+}
+
+#[test]
+fn the_tables_differ_in_their_lookup_profiles_and_agree_on_the_observation() {
+    let run_on = |table| {
+        let image = compile_image_tier(SOURCE, ExecTier::Native).expect("source builds");
+        let mut m = Machine::load(image, base_config().with_table(table)).expect("load");
+        m.call("f", &[3])
+            .expect_err("every run here ends in a fault");
+        (m.observe(), m.space().lookup_profile())
+    };
+    let (oracle, searched) = run_on(TableKind::Splay);
+    let (shipped, memoised) = run_on(TableKind::Flat);
+    assert_eq!(
+        searched.lookups, memoised.lookups,
+        "the same accesses reach the table"
+    );
+    assert_eq!(
+        searched.searches, searched.lookups,
+        "the oracle has no memo"
+    );
+    assert!(memoised.searches < memoised.lookups, "{memoised:?}");
+    assert_eq!(oracle, shipped);
 }

@@ -9,9 +9,10 @@
 //! `BootSpec::new` (the shipped default) over the farm's standard
 //! environment and driven through the farm's request classes in their
 //! stream weights — ten benign requests per round plus the workload's
-//! attack share. Everything printed comes from `Machine::exec_profile`
-//! and `Machine::stats`; a Bounds Check process an attack kills is
-//! replaced the way the supervisor would, its counts kept.
+//! attack share. Everything printed comes from `Machine::exec_profile`,
+//! `Machine::stats` and the space's lookup profile; a Bounds Check
+//! process an attack kills is replaced the way the supervisor would, its
+//! counts kept.
 //!
 //! What is not `native` is either a call/return instruction or a byte
 //! iteration of a libc-shim builtin: `builtin` is the builtins' share of
@@ -23,9 +24,13 @@
 //! `ops/instr` is what the native executor dispatched — per region
 //! entered: the entry, each op, the terminator — per instruction the
 //! process retired: the count the lowering's folds move (0.55 / 0.87 /
-//! 0.87 / 1.02 before PR 19). `-- --check` exits 1 when a row exceeds
-//! its committed ceiling.
+//! 0.87 / 1.02 before PR 19). `lookups` are the object table's
+//! (`MemorySpace::lookup_profile`): every access the native view's memo
+//! did not answer, plus the interpreter's and the builtins'; `searches`
+//! those the table's own memo did not answer either. `-- --check` exits
+//! 1 when a row exceeds either committed ceiling.
 
+use failure_oblivious::memory::LookupProfile;
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
 use failure_oblivious::servers::{BootSpec, Process, ServerKind};
 use failure_oblivious::vm::ExecProfile;
@@ -38,11 +43,15 @@ struct Tally {
     instrs: u64,
     calls: u64,
     profile: ExecProfile,
+    lookups: LookupProfile,
 }
 
 impl Tally {
     fn add(&mut self, process: &Process) {
         let (stats, p) = (process.machine().stats(), process.machine().exec_profile());
+        let table = process.machine().space().lookup_profile();
+        self.lookups.lookups += table.lookups;
+        self.lookups.searches += table.searches;
         self.instrs += stats.instrs;
         self.calls += stats.calls;
         self.profile.native_instrs += p.native_instrs;
@@ -143,7 +152,7 @@ fn main() {
         }
     };
     println!(
-        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
+        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
         "workload",
         "instrs",
         "native",
@@ -156,29 +165,47 @@ fn main() {
         "view-miss",
         "faults",
         "calls",
-        "locals"
+        "locals",
+        "lookups",
+        "searches"
     );
-    // Beside each row, the `ops/instr` it may not exceed under
-    // `--check`: what the committed lowering produces, rounded up in the
-    // fourth place. The count repeats exactly, so any excess is a
-    // lowering regression, not noise; lower a ceiling when the lowering
-    // improves.
+    // Beside each row, the `ops/instr` and the table `searches` it may
+    // not exceed under `--check`: what the committed lowering and memos
+    // produce, rounded up in the fourth significant place. Both counts
+    // repeat exactly, so any excess is a regression, not noise — a fold
+    // that stopped firing, or a memo that stopped serving; lower a
+    // ceiling when the code improves.
     let runs = [
-        ("mc_copy", 0.1838, mc_run()),
-        ("apache_edge", 0.3408, apache_run(Mode::FailureOblivious, 8)),
-        ("apache_flood", 0.3310, apache_run(Mode::BoundsCheck, 2)),
-        ("pine_mail", 0.4030, pine_run()),
+        ("mc_copy", 0.1838, 61090, mc_run()),
+        (
+            "apache_edge",
+            0.3408,
+            1947,
+            apache_run(Mode::FailureOblivious, 8),
+        ),
+        (
+            "apache_flood",
+            0.3310,
+            2617,
+            apache_run(Mode::BoundsCheck, 2),
+        ),
+        ("pine_mail", 0.4030, 3466, pine_run()),
     ];
     let mut over = false;
-    for (name, ceiling, t) in runs {
+    for (name, ceiling, search_ceiling, t) in runs {
         let p = t.profile;
         let ops_per_instr = p.native_ops as f64 / t.instrs.max(1) as f64;
         if check && ops_per_instr > ceiling {
             eprintln!("residency --check: {name} dispatches {ops_per_instr:.4} ops/instr, committed ceiling {ceiling}");
             over = true;
         }
+        let searches = t.lookups.searches;
+        if check && searches > search_ceiling {
+            eprintln!("residency --check: {name} searched its object table {searches} times, committed ceiling {search_ceiling}");
+            over = true;
+        }
         println!(
-            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7}",
+            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
             name,
             t.instrs,
             100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
@@ -191,7 +218,9 @@ fn main() {
             p.view_misses,
             p.faults,
             t.calls,
-            p.locals_registered
+            p.locals_registered,
+            t.lookups.lookups,
+            searches
         );
     }
     if over {
