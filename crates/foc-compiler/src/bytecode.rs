@@ -151,6 +151,22 @@ impl CmpOp {
         }
     }
 
+    /// The comparison with its operands exchanged (`b op a` as another
+    /// `CmpOp` on `(a, b)`).
+    pub fn mirror(self) -> CmpOp {
+        match self {
+            CmpOp::Eq | CmpOp::Ne => self,
+            CmpOp::LtS => CmpOp::GtS,
+            CmpOp::LtU => CmpOp::GtU,
+            CmpOp::LeS => CmpOp::GeS,
+            CmpOp::LeU => CmpOp::GeU,
+            CmpOp::GtS => CmpOp::LtS,
+            CmpOp::GtU => CmpOp::LtU,
+            CmpOp::GeS => CmpOp::LeS,
+            CmpOp::GeU => CmpOp::LeU,
+        }
+    }
+
     /// The logical negation (`!(a op b)` as another `CmpOp`).
     pub fn negate(self) -> CmpOp {
         match self {

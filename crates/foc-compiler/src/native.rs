@@ -55,8 +55,27 @@
 //! summed ([`absorb`]): the loop latch carries the loop head's compare,
 //! and the `&&`/`||` short-circuit's `Const; JumpIfZero` folds to a
 //! jump. The absorbed region still exists for whoever enters at its pc.
-//! Last of all, each 8-byte frame-slot operand is sealed to the kind the
+//! Then each 8-byte frame-slot operand is sealed to the kind the
 //! executor decodes in one step ([`Src::Slot8`]).
+//!
+//! ## Counted loops
+//!
+//! Last, a region looping onto itself through a fused latch on an 8-byte
+//! counter `k`, its body only indexed accesses at `k` (`counted`), ends in
+//! [`Term::Counted`]. When its latch points back, the executor proves how
+//! many more passes are hits and batches them: no probe, operand decode or
+//! frame-slot traffic. Its proof (`NativeView::prove`) holds each pass to:
+//!
+//! * **unit** — each access stays in its base's unit (Standard: window);
+//! * **window** — each access lies in the committed window;
+//! * **store alias** — no store meets a frame slot the loop reads
+//!   (counter, bound, base), no load the counter;
+//! * **counter and `k·esz` overflow** — both exact in `i64`;
+//! * **fuel** — the fuel left covers each pass's whole charge.
+//!
+//! A batch stops before the first pass it cannot prove and runs nothing
+//! below two: violations, manufactured values, fault seams and fuel-short
+//! exits stay on the ordinary path.
 //!
 //! ## Deopt contract
 //!
@@ -130,6 +149,9 @@ impl NativeProgram {
     }
 }
 
+/// Most accesses in a counted loop's body (the measured loops have two).
+pub const COUNTED_ACCESSES: usize = 4;
+
 /// One function's lowered regions plus the pc → region map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NativeFunc {
@@ -137,6 +159,42 @@ pub struct NativeFunc {
     pub entry: Vec<u32>,
     /// The regions, in discovery order.
     pub regions: Vec<NativeRegion>,
+    /// The counted loops [`Term::Counted`] indexes.
+    pub loops: Vec<CountedLoop>,
+}
+
+/// A counted loop's latch, kept aside so [`Term`] keeps its size.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CountedLoop {
+    /// Frame offset of the 8-byte counter `k`.
+    pub counter: u32,
+    /// What the latch adds to `k`.
+    pub delta: i64,
+    /// What the stepped `k` is compared against.
+    pub bound: Src,
+    /// `k op bound`: the loop goes round again when it holds.
+    pub op: CmpOp,
+    /// The region itself.
+    pub back: Succ,
+    /// Where the loop leaves to.
+    pub exit: Succ,
+}
+
+impl CountedLoop {
+    /// The frame bytes `[start, end)` the loop over `ops` reads: the
+    /// counter's first, then the bound's and each base pointer's.
+    pub fn reads(self, ops: &[NOp]) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let bases = ops.iter().filter_map(|op| match *op {
+            NOp::IdxLoad { ptr, .. } | NOp::IdxStore { ptr, .. } => Some(ptr),
+            _ => None,
+        });
+        let srcs = [Src::Slot8(self.counter), self.bound].into_iter();
+        srcs.chain(bases).filter_map(|s| match s {
+            Src::Slot { off, size, .. } => Some((off as u64, off as u64 + size.bytes())),
+            Src::Slot8(off) => Some((off as u64, off as u64 + 8)),
+            _ => None,
+        })
+    }
 }
 
 /// A maximal straight-line run: register-form ops plus a terminator.
@@ -495,6 +553,8 @@ pub enum Term {
         /// Successor otherwise.
         fall: Succ,
     },
+    /// The latch of the counted loop at this [`NativeFunc::loops`] index.
+    Counted(u32),
 }
 
 /// Sign- or zero-extends the low `size` bytes of `raw`.
@@ -639,7 +699,7 @@ impl Term {
     /// The compare operands, for the folding pass.
     fn operands(&mut self) -> impl Iterator<Item = &mut Src> {
         match self {
-            Term::Goto(_) => [None, None],
+            Term::Goto(_) | Term::Counted(_) => [None, None],
             Term::Branch { a, b, .. } | Term::IncBranch { a, b, .. } => [Some(a), Some(b)],
         }
         .into_iter()
@@ -650,10 +710,11 @@ impl Term {
         self.operands().any(|s| *s == Src::Reg(r))
     }
 
-    /// The successors, for linking.
+    /// The successors, for linking (before the region's loop counts).
     fn succs(&mut self) -> impl Iterator<Item = &mut Succ> {
         match self {
             Term::Goto(s) => [Some(s), None],
+            Term::Counted(_) => [None, None],
             Term::Branch { taken, fall, .. } | Term::IncBranch { taken, fall, .. } => {
                 [Some(taken), Some(fall)]
             }
@@ -1117,6 +1178,7 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     }
     // Pass 4 — thread the edges, then seal: every fold is done, so what
     // lowering knows about an 8-byte slot is decided once, not per run.
+    // Last, a sealed self-loop may count ("Counted loops").
     let seal = |s: &mut Src| {
         if let Src::Slot { off, size, .. } = *s {
             if size == AccessSize::B8 {
@@ -1124,6 +1186,7 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
             }
         }
     };
+    let mut loops = Vec::new();
     for at in 0..regions.len() {
         let mut term = regions[at].term;
         term.succs().for_each(|s| thread(&regions, s));
@@ -1136,8 +1199,70 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
                 }
             });
         }
+        if let Some(lp) = counted(&regions[at], at as u32) {
+            regions[at].term = Term::Counted(loops.len() as u32);
+            loops.push(lp);
+        }
     }
-    NativeFunc { entry, regions }
+    NativeFunc {
+        entry,
+        regions,
+        loops,
+    }
+}
+
+/// The loop region `at` counts, if any: a latch on an 8-byte slot `k`
+/// back into `at` (unthreaded) and out elsewhere, no stack traffic, up to
+/// [`COUNTED_ACCESSES`] accesses at `k` storing registers or constants,
+/// each base an address or a slot clear of `k`, the bound a constant too.
+fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
+    let Term::IncBranch {
+        off,
+        delta,
+        size: AccessSize::B8,
+        a,
+        b,
+        op,
+        taken,
+        fall,
+        ..
+    } = region.term
+    else {
+        return None;
+    };
+    let k = Src::Slot8(off);
+    let (op, bound) = if a == k { (op, b) } else { (op.mirror(), a) };
+    let (op, back, exit) = if taken.region == at {
+        (op, taken, fall)
+    } else {
+        (op.negate(), fall, taken)
+    };
+    let value = |s: Src| matches!(s, Src::Reg(_) | Src::Const(_));
+    let access = |op: &NOp| match *op {
+        NOp::IdxLoad { ptr, count, .. } => count == k && !value(ptr),
+        NOp::IdxStore {
+            ptr, count, val, ..
+        } => count == k && !value(ptr) && value(val),
+        _ => false,
+    };
+    let lp = CountedLoop {
+        counter: off,
+        delta,
+        bound,
+        op,
+        back,
+        exit,
+    };
+    let clear_of_k = |(lo, hi)| hi <= off as u64 || lo >= off as u64 + 8;
+    let fits = (a == k || b == k)
+        && (back.region, back.skip) == (at, 0)
+        && exit.region != at
+        && (region.consumes, region.produces) == (0, 0)
+        && (1..=COUNTED_ACCESSES).contains(&region.ops.len())
+        && region.ops.iter().all(access)
+        && !matches!(bound, Src::Reg(_))
+        && lp.reads(&region.ops).skip(1).all(clear_of_k);
+    fits.then_some(lp)
 }
 
 /// Points `s` past the op-less, stack-neutral jumps it lands on (what
@@ -1648,15 +1773,29 @@ mod tests {
         // The `mem_cost` copy shape: the loop body's `dst[i] = src[i]`
         // is address arithmetic plus two checked accesses. Folded, it
         // is two indexed ops naming the array bases and the index slot
-        // directly, and the latch is the terminator.
+        // directly, and the latch is the terminator — a counted loop's,
+        // looping back on the index slot.
         let src = "long f(long n) { long src[4]; long dst[4]; long i; \
                    for (i = 0; i < n; i++) dst[i] = src[i]; return dst[0]; }";
         let native = lower(src);
-        let body = native[0]
+        let nf = &native[0];
+        let at = nf
             .regions
             .iter()
-            .find(|r| matches!(r.term, Term::IncBranch { .. }))
-            .expect("the copy loop's body ends in the fused latch");
+            .position(|r| matches!(r.term, Term::Counted(0)))
+            .expect("the copy loop's body ends in the counted latch");
+        let body = &nf.regions[at];
+        let [CountedLoop {
+            counter,
+            delta: 1,
+            op: CmpOp::LtS,
+            back,
+            ..
+        }] = nf.loops[..]
+        else {
+            panic!("one counted loop, going round while i < n: {nf:?}");
+        };
+        assert_eq!((back.region, back.skip), (at as u32, 0));
         let [NOp::IdxLoad {
             dst,
             ptr: Src::Addr(from),
@@ -1677,7 +1816,69 @@ mod tests {
         };
         assert_ne!(from, to);
         assert_eq!((count, val), (i, Src::Reg(dst)));
+        assert_eq!(i, Src::Slot8(counter));
         assert_eq!(body.dispatches, 4, "entry, load, store, latch");
+    }
+
+    #[test]
+    fn loops_outside_the_counted_shape_keep_their_latch() {
+        // Each loop differs from the copy loop in one obligation.
+        for body in [
+            // A 4-byte counter.
+            "int i; for (i = 0; i < n; i++) d[i] = s[i];",
+            // An ALU op in the body.
+            "long i; for (i = 0; i < n; i++) d[i] = s[i] + 1;",
+            // Two regions: the body branches.
+            "long i; for (i = 0; i < n; i++) if (s[i]) d[i] = 1;",
+        ] {
+            let src = format!("long f(long n) {{ long s[4]; long d[4]; {body} return d[0]; }}");
+            let native = lower(&src);
+            assert!(native[0].loops.is_empty(), "`{body}`: {native:?}");
+            assert!(has_term(&native, |t| matches!(t, Term::IncBranch { .. })));
+        }
+        // The copy loop's region with its latch put back is counted; one
+        // step away from the shape, it is not.
+        let nf = &lower(
+            "long f(long n) { long s[4]; long d[4]; long i; \
+             for (i = 0; i < n; i++) d[i] = s[i]; return d[0]; }",
+        )[0];
+        let lp = nf.loops[0];
+        let at = lp.back.region;
+        let mut region = nf.regions[at as usize].clone();
+        let latch = |size, back: Succ| Term::IncBranch {
+            off: lp.counter,
+            delta: lp.delta,
+            size,
+            signed: true,
+            a: Src::Slot8(lp.counter),
+            b: lp.bound,
+            op: lp.op,
+            taken: back,
+            fall: lp.exit,
+        };
+        region.term = latch(B8, lp.back);
+        assert_eq!(counted(&region, at), Some(lp));
+        let threaded = Succ { skip: 1, ..lp.back };
+        for term in [latch(B4, lp.back), latch(B8, threaded)] {
+            let region = NativeRegion {
+                term,
+                ..region.clone()
+            };
+            assert_eq!(counted(&region, at), None, "{region:?}");
+        }
+        let NOp::IdxLoad { dst, .. } = region.ops[0] else {
+            panic!("{region:?}");
+        };
+        let mut own_base = region.clone();
+        if let NOp::IdxLoad { ptr, .. } = &mut own_base.ops[0] {
+            *ptr = Src::Slot8(lp.counter);
+        }
+        let mut alu = region.clone();
+        let (a, b, op) = (Src::Reg(dst), Src::Const(1), AluOp::Add);
+        alu.ops.insert(1, NOp::Alu { dst, a, b, op });
+        for shape in [own_base, alu] {
+            assert_eq!(counted(&shape, at), None, "{shape:?}");
+        }
     }
 
     #[test]

@@ -443,16 +443,20 @@ mod tests {
         // `for (k = 0; k < words; k++) d[k] = s[k];` is what `mc_copy`
         // spends its time in: two indexed accesses and the latch, every
         // pointer, count and compare operand an 8-byte slot sealed to
-        // the one-step kind.
-        use foc_compiler::native::{NOp, Src, Term};
+        // the one-step kind — and the latch a counted loop's, so its
+        // passes run in batches.
+        use foc_compiler::native::{CountedLoop, NOp, Src, Term};
+        use foc_compiler::CmpOp;
         let image = foc_compiler::compile_image_tier(MC_SOURCE, foc_compiler::ExecTier::Native)
             .expect("MC compiles");
         let fid = image.func_index("mc_copy_file").expect("function exists");
-        let regions = &image.native_func(fid).expect("native image").regions;
-        let mut latches = regions
+        let nf = image.native_func(fid).expect("native image");
+        let mut latches = nf
+            .regions
             .iter()
-            .filter(|r| matches!(r.term, Term::IncBranch { .. }));
-        let body = latches.next().expect("the copy loop's fused latch");
+            .enumerate()
+            .filter(|(_, r)| matches!(r.term, Term::IncBranch { .. } | Term::Counted(_)));
+        let (at, body) = latches.next().expect("the copy loop's fused latch");
         assert!(latches.next().is_none(), "one counted loop");
         let [NOp::IdxLoad {
             dst,
@@ -471,17 +475,21 @@ mod tests {
             panic!("body is one indexed load and one indexed store: {body:?}");
         };
         assert!(s != d && k == k2 && v == dst, "{body:?}");
-        let Term::IncBranch {
-            off,
+        assert_eq!(body.term, Term::Counted(0), "{body:?}");
+        let [CountedLoop {
+            counter,
             delta: 1,
-            a: Src::Slot8(counter),
-            b: Src::Slot8(words),
-            ..
-        } = body.term
+            bound: Src::Slot8(words),
+            op: CmpOp::LtS,
+            back,
+            exit,
+        }] = nf.loops[..]
         else {
-            panic!("latch compares two sealed slots: {body:?}");
+            panic!("latch compares k < words, two sealed slots: {:?}", nf.loops);
         };
-        assert!(off == k && counter == k && words != k, "{body:?}");
+        assert!(counter == k && words != k, "{:?}", nf.loops);
+        assert_eq!((back.region, back.skip), (at as u32, 0));
+        assert_ne!(exit.region, at as u32);
     }
 
     #[test]

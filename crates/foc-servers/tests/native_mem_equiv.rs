@@ -610,6 +610,228 @@ fn a_region_too_deep_for_the_register_file_runs_interpreted() {
     );
 }
 
+// ---------------------------------------------------------------------
+// Counted loops: a copy loop's passes run in proven batches.
+// ---------------------------------------------------------------------
+
+/// `2^63 − 6`: a counter that wraps six latches in.
+const NEAR_MAX: &str = "9223372036854775802";
+/// `2^60 − 3`: a long index whose `k·8` leaves `i64` three passes in.
+const NEAR_SCALED_MAX: &str = "1152921504606846973";
+
+/// One counted-loop shape: a function `f(n)` over units whose ends are
+/// `ends` elements in, and in which modes its copy loop must batch.
+struct Counted {
+    name: &'static str,
+    source: String,
+    ends: &'static [i64],
+    /// Batches fire in the checked modes (some length).
+    checked: bool,
+    /// Batches fire in Standard mode (some length).
+    standard: bool,
+}
+
+/// `f(n)` fills `s`, runs `copy` and sums `d`'s `len` elements; `decls`
+/// declares `s`, `d`, `k` and whatever else `copy` names.
+fn counted_source(decls: &str, copy: &str, len: i64) -> String {
+    format!(
+        "long f(long n) {{\n\
+             {decls} long t = 0; long j;\n\
+             for (j = 0; j < {len}; j++) s[j] = j * 5 - 40;\n\
+             {copy}\n\
+             for (j = 0; j < {len}; j++) t = t * 3 + d[j];\n\
+             return t;\n\
+         }}"
+    )
+}
+
+fn counted_shapes() -> Vec<Counted> {
+    let up = "for (k = 0; k < n; k++) d[k] = s[k];";
+    let shape = |name, decls: &str, copy: &str, len, ends, checked| Counted {
+        name,
+        source: counted_source(decls, copy, len),
+        ends,
+        checked,
+        standard: true,
+    };
+    vec![
+        shape(
+            "local → local",
+            "long s[16]; long d[16]; long k;",
+            up,
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "heap → heap",
+            "long *s = (long *) malloc(128); long *d = (long *) malloc(128); long k;",
+            up,
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "char",
+            "char s[24]; char d[24]; long k;",
+            up,
+            24,
+            &[24],
+            true,
+        ),
+        shape(
+            "off the source first",
+            "long s[8]; long d[16]; long k;",
+            up,
+            8,
+            &[8, 16],
+            true,
+        ),
+        shape(
+            "forward overlap",
+            "long a[16]; long *s = a; long *d = a + 1; long k;",
+            up,
+            15,
+            &[15],
+            true,
+        ),
+        shape(
+            "backward overlap",
+            "long a[16]; long *s = a + 1; long *d = a; long k;",
+            up,
+            15,
+            &[15],
+            true,
+        ),
+        // Four slots of `pad` and the gap below `k`, then `k` itself:
+        // Standard batches the prefix, the checked modes see a pointer
+        // out of its unit.
+        shape(
+            "a store through &k",
+            "long s[16]; long pad[8]; long k; long *d = &k - 6;",
+            up,
+            4,
+            &[6],
+            false,
+        ),
+        // The same for a load: the batch holds `k` in a register.
+        shape(
+            "a load through &k",
+            "long s[16]; long d[16]; long k; long *y = &k - 4;",
+            "for (k = 0; k < n; k++) d[k] = y[k];",
+            16,
+            &[4],
+            false,
+        ),
+        // Past `d` and the 16-byte gap between locals, `d[6]` is `k`.
+        shape(
+            "past the buffer into the frame",
+            "long s[16]; long d[4]; long k;",
+            up,
+            4,
+            &[4, 6],
+            true,
+        ),
+        shape(
+            "k--",
+            "long s[16]; long d[16]; long k;",
+            "for (k = n - 1; k >= 0; k--) d[k] = s[k];",
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "counter near i64::MAX",
+            "char s[16]; char d[16]; long k; char *x = d; char *y = s;",
+            &format!(
+                "x = x - {NEAR_MAX}; y = y - {NEAR_MAX}; long end = {NEAR_MAX} + n; \
+                 for (k = {NEAR_MAX}; k != end; k++) x[k] = y[k];"
+            ),
+            16,
+            &[16],
+            false,
+        ),
+        shape(
+            "k·esz past i64",
+            "long s[16]; long d[16]; long k; long *x = d; long *y = s;",
+            &format!(
+                "x = x - {NEAR_SCALED_MAX}; y = y - {NEAR_SCALED_MAX}; \
+                 long end = {NEAR_SCALED_MAX} + n; \
+                 for (k = {NEAR_SCALED_MAX}; k != end; k++) x[k] = y[k];"
+            ),
+            16,
+            &[16],
+            false,
+        ),
+    ]
+}
+
+/// Both tiers of one counted-loop run; the native one's batch count.
+fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64) {
+    let [(baseline, _), (native, batches)] = images.clone().map(|image| {
+        let mut m = Machine::load(image, config.clone()).expect("load");
+        ((m.call("f", &[n]), m.observe()), m.exec_profile().batches)
+    });
+    assert_eq!(baseline, native, "native must match baseline at n = {n}");
+    (native, batches)
+}
+
+fn counted_images(source: &str) -> [ProgramImage; 2] {
+    [ExecTier::Baseline, ExecTier::Native]
+        .map(|tier| compile_image_tier(source, tier).expect("source builds"))
+}
+
+/// Every shape × every mode × lengths straddling each unit's end: the
+/// native tier equals the baseline on the result and the `Observation`,
+/// and batches fire exactly in the modes the shape says — the checked
+/// modes refuse a base pointer out of its unit, and a loop nobody
+/// batches cannot pass this vacuously.
+#[test]
+fn counted_loops_batch_only_what_they_prove() {
+    for shape in counted_shapes() {
+        let images = counted_images(&shape.source);
+        let mut lengths = vec![0, 1, 2, shape.ends[shape.ends.len() - 1] + 40];
+        for &end in shape.ends {
+            lengths.extend([end - 1, end, end + 1]);
+        }
+        for mode in Mode::ALL {
+            let config = MachineConfig::with_mode(mode).with_fuel(100_000);
+            let mut batches = 0;
+            for &n in &lengths {
+                batches += counted_run(&images, &config, n).1;
+            }
+            let want = if mode.is_checked() {
+                shape.checked
+            } else {
+                shape.standard
+            };
+            assert_eq!(batches > 0, want, "{} under {mode:?}", shape.name);
+        }
+    }
+}
+
+/// Every fuel budget across the copy loops that batch in every mode,
+/// run one element past their units — a batch, then the violation (or,
+/// for `k--`, the violation first): each budget ends the batch one pass
+/// sooner (fuel covers `fuel / charge` passes), and the budgets about
+/// the loop's first latch leave fewer than two.
+#[test]
+fn every_fuel_budget_across_a_batch_is_tier_blind() {
+    for shape in counted_shapes().into_iter().filter(|s| s.checked) {
+        let images = counted_images(&shape.source);
+        let n = shape.ends[0] + 1;
+        for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
+            let config = MachineConfig::with_mode(mode).with_fuel(100_000);
+            let ((_, full), batches) = counted_run(&images, &config, n);
+            let dies_first = mode == Mode::BoundsCheck && shape.name == "k--";
+            assert_eq!(batches > 0, !dies_first, "{} under {mode:?}", shape.name);
+            for fuel in 0..=full.run.instrs + 1 {
+                let _ = counted_run(&images, &config.clone().with_fuel(fuel), n);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

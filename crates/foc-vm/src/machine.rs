@@ -2,11 +2,11 @@
 
 use std::collections::VecDeque;
 
-use foc_compiler::native::{extend, NOp, NativeFunc, Src, Term};
+use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{
     AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView, RoomyVec,
-    SpaceStats,
+    SpaceStats, Sweep,
 };
 
 use crate::builtins;
@@ -136,6 +136,10 @@ pub struct ExecProfile {
     /// each of its ops and its terminator — a count fixed at lowering
     /// (`NativeRegion::dispatches`), so it costs nothing per op.
     pub native_ops: u64,
+    /// Counted-loop batches, each two or more passes run in one step.
+    pub batches: u64,
+    /// Their instructions: in `native_instrs`, but never dispatched.
+    pub batched_instrs: u64,
     /// Stays on the native path that ended at a pc no region starts at
     /// (call, builtin, return).
     pub no_region_exits: u64,
@@ -688,8 +692,7 @@ impl Machine {
     /// seam's pc back to the architectural state, so the post-fault
     /// image is the baseline tier's.
     // Its own symbol: the interpreter loop keeps its own register
-    // allocation, and this function's placement is what ROADMAP item 2
-    // asks to be read beside an `mc_copy` number.
+    // allocation, and its placement is read beside any `mc_copy` number.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn run_native(
@@ -752,13 +755,7 @@ impl Machine {
         }
         macro_rules! val {
             ($src:expr) => {
-                match $src {
-                    Src::Reg(r) => regs[r as usize],
-                    Src::Slot8(off) => view.local_get(off, AccessSize::B8) as i64,
-                    Src::Slot { off, size, signed } => slot_get(&view, off, size, signed),
-                    Src::Const(c) => c,
-                    Src::Addr(off) => (base + off as u64) as i64,
-                }
+                operand(&view, regs, base, $src)
             };
         }
         // A guest load: `$hit` through the view, else the full access
@@ -987,6 +984,15 @@ impl Machine {
                     } else {
                         fall
                     }
+                }
+                Term::Counted(at) => {
+                    let (lp, most) = (&nf.loops[at as usize], fuel / region.charge);
+                    let (n, next) = run_counted(&mut view, lp, &region.ops, regs, base, most);
+                    fuel -= n * region.charge;
+                    extras += n * region.ops.len() as u64 * (ptr_extra + mem_extra);
+                    self.profile.batches += (n > 0) as u64;
+                    self.profile.batched_instrs += n * region.charge;
+                    next
                 }
             };
             for &v in &regs[..region.produces as usize] {
@@ -1231,6 +1237,92 @@ fn inc_local(view: &mut NativeView<'_>, off: u32, delta: i64, size: AccessSize, 
         new = extend(new as u64, size, signed);
     }
     view.local_put(off, size, new as u64);
+}
+
+/// An operand's value (`run_native`'s `val!`, and the batch's).
+#[inline(always)]
+fn operand(view: &NativeView<'_>, regs: &RegFile, base: u64, s: Src) -> i64 {
+    match s {
+        Src::Reg(r) => regs[r as usize],
+        Src::Slot8(off) => view.local_get(off, AccessSize::B8) as i64,
+        Src::Slot { off, size, signed } => slot_get(view, off, size, signed),
+        Src::Const(c) => c,
+        Src::Addr(off) => (base + off as u64) as i64,
+    }
+}
+
+/// A counted loop's latch, then up to `n` passes of its region's `ops`
+/// as one batch: as many as the view proves hits (none below two), the
+/// counter in a register. Returns the passes, for the caller to charge,
+/// and the successor. Out of line, so `run_native` keeps its size.
+#[inline(never)]
+fn run_counted(
+    view: &mut NativeView<'_>,
+    lp: &CountedLoop,
+    ops: &[NOp],
+    regs: &mut RegFile,
+    base: u64,
+    mut n: u64,
+) -> (u64, Succ) {
+    inc_local(view, lp.counter, lp.delta, AccessSize::B8, true);
+    let mut k = view.local_get(lp.counter, AccessSize::B8) as i64;
+    let bound = operand(view, regs, base, lp.bound);
+    if !lp.op.eval(k, bound) {
+        return (0, lp.exit);
+    }
+    // Each access's base pointer, element size and width, decoded once.
+    let mut lanes = [(0, 0, AccessSize::B8); foc_compiler::native::COUNTED_ACCESSES];
+    let mut stores = 0;
+    for (lane, op) in lanes.iter_mut().zip(ops) {
+        let (NOp::IdxLoad { ptr, esz, size, .. } | NOp::IdxStore { ptr, esz, size, .. }) = *op
+        else {
+            unreachable!("a counted loop's body is indexed accesses");
+        };
+        *lane = (operand(view, regs, base, ptr) as u64, esz as i64, size);
+        let sweep = Sweep {
+            ptr: lane.0,
+            k,
+            delta: lp.delta,
+            esz,
+            size,
+            store: matches!(op, NOp::IdxStore { .. }),
+        };
+        stores += sweep.store as u64;
+        // No load may meet the counter (read first), no store any read.
+        let holes = lp.reads(ops).take(if sweep.store { usize::MAX } else { 1 });
+        n = n.min(view.prove(sweep, holes));
+    }
+    if n < 2 {
+        return (0, lp.back);
+    }
+    let (mut ran, mut next) = (0, lp.back);
+    while ran < n {
+        for (&(ptr, esz, size), op) in lanes.iter().zip(ops) {
+            let a = ptr.wrapping_add(k.wrapping_mul(esz) as u64);
+            match *op {
+                NOp::IdxLoad { dst, signed, .. } => {
+                    regs[dst as usize] = extend(view.proven_load(a, size), size, signed);
+                }
+                NOp::IdxStore { val, .. } => {
+                    let v = match val {
+                        Src::Reg(r) => regs[r as usize],
+                        _ => operand(view, regs, base, val),
+                    };
+                    view.proven_store(a, size, v as u64);
+                }
+                _ => {}
+            }
+        }
+        k += lp.delta;
+        ran += 1;
+        if !lp.op.eval(k, bound) {
+            next = lp.exit;
+            break;
+        }
+    }
+    view.local_put(lp.counter, AccessSize::B8, k as u64);
+    view.count_run(ran * (ops.len() as u64 - stores), ran * stores);
+    (ran, next)
 }
 
 #[cfg(test)]
