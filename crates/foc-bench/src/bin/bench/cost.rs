@@ -1,13 +1,10 @@
-//! `restart_cost`, `native_cost` and `conn_cost`: one measurement each,
-//! gated by `--check` and recorded as a fingerprint-keyed row of its
-//! `BENCH_farm.json` trajectory by a full run. What each measures is
-//! documented where it is measured (`farm_report`); what each gates, on
-//! its gate below.
+//! `restart_cost`, `native_cost` and `conn_cost`: one measurement and
+//! its gate each. What each measures is documented where it is
+//! measured (`farm_report`); what each gates, on its gate below.
 
-use foc_bench::check::{check_gate, record_farm_row, Args};
+use foc_bench::check::{check_gate, Args};
 use foc_bench::farm_report::{
-    conn_cost_fingerprint, conn_cost_row_json, conn_cost_smoke, measure_conn_cost,
-    measure_restart_cost, measure_restart_row, measure_violation_throughput, native_cost_row_json,
+    conn_cost_smoke, measure_conn_cost, measure_restart_cost, measure_violation_throughput,
     ConnCost, NativeCost, RestartCost, ViolationThroughput, CONN_SLO_K, CONN_SMOKE_FLOOD,
     CONN_SMOKE_POOL, CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS, TIER_LOOPS,
 };
@@ -65,12 +62,6 @@ pub fn restart_gate(_: &Args) -> Result<String, String> {
     ))
 }
 
-pub fn restart_full(args: &Args) -> Result<(), String> {
-    let (cost, violation, row) = measure_restart_row(args.counts[0]);
-    print_restart(&cost, &violation);
-    record_farm_row("restart_cost", "restart_cost_runs", &row)
-}
-
 fn print_tiers(name: &str, cost: &NativeCost) {
     eprintln!(
         "  {name}, baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
@@ -116,17 +107,6 @@ pub fn native_gate(_: &Args) -> Result<String, String> {
         speedups.push(format!("{:.2}x {}", cost.speedup(), l.name));
     }
     Ok(format!("{} native over baseline", speedups.join(", ")))
-}
-
-pub fn native_full(args: &Args) -> Result<(), String> {
-    let reps = args.counts[0];
-    for l in &TIER_LOOPS {
-        let cost = l.measure(reps);
-        print_tiers(l.name, &cost);
-        let row = native_cost_row_json(&cost, &l.fingerprint(reps));
-        record_farm_row("native_cost", l.key, &row)?;
-    }
-    Ok(())
 }
 
 /// The CI bar on the socket edge's overhead: clean socket transport
@@ -238,12 +218,4 @@ pub fn conn_gate(_: &Args) -> Result<String, String> {
         cost.slo_within_bp,
         connections
     ))
-}
-
-pub fn conn_full(args: &Args) -> Result<(), String> {
-    let reps = args.counts[0];
-    let cost = measure_conn_cost(reps)?;
-    print_conn(&cost);
-    let row = conn_cost_row_json(&cost, &conn_cost_fingerprint(reps));
-    record_farm_row("conn_cost", "conn_cost_runs", &row)
 }

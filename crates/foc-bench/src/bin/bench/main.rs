@@ -2,106 +2,106 @@
 //! table is a subcommand of `cargo run --release -p foc-bench --bin
 //! bench -- <subcommand>`.
 //!
-//! * `farm_scaling [requests]` — the server-farm suite (every server
-//!   kind under every mode, a Pine failure-oblivious thread-scaling
-//!   sweep, the cold-vs-cached boot-cost split, the per-table
-//!   `farm_stress` scale-out point) written to `BENCH_farm.json`, the
-//!   repository's farm perf trajectory record; `requests` is the
-//!   per-server request count (default 100).
-//! * `farm_stress [servers] [requests]` — the same record with the
-//!   scale-out point reshaped (defaults: 4096 servers × 4 requests, 3
-//!   reps per table).
-//! * `restart_cost [reps]`, `native_cost [reps]`, `conn_cost [reps]` —
-//!   one full measurement (defaults 24, 24 and 12 reps), upserted into
-//!   its trajectory of `BENCH_farm.json` (creating the section in
-//!   records that predate it). Rows are keyed by a fingerprint of the
-//!   measured images + shape, so a rerun on an unchanged tree replaces
-//!   its row instead of duplicating it.
+//! * `farm_scaling` — the server-farm suite (every server kind under
+//!   every mode), a Pine failure-oblivious thread-scaling sweep and the
+//!   cold-vs-cached boot-cost split.
+//! * `farm_stress` — the scale-out point on the oracle and the shipped
+//!   object table.
+//! * `restart_cost`, `native_cost`, `conn_cost` — checkpoint restore
+//!   against cold boot + replay, the native tier against the
+//!   interpreter, the socket edge against the in-process path.
 //! * `mode_sweep [--threads N]` — the full recovery-mode grid,
 //!   maintaining the committed `SWEEP_matrix.{json,md}`.
 //! * `paper [name]` — one table of the paper's evaluation, or with no
 //!   name the full report; `paper --write` commits that report to
 //!   `PAPER_tables.md`.
 //!
-//! Each of the seven takes `--check`: its CI gate, which re-measures at
+//! Each of the seven takes `--check`: its CI gate, which measures at
 //! smoke scale, writes nothing, and prints `<subcommand> --check OK
 //! (…)` or exits 1 with a one-line `FAIL:` diagnostic (what each
-//! asserts is documented on its `gate` function). A bare `bench
-//! --check` runs all seven in order, every one even after a failure,
-//! and exits 1 if any failed. Anything a subcommand does not name — an
-//! unknown flag, a malformed count — exits 2 before measuring.
+//! asserts is documented on its `gate` function). The first five are
+//! nothing but their gate, so a bare `bench <subcommand>` runs the same
+//! measurement and assertions. A bare `bench --check` runs all seven in
+//! order, every one even after a failure, and exits 1 if any failed.
+//! Anything a subcommand does not name — an unknown flag, a stray word,
+//! `--check` beside `--write` or a name — exits 2 before measuring.
 
 mod cost;
 mod farm;
 mod sweep;
 
 use foc_bench::check::{ArgSpec, Args};
-use foc_bench::farm_report::{STRESS_REQUESTS, STRESS_SERVERS, SUITE_REQUESTS};
 use foc_bench::paper;
 
 /// One subcommand: what it accepts, its `--check` gate (returning the
-/// summary of its OK line, or the diagnostic) and its full run.
+/// summary of its OK line, or the diagnostic) and, for the two that
+/// maintain a committed file, the run that is not a check.
 struct Cmd {
     name: &'static str,
     spec: ArgSpec,
     gate: fn(&Args) -> Result<String, String>,
-    full: fn(&Args) -> Result<(), String>,
+    full: Option<Full>,
 }
+
+/// A run that is not a check: it maintains a committed file.
+type Full = fn(&Args) -> Result<(), String>;
+
+/// What a subcommand that is its gate and nothing else accepts:
+/// `--check` alone.
+const GATE_ONLY: ArgSpec = ArgSpec {
+    flags: &[],
+    name: false,
+};
 
 /// The subcommands, in the order a bare `--check` runs their gates.
 const CMDS: [Cmd; 7] = [
     Cmd {
         name: "farm_scaling",
-        spec: ArgSpec::counts(&[("request count", SUITE_REQUESTS)]),
+        spec: GATE_ONLY,
         gate: farm::scaling_gate,
-        full: farm::scaling_full,
+        full: None,
     },
     Cmd {
         name: "farm_stress",
-        spec: ArgSpec::counts(&[
-            ("server count", STRESS_SERVERS),
-            ("request count", STRESS_REQUESTS),
-        ]),
+        spec: GATE_ONLY,
         gate: farm::stress_gate,
-        full: farm::stress_full,
+        full: None,
     },
     Cmd {
         name: "restart_cost",
-        spec: ArgSpec::counts(&[("rep count", 24)]),
+        spec: GATE_ONLY,
         gate: cost::restart_gate,
-        full: cost::restart_full,
+        full: None,
     },
     Cmd {
         name: "native_cost",
-        spec: ArgSpec::counts(&[("rep count", 24)]),
+        spec: GATE_ONLY,
         gate: cost::native_gate,
-        full: cost::native_full,
+        full: None,
     },
     Cmd {
         name: "conn_cost",
-        spec: ArgSpec::counts(&[("rep count", 12)]),
+        spec: GATE_ONLY,
         gate: cost::conn_gate,
-        full: cost::conn_full,
+        full: None,
     },
     Cmd {
         name: "mode_sweep",
         spec: ArgSpec {
             flags: &["--threads"],
-            counts: &[],
             name: false,
         },
         gate: sweep::gate,
-        full: sweep::full,
+        full: Some(sweep::full),
     },
     Cmd {
         name: "paper",
         spec: ArgSpec {
             flags: &["--write"],
-            counts: &[],
             name: true,
         },
         gate: paper_gate,
-        full: paper_full,
+        full: Some(paper_full),
     },
 ];
 
@@ -138,12 +138,14 @@ fn paper_full(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `cmd`'s gate and prints its one `OK`/`FAIL:` line.
+/// Runs `cmd`'s gate and prints its one `OK`/`FAIL:` line, labelled
+/// as it was asked for: `<name> --check` or the bare `<name>`.
 fn gate_passes(cmd: &Cmd, args: &Args) -> bool {
     let verdict = (cmd.gate)(args);
+    let check = if args.has("--check") { " --check" } else { "" };
     match &verdict {
-        Ok(summary) => println!("{} --check OK ({summary})", cmd.name),
-        Err(msg) => eprintln!("{} --check: FAIL: {msg}", cmd.name),
+        Ok(summary) => println!("{}{check} OK ({summary})", cmd.name),
+        Err(msg) => eprintln!("{}{check}: FAIL: {msg}", cmd.name),
     }
     verdict.is_ok()
 }
@@ -174,12 +176,11 @@ fn main() {
         eprintln!("{}: {msg}", cmd.name);
         std::process::exit(2);
     });
-    let ok = if args.has("--check") {
-        gate_passes(cmd, &args)
-    } else {
-        (cmd.full)(&args)
+    let ok = match cmd.full {
+        Some(full) if !args.has("--check") => full(&args)
             .map_err(|msg| eprintln!("{}: FAIL: {msg}", cmd.name))
-            .is_ok()
+            .is_ok(),
+        _ => gate_passes(cmd, &args),
     };
     std::process::exit(i32::from(!ok));
 }

@@ -4,10 +4,7 @@
 //! the stable outcome taxonomy, and maintains the committed matrix record
 //! (`SWEEP_matrix.json` + rendered `SWEEP_matrix.md`).
 
-use std::time::Instant;
-
-use foc_bench::check::{record_farm_row, Args};
-use foc_bench::farm_report::{mode_sweep_fingerprint, mode_sweep_row_json};
+use foc_bench::check::Args;
 use foc_bench::paper::diff_report;
 use foc_bench::sweep_report::{rendered, MATRIX_MD_PATH, MATRIX_PATH};
 use foc_memory::Mode;
@@ -74,11 +71,9 @@ pub fn gate(args: &Args) -> Result<String, String> {
 }
 
 /// The full grid on `--threads N` workers (default 4), on what ships:
-/// writes both matrix files and upserts a wall-time row into
-/// `BENCH_farm.json`'s `mode_sweep_runs` trajectory.
+/// writes both matrix files.
 pub fn full(args: &Args) -> Result<(), String> {
     let threads = args.threads;
-    let started = Instant::now();
     eprintln!(
         "mode_sweep: {} cells x {} inputs on {threads} threads",
         grid().len(),
@@ -88,7 +83,6 @@ pub fn full(args: &Args) -> Result<(), String> {
     for (path, text) in rendered(&matrix) {
         std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
     }
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
 
     // Class histogram, for the console.
     let mut counts = std::collections::BTreeMap::new();
@@ -100,28 +94,11 @@ pub fn full(args: &Args) -> Result<(), String> {
     for (class, n) in &counts {
         println!("  {class:<22} {n:>5}");
     }
-    let cells = matrix.cells.len();
     println!(
-        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({cells} cells, {:.1}s)",
-        wall_ms / 1e3
+        "wrote {MATRIX_PATH} + {MATRIX_MD_PATH} ({} cells)",
+        matrix.cells.len()
     );
-
-    // Record the sweep's own cost in the farm trajectory. The
-    // fingerprint keys the row to the sweep shape + compiled images, so
-    // re-running on an unchanged tree upserts instead of duplicating.
-    let inputs = INPUT_LIBRARY.len();
-    let row = mode_sweep_row_json(
-        cells,
-        inputs,
-        threads,
-        wall_ms,
-        &mode_sweep_fingerprint(cells, inputs, threads),
-    );
-    record_farm_row("mode_sweep", "mode_sweep_runs", &row).map_err(|e| {
-        format!(
-            "{e} ({MATRIX_PATH} and {MATRIX_MD_PATH} are written; only the trajectory row is lost)"
-        )
-    })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,20 +1,13 @@
 //! The one command-line surface of the `bench` binary.
 //!
 //! Every subcommand speaks the same dialect, written once here: a
-//! `--check` flag that re-measures at smoke scale and returns either
-//! the summary of its `… --check OK (…)` line or a one-line diagnostic
-//! (CI logs get a readable `FAIL:` reason and exit code 1, not a panic
-//! backtrace); leading positive-integer arguments that shape a full
-//! run; the few flags a subcommand names; usage errors — an unknown
-//! flag, a malformed count, a stray word — that exit 2 before anything
-//! is measured or written; and a fingerprint-keyed row upsert into
-//! `BENCH_farm.json`. The subcommands contribute only their measurement
-//! and its wording.
-
-use crate::farm_report::upsert_trajectory_row;
-
-/// The farm perf trajectory record, relative to the working directory.
-pub const RECORD_PATH: &str = "BENCH_farm.json";
+//! `--check` flag that runs its gate and returns either the summary of
+//! its `… --check OK (…)` line or a one-line diagnostic (CI logs get a
+//! readable `FAIL:` reason and exit code 1, not a panic backtrace); the
+//! few flags and the optional name a subcommand takes; and usage errors
+//! — an unknown flag, a stray word, `--check` beside something it would
+//! ignore — that exit 2 before anything is measured or written. The
+//! subcommands contribute only their measurement and its wording.
 
 /// Gates `ratio` against the `min` floor. `name` describes the measured
 /// quantity ("native region execution over the baseline
@@ -35,22 +28,8 @@ pub fn check_gate(name: &str, ratio: f64, min: f64, detail: &str) -> Result<(), 
 pub struct ArgSpec {
     /// Its flags. `--threads` is followed by a positive integer.
     pub flags: &'static [&'static str],
-    /// Its leading positive-integer arguments: what each one counts
-    /// (for the diagnostic) and its default.
-    pub counts: &'static [(&'static str, usize)],
-    /// Whether one bare word — a name — may follow the counts.
+    /// Whether one bare word — a name — may follow.
     pub name: bool,
-}
-
-impl ArgSpec {
-    /// A subcommand shaped by `counts` alone.
-    pub const fn counts(counts: &'static [(&'static str, usize)]) -> ArgSpec {
-        ArgSpec {
-            flags: &[],
-            counts,
-            name: false,
-        }
-    }
 }
 
 /// A subcommand's parsed command line.
@@ -60,8 +39,6 @@ pub struct Args {
     flags: Vec<&'static str>,
     /// Worker threads (`--threads N`, default 4).
     pub threads: usize,
-    /// One value per [`ArgSpec::counts`] entry, defaults filled in.
-    pub counts: Vec<usize>,
     /// The name given, if [`ArgSpec::name`] allows one.
     pub name: Option<String>,
 }
@@ -69,24 +46,21 @@ pub struct Args {
 impl Args {
     /// Parses `raw` against `spec`. Anything the subcommand did not ask
     /// for is an error, so a typo (`--chek`) can never fall through to
-    /// a full, file-writing measurement, nor ride along with a check
-    /// that ignores it.
+    /// a full, file-writing run, nor ride along with a check that
+    /// ignores it: beside `--check` only `--threads` is accepted.
     pub fn parse(spec: &ArgSpec, raw: &[String]) -> Result<Args, String> {
-        let positive = |arg: &String| arg.parse().ok().filter(|&n| n > 0);
         let mut args = Args {
             flags: Vec::new(),
             threads: 4,
-            counts: spec.counts.iter().map(|&(_, default)| default).collect(),
             name: None,
         };
-        let mut given = 0;
         let mut it = raw.iter();
         while let Some(arg) = it.next() {
             let mut flags = ["--check"].iter().chain(spec.flags);
             if let Some(flag) = flags.find(|f| *f == arg) {
                 args.flags.push(flag);
                 if *flag == "--threads" {
-                    let n = it.next().and_then(positive);
+                    let n = it.next().and_then(|n| n.parse().ok()).filter(|&n| n > 0);
                     args.threads = n.ok_or("--threads needs a positive integer")?;
                 }
             } else if arg.starts_with("--") {
@@ -95,15 +69,24 @@ impl Args {
                     "unknown flag {arg:?} (accepted: {})",
                     accepted.join(", ")
                 ));
-            } else if let Some(&(what, _)) = spec.counts.get(given) {
-                let n = positive(arg);
-                args.counts[given] =
-                    n.ok_or_else(|| format!("invalid {what} {arg:?} (want a positive integer)"))?;
-                given += 1;
             } else if spec.name && args.name.is_none() {
                 args.name = Some(arg.clone());
             } else {
                 return Err(format!("unexpected argument {arg:?}"));
+            }
+        }
+        if args.has("--check") {
+            let ignored = args
+                .flags
+                .iter()
+                .find(|f| !["--check", "--threads"].contains(f));
+            if let Some(flag) = ignored {
+                return Err(format!("--check runs the gate alone and takes no {flag}"));
+            }
+            if let Some(name) = &args.name {
+                return Err(format!(
+                    "--check runs the gate alone and takes no name ({name:?})"
+                ));
             }
         }
         Ok(args)
@@ -114,18 +97,6 @@ impl Args {
     pub fn has(&self, flag: &str) -> bool {
         self.flags.contains(&flag)
     }
-}
-
-/// Upserts one pre-rendered row into the trajectory `key` of
-/// `BENCH_farm.json` for subcommand `cmd`: the shared read, write and
-/// failure wording.
-pub fn record_farm_row(cmd: &str, key: &str, row: &str) -> Result<(), String> {
-    let json = std::fs::read_to_string(RECORD_PATH)
-        .map_err(|e| format!("cannot read {RECORD_PATH}: {e}"))?;
-    let updated = upsert_trajectory_row(&json, key, row)?;
-    std::fs::write(RECORD_PATH, updated).map_err(|e| format!("cannot write {RECORD_PATH}: {e}"))?;
-    println!("recorded {cmd} row in {RECORD_PATH}");
-    Ok(())
 }
 
 #[cfg(test)]
@@ -160,8 +131,11 @@ mod tests {
     fn args_take_what_the_subcommand_names_and_refuse_the_rest() {
         let spec = ArgSpec {
             flags: &["--write", "--threads"],
-            counts: &[("server count", 4096), ("request count", 4)],
             name: true,
+        };
+        let gate_only = ArgSpec {
+            flags: &[],
+            name: false,
         };
         let parse = |spec: &ArgSpec, raw: &[&str]| {
             let raw: Vec<String> = raw.iter().map(|s| s.to_string()).collect();
@@ -169,22 +143,16 @@ mod tests {
         };
         let bare = parse(&spec, &[]).expect("defaults");
         assert_eq!((bare.threads, bare.name.as_deref()), (4, None));
-        assert_eq!(bare.counts, [4096, 4]);
         assert!(!bare.has("--check") && !bare.has("--write"));
-        let all = [
-            "8192",
-            "--write",
-            "--threads",
-            "2",
-            "2",
-            "fig5_mc",
-            "--check",
-        ];
-        let all = parse(&spec, &all).expect("everything at once");
-        assert_eq!(all.counts, [8192, 2]);
+        let all = parse(&spec, &["--write", "--threads", "2", "fig5_mc"]).expect("a full run");
         assert_eq!((all.threads, all.name.as_deref()), (2, Some("fig5_mc")));
-        assert!(all.has("--check") && all.has("--write"));
-        let plain = ArgSpec::counts(&[("rep count", 24)]);
+        assert!(all.has("--write") && !all.has("--check"));
+        let check = parse(&spec, &["--threads", "2", "--check"]).expect("a gate reads --threads");
+        assert_eq!((check.threads, check.name.as_deref()), (2, None));
+        assert!(check.has("--check"));
+        assert!(parse(&gate_only, &["--check"])
+            .expect("the gate")
+            .has("--check"));
         for (spec, raw, needle) in [
             (
                 &spec,
@@ -193,13 +161,7 @@ mod tests {
             ),
             (
                 &spec,
-                &["0"],
-                "invalid server count \"0\" (want a positive integer)",
-            ),
-            (&spec, &["8", "-3"], "invalid request count \"-3\""),
-            (
-                &spec,
-                &["1", "2", "fig2_pine", "fig5_mc"],
+                &["fig2_pine", "fig5_mc"],
                 "unexpected argument \"fig5_mc\"",
             ),
             (&spec, &["--threads"], "--threads needs a positive integer"),
@@ -209,13 +171,18 @@ mod tests {
                 "--threads needs a positive integer",
             ),
             (
-                &plain,
-                &["soon"],
-                "invalid rep count \"soon\" (want a positive integer)",
+                &spec,
+                &["--write", "--check"],
+                "--check runs the gate alone and takes no --write",
             ),
-            (&plain, &["3", "4"], "unexpected argument \"4\""),
             (
-                &plain,
+                &spec,
+                &["fig2_pine", "--check"],
+                "--check runs the gate alone and takes no name (\"fig2_pine\")",
+            ),
+            (&gate_only, &["24"], "unexpected argument \"24\""),
+            (
+                &gate_only,
                 &["--write"],
                 "unknown flag \"--write\" (accepted: --check)",
             ),

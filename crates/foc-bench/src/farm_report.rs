@@ -1,15 +1,12 @@
-//! Farm benchmark reporting: runs the cross-mode, cross-server farm
-//! suite plus a thread-scaling sweep and a boot-cost measurement, and
-//! renders `BENCH_farm.json` — the repository's perf trajectory record
-//! for the farm harness.
+//! Farm and cost measurements behind the `bench` gates: the
+//! cross-mode, cross-server farm suite, a thread-scaling sweep, the
+//! boot-, restart-, tier- and connection-cost splits, and the
+//! scale-out stress point.
 //!
-//! Wall-time rows are measured over repeated runs and summarised with
-//! IQR outlier rejection plus a 95% confidence interval
-//! ([`robust_summary`]), so the trajectory points are
-//! defensible rather than single noisy observations.
-//!
-//! JSON is rendered by hand: the build environment is offline and the
-//! schema is flat, so a serde dependency would buy nothing.
+//! Wall-time readings are summarised over repeated runs with IQR
+//! outlier rejection plus a 95% confidence interval
+//! ([`robust_summary`]), so a gate compares defensible numbers rather
+//! than single noisy observations.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -17,12 +14,11 @@ use std::time::Instant;
 use foc_memory::{Mode, TableKind};
 use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig, FarmReport, ServerKind};
-use foc_servers::latency::LatencyHist;
 use foc_servers::BootSpec;
 
 use crate::stats::robust_summary;
 
-/// Shape of the recorded suite: every server kind under every mode.
+/// Shape of the farm suite: every server kind under every mode.
 pub fn suite_config(kind: ServerKind, mode: Mode, requests: usize) -> FarmConfig {
     let mut config = FarmConfig::new(kind, mode);
     config.requests_per_server = requests;
@@ -145,14 +141,8 @@ pub fn thread_scaling(
 pub struct BootCost {
     /// Robust mean nanoseconds for compile-from-source + boot + init.
     pub cold_ns: f64,
-    /// 95% CI half-width on `cold_ns`.
-    pub cold_ci95_ns: f64,
     /// Robust mean nanoseconds for cached-image boot + init.
     pub cached_ns: f64,
-    /// 95% CI half-width on `cached_ns`.
-    pub cached_ci95_ns: f64,
-    /// Repetitions measured per flavour.
-    pub reps: usize,
 }
 
 impl BootCost {
@@ -197,14 +187,9 @@ pub fn measure_boot_cost(reps: usize) -> BootCost {
             foc_servers::Process::boot_spec(&kind.image(), &BootSpec::new(kind, mode))
         }));
     }
-    let c = robust_summary(&cold);
-    let h = robust_summary(&cached);
     BootCost {
-        cold_ns: c.mean,
-        cold_ci95_ns: c.ci95,
-        cached_ns: h.mean,
-        cached_ci95_ns: h.ci95,
-        reps,
+        cold_ns: robust_summary(&cold).mean,
+        cached_ns: robust_summary(&cached).mean,
     }
 }
 
@@ -270,7 +255,7 @@ fn apache_restore_spec() -> BootSpec {
 /// tier and the table, not the checkpoint layer the 5× gate guards.
 ///
 /// Pine is also the heaviest *restore* (172 KiB of globals), so beside
-/// the gated pair the row carries the restart the `apache_flood`
+/// the gated pair the measurement carries the restart the `apache_flood`
 /// workload pays on every attack — a Bounds Check Apache worker under
 /// the shipped default — and the committed bytes each restore copied:
 /// a restore is a copy of the committed windows, so its time follows
@@ -335,9 +320,9 @@ pub fn measure_restart_cost(reps: usize) -> RestartCost {
 
 /// Manufactured-loop interpretation rate: how many guest instructions
 /// per host second a loop that violates on every iteration sustains.
-/// The PR 4 sweep measured ~3M instr/s on the eager violation path
-/// (each iteration paid an O(capacity) eviction memmove once the log
-/// filled); this row tracks the batched path.
+/// The eager violation path ran at ~3M instr/s (each iteration paid
+/// an O(capacity) eviction memmove once the log filled); this measures
+/// the batched path.
 #[derive(Debug, Clone, Copy)]
 pub struct ViolationThroughput {
     /// Robust mean million guest instructions per host second.
@@ -436,14 +421,10 @@ impl NativeCost {
     }
 }
 
-/// One violation-free guest loop timed under both tiers: what it runs,
-/// where its rows go and the CI bar on its native-over-baseline ratio.
+/// One violation-free guest loop timed under both tiers: what it runs
+/// and the CI bar on its native-over-baseline ratio.
 #[derive(Debug)]
 pub struct TierLoop {
-    /// The `BENCH_farm.json` trajectory its rows are recorded in.
-    pub key: &'static str,
-    /// Schema tag opening the row fingerprint.
-    tag: &'static str,
     /// Short name for the printed lines.
     pub name: &'static str,
     /// The gated quantity, for the diagnostic.
@@ -457,7 +438,7 @@ pub struct TierLoop {
     pub gate: f64,
 }
 
-/// The two loops `native_cost` measures, gates and records.
+/// The two loops `native_cost` measures and gates.
 pub const TIER_LOOPS: [TierLoop; 2] = [
     // The dispatch loop: a dispatch-bound body with *no* memory
     // violations and no guest heap traffic, so nothing tier-invariant
@@ -474,8 +455,6 @@ pub const TIER_LOOPS: [TierLoop; 2] = [
     // development host (2.9–3.2× at PR 19); 2.5× holds with room on
     // noisy CI hosts.
     TierLoop {
-        key: "native_cost_runs",
-        tag: "native_cost/v2",
         name: "dispatch loop",
         what: "native region execution over the baseline interpreter",
         source: "long spin(long n) {\n\
@@ -512,8 +491,6 @@ pub const TIER_LOOPS: [TierLoop; 2] = [
     // probe); 1.75× holds with room. Each outer iteration copies the
     // 64-element buffer once.
     TierLoop {
-        key: "mem_cost_runs",
-        tag: "mem_cost/v2",
         name: "copy loop",
         what: "memory-spanning block execution over the baseline interpreter",
         source: "long spin(long n) {\n\
@@ -542,22 +519,6 @@ impl TierLoop {
             baseline: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Baseline),
             native: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Native),
         }
-    }
-
-    /// Fingerprint for one of the loop's trajectory rows: schema tag,
-    /// the loop's image identity under every tier (a lowering change
-    /// that reshapes block grouping or access fusion re-measures), loop
-    /// length, rep count.
-    pub fn fingerprint(&self, reps: usize) -> String {
-        let mut parts = Vec::new();
-        for tier in foc_compiler::ExecTier::ALL {
-            let image =
-                foc_compiler::compile_image_tier(self.source, tier).expect("tier loop builds");
-            parts.push(image.id().to_string());
-        }
-        parts.push(self.iters.to_string());
-        parts.push(reps.to_string());
-        fingerprint(self.tag, &parts)
     }
 }
 
@@ -615,429 +576,6 @@ pub fn stress_sweep(
         });
     }
     Ok(rows)
-}
-
-// ----------------------------------------------------------------------
-// The whole record, in one place.
-// ----------------------------------------------------------------------
-
-/// Default requests per server in the kind × mode suite.
-pub const SUITE_REQUESTS: usize = 100;
-/// Default server processes at the scale-out stress point.
-pub const STRESS_SERVERS: usize = 4096;
-/// Default requests per server at the stress point (short streams).
-pub const STRESS_REQUESTS: usize = 4;
-
-/// The measured sections of one full record.
-pub struct FarmRecord {
-    /// Kind × mode suite reports.
-    pub reports: Vec<FarmReport>,
-    /// Thread-scaling rows.
-    pub scaling: Vec<ScalingRow>,
-    /// Cold-vs-cached boot cost.
-    pub boot: BootCost,
-    /// Per-table stress rows.
-    pub stress: Vec<StressRow>,
-    /// The accumulated rows of each of [`TRAJECTORIES`], in that order.
-    pub trajectories: [Vec<String>; 5],
-}
-
-impl FarmRecord {
-    /// Renders the record as the `BENCH_farm.json` document.
-    pub fn render(&self) -> String {
-        let reports: Vec<String> = self.reports.iter().map(report_json).collect();
-        let scaling: Vec<String> = self.scaling.iter().map(scaling_row_json).collect();
-        let mut out = format!(
-            "{{\n  \"benchmark\": \"farm\",\n  \"reports\": [\n{}  ],\n  \
-             \"thread_scaling\": [\n{}  ],\n  \"boot_cost\": {},\n",
-            array_body(&reports, "    "),
-            array_body(&scaling, "    "),
-            boot_cost_json(&self.boot),
-        );
-        for (key, rows) in TRAJECTORIES.iter().zip(&self.trajectories) {
-            out.push_str(&rows_section(key, rows));
-        }
-        // The scale-out stress point: one row per object table.
-        if let Some(first) = self.stress.first() {
-            let c = &first.report.config;
-            let rows: Vec<String> = self.stress.iter().map(stress_row_json).collect();
-            out.push_str(&format!(
-                "  \"farm_stress\": {{\"server\": {}, \"mode\": {}, \"servers\": {}, \
-                 \"requests_per_server\": {},\n    \"rows\": [\n{}    ]\n  }}\n",
-                quoted(c.kind.name()),
-                quoted(c.mode.name()),
-                c.servers,
-                c.requests_per_server,
-                array_body(&rows, "      "),
-            ));
-        } else {
-            out.push_str("  \"farm_stress\": {\n    \"rows\": []\n  }\n");
-        }
-        out.push_str("}\n");
-        out
-    }
-}
-
-/// Runs every measurement of the record — the suite at `requests` per
-/// server, the stress point at `stress_servers` × `stress_requests` —
-/// carrying forward every trajectory row of `previous_json` (the old
-/// record's contents, when the caller has one) and upserting a fresh
-/// `restart_cost` row, so regeneration never drops trajectory history.
-/// Both regenerating subcommands (`farm_scaling`, `farm_stress`) build
-/// the complete record through this, so whichever one ran last leaves a
-/// consistent file.
-pub fn measure_record(
-    requests: usize,
-    stress_servers: usize,
-    stress_requests: usize,
-    previous_json: Option<&str>,
-) -> Result<FarmRecord, String> {
-    /// Boot- and restart-cost repetitions.
-    const COST_REPS: usize = 24;
-    /// Repetitions per scaling row and per stress row.
-    const FARM_REPS: usize = 3;
-    eprintln!("running farm suite: 5 servers x 5 modes, {requests} requests/server ...");
-    let reports = farm_suite(requests);
-    eprintln!("running thread-scaling sweep (Pine, failure-oblivious) ...");
-    let scaling = thread_scaling(requests, &[1, 2, 4, 8], FARM_REPS)?;
-    eprintln!("measuring boot cost (cold compile vs cached image) ...");
-    let boot = measure_boot_cost(COST_REPS);
-    eprintln!("measuring restart cost (checkpoint restore vs cold boot+replay) ...");
-    let (_, _, restart_row) = measure_restart_row(COST_REPS);
-    eprintln!(
-        "running farm_stress: {stress_servers} Apache servers x {stress_requests} requests, \
-         oracle and shipped table ..."
-    );
-    let stress = stress_sweep(stress_servers, stress_requests, FARM_REPS)?;
-    let mut trajectories =
-        TRAJECTORIES.map(|key| previous_json.map_or(Vec::new(), |json| trajectory_rows(json, key)));
-    upsert_row(&mut trajectories[0], restart_row);
-    Ok(FarmRecord {
-        reports,
-        scaling,
-        boot,
-        stress,
-        trajectories,
-    })
-}
-
-// ----------------------------------------------------------------------
-// Trajectory-row fingerprints: idempotent BENCH_farm.json upserts.
-// ----------------------------------------------------------------------
-
-/// Hashes a schema tag and an ordered list of identity parts into a
-/// 64-bit hex fingerprint. A trajectory row's fingerprint captures
-/// *what was measured* (schema version, compiled guest image
-/// identities, execution tier, measurement shape) and deliberately
-/// excludes the measured values themselves. Re-running an unchanged
-/// subcommand on an unchanged tree therefore reproduces the
-/// fingerprint, and [`upsert_trajectory_row`] replaces the matching row
-/// instead of growing the array — trajectory history survives real
-/// changes and dedupes reruns.
-fn fingerprint<S: AsRef<str>>(tag: &str, parts: &[S]) -> String {
-    use std::hash::Hasher;
-    let mut h = foc_compiler::Fnv1a::new();
-    for p in std::iter::once(tag).chain(parts.iter().map(AsRef::as_ref)) {
-        h.write(p.as_bytes());
-        // Separator byte so ["ab","c"] and ["a","bc"] differ.
-        h.write(&[0x1f]);
-    }
-    format!("{:016x}", h.finish())
-}
-
-/// Fingerprint for a `restart_cost` trajectory row: the five standard
-/// server image identities at the gated pair's (baseline) execution
-/// tier (any guest-source or lowering change reshapes them), the
-/// manufactured violation loop's baseline image, the rep count, and
-/// the tier and table the Apache restore ran on (the shipped default).
-pub fn restart_cost_fingerprint(reps: usize) -> String {
-    let apache = apache_restore_spec();
-    let tier = foc_compiler::ExecTier::Baseline;
-    let mut parts = vec![tier.label().to_string()];
-    for kind in ServerKind::ALL {
-        parts.push(kind.image_tier(tier).id().to_string());
-    }
-    let violation =
-        foc_compiler::compile_image(VIOLATION_LOOP_SOURCE).expect("violation loop builds");
-    parts.push(violation.id().to_string());
-    parts.push(reps.to_string());
-    parts.push(apache.tier.label().to_string());
-    parts.push(apache.table.name().to_string());
-    fingerprint("restart_cost/v4", &parts)
-}
-
-/// Fingerprint for a `mode_sweep` trajectory row: sweep shape,
-/// execution tier, and the five server image identities the sweep
-/// interpreted.
-pub fn mode_sweep_fingerprint(cells: usize, inputs: usize, threads: usize) -> String {
-    let tier = foc_compiler::ExecTier::default();
-    let mut parts = vec![
-        tier.label().to_string(),
-        cells.to_string(),
-        inputs.to_string(),
-        threads.to_string(),
-    ];
-    for kind in ServerKind::ALL {
-        parts.push(kind.image_tier(tier).id().to_string());
-    }
-    fingerprint("mode_sweep/v2", &parts)
-}
-
-/// Fingerprint for a `conn_cost` trajectory row: execution tier, the
-/// Apache image identity (the measured guest), the farm and
-/// connection-pool shape, the SLO multiplier, and the rep count.
-pub fn conn_cost_fingerprint(reps: usize) -> String {
-    let tier = foc_compiler::ExecTier::default();
-    let pool = SocketEdge::default();
-    fingerprint(
-        "conn_cost/v1",
-        &[
-            tier.label().to_string(),
-            ServerKind::Apache.image_tier(tier).id().to_string(),
-            CONN_COST_SERVERS.to_string(),
-            CONN_COST_REQUESTS.to_string(),
-            pool.connections.to_string(),
-            pool.backlog.to_string(),
-            CONN_SLO_K.to_string(),
-            reps.to_string(),
-        ],
-    )
-}
-
-/// Extracts the string value of `"key": "…"` from a single line.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\": \"");
-    let start = line.find(&marker)? + marker.len();
-    let end = line[start..].find('"')?;
-    Some(&line[start..start + end])
-}
-
-/// The fingerprint of a pre-rendered row, if it has one. Rows recorded
-/// before fingerprinting existed have none and are never matched (so
-/// they are always preserved).
-fn row_fingerprint(row: &str) -> Option<&str> {
-    str_field(row, "fingerprint")
-}
-
-/// Replaces the row sharing `row`'s fingerprint in place, or appends
-/// when no row matches (including when `row` carries no fingerprint).
-fn upsert_row(rows: &mut Vec<String>, row: String) {
-    if let Some(fp) = row_fingerprint(&row) {
-        if let Some(slot) = rows.iter().position(|r| row_fingerprint(r) == Some(fp)) {
-            rows[slot] = row;
-            return;
-        }
-    }
-    rows.push(row);
-}
-
-// ----------------------------------------------------------------------
-// The keyed trajectory table.
-// ----------------------------------------------------------------------
-
-/// The trajectory arrays of `BENCH_farm.json`, in file order. Each
-/// holds pre-rendered one-line row objects, one per recorded
-/// measurement, upserted by fingerprint; the regenerating subcommands
-/// (`farm_scaling`, `farm_stress`) carry all of them forward, so a
-/// trajectory never loses history.
-///
-/// * `restart_cost_runs` — checkpoint restore versus cold boot+replay
-///   plus the manufactured-loop violation throughput (`restart_cost`
-///   and every regeneration).
-/// * `native_cost_runs` — per-tier interpretation rate on the
-///   violation-free dispatch-bound loop; the native-over-baseline ratio
-///   is the AOT tier's headline (`native_cost`).
-/// * `mem_cost_runs` — the same on the guest copy loop, the
-///   memory-spanning block executor's gate (`native_cost`).
-/// * `conn_cost_runs` — the socket edge's transport overhead per
-///   scenario plus the connection-level SLO (`conn_cost`).
-/// * `mode_sweep_runs` — what each recorded full-grid sweep itself
-///   cost, tracked next to the measurements it gates (`mode_sweep`).
-pub const TRAJECTORIES: [&str; 5] = [
-    "restart_cost_runs",
-    "native_cost_runs",
-    "mem_cost_runs",
-    "conn_cost_runs",
-    "mode_sweep_runs",
-];
-
-/// `items` one per line behind `indent`, comma-separated: the body of a
-/// rendered JSON array.
-fn array_body(items: &[String], indent: &str) -> String {
-    let mut out = String::new();
-    for (i, item) in items.iter().enumerate() {
-        out.push_str(indent);
-        out.push_str(item);
-        if i + 1 < items.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders the top-level trajectory array `key` holding `rows`.
-fn rows_section(key: &str, rows: &[String]) -> String {
-    if rows.is_empty() {
-        format!("  \"{key}\": [],\n")
-    } else {
-        format!("  \"{key}\": [\n{}  ],\n", array_body(rows, "    "))
-    }
-}
-
-/// Extracts the pre-rendered rows of the trajectory array named `key`
-/// from an existing `BENCH_farm.json` document (empty when the file
-/// predates the section or has none).
-pub fn trajectory_rows(json: &str, key: &str) -> Vec<String> {
-    let marker = format!("\"{key}\": [");
-    let Some(start) = json.find(&marker) else {
-        return Vec::new();
-    };
-    let body = &json[start + marker.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    body[..end]
-        .lines()
-        .map(|l| l.trim().trim_end_matches(',').to_string())
-        .filter(|l| l.starts_with('{'))
-        .collect()
-}
-
-/// Returns `json` with `row` upserted into its trajectory array `key`,
-/// rewriting that section in place: a row carrying the same
-/// fingerprint is replaced, otherwise `row` is appended, so re-running
-/// an unchanged subcommand on an unchanged tree is idempotent. A record
-/// that predates the section gains one, inserted just before
-/// `mode_sweep_runs` (the oldest trajectory, which every record has),
-/// so a subcommand can record into an old file without a full
-/// regeneration.
-pub fn upsert_trajectory_row(json: &str, key: &str, row: &str) -> Result<String, String> {
-    let marker = format!("\"{key}\": [");
-    let Some(start) = json.find(&marker) else {
-        let Some(at) = json.find("  \"mode_sweep_runs\": [") else {
-            return Err(format!(
-                "BENCH_farm.json has no mode_sweep_runs section (where {key} rows go, or go \
-                 before); regenerate it with farm_scaling"
-            ));
-        };
-        let section = rows_section(key, &[row.to_string()]);
-        return Ok(format!("{}{}{}", &json[..at], section, &json[at..]));
-    };
-    let body_at = start + marker.len();
-    let Some(end) = json[body_at..].find(']') else {
-        return Err(format!("BENCH_farm.json {key} section is unterminated"));
-    };
-    let mut rows = trajectory_rows(json, key);
-    upsert_row(&mut rows, row.to_string());
-    Ok(format!(
-        "{}\n{}  {}",
-        &json[..body_at],
-        array_body(&rows, "    "),
-        &json[body_at + end..]
-    ))
-}
-
-// ----------------------------------------------------------------------
-// The trajectory rows.
-// ----------------------------------------------------------------------
-
-/// Renders `{"key": value, …}` on one line from pre-rendered values.
-fn object(fields: &[(&str, String)]) -> String {
-    let fields: Vec<String> = fields
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    format!("{{{}}}", fields.join(", "))
-}
-
-/// `v` to `digits` decimal places.
-fn fixed(v: f64, digits: usize) -> String {
-    format!("{v:.digits$}")
-}
-
-/// `s` as a JSON string.
-fn quoted(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
-/// Renders one `mode_sweep` wall-time row: how much the full-grid sweep
-/// itself cost, so the sweep's price is tracked over time next to the
-/// measurements it gates.
-pub fn mode_sweep_row_json(
-    cells: usize,
-    inputs: usize,
-    threads: usize,
-    wall_ms: f64,
-    fingerprint: &str,
-) -> String {
-    object(&[
-        ("cells", cells.to_string()),
-        ("inputs", inputs.to_string()),
-        ("threads", threads.to_string()),
-        ("wall_ms", fixed(wall_ms, 1)),
-        ("fingerprint", quoted(fingerprint)),
-    ])
-}
-
-/// One full `restart_cost` measurement — `reps` per flavour, the
-/// violation throughput on a capped share of them — and the trajectory
-/// row it renders to: the checkpoint-restore versus cold boot+replay
-/// split plus the manufactured-loop violation throughput measured
-/// alongside it.
-pub fn measure_restart_row(reps: usize) -> (RestartCost, ViolationThroughput, String) {
-    let restart = measure_restart_cost(reps);
-    let violation = measure_violation_throughput(reps.clamp(3, 8));
-    let row = restart_cost_row_json(&restart, &violation, &restart_cost_fingerprint(reps));
-    (restart, violation, row)
-}
-
-/// Renders one `restart_cost` trajectory row.
-pub fn restart_cost_row_json(
-    restart: &RestartCost,
-    violation: &ViolationThroughput,
-    fingerprint: &str,
-) -> String {
-    object(&[
-        ("cold_boot_replay_ns", fixed(restart.cold_ns, 0)),
-        ("cold_ci95_ns", fixed(restart.cold_ci95_ns, 0)),
-        ("checkpoint_restore_ns", fixed(restart.restore_ns, 0)),
-        ("restore_ci95_ns", fixed(restart.restore_ci95_ns, 0)),
-        ("checkpoint_bytes", restart.checkpoint_bytes.to_string()),
-        ("apache_restore_ns", fixed(restart.apache_restore_ns, 0)),
-        (
-            "apache_restore_ci95_ns",
-            fixed(restart.apache_restore_ci95_ns, 0),
-        ),
-        (
-            "apache_checkpoint_bytes",
-            restart.apache_checkpoint_bytes.to_string(),
-        ),
-        ("speedup", fixed(restart.speedup(), 1)),
-        ("reps", restart.reps.to_string()),
-        ("violation_minstr_per_s", fixed(violation.minstr_per_s, 1)),
-        ("violation_minstr_ci95", fixed(violation.minstr_ci95, 1)),
-        ("violation_instrs", violation.instrs.to_string()),
-        ("fingerprint", quoted(fingerprint)),
-    ])
-}
-
-/// Renders one `native_cost` or `mem_cost` trajectory row: the loop's
-/// interpretation rate under both tiers and their ratio.
-pub fn native_cost_row_json(cost: &NativeCost, fingerprint: &str) -> String {
-    object(&[
-        (
-            "baseline_minstr_per_s",
-            fixed(cost.baseline.minstr_per_s, 1),
-        ),
-        ("baseline_minstr_ci95", fixed(cost.baseline.minstr_ci95, 1)),
-        ("native_minstr_per_s", fixed(cost.native.minstr_per_s, 1)),
-        ("native_minstr_ci95", fixed(cost.native.minstr_ci95, 1)),
-        ("speedup", fixed(cost.speedup(), 2)),
-        ("instrs", cost.native.instrs.to_string()),
-        ("reps", cost.native.reps.to_string()),
-        ("fingerprint", quoted(fingerprint)),
-    ])
 }
 
 // ----------------------------------------------------------------------
@@ -1102,7 +640,7 @@ impl ConnCost {
     }
 }
 
-/// The four measured edges, label order fixed by the row schema.
+/// The four measured edges, in [`ConnCost`]'s field order.
 fn conn_cost_edges() -> [Edge; 4] {
     [
         Edge::InProcess,
@@ -1156,307 +694,9 @@ pub fn conn_cost_smoke() -> (FarmReport, u64) {
     (run_farm(&config), connections)
 }
 
-/// Renders one `conn_cost` trajectory row: wall time per edge, the
-/// socket-over-in-process overhead ratio, and the connection-level SLO.
-pub fn conn_cost_row_json(cost: &ConnCost, fingerprint: &str) -> String {
-    let slo_key = format!("slo_within_{CONN_SLO_K}x_median_bp");
-    object(&[
-        ("in_process_wall_ms", fixed(cost.in_process.wall_ms, 2)),
-        ("in_process_ci95", fixed(cost.in_process.wall_ms_ci95, 2)),
-        ("socket_wall_ms", fixed(cost.socket.wall_ms, 2)),
-        ("socket_ci95", fixed(cost.socket.wall_ms_ci95, 2)),
-        ("slow_loris_wall_ms", fixed(cost.slow_loris.wall_ms, 2)),
-        ("slow_loris_ci95", fixed(cost.slow_loris.wall_ms_ci95, 2)),
-        ("disconnect_wall_ms", fixed(cost.disconnect.wall_ms, 2)),
-        ("disconnect_ci95", fixed(cost.disconnect.wall_ms_ci95, 2)),
-        ("socket_overhead", fixed(cost.socket_overhead(), 2)),
-        (slo_key.as_str(), cost.slo_within_bp.to_string()),
-        ("servers", cost.servers.to_string()),
-        ("requests_per_server", cost.requests.to_string()),
-        ("reps", cost.in_process.reps.to_string()),
-        ("fingerprint", quoted(fingerprint)),
-    ])
-}
-
-// ----------------------------------------------------------------------
-// The measured sections.
-// ----------------------------------------------------------------------
-
-fn hist_json(h: &LatencyHist) -> String {
-    let pairs: Vec<String> = h
-        .nonzero_buckets()
-        .iter()
-        .map(|&(top, n)| format!("[{top}, {n}]"))
-        .collect();
-    format!("[{}]", pairs.join(", "))
-}
-
-fn report_json(r: &FarmReport) -> String {
-    let s = &r.stats;
-    object(&[
-        ("server", quoted(r.config.kind.name())),
-        ("mode", quoted(r.config.mode.name())),
-        ("servers", r.config.servers.to_string()),
-        ("requests", s.requests.to_string()),
-        ("completed", s.completed.to_string()),
-        ("dropped", s.dropped.to_string()),
-        ("attacks", s.attacks.to_string()),
-        ("deaths", s.deaths.to_string()),
-        ("restarts", s.restarts.to_string()),
-        ("servers_down", s.servers_down.to_string()),
-        ("total_cycles", s.total_cycles.to_string()),
-        ("service_cycles", s.service_cycles().to_string()),
-        ("restart_cycles", s.restart_cycles.to_string()),
-        ("survival_rate", fixed(s.survival_rate(), 4)),
-        ("throughput_per_mcycle", fixed(s.throughput_per_mcycle(), 4)),
-        ("latency_p50", s.latency_p50.to_string()),
-        ("latency_p90", s.latency_p90.to_string()),
-        ("latency_p99", s.latency_p99.to_string()),
-        ("latency_p999", s.latency_p999.to_string()),
-        ("latency_max", s.latency_max.to_string()),
-        ("tail_service_cycles", s.tail_service_cycles.to_string()),
-        ("tail_restart_cycles", s.tail_restart_cycles.to_string()),
-        ("host_wall_ms", fixed(r.host_wall_ms, 2)),
-    ])
-}
-
-fn scaling_row_json(row: &ScalingRow) -> String {
-    object(&[
-        ("threads", row.threads.to_string()),
-        ("host_wall_ms", fixed(row.rate.wall_ms, 2)),
-        ("host_wall_ms_ci95", fixed(row.rate.wall_ms_ci95, 2)),
-        ("host_rps", fixed(row.rate.host_rps, 1)),
-        ("reps", row.rate.reps.to_string()),
-    ])
-}
-
-fn boot_cost_json(boot: &BootCost) -> String {
-    object(&[
-        ("cold_compile_boot_ns", fixed(boot.cold_ns, 0)),
-        ("cold_ci95_ns", fixed(boot.cold_ci95_ns, 0)),
-        ("cached_image_boot_ns", fixed(boot.cached_ns, 0)),
-        ("cached_ci95_ns", fixed(boot.cached_ci95_ns, 0)),
-        ("speedup", fixed(boot.speedup(), 1)),
-        ("reps", boot.reps.to_string()),
-    ])
-}
-
-fn stress_row_json(row: &StressRow) -> String {
-    let s = &row.report.stats;
-    object(&[
-        ("backend", quoted(row.backend.name())),
-        ("wall_ms", fixed(row.rate.wall_ms, 2)),
-        ("wall_ms_ci95", fixed(row.rate.wall_ms_ci95, 2)),
-        ("host_rps", fixed(row.rate.host_rps, 1)),
-        ("reps", row.rate.reps.to_string()),
-        ("completed", s.completed.to_string()),
-        ("total_cycles", s.total_cycles.to_string()),
-        ("latency_p50", s.latency_p50.to_string()),
-        ("latency_p99", s.latency_p99.to_string()),
-        ("latency_p999", s.latency_p999.to_string()),
-        ("tail_service_cycles", s.tail_service_cycles.to_string()),
-        ("tail_restart_cycles", s.tail_restart_cycles.to_string()),
-        ("service_hist", hist_json(&s.service_hist)),
-        ("restart_hist", hist_json(&s.restart_hist)),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// A freshly measured (one rep) row of trajectory `key`.
-    fn fresh_row(key: &str) -> String {
-        let tier_loop = TIER_LOOPS.iter().find(|l| l.key == key);
-        match (key, tier_loop) {
-            (_, Some(l)) => native_cost_row_json(&l.measure(1), &l.fingerprint(1)),
-            ("restart_cost_runs", _) => measure_restart_row(1).2,
-            ("conn_cost_runs", _) => conn_cost_row_json(
-                &measure_conn_cost(1).expect("edges agree"),
-                &conn_cost_fingerprint(1),
-            ),
-            ("mode_sweep_runs", _) => {
-                mode_sweep_row_json(50, 17, 4, 1234.5, &mode_sweep_fingerprint(50, 17, 4))
-            }
-            _ => panic!("no row for {key}"),
-        }
-    }
-
-    /// `row` under the fingerprint `fp`.
-    fn refingerprinted(row: &str, fp: &str) -> String {
-        row.replace(row_fingerprint(row).expect("fingerprinted"), fp)
-    }
-
-    /// A small measured record with one fresh row in every trajectory.
-    fn sample_record() -> FarmRecord {
-        let mut config = suite_config(ServerKind::Apache, Mode::FailureOblivious, 5);
-        config.servers = 2;
-        config.threads = 2;
-        FarmRecord {
-            reports: vec![run_farm(&config)],
-            scaling: thread_scaling(2, &[1, 2], 1).expect("determinism"),
-            boot: measure_boot_cost(2),
-            stress: stress_sweep(3, 3, 1).expect("contract"),
-            trajectories: TRAJECTORIES.map(|key| vec![fresh_row(key)]),
-        }
-    }
-
-    fn committed_record() -> String {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_farm.json");
-        std::fs::read_to_string(path).expect("committed BENCH_farm.json")
-    }
-
-    fn balanced(json: &str) -> bool {
-        json.matches('{').count() == json.matches('}').count()
-            && json.matches('[').count() == json.matches(']').count()
-    }
-
-    /// `json` with its fingerprints dropped and every number reduced to
-    /// `#` plus a `0` per decimal place: keys, order, punctuation and
-    /// precision — a schema.
-    fn shape(json: &str) -> String {
-        let mut out = String::new();
-        let mut decimals = false;
-        for c in json.chars() {
-            if !c.is_ascii_digit() {
-                decimals = c == '.' && out.ends_with('#');
-                out.push(c);
-            } else if decimals {
-                out.push('0');
-            } else if !out.ends_with('#') {
-                out.push('#');
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn json_renders_and_balances() {
-        let record = sample_record();
-        let json = record.render();
-        assert!(balanced(&json), "balanced braces:\n{json}");
-        // The measured sections keep the committed record's schema:
-        // same keys in the same order at the same precision. (The
-        // histograms are data: a smaller farm fills fewer buckets.)
-        let committed = committed_record();
-        let line = |json: &str, needle: &str| {
-            let line = json.lines().find(|l| l.contains(needle));
-            let line = line.unwrap_or_else(|| panic!("no {needle} line"));
-            let head = line.split(", \"service_hist").next().expect("a head");
-            shape(head.trim_end_matches(','))
-        };
-        for needle in [
-            "{\"server\": \"Apache\", \"mode\": \"Failure Oblivious\"",
-            "{\"threads\": 1,",
-            "\"boot_cost\":",
-            "\"farm_stress\":",
-            "{\"backend\": \"splay\"",
-            "{\"backend\": \"flat\"",
-        ] {
-            assert_eq!(line(&json, needle), line(&committed, needle));
-        }
-        assert!(json.contains("\"service_hist\": [["));
-        // A trajectory with no rows still renders its (empty) section.
-        let bare = FarmRecord {
-            trajectories: Default::default(),
-            ..record
-        }
-        .render();
-        assert!(balanced(&bare));
-        for key in TRAJECTORIES {
-            assert!(bare.contains(&format!("  \"{key}\": [],\n")), "{key}");
-        }
-    }
-
-    #[test]
-    fn trajectory_sections_round_trip() {
-        let record = sample_record();
-        let json = record.render();
-        let committed = committed_record();
-        let others_untouched = |changed: &str, key: &str| {
-            for other in TRAJECTORIES.iter().filter(|other| **other != key) {
-                assert_eq!(
-                    trajectory_rows(changed, other),
-                    trajectory_rows(&json, other),
-                    "touching {key} must not disturb {other}"
-                );
-            }
-        };
-        for (i, key) in TRAJECTORIES.into_iter().enumerate() {
-            // Extract returns what was rendered, and what is rendered
-            // today has the schema of the last row on record.
-            let first = &record.trajectories[i][0];
-            assert_eq!(trajectory_rows(&json, key), std::slice::from_ref(first));
-            let on_record = trajectory_rows(&committed, key);
-            let on_record = refingerprinted(on_record.last().expect("recorded"), "");
-            assert_eq!(
-                shape(&refingerprinted(first, "")),
-                shape(&on_record),
-                "{key}"
-            );
-            // A new fingerprint grows that array by one, and only it.
-            let second = refingerprinted(first, "fp-2");
-            let grown = upsert_trajectory_row(&json, key, &second).expect("append");
-            assert_eq!(
-                trajectory_rows(&grown, key),
-                [first.clone(), second.clone()]
-            );
-            others_untouched(&grown, key);
-            assert!(balanced(&grown), "appended record must stay balanced");
-            // The same fingerprint replaces in place and takes the
-            // fresh value: reruns over unchanged trees are idempotent.
-            let fresh = second.replacen('{', "{\"fresh\": 1, ", 1);
-            let replaced = upsert_trajectory_row(&grown, key, &fresh).expect("upsert");
-            assert_eq!(trajectory_rows(&replaced, key), [first.clone(), fresh]);
-            // A record that predates the section gains it, directly
-            // before mode_sweep_runs — which therefore cannot itself be
-            // missing.
-            let without = json.replacen(&rows_section(key, &record.trajectories[i]), "", 1);
-            assert!(trajectory_rows(&without, key).is_empty());
-            let created = upsert_trajectory_row(&without, key, &second);
-            if key == "mode_sweep_runs" {
-                assert!(created.expect_err("no anchor").contains("regenerate"));
-                continue;
-            }
-            let created = created.expect("create section");
-            let section = rows_section(key, std::slice::from_ref(&second));
-            assert!(
-                created.contains(&format!("{section}  \"mode_sweep_runs\": [")),
-                "{key} must be created before mode_sweep_runs:\n{created}"
-            );
-            others_untouched(&created, key);
-            assert!(balanced(&created));
-        }
-    }
-
-    #[test]
-    fn committed_record_survives_reupserting_its_own_rows() {
-        let json = committed_record();
-        for key in TRAJECTORIES {
-            let rows = trajectory_rows(&json, key);
-            let last = rows
-                .iter()
-                .rfind(|row| row_fingerprint(row).is_some())
-                .unwrap_or_else(|| panic!("{key} has no fingerprinted row"));
-            assert_eq!(
-                upsert_trajectory_row(&json, key, last).expect("upsert"),
-                json,
-                "re-upserting {key}'s own row must return the file byte for byte"
-            );
-        }
-        // The two rows recorded before fingerprinting existed are never
-        // matched (upserting one again appends) and never dropped.
-        for key in ["restart_cost_runs", "mode_sweep_runs"] {
-            let rows = trajectory_rows(&json, key);
-            assert_eq!(row_fingerprint(&rows[0]), None, "{key}");
-            for row in [rows[0].clone(), refingerprinted(&rows[1], "fp-new")] {
-                let grown = upsert_trajectory_row(&json, key, &row).expect("append");
-                let mut want = rows.clone();
-                want.push(row);
-                assert_eq!(trajectory_rows(&grown, key), want, "{key}");
-            }
-        }
-    }
 
     #[test]
     fn timed_farm_reports_a_changed_report_as_one_line() {
@@ -1531,35 +771,6 @@ mod tests {
         // Every loop iteration must actually violate: the fuel-side
         // instruction count confirms the loop ran end to end.
         assert!(v.instrs > VIOLATION_LOOP_ITERS as u64);
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_shape_sensitive() {
-        // Identical inputs reproduce the fingerprint (idempotent
-        // reruns); any shape change reshapes it (fresh trajectory row).
-        assert_eq!(
-            mode_sweep_fingerprint(150, 17, 4),
-            mode_sweep_fingerprint(150, 17, 4)
-        );
-        assert_ne!(
-            mode_sweep_fingerprint(150, 17, 4),
-            mode_sweep_fingerprint(150, 17, 8)
-        );
-        assert_eq!(restart_cost_fingerprint(24), restart_cost_fingerprint(24));
-        assert_ne!(restart_cost_fingerprint(24), restart_cost_fingerprint(8));
-        for l in &TIER_LOOPS {
-            assert_eq!(l.fingerprint(8), l.fingerprint(8));
-            assert_ne!(l.fingerprint(8), l.fingerprint(24));
-        }
-        assert_eq!(conn_cost_fingerprint(8), conn_cost_fingerprint(8));
-        assert_ne!(conn_cost_fingerprint(8), conn_cost_fingerprint(24));
-        assert_ne!(
-            TIER_LOOPS[0].fingerprint(8),
-            TIER_LOOPS[1].fingerprint(8),
-            "the copy loop and the pure-local loop must never collide"
-        );
-        // Concatenation ambiguity is broken by the separator.
-        assert_ne!(fingerprint("ab", &["c"]), fingerprint("a", &["bc"]));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! rep means carry scheduler spikes. [`robust_summary`] makes the
 //! numbers defensible: Tukey's IQR fences discard outliers, then the
 //! surviving samples get a mean, a sample standard deviation, and a
-//! normal-approximation 95% confidence interval — the wall-time rows of
-//! the farm trajectory record (`BENCH_farm.json`).
+//! normal-approximation 95% confidence interval — the wall-time
+//! readings the `bench` gates compare.
 
 /// Robust summary of a sample set.
 #[derive(Debug, Clone, Copy, PartialEq)]

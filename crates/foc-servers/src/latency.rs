@@ -1,17 +1,18 @@
 //! Log-bucket latency histograms for farm-scale tail accounting.
 //!
 //! The farm keeps every per-request latency during a run (exact
-//! p50/p99/p99.9 in `FarmStats` come from those vectors), but the
-//! *recorded* artifact — `BENCH_farm.json` at 4096 servers — cannot
-//! carry tens of thousands of raw values per row, and the tail split
-//! between service time and restart overhead (the §4.3.2
+//! p50/p99/p99.9 in `FarmStats` come from those vectors), but the tail
+//! split between service time and restart overhead (the §4.3.2
 //! process-management cost) needs a shape, not a list. [`LatencyHist`]
-//! is the standard HdrHistogram-style compromise for that boundary:
-//! power-of-two buckets, O(1) recording, exact counts, quantiles
-//! resolved to bucket upper bounds — compact enough to serialize per
-//! row and to sanity-check the exact percentiles against. Everything is
-//! integer arithmetic, so histograms participate in the farm's
-//! determinism contract (`Eq`, thread- and slice-invariant).
+//! is the standard HdrHistogram-style compromise: power-of-two
+//! buckets, O(1) recording, exact counts, quantiles resolved to bucket
+//! upper bounds. Two readers depend on that shape: the `farm_stress`
+//! gate holds each run's histogram quantiles at or above the exact
+//! percentiles, and the connection-level SLO
+//! ([`crate::conn::slo_within_basis_points`]) counts requests by bucket
+//! against the median. Everything is integer arithmetic, so histograms
+//! participate in the farm's determinism contract (`Eq`, thread- and
+//! slice-invariant).
 
 /// Number of power-of-two buckets: bucket `b` covers `[2^(b-1), 2^b)`
 /// virtual cycles (bucket 0 holds exact zeros), which spans the full

@@ -172,7 +172,7 @@ fn full_replay_reference(spec: &BootSpec, mailbox: Vec<(Vec<u8>, Vec<u8>, Vec<u8
 
 /// Observable identity of a Pine reader: usability, a read transcript
 /// over every message, and what the process left observable.
-fn pine_fingerprint(p: &mut pine::Pine, messages: i64) -> (bool, Vec<Measured>, Observation) {
+fn pine_observed(p: &mut pine::Pine, messages: i64) -> (bool, Vec<Measured>, Observation) {
     let usable = p.usable();
     let steps: Vec<Measured> = (0..messages).map(|i| p.read(i)).collect();
     (usable, steps, p.process().machine().observe())
@@ -228,8 +228,8 @@ fn assert_restart_chain_equivalent(
         };
         reference = full_replay_reference(&spec, current_mailbox);
         assert_eq!(
-            pine_fingerprint(&mut fast, messages),
-            pine_fingerprint(&mut reference, messages),
+            pine_observed(&mut fast, messages),
+            pine_observed(&mut reference, messages),
             "{mode:?}: after restart {round}"
         );
     }
@@ -265,8 +265,8 @@ fn farm_restart_equivalence_survives_live_attack_deliveries() {
         grown.push((pine::attack_from(40), b"pwn".to_vec(), b"payload".to_vec()));
         reference = full_replay_reference(&spec, grown);
         assert_eq!(
-            pine_fingerprint(&mut fast, 4),
-            pine_fingerprint(&mut reference, 4),
+            pine_observed(&mut fast, 4),
+            pine_observed(&mut reference, 4),
             "{mode:?}: restart into poisoned mail file"
         );
     }
