@@ -483,13 +483,16 @@ pub const TIER_LOOPS: [TierLoop; 2] = [
     // operands, under a counted loop's latch: the first pass runs as a
     // region, then one proof per access admits the other 63 and they
     // run as one batch — no probe, no dispatch, no operand decode, no
-    // deopt (all accesses are in bounds). The interpreter runs the same
-    // stream one checked access at a time, so the ratio is what the
-    // batch saves on memory-bound code. The measured margin is 12.5–17.9×
-    // on the 2-vCPU development host with the loop batched (4.4–6.6×
-    // while every access still resolved through the view's placement
-    // probe); 1.75× holds with room. Each outer iteration copies the
-    // 64-element buffer once.
+    // deopt (all accesses are in bounds) — and, a forward copy, as one
+    // `memmove` with a closed-form trip count. The interpreter runs the
+    // same stream one checked access at a time, so the ratio is what the
+    // batch saves on memory-bound code. The measured margin is 51.8–65.0×
+    // on a 2-vCPU x86-64 host with the batch moved (12.5–17.9× run pass
+    // by pass, 4.4–6.6× while every access still resolved through the
+    // view's placement probe); 1.75× holds with room, and `residency
+    // --check`'s `copy%` floor, not this timing, is what fails when the
+    // move stops firing. Each outer iteration copies the 64-element
+    // buffer once.
     TierLoop {
         name: "copy loop",
         what: "memory-spanning block execution over the baseline interpreter",

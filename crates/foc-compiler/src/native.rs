@@ -75,7 +75,14 @@
 //!
 //! A batch stops before the first pass it cannot prove and runs nothing
 //! below two: violations, manufactured values, fault seams and fuel-short
-//! exits stay on the ordinary path.
+//! exits stay on the ordinary path. Its latch is one closed form
+//! ([`CountedLoop::trips`]). A copy `d[k] = s[k]` whose passes tile both
+//! ranges (`delta` 1, element size = width, one load stored back) is one
+//! `memmove` when the stores start at or below the loads or miss them:
+//! no pass then reads a byte an earlier pass wrote, so moving the
+//! original bytes is what the passes store. The last pass's value, the
+//! one its register ends with, is loaded first, as the move may
+//! overwrite it (stores less than a width below the loads).
 //!
 //! ## Deopt contract
 //!
@@ -194,6 +201,26 @@ impl CountedLoop {
             Src::Slot8(off) => Some((off as u64, off as u64 + 8)),
             _ => None,
         })
+    }
+
+    /// How many of up to `n` passes from counter `k` (the latch held for
+    /// `k`) run: the first after which `k op bound` fails, and `exit`,
+    /// else `n` and `back`; `k + n·delta` must be exact in `i64` (the
+    /// batch's proof). The compare's truth changes only where the counter
+    /// steps past 0 (the unsigned wrap), `bound` or `bound + 1`, so the
+    /// first failing pass is pass 1 or the first beyond one of those (a
+    /// gap past `u64::MAX` lies beyond `n`).
+    pub fn trips(&self, k: i64, bound: i64, n: u64) -> (u64, Succ) {
+        let (k, d, b) = (k as i128, self.delta as i128, bound as i128);
+        let beyond = |p: i128| {
+            let gap = if d > 0 { p - k } else { k - p + 1 };
+            (gap.clamp(0, u64::MAX as i128) as u64).div_ceil(self.delta.unsigned_abs().max(1))
+        };
+        let fails =
+            |i: &u64| (1..=n).contains(i) && !self.op.eval((k + *i as i128 * d) as i64, bound);
+        let passes = [1, beyond(0), beyond(b), beyond(b + 1)];
+        let first = passes.into_iter().filter(fails).min();
+        first.map_or((n, self.back), |i| (i, self.exit))
     }
 }
 
@@ -1818,6 +1845,102 @@ mod tests {
         assert_eq!((count, val), (i, Src::Reg(dst)));
         assert_eq!(i, Src::Slot8(counter));
         assert_eq!(body.dispatches, 4, "entry, load, store, latch");
+    }
+
+    #[test]
+    fn trips_match_a_per_pass_scan() {
+        use CmpOp::*;
+        let (back, exit) = (
+            Succ {
+                pc: 1,
+                region: 2,
+                skip: 0,
+            },
+            Succ {
+                pc: 3,
+                region: 4,
+                skip: 0,
+            },
+        );
+        let scan = |lp: &CountedLoop, k: i64, bound: i64, n: u64| {
+            let mut at = k;
+            for i in 1..=n {
+                at += lp.delta;
+                if !lp.op.eval(at, bound) {
+                    return (i, exit);
+                }
+            }
+            (n, back)
+        };
+        let counters = [
+            0,
+            1,
+            -1,
+            5,
+            -5,
+            40,
+            i64::MIN,
+            i64::MIN + 4,
+            i64::MAX,
+            i64::MAX - 4,
+        ];
+        let mut checked = 0;
+        for op in [Eq, Ne, LtS, LtU, LeS, LeU, GtS, GtU, GeS, GeU] {
+            for delta in [1, -1, 3, -3] {
+                let lp = CountedLoop {
+                    counter: 0,
+                    delta,
+                    bound: Src::Const(0),
+                    op,
+                    back,
+                    exit,
+                };
+                for k in counters {
+                    let near = |c: i64| (-7..=7).map(move |j: i64| c.wrapping_add(j));
+                    let bounds = near(k)
+                        .chain(near(0))
+                        .chain(near(i64::MIN))
+                        .chain(near(i64::MAX));
+                    for bound in bounds {
+                        for n in 0..=12u64 {
+                            // `trips` asks that every stepped counter be exact.
+                            if k.checked_add(n as i64 * delta).is_none() {
+                                break;
+                            }
+                            let want = scan(&lp, k, bound, n);
+                            assert_eq!(
+                                lp.trips(k, bound, n),
+                                want,
+                                "{op:?} k={k} delta={delta} bound={bound} n={n}"
+                            );
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 100_000, "{checked}");
+        // A first failure far into a long batch, a latch that holds across
+        // the unsigned wrap, and one that fails at it.
+        for (op, k, bound, n) in [
+            (LtS, 0, 1_000_000, 400_000),
+            (LtU, -600_000, -2, 300_000),
+            (GeU, -600_000, 7, 300_000),
+        ] {
+            let lp = CountedLoop {
+                counter: 0,
+                delta: 3,
+                bound: Src::Const(0),
+                op,
+                back,
+                exit,
+            };
+            assert_eq!(
+                lp.trips(k, bound, n),
+                scan(&lp, k, bound, n),
+                "{op:?} k={k}"
+            );
+        }
     }
 
     #[test]

@@ -1264,8 +1264,9 @@ impl Span {
 ///
 /// **Proofs.** A counted loop's batch asks [`NativeView::prove`] how
 /// many iterations of an access are hits, then makes them with
-/// [`NativeView::proven_load`]/[`NativeView::proven_store`] and counts
-/// them with [`NativeView::count_run`]. A proof changes nothing
+/// [`NativeView::proven_load`]/[`NativeView::proven_store`] — or, for a
+/// forward copy, all at once with [`NativeView::proven_copy`] — and
+/// counts them with [`NativeView::count_run`]. A proof changes nothing
 /// observable either: it resolves the base pointer as the hit path
 /// would, so only the table's [`LookupProfile`] moves.
 ///
@@ -1439,7 +1440,7 @@ impl<'a> NativeView<'a> {
     /// counter after the latch, `k + (i + 1)·delta`, and scaled index,
     /// `(k + i·delta)·esz`, are exact in `i64` count; inside one window
     /// the executor's wrapping targets then step by exactly `delta·esz`.
-    pub fn prove(&mut self, s: Sweep, holes: impl IntoIterator<Item = (u64, u64)>) -> u64 {
+    pub fn prove(&mut self, s: Sweep, holes: &[(u64, u64)]) -> u64 {
         let frame = (self.stack.lo + self.frame_at as u64) as i128;
         let (k, delta, esz) = (s.k as i128, s.delta as i128, s.esz as i64 as i128);
         let (scaled, stride) = (k * esz, delta * esz);
@@ -1459,7 +1460,7 @@ impl<'a> NativeView<'a> {
             lo = lo.max(unit.base as i128);
             hi = hi.min(unit.base as i128 + unit.size as i128);
         }
-        for (start, end) in holes {
+        for &(start, end) in holes {
             let (start, end) = (frame + start as i128, frame + end as i128);
             if end <= first {
                 lo = lo.max(end);
@@ -1496,6 +1497,36 @@ impl<'a> NativeView<'a> {
         let w = self.window(a);
         let ok = scalar_put(w.bytes, a.wrapping_sub(w.lo) as usize, size, value);
         assert!(ok, "a proven store");
+    }
+
+    /// `len` bytes from `src` to `dst` as one `memmove`: a forward copy
+    /// loop's proven loads and stores, moved at once. No counter moves.
+    ///
+    /// # Panics
+    ///
+    /// Panics when either range is outside its window (it was not proven).
+    pub fn proven_copy(&mut self, dst: u64, src: u64, len: u64) {
+        let at = |a: u64| match a {
+            _ if a >= addr::STACK_BASE => 2,
+            _ if a >= addr::HEAP_BASE => 1,
+            _ => 0,
+        };
+        let mut windows = [&mut self.globals, &mut self.heap, &mut self.stack];
+        let range = |w: &Window<'_>, a: u64| {
+            let off = a.wrapping_sub(w.lo) as usize;
+            off..off + len as usize
+        };
+        if at(dst) == at(src) {
+            let w = &mut windows[at(src)];
+            let (from, to) = (range(w, src), range(w, dst).start);
+            w.bytes.copy_within(from, to);
+        } else {
+            let [to, from] = windows
+                .get_disjoint_mut([at(dst), at(src)])
+                .expect("two windows");
+            let (d, s) = (range(to, dst), range(from, src));
+            to.bytes[d].copy_from_slice(&from.bytes[s]);
+        }
     }
 
     /// Advances the counters by what `loads` load hits and `stores` store

@@ -620,7 +620,8 @@ const NEAR_MAX: &str = "9223372036854775802";
 const NEAR_SCALED_MAX: &str = "1152921504606846973";
 
 /// One counted-loop shape: a function `f(n)` over units whose ends are
-/// `ends` elements in, and in which modes its copy loop must batch.
+/// `ends` elements in, in which modes its copy loop must batch, and
+/// whether its batches run as one move.
 struct Counted {
     name: &'static str,
     source: String,
@@ -629,6 +630,26 @@ struct Counted {
     checked: bool,
     /// Batches fire in Standard mode (some length).
     standard: bool,
+    /// Its batches run as one `memmove`, not pass by pass.
+    moves: bool,
+}
+
+impl Counted {
+    /// The same shape with its batches run pass by pass.
+    fn per_pass(self) -> Counted {
+        Counted {
+            moves: false,
+            ..self
+        }
+    }
+
+    /// The same shape with `globals` declared above `f`.
+    fn with_globals(self, globals: &str) -> Counted {
+        Counted {
+            source: format!("{globals}\n{}", self.source),
+            ..self
+        }
+    }
 }
 
 /// `f(n)` fills `s`, runs `copy` and sums `d`'s `len` elements; `decls`
@@ -653,6 +674,7 @@ fn counted_shapes() -> Vec<Counted> {
         ends,
         checked,
         standard: true,
+        moves: true,
     };
     vec![
         shape(
@@ -694,7 +716,8 @@ fn counted_shapes() -> Vec<Counted> {
             15,
             &[15],
             true,
-        ),
+        )
+        .per_pass(),
         shape(
             "backward overlap",
             "long a[16]; long *s = a + 1; long *d = a; long k;",
@@ -739,7 +762,8 @@ fn counted_shapes() -> Vec<Counted> {
             16,
             &[16],
             true,
-        ),
+        )
+        .per_pass(),
         shape(
             "counter near i64::MAX",
             "char s[16]; char d[16]; long k; char *x = d; char *y = s;",
@@ -763,17 +787,111 @@ fn counted_shapes() -> Vec<Counted> {
             &[16],
             false,
         ),
+        // Stores 3 and 5 bytes below the loads: each store overwrites part
+        // of the element its own pass loaded, so the move must read the
+        // last pass's value first.
+        shape(
+            "stores 3 bytes below the loads",
+            "char c[136]; long *s = (long *) (c + 3); long *d = (long *) c; long k;",
+            up,
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "stores 5 bytes below the loads",
+            "char c[136]; long *s = (long *) (c + 5); long *d = (long *) c; long k;",
+            up,
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "stores 3 bytes above the loads",
+            "char c[136]; long *s = (long *) c; long *d = (long *) (c + 3); long k;",
+            up,
+            16,
+            &[16],
+            true,
+        )
+        .per_pass(),
+        shape(
+            "global → heap",
+            "long *s = g; long *d = (long *) malloc(128); long k;",
+            up,
+            16,
+            &[16],
+            true,
+        )
+        .with_globals("long g[16];"),
+        shape(
+            "stack → global",
+            "long s[16]; long *d = g; long k;",
+            up,
+            16,
+            &[16],
+            true,
+        )
+        .with_globals("long g[16];"),
+        shape(
+            "short",
+            "short s[20]; short d[20]; long k;",
+            up,
+            20,
+            &[20],
+            true,
+        ),
+        shape("int", "int s[20]; int d[20]; long k;", up, 20, &[20], true),
+        // `t` starts from the last value the loop loaded, sign-extended.
+        shape(
+            "char, last value returned",
+            "char s[24]; char d[24]; long k;",
+            "for (k = 0; k < n; k++) d[k] = s[k]; if (n > 0 && n <= 24) t = d[n - 1];",
+            24,
+            &[24],
+            true,
+        ),
+        // One byte of each 8-byte element: the passes do not tile.
+        shape(
+            "strided",
+            "long s[16]; long d[16]; long k;",
+            "for (k = 0; k < n; k++) *((char *) (d + k)) = *((char *) (s + k));",
+            16,
+            &[16],
+            true,
+        )
+        .per_pass(),
+        // Latches other than `k < n` that fail inside the proven span.
+        shape(
+            "k != n",
+            "long s[16]; long d[16]; long k;",
+            "for (k = 0; k != n; k++) d[k] = s[k];",
+            16,
+            &[16],
+            true,
+        ),
+        shape(
+            "unsigned k",
+            "long s[16]; long d[16]; unsigned long k;",
+            up,
+            16,
+            &[16],
+            true,
+        ),
     ]
 }
 
-/// Both tiers of one counted-loop run; the native one's batch count.
-fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64) {
-    let [(baseline, _), (native, batches)] = images.clone().map(|image| {
+/// Both tiers of one counted-loop run; the native one's batch count and
+/// the instructions its batches retired as one move.
+fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64, u64) {
+    let [(baseline, ..), (native, batches, moved)] = images.clone().map(|image| {
         let mut m = Machine::load(image, config.clone()).expect("load");
-        ((m.call("f", &[n]), m.observe()), m.exec_profile().batches)
+        let run = (m.call("f", &[n]), m.observe());
+        let p = m.exec_profile();
+        (run, p.batches, p.copied_instrs)
     });
     assert_eq!(baseline, native, "native must match baseline at n = {n}");
-    (native, batches)
+    (native, batches, moved)
 }
 
 fn counted_images(source: &str) -> [ProgramImage; 2] {
@@ -785,7 +903,9 @@ fn counted_images(source: &str) -> [ProgramImage; 2] {
 /// native tier equals the baseline on the result and the `Observation`,
 /// and batches fire exactly in the modes the shape says — the checked
 /// modes refuse a base pointer out of its unit, and a loop nobody
-/// batches cannot pass this vacuously.
+/// batches cannot pass this vacuously. At the first unit's end they
+/// run as one move exactly when the shape says (a one-pass batch is a
+/// move whatever the overlap, so shorter lengths cannot tell).
 #[test]
 fn counted_loops_batch_only_what_they_prove() {
     for shape in counted_shapes() {
@@ -796,9 +916,13 @@ fn counted_loops_batch_only_what_they_prove() {
         }
         for mode in Mode::ALL {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let mut batches = 0;
+            let (mut batches, mut moved) = (0, 0);
             for &n in &lengths {
-                batches += counted_run(&images, &config, n).1;
+                let (_, b, m) = counted_run(&images, &config, n);
+                batches += b;
+                if n == shape.ends[0] {
+                    moved = m;
+                }
             }
             let want = if mode.is_checked() {
                 shape.checked
@@ -806,6 +930,8 @@ fn counted_loops_batch_only_what_they_prove() {
                 shape.standard
             };
             assert_eq!(batches > 0, want, "{} under {mode:?}", shape.name);
+            let moves = want && shape.moves;
+            assert_eq!(moved > 0, moves, "{} moves under {mode:?}", shape.name);
         }
     }
 }
@@ -822,7 +948,7 @@ fn every_fuel_budget_across_a_batch_is_tier_blind() {
         let n = shape.ends[0] + 1;
         for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let ((_, full), batches) = counted_run(&images, &config, n);
+            let ((_, full), batches, _) = counted_run(&images, &config, n);
             let dies_first = mode == Mode::BoundsCheck && shape.name == "k--";
             assert_eq!(batches > 0, !dies_first, "{} under {mode:?}", shape.name);
             for fuel in 0..=full.run.instrs + 1 {

@@ -140,6 +140,8 @@ pub struct ExecProfile {
     pub batches: u64,
     /// Their instructions: in `native_instrs`, but never dispatched.
     pub batched_instrs: u64,
+    /// The share of `batched_instrs` whose batch ran as one move.
+    pub copied_instrs: u64,
     /// Stays on the native path that ended at a pc no region starts at
     /// (call, builtin, return).
     pub no_region_exits: u64,
@@ -987,11 +989,13 @@ impl Machine {
                 }
                 Term::Counted(at) => {
                     let (lp, most) = (&nf.loops[at as usize], fuel / region.charge);
-                    let (n, next) = run_counted(&mut view, lp, &region.ops, regs, base, most);
+                    let (n, next, moved) =
+                        run_counted(&mut view, lp, &region.ops, regs, base, most);
                     fuel -= n * region.charge;
                     extras += n * region.ops.len() as u64 * (ptr_extra + mem_extra);
                     self.profile.batches += (n > 0) as u64;
                     self.profile.batched_instrs += n * region.charge;
+                    self.profile.copied_instrs += moved as u64 * n * region.charge;
                     next
                 }
             };
@@ -1253,8 +1257,9 @@ fn operand(view: &NativeView<'_>, regs: &RegFile, base: u64, s: Src) -> i64 {
 
 /// A counted loop's latch, then up to `n` passes of its region's `ops`
 /// as one batch: as many as the view proves hits (none below two), the
-/// counter in a register. Returns the passes, for the caller to charge,
-/// and the successor. Out of line, so `run_native` keeps its size.
+/// counter in a register, a forward copy's passes one move. Returns the
+/// passes, for the caller to charge, the successor, and whether they were
+/// moved. Out of line, so `run_native` keeps its size.
 #[inline(never)]
 fn run_counted(
     view: &mut NativeView<'_>,
@@ -1263,14 +1268,18 @@ fn run_counted(
     regs: &mut RegFile,
     base: u64,
     mut n: u64,
-) -> (u64, Succ) {
+) -> (u64, Succ, bool) {
     inc_local(view, lp.counter, lp.delta, AccessSize::B8, true);
-    let mut k = view.local_get(lp.counter, AccessSize::B8) as i64;
+    let k = view.local_get(lp.counter, AccessSize::B8) as i64;
     let bound = operand(view, regs, base, lp.bound);
     if !lp.op.eval(k, bound) {
-        return (0, lp.exit);
+        return (0, lp.exit, false);
     }
-    // Each access's base pointer, element size and width, decoded once.
+    // The frame ranges the loop reads, the counter's first: no load may
+    // meet the counter, no store any of them.
+    let mut holes = [(0, 0); foc_compiler::native::COUNTED_ACCESSES + 2];
+    let reads = lp.reads(ops).zip(&mut holes).map(|(r, h)| *h = r).count();
+    // Each access's first address, step and width, decoded once.
     let mut lanes = [(0, 0, AccessSize::B8); foc_compiler::native::COUNTED_ACCESSES];
     let mut stores = 0;
     for (lane, op) in lanes.iter_mut().zip(ops) {
@@ -1278,51 +1287,65 @@ fn run_counted(
         else {
             unreachable!("a counted loop's body is indexed accesses");
         };
-        *lane = (operand(view, regs, base, ptr) as u64, esz as i64, size);
         let sweep = Sweep {
-            ptr: lane.0,
+            ptr: operand(view, regs, base, ptr) as u64,
             k,
             delta: lp.delta,
             esz,
             size,
             store: matches!(op, NOp::IdxStore { .. }),
         };
+        let scale = |x: i64| x.wrapping_mul(esz as i64) as u64;
+        *lane = (sweep.ptr.wrapping_add(scale(k)), scale(lp.delta), size);
         stores += sweep.store as u64;
-        // No load may meet the counter (read first), no store any read.
-        let holes = lp.reads(ops).take(if sweep.store { usize::MAX } else { 1 });
-        n = n.min(view.prove(sweep, holes));
+        n = n.min(view.prove(sweep, &holes[..if sweep.store { reads } else { 1 }]));
     }
     if n < 2 {
-        return (0, lp.back);
+        return (0, lp.back, false);
     }
-    let (mut ran, mut next) = (0, lp.back);
-    while ran < n {
-        for (&(ptr, esz, size), op) in lanes.iter().zip(ops) {
-            let a = ptr.wrapping_add(k.wrapping_mul(esz) as u64);
-            match *op {
-                NOp::IdxLoad { dst, signed, .. } => {
-                    regs[dst as usize] = extend(view.proven_load(a, size), size, signed);
+    let (ran, next) = lp.trips(k, bound, n);
+    // A forward copy is one `memmove`, the last pass's value loaded
+    // first (`native.rs`, "Counted loops").
+    let [(from, step, size), (to, ..), ..] = lanes;
+    let len = ran.wrapping_mul(step);
+    let moved = match *ops {
+        [NOp::IdxLoad { dst, signed, .. }, NOp::IdxStore { val, .. }]
+            if val == Src::Reg(dst)
+                && lanes[1] == (to, step, size)
+                && (lp.delta, step) == (1, size.bytes())
+                && (to <= from || from + len <= to) =>
+        {
+            let last = view.proven_load(from + len - step, size);
+            regs[dst as usize] = extend(last, size, signed);
+            view.proven_copy(to, from, len);
+            true
+        }
+        _ => false,
+    };
+    if !moved {
+        for i in 0..ran {
+            for (&(first, step, size), op) in lanes.iter().zip(ops) {
+                let a = first.wrapping_add(i.wrapping_mul(step));
+                match *op {
+                    NOp::IdxLoad { dst, signed, .. } => {
+                        regs[dst as usize] = extend(view.proven_load(a, size), size, signed);
+                    }
+                    NOp::IdxStore { val, .. } => {
+                        let v = match val {
+                            Src::Reg(r) => regs[r as usize],
+                            _ => operand(view, regs, base, val),
+                        };
+                        view.proven_store(a, size, v as u64);
+                    }
+                    _ => {}
                 }
-                NOp::IdxStore { val, .. } => {
-                    let v = match val {
-                        Src::Reg(r) => regs[r as usize],
-                        _ => operand(view, regs, base, val),
-                    };
-                    view.proven_store(a, size, v as u64);
-                }
-                _ => {}
             }
         }
-        k += lp.delta;
-        ran += 1;
-        if !lp.op.eval(k, bound) {
-            next = lp.exit;
-            break;
-        }
     }
+    let k = k.wrapping_add((ran as i64).wrapping_mul(lp.delta));
     view.local_put(lp.counter, AccessSize::B8, k as u64);
     view.count_run(ran * (ops.len() as u64 - stores), ran * stores);
-    (ran, next)
+    (ran, next, moved)
 }
 
 #[cfg(test)]
@@ -1910,5 +1933,69 @@ mod tests {
                      return buf[0] * 256 + buf[1];\n\
                    }";
         assert_eq!(run(src, "f", &[]), 97 * 256 + 98);
+    }
+
+    /// A copy batch whose stores land one byte below its loads clobbers
+    /// each element its own pass loaded: moved at once, the bytes are
+    /// still the passes' and the register still holds the last pass's
+    /// load, sign-extended, read before the move overwrote it.
+    #[test]
+    fn a_moved_batch_ends_as_its_passes_would() {
+        use foc_compiler::native::FaultAt;
+        let mut space = MemorySpace::new(MemConfig::with_mode(foc_memory::Mode::Standard));
+        let base = space.push_frame(64, &[]).expect("a frame");
+        let mut bytes: Vec<u8> = (0..40).map(|b| 0x80 | b).collect();
+        assert!(space.write_bytes_raw(base + 16, &bytes));
+        let (seam, size) = (FaultAt { pc: 0, spent: 0 }, AccessSize::B2);
+        let (count, esz, spill) = (Src::Slot8(0), 2, 0);
+        let ops = [
+            NOp::IdxLoad {
+                dst: 0,
+                ptr: Src::Addr(17),
+                count,
+                esz,
+                size,
+                signed: true,
+                seam,
+                spill,
+            },
+            NOp::IdxStore {
+                ptr: Src::Addr(16),
+                count,
+                val: Src::Reg(0),
+                esz,
+                size,
+                seam,
+                spill,
+            },
+        ];
+        let succ = |region| Succ {
+            pc: 0,
+            region,
+            skip: 0,
+        };
+        let lp = CountedLoop {
+            counter: 0,
+            delta: 1,
+            bound: Src::Const(10),
+            op: foc_compiler::CmpOp::LtS,
+            back: succ(0),
+            exit: succ(1),
+        };
+        let mut regs = [0; 256];
+        let mut view = space.native_view(base, 64);
+        let (ran, next, moved) = run_counted(&mut view, &lp, &ops, &mut regs, base, 100);
+        assert_eq!((ran, next, moved), (9, lp.exit, true), "k = 1..=9, moved");
+        // The same passes over the host copy: `d[k] = s[k]`, `k` from 1.
+        let mut last = 0;
+        for k in 1..10 {
+            let at = 1 + 2 * k;
+            last = i16::from_le_bytes([bytes[at], bytes[at + 1]]) as i64;
+            bytes.copy_within(at..at + 2, at - 1);
+        }
+        assert!(last < 0);
+        assert_eq!(regs[0], last);
+        assert_eq!(space.read_bytes_raw(base + 16, 40), Some(bytes));
+        assert_eq!(space.read_raw(base, AccessSize::B8), Some(10), "k");
     }
 }
