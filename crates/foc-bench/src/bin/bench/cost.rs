@@ -4,9 +4,9 @@
 
 use foc_bench::check::{check_gate, Args};
 use foc_bench::farm_report::{
-    conn_cost_smoke, measure_conn_cost, measure_restart_cost, measure_violation_throughput,
-    ConnCost, NativeCost, RestartCost, ViolationThroughput, CONN_SLO_K, CONN_SMOKE_FLOOD,
-    CONN_SMOKE_POOL, CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS, TIER_LOOPS,
+    conn_cost_smoke, measure_conn_cost, measure_native_cost, measure_restart_cost,
+    measure_violation_throughput, ConnCost, NativeCost, RestartCost, ViolationThroughput,
+    CONN_SLO_K, CONN_SMOKE_FLOOD, CONN_SMOKE_POOL, CONN_SMOKE_REQUESTS, CONN_SMOKE_SERVERS,
 };
 
 fn print_restart(cost: &RestartCost, violation: &ViolationThroughput) {
@@ -62,51 +62,53 @@ pub fn restart_gate(_: &Args) -> Result<String, String> {
     ))
 }
 
-fn print_tiers(name: &str, cost: &NativeCost) {
+fn print_tiers(cost: &NativeCost) {
     eprintln!(
-        "  {name}, baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
+        "  baseline tier {:>8.1} Minstr/s ± {:.1} ({} instrs/run, {} reps)",
         cost.baseline.minstr_per_s,
         cost.baseline.minstr_ci95,
         cost.baseline.instrs,
         cost.baseline.reps
     );
     eprintln!(
-        "  {name}, native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
+        "  native tier   {:>8.1} Minstr/s ± {:.1}  ({:.2}x baseline)",
         cost.native.minstr_per_s,
         cost.native.minstr_ci95,
         cost.speedup()
     );
 }
 
-/// The native-cost gates: AOT-lowered region execution must beat the
+/// The native-cost gate: AOT-lowered region execution must beat the
 /// baseline interpreter by ≥2.5× on the dispatch-bound local arithmetic
-/// loop and by ≥1.75× on the guest copy loop ([`TIER_LOOPS`]), both
-/// tiers retiring identical instruction counts on each.
+/// loop, both tiers retiring identical instruction counts; 2.5× holds
+/// with room on noisy CI hosts. (The counted copy loop is judged end to
+/// end by `mc_copy` and, deterministically, by `residency --check`'s
+/// `batched%` floor.)
 pub fn native_gate(_: &Args) -> Result<String, String> {
-    let mut speedups = Vec::new();
-    for l in &TIER_LOOPS {
-        eprintln!("native_cost --check: {} ...", l.what);
-        let cost = l.measure(8);
-        print_tiers(l.name, &cost);
-        if cost.native.instrs != cost.baseline.instrs {
-            return Err(format!(
-                "tiers must retire identical instruction counts on the {}: \
-                 baseline {} vs native {}",
-                l.name, cost.baseline.instrs, cost.native.instrs
-            ));
-        }
-        check_gate(
-            l.what,
-            cost.speedup(),
-            l.gate,
-            &format!(
-                "{:.1} vs {:.1} Minstr/s",
-                cost.native.minstr_per_s, cost.baseline.minstr_per_s
-            ),
-        )?;
-        speedups.push(format!("{:.2}x {}", cost.speedup(), l.name));
+    let what = "native region execution over the baseline interpreter";
+    eprintln!("native_cost --check: {what} ...");
+    let cost = measure_native_cost(8);
+    print_tiers(&cost);
+    if cost.native.instrs != cost.baseline.instrs {
+        return Err(format!(
+            "tiers must retire identical instruction counts on the dispatch loop: \
+             baseline {} vs native {}",
+            cost.baseline.instrs, cost.native.instrs
+        ));
     }
-    Ok(format!("{} native over baseline", speedups.join(", ")))
+    check_gate(
+        what,
+        cost.speedup(),
+        2.5,
+        &format!(
+            "{:.1} vs {:.1} Minstr/s",
+            cost.native.minstr_per_s, cost.baseline.minstr_per_s
+        ),
+    )?;
+    Ok(format!(
+        "{:.2}x dispatch loop native over baseline",
+        cost.speedup()
+    ))
 }
 
 /// The CI bar on the socket edge's overhead: clean socket transport

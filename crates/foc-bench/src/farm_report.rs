@@ -399,7 +399,7 @@ fn measure_loop_throughput(
 }
 
 // ----------------------------------------------------------------------
-// Tier cost: AOT region execution vs the interpreter, on two loops.
+// Tier cost: AOT region execution vs the interpreter, on one loop.
 // ----------------------------------------------------------------------
 
 /// Interpretation-rate measurement of one guest loop under both
@@ -421,107 +421,47 @@ impl NativeCost {
     }
 }
 
-/// One violation-free guest loop timed under both tiers: what it runs
-/// and the CI bar on its native-over-baseline ratio.
-#[derive(Debug)]
-pub struct TierLoop {
-    /// Short name for the printed lines.
-    pub name: &'static str,
-    /// The gated quantity, for the diagnostic.
-    pub what: &'static str,
-    /// MiniC source defining `spin(n)`.
-    source: &'static str,
-    /// `n` per measured run (about three million guest instructions,
-    /// matching the other loop benchmarks' run length).
-    iters: i64,
-    /// The CI bar on native-over-baseline.
-    pub gate: f64,
-}
+/// The loop `native_cost` measures and gates: a dispatch-bound body
+/// with *no* memory violations and no guest heap traffic, so nothing
+/// tier-invariant (violation machinery, checked accesses) dilutes the
+/// quantity it isolates: what a dispatch round itself costs. The body is
+/// multi-operand local expression arithmetic: the interpreter pays one
+/// fetch/decode/match round plus fuel, stats, and pc bookkeeping for
+/// every instruction, while a lowered region pre-charges its whole
+/// straight-line run once, groups the body into one pure-local block,
+/// and executes pre-resolved operands back to back against a single
+/// borrow of the frame window. A region entry replaces every dispatch
+/// round of its straight-line run, so the measured margin is 2.9–5.2× on
+/// a 2-vCPU x86-64 host.
+const DISPATCH_LOOP_SOURCE: &str = "long spin(long n) {\n\
+     long i;\n\
+     long t = 0;\n\
+     long u = 1;\n\
+     for (i = 0; i < n; i++) {\n\
+         t = t + u + i + 3;\n\
+         u = u + t + i + 5;\n\
+         t = t + u + u + 7;\n\
+         u = u + t + t + 9;\n\
+         t = t + u + i + 11;\n\
+         u = u + t + i + 13;\n\
+         t = t + u + u + 15;\n\
+         u = u + t + t + 17;\n\
+     }\n\
+     return t + u;\n\
+ }";
 
-/// The two loops `native_cost` measures and gates.
-pub const TIER_LOOPS: [TierLoop; 2] = [
-    // The dispatch loop: a dispatch-bound body with *no* memory
-    // violations and no guest heap traffic, so nothing tier-invariant
-    // (violation machinery, checked accesses) dilutes the quantity it
-    // isolates: what a dispatch round itself costs. The body is
-    // multi-operand local expression arithmetic: the interpreter pays
-    // one fetch/decode/match round plus fuel, stats, and pc bookkeeping
-    // for every instruction, while a lowered region pre-charges its
-    // whole straight-line run once, groups the body into one pure-local
-    // block, and executes pre-resolved operands back to back against a
-    // single borrow of the frame window. It is the gate for the native
-    // tier: a region entry replaces every dispatch round of its
-    // straight-line run, so the measured margin is around 3× on the
-    // development host (2.9–3.2× at PR 19); 2.5× holds with room on
-    // noisy CI hosts.
-    TierLoop {
-        name: "dispatch loop",
-        what: "native region execution over the baseline interpreter",
-        source: "long spin(long n) {\n\
-             long i;\n\
-             long t = 0;\n\
-             long u = 1;\n\
-             for (i = 0; i < n; i++) {\n\
-                 t = t + u + i + 3;\n\
-                 u = u + t + i + 5;\n\
-                 t = t + u + u + 7;\n\
-                 u = u + t + t + 9;\n\
-                 t = t + u + i + 11;\n\
-                 u = u + t + i + 13;\n\
-                 t = t + u + u + 15;\n\
-                 u = u + t + t + 17;\n\
-             }\n\
-             return t + u;\n\
-         }",
-        iters: 30_000,
-        gate: 2.5,
-    },
-    // The copy loop: a guest copy. The inner loop's `dst[i] = src[i]`
-    // lowers to a pointer-arithmetic + checked-access pair per element,
-    // exactly the shape the native tier folds into one `IdxLoad` and
-    // one `IdxStore` naming the array bases and the index slot as
-    // operands, under a counted loop's latch: the first pass runs as a
-    // region, then one proof per access admits the other 63 and they
-    // run as one batch — no probe, no dispatch, no operand decode, no
-    // deopt (all accesses are in bounds) — and, a forward copy, as one
-    // `memmove` with a closed-form trip count. The interpreter runs the
-    // same stream one checked access at a time, so the ratio is what the
-    // batch saves on memory-bound code. The measured margin is 51.8–65.0×
-    // on a 2-vCPU x86-64 host with the batch moved (12.5–17.9× run pass
-    // by pass, 4.4–6.6× while every access still resolved through the
-    // view's placement probe); 1.75× holds with room, and `residency
-    // --check`'s `copy%` floor, not this timing, is what fails when the
-    // move stops firing. Each outer iteration copies the 64-element
-    // buffer once.
-    TierLoop {
-        name: "copy loop",
-        what: "memory-spanning block execution over the baseline interpreter",
-        source: "long spin(long n) {\n\
-             long src[64];\n\
-             long dst[64];\n\
-             long i;\n\
-             long j;\n\
-             long t = 0;\n\
-             for (i = 0; i < 64; i++) src[i] = i * 3;\n\
-             for (j = 0; j < n; j++) {\n\
-                 for (i = 0; i < 64; i++) dst[i] = src[i];\n\
-                 t = t + dst[63];\n\
-             }\n\
-             return t;\n\
-         }",
-        iters: 2_000,
-        gate: 1.75,
-    },
-];
+/// Iterations per measured run (about three million guest instructions,
+/// matching the other loop benchmarks' run length).
+const DISPATCH_LOOP_ITERS: i64 = 30_000;
 
-impl TierLoop {
-    /// `reps` runs of the loop per tier on fresh machines.
-    pub fn measure(&self, reps: usize) -> NativeCost {
-        use foc_compiler::ExecTier;
-        NativeCost {
-            baseline: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Baseline),
-            native: measure_loop_throughput(self.source, self.iters, reps, ExecTier::Native),
-        }
+/// Measures [`NativeCost`] on the dispatch loop, `reps` runs per tier on
+/// fresh machines.
+pub fn measure_native_cost(reps: usize) -> NativeCost {
+    use foc_compiler::ExecTier;
+    let at = |tier| measure_loop_throughput(DISPATCH_LOOP_SOURCE, DISPATCH_LOOP_ITERS, reps, tier);
+    NativeCost {
+        baseline: at(ExecTier::Baseline),
+        native: at(ExecTier::Native),
     }
 }
 

@@ -60,11 +60,12 @@
 //!
 //! ## Counted loops
 //!
-//! Last, a region looping onto itself through a fused latch on an 8-byte
-//! counter `k`, its body only indexed accesses at `k` (`counted`), ends in
-//! [`Term::Counted`]. When its latch points back, the executor proves how
-//! many more passes are hits and batches them: no probe, operand decode or
-//! frame-slot traffic. Its proof (`NativeView::prove`) holds each pass to:
+//! Last, a region looping onto itself through a fused `k++` latch on an
+//! 8-byte counter `k`, its body exactly a copy `d[k] = s[k]` whose passes
+//! tile both ranges (`counted`), ends in [`Term::Counted`]; any other
+//! loop keeps its [`Term::IncBranch`]. When the latch points back, the
+//! executor proves how many more passes are hits and moves them at once.
+//! Its proof (`NativeView::prove`) holds each pass to:
 //!
 //! * **unit** — each access stays in its base's unit (Standard: window);
 //! * **window** — each access lies in the committed window;
@@ -73,16 +74,15 @@
 //! * **counter and `k·esz` overflow** — both exact in `i64`;
 //! * **fuel** — the fuel left covers each pass's whole charge.
 //!
-//! A batch stops before the first pass it cannot prove and runs nothing
-//! below two: violations, manufactured values, fault seams and fuel-short
-//! exits stay on the ordinary path. Its latch is one closed form
-//! ([`CountedLoop::trips`]). A copy `d[k] = s[k]` whose passes tile both
-//! ranges (`delta` 1, element size = width, one load stored back) is one
-//! `memmove` when the stores start at or below the loads or miss them:
-//! no pass then reads a byte an earlier pass wrote, so moving the
-//! original bytes is what the passes store. The last pass's value, the
-//! one its register ends with, is loaded first, as the move may
-//! overwrite it (stores less than a width below the loads).
+//! A batch stops before the first pass it cannot prove, and its trip
+//! count is one closed form ([`CountedLoop::trips`]). It is one `memmove`
+//! when the stores start at or below the loads or miss them: no pass then
+//! reads a byte an earlier pass wrote, so moving the original bytes is
+//! what the passes store. The last pass's value, the one its register
+//! ends with, is loaded first, as the move may overwrite it (stores less
+//! than a width below the loads). Fewer than two proven passes, or stores
+//! above overlapping loads, run the region one pass at a time: violations,
+//! manufactured values, fault seams and fuel-short exits stay ordinary.
 //!
 //! ## Deopt contract
 //!
@@ -156,9 +156,6 @@ impl NativeProgram {
     }
 }
 
-/// Most accesses in a counted loop's body (the measured loops have two).
-pub const COUNTED_ACCESSES: usize = 4;
-
 /// One function's lowered regions plus the pc → region map.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NativeFunc {
@@ -170,13 +167,11 @@ pub struct NativeFunc {
     pub loops: Vec<CountedLoop>,
 }
 
-/// A counted loop's latch, kept aside so [`Term`] keeps its size.
+/// A counted loop's `k++` latch, kept aside so [`Term`] keeps its size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountedLoop {
     /// Frame offset of the 8-byte counter `k`.
     pub counter: u32,
-    /// What the latch adds to `k`.
-    pub delta: i64,
     /// What the stepped `k` is compared against.
     pub bound: Src,
     /// `k op bound`: the loop goes round again when it holds.
@@ -205,19 +200,15 @@ impl CountedLoop {
 
     /// How many of up to `n` passes from counter `k` (the latch held for
     /// `k`) run: the first after which `k op bound` fails, and `exit`,
-    /// else `n` and `back`; `k + n·delta` must be exact in `i64` (the
-    /// batch's proof). The compare's truth changes only where the counter
-    /// steps past 0 (the unsigned wrap), `bound` or `bound + 1`, so the
-    /// first failing pass is pass 1 or the first beyond one of those (a
-    /// gap past `u64::MAX` lies beyond `n`).
+    /// else `n` and `back`; `k + n` must be exact in `i64` (the batch's
+    /// proof). The compare's truth changes only where the counter steps
+    /// onto 0 (the unsigned wrap), `bound` or `bound + 1`, so the first
+    /// failing pass is pass 1 or the one reaching one of those (a gap
+    /// past `u64::MAX` lies beyond `n`).
     pub fn trips(&self, k: i64, bound: i64, n: u64) -> (u64, Succ) {
-        let (k, d, b) = (k as i128, self.delta as i128, bound as i128);
-        let beyond = |p: i128| {
-            let gap = if d > 0 { p - k } else { k - p + 1 };
-            (gap.clamp(0, u64::MAX as i128) as u64).div_ceil(self.delta.unsigned_abs().max(1))
-        };
-        let fails =
-            |i: &u64| (1..=n).contains(i) && !self.op.eval((k + *i as i128 * d) as i64, bound);
+        let (k, b) = (k as i128, bound as i128);
+        let beyond = |p: i128| (p - k).clamp(0, u64::MAX as i128) as u64;
+        let fails = |i: &u64| (1..=n).contains(i) && !self.op.eval((k + *i as i128) as i64, bound);
         let passes = [1, beyond(0), beyond(b), beyond(b + 1)];
         let first = passes.into_iter().filter(fails).min();
         first.map_or((n, self.back), |i| (i, self.exit))
@@ -1238,14 +1229,15 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     }
 }
 
-/// The loop region `at` counts, if any: a latch on an 8-byte slot `k`
-/// back into `at` (unthreaded) and out elsewhere, no stack traffic, up to
-/// [`COUNTED_ACCESSES`] accesses at `k` storing registers or constants,
-/// each base an address or a slot clear of `k`, the bound a constant too.
+/// The loop region `at` counts, if any: a `k++` latch on an 8-byte slot
+/// `k` back into `at` (unthreaded) and out elsewhere, no stack traffic,
+/// and a body that is exactly the copy `d[k] = s[k]` — an indexed load
+/// stored back, element size = width, each base an address or a slot
+/// clear of `k`, the bound a constant too.
 fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
     let Term::IncBranch {
         off,
-        delta,
+        delta: 1,
         size: AccessSize::B8,
         a,
         b,
@@ -1264,29 +1256,42 @@ fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
     } else {
         (op.negate(), fall, taken)
     };
-    let value = |s: Src| matches!(s, Src::Reg(_) | Src::Const(_));
-    let access = |op: &NOp| match *op {
-        NOp::IdxLoad { ptr, count, .. } => count == k && !value(ptr),
-        NOp::IdxStore {
-            ptr, count, val, ..
-        } => count == k && !value(ptr) && value(val),
-        _ => false,
+    let [NOp::IdxLoad {
+        dst,
+        ptr: from,
+        count: i,
+        esz,
+        size,
+        ..
+    }, NOp::IdxStore {
+        ptr: to,
+        count: j,
+        val,
+        esz: e,
+        size: s,
+        ..
+    }] = region.ops[..]
+    else {
+        return None;
     };
+    let base = |p: Src| !matches!(p, Src::Reg(_) | Src::Const(_));
+    let copy = (i, j, val) == (k, k, Src::Reg(dst))
+        && (esz, e, s) == (size.bytes(), size.bytes(), size)
+        && base(from)
+        && base(to);
     let lp = CountedLoop {
         counter: off,
-        delta,
         bound,
         op,
         back,
         exit,
     };
     let clear_of_k = |(lo, hi)| hi <= off as u64 || lo >= off as u64 + 8;
-    let fits = (a == k || b == k)
+    let fits = copy
+        && (a == k || b == k)
         && (back.region, back.skip) == (at, 0)
         && exit.region != at
         && (region.consumes, region.produces) == (0, 0)
-        && (1..=COUNTED_ACCESSES).contains(&region.ops.len())
-        && region.ops.iter().all(access)
         && !matches!(bound, Src::Reg(_))
         && lp.reads(&region.ops).skip(1).all(clear_of_k);
     fits.then_some(lp)
@@ -1814,7 +1819,6 @@ mod tests {
         let body = &nf.regions[at];
         let [CountedLoop {
             counter,
-            delta: 1,
             op: CmpOp::LtS,
             back,
             ..
@@ -1865,7 +1869,7 @@ mod tests {
         let scan = |lp: &CountedLoop, k: i64, bound: i64, n: u64| {
             let mut at = k;
             for i in 1..=n {
-                at += lp.delta;
+                at += 1;
                 if !lp.op.eval(at, bound) {
                     return (i, exit);
                 }
@@ -1886,40 +1890,37 @@ mod tests {
         ];
         let mut checked = 0;
         for op in [Eq, Ne, LtS, LtU, LeS, LeU, GtS, GtU, GeS, GeU] {
-            for delta in [1, -1, 3, -3] {
-                let lp = CountedLoop {
-                    counter: 0,
-                    delta,
-                    bound: Src::Const(0),
-                    op,
-                    back,
-                    exit,
-                };
-                for k in counters {
-                    let near = |c: i64| (-7..=7).map(move |j: i64| c.wrapping_add(j));
-                    let bounds = near(k)
-                        .chain(near(0))
-                        .chain(near(i64::MIN))
-                        .chain(near(i64::MAX));
-                    for bound in bounds {
-                        for n in 0..=12u64 {
-                            // `trips` asks that every stepped counter be exact.
-                            if k.checked_add(n as i64 * delta).is_none() {
-                                break;
-                            }
-                            let want = scan(&lp, k, bound, n);
-                            assert_eq!(
-                                lp.trips(k, bound, n),
-                                want,
-                                "{op:?} k={k} delta={delta} bound={bound} n={n}"
-                            );
-                            checked += 1;
+            let lp = CountedLoop {
+                counter: 0,
+                bound: Src::Const(0),
+                op,
+                back,
+                exit,
+            };
+            for k in counters {
+                let near = |c: i64| (-7..=7).map(move |j: i64| c.wrapping_add(j));
+                let bounds = near(k)
+                    .chain(near(0))
+                    .chain(near(i64::MIN))
+                    .chain(near(i64::MAX));
+                for bound in bounds {
+                    for n in 0..=12u64 {
+                        // `trips` asks that every stepped counter be exact.
+                        if k.checked_add(n as i64).is_none() {
+                            break;
                         }
+                        let want = scan(&lp, k, bound, n);
+                        assert_eq!(
+                            lp.trips(k, bound, n),
+                            want,
+                            "{op:?} k={k} bound={bound} n={n}"
+                        );
+                        checked += 1;
                     }
                 }
             }
         }
-        assert!(checked > 100_000, "{checked}");
+        assert!(checked >= 66_000, "{checked}");
         // A first failure far into a long batch, a latch that holds across
         // the unsigned wrap, and one that fails at it.
         for (op, k, bound, n) in [
@@ -1929,7 +1930,6 @@ mod tests {
         ] {
             let lp = CountedLoop {
                 counter: 0,
-                delta: 3,
                 bound: Src::Const(0),
                 op,
                 back,
@@ -1953,6 +1953,16 @@ mod tests {
             "long i; for (i = 0; i < n; i++) d[i] = s[i] + 1;",
             // Two regions: the body branches.
             "long i; for (i = 0; i < n; i++) if (s[i]) d[i] = 1;",
+            // A latch stepping down.
+            "long i; for (i = n - 1; i >= 0; i--) d[i] = s[i];",
+            // One byte of each element: the passes do not tile.
+            "long i; for (i = 0; i < n; i++) *((char *) (d + i)) = *((char *) (s + i));",
+            // A constant stored, nothing loaded.
+            "long i; for (i = 0; i < n; i++) d[i] = 0;",
+            // Two copies in one body.
+            "long e[4]; long i; for (i = 0; i < n; i++) { d[i] = s[i]; e[i] = s[i]; }",
+            // A widening copy.
+            "int w[4]; long i; for (i = 0; i < n; i++) d[i] = w[i];",
         ] {
             let src = format!("long f(long n) {{ long s[4]; long d[4]; {body} return d[0]; }}");
             let native = lower(&src);
@@ -1970,7 +1980,7 @@ mod tests {
         let mut region = nf.regions[at as usize].clone();
         let latch = |size, back: Succ| Term::IncBranch {
             off: lp.counter,
-            delta: lp.delta,
+            delta: 1,
             size,
             signed: true,
             a: Src::Slot8(lp.counter),

@@ -1262,13 +1262,13 @@ impl Span {
 /// descriptor pointer, an unmapped address, and an access outside a
 /// region's committed window.
 ///
-/// **Proofs.** A counted loop's batch asks [`NativeView::prove`] how
-/// many iterations of an access are hits, then makes them with
-/// [`NativeView::proven_load`]/[`NativeView::proven_store`] — or, for a
-/// forward copy, all at once with [`NativeView::proven_copy`] — and
-/// counts them with [`NativeView::count_run`]. A proof changes nothing
-/// observable either: it resolves the base pointer as the hit path
-/// would, so only the table's [`LookupProfile`] moves.
+/// **Proofs.** A counted loop's copy asks [`NativeView::prove`] how many
+/// iterations of its load and of its store are hits, then moves them at
+/// once with [`NativeView::proven_copy`] (the last element read first
+/// with [`NativeView::proven_load`]) and counts them with
+/// [`NativeView::count_run`]. A proof changes nothing observable either:
+/// it resolves the base pointer as the hit path would, so only the
+/// table's [`LookupProfile`] moves.
 ///
 /// **Placement memo.** The view remembers the extent of the unit the
 /// last load and the last store resolved to. Units die only through
@@ -1437,15 +1437,14 @@ impl<'a> NativeView<'a> {
     /// frame base): every target lies in the committed window and in the
     /// unit `s.ptr` resolves to, resolved as the hit path resolves it (in
     /// Standard mode, anywhere in the window). Only iterations whose
-    /// counter after the latch, `k + (i + 1)·delta`, and scaled index,
-    /// `(k + i·delta)·esz`, are exact in `i64` count; inside one window
-    /// the executor's wrapping targets then step by exactly `delta·esz`.
+    /// counter after the latch, `k + i + 1`, and scaled index,
+    /// `(k + i)·width`, are exact in `i64` count; inside one window the
+    /// executor's wrapping targets then step by exactly the width.
     pub fn prove(&mut self, s: Sweep, holes: &[(u64, u64)]) -> u64 {
         let frame = (self.stack.lo + self.frame_at as u64) as i128;
-        let (k, delta, esz) = (s.k as i128, s.delta as i128, s.esz as i64 as i128);
-        let (scaled, stride) = (k * esz, delta * esz);
-        let at = s.ptr.wrapping_add(s.k.wrapping_mul(s.esz as i64) as u64);
-        let (first, n) = (at as i128, s.size.bytes() as i128);
+        let (k, n) = (s.k as i128, s.size.bytes() as i128);
+        let at = s.ptr.wrapping_add(s.k.wrapping_mul(n as i64) as u64);
+        let first = at as i128;
         let w = self.window(at);
         let (mut lo, mut hi) = (w.lo as i128, w.lo as i128 + w.bytes.len() as i128);
         if self.checked {
@@ -1471,9 +1470,9 @@ impl<'a> NativeView<'a> {
             }
         }
         let word = (i64::MIN as i128, i64::MAX as i128);
-        reach(first, stride, lo, hi - n)
-            .min(reach(scaled, stride, word.0, word.1))
-            .min(reach(k + delta, delta, word.0, word.1))
+        reach(first, n, lo, hi - n)
+            .min(reach(k * n, n, word.0, word.1))
+            .min(reach(k + 1, 1, word.0, word.1))
     }
 
     /// A load [`NativeView::prove`] admitted: no probe and no counter.
@@ -1487,20 +1486,8 @@ impl<'a> NativeView<'a> {
         scalar_get(w.bytes, a.wrapping_sub(w.lo) as usize, size).expect("a proven load")
     }
 
-    /// Store twin of [`NativeView::proven_load`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `a` is outside its window (it was not proven).
-    #[inline(always)]
-    pub fn proven_store(&mut self, a: u64, size: AccessSize, value: u64) {
-        let w = self.window(a);
-        let ok = scalar_put(w.bytes, a.wrapping_sub(w.lo) as usize, size, value);
-        assert!(ok, "a proven store");
-    }
-
-    /// `len` bytes from `src` to `dst` as one `memmove`: a forward copy
-    /// loop's proven loads and stores, moved at once. No counter moves.
+    /// `len` bytes from `src` to `dst` as one `memmove`: a copy loop's
+    /// proven loads and stores, moved at once. No counter moves.
     ///
     /// # Panics
     ///
@@ -1540,36 +1527,28 @@ impl<'a> NativeView<'a> {
     }
 }
 
-/// One indexed access of a counted loop: at iteration `i ≥ 0` it touches
-/// `size` bytes at `ptr + (k + i·delta)·esz`, scaled with `esz` as an
-/// `i64` as the native executor scales it.
+/// One indexed access of a counted loop's copy: at iteration `i ≥ 0` it
+/// touches the `size` bytes at `ptr + (k + i)·size`, scaled as an `i64`
+/// as the native executor scales it.
 #[derive(Debug, Clone, Copy)]
 pub struct Sweep {
     /// The base pointer, fixed for the loop.
     pub ptr: u64,
     /// The counter at iteration 0.
     pub k: i64,
-    /// What the latch adds to the counter.
-    pub delta: i64,
-    /// Element size.
-    pub esz: u64,
-    /// Access width.
+    /// Access width, and the element size.
     pub size: AccessSize,
     /// A store, resolved through the store memo (else a load).
     pub store: bool,
 }
 
-/// How many `i ≥ 0`, from 0 up, keep `from + i·step` inside `[lo, hi]`.
+/// How many `i ≥ 0`, from 0 up, keep `from + i·step` (`step > 0`) inside
+/// `[lo, hi]`.
 fn reach(from: i128, step: i128, lo: i128, hi: i128) -> u64 {
     if from < lo || from > hi {
         return 0;
     }
-    let room = match step {
-        0 => return u64::MAX,
-        s if s > 0 => (hi - from) / s,
-        s => (from - lo) / -s,
-    };
-    u64::try_from(room + 1).unwrap_or(u64::MAX)
+    u64::try_from((hi - from) / step + 1).unwrap_or(u64::MAX)
 }
 
 fn kind_for_read(kind: ErrorKind) -> ErrorKind {

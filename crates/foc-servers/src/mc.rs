@@ -444,7 +444,7 @@ mod tests {
         // spends its time in: two indexed accesses and the latch, every
         // pointer, count and compare operand an 8-byte slot sealed to
         // the one-step kind — and the latch a counted loop's, so its
-        // passes run in batches.
+        // passes run as one move.
         use foc_compiler::native::{CountedLoop, NOp, Src, Term};
         use foc_compiler::CmpOp;
         let image = foc_compiler::compile_image_tier(MC_SOURCE, foc_compiler::ExecTier::Native)
@@ -478,7 +478,6 @@ mod tests {
         assert_eq!(body.term, Term::Counted(0), "{body:?}");
         let [CountedLoop {
             counter,
-            delta: 1,
             bound: Src::Slot8(words),
             op: CmpOp::LtS,
             back,

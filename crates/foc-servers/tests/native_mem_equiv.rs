@@ -611,7 +611,7 @@ fn a_region_too_deep_for_the_register_file_runs_interpreted() {
 }
 
 // ---------------------------------------------------------------------
-// Counted loops: a copy loop's passes run in proven batches.
+// Counted loops: a copy loop's passes run as one proven move.
 // ---------------------------------------------------------------------
 
 /// `2^63 − 6`: a counter that wraps six latches in.
@@ -620,8 +620,7 @@ const NEAR_MAX: &str = "9223372036854775802";
 const NEAR_SCALED_MAX: &str = "1152921504606846973";
 
 /// One counted-loop shape: a function `f(n)` over units whose ends are
-/// `ends` elements in, in which modes its copy loop must batch, and
-/// whether its batches run as one move.
+/// `ends` elements in, and in which modes its copy loop must batch.
 struct Counted {
     name: &'static str,
     source: String,
@@ -630,16 +629,24 @@ struct Counted {
     checked: bool,
     /// Batches fire in Standard mode (some length).
     standard: bool,
-    /// Its batches run as one `memmove`, not pass by pass.
-    moves: bool,
 }
 
 impl Counted {
-    /// The same shape with its batches run pass by pass.
-    fn per_pass(self) -> Counted {
+    /// The same shape batching in no mode.
+    fn unbatched(self) -> Counted {
         Counted {
-            moves: false,
+            checked: false,
+            standard: false,
             ..self
+        }
+    }
+
+    /// Whether batches fire under `mode`.
+    fn batches_in(&self, mode: Mode) -> bool {
+        if mode.is_checked() {
+            self.checked
+        } else {
+            self.standard
         }
     }
 
@@ -674,7 +681,6 @@ fn counted_shapes() -> Vec<Counted> {
         ends,
         checked,
         standard: true,
-        moves: true,
     };
     vec![
         shape(
@@ -709,6 +715,8 @@ fn counted_shapes() -> Vec<Counted> {
             &[8, 16],
             true,
         ),
+        // Stores one element above the loads: only a last pass alone
+        // moves, as one element never overlaps its own store.
         shape(
             "forward overlap",
             "long a[16]; long *s = a; long *d = a + 1; long k;",
@@ -716,8 +724,7 @@ fn counted_shapes() -> Vec<Counted> {
             15,
             &[15],
             true,
-        )
-        .per_pass(),
+        ),
         shape(
             "backward overlap",
             "long a[16]; long *s = a + 1; long *d = a; long k;",
@@ -755,15 +762,16 @@ fn counted_shapes() -> Vec<Counted> {
             &[4, 6],
             true,
         ),
+        // A latch stepping down is not counted.
         shape(
             "k--",
             "long s[16]; long d[16]; long k;",
             "for (k = n - 1; k >= 0; k--) d[k] = s[k];",
             16,
             &[16],
-            true,
+            false,
         )
-        .per_pass(),
+        .unbatched(),
         shape(
             "counter near i64::MAX",
             "char s[16]; char d[16]; long k; char *x = d; char *y = s;",
@@ -806,15 +814,17 @@ fn counted_shapes() -> Vec<Counted> {
             &[16],
             true,
         ),
+        // Every pass's store overlaps its own load's element from above:
+        // the loop runs pass by pass.
         shape(
             "stores 3 bytes above the loads",
             "char c[136]; long *s = (long *) c; long *d = (long *) (c + 3); long k;",
             up,
             16,
             &[16],
-            true,
+            false,
         )
-        .per_pass(),
+        .unbatched(),
         shape(
             "global → heap",
             "long *s = g; long *d = (long *) malloc(128); long k;",
@@ -851,16 +861,17 @@ fn counted_shapes() -> Vec<Counted> {
             &[24],
             true,
         ),
-        // One byte of each 8-byte element: the passes do not tile.
+        // One byte of each 8-byte element: the passes do not tile, and
+        // the loop is not counted.
         shape(
             "strided",
             "long s[16]; long d[16]; long k;",
             "for (k = 0; k < n; k++) *((char *) (d + k)) = *((char *) (s + k));",
             16,
             &[16],
-            true,
+            false,
         )
-        .per_pass(),
+        .unbatched(),
         // Latches other than `k < n` that fail inside the proven span.
         shape(
             "k != n",
@@ -881,17 +892,16 @@ fn counted_shapes() -> Vec<Counted> {
     ]
 }
 
-/// Both tiers of one counted-loop run; the native one's batch count and
-/// the instructions its batches retired as one move.
-fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64, u64) {
-    let [(baseline, ..), (native, batches, moved)] = images.clone().map(|image| {
+/// Both tiers of one counted-loop run; the instructions the native one
+/// retired in batches.
+fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64) {
+    let [(baseline, _), (native, batched)] = images.clone().map(|image| {
         let mut m = Machine::load(image, config.clone()).expect("load");
         let run = (m.call("f", &[n]), m.observe());
-        let p = m.exec_profile();
-        (run, p.batches, p.copied_instrs)
+        (run, m.exec_profile().batched_instrs)
     });
     assert_eq!(baseline, native, "native must match baseline at n = {n}");
-    (native, batches, moved)
+    (native, batched)
 }
 
 fn counted_images(source: &str) -> [ProgramImage; 2] {
@@ -903,9 +913,7 @@ fn counted_images(source: &str) -> [ProgramImage; 2] {
 /// native tier equals the baseline on the result and the `Observation`,
 /// and batches fire exactly in the modes the shape says — the checked
 /// modes refuse a base pointer out of its unit, and a loop nobody
-/// batches cannot pass this vacuously. At the first unit's end they
-/// run as one move exactly when the shape says (a one-pass batch is a
-/// move whatever the overlap, so shorter lengths cannot tell).
+/// batches cannot pass this vacuously.
 #[test]
 fn counted_loops_batch_only_what_they_prove() {
     for shape in counted_shapes() {
@@ -916,41 +924,38 @@ fn counted_loops_batch_only_what_they_prove() {
         }
         for mode in Mode::ALL {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let (mut batches, mut moved) = (0, 0);
-            for &n in &lengths {
-                let (_, b, m) = counted_run(&images, &config, n);
-                batches += b;
-                if n == shape.ends[0] {
-                    moved = m;
-                }
-            }
-            let want = if mode.is_checked() {
-                shape.checked
-            } else {
-                shape.standard
-            };
-            assert_eq!(batches > 0, want, "{} under {mode:?}", shape.name);
-            let moves = want && shape.moves;
-            assert_eq!(moved > 0, moves, "{} moves under {mode:?}", shape.name);
+            let batched: u64 = lengths
+                .iter()
+                .map(|&n| counted_run(&images, &config, n).1)
+                .sum();
+            let want = shape.batches_in(mode);
+            assert_eq!(batched > 0, want, "{} under {mode:?}", shape.name);
         }
     }
 }
 
-/// Every fuel budget across the copy loops that batch in every mode,
-/// run one element past their units — a batch, then the violation (or,
-/// for `k--`, the violation first): each budget ends the batch one pass
-/// sooner (fuel covers `fuel / charge` passes), and the budgets about
-/// the loop's first latch leave fewer than two.
+/// Every fuel budget across every shape, run one element past its units
+/// — a batch, then the violation, where the shape batches — in each of
+/// the sweep's three modes: each budget ends the batch one pass sooner
+/// (fuel covers `fuel / charge` passes), and the budgets about the
+/// loop's first latch leave fewer than two.
 #[test]
 fn every_fuel_budget_across_a_batch_is_tier_blind() {
-    for shape in counted_shapes().into_iter().filter(|s| s.checked) {
+    for shape in counted_shapes() {
         let images = counted_images(&shape.source);
         let n = shape.ends[0] + 1;
         for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
-            let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let ((_, full), batches, _) = counted_run(&images, &config, n);
-            let dies_first = mode == Mode::BoundsCheck && shape.name == "k--";
-            assert_eq!(batches > 0, !dies_first, "{} under {mode:?}", shape.name);
+            // Every shape ends within 2 000 instructions but `a store
+            // through &k` outside Bounds Check, whose store resets `k`:
+            // it runs until this fuel is gone.
+            let config = MachineConfig::with_mode(mode).with_fuel(4_000);
+            let ((_, full), batched) = counted_run(&images, &config, n);
+            // Forward overlap batches only a last pass alone, and one
+            // element past the unit that pass leaves it in the checked
+            // modes.
+            let cut = mode.is_checked() && shape.name == "forward overlap";
+            let want = shape.batches_in(mode) && !cut;
+            assert_eq!(batched > 0, want, "{} under {mode:?}", shape.name);
             for fuel in 0..=full.run.instrs + 1 {
                 let _ = counted_run(&images, &config.clone().with_fuel(fuel), n);
             }

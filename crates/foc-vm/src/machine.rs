@@ -136,12 +136,10 @@ pub struct ExecProfile {
     /// each of its ops and its terminator — a count fixed at lowering
     /// (`NativeRegion::dispatches`), so it costs nothing per op.
     pub native_ops: u64,
-    /// Counted-loop batches, each two or more passes run in one step.
+    /// Counted-loop batches, each a copy's passes run as one move.
     pub batches: u64,
     /// Their instructions: in `native_instrs`, but never dispatched.
     pub batched_instrs: u64,
-    /// The share of `batched_instrs` whose batch ran as one move.
-    pub copied_instrs: u64,
     /// Stays on the native path that ended at a pc no region starts at
     /// (call, builtin, return).
     pub no_region_exits: u64,
@@ -989,13 +987,11 @@ impl Machine {
                 }
                 Term::Counted(at) => {
                     let (lp, most) = (&nf.loops[at as usize], fuel / region.charge);
-                    let (n, next, moved) =
-                        run_counted(&mut view, lp, &region.ops, regs, base, most);
+                    let (n, next) = run_counted(&mut view, lp, &region.ops, regs, base, most);
                     fuel -= n * region.charge;
-                    extras += n * region.ops.len() as u64 * (ptr_extra + mem_extra);
+                    extras += 2 * n * (ptr_extra + mem_extra);
                     self.profile.batches += (n > 0) as u64;
                     self.profile.batched_instrs += n * region.charge;
-                    self.profile.copied_instrs += moved as u64 * n * region.charge;
                     next
                 }
             };
@@ -1255,11 +1251,11 @@ fn operand(view: &NativeView<'_>, regs: &RegFile, base: u64, s: Src) -> i64 {
     }
 }
 
-/// A counted loop's latch, then up to `n` passes of its region's `ops`
-/// as one batch: as many as the view proves hits (none below two), the
-/// counter in a register, a forward copy's passes one move. Returns the
-/// passes, for the caller to charge, the successor, and whether they were
-/// moved. Out of line, so `run_native` keeps its size.
+/// A counted loop's latch, then up to `n` passes of its copy as one move
+/// (`native.rs`, "Counted loops"): as many as the view proves hits, none
+/// below two, and none when the stores land above overlapping loads —
+/// those passes run one at a time. Returns the passes, for the caller to
+/// charge, and the successor. Out of line, so `run_native` keeps its size.
 #[inline(never)]
 fn run_counted(
     view: &mut NativeView<'_>,
@@ -1267,85 +1263,56 @@ fn run_counted(
     ops: &[NOp],
     regs: &mut RegFile,
     base: u64,
-    mut n: u64,
-) -> (u64, Succ, bool) {
-    inc_local(view, lp.counter, lp.delta, AccessSize::B8, true);
+    n: u64,
+) -> (u64, Succ) {
+    inc_local(view, lp.counter, 1, AccessSize::B8, true);
     let k = view.local_get(lp.counter, AccessSize::B8) as i64;
     let bound = operand(view, regs, base, lp.bound);
     if !lp.op.eval(k, bound) {
-        return (0, lp.exit, false);
+        return (0, lp.exit);
     }
-    // The frame ranges the loop reads, the counter's first: no load may
-    // meet the counter, no store any of them.
-    let mut holes = [(0, 0); foc_compiler::native::COUNTED_ACCESSES + 2];
+    let [NOp::IdxLoad {
+        dst,
+        ptr: from,
+        size,
+        signed,
+        ..
+    }, NOp::IdxStore { ptr: to, .. }] = *ops
+    else {
+        unreachable!("a counted loop's body is a copy");
+    };
+    let [from, to] = [from, to].map(|p| operand(view, regs, base, p) as u64);
+    // The frame ranges the loop reads (counter, bound, two bases), the
+    // counter's first: the load may not meet the counter, the store none
+    // of them.
+    let mut holes = [(0, 0); 4];
     let reads = lp.reads(ops).zip(&mut holes).map(|(r, h)| *h = r).count();
-    // Each access's first address, step and width, decoded once.
-    let mut lanes = [(0, 0, AccessSize::B8); foc_compiler::native::COUNTED_ACCESSES];
-    let mut stores = 0;
-    for (lane, op) in lanes.iter_mut().zip(ops) {
-        let (NOp::IdxLoad { ptr, esz, size, .. } | NOp::IdxStore { ptr, esz, size, .. }) = *op
-        else {
-            unreachable!("a counted loop's body is indexed accesses");
-        };
-        let sweep = Sweep {
-            ptr: operand(view, regs, base, ptr) as u64,
-            k,
-            delta: lp.delta,
-            esz,
-            size,
-            store: matches!(op, NOp::IdxStore { .. }),
-        };
-        let scale = |x: i64| x.wrapping_mul(esz as i64) as u64;
-        *lane = (sweep.ptr.wrapping_add(scale(k)), scale(lp.delta), size);
-        stores += sweep.store as u64;
-        n = n.min(view.prove(sweep, &holes[..if sweep.store { reads } else { 1 }]));
-    }
+    let sweep = |ptr, store| Sweep {
+        ptr,
+        k,
+        size,
+        store,
+    };
+    let n = n
+        .min(view.prove(sweep(from, false), &holes[..1]))
+        .min(view.prove(sweep(to, true), &holes[..reads]));
     if n < 2 {
-        return (0, lp.back, false);
+        return (0, lp.back);
     }
     let (ran, next) = lp.trips(k, bound, n);
-    // A forward copy is one `memmove`, the last pass's value loaded
-    // first (`native.rs`, "Counted loops").
-    let [(from, step, size), (to, ..), ..] = lanes;
-    let len = ran.wrapping_mul(step);
-    let moved = match *ops {
-        [NOp::IdxLoad { dst, signed, .. }, NOp::IdxStore { val, .. }]
-            if val == Src::Reg(dst)
-                && lanes[1] == (to, step, size)
-                && (lp.delta, step) == (1, size.bytes())
-                && (to <= from || from + len <= to) =>
-        {
-            let last = view.proven_load(from + len - step, size);
-            regs[dst as usize] = extend(last, size, signed);
-            view.proven_copy(to, from, len);
-            true
-        }
-        _ => false,
-    };
-    if !moved {
-        for i in 0..ran {
-            for (&(first, step, size), op) in lanes.iter().zip(ops) {
-                let a = first.wrapping_add(i.wrapping_mul(step));
-                match *op {
-                    NOp::IdxLoad { dst, signed, .. } => {
-                        regs[dst as usize] = extend(view.proven_load(a, size), size, signed);
-                    }
-                    NOp::IdxStore { val, .. } => {
-                        let v = match val {
-                            Src::Reg(r) => regs[r as usize],
-                            _ => operand(view, regs, base, val),
-                        };
-                        view.proven_store(a, size, v as u64);
-                    }
-                    _ => {}
-                }
-            }
-        }
+    let step = size.bytes();
+    let at = |ptr: u64| ptr.wrapping_add((k as u64).wrapping_mul(step));
+    let (from, to, len) = (at(from), at(to), ran * step);
+    if from < to && to < from + len {
+        return (0, lp.back);
     }
-    let k = k.wrapping_add((ran as i64).wrapping_mul(lp.delta));
-    view.local_put(lp.counter, AccessSize::B8, k as u64);
-    view.count_run(ran * (ops.len() as u64 - stores), ran * stores);
-    (ran, next, moved)
+    let last = view.proven_load(from + len - step, size);
+    regs[dst as usize] = extend(last, size, signed);
+    view.proven_copy(to, from, len);
+    let k = k.wrapping_add(ran as i64) as u64;
+    view.local_put(lp.counter, AccessSize::B8, k);
+    view.count_run(ran, ran);
+    (ran, next)
 }
 
 #[cfg(test)]
@@ -1976,7 +1943,6 @@ mod tests {
         };
         let lp = CountedLoop {
             counter: 0,
-            delta: 1,
             bound: Src::Const(10),
             op: foc_compiler::CmpOp::LtS,
             back: succ(0),
@@ -1984,8 +1950,8 @@ mod tests {
         };
         let mut regs = [0; 256];
         let mut view = space.native_view(base, 64);
-        let (ran, next, moved) = run_counted(&mut view, &lp, &ops, &mut regs, base, 100);
-        assert_eq!((ran, next, moved), (9, lp.exit, true), "k = 1..=9, moved");
+        let (ran, next) = run_counted(&mut view, &lp, &ops, &mut regs, base, 100);
+        assert_eq!((ran, next), (9, lp.exit), "k = 1..=9");
         // The same passes over the host copy: `d[k] = s[k]`, `k` from 1.
         let mut last = 0;
         for k in 1..10 {

@@ -28,14 +28,12 @@
 //! instructions retired in counted-loop batches: passes of a copy loop
 //! proven in bounds and run without dispatch, so they count in `native`
 //! but not in `regions` or `ops/instr` (MC's word copy; no Apache or Pine
-//! loop has the shape). `copy%` is the share retired in batches that ran
-//! as one `memmove` — a forward element copy, all of MC's batches.
-//! `lookups` are the object table's
-//! (`MemorySpace::lookup_profile`): every access the native view's memo
-//! did not answer, plus the interpreter's and the builtins'; `searches`
-//! those the table's own memo did not answer either. `-- --check` exits
-//! 1 when a row exceeds either committed ceiling or falls below its
-//! committed `batched%` or `copy%` floor.
+//! loop has the shape), each batch one `memmove`. `lookups` are the
+//! object table's (`MemorySpace::lookup_profile`): every access the
+//! native view's memo did not answer, plus the interpreter's and the
+//! builtins'; `searches` those the table's own memo did not answer
+//! either. `-- --check` exits 1 when a row exceeds either committed
+//! ceiling or falls below its committed `batched%` floor.
 
 use failure_oblivious::memory::LookupProfile;
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
@@ -66,7 +64,6 @@ impl Tally {
         self.profile.native_ops += p.native_ops;
         self.profile.batches += p.batches;
         self.profile.batched_instrs += p.batched_instrs;
-        self.profile.copied_instrs += p.copied_instrs;
         self.profile.no_region_exits += p.no_region_exits;
         self.profile.fuel_short_exits += p.fuel_short_exits;
         self.profile.view_misses += p.view_misses;
@@ -162,12 +159,11 @@ fn main() {
         }
     };
     println!(
-        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
+        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
         "workload",
         "instrs",
         "native",
         "batched%",
-        "copy%",
         "builtin",
         "span%",
         "regions",
@@ -182,19 +178,18 @@ fn main() {
         "searches"
     );
     // Beside each row, the `ops/instr` and the table `searches` it may
-    // not exceed under `--check`, and the `batched%` and `copy%` it may
-    // not fall below: what the committed lowering and memos produce,
-    // rounded (against the check) in the fourth significant place. All
-    // four repeat exactly, so any miss is a regression, not noise — a
-    // fold, a counted loop or its copy path that stopped firing, or a
-    // memo that stopped serving; move a bound when the code improves.
+    // not exceed under `--check`, and the `batched%` it may not fall
+    // below: what the committed lowering and memos produce, rounded
+    // (against the check) in the fourth significant place. All three
+    // repeat exactly, so any miss is a regression, not noise — a fold or
+    // a counted loop that stopped firing, or a memo that stopped serving;
+    // move a bound when the code improves.
     let runs = [
-        ("mc_copy", 0.003398, 61090, 99.21, 99.21, mc_run()),
+        ("mc_copy", 0.003398, 61090, 99.21, mc_run()),
         (
             "apache_edge",
             0.3408,
             1947,
-            0.0,
             0.0,
             apache_run(Mode::FailureOblivious, 8),
         ),
@@ -203,13 +198,12 @@ fn main() {
             0.3310,
             2617,
             0.0,
-            0.0,
             apache_run(Mode::BoundsCheck, 2),
         ),
-        ("pine_mail", 0.4030, 3466, 0.0, 0.0, pine_run()),
+        ("pine_mail", 0.4030, 3466, 0.0, pine_run()),
     ];
     let mut over = false;
-    for (name, ceiling, search_ceiling, batched_floor, copy_floor, t) in runs {
+    for (name, ceiling, search_ceiling, batched_floor, t) in runs {
         let p = t.profile;
         let ops_per_instr = p.native_ops as f64 / t.instrs.max(1) as f64;
         if check && ops_per_instr > ceiling {
@@ -226,18 +220,12 @@ fn main() {
             eprintln!("residency --check: {name} retired {batched:.2}% of its instructions in counted-loop batches, committed floor {batched_floor}%");
             over = true;
         }
-        let copied = 100.0 * p.copied_instrs as f64 / t.instrs.max(1) as f64;
-        if check && copied < copy_floor {
-            eprintln!("residency --check: {name} retired {copied:.2}% of its instructions in batches run as one move, committed floor {copy_floor}%");
-            over = true;
-        }
         println!(
-            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
+            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
             name,
             t.instrs,
             100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
             batched,
-            copied,
             100.0 * p.builtin_instrs as f64 / t.instrs.max(1) as f64,
             100.0 * p.span_instrs as f64 / p.builtin_instrs.max(1) as f64,
             p.region_entries,
