@@ -1,90 +1,40 @@
-//! The repository's measurement binary: every bench, gate and paper
-//! table is a subcommand of `cargo run --release -p foc-bench --bin
-//! bench -- <subcommand>`.
+//! The repository's record-keeping binary: `cargo run --release -p
+//! foc-bench --bin bench -- <subcommand>`, one subcommand per committed
+//! record.
 //!
-//! * `farm_scaling` — the server-farm suite (every server kind under
-//!   every mode), a Pine failure-oblivious thread-scaling sweep and the
-//!   cold-vs-cached boot-cost split.
-//! * `farm_stress` — the scale-out point on the oracle and the shipped
-//!   object table.
-//! * `restart_cost`, `native_cost`, `conn_cost` — checkpoint restore
-//!   against cold boot + replay, the native tier against the
-//!   interpreter, the socket edge against the in-process path.
 //! * `mode_sweep [--threads N]` — the full recovery-mode grid,
 //!   maintaining the committed `SWEEP_matrix.{json,md}`.
 //! * `paper [name]` — one table of the paper's evaluation, or with no
 //!   name the full report; `paper --write` commits that report to
 //!   `PAPER_tables.md`.
 //!
-//! Each of the seven takes `--check`: its CI gate, which measures at
-//! smoke scale, writes nothing, and prints `<subcommand> --check OK
-//! (…)` or exits 1 with a one-line `FAIL:` diagnostic (what each
-//! asserts is documented on its `gate` function). The first five are
-//! nothing but their gate, so a bare `bench <subcommand>` runs the same
-//! measurement and assertions. A bare `bench --check` runs all seven in
-//! order, every one even after a failure, and exits 1 if any failed.
-//! Anything a subcommand does not name — an unknown flag, a stray word,
-//! `--check` beside `--write` or a name — exits 2 before measuring.
+//! Each takes `--check`: its CI gate, which renders afresh, writes
+//! nothing, and prints `<subcommand> --check OK (…)` or exits 1 with a
+//! one-line `FAIL:` diagnostic naming the first line of a committed file
+//! the render no longer reproduces. A bare `bench --check` runs both in
+//! order, the second even after the first failed, and exits 1 if either
+//! failed. Anything a subcommand does not name — an unknown flag, a
+//! stray word, `--check` beside `--write` or a name — exits 2 before
+//! running. Every number in both records is virtual cycles or a count;
+//! host time is judged by the end-to-end benchmark alone.
 
-mod cost;
-mod farm;
 mod sweep;
 
 use foc_bench::check::{ArgSpec, Args};
 use foc_bench::paper;
 
 /// One subcommand: what it accepts, its `--check` gate (returning the
-/// summary of its OK line, or the diagnostic) and, for the two that
-/// maintain a committed file, the run that is not a check.
+/// summary of its OK line, or the diagnostic) and the run that is not a
+/// check, which maintains its committed file.
 struct Cmd {
     name: &'static str,
     spec: ArgSpec,
     gate: fn(&Args) -> Result<String, String>,
-    full: Option<Full>,
+    full: fn(&Args) -> Result<(), String>,
 }
 
-/// A run that is not a check: it maintains a committed file.
-type Full = fn(&Args) -> Result<(), String>;
-
-/// What a subcommand that is its gate and nothing else accepts:
-/// `--check` alone.
-const GATE_ONLY: ArgSpec = ArgSpec {
-    flags: &[],
-    name: false,
-};
-
 /// The subcommands, in the order a bare `--check` runs their gates.
-const CMDS: [Cmd; 7] = [
-    Cmd {
-        name: "farm_scaling",
-        spec: GATE_ONLY,
-        gate: farm::scaling_gate,
-        full: None,
-    },
-    Cmd {
-        name: "farm_stress",
-        spec: GATE_ONLY,
-        gate: farm::stress_gate,
-        full: None,
-    },
-    Cmd {
-        name: "restart_cost",
-        spec: GATE_ONLY,
-        gate: cost::restart_gate,
-        full: None,
-    },
-    Cmd {
-        name: "native_cost",
-        spec: GATE_ONLY,
-        gate: cost::native_gate,
-        full: None,
-    },
-    Cmd {
-        name: "conn_cost",
-        spec: GATE_ONLY,
-        gate: cost::conn_gate,
-        full: None,
-    },
+const CMDS: [Cmd; 2] = [
     Cmd {
         name: "mode_sweep",
         spec: ArgSpec {
@@ -92,7 +42,7 @@ const CMDS: [Cmd; 7] = [
             name: false,
         },
         gate: sweep::gate,
-        full: Some(sweep::full),
+        full: sweep::full,
     },
     Cmd {
         name: "paper",
@@ -101,7 +51,7 @@ const CMDS: [Cmd; 7] = [
             name: true,
         },
         gate: paper_gate,
-        full: Some(paper_full),
+        full: paper_full,
     },
 ];
 
@@ -138,14 +88,13 @@ fn paper_full(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs `cmd`'s gate and prints its one `OK`/`FAIL:` line, labelled
-/// as it was asked for: `<name> --check` or the bare `<name>`.
+/// Runs `cmd`'s gate and prints its one `<name> --check OK`/`FAIL:`
+/// line.
 fn gate_passes(cmd: &Cmd, args: &Args) -> bool {
     let verdict = (cmd.gate)(args);
-    let check = if args.has("--check") { " --check" } else { "" };
     match &verdict {
-        Ok(summary) => println!("{}{check} OK ({summary})", cmd.name),
-        Err(msg) => eprintln!("{}{check}: FAIL: {msg}", cmd.name),
+        Ok(summary) => println!("{} --check OK ({summary})", cmd.name),
+        Err(msg) => eprintln!("{} --check: FAIL: {msg}", cmd.name),
     }
     verdict.is_ok()
 }
@@ -176,11 +125,12 @@ fn main() {
         eprintln!("{}: {msg}", cmd.name);
         std::process::exit(2);
     });
-    let ok = match cmd.full {
-        Some(full) if !args.has("--check") => full(&args)
+    let ok = if args.has("--check") {
+        gate_passes(cmd, &args)
+    } else {
+        (cmd.full)(&args)
             .map_err(|msg| eprintln!("{}: FAIL: {msg}", cmd.name))
-            .is_ok(),
-        _ => gate_passes(cmd, &args),
+            .is_ok()
     };
     std::process::exit(i32::from(!ok));
 }

@@ -108,9 +108,9 @@ mod tests {
     /// A row deleted by accident fails here, not in review.
     #[test]
     fn the_gate_covers_the_shipped_default_the_oracle_tier_and_the_socket_edge() {
-        use foc_compiler::ExecTier;
         use foc_memory::TableKind;
         use foc_servers::farm::FarmConfig;
+        use foc_servers::ExecTier;
 
         let (kind, mode) = (ServerKind::Apache, Mode::FailureOblivious);
         let shipped = FarmConfig::new(kind, mode);

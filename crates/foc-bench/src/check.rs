@@ -1,27 +1,14 @@
 //! The one command-line surface of the `bench` binary.
 //!
-//! Every subcommand speaks the same dialect, written once here: a
-//! `--check` flag that runs its gate and returns either the summary of
-//! its `… --check OK (…)` line or a one-line diagnostic (CI logs get a
-//! readable `FAIL:` reason and exit code 1, not a panic backtrace); the
-//! few flags and the optional name a subcommand takes; and usage errors
-//! — an unknown flag, a stray word, `--check` beside something it would
-//! ignore — that exit 2 before anything is measured or written. The
-//! subcommands contribute only their measurement and its wording.
-
-/// Gates `ratio` against the `min` floor. `name` describes the measured
-/// quantity ("native region execution over the baseline
-/// interpreter"); `detail` carries the raw readings for the diagnostic ("412.0
-/// vs 233.1 Minstr/s"). Returns the `Err` line the gate fails with.
-pub fn check_gate(name: &str, ratio: f64, min: f64, detail: &str) -> Result<(), String> {
-    if ratio >= min {
-        Ok(())
-    } else {
-        Err(format!(
-            "{name} must hold a ≥{min}× ratio: {detail} ({ratio:.2}x)"
-        ))
-    }
-}
+//! Both subcommands speak the same dialect, written once here: a
+//! `--check` flag that holds a committed file to a fresh render and
+//! returns either the summary of its `… --check OK (…)` line or a
+//! one-line diagnostic (CI logs get a readable `FAIL:` reason and exit
+//! code 1, not a panic backtrace); the few flags and the optional name a
+//! subcommand takes; and usage errors — an unknown flag, a stray word,
+//! `--check` beside something it would ignore — that exit 2 before
+//! anything is measured or written. The subcommands contribute only
+//! their run and its wording.
 
 /// What one subcommand accepts beside `--check`.
 #[derive(Debug)]
@@ -104,36 +91,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn gate_passes_at_and_above_the_floor() {
-        assert!(check_gate("rate", 1.5, 1.5, "3.0 vs 2.0").is_ok());
-        assert!(check_gate("rate", 2.31, 1.5, "detail").is_ok());
-    }
-
-    #[test]
-    fn gate_diagnostic_names_the_quantity_floor_and_readings() {
-        let msg = check_gate(
-            "native tier over baseline on the copy loop",
-            1.31,
-            1.5,
-            "13.1 vs 10.0 Minstr/s",
-        )
-        .expect_err("below the floor");
-        assert!(
-            msg.contains("native tier over baseline on the copy loop"),
-            "{msg}"
-        );
-        assert!(msg.contains("1.5×"), "{msg}");
-        assert!(msg.contains("13.1 vs 10.0 Minstr/s"), "{msg}");
-        assert!(msg.contains("(1.31x)"), "{msg}");
-    }
-
-    #[test]
     fn args_take_what_the_subcommand_names_and_refuse_the_rest() {
         let spec = ArgSpec {
             flags: &["--write", "--threads"],
             name: true,
         };
-        let gate_only = ArgSpec {
+        let check_only = ArgSpec {
             flags: &[],
             name: false,
         };
@@ -150,7 +113,7 @@ mod tests {
         let check = parse(&spec, &["--threads", "2", "--check"]).expect("a gate reads --threads");
         assert_eq!((check.threads, check.name.as_deref()), (2, None));
         assert!(check.has("--check"));
-        assert!(parse(&gate_only, &["--check"])
+        assert!(parse(&check_only, &["--check"])
             .expect("the gate")
             .has("--check"));
         for (spec, raw, needle) in [
@@ -180,9 +143,9 @@ mod tests {
                 &["fig2_pine", "--check"],
                 "--check runs the gate alone and takes no name (\"fig2_pine\")",
             ),
-            (&gate_only, &["24"], "unexpected argument \"24\""),
+            (&check_only, &["24"], "unexpected argument \"24\""),
             (
-                &gate_only,
+                &check_only,
                 &["--write"],
                 "unknown flag \"--write\" (accepted: --check)",
             ),

@@ -15,9 +15,7 @@
 //! versions scale identically (verified by `scaling_invariance` below).
 
 pub mod check;
-pub mod farm_report;
 pub mod paper;
-pub mod stats;
 pub mod sweep_report;
 
 use foc_memory::Mode;

@@ -64,11 +64,12 @@ pub enum TableKind {
 }
 
 impl TableKind {
-    /// Both structures, oracle first (the order of `farm_stress`'s rows
-    /// and of the equivalence batteries' table loops).
+    /// Both structures, oracle first (the order of the equivalence
+    /// batteries' table loops).
     pub const ALL: [TableKind; 2] = [TableKind::Splay, TableKind::Flat];
 
-    /// Stable lower-case name (bench rows).
+    /// Stable lower-case name (test diagnostics and the end-to-end
+    /// benchmark's description lines).
     pub fn name(self) -> &'static str {
         match self {
             TableKind::Flat => "flat",
@@ -168,10 +169,12 @@ impl Table {
     /// Finds the unit whose range contains `addr`.
     ///
     /// Deliberately not `#[inline]` (nor are the structures' own
-    /// lookups): inlined into `foc-vm`'s native executor the searches
-    /// crowd its pure-local loop — `native_cost`'s dispatch gate read
-    /// 2.1–2.5× with the attribute against 2.7–3.6× without — and the
-    /// view's memo keeps the call off the hot path anyway.
+    /// lookups), pending a change that measures it: with the attribute
+    /// the four end-to-end workloads read +5.4 / +7.1 / +5.4 / +5.8%,
+    /// but inlined into `foc-vm`'s native executor the searches crowded
+    /// its pure-local loop, which a dispatch-bound loop read as 2.1–2.5×
+    /// the baseline interpreter against 2.7–3.6× without. The view's
+    /// memo keeps the call off the hot path anyway.
     pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
         match self {
             Table::Flat(t) => t.lookup(addr),

@@ -31,13 +31,12 @@
 //! slices, and aggregation runs in server-index order after all threads
 //! join. Therefore two farm runs with the same config but different
 //! `threads` or `slice_requests` values produce [`FarmReport`]s that
-//! compare equal (`PartialEq` ignores the one host-side measurement,
-//! wall time). The property tests assert this; the scaling bins rely on
-//! it to attribute wall-time differences to parallelism alone.
+//! compare equal. The property tests assert this; the end-to-end
+//! benchmark relies on it to attribute wall-time differences to
+//! parallelism alone.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use foc_compiler::ProgramImage;
 use foc_memory::{Mode, TableKind, ValueSequence};
@@ -261,23 +260,6 @@ pub struct FarmStats {
 }
 
 impl FarmStats {
-    /// Fraction of requests that completed.
-    pub fn survival_rate(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / self.requests as f64
-    }
-
-    /// Completed requests per virtual megacycle — the farm's throughput
-    /// in virtual time (host-independent).
-    pub fn throughput_per_mcycle(&self) -> f64 {
-        if self.total_cycles == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / (self.total_cycles as f64 / 1e6)
-    }
-
     /// Virtual cycles spent actually serving requests (total minus the
     /// restart overhead — the other half of the boot/restart split).
     pub fn service_cycles(&self) -> u64 {
@@ -285,10 +267,10 @@ impl FarmStats {
     }
 }
 
-/// The result of one farm run. `PartialEq` compares everything except
-/// `host_wall_ms` (the only host-time measurement), so reports from runs
-/// with identical configs and seeds compare equal regardless of thread
-/// count or scheduling grain.
+/// The result of one farm run: deterministic data only. `PartialEq`
+/// compares everything but the configuration's host-side knobs, so
+/// reports from runs with identical configs and seeds compare equal
+/// regardless of thread count, scheduling grain, object table or edge.
 #[derive(Debug, Clone)]
 pub struct FarmReport {
     /// The configuration that produced this report.
@@ -297,9 +279,6 @@ pub struct FarmReport {
     pub stats: FarmStats,
     /// Per-server breakdown, indexed by server.
     pub per_server: Vec<ServerStats>,
-    /// Host wall-clock time for the whole run, in milliseconds. Excluded
-    /// from `PartialEq`.
-    pub host_wall_ms: f64,
 }
 
 impl PartialEq for FarmReport {
@@ -323,17 +302,6 @@ impl PartialEq for FarmReport {
             && a.restart_budget == b.restart_budget
             && self.stats == other.stats
             && self.per_server == other.per_server
-    }
-}
-
-impl FarmReport {
-    /// Completed requests per host second — the farm's host-side
-    /// throughput (what the scaling sweep measures).
-    pub fn host_throughput_rps(&self) -> f64 {
-        if self.host_wall_ms <= 0.0 {
-            return 0.0;
-        }
-        self.stats.completed as f64 / (self.host_wall_ms / 1e3)
     }
 }
 
@@ -1146,7 +1114,6 @@ pub fn run_farm(config: &FarmConfig) -> FarmReport {
     );
     let threads = config.threads.clamp(1, config.servers);
     let slice = config.slice_requests.max(1);
-    let started = Instant::now();
 
     let tasks: Vec<Task> = (0..config.servers).map(Task::Fresh).collect();
     let per_server: Vec<ServerStats> = run_stealing(threads, tasks, |task| {
@@ -1161,7 +1128,6 @@ pub fn run_farm(config: &FarmConfig) -> FarmReport {
         config: config.clone(),
         stats,
         per_server,
-        host_wall_ms: started.elapsed().as_secs_f64() * 1e3,
     }
 }
 
@@ -1273,6 +1239,16 @@ mod tests {
         assert!(fo.stats.tail_service_cycles > 0);
         assert!(fo.stats.latency_p999 >= fo.stats.latency_p99);
         assert!(fo.stats.latency_max >= fo.stats.latency_p999);
+        // A bucket top rounds up, never down: each farm's service
+        // histogram bounds the exact percentiles it summarizes.
+        for (what, farm) in [("bc", &r), ("dead", &dead), ("fo", &fo)] {
+            let s = &farm.stats;
+            assert!(s.service_hist.quantile(1, 2) >= s.latency_p50, "{what} p50");
+            assert!(
+                s.service_hist.quantile(999, 1000) >= s.latency_p999,
+                "{what} p99.9"
+            );
+        }
     }
 
     #[test]
@@ -1350,8 +1326,6 @@ mod tests {
         assert_eq!(agg.restart_hist, LatencyHist::default());
         assert_eq!(agg.tail_service_cycles, 0);
         assert_eq!(agg.tail_restart_cycles, 0);
-        assert_eq!(agg.survival_rate(), 0.0);
-        assert_eq!(agg.throughput_per_mcycle(), 0.0);
     }
 
     #[test]

@@ -124,8 +124,8 @@ impl ServerKind {
     }
 
     /// Compiles a fresh, uncached image from source on the
-    /// shipped-default tier (cold-boot path; tests and `bench
-    /// restart_cost` compare it against the cache).
+    /// shipped-default tier (cold-boot path; the image-sharing tests
+    /// compare it against the cache).
     ///
     /// # Panics
     ///

@@ -6,11 +6,11 @@
 //! process-management cost) needs a shape, not a list. [`LatencyHist`]
 //! is the standard HdrHistogram-style compromise: power-of-two
 //! buckets, O(1) recording, exact counts, quantiles resolved to bucket
-//! upper bounds. Two readers depend on that shape: the `farm_stress`
-//! gate holds each run's histogram quantiles at or above the exact
-//! percentiles, and the connection-level SLO
-//! ([`crate::conn::slo_within_basis_points`]) counts requests by bucket
-//! against the median. Everything is integer arithmetic, so histograms
+//! upper bounds. Two readers depend on that shape: the farm test
+//! `tail_attribution_splits_restart_overhead_from_service` holds each
+//! run's histogram quantiles at or above the exact percentiles, and the
+//! connection-level SLO ([`crate::conn::slo_within_basis_points`])
+//! counts requests by bucket against the median. Everything is integer arithmetic, so histograms
 //! participate in the farm's determinism contract (`Eq`, thread- and
 //! slice-invariant).
 
@@ -121,8 +121,7 @@ impl LatencyHist {
         Self::bucket_top(BUCKETS - 1)
     }
 
-    /// Non-empty buckets as `(upper_bound, count)` pairs — the compact
-    /// serialization the bench record stores.
+    /// Non-empty buckets as `(upper_bound, count)` pairs.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()

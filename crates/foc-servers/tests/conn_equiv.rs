@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use foc_memory::Mode;
-use foc_servers::conn::{Edge, Scenario, SocketEdge};
+use foc_servers::conn::{slo_within_basis_points, Edge, Scenario, SocketEdge};
 use foc_servers::farm::{run_farm, FarmConfig};
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
 use foc_servers::{BootSpec, ServerKind};
@@ -84,6 +84,59 @@ fn farm_reports_survive_adversarial_transport() {
             socket,
         );
     }
+}
+
+/// The SLO multiplier: a request is within the SLO when its service
+/// latency bucket tops out at no more than this many times the median.
+const CONN_SLO_K: u64 = 4;
+
+/// Servers and requests per server of the connection-scale farm.
+const SCALE_SERVERS: usize = 256;
+const SCALE_REQUESTS: usize = 6;
+
+/// Pooled connections, listener backlog and flood connections per
+/// server of the connection-scale farm: 256 × (392 + 12) = 103 424
+/// connection attempts in one run, the floods refused past the backlog.
+const SCALE_POOL: usize = 392;
+const SCALE_BACKLOG: usize = 8;
+const SCALE_FLOOD: usize = 12;
+
+/// Failure-oblivious Apache, `servers` × `requests`, standard attack mix.
+fn apache_farm(servers: usize, requests: usize) -> FarmConfig {
+    let mut config = FarmConfig::new(ServerKind::Apache, Mode::FailureOblivious);
+    config.servers = servers;
+    config.requests_per_server = requests;
+    config
+}
+
+/// Connection scale: a farm that opens 100k+ simulated connections,
+/// accept-queue floods included, loses no request and reproduces the
+/// in-process report; and a 32 × 50 farm keeps at least 75% of its
+/// completed requests within [`CONN_SLO_K`]× the median service latency
+/// (it reads 9 062 bp, deterministically).
+#[test]
+fn a_hundred_thousand_connections_lose_no_request_and_hold_the_slo() {
+    let socket = SocketEdge {
+        connections: SCALE_POOL,
+        backlog: SCALE_BACKLOG,
+        flood: SCALE_FLOOD,
+        scenario: Scenario::Clean,
+    };
+    const { assert!(SCALE_SERVERS * (SCALE_POOL + SCALE_FLOOD) >= 100_000) };
+    let config = apache_farm(SCALE_SERVERS, SCALE_REQUESTS);
+    let in_process = run_farm(&config.clone().with_edge(Edge::InProcess));
+    let wired = run_farm(&config.with_edge(Edge::Socket(socket)));
+    assert_eq!(
+        in_process, wired,
+        "connection scale must not change the report"
+    );
+    let stats = &wired.stats;
+    assert_eq!(stats.requests, (SCALE_SERVERS * SCALE_REQUESTS) as u64);
+    assert_eq!(stats.completed + stats.dropped, stats.requests);
+
+    let slo = run_farm(&apache_farm(32, 50));
+    let bp = slo_within_basis_points(&slo.stats.service_hist, CONN_SLO_K);
+    assert!(bp >= 7_500, "{bp} bp within {CONN_SLO_K}x the median");
 }
 
 /// The full sweep library × all five modes: every observable surface of

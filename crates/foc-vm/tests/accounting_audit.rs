@@ -7,7 +7,9 @@
 //! in this test from the instruction-set documentation alone, covering
 //! the pure local/arithmetic/branch subset (no guest memory accesses, no
 //! nested calls — accounting there is pinned by the VM's own parity
-//! batteries). It executes the *baseline* bytecode one dispatch at a
+//! batteries). Two functions are audited: one mixing every shape the
+//! native tier fuses, and a dispatch-bound loop of multi-operand
+//! arithmetic. It executes the *baseline* bytecode one dispatch at a
 //! time with no peepholes, and the production machine — under every
 //! execution tier in `ExecTier::ALL` (baseline and native region
 //! execution) — must land on identical instruction counts, cycle
@@ -216,18 +218,49 @@ const AUDIT_SRC: &str = "
     }
 ";
 
+/// A dispatch-bound loop: eight multi-operand `long` statements per
+/// iteration and nothing else, so the native tier lowers each iteration
+/// to one pure-local region whose folded ops replace every dispatch
+/// round of the baseline bytecode. The sums overflow within a few
+/// iterations; both sides wrap.
+const DISPATCH_LOOP_SRC: &str = "
+    long spin(long n) {
+        long i; long t = 0; long u = 1;
+        for (i = 0; i < n; i++) {
+            t = t + u + i + 3;
+            u = u + t + i + 5;
+            t = t + u + u + 7;
+            u = u + t + t + 9;
+            t = t + u + i + 11;
+            u = u + t + i + 13;
+            t = t + u + u + 15;
+            u = u + t + t + 17;
+        }
+        return t + u;
+    }
+";
+
+/// Each audited function: its source, its name, the arguments of the
+/// ample-fuel run and the shorter ones the budget sweep runs.
+const CASES: [(&str, &str, &[i64], &[i64]); 2] = [
+    (AUDIT_SRC, "audit", &[25, 9], &[4, 9]),
+    (DISPATCH_LOOP_SRC, "spin", &[40], &[3]),
+];
+
 #[test]
 fn fused_dispatch_charges_exactly_like_the_reference() {
-    for mode in [Mode::Standard, Mode::FailureOblivious] {
-        // Ample fuel: the full run must agree to the instruction.
-        let expected = reference_run(AUDIT_SRC, "audit", &[25, 9], mode, 100_000);
-        assert!(
-            expected.result.is_ok(),
-            "referee must complete: {expected:?}"
-        );
-        for tier in ExecTier::ALL {
-            let got = machine_run(AUDIT_SRC, "audit", &[25, 9], mode, 100_000, tier);
-            assert_eq!(expected, got, "{mode:?}/{tier:?} ample-fuel drift");
+    for (src, func, args, _) in CASES {
+        for mode in [Mode::Standard, Mode::FailureOblivious] {
+            // Ample fuel: the full run must agree to the instruction.
+            let expected = reference_run(src, func, args, mode, 100_000);
+            assert!(
+                expected.result.is_ok(),
+                "referee must complete {func}: {expected:?}"
+            );
+            for tier in ExecTier::ALL {
+                let got = machine_run(src, func, args, mode, 100_000, tier);
+                assert_eq!(expected, got, "{func} {mode:?}/{tier:?} ample-fuel drift");
+            }
         }
     }
 }
@@ -240,14 +273,18 @@ fn fuel_out_points_match_the_reference_at_every_budget() {
     // tier (one dispatch per instruction) and the native tier (whose
     // whole-region pre-charge gate must surface fuel exhaustion at the
     // same instruction) alike.
-    let full = reference_run(AUDIT_SRC, "audit", &[4, 9], Mode::Standard, 100_000);
-    let run_len = full.instrs;
-    for mode in [Mode::Standard, Mode::FailureOblivious] {
-        for budget in 0..=(run_len + 2) {
-            let expected = reference_run(AUDIT_SRC, "audit", &[4, 9], mode, budget);
-            for tier in ExecTier::ALL {
-                let got = machine_run(AUDIT_SRC, "audit", &[4, 9], mode, budget, tier);
-                assert_eq!(expected, got, "{mode:?}/{tier:?} drift at budget {budget}");
+    for (src, func, _, args) in CASES {
+        let full = reference_run(src, func, args, Mode::Standard, 100_000);
+        for mode in [Mode::Standard, Mode::FailureOblivious] {
+            for budget in 0..=(full.instrs + 2) {
+                let expected = reference_run(src, func, args, mode, budget);
+                for tier in ExecTier::ALL {
+                    let got = machine_run(src, func, args, mode, budget, tier);
+                    assert_eq!(
+                        expected, got,
+                        "{func} {mode:?}/{tier:?} drift at budget {budget}"
+                    );
+                }
             }
         }
     }
