@@ -3,7 +3,7 @@
 use std::fmt;
 
 use foc_lang::hir::{self, Callee};
-use foc_lang::types::{CType, Layouts};
+use foc_lang::types::{CType, Layouts, TypeKind};
 use foc_memory::AccessSize;
 
 use crate::bytecode::{CompiledFunc, CompiledProgram, FrameLayout, GlobalImage, Instr};
@@ -33,7 +33,7 @@ pub fn compile(program: &hir::Program) -> Result<CompiledProgram, CompileError> 
         strings: program.strings.clone(),
     };
     for g in &program.globals {
-        let size = program.layouts.size_of(&g.ty);
+        let size = program.layouts.size_of(g.ty);
         out.globals.push(GlobalImage {
             name: g.name.clone(),
             size,
@@ -50,9 +50,9 @@ pub fn compile(program: &hir::Program) -> Result<CompiledProgram, CompileError> 
 fn frame_layout(f: &hir::Function, layouts: &Layouts) -> FrameLayout {
     let mut slots = Vec::with_capacity(f.locals.len());
     let mut offset = 0u64;
-    for slot in &f.locals {
-        let size = layouts.size_of(&slot.ty).max(1);
-        let align = layouts.align_of(&slot.ty).max(1);
+    for &ty in &f.locals {
+        let size = layouts.size_of(ty).max(1);
+        let align = layouts.align_of(ty).max(1);
         offset = offset.div_ceil(align) * align;
         slots.push((offset, size));
         offset += size + LOCAL_GAP;
@@ -66,7 +66,6 @@ fn frame_layout(f: &hir::Function, layouts: &Layouts) -> FrameLayout {
 fn compile_func(f: &hir::Function, layouts: &Layouts) -> Result<CompiledFunc, CompileError> {
     let frame = frame_layout(f, layouts);
     let mut cg = Codegen {
-        layouts,
         frame: &frame,
         code: Vec::new(),
         labels: vec![None; f.label_count as usize],
@@ -97,7 +96,6 @@ struct LoopCtx {
 }
 
 struct Codegen<'a> {
-    layouts: &'a Layouts,
     frame: &'a FrameLayout,
     code: Vec<Instr>,
     /// Placement of each HIR label.
@@ -276,7 +274,7 @@ impl<'a> Codegen<'a> {
     fn emit_expr(&mut self, e: &hir::Expr) -> Result<(), CompileError> {
         match e {
             hir::Expr::Const(v, ty) => {
-                self.code.push(Instr::Const(canonical(*v, ty)));
+                self.code.push(Instr::Const(canonical(*v, *ty)));
             }
             hir::Expr::Str(id) => self.code.push(Instr::StrAddr(id.0)),
             hir::Expr::LocalAddr(id, _) => {
@@ -285,7 +283,7 @@ impl<'a> Codegen<'a> {
             }
             hir::Expr::GlobalAddr(id, _) => self.code.push(Instr::GlobalAddr(id.0)),
             hir::Expr::Load { addr, ty } => {
-                let (size, signed) = scalar_repr(ty, self.layouts);
+                let (size, signed) = scalar_repr(*ty);
                 if let Some(off) = self.direct_local(addr) {
                     self.code.push(Instr::LoadLocal(off, size, signed));
                 } else {
@@ -294,7 +292,7 @@ impl<'a> Codegen<'a> {
                 }
             }
             hir::Expr::Store { addr, value, ty } => {
-                let (size, _) = scalar_repr(ty, self.layouts);
+                let (size, _) = scalar_repr(*ty);
                 self.emit_expr(value)?;
                 self.code.push(Instr::Dup);
                 if let Some(off) = self.direct_local(addr) {
@@ -314,7 +312,7 @@ impl<'a> Codegen<'a> {
                     self.code.push(Instr::EffAddr);
                 }
                 self.code.push(binop_instr(*op));
-                self.emit_normalize(ty);
+                self.emit_normalize(*ty);
             }
             hir::Expr::Unary { op, operand, ty } => {
                 self.emit_expr(operand)?;
@@ -324,7 +322,7 @@ impl<'a> Codegen<'a> {
                     hir::UnOp::Not => Instr::Not,
                 });
                 if !matches!(op, hir::UnOp::Not) {
-                    self.emit_normalize(ty);
+                    self.emit_normalize(*ty);
                 }
             }
             hir::Expr::Cast { expr, from, to } => {
@@ -337,9 +335,9 @@ impl<'a> Codegen<'a> {
                         // Pointer→integer resolves the intended address
                         // (CRED semantics for out-of-bounds pointers).
                         self.code.push(Instr::EffAddr);
-                        self.emit_normalize(to);
+                        self.emit_normalize(*to);
                     }
-                    (false, false) => self.emit_normalize(to),
+                    (false, false) => self.emit_normalize(*to),
                 }
             }
             hir::Expr::PtrAdd {
@@ -417,7 +415,7 @@ impl<'a> Codegen<'a> {
                 prefix,
                 ptr,
             } => {
-                let (size, signed) = scalar_repr(ty, self.layouts);
+                let (size, signed) = scalar_repr(*ty);
                 if let Some(off) = self.direct_local(addr) {
                     // Direct scalar local: the hot i++ path.
                     self.code.push(Instr::LoadLocal(off, size, signed));
@@ -430,7 +428,7 @@ impl<'a> Codegen<'a> {
                     } else {
                         self.code.push(Instr::Const(*delta));
                         self.code.push(Instr::Add);
-                        self.emit_normalize(ty);
+                        self.emit_normalize(*ty);
                     }
                     if *prefix {
                         self.code.push(Instr::Dup); // [new, new]
@@ -455,7 +453,7 @@ impl<'a> Codegen<'a> {
                 } else {
                     self.code.push(Instr::Const(*delta));
                     self.code.push(Instr::Add);
-                    self.emit_normalize(ty);
+                    self.emit_normalize(*ty);
                 }
                 if *prefix {
                     // [addr, new] → keep new as result.
@@ -484,8 +482,8 @@ impl<'a> Codegen<'a> {
         None
     }
 
-    fn emit_normalize(&mut self, ty: &CType) {
-        let (size, signed) = scalar_repr(ty, self.layouts);
+    fn emit_normalize(&mut self, ty: CType) {
+        let (size, signed) = scalar_repr(ty);
         if size != AccessSize::B8 {
             self.code.push(Instr::Normalize(size, signed));
         }
@@ -493,25 +491,25 @@ impl<'a> Codegen<'a> {
 }
 
 /// Width and signedness of a scalar type's memory representation.
-fn scalar_repr(ty: &CType, _layouts: &Layouts) -> (AccessSize, bool) {
-    match ty {
-        CType::Int { width, signed } => (AccessSize::from_bytes(width.bytes()), *signed),
-        CType::Ptr(_) => (AccessSize::B8, false),
-        other => panic!("non-scalar in value position: {other}"),
+fn scalar_repr(ty: CType) -> (AccessSize, bool) {
+    match ty.kind() {
+        TypeKind::Int { width, signed } => (AccessSize::from_bytes(width.bytes()), signed),
+        TypeKind::Ptr(_) => (AccessSize::B8, false),
+        _ => panic!("non-scalar in value position: {ty:?}"),
     }
 }
 
 /// Canonical `i64` representation of a constant for its type.
-fn canonical(v: i64, ty: &CType) -> i64 {
-    match ty {
-        CType::Int { width, signed } => {
+fn canonical(v: i64, ty: CType) -> i64 {
+    match ty.kind() {
+        TypeKind::Int { width, signed } => {
             let bits = width.bytes() * 8;
             if bits == 64 {
                 return v;
             }
             let mask = (1u64 << bits) - 1;
             let low = (v as u64) & mask;
-            if *signed {
+            if signed {
                 let sign_bit = 1u64 << (bits - 1);
                 if low & sign_bit != 0 {
                     (low | !mask) as i64
@@ -646,11 +644,11 @@ mod tests {
 
     #[test]
     fn canonical_constant_representation() {
-        assert_eq!(canonical(0xFF, &CType::CHAR), -1);
-        assert_eq!(canonical(0xFF, &CType::UCHAR), 0xFF);
-        assert_eq!(canonical(-1, &CType::UINT), 0xFFFF_FFFF);
-        assert_eq!(canonical(0x1_0000_0001, &CType::INT), 1);
-        assert_eq!(canonical(-5, &CType::LONG), -5);
+        assert_eq!(canonical(0xFF, CType::CHAR), -1);
+        assert_eq!(canonical(0xFF, CType::UCHAR), 0xFF);
+        assert_eq!(canonical(-1, CType::UINT), 0xFFFF_FFFF);
+        assert_eq!(canonical(0x1_0000_0001, CType::INT), 1);
+        assert_eq!(canonical(-5, CType::LONG), -5);
     }
 
     #[test]
@@ -679,6 +677,43 @@ mod tests {
             if let Instr::Jump(t) = ins {
                 assert_ne!(*t, u32::MAX);
             }
+        }
+    }
+
+    #[test]
+    fn the_deepest_nesting_the_parser_accepts_compiles_on_a_small_stack() {
+        let shapes: [fn(usize) -> String; 5] = [
+            |n| format!("int f(int x) {{ return {}x; }}", "- ".repeat(n)),
+            |n| format!("int f(int x) {{ return x{}; }}", " + x".repeat(n)),
+            |n| format!("int f(int x) {{ return {}x; }}", "x ? x : ".repeat(n)),
+            |n| {
+                format!(
+                    "int f(int x) {{ {} return 0; return 1; }}",
+                    "if (x)".repeat(n)
+                )
+            },
+            |n| format!("int f(int x) {{ {}0; return x; }}", "x = ".repeat(n)),
+        ];
+        let compiled = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                shapes.map(|program| {
+                    let deepest = (1..)
+                        .take_while(|&n| foc_lang::frontend(&program(n)).is_ok())
+                        .last()
+                        .expect("one level is accepted");
+                    compile_source(&program(deepest)).map(|p| (deepest, p.funcs.len()))
+                })
+            })
+            .expect("spawn")
+            .join()
+            .expect("lowering panicked");
+        for result in compiled {
+            let (deepest, funcs) = result.expect("the deepest accepted program compiles");
+            assert!(
+                deepest >= 64 && funcs == 1,
+                "{deepest} levels, {funcs} functions"
+            );
         }
     }
 }

@@ -6,9 +6,75 @@
 
 use crate::token::Pos;
 
-/// A parsed type as written in source (before struct resolution).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TypeExpr {
+/// An identifier, interned: the same name is the same symbol throughout
+/// a translation unit, and [`Names::get`] spells it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Symbol(pub u32);
+
+/// The identifiers of a translation unit, each stored once.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Names {
+    text: String,
+    /// Where each symbol's spelling ends in `text`.
+    ends: Vec<usize>,
+}
+
+impl Names {
+    /// Stores `name` as a new symbol (the parser's interner dedupes).
+    pub(crate) fn push(&mut self, name: &str) -> Symbol {
+        let sym = Symbol(self.ends.len() as u32);
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        sym
+    }
+
+    /// The spelling of `sym`.
+    pub fn get(&self, sym: Symbol) -> &str {
+        let i = sym.0 as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.text[start..self.ends[i]]
+    }
+
+    /// Number of symbols.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+}
+
+/// A parsed type as written in source (before struct resolution): a
+/// base type under `pointers` levels of `*`. Array dimensions belong to
+/// the declarator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TypeExpr {
+    /// The type the `*`s apply to.
+    pub base: BaseType,
+    /// Levels of pointer.
+    pub pointers: u32,
+}
+
+impl TypeExpr {
+    /// `base` with no pointer levels.
+    pub fn base(base: BaseType) -> TypeExpr {
+        TypeExpr { base, pointers: 0 }
+    }
+
+    /// Pointer to this type.
+    pub fn ptr(self) -> TypeExpr {
+        TypeExpr {
+            pointers: self.pointers + 1,
+            ..self
+        }
+    }
+}
+
+/// The base of a [`TypeExpr`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaseType {
     /// `void`.
     Void,
     /// Integer type with explicit signedness/width (e.g. `unsigned char`).
@@ -19,9 +85,7 @@ pub enum TypeExpr {
         signed: bool,
     },
     /// `struct Name`.
-    Struct(String),
-    /// Pointer to another type.
-    Ptr(Box<TypeExpr>),
+    Struct(Symbol),
 }
 
 /// Binary operators (value-level; pointer arithmetic is resolved in sema).
@@ -66,7 +130,7 @@ pub enum Expr {
     /// String literal.
     StrLit(Vec<u8>, Pos),
     /// Identifier reference.
-    Ident(String, Pos),
+    Ident(Symbol, Pos),
     /// `lhs op rhs`.
     Binary {
         op: BinOp,
@@ -93,13 +157,13 @@ pub enum Expr {
     /// `base.field` (`arrow` selects `base->field`).
     Member {
         base: Box<Expr>,
-        field: String,
+        field: Symbol,
         arrow: bool,
         pos: Pos,
     },
     /// Function call by name.
     Call {
-        callee: String,
+        callee: Symbol,
         args: Vec<Expr>,
         pos: Pos,
     },
@@ -187,7 +251,7 @@ pub enum Initializer {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Declarator {
     /// Declared name.
-    pub name: String,
+    pub name: Symbol,
     /// Full type after applying pointer/array syntax.
     pub ty: TypeExpr,
     /// Array dimension when declared as `name[N]` (outermost first);
@@ -238,9 +302,9 @@ pub enum Stmt {
     /// `return expr?;`.
     Return(Option<Expr>, Pos),
     /// `label:`.
-    Label(String, Pos),
+    Label(Symbol, Pos),
     /// `goto label;`.
-    Goto(String, Pos),
+    Goto(Symbol, Pos),
     /// `;`.
     Empty,
 }
@@ -249,7 +313,7 @@ pub enum Stmt {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FieldDecl {
     /// Field name.
-    pub name: String,
+    pub name: Symbol,
     /// Field type.
     pub ty: TypeExpr,
     /// Array dimension, if `name[N]`.
@@ -260,7 +324,7 @@ pub struct FieldDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructDecl {
     /// Struct tag.
-    pub name: String,
+    pub name: Symbol,
     /// Fields in declaration order.
     pub fields: Vec<FieldDecl>,
     /// Position of the tag.
@@ -271,7 +335,7 @@ pub struct StructDecl {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Param {
     /// Parameter name.
-    pub name: String,
+    pub name: Symbol,
     /// Parameter type.
     pub ty: TypeExpr,
 }
@@ -280,7 +344,7 @@ pub struct Param {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncDecl {
     /// Function name.
-    pub name: String,
+    pub name: Symbol,
     /// Return type.
     pub ret: TypeExpr,
     /// Parameters.
@@ -307,4 +371,6 @@ pub enum Item {
 pub struct TranslationUnit {
     /// Items in source order.
     pub items: Vec<Item>,
+    /// Every identifier the items name.
+    pub names: Names,
 }

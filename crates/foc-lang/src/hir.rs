@@ -329,21 +329,21 @@ impl Expr {
     /// The expression's result type.
     pub fn ty(&self) -> CType {
         match self {
-            Expr::Const(_, t) => t.clone(),
-            Expr::Str(_) => CType::char_ptr(),
-            Expr::LocalAddr(_, t) | Expr::GlobalAddr(_, t) => CType::Ptr(Box::new(t.clone())),
-            Expr::Load { ty, .. } => ty.clone(),
-            Expr::Store { ty, .. } => ty.clone(),
-            Expr::Binary { ty, .. } => ty.clone(),
-            Expr::Unary { ty, .. } => ty.clone(),
-            Expr::Cast { to, .. } => to.clone(),
-            Expr::PtrAdd { ty, .. } => ty.clone(),
+            Expr::Str(_) => CType::CHAR_PTR,
+            Expr::LocalAddr(_, t) | Expr::GlobalAddr(_, t) => t.ptr(),
             Expr::PtrDiff { .. } => CType::LONG,
-            Expr::Call { ty, .. } => ty.clone(),
             Expr::ShortCircuit { .. } => CType::INT,
-            Expr::Conditional { ty, .. } => ty.clone(),
             Expr::Comma { result, .. } => result.ty(),
-            Expr::IncDec { ty, .. } => ty.clone(),
+            Expr::Const(_, ty)
+            | Expr::Load { ty, .. }
+            | Expr::Store { ty, .. }
+            | Expr::Binary { ty, .. }
+            | Expr::Unary { ty, .. }
+            | Expr::Cast { to: ty, .. }
+            | Expr::PtrAdd { ty, .. }
+            | Expr::Call { ty, .. }
+            | Expr::Conditional { ty, .. }
+            | Expr::IncDec { ty, .. } => *ty,
         }
     }
 }
@@ -383,15 +383,6 @@ pub enum Stmt {
     GotoIf { cond: Expr, target: LabelId },
 }
 
-/// A local variable slot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalSlot {
-    /// Declared name (for diagnostics).
-    pub name: String,
-    /// Declared type (arrays kept as arrays; they are addressable units).
-    pub ty: CType,
-}
-
 /// A function.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Function {
@@ -399,8 +390,9 @@ pub struct Function {
     pub name: String,
     /// Number of leading slots that are parameters.
     pub param_count: usize,
-    /// All local slots (parameters first).
-    pub locals: Vec<LocalSlot>,
+    /// The type of each local slot, parameters first (arrays kept as
+    /// arrays; they are addressable units).
+    pub locals: Vec<CType>,
     /// Return type.
     pub ret: CType,
     /// Body.

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::token::{Keyword, Pos, Tok, Token};
+use crate::token::{Keyword, Pos, Span, Tok, Token};
 
 /// Lexing failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,6 +17,23 @@ impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at {}", self.message, self.pos)
     }
+}
+
+/// The bytes of the [`Tok::StrLit`] at `span` of `src`, the source it
+/// was lexed from: escapes decoded, adjacent literals joined, no
+/// terminating NUL.
+pub fn string_bytes(src: &str, span: Span) -> Vec<u8> {
+    let mut lexer = Lexer {
+        src: &src.as_bytes()[..span.end],
+        offset: span.start,
+        line: 1,
+        col: 1,
+    };
+    let mut bytes = Vec::with_capacity(span.end - span.start);
+    lexer
+        .lex_string(&mut |b| bytes.push(b))
+        .expect("the lexer validated the literal");
+    bytes
 }
 
 /// Streaming tokenizer over MiniC source text.
@@ -40,7 +57,9 @@ impl<'a> Lexer<'a> {
 
     /// Lexes the whole input.
     pub fn tokenize(mut self) -> Result<Vec<Token>, LexError> {
-        let mut out = Vec::new();
+        // Tokens average over four source bytes each, so one allocation
+        // holds them all.
+        let mut out = Vec::with_capacity(self.src.len() / 4 + 1);
         loop {
             let tok = self.next_token()?;
             let done = tok.kind == Tok::Eof;
@@ -79,6 +98,19 @@ impl<'a> Lexer<'a> {
         Some(c)
     }
 
+    /// Skips the run of bytes from here that satisfy `pred`, which must
+    /// reject newlines.
+    fn skip_while(&mut self, pred: impl Fn(u8) -> bool) {
+        let run = self.src[self.offset..]
+            .iter()
+            .take_while(|&&c| pred(c))
+            .count();
+        self.offset += run;
+        self.col = self
+            .col
+            .saturating_add(u32::try_from(run).unwrap_or(u32::MAX));
+    }
+
     fn err(&self, message: impl Into<String>) -> LexError {
         LexError {
             message: message.into(),
@@ -89,17 +121,13 @@ impl<'a> Lexer<'a> {
     fn skip_trivia(&mut self) -> Result<(), LexError> {
         loop {
             match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
+                Some(b'\n') => {
                     self.bump();
                 }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                Some(c) if c.is_ascii_whitespace() => {
+                    self.skip_while(|c| c != b'\n' && c.is_ascii_whitespace());
                 }
+                Some(b'/') if self.peek2() == Some(b'/') => self.skip_while(|c| c != b'\n'),
                 Some(b'/') if self.peek2() == Some(b'*') => {
                     let start = self.pos();
                     self.bump();
@@ -140,7 +168,10 @@ impl<'a> Lexer<'a> {
         let kind = match c {
             b'0'..=b'9' => self.lex_number()?,
             b'\'' => self.lex_char()?,
-            b'"' => self.lex_string()?,
+            b'"' => Tok::StrLit(Span {
+                start: pos.offset,
+                end: self.lex_string(&mut |_| {})?,
+            }),
             c if c == b'_' || c.is_ascii_alphabetic() => self.lex_ident(),
             _ => self.lex_operator()?,
         };
@@ -149,66 +180,38 @@ impl<'a> Lexer<'a> {
 
     fn lex_ident(&mut self) -> Tok {
         let start = self.offset;
-        while let Some(c) = self.peek() {
-            if c == b'_' || c.is_ascii_alphanumeric() {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        let text =
-            std::str::from_utf8(&self.src[start..self.offset]).expect("identifier bytes are ASCII");
-        match Keyword::from_str(text) {
+        self.skip_while(|c| c == b'_' || c.is_ascii_alphanumeric());
+        match Keyword::from_spelling(&self.src[start..self.offset]) {
             Some(kw) => Tok::Kw(kw),
-            None => Tok::Ident(text.to_owned()),
+            None => Tok::Ident(Span {
+                start,
+                end: self.offset,
+            }),
         }
     }
 
     fn lex_number(&mut self) -> Result<Tok, LexError> {
-        let start = self.offset;
         let mut radix = 10;
         if self.peek() == Some(b'0') && matches!(self.peek2(), Some(b'x') | Some(b'X')) {
             self.bump();
             self.bump();
             radix = 16;
         }
-        let digits_start = self.offset;
-        while let Some(c) = self.peek() {
-            let ok = match radix {
-                16 => c.is_ascii_hexdigit(),
-                _ => c.is_ascii_digit(),
-            };
-            if ok {
-                self.bump();
-            } else {
-                break;
-            }
+        let mut any = false;
+        let mut value = Some(0u64);
+        while let Some(digit) = self.peek().and_then(|c| (c as char).to_digit(radix)) {
+            self.bump();
+            any = true;
+            value = value.and_then(|v| v.checked_mul(radix.into())?.checked_add(digit.into()));
         }
         // Accept (and ignore) C integer suffixes.
-        while let Some(c) = self.peek() {
-            if matches!(c, b'u' | b'U' | b'l' | b'L') {
-                self.bump();
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b'u' | b'U' | b'l' | b'L')) {
+            self.bump();
         }
-        let text_range = if radix == 16 {
-            &self.src[digits_start..self.offset]
-        } else {
-            &self.src[start..self.offset]
-        };
-        let digits: String = text_range
-            .iter()
-            .take_while(|c| c.is_ascii_alphanumeric())
-            .filter(|c| !matches!(c, b'u' | b'U' | b'l' | b'L') || radix == 16)
-            .map(|&c| c as char)
-            .collect();
-        let digits: String = digits.chars().filter(|c| c.is_ascii_hexdigit()).collect();
-        if digits.is_empty() {
+        if !any {
             return Err(self.err("malformed integer literal"));
         }
-        let value = u64::from_str_radix(&digits, radix)
-            .map_err(|_| self.err("integer literal out of range"))?;
+        let value = value.ok_or_else(|| self.err("integer literal out of range"))?;
         Ok(Tok::IntLit(value as i64))
     }
 
@@ -266,25 +269,26 @@ impl<'a> Lexer<'a> {
         Ok(Tok::IntLit(c as i8 as i64))
     }
 
-    fn lex_string(&mut self) -> Result<Tok, LexError> {
-        self.bump(); // opening quote
-        let mut bytes = Vec::new();
+    /// Lexes a string literal and every literal adjacent to it (C
+    /// concatenates them), handing each decoded byte to `sink`; returns
+    /// the offset just past the last closing quote.
+    fn lex_string(&mut self, sink: &mut impl FnMut(u8)) -> Result<usize, LexError> {
         loop {
-            match self.bump() {
-                Some(b'"') => break,
-                Some(b'\\') => bytes.push(self.lex_escape()?),
-                Some(b'\n') | None => return Err(self.err("unterminated string literal")),
-                Some(c) => bytes.push(c),
+            self.bump(); // opening quote
+            loop {
+                match self.bump() {
+                    Some(b'"') => break,
+                    Some(b'\\') => sink(self.lex_escape()?),
+                    Some(b'\n') | None => return Err(self.err("unterminated string literal")),
+                    Some(c) => sink(c),
+                }
+            }
+            let end = self.offset;
+            self.skip_trivia()?;
+            if self.peek() != Some(b'"') {
+                return Ok(end);
             }
         }
-        // Adjacent string literals concatenate, as in C.
-        self.skip_trivia()?;
-        if self.peek() == Some(b'"') {
-            if let Tok::StrLit(more) = self.lex_string()? {
-                bytes.extend_from_slice(&more);
-            }
-        }
-        Ok(Tok::StrLit(bytes))
     }
 
     fn lex_operator(&mut self) -> Result<Tok, LexError> {
@@ -406,20 +410,37 @@ mod tests {
             .collect()
     }
 
+    fn ident(start: usize, end: usize) -> Tok {
+        Tok::Ident(Span { start, end })
+    }
+
+    /// The bytes of each string literal `src` lexes to.
+    fn strings(src: &str) -> Vec<Vec<u8>> {
+        kinds(src)
+            .into_iter()
+            .filter_map(|t| match t {
+                Tok::StrLit(span) => Some(string_bytes(src, span)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn lexes_keywords_and_identifiers() {
-        let toks = kinds("int main unsigned charlie size_t");
+        let src = "int main unsigned charlie size_t";
+        let toks = kinds(src);
         assert_eq!(
             toks,
             vec![
                 Tok::Kw(Keyword::Int),
-                Tok::Ident("main".into()),
+                ident(4, 8),
                 Tok::Kw(Keyword::Unsigned),
-                Tok::Ident("charlie".into()),
+                ident(18, 25),
                 Tok::Kw(Keyword::SizeT),
                 Tok::Eof,
             ]
         );
+        assert_eq!(toks[3].describe(src).to_string(), "identifier `charlie`");
     }
 
     #[test]
@@ -450,18 +471,16 @@ mod tests {
 
     #[test]
     fn lexes_strings_with_escapes_and_concatenation() {
+        assert_eq!(strings(r#""ab\tc""#), vec![b"ab\tc".to_vec()]);
+        assert_eq!(strings(r#""\x41\x42""#), vec![b"AB".to_vec()]);
+        // Adjacent literals are one token spanning both, trivia between
+        // them included and trivia after them not.
+        let src = "\"foo\" /* \" */ \"bar\" ;";
         assert_eq!(
-            kinds(r#""ab\tc""#),
-            vec![Tok::StrLit(b"ab\tc".to_vec()), Tok::Eof]
+            kinds(src),
+            vec![Tok::StrLit(Span { start: 0, end: 19 }), Tok::Semi, Tok::Eof]
         );
-        assert_eq!(
-            kinds(r#""foo" "bar""#),
-            vec![Tok::StrLit(b"foobar".to_vec()), Tok::Eof]
-        );
-        assert_eq!(
-            kinds(r#""\x41\x42""#),
-            vec![Tok::StrLit(b"AB".to_vec()), Tok::Eof]
-        );
+        assert_eq!(strings(src), vec![b"foobar".to_vec()]);
     }
 
     #[test]
@@ -469,9 +488,9 @@ mod tests {
         assert_eq!(
             kinds("a->b ++ -- <<= >>= <= >= == != && || += -= *= /= %= &= |= ^="),
             vec![
-                Tok::Ident("a".into()),
+                ident(0, 1),
                 Tok::Arrow,
-                Tok::Ident("b".into()),
+                ident(3, 4),
                 Tok::PlusPlus,
                 Tok::MinusMinus,
                 Tok::ShlAssign,
@@ -500,12 +519,7 @@ mod tests {
         let toks = kinds("a // line\n b /* block\n over lines */ c");
         assert_eq!(
             toks,
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Ident("b".into()),
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
+            vec![ident(0, 1), ident(11, 12), ident(37, 38), Tok::Eof]
         );
     }
 

@@ -1,10 +1,18 @@
 //! Recursive-descent parser for MiniC.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use crate::ast::*;
-use crate::lexer::{LexError, Lexer};
-use crate::token::{Keyword, Pos, Tok, Token};
+use crate::lexer::{string_bytes, LexError, Lexer};
+use crate::token::{Described, Keyword, Pos, Span, Tok, Token};
+
+/// How deeply a program may nest: statements in statements, operands in
+/// expressions (a chain such as `a + b + c` or `p->q->r` nests one level
+/// per operator), `*`s and array dimensions in a type. Every later pass
+/// walks the tree recursively, so this bound is what keeps hostile input
+/// from exhausting the host's stack. The servers reach 20 levels.
+pub const MAX_NESTING: u32 = 256;
 
 /// Parse failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,22 +41,43 @@ impl From<LexError> for ParseError {
 /// Parses a MiniC translation unit.
 pub fn parse(source: &str) -> Result<TranslationUnit, ParseError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, at: 0 }.parse_unit()
+    Parser {
+        src: source,
+        tokens,
+        at: 0,
+        depth: 0,
+        symbols: HashMap::new(),
+        names: Names::default(),
+        stmts: Vec::new(),
+        exprs: Vec::new(),
+    }
+    .parse_unit()
 }
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     at: usize,
+    /// Current nesting (see [`MAX_NESTING`]).
+    depth: u32,
+    /// The interner: each identifier's symbol, by spelling.
+    symbols: HashMap<&'a str, Symbol>,
+    names: Names,
+    /// The statements of every open block, innermost last: a list is
+    /// gathered here and moved out in one allocation when it closes.
+    stmts: Vec<Stmt>,
+    /// Likewise the arguments of every open call or initialiser list.
+    exprs: Vec<Expr>,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.tokens[self.at].kind
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Tok {
+        self.tokens[self.at].kind
     }
 
-    fn peek2(&self) -> &Tok {
+    fn peek2(&self) -> Tok {
         let i = (self.at + 1).min(self.tokens.len() - 1);
-        &self.tokens[i].kind
+        self.tokens[i].kind
     }
 
     fn pos(&self) -> Pos {
@@ -56,14 +85,14 @@ impl Parser {
     }
 
     fn bump(&mut self) -> Tok {
-        let t = self.tokens[self.at].kind.clone();
+        let t = self.peek();
         if self.at + 1 < self.tokens.len() {
             self.at += 1;
         }
         t
     }
 
-    fn eat(&mut self, tok: &Tok) -> bool {
+    fn eat(&mut self, tok: Tok) -> bool {
         if self.peek() == tok {
             self.bump();
             true
@@ -73,12 +102,20 @@ impl Parser {
     }
 
     fn expect(&mut self, tok: Tok) -> Result<(), ParseError> {
-        if self.peek() == &tok {
+        if self.peek() == tok {
             self.bump();
             Ok(())
         } else {
-            Err(self.err(format!("expected {tok}, found {}", self.peek())))
+            Err(self.err(format!(
+                "expected {}, found {}",
+                self.describe(tok),
+                self.describe(self.peek())
+            )))
         }
+    }
+
+    fn describe(&self, tok: Tok) -> Described<'a> {
+        tok.describe(self.src)
     }
 
     fn err(&self, message: impl Into<String>) -> ParseError {
@@ -88,12 +125,72 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<(String, Pos), ParseError> {
+    /// Goes one level deeper, refusing past [`MAX_NESTING`]. The caller
+    /// restores `depth` when it leaves the level.
+    fn deeper(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_NESTING} levels"))
+    }
+
+    /// Runs `parse` one level deeper.
+    #[inline(always)]
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deeper()?;
+        let out = parse(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    /// Statements up to the closing `}` (the `{` consumed).
+    fn parse_block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
+        let base = self.stmts.len();
+        while !self.eat(Tok::RBrace) {
+            let stmt = self.parse_stmt()?;
+            self.stmts.push(stmt);
+        }
+        Ok(self.stmts.drain(base..).collect())
+    }
+
+    /// Comma-separated assignment expressions up to `close` (the opener
+    /// consumed), allowing a trailing comma when `trailing`.
+    fn parse_list(&mut self, close: Tok, trailing: bool) -> Result<Vec<Expr>, ParseError> {
+        let base = self.exprs.len();
+        if !self.eat(close) {
+            loop {
+                let e = self.parse_assign()?;
+                self.exprs.push(e);
+                if !self.eat(Tok::Comma) || (trailing && self.peek() == close) {
+                    break;
+                }
+            }
+            self.expect(close)?;
+        }
+        Ok(self.exprs.drain(base..).collect())
+    }
+
+    fn intern(&mut self, span: Span) -> Symbol {
+        let name = span.text(self.src);
+        let names = &mut self.names;
+        *self.symbols.entry(name).or_insert_with(|| names.push(name))
+    }
+
+    fn expect_ident(&mut self) -> Result<(Symbol, Pos), ParseError> {
         let pos = self.pos();
         match self.bump() {
-            Tok::Ident(s) => Ok((s, pos)),
+            Tok::Ident(span) => Ok((self.intern(span), pos)),
             other => Err(ParseError {
-                message: format!("expected identifier, found {other}"),
+                message: format!("expected identifier, found {}", self.describe(other)),
                 pos,
             }),
         }
@@ -130,7 +227,7 @@ impl Parser {
             self.bump();
         }
         let mut signed: Option<bool> = None;
-        let mut base: Option<TypeExpr> = None;
+        let mut base: Option<BaseType> = None;
         let mut long_count = 0;
         loop {
             match self.peek() {
@@ -147,18 +244,18 @@ impl Parser {
                 }
                 Tok::Kw(Keyword::Void) => {
                     self.bump();
-                    base = Some(TypeExpr::Void);
+                    base = Some(BaseType::Void);
                 }
                 Tok::Kw(Keyword::Char) => {
                     self.bump();
-                    base = Some(TypeExpr::Int {
+                    base = Some(BaseType::Int {
                         width: 1,
                         signed: true,
                     });
                 }
                 Tok::Kw(Keyword::Short) => {
                     self.bump();
-                    base = Some(TypeExpr::Int {
+                    base = Some(BaseType::Int {
                         width: 2,
                         signed: true,
                     });
@@ -170,7 +267,7 @@ impl Parser {
                 Tok::Kw(Keyword::Int) => {
                     self.bump();
                     if base.is_none() {
-                        base = Some(TypeExpr::Int {
+                        base = Some(BaseType::Int {
                             width: 4,
                             signed: true,
                         });
@@ -179,7 +276,7 @@ impl Parser {
                 Tok::Kw(Keyword::Long) => {
                     self.bump();
                     long_count += 1;
-                    base = Some(TypeExpr::Int {
+                    base = Some(BaseType::Int {
                         width: 8,
                         signed: true,
                     });
@@ -189,7 +286,7 @@ impl Parser {
                 }
                 Tok::Kw(Keyword::SizeT) => {
                     self.bump();
-                    base = Some(TypeExpr::Int {
+                    base = Some(BaseType::Int {
                         width: 8,
                         signed: false,
                     });
@@ -197,51 +294,53 @@ impl Parser {
                 Tok::Kw(Keyword::Struct) => {
                     self.bump();
                     let (name, _) = self.expect_ident()?;
-                    base = Some(TypeExpr::Struct(name));
+                    base = Some(BaseType::Struct(name));
                 }
                 _ => break,
             }
         }
-        let mut ty = match base {
+        let mut base = match base {
             Some(t) => t,
-            None if signed.is_some() => TypeExpr::Int {
+            None if signed.is_some() => BaseType::Int {
                 width: 4,
                 signed: true,
             },
             None => return Err(self.err("expected type")),
         };
-        if let (TypeExpr::Int { width, .. }, Some(s)) = (&ty, signed) {
-            ty = TypeExpr::Int {
-                width: *width,
-                signed: s,
-            };
+        if let (BaseType::Int { width, .. }, Some(s)) = (base, signed) {
+            base = BaseType::Int { width, signed: s };
         }
-        Ok(ty)
+        Ok(TypeExpr::base(base))
     }
 
     /// Applies `*` pointer declarator syntax.
-    fn parse_pointers(&mut self, mut ty: TypeExpr) -> TypeExpr {
-        while self.eat(&Tok::Star) {
+    fn parse_pointers(&mut self, mut ty: TypeExpr) -> Result<TypeExpr, ParseError> {
+        let depth = self.depth;
+        while self.eat(Tok::Star) {
+            self.deeper()?;
             // `const` may qualify the pointer; ignored.
             while matches!(self.peek(), Tok::Kw(Keyword::Const)) {
                 self.bump();
             }
-            ty = TypeExpr::Ptr(Box::new(ty));
+            ty = ty.ptr();
         }
-        ty
+        self.depth = depth;
+        Ok(ty)
     }
 
     /// Parses a complete abstract type (for casts and sizeof).
     fn parse_type(&mut self) -> Result<TypeExpr, ParseError> {
         let base = self.parse_base_type()?;
-        Ok(self.parse_pointers(base))
+        self.parse_pointers(base)
     }
 
     /// Parses array dimensions after a declarator name.
     fn parse_array_dims(&mut self) -> Result<Vec<u64>, ParseError> {
+        let depth = self.depth;
         let mut dims = Vec::new();
-        while self.eat(&Tok::LBracket) {
-            if self.eat(&Tok::RBracket) {
+        while self.eat(Tok::LBracket) {
+            self.deeper()?;
+            if self.eat(Tok::RBracket) {
                 // `[]`: size inferred from the initialiser.
                 dims.push(0);
                 continue;
@@ -255,6 +354,7 @@ impl Parser {
             dims.push(v as u64);
             self.expect(Tok::RBracket)?;
         }
+        self.depth = depth;
         Ok(dims)
     }
 
@@ -264,10 +364,13 @@ impl Parser {
 
     fn parse_unit(mut self) -> Result<TranslationUnit, ParseError> {
         let mut items = Vec::new();
-        while self.peek() != &Tok::Eof {
+        while self.peek() != Tok::Eof {
             items.push(self.parse_item()?);
         }
-        Ok(TranslationUnit { items })
+        Ok(TranslationUnit {
+            items,
+            names: self.names,
+        })
     }
 
     fn parse_item(&mut self) -> Result<Item, ParseError> {
@@ -275,20 +378,20 @@ impl Parser {
         // is a global. Disambiguate by looking past the tag.
         if matches!(self.peek(), Tok::Kw(Keyword::Struct))
             && matches!(self.peek2(), Tok::Ident(_))
-            && self.tokens.get(self.at + 2).map(|t| &t.kind) == Some(&Tok::LBrace)
+            && self.tokens.get(self.at + 2).map(|t| t.kind) == Some(Tok::LBrace)
         {
             return Ok(Item::Struct(self.parse_struct()?));
         }
         if !self.at_type() {
             return Err(self.err(format!(
                 "expected declaration or function, found {}",
-                self.peek()
+                self.describe(self.peek())
             )));
         }
         let base = self.parse_base_type()?;
-        let ty = self.parse_pointers(base.clone());
+        let ty = self.parse_pointers(base)?;
         let (name, pos) = self.expect_ident()?;
-        if self.peek() == &Tok::LParen {
+        if self.peek() == Tok::LParen {
             return Ok(Item::Func(self.parse_func(ty, name, pos)?));
         }
         // Global declarator list.
@@ -301,10 +404,10 @@ impl Parser {
         let (name, pos) = self.expect_ident()?;
         self.expect(Tok::LBrace)?;
         let mut fields = Vec::new();
-        while !self.eat(&Tok::RBrace) {
+        while !self.eat(Tok::RBrace) {
             let base = self.parse_base_type()?;
             loop {
-                let fty = self.parse_pointers(base.clone());
+                let fty = self.parse_pointers(base)?;
                 let (fname, _) = self.expect_ident()?;
                 let dims = self.parse_array_dims()?;
                 fields.push(FieldDecl {
@@ -312,7 +415,7 @@ impl Parser {
                     ty: fty,
                     array_dims: dims,
                 });
-                if !self.eat(&Tok::Comma) {
+                if !self.eat(Tok::Comma) {
                     break;
                 }
             }
@@ -325,30 +428,26 @@ impl Parser {
     fn parse_func(
         &mut self,
         ret: TypeExpr,
-        name: String,
+        name: Symbol,
         pos: Pos,
     ) -> Result<FuncDecl, ParseError> {
         self.expect(Tok::LParen)?;
         let mut params = Vec::new();
-        if !self.eat(&Tok::RParen) {
+        if !self.eat(Tok::RParen) {
             // `(void)` means no parameters.
-            if matches!(self.peek(), Tok::Kw(Keyword::Void)) && self.peek2() == &Tok::RParen {
+            if matches!(self.peek(), Tok::Kw(Keyword::Void)) && self.peek2() == Tok::RParen {
                 self.bump();
                 self.expect(Tok::RParen)?;
             } else {
                 loop {
                     let base = self.parse_base_type()?;
-                    let ty = self.parse_pointers(base);
+                    let ty = self.parse_pointers(base)?;
                     let (pname, _) = self.expect_ident()?;
                     // Array parameters decay to pointers.
                     let dims = self.parse_array_dims()?;
-                    let ty = if dims.is_empty() {
-                        ty
-                    } else {
-                        TypeExpr::Ptr(Box::new(ty))
-                    };
+                    let ty = if dims.is_empty() { ty } else { ty.ptr() };
                     params.push(Param { name: pname, ty });
-                    if !self.eat(&Tok::Comma) {
+                    if !self.eat(Tok::Comma) {
                         break;
                     }
                 }
@@ -356,10 +455,7 @@ impl Parser {
             }
         }
         self.expect(Tok::LBrace)?;
-        let mut body = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            body.push(self.parse_stmt()?);
-        }
+        let body = self.parse_block_body()?;
         Ok(FuncDecl {
             name,
             ret,
@@ -375,12 +471,12 @@ impl Parser {
         &mut self,
         base: TypeExpr,
         first_ty: TypeExpr,
-        first_name: String,
+        first_name: Symbol,
         first_pos: Pos,
     ) -> Result<Vec<Declarator>, ParseError> {
         let mut decls = Vec::new();
         let dims = self.parse_array_dims()?;
-        let init = if self.eat(&Tok::Assign) {
+        let init = if self.eat(Tok::Assign) {
             Some(self.parse_initializer()?)
         } else {
             None
@@ -392,11 +488,11 @@ impl Parser {
             init,
             pos: first_pos,
         });
-        while self.eat(&Tok::Comma) {
-            let ty = self.parse_pointers(base.clone());
+        while self.eat(Tok::Comma) {
+            let ty = self.parse_pointers(base)?;
             let (name, pos) = self.expect_ident()?;
             let dims = self.parse_array_dims()?;
-            let init = if self.eat(&Tok::Assign) {
+            let init = if self.eat(Tok::Assign) {
                 Some(self.parse_initializer()?)
             } else {
                 None
@@ -414,21 +510,8 @@ impl Parser {
     }
 
     fn parse_initializer(&mut self) -> Result<Initializer, ParseError> {
-        if self.eat(&Tok::LBrace) {
-            let mut items = Vec::new();
-            if !self.eat(&Tok::RBrace) {
-                loop {
-                    items.push(self.parse_assign()?);
-                    if !self.eat(&Tok::Comma) {
-                        break;
-                    }
-                    // Allow a trailing comma.
-                    if self.peek() == &Tok::RBrace {
-                        break;
-                    }
-                }
-                self.expect(Tok::RBrace)?;
-            }
+        if self.eat(Tok::LBrace) {
+            let items = self.parse_list(Tok::RBrace, true)?;
             Ok(Initializer::List(items))
         } else {
             Ok(Initializer::Expr(self.parse_assign()?))
@@ -440,6 +523,10 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn parse_stmt(&mut self) -> Result<Stmt, ParseError> {
+        self.nested(Self::stmt)
+    }
+
+    fn stmt(&mut self) -> Result<Stmt, ParseError> {
         let pos = self.pos();
         match self.peek() {
             Tok::Semi => {
@@ -448,11 +535,7 @@ impl Parser {
             }
             Tok::LBrace => {
                 self.bump();
-                let mut stmts = Vec::new();
-                while !self.eat(&Tok::RBrace) {
-                    stmts.push(self.parse_stmt()?);
-                }
-                Ok(Stmt::Block(stmts))
+                Ok(Stmt::Block(self.parse_block_body()?))
             }
             Tok::Kw(Keyword::If) => {
                 self.bump();
@@ -460,7 +543,7 @@ impl Parser {
                 let cond = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
                 let then = Box::new(self.parse_stmt()?);
-                let els = if self.eat(&Tok::Kw(Keyword::Else)) {
+                let els = if self.eat(Tok::Kw(Keyword::Else)) {
                     Some(Box::new(self.parse_stmt()?))
                 } else {
                     None
@@ -488,7 +571,7 @@ impl Parser {
             Tok::Kw(Keyword::For) => {
                 self.bump();
                 self.expect(Tok::LParen)?;
-                let init = if self.eat(&Tok::Semi) {
+                let init = if self.eat(Tok::Semi) {
                     None
                 } else if self.at_type() {
                     Some(Box::new(self.parse_decl_stmt()?))
@@ -497,13 +580,13 @@ impl Parser {
                     self.expect(Tok::Semi)?;
                     Some(Box::new(Stmt::Expr(e)))
                 };
-                let cond = if self.peek() == &Tok::Semi {
+                let cond = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.parse_expr()?)
                 };
                 self.expect(Tok::Semi)?;
-                let step = if self.peek() == &Tok::RParen {
+                let step = if self.peek() == Tok::RParen {
                     None
                 } else {
                     Some(self.parse_expr()?)
@@ -523,10 +606,7 @@ impl Parser {
                 let scrutinee = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
                 self.expect(Tok::LBrace)?;
-                let mut body = Vec::new();
-                while !self.eat(&Tok::RBrace) {
-                    body.push(self.parse_stmt()?);
-                }
+                let body = self.parse_block_body()?;
                 Ok(Stmt::Switch { scrutinee, body })
             }
             Tok::Kw(Keyword::Case) => {
@@ -553,7 +633,7 @@ impl Parser {
             }
             Tok::Kw(Keyword::Return) => {
                 self.bump();
-                if self.eat(&Tok::Semi) {
+                if self.eat(Tok::Semi) {
                     Ok(Stmt::Return(None, pos))
                 } else {
                     let e = self.parse_expr()?;
@@ -568,7 +648,7 @@ impl Parser {
                 Ok(Stmt::Goto(label, pos))
             }
             // `ident:` is a label.
-            Tok::Ident(_) if self.peek2() == &Tok::Colon => {
+            Tok::Ident(_) if self.peek2() == Tok::Colon => {
                 let (name, _) = self.expect_ident()?;
                 self.expect(Tok::Colon)?;
                 Ok(Stmt::Label(name, pos))
@@ -584,7 +664,7 @@ impl Parser {
 
     fn parse_decl_stmt(&mut self) -> Result<Stmt, ParseError> {
         let base = self.parse_base_type()?;
-        let ty = self.parse_pointers(base.clone());
+        let ty = self.parse_pointers(base)?;
         let (name, pos) = self.expect_ident()?;
         let decls = self.parse_declarator_list(base, ty, name, pos)?;
         Ok(Stmt::Decl(decls))
@@ -596,8 +676,10 @@ impl Parser {
 
     /// Full expression, including the comma operator.
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut e = self.parse_assign()?;
-        while self.peek() == &Tok::Comma {
+        while self.peek() == Tok::Comma {
+            self.deeper()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.parse_assign()?;
@@ -607,11 +689,16 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
         Ok(e)
     }
 
     /// Assignment expression (no top-level comma).
     fn parse_assign(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::assign)
+    }
+
+    fn assign(&mut self) -> Result<Expr, ParseError> {
         let lhs = self.parse_conditional()?;
         let pos = self.pos();
         let op = match self.peek() {
@@ -647,7 +734,7 @@ impl Parser {
 
     fn parse_conditional(&mut self) -> Result<Expr, ParseError> {
         let cond = self.parse_binary(0)?;
-        if self.peek() == &Tok::Question {
+        if self.peek() == Tok::Question {
             let pos = self.pos();
             self.bump();
             let then = self.parse_expr()?;
@@ -664,7 +751,7 @@ impl Parser {
         }
     }
 
-    fn binop_of(tok: &Tok) -> Option<(BinOp, u8)> {
+    fn binop_of(tok: Tok) -> Option<(BinOp, u8)> {
         Some(match tok {
             Tok::OrOr => (BinOp::LogicalOr, 1),
             Tok::AndAnd => (BinOp::LogicalAnd, 2),
@@ -689,11 +776,13 @@ impl Parser {
     }
 
     fn parse_binary(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = Self::binop_of(self.peek()) {
             if prec < min_prec {
                 break;
             }
+            self.deeper()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.parse_binary(prec + 1)?;
@@ -704,10 +793,15 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ParseError> {
+        self.nested(Self::unary)
+    }
+
+    fn unary(&mut self) -> Result<Expr, ParseError> {
         let pos = self.pos();
         match self.peek() {
             Tok::Minus => {
@@ -752,7 +846,7 @@ impl Parser {
                 Ok(Expr::AddrOf(Box::new(e), pos))
             }
             Tok::PlusPlus | Tok::MinusMinus => {
-                let inc = self.peek() == &Tok::PlusPlus;
+                let inc = self.peek() == Tok::PlusPlus;
                 self.bump();
                 let e = self.parse_unary()?;
                 Ok(Expr::IncDec {
@@ -764,7 +858,7 @@ impl Parser {
             }
             Tok::Kw(Keyword::Sizeof) => {
                 self.bump();
-                if self.peek() == &Tok::LParen {
+                if self.peek() == Tok::LParen {
                     // Could be `sizeof(type)` or `sizeof(expr)`.
                     let save = self.at;
                     self.bump();
@@ -800,10 +894,18 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+        let depth = self.depth;
         let mut e = self.parse_primary()?;
         loop {
             let pos = self.pos();
-            match self.peek() {
+            let tok = self.peek();
+            if matches!(
+                tok,
+                Tok::LBracket | Tok::Dot | Tok::Arrow | Tok::PlusPlus | Tok::MinusMinus
+            ) {
+                self.deeper()?;
+            }
+            match tok {
                 Tok::LBracket => {
                     self.bump();
                     let idx = self.parse_expr()?;
@@ -835,7 +937,7 @@ impl Parser {
                     };
                 }
                 Tok::PlusPlus | Tok::MinusMinus => {
-                    let inc = self.peek() == &Tok::PlusPlus;
+                    let inc = self.peek() == Tok::PlusPlus;
                     self.bump();
                     e = Expr::IncDec {
                         target: Box::new(e),
@@ -844,7 +946,10 @@ impl Parser {
                         pos,
                     };
                 }
-                _ => return Ok(e),
+                _ => {
+                    self.depth = depth;
+                    return Ok(e);
+                }
             }
         }
     }
@@ -853,20 +958,12 @@ impl Parser {
         let pos = self.pos();
         match self.bump() {
             Tok::IntLit(v) => Ok(Expr::IntLit(v, pos)),
-            Tok::StrLit(bytes) => Ok(Expr::StrLit(bytes, pos)),
-            Tok::Ident(name) => {
-                if self.peek() == &Tok::LParen {
+            Tok::StrLit(span) => Ok(Expr::StrLit(string_bytes(self.src, span), pos)),
+            Tok::Ident(span) => {
+                let name = self.intern(span);
+                if self.peek() == Tok::LParen {
                     self.bump();
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.parse_assign()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(Tok::RParen)?;
-                    }
+                    let args = self.parse_list(Tok::RParen, false)?;
                     Ok(Expr::Call {
                         callee: name,
                         args,
@@ -882,7 +979,7 @@ impl Parser {
                 Ok(e)
             }
             other => Err(ParseError {
-                message: format!("expected expression, found {other}"),
+                message: format!("expected expression, found {}", self.describe(other)),
                 pos,
             }),
         }
@@ -942,7 +1039,7 @@ mod tests {
         let Item::Func(f) = &u.items[0] else {
             panic!("expected function");
         };
-        assert_eq!(f.name, "main");
+        assert_eq!(u.names.get(f.name), "main");
         assert_eq!(f.params.len(), 0);
     }
 
@@ -1010,7 +1107,7 @@ mod tests {
         assert!(f
             .body
             .iter()
-            .any(|s| matches!(s, Stmt::Label(name, _) if name == "retry")));
+            .any(|s| matches!(s, Stmt::Label(name, _) if u.names.get(*name) == "retry")));
     }
 
     #[test]
@@ -1077,21 +1174,13 @@ mod tests {
         let Item::Func(f) = &u.items[0] else { panic!() };
         let Stmt::Decl(d) = &f.body[1] else { panic!() };
         assert_eq!(d.len(), 2);
-        assert_eq!(
-            d[0].ty,
-            TypeExpr::Ptr(Box::new(TypeExpr::Int {
-                width: 1,
-                signed: true
-            }))
-        );
+        let char = TypeExpr::base(BaseType::Int {
+            width: 1,
+            signed: true,
+        });
+        assert_eq!(d[0].ty, char.ptr());
         // `buf` is an array of char, not a pointer.
-        assert_eq!(
-            d[1].ty,
-            TypeExpr::Int {
-                width: 1,
-                signed: true
-            }
-        );
+        assert_eq!(d[1].ty, char);
         assert_eq!(d[1].array_dims, vec![16]);
     }
 
@@ -1128,6 +1217,34 @@ mod tests {
     #[test]
     fn static_and_const_are_accepted() {
         parse_ok("static const char *msg = \"x\"; static int f() { return 0; }");
+    }
+
+    #[test]
+    fn each_name_is_one_symbol() {
+        let u = parse_ok("int count; int f(int n) { count = count + n; return count; }");
+        let Item::Func(f) = &u.items[1] else { panic!() };
+        let Item::Global(g) = &u.items[0] else {
+            panic!()
+        };
+        let Stmt::Return(Some(Expr::Ident(used, _)), _) = &f.body[1] else {
+            panic!()
+        };
+        assert_eq!(*used, g[0].name);
+        assert_ne!(f.params[0].name, g[0].name);
+        assert_eq!(u.names.len(), 3, "count, f, n");
+        assert_eq!(u.names.get(f.name), "f");
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_parse_error() {
+        let deep = format!("int f(int x) {{ return {}x; }}", "- ".repeat(300));
+        let err = parse(&deep).unwrap_err();
+        assert_eq!(
+            err.message,
+            format!("nesting deeper than {MAX_NESTING} levels")
+        );
+        let fits = format!("int f(int x) {{ return {}x; }}", "~".repeat(200));
+        parse_ok(&fits);
     }
 
     #[test]

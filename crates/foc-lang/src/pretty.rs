@@ -12,27 +12,28 @@ use crate::ast::*;
 
 /// Renders a translation unit as MiniC source.
 pub fn print_unit(unit: &TranslationUnit) -> String {
-    let mut p = Printer::default();
+    let mut p = Printer {
+        out: String::new(),
+        indent: 0,
+        names: &unit.names,
+    };
     for item in &unit.items {
         p.item(item);
     }
     p.out
 }
 
-/// Renders a single expression (diagnostics).
-pub fn print_expr(e: &Expr) -> String {
-    let mut p = Printer::default();
-    p.expr(e);
-    p.out
-}
-
-#[derive(Default)]
-struct Printer {
+struct Printer<'a> {
     out: String,
     indent: usize,
+    names: &'a Names,
 }
 
-impl Printer {
+impl Printer<'_> {
+    fn name(&self, sym: Symbol) -> &str {
+        self.names.get(sym)
+    }
+
     fn line(&mut self, text: &str) {
         for _ in 0..self.indent {
             self.out.push_str("    ");
@@ -55,10 +56,10 @@ impl Printer {
     // Types and declarators.
     // ------------------------------------------------------------------
 
-    fn type_str(ty: &TypeExpr) -> String {
-        match ty {
-            TypeExpr::Void => "void".into(),
-            TypeExpr::Int { width, signed } => match (width, signed) {
+    fn type_str(&self, ty: TypeExpr) -> String {
+        let mut s = match ty.base {
+            BaseType::Void => "void".into(),
+            BaseType::Int { width, signed } => match (width, signed) {
                 (1, true) => "char".into(),
                 (1, false) => "unsigned char".into(),
                 (2, true) => "short".into(),
@@ -69,13 +70,16 @@ impl Printer {
                 (8, false) => "unsigned long".into(),
                 _ => unreachable!("parser emits only 1/2/4/8"),
             },
-            TypeExpr::Struct(name) => format!("struct {name}"),
-            TypeExpr::Ptr(inner) => format!("{}*", Self::type_str(inner)),
+            BaseType::Struct(name) => format!("struct {}", self.name(name)),
+        };
+        for _ in 0..ty.pointers {
+            s.push('*');
         }
+        s
     }
 
     fn declarator_str(&mut self, d: &Declarator) -> String {
-        let mut s = format!("{} {}", Self::type_str(&d.ty), d.name);
+        let mut s = format!("{} {}", self.type_str(d.ty), self.name(d.name));
         for dim in &d.array_dims {
             if *dim == 0 {
                 s.push_str("[]");
@@ -87,7 +91,7 @@ impl Printer {
             None => {}
             Some(Initializer::Expr(e)) => {
                 s.push_str(" = ");
-                s.push_str(&expr_str(e, 2));
+                s.push_str(&self.expr_str(e, 2));
             }
             Some(Initializer::List(items)) => {
                 s.push_str(" = {");
@@ -95,7 +99,7 @@ impl Printer {
                     if i > 0 {
                         s.push_str(", ");
                     }
-                    s.push_str(&expr_str(item, 2));
+                    s.push_str(&self.expr_str(item, 2));
                 }
                 s.push('}');
             }
@@ -110,9 +114,9 @@ impl Printer {
     fn item(&mut self, item: &Item) {
         match item {
             Item::Struct(s) => {
-                self.open(&format!("struct {} {{", s.name));
+                self.open(&format!("struct {} {{", self.name(s.name)));
                 for f in &s.fields {
-                    let mut line = format!("{} {}", Self::type_str(&f.ty), f.name);
+                    let mut line = format!("{} {}", self.type_str(f.ty), self.name(f.name));
                     for dim in &f.array_dims {
                         let _ = write!(line, "[{dim}]");
                     }
@@ -131,12 +135,12 @@ impl Printer {
                 let params: Vec<String> = f
                     .params
                     .iter()
-                    .map(|p| format!("{} {}", Self::type_str(&p.ty), p.name))
+                    .map(|p| format!("{} {}", self.type_str(p.ty), self.name(p.name)))
                     .collect();
                 self.open(&format!(
                     "{} {}({}) {{",
-                    Self::type_str(&f.ret),
-                    f.name,
+                    self.type_str(f.ret),
+                    self.name(f.name),
                     params.join(", ")
                 ));
                 for s in &f.body {
@@ -151,7 +155,7 @@ impl Printer {
         match s {
             Stmt::Empty => self.line(";"),
             Stmt::Expr(e) => {
-                let s = format!("{};", expr_str(e, 0));
+                let s = format!("{};", self.expr_str(e, 0));
                 self.line(&s);
             }
             Stmt::Decl(decls) => {
@@ -168,7 +172,7 @@ impl Printer {
                 self.close("}");
             }
             Stmt::If { cond, then, els } => {
-                self.open(&format!("if ({}) {{", expr_str(cond, 0)));
+                self.open(&format!("if ({}) {{", self.expr_str(cond, 0)));
                 self.stmt_body(then);
                 match els {
                     None => self.close("}"),
@@ -181,14 +185,14 @@ impl Printer {
                 }
             }
             Stmt::While { cond, body } => {
-                self.open(&format!("while ({}) {{", expr_str(cond, 0)));
+                self.open(&format!("while ({}) {{", self.expr_str(cond, 0)));
                 self.stmt_body(body);
                 self.close("}");
             }
             Stmt::DoWhile { body, cond } => {
                 self.open("do {");
                 self.stmt_body(body);
-                self.close(&format!("}} while ({});", expr_str(cond, 0)));
+                self.close(&format!("}} while ({});", self.expr_str(cond, 0)));
             }
             Stmt::For {
                 init,
@@ -199,7 +203,7 @@ impl Printer {
                 // The init may be a declaration; print it inline.
                 let init_s = match init.as_deref() {
                     None => String::new(),
-                    Some(Stmt::Expr(e)) => expr_str(e, 0),
+                    Some(Stmt::Expr(e)) => self.expr_str(e, 0),
                     Some(Stmt::Decl(decls)) if decls.len() == 1 => self.declarator_str(&decls[0]),
                     Some(other) => {
                         // Rare shape: hoist it before the loop.
@@ -207,14 +211,20 @@ impl Printer {
                         String::new()
                     }
                 };
-                let cond_s = cond.as_ref().map(|c| expr_str(c, 0)).unwrap_or_default();
-                let step_s = step.as_ref().map(|s| expr_str(s, 0)).unwrap_or_default();
+                let cond_s = cond
+                    .as_ref()
+                    .map(|c| self.expr_str(c, 0))
+                    .unwrap_or_default();
+                let step_s = step
+                    .as_ref()
+                    .map(|s| self.expr_str(s, 0))
+                    .unwrap_or_default();
                 self.open(&format!("for ({init_s}; {cond_s}; {step_s}) {{"));
                 self.stmt_body(body);
                 self.close("}");
             }
             Stmt::Switch { scrutinee, body } => {
-                self.open(&format!("switch ({}) {{", expr_str(scrutinee, 0)));
+                self.open(&format!("switch ({}) {{", self.expr_str(scrutinee, 0)));
                 for s in body {
                     self.stmt(s);
                 }
@@ -226,11 +236,11 @@ impl Printer {
             Stmt::Continue(_) => self.line("continue;"),
             Stmt::Return(None, _) => self.line("return;"),
             Stmt::Return(Some(e), _) => {
-                let s = format!("return {};", expr_str(e, 0));
+                let s = format!("return {};", self.expr_str(e, 0));
                 self.line(&s);
             }
-            Stmt::Label(name, _) => self.line(&format!("{name}:")),
-            Stmt::Goto(name, _) => self.line(&format!("goto {name};")),
+            Stmt::Label(name, _) => self.line(&format!("{}:", self.name(*name))),
+            Stmt::Goto(name, _) => self.line(&format!("goto {};", self.name(*name))),
         }
     }
 
@@ -243,11 +253,6 @@ impl Printer {
             }
             other => self.stmt(other),
         }
-    }
-
-    fn expr(&mut self, e: &Expr) {
-        let s = expr_str(e, 0);
-        self.out.push_str(&s);
     }
 }
 
@@ -293,115 +298,121 @@ fn bin_token(op: BinOp) -> &'static str {
     }
 }
 
-/// Renders an expression, parenthesising when the context binds at least
-/// as tightly as `min_prec` requires.
-fn expr_str(e: &Expr, min_prec: u8) -> String {
-    // Precedence classes: 0 = comma, 2 = assignment, 3 = conditional,
-    // 4.. = binary (offset by +3 over `bin_prec`), 15 = unary, 16 = postfix.
-    match e {
-        Expr::IntLit(v, _) => format!("{v}"),
-        Expr::StrLit(bytes, _) => {
-            let mut s = String::from("\"");
-            for &b in bytes {
-                match b {
-                    b'"' => s.push_str("\\\""),
-                    b'\\' => s.push_str("\\\\"),
-                    b'\n' => s.push_str("\\n"),
-                    b'\t' => s.push_str("\\t"),
-                    b'\r' => s.push_str("\\r"),
-                    0x20..=0x7E => s.push(b as char),
-                    other => {
-                        let _ = write!(s, "\\x{other:02x}");
+impl Printer<'_> {
+    /// Renders an expression, parenthesising when the context binds at least
+    /// as tightly as `min_prec` requires.
+    fn expr_str(&self, e: &Expr, min_prec: u8) -> String {
+        // Precedence classes: 0 = comma, 2 = assignment, 3 = conditional,
+        // 4.. = binary (offset by +3 over `bin_prec`), 15 = unary, 16 = postfix.
+        match e {
+            Expr::IntLit(v, _) => format!("{v}"),
+            Expr::StrLit(bytes, _) => {
+                let mut s = String::from("\"");
+                for &b in bytes {
+                    match b {
+                        b'"' => s.push_str("\\\""),
+                        b'\\' => s.push_str("\\\\"),
+                        b'\n' => s.push_str("\\n"),
+                        b'\t' => s.push_str("\\t"),
+                        b'\r' => s.push_str("\\r"),
+                        0x20..=0x7E => s.push(b as char),
+                        other => {
+                            let _ = write!(s, "\\x{other:02x}");
+                        }
                     }
                 }
+                s.push('"');
+                s
             }
-            s.push('"');
-            s
-        }
-        Expr::Ident(name, _) => name.clone(),
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let prec = bin_prec(*op) + 3;
-            let s = format!(
-                "{} {} {}",
-                expr_str(lhs, prec),
-                bin_token(*op),
-                expr_str(rhs, prec + 1)
-            );
-            parens_if(s, prec < min_prec)
-        }
-        Expr::Unary { op, operand, .. } => {
-            let t = match op {
-                UnOp::Neg => "-",
-                UnOp::BitNot => "~",
-                UnOp::Not => "!",
-            };
-            let s = format!("{t}{}", expr_str(operand, 15));
-            parens_if(s, 15 < min_prec)
-        }
-        Expr::Deref(inner, _) => parens_if(format!("*{}", expr_str(inner, 15)), 15 < min_prec),
-        Expr::AddrOf(inner, _) => parens_if(format!("&{}", expr_str(inner, 15)), 15 < min_prec),
-        Expr::Index { base, index, .. } => {
-            format!("{}[{}]", expr_str(base, 16), expr_str(index, 0))
-        }
-        Expr::Member {
-            base, field, arrow, ..
-        } => format!(
-            "{}{}{}",
-            expr_str(base, 16),
-            if *arrow { "->" } else { "." },
-            field
-        ),
-        Expr::Call { callee, args, .. } => {
-            let args: Vec<String> = args.iter().map(|a| expr_str(a, 2)).collect();
-            format!("{callee}({})", args.join(", "))
-        }
-        Expr::Assign { lhs, rhs, .. } => {
-            let s = format!("{} = {}", expr_str(lhs, 3), expr_str(rhs, 2));
-            parens_if(s, 2 < min_prec)
-        }
-        Expr::OpAssign { op, lhs, rhs, .. } => {
-            let s = format!(
-                "{} {}= {}",
-                expr_str(lhs, 3),
-                bin_token(*op),
-                expr_str(rhs, 2)
-            );
-            parens_if(s, 2 < min_prec)
-        }
-        Expr::IncDec {
-            target,
-            inc,
-            prefix,
-            ..
-        } => {
-            let t = if *inc { "++" } else { "--" };
-            let s = if *prefix {
-                format!("{t}{}", expr_str(target, 15))
-            } else {
-                format!("{}{t}", expr_str(target, 16))
-            };
-            parens_if(s, 15 < min_prec)
-        }
-        Expr::Conditional {
-            cond, then, els, ..
-        } => {
-            let s = format!(
-                "{} ? {} : {}",
-                expr_str(cond, 4),
-                expr_str(then, 0),
-                expr_str(els, 2)
-            );
-            parens_if(s, 3 < min_prec)
-        }
-        Expr::Cast { ty, expr, .. } => {
-            let s = format!("({}) {}", Printer::type_str(ty), expr_str(expr, 15));
-            parens_if(s, 15 < min_prec)
-        }
-        Expr::SizeofType(ty, _) => format!("sizeof({})", Printer::type_str(ty)),
-        Expr::SizeofExpr(inner, _) => format!("sizeof({})", expr_str(inner, 0)),
-        Expr::Comma { lhs, rhs, .. } => {
-            let s = format!("{}, {}", expr_str(lhs, 2), expr_str(rhs, 2));
-            parens_if(s, 1 < min_prec)
+            Expr::Ident(name, _) => self.name(*name).to_owned(),
+            Expr::Binary { op, lhs, rhs, .. } => {
+                let prec = bin_prec(*op) + 3;
+                let s = format!(
+                    "{} {} {}",
+                    self.expr_str(lhs, prec),
+                    bin_token(*op),
+                    self.expr_str(rhs, prec + 1)
+                );
+                parens_if(s, prec < min_prec)
+            }
+            Expr::Unary { op, operand, .. } => {
+                let t = match op {
+                    UnOp::Neg => "-",
+                    UnOp::BitNot => "~",
+                    UnOp::Not => "!",
+                };
+                let s = format!("{t}{}", self.expr_str(operand, 15));
+                parens_if(s, 15 < min_prec)
+            }
+            Expr::Deref(inner, _) => {
+                parens_if(format!("*{}", self.expr_str(inner, 15)), 15 < min_prec)
+            }
+            Expr::AddrOf(inner, _) => {
+                parens_if(format!("&{}", self.expr_str(inner, 15)), 15 < min_prec)
+            }
+            Expr::Index { base, index, .. } => {
+                format!("{}[{}]", self.expr_str(base, 16), self.expr_str(index, 0))
+            }
+            Expr::Member {
+                base, field, arrow, ..
+            } => format!(
+                "{}{}{}",
+                self.expr_str(base, 16),
+                if *arrow { "->" } else { "." },
+                self.name(*field)
+            ),
+            Expr::Call { callee, args, .. } => {
+                let args: Vec<String> = args.iter().map(|a| self.expr_str(a, 2)).collect();
+                format!("{}({})", self.name(*callee), args.join(", "))
+            }
+            Expr::Assign { lhs, rhs, .. } => {
+                let s = format!("{} = {}", self.expr_str(lhs, 3), self.expr_str(rhs, 2));
+                parens_if(s, 2 < min_prec)
+            }
+            Expr::OpAssign { op, lhs, rhs, .. } => {
+                let s = format!(
+                    "{} {}= {}",
+                    self.expr_str(lhs, 3),
+                    bin_token(*op),
+                    self.expr_str(rhs, 2)
+                );
+                parens_if(s, 2 < min_prec)
+            }
+            Expr::IncDec {
+                target,
+                inc,
+                prefix,
+                ..
+            } => {
+                let t = if *inc { "++" } else { "--" };
+                let s = if *prefix {
+                    format!("{t}{}", self.expr_str(target, 15))
+                } else {
+                    format!("{}{t}", self.expr_str(target, 16))
+                };
+                parens_if(s, 15 < min_prec)
+            }
+            Expr::Conditional {
+                cond, then, els, ..
+            } => {
+                let s = format!(
+                    "{} ? {} : {}",
+                    self.expr_str(cond, 4),
+                    self.expr_str(then, 0),
+                    self.expr_str(els, 2)
+                );
+                parens_if(s, 3 < min_prec)
+            }
+            Expr::Cast { ty, expr, .. } => {
+                let s = format!("({}) {}", self.type_str(*ty), self.expr_str(expr, 15));
+                parens_if(s, 15 < min_prec)
+            }
+            Expr::SizeofType(ty, _) => format!("sizeof({})", self.type_str(*ty)),
+            Expr::SizeofExpr(inner, _) => format!("sizeof({})", self.expr_str(inner, 0)),
+            Expr::Comma { lhs, rhs, .. } => {
+                let s = format!("{}, {}", self.expr_str(lhs, 2), self.expr_str(rhs, 2));
+                parens_if(s, 1 < min_prec)
+            }
         }
     }
 }

@@ -1,12 +1,17 @@
 //! Semantic analysis: name resolution, type checking, HIR lowering.
+//!
+//! Every table keyed by a name is a vector indexed by the name's
+//! [`Symbol`], so no name is hashed again after the parser interned it.
 
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast;
+use crate::ast::{self, Names, Symbol};
 use crate::hir::{self, Builtin, Callee, FuncId, GlobalId, LabelId, LocalId, StrId};
 use crate::token::Pos;
-use crate::types::{CType, FieldLayout, IntWidth, Layouts, StructId, StructLayout};
+use crate::types::{
+    CType, FieldLayout, IntWidth, Layouts, StructId, StructLayout, TypeKind, MAX_OBJECT_SIZE,
+};
 
 /// Type-checking failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +39,17 @@ fn err<T>(pos: Pos, message: impl Into<String>) -> Result<T> {
 
 /// Analyzes a parsed translation unit into a typed program.
 pub fn analyze(unit: &ast::TranslationUnit) -> Result<hir::Program> {
-    let mut cx = Context::default();
+    let mut cx = Context {
+        names: &unit.names,
+        meanings: vec![Meaning::default(); unit.names.len()],
+        layouts: Layouts::default(),
+        arrays: HashMap::new(),
+        globals: Vec::new(),
+        strings: Vec::new(),
+        string_ids: HashMap::new(),
+        funcs: Vec::new(),
+        sigs: Vec::new(),
+    };
     cx.collect_structs(unit)?;
     cx.collect_globals_and_sigs(unit)?;
     cx.check_bodies(unit)?;
@@ -53,20 +68,42 @@ struct FuncSig {
     ret: CType,
 }
 
-#[derive(Default)]
-struct Context {
+/// What one name means. C keeps struct tags, ordinary identifiers and
+/// labels in separate namespaces, so a name may mean one of each.
+#[derive(Debug, Clone, Copy, Default)]
+struct Meaning {
+    strukt: Option<StructId>,
+    global: Option<GlobalId>,
+    func: Option<FuncId>,
+    /// The innermost visible local, with the scope depth it lives at.
+    local: Option<(LocalId, usize)>,
+    /// The current function's label, and whether it has been placed.
+    label: Option<(LabelId, bool)>,
+}
+
+struct Context<'u> {
+    names: &'u Names,
+    /// Indexed by [`Symbol`].
+    meanings: Vec<Meaning>,
     layouts: Layouts,
-    struct_ids: HashMap<String, StructId>,
+    /// Each array type built so far, by element and length.
+    arrays: HashMap<(CType, u64), CType>,
     globals: Vec<hir::Global>,
-    global_ids: HashMap<String, GlobalId>,
     strings: Vec<Vec<u8>>,
-    string_ids: HashMap<Vec<u8>, StrId>,
+    string_ids: HashMap<&'u [u8], StrId>,
     funcs: Vec<hir::Function>,
-    func_ids: HashMap<String, FuncId>,
     sigs: Vec<FuncSig>,
 }
 
-impl Context {
+impl<'u> Context<'u> {
+    fn name(&self, sym: Symbol) -> &'u str {
+        self.names.get(sym)
+    }
+
+    fn meaning(&mut self, sym: Symbol) -> &mut Meaning {
+        &mut self.meanings[sym.0 as usize]
+    }
+
     // ------------------------------------------------------------------
     // Pass 1: structs.
     // ------------------------------------------------------------------
@@ -76,62 +113,129 @@ impl Context {
             let ast::Item::Struct(decl) = item else {
                 continue;
             };
-            if self.struct_ids.contains_key(&decl.name) {
-                return err(decl.pos, format!("duplicate struct `{}`", decl.name));
+            let name = self.name(decl.name);
+            if self.meaning(decl.name).strukt.is_some() {
+                return err(decl.pos, format!("duplicate struct `{name}`"));
             }
-            let mut fields = Vec::new();
+            let mut fields = Vec::with_capacity(decl.fields.len());
             let mut offset = 0u64;
             let mut align = 1u64;
             for f in &decl.fields {
-                let base = self.resolve_type(&f.ty, decl.pos)?;
-                let fty = apply_dims(base, &f.array_dims);
-                if matches!(fty, CType::Void) {
-                    return err(decl.pos, format!("field `{}` cannot be void", f.name));
+                let base = self.resolve_type(f.ty, decl.pos)?;
+                let fty = self.object_type(base, &f.array_dims, f.name, decl.pos)?;
+                if fty.is_void() {
+                    let field = self.name(f.name);
+                    return err(decl.pos, format!("field `{field}` cannot be void"));
                 }
-                let fa = self.layouts.align_of(&fty);
-                let fs = self.layouts.size_of(&fty);
+                let fa = self.layouts.align_of(fty);
+                // Every offset stays within MAX_OBJECT_SIZE, so rounding
+                // up to an alignment of at most 8 cannot overflow.
                 offset = offset.div_ceil(fa) * fa;
                 fields.push(FieldLayout {
-                    name: f.name.clone(),
+                    name: self.name(f.name).to_owned(),
                     ty: fty,
                     offset,
                 });
-                offset += fs;
+                offset = offset
+                    .checked_add(self.layouts.size_of(fty))
+                    .filter(|&end| end <= MAX_OBJECT_SIZE)
+                    .ok_or_else(|| SemaError {
+                        message: format!("struct `{name}` is larger than {MAX_OBJECT_SIZE} bytes"),
+                        pos: decl.pos,
+                    })?;
                 align = align.max(fa);
             }
             let size = offset.div_ceil(align) * align;
             let id = StructId(self.layouts.structs.len() as u32);
             self.layouts.structs.push(StructLayout {
-                name: decl.name.clone(),
+                name: name.to_owned(),
                 fields,
                 size: size.max(1),
                 align,
             });
-            self.struct_ids.insert(decl.name.clone(), id);
+            self.meaning(decl.name).strukt = Some(id);
         }
         Ok(())
     }
 
-    fn resolve_type(&self, ty: &ast::TypeExpr, pos: Pos) -> Result<CType> {
-        Ok(match ty {
-            ast::TypeExpr::Void => CType::Void,
-            ast::TypeExpr::Int { width, signed } => CType::Int {
-                width: IntWidth::from_bytes(*width),
-                signed: *signed,
+    fn resolve_type(&self, ty: ast::TypeExpr, pos: Pos) -> Result<CType> {
+        let mut resolved = match ty.base {
+            ast::BaseType::Void => CType::VOID,
+            ast::BaseType::Int { width, signed } => CType::int(IntWidth::from_bytes(width), signed),
+            ast::BaseType::Struct(name) => match self.meanings[name.0 as usize].strukt {
+                Some(id) => CType::structure(id),
+                None => return err(pos, format!("unknown struct `{}`", self.name(name))),
             },
-            ast::TypeExpr::Struct(name) => match self.struct_ids.get(name) {
-                Some(&id) => CType::Struct(id),
-                None => return err(pos, format!("unknown struct `{name}`")),
-            },
-            ast::TypeExpr::Ptr(inner) => CType::Ptr(Box::new(self.resolve_type(inner, pos)?)),
-        })
+        };
+        for _ in 0..ty.pointers {
+            resolved = resolved.ptr();
+        }
+        Ok(resolved)
+    }
+
+    /// `base` under array dimensions `dims` (outermost first), the type
+    /// of the object `name` declared at `pos`: no array of void, and no
+    /// array larger than [`MAX_OBJECT_SIZE`].
+    fn object_type(&mut self, base: CType, dims: &[u64], name: Symbol, pos: Pos) -> Result<CType> {
+        let mut ty = base;
+        for &len in dims.iter().rev() {
+            if ty.is_void() {
+                return err(pos, format!("`{}` is an array of void", self.name(name)));
+            }
+            ty = match self.arrays.get(&(ty, len)) {
+                Some(&array) => array,
+                None => {
+                    let Some(array) = self.layouts.add_array(ty, len) else {
+                        return err(
+                            pos,
+                            format!(
+                                "`{}` is larger than {MAX_OBJECT_SIZE} bytes",
+                                self.name(name)
+                            ),
+                        );
+                    };
+                    self.arrays.insert((ty, len), array);
+                    array
+                }
+            };
+        }
+        Ok(ty)
+    }
+
+    /// A declarator's type, its leading `[]` sized from the initialiser.
+    fn declared_type(&mut self, d: &ast::Declarator) -> Result<CType> {
+        let base = self.resolve_type(d.ty, d.pos)?;
+        let (outer, inner) = match d.array_dims.split_first() {
+            Some((&0, inner)) => {
+                let inferred = match &d.init {
+                    Some(ast::Initializer::Expr(ast::Expr::StrLit(s, _))) => s.len() as u64 + 1,
+                    Some(ast::Initializer::List(items)) => items.len() as u64,
+                    _ => return err(d.pos, "cannot infer array size without initialiser"),
+                };
+                (Some(inferred), inner)
+            }
+            _ => (None, &d.array_dims[..]),
+        };
+        let ty = self.object_type(base, inner, d.name, d.pos)?;
+        match outer {
+            Some(len) => self.object_type(ty, &[len], d.name, d.pos),
+            None => Ok(ty),
+        }
+    }
+
+    /// The size of `ty`, which a program may not take of `void`.
+    fn size_of(&self, ty: CType, pos: Pos) -> Result<u64> {
+        if ty.is_void() {
+            return err(pos, "void has no size");
+        }
+        Ok(self.layouts.size_of(ty))
     }
 
     // ------------------------------------------------------------------
     // Pass 2: globals and function signatures.
     // ------------------------------------------------------------------
 
-    fn collect_globals_and_sigs(&mut self, unit: &ast::TranslationUnit) -> Result<()> {
+    fn collect_globals_and_sigs(&mut self, unit: &'u ast::TranslationUnit) -> Result<()> {
         for item in &unit.items {
             match item {
                 ast::Item::Global(decls) => {
@@ -140,36 +244,34 @@ impl Context {
                     }
                 }
                 ast::Item::Func(f) => {
-                    if self.func_ids.contains_key(&f.name) {
-                        return err(f.pos, format!("duplicate function `{}`", f.name));
+                    let name = self.name(f.name);
+                    if self.meaning(f.name).func.is_some() {
+                        return err(f.pos, format!("duplicate function `{name}`"));
                     }
-                    if Builtin::from_name(&f.name).is_some() {
-                        return err(f.pos, format!("`{}` shadows a runtime builtin", f.name));
+                    if Builtin::from_name(name).is_some() {
+                        return err(f.pos, format!("`{name}` shadows a runtime builtin"));
                     }
-                    let ret = self.resolve_type(&f.ret, f.pos)?;
-                    let mut params = Vec::new();
+                    let ret = self.resolve_type(f.ret, f.pos)?;
+                    let mut params = Vec::with_capacity(f.params.len());
                     for p in &f.params {
-                        let ty = self.resolve_type(&p.ty, f.pos)?.decayed();
+                        let ty = self.resolve_type(p.ty, f.pos)?;
                         if !ty.is_scalar() {
                             return err(
                                 f.pos,
                                 format!(
                                     "parameter `{}` must be scalar (pass structs by pointer)",
-                                    p.name
+                                    self.name(p.name)
                                 ),
                             );
                         }
                         params.push(ty);
                     }
                     let id = FuncId(self.funcs.len() as u32);
-                    self.func_ids.insert(f.name.clone(), id);
-                    self.sigs.push(FuncSig {
-                        params,
-                        ret: ret.clone(),
-                    });
+                    self.meaning(f.name).func = Some(id);
+                    self.sigs.push(FuncSig { params, ret });
                     // Body is filled in pass 3; push a placeholder.
                     self.funcs.push(hir::Function {
-                        name: f.name.clone(),
+                        name: name.to_owned(),
                         param_count: f.params.len(),
                         locals: Vec::new(),
                         ret,
@@ -183,50 +285,40 @@ impl Context {
         Ok(())
     }
 
-    fn intern_string(&mut self, bytes: &[u8]) -> StrId {
-        let mut with_nul = bytes.to_vec();
-        with_nul.push(0);
-        if let Some(&id) = self.string_ids.get(&with_nul) {
+    fn intern_string(&mut self, bytes: &'u [u8]) -> StrId {
+        if let Some(&id) = self.string_ids.get(bytes) {
             return id;
         }
+        let mut with_nul = Vec::with_capacity(bytes.len() + 1);
+        with_nul.extend_from_slice(bytes);
+        with_nul.push(0);
         let id = StrId(self.strings.len() as u32);
-        self.strings.push(with_nul.clone());
-        self.string_ids.insert(with_nul, id);
+        self.strings.push(with_nul);
+        self.string_ids.insert(bytes, id);
         id
     }
 
-    fn define_global(&mut self, d: &ast::Declarator) -> Result<()> {
-        if self.global_ids.contains_key(&d.name) {
-            return err(d.pos, format!("duplicate global `{}`", d.name));
+    fn define_global(&mut self, d: &'u ast::Declarator) -> Result<()> {
+        if self.meaning(d.name).global.is_some() {
+            return err(d.pos, format!("duplicate global `{}`", self.name(d.name)));
         }
-        let base = self.resolve_type(&d.ty, d.pos)?;
-        let mut dims = d.array_dims.clone();
-        // Infer `[]` from the initialiser.
-        if dims.first() == Some(&0) {
-            let inferred = match &d.init {
-                Some(ast::Initializer::Expr(ast::Expr::StrLit(s, _))) => s.len() as u64 + 1,
-                Some(ast::Initializer::List(items)) => items.len() as u64,
-                _ => return err(d.pos, "cannot infer array size without initialiser"),
-            };
-            dims[0] = inferred;
-        }
-        let ty = apply_dims(base, &dims);
-        if matches!(ty, CType::Void) {
+        let ty = self.declared_type(d)?;
+        if ty.is_void() {
             return err(d.pos, "global cannot be void");
         }
-        let size = self.layouts.size_of(&ty);
-        let mut init = vec![0u8; size as usize];
+        // At most MAX_OBJECT_SIZE bytes, which `object_type` checked.
+        let mut init = vec![0u8; self.layouts.size_of(ty) as usize];
         let mut relocs: Vec<(u64, StrId)> = Vec::new();
         match &d.init {
             None => {}
             Some(ast::Initializer::Expr(e)) => {
-                self.init_scalar_or_string(&ty, e, 0, &mut init, &mut relocs, d.pos)?;
+                self.init_scalar_or_string(ty, e, 0, &mut init, &mut relocs, d.pos)?;
             }
             Some(ast::Initializer::List(items)) => {
-                let CType::Array(elem, n) = &ty else {
+                let Some((elem, n)) = self.layouts.array_of(ty) else {
                     return err(d.pos, "brace initialiser requires an array");
                 };
-                if items.len() as u64 > *n {
+                if items.len() as u64 > n {
                     return err(d.pos, "too many initialisers");
                 }
                 let esz = self.layouts.size_of(elem);
@@ -244,28 +336,34 @@ impl Context {
         }
         let id = GlobalId(self.globals.len() as u32);
         self.globals.push(hir::Global {
-            name: d.name.clone(),
+            name: self.name(d.name).to_owned(),
             ty,
             init,
             relocs,
         });
-        self.global_ids.insert(d.name.clone(), id);
+        self.meaning(d.name).global = Some(id);
         Ok(())
     }
 
     fn init_scalar_or_string(
         &mut self,
-        ty: &CType,
-        e: &ast::Expr,
+        ty: CType,
+        e: &'u ast::Expr,
         offset: u64,
         out: &mut [u8],
         relocs: &mut Vec<(u64, StrId)>,
         pos: Pos,
     ) -> Result<()> {
-        match (ty, e) {
+        match (ty.kind(), e) {
             // `char buf[N] = "str"`.
-            (CType::Array(elem, n), ast::Expr::StrLit(s, spos)) if **elem == CType::CHAR => {
-                if s.len() as u64 > *n {
+            (TypeKind::Array(_), ast::Expr::StrLit(s, spos))
+                if self
+                    .layouts
+                    .array_of(ty)
+                    .is_some_and(|(elem, _)| elem == CType::CHAR) =>
+            {
+                let (_, n) = self.layouts.array_of(ty).expect("matched an array");
+                if s.len() as u64 > n {
                     return err(*spos, "string initialiser too long");
                 }
                 let start = offset as usize;
@@ -274,12 +372,12 @@ impl Context {
                 Ok(())
             }
             // `char *p = "str"`.
-            (CType::Ptr(_), ast::Expr::StrLit(s, _)) => {
+            (TypeKind::Ptr(_), ast::Expr::StrLit(s, _)) => {
                 let id = self.intern_string(s);
                 relocs.push((offset, id));
                 Ok(())
             }
-            (CType::Int { width, .. }, e) => {
+            (TypeKind::Int { width, .. }, e) => {
                 let v = const_eval_ast(e).ok_or_else(|| SemaError {
                     message: "global initialiser must be constant".into(),
                     pos,
@@ -290,7 +388,7 @@ impl Context {
                 out[start..start + w].copy_from_slice(&bytes[..w]);
                 Ok(())
             }
-            (CType::Ptr(_), e) => {
+            (TypeKind::Ptr(_), e) => {
                 let v = const_eval_ast(e).ok_or_else(|| SemaError {
                     message: "global pointer initialiser must be constant".into(),
                     pos,
@@ -299,7 +397,13 @@ impl Context {
                 out[start..start + 8].copy_from_slice(&v.to_le_bytes());
                 Ok(())
             }
-            _ => err(pos, format!("cannot initialise a value of type {ty}")),
+            _ => err(
+                pos,
+                format!(
+                    "cannot initialise a value of type {}",
+                    self.layouts.name(ty)
+                ),
+            ),
         }
     }
 
@@ -307,44 +411,27 @@ impl Context {
     // Pass 3: function bodies.
     // ------------------------------------------------------------------
 
-    fn check_bodies(&mut self, unit: &ast::TranslationUnit) -> Result<()> {
-        let mut func_index = 0usize;
-        for item in &unit.items {
-            let ast::Item::Func(f) = item else {
-                continue;
-            };
-            let id = FuncId(func_index as u32);
-            func_index += 1;
-            let mut fx = FuncCx {
-                cx: self,
-                fid: id,
-                locals: Vec::new(),
-                scopes: vec![HashMap::new()],
-                labels: HashMap::new(),
-                placed_labels: std::collections::HashSet::new(),
-                label_count: 0,
-                breakables: Vec::new(),
-                loop_depth: 0,
-                pending_gotos: Vec::new(),
-            };
-            // Parameters are the first local slots.
-            for p in &f.params {
-                let ty = fx.cx.resolve_type(&p.ty, f.pos)?.decayed();
-                fx.declare_local(&p.name, ty, f.pos)?;
-            }
-            let body = fx.lower_block(&f.body)?;
-            // Verify gotos resolved.
-            for (name, pos) in &fx.pending_gotos {
-                if !fx.placed_labels.contains(name.as_str()) {
-                    return err(*pos, format!("goto to undefined label `{name}`"));
-                }
-            }
-            let locals = fx.locals;
-            let label_count = fx.label_count;
-            let func = &mut self.funcs[id.0 as usize];
-            func.locals = locals;
-            func.body = body;
-            func.label_count = label_count;
+    fn check_bodies(&mut self, unit: &'u ast::TranslationUnit) -> Result<()> {
+        let mut fx = FuncCx {
+            cx: self,
+            fid: FuncId(0),
+            locals: Vec::new(),
+            scopes: Vec::new(),
+            shadowed: Vec::new(),
+            labels: Vec::new(),
+            label_count: 0,
+            breakables: Vec::new(),
+            loop_depth: 0,
+            pending_gotos: Vec::new(),
+            stmts: Vec::new(),
+        };
+        let funcs = unit.items.iter().filter_map(|item| match item {
+            ast::Item::Func(f) => Some(f),
+            _ => None,
+        });
+        for (i, f) in funcs.enumerate() {
+            fx.fid = FuncId(i as u32);
+            fx.check_body(f)?;
         }
         Ok(())
     }
@@ -357,48 +444,87 @@ enum Breakable {
     Switch(LabelId),
 }
 
-struct FuncCx<'a> {
-    cx: &'a mut Context,
-    #[allow(dead_code)]
+/// Pass 3's state. One serves every function in turn, so its vectors
+/// are allocated once per program, not once per function.
+struct FuncCx<'a, 'u> {
+    cx: &'a mut Context<'u>,
     fid: FuncId,
-    locals: Vec<hir::LocalSlot>,
-    scopes: Vec<HashMap<String, LocalId>>,
-    labels: HashMap<String, LabelId>,
-    placed_labels: std::collections::HashSet<String>,
+    locals: Vec<CType>,
+    /// Per open scope, the length `shadowed` had when it opened.
+    scopes: Vec<usize>,
+    /// Each local declaration's symbol and the meaning it hid.
+    shadowed: Vec<(Symbol, Option<(LocalId, usize)>)>,
+    /// Symbols this function gave a label.
+    labels: Vec<Symbol>,
     label_count: u32,
     breakables: Vec<Breakable>,
     loop_depth: u32,
-    pending_gotos: Vec<(String, Pos)>,
+    pending_gotos: Vec<(Symbol, Pos)>,
+    /// The statements of every open block, innermost last (moved out in
+    /// one allocation when the block closes).
+    stmts: Vec<hir::Stmt>,
 }
 
-impl<'a> FuncCx<'a> {
-    fn declare_local(&mut self, name: &str, ty: CType, pos: Pos) -> Result<LocalId> {
-        if self
-            .scopes
-            .last()
-            .expect("scope stack never empty")
-            .contains_key(name)
-        {
-            return err(pos, format!("duplicate local `{name}`"));
+impl<'u> FuncCx<'_, 'u> {
+    fn check_body(&mut self, f: &'u ast::FuncDecl) -> Result<()> {
+        self.locals.clear();
+        self.labels.clear();
+        self.pending_gotos.clear();
+        self.label_count = 0;
+        // Parameters are the first local slots, in a scope of their own.
+        self.push_scope();
+        for p in &f.params {
+            let ty = self.cx.resolve_type(p.ty, f.pos)?;
+            self.declare_local(p.name, ty, f.pos)?;
+        }
+        let body = self.lower_block(&f.body)?;
+        for &(name, pos) in &self.pending_gotos {
+            if !self.cx.meanings[name.0 as usize]
+                .label
+                .is_some_and(|(_, placed)| placed)
+            {
+                let name = self.cx.name(name);
+                return err(pos, format!("goto to undefined label `{name}`"));
+            }
+        }
+        self.pop_scope();
+        for &name in &self.labels {
+            self.cx.meanings[name.0 as usize].label = None;
+        }
+        let func = &mut self.cx.funcs[self.fid.0 as usize];
+        func.locals = self.locals.clone();
+        func.body = body;
+        func.label_count = self.label_count;
+        Ok(())
+    }
+
+    fn declare_local(&mut self, name: Symbol, ty: CType, pos: Pos) -> Result<LocalId> {
+        let depth = self.scopes.len();
+        let hidden = self.cx.meaning(name).local;
+        if hidden.is_some_and(|(_, at)| at == depth) {
+            return err(pos, format!("duplicate local `{}`", self.cx.name(name)));
         }
         let id = LocalId(self.locals.len() as u32);
-        self.locals.push(hir::LocalSlot {
-            name: name.to_owned(),
-            ty,
-        });
-        self.scopes
-            .last_mut()
-            .expect("scope stack never empty")
-            .insert(name.to_owned(), id);
+        self.locals.push(ty);
+        self.shadowed.push((name, hidden));
+        self.cx.meaning(name).local = Some((id, depth));
         Ok(id)
+    }
+
+    fn push_scope(&mut self) {
+        self.scopes.push(self.shadowed.len());
+    }
+
+    fn pop_scope(&mut self) {
+        let mark = self.scopes.pop().expect("scope stack never empty");
+        for (name, hidden) in self.shadowed.drain(mark..).rev() {
+            self.cx.meanings[name.0 as usize].local = hidden;
+        }
     }
 
     fn fresh_temp(&mut self, ty: CType) -> LocalId {
         let id = LocalId(self.locals.len() as u32);
-        self.locals.push(hir::LocalSlot {
-            name: format!("$tmp{}", id.0),
-            ty,
-        });
+        self.locals.push(ty);
         id
     }
 
@@ -408,54 +534,55 @@ impl<'a> FuncCx<'a> {
         id
     }
 
-    fn named_label(&mut self, name: &str) -> LabelId {
-        if let Some(&id) = self.labels.get(name) {
+    fn named_label(&mut self, name: Symbol) -> LabelId {
+        if let Some((id, _)) = self.cx.meaning(name).label {
             return id;
         }
         let id = self.fresh_label();
-        self.labels.insert(name.to_owned(), id);
+        self.cx.meaning(name).label = Some((id, false));
+        self.labels.push(name);
         id
-    }
-
-    fn lookup(&self, name: &str) -> Option<LocalId> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&id) = scope.get(name) {
-                return Some(id);
-            }
-        }
-        None
     }
 
     // ------------------------------------------------------------------
     // Statements.
     // ------------------------------------------------------------------
 
-    fn lower_block(&mut self, stmts: &[ast::Stmt]) -> Result<Vec<hir::Stmt>> {
-        self.scopes.push(HashMap::new());
-        let mut out = Vec::new();
-        for s in stmts {
-            self.lower_stmt(s, &mut out)?;
-        }
-        self.scopes.pop();
-        Ok(out)
+    /// Lowers `stmts` in a scope of their own.
+    fn lower_block(&mut self, stmts: &'u [ast::Stmt]) -> Result<Vec<hir::Stmt>> {
+        let base = self.stmts.len();
+        self.lower_scoped(stmts)?;
+        Ok(self.stmts.drain(base..).collect())
     }
 
-    fn lower_stmt(&mut self, stmt: &ast::Stmt, out: &mut Vec<hir::Stmt>) -> Result<()> {
+    /// Lowers `stmts` onto the open block, in a scope of their own.
+    fn lower_scoped(&mut self, stmts: &'u [ast::Stmt]) -> Result<()> {
+        self.push_scope();
+        for s in stmts {
+            self.lower_stmt(s)?;
+        }
+        self.pop_scope();
+        Ok(())
+    }
+
+    /// Appends a statement to the open block.
+    fn emit(&mut self, stmt: hir::Stmt) {
+        self.stmts.push(stmt);
+    }
+
+    fn lower_stmt(&mut self, stmt: &'u ast::Stmt) -> Result<()> {
         match stmt {
             ast::Stmt::Empty => {}
             ast::Stmt::Expr(e) => {
                 let e = self.lower_expr(e)?;
-                out.push(hir::Stmt::Expr(e));
+                self.emit(hir::Stmt::Expr(e));
             }
             ast::Stmt::Decl(decls) => {
                 for d in decls {
-                    self.lower_local_decl(d, out)?;
+                    self.lower_local_decl(d)?;
                 }
             }
-            ast::Stmt::Block(stmts) => {
-                let inner = self.lower_block(stmts)?;
-                out.extend(inner);
-            }
+            ast::Stmt::Block(stmts) => self.lower_scoped(stmts)?,
             ast::Stmt::If { cond, then, els } => {
                 let cond = self.lower_scalar(cond)?;
                 let then = self.lower_stmt_as_block(then)?;
@@ -463,29 +590,21 @@ impl<'a> FuncCx<'a> {
                     Some(e) => self.lower_stmt_as_block(e)?,
                     None => Vec::new(),
                 };
-                out.push(hir::Stmt::If { cond, then, els });
+                self.emit(hir::Stmt::If { cond, then, els });
             }
             ast::Stmt::While { cond, body } => {
                 let cond = self.lower_scalar(cond)?;
-                self.breakables.push(Breakable::Loop);
-                self.loop_depth += 1;
-                let body = self.lower_stmt_as_block(body)?;
-                self.loop_depth -= 1;
-                self.breakables.pop();
-                out.push(hir::Stmt::While {
+                let body = self.lower_loop_body(body)?;
+                self.emit(hir::Stmt::While {
                     cond,
                     body,
                     step: None,
                 });
             }
             ast::Stmt::DoWhile { body, cond } => {
-                self.breakables.push(Breakable::Loop);
-                self.loop_depth += 1;
-                let body = self.lower_stmt_as_block(body)?;
-                self.loop_depth -= 1;
-                self.breakables.pop();
+                let body = self.lower_loop_body(body)?;
                 let cond = self.lower_scalar(cond)?;
-                out.push(hir::Stmt::DoWhile { body, cond });
+                self.emit(hir::Stmt::DoWhile { body, cond });
             }
             ast::Stmt::For {
                 init,
@@ -494,9 +613,9 @@ impl<'a> FuncCx<'a> {
                 body,
             } => {
                 // The init's declarations live in their own scope.
-                self.scopes.push(HashMap::new());
+                self.push_scope();
                 if let Some(init) = init {
-                    self.lower_stmt(init, out)?;
+                    self.lower_stmt(init)?;
                 }
                 let cond = match cond {
                     Some(c) => self.lower_scalar(c)?,
@@ -506,80 +625,71 @@ impl<'a> FuncCx<'a> {
                     Some(s) => Some(self.lower_expr(s)?),
                     None => None,
                 };
-                self.breakables.push(Breakable::Loop);
-                self.loop_depth += 1;
-                let body = self.lower_stmt_as_block(body)?;
-                self.loop_depth -= 1;
-                self.breakables.pop();
-                self.scopes.pop();
-                out.push(hir::Stmt::While { cond, body, step });
+                let body = self.lower_loop_body(body)?;
+                self.pop_scope();
+                self.emit(hir::Stmt::While { cond, body, step });
             }
-            ast::Stmt::Switch { scrutinee, body } => {
-                self.lower_switch(scrutinee, body, out)?;
-            }
+            ast::Stmt::Switch { scrutinee, body } => self.lower_switch(scrutinee, body)?,
             ast::Stmt::Case(_, pos) | ast::Stmt::Default(pos) => {
                 return err(*pos, "case/default outside switch");
             }
             ast::Stmt::Break(pos) => match self.breakables.last() {
-                Some(Breakable::Loop) => out.push(hir::Stmt::Break),
-                Some(Breakable::Switch(end)) => out.push(hir::Stmt::Goto(*end)),
+                Some(Breakable::Loop) => self.emit(hir::Stmt::Break),
+                Some(Breakable::Switch(end)) => self.emit(hir::Stmt::Goto(*end)),
                 None => return err(*pos, "break outside loop or switch"),
             },
             ast::Stmt::Continue(pos) => {
                 if self.loop_depth == 0 {
                     return err(*pos, "continue outside loop");
                 }
-                out.push(hir::Stmt::Continue);
+                self.emit(hir::Stmt::Continue);
             }
             ast::Stmt::Return(e, pos) => {
-                let ret_ty = self.cx.funcs[self.fid.0 as usize].ret.clone();
-                match (e, &ret_ty) {
-                    (None, CType::Void) => out.push(hir::Stmt::Return(None)),
-                    (None, _) => return err(*pos, "missing return value"),
-                    (Some(_), CType::Void) => return err(*pos, "void function returns a value"),
-                    (Some(e), _) => {
+                let ret_ty = self.cx.funcs[self.fid.0 as usize].ret;
+                match (e, ret_ty.is_void()) {
+                    (None, true) => self.emit(hir::Stmt::Return(None)),
+                    (None, false) => return err(*pos, "missing return value"),
+                    (Some(_), true) => return err(*pos, "void function returns a value"),
+                    (Some(e), false) => {
                         let v = self.lower_expr(e)?;
-                        let v = self.convert(v, &ret_ty, *pos)?;
-                        out.push(hir::Stmt::Return(Some(v)));
+                        let v = self.convert(v, ret_ty, *pos)?;
+                        self.emit(hir::Stmt::Return(Some(v)));
                     }
                 }
             }
             ast::Stmt::Label(name, _) => {
-                let id = self.named_label(name);
-                self.placed_labels.insert(name.clone());
-                out.push(hir::Stmt::Label(id));
+                let id = self.named_label(*name);
+                self.cx.meaning(*name).label = Some((id, true));
+                self.emit(hir::Stmt::Label(id));
             }
             ast::Stmt::Goto(name, pos) => {
-                let id = self.named_label(name);
-                self.pending_gotos.push((name.clone(), *pos));
-                // `named_label` defines eagerly; track for the "label is
-                // actually placed" check done at function end.
-                let _ = id;
-                out.push(hir::Stmt::Goto(id));
+                // Defined eagerly; whether the label is ever placed is
+                // checked at the end of the function.
+                let id = self.named_label(*name);
+                self.pending_gotos.push((*name, *pos));
+                self.emit(hir::Stmt::Goto(id));
             }
         }
         Ok(())
     }
 
-    fn lower_stmt_as_block(&mut self, stmt: &ast::Stmt) -> Result<Vec<hir::Stmt>> {
+    fn lower_loop_body(&mut self, body: &'u ast::Stmt) -> Result<Vec<hir::Stmt>> {
+        self.breakables.push(Breakable::Loop);
+        self.loop_depth += 1;
+        let body = self.lower_stmt_as_block(body)?;
+        self.loop_depth -= 1;
+        self.breakables.pop();
+        Ok(body)
+    }
+
+    fn lower_stmt_as_block(&mut self, stmt: &'u ast::Stmt) -> Result<Vec<hir::Stmt>> {
         match stmt {
             ast::Stmt::Block(stmts) => self.lower_block(stmts),
-            other => {
-                self.scopes.push(HashMap::new());
-                let mut out = Vec::new();
-                self.lower_stmt(other, &mut out)?;
-                self.scopes.pop();
-                Ok(out)
-            }
+            other => self.lower_block(std::slice::from_ref(other)),
         }
     }
 
-    fn lower_switch(
-        &mut self,
-        scrutinee: &ast::Expr,
-        body: &[ast::Stmt],
-        out: &mut Vec<hir::Stmt>,
-    ) -> Result<()> {
+    fn lower_switch(&mut self, scrutinee: &'u ast::Expr, body: &'u [ast::Stmt]) -> Result<()> {
         let pos = scrutinee.pos();
         let scrut = self.lower_expr(scrutinee)?;
         let scrut_ty = scrut.ty();
@@ -587,105 +697,90 @@ impl<'a> FuncCx<'a> {
             return err(pos, "switch scrutinee must be an integer");
         }
         // Stash the scrutinee in a temp so the comparisons are pure.
-        let tmp = self.fresh_temp(scrut_ty.clone());
-        out.push(hir::Stmt::Expr(hir::Expr::Store {
-            addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty.clone())),
+        let tmp = self.fresh_temp(scrut_ty);
+        self.emit(hir::Stmt::Expr(hir::Expr::Store {
+            addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty)),
             value: Box::new(scrut),
-            ty: scrut_ty.clone(),
+            ty: scrut_ty,
         }));
         let end = self.fresh_label();
-        // Collect case labels.
-        let mut case_labels: Vec<(i64, LabelId)> = Vec::new();
-        let mut default_label: Option<LabelId> = None;
-        let mut placements: HashMap<usize, LabelId> = HashMap::new();
-        for (i, s) in body.iter().enumerate() {
+        // One label per case/default marker, in body order.
+        let mut markers: Vec<(Option<i64>, LabelId)> = Vec::new();
+        for s in body {
             match s {
-                ast::Stmt::Case(v, _) => {
-                    let l = self.fresh_label();
-                    case_labels.push((*v, l));
-                    placements.insert(i, l);
-                }
-                ast::Stmt::Default(_) => {
-                    let l = self.fresh_label();
-                    default_label = Some(l);
-                    placements.insert(i, l);
-                }
+                ast::Stmt::Case(v, _) => markers.push((Some(*v), self.fresh_label())),
+                ast::Stmt::Default(_) => markers.push((None, self.fresh_label())),
                 _ => {}
             }
         }
         // Dispatch.
-        for (v, l) in &case_labels {
-            out.push(hir::Stmt::GotoIf {
+        for &(v, l) in &markers {
+            let Some(v) = v else { continue };
+            self.emit(hir::Stmt::GotoIf {
                 cond: hir::Expr::Binary {
                     op: hir::BinOp::Eq,
                     lhs: Box::new(hir::Expr::Load {
-                        addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty.clone())),
-                        ty: scrut_ty.clone(),
+                        addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty)),
+                        ty: scrut_ty,
                     }),
-                    rhs: Box::new(hir::Expr::Const(*v, scrut_ty.clone())),
+                    rhs: Box::new(hir::Expr::Const(v, scrut_ty)),
                     ty: CType::INT,
                 },
-                target: *l,
+                target: l,
             });
         }
-        out.push(hir::Stmt::Goto(default_label.unwrap_or(end)));
+        let default = markers.iter().rev().find(|(v, _)| v.is_none());
+        self.emit(hir::Stmt::Goto(default.map_or(end, |&(_, l)| l)));
         // Body with case markers replaced by labels; `break` exits.
         self.breakables.push(Breakable::Switch(end));
-        self.scopes.push(HashMap::new());
-        for (i, s) in body.iter().enumerate() {
-            if let Some(l) = placements.get(&i) {
-                out.push(hir::Stmt::Label(*l));
+        self.push_scope();
+        let mut labels = markers.iter().map(|&(_, l)| l);
+        for s in body {
+            if matches!(s, ast::Stmt::Case(..) | ast::Stmt::Default(_)) {
+                let l = labels.next().expect("one label per marker");
+                self.emit(hir::Stmt::Label(l));
                 continue;
             }
-            self.lower_stmt(s, out)?;
+            self.lower_stmt(s)?;
         }
-        self.scopes.pop();
+        self.pop_scope();
         self.breakables.pop();
-        out.push(hir::Stmt::Label(end));
+        self.emit(hir::Stmt::Label(end));
         Ok(())
     }
 
-    fn lower_local_decl(&mut self, d: &ast::Declarator, out: &mut Vec<hir::Stmt>) -> Result<()> {
-        let base = self.cx.resolve_type(&d.ty, d.pos)?;
-        let mut dims = d.array_dims.clone();
-        if dims.first() == Some(&0) {
-            let inferred = match &d.init {
-                Some(ast::Initializer::Expr(ast::Expr::StrLit(s, _))) => s.len() as u64 + 1,
-                Some(ast::Initializer::List(items)) => items.len() as u64,
-                _ => return err(d.pos, "cannot infer array size without initialiser"),
-            };
-            dims[0] = inferred;
-        }
-        let ty = apply_dims(base, &dims);
-        if matches!(ty, CType::Void) {
+    fn lower_local_decl(&mut self, d: &'u ast::Declarator) -> Result<()> {
+        let ty = self.cx.declared_type(d)?;
+        if ty.is_void() {
             return err(d.pos, "local cannot be void");
         }
-        let id = self.declare_local(&d.name, ty.clone(), d.pos)?;
+        let id = self.declare_local(d.name, ty, d.pos)?;
+        let array = self.cx.layouts.array_of(ty);
         match &d.init {
             None => {}
-            Some(ast::Initializer::Expr(e)) => match (&ty, e) {
-                (CType::Array(elem, n), ast::Expr::StrLit(s, spos)) if **elem == CType::CHAR => {
-                    if s.len() as u64 > *n {
+            Some(ast::Initializer::Expr(e)) => match (array, e) {
+                (Some((CType::CHAR, n)), ast::Expr::StrLit(s, spos)) => {
+                    if s.len() as u64 > n {
                         return err(*spos, "string initialiser too long");
                     }
                     let sid = self.cx.intern_string(s);
-                    let count = (s.len() as u64 + 1).min(*n);
-                    out.push(hir::Stmt::Expr(hir::Expr::Call {
+                    let count = (s.len() as u64 + 1).min(n);
+                    self.emit(hir::Stmt::Expr(hir::Expr::Call {
                         callee: Callee::Builtin(Builtin::Memcpy),
                         args: vec![
                             hir::Expr::Cast {
-                                expr: Box::new(hir::Expr::LocalAddr(id, ty.clone())),
-                                from: CType::Ptr(Box::new(ty.clone())),
-                                to: CType::void_ptr(),
+                                expr: Box::new(hir::Expr::LocalAddr(id, ty)),
+                                from: ty.ptr(),
+                                to: CType::VOID_PTR,
                             },
                             hir::Expr::Cast {
                                 expr: Box::new(hir::Expr::Str(sid)),
-                                from: CType::char_ptr(),
-                                to: CType::void_ptr(),
+                                from: CType::CHAR_PTR,
+                                to: CType::VOID_PTR,
                             },
                             hir::Expr::Const(count as i64, CType::ULONG),
                         ],
-                        ty: CType::void_ptr(),
+                        ty: CType::VOID_PTR,
                     }));
                 }
                 (_, e) => {
@@ -693,41 +788,42 @@ impl<'a> FuncCx<'a> {
                         return err(d.pos, "only scalars and char arrays can be initialised");
                     }
                     let v = self.lower_expr(e)?;
-                    let v = self.convert(v, &ty, d.pos)?;
-                    out.push(hir::Stmt::Expr(hir::Expr::Store {
-                        addr: Box::new(hir::Expr::LocalAddr(id, ty.clone())),
+                    let v = self.convert(v, ty, d.pos)?;
+                    self.emit(hir::Stmt::Expr(hir::Expr::Store {
+                        addr: Box::new(hir::Expr::LocalAddr(id, ty)),
                         value: Box::new(v),
-                        ty: ty.clone(),
+                        ty,
                     }));
                 }
             },
             Some(ast::Initializer::List(items)) => {
-                let CType::Array(elem, n) = &ty else {
+                let Some((elem, n)) = array else {
                     return err(d.pos, "brace initialiser requires an array");
                 };
                 if !elem.is_scalar() {
                     return err(d.pos, "brace initialiser elements must be scalar");
                 }
-                if items.len() as u64 > *n {
+                if items.len() as u64 > n {
                     return err(d.pos, "too many initialisers");
                 }
+                let elem_size = self.cx.layouts.size_of(elem);
                 for (i, item) in items.iter().enumerate() {
                     let v = self.lower_expr(item)?;
                     let v = self.convert(v, elem, d.pos)?;
                     let addr = hir::Expr::PtrAdd {
                         ptr: Box::new(hir::Expr::Cast {
-                            expr: Box::new(hir::Expr::LocalAddr(id, ty.clone())),
-                            from: CType::Ptr(Box::new(ty.clone())),
-                            to: CType::Ptr(elem.clone()),
+                            expr: Box::new(hir::Expr::LocalAddr(id, ty)),
+                            from: ty.ptr(),
+                            to: elem.ptr(),
                         }),
                         count: Box::new(hir::Expr::Const(i as i64, CType::LONG)),
-                        elem_size: self.cx.layouts.size_of(elem),
-                        ty: CType::Ptr(elem.clone()),
+                        elem_size,
+                        ty: elem.ptr(),
                     };
-                    out.push(hir::Stmt::Expr(hir::Expr::Store {
+                    self.emit(hir::Stmt::Expr(hir::Expr::Store {
                         addr: Box::new(addr),
                         value: Box::new(v),
-                        ty: (**elem).clone(),
+                        ty: elem,
                     }));
                 }
             }
@@ -740,48 +836,55 @@ impl<'a> FuncCx<'a> {
     // ------------------------------------------------------------------
 
     /// Lowers an expression used as a scalar (condition/value).
-    fn lower_scalar(&mut self, e: &ast::Expr) -> Result<hir::Expr> {
+    fn lower_scalar(&mut self, e: &'u ast::Expr) -> Result<hir::Expr> {
         let pos = e.pos();
         let v = self.lower_expr(e)?;
-        if !v.ty().is_scalar() {
-            return err(pos, format!("expected scalar, found {}", v.ty()));
+        let ty = v.ty();
+        if !ty.is_scalar() {
+            return err(
+                pos,
+                format!("expected scalar, found {}", self.cx.layouts.name(ty)),
+            );
         }
         Ok(v)
     }
 
     /// Lowers an lvalue to (address expression, object type).
-    fn lower_lvalue(&mut self, e: &ast::Expr) -> Result<(hir::Expr, CType)> {
+    fn lower_lvalue(&mut self, e: &'u ast::Expr) -> Result<(hir::Expr, CType)> {
         let pos = e.pos();
         match e {
             ast::Expr::Ident(name, pos) => {
-                if let Some(id) = self.lookup(name) {
-                    let ty = self.locals[id.0 as usize].ty.clone();
-                    return Ok((hir::Expr::LocalAddr(id, ty.clone()), ty));
+                let meaning = self.cx.meanings[name.0 as usize];
+                if let Some((id, _)) = meaning.local {
+                    let ty = self.locals[id.0 as usize];
+                    return Ok((hir::Expr::LocalAddr(id, ty), ty));
                 }
-                if let Some(&gid) = self.cx.global_ids.get(name) {
-                    let ty = self.cx.globals[gid.0 as usize].ty.clone();
-                    return Ok((hir::Expr::GlobalAddr(gid, ty.clone()), ty));
+                if let Some(gid) = meaning.global {
+                    let ty = self.cx.globals[gid.0 as usize].ty;
+                    return Ok((hir::Expr::GlobalAddr(gid, ty), ty));
                 }
-                err(*pos, format!("unknown identifier `{name}`"))
+                err(
+                    *pos,
+                    format!("unknown identifier `{}`", self.cx.name(*name)),
+                )
             }
             ast::Expr::Deref(inner, pos) => {
                 let p = self.lower_expr(inner)?;
                 let pty = p.ty();
-                let Some(pointee) = pty.pointee().cloned() else {
-                    return err(*pos, format!("cannot dereference {pty}"));
+                let Some(pointee) = pty.pointee() else {
+                    return err(
+                        *pos,
+                        format!("cannot dereference {}", self.cx.layouts.name(pty)),
+                    );
                 };
-                if matches!(pointee, CType::Void) {
+                if pointee.is_void() {
                     return err(*pos, "cannot dereference void*");
                 }
                 Ok((p, pointee))
             }
             ast::Expr::Index { base, index, pos } => {
                 let addr = self.lower_index_addr(base, index, *pos)?;
-                let ty = addr
-                    .ty()
-                    .pointee()
-                    .cloned()
-                    .expect("index addr is a pointer");
+                let ty = addr.ty().pointee().expect("index addr is a pointer");
                 Ok((addr, ty))
             }
             ast::Expr::Member {
@@ -792,45 +895,57 @@ impl<'a> FuncCx<'a> {
             } => {
                 let (base_addr, sid) = if *arrow {
                     let p = self.lower_expr(base)?;
-                    match p.ty() {
-                        CType::Ptr(inner) => match *inner {
-                            CType::Struct(sid) => (p, sid),
-                            other => return err(*pos, format!("`->` on non-struct {other}")),
+                    match p.ty().kind() {
+                        TypeKind::Ptr(inner) => match inner.kind() {
+                            TypeKind::Struct(sid) => (p, sid),
+                            _ => {
+                                let inner = self.cx.layouts.name(inner);
+                                return err(*pos, format!("`->` on non-struct {inner}"));
+                            }
                         },
-                        other => return err(*pos, format!("`->` on non-pointer {other}")),
+                        _ => {
+                            let other = self.cx.layouts.name(p.ty());
+                            return err(*pos, format!("`->` on non-pointer {other}"));
+                        }
                     }
                 } else {
                     let (addr, ty) = self.lower_lvalue(base)?;
-                    match ty {
-                        CType::Struct(sid) => (addr, sid),
-                        other => return err(*pos, format!("`.` on non-struct {other}")),
+                    match ty.kind() {
+                        TypeKind::Struct(sid) => (addr, sid),
+                        _ => {
+                            let other = self.cx.layouts.name(ty);
+                            return err(*pos, format!("`.` on non-struct {other}"));
+                        }
                     }
                 };
                 let layout = self.cx.layouts.layout(sid);
-                let Some(f) = layout.field(field) else {
+                let Some(f) = layout.field(self.cx.name(*field)) else {
                     return err(
                         *pos,
-                        format!("no field `{field}` in struct `{}`", layout.name),
+                        format!(
+                            "no field `{}` in struct `{}`",
+                            self.cx.name(*field),
+                            layout.name
+                        ),
                     );
                 };
-                let fty = f.ty.clone();
-                let offset = f.offset;
+                let (fty, offset) = (f.ty, f.offset);
                 // Field address = base + offset, as checked byte arithmetic
                 // within the struct's data unit.
                 let addr = hir::Expr::PtrAdd {
                     ptr: Box::new(hir::Expr::Cast {
                         expr: Box::new(base_addr),
-                        from: CType::Ptr(Box::new(CType::Struct(sid))),
-                        to: CType::char_ptr(),
+                        from: CType::structure(sid).ptr(),
+                        to: CType::CHAR_PTR,
                     }),
                     count: Box::new(hir::Expr::Const(offset as i64, CType::LONG)),
                     elem_size: 1,
-                    ty: CType::char_ptr(),
+                    ty: CType::CHAR_PTR,
                 };
                 let addr = hir::Expr::Cast {
                     expr: Box::new(addr),
-                    from: CType::char_ptr(),
-                    to: CType::Ptr(Box::new(fty.clone())),
+                    from: CType::CHAR_PTR,
+                    to: fty.ptr(),
                 };
                 Ok((addr, fty))
             }
@@ -841,30 +956,30 @@ impl<'a> FuncCx<'a> {
     /// Address of `base[index]`.
     fn lower_index_addr(
         &mut self,
-        base: &ast::Expr,
-        index: &ast::Expr,
+        base: &'u ast::Expr,
+        index: &'u ast::Expr,
         pos: Pos,
     ) -> Result<hir::Expr> {
         let b = self.lower_expr(base)?;
         let bty = b.ty();
-        let Some(elem) = bty.pointee().cloned() else {
-            return err(pos, format!("cannot index {bty}"));
+        let Some(elem) = bty.pointee() else {
+            return err(pos, format!("cannot index {}", self.cx.layouts.name(bty)));
         };
         let idx = self.lower_scalar(index)?;
         if !idx.ty().is_integer() {
             return err(pos, "array index must be an integer");
         }
-        let esz = self.cx.layouts.size_of(&elem);
+        let esz = self.cx.size_of(elem, pos)?;
         Ok(hir::Expr::PtrAdd {
             ptr: Box::new(b),
             count: Box::new(idx),
             elem_size: esz,
-            ty: CType::Ptr(Box::new(elem)),
+            ty: elem.ptr(),
         })
     }
 
     /// Lowers an expression to an rvalue.
-    fn lower_expr(&mut self, e: &ast::Expr) -> Result<hir::Expr> {
+    fn lower_expr(&mut self, e: &'u ast::Expr) -> Result<hir::Expr> {
         let pos = e.pos();
         match e {
             ast::Expr::IntLit(v, _) => {
@@ -885,14 +1000,14 @@ impl<'a> FuncCx<'a> {
             | ast::Expr::Index { .. }
             | ast::Expr::Member { .. } => {
                 let (addr, ty) = self.lower_lvalue(e)?;
-                match &ty {
+                match ty.kind() {
                     // Arrays decay to a pointer to their first element.
-                    CType::Array(elem, _) => Ok(hir::Expr::Cast {
+                    TypeKind::Array(_) => Ok(hir::Expr::Cast {
                         expr: Box::new(addr),
-                        from: CType::Ptr(Box::new(ty.clone())),
-                        to: CType::Ptr(elem.clone()),
+                        from: ty.ptr(),
+                        to: self.cx.layouts.decayed(ty),
                     }),
-                    CType::Struct(_) => {
+                    TypeKind::Struct(_) => {
                         err(pos, "struct value cannot be used here (take its address)")
                     }
                     _ => Ok(hir::Expr::Load {
@@ -901,28 +1016,25 @@ impl<'a> FuncCx<'a> {
                     }),
                 }
             }
-            ast::Expr::AddrOf(inner, _) => {
-                let (addr, ty) = self.lower_lvalue(inner)?;
-                // `&x` has type T*; the addr expr already is that pointer,
-                // except lvalue lowering types array addresses as ptr-to-array.
-                let _ = &ty;
-                Ok(addr)
-            }
+            // `&x` has type T*: the address expression already is that
+            // pointer (an array's address points to the whole array).
+            ast::Expr::AddrOf(inner, _) => Ok(self.lower_lvalue(inner)?.0),
             ast::Expr::Unary { op, operand, pos } => {
                 let v = self.lower_scalar(operand)?;
                 let ty = v.ty();
                 match op {
                     ast::UnOp::Not => Ok(hir::Expr::Unary {
                         op: hir::UnOp::Not,
-                        operand: Box::new(self.pointer_to_value(v)),
+                        operand: Box::new(v),
                         ty: CType::INT,
                     }),
                     ast::UnOp::Neg | ast::UnOp::BitNot => {
                         if !ty.is_integer() {
+                            let ty = self.cx.layouts.name(ty);
                             return err(*pos, format!("cannot apply operator to {ty}"));
                         }
-                        let promoted = promote(&ty);
-                        let v = self.convert(v, &promoted, *pos)?;
+                        let promoted = promote(ty);
+                        let v = self.convert(v, promoted, *pos)?;
                         Ok(hir::Expr::Unary {
                             op: match op {
                                 ast::UnOp::Neg => hir::UnOp::Neg,
@@ -941,7 +1053,7 @@ impl<'a> FuncCx<'a> {
                     return err(*pos, "assignment target must be scalar");
                 }
                 let v = self.lower_expr(rhs)?;
-                let v = self.convert(v, &ty, *pos)?;
+                let v = self.convert(v, ty, *pos)?;
                 Ok(hir::Expr::Store {
                     addr: Box::new(addr),
                     value: Box::new(v),
@@ -956,13 +1068,13 @@ impl<'a> FuncCx<'a> {
                 pos,
             } => {
                 let (addr, ty) = self.lower_lvalue(target)?;
-                let (delta, is_ptr) = match &ty {
-                    CType::Int { .. } => (1i64, false),
-                    CType::Ptr(inner) => {
-                        let sz = self.cx.layouts.size_of(inner) as i64;
-                        (sz, true)
+                let (delta, is_ptr) = match ty.kind() {
+                    TypeKind::Int { .. } => (1i64, false),
+                    TypeKind::Ptr(inner) => (self.cx.size_of(inner, *pos)? as i64, true),
+                    _ => {
+                        let other = self.cx.layouts.name(ty);
+                        return err(*pos, format!("cannot increment {other}"));
                     }
-                    other => return err(*pos, format!("cannot increment {other}")),
                 };
                 let delta = if *inc { delta } else { -delta };
                 Ok(hir::Expr::IncDec {
@@ -988,10 +1100,10 @@ impl<'a> FuncCx<'a> {
                 })
             }
             ast::Expr::Cast { ty, expr, pos } => {
-                let to = self.cx.resolve_type(ty, *pos)?;
+                let to = self.cx.resolve_type(*ty, *pos)?;
                 let v = self.lower_expr(expr)?;
                 let from = v.ty();
-                if matches!(to, CType::Void) {
+                if to.is_void() {
                     // `(void) e` discards the value.
                     return Ok(hir::Expr::Comma {
                         effects: Box::new(v),
@@ -999,6 +1111,7 @@ impl<'a> FuncCx<'a> {
                     });
                 }
                 if !to.is_scalar() || !from.is_scalar() {
+                    let (from, to) = (self.cx.layouts.name(from), self.cx.layouts.name(to));
                     return err(*pos, format!("cannot cast {from} to {to}"));
                 }
                 Ok(hir::Expr::Cast {
@@ -1008,12 +1121,12 @@ impl<'a> FuncCx<'a> {
                 })
             }
             ast::Expr::SizeofType(ty, pos) => {
-                let t = self.cx.resolve_type(ty, *pos)?;
-                if matches!(t, CType::Void) {
+                let t = self.cx.resolve_type(*ty, *pos)?;
+                if t.is_void() {
                     return err(*pos, "sizeof(void)");
                 }
                 Ok(hir::Expr::Const(
-                    self.cx.layouts.size_of(&t) as i64,
+                    self.cx.layouts.size_of(t) as i64,
                     CType::ULONG,
                 ))
             }
@@ -1023,11 +1136,11 @@ impl<'a> FuncCx<'a> {
                     Ok((_, ty)) => ty,
                     Err(_) => self.lower_expr(inner)?.ty(),
                 };
-                if matches!(t, CType::Void) {
+                if t.is_void() {
                     return err(*pos, "sizeof(void expression)");
                 }
                 Ok(hir::Expr::Const(
-                    self.cx.layouts.size_of(&t) as i64,
+                    self.cx.layouts.size_of(t) as i64,
                     CType::ULONG,
                 ))
             }
@@ -1039,72 +1152,52 @@ impl<'a> FuncCx<'a> {
                     result: Box::new(r),
                 })
             }
-            ast::Expr::Call { callee, args, pos } => self.lower_call(callee, args, *pos),
+            ast::Expr::Call { callee, args, pos } => self.lower_call(*callee, args, *pos),
         }
     }
 
-    /// Converts pointer rvalues used in boolean context to plain values
-    /// (no-op; kept for clarity at call sites).
-    fn pointer_to_value(&self, v: hir::Expr) -> hir::Expr {
-        v
-    }
-
-    fn lower_call(&mut self, callee: &str, args: &[ast::Expr], pos: Pos) -> Result<hir::Expr> {
+    fn lower_call(&mut self, callee: Symbol, args: &'u [ast::Expr], pos: Pos) -> Result<hir::Expr> {
+        let name = self.cx.name(callee);
         // User-defined functions shadow nothing; builtins resolve second.
-        if let Some(&fid) = self.cx.func_ids.get(callee) {
-            let sig = self.cx.sigs[fid.0 as usize].clone();
-            if args.len() != sig.params.len() {
-                return err(
-                    pos,
-                    format!(
-                        "`{callee}` expects {} argument(s), got {}",
-                        sig.params.len(),
-                        args.len()
-                    ),
-                );
-            }
-            let mut lowered = Vec::new();
-            for (a, pty) in args.iter().zip(&sig.params) {
-                let v = self.lower_expr(a)?;
-                lowered.push(self.convert(v, pty, pos)?);
-            }
-            return Ok(hir::Expr::Call {
-                callee: Callee::Func(fid),
-                args: lowered,
-                ty: sig.ret,
-            });
-        }
-        if let Some(b) = Builtin::from_name(callee) {
+        let (target, params, ret, kind) = if let Some(fid) = self.cx.meaning(callee).func {
+            let sig = &self.cx.sigs[fid.0 as usize];
+            (Callee::Func(fid), sig.params.len(), sig.ret, "")
+        } else if let Some(b) = Builtin::from_name(name) {
             let (params, ret) = builtin_sig(b);
-            if args.len() != params.len() {
-                return err(
-                    pos,
-                    format!(
-                        "builtin `{callee}` expects {} argument(s), got {}",
-                        params.len(),
-                        args.len()
-                    ),
-                );
-            }
-            let mut lowered = Vec::new();
-            for (a, pty) in args.iter().zip(&params) {
-                let v = self.lower_expr(a)?;
-                lowered.push(self.convert(v, pty, pos)?);
-            }
-            return Ok(hir::Expr::Call {
-                callee: Callee::Builtin(b),
-                args: lowered,
-                ty: ret,
-            });
+            (Callee::Builtin(b), params.len(), ret, "builtin ")
+        } else {
+            return err(pos, format!("unknown function `{name}`"));
+        };
+        if args.len() != params {
+            return err(
+                pos,
+                format!(
+                    "{kind}`{name}` expects {params} argument(s), got {}",
+                    args.len()
+                ),
+            );
         }
-        err(pos, format!("unknown function `{callee}`"))
+        let mut lowered = Vec::with_capacity(params);
+        for (i, a) in args.iter().enumerate() {
+            let pty = match target {
+                Callee::Func(fid) => self.cx.sigs[fid.0 as usize].params[i],
+                Callee::Builtin(b) => builtin_sig(b).0[i],
+            };
+            let v = self.lower_expr(a)?;
+            lowered.push(self.convert(v, pty, pos)?);
+        }
+        Ok(hir::Expr::Call {
+            callee: target,
+            args: lowered,
+            ty: ret,
+        })
     }
 
     fn lower_op_assign(
         &mut self,
         op: ast::BinOp,
-        lhs: &ast::Expr,
-        rhs: &ast::Expr,
+        lhs: &'u ast::Expr,
+        rhs: &'u ast::Expr,
         pos: Pos,
     ) -> Result<hir::Expr> {
         let (addr, ty) = self.lower_lvalue(lhs)?;
@@ -1116,15 +1209,15 @@ impl<'a> FuncCx<'a> {
         let (addr_setup, addr_use): (Option<hir::Expr>, hir::Expr) = match &addr {
             hir::Expr::LocalAddr(..) | hir::Expr::GlobalAddr(..) => (None, addr.clone()),
             _ => {
-                let pty = CType::Ptr(Box::new(ty.clone()));
-                let tmp = self.fresh_temp(pty.clone());
+                let pty = ty.ptr();
+                let tmp = self.fresh_temp(pty);
                 let setup = hir::Expr::Store {
-                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty.clone())),
+                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty)),
                     value: Box::new(addr),
-                    ty: pty.clone(),
+                    ty: pty,
                 };
                 let use_ = hir::Expr::Load {
-                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty.clone())),
+                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty)),
                     ty: pty,
                 };
                 (Some(setup), use_)
@@ -1132,13 +1225,13 @@ impl<'a> FuncCx<'a> {
         };
         let current = hir::Expr::Load {
             addr: Box::new(addr_use.clone()),
-            ty: ty.clone(),
+            ty,
         };
         let rhs_v = self.lower_expr(rhs)?;
-        let combined = match (&ty, op) {
+        let combined = match (ty.kind(), op) {
             // Pointer += / -= integer.
-            (CType::Ptr(inner), ast::BinOp::Add | ast::BinOp::Sub) => {
-                let esz = self.cx.layouts.size_of(inner);
+            (TypeKind::Ptr(inner), ast::BinOp::Add | ast::BinOp::Sub) => {
+                let esz = self.cx.size_of(inner, pos)?;
                 let count = if matches!(op, ast::BinOp::Sub) {
                     hir::Expr::Unary {
                         op: hir::UnOp::Neg,
@@ -1152,12 +1245,12 @@ impl<'a> FuncCx<'a> {
                     ptr: Box::new(current),
                     count: Box::new(count),
                     elem_size: esz,
-                    ty: ty.clone(),
+                    ty,
                 }
             }
             _ => {
                 let bin = self.build_arith(op, current, rhs_v, pos)?;
-                self.convert(bin, &ty, pos)?
+                self.convert(bin, ty, pos)?
             }
         };
         let store = hir::Expr::Store {
@@ -1177,8 +1270,8 @@ impl<'a> FuncCx<'a> {
     fn lower_binary(
         &mut self,
         op: ast::BinOp,
-        lhs: &ast::Expr,
-        rhs: &ast::Expr,
+        lhs: &'u ast::Expr,
+        rhs: &'u ast::Expr,
         pos: Pos,
     ) -> Result<hir::Expr> {
         if matches!(op, ast::BinOp::LogicalAnd | ast::BinOp::LogicalOr) {
@@ -1208,27 +1301,27 @@ impl<'a> FuncCx<'a> {
         let rt = r.ty();
         use ast::BinOp as B;
         // Pointer arithmetic.
-        match (&lt, &rt, op) {
-            (CType::Ptr(inner), t, B::Add) if t.is_integer() => {
-                let esz = self.cx.layouts.size_of(inner).max(1);
+        match (lt.kind(), rt.kind(), op) {
+            (TypeKind::Ptr(inner), _, B::Add) if rt.is_integer() => {
+                let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrAdd {
                     ptr: Box::new(l),
                     count: Box::new(r),
                     elem_size: esz,
-                    ty: lt.clone(),
+                    ty: lt,
                 });
             }
-            (t, CType::Ptr(inner), B::Add) if t.is_integer() => {
-                let esz = self.cx.layouts.size_of(inner).max(1);
+            (_, TypeKind::Ptr(inner), B::Add) if lt.is_integer() => {
+                let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrAdd {
                     ptr: Box::new(r),
                     count: Box::new(l),
                     elem_size: esz,
-                    ty: rt.clone(),
+                    ty: rt,
                 });
             }
-            (CType::Ptr(inner), t, B::Sub) if t.is_integer() => {
-                let esz = self.cx.layouts.size_of(inner).max(1);
+            (TypeKind::Ptr(inner), _, B::Sub) if rt.is_integer() => {
+                let esz = self.cx.size_of(inner, pos)?.max(1);
                 let neg = hir::Expr::Unary {
                     op: hir::UnOp::Neg,
                     operand: Box::new(r),
@@ -1238,11 +1331,11 @@ impl<'a> FuncCx<'a> {
                     ptr: Box::new(l),
                     count: Box::new(neg),
                     elem_size: esz,
-                    ty: lt.clone(),
+                    ty: lt,
                 });
             }
-            (CType::Ptr(inner), CType::Ptr(_), B::Sub) => {
-                let esz = self.cx.layouts.size_of(inner).max(1);
+            (TypeKind::Ptr(inner), TypeKind::Ptr(_), B::Sub) => {
+                let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrDiff {
                     lhs: Box::new(l),
                     rhs: Box::new(r),
@@ -1253,19 +1346,15 @@ impl<'a> FuncCx<'a> {
         }
         // Comparisons.
         if matches!(op, B::Eq | B::Ne | B::Lt | B::Gt | B::Le | B::Ge) {
-            let unsigned = if lt.is_pointer() || rt.is_pointer() {
-                true
+            let pointers = lt.is_pointer() || rt.is_pointer();
+            let (l, r, unsigned) = if pointers {
+                (l, r, true)
             } else {
-                let common = usual_arith(&lt, &rt);
-                !common.is_signed()
-            };
-            let (l, r) = if lt.is_pointer() || rt.is_pointer() {
-                (l, r)
-            } else {
-                let common = usual_arith(&lt, &rt);
+                let common = usual_arith(lt, rt);
                 (
-                    self.convert(l, &common, pos)?,
-                    self.convert(r, &common, pos)?,
+                    self.convert(l, common, pos)?,
+                    self.convert(r, common, pos)?,
+                    !common.is_signed(),
                 )
             };
             let hop = match (op, unsigned) {
@@ -1290,22 +1379,23 @@ impl<'a> FuncCx<'a> {
         }
         // Remaining value arithmetic requires integers.
         if !lt.is_integer() || !rt.is_integer() {
+            let (lt, rt) = (self.cx.layouts.name(lt), self.cx.layouts.name(rt));
             return err(pos, format!("invalid operands: {lt} and {rt}"));
         }
-        let common = usual_arith(&lt, &rt);
         // Shifts keep the left operand's promoted type.
         let (result_ty, l, r) = if matches!(op, B::Shl | B::Shr) {
-            let lp = promote(&lt);
+            let lp = promote(lt);
             (
-                lp.clone(),
-                self.convert(l, &lp, pos)?,
-                self.convert(r, &CType::INT, pos)?,
+                lp,
+                self.convert(l, lp, pos)?,
+                self.convert(r, CType::INT, pos)?,
             )
         } else {
+            let common = usual_arith(lt, rt);
             (
-                common.clone(),
-                self.convert(l, &common, pos)?,
-                self.convert(r, &common, pos)?,
+                common,
+                self.convert(l, common, pos)?,
+                self.convert(r, common, pos)?,
             )
         };
         let signed = result_ty.is_signed();
@@ -1313,31 +1403,16 @@ impl<'a> FuncCx<'a> {
             B::Add => hir::BinOp::Add,
             B::Sub => hir::BinOp::Sub,
             B::Mul => hir::BinOp::Mul,
-            B::Div => {
-                if signed {
-                    hir::BinOp::DivS
-                } else {
-                    hir::BinOp::DivU
-                }
-            }
-            B::Rem => {
-                if signed {
-                    hir::BinOp::RemS
-                } else {
-                    hir::BinOp::RemU
-                }
-            }
+            B::Div if signed => hir::BinOp::DivS,
+            B::Div => hir::BinOp::DivU,
+            B::Rem if signed => hir::BinOp::RemS,
+            B::Rem => hir::BinOp::RemU,
             B::And => hir::BinOp::And,
             B::Or => hir::BinOp::Or,
             B::Xor => hir::BinOp::Xor,
             B::Shl => hir::BinOp::Shl,
-            B::Shr => {
-                if signed {
-                    hir::BinOp::ShrS
-                } else {
-                    hir::BinOp::ShrU
-                }
-            }
+            B::Shr if signed => hir::BinOp::ShrS,
+            B::Shr => hir::BinOp::ShrU,
             _ => unreachable!("handled above"),
         };
         Ok(hir::Expr::Binary {
@@ -1361,19 +1436,20 @@ impl<'a> FuncCx<'a> {
             return Ok((t, f, tt));
         }
         if tt.is_pointer() && (ft.is_pointer() || ft.is_integer()) {
-            let f = self.convert(f, &tt, pos)?;
+            let f = self.convert(f, tt, pos)?;
             return Ok((t, f, tt));
         }
         if ft.is_pointer() && tt.is_integer() {
-            let t = self.convert(t, &ft, pos)?;
+            let t = self.convert(t, ft, pos)?;
             return Ok((t, f, ft));
         }
         if tt.is_integer() && ft.is_integer() {
-            let common = usual_arith(&tt, &ft);
-            let t = self.convert(t, &common, pos)?;
-            let f = self.convert(f, &common, pos)?;
+            let common = usual_arith(tt, ft);
+            let t = self.convert(t, common, pos)?;
+            let f = self.convert(f, common, pos)?;
             return Ok((t, f, common));
         }
+        let (tt, ft) = (self.cx.layouts.name(tt), self.cx.layouts.name(ft));
         err(
             pos,
             format!("incompatible conditional branches: {tt} / {ft}"),
@@ -1381,110 +1457,98 @@ impl<'a> FuncCx<'a> {
     }
 
     /// Implicit conversion of a value to `to`.
-    fn convert(&mut self, v: hir::Expr, to: &CType, pos: Pos) -> Result<hir::Expr> {
+    fn convert(&mut self, v: hir::Expr, to: CType, pos: Pos) -> Result<hir::Expr> {
         let from = v.ty();
-        if &from == to {
+        if from == to {
             return Ok(v);
         }
         if !from.is_scalar() || !to.is_scalar() {
+            let (from, to) = (self.cx.layouts.name(from), self.cx.layouts.name(to));
             return err(pos, format!("cannot convert {from} to {to}"));
         }
         Ok(hir::Expr::Cast {
             expr: Box::new(v),
             from,
-            to: to.clone(),
+            to,
         })
     }
 }
 
 /// Integer promotion: anything narrower than `int` becomes `int`.
-fn promote(ty: &CType) -> CType {
-    match ty {
-        CType::Int { width, .. } if width.bytes() < 4 => CType::INT,
-        other => other.clone(),
+fn promote(ty: CType) -> CType {
+    match ty.kind() {
+        TypeKind::Int { width, .. } if width.bytes() < 4 => CType::INT,
+        _ => ty,
     }
 }
 
 /// C's usual arithmetic conversions (integer types only).
-fn usual_arith(a: &CType, b: &CType) -> CType {
-    let a = promote(a);
-    let b = promote(b);
+fn usual_arith(a: CType, b: CType) -> CType {
     let (
-        CType::Int {
+        TypeKind::Int {
             width: wa,
             signed: sa,
         },
-        CType::Int {
+        TypeKind::Int {
             width: wb,
             signed: sb,
         },
-    ) = (&a, &b)
+    ) = (promote(a).kind(), promote(b).kind())
     else {
         return CType::LONG;
     };
     if wa == wb {
-        return CType::Int {
-            width: *wa,
-            signed: *sa && *sb,
-        };
+        return CType::int(wa, sa && sb);
     }
-    let (wide_w, wide_s, narrow_s) = if wa > wb { (wa, sa, sb) } else { (wb, sb, sa) };
-    // If the wider type is unsigned, the result is unsigned; if the wider
-    // is signed it can represent all narrower values, so signedness of the
-    // wider wins.
-    let _ = narrow_s;
-    CType::Int {
-        width: *wide_w,
-        signed: *wide_s,
+    // The wider type wins: if it is unsigned the result is unsigned, and
+    // if it is signed it can represent every narrower value.
+    if wa > wb {
+        CType::int(wa, sa)
+    } else {
+        CType::int(wb, sb)
     }
 }
 
 /// Builtin runtime signatures.
-fn builtin_sig(b: Builtin) -> (Vec<CType>, CType) {
-    let cp = CType::char_ptr;
-    let vp = CType::void_ptr;
+fn builtin_sig(b: Builtin) -> (&'static [CType], CType) {
+    const CP: CType = CType::CHAR_PTR;
+    const VP: CType = CType::VOID_PTR;
+    const INT: CType = CType::INT;
+    const LONG: CType = CType::LONG;
+    const ULONG: CType = CType::ULONG;
     match b {
-        Builtin::Malloc => (vec![CType::ULONG], vp()),
-        Builtin::Free => (vec![vp()], CType::Void),
-        Builtin::Realloc => (vec![vp(), CType::ULONG], vp()),
-        Builtin::Strlen => (vec![cp()], CType::ULONG),
-        Builtin::Strcpy => (vec![cp(), cp()], cp()),
-        Builtin::Strncpy => (vec![cp(), cp(), CType::ULONG], cp()),
-        Builtin::Strcat => (vec![cp(), cp()], cp()),
-        Builtin::Strncat => (vec![cp(), cp(), CType::ULONG], cp()),
-        Builtin::Strcmp => (vec![cp(), cp()], CType::INT),
-        Builtin::Strncmp => (vec![cp(), cp(), CType::ULONG], CType::INT),
-        Builtin::Strchr => (vec![cp(), CType::INT], cp()),
-        Builtin::Strrchr => (vec![cp(), CType::INT], cp()),
-        Builtin::Memcpy => (vec![vp(), vp(), CType::ULONG], vp()),
-        Builtin::Memmove => (vec![vp(), vp(), CType::ULONG], vp()),
-        Builtin::Memset => (vec![vp(), CType::INT, CType::ULONG], vp()),
-        Builtin::Memcmp => (vec![vp(), vp(), CType::ULONG], CType::INT),
-        Builtin::PrintStr => (vec![cp()], CType::Void),
-        Builtin::PrintInt => (vec![CType::LONG], CType::Void),
-        Builtin::Putchar => (vec![CType::INT], CType::INT),
-        Builtin::Abort => (vec![], CType::Void),
-        Builtin::Exit => (vec![CType::INT], CType::Void),
+        Builtin::Malloc => (&[ULONG], VP),
+        Builtin::Free => (&[VP], CType::VOID),
+        Builtin::Realloc => (&[VP, ULONG], VP),
+        Builtin::Strlen => (&[CP], ULONG),
+        Builtin::Strcpy => (&[CP, CP], CP),
+        Builtin::Strncpy => (&[CP, CP, ULONG], CP),
+        Builtin::Strcat => (&[CP, CP], CP),
+        Builtin::Strncat => (&[CP, CP, ULONG], CP),
+        Builtin::Strcmp => (&[CP, CP], INT),
+        Builtin::Strncmp => (&[CP, CP, ULONG], INT),
+        Builtin::Strchr => (&[CP, INT], CP),
+        Builtin::Strrchr => (&[CP, INT], CP),
+        Builtin::Memcpy => (&[VP, VP, ULONG], VP),
+        Builtin::Memmove => (&[VP, VP, ULONG], VP),
+        Builtin::Memset => (&[VP, INT, ULONG], VP),
+        Builtin::Memcmp => (&[VP, VP, ULONG], INT),
+        Builtin::PrintStr => (&[CP], CType::VOID),
+        Builtin::PrintInt => (&[LONG], CType::VOID),
+        Builtin::Putchar => (&[INT], INT),
+        Builtin::Abort => (&[], CType::VOID),
+        Builtin::Exit => (&[INT], CType::VOID),
         Builtin::Isspace
         | Builtin::Isdigit
         | Builtin::Isalpha
         | Builtin::Isprint
         | Builtin::Toupper
-        | Builtin::Tolower => (vec![CType::INT], CType::INT),
-        Builtin::Atoi => (vec![cp()], CType::INT),
-        Builtin::ReadInput => (vec![cp(), CType::LONG], CType::LONG),
-        Builtin::EmitOutput => (vec![cp(), CType::LONG], CType::Void),
-        Builtin::IoWait => (vec![CType::LONG], CType::Void),
+        | Builtin::Tolower => (&[INT], INT),
+        Builtin::Atoi => (&[CP], INT),
+        Builtin::ReadInput => (&[CP, LONG], LONG),
+        Builtin::EmitOutput => (&[CP, LONG], CType::VOID),
+        Builtin::IoWait => (&[LONG], CType::VOID),
     }
-}
-
-/// Applies array dimensions (outermost first) to a base type.
-fn apply_dims(base: CType, dims: &[u64]) -> CType {
-    let mut ty = base;
-    for &d in dims.iter().rev() {
-        ty = CType::Array(Box::new(ty), d);
-    }
-    ty
 }
 
 /// Constant folding over AST expressions (global initialisers).
@@ -1764,10 +1828,10 @@ mod tests {
 
     #[test]
     fn usual_arith_conversions() {
-        assert_eq!(usual_arith(&CType::CHAR, &CType::CHAR), CType::INT);
-        assert_eq!(usual_arith(&CType::INT, &CType::UINT), CType::UINT);
-        assert_eq!(usual_arith(&CType::UINT, &CType::LONG), CType::LONG);
-        assert_eq!(usual_arith(&CType::ULONG, &CType::LONG), CType::ULONG);
-        assert_eq!(usual_arith(&CType::UCHAR, &CType::INT), CType::INT);
+        assert_eq!(usual_arith(CType::CHAR, CType::CHAR), CType::INT);
+        assert_eq!(usual_arith(CType::INT, CType::UINT), CType::UINT);
+        assert_eq!(usual_arith(CType::UINT, CType::LONG), CType::LONG);
+        assert_eq!(usual_arith(CType::ULONG, CType::LONG), CType::ULONG);
+        assert_eq!(usual_arith(CType::UCHAR, CType::INT), CType::INT);
     }
 }

@@ -19,8 +19,24 @@ impl fmt::Display for Pos {
     }
 }
 
+/// A byte range of the source text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    /// Offset of the first byte.
+    pub start: usize,
+    /// Offset one past the last byte.
+    pub end: usize,
+}
+
+impl Span {
+    /// The spanned text of `src`.
+    pub fn text(self, src: &str) -> &str {
+        &src[self.start..self.end]
+    }
+}
+
 /// A lexed token with its position.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Token {
     /// The token kind and payload.
     pub kind: Tok,
@@ -59,50 +75,52 @@ pub enum Keyword {
 }
 
 impl Keyword {
-    /// Maps an identifier spelling to a keyword.
-    #[allow(clippy::should_implement_trait)] // fallible lookup, not a parse
-    pub fn from_str(s: &str) -> Option<Keyword> {
-        Some(match s {
-            "void" => Keyword::Void,
-            "char" => Keyword::Char,
-            "short" => Keyword::Short,
-            "int" => Keyword::Int,
-            "long" => Keyword::Long,
-            "signed" => Keyword::Signed,
-            "unsigned" => Keyword::Unsigned,
-            "struct" => Keyword::Struct,
-            "if" => Keyword::If,
-            "else" => Keyword::Else,
-            "while" => Keyword::While,
-            "do" => Keyword::Do,
-            "for" => Keyword::For,
-            "switch" => Keyword::Switch,
-            "case" => Keyword::Case,
-            "default" => Keyword::Default,
-            "break" => Keyword::Break,
-            "continue" => Keyword::Continue,
-            "return" => Keyword::Return,
-            "goto" => Keyword::Goto,
-            "sizeof" => Keyword::Sizeof,
-            "static" => Keyword::Static,
-            "const" => Keyword::Const,
-            "size_t" => Keyword::SizeT,
+    /// The keyword an identifier spelling names, if any.
+    pub fn from_spelling(spelling: &[u8]) -> Option<Keyword> {
+        Some(match spelling {
+            b"void" => Keyword::Void,
+            b"char" => Keyword::Char,
+            b"short" => Keyword::Short,
+            b"int" => Keyword::Int,
+            b"long" => Keyword::Long,
+            b"signed" => Keyword::Signed,
+            b"unsigned" => Keyword::Unsigned,
+            b"struct" => Keyword::Struct,
+            b"if" => Keyword::If,
+            b"else" => Keyword::Else,
+            b"while" => Keyword::While,
+            b"do" => Keyword::Do,
+            b"for" => Keyword::For,
+            b"switch" => Keyword::Switch,
+            b"case" => Keyword::Case,
+            b"default" => Keyword::Default,
+            b"break" => Keyword::Break,
+            b"continue" => Keyword::Continue,
+            b"return" => Keyword::Return,
+            b"goto" => Keyword::Goto,
+            b"sizeof" => Keyword::Sizeof,
+            b"static" => Keyword::Static,
+            b"const" => Keyword::Const,
+            b"size_t" => Keyword::SizeT,
             _ => return None,
         })
     }
 }
 
-/// Token kinds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Token kinds. A token owns no text: identifiers and string literals
+/// are spans of the source, read back only where the AST keeps them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tok {
     /// Identifier.
-    Ident(String),
+    Ident(Span),
     /// Keyword.
     Kw(Keyword),
     /// Integer literal (value already decoded; char literals become this).
     IntLit(i64),
-    /// String literal (escape sequences decoded, no terminating NUL).
-    StrLit(Vec<u8>),
+    /// String literal, from its opening quote to the closing quote of
+    /// the last literal adjacent to it (C concatenates them); its bytes
+    /// are [`crate::lexer::string_bytes`].
+    StrLit(Span),
 
     // Punctuation and operators.
     LParen,
@@ -159,10 +177,16 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+/// A token as diagnostics name it (see [`Tok::describe`]).
+pub struct Described<'a> {
+    tok: Tok,
+    src: &'a str,
+}
+
+impl fmt::Display for Described<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Ident(s) => write!(f, "identifier `{s}`"),
+        match self.tok {
+            Tok::Ident(span) => write!(f, "identifier `{}`", span.text(self.src)),
             Tok::Kw(k) => write!(f, "keyword `{k:?}`"),
             Tok::IntLit(v) => write!(f, "integer literal {v}"),
             Tok::StrLit(_) => write!(f, "string literal"),
@@ -173,6 +197,12 @@ impl fmt::Display for Tok {
 }
 
 impl Tok {
+    /// Names the token for a diagnostic, reading an identifier's text
+    /// from `src`, the source it was lexed from.
+    pub fn describe(self, src: &str) -> Described<'_> {
+        Described { tok: self, src }
+    }
+
     /// Canonical spelling of punctuation tokens (diagnostics).
     pub fn spelling(&self) -> &'static str {
         match self {

@@ -1,13 +1,17 @@
 //! Where the host's time goes: a SIGPROF pc sampler over `run_farm`.
 //!
 //! ```text
-//! cargo run --release --example sample -- --workload mc_copy [--seconds 5] [--callers] [--lines]
+//! cargo run --release --example sample -- --workload mc_copy [--seconds 5] [--setup] [--callers] [--lines]
 //! ```
 //!
 //! Runs one of the four `BENCHMARK.json` farm shapes — the judge's own
 //! request streams at its default seed — in a loop for `--seconds` of
 //! wall time while `setitimer(ITIMER_PROF)` interrupts the process every
-//! millisecond of CPU time. The handler stores the interrupted pc (and
+//! millisecond of CPU time. `--setup` loops a cold set-up of the shape's
+//! server instead: compile it from source on the shipped tier
+//! (`fresh_image_tier`) and boot it past every cache
+//! (`Server::boot_cold`), the set-up half of the judge's `setup_s`, where
+//! the MiniC front end does most of the work. The handler stores the interrupted pc (and
 //! the words of the interrupted frame's stack page that point into the
 //! executable, which are mostly return addresses) into a preallocated
 //! static array of atomics; nothing else happens in signal context.
@@ -54,7 +58,7 @@ mod linux {
 
     use failure_oblivious::servers::conn::{Edge, SocketEdge};
     use failure_oblivious::servers::farm::{run_farm, FarmConfig};
-    use failure_oblivious::servers::ServerKind;
+    use failure_oblivious::servers::{Server, ServerEnv, ServerKind};
     use failure_oblivious::Mode;
 
     // ---- the C interface (x86-64 Linux, glibc or musl layouts) -------
@@ -380,6 +384,7 @@ mod linux {
     struct Args {
         shape: &'static Shape,
         seconds: f64,
+        setup: bool,
         callers: bool,
         lines: bool,
     }
@@ -388,6 +393,7 @@ mod linux {
         let mut args = Args {
             shape: &SHAPES[0],
             seconds: 5.0,
+            setup: false,
             callers: false,
             lines: false,
         };
@@ -409,6 +415,7 @@ mod linux {
                         .filter(|s| (0.1..=120.0).contains(s))
                         .ok_or(format!("--seconds wants 0.1..120, got `{text}`"))?;
                 }
+                "--setup" => args.setup = true,
                 "--callers" => args.callers = true,
                 "--lines" => args.lines = true,
                 other => return Err(format!("unknown argument `{other}`")),
@@ -422,7 +429,7 @@ mod linux {
             let names: Vec<&str> = SHAPES.iter().map(|s| s.name).collect();
             eprintln!("sample: {e}");
             eprintln!(
-                "usage: sample [--workload {}] [--seconds <n>] [--callers] [--lines]",
+                "usage: sample [--workload {}] [--seconds <n>] [--setup] [--callers] [--lines]",
                 names.join("|")
             );
             std::process::exit(2);
@@ -432,20 +439,46 @@ mod linux {
         TEXT_LO.store(text_lo, Relaxed);
         TEXT_HI.store(text_hi, Relaxed);
 
-        // One untimed rep warms the image and checkpoint caches, as the
-        // judge's warm-up rep does; sampling covers steady state only.
-        let warm = run_farm(&config);
-        let started = Instant::now();
         let limit = Duration::from_secs_f64(args.seconds);
-        let (mut reps, mut completed) = (0u64, 0u64);
-        set_timer(INTERVAL_US);
-        while started.elapsed() < limit {
-            let report = run_farm(&config);
-            assert_eq!(report.stats, warm.stats, "a rep diverged from the warm-up");
-            completed += report.stats.completed;
-            reps += 1;
-        }
-        set_timer(0);
+        let (started, what) = if args.setup {
+            let (kind, spec) = (config.kind, config.boot_spec());
+            let started = Instant::now();
+            let mut reps = 0u64;
+            set_timer(INTERVAL_US);
+            while started.elapsed() < limit {
+                let image = kind.fresh_image_tier(spec.tier);
+                drop(Server::boot_cold(
+                    kind,
+                    &image,
+                    &spec,
+                    ServerEnv::standard(),
+                ));
+                reps += 1;
+            }
+            set_timer(0);
+            let each = started.elapsed().as_secs_f64() / reps as f64;
+            (
+                started,
+                format!("{reps} cold set-ups ({:.1} us each)", each * 1e6),
+            )
+        } else {
+            // One untimed rep warms the image and checkpoint caches, as
+            // the judge's warm-up rep does; sampling covers steady state.
+            let warm = run_farm(&config);
+            let started = Instant::now();
+            let (mut reps, mut completed) = (0u64, 0u64);
+            set_timer(INTERVAL_US);
+            while started.elapsed() < limit {
+                let report = run_farm(&config);
+                assert_eq!(report.stats, warm.stats, "a rep diverged from the warm-up");
+                completed += report.stats.completed;
+                reps += 1;
+            }
+            set_timer(0);
+            let rate = completed as f64 / started.elapsed().as_secs_f64();
+            let what = format!("{reps} reps, {completed} requests ({rate:.1} req/s while sampled)");
+            (started, what)
+        };
         let wall = started.elapsed().as_secs_f64();
 
         let taken = TAKEN.load(Relaxed).min(MAX_SAMPLES);
@@ -462,10 +495,9 @@ mod linux {
         assert!(!names.symbols.is_empty(), "nm listed no functions");
         assert!(taken > 0, "SIGPROF never fired");
         println!(
-            "# {}: {reps} reps, {completed} requests in {wall:.2} s ({:.1} req/s while sampled), \
-             {taken} samples (timer set to {INTERVAL_US} us of CPU time; the kernel rounds up to its tick)",
+            "# {}: {what} in {wall:.2} s, {taken} samples \
+             (timer set to {INTERVAL_US} us of CPU time; the kernel rounds up to its tick)",
             args.shape.name,
-            completed as f64 / wall
         );
 
         let mut per_symbol: HashMap<&str, u64> = HashMap::new();

@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 
-use failure_oblivious::compiler::ProgramId;
+use failure_oblivious::compiler::{ExecTier, ProgramId};
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::apache::ApacheWorker;
 use failure_oblivious::servers::farm::ServerKind;
@@ -155,6 +155,62 @@ fn cached_and_fresh_images_share_a_program_id() {
             "{}: the cache must serve exactly what a cold compile produces",
             kind.name()
         );
+    }
+}
+
+/// Every server's compiled program, pinned: (kind, native-tier id,
+/// baseline-tier id, instructions). A front-end or lowering change that
+/// claims bit-identical bytecode must leave all fifteen values alone; a
+/// change that moves one on purpose re-derives it here and says why.
+const PINNED_IMAGES: [(ServerKind, u64, u64, usize); 5] = [
+    (
+        ServerKind::Apache,
+        0xa4b5_234e_eb32_6fa0,
+        0xe7e0_ca28_e346_4c04,
+        702,
+    ),
+    (
+        ServerKind::Sendmail,
+        0x1e4a_7414_b54e_d330,
+        0x6d75_69c1_8469_8ed4,
+        868,
+    ),
+    (
+        ServerKind::Pine,
+        0x2169_ae57_e18a_a30e,
+        0x251e_0f40_28ff_7b7a,
+        853,
+    ),
+    (
+        ServerKind::Mutt,
+        0x0555_e68f_0086_2eb1,
+        0x694f_43a8_46bf_58a7,
+        1_170,
+    ),
+    (
+        ServerKind::Mc,
+        0xb96d_4967_7925_afc2,
+        0xaed9_97ea_9bac_a66e,
+        703,
+    ),
+];
+
+#[test]
+fn every_server_compiles_to_its_pinned_bytecode() {
+    for (kind, native, baseline, instrs) in PINNED_IMAGES {
+        for (tier, pinned) in [(ExecTier::Native, native), (ExecTier::Baseline, baseline)] {
+            let image = kind.fresh_image_tier(tier);
+            assert_eq!(
+                image.id().as_u64(),
+                pinned,
+                "{} at the {} tier: ProgramId {} moved",
+                kind.name(),
+                tier.label(),
+                image.id()
+            );
+            let count: usize = image.program().funcs.iter().map(|f| f.code.len()).sum();
+            assert_eq!(count, instrs, "{}: instruction count moved", kind.name());
+        }
     }
 }
 
