@@ -60,7 +60,7 @@
 //!
 //! ## Counted loops
 //!
-//! Last, a region looping onto itself through a fused `k++` latch on an
+//! Then a region looping onto itself through a fused `k++` latch on an
 //! 8-byte counter `k`, its body exactly a copy `d[k] = s[k]` whose passes
 //! tile both ranges (`counted`), ends in [`Term::Counted`]; any other
 //! loop keeps its [`Term::IncBranch`]. When the latch points back, the
@@ -84,6 +84,15 @@
 //! above overlapping loads, run the region one pass at a time: violations,
 //! manufactured values, fault seams and fuel-short exits stay ordinary.
 //!
+//! ## Superblocks
+//!
+//! Last, each region runs on along its `Goto` or branch-fall successors,
+//! copying their ops in (at most four segments, 24 ops): a crossed branch
+//! becomes an [`NOp::Exit`] (after a fused latch's [`NOp::Inc`]), copied
+//! seams are charged the prefix before them. Segments are statement-shaped
+//! (an exit pushes nothing), never a counted loop nor one region twice,
+//! and every original region stays: the interpreter enters at every pc.
+//!
 //! ## Deopt contract
 //!
 //! The artifact adds no observable state of its own; every observable
@@ -91,10 +100,11 @@
 //!
 //! * **Entry gate.** A region is entered only when the remaining fuel
 //!   covers its whole pre-computed [`NativeRegion::charge`] (an absorbed
-//!   successor's included). Otherwise the VM falls back to the
-//!   interpreter, which runs the baseline stream one instruction at a
-//!   time, so fuel exhaustion lands exactly where it does on the
-//!   baseline tier.
+//!   successor's and a superblock's chain included; a side exit refunds
+//!   like a fault seam, and its target is gated alike). Otherwise the VM
+//!   falls back to the interpreter, which runs the baseline stream one
+//!   instruction at a time, so fuel exhaustion lands exactly where it
+//!   does on the baseline tier.
 //! * **Fault seams.** Ops that can fault (guest loads/stores, division)
 //!   carry a [`FaultAt`] — the architectural pc the fault must surface
 //!   at and the components the instruction stream would have charged by
@@ -215,11 +225,11 @@ impl CountedLoop {
     }
 }
 
-/// A maximal straight-line run: register-form ops plus a terminator.
-/// `consumes` operand-stack values enter as registers `0..consumes`
-/// (`consumes - 1` is the old top of stack); after the terminator,
-/// registers `0..produces` go back in index order. Statement-shaped
-/// code has both at zero and touches the operand stack not at all.
+/// A maximal straight-line run (or a superblock of several): ops plus a
+/// terminator. `consumes` operand-stack values enter as registers
+/// `0..consumes` (`consumes - 1` is the old top of stack); after the
+/// terminator, registers `0..produces` go back in index order.
+/// Statement-shaped code has both at zero and no operand-stack traffic.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NativeRegion {
     /// Total components (fuel units / instruction counts) the region
@@ -247,7 +257,7 @@ pub struct FaultAt {
     /// Architectural fault pc (same pc the interpreter's seam uses).
     pub pc: u32,
     /// Components legitimately charged at the fault point.
-    pub spent: u64,
+    pub spent: u32,
 }
 
 /// An operand. Frame offsets were validated against the frame layout by
@@ -285,7 +295,7 @@ pub enum Src {
 
 /// A register-form micro-op. Ops with a `seam` can fault; their `spill`
 /// is the number of low registers that were live operand-stack values
-/// below the instruction's own operands.
+/// below the instruction's own operands (`u32` sizes keep an op in 64 bytes).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NOp {
     /// `r[dst] = src` (`Const`, `Dup`, `LocalAddr`, `LoadLocal`).
@@ -423,7 +433,7 @@ pub enum NOp {
         /// Rhs register.
         b: u8,
         /// Element size.
-        esz: u64,
+        esz: u32,
     },
     /// Checked pointer arithmetic: `r[dst] = ptr_add(ptr, count * esz)`.
     /// A result that leaves its unit runs the interpreter's exact
@@ -437,7 +447,7 @@ pub enum NOp {
         /// Element count.
         count: Src,
         /// Element size.
-        esz: u64,
+        esz: u32,
     },
     /// Checked guest load. The executor completes it through its view
     /// of the space (placement memo, else one lookup); a view miss
@@ -482,7 +492,7 @@ pub enum NOp {
         /// Element count.
         count: Src,
         /// Element size.
-        esz: u64,
+        esz: u32,
         /// Loaded width.
         size: AccessSize,
         /// Sign-extend when set.
@@ -501,7 +511,7 @@ pub enum NOp {
         /// The value.
         val: Src,
         /// Element size.
-        esz: u64,
+        esz: u32,
         /// Stored width.
         size: AccessSize,
         /// The store's fault seam (`spent` covers the pointer add).
@@ -509,7 +519,25 @@ pub enum NOp {
         /// Live registers to spill on a fault.
         spill: u8,
     },
+    /// A superblock's crossed branch: when `op` holds, refund as a seam
+    /// would, take back the dispatches skipped, and leave for `to`.
+    Exit {
+        /// Left operand.
+        a: Src,
+        /// Right operand.
+        b: Src,
+        /// Comparison, normalized to leave-when-true.
+        op: CmpOp,
+        /// Where the chain continues when it leaves.
+        to: Succ,
+        /// Components charged through the crossed branch.
+        spent: u32,
+        /// Dispatches through this exit: the entry and the ops up to it.
+        ran: u32,
+    },
 }
+
+const _: () = assert!(std::mem::size_of::<NOp>() <= 64);
 
 /// A terminator's successor: the pc, for the interpreter to resume at
 /// when the chain stops there, and the region the executor continues
@@ -653,9 +681,12 @@ impl NOp {
                 f(S(addr));
                 f(Write(*dst));
             }
-            NOp::Store { addr, val, .. } => {
-                f(S(addr));
-                f(S(val));
+            NOp::Store {
+                addr: a, val: b, ..
+            }
+            | NOp::Exit { a, b, .. } => {
+                f(S(a));
+                f(S(b));
             }
             NOp::IdxStore {
                 ptr, count, val, ..
@@ -665,6 +696,14 @@ impl NOp {
                 f(S(val));
             }
         }
+    }
+
+    /// The op copied behind a superblock prefix charging `by`.
+    fn shifted(mut self, by: u32) -> NOp {
+        if let Some(seam) = self.seam() {
+            seam.spent += by;
+        }
+        self
     }
 
     fn reads(mut self, r: u8) -> bool {
@@ -686,15 +725,16 @@ impl NOp {
         hit
     }
 
-    fn can_fault(&self) -> bool {
-        matches!(
-            self,
-            NOp::Div { .. }
-                | NOp::Load { .. }
-                | NOp::Store { .. }
-                | NOp::IdxLoad { .. }
-                | NOp::IdxStore { .. }
-        )
+    /// The fault seam, which exactly the ops that can fault carry.
+    fn seam(&mut self) -> Option<&mut FaultAt> {
+        match self {
+            NOp::Div { seam, .. }
+            | NOp::Load { seam, .. }
+            | NOp::Store { seam, .. }
+            | NOp::IdxLoad { seam, .. }
+            | NOp::IdxStore { seam, .. } => Some(seam),
+            _ => None,
+        }
     }
 
     /// Whether the op may change the `size` frame bytes at `off`: a
@@ -781,14 +821,14 @@ impl Fold {
     /// or can fault (spill rule), the `Mov` goes.
     fn kill(&mut self, r: u8) {
         for k in (0..self.out.len()).rev() {
-            let op = self.out[k];
+            let mut op = self.out[k];
             if op.writes(r) {
                 if matches!(op, NOp::Mov { .. }) {
                     self.out.remove(k);
                 }
                 return;
             }
-            if op.reads(r) || op.can_fault() {
+            if op.reads(r) || op.seam().is_some() {
                 return;
             }
         }
@@ -1191,12 +1231,10 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     }
     for at in 0..regions.len() {
         absorb(&mut regions, at);
-        let region = &mut regions[at];
-        region.dispatches = region.ops.len() as u32 + 2;
     }
     // Pass 4 — thread the edges, then seal: every fold is done, so what
     // lowering knows about an 8-byte slot is decided once, not per run.
-    // Last, a sealed self-loop may count ("Counted loops").
+    // Then a sealed self-loop may count ("Counted loops").
     let seal = |s: &mut Src| {
         if let Src::Slot { off, size, .. } = *s {
             if size == AccessSize::B8 {
@@ -1222,6 +1260,8 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
             loops.push(lp);
         }
     }
+    // Pass 5 — superblocks, which also count each region's dispatches.
+    superblocks(&mut regions);
     NativeFunc {
         entry,
         regions,
@@ -1275,8 +1315,9 @@ fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
         return None;
     };
     let base = |p: Src| !matches!(p, Src::Reg(_) | Src::Const(_));
+    let width = size.bytes() as u32;
     let copy = (i, j, val) == (k, k, Src::Reg(dst))
-        && (esz, e, s) == (size.bytes(), size.bytes(), size)
+        && (esz, e, s) == (width, width, size)
         && base(from)
         && base(to);
     let lp = CountedLoop {
@@ -1295,6 +1336,92 @@ fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
         && !matches!(bound, Src::Reg(_))
         && lp.reads(&region.ops).skip(1).all(clear_of_k);
     fits.then_some(lp)
+}
+
+/// Most segments one superblock chains, and most ops it holds.
+const SUPER_SEGMENTS: usize = 4;
+const SUPER_OPS: usize = 24;
+
+/// Extends every region along its `Goto` or branch-fall successors
+/// ("Superblocks"): each chain is walked over the regions as lowered (an
+/// extension only appends ops and replaces the terminator), then copied.
+fn superblocks(regions: &mut [NativeRegion]) {
+    let own: Vec<_> = regions
+        .iter()
+        .map(|r| (r.ops.len(), r.term, r.charge))
+        .collect();
+    // The successor a segment runs on into, and the ops crossing it adds.
+    let through = |term: Term| match term {
+        Term::Goto(s) => Some((s, 0)),
+        Term::Branch { fall, .. } => Some((fall, 1)),
+        Term::IncBranch { fall, .. } => Some((fall, 2)),
+        Term::Counted(_) => None,
+    };
+    for at in 0..regions.len() {
+        let (mut chain, mut segs, (mut len, mut term, _)) = ([0; SUPER_SEGMENTS], 0, own[at]);
+        while let Some((next, crossing)) = through(term).filter(|_| segs + 1 < SUPER_SEGMENTS) {
+            let n = next.region as usize;
+            let fits = regions.get(n).is_some_and(|seg| {
+                (seg.consumes, seg.produces) == (0, 0)
+                    && !matches!(own[n].1, Term::Counted(_))
+                    && len + crossing + own[n].0 <= SUPER_OPS
+            });
+            if !fits || n == at || chain[..segs].contains(&n) || regions[at].produces != 0 {
+                break;
+            }
+            (chain[segs], segs, len, term) = (n, segs + 1, len + crossing + own[n].0, own[n].1);
+        }
+        let (mut ops, (_, mut term, mut charge)) = (std::mem::take(&mut regions[at].ops), own[at]);
+        ops.reserve_exact(len - ops.len());
+        for &n in &chain[..segs] {
+            let exit = |a, b, op, to, ahead: usize| NOp::Exit {
+                a,
+                b,
+                op,
+                to,
+                spent: charge as u32,
+                ran: (ops.len() + ahead) as u32 + 2,
+            };
+            let (next, crossing) = match term {
+                Term::Goto(next) => (next, [None, None]),
+                Term::Branch {
+                    a,
+                    b,
+                    op,
+                    taken,
+                    fall,
+                } => (fall, [None, Some(exit(a, b, op, taken, 0))]),
+                Term::IncBranch {
+                    off,
+                    delta,
+                    size,
+                    signed,
+                    a,
+                    b,
+                    op,
+                    taken,
+                    fall,
+                } => {
+                    let inc = NOp::Inc {
+                        off,
+                        delta,
+                        size,
+                        signed,
+                    };
+                    (fall, [Some(inc), Some(exit(a, b, op, taken, 1))])
+                }
+                Term::Counted(_) => unreachable!("a counted loop ends no chain"),
+            };
+            ops.extend(crossing.into_iter().flatten());
+            charge += next.skip as u64;
+            let copy = regions[n].ops[..own[n].0].iter();
+            ops.extend(copy.map(|op| op.shifted(charge as u32)));
+            (term, charge) = (own[n].1, charge + own[n].2);
+        }
+        let region = &mut regions[at];
+        region.dispatches = ops.len() as u32 + 2;
+        (region.ops, region.term, region.charge) = (ops, term, charge);
+    }
 }
 
 /// Points `s` past the op-less, stack-neutral jumps it lands on (what
@@ -1362,7 +1489,8 @@ fn absorb(regions: &mut [NativeRegion], at: usize) {
 
 /// Lowers the region starting at `start`; newly discovered fall-through
 /// leaders go onto `work`. `None` when nothing would be lowered (the
-/// leader is a call or return) or the region is too deep.
+/// leader is a call or return), the region is too deep, or an element
+/// size exceeds `u32`.
 fn build_region(
     code: &[Instr],
     start: u32,
@@ -1413,7 +1541,7 @@ fn build_region(
     for (pc, &instr) in code.iter().enumerate().take(end).skip(start as usize) {
         let seam = FaultAt {
             pc: pc as u32 + 1,
-            spent: (pc - start as usize) as u64 + 1,
+            spent: (pc - start as usize) as u32 + 1,
         };
         let (_, effect) = stack_shape(instr);
         let after = (d as i32 + effect) as u8;
@@ -1477,13 +1605,13 @@ fn build_region(
                 dst: under,
                 ptr: Src::Reg(under),
                 count: Src::Reg(top),
-                esz,
+                esz: u32::try_from(esz).ok()?,
             },
             Instr::PtrDiff(esz) => NOp::PtrDiff {
                 dst: under,
                 a: under,
                 b: top,
-                esz,
+                esz: u32::try_from(esz).ok()?,
             },
             // The spill image on a fault is everything below the
             // popped operands.
@@ -1632,42 +1760,47 @@ mod tests {
     #[test]
     fn loop_lowers_to_chained_regions_with_fused_terminators() {
         let nf = &lower(LOOP_SRC)[0];
-        // The head is an op-less compare of two slots...
+        // The head compares two slots in place, first thing: a side exit
+        // out of the loop, the superblock running on into the body...
         let head = nf
             .regions
             .iter()
-            .position(|r| r.ops.is_empty() && matches!(r.term, Term::Branch { .. }))
-            .expect("loop head lowers to an op-less Term::Branch");
-        let Term::Branch {
+            .find(|r| matches!(r.ops.first(), Some(NOp::Exit { .. })))
+            .expect("loop head lowers to a leading side exit");
+        let NOp::Exit {
             a: Src::Slot8(_),
             b: Src::Slot8(_),
             op: CmpOp::GeS,
-            taken,
-            fall,
-        } = nf.regions[head].term
+            to: exit,
+            spent,
+            ran: 2,
+        } = head.ops[0]
         else {
-            panic!("head compares i and n in place: {:?}", nf.regions[head]);
+            panic!("head compares i and n in place: {head:?}");
         };
-        // ...and the body's latch took it along: increment, compare and
-        // both successors in one terminator, charges summed, looping
-        // straight back into the body.
-        let body = &nf.regions[fall.region as usize];
+        // ...whose latch is the head's terminator: increment, compare and
+        // both successors in one, looping straight back into the body's
+        // own region.
         let Term::IncBranch {
             delta: 1,
             op: CmpOp::GeS,
-            taken: exit,
+            taken,
             fall: again,
             ..
-        } = body.term
+        } = head.term
         else {
-            panic!("latch fuses step, back-jump and compare: {body:?}");
+            panic!("latch fuses step, back-jump and compare: {head:?}");
         };
-        assert_eq!((exit, again), (taken, fall));
+        let body = &nf.regions[again.region as usize];
+        assert_eq!((taken, body.term), (exit, head.term));
+        assert_eq!(head.ops[1..], body.ops[..], "the body is copied in");
         assert_eq!(again.region, nf.entry[again.pc as usize]);
         assert_ne!(exit.region, NO_REGION, "the exit has a region");
-        // The latch's back-jump is the instruction before the exit.
+        // The latch's back-jump is the instruction before the exit, and
+        // the latch absorbed the head's compare, charges summed.
         let own = (exit.pc - again.pc) as u64;
-        assert_eq!(body.charge, own + nf.regions[head].charge);
+        assert_eq!(body.charge, own + spent as u64);
+        assert_eq!(head.charge, spent as u64 + body.charge);
     }
 
     #[test]
@@ -1795,7 +1928,7 @@ mod tests {
         };
         let code = &compile_source(src).unwrap().funcs[0].code;
         assert_eq!(code[seam.pc as usize - 1], Instr::DivS);
-        assert_eq!(seam.spent, seam.pc as u64);
+        assert_eq!(seam.spent, seam.pc);
         assert!(matches!(ops[div - 3], NOp::StoreLocal { .. }), "{ops:?}");
         assert!(matches!(ops[div + 1], NOp::StoreLocal { .. }), "{ops:?}");
     }
@@ -2130,14 +2263,18 @@ mod tests {
                     ..
                 } | NOp::Cmp { .. }
             )),
-            "every compare and flag constant sits in a terminator: {native:?}"
+            "every compare and flag constant sits in a terminator or an exit: {native:?}"
         );
+        // The entry runs on through both tests: the first one's false
+        // edge is a side exit skipping the join's jumps.
+        let nf = &native[0];
+        let entry = &nf.regions[nf.entry[0] as usize];
         assert!(
-            has_term(&native, |t| matches!(
-                t,
-                Term::Branch { taken: Succ { skip, .. }, .. } if *skip > 0
-            )),
-            "the false edge skips the join's jumps: {native:?}"
+            matches!(
+                entry.ops[..],
+                [NOp::Exit { to: Succ { skip, .. }, .. }, NOp::Exit { .. }, ..] if skip > 0
+            ),
+            "the false edge skips the join's jumps: {entry:?}"
         );
     }
 
@@ -2147,11 +2284,14 @@ mod tests {
             "int main() { int xs[2]; long i; long acc = 0; long n = 4; \
              for (i = 0; i < n; i++) acc += xs[1]; return 0; }",
         );
-        let body = native[0]
-            .regions
+        let regions = &native[0].regions;
+        let (at, body) = regions
             .iter()
-            .find(|r| matches!(r.term, Term::IncBranch { .. }))
-            .expect("loop latch (step + back-jump + head compare)");
+            .enumerate()
+            .find(|(at, r)| {
+                matches!(r.term, Term::IncBranch { fall, .. } if fall.region == *at as u32)
+            })
+            .expect("loop latch (step + back-jump + head compare) into its own region");
         // The accumulator is live below the load, so it is read first;
         // the load names the array and the constant index in place.
         assert!(
@@ -2171,6 +2311,23 @@ mod tests {
             ),
             "{body:?}"
         );
+        // Every way into the loop runs on into a copy of that body, behind
+        // the head compare's side exit, its load's seam charged the prefix.
+        let entries = regions
+            .iter()
+            .enumerate()
+            .filter(|&(i, r)| i != at && r.term == body.term);
+        let mut copies = 0;
+        for (_, r) in entries {
+            let tail = r.ops.len() - body.ops.len();
+            let NOp::Exit { spent, .. } = r.ops[tail - 1] else {
+                panic!("{r:?}");
+            };
+            let copy: Vec<NOp> = body.ops.iter().map(|op| op.shifted(spent)).collect();
+            assert_eq!(r.ops[tail..], copy, "{r:?}");
+            copies += 1;
+        }
+        assert_eq!(copies, 2, "the loop's entry and its head: {regions:?}");
     }
 
     #[test]
@@ -2182,7 +2339,7 @@ mod tests {
             "int main() { int xs[2]; long acc = 0; \
              acc += xs[5]; return (int) (acc + xs[1]); }",
         );
-        let idx: Vec<(Src, u64)> = all_ops(&native)
+        let idx: Vec<(Src, u32)> = all_ops(&native)
             .iter()
             .filter_map(|op| match *op {
                 NOp::IdxLoad { count, esz, .. } => Some((count, esz)),
@@ -2214,7 +2371,7 @@ mod tests {
             .unwrap();
         let want = FaultAt {
             pc: head as u32 + 5,
-            spent: head as u64 + 5,
+            spent: head as u32 + 5,
         };
         assert_eq!(seam, want);
     }

@@ -21,7 +21,9 @@
 //! and fuel rules: every folded operand mode and fused terminator with
 //! a live value below a faulting access, every fuel budget across a
 //! fused loop latch, frame slots rewritten between an operand's read
-//! and its use, and a region too deep for the register file.
+//! and its use, and a region too deep for the register file. Another
+//! walks every server's superblocks along the instruction stream they
+//! were copied from.
 //!
 //! The last section holds the libc shim to the same contract. On the
 //! native tier its string/memory builtins retire whole runs of in-bounds
@@ -37,12 +39,13 @@
 
 use proptest::prelude::*;
 
-use foc_compiler::{compile_image_tier, ExecTier, ProgramImage};
+use foc_compiler::native::{NOp, NativeRegion, Term};
+use foc_compiler::{compile_image_tier, ExecTier, Instr, ProgramImage};
 use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 use foc_memory::{MemConfig, Mode, TableKind, ValueSequence};
 use foc_servers::conn::Edge;
 use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
-use foc_servers::BootSpec;
+use foc_servers::{BootSpec, ServerKind};
 use foc_vm::{Machine, MachineConfig, Observation, VmFault};
 
 /// An in-bounds copy loop: the inner `dst[i] = src[i]` lowers to a
@@ -607,6 +610,153 @@ fn a_region_too_deep_for_the_register_file_runs_interpreted() {
     assert!(
         profile.native_instrs > 0 && stats.instrs - profile.native_instrs > 3 * depth as u64,
         "the deep body is interpreted, the loop control native: {profile:?}"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Superblocks: a region runs on past its branches, which become side
+// exits. The executor's side is swept at every fuel budget in
+// `foc-vm/tests/mid_shape_entry.rs`; here every server's lowering is
+// walked against the instruction stream it came from.
+// ---------------------------------------------------------------------
+
+/// Walks `region`, entered at `start`, along the baseline stream: every
+/// instruction one component, constant branches decided (what threading
+/// and absorbing fold), and every other branch either a side exit —
+/// whose `to` the walk does not take — or the terminator. Each seam must
+/// be charged the components the stream charges through its
+/// instruction, each exit those through its branch with nothing on the
+/// operand stack (a statement-shaped segment), and the terminator the
+/// region's charge with `produces` values left.
+fn walk_region(code: &[Instr], start: u32, region: &NativeRegion) {
+    let mut marks = region.ops.iter().filter_map(|op| match *op {
+        NOp::Div { seam, .. }
+        | NOp::Load { seam, .. }
+        | NOp::Store { seam, .. }
+        | NOp::IdxLoad { seam, .. }
+        | NOp::IdxStore { seam, .. } => Some((seam.spent, None, seam.pc)),
+        NOp::Exit { to, spent, .. } => Some((spent, Some(to), 0)),
+        _ => None,
+    });
+    let mut next = marks.next();
+    let stop = match region.term {
+        Term::Goto(s) => s.pc,
+        _ => u32::MAX,
+    };
+    let mut stack: Vec<Option<i64>> = vec![None; region.consumes as usize];
+    let (mut pc, mut n) = (start, 0u32);
+    for _ in 0..code.len() {
+        let instr = code[pc as usize];
+        n += 1;
+        let mut to = pc + 1;
+        match instr {
+            Instr::Const(c) => stack.push(Some(c)),
+            Instr::Dup => stack.push(*stack.last().unwrap()),
+            Instr::Swap | Instr::Rot3 | Instr::Normalize(..) | Instr::EffAddr => {
+                let k = if instr == Instr::Rot3 {
+                    3
+                } else {
+                    1 + (instr == Instr::Swap) as usize
+                };
+                let len = stack.len();
+                stack[len - k..].iter_mut().for_each(|v| *v = None);
+            }
+            Instr::Drop | Instr::StoreLocal(..) => drop(stack.pop()),
+            Instr::LocalAddr(_)
+            | Instr::GlobalAddr(_)
+            | Instr::StrAddr(_)
+            | Instr::LoadLocal(..) => stack.push(None),
+            Instr::Neg | Instr::BitNot | Instr::Not | Instr::Load(..) => {
+                *stack.last_mut().unwrap() = None;
+            }
+            Instr::Store(_) => drop(stack.drain(stack.len() - 2..)),
+            Instr::Jump(t) => to = t,
+            Instr::JumpIfZero(t) | Instr::JumpIfNotZero(t) => {
+                let taken = |c: i64| (c == 0) == matches!(instr, Instr::JumpIfZero(_));
+                match stack.pop().unwrap() {
+                    Some(c) => to = if taken(c) { t } else { pc + 1 },
+                    None => match next {
+                        Some((spent, Some(exit), _)) => {
+                            assert_eq!(spent, n, "exit at pc {pc}: {region:?}");
+                            assert!(stack.is_empty(), "exit at pc {pc}: {region:?}");
+                            to = if exit.pc == t { pc + 1 } else { t };
+                            next = marks.next();
+                        }
+                        _ => {
+                            assert_eq!((next, n as u64), (None, region.charge), "{region:?}");
+                            assert_eq!(stack.len(), region.produces as usize, "{region:?}");
+                            return;
+                        }
+                    },
+                }
+            }
+            Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret => {
+                panic!("walked into a boundary at pc {pc}: {region:?}")
+            }
+            _ => {
+                stack.pop().unwrap();
+                *stack.last_mut().unwrap() = None;
+            }
+        }
+        let faults = matches!(
+            instr,
+            Instr::Load(_, _)
+                | Instr::Store(_)
+                | Instr::DivS
+                | Instr::DivU
+                | Instr::RemS
+                | Instr::RemU
+        );
+        if faults {
+            let Some((spent, None, at)) = next else {
+                panic!("no seam for pc {pc}: {region:?}");
+            };
+            assert_eq!((at, spent), (pc + 1, n), "{region:?}");
+            next = marks.next();
+        }
+        pc = to;
+        // A chain may pass its jump's target once before it ends there.
+        if (pc, next, n as u64) == (stop, None, region.charge) {
+            assert_eq!(stack.len(), region.produces as usize, "{region:?}");
+            return;
+        }
+    }
+    panic!("the walk from {start} never reached the terminator: {region:?}");
+}
+
+#[test]
+fn every_superblock_is_statement_shaped_and_charges_what_the_stream_does() {
+    let (mut superblocks, mut exits) = (0, 0);
+    for kind in ServerKind::ALL {
+        let image = kind.fresh_image_tier(ExecTier::Native);
+        for (fid, func) in image.funcs.iter().enumerate() {
+            let nf = image.native_func(fid as u32).expect("native image");
+            for (pc, &at) in nf.entry.iter().enumerate() {
+                let Some(region) = nf.regions.get(at as usize) else {
+                    continue;
+                };
+                walk_region(&func.code, pc as u32, region);
+                let crossed = region
+                    .ops
+                    .iter()
+                    .filter(|op| matches!(op, NOp::Exit { .. }));
+                let crossed = crossed.count();
+                if matches!(region.term, Term::Counted(_)) {
+                    assert_eq!((region.ops.len(), crossed), (2, 0), "{region:?}");
+                }
+                if crossed > 0 {
+                    assert_eq!(region.produces, 0, "{region:?}");
+                    superblocks += 1;
+                    exits += crossed;
+                }
+            }
+        }
+    }
+    // 264 superblocks crossing 449 branches when written: a floor, so
+    // superblocks that stop forming fail here too.
+    assert!(
+        superblocks > 200 && exits > superblocks,
+        "{superblocks} / {exits}"
     );
 }
 

@@ -130,7 +130,7 @@ pub struct ExecProfile {
     /// Instructions retired inside native regions (fault refunds
     /// subtracted, like `RunStats::instrs`).
     pub native_instrs: u64,
-    /// Native regions entered.
+    /// Native regions entered (a superblock counts once).
     pub region_entries: u64,
     /// Dispatches inside native regions: per region entered, the entry,
     /// each of its ops and its terminator — a count fixed at lowering
@@ -150,6 +150,8 @@ pub struct ExecProfile {
     pub view_misses: u64,
     /// Stays that ended in a guest fault at a region's seam.
     pub faults: u64,
+    /// Superblock side exits taken (`NOp::Exit`).
+    pub side_exits: u64,
     /// Builtin calls dispatched.
     pub builtin_calls: u64,
     /// Instructions the builtins charged for their byte iterations,
@@ -690,7 +692,8 @@ impl Machine {
     /// `charge - spent` from the op's pre-baked seam, spills the live
     /// registers back to the operand stack, and writes fuel and the
     /// seam's pc back to the architectural state, so the post-fault
-    /// image is the baseline tier's.
+    /// image is the baseline tier's. A superblock's side exit refunds
+    /// alike and chains on to its target.
     // Its own symbol: the interpreter loop keeps its own register
     // allocation, and its placement is read beside any `mc_copy` number.
     #[allow(clippy::too_many_arguments)]
@@ -745,12 +748,30 @@ impl Machine {
         macro_rules! fault {
             ($seam:expr, $spill:expr, $e:expr) => {{
                 self.stack.extend_from_slice(&regs[..$spill as usize]);
-                fuel += region.charge - $seam.spent;
+                fuel += region.charge - $seam.spent as u64;
                 settle!();
                 self.profile.faults += 1;
                 self.fuel = fuel;
                 self.frames.last_mut().expect("active frame").pc = $seam.pc;
                 return Err($e);
+            }};
+        }
+        // Continues `$chain` at `$next` if fuel covers the region there.
+        macro_rules! chain {
+            ($chain:lifetime, $next:expr) => {{
+                let next: Succ = $next;
+                match nf.regions.get(next.region as usize) {
+                    Some(to) if fuel >= to.charge + next.skip as u64 => {
+                        fuel -= to.charge + next.skip as u64;
+                        region = to;
+                        continue $chain;
+                    }
+                    // A region starts there, but fuel does not cover it.
+                    Some(_) => self.profile.fuel_short_exits += 1,
+                    // No region: a call, builtin or return boundary.
+                    None => self.profile.no_region_exits += 1,
+                }
+                break $chain next.pc;
             }};
         }
         macro_rules! val {
@@ -797,7 +818,7 @@ impl Machine {
         }
 
         fuel -= region.charge;
-        let next_pc = loop {
+        let next_pc = 'chain: loop {
             entries += 1;
             ops += region.dispatches as u64;
             // One value at a time: a slice copy here is a libc `memcpy`
@@ -950,6 +971,21 @@ impl Machine {
                             spill
                         );
                     }
+                    NOp::Exit {
+                        a,
+                        b,
+                        op,
+                        to,
+                        spent,
+                        ran,
+                    } => {
+                        if op.eval(val!(a), val!(b)) {
+                            fuel += region.charge - spent as u64;
+                            ops -= (region.dispatches - ran) as u64;
+                            self.profile.side_exits += 1;
+                            chain!('chain, to);
+                        }
+                    }
                 }
             }
             let next = match region.term {
@@ -998,22 +1034,7 @@ impl Machine {
             for &v in &regs[..region.produces as usize] {
                 self.stack.push(v);
             }
-            match nf.regions.get(next.region as usize) {
-                Some(to) if fuel >= to.charge + next.skip as u64 => {
-                    fuel -= to.charge + next.skip as u64;
-                    region = to;
-                }
-                // A region starts there, but fuel does not cover it.
-                Some(_) => {
-                    self.profile.fuel_short_exits += 1;
-                    break next.pc;
-                }
-                // No region: a call, builtin or return boundary.
-                None => {
-                    self.profile.no_region_exits += 1;
-                    break next.pc;
-                }
-            }
+            chain!('chain, next);
         };
         settle!();
         Ok((next_pc, fuel))

@@ -105,6 +105,26 @@ fn the_tiers_differ_in_their_profiles_and_agree_on_the_observation() {
 }
 
 #[test]
+fn side_exits_are_counted_beside_the_observation_not_in_it() {
+    // The baseline tier has no superblocks, so it takes no side exit;
+    // the native tier leaves the loop's superblocks on every other pass
+    // (an `if` it runs on into), and no surface of the relation shows it.
+    let source = "long f(long x) { long i; long t = 0; \
+                  for (i = 0; i < 8; i++) if (i & 1) t = t + x; return t; }";
+    let run = |tier| {
+        let image = compile_image_tier(source, tier).expect("source builds");
+        let mut m = Machine::load(image, base_config()).expect("load");
+        assert_eq!(m.call("f", &[3]), Ok(12));
+        (m.observe(), m.exec_profile())
+    };
+    let (baseline, interpreted) = run(ExecTier::Baseline);
+    let (native, lowered) = run(ExecTier::Native);
+    assert_eq!(interpreted.side_exits, 0);
+    assert!(lowered.side_exits > 0, "{lowered:?}");
+    assert_eq!(baseline, native);
+}
+
+#[test]
 fn the_tables_differ_in_their_lookup_profiles_and_agree_on_the_observation() {
     let run_on = |table| {
         let image = compile_image_tier(SOURCE, ExecTier::Native).expect("source builds");
