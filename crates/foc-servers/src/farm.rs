@@ -288,9 +288,9 @@ impl PartialEq for FarmReport {
         // Thread count, slice grain, object table, and the request
         // edge are excluded: they shape host wall time only, never the
         // measured data — that is the determinism contract (the table
-        // half is asserted by the shipped-vs-oracle transcript tests in
-        // `tests/table_backends.rs`, the edge half by the socket-vs-
-        // in-process battery in `tests/conn_equiv.rs`).
+        // half is asserted by the shipped-vs-oracle farm tests in
+        // `foc-servers/tests/table_backends.rs`, the edge half by the
+        // socket-vs-in-process battery in `tests/conn_equiv.rs`).
         a.kind == b.kind
             && a.mode == b.mode
             && a.sequence == b.sequence
@@ -620,7 +620,7 @@ const GEN_POOL: usize = 8;
 /// depend on request `k`'s outcome (a delivery that survived grows the
 /// readable-mailbox range), so generation must observe each outcome
 /// before drawing the next request — see [`RequestGen::observe`].
-pub(crate) struct RequestGen {
+pub struct RequestGen {
     rng: StdRng,
     /// Driver-side view of Pine's mailbox size (read-index domain).
     messages: i64,
@@ -635,7 +635,7 @@ pub(crate) struct RequestGen {
 impl RequestGen {
     /// A generator over `seed`, with Pine's view starting at the
     /// standard seed-mailbox size.
-    pub(crate) fn new(seed: u64) -> RequestGen {
+    pub fn new(seed: u64) -> RequestGen {
         RequestGen {
             rng: StdRng::seed_from_u64(seed),
             messages: PINE_SEED_MESSAGES as i64,
@@ -646,7 +646,7 @@ impl RequestGen {
 
     /// Draws the attack decision for the next request (the stream's
     /// first rng draw per request, exactly as before the edge split).
-    pub(crate) fn draw_attack(&mut self, ratio: (u32, u32)) -> bool {
+    pub fn draw_attack(&mut self, ratio: (u32, u32)) -> bool {
         ratio.0 > 0 && self.rng.gen_ratio(ratio.0, ratio.1)
     }
 
@@ -659,7 +659,7 @@ impl RequestGen {
     /// `gen_range(0..10)` selector, then the content draws in the same
     /// order — so streams are bit-compatible with every recorded
     /// artifact.
-    pub(crate) fn generate(&mut self, kind: ServerKind, attack: bool) -> Request {
+    pub fn generate(&mut self, kind: ServerKind, attack: bool) -> Request {
         use std::io::Write as _;
         match kind {
             ServerKind::Apache => {
@@ -810,7 +810,7 @@ impl RequestGen {
     /// state the next generation depends on: a Pine delivery that
     /// survived grows the mailbox view (matching what the mail file
     /// now holds). Must run before the next [`RequestGen::generate`].
-    pub(crate) fn observe(&mut self, request: &Request, survived: bool) {
+    pub fn observe(&mut self, request: &Request, survived: bool) {
         if survived && matches!(request, Request::PineDeliver { .. }) {
             self.messages += 1;
         }

@@ -608,9 +608,9 @@ impl Trace {
 
 /// The raw result of driving one input script under one boot spec,
 /// before classification: every surface a client or operator can
-/// observe. Differential harnesses (the tier-equivalence battery in
-/// `tests/native_equiv.rs`) assert two of these equal to prove a
-/// substrate change is invisible end to end.
+/// observe. The equivalence harness (`foc-servers/tests/equiv`) asserts
+/// these equal across the tier × table lattice to prove a substrate
+/// change is invisible end to end.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Driven {
     /// Transcript hash (steps until the first crash, if any).
@@ -679,13 +679,25 @@ fn seal(
 /// going through [`CellSpec`]; the equivalence batteries assert the
 /// [`Driven`]s of two such configurations equal.
 pub fn drive_input(input: &SweepInput, spec: &BootSpec, edge: &Edge) -> Driven {
+    drive_booted(input, spec, edge, |env| Server::boot(input.kind, spec, env))
+}
+
+/// [`drive_input`] on the server `boot` starts over the input's
+/// environment: [`Server::boot_cold`], where a cold boot is held to the
+/// cached one. Supervision restarts still go through [`Server::restart`].
+pub fn drive_booted(
+    input: &SweepInput,
+    spec: &BootSpec,
+    edge: &Edge,
+    boot: impl FnOnce(&ServerEnv) -> Server,
+) -> Driven {
     let kind = input.kind;
     let env = input.env.map_or(
         Cow::Borrowed(ServerEnv::standard()),
         |env| Cow::Owned(env()),
     );
     let mut t = Trace::new();
-    let mut process = Server::boot(kind, spec, &env);
+    let mut process = boot(&env);
     let mut session = match edge {
         Edge::InProcess => None,
         Edge::Socket(socket) => Some(ConnSession::new(kind, socket)),

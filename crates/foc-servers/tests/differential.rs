@@ -17,16 +17,19 @@
 //!    failure-oblivious version (and its §5.1 variants) survive and keep
 //!    serving — with the FO version converting each attack into the
 //!    anticipated error the paper reports.
-//! 3. **The shipped default is the reference oracle, faster.** A session
-//!    booted from `BootSpec::new` (`native`/`flat`) and from
-//!    `BootSpec::oracle` (`baseline`/`splay`) agree on the transcript
-//!    (per step: return code, bytes or fault, cycles) and on the
-//!    process's whole [`Observation`].
+//!
+//! That the shipped default (`BootSpec::new`: `native`/`flat`) is the
+//! `baseline`/`splay` reference oracle, faster, is the equivalence
+//! harness's lattice (`equiv::lattice`, driven over the whole input
+//! library in `native_equiv.rs`); here it also holds for a guest index
+//! that wraps the address space.
 
-use failure_oblivious::memory::Mode;
-use failure_oblivious::servers::{apache, mc, mutt, pine, sendmail, workload};
-use failure_oblivious::servers::{BootSpec, Measured, Outcome, ServerKind};
-use failure_oblivious::vm::Observation;
+mod equiv;
+
+use equiv::Case;
+use foc_memory::{Mode, TableKind};
+use foc_servers::{apache, mc, mutt, pine, sendmail, workload, Measured, Outcome};
+use foc_vm::MachineConfig;
 
 /// What one request looked like to the client: return code + bytes.
 type Observed = (Option<i64>, Vec<u8>);
@@ -35,20 +38,23 @@ fn observe(m: Measured) -> Observed {
     (m.outcome.ret(), m.outcome.output().to_vec())
 }
 
-/// Asserts every mode's transcript equals Standard's, labelling the
-/// first diverging step.
-fn assert_transcripts_match(server: &str, transcripts: &[(Mode, Vec<Observed>)]) {
-    let (base_mode, base) = &transcripts[0];
-    for (mode, transcript) in &transcripts[1..] {
+/// Asserts `session`'s transcript under every one of `modes` equals the
+/// first mode's, labelling the first diverging step.
+fn assert_mode_invariant(server: &str, modes: &[Mode], session: impl Fn(Mode) -> Vec<Observed>) {
+    let base = session(modes[0]);
+    for &mode in &modes[1..] {
+        let transcript = session(mode);
         assert_eq!(
             base.len(),
             transcript.len(),
-            "{server}: {mode:?} transcript length differs from {base_mode:?}"
+            "{server}: {mode:?} transcript length differs from {:?}",
+            modes[0]
         );
-        for (i, (a, b)) in base.iter().zip(transcript.iter()).enumerate() {
+        for (i, (a, b)) in base.iter().zip(&transcript).enumerate() {
             assert_eq!(
                 a, b,
-                "{server}: step {i} diverges between {base_mode:?} and {mode:?}"
+                "{server}: step {i} diverges between {:?} and {mode:?}",
+                modes[0]
             );
         }
     }
@@ -60,43 +66,33 @@ fn assert_transcripts_match(server: &str, transcripts: &[(Mode, Vec<Observed>)])
 
 #[test]
 fn apache_benign_output_is_mode_invariant() {
-    let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
-        .into_iter()
-        .map(|mode| {
-            let mut w = apache::ApacheWorker::boot(mode);
-            let steps = vec![
-                observe(w.get(b"/index.html")),
-                observe(w.get(b"/big.bin")),
-                observe(w.get(b"/rw/index.html")),
-                observe(w.get(&apache::rewrite_url(10))),
-                observe(w.get(b"/missing.html")),
-                observe(w.get(b"/index.html?q=1")),
-            ];
-            (mode, steps)
-        })
-        .collect();
-    assert_transcripts_match("Apache", &transcripts);
+    assert_mode_invariant("Apache", &Mode::ALL, |mode| {
+        let mut w = apache::ApacheWorker::boot(mode);
+        vec![
+            observe(w.get(b"/index.html")),
+            observe(w.get(b"/big.bin")),
+            observe(w.get(b"/rw/index.html")),
+            observe(w.get(&apache::rewrite_url(10))),
+            observe(w.get(b"/missing.html")),
+            observe(w.get(b"/index.html?q=1")),
+        ]
+    });
 }
 
 #[test]
 fn pine_benign_output_is_mode_invariant() {
-    let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
-        .into_iter()
-        .map(|mode| {
-            let mut p = pine::Pine::boot(mode, pine::Pine::standard_mailbox(5));
-            assert!(p.usable(), "{mode:?}: clean mailbox must load");
-            let steps = vec![
-                observe(p.read(0)),
-                observe(p.read(4)),
-                observe(p.compose()),
-                observe(p.move_message(2)),
-                observe(p.deliver(&workload::from_field(77), b"new mail", b"hello there")),
-                observe(p.read(5)),
-            ];
-            (mode, steps)
-        })
-        .collect();
-    assert_transcripts_match("Pine", &transcripts);
+    assert_mode_invariant("Pine", &Mode::ALL, |mode| {
+        let mut p = pine::Pine::boot(mode, pine::Pine::standard_mailbox(5));
+        assert!(p.usable(), "{mode:?}: clean mailbox must load");
+        vec![
+            observe(p.read(0)),
+            observe(p.read(4)),
+            observe(p.compose()),
+            observe(p.move_message(2)),
+            observe(p.deliver(&workload::from_field(77), b"new mail", b"hello there")),
+            observe(p.read(5)),
+        ]
+    });
 }
 
 #[test]
@@ -109,29 +105,24 @@ fn sendmail_benign_output_is_mode_invariant_where_usable() {
         Mode::Boundless,
         Mode::Redirect,
     ];
-    let transcripts: Vec<(Mode, Vec<Observed>)> = usable_modes
-        .into_iter()
-        .map(|mode| {
-            let mut sm = sendmail::Sendmail::boot(mode);
-            assert!(sm.usable(), "{mode:?}: daemon must start");
-            let steps = vec![
-                observe(sm.receive(
-                    &workload::sendmail_address(1),
-                    &workload::sendmail_address(2),
-                    b"first message body",
-                )),
-                observe(sm.send(&workload::sendmail_address(3), b"outbound body")),
-                observe(sm.receive(
-                    &workload::sendmail_address(4),
-                    &workload::sendmail_address(5),
-                    &workload::lorem(200, 42),
-                )),
-                (sm.delivered_count(), Vec::new()),
-            ];
-            (mode, steps)
-        })
-        .collect();
-    assert_transcripts_match("Sendmail", &transcripts);
+    assert_mode_invariant("Sendmail", &usable_modes, |mode| {
+        let mut sm = sendmail::Sendmail::boot(mode);
+        assert!(sm.usable(), "{mode:?}: daemon must start");
+        vec![
+            observe(sm.receive(
+                &workload::sendmail_address(1),
+                &workload::sendmail_address(2),
+                b"first message body",
+            )),
+            observe(sm.send(&workload::sendmail_address(3), b"outbound body")),
+            observe(sm.receive(
+                &workload::sendmail_address(4),
+                &workload::sendmail_address(5),
+                &workload::lorem(200, 42),
+            )),
+            (sm.delivered_count(), Vec::new()),
+        ]
+    });
 
     // ...and the exception itself is part of the expected matrix.
     let bc = sendmail::Sendmail::boot(Mode::BoundsCheck);
@@ -144,46 +135,36 @@ fn sendmail_benign_output_is_mode_invariant_where_usable() {
 
 #[test]
 fn mc_benign_output_is_mode_invariant() {
-    let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
-        .into_iter()
-        .map(|mode| {
-            let mut m = mc::Mc::boot(mode, &mc::clean_config());
-            assert!(m.usable(), "{mode:?}: clean config must load");
-            m.create(b"/tmp/a.txt", 4096, false);
-            let steps = vec![
-                observe(m.copy(b"/tmp/a.txt", b"/tmp/b.txt")),
-                observe(m.move_file(b"/tmp/b.txt", b"/tmp/c.txt")),
-                observe(m.mkdir(b"/tmp/newdir")),
-                observe(m.component_end(b"usr/lib")),
-                observe(m.delete(b"/tmp/c.txt")),
-                observe(m.delete(b"/tmp/never-existed")),
-            ];
-            (mode, steps)
-        })
-        .collect();
-    assert_transcripts_match("MC", &transcripts);
+    assert_mode_invariant("MC", &Mode::ALL, |mode| {
+        let mut m = mc::Mc::boot(mode, &mc::clean_config());
+        assert!(m.usable(), "{mode:?}: clean config must load");
+        m.create(b"/tmp/a.txt", 4096, false);
+        vec![
+            observe(m.copy(b"/tmp/a.txt", b"/tmp/b.txt")),
+            observe(m.move_file(b"/tmp/b.txt", b"/tmp/c.txt")),
+            observe(m.mkdir(b"/tmp/newdir")),
+            observe(m.component_end(b"usr/lib")),
+            observe(m.delete(b"/tmp/c.txt")),
+            observe(m.delete(b"/tmp/never-existed")),
+        ]
+    });
 }
 
 #[test]
 fn mutt_benign_output_is_mode_invariant() {
-    let transcripts: Vec<(Mode, Vec<Observed>)> = Mode::ALL
-        .into_iter()
-        .map(|mode| {
-            let mut m = mutt::Mutt::boot(mode, 3);
-            let steps = vec![
-                observe(m.open_folder(b"INBOX")),
-                observe(m.read_message(0)),
-                observe(m.read_message(2)),
-                observe(m.move_message(1, b"archive")),
-                observe(m.open_folder(b"work")),
-                // Malformed UTF-8 is an *anticipated* error: same rejection
-                // in every mode, no memory error involved.
-                observe(m.open_folder(&[0xC0, 0x80])),
-            ];
-            (mode, steps)
-        })
-        .collect();
-    assert_transcripts_match("Mutt", &transcripts);
+    assert_mode_invariant("Mutt", &Mode::ALL, |mode| {
+        let mut m = mutt::Mutt::boot(mode, 3);
+        vec![
+            observe(m.open_folder(b"INBOX")),
+            observe(m.read_message(0)),
+            observe(m.read_message(2)),
+            observe(m.move_message(1, b"archive")),
+            observe(m.open_folder(b"work")),
+            // Malformed UTF-8 is an *anticipated* error: same rejection
+            // in every mode, no memory error involved.
+            observe(m.open_folder(&[0xC0, 0x80])),
+        ]
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -394,102 +375,6 @@ fn mutt_attack_matrix() {
 }
 
 // ---------------------------------------------------------------------
-// The shipped default against the reference oracle.
-// ---------------------------------------------------------------------
-
-/// One benign + attack + benign-again session per server: its
-/// transcript beside what its process left observable.
-fn session(kind: ServerKind, spec: &BootSpec) -> (Vec<Measured>, Observation) {
-    match kind {
-        ServerKind::Apache => {
-            let mut w = apache::ApacheWorker::boot_spec(spec);
-            let steps = vec![
-                w.get(b"/index.html"),
-                w.get(b"/big.bin"),
-                w.get(&apache::attack_url()),
-                w.get(b"/rw/index.html"),
-            ];
-            (steps, w.process().machine().observe())
-        }
-        ServerKind::Pine => {
-            let mut p = pine::Pine::boot_spec(spec, pine::Pine::standard_mailbox(3));
-            let steps = vec![
-                p.read(0),
-                p.compose(),
-                p.deliver(&pine::attack_from(40), b"pwn", b"payload"),
-                p.read(3),
-                p.read(1),
-            ];
-            (steps, p.process().machine().observe())
-        }
-        ServerKind::Sendmail => {
-            let mut sm = sendmail::Sendmail::boot_spec(spec);
-            let steps = vec![
-                sm.receive(
-                    &workload::sendmail_address(1),
-                    &workload::sendmail_address(2),
-                    b"first message body",
-                ),
-                sm.mail_from(&sendmail::attack_address(120)),
-                sm.send(&workload::sendmail_address(3), b"outbound body"),
-            ];
-            (steps, sm.process().machine().observe())
-        }
-        ServerKind::Mc => {
-            let mut m = mc::Mc::boot_spec(spec, &mc::clean_config());
-            m.create(b"/tmp/a.txt", 4096, false);
-            let steps = vec![
-                m.copy(b"/tmp/a.txt", b"/tmp/b.txt"),
-                m.open_archive(&mc::attack_links()),
-                m.component_end(b"noslashhere"),
-                m.mkdir(b"/tmp/newdir"),
-            ];
-            (steps, m.process().machine().observe())
-        }
-        ServerKind::Mutt => {
-            let mut m = mutt::Mutt::boot_spec(spec, 3);
-            let steps = vec![
-                m.open_folder(b"INBOX"),
-                m.read_message(0),
-                m.open_folder(&mutt::attack_folder_name(40)),
-                m.open_folder(b"work"),
-            ];
-            (steps, m.process().machine().observe())
-        }
-    }
-}
-
-/// What ships by default (`BootSpec::new`: native tier, flat table) is
-/// a faster way to run the reference
-/// configuration, never a different program: the same session booted
-/// from the default spec and from the explicitly named
-/// `baseline`/`splay` oracle agrees on every surface, where the
-/// continuation code runs (Failure Oblivious) and where the first error
-/// kills the process (Bounds Check).
-#[test]
-fn default_boot_equals_the_baseline_table_splay_oracle() {
-    for kind in ServerKind::ALL {
-        for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
-            let default = BootSpec::new(kind, mode);
-            let shipped = session(kind, &default);
-            assert_eq!(
-                shipped,
-                session(kind, &BootSpec::oracle(kind, mode)),
-                "{} under {mode:?}: {default:?} diverges from the oracle",
-                kind.name()
-            );
-            if mode == Mode::FailureOblivious {
-                assert!(
-                    shipped.1.log_total > 0 && shipped.1.dead.is_none(),
-                    "{}: the session must contain an attack the server rides through",
-                    kind.name()
-                );
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // Guest-chosen addresses at the top of the address space.
 // ---------------------------------------------------------------------
 
@@ -514,34 +399,20 @@ const WRAPPING_STORE: &str = "long g[4];\n\
 /// host panic — under all five modes and both object tables.
 #[test]
 fn wrapping_index_is_a_violation_on_every_tier() {
-    use failure_oblivious::compiler::{compile_image_tier, ExecTier};
-    use failure_oblivious::memory::TableKind;
-    use failure_oblivious::{Machine, MachineConfig};
-
     for source in [WRAPPING_LOAD, WRAPPING_STORE] {
+        let images = equiv::images(source);
+        let case = Case::new(&images, "f", &[]);
         for mode in Mode::ALL {
             for table in TableKind::ALL {
-                let observed = ExecTier::ALL.map(|tier| {
-                    let image = compile_image_tier(source, tier).expect("source builds");
-                    let config = MachineConfig::with_mode(mode).with_table(table);
-                    let mut m = Machine::load(image, config).expect("load");
-                    (m.call("f", &[]), m.observe())
-                });
-                for (tier, seen) in ExecTier::ALL.iter().zip(&observed) {
-                    assert_eq!(
-                        &observed[0],
-                        seen,
-                        "{tier:?} diverges from {:?} under {mode:?}/{table:?}",
-                        ExecTier::ALL[0]
-                    );
-                }
+                let config = MachineConfig::with_mode(mode).with_table(table);
+                let (run, _) = equiv::sweep(&case, &config);
                 if mode == Mode::FailureOblivious {
-                    let (result, seen) = &observed[0];
-                    assert_eq!(seen.log_total, 2, "both accesses are logged");
-                    assert_eq!(seen.space.invalid_reads + seen.space.invalid_writes, 2);
+                    assert_eq!(run.seen.log_total, 2, "both accesses are logged");
+                    let space = &run.seen.space;
+                    assert_eq!(space.invalid_reads + space.invalid_writes, 2);
                     // Two manufactured reads (0, then 1), or `g[0]` untouched.
                     let expected = if source == WRAPPING_LOAD { 1 } else { 0 };
-                    assert_eq!(*result, Ok(expected));
+                    assert_eq!(run.result, Ok(expected));
                 }
             }
         }

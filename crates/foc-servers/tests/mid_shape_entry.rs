@@ -17,12 +17,15 @@
 //! live below the access, cross a fused loop latch, and reach one
 //! segment both inline and through its own region.
 
+mod equiv;
+
 use std::collections::HashMap;
 
+use equiv::{Case, Images};
 use foc_compiler::native::{FaultAt, NOp};
 use foc_compiler::{CompiledFunc, CompiledProgram, FrameLayout, Instr, ProgramImage};
 use foc_memory::{AccessSize, Mode};
-use foc_vm::{ExecProfile, Machine, MachineConfig, Observation, VmFault};
+use foc_vm::MachineConfig;
 
 use AccessSize::{B4, B8};
 
@@ -225,44 +228,42 @@ fn program() -> CompiledProgram {
     }
 }
 
-/// One run of `f(5)`: its result and everything it left observable,
-/// and — apart, because it is not — where execution went.
-fn observe(
-    image: &ProgramImage,
-    mode: Mode,
-    fuel: u64,
-) -> ((Result<i64, VmFault>, Observation), ExecProfile) {
-    let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-    let mut m = Machine::load(image.clone(), config).expect("load");
-    let result = m.call("f", &[5]);
-    ((result, m.observe()), m.exec_profile())
+/// A hand-assembled program at both tiers.
+fn tiers_of(program: CompiledProgram) -> Images {
+    [
+        ProgramImage::new(program.clone()),
+        ProgramImage::with_native(program),
+    ]
+}
+
+/// Standard, then Failure Oblivious, with fuel to spare.
+fn configs() -> [MachineConfig; 2] {
+    [Mode::Standard, Mode::FailureOblivious]
+        .map(|mode| MachineConfig::with_mode(mode).with_fuel(1_000_000))
 }
 
 #[test]
 fn mid_shape_entries_are_tier_blind_at_every_fuel_budget() {
-    let program = program();
-    let native = ProgramImage::with_native(program.clone());
-    let baseline = ProgramImage::new(program);
-
-    let ((result, seen), _) = observe(&baseline, Mode::FailureOblivious, 1_000_000);
-    let (stats, log) = (seen.run, seen.log);
-    assert_eq!(result, Ok(18), "acc = 0+1+2+3+4 + a manufactured 0; k = 8");
+    let images = tiers_of(program());
+    let case = Case::new(&images, "f", &[5]);
+    let [_, failure_oblivious] = configs();
+    let (run, _) = equiv::tiers(&case, &failure_oblivious);
+    assert_eq!(
+        run.result,
+        Ok(18),
+        "acc = 0+1+2+3+4 + a manufactured 0; k = 8"
+    );
     // The one invalid read is the final shape's `Load`, nine slots
     // from the end; its record carries the pc behind it.
-    let load_pc = baseline.funcs[0].code.len() as u32 - 9;
+    let load_pc = images[0].funcs[0].code.len() as u32 - 9;
+    let log = run.seen.log;
     assert_eq!(log.len(), 1, "{log:?}");
     assert_eq!(log[0].pc, load_pc + 1);
-
-    for mode in [Mode::Standard, Mode::FailureOblivious] {
-        for fuel in 0..=stats.instrs + 1 {
-            let (expected, _) = observe(&baseline, mode, fuel);
-            let (got, profile) = observe(&native, mode, fuel);
-            assert_eq!(expected, got, "{mode:?} diverges at fuel {fuel}");
-            if fuel > stats.instrs {
-                assert!(profile.native_instrs > 0, "regions must be in play");
-                assert_eq!(got.0.is_err(), mode == Mode::Standard, "{got:?}");
-            }
-        }
+    for config in configs() {
+        let (run, profile) = equiv::sweep(&case, &config);
+        assert!(profile.native_instrs > 0, "regions must be in play");
+        let standard = config.mem.mode == Mode::Standard;
+        assert_eq!(run.result.is_err(), standard, "{run:?}");
     }
 }
 
@@ -393,46 +394,6 @@ fn branchy_program() -> CompiledProgram {
     }
 }
 
-/// One run of `name(n)`, as [`observe`].
-fn observe_call(
-    image: &ProgramImage,
-    name: &str,
-    n: i64,
-    mode: Mode,
-    fuel: u64,
-) -> ((Result<i64, VmFault>, Observation), ExecProfile) {
-    let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-    let mut m = Machine::load(image.clone(), config).expect("load");
-    let result = m.call(name, &[n]);
-    ((result, m.observe()), m.exec_profile())
-}
-
-/// `name(n)` on both tiers, in both modes, at every fuel budget up to
-/// one past the whole run or the largest region charge, whichever is
-/// more (a superblock is entered only with fuel for its whole chain);
-/// the profile of the failure-oblivious native run at the top budget.
-fn sweep_tiers(images: &[ProgramImage; 2], name: &str, n: i64) -> ExecProfile {
-    let [baseline, native] = images;
-    let fid = native.func_index(name).expect("function exists");
-    let regions = &native.native_func(fid).expect("native image").regions;
-    let most = regions.iter().map(|r| r.charge).max().unwrap_or(0);
-    let ((_, full), _) = observe_call(baseline, name, n, Mode::FailureOblivious, 1_000_000);
-    let top = full.run.instrs.max(most) + 1;
-    let mut profile = ExecProfile::default();
-    for mode in [Mode::Standard, Mode::FailureOblivious] {
-        for fuel in 0..=top {
-            let (expected, _) = observe_call(baseline, name, n, mode, fuel);
-            let got;
-            (got, profile) = observe_call(native, name, n, mode, fuel);
-            assert_eq!(
-                expected, got,
-                "{name}({n}) {mode:?} diverges at fuel {fuel}"
-            );
-        }
-    }
-    profile
-}
-
 fn exits(ops: &[NOp]) -> usize {
     ops.iter()
         .filter(|op| matches!(op, NOp::Exit { .. }))
@@ -441,11 +402,7 @@ fn exits(ops: &[NOp]) -> usize {
 
 #[test]
 fn a_superblock_leaves_at_each_segment_as_the_stream_does() {
-    let program = branchy_program();
-    let images = [
-        ProgramImage::new(program.clone()),
-        ProgramImage::with_native(program),
-    ];
+    let images = tiers_of(branchy_program());
     let nf = images[1].native_func(0).expect("native image");
     let entry = &nf.regions[nf.entry[0] as usize];
     assert_eq!(
@@ -455,26 +412,24 @@ fn a_superblock_leaves_at_each_segment_as_the_stream_does() {
     );
     for n in 0..=4 {
         let want = [0, 1, 11, 111, 1111][n as usize];
-        let ((result, _), _) = observe_call(&images[0], "h", n, Mode::Standard, 1_000);
-        assert_eq!(result, Ok(want));
-        let profile = sweep_tiers(&images, "h", n);
-        // Segments 0–2 leave through an exit, 3 through the terminator.
-        assert_eq!(profile.side_exits, (n < 3) as u64, "h({n}): {profile:?}");
-        assert_eq!(
-            profile.region_entries,
-            2 + (n == 4) as u64,
-            "h({n}): {profile:?}"
-        );
+        let case = Case::new(&images, "h", &[n]);
+        for config in configs() {
+            let (run, profile) = equiv::sweep(&case, &config);
+            assert_eq!(run.result, Ok(want));
+            // Segments 0–2 leave through an exit, 3 through the terminator.
+            assert_eq!(profile.side_exits, (n < 3) as u64, "h({n}): {profile:?}");
+            assert_eq!(
+                profile.region_entries,
+                2 + (n == 4) as u64,
+                "h({n}): {profile:?}"
+            );
+        }
     }
 }
 
 #[test]
 fn superblock_seams_latches_and_shared_segments_are_tier_blind() {
-    let program = branchy_program();
-    let images = [
-        ProgramImage::new(program.clone()),
-        ProgramImage::with_native(program),
-    ];
+    let images = tiers_of(branchy_program());
     let nf = images[1].native_func(1).expect("native image");
     let longest = nf.regions.iter().map(|r| exits(&r.ops)).max();
     assert_eq!(
@@ -513,13 +468,17 @@ fn superblock_seams_latches_and_shared_segments_are_tier_blind() {
 
     // Standard dies at the load on pass 4 with `acc` spilled: passes 0–3
     // add 118, 108, 111 and 18, pass 4 adds 11 before it.
-    let ((died, seen), _) = observe_call(&images[0], "g", 6, Mode::Standard, 1_000_000);
-    assert!(died.is_err(), "{died:?}");
-    assert_eq!(seen.frames, [(1, load_pc)]);
-    assert_eq!(seen.stack, [118 + 108 + 111 + 18 + 11]);
+    let [standard, _] = configs();
+    let (died, _) = equiv::tiers(&Case::new(&images, "g", &[6]), &standard);
+    assert!(died.result.is_err(), "{died:?}");
+    assert_eq!(died.seen.frames, [(1, load_pc)]);
+    assert_eq!(died.seen.stack, [118 + 108 + 111 + 18 + 11]);
     // `g(0)` leaves the entry's superblock at its first exit.
     for n in [0, 6] {
-        let profile = sweep_tiers(&images, "g", n);
-        assert!(profile.side_exits > 0, "g({n}): {profile:?}");
+        let case = Case::new(&images, "g", &[n]);
+        for config in configs() {
+            let (_, profile) = equiv::sweep(&case, &config);
+            assert!(profile.side_exits > 0, "g({n}): {profile:?}");
+        }
     }
 }

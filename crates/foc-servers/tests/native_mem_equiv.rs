@@ -1,21 +1,20 @@
-//! The native executor's invisibility contract at the memory boundary:
-//! a region's checked guest loads and stores, resolved through the
-//! view's placement probe (`Load`/`Store`/`IdxLoad`/`IdxStore`), must
-//! be observationally byte-identical to one-dispatch-at-a-time
-//! interpretation: equal call results and equal
-//! [`foc_vm::Observation`]s — so in particular the `charge − spent`
-//! refund taken at a mid-region deopt, the log's fault pcs and sequence
-//! numbers, and the operand stack and frame pcs a fault leaves behind.
+//! The native executor's invisibility contract at the memory boundary,
+//! as cases of the equivalence harness (`equiv`): a region's checked
+//! guest loads and stores, resolved through the view's placement probe
+//! (`Load`/`Store`/`IdxLoad`/`IdxStore`), must be observationally
+//! byte-identical to one-dispatch-at-a-time interpretation — equal call
+//! results and equal [`foc_vm::Observation`]s, so in particular the
+//! `charge − spent` refund taken at a mid-region deopt, the log's fault
+//! pcs and sequence numbers, and the operand stack and frame pcs a
+//! fault leaves behind.
 //!
-//! `native_equiv.rs` proves the server-layer contract; this battery
-//! aims straight at the heap seams with direct-machine sources built
-//! to fault *inside* a region (earlier ops already retired, the probe
-//! misses, the access deopts at its pre-baked `FaultAt` seam), crossed
-//! with both object tables, alloc/free churn that reshapes the table
-//! under the probe, manufactured-value strategies, and a fuel sweep
-//! that probes the whole-region pre-charge gate around the faulting
-//! region — plus the server-layer attack battery re-run on the oracle
-//! table, which the probe shares with the interpreter.
+//! The cases are direct-machine sources built to fault *inside* a
+//! region (earlier ops already retired, the probe misses, the access
+//! deopts at its pre-baked `FaultAt` seam), crossed with both object
+//! tables, alloc/free churn that reshapes the table under the probe,
+//! manufactured-value strategies, and every fuel budget of the run,
+//! which probes the whole-region pre-charge gate around the faulting
+//! region.
 //!
 //! One section holds the lowering's folding pass to its spill, alias
 //! and fuel rules: every folded operand mode and fused terminator with
@@ -37,16 +36,16 @@
 //! the result, the `Observation`, the output and every byte of guest
 //! memory.
 
+mod equiv;
+
 use proptest::prelude::*;
 
+use equiv::Case;
 use foc_compiler::native::{NOp, NativeRegion, Term};
-use foc_compiler::{compile_image_tier, ExecTier, Instr, ProgramImage};
-use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
+use foc_compiler::{ExecTier, Instr};
 use foc_memory::{MemConfig, Mode, TableKind, ValueSequence};
-use foc_servers::conn::Edge;
-use foc_servers::sweep::{drive_input, INPUT_LIBRARY};
-use foc_servers::{BootSpec, ServerKind};
-use foc_vm::{Machine, MachineConfig, Observation, VmFault};
+use foc_servers::ServerKind;
+use foc_vm::{Machine, MachineConfig};
 
 /// An in-bounds copy loop: the inner `dst[i] = src[i]` lowers to a
 /// pointer-arithmetic + checked-access pair that the native tier folds
@@ -86,62 +85,24 @@ const OVERRUN_SOURCE: &str = "long smash(long n) {\n\
      return t;\n\
  }";
 
-/// One machine run: the call's result beside everything it left
-/// observable ([`Observation`] — the relation every test here asserts).
-type Run = (Result<i64, VmFault>, Observation);
-
-/// Boots `source` at `tier`, applies `churn` rounds of host-side
-/// allocate/free traffic (reshaping the object table the in-block
-/// probe resolves against), calls `entry(arg)` once, and
-/// snapshots everything observable.
-fn observe(
-    source: &str,
-    entry: &str,
-    arg: i64,
-    tier: ExecTier,
-    config: MachineConfig,
-    churn: u32,
-) -> Run {
-    let image = compile_image_tier(source, tier).expect("source builds");
-    let mut m = Machine::load(image, config).expect("load");
-    let mut held = Vec::new();
-    for round in 0..churn {
-        let addr = m.alloc_cstring(&[b'x'; 11]).expect("churn allocation fits");
-        // Free every other allocation immediately so the table sees
-        // interleaved insert/remove traffic, not just growth.
-        if round % 2 == 0 {
-            m.free_guest(addr).expect("churn free");
-        } else {
-            held.push(addr);
-        }
-    }
-    let result = m.call(entry, &[arg]);
-    (result, m.observe())
+/// `mode` on `table` with `fuel` to spend per call.
+fn config(mode: Mode, table: TableKind, fuel: u64) -> MachineConfig {
+    MachineConfig::with_mode(mode)
+        .with_table(table)
+        .with_fuel(fuel)
 }
 
-/// Asserts both tiers of (`source`, `config`) agree on every
-/// observable surface, returning the shared observation.
-fn assert_mem_blind(
-    source: &str,
-    entry: &str,
-    arg: i64,
-    config: &MachineConfig,
-    churn: u32,
-) -> Run {
-    let baseline = observe(
-        source,
-        entry,
-        arg,
-        ExecTier::Baseline,
-        config.clone(),
-        churn,
-    );
-    let native = observe(source, entry, arg, ExecTier::Native, config.clone(), churn);
-    assert_eq!(
-        baseline, native,
-        "{entry}({arg}) native must match baseline ({config:?}, churn {churn})"
-    );
-    baseline
+/// `rounds` of host-side allocate/free traffic before the call,
+/// reshaping the object table the in-block probe resolves against.
+/// Every other allocation is freed at once, so the table sees
+/// interleaved insert/remove traffic, not just growth.
+fn churn(m: &mut Machine, rounds: u32) {
+    for round in 0..rounds {
+        let addr = m.alloc_cstring(&[b'x'; 11]).expect("churn allocation fits");
+        if round % 2 == 0 {
+            m.free_guest(addr).expect("churn free");
+        }
+    }
 }
 
 /// The in-bounds copy loop is byte-identical across tiers, modes, and
@@ -150,21 +111,19 @@ fn assert_mem_blind(
 /// exactly as interpreted accesses do on the pure fast path.
 #[test]
 fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
+    let images = equiv::images(COPY_SOURCE);
+    let case = Case::new(&images, "spin", &[6]);
     for mode in Mode::ALL {
-        let mut per_table = Vec::new();
-        for table in TableKind::ALL {
-            let config = MachineConfig::with_mode(mode)
-                .with_table(table)
-                .with_fuel(1_000_000);
-            let (result, seen) = assert_mem_blind(COPY_SOURCE, "spin", 6, &config, 0);
+        let per_table = TableKind::ALL.map(|table| {
+            let (run, _) = equiv::tiers(&case, &config(mode, table, 1_000_000));
             assert_eq!(
-                result,
+                run.result,
                 Ok(31 * 7 * 6),
                 "the copy loop is violation-free and must complete under {mode:?}/{table:?}"
             );
-            assert_eq!(seen.log_total, 0, "no violations on the in-bounds loop");
-            per_table.push(seen);
-        }
+            assert_eq!(run.seen.log_total, 0, "no violations on the in-bounds loop");
+            run.seen
+        });
         assert_eq!(
             per_table[0], per_table[1],
             "the tables must be mutually invisible under {mode:?}"
@@ -175,28 +134,27 @@ fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
 /// Mid-block access faults: the overrun loop crosses its arrays' ends,
 /// so the fused in-block access deopts. Every mode's full observable
 /// surface — including the fault pc inside the log records and the
-/// refunded `RunStats` — must match the baseline interpreter, on both
-/// object tables.
+/// refunded `RunStats` — must match the baseline interpreter at every
+/// fuel budget, on both object tables.
 #[test]
 fn mid_block_access_faults_are_tier_blind() {
+    let images = equiv::images(OVERRUN_SOURCE);
+    let case = Case::new(&images, "smash", &[12]);
     for mode in Mode::ALL {
         for table in TableKind::ALL {
-            let config = MachineConfig::with_mode(mode)
-                .with_table(table)
-                .with_fuel(1_000_000);
-            let (result, seen) = assert_mem_blind(OVERRUN_SOURCE, "smash", 12, &config, 0);
+            // Standard's overrun rewrites the counter and never ends.
+            let (run, _) = equiv::sweep(&case, &config(mode, table, 2_000));
             if mode == Mode::FailureOblivious {
                 assert!(
-                    result.is_ok(),
+                    run.result.is_ok(),
                     "failure-oblivious execution must ride through the overrun"
                 );
                 assert!(
-                    seen.log_total > 0,
+                    run.seen.log_total > 0,
                     "the overrun must be observable in the error log"
                 );
-                let record = &seen.log[0];
                 assert!(
-                    record.pc > 0,
+                    run.seen.log[0].pc > 0,
                     "log records must carry the interpreter's fault pc"
                 );
             }
@@ -216,47 +174,13 @@ fn manufactured_values_at_deopt_seams_are_tier_blind() {
         ValueSequence::Cycling { wrap: 3 },
         ValueSequence::Cycling { wrap: 257 },
     ];
+    let images = equiv::images(OVERRUN_SOURCE);
     for sequence in sequences {
         let config = MachineConfig::with_mode(Mode::FailureOblivious)
             .with_sequence(sequence)
             .with_fuel(1_000_000);
-        let _ = assert_mem_blind(OVERRUN_SOURCE, "smash", 20, &config, 0);
+        equiv::tiers(&Case::new(&images, "smash", &[20]), &config);
     }
-}
-
-/// The server-layer attack battery on the *oracle* table: all five
-/// servers × all five modes × the full input library, native vs
-/// baseline. `native_equiv.rs` covers the shipped table; this leg pins
-/// that heap-spanning blocks inside real server images resolve through
-/// the splay tree identically too.
-#[test]
-fn all_servers_all_modes_attack_library_on_the_oracle_table() {
-    let mut attacks = 0;
-    for input in INPUT_LIBRARY {
-        for mode in Mode::ALL {
-            let spec = BootSpec::new(input.kind, mode).with_table(TableKind::Splay);
-            let baseline =
-                drive_input(input, &spec.with_tier(ExecTier::Baseline), &Edge::InProcess);
-            let native = drive_input(input, &spec.with_tier(ExecTier::Native), &Edge::InProcess);
-            assert_eq!(
-                baseline,
-                native,
-                "{}/{} on the splay table: native must match baseline",
-                input.kind.name(),
-                input.name
-            );
-            if input.attack && mode == Mode::FailureOblivious {
-                attacks += 1;
-                assert!(
-                    baseline.violations > 0 || baseline.fault.is_some(),
-                    "{}/{}: an attack input must be observable",
-                    input.kind.name(),
-                    input.name
-                );
-            }
-        }
-    }
-    assert!(attacks >= 5, "the library must cover every server's attack");
 }
 
 // ---------------------------------------------------------------------
@@ -285,21 +209,12 @@ const TWO_REGION_LOOP: &str = "long walk(long n) {\n\
 /// baseline's counters.
 #[test]
 fn every_fuel_budget_of_a_chained_loop_is_tier_blind() {
+    let images = equiv::images(TWO_REGION_LOOP);
+    let case = Case::new(&images, "walk", &[8]);
     for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
-        let full = observe(
-            TWO_REGION_LOOP,
-            "walk",
-            8,
-            ExecTier::Baseline,
-            MachineConfig::with_mode(mode),
-            0,
-        );
-        let budget = full.1.run.instrs + 2;
-        assert!(budget > 100, "the sweep must cross several iterations");
-        for fuel in 0..budget {
-            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let _ = assert_mem_blind(TWO_REGION_LOOP, "walk", 8, &config, 0);
-        }
+        let (run, _) = equiv::sweep(&case, &MachineConfig::with_mode(mode));
+        let instrs = run.seen.run.instrs;
+        assert!(instrs > 100, "the sweep must cross several iterations");
     }
 }
 
@@ -323,20 +238,22 @@ const FREE_MID_LOOP: &str = "long reap(long n) {\n\
 
 #[test]
 fn a_freed_buffer_is_not_remembered_across_the_free() {
+    let images = equiv::images(FREE_MID_LOOP);
+    let case = Case::new(&images, "reap", &[11]);
     for mode in Mode::ALL {
         for table in TableKind::ALL {
-            let config = MachineConfig::with_mode(mode)
-                .with_table(table)
-                .with_sequence(ValueSequence::Cycling { wrap: 5 })
-                .with_fuel(1_000_000);
-            let (result, seen) = assert_mem_blind(FREE_MID_LOOP, "reap", 11, &config, 0);
+            let cycling = ValueSequence::Cycling { wrap: 5 };
+            let (run, _) = equiv::sweep(
+                &case,
+                &config(mode, table, 1_000_000).with_sequence(cycling),
+            );
             if mode == Mode::FailureOblivious {
                 // Iterations 4..11 each read and write the dead buffer.
-                assert_eq!(seen.space.invalid_reads, 7, "{table:?}");
-                assert_eq!(seen.space.invalid_writes, 7, "{table:?}");
+                assert_eq!(run.seen.space.invalid_reads, 7, "{table:?}");
+                assert_eq!(run.seen.space.invalid_writes, 7, "{table:?}");
                 // 1 + 2 + 3 + 4 from the live buffer, then manufactured
                 // 0, 1, 2, 0, 1, 3, 0.
-                assert_eq!(result, Ok(10 + 7), "{table:?}");
+                assert_eq!(run.result, Ok(10 + 7), "{table:?}");
             }
         }
     }
@@ -363,18 +280,17 @@ const OFF_AND_BACK: &str = "long weave(long n) {\n\
 
 #[test]
 fn excursions_off_a_unit_resume_on_the_hit_path() {
+    let images = equiv::images(OFF_AND_BACK);
+    let case = Case::new(&images, "weave", &[21]);
     for mode in Mode::ALL {
         for table in TableKind::ALL {
-            let config = MachineConfig::with_mode(mode)
-                .with_table(table)
-                .with_fuel(1_000_000);
-            let (result, seen) = assert_mem_blind(OFF_AND_BACK, "weave", 21, &config, 0);
+            let (run, _) = equiv::sweep(&case, &config(mode, table, 1_000_000));
             if mode == Mode::FailureOblivious {
-                assert!(result.is_ok());
+                assert!(run.result.is_ok());
                 // (i * 3) % 7 >= 4 on 9 of 21 iterations, (i * 5) % 6
                 // >= 4 on 8.
-                assert_eq!(seen.space.invalid_reads, 9, "{table:?}");
-                assert_eq!(seen.space.invalid_writes, 8, "{table:?}");
+                assert_eq!(run.seen.space.invalid_reads, 9, "{table:?}");
+                assert_eq!(run.seen.space.invalid_writes, 8, "{table:?}");
             }
         }
     }
@@ -401,14 +317,13 @@ const FRAME_ALIAS: &str = "long alias(long n) {\n\
 fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
     // x: 1 -> (1+0)*2 = 2 -> (2+1)*2 = 6 -> (6+2)*2 = 16; t sums 2x.
     let expected = 2 * (2 + 6 + 16);
+    let images = equiv::images(FRAME_ALIAS);
+    let case = Case::new(&images, "alias", &[3]);
     for mode in Mode::ALL {
         for table in TableKind::ALL {
-            let config = MachineConfig::with_mode(mode)
-                .with_table(table)
-                .with_fuel(1_000_000);
-            let (result, seen) = assert_mem_blind(FRAME_ALIAS, "alias", 3, &config, 0);
-            assert_eq!(result, Ok(expected), "{mode:?}/{table:?}");
-            assert_eq!(seen.log_total, 0);
+            let (run, _) = equiv::sweep(&case, &config(mode, table, 1_000_000));
+            assert_eq!(run.result, Ok(expected), "{mode:?}/{table:?}");
+            assert_eq!(run.seen.log_total, 0);
         }
     }
 }
@@ -468,35 +383,37 @@ fn folded_source(statement: &str) -> String {
 }
 
 /// Case (a): every folded form, in bounds (`k = 2`) and out (`k = 9`),
-/// under every mode and both tables. Out of bounds, Bounds Check dies
-/// at the access with the live values still on its operand stack —
-/// `Observation` compares that stack and the fault pc — and Failure
-/// Oblivious manufactures and carries on. A pass that deleted the
-/// `Mov` of a value a later seam spills would show here as a stale
-/// register in the post-fault stack.
+/// under every mode and both tables, at every fuel budget. Out of
+/// bounds, Bounds Check dies at the access with the live values still
+/// on its operand stack — `Observation` compares that stack and the
+/// fault pc — and Failure Oblivious manufactures and carries on. A pass
+/// that deleted the `Mov` of a value a later seam spills would show
+/// here as a stale register in the post-fault stack.
 #[test]
 fn folded_operands_fault_and_manufacture_like_the_interpreter() {
     for statement in FOLDED_ACCESSES {
-        let source = folded_source(statement);
+        let images = equiv::images(&folded_source(statement));
+        let (inside, outside) = (Case::new(&images, "f", &[2]), Case::new(&images, "f", &[9]));
         for mode in Mode::ALL {
             for table in TableKind::ALL {
-                let config = MachineConfig::with_mode(mode)
-                    .with_table(table)
-                    .with_fuel(100_000);
-                let hit = assert_mem_blind(&source, "f", 2, &config, 0);
+                let config = config(mode, table, 100_000);
+                let (hit, _) = equiv::sweep(&inside, &config);
                 let always_out = statement.contains("a[9]") && mode == Mode::BoundsCheck;
-                assert_eq!(hit.0.is_ok(), !always_out, "`{statement}`: {hit:?}");
-                let miss = assert_mem_blind(&source, "f", 9, &config, 0);
+                assert_eq!(hit.result.is_ok(), !always_out, "`{statement}`: {hit:?}");
+                let (miss, _) = equiv::sweep(&outside, &config);
                 if mode == Mode::BoundsCheck {
-                    assert!(miss.0.is_err(), "`{statement}` must kill Bounds Check");
+                    assert!(miss.result.is_err(), "`{statement}` must kill Bounds Check");
                     assert!(
-                        !miss.1.stack.is_empty(),
+                        !miss.seen.stack.is_empty(),
                         "`{statement}`: a live value sits below the faulting op: {miss:?}"
                     );
                 }
                 if mode == Mode::FailureOblivious && !statement.contains('/') {
-                    assert!(miss.0.is_ok(), "`{statement}` must survive: {miss:?}");
-                    assert!(miss.1.log_total > 0, "`{statement}` must log its violation");
+                    assert!(miss.result.is_ok(), "`{statement}` must survive: {miss:?}");
+                    assert!(
+                        miss.seen.log_total > 0,
+                        "`{statement}` must log its violation"
+                    );
                 }
             }
         }
@@ -518,28 +435,22 @@ const FUSED_LATCH_LOOP: &str = "long sum(long n) {\n\
 
 #[test]
 fn every_fuel_budget_of_a_fused_latch_loop_is_tier_blind() {
+    let images = equiv::images(FUSED_LATCH_LOOP);
+    let case = |n| Case::new(&images, "sum", &[n]);
     let instrs = |n| {
-        let config = MachineConfig::with_mode(Mode::FailureOblivious);
-        let (_, seen) = observe(FUSED_LATCH_LOOP, "sum", n, ExecTier::Baseline, config, 0);
-        seen.run.instrs
+        equiv::tiers(&case(n), &MachineConfig::default())
+            .0
+            .seen
+            .run
+            .instrs
     };
-    // Prologue plus two full iterations, and the epilogue for good
-    // measure: every budget in between ends somewhere inside one.
-    let (two, three) = (instrs(2), instrs(3));
     assert!(
-        three - two >= 15,
+        instrs(3) - instrs(2) >= 15,
         "an iteration is body + increment + compare"
     );
+    // Every budget ends somewhere inside one of five iterations.
     for mode in Mode::ALL {
-        for fuel in 0..=two + 2 {
-            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let (result, _) = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 5, &config, 0);
-            assert_eq!(result, Err(VmFault::FuelExhausted), "fuel {fuel}");
-        }
-        for fuel in two..=three + 2 {
-            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let _ = assert_mem_blind(FUSED_LATCH_LOOP, "sum", 2, &config, 0);
-        }
+        equiv::sweep(&case(5), &MachineConfig::with_mode(mode));
     }
 }
 
@@ -564,19 +475,20 @@ const ALIASED_OPERANDS: [(&str, i64); 8] = [
 #[test]
 fn a_frame_read_does_not_move_across_a_write_of_its_slot() {
     for (statement, expected) in ALIASED_OPERANDS {
-        let source = format!(
+        let images = equiv::images(&format!(
             "long f(long n) {{\n\
                  long a[8]; long k = 1; long t = 0; long i; long *p = &k;\n\
                  for (i = 0; i < 8; i++) a[i] = 10 + i;\n\
                  {statement}\n\
                  return t;\n\
              }}"
-        );
+        ));
+        let case = Case::new(&images, "f", &[0]);
         for mode in Mode::ALL {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let (result, seen) = assert_mem_blind(&source, "f", 0, &config, 0);
-            assert_eq!(result, Ok(expected), "`{statement}` under {mode:?}");
-            assert_eq!(seen.log_total, 0, "`{statement}` stays in bounds");
+            let (run, _) = equiv::sweep(&case, &config);
+            assert_eq!(run.result, Ok(expected), "`{statement}` under {mode:?}");
+            assert_eq!(run.seen.log_total, 0, "`{statement}` stays in bounds");
         }
     }
 }
@@ -587,37 +499,31 @@ fn a_frame_read_does_not_move_across_a_write_of_its_slot() {
 #[test]
 fn a_region_too_deep_for_the_register_file_runs_interpreted() {
     let depth = foc_compiler::native::NATIVE_REGS + 6;
-    let source = format!(
+    let images = equiv::images(&format!(
         "long f(long x) {{ long i; long t = 0;\n\
              for (i = 0; i < 3; i++) t = t + {}x{};\n\
              return t; }}",
         "(x + ".repeat(depth),
         ")".repeat(depth)
-    );
+    ));
+    let case = Case::new(&images, "f", &[2]);
     for mode in Mode::ALL {
-        for fuel in [100_000, 400] {
-            let config = MachineConfig::with_mode(mode).with_fuel(fuel);
-            let (result, _) = assert_mem_blind(&source, "f", 2, &config, 0);
-            if fuel > 400 {
-                assert_eq!(result, Ok(3 * 2 * (depth as i64 + 1)));
-            }
-        }
+        let config = MachineConfig::with_mode(mode).with_fuel(100_000);
+        let (run, profile) = equiv::sweep(&case, &config);
+        assert_eq!(run.result, Ok(3 * 2 * (depth as i64 + 1)));
+        let interpreted = run.seen.run.instrs - profile.native_instrs;
+        assert!(
+            profile.native_instrs > 0 && interpreted > 3 * depth as u64,
+            "the deep body is interpreted, the loop control native: {profile:?}"
+        );
     }
-    let image = compile_image_tier(&source, ExecTier::Native).expect("source builds");
-    let mut m = Machine::load(image, MachineConfig::default()).expect("load");
-    m.call("f", &[2]).expect("runs");
-    let (stats, profile) = (m.stats(), m.exec_profile());
-    assert!(
-        profile.native_instrs > 0 && stats.instrs - profile.native_instrs > 3 * depth as u64,
-        "the deep body is interpreted, the loop control native: {profile:?}"
-    );
 }
 
 // ---------------------------------------------------------------------
 // Superblocks: a region runs on past its branches, which become side
 // exits. The executor's side is swept at every fuel budget in
-// `foc-vm/tests/mid_shape_entry.rs`; here every server's lowering is
-// walked against the instruction stream it came from.
+// `mid_shape_entry.rs`; here every server's lowering is walked against
+// the instruction stream it came from.
 // ---------------------------------------------------------------------
 
 /// Walks `region`, entered at `start`, along the baseline stream: every
@@ -1042,23 +948,6 @@ fn counted_shapes() -> Vec<Counted> {
     ]
 }
 
-/// Both tiers of one counted-loop run; the instructions the native one
-/// retired in batches.
-fn counted_run(images: &[ProgramImage; 2], config: &MachineConfig, n: i64) -> (Run, u64) {
-    let [(baseline, _), (native, batched)] = images.clone().map(|image| {
-        let mut m = Machine::load(image, config.clone()).expect("load");
-        let run = (m.call("f", &[n]), m.observe());
-        (run, m.exec_profile().batched_instrs)
-    });
-    assert_eq!(baseline, native, "native must match baseline at n = {n}");
-    (native, batched)
-}
-
-fn counted_images(source: &str) -> [ProgramImage; 2] {
-    [ExecTier::Baseline, ExecTier::Native]
-        .map(|tier| compile_image_tier(source, tier).expect("source builds"))
-}
-
 /// Every shape × every mode × lengths straddling each unit's end: the
 /// native tier equals the baseline on the result and the `Observation`,
 /// and batches fire exactly in the modes the shape says — the checked
@@ -1067,7 +956,7 @@ fn counted_images(source: &str) -> [ProgramImage; 2] {
 #[test]
 fn counted_loops_batch_only_what_they_prove() {
     for shape in counted_shapes() {
-        let images = counted_images(&shape.source);
+        let images = equiv::images(&shape.source);
         let mut lengths = vec![0, 1, 2, shape.ends[shape.ends.len() - 1] + 40];
         for &end in shape.ends {
             lengths.extend([end - 1, end, end + 1]);
@@ -1076,7 +965,8 @@ fn counted_loops_batch_only_what_they_prove() {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
             let batched: u64 = lengths
                 .iter()
-                .map(|&n| counted_run(&images, &config, n).1)
+                .map(|&n| equiv::tiers(&Case::new(&images, "f", &[n]), &config).1)
+                .map(|profile| profile.batched_instrs)
                 .sum();
             let want = shape.batches_in(mode);
             assert_eq!(batched > 0, want, "{} under {mode:?}", shape.name);
@@ -1092,23 +982,21 @@ fn counted_loops_batch_only_what_they_prove() {
 #[test]
 fn every_fuel_budget_across_a_batch_is_tier_blind() {
     for shape in counted_shapes() {
-        let images = counted_images(&shape.source);
-        let n = shape.ends[0] + 1;
+        let images = equiv::images(&shape.source);
+        let case = Case::new(&images, "f", &[shape.ends[0] + 1]);
         for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
             // Every shape ends within 2 000 instructions but `a store
             // through &k` outside Bounds Check, whose store resets `k`:
             // it runs until this fuel is gone.
             let config = MachineConfig::with_mode(mode).with_fuel(4_000);
-            let ((_, full), batched) = counted_run(&images, &config, n);
+            let (_, profile) = equiv::sweep(&case, &config);
             // Forward overlap batches only a last pass alone, and one
             // element past the unit that pass leaves it in the checked
             // modes.
             let cut = mode.is_checked() && shape.name == "forward overlap";
             let want = shape.batches_in(mode) && !cut;
-            assert_eq!(batched > 0, want, "{} under {mode:?}", shape.name);
-            for fuel in 0..=full.run.instrs + 1 {
-                let _ = counted_run(&images, &config.clone().with_fuel(fuel), n);
-            }
+            let batched = profile.batched_instrs > 0;
+            assert_eq!(batched, want, "{} under {mode:?}", shape.name);
         }
     }
 }
@@ -1116,7 +1004,7 @@ fn every_fuel_budget_across_a_batch_is_tier_blind() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Fuel sweep over the faulting copy loop: a native region is only
+    /// Random points of the faulting copy loop: a native region is only
     /// entered when remaining fuel covers its whole pre-charge, and a
     /// mid-block deopt refunds `charge − spent` — so a drifted refund
     /// (or a drifted entry decision) moves *where* tight budgets fuel
@@ -1129,10 +1017,9 @@ proptest! {
         n in 0i64..24,
         mode_index in 0usize..Mode::ALL.len(),
     ) {
+        let images = equiv::images(OVERRUN_SOURCE);
         let config = MachineConfig::with_mode(Mode::ALL[mode_index]).with_fuel(fuel);
-        let baseline = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Baseline, config.clone(), 0);
-        let native = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Native, config, 0);
-        prop_assert_eq!(baseline, native);
+        equiv::tiers(&Case::new(&images, "smash", &[n]), &config);
     }
 
     /// Alloc/free churn reshapes the object table the in-block probe
@@ -1142,18 +1029,19 @@ proptest! {
     /// leave the native tier observationally invisible.
     #[test]
     fn alloc_free_churn_is_probe_blind(
-        churn in 0u32..96,
+        rounds in 0u32..96,
         n in 0i64..24,
         wrap in 2u64..600,
         table_index in 0usize..TableKind::ALL.len(),
     ) {
-        let config = MachineConfig::with_mode(Mode::FailureOblivious)
-            .with_table(TableKind::ALL[table_index])
-            .with_sequence(ValueSequence::Cycling { wrap })
-            .with_fuel(1_000_000);
-        let baseline = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Baseline, config.clone(), churn);
-        let native = observe(OVERRUN_SOURCE, "smash", n, ExecTier::Native, config, churn);
-        prop_assert_eq!(baseline, native);
+        let images = equiv::images(OVERRUN_SOURCE);
+        let config = config(Mode::FailureOblivious, TableKind::ALL[table_index], 1_000_000)
+            .with_sequence(ValueSequence::Cycling { wrap });
+        let case = Case::prep(&images, "smash", |m| {
+            churn(m, rounds);
+            vec![n]
+        });
+        equiv::tiers(&case, &config);
     }
 }
 
@@ -1304,70 +1192,32 @@ fn shim_shapes(m: &mut Machine, roomy: bool) -> Vec<(&'static str, u64, u64, i64
     shapes
 }
 
-/// Everything a run of one wrapper leaves behind: the run itself, the
-/// pending output and every byte of the three guest regions.
-type ShimSeen = (Run, Vec<u8>, [Vec<u8>; 3]);
-
-/// One wrapper call on a fresh machine: what it left behind, and how
-/// many builtin iterations it retired span-wise (which is nobody's
-/// business but the sweep's own sanity check).
-fn shim_run(
-    image: &ProgramImage,
-    entry: &str,
-    shape: usize,
-    config: &MachineConfig,
-) -> (ShimSeen, u64) {
-    let roomy = config.mem.heap_len > 16 << 10;
-    let mut m = Machine::load(image.clone(), config.clone()).expect("load");
-    let (_, a, b, n) = shim_shapes(&mut m, roomy)[shape];
-    m.push_input(digits(700));
-    let result = m.call(entry, &[a as i64, b as i64, n]);
-    let (space, mem) = (m.space(), &config.mem);
-    let region = |base: u64, len: usize| space.read_bytes_raw(base, len as u64).expect("region");
-    let memory = [
-        region(GLOBAL_BASE, mem.global_len),
-        region(HEAP_BASE, mem.heap_len),
-        region(STACK_BASE, mem.stack_len),
-    ];
-    let seen = ((result, m.observe()), m.output().to_vec(), memory);
-    (seen, m.exec_profile().span_instrs)
-}
-
 /// Every builtin over `shapes` (indices into [`shim_shapes`]), every
 /// mode, both object tables at `full` fuel and every fuel budget from
-/// nothing to one past completion on the shipped table. `full` covers
-/// every call that ends; a copy that overwrites its own terminator, or
-/// a Redirect scan wrapping round a unit with no NUL, stops there.
+/// nothing to one past completion on the shipped table, comparing every
+/// guest byte too. `full` covers every call that ends; a copy that
+/// overwrites its own terminator, or a Redirect scan wrapping round a
+/// unit with no NUL, stops there.
 fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
-    let baseline = compile_image_tier(SHIM_SOURCE, ExecTier::Baseline).expect("source builds");
-    let native = compile_image_tier(SHIM_SOURCE, ExecTier::Native).expect("source builds");
-    let spanned_instrs = std::cell::Cell::new(0);
+    let images = equiv::images(SHIM_SOURCE);
+    let mut spanned = 0;
     for entry in SHIM_ENTRIES {
         for mode in Mode::ALL {
             for shape in shapes.clone() {
-                let agree = |table: TableKind, fuel: u64| {
-                    let config = shim_config(mode, table, roomy, fuel);
-                    let (reference, byte_wise) = shim_run(&baseline, entry, shape, &config);
-                    let (spanned, span_wise) = shim_run(&native, entry, shape, &config);
-                    assert_eq!(
-                        reference, spanned,
-                        "{entry} {mode:?} {table:?} shape {shape} (roomy {roomy}) fuel {fuel}"
-                    );
-                    assert_eq!(byte_wise, 0, "the baseline tier is the byte-wise reference");
-                    spanned_instrs.set(spanned_instrs.get() + span_wise);
-                    let ((_, observed), ..) = reference;
-                    observed.run.instrs
-                };
-                agree(TableKind::Splay, full);
-                let instrs = agree(TableKind::Flat, full);
-                for fuel in 0..=(instrs + 1).min(full) {
-                    agree(TableKind::Flat, fuel);
-                }
+                let case = Case::prep(&images, entry, |m| {
+                    let (_, a, b, n) = shim_shapes(m, roomy)[shape];
+                    m.push_input(digits(700));
+                    vec![a as i64, b as i64, n]
+                });
+                let case = case.with_memory();
+                equiv::tiers(&case, &shim_config(mode, TableKind::Splay, roomy, full));
+                let config = shim_config(mode, TableKind::Flat, roomy, full);
+                spanned += equiv::sweep(&case, &config).1.span_instrs;
             }
         }
     }
     assert!(
-        spanned_instrs.get() > 0,
+        spanned > 0,
         "the sweep never left the byte-wise path on the native tier"
     );
 }

@@ -16,9 +16,9 @@
 //! `(image, config, environment)`, so the clone is *byte-identical* to
 //! the machine a fresh boot would have produced — transcripts, the
 //! whole [`crate::Observation`] and manufactured-value positions
-//! included. The tests below pin that at the machine level;
-//! the `checkpoint_equiv` battery asserts it across all five servers,
-//! all five modes, and the §4/§5.1 attack library.
+//! included. The tests below pin that at the machine level; the harness
+//! in `foc-servers/tests/equiv` holds cached boots to cold ones across
+//! all five servers, all five modes, and the §4/§5.1 attack library.
 
 #[cfg(test)]
 mod tests {
