@@ -42,7 +42,7 @@ pub fn compile(program: &hir::Program) -> Result<CompiledProgram, CompileError> 
         });
     }
     for f in &program.funcs {
-        out.funcs.push(compile_func(f, &program.layouts)?);
+        out.funcs.push(compile_func(f, program)?);
     }
     Ok(out)
 }
@@ -63,18 +63,18 @@ fn frame_layout(f: &hir::Function, layouts: &Layouts) -> FrameLayout {
     }
 }
 
-fn compile_func(f: &hir::Function, layouts: &Layouts) -> Result<CompiledFunc, CompileError> {
-    let frame = frame_layout(f, layouts);
+fn compile_func(f: &hir::Function, p: &hir::Program) -> Result<CompiledFunc, CompileError> {
+    let frame = frame_layout(f, &p.layouts);
     let mut cg = Codegen {
+        p,
         frame: &frame,
         code: Vec::new(),
         labels: vec![None; f.label_count as usize],
         label_fixups: Vec::new(),
         loops: Vec::new(),
+        jumps: Vec::new(),
     };
-    for stmt in &f.body {
-        cg.emit_stmt(stmt)?;
-    }
+    cg.emit_block(f.body)?;
     // Implicit return for functions that fall off the end.
     cg.code.push(Instr::Const(0));
     cg.code.push(Instr::Ret);
@@ -89,20 +89,21 @@ fn compile_func(f: &hir::Function, layouts: &Layouts) -> Result<CompiledFunc, Co
     })
 }
 
-/// Break/continue fixups for one enclosing loop.
-struct LoopCtx {
-    break_fixups: Vec<usize>,
-    continue_fixups: Vec<usize>,
-}
-
 struct Codegen<'a> {
+    /// The program the function's nodes live in.
+    p: &'a hir::Program,
     frame: &'a FrameLayout,
     code: Vec<Instr>,
     /// Placement of each HIR label.
     labels: Vec<Option<u32>>,
     /// `(instruction index, label)` pairs to patch.
     label_fixups: Vec<(usize, hir::LabelId)>,
-    loops: Vec<LoopCtx>,
+    /// Per open loop, innermost last, the length `jumps` had when it
+    /// opened.
+    loops: Vec<usize>,
+    /// The `break` (`true`) and `continue` jumps of every open loop, by
+    /// instruction index.
+    jumps: Vec<(usize, bool)>,
 }
 
 impl<'a> Codegen<'a> {
@@ -126,6 +127,17 @@ impl<'a> Codegen<'a> {
         self.code[at] = ins;
     }
 
+    /// Closes the innermost loop: its breaks jump to `end`, its
+    /// continues to `cont`.
+    fn close_loop(&mut self, end: u32, cont: u32) {
+        let base = self.loops.pop().expect("a loop is open");
+        for i in base..self.jumps.len() {
+            let (at, brk) = self.jumps[i];
+            self.patch_target(at, if brk { end } else { cont });
+        }
+        self.jumps.truncate(base);
+    }
+
     fn patch_labels(&mut self) -> Result<(), CompileError> {
         let fixups = std::mem::take(&mut self.label_fixups);
         for (at, label) in fixups {
@@ -143,6 +155,13 @@ impl<'a> Codegen<'a> {
     // Statements.
     // ------------------------------------------------------------------
 
+    fn emit_block(&mut self, block: hir::List<hir::Stmt>) -> Result<(), CompileError> {
+        for stmt in &self.p[block] {
+            self.emit_stmt(stmt)?;
+        }
+        Ok(())
+    }
+
     fn emit_stmt(&mut self, stmt: &hir::Stmt) -> Result<(), CompileError> {
         match stmt {
             hir::Stmt::Expr(e) => {
@@ -153,9 +172,7 @@ impl<'a> Codegen<'a> {
                 self.emit_expr(cond)?;
                 let jelse = self.code.len();
                 self.code.push(Instr::JumpIfZero(u32::MAX));
-                for s in then {
-                    self.emit_stmt(s)?;
-                }
+                self.emit_block(*then)?;
                 if els.is_empty() {
                     let end = self.here();
                     self.patch_target(jelse, end);
@@ -164,9 +181,7 @@ impl<'a> Codegen<'a> {
                     self.code.push(Instr::Jump(u32::MAX));
                     let else_at = self.here();
                     self.patch_target(jelse, else_at);
-                    for s in els {
-                        self.emit_stmt(s)?;
-                    }
+                    self.emit_block(*els)?;
                     let end = self.here();
                     self.patch_target(jend, end);
                 }
@@ -176,13 +191,8 @@ impl<'a> Codegen<'a> {
                 self.emit_expr(cond)?;
                 let jend = self.code.len();
                 self.code.push(Instr::JumpIfZero(u32::MAX));
-                self.loops.push(LoopCtx {
-                    break_fixups: Vec::new(),
-                    continue_fixups: Vec::new(),
-                });
-                for s in body {
-                    self.emit_stmt(s)?;
-                }
+                self.loops.push(self.jumps.len());
+                self.emit_block(*body)?;
                 let cont_at = self.here();
                 if let Some(step) = step {
                     self.emit_expr(step)?;
@@ -191,57 +201,26 @@ impl<'a> Codegen<'a> {
                 self.code.push(Instr::Jump(cond_at));
                 let end = self.here();
                 self.patch_target(jend, end);
-                let ctx = self.loops.pop().expect("loop ctx");
-                for at in ctx.break_fixups {
-                    self.patch_target(at, end);
-                }
-                for at in ctx.continue_fixups {
-                    self.patch_target(at, cont_at);
-                }
+                self.close_loop(end, cont_at);
             }
             hir::Stmt::DoWhile { body, cond } => {
                 let body_at = self.here();
-                self.loops.push(LoopCtx {
-                    break_fixups: Vec::new(),
-                    continue_fixups: Vec::new(),
-                });
-                for s in body {
-                    self.emit_stmt(s)?;
-                }
+                self.loops.push(self.jumps.len());
+                self.emit_block(*body)?;
                 let cont_at = self.here();
                 self.emit_expr(cond)?;
                 self.code.push(Instr::JumpIfNotZero(body_at));
-                let end = self.here();
-                let ctx = self.loops.pop().expect("loop ctx");
-                for at in ctx.break_fixups {
-                    self.patch_target(at, end);
-                }
-                for at in ctx.continue_fixups {
-                    self.patch_target(at, cont_at);
-                }
+                self.close_loop(self.here(), cont_at);
             }
-            hir::Stmt::Break => {
-                let Some(ctx) = self.loops.last_mut() else {
+            hir::Stmt::Break | hir::Stmt::Continue => {
+                let brk = matches!(stmt, hir::Stmt::Break);
+                if self.loops.is_empty() {
+                    let what = if brk { "break" } else { "continue" };
                     return Err(CompileError {
-                        message: "break outside loop".into(),
+                        message: format!("{what} outside loop"),
                     });
-                };
-                ctx.break_fixups.push(self.code.len());
-                self.code.push(Instr::Jump(u32::MAX));
-                let at = self.code.len() - 1;
-                // Move the recorded index into the (re-borrowed) context;
-                // the push above may have invalidated nothing, but keep the
-                // bookkeeping straight.
-                let ctx = self.loops.last_mut().expect("loop ctx");
-                *ctx.break_fixups.last_mut().expect("just pushed") = at;
-            }
-            hir::Stmt::Continue => {
-                let Some(ctx) = self.loops.last_mut() else {
-                    return Err(CompileError {
-                        message: "continue outside loop".into(),
-                    });
-                };
-                ctx.continue_fixups.push(self.code.len());
+                }
+                self.jumps.push((self.code.len(), brk));
                 self.code.push(Instr::Jump(u32::MAX));
             }
             hir::Stmt::Return(e) => {
@@ -272,6 +251,7 @@ impl<'a> Codegen<'a> {
     // ------------------------------------------------------------------
 
     fn emit_expr(&mut self, e: &hir::Expr) -> Result<(), CompileError> {
+        let p = self.p;
         match e {
             hir::Expr::Const(v, ty) => {
                 self.code.push(Instr::Const(canonical(*v, *ty)));
@@ -284,38 +264,38 @@ impl<'a> Codegen<'a> {
             hir::Expr::GlobalAddr(id, _) => self.code.push(Instr::GlobalAddr(id.0)),
             hir::Expr::Load { addr, ty } => {
                 let (size, signed) = scalar_repr(*ty);
-                if let Some(off) = self.direct_local(addr) {
+                if let Some(off) = self.direct_local(&p[*addr]) {
                     self.code.push(Instr::LoadLocal(off, size, signed));
                 } else {
-                    self.emit_expr(addr)?;
+                    self.emit_expr(&p[*addr])?;
                     self.code.push(Instr::Load(size, signed));
                 }
             }
             hir::Expr::Store { addr, value, ty } => {
                 let (size, _) = scalar_repr(*ty);
-                self.emit_expr(value)?;
+                self.emit_expr(&p[*value])?;
                 self.code.push(Instr::Dup);
-                if let Some(off) = self.direct_local(addr) {
+                if let Some(off) = self.direct_local(&p[*addr]) {
                     self.code.push(Instr::StoreLocal(off, size));
                 } else {
-                    self.emit_expr(addr)?;
+                    self.emit_expr(&p[*addr])?;
                     self.code.push(Instr::Store(size));
                 }
             }
             hir::Expr::Binary { op, lhs, rhs, ty } => {
-                self.emit_expr(lhs)?;
-                if lhs.ty().is_pointer() {
+                self.emit_expr(&p[*lhs])?;
+                if p[*lhs].ty().is_pointer() {
                     self.code.push(Instr::EffAddr);
                 }
-                self.emit_expr(rhs)?;
-                if rhs.ty().is_pointer() {
+                self.emit_expr(&p[*rhs])?;
+                if p[*rhs].ty().is_pointer() {
                     self.code.push(Instr::EffAddr);
                 }
                 self.code.push(binop_instr(*op));
                 self.emit_normalize(*ty);
             }
             hir::Expr::Unary { op, operand, ty } => {
-                self.emit_expr(operand)?;
+                self.emit_expr(&p[*operand])?;
                 self.code.push(match op {
                     hir::UnOp::Neg => Instr::Neg,
                     hir::UnOp::BitNot => Instr::BitNot,
@@ -326,7 +306,7 @@ impl<'a> Codegen<'a> {
                 }
             }
             hir::Expr::Cast { expr, from, to } => {
-                self.emit_expr(expr)?;
+                self.emit_expr(&p[*expr])?;
                 match (from.is_pointer(), to.is_pointer()) {
                     (true, true) | (false, true) => {
                         // Pointer↔pointer and int→pointer keep the bits.
@@ -346,8 +326,8 @@ impl<'a> Codegen<'a> {
                 elem_size,
                 ..
             } => {
-                self.emit_expr(ptr)?;
-                self.emit_expr(count)?;
+                self.emit_expr(&p[*ptr])?;
+                self.emit_expr(&p[*count])?;
                 self.code.push(Instr::PtrAdd(*elem_size));
             }
             hir::Expr::PtrDiff {
@@ -355,12 +335,12 @@ impl<'a> Codegen<'a> {
                 rhs,
                 elem_size,
             } => {
-                self.emit_expr(lhs)?;
-                self.emit_expr(rhs)?;
+                self.emit_expr(&p[*lhs])?;
+                self.emit_expr(&p[*rhs])?;
                 self.code.push(Instr::PtrDiff(*elem_size));
             }
             hir::Expr::Call { callee, args, .. } => {
-                for a in args {
+                for a in &p[*args] {
                     self.emit_expr(a)?;
                 }
                 match callee {
@@ -369,14 +349,14 @@ impl<'a> Codegen<'a> {
                 }
             }
             hir::Expr::ShortCircuit { and, lhs, rhs } => {
-                self.emit_expr(lhs)?;
+                self.emit_expr(&p[*lhs])?;
                 let jshort = self.code.len();
                 if *and {
                     self.code.push(Instr::JumpIfZero(u32::MAX));
                 } else {
                     self.code.push(Instr::JumpIfNotZero(u32::MAX));
                 }
-                self.emit_expr(rhs)?;
+                self.emit_expr(&p[*rhs])?;
                 // Normalise the right side to 0/1.
                 self.code.push(Instr::Const(0));
                 self.code.push(Instr::Ne);
@@ -391,22 +371,24 @@ impl<'a> Codegen<'a> {
             hir::Expr::Conditional {
                 cond, then, els, ..
             } => {
-                self.emit_expr(cond)?;
+                self.emit_expr(&p[*cond])?;
                 let jelse = self.code.len();
                 self.code.push(Instr::JumpIfZero(u32::MAX));
-                self.emit_expr(then)?;
+                self.emit_expr(&p[*then])?;
                 let jend = self.code.len();
                 self.code.push(Instr::Jump(u32::MAX));
                 let else_at = self.here();
                 self.patch_target(jelse, else_at);
-                self.emit_expr(els)?;
+                self.emit_expr(&p[*els])?;
                 let end = self.here();
                 self.patch_target(jend, end);
             }
-            hir::Expr::Comma { effects, result } => {
-                self.emit_expr(effects)?;
+            hir::Expr::Comma {
+                effects, result, ..
+            } => {
+                self.emit_expr(&p[*effects])?;
                 self.code.push(Instr::Drop);
-                self.emit_expr(result)?;
+                self.emit_expr(&p[*result])?;
             }
             hir::Expr::IncDec {
                 addr,
@@ -416,54 +398,38 @@ impl<'a> Codegen<'a> {
                 ptr,
             } => {
                 let (size, signed) = scalar_repr(*ty);
-                if let Some(off) = self.direct_local(addr) {
-                    // Direct scalar local: the hot i++ path.
-                    self.code.push(Instr::LoadLocal(off, size, signed));
-                    if !*prefix {
-                        self.code.push(Instr::Dup); // [old, old]
+                // A direct scalar local (the hot i++ path), or an address
+                // kept under the value: [addr, old].
+                let local = self.direct_local(&p[*addr]);
+                match local {
+                    Some(off) => self.code.push(Instr::LoadLocal(off, size, signed)),
+                    None => {
+                        self.emit_expr(&p[*addr])?;
+                        self.code.push(Instr::Dup);
+                        self.code.push(Instr::Load(size, signed));
                     }
-                    if *ptr {
-                        self.code.push(Instr::Const(*delta));
-                        self.code.push(Instr::PtrAdd(1));
-                    } else {
-                        self.code.push(Instr::Const(*delta));
-                        self.code.push(Instr::Add);
-                        self.emit_normalize(*ty);
-                    }
-                    if *prefix {
-                        self.code.push(Instr::Dup); // [new, new]
-                        self.code.push(Instr::StoreLocal(off, size)); // [new]
-                    } else {
-                        // [old, new] → store new, keep old.
-                        self.code.push(Instr::StoreLocal(off, size)); // [old]
-                    }
-                    return Ok(());
                 }
-                self.emit_expr(addr)?;
-                self.code.push(Instr::Dup);
-                self.code.push(Instr::Load(size, signed));
-                // Stack: [addr, old].
                 if !*prefix {
-                    self.code.push(Instr::Dup); // [addr, old, old]
+                    self.code.push(Instr::Dup); // [old, old]
                 }
-                // Compute new value from the top copy.
+                // The new value, from the top copy.
+                self.code.push(Instr::Const(*delta));
                 if *ptr {
-                    self.code.push(Instr::Const(*delta));
                     self.code.push(Instr::PtrAdd(1));
                 } else {
-                    self.code.push(Instr::Const(*delta));
                     self.code.push(Instr::Add);
                     self.emit_normalize(*ty);
                 }
                 if *prefix {
-                    // [addr, new] → keep new as result.
-                    self.code.push(Instr::Dup); // [addr, new, new]
-                    self.code.push(Instr::Rot3); // [new, new, addr]
-                    self.code.push(Instr::Store(size)); // [new]
-                } else {
-                    // [addr, old, new] → keep old as result.
-                    self.code.push(Instr::Rot3); // [old, new, addr]
-                    self.code.push(Instr::Store(size)); // [old]
+                    self.code.push(Instr::Dup); // [new, new]
+                }
+                // Store the top, keep the value under it as the result.
+                match local {
+                    Some(off) => self.code.push(Instr::StoreLocal(off, size)),
+                    None => {
+                        self.code.push(Instr::Rot3); // [result, new, addr]
+                        self.code.push(Instr::Store(size));
+                    }
                 }
             }
         }

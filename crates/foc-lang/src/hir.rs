@@ -5,7 +5,11 @@
 //! explicit [`Expr::Cast`] nodes, array indexing and member access are
 //! lowered to pointer arithmetic, and lvalues are explicit address
 //! expressions. The `foc-compiler` crate lowers this directly to bytecode.
+//! Like the AST it is an arena: [`Program`] holds every node, and a
+//! child is an [`Id`] or a [`List`] into it.
 
+use crate::ast::pools;
+pub use crate::ast::{Id, List, UnOp};
 use crate::types::{CType, Layouts};
 
 /// Index of a function in the program.
@@ -150,20 +154,6 @@ impl Builtin {
             | Builtin::Memcmp => 3,
         }
     }
-
-    /// Whether the builtin returns a value (all do except the `void` ones).
-    pub fn returns_value(self) -> bool {
-        !matches!(
-            self,
-            Builtin::Free
-                | Builtin::PrintStr
-                | Builtin::PrintInt
-                | Builtin::Abort
-                | Builtin::Exit
-                | Builtin::EmitOutput
-                | Builtin::IoWait
-        )
-    }
 }
 
 /// Binary operators on values (all operate on the canonical `i64`
@@ -203,15 +193,6 @@ pub enum BinOp {
     GeU,
 }
 
-/// Unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnOp {
-    Neg,
-    BitNot,
-    /// Logical not: yields 0 or 1.
-    Not,
-}
-
 /// Who a call targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Callee {
@@ -222,7 +203,7 @@ pub enum Callee {
 }
 
 /// Typed expressions. Every node knows its result type via [`Expr::ty`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Expr {
     /// Integer constant (already in canonical representation for its type).
     Const(i64, CType),
@@ -235,45 +216,45 @@ pub enum Expr {
     /// Scalar load from an address.
     Load {
         /// Address to load from.
-        addr: Box<Expr>,
+        addr: Id<Expr>,
         /// Scalar type loaded.
         ty: CType,
     },
     /// Scalar store; evaluates to the stored value.
     Store {
         /// Address to store to.
-        addr: Box<Expr>,
+        addr: Id<Expr>,
         /// Value to store.
-        value: Box<Expr>,
+        value: Id<Expr>,
         /// Scalar type stored.
         ty: CType,
     },
     /// Arithmetic/logical operation on values.
     Binary {
         op: BinOp,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Id<Expr>,
+        rhs: Id<Expr>,
         /// Result type (conversions applied by sema).
         ty: CType,
     },
     /// Unary operation.
     Unary {
         op: UnOp,
-        operand: Box<Expr>,
+        operand: Id<Expr>,
         ty: CType,
     },
     /// Conversion between scalar types (truncation / extension /
     /// pointer-integer bridging).
     Cast {
-        expr: Box<Expr>,
+        expr: Id<Expr>,
         from: CType,
         to: CType,
     },
     /// Checked pointer arithmetic: `ptr + count * elem_size` bytes.
     PtrAdd {
-        ptr: Box<Expr>,
+        ptr: Id<Expr>,
         /// Element count (may be negative).
-        count: Box<Expr>,
+        count: Id<Expr>,
         /// Element size in bytes.
         elem_size: u64,
         /// Result pointer type.
@@ -281,39 +262,41 @@ pub enum Expr {
     },
     /// Pointer difference in elements: `(lhs - rhs) / elem_size`.
     PtrDiff {
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Id<Expr>,
+        rhs: Id<Expr>,
         elem_size: u64,
     },
     /// Call a function or builtin.
     Call {
         callee: Callee,
-        args: Vec<Expr>,
+        args: List<Expr>,
         /// Result type (`void` calls yield a dummy 0 in value position).
         ty: CType,
     },
     /// Short-circuit `&&` / `||`, yielding 0 or 1.
     ShortCircuit {
         and: bool,
-        lhs: Box<Expr>,
-        rhs: Box<Expr>,
+        lhs: Id<Expr>,
+        rhs: Id<Expr>,
     },
     /// `cond ? then : els` with lazy evaluation.
     Conditional {
-        cond: Box<Expr>,
-        then: Box<Expr>,
-        els: Box<Expr>,
+        cond: Id<Expr>,
+        then: Id<Expr>,
+        els: Id<Expr>,
         ty: CType,
     },
     /// Evaluate `effects` for side effects, then yield `result`.
     Comma {
-        effects: Box<Expr>,
-        result: Box<Expr>,
+        effects: Id<Expr>,
+        result: Id<Expr>,
+        /// The type of `result`.
+        ty: CType,
     },
     /// Pre/post increment/decrement of a scalar lvalue.
     IncDec {
         /// Address of the lvalue.
-        addr: Box<Expr>,
+        addr: Id<Expr>,
         /// Scalar type of the lvalue.
         ty: CType,
         /// Byte delta (±1 for integers, ±elem_size handled via `ptr`).
@@ -333,7 +316,6 @@ impl Expr {
             Expr::LocalAddr(_, t) | Expr::GlobalAddr(_, t) => t.ptr(),
             Expr::PtrDiff { .. } => CType::LONG,
             Expr::ShortCircuit { .. } => CType::INT,
-            Expr::Comma { result, .. } => result.ty(),
             Expr::Const(_, ty)
             | Expr::Load { ty, .. }
             | Expr::Store { ty, .. }
@@ -343,31 +325,32 @@ impl Expr {
             | Expr::PtrAdd { ty, .. }
             | Expr::Call { ty, .. }
             | Expr::Conditional { ty, .. }
+            | Expr::Comma { ty, .. }
             | Expr::IncDec { ty, .. } => *ty,
         }
     }
 }
 
 /// Typed statements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Stmt {
     /// Evaluate for side effects.
     Expr(Expr),
     /// `if`.
     If {
         cond: Expr,
-        then: Vec<Stmt>,
-        els: Vec<Stmt>,
+        then: List<Stmt>,
+        els: List<Stmt>,
     },
     /// `while` / `for` normalised: `for` becomes init + While with step.
     While {
         cond: Expr,
-        body: Vec<Stmt>,
+        body: List<Stmt>,
         /// Step expression executed at `continue` and end of body.
         step: Option<Expr>,
     },
     /// `do { } while`.
-    DoWhile { body: Vec<Stmt>, cond: Expr },
+    DoWhile { body: List<Stmt>, cond: Expr },
     /// `break` out of the innermost loop.
     Break,
     /// `continue` the innermost loop.
@@ -396,7 +379,7 @@ pub struct Function {
     /// Return type.
     pub ret: CType,
     /// Body.
-    pub body: Vec<Stmt>,
+    pub body: List<Stmt>,
     /// Number of labels used by the body.
     pub label_count: u32,
 }
@@ -427,15 +410,12 @@ pub struct Program {
     pub strings: Vec<Vec<u8>>,
     /// Functions.
     pub funcs: Vec<Function>,
+    pub(crate) exprs: Vec<Expr>,
+    /// Each block's statements in a run of their own.
+    pub(crate) stmts: Vec<Stmt>,
 }
 
-impl Program {
-    /// Finds a function by name.
-    pub fn func(&self, name: &str) -> Option<(FuncId, &Function)> {
-        self.funcs
-            .iter()
-            .enumerate()
-            .find(|(_, f)| f.name == name)
-            .map(|(i, f)| (FuncId(i as u32), f))
-    }
-}
+pools!(Program {
+    exprs: Expr,
+    stmts: Stmt
+});

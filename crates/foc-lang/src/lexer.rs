@@ -19,21 +19,19 @@ impl fmt::Display for LexError {
     }
 }
 
-/// The bytes of the [`Tok::StrLit`] at `span` of `src`, the source it
-/// was lexed from: escapes decoded, adjacent literals joined, no
-/// terminating NUL.
-pub fn string_bytes(src: &str, span: Span) -> Vec<u8> {
+/// Appends to `out` the bytes of the [`Tok::StrLit`] at `span` of `src`,
+/// the source it was lexed from: escapes decoded, adjacent literals
+/// joined, no terminating NUL.
+pub fn string_bytes(src: &str, span: Span, out: &mut Vec<u8>) {
     let mut lexer = Lexer {
         src: &src.as_bytes()[..span.end],
         offset: span.start,
         line: 1,
         col: 1,
     };
-    let mut bytes = Vec::with_capacity(span.end - span.start);
     lexer
-        .lex_string(&mut |b| bytes.push(b))
+        .lex_string(&mut |b| out.push(b))
         .expect("the lexer validated the literal");
-    bytes
 }
 
 /// Streaming tokenizer over MiniC source text.
@@ -419,7 +417,11 @@ mod tests {
         kinds(src)
             .into_iter()
             .filter_map(|t| match t {
-                Tok::StrLit(span) => Some(string_bytes(src, span)),
+                Tok::StrLit(span) => {
+                    let mut bytes = Vec::new();
+                    string_bytes(src, span, &mut bytes);
+                    Some(bytes)
+                }
                 _ => None,
             })
             .collect()

@@ -41,17 +41,38 @@ impl From<LexError> for ParseError {
 /// Parses a MiniC translation unit.
 pub fn parse(source: &str) -> Result<TranslationUnit, ParseError> {
     let tokens = Lexer::new(source).tokenize()?;
+    // The token count sizes each pool once: the servers hold an expression
+    // per three tokens, a statement per seven, a declarator per 25.
+    let n = tokens.len();
     Parser {
         src: source,
         tokens,
         at: 0,
         depth: 0,
-        symbols: HashMap::new(),
-        names: Names::default(),
-        stmts: Vec::new(),
-        exprs: Vec::new(),
+        symbols: HashMap::with_capacity(n / 8),
+        unit: TranslationUnit {
+            items: Vec::with_capacity(n / 32),
+            names: Names::default(),
+            exprs: Vec::with_capacity(n / 2),
+            stmts: Vec::with_capacity(n / 4),
+            decls: Vec::with_capacity(n / 16),
+            dims: Vec::with_capacity(n / 32),
+            fields: Vec::with_capacity(n / 32),
+            params: Vec::with_capacity(n / 32),
+            bytes: Vec::with_capacity(source.len() / 16),
+        },
+        stmts: Vec::with_capacity(n / 16),
+        exprs: Vec::with_capacity(n / 16),
     }
     .parse_unit()
+}
+
+/// `id`, or the refusal at `pos` of a program past the `u32` id space.
+fn fits<T>(id: Option<T>, pos: Pos) -> Result<T, ParseError> {
+    id.ok_or_else(|| ParseError {
+        message: TOO_LARGE.into(),
+        pos,
+    })
 }
 
 struct Parser<'a> {
@@ -62,9 +83,10 @@ struct Parser<'a> {
     depth: u32,
     /// The interner: each identifier's symbol, by spelling.
     symbols: HashMap<&'a str, Symbol>,
-    names: Names,
+    /// The tree so far.
+    unit: TranslationUnit,
     /// The statements of every open block, innermost last: a list is
-    /// gathered here and moved out in one allocation when it closes.
+    /// gathered here and moved to its pool when it closes.
     stmts: Vec<Stmt>,
     /// Likewise the arguments of every open call or initialiser list.
     exprs: Vec<Expr>,
@@ -152,19 +174,35 @@ impl<'a> Parser<'a> {
         Ok(out)
     }
 
+    fn expr(&mut self, e: Expr) -> Result<Id<Expr>, ParseError> {
+        fits(push(&mut self.unit.exprs, e), self.pos())
+    }
+
+    fn stmt_id(&mut self, s: Stmt) -> Result<Id<Stmt>, ParseError> {
+        fits(push(&mut self.unit.stmts, s), self.pos())
+    }
+
+    /// A statement nested in one (a branch, a loop body).
+    fn child(&mut self) -> Result<Id<Stmt>, ParseError> {
+        let s = self.parse_stmt()?;
+        self.stmt_id(s)
+    }
+
     /// Statements up to the closing `}` (the `{` consumed).
-    fn parse_block_body(&mut self) -> Result<Vec<Stmt>, ParseError> {
+    fn parse_block_body(&mut self) -> Result<List<Stmt>, ParseError> {
         let base = self.stmts.len();
         while !self.eat(Tok::RBrace) {
             let stmt = self.parse_stmt()?;
             self.stmts.push(stmt);
         }
-        Ok(self.stmts.drain(base..).collect())
+        let start = self.unit.stmts.len();
+        self.unit.stmts.extend(self.stmts.drain(base..));
+        fits(tail(&self.unit.stmts, start), self.pos())
     }
 
     /// Comma-separated assignment expressions up to `close` (the opener
     /// consumed), allowing a trailing comma when `trailing`.
-    fn parse_list(&mut self, close: Tok, trailing: bool) -> Result<Vec<Expr>, ParseError> {
+    fn parse_list(&mut self, close: Tok, trailing: bool) -> Result<List<Expr>, ParseError> {
         let base = self.exprs.len();
         if !self.eat(close) {
             loop {
@@ -176,12 +214,14 @@ impl<'a> Parser<'a> {
             }
             self.expect(close)?;
         }
-        Ok(self.exprs.drain(base..).collect())
+        let start = self.unit.exprs.len();
+        self.unit.exprs.extend(self.exprs.drain(base..));
+        fits(tail(&self.unit.exprs, start), self.pos())
     }
 
     fn intern(&mut self, span: Span) -> Symbol {
         let name = span.text(self.src);
-        let names = &mut self.names;
+        let names = &mut self.unit.names;
         *self.symbols.entry(name).or_insert_with(|| names.push(name))
     }
 
@@ -229,6 +269,12 @@ impl<'a> Parser<'a> {
         let mut signed: Option<bool> = None;
         let mut base: Option<BaseType> = None;
         let mut long_count = 0;
+        let int = |width| {
+            Some(BaseType::Int {
+                width,
+                signed: true,
+            })
+        };
         loop {
             match self.peek() {
                 Tok::Kw(Keyword::Signed) => {
@@ -248,17 +294,11 @@ impl<'a> Parser<'a> {
                 }
                 Tok::Kw(Keyword::Char) => {
                     self.bump();
-                    base = Some(BaseType::Int {
-                        width: 1,
-                        signed: true,
-                    });
+                    base = int(1);
                 }
                 Tok::Kw(Keyword::Short) => {
                     self.bump();
-                    base = Some(BaseType::Int {
-                        width: 2,
-                        signed: true,
-                    });
+                    base = int(2);
                     // Allow `short int`.
                     if matches!(self.peek(), Tok::Kw(Keyword::Int)) {
                         self.bump();
@@ -267,19 +307,13 @@ impl<'a> Parser<'a> {
                 Tok::Kw(Keyword::Int) => {
                     self.bump();
                     if base.is_none() {
-                        base = Some(BaseType::Int {
-                            width: 4,
-                            signed: true,
-                        });
+                        base = int(4);
                     }
                 }
                 Tok::Kw(Keyword::Long) => {
                     self.bump();
                     long_count += 1;
-                    base = Some(BaseType::Int {
-                        width: 8,
-                        signed: true,
-                    });
+                    base = int(8);
                     if long_count > 2 {
                         return Err(self.err("too many `long`s"));
                     }
@@ -299,13 +333,8 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let mut base = match base {
-            Some(t) => t,
-            None if signed.is_some() => BaseType::Int {
-                width: 4,
-                signed: true,
-            },
-            None => return Err(self.err("expected type")),
+        let Some(mut base) = base.or(signed.and(int(4))) else {
+            return Err(self.err("expected type"));
         };
         if let (BaseType::Int { width, .. }, Some(s)) = (base, signed) {
             base = BaseType::Int { width, signed: s };
@@ -335,27 +364,29 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses array dimensions after a declarator name.
-    fn parse_array_dims(&mut self) -> Result<Vec<u64>, ParseError> {
+    fn parse_array_dims(&mut self) -> Result<List<u64>, ParseError> {
         let depth = self.depth;
-        let mut dims = Vec::new();
+        let start = self.unit.dims.len();
         while self.eat(Tok::LBracket) {
             self.deeper()?;
             if self.eat(Tok::RBracket) {
                 // `[]`: size inferred from the initialiser.
-                dims.push(0);
+                self.unit.dims.push(0);
                 continue;
             }
             let e = self.parse_conditional()?;
-            let v = const_eval(&e)
+            let v = self
+                .unit
+                .const_eval(&e)
                 .ok_or_else(|| self.err("array dimension must be a constant expression"))?;
             if v <= 0 {
                 return Err(self.err("array dimension must be positive"));
             }
-            dims.push(v as u64);
+            self.unit.dims.push(v as u64);
             self.expect(Tok::RBracket)?;
         }
         self.depth = depth;
-        Ok(dims)
+        fits(tail(&self.unit.dims, start), self.pos())
     }
 
     // ------------------------------------------------------------------
@@ -363,14 +394,11 @@ impl<'a> Parser<'a> {
     // ------------------------------------------------------------------
 
     fn parse_unit(mut self) -> Result<TranslationUnit, ParseError> {
-        let mut items = Vec::new();
         while self.peek() != Tok::Eof {
-            items.push(self.parse_item()?);
+            let item = self.parse_item()?;
+            self.unit.items.push(item);
         }
-        Ok(TranslationUnit {
-            items,
-            names: self.names,
-        })
+        Ok(self.unit)
     }
 
     fn parse_item(&mut self) -> Result<Item, ParseError> {
@@ -403,14 +431,14 @@ impl<'a> Parser<'a> {
         self.expect(Tok::Kw(Keyword::Struct))?;
         let (name, pos) = self.expect_ident()?;
         self.expect(Tok::LBrace)?;
-        let mut fields = Vec::new();
+        let start = self.unit.fields.len();
         while !self.eat(Tok::RBrace) {
             let base = self.parse_base_type()?;
             loop {
                 let fty = self.parse_pointers(base)?;
                 let (fname, _) = self.expect_ident()?;
                 let dims = self.parse_array_dims()?;
-                fields.push(FieldDecl {
+                self.unit.fields.push(FieldDecl {
                     name: fname,
                     ty: fty,
                     array_dims: dims,
@@ -422,6 +450,7 @@ impl<'a> Parser<'a> {
             self.expect(Tok::Semi)?;
         }
         self.expect(Tok::Semi)?;
+        let fields = fits(tail(&self.unit.fields, start), self.pos())?;
         Ok(StructDecl { name, fields, pos })
     }
 
@@ -432,7 +461,7 @@ impl<'a> Parser<'a> {
         pos: Pos,
     ) -> Result<FuncDecl, ParseError> {
         self.expect(Tok::LParen)?;
-        let mut params = Vec::new();
+        let start = self.unit.params.len();
         if !self.eat(Tok::RParen) {
             // `(void)` means no parameters.
             if matches!(self.peek(), Tok::Kw(Keyword::Void)) && self.peek2() == Tok::RParen {
@@ -446,7 +475,7 @@ impl<'a> Parser<'a> {
                     // Array parameters decay to pointers.
                     let dims = self.parse_array_dims()?;
                     let ty = if dims.is_empty() { ty } else { ty.ptr() };
-                    params.push(Param { name: pname, ty });
+                    self.unit.params.push(Param { name: pname, ty });
                     if !self.eat(Tok::Comma) {
                         break;
                     }
@@ -454,6 +483,7 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::RParen)?;
             }
         }
+        let params = fits(tail(&self.unit.params, start), self.pos())?;
         self.expect(Tok::LBrace)?;
         let body = self.parse_block_body()?;
         Ok(FuncDecl {
@@ -473,15 +503,15 @@ impl<'a> Parser<'a> {
         first_ty: TypeExpr,
         first_name: Symbol,
         first_pos: Pos,
-    ) -> Result<Vec<Declarator>, ParseError> {
-        let mut decls = Vec::new();
+    ) -> Result<List<Declarator>, ParseError> {
+        let start = self.unit.decls.len();
         let dims = self.parse_array_dims()?;
         let init = if self.eat(Tok::Assign) {
             Some(self.parse_initializer()?)
         } else {
             None
         };
-        decls.push(Declarator {
+        self.unit.decls.push(Declarator {
             name: first_name,
             ty: first_ty,
             array_dims: dims,
@@ -497,7 +527,7 @@ impl<'a> Parser<'a> {
             } else {
                 None
             };
-            decls.push(Declarator {
+            self.unit.decls.push(Declarator {
                 name,
                 ty,
                 array_dims: dims,
@@ -506,7 +536,7 @@ impl<'a> Parser<'a> {
             });
         }
         self.expect(Tok::Semi)?;
-        Ok(decls)
+        fits(tail(&self.unit.decls, start), self.pos())
     }
 
     fn parse_initializer(&mut self) -> Result<Initializer, ParseError> {
@@ -542,9 +572,9 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
-                let then = Box::new(self.parse_stmt()?);
+                let then = self.child()?;
                 let els = if self.eat(Tok::Kw(Keyword::Else)) {
-                    Some(Box::new(self.parse_stmt()?))
+                    Some(self.child()?)
                 } else {
                     None
                 };
@@ -555,12 +585,12 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::LParen)?;
                 let cond = self.parse_expr()?;
                 self.expect(Tok::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = self.child()?;
                 Ok(Stmt::While { cond, body })
             }
             Tok::Kw(Keyword::Do) => {
                 self.bump();
-                let body = Box::new(self.parse_stmt()?);
+                let body = self.child()?;
                 self.expect(Tok::Kw(Keyword::While))?;
                 self.expect(Tok::LParen)?;
                 let cond = self.parse_expr()?;
@@ -573,12 +603,15 @@ impl<'a> Parser<'a> {
                 self.expect(Tok::LParen)?;
                 let init = if self.eat(Tok::Semi) {
                     None
-                } else if self.at_type() {
-                    Some(Box::new(self.parse_decl_stmt()?))
                 } else {
-                    let e = self.parse_expr()?;
-                    self.expect(Tok::Semi)?;
-                    Some(Box::new(Stmt::Expr(e)))
+                    let init = if self.at_type() {
+                        self.parse_decl_stmt()?
+                    } else {
+                        let e = self.parse_expr()?;
+                        self.expect(Tok::Semi)?;
+                        Stmt::Expr(e)
+                    };
+                    Some(self.stmt_id(init)?)
                 };
                 let cond = if self.peek() == Tok::Semi {
                     None
@@ -592,7 +625,7 @@ impl<'a> Parser<'a> {
                     Some(self.parse_expr()?)
                 };
                 self.expect(Tok::RParen)?;
-                let body = Box::new(self.parse_stmt()?);
+                let body = self.child()?;
                 Ok(Stmt::For {
                     init,
                     cond,
@@ -612,7 +645,10 @@ impl<'a> Parser<'a> {
             Tok::Kw(Keyword::Case) => {
                 self.bump();
                 let e = self.parse_conditional()?;
-                let v = const_eval(&e).ok_or_else(|| self.err("case label must be constant"))?;
+                let v = self
+                    .unit
+                    .const_eval(&e)
+                    .ok_or_else(|| self.err("case label must be constant"))?;
                 self.expect(Tok::Colon)?;
                 Ok(Stmt::Case(v, pos))
             }
@@ -684,8 +720,8 @@ impl<'a> Parser<'a> {
             self.bump();
             let rhs = self.parse_assign()?;
             e = Expr::Comma {
-                lhs: Box::new(e),
-                rhs: Box::new(rhs),
+                lhs: self.expr(e)?,
+                rhs: self.expr(rhs)?,
                 pos,
             };
         }
@@ -719,14 +755,14 @@ impl<'a> Parser<'a> {
         let rhs = self.parse_assign()?; // right associative
         Ok(match op {
             None => Expr::Assign {
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                lhs: self.expr(lhs)?,
+                rhs: self.expr(rhs)?,
                 pos,
             },
             Some(op) => Expr::OpAssign {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                lhs: self.expr(lhs)?,
+                rhs: self.expr(rhs)?,
                 pos,
             },
         })
@@ -741,9 +777,9 @@ impl<'a> Parser<'a> {
             self.expect(Tok::Colon)?;
             let els = self.parse_assign()?;
             Ok(Expr::Conditional {
-                cond: Box::new(cond),
-                then: Box::new(then),
-                els: Box::new(els),
+                cond: self.expr(cond)?,
+                then: self.expr(then)?,
+                els: self.expr(els)?,
                 pos,
             })
         } else {
@@ -788,8 +824,8 @@ impl<'a> Parser<'a> {
             let rhs = self.parse_binary(prec + 1)?;
             lhs = Expr::Binary {
                 op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
+                lhs: self.expr(lhs)?,
+                rhs: self.expr(rhs)?,
                 pos,
             };
         }
@@ -809,7 +845,7 @@ impl<'a> Parser<'a> {
                 let e = self.parse_unary()?;
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
-                    operand: Box::new(e),
+                    operand: self.expr(e)?,
                     pos,
                 })
             }
@@ -822,7 +858,7 @@ impl<'a> Parser<'a> {
                 let e = self.parse_unary()?;
                 Ok(Expr::Unary {
                     op: UnOp::BitNot,
-                    operand: Box::new(e),
+                    operand: self.expr(e)?,
                     pos,
                 })
             }
@@ -831,26 +867,26 @@ impl<'a> Parser<'a> {
                 let e = self.parse_unary()?;
                 Ok(Expr::Unary {
                     op: UnOp::Not,
-                    operand: Box::new(e),
+                    operand: self.expr(e)?,
                     pos,
                 })
             }
             Tok::Star => {
                 self.bump();
                 let e = self.parse_unary()?;
-                Ok(Expr::Deref(Box::new(e), pos))
+                Ok(Expr::Deref(self.expr(e)?, pos))
             }
             Tok::Amp => {
                 self.bump();
                 let e = self.parse_unary()?;
-                Ok(Expr::AddrOf(Box::new(e), pos))
+                Ok(Expr::AddrOf(self.expr(e)?, pos))
             }
             Tok::PlusPlus | Tok::MinusMinus => {
                 let inc = self.peek() == Tok::PlusPlus;
                 self.bump();
                 let e = self.parse_unary()?;
                 Ok(Expr::IncDec {
-                    target: Box::new(e),
+                    target: self.expr(e)?,
                     inc,
                     prefix: true,
                     pos,
@@ -870,7 +906,7 @@ impl<'a> Parser<'a> {
                     self.at = save;
                 }
                 let e = self.parse_unary()?;
-                Ok(Expr::SizeofExpr(Box::new(e), pos))
+                Ok(Expr::SizeofExpr(self.expr(e)?, pos))
             }
             // Cast: `(type) unary`.
             Tok::LParen => {
@@ -882,7 +918,7 @@ impl<'a> Parser<'a> {
                     let e = self.parse_unary()?;
                     return Ok(Expr::Cast {
                         ty,
-                        expr: Box::new(e),
+                        expr: self.expr(e)?,
                         pos,
                     });
                 }
@@ -911,8 +947,8 @@ impl<'a> Parser<'a> {
                     let idx = self.parse_expr()?;
                     self.expect(Tok::RBracket)?;
                     e = Expr::Index {
-                        base: Box::new(e),
-                        index: Box::new(idx),
+                        base: self.expr(e)?,
+                        index: self.expr(idx)?,
                         pos,
                     };
                 }
@@ -920,7 +956,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let (field, _) = self.expect_ident()?;
                     e = Expr::Member {
-                        base: Box::new(e),
+                        base: self.expr(e)?,
                         field,
                         arrow: false,
                         pos,
@@ -930,7 +966,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     let (field, _) = self.expect_ident()?;
                     e = Expr::Member {
-                        base: Box::new(e),
+                        base: self.expr(e)?,
                         field,
                         arrow: true,
                         pos,
@@ -940,7 +976,7 @@ impl<'a> Parser<'a> {
                     let inc = self.peek() == Tok::PlusPlus;
                     self.bump();
                     e = Expr::IncDec {
-                        target: Box::new(e),
+                        target: self.expr(e)?,
                         inc,
                         prefix: false,
                         pos,
@@ -958,7 +994,14 @@ impl<'a> Parser<'a> {
         let pos = self.pos();
         match self.bump() {
             Tok::IntLit(v) => Ok(Expr::IntLit(v, pos)),
-            Tok::StrLit(span) => Ok(Expr::StrLit(string_bytes(self.src, span), pos)),
+            Tok::StrLit(span) => {
+                let start = self.unit.bytes.len();
+                string_bytes(self.src, span, &mut self.unit.bytes);
+                Ok(Expr::StrLit(
+                    fits(tail(&self.unit.bytes, start), self.pos())?,
+                    pos,
+                ))
+            }
             Tok::Ident(span) => {
                 let name = self.intern(span);
                 if self.peek() == Tok::LParen {
@@ -984,41 +1027,6 @@ impl<'a> Parser<'a> {
             }),
         }
     }
-}
-
-/// Constant folding for array dimensions and case labels.
-fn const_eval(e: &Expr) -> Option<i64> {
-    Some(match e {
-        Expr::IntLit(v, _) => *v,
-        Expr::Unary {
-            op: UnOp::Neg,
-            operand,
-            ..
-        } => const_eval(operand)?.wrapping_neg(),
-        Expr::Unary {
-            op: UnOp::BitNot,
-            operand,
-            ..
-        } => !const_eval(operand)?,
-        Expr::Binary { op, lhs, rhs, .. } => {
-            let l = const_eval(lhs)?;
-            let r = const_eval(rhs)?;
-            match op {
-                BinOp::Add => l.wrapping_add(r),
-                BinOp::Sub => l.wrapping_sub(r),
-                BinOp::Mul => l.wrapping_mul(r),
-                BinOp::Div => l.checked_div(r)?,
-                BinOp::Rem => l.checked_rem(r)?,
-                BinOp::Shl => l.wrapping_shl(r as u32),
-                BinOp::Shr => l.wrapping_shr(r as u32),
-                BinOp::And => l & r,
-                BinOp::Or => l | r,
-                BinOp::Xor => l ^ r,
-                _ => return None,
-            }
-        }
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -1057,11 +1065,11 @@ mod tests {
         let Item::Global(g) = &u.items[1] else {
             panic!()
         };
-        assert_eq!(g[0].array_dims, vec![10]);
+        assert_eq!(u[u[*g][0].array_dims], [10]);
         let Item::Global(g) = &u.items[2] else {
             panic!()
         };
-        assert_eq!(g[0].array_dims, vec![3, 4]);
+        assert_eq!(u[u[*g][0].array_dims], [3, 4]);
     }
 
     #[test]
@@ -1076,7 +1084,7 @@ mod tests {
             panic!()
         };
         assert_eq!(s.fields.len(), 3);
-        assert_eq!(s.fields[2].array_dims, vec![8]);
+        assert_eq!(u[u[s.fields][2].array_dims], [8]);
     }
 
     #[test]
@@ -1104,8 +1112,7 @@ mod tests {
              }",
         );
         let Item::Func(f) = &u.items[0] else { panic!() };
-        assert!(f
-            .body
+        assert!(u[f.body]
             .iter()
             .any(|s| matches!(s, Stmt::Label(name, _) if u.names.get(*name) == "retry")));
     }
@@ -1160,7 +1167,7 @@ mod tests {
         let Item::Global(g) = &u.items[1] else {
             panic!()
         };
-        assert_eq!(g[0].array_dims, vec![0], "[] must mean inferred");
+        assert_eq!(u[u[*g][0].array_dims], [0], "[] must mean inferred");
     }
 
     #[test]
@@ -1172,7 +1179,10 @@ mod tests {
     fn parses_multiple_declarators_per_line() {
         let u = parse_ok("int f() { int a = 1, b = 2; char *p, buf[16]; return a + b; }");
         let Item::Func(f) = &u.items[0] else { panic!() };
-        let Stmt::Decl(d) = &f.body[1] else { panic!() };
+        let Stmt::Decl(d) = u[f.body][1] else {
+            panic!()
+        };
+        let d = &u[d];
         assert_eq!(d.len(), 2);
         let char = TypeExpr::base(BaseType::Int {
             width: 1,
@@ -1181,17 +1191,17 @@ mod tests {
         assert_eq!(d[0].ty, char.ptr());
         // `buf` is an array of char, not a pointer.
         assert_eq!(d[1].ty, char);
-        assert_eq!(d[1].array_dims, vec![16]);
+        assert_eq!(u[d[1].array_dims], [16]);
     }
 
     #[test]
     fn assignment_is_right_associative() {
         let u = parse_ok("int f() { int a; int b; a = b = 3; return a; }");
         let Item::Func(f) = &u.items[0] else { panic!() };
-        let Stmt::Expr(Expr::Assign { rhs, .. }) = &f.body[2] else {
+        let Stmt::Expr(Expr::Assign { rhs, .. }) = u[f.body][2] else {
             panic!("expected assignment");
         };
-        assert!(matches!(**rhs, Expr::Assign { .. }));
+        assert!(matches!(u[rhs], Expr::Assign { .. }));
     }
 
     #[test]
@@ -1200,10 +1210,10 @@ mod tests {
         // precedence puts shift above comparison, which matches).
         let u = parse_ok("int f() { return 1 << 2 < 3; }");
         let Item::Func(f) = &u.items[0] else { panic!() };
-        let Stmt::Return(Some(Expr::Binary { op, .. }), _) = &f.body[0] else {
+        let Stmt::Return(Some(Expr::Binary { op, .. }), _) = u[f.body][0] else {
             panic!()
         };
-        assert_eq!(*op, BinOp::Lt);
+        assert_eq!(op, BinOp::Lt);
     }
 
     #[test]
@@ -1226,11 +1236,11 @@ mod tests {
         let Item::Global(g) = &u.items[0] else {
             panic!()
         };
-        let Stmt::Return(Some(Expr::Ident(used, _)), _) = &f.body[1] else {
+        let Stmt::Return(Some(Expr::Ident(used, _)), _) = u[f.body][1] else {
             panic!()
         };
-        assert_eq!(*used, g[0].name);
-        assert_ne!(f.params[0].name, g[0].name);
+        assert_eq!(used, u[*g][0].name);
+        assert_ne!(u[f.params][0].name, u[*g][0].name);
         assert_eq!(u.names.len(), 3, "count, f, n");
         assert_eq!(u.names.get(f.name), "f");
     }
@@ -1248,11 +1258,30 @@ mod tests {
     }
 
     #[test]
+    fn a_pool_past_the_id_space_is_a_diagnostic_not_a_wrapped_id() {
+        // The last id stays free, so a list's end always fits too.
+        assert_eq!(next_id(u32::MAX as usize - 1), Some(u32::MAX - 1));
+        assert_eq!(next_id(u32::MAX as usize), None);
+        assert_eq!(next_id(usize::MAX), None);
+        let pos = Pos {
+            offset: 4,
+            line: 1,
+            col: 5,
+        };
+        let err = fits(next_id(u32::MAX as usize), pos).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "program too large: over 2^32 - 2 nodes of one kind at 1:5"
+        );
+        assert_eq!(fits(next_id(7), pos), Ok(7));
+    }
+
+    #[test]
     fn array_dims_allow_constant_expressions() {
         let u = parse_ok("char buf[4 * 16 + 2];");
         let Item::Global(g) = &u.items[0] else {
             panic!()
         };
-        assert_eq!(g[0].array_dims, vec![66]);
+        assert_eq!(u[u[*g][0].array_dims], [66]);
     }
 }

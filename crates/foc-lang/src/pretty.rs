@@ -15,7 +15,7 @@ pub fn print_unit(unit: &TranslationUnit) -> String {
     let mut p = Printer {
         out: String::new(),
         indent: 0,
-        names: &unit.names,
+        unit,
     };
     for item in &unit.items {
         p.item(item);
@@ -26,12 +26,12 @@ pub fn print_unit(unit: &TranslationUnit) -> String {
 struct Printer<'a> {
     out: String,
     indent: usize,
-    names: &'a Names,
+    unit: &'a TranslationUnit,
 }
 
-impl Printer<'_> {
-    fn name(&self, sym: Symbol) -> &str {
-        self.names.get(sym)
+impl<'a> Printer<'a> {
+    fn name(&self, sym: Symbol) -> &'a str {
+        self.unit.names.get(sym)
     }
 
     fn line(&mut self, text: &str) {
@@ -80,7 +80,7 @@ impl Printer<'_> {
 
     fn declarator_str(&mut self, d: &Declarator) -> String {
         let mut s = format!("{} {}", self.type_str(d.ty), self.name(d.name));
-        for dim in &d.array_dims {
+        for dim in &self.unit[d.array_dims] {
             if *dim == 0 {
                 s.push_str("[]");
             } else {
@@ -95,7 +95,7 @@ impl Printer<'_> {
             }
             Some(Initializer::List(items)) => {
                 s.push_str(" = {");
-                for (i, item) in items.iter().enumerate() {
+                for (i, item) in self.unit[*items].iter().enumerate() {
                     if i > 0 {
                         s.push_str(", ");
                     }
@@ -111,13 +111,13 @@ impl Printer<'_> {
     // Items and statements.
     // ------------------------------------------------------------------
 
-    fn item(&mut self, item: &Item) {
+    fn item(&mut self, item: &'a Item) {
         match item {
             Item::Struct(s) => {
                 self.open(&format!("struct {} {{", self.name(s.name)));
-                for f in &s.fields {
+                for f in &self.unit[s.fields] {
                     let mut line = format!("{} {}", self.type_str(f.ty), self.name(f.name));
-                    for dim in &f.array_dims {
+                    for dim in &self.unit[f.array_dims] {
                         let _ = write!(line, "[{dim}]");
                     }
                     line.push(';');
@@ -126,14 +126,13 @@ impl Printer<'_> {
                 self.close("};");
             }
             Item::Global(decls) => {
-                for d in decls {
+                for d in &self.unit[*decls] {
                     let s = format!("{};", self.declarator_str(d));
                     self.line(&s);
                 }
             }
             Item::Func(f) => {
-                let params: Vec<String> = f
-                    .params
+                let params: Vec<String> = self.unit[f.params]
                     .iter()
                     .map(|p| format!("{} {}", self.type_str(p.ty), self.name(p.name)))
                     .collect();
@@ -143,7 +142,7 @@ impl Printer<'_> {
                     self.name(f.name),
                     params.join(", ")
                 ));
-                for s in &f.body {
+                for s in &self.unit[f.body] {
                     self.stmt(s);
                 }
                 self.close("}");
@@ -151,7 +150,7 @@ impl Printer<'_> {
         }
     }
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'a Stmt) {
         match s {
             Stmt::Empty => self.line(";"),
             Stmt::Expr(e) => {
@@ -159,39 +158,39 @@ impl Printer<'_> {
                 self.line(&s);
             }
             Stmt::Decl(decls) => {
-                for d in decls {
+                for d in &self.unit[*decls] {
                     let s = format!("{};", self.declarator_str(d));
                     self.line(&s);
                 }
             }
             Stmt::Block(stmts) => {
                 self.open("{");
-                for s in stmts {
+                for s in &self.unit[*stmts] {
                     self.stmt(s);
                 }
                 self.close("}");
             }
             Stmt::If { cond, then, els } => {
                 self.open(&format!("if ({}) {{", self.expr_str(cond, 0)));
-                self.stmt_body(then);
+                self.stmt_body(*then);
                 match els {
                     None => self.close("}"),
                     Some(els) => {
                         self.close("} else {");
                         self.indent += 1;
-                        self.stmt_body(els);
+                        self.stmt_body(*els);
                         self.close("}");
                     }
                 }
             }
             Stmt::While { cond, body } => {
                 self.open(&format!("while ({}) {{", self.expr_str(cond, 0)));
-                self.stmt_body(body);
+                self.stmt_body(*body);
                 self.close("}");
             }
             Stmt::DoWhile { body, cond } => {
                 self.open("do {");
-                self.stmt_body(body);
+                self.stmt_body(*body);
                 self.close(&format!("}} while ({});", self.expr_str(cond, 0)));
             }
             Stmt::For {
@@ -201,10 +200,12 @@ impl Printer<'_> {
                 body,
             } => {
                 // The init may be a declaration; print it inline.
-                let init_s = match init.as_deref() {
+                let init_s = match init.map(|s| &self.unit[s]) {
                     None => String::new(),
                     Some(Stmt::Expr(e)) => self.expr_str(e, 0),
-                    Some(Stmt::Decl(decls)) if decls.len() == 1 => self.declarator_str(&decls[0]),
+                    Some(Stmt::Decl(decls)) if decls.len() == 1 => {
+                        self.declarator_str(&self.unit[*decls][0])
+                    }
                     Some(other) => {
                         // Rare shape: hoist it before the loop.
                         self.stmt(other);
@@ -220,12 +221,12 @@ impl Printer<'_> {
                     .map(|s| self.expr_str(s, 0))
                     .unwrap_or_default();
                 self.open(&format!("for ({init_s}; {cond_s}; {step_s}) {{"));
-                self.stmt_body(body);
+                self.stmt_body(*body);
                 self.close("}");
             }
             Stmt::Switch { scrutinee, body } => {
                 self.open(&format!("switch ({}) {{", self.expr_str(scrutinee, 0)));
-                for s in body {
+                for s in &self.unit[*body] {
                     self.stmt(s);
                 }
                 self.close("}");
@@ -244,10 +245,10 @@ impl Printer<'_> {
         }
     }
 
-    fn stmt_body(&mut self, s: &Stmt) {
-        match s {
+    fn stmt_body(&mut self, s: Id<Stmt>) {
+        match &self.unit[s] {
             Stmt::Block(stmts) => {
-                for s in stmts {
+                for s in &self.unit[*stmts] {
                     self.stmt(s);
                 }
             }
@@ -302,13 +303,14 @@ impl Printer<'_> {
     /// Renders an expression, parenthesising when the context binds at least
     /// as tightly as `min_prec` requires.
     fn expr_str(&self, e: &Expr, min_prec: u8) -> String {
+        let sub = |id: Id<Expr>, min_prec| self.expr_str(&self.unit[id], min_prec);
         // Precedence classes: 0 = comma, 2 = assignment, 3 = conditional,
         // 4.. = binary (offset by +3 over `bin_prec`), 15 = unary, 16 = postfix.
         match e {
             Expr::IntLit(v, _) => format!("{v}"),
             Expr::StrLit(bytes, _) => {
                 let mut s = String::from("\"");
-                for &b in bytes {
+                for &b in &self.unit[*bytes] {
                     match b {
                         b'"' => s.push_str("\\\""),
                         b'\\' => s.push_str("\\\\"),
@@ -329,9 +331,9 @@ impl Printer<'_> {
                 let prec = bin_prec(*op) + 3;
                 let s = format!(
                     "{} {} {}",
-                    self.expr_str(lhs, prec),
+                    sub(*lhs, prec),
                     bin_token(*op),
-                    self.expr_str(rhs, prec + 1)
+                    sub(*rhs, prec + 1)
                 );
                 parens_if(s, prec < min_prec)
             }
@@ -341,41 +343,35 @@ impl Printer<'_> {
                     UnOp::BitNot => "~",
                     UnOp::Not => "!",
                 };
-                let s = format!("{t}{}", self.expr_str(operand, 15));
+                let s = format!("{t}{}", sub(*operand, 15));
                 parens_if(s, 15 < min_prec)
             }
-            Expr::Deref(inner, _) => {
-                parens_if(format!("*{}", self.expr_str(inner, 15)), 15 < min_prec)
-            }
-            Expr::AddrOf(inner, _) => {
-                parens_if(format!("&{}", self.expr_str(inner, 15)), 15 < min_prec)
-            }
+            Expr::Deref(inner, _) => parens_if(format!("*{}", sub(*inner, 15)), 15 < min_prec),
+            Expr::AddrOf(inner, _) => parens_if(format!("&{}", sub(*inner, 15)), 15 < min_prec),
             Expr::Index { base, index, .. } => {
-                format!("{}[{}]", self.expr_str(base, 16), self.expr_str(index, 0))
+                format!("{}[{}]", sub(*base, 16), sub(*index, 0))
             }
             Expr::Member {
                 base, field, arrow, ..
             } => format!(
                 "{}{}{}",
-                self.expr_str(base, 16),
+                sub(*base, 16),
                 if *arrow { "->" } else { "." },
                 self.name(*field)
             ),
             Expr::Call { callee, args, .. } => {
-                let args: Vec<String> = args.iter().map(|a| self.expr_str(a, 2)).collect();
+                let args: Vec<String> = self.unit[*args]
+                    .iter()
+                    .map(|a| self.expr_str(a, 2))
+                    .collect();
                 format!("{}({})", self.name(*callee), args.join(", "))
             }
             Expr::Assign { lhs, rhs, .. } => {
-                let s = format!("{} = {}", self.expr_str(lhs, 3), self.expr_str(rhs, 2));
+                let s = format!("{} = {}", sub(*lhs, 3), sub(*rhs, 2));
                 parens_if(s, 2 < min_prec)
             }
             Expr::OpAssign { op, lhs, rhs, .. } => {
-                let s = format!(
-                    "{} {}= {}",
-                    self.expr_str(lhs, 3),
-                    bin_token(*op),
-                    self.expr_str(rhs, 2)
-                );
+                let s = format!("{} {}= {}", sub(*lhs, 3), bin_token(*op), sub(*rhs, 2));
                 parens_if(s, 2 < min_prec)
             }
             Expr::IncDec {
@@ -386,31 +382,26 @@ impl Printer<'_> {
             } => {
                 let t = if *inc { "++" } else { "--" };
                 let s = if *prefix {
-                    format!("{t}{}", self.expr_str(target, 15))
+                    format!("{t}{}", sub(*target, 15))
                 } else {
-                    format!("{}{t}", self.expr_str(target, 16))
+                    format!("{}{t}", sub(*target, 16))
                 };
                 parens_if(s, 15 < min_prec)
             }
             Expr::Conditional {
                 cond, then, els, ..
             } => {
-                let s = format!(
-                    "{} ? {} : {}",
-                    self.expr_str(cond, 4),
-                    self.expr_str(then, 0),
-                    self.expr_str(els, 2)
-                );
+                let s = format!("{} ? {} : {}", sub(*cond, 4), sub(*then, 0), sub(*els, 2));
                 parens_if(s, 3 < min_prec)
             }
             Expr::Cast { ty, expr, .. } => {
-                let s = format!("({}) {}", self.type_str(*ty), self.expr_str(expr, 15));
+                let s = format!("({}) {}", self.type_str(*ty), sub(*expr, 15));
                 parens_if(s, 15 < min_prec)
             }
             Expr::SizeofType(ty, _) => format!("sizeof({})", self.type_str(*ty)),
-            Expr::SizeofExpr(inner, _) => format!("sizeof({})", self.expr_str(inner, 0)),
+            Expr::SizeofExpr(inner, _) => format!("sizeof({})", sub(*inner, 0)),
             Expr::Comma { lhs, rhs, .. } => {
-                let s = format!("{}, {}", self.expr_str(lhs, 2), self.expr_str(rhs, 2));
+                let s = format!("{}, {}", sub(*lhs, 2), sub(*rhs, 2));
                 parens_if(s, 1 < min_prec)
             }
         }
@@ -536,8 +527,8 @@ mod tests {
         let printed = print_unit(&unit);
         let a = crate::frontend(src).unwrap();
         let b = crate::frontend(&printed).unwrap();
-        // Compare the HIR bodies structurally.
-        assert_eq!(format!("{:?}", a.funcs), format!("{:?}", b.funcs));
+        // Compare the HIR structurally, node for node.
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::ast::{self, Names, Symbol};
+use crate::ast::{self, push, tail, Id, List, Symbol, TranslationUnit, TOO_LARGE};
 use crate::hir::{self, Builtin, Callee, FuncId, GlobalId, LabelId, LocalId, StrId};
 use crate::token::Pos;
 use crate::types::{
@@ -38,9 +38,9 @@ fn err<T>(pos: Pos, message: impl Into<String>) -> Result<T> {
 }
 
 /// Analyzes a parsed translation unit into a typed program.
-pub fn analyze(unit: &ast::TranslationUnit) -> Result<hir::Program> {
+pub fn analyze(unit: &TranslationUnit) -> Result<hir::Program> {
     let mut cx = Context {
-        names: &unit.names,
+        unit,
         meanings: vec![Meaning::default(); unit.names.len()],
         layouts: Layouts::default(),
         arrays: HashMap::new(),
@@ -49,15 +49,22 @@ pub fn analyze(unit: &ast::TranslationUnit) -> Result<hir::Program> {
         string_ids: HashMap::new(),
         funcs: Vec::new(),
         sigs: Vec::new(),
+        // Sized once: lowering adds loads, casts and scaled offsets to
+        // the source's expressions (twice as many nodes in the servers),
+        // and about as many statements.
+        exprs: Vec::with_capacity(3 * unit.exprs.len()),
+        stmts: Vec::with_capacity(2 * unit.stmts.len()),
     };
-    cx.collect_structs(unit)?;
-    cx.collect_globals_and_sigs(unit)?;
-    cx.check_bodies(unit)?;
+    cx.collect_structs()?;
+    cx.collect_globals_and_sigs()?;
+    cx.check_bodies()?;
     Ok(hir::Program {
         layouts: cx.layouts,
         globals: cx.globals,
         strings: cx.strings,
         funcs: cx.funcs,
+        exprs: cx.exprs,
+        stmts: cx.stmts,
     })
 }
 
@@ -82,7 +89,7 @@ struct Meaning {
 }
 
 struct Context<'u> {
-    names: &'u Names,
+    unit: &'u TranslationUnit,
     /// Indexed by [`Symbol`].
     meanings: Vec<Meaning>,
     layouts: Layouts,
@@ -93,11 +100,14 @@ struct Context<'u> {
     string_ids: HashMap<&'u [u8], StrId>,
     funcs: Vec<hir::Function>,
     sigs: Vec<FuncSig>,
+    /// The HIR's pools.
+    exprs: Vec<hir::Expr>,
+    stmts: Vec<hir::Stmt>,
 }
 
 impl<'u> Context<'u> {
     fn name(&self, sym: Symbol) -> &'u str {
-        self.names.get(sym)
+        self.unit.names.get(sym)
     }
 
     fn meaning(&mut self, sym: Symbol) -> &mut Meaning {
@@ -108,8 +118,8 @@ impl<'u> Context<'u> {
     // Pass 1: structs.
     // ------------------------------------------------------------------
 
-    fn collect_structs(&mut self, unit: &ast::TranslationUnit) -> Result<()> {
-        for item in &unit.items {
+    fn collect_structs(&mut self) -> Result<()> {
+        for item in &self.unit.items {
             let ast::Item::Struct(decl) = item else {
                 continue;
             };
@@ -120,9 +130,9 @@ impl<'u> Context<'u> {
             let mut fields = Vec::with_capacity(decl.fields.len());
             let mut offset = 0u64;
             let mut align = 1u64;
-            for f in &decl.fields {
+            for f in &self.unit[decl.fields] {
                 let base = self.resolve_type(f.ty, decl.pos)?;
-                let fty = self.object_type(base, &f.array_dims, f.name, decl.pos)?;
+                let fty = self.object_type(base, &self.unit[f.array_dims], f.name, decl.pos)?;
                 if fty.is_void() {
                     let field = self.name(f.name);
                     return err(decl.pos, format!("field `{field}` cannot be void"));
@@ -205,7 +215,8 @@ impl<'u> Context<'u> {
     /// A declarator's type, its leading `[]` sized from the initialiser.
     fn declared_type(&mut self, d: &ast::Declarator) -> Result<CType> {
         let base = self.resolve_type(d.ty, d.pos)?;
-        let (outer, inner) = match d.array_dims.split_first() {
+        let dims = &self.unit[d.array_dims];
+        let (outer, inner) = match dims.split_first() {
             Some((&0, inner)) => {
                 let inferred = match &d.init {
                     Some(ast::Initializer::Expr(ast::Expr::StrLit(s, _))) => s.len() as u64 + 1,
@@ -214,7 +225,7 @@ impl<'u> Context<'u> {
                 };
                 (Some(inferred), inner)
             }
-            _ => (None, &d.array_dims[..]),
+            _ => (None, dims),
         };
         let ty = self.object_type(base, inner, d.name, d.pos)?;
         match outer {
@@ -235,11 +246,11 @@ impl<'u> Context<'u> {
     // Pass 2: globals and function signatures.
     // ------------------------------------------------------------------
 
-    fn collect_globals_and_sigs(&mut self, unit: &'u ast::TranslationUnit) -> Result<()> {
-        for item in &unit.items {
+    fn collect_globals_and_sigs(&mut self) -> Result<()> {
+        for item in &self.unit.items {
             match item {
                 ast::Item::Global(decls) => {
-                    for d in decls {
+                    for d in &self.unit[*decls] {
                         self.define_global(d)?;
                     }
                 }
@@ -253,7 +264,7 @@ impl<'u> Context<'u> {
                     }
                     let ret = self.resolve_type(f.ret, f.pos)?;
                     let mut params = Vec::with_capacity(f.params.len());
-                    for p in &f.params {
+                    for p in &self.unit[f.params] {
                         let ty = self.resolve_type(p.ty, f.pos)?;
                         if !ty.is_scalar() {
                             return err(
@@ -275,7 +286,7 @@ impl<'u> Context<'u> {
                         param_count: f.params.len(),
                         locals: Vec::new(),
                         ret,
-                        body: Vec::new(),
+                        body: List::EMPTY,
                         label_count: 0,
                     });
                 }
@@ -322,7 +333,7 @@ impl<'u> Context<'u> {
                     return err(d.pos, "too many initialisers");
                 }
                 let esz = self.layouts.size_of(elem);
-                for (i, item) in items.iter().enumerate() {
+                for (i, item) in self.unit[*items].iter().enumerate() {
                     self.init_scalar_or_string(
                         elem,
                         item,
@@ -356,15 +367,16 @@ impl<'u> Context<'u> {
     ) -> Result<()> {
         match (ty.kind(), e) {
             // `char buf[N] = "str"`.
-            (TypeKind::Array(_), ast::Expr::StrLit(s, spos))
+            (TypeKind::Array(_), &ast::Expr::StrLit(s, spos))
                 if self
                     .layouts
                     .array_of(ty)
                     .is_some_and(|(elem, _)| elem == CType::CHAR) =>
             {
                 let (_, n) = self.layouts.array_of(ty).expect("matched an array");
+                let s = &self.unit[s];
                 if s.len() as u64 > n {
-                    return err(*spos, "string initialiser too long");
+                    return err(spos, "string initialiser too long");
                 }
                 let start = offset as usize;
                 out[start..start + s.len()].copy_from_slice(s);
@@ -372,29 +384,18 @@ impl<'u> Context<'u> {
                 Ok(())
             }
             // `char *p = "str"`.
-            (TypeKind::Ptr(_), ast::Expr::StrLit(s, _)) => {
-                let id = self.intern_string(s);
+            (TypeKind::Ptr(_), &ast::Expr::StrLit(s, _)) => {
+                let id = self.intern_string(&self.unit[s]);
                 relocs.push((offset, id));
                 Ok(())
             }
-            (TypeKind::Int { width, .. }, e) => {
-                let v = const_eval_ast(e).ok_or_else(|| SemaError {
-                    message: "global initialiser must be constant".into(),
-                    pos,
-                })?;
-                let bytes = v.to_le_bytes();
-                let w = width.bytes() as usize;
-                let start = offset as usize;
-                out[start..start + w].copy_from_slice(&bytes[..w]);
-                Ok(())
-            }
-            (TypeKind::Ptr(_), e) => {
-                let v = const_eval_ast(e).ok_or_else(|| SemaError {
-                    message: "global pointer initialiser must be constant".into(),
-                    pos,
-                })?;
-                let start = offset as usize;
-                out[start..start + 8].copy_from_slice(&v.to_le_bytes());
+            (TypeKind::Int { .. } | TypeKind::Ptr(_), e) => {
+                let Some(v) = self.unit.const_eval(e) else {
+                    let what = if ty.is_pointer() { " pointer" } else { "" };
+                    return err(pos, format!("global{what} initialiser must be constant"));
+                };
+                let (start, width) = (offset as usize, self.layouts.size_of(ty) as usize);
+                out[start..start + width].copy_from_slice(&v.to_le_bytes()[..width]);
                 Ok(())
             }
             _ => err(
@@ -411,21 +412,26 @@ impl<'u> Context<'u> {
     // Pass 3: function bodies.
     // ------------------------------------------------------------------
 
-    fn check_bodies(&mut self, unit: &'u ast::TranslationUnit) -> Result<()> {
+    fn check_bodies(&mut self) -> Result<()> {
+        // Room for any one server function, so none of these regrows.
+        const ROOM: usize = 64;
         let mut fx = FuncCx {
+            unit: self.unit,
             cx: self,
             fid: FuncId(0),
-            locals: Vec::new(),
-            scopes: Vec::new(),
-            shadowed: Vec::new(),
-            labels: Vec::new(),
+            pos: Pos::default(),
+            locals: Vec::with_capacity(ROOM),
+            scopes: Vec::with_capacity(ROOM),
+            shadowed: Vec::with_capacity(ROOM),
+            labels: Vec::with_capacity(ROOM),
             label_count: 0,
-            breakables: Vec::new(),
+            breakables: Vec::with_capacity(ROOM),
             loop_depth: 0,
-            pending_gotos: Vec::new(),
-            stmts: Vec::new(),
+            pending_gotos: Vec::with_capacity(ROOM),
+            stmts: Vec::with_capacity(ROOM),
+            args: Vec::with_capacity(ROOM),
         };
-        let funcs = unit.items.iter().filter_map(|item| match item {
+        let funcs = fx.unit.items.iter().filter_map(|item| match item {
             ast::Item::Func(f) => Some(f),
             _ => None,
         });
@@ -448,7 +454,10 @@ enum Breakable {
 /// are allocated once per program, not once per function.
 struct FuncCx<'a, 'u> {
     cx: &'a mut Context<'u>,
+    unit: &'u TranslationUnit,
     fid: FuncId,
+    /// Where the function is declared.
+    pos: Pos,
     locals: Vec<CType>,
     /// Per open scope, the length `shadowed` had when it opened.
     scopes: Vec<usize>,
@@ -460,24 +469,27 @@ struct FuncCx<'a, 'u> {
     breakables: Vec<Breakable>,
     loop_depth: u32,
     pending_gotos: Vec<(Symbol, Pos)>,
-    /// The statements of every open block, innermost last (moved out in
-    /// one allocation when the block closes).
+    /// The statements of every open block, innermost last (moved to the
+    /// pool when the block closes).
     stmts: Vec<hir::Stmt>,
+    /// Likewise the arguments of every open call.
+    args: Vec<hir::Expr>,
 }
 
 impl<'u> FuncCx<'_, 'u> {
     fn check_body(&mut self, f: &'u ast::FuncDecl) -> Result<()> {
+        self.pos = f.pos;
         self.locals.clear();
         self.labels.clear();
         self.pending_gotos.clear();
         self.label_count = 0;
         // Parameters are the first local slots, in a scope of their own.
         self.push_scope();
-        for p in &f.params {
+        for p in &self.unit[f.params] {
             let ty = self.cx.resolve_type(p.ty, f.pos)?;
             self.declare_local(p.name, ty, f.pos)?;
         }
-        let body = self.lower_block(&f.body)?;
+        let body = self.lower_block(&self.unit[f.body])?;
         for &(name, pos) in &self.pending_gotos {
             if !self.cx.meanings[name.0 as usize]
                 .label
@@ -548,11 +560,24 @@ impl<'u> FuncCx<'_, 'u> {
     // Statements.
     // ------------------------------------------------------------------
 
+    fn push(&mut self, e: hir::Expr) -> Result<Id<hir::Expr>> {
+        fits(push(&mut self.cx.exprs, e), self.pos)
+    }
+
+    /// The arguments gathered since `base`, moved to the pool.
+    fn args_since(&mut self, base: usize) -> Result<List<hir::Expr>> {
+        let start = self.cx.exprs.len();
+        self.cx.exprs.extend(self.args.drain(base..));
+        fits(tail(&self.cx.exprs, start), self.pos)
+    }
+
     /// Lowers `stmts` in a scope of their own.
-    fn lower_block(&mut self, stmts: &'u [ast::Stmt]) -> Result<Vec<hir::Stmt>> {
+    fn lower_block(&mut self, stmts: &'u [ast::Stmt]) -> Result<List<hir::Stmt>> {
         let base = self.stmts.len();
         self.lower_scoped(stmts)?;
-        Ok(self.stmts.drain(base..).collect())
+        let start = self.cx.stmts.len();
+        self.cx.stmts.extend(self.stmts.drain(base..));
+        fits(tail(&self.cx.stmts, start), self.pos)
     }
 
     /// Lowers `stmts` onto the open block, in a scope of their own.
@@ -578,23 +603,23 @@ impl<'u> FuncCx<'_, 'u> {
                 self.emit(hir::Stmt::Expr(e));
             }
             ast::Stmt::Decl(decls) => {
-                for d in decls {
+                for d in &self.unit[*decls] {
                     self.lower_local_decl(d)?;
                 }
             }
-            ast::Stmt::Block(stmts) => self.lower_scoped(stmts)?,
+            ast::Stmt::Block(stmts) => self.lower_scoped(&self.unit[*stmts])?,
             ast::Stmt::If { cond, then, els } => {
                 let cond = self.lower_scalar(cond)?;
-                let then = self.lower_stmt_as_block(then)?;
+                let then = self.lower_stmt_as_block(*then)?;
                 let els = match els {
-                    Some(e) => self.lower_stmt_as_block(e)?,
-                    None => Vec::new(),
+                    Some(e) => self.lower_stmt_as_block(*e)?,
+                    None => List::EMPTY,
                 };
                 self.emit(hir::Stmt::If { cond, then, els });
             }
             ast::Stmt::While { cond, body } => {
                 let cond = self.lower_scalar(cond)?;
-                let body = self.lower_loop_body(body)?;
+                let body = self.lower_loop_body(*body)?;
                 self.emit(hir::Stmt::While {
                     cond,
                     body,
@@ -602,7 +627,7 @@ impl<'u> FuncCx<'_, 'u> {
                 });
             }
             ast::Stmt::DoWhile { body, cond } => {
-                let body = self.lower_loop_body(body)?;
+                let body = self.lower_loop_body(*body)?;
                 let cond = self.lower_scalar(cond)?;
                 self.emit(hir::Stmt::DoWhile { body, cond });
             }
@@ -615,7 +640,7 @@ impl<'u> FuncCx<'_, 'u> {
                 // The init's declarations live in their own scope.
                 self.push_scope();
                 if let Some(init) = init {
-                    self.lower_stmt(init)?;
+                    self.lower_stmt(&self.unit[*init])?;
                 }
                 let cond = match cond {
                     Some(c) => self.lower_scalar(c)?,
@@ -625,11 +650,13 @@ impl<'u> FuncCx<'_, 'u> {
                     Some(s) => Some(self.lower_expr(s)?),
                     None => None,
                 };
-                let body = self.lower_loop_body(body)?;
+                let body = self.lower_loop_body(*body)?;
                 self.pop_scope();
                 self.emit(hir::Stmt::While { cond, body, step });
             }
-            ast::Stmt::Switch { scrutinee, body } => self.lower_switch(scrutinee, body)?,
+            ast::Stmt::Switch { scrutinee, body } => {
+                self.lower_switch(scrutinee, &self.unit[*body])?
+            }
             ast::Stmt::Case(_, pos) | ast::Stmt::Default(pos) => {
                 return err(*pos, "case/default outside switch");
             }
@@ -673,7 +700,7 @@ impl<'u> FuncCx<'_, 'u> {
         Ok(())
     }
 
-    fn lower_loop_body(&mut self, body: &'u ast::Stmt) -> Result<Vec<hir::Stmt>> {
+    fn lower_loop_body(&mut self, body: Id<ast::Stmt>) -> Result<List<hir::Stmt>> {
         self.breakables.push(Breakable::Loop);
         self.loop_depth += 1;
         let body = self.lower_stmt_as_block(body)?;
@@ -682,9 +709,9 @@ impl<'u> FuncCx<'_, 'u> {
         Ok(body)
     }
 
-    fn lower_stmt_as_block(&mut self, stmt: &'u ast::Stmt) -> Result<Vec<hir::Stmt>> {
-        match stmt {
-            ast::Stmt::Block(stmts) => self.lower_block(stmts),
+    fn lower_stmt_as_block(&mut self, stmt: Id<ast::Stmt>) -> Result<List<hir::Stmt>> {
+        match &self.unit[stmt] {
+            ast::Stmt::Block(stmts) => self.lower_block(&self.unit[*stmts]),
             other => self.lower_block(std::slice::from_ref(other)),
         }
     }
@@ -698,11 +725,7 @@ impl<'u> FuncCx<'_, 'u> {
         }
         // Stash the scrutinee in a temp so the comparisons are pure.
         let tmp = self.fresh_temp(scrut_ty);
-        self.emit(hir::Stmt::Expr(hir::Expr::Store {
-            addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty)),
-            value: Box::new(scrut),
-            ty: scrut_ty,
-        }));
+        self.emit_store(hir::Expr::LocalAddr(tmp, scrut_ty), scrut, scrut_ty)?;
         let end = self.fresh_label();
         // One label per case/default marker, in body order.
         let mut markers: Vec<(Option<i64>, LabelId)> = Vec::new();
@@ -716,18 +739,14 @@ impl<'u> FuncCx<'_, 'u> {
         // Dispatch.
         for &(v, l) in &markers {
             let Some(v) = v else { continue };
-            self.emit(hir::Stmt::GotoIf {
-                cond: hir::Expr::Binary {
-                    op: hir::BinOp::Eq,
-                    lhs: Box::new(hir::Expr::Load {
-                        addr: Box::new(hir::Expr::LocalAddr(tmp, scrut_ty)),
-                        ty: scrut_ty,
-                    }),
-                    rhs: Box::new(hir::Expr::Const(v, scrut_ty)),
-                    ty: CType::INT,
-                },
-                target: l,
-            });
+            let addr = self.push(hir::Expr::LocalAddr(tmp, scrut_ty))?;
+            let cond = hir::Expr::Binary {
+                op: hir::BinOp::Eq,
+                lhs: self.push(hir::Expr::Load { addr, ty: scrut_ty })?,
+                rhs: self.push(hir::Expr::Const(v, scrut_ty))?,
+                ty: CType::INT,
+            };
+            self.emit(hir::Stmt::GotoIf { cond, target: l });
         }
         let default = markers.iter().rev().find(|(v, _)| v.is_none());
         self.emit(hir::Stmt::Goto(default.map_or(end, |&(_, l)| l)));
@@ -759,27 +778,33 @@ impl<'u> FuncCx<'_, 'u> {
         match &d.init {
             None => {}
             Some(ast::Initializer::Expr(e)) => match (array, e) {
-                (Some((CType::CHAR, n)), ast::Expr::StrLit(s, spos)) => {
+                (Some((CType::CHAR, n)), &ast::Expr::StrLit(s, spos)) => {
+                    let s = &self.unit[s];
                     if s.len() as u64 > n {
-                        return err(*spos, "string initialiser too long");
+                        return err(spos, "string initialiser too long");
                     }
                     let sid = self.cx.intern_string(s);
                     let count = (s.len() as u64 + 1).min(n);
+                    let base = self.args.len();
+                    let dst = self.push(hir::Expr::LocalAddr(id, ty))?;
+                    let src = self.push(hir::Expr::Str(sid))?;
+                    self.args.extend([
+                        hir::Expr::Cast {
+                            expr: dst,
+                            from: ty.ptr(),
+                            to: CType::VOID_PTR,
+                        },
+                        hir::Expr::Cast {
+                            expr: src,
+                            from: CType::CHAR_PTR,
+                            to: CType::VOID_PTR,
+                        },
+                        hir::Expr::Const(count as i64, CType::ULONG),
+                    ]);
+                    let args = self.args_since(base)?;
                     self.emit(hir::Stmt::Expr(hir::Expr::Call {
                         callee: Callee::Builtin(Builtin::Memcpy),
-                        args: vec![
-                            hir::Expr::Cast {
-                                expr: Box::new(hir::Expr::LocalAddr(id, ty)),
-                                from: ty.ptr(),
-                                to: CType::VOID_PTR,
-                            },
-                            hir::Expr::Cast {
-                                expr: Box::new(hir::Expr::Str(sid)),
-                                from: CType::CHAR_PTR,
-                                to: CType::VOID_PTR,
-                            },
-                            hir::Expr::Const(count as i64, CType::ULONG),
-                        ],
+                        args,
                         ty: CType::VOID_PTR,
                     }));
                 }
@@ -789,11 +814,7 @@ impl<'u> FuncCx<'_, 'u> {
                     }
                     let v = self.lower_expr(e)?;
                     let v = self.convert(v, ty, d.pos)?;
-                    self.emit(hir::Stmt::Expr(hir::Expr::Store {
-                        addr: Box::new(hir::Expr::LocalAddr(id, ty)),
-                        value: Box::new(v),
-                        ty,
-                    }));
+                    self.emit_store(hir::Expr::LocalAddr(id, ty), v, ty)?;
                 }
             },
             Some(ast::Initializer::List(items)) => {
@@ -807,27 +828,35 @@ impl<'u> FuncCx<'_, 'u> {
                     return err(d.pos, "too many initialisers");
                 }
                 let elem_size = self.cx.layouts.size_of(elem);
-                for (i, item) in items.iter().enumerate() {
+                for (i, item) in self.unit[*items].iter().enumerate() {
                     let v = self.lower_expr(item)?;
                     let v = self.convert(v, elem, d.pos)?;
+                    let local = self.push(hir::Expr::LocalAddr(id, ty))?;
                     let addr = hir::Expr::PtrAdd {
-                        ptr: Box::new(hir::Expr::Cast {
-                            expr: Box::new(hir::Expr::LocalAddr(id, ty)),
+                        ptr: self.push(hir::Expr::Cast {
+                            expr: local,
                             from: ty.ptr(),
                             to: elem.ptr(),
-                        }),
-                        count: Box::new(hir::Expr::Const(i as i64, CType::LONG)),
+                        })?,
+                        count: self.push(hir::Expr::Const(i as i64, CType::LONG))?,
                         elem_size,
                         ty: elem.ptr(),
                     };
-                    self.emit(hir::Stmt::Expr(hir::Expr::Store {
-                        addr: Box::new(addr),
-                        value: Box::new(v),
-                        ty: elem,
-                    }));
+                    self.emit_store(addr, v, elem)?;
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Appends `*addr = value` (of type `ty`) to the open block.
+    fn emit_store(&mut self, addr: hir::Expr, value: hir::Expr, ty: CType) -> Result<()> {
+        let store = hir::Expr::Store {
+            addr: self.push(addr)?,
+            value: self.push(value)?,
+            ty,
+        };
+        self.emit(hir::Stmt::Expr(store));
         Ok(())
     }
 
@@ -869,7 +898,7 @@ impl<'u> FuncCx<'_, 'u> {
                 )
             }
             ast::Expr::Deref(inner, pos) => {
-                let p = self.lower_expr(inner)?;
+                let p = self.lower_expr(&self.unit[*inner])?;
                 let pty = p.ty();
                 let Some(pointee) = pty.pointee() else {
                     return err(
@@ -883,7 +912,7 @@ impl<'u> FuncCx<'_, 'u> {
                 Ok((p, pointee))
             }
             ast::Expr::Index { base, index, pos } => {
-                let addr = self.lower_index_addr(base, index, *pos)?;
+                let addr = self.lower_index_addr(&self.unit[*base], &self.unit[*index], *pos)?;
                 let ty = addr.ty().pointee().expect("index addr is a pointer");
                 Ok((addr, ty))
             }
@@ -894,7 +923,7 @@ impl<'u> FuncCx<'_, 'u> {
                 pos,
             } => {
                 let (base_addr, sid) = if *arrow {
-                    let p = self.lower_expr(base)?;
+                    let p = self.lower_expr(&self.unit[*base])?;
                     match p.ty().kind() {
                         TypeKind::Ptr(inner) => match inner.kind() {
                             TypeKind::Struct(sid) => (p, sid),
@@ -909,7 +938,7 @@ impl<'u> FuncCx<'_, 'u> {
                         }
                     }
                 } else {
-                    let (addr, ty) = self.lower_lvalue(base)?;
+                    let (addr, ty) = self.lower_lvalue(&self.unit[*base])?;
                     match ty.kind() {
                         TypeKind::Struct(sid) => (addr, sid),
                         _ => {
@@ -932,18 +961,19 @@ impl<'u> FuncCx<'_, 'u> {
                 let (fty, offset) = (f.ty, f.offset);
                 // Field address = base + offset, as checked byte arithmetic
                 // within the struct's data unit.
+                let base = self.push(base_addr)?;
                 let addr = hir::Expr::PtrAdd {
-                    ptr: Box::new(hir::Expr::Cast {
-                        expr: Box::new(base_addr),
+                    ptr: self.push(hir::Expr::Cast {
+                        expr: base,
                         from: CType::structure(sid).ptr(),
                         to: CType::CHAR_PTR,
-                    }),
-                    count: Box::new(hir::Expr::Const(offset as i64, CType::LONG)),
+                    })?,
+                    count: self.push(hir::Expr::Const(offset as i64, CType::LONG))?,
                     elem_size: 1,
                     ty: CType::CHAR_PTR,
                 };
                 let addr = hir::Expr::Cast {
-                    expr: Box::new(addr),
+                    expr: self.push(addr)?,
                     from: CType::CHAR_PTR,
                     to: fty.ptr(),
                 };
@@ -971,8 +1001,8 @@ impl<'u> FuncCx<'_, 'u> {
         }
         let esz = self.cx.size_of(elem, pos)?;
         Ok(hir::Expr::PtrAdd {
-            ptr: Box::new(b),
-            count: Box::new(idx),
+            ptr: self.push(b)?,
+            count: self.push(idx)?,
             elem_size: esz,
             ty: elem.ptr(),
         })
@@ -982,17 +1012,13 @@ impl<'u> FuncCx<'_, 'u> {
     fn lower_expr(&mut self, e: &'u ast::Expr) -> Result<hir::Expr> {
         let pos = e.pos();
         match e {
-            ast::Expr::IntLit(v, _) => {
-                // Literals are `int` unless they do not fit.
-                let ty = if *v >= i32::MIN as i64 && *v <= i32::MAX as i64 {
-                    CType::INT
-                } else {
-                    CType::LONG
-                };
-                Ok(hir::Expr::Const(*v, ty))
-            }
+            // Literals are `int` unless they do not fit.
+            ast::Expr::IntLit(v, _) => match i32::try_from(*v) {
+                Ok(_) => Ok(hir::Expr::Const(*v, CType::INT)),
+                Err(_) => Ok(hir::Expr::Const(*v, CType::LONG)),
+            },
             ast::Expr::StrLit(s, _) => {
-                let id = self.cx.intern_string(s);
+                let id = self.cx.intern_string(&self.unit[*s]);
                 Ok(hir::Expr::Str(id))
             }
             ast::Expr::Ident(..)
@@ -1003,7 +1029,7 @@ impl<'u> FuncCx<'_, 'u> {
                 match ty.kind() {
                     // Arrays decay to a pointer to their first element.
                     TypeKind::Array(_) => Ok(hir::Expr::Cast {
-                        expr: Box::new(addr),
+                        expr: self.push(addr)?,
                         from: ty.ptr(),
                         to: self.cx.layouts.decayed(ty),
                     }),
@@ -1011,63 +1037,61 @@ impl<'u> FuncCx<'_, 'u> {
                         err(pos, "struct value cannot be used here (take its address)")
                     }
                     _ => Ok(hir::Expr::Load {
-                        addr: Box::new(addr),
+                        addr: self.push(addr)?,
                         ty,
                     }),
                 }
             }
             // `&x` has type T*: the address expression already is that
             // pointer (an array's address points to the whole array).
-            ast::Expr::AddrOf(inner, _) => Ok(self.lower_lvalue(inner)?.0),
+            ast::Expr::AddrOf(inner, _) => Ok(self.lower_lvalue(&self.unit[*inner])?.0),
             ast::Expr::Unary { op, operand, pos } => {
-                let v = self.lower_scalar(operand)?;
-                let ty = v.ty();
-                match op {
-                    ast::UnOp::Not => Ok(hir::Expr::Unary {
-                        op: hir::UnOp::Not,
-                        operand: Box::new(v),
-                        ty: CType::INT,
-                    }),
+                let v = self.lower_scalar(&self.unit[*operand])?;
+                let (v, ty) = match op {
+                    ast::UnOp::Not => (v, CType::INT),
                     ast::UnOp::Neg | ast::UnOp::BitNot => {
+                        let ty = v.ty();
                         if !ty.is_integer() {
                             let ty = self.cx.layouts.name(ty);
                             return err(*pos, format!("cannot apply operator to {ty}"));
                         }
                         let promoted = promote(ty);
-                        let v = self.convert(v, promoted, *pos)?;
-                        Ok(hir::Expr::Unary {
-                            op: match op {
-                                ast::UnOp::Neg => hir::UnOp::Neg,
-                                _ => hir::UnOp::BitNot,
-                            },
-                            operand: Box::new(v),
-                            ty: promoted,
-                        })
+                        (self.convert(v, promoted, *pos)?, promoted)
                     }
-                }
-            }
-            ast::Expr::Binary { op, lhs, rhs, pos } => self.lower_binary(*op, lhs, rhs, *pos),
-            ast::Expr::Assign { lhs, rhs, pos } => {
-                let (addr, ty) = self.lower_lvalue(lhs)?;
-                if !ty.is_scalar() {
-                    return err(*pos, "assignment target must be scalar");
-                }
-                let v = self.lower_expr(rhs)?;
-                let v = self.convert(v, ty, *pos)?;
-                Ok(hir::Expr::Store {
-                    addr: Box::new(addr),
-                    value: Box::new(v),
+                };
+                let operand = self.push(v)?;
+                Ok(hir::Expr::Unary {
+                    op: *op,
+                    operand,
                     ty,
                 })
             }
-            ast::Expr::OpAssign { op, lhs, rhs, pos } => self.lower_op_assign(*op, lhs, rhs, *pos),
+            ast::Expr::Binary { op, lhs, rhs, pos } => {
+                self.lower_binary(*op, &self.unit[*lhs], &self.unit[*rhs], *pos)
+            }
+            ast::Expr::Assign { lhs, rhs, pos } => {
+                let (addr, ty) = self.lower_lvalue(&self.unit[*lhs])?;
+                if !ty.is_scalar() {
+                    return err(*pos, "assignment target must be scalar");
+                }
+                let v = self.lower_expr(&self.unit[*rhs])?;
+                let v = self.convert(v, ty, *pos)?;
+                Ok(hir::Expr::Store {
+                    addr: self.push(addr)?,
+                    value: self.push(v)?,
+                    ty,
+                })
+            }
+            ast::Expr::OpAssign { op, lhs, rhs, pos } => {
+                self.lower_op_assign(*op, &self.unit[*lhs], &self.unit[*rhs], *pos)
+            }
             ast::Expr::IncDec {
                 target,
                 inc,
                 prefix,
                 pos,
             } => {
-                let (addr, ty) = self.lower_lvalue(target)?;
+                let (addr, ty) = self.lower_lvalue(&self.unit[*target])?;
                 let (delta, is_ptr) = match ty.kind() {
                     TypeKind::Int { .. } => (1i64, false),
                     TypeKind::Ptr(inner) => (self.cx.size_of(inner, *pos)? as i64, true),
@@ -1078,7 +1102,7 @@ impl<'u> FuncCx<'_, 'u> {
                 };
                 let delta = if *inc { delta } else { -delta };
                 Ok(hir::Expr::IncDec {
-                    addr: Box::new(addr),
+                    addr: self.push(addr)?,
                     ty,
                     delta,
                     prefix: *prefix,
@@ -1088,26 +1112,27 @@ impl<'u> FuncCx<'_, 'u> {
             ast::Expr::Conditional {
                 cond, then, els, ..
             } => {
-                let c = self.lower_scalar(cond)?;
-                let t = self.lower_expr(then)?;
-                let f = self.lower_expr(els)?;
+                let c = self.lower_scalar(&self.unit[*cond])?;
+                let t = self.lower_expr(&self.unit[*then])?;
+                let f = self.lower_expr(&self.unit[*els])?;
                 let (t, f, ty) = self.unify_branches(t, f, pos)?;
                 Ok(hir::Expr::Conditional {
-                    cond: Box::new(c),
-                    then: Box::new(t),
-                    els: Box::new(f),
+                    cond: self.push(c)?,
+                    then: self.push(t)?,
+                    els: self.push(f)?,
                     ty,
                 })
             }
             ast::Expr::Cast { ty, expr, pos } => {
                 let to = self.cx.resolve_type(*ty, *pos)?;
-                let v = self.lower_expr(expr)?;
+                let v = self.lower_expr(&self.unit[*expr])?;
                 let from = v.ty();
                 if to.is_void() {
                     // `(void) e` discards the value.
                     return Ok(hir::Expr::Comma {
-                        effects: Box::new(v),
-                        result: Box::new(hir::Expr::Const(0, CType::INT)),
+                        effects: self.push(v)?,
+                        result: self.push(hir::Expr::Const(0, CType::INT))?,
+                        ty: CType::INT,
                     });
                 }
                 if !to.is_scalar() || !from.is_scalar() {
@@ -1115,7 +1140,7 @@ impl<'u> FuncCx<'_, 'u> {
                     return err(*pos, format!("cannot cast {from} to {to}"));
                 }
                 Ok(hir::Expr::Cast {
-                    expr: Box::new(v),
+                    expr: self.push(v)?,
                     from,
                     to,
                 })
@@ -1132,9 +1157,9 @@ impl<'u> FuncCx<'_, 'u> {
             }
             ast::Expr::SizeofExpr(inner, pos) => {
                 // The operand is typed but never evaluated.
-                let t = match self.lower_lvalue(inner) {
+                let t = match self.lower_lvalue(&self.unit[*inner]) {
                     Ok((_, ty)) => ty,
-                    Err(_) => self.lower_expr(inner)?.ty(),
+                    Err(_) => self.lower_expr(&self.unit[*inner])?.ty(),
                 };
                 if t.is_void() {
                     return err(*pos, "sizeof(void expression)");
@@ -1145,14 +1170,17 @@ impl<'u> FuncCx<'_, 'u> {
                 ))
             }
             ast::Expr::Comma { lhs, rhs, .. } => {
-                let l = self.lower_expr(lhs)?;
-                let r = self.lower_expr(rhs)?;
+                let l = self.lower_expr(&self.unit[*lhs])?;
+                let r = self.lower_expr(&self.unit[*rhs])?;
                 Ok(hir::Expr::Comma {
-                    effects: Box::new(l),
-                    result: Box::new(r),
+                    effects: self.push(l)?,
+                    result: self.push(r)?,
+                    ty: r.ty(),
                 })
             }
-            ast::Expr::Call { callee, args, pos } => self.lower_call(*callee, args, *pos),
+            ast::Expr::Call { callee, args, pos } => {
+                self.lower_call(*callee, &self.unit[*args], *pos)
+            }
         }
     }
 
@@ -1177,18 +1205,19 @@ impl<'u> FuncCx<'_, 'u> {
                 ),
             );
         }
-        let mut lowered = Vec::with_capacity(params);
+        let base = self.args.len();
         for (i, a) in args.iter().enumerate() {
             let pty = match target {
                 Callee::Func(fid) => self.cx.sigs[fid.0 as usize].params[i],
                 Callee::Builtin(b) => builtin_sig(b).0[i],
             };
             let v = self.lower_expr(a)?;
-            lowered.push(self.convert(v, pty, pos)?);
+            let v = self.convert(v, pty, pos)?;
+            self.args.push(v);
         }
         Ok(hir::Expr::Call {
             callee: target,
-            args: lowered,
+            args: self.args_since(base)?,
             ty: ret,
         })
     }
@@ -1207,26 +1236,25 @@ impl<'u> FuncCx<'_, 'u> {
         // Evaluate the address once via a temp if it has effects; plain
         // local/global addresses are pure.
         let (addr_setup, addr_use): (Option<hir::Expr>, hir::Expr) = match &addr {
-            hir::Expr::LocalAddr(..) | hir::Expr::GlobalAddr(..) => (None, addr.clone()),
+            hir::Expr::LocalAddr(..) | hir::Expr::GlobalAddr(..) => (None, addr),
             _ => {
                 let pty = ty.ptr();
                 let tmp = self.fresh_temp(pty);
                 let setup = hir::Expr::Store {
-                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty)),
-                    value: Box::new(addr),
+                    addr: self.push(hir::Expr::LocalAddr(tmp, pty))?,
+                    value: self.push(addr)?,
                     ty: pty,
                 };
                 let use_ = hir::Expr::Load {
-                    addr: Box::new(hir::Expr::LocalAddr(tmp, pty)),
+                    addr: self.push(hir::Expr::LocalAddr(tmp, pty))?,
                     ty: pty,
                 };
                 (Some(setup), use_)
             }
         };
-        let current = hir::Expr::Load {
-            addr: Box::new(addr_use.clone()),
-            ty,
-        };
+        // The address is one node, read and written through.
+        let addr_use = self.push(addr_use)?;
+        let current = hir::Expr::Load { addr: addr_use, ty };
         let rhs_v = self.lower_expr(rhs)?;
         let combined = match (ty.kind(), op) {
             // Pointer += / -= integer.
@@ -1235,15 +1263,15 @@ impl<'u> FuncCx<'_, 'u> {
                 let count = if matches!(op, ast::BinOp::Sub) {
                     hir::Expr::Unary {
                         op: hir::UnOp::Neg,
-                        operand: Box::new(rhs_v),
+                        operand: self.push(rhs_v)?,
                         ty: CType::LONG,
                     }
                 } else {
                     rhs_v
                 };
                 hir::Expr::PtrAdd {
-                    ptr: Box::new(current),
-                    count: Box::new(count),
+                    ptr: self.push(current)?,
+                    count: self.push(count)?,
                     elem_size: esz,
                     ty,
                 }
@@ -1254,15 +1282,16 @@ impl<'u> FuncCx<'_, 'u> {
             }
         };
         let store = hir::Expr::Store {
-            addr: Box::new(addr_use),
-            value: Box::new(combined),
+            addr: addr_use,
+            value: self.push(combined)?,
             ty,
         };
         Ok(match addr_setup {
             None => store,
             Some(setup) => hir::Expr::Comma {
-                effects: Box::new(setup),
-                result: Box::new(store),
+                effects: self.push(setup)?,
+                result: self.push(store)?,
+                ty,
             },
         })
     }
@@ -1279,8 +1308,8 @@ impl<'u> FuncCx<'_, 'u> {
             let r = self.lower_scalar(rhs)?;
             return Ok(hir::Expr::ShortCircuit {
                 and: matches!(op, ast::BinOp::LogicalAnd),
-                lhs: Box::new(l),
-                rhs: Box::new(r),
+                lhs: self.push(l)?,
+                rhs: self.push(r)?,
             });
         }
         let l = self.lower_scalar(lhs)?;
@@ -1305,8 +1334,8 @@ impl<'u> FuncCx<'_, 'u> {
             (TypeKind::Ptr(inner), _, B::Add) if rt.is_integer() => {
                 let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrAdd {
-                    ptr: Box::new(l),
-                    count: Box::new(r),
+                    ptr: self.push(l)?,
+                    count: self.push(r)?,
                     elem_size: esz,
                     ty: lt,
                 });
@@ -1314,8 +1343,8 @@ impl<'u> FuncCx<'_, 'u> {
             (_, TypeKind::Ptr(inner), B::Add) if lt.is_integer() => {
                 let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrAdd {
-                    ptr: Box::new(r),
-                    count: Box::new(l),
+                    ptr: self.push(r)?,
+                    count: self.push(l)?,
                     elem_size: esz,
                     ty: rt,
                 });
@@ -1324,12 +1353,12 @@ impl<'u> FuncCx<'_, 'u> {
                 let esz = self.cx.size_of(inner, pos)?.max(1);
                 let neg = hir::Expr::Unary {
                     op: hir::UnOp::Neg,
-                    operand: Box::new(r),
+                    operand: self.push(r)?,
                     ty: CType::LONG,
                 };
                 return Ok(hir::Expr::PtrAdd {
-                    ptr: Box::new(l),
-                    count: Box::new(neg),
+                    ptr: self.push(l)?,
+                    count: self.push(neg)?,
                     elem_size: esz,
                     ty: lt,
                 });
@@ -1337,8 +1366,8 @@ impl<'u> FuncCx<'_, 'u> {
             (TypeKind::Ptr(inner), TypeKind::Ptr(_), B::Sub) => {
                 let esz = self.cx.size_of(inner, pos)?.max(1);
                 return Ok(hir::Expr::PtrDiff {
-                    lhs: Box::new(l),
-                    rhs: Box::new(r),
+                    lhs: self.push(l)?,
+                    rhs: self.push(r)?,
                     elem_size: esz,
                 });
             }
@@ -1372,8 +1401,8 @@ impl<'u> FuncCx<'_, 'u> {
             };
             return Ok(hir::Expr::Binary {
                 op: hop,
-                lhs: Box::new(l),
-                rhs: Box::new(r),
+                lhs: self.push(l)?,
+                rhs: self.push(r)?,
                 ty: CType::INT,
             });
         }
@@ -1417,8 +1446,8 @@ impl<'u> FuncCx<'_, 'u> {
         };
         Ok(hir::Expr::Binary {
             op: hop,
-            lhs: Box::new(l),
-            rhs: Box::new(r),
+            lhs: self.push(l)?,
+            rhs: self.push(r)?,
             ty: result_ty,
         })
     }
@@ -1467,11 +1496,19 @@ impl<'u> FuncCx<'_, 'u> {
             return err(pos, format!("cannot convert {from} to {to}"));
         }
         Ok(hir::Expr::Cast {
-            expr: Box::new(v),
+            expr: self.push(v)?,
             from,
             to,
         })
     }
+}
+
+/// `id`, or the refusal at `pos` of a program past the `u32` id space.
+fn fits<T>(id: Option<T>, pos: Pos) -> Result<T> {
+    id.ok_or_else(|| SemaError {
+        message: TOO_LARGE.into(),
+        pos,
+    })
 }
 
 /// Integer promotion: anything narrower than `int` becomes `int`.
@@ -1551,48 +1588,6 @@ fn builtin_sig(b: Builtin) -> (&'static [CType], CType) {
     }
 }
 
-/// Constant folding over AST expressions (global initialisers).
-fn const_eval_ast(e: &ast::Expr) -> Option<i64> {
-    Some(match e {
-        ast::Expr::IntLit(v, _) => *v,
-        ast::Expr::Unary { op, operand, .. } => {
-            let v = const_eval_ast(operand)?;
-            match op {
-                ast::UnOp::Neg => v.wrapping_neg(),
-                ast::UnOp::BitNot => !v,
-                ast::UnOp::Not => (v == 0) as i64,
-            }
-        }
-        ast::Expr::Binary { op, lhs, rhs, .. } => {
-            let l = const_eval_ast(lhs)?;
-            let r = const_eval_ast(rhs)?;
-            use ast::BinOp as B;
-            match op {
-                B::Add => l.wrapping_add(r),
-                B::Sub => l.wrapping_sub(r),
-                B::Mul => l.wrapping_mul(r),
-                B::Div => l.checked_div(r)?,
-                B::Rem => l.checked_rem(r)?,
-                B::And => l & r,
-                B::Or => l | r,
-                B::Xor => l ^ r,
-                B::Shl => l.wrapping_shl(r as u32),
-                B::Shr => l.wrapping_shr(r as u32),
-                B::Eq => (l == r) as i64,
-                B::Ne => (l != r) as i64,
-                B::Lt => (l < r) as i64,
-                B::Gt => (l > r) as i64,
-                B::Le => (l <= r) as i64,
-                B::Ge => (l >= r) as i64,
-                B::LogicalAnd => ((l != 0) && (r != 0)) as i64,
-                B::LogicalOr => ((l != 0) || (r != 0)) as i64,
-            }
-        }
-        ast::Expr::Cast { expr, .. } => const_eval_ast(expr)?,
-        _ => return None,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1604,6 +1599,11 @@ mod tests {
             Ok(p) => p,
             Err(e) => panic!("sema failed: {e}\nsource:\n{src}"),
         }
+    }
+
+    /// Every HIR node of `p`, for matching on.
+    fn dump(p: &hir::Program) -> String {
+        format!("{:?} {:?}", p.stmts, p.exprs)
     }
 
     fn check_err(src: &str) -> SemaError {
@@ -1650,10 +1650,10 @@ mod tests {
     #[test]
     fn array_indexing_lowers_to_ptr_add() {
         let p = check("int xs[4]; int f(int i) { return xs[i]; }");
-        let hir::Stmt::Return(Some(hir::Expr::Load { addr, .. })) = &p.funcs[0].body[0] else {
+        let hir::Stmt::Return(Some(hir::Expr::Load { addr, .. })) = p[p.funcs[0].body][0] else {
             panic!("expected return of load");
         };
-        assert!(matches!(**addr, hir::Expr::PtrAdd { elem_size: 4, .. }));
+        assert!(matches!(p[addr], hir::Expr::PtrAdd { elem_size: 4, .. }));
     }
 
     #[test]
@@ -1663,7 +1663,7 @@ mod tests {
              int f(struct pt *p) { return p->y; }",
         );
         // The offset const 4 must appear inside the address computation.
-        let body = format!("{:?}", p.funcs[0].body);
+        let body = dump(&p);
         assert!(body.contains("Const(4"), "{body}");
     }
 
@@ -1694,18 +1694,18 @@ mod tests {
             "struct s { long a; char b; };\n\
              unsigned long f() { return sizeof(struct s) + sizeof(char *); }",
         );
-        let hir::Stmt::Return(Some(e)) = &p.funcs[0].body[0] else {
+        let hir::Stmt::Return(Some(hir::Expr::Binary { .. })) = p[p.funcs[0].body][0] else {
             panic!()
         };
         // 16 + 8 folded at lowering time? We keep the add; both sides const.
-        let dbg = format!("{e:?}");
+        let dbg = dump(&p);
         assert!(dbg.contains("Const(16") && dbg.contains("Const(8"), "{dbg}");
     }
 
     #[test]
     fn pointer_minus_pointer_gives_long() {
         let p = check("long f(char *a, char *b) { return a - b; }");
-        let hir::Stmt::Return(Some(e)) = &p.funcs[0].body[0] else {
+        let hir::Stmt::Return(Some(e)) = p[p.funcs[0].body][0] else {
             panic!()
         };
         assert!(matches!(e, hir::Expr::PtrDiff { .. }));
@@ -1713,21 +1713,16 @@ mod tests {
 
     #[test]
     fn signed_unsigned_comparison_selection() {
-        let p = check(
-            "int f(unsigned int a, unsigned int b) { return a < b; }\n\
-             int g(int a, int b) { return a < b; }\n\
-             int h(char *a, char *b) { return a < b; }",
-        );
-        let find_op = |f: &hir::Function| format!("{:?}", f.body);
-        assert!(find_op(&p.funcs[0]).contains("LtU"));
-        assert!(find_op(&p.funcs[1]).contains("LtS"));
-        assert!(find_op(&p.funcs[2]).contains("LtU"));
+        let op = |src| dump(&check(src));
+        assert!(op("int f(unsigned int a, unsigned int b) { return a < b; }").contains("LtU"));
+        assert!(op("int g(int a, int b) { return a < b; }").contains("LtS"));
+        assert!(op("int h(char *a, char *b) { return a < b; }").contains("LtU"));
     }
 
     #[test]
     fn char_promotes_to_int_in_arithmetic() {
         let p = check("int f(char c) { return c + 1; }");
-        let dbg = format!("{:?}", p.funcs[0].body);
+        let dbg = dump(&p);
         // A cast from char to int must be present.
         assert!(dbg.contains("Cast"), "{dbg}");
     }
@@ -1741,7 +1736,7 @@ mod tests {
                return r;\n\
              }",
         );
-        let dbg = format!("{:?}", p.funcs[0].body);
+        let dbg = dump(&p);
         assert!(dbg.contains("GotoIf"), "{dbg}");
     }
 
@@ -1808,7 +1803,7 @@ mod tests {
     #[test]
     fn inc_dec_on_pointers_scales() {
         let p = check("char *f(int *p) { p++; return (char *) p; }");
-        let dbg = format!("{:?}", p.funcs[0].body);
+        let dbg = dump(&p);
         assert!(dbg.contains("delta: 4"), "{dbg}");
     }
 
@@ -1824,6 +1819,35 @@ mod tests {
     fn builtin_shadowing_rejected() {
         let e = check_err("int malloc(int x) { return x; }");
         assert!(e.message.contains("shadows a runtime builtin"));
+    }
+
+    #[test]
+    fn a_pool_past_the_id_space_is_a_diagnostic_not_a_wrapped_id() {
+        let pos = Pos {
+            offset: 4,
+            line: 1,
+            col: 5,
+        };
+        let err = fits(ast::next_id(u32::MAX as usize), pos).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "program too large: over 2^32 - 2 nodes of one kind at 1:5"
+        );
+        assert_eq!(fits(ast::next_id(7), pos), Ok(7));
+    }
+
+    #[test]
+    fn constant_casts_truncate_and_extend_like_c() {
+        let p = check(
+            "int a = (char)300; int b = (unsigned char)-1; long c = (short)65535;\n\
+             char d[(1 < 2) + !0]; int e = (long)-7;",
+        );
+        let init = |i: usize| &p.globals[i].init;
+        assert_eq!(init(0)[..], 44i32.to_le_bytes());
+        assert_eq!(init(1)[..], 255i32.to_le_bytes());
+        assert_eq!(init(2)[..], (-1i64).to_le_bytes());
+        assert_eq!(init(3).len(), 2, "comparisons and `!` fold in a dimension");
+        assert_eq!(init(4)[..], (-7i32).to_le_bytes());
     }
 
     #[test]

@@ -194,10 +194,10 @@ proptest! {
         let printed = print_unit(&first);
         let second = parse(&printed).expect("printed program reparses");
         prop_assert_eq!(print_unit(&first), print_unit(&second));
-        // And both type-check to the same HIR.
+        // And both type-check to the same HIR, node for node.
         let a = foc_lang::frontend(&src).expect("type checks");
         let b = foc_lang::frontend(&printed).expect("printed type checks");
-        prop_assert_eq!(format!("{:?}", a.funcs), format!("{:?}", b.funcs));
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
     #[test]

@@ -376,8 +376,9 @@ fn decode_request(kind: ServerKind, buf: &[u8]) -> Option<(u32, Request, usize)>
     Some((seq, request, REQ_HEADER + body_len))
 }
 
-/// Frames one measured outcome as the response to frame `seq`.
-fn encode_response(seq: u32, measured: &Measured) -> Vec<u8> {
+/// Frames one measured outcome as the response to frame `seq`, in place
+/// of whatever `frame` held (a connection reuses one buffer).
+fn encode_response(seq: u32, measured: &Measured, frame: &mut Vec<u8>) {
     // A crashed response carries the fault rendering, so the client
     // sees *why* the connection's request died without reconstructing
     // the fault type from the wire.
@@ -389,7 +390,8 @@ fn encode_response(seq: u32, measured: &Measured) -> Vec<u8> {
             (STATUS_CRASHED, 0, crash_text.as_bytes())
         }
     };
-    let mut frame = Vec::with_capacity(RESP_HEADER + payload.len());
+    frame.clear();
+    frame.reserve(RESP_HEADER + payload.len());
     frame.push(RESP_MAGIC);
     frame.push(status);
     frame.extend_from_slice(&seq.to_le_bytes());
@@ -399,21 +401,20 @@ fn encode_response(seq: u32, measured: &Measured) -> Vec<u8> {
         &(u32::try_from(payload.len()).expect("payload fits u32")).to_le_bytes(),
     );
     frame.extend_from_slice(payload);
-    frame
 }
 
-/// A decoded response frame.
-struct Response {
+/// A decoded response frame, its payload borrowed from the wire buffer.
+struct Response<'a> {
     seq: u32,
     status: u8,
     ret: i64,
     cycles: u64,
-    payload: Vec<u8>,
+    payload: &'a [u8],
 }
 
 /// Decodes one complete response frame off the front of `buf`, or
 /// `None` while partial.
-fn decode_response(buf: &[u8]) -> Option<(Response, usize)> {
+fn decode_response(buf: &[u8]) -> Option<(Response<'_>, usize)> {
     if buf.len() < RESP_HEADER {
         return None;
     }
@@ -428,7 +429,7 @@ fn decode_response(buf: &[u8]) -> Option<(Response, usize)> {
             seq: read_u32(buf, 2),
             ret: i64::from_le_bytes(buf[6..14].try_into().unwrap()),
             cycles: u64::from_le_bytes(buf[14..22].try_into().unwrap()),
-            payload: buf[RESP_HEADER..RESP_HEADER + payload_len].to_vec(),
+            payload: &buf[RESP_HEADER..RESP_HEADER + payload_len],
         },
         RESP_HEADER + payload_len,
     ))
@@ -657,16 +658,14 @@ impl ConnSession {
             self.events = events;
 
             if let Some((resp, consumed)) = decode_response(&self.conns[slot].reply) {
-                self.conns[slot].reply.drain(..consumed);
-                debug_assert!(
-                    self.conns[slot].reply.is_empty(),
-                    "one response per request"
-                );
                 let measured = measured
                     .take()
                     .expect("response frame before the request was served");
                 assert_eq!(resp.seq, seq, "closed-loop responses answer in order");
                 verify_response(&resp, &measured);
+                let reply = &mut self.conns[slot].reply;
+                reply.drain(..consumed);
+                debug_assert!(reply.is_empty(), "one response per request");
                 self.stats.frames += 1;
                 return measured;
             }
@@ -740,9 +739,8 @@ impl ConnSession {
                 "decoded frame matches the generated request"
             );
             let m = decoded.apply(process);
-            let response = encode_response(frame_seq, &m);
             let conn = &mut self.conns[slot];
-            conn.outbound = response;
+            encode_response(frame_seq, &m, &mut conn.outbound);
             conn.out_sent = 0;
             *measured = Some(m);
             self.server_flush(slot);
@@ -1019,7 +1017,8 @@ mod tests {
             },
             cycles: 123_456,
         };
-        let frame = encode_response(9, &done);
+        let mut frame = b"stale bytes".to_vec();
+        encode_response(9, &done, &mut frame);
         let (resp, consumed) = decode_response(&frame).unwrap();
         assert_eq!(consumed, frame.len());
         assert_eq!(resp.seq, 9);

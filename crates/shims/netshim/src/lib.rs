@@ -307,9 +307,12 @@ impl NetStack {
             };
         }
         let n = s.recv.len().min(buf.len());
-        for slot in buf.iter_mut().take(n) {
-            *slot = s.recv.pop_front().expect("length checked");
-        }
+        // The ring's two halves, each copied whole.
+        let (front, back) = s.recv.as_slices();
+        let head = front.len().min(n);
+        buf[..head].copy_from_slice(&front[..head]);
+        buf[head..n].copy_from_slice(&back[..n - head]);
+        s.recv.drain(..n);
         ReadOutcome::Data(n)
     }
 
@@ -385,13 +388,16 @@ impl NetStack {
     /// writable when the peer buffer has free space. Closed-by-owner
     /// descriptors never fire (the owner already knows).
     pub fn epoll_wait(&mut self, ep: Fd, events: &mut Vec<Event>) -> usize {
-        let entries: Vec<(u32, Interest, u64)> = self
-            .epoll_entries(ep)
-            .iter()
-            .map(|e| (e.fd, e.interest, e.token))
-            .collect();
+        let Node::Epoll(entries) = &self.nodes[ep.0 as usize] else {
+            panic!("fd {} is not an epoll instance", ep.0);
+        };
         let mut fired = 0;
-        for (fd, interest, token) in entries {
+        for &EpollEntry {
+            fd,
+            interest,
+            token,
+        } in entries
+        {
             let (mut readable, mut writable) = match &self.nodes[fd as usize] {
                 Node::Listener(l) => (!l.queue.is_empty(), false),
                 Node::Socket(s) => {
@@ -458,6 +464,36 @@ mod tests {
         assert_eq!(&buf, b"ab");
         // Draining frees capacity: the retry now accepts the tail.
         assert_eq!(net.write(client, b"ef"), WriteOutcome::Wrote(2));
+    }
+
+    #[test]
+    fn reads_across_the_ring_buffers_wrap_point_keep_byte_order() {
+        let mut net = NetStack::new(8);
+        let (client, server) = pair(&mut net);
+        let mut wrapped = 0;
+        for shift in 1..8 {
+            // Fill the ring, free its first `shift` bytes, refill them:
+            // the refill lands past the ring's end.
+            let mut buf = [0u8; 8];
+            assert_eq!(net.write(client, b"abcdefgh"), WriteOutcome::Wrote(8));
+            assert_eq!(
+                net.read(server, &mut buf[..shift]),
+                ReadOutcome::Data(shift)
+            );
+            assert_eq!(
+                net.write(client, &b"ABCDEFGH"[..shift]),
+                WriteOutcome::Wrote(shift)
+            );
+            if !net.socket(server).recv.as_slices().1.is_empty() {
+                wrapped += 1;
+            }
+            // One read ends mid-ring, the next takes the rest.
+            assert_eq!(net.read(server, &mut buf[..5]), ReadOutcome::Data(5));
+            assert_eq!(net.read(server, &mut buf[5..]), ReadOutcome::Data(3));
+            let expected = [&b"abcdefgh"[shift..], &b"ABCDEFGH"[..shift]].concat();
+            assert_eq!(buf[..], expected, "head moved by {shift}");
+        }
+        assert!(wrapped > 0, "no refill wrapped the ring");
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //! server instead: compile it from source on the shipped tier
 //! (`fresh_image_tier`) and boot it past every cache
 //! (`Server::boot_cold`), the set-up half of the judge's `setup_s`, where
-//! the MiniC front end does most of the work. The handler stores the interrupted pc (and
+//! the MiniC front end does most of the work, and first prints the
+//! fastest time of each phase of it (parse, analyze, compile, the two
+//! tree drops, image, `boot_cold`). The handler stores the interrupted pc (and
 //! the words of the interrupted frame's stack page that point into the
 //! executable, which are mostly return addresses) into a preallocated
 //! static array of atomics; nothing else happens in signal context.
@@ -56,6 +58,8 @@ mod linux {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
     use std::time::{Duration, Instant};
 
+    use failure_oblivious::compiler::{compile, ExecTier, ProgramImage};
+    use failure_oblivious::lang::{analyze, parse};
     use failure_oblivious::servers::conn::{Edge, SocketEdge};
     use failure_oblivious::servers::farm::{run_farm, FarmConfig};
     use failure_oblivious::servers::{Server, ServerEnv, ServerKind};
@@ -381,6 +385,17 @@ mod linux {
 
     // ---- driver -------------------------------------------------------
 
+    /// What `--setup` times one by one in each cold set-up.
+    const SETUP_PHASES: [&str; 7] = [
+        "parse",
+        "analyze",
+        "compile",
+        "drop the AST",
+        "drop the HIR",
+        "image",
+        "boot_cold",
+    ];
+
     struct Args {
         shape: &'static Shape,
         seconds: f64,
@@ -440,19 +455,39 @@ mod linux {
         TEXT_HI.store(text_hi, Relaxed);
 
         let limit = Duration::from_secs_f64(args.seconds);
+        // Each phase of a cold set-up, as (name, fastest seconds).
+        let mut phases = SETUP_PHASES.map(|name| (name, f64::MAX));
         let (started, what) = if args.setup {
             let (kind, spec) = (config.kind, config.boot_spec());
             let started = Instant::now();
             let mut reps = 0u64;
             set_timer(INTERVAL_US);
             while started.elapsed() < limit {
-                let image = kind.fresh_image_tier(spec.tier);
-                drop(Server::boot_cold(
-                    kind,
-                    &image,
-                    &spec,
-                    ServerEnv::standard(),
-                ));
+                // `fresh_image_tier` and `Server::boot_cold`, phase by phase.
+                let mut lap = Instant::now();
+                let mut done = |phase: usize| {
+                    let best = &mut phases[phase].1;
+                    *best = best.min(lap.elapsed().as_secs_f64());
+                    lap = Instant::now();
+                };
+                let ast = parse(kind.source()).expect("server source parses");
+                done(0);
+                let hir = analyze(&ast).expect("server source type-checks");
+                done(1);
+                let program = compile(&hir).expect("server source lowers");
+                done(2);
+                drop(ast);
+                done(3);
+                drop(hir);
+                done(4);
+                let image = match spec.tier {
+                    ExecTier::Baseline => ProgramImage::new(program),
+                    ExecTier::Native => ProgramImage::with_native(program),
+                };
+                done(5);
+                let server = Server::boot_cold(kind, &image, &spec, ServerEnv::standard());
+                done(6);
+                drop(server);
                 reps += 1;
             }
             set_timer(0);
@@ -522,6 +557,12 @@ mod linux {
                     .or_default()
                     .entry(chain.join(" < "))
                     .or_default() += 1;
+            }
+        }
+        if args.setup {
+            println!("{:>9}  fastest set-up phase", "us");
+            for (name, best) in phases {
+                println!("{:>9.1}  {name}", best * 1e6);
             }
         }
         let share = |n: u64| 100.0 * n as f64 / taken.max(1) as f64;

@@ -14,6 +14,8 @@
 use proptest::prelude::*;
 
 use failure_oblivious::compiler::{ExecTier, ProgramId};
+use failure_oblivious::lang::pretty::print_unit;
+use failure_oblivious::lang::{analyze, parse};
 use failure_oblivious::memory::Mode;
 use failure_oblivious::servers::apache::ApacheWorker;
 use failure_oblivious::servers::farm::ServerKind;
@@ -211,6 +213,34 @@ fn every_server_compiles_to_its_pinned_bytecode() {
             let count: usize = image.program().funcs.iter().map(|f| f.code.len()).sum();
             assert_eq!(count, instrs, "{}: instruction count moved", kind.name());
         }
+    }
+}
+
+/// The front end's output beyond the bytecode: each server's source,
+/// printed from its syntax tree, reparses to a tree that prints the same
+/// text and type-checks to the same HIR. (The fixed-source companion of
+/// `foc-lang`'s `well_formed_programs_round_trip`, which cannot name the
+/// servers.)
+#[test]
+fn every_server_source_round_trips_through_the_printer() {
+    for kind in ServerKind::ALL {
+        let first = parse(kind.source()).expect("server source parses");
+        let printed = print_unit(&first);
+        let second = parse(&printed)
+            .unwrap_or_else(|e| panic!("{}: printed source fails to parse: {e}", kind.name()));
+        assert_eq!(
+            print_unit(&second),
+            printed,
+            "{}: reprint moved",
+            kind.name()
+        );
+        let (a, b) = (analyze(&first), analyze(&second));
+        assert_eq!(
+            format!("{a:?}"),
+            format!("{b:?}"),
+            "{}: HIR moved",
+            kind.name()
+        );
     }
 }
 
