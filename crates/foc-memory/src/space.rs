@@ -19,17 +19,17 @@
 //! tier's hit path.
 //!
 //! **A snapshot holds what the guest touched.** The three regions
-//! reserve 76 MB and commit page-granular windows around the bytes
+//! reserve 76 MB and commit page-granular windows around the pages
 //! actually written (`addr.rs`), so everything priced per committed
 //! byte — zeroing at boot, the `Clone` behind every checkpoint capture
 //! and restore, a cached checkpoint's residency — is priced by the
-//! guest's footprint: 16–188 KiB for a booted server, 24 KiB for the
+//! guest's footprint: 16–36 KiB for a booted server, 24 KiB for the
 //! Apache worker `apache_flood` restarts on every attack.
 //! [`MemorySpace::footprint`] reports the two sides of that rule.
 
 use std::fmt;
 
-use crate::addr::{self, AccessSize, Region, RegionKind};
+use crate::addr::{self, AccessSize, Region, RegionKind, Window};
 use crate::heap::{HeapAllocator, HeapError};
 use crate::log::{ErrorKind, MemoryErrorLog};
 use crate::manufacture::{Manufacturer, ValueSequence};
@@ -263,8 +263,8 @@ pub struct SpaceStats {
 /// see [`MemorySpace::footprint`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
-    /// Bytes of host storage in the three committed region windows: what
-    /// a `Clone` of the space — a checkpoint capture or restore — copies.
+    /// Bytes of host storage in the regions' committed windows: what a
+    /// `Clone` of the space — a checkpoint capture or restore — copies.
     pub committed: u64,
     /// Bytes the space's allocators have handed out: the globals break,
     /// the heap's bump pointer (headers and freed blocks included) and
@@ -375,10 +375,10 @@ impl MemorySpace {
         self.table.lookup_profile()
     }
 
-    /// Committed bytes against handed-out bytes. The windows grow on
-    /// touch and at most double, so `committed` stays within
-    /// `2 × handed_out` plus a few pages of rounding and resting stack
-    /// — the rule `tests/substrate_props.rs` holds every server to.
+    /// Committed bytes against handed-out bytes. Windows open on the
+    /// pages written and at most double, so `committed` stays within
+    /// `2 × handed_out` plus a few pages of rounding and resting stack,
+    /// and far below it where a loader wrote zeros (Pine: 36 of 171 KiB).
     pub fn footprint(&self) -> Footprint {
         let committed = [&self.globals, &self.heap, &self.stack]
             .iter()
@@ -444,13 +444,15 @@ impl MemorySpace {
     /// Panics when the window is not inside the stack region (the
     /// machine only ever passes a frame `push_frame` handed out).
     pub fn native_view(&mut self, base: u64, frame_total: u64) -> NativeView<'_> {
-        let framed = self.stack.slice_mut(base, frame_total).is_some();
-        assert!(framed, "frame window must be mapped");
-        let stack = Window::of(&mut self.stack);
+        let framed = self.stack.commit_range(base, frame_total);
+        let stack = Windows::of(
+            &mut self.stack,
+            Some(framed.expect("frame window must be mapped")),
+        );
         NativeView {
-            frame_at: (base - stack.lo) as usize,
-            globals: Window::of(&mut self.globals),
-            heap: Window::of(&mut self.heap),
+            frame_at: (base - stack.held[0].0) as usize,
+            globals: Windows::of(&mut self.globals, None),
+            heap: Windows::of(&mut self.heap, None),
             stack,
             table: &mut self.table,
             oob: &self.oob,
@@ -463,16 +465,7 @@ impl MemorySpace {
 
     /// Copies host bytes into guest memory, bypassing checks.
     pub fn write_bytes_raw(&mut self, a: u64, bytes: &[u8]) -> bool {
-        match self.region_mut(a) {
-            Some(r) => match r.slice_mut(a, bytes.len() as u64) {
-                Some(dst) => {
-                    dst.copy_from_slice(bytes);
-                    true
-                }
-                None => false,
-            },
-            None => false,
-        }
+        self.region_mut(a).is_some_and(|r| r.write_bytes(a, bytes))
     }
 
     /// Copies guest bytes out to the host, bypassing checks.
@@ -1039,10 +1032,10 @@ impl MemorySpace {
     }
 
     /// The host bytes of a run for reading: its longest prefix inside
-    /// the region's committed window, so possibly shorter than the run
-    /// and empty where the run starts on never-written bytes (which
-    /// only the byte-wise routine reads, as zeros, without committing
-    /// them).
+    /// one committed window or one gap between two (as zeros), so
+    /// possibly shorter than the run, and empty where the run starts on
+    /// never-written bytes past every window (which only the byte-wise
+    /// routine reads, as zeros, without committing them).
     pub fn run_bytes(&self, run: Run) -> &[u8] {
         match self.region(run.addr) {
             Some(r) => r.committed_prefix(run.addr, run.len),
@@ -1171,20 +1164,90 @@ impl MemorySpace {
     }
 }
 
-/// One region's committed window, borrowed for a [`NativeView`]. Only
-/// accesses wholly inside the window are served; anything else — an
-/// unmapped address, a read of never-written bytes, a write that would
-/// grow the window — is a miss for the full routine to handle.
-#[derive(Debug)]
-struct Window<'a> {
-    lo: u64,
-    bytes: &'a mut [u8],
+/// How many consecutive windows of a region a [`NativeView`] holds.
+const HELD: usize = 4;
+
+/// Whether `[a, a + n)` lies in the `len` bytes from `lo` (no sum formed).
+#[inline(always)]
+fn fits(a: u64, n: u64, lo: u64, len: usize) -> bool {
+    let off = a.wrapping_sub(lo);
+    off < len as u64 && n <= len as u64 - off
 }
 
-impl<'a> Window<'a> {
-    fn of(region: &'a mut Region) -> Window<'a> {
-        let (lo, bytes) = region.committed_mut();
-        Window { lo, bytes }
+/// One region's committed windows, borrowed for a [`NativeView`]: up to
+/// [`HELD`] consecutive ones. `held[0]` is tried first — for a
+/// one-window region, the whole hit path; another that answers becomes
+/// `held[0]`, except on the stack, where that holds the frame. Served
+/// are accesses one window wholly holds and reads of a never-written
+/// gap between two (zeros, as the full routine reads them); anything
+/// else is a miss for the full routine to handle.
+#[derive(Debug)]
+struct Windows<'a> {
+    /// First address and storage of each held window, or empty.
+    held: [(u64, &'a mut [u8]); HELD],
+    /// Whether `held[0]` stays first (it holds the frame).
+    pinned: bool,
+}
+
+impl<'a> Windows<'a> {
+    /// Holds `region`'s window `first` first and pinned, or else its
+    /// largest, beside those next to it.
+    #[inline]
+    fn of(region: &'a mut Region, first: Option<usize>) -> Windows<'a> {
+        let base = region.base();
+        match region.windows_mut() {
+            [w] => {
+                let mut one = Some((base + w.at as u64, &mut w.bytes[..]));
+                let held = std::array::from_fn(|_| one.take().unwrap_or_default());
+                Windows { held, pinned: true }
+            }
+            windows => Windows::several(base, windows, first),
+        }
+    }
+
+    /// [`Windows::of`] for a region of no window or several: the held
+    /// block runs from the first on, or ends the list.
+    #[inline(never)]
+    fn several(base: u64, windows: &'a mut [Window], first: Option<usize>) -> Windows<'a> {
+        let largest = || (0..windows.len()).max_by_key(|&i| windows[i].bytes.len());
+        let (pinned, first) = (first.is_some(), first.or_else(largest).unwrap_or(0));
+        let start = first.min(windows.len().saturating_sub(HELD));
+        let (before, from) = windows[start..].split_at_mut(first - start);
+        let mut held =
+            (from.iter_mut().chain(before)).map(|w| (base + w.at as u64, &mut w.bytes[..]));
+        let held = std::array::from_fn(|_| held.next().unwrap_or_default());
+        Windows { held, pinned }
+    }
+
+    /// The window that holds all of `[a, a + n)`, when `held[0]` does
+    /// not: it becomes `held[0]` unless that is pinned.
+    #[cold]
+    #[inline(never)]
+    fn other(&mut self, a: u64, n: u64) -> Option<&mut (u64, &'a mut [u8])> {
+        let j = (self.held.iter()).position(|(lo, bytes)| fits(a, n, *lo, bytes.len()))?;
+        if self.pinned {
+            return Some(&mut self.held[j]);
+        }
+        self.held.swap(0, j);
+        Some(&mut self.held[0])
+    }
+
+    /// A load `held[0]` does not hold: another window's bytes, or zero
+    /// in a never-written gap between two held windows.
+    #[cold]
+    #[inline(never)]
+    fn other_load(&mut self, a: u64, size: AccessSize) -> Option<u64> {
+        let n = size.bytes();
+        if let Some((lo, bytes)) = self.other(a, n) {
+            return scalar_get(bytes, a.wrapping_sub(*lo) as usize, size);
+        }
+        let end = a.checked_add(n)?;
+        let held = self.held.iter().filter(|(_, bytes)| !bytes.is_empty());
+        let spans = held.map(|(lo, bytes)| (*lo, lo + bytes.len() as u64));
+        let below = spans.clone().any(|(_, hi)| hi <= a);
+        let above = spans.clone().any(|(lo, _)| end <= lo);
+        let gap = spans.clone().all(|(lo, hi)| hi <= a || end <= lo);
+        (below && above && gap).then_some(0)
     }
 }
 
@@ -1259,8 +1322,8 @@ impl Span {
 /// observable — no counter, no byte, no log record. The caller then
 /// drops the view, runs the full routine on the space, and takes a
 /// fresh view. Misses are: a violation of any kind, an out-of-bounds
-/// descriptor pointer, an unmapped address, and an access outside a
-/// region's committed window.
+/// descriptor pointer, an unmapped address, and an access no committed
+/// window holds, bar a read of the gap between two (zeros).
 ///
 /// **Proofs.** A counted loop's copy asks [`NativeView::prove`] how many
 /// iterations of its load and of its store are hits, then moves them at
@@ -1285,10 +1348,11 @@ impl Span {
 /// is a window read or write with the load/store counter.
 #[derive(Debug)]
 pub struct NativeView<'a> {
-    globals: Window<'a>,
-    heap: Window<'a>,
-    stack: Window<'a>,
-    /// Offset of the frame base inside the stack window.
+    globals: Windows<'a>,
+    heap: Windows<'a>,
+    /// Tried first: the window holding the frame.
+    stack: Windows<'a>,
+    /// Offset of the frame base inside the stack's first window.
     frame_at: usize,
     table: &'a mut Table,
     oob: &'a OobRegistry,
@@ -1303,22 +1367,23 @@ impl<'a> NativeView<'a> {
     /// [`MemorySpace::read_raw`] on a local).
     #[inline(always)]
     pub fn local_get(&self, off: u32, size: AccessSize) -> u64 {
-        scalar_get(self.stack.bytes, self.frame_at + off as usize, size)
+        scalar_get(self.stack.held[0].1, self.frame_at + off as usize, size)
             .expect("frame slot inside the committed frame window")
     }
 
     /// Writes the frame slot at byte offset `off`.
     #[inline(always)]
     pub fn local_put(&mut self, off: u32, size: AccessSize, value: u64) {
-        let ok = scalar_put(self.stack.bytes, self.frame_at + off as usize, size, value);
+        let frame = &mut *self.stack.held[0].1;
+        let ok = scalar_put(frame, self.frame_at + off as usize, size, value);
         assert!(ok, "frame slot inside the committed frame window");
     }
 
-    /// The window that would back `a`. Region bases are layout
-    /// constants, so this is two compares; whether `a` is actually
-    /// inside the window is the access's own bounds check.
+    /// The windows of the region that would back `a`. Region bases are
+    /// layout constants, so this is two compares; whether `a` is
+    /// actually inside a window is the access's own bounds check.
     #[inline(always)]
-    fn window(&mut self, a: u64) -> &mut Window<'a> {
+    fn window(&mut self, a: u64) -> &mut Windows<'a> {
         if a >= addr::STACK_BASE {
             &mut self.stack
         } else if a >= addr::HEAP_BASE {
@@ -1360,7 +1425,11 @@ impl<'a> NativeView<'a> {
             self.last_load = self.resolve(self.last_load, ptr, target, size.bytes())?;
         }
         let w = self.window(target);
-        let value = scalar_get(w.bytes, target.wrapping_sub(w.lo) as usize, size)?;
+        let (lo, bytes) = &w.held[0];
+        let value = match scalar_get(bytes, target.wrapping_sub(*lo) as usize, size) {
+            Some(value) => value,
+            None => w.other_load(target, size)?,
+        };
         self.stats.loads += 1;
         self.stats.checked_accesses += self.checked as u64;
         Some(value)
@@ -1377,7 +1446,10 @@ impl<'a> NativeView<'a> {
             }
         }
         let w = self.window(target);
-        let hit = scalar_put(w.bytes, target.wrapping_sub(w.lo) as usize, size, value);
+        let (lo, bytes) = &mut w.held[0];
+        let hit = scalar_put(bytes, target.wrapping_sub(*lo) as usize, size, value)
+            || (w.other(target, size.bytes()))
+                .is_some_and(|(lo, bytes)| scalar_put(bytes, (target - *lo) as usize, size, value));
         self.stats.stores += hit as u64;
         self.stats.checked_accesses += (hit & self.checked) as u64;
         hit
@@ -1434,19 +1506,19 @@ impl<'a> NativeView<'a> {
     /// How many iterations of `s`, from the first, are each a hit of
     /// [`NativeView::idx_load`] (`idx_store` for a store) that meets none
     /// of the frame byte ranges `[lo, hi)` in `holes` (offsets from the
-    /// frame base): every target lies in the committed window and in the
-    /// unit `s.ptr` resolves to, resolved as the hit path resolves it (in
-    /// Standard mode, anywhere in the window). Only iterations whose
+    /// frame base): every target lies in the window the view tries first
+    /// and in the unit `s.ptr` resolves to, resolved as the hit path
+    /// resolves it (in Standard mode, anywhere in the window). Only iterations whose
     /// counter after the latch, `k + i + 1`, and scaled index,
     /// `(k + i)·width`, are exact in `i64` count; inside one window the
     /// executor's wrapping targets then step by exactly the width.
     pub fn prove(&mut self, s: Sweep, holes: &[(u64, u64)]) -> u64 {
-        let frame = (self.stack.lo + self.frame_at as u64) as i128;
+        let frame = (self.stack.held[0].0 + self.frame_at as u64) as i128;
         let (k, n) = (s.k as i128, s.size.bytes() as i128);
         let at = s.ptr.wrapping_add(s.k.wrapping_mul(n as i64) as u64);
         let first = at as i128;
-        let w = self.window(at);
-        let (mut lo, mut hi) = (w.lo as i128, w.lo as i128 + w.bytes.len() as i128);
+        let (held, bytes) = &self.window(at).held[0];
+        let (mut lo, mut hi) = (*held as i128, *held as i128 + bytes.len() as i128);
         if self.checked {
             let memo = if s.store {
                 self.last_store
@@ -1482,8 +1554,8 @@ impl<'a> NativeView<'a> {
     /// Panics when `a` is outside its window (it was not proven).
     #[inline(always)]
     pub fn proven_load(&mut self, a: u64, size: AccessSize) -> u64 {
-        let w = self.window(a);
-        scalar_get(w.bytes, a.wrapping_sub(w.lo) as usize, size).expect("a proven load")
+        let (lo, bytes) = &self.window(a).held[0];
+        scalar_get(bytes, a.wrapping_sub(*lo) as usize, size).expect("a proven load")
     }
 
     /// `len` bytes from `src` to `dst` as one `memmove`: a copy loop's
@@ -1499,20 +1571,20 @@ impl<'a> NativeView<'a> {
             _ => 0,
         };
         let mut windows = [&mut self.globals, &mut self.heap, &mut self.stack];
-        let range = |w: &Window<'_>, a: u64| {
-            let off = a.wrapping_sub(w.lo) as usize;
+        let range = |w: &Windows<'_>, a: u64| {
+            let off = a.wrapping_sub(w.held[0].0) as usize;
             off..off + len as usize
         };
         if at(dst) == at(src) {
             let w = &mut windows[at(src)];
             let (from, to) = (range(w, src), range(w, dst).start);
-            w.bytes.copy_within(from, to);
+            w.held[0].1.copy_within(from, to);
         } else {
             let [to, from] = windows
                 .get_disjoint_mut([at(dst), at(src)])
                 .expect("two windows");
             let (d, s) = (range(to, dst), range(from, src));
-            to.bytes[d].copy_from_slice(&from.bytes[s]);
+            to.held[0].1[d].copy_from_slice(&from.held[0].1[s]);
         }
     }
 

@@ -90,7 +90,8 @@ struct World {
     frame: (u64, u64),
 }
 
-/// Applies an alloc/free/frame script. Each step is `(kind, amount)`.
+/// Applies an alloc/free/frame script. Each step is `(kind, amount)`;
+/// the far writes leave regions of several committed windows.
 fn churn(mode: Mode, table: TableKind, script: &[(u8, u64)]) -> World {
     let mut space = MemorySpace::new(config(mode, table));
     let g = space.alloc_global(40, "g").expect("global fits");
@@ -98,7 +99,7 @@ fn churn(mode: Mode, table: TableKind, script: &[(u8, u64)]) -> World {
     let mut heap: Vec<(u64, u64)> = Vec::new();
     let mut frames: Vec<(u64, u64, usize)> = Vec::new();
     for &(kind, amount) in script {
-        match kind % 5 {
+        match kind % 6 {
             0 | 1 => {
                 let size = 1 + amount % 300;
                 if let Ok(p) = space.malloc(size) {
@@ -134,10 +135,28 @@ fn churn(mode: Mode, table: TableKind, script: &[(u8, u64)]) -> World {
                     frames.push((base, total, before));
                 }
             }
-            _ => {
+            4 => {
                 if let Some((_, _, before)) = frames.pop() {
                     space.pop_frame().expect("canary intact");
                     live.truncate(before);
+                }
+            }
+            _ => {
+                // A write far from every committed window opens another:
+                // at the far end of a big heap block, or at the bottom of
+                // a big frame (whose canary sits at its top).
+                const BIG: u64 = 24 << 10;
+                if amount % 2 == 0 {
+                    if let Ok(p) = space.malloc(2 * BIG) {
+                        space.write_raw(p + 2 * BIG - 8, AccessSize::B8, amount | 1);
+                        heap.push((p, 2 * BIG));
+                    }
+                } else if frames.len() < 6 {
+                    if let Ok(base) = space.push_frame(BIG, &[(0, BIG)]) {
+                        frames.push((base, BIG, live.len()));
+                        live.push((base, BIG));
+                        space.write_raw(base, AccessSize::B8, amount);
+                    }
                 }
             }
         }
@@ -354,7 +373,7 @@ proptest! {
 
     #[test]
     fn runs_equal_the_byte_wise_walk(
-        script in proptest::collection::vec((0u8..5, 0u64..4096), 1..48),
+        script in proptest::collection::vec((0u8..6, 0u64..4096), 1..48),
         probes in proptest::collection::vec(
             (any::<u64>(), 0u64..80, 0u8..6, 0u64..400, any::<u8>()),
             4..12,
@@ -380,7 +399,7 @@ proptest! {
 
     #[test]
     fn view_methods_equal_the_space_routines(
-        script in proptest::collection::vec((0u8..5, 0u64..4096), 1..48),
+        script in proptest::collection::vec((0u8..6, 0u64..4096), 1..48),
         probes in proptest::collection::vec(
             (any::<u64>(), -80i64..80, 0usize..4, 0u8..6, any::<u64>()),
             4..12,
@@ -474,6 +493,32 @@ proptest! {
         prop_assert!(b.write_raw(base + off as u64, SIZES[size], value));
         prop_assert_eq!(Some(seen), b.read_raw(base + off as u64, SIZES[size]));
         prop_assert_eq!(snapshot(&a), snapshot(&b));
+    }
+}
+
+/// A frame's slots stay the frame's while the view also serves another
+/// stack window: the window holding the frame is tried first and never
+/// traded for one that answered after it.
+#[test]
+fn frame_slots_stay_put_beside_another_stack_window() {
+    for mode in [Mode::FailureOblivious, Mode::Standard] {
+        let mut a = MemorySpace::new(config(mode, TableKind::Flat));
+        let outer = a.push_frame(64, &[(0, 64)]).expect("stack has room");
+        assert!(a.write_raw(outer, AccessSize::B8, 0x0aaa));
+        // A deep frame between the two opens a second stack window.
+        a.push_frame(24 << 10, &[]).expect("stack has room");
+        let frame = a.push_frame(64, &[(0, 64)]).expect("stack has room");
+        let mut b = a.clone();
+        let mut view = a.native_view(frame, 64);
+        view.local_put(8, AccessSize::B8, 0x5151);
+        assert_eq!(view.load(outer, AccessSize::B8), Some(0x0aaa), "{mode:?}");
+        view.local_put(16, AccessSize::B8, 0x5252);
+        assert_eq!(view.local_get(8, AccessSize::B8), 0x5151, "{mode:?}");
+        assert!(b.write_raw(frame + 8, AccessSize::B8, 0x5151));
+        let out = b.load(outer, AccessSize::B8, CTX).expect("in bounds");
+        assert_eq!(out.value, 0x0aaa);
+        assert!(b.write_raw(frame + 16, AccessSize::B8, 0x5252));
+        assert_eq!(snapshot(&a), snapshot(&b), "{mode:?}");
     }
 }
 

@@ -290,90 +290,111 @@ fn take_index(body: &mut &[u8]) -> Option<i64> {
     Some(i64::from_le_bytes(field.try_into().ok()?))
 }
 
+/// Why a frame was refused: the first thing the decoder found that no
+/// frame of this module's encoder holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FrameError {
+    /// The first byte is not the frame kind's magic.
+    Magic,
+    /// A request for another server kind.
+    Kind,
+    /// An opcode the server kind does not have.
+    Opcode,
+    /// A field cut short, or an index that is not eight bytes.
+    Field,
+    /// Bytes left in the body after its last field.
+    Trailing,
+    /// A response status that is neither done nor crashed.
+    Status,
+}
+
 /// Decodes one complete request frame off the front of `buf`, returning
 /// the frame's sequence number, the request, and the bytes consumed —
-/// or `None` while the frame is still partial.
-///
-/// # Panics
-///
-/// Panics on a corrupt frame (bad magic, kind mismatch, unknown opcode,
-/// malformed body): the only writer is this module's own encoder, so
-/// corruption is a transport bug, not input.
-fn decode_request(kind: ServerKind, buf: &[u8]) -> Option<(u32, Request, usize)> {
-    if buf.len() < REQ_HEADER {
-        return None;
+/// `Ok(None)` while the frame is still partial, an error as soon as
+/// what has arrived is no frame the encoder writes. Decoding reads
+/// input: a corrupt frame is refused, never a panic.
+fn decode_request(
+    kind: ServerKind,
+    buf: &[u8],
+) -> Result<Option<(u32, Request, usize)>, FrameError> {
+    match buf {
+        [m, ..] if *m != REQ_MAGIC => return Err(FrameError::Magic),
+        [_, k, ..] if *k as usize != kind.index() => return Err(FrameError::Kind),
+        _ if buf.len() < REQ_HEADER => return Ok(None),
+        _ => {}
     }
-    assert_eq!(buf[0], REQ_MAGIC, "request frame magic");
-    assert_eq!(buf[1] as usize, kind.index(), "request frame kind");
     let op = buf[2];
     let seq = read_u32(buf, 3);
     let body_len = read_u32(buf, 7) as usize;
-    if buf.len() < REQ_HEADER + body_len {
-        return None;
-    }
-    let mut body = &buf[REQ_HEADER..REQ_HEADER + body_len];
-    let fields = &mut body;
+    let Some(body) = buf[REQ_HEADER..].get(..body_len) else {
+        return Ok(None);
+    };
+    let fields = &mut &body[..];
+    let owned = |fields: &mut &[u8]| take_owned(fields).ok_or(FrameError::Field);
+    let index = |fields: &mut &[u8]| take_index(fields).ok_or(FrameError::Field);
     let request = match (kind, op) {
         (ServerKind::Apache, 0) => Request::ApacheGet {
-            path: take_owned(fields).expect("apache get path"),
+            path: owned(fields)?,
         },
         (ServerKind::Sendmail, 0) => Request::SendmailReceive {
-            from: take_owned(fields).expect("receive from"),
-            to: take_owned(fields).expect("receive to"),
-            body: take_owned(fields).expect("receive body"),
+            from: owned(fields)?,
+            to: owned(fields)?,
+            body: owned(fields)?,
         },
         (ServerKind::Sendmail, 1) => Request::SendmailSend {
-            to: take_owned(fields).expect("send to"),
-            body: take_owned(fields).expect("send body"),
+            to: owned(fields)?,
+            body: owned(fields)?,
         },
         (ServerKind::Sendmail, 2) => Request::SendmailWakeup,
         (ServerKind::Sendmail, 3) => Request::SendmailMailFrom {
-            from: take_owned(fields).expect("mail-from address"),
+            from: owned(fields)?,
         },
         (ServerKind::Pine, 0) => Request::PineDeliver {
-            from: take_owned(fields).expect("deliver from"),
-            subject: take_owned(fields).expect("deliver subject"),
-            body: take_owned(fields).expect("deliver body"),
+            from: owned(fields)?,
+            subject: owned(fields)?,
+            body: owned(fields)?,
         },
         (ServerKind::Pine, 1) => Request::PineRead {
-            index: take_index(fields).expect("read index"),
+            index: index(fields)?,
         },
         (ServerKind::Pine, 2) => Request::PineCompose,
         (ServerKind::Pine, 3) => Request::PineMove {
-            index: take_index(fields).expect("move index"),
+            index: index(fields)?,
         },
         (ServerKind::Mutt, 0) => Request::MuttOpenFolder {
-            name: take_owned(fields).expect("folder name"),
+            name: owned(fields)?,
         },
         (ServerKind::Mutt, 1) => Request::MuttRead {
-            index: take_index(fields).expect("read index"),
+            index: index(fields)?,
         },
         (ServerKind::Mc, 0) => Request::McCopy {
-            src: take_owned(fields).expect("copy src"),
-            dst: take_owned(fields).expect("copy dst"),
+            src: owned(fields)?,
+            dst: owned(fields)?,
         },
         (ServerKind::Mc, 1) => Request::McMkdir {
-            path: take_owned(fields).expect("mkdir path"),
+            path: owned(fields)?,
         },
         (ServerKind::Mc, 2) => Request::McComponentEnd {
-            name: take_owned(fields).expect("component name"),
+            name: owned(fields)?,
         },
         (ServerKind::Mc, 3) => Request::McDelete {
-            path: take_owned(fields).expect("delete path"),
+            path: owned(fields)?,
         },
         (ServerKind::Mc, 4) => {
             let mut links = Vec::new();
             while !fields.is_empty() {
-                links.push(take_field(fields).expect("archive link").to_vec());
+                links.push(take_field(fields).ok_or(FrameError::Field)?.to_vec());
             }
             Request::McOpenArchive {
                 links: Cow::Owned(links),
             }
         }
-        (kind, op) => panic!("unknown opcode {op} for {}", kind.name()),
+        _ => return Err(FrameError::Opcode),
     };
-    assert!(fields.is_empty(), "request body has trailing bytes");
-    Some((seq, request, REQ_HEADER + body_len))
+    if !fields.is_empty() {
+        return Err(FrameError::Trailing);
+    }
+    Ok(Some((seq, request, REQ_HEADER + body_len)))
 }
 
 /// Frames one measured outcome as the response to frame `seq`, in place
@@ -412,27 +433,29 @@ struct Response<'a> {
     payload: &'a [u8],
 }
 
-/// Decodes one complete response frame off the front of `buf`, or
-/// `None` while partial.
-fn decode_response(buf: &[u8]) -> Option<(Response<'_>, usize)> {
-    if buf.len() < RESP_HEADER {
-        return None;
+/// Decodes one complete response frame off the front of `buf`:
+/// `Ok(None)` while partial, an error for what no response frame holds.
+fn decode_response(buf: &[u8]) -> Result<Option<(Response<'_>, usize)>, FrameError> {
+    match buf {
+        [m, ..] if *m != RESP_MAGIC => return Err(FrameError::Magic),
+        [_, s, ..] if ![STATUS_DONE, STATUS_CRASHED].contains(s) => return Err(FrameError::Status),
+        _ if buf.len() < RESP_HEADER => return Ok(None),
+        _ => {}
     }
-    assert_eq!(buf[0], RESP_MAGIC, "response frame magic");
     let payload_len = read_u32(buf, 22) as usize;
-    if buf.len() < RESP_HEADER + payload_len {
-        return None;
-    }
-    Some((
+    let Some(payload) = buf[RESP_HEADER..].get(..payload_len) else {
+        return Ok(None);
+    };
+    Ok(Some((
         Response {
             status: buf[1],
             seq: read_u32(buf, 2),
-            ret: i64::from_le_bytes(buf[6..14].try_into().unwrap()),
-            cycles: u64::from_le_bytes(buf[14..22].try_into().unwrap()),
-            payload: &buf[RESP_HEADER..RESP_HEADER + payload_len],
+            ret: i64::from_le_bytes(buf[6..14].try_into().expect("eight bytes")),
+            cycles: u64::from_le_bytes(buf[14..22].try_into().expect("eight bytes")),
+            payload,
         },
         RESP_HEADER + payload_len,
-    ))
+    )))
 }
 
 /// Checks the client-decoded response against the server's
@@ -581,9 +604,12 @@ impl ConnSession {
 
     /// Carries one request over the wire and returns the server's
     /// authoritative measurement (the client-decoded response is
-    /// verified against it). Closed-loop: the call does not return
-    /// until the response frame is fully read back.
-    pub(crate) fn transact(&mut self, request: &Request, process: &mut Server) -> Measured {
+    /// verified against it) — or `None` when either side refused the
+    /// other's frame as corrupt: the connection is reset and counted
+    /// refused, and the request goes unanswered. Closed-loop: the call
+    /// does not return until the response frame is fully read back or
+    /// refused.
+    pub(crate) fn transact(&mut self, request: &Request, process: &mut Server) -> Option<Measured> {
         debug_assert_eq!(
             request.kind(),
             self.kind,
@@ -636,6 +662,7 @@ impl ConnSession {
             // stays proportional to actual work.
             let mut events = std::mem::take(&mut self.events);
             self.net.epoll_wait(self.epoll, &mut events);
+            let mut refused = Ok(());
             for &ev in &events {
                 let token = ev.token();
                 if token == LISTENER_TOKEN || token >= FLOOD_TOKEN_BASE {
@@ -645,7 +672,13 @@ impl ConnSession {
                 debug_assert_eq!(ev_slot, slot, "only the active connection moves bytes");
                 if token.is_multiple_of(2) {
                     if ev.is_readable() {
-                        self.server_read(ev_slot, seq, request, process, &mut measured);
+                        refused = refused.and(self.server_read(
+                            ev_slot,
+                            seq,
+                            request,
+                            process,
+                            &mut measured,
+                        ));
                     }
                     if ev.is_writable() {
                         self.server_flush(ev_slot);
@@ -657,17 +690,25 @@ impl ConnSession {
             events.clear();
             self.events = events;
 
-            if let Some((resp, consumed)) = decode_response(&self.conns[slot].reply) {
-                let measured = measured
-                    .take()
-                    .expect("response frame before the request was served");
-                assert_eq!(resp.seq, seq, "closed-loop responses answer in order");
-                verify_response(&resp, &measured);
-                let reply = &mut self.conns[slot].reply;
-                reply.drain(..consumed);
-                debug_assert!(reply.is_empty(), "one response per request");
-                self.stats.frames += 1;
-                return measured;
+            match refused.and_then(|()| decode_response(&self.conns[slot].reply)) {
+                Ok(Some((resp, consumed))) => {
+                    let measured = measured
+                        .take()
+                        .expect("response frame before the request was served");
+                    assert_eq!(resp.seq, seq, "closed-loop responses answer in order");
+                    verify_response(&resp, &measured);
+                    let reply = &mut self.conns[slot].reply;
+                    reply.drain(..consumed);
+                    debug_assert!(reply.is_empty(), "one response per request");
+                    self.stats.frames += 1;
+                    return Some(measured);
+                }
+                Ok(None) => {}
+                Err(_) => {
+                    self.reset_slot(slot);
+                    self.stats.refused += 1;
+                    return None;
+                }
             }
 
             turns += 1;
@@ -717,7 +758,8 @@ impl ConnSession {
     }
 
     /// Server-side readable: assemble frames, apply each decoded
-    /// request to the guest, queue and start flushing the response.
+    /// request to the guest, queue and start flushing the response. A
+    /// corrupt frame stops the read with its error, unapplied.
     fn server_read(
         &mut self,
         slot: usize,
@@ -725,10 +767,10 @@ impl ConnSession {
         expected: &Request,
         process: &mut Server,
         measured: &mut Option<Measured>,
-    ) {
+    ) -> Result<(), FrameError> {
         self.drain_server(slot);
         while let Some((frame_seq, decoded, consumed)) =
-            decode_request(self.kind, &self.conns[slot].inbound)
+            decode_request(self.kind, &self.conns[slot].inbound)?
         {
             self.conns[slot].inbound.drain(..consumed);
             assert_eq!(frame_seq, seq, "closed-loop requests arrive in order");
@@ -745,6 +787,7 @@ impl ConnSession {
             *measured = Some(m);
             self.server_flush(slot);
         }
+        Ok(())
     }
 
     /// Pushes queued response bytes; arms write readiness while the
@@ -828,8 +871,9 @@ impl ConnSession {
         self.net.close(client);
         let closed = self.drain_server(slot);
         debug_assert!(closed, "server must observe the disconnect EOF");
-        debug_assert!(
-            decode_request(self.kind, &self.conns[slot].inbound).is_none(),
+        debug_assert_eq!(
+            decode_request(self.kind, &self.conns[slot].inbound),
+            Ok(None),
             "a half frame must never decode"
         );
         self.reset_slot(slot);
@@ -993,17 +1037,74 @@ mod tests {
         for (i, (kind, request)) in library().into_iter().enumerate() {
             let seq = 40 + i as u32;
             let frame = encode_request(kind, seq, &request);
-            let (got_seq, decoded, consumed) =
-                decode_request(kind, &frame).expect("complete frame decodes");
+            let (got_seq, decoded, consumed) = decode_request(kind, &frame)
+                .ok()
+                .flatten()
+                .expect("complete frame decodes");
             assert_eq!(consumed, frame.len());
             assert_eq!(got_seq, seq);
             assert_eq!(decoded, request, "content equality across the wire");
             // Every strict prefix is partial.
             for cut in 0..frame.len() {
-                assert!(
-                    decode_request(kind, &frame[..cut]).is_none(),
+                assert_eq!(
+                    decode_request(kind, &frame[..cut]),
+                    Ok(None),
                     "prefix of {cut} bytes must not decode"
                 );
+            }
+        }
+    }
+
+    /// Hostile bytes: one frame per request class (and a response of
+    /// each status) with each byte flipped by a seeded mask, every
+    /// prefix of each, decodes to a frame, "partial" or a refusal —
+    /// never a panic, never more bytes than arrived.
+    #[test]
+    fn corrupt_frames_are_refused_not_panics() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x39);
+        let mut flip = |frame: &[u8], at: usize| {
+            let mut bad = frame.to_vec();
+            bad[at] ^= rng.gen_range(1..256u16) as u8;
+            bad
+        };
+        for (i, (kind, request)) in library().into_iter().enumerate() {
+            let frame = encode_request(kind, i as u32, &request);
+            for at in 0..frame.len() {
+                let bad = flip(&frame, at);
+                for cut in 0..=bad.len() {
+                    if let Ok(Some((_, _, used))) = decode_request(kind, &bad[..cut]) {
+                        assert!(used <= cut, "{kind:?} byte {at}: read past the frame");
+                    }
+                }
+                let whole = decode_request(kind, &bad);
+                match at {
+                    0 => assert_eq!(whole, Err(FrameError::Magic)),
+                    1 => assert_eq!(whole, Err(FrameError::Kind)),
+                    _ => {}
+                }
+            }
+        }
+        for outcome in [
+            Outcome::Done {
+                ret: 3,
+                output: b"out".to_vec(),
+            },
+            Outcome::Crashed(foc_vm::VmFault::DivideByZero),
+        ] {
+            let mut frame = Vec::new();
+            encode_response(5, &Measured { outcome, cycles: 9 }, &mut frame);
+            for at in 0..frame.len() {
+                let bad = flip(&frame, at);
+                for cut in 0..=bad.len() {
+                    if let Ok(Some((_, used))) = decode_response(&bad[..cut]) {
+                        assert!(used <= cut, "response byte {at}: read past the frame");
+                    }
+                }
+                if at == 0 {
+                    assert!(matches!(decode_response(&bad), Err(FrameError::Magic)));
+                }
             }
         }
     }
@@ -1019,12 +1120,12 @@ mod tests {
         };
         let mut frame = b"stale bytes".to_vec();
         encode_response(9, &done, &mut frame);
-        let (resp, consumed) = decode_response(&frame).unwrap();
+        let (resp, consumed) = decode_response(&frame).ok().flatten().unwrap();
         assert_eq!(consumed, frame.len());
         assert_eq!(resp.seq, 9);
         verify_response(&resp, &done);
         for cut in 0..frame.len() {
-            assert!(decode_response(&frame[..cut]).is_none());
+            assert!(matches!(decode_response(&frame[..cut]), Ok(None)));
         }
     }
 
@@ -1039,7 +1140,11 @@ mod tests {
         for request in requests {
             let over_wire = session.transact(request, &mut wired);
             let direct = request.apply(&mut plain);
-            assert_eq!(over_wire, direct, "transport must not change outcomes");
+            assert_eq!(
+                over_wire,
+                Some(direct),
+                "transport must not change outcomes"
+            );
         }
     }
 
@@ -1113,12 +1218,13 @@ mod tests {
         let mut process = Server::boot(ServerKind::Apache, &spec, ServerEnv::standard());
         let mut session = ConnSession::new(ServerKind::Apache, &edge);
         for _ in 0..4 {
-            session.transact(
+            let served = session.transact(
                 &Request::ApacheGet {
                     path: Cow::Borrowed(b"/index.html"),
                 },
                 &mut process,
             );
+            assert!(served.is_some(), "a whole frame is served");
         }
         let stats = session.stats();
         assert_eq!(stats.requests, 4);

@@ -962,7 +962,15 @@ impl ServerRun {
         let request = self.gen.generate(config.kind, attack);
         let measured = match &mut self.conn {
             None => request.apply(&mut self.process),
-            Some(conn) => conn.transact(&request, &mut self.process),
+            Some(conn) => match conn.transact(&request, &mut self.process) {
+                Some(measured) => measured,
+                // A frame either side refused as corrupt: the request
+                // went unanswered.
+                None => {
+                    self.stats.dropped += 1;
+                    return;
+                }
+            },
         };
         self.gen.observe(&request, measured.outcome.survived());
         self.gen.recycle(request);

@@ -179,9 +179,9 @@ pub fn standard_mc_config() -> &'static Vec<u8> {
 /// Cap on cached frozen boots. A full mode sweep visits hundreds of
 /// distinct specs and each entry holds a whole machine image — the
 /// committed windows of a booted space plus its unit tables: 16 KiB
-/// (Sendmail) to 188 KiB (Pine, whose entry keeps two, the boot and
-/// its restart base), so a full cache is 1–24 MiB — so the cache
-/// evicts (rather than grows without bound) when it fills.
+/// (Sendmail) to 36 KiB (MC, Mutt, Pine; Pine's entry keeps two, the
+/// boot and its restart base), so a full cache is 1–5 MiB — so the
+/// cache evicts (rather than grows without bound) when it fills.
 /// Eviction is per-entry least-recently-used: a churn of one-shot
 /// sweep cells displaces only the coldest cells, never the hot
 /// standard boots the farm and the supervisor restore from on every

@@ -3,10 +3,10 @@
 //! ([`crate::sweep`]).
 //!
 //! The model: `n` tasks, each producing exactly one result, executed
-//! over `threads` worker threads. A task runs in *slices* — the step
-//! function either yields the task back (to be requeued and resumed,
-//! possibly on a different thread) or finishes it with a result for its
-//! slot. Every worker owns a deque; it drains its own deque from the
+//! over `threads` workers, the calling thread among them. A task runs
+//! in *slices* — the step function either yields the task back (to be
+//! requeued and resumed, possibly on a different thread) or finishes it
+//! with a result for its slot. Every worker owns a deque; it drains its own deque from the
 //! front and steals from the back of other workers' deques when it runs
 //! dry. Idle workers park on a condvar instead of spinning; a worker
 //! panic aborts the whole run (the scope re-throws the panic rather
@@ -141,9 +141,10 @@ fn worker_loop<T, R>(
     sentinel.armed = false;
 }
 
-/// Runs `tasks` to completion over `threads` worker threads, returning
-/// the results in slot order. Tasks are seeded round-robin across the
-/// worker deques in their given order.
+/// Runs `tasks` to completion over `threads` workers — the calling
+/// thread and `threads - 1` spawned ones — returning the results in
+/// slot order. Tasks are seeded round-robin across the worker deques in
+/// their given order.
 ///
 /// Each task must finish with a distinct slot index in
 /// `0..tasks.len()`; the slot a task publishes to is the caller's
@@ -151,8 +152,8 @@ fn worker_loop<T, R>(
 ///
 /// # Panics
 ///
-/// Panics when `tasks` is empty, when a worker thread panics (the
-/// panic is propagated), or when a task finishes into a slot some other
+/// Panics when `tasks` is empty, when a worker panics (the panic is
+/// propagated once every other worker has stopped), or when a task finishes into a slot some other
 /// task already filled (leaving another slot empty).
 pub fn run_stealing<T, R, F>(threads: usize, tasks: Vec<T>, step: F) -> Vec<R>
 where
@@ -173,12 +174,14 @@ where
             .push_back(task);
     }
 
+    // The calling thread is worker 0: a one-thread run spawns nothing.
     thread::scope(|scope| {
-        for me in 0..threads {
+        for me in 1..threads {
             let sched = &sched;
             let step = &step;
             scope.spawn(move || worker_loop(me, sched, step));
         }
+        worker_loop(0, &sched, &step);
     });
 
     sched
@@ -235,6 +238,19 @@ mod tests {
             })
         };
         assert_eq!(run(1), run(7));
+    }
+
+    #[test]
+    fn a_panicking_task_propagates_without_hanging() {
+        for threads in [1, 3] {
+            let run = std::panic::catch_unwind(|| {
+                run_stealing(threads, (0..24usize).collect(), |i| {
+                    assert_ne!(i, 13, "task 13 fails");
+                    Slice::Done(i, i)
+                })
+            });
+            assert!(run.is_err(), "{threads} threads: the panic propagates");
+        }
     }
 
     #[test]

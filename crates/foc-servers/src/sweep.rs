@@ -713,7 +713,11 @@ pub fn drive_booted(
         for request in &(input.requests)() {
             let measured = match &mut session {
                 Some(session) => session.transact(request, &mut process),
-                None => request.apply(&mut process),
+                None => Some(request.apply(&mut process)),
+            };
+            // A frame refused as corrupt ends the script unanswered.
+            let Some(measured) = measured else {
+                break;
             };
             if !t.step(&measured) {
                 break;

@@ -7,7 +7,7 @@
 //! image — memory space, evaluation stack, counters — so a machine that
 //! is booted once and then only ever cloned is a checkpoint: every
 //! restart is a memcpy of the committed region windows (24 KiB for a
-//! booted Apache worker, 188 KiB for Pine; see `foc_memory::addr`)
+//! booted Apache worker, 36 KiB for Pine; see `foc_memory::addr`)
 //! instead of re-interpreted initialization. Behind an `Arc` it is
 //! immutable and `Sync`, so one frozen machine serves concurrent
 //! restorers across farm worker threads.

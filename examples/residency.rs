@@ -21,6 +21,9 @@
 //! byte through the checked routines (see `foc-vm/src/builtins.rs`).
 //! `calls` and `locals` are guest function entries and the frame slots
 //! they registered as data units — what ROADMAP item 2 prices a call by.
+//! `committed` is the mean KiB of region storage a process held at the
+//! end of its stream (`MemorySpace::footprint`): what a restart copies
+//! and resident memory carries per server.
 //! `ops/instr` is what the native executor dispatched — per region
 //! entered: the entry, each op, the terminator — per instruction the
 //! process retired: the count the lowering's folds and superblocks move
@@ -37,8 +40,8 @@
 //! native view's memo did not answer, plus the interpreter's and the
 //! builtins'; `searches` those the table's own memo did not answer
 //! either. `-- --check` exits 1 when a row exceeds one of its committed
-//! ceilings (`ops/instr`, `regions`, `searches`) or falls below its
-//! committed `batched%` floor.
+//! ceilings (`ops/instr`, `regions`, `searches`, `committed`) or falls
+//! below its committed `batched%` floor.
 
 use failure_oblivious::memory::LookupProfile;
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
@@ -54,12 +57,18 @@ struct Tally {
     calls: u64,
     profile: ExecProfile,
     lookups: LookupProfile,
+    /// Committed bytes summed over the processes added, and how many.
+    committed: u64,
+    processes: u64,
 }
 
 impl Tally {
     fn add(&mut self, process: &Process) {
         let (stats, p) = (process.machine().stats(), process.machine().exec_profile());
-        let table = process.machine().space().lookup_profile();
+        let space = process.machine().space();
+        let table = space.lookup_profile();
+        self.committed += space.footprint().committed;
+        self.processes += 1;
         self.lookups.lookups += table.lookups;
         self.lookups.searches += table.searches;
         self.instrs += stats.instrs;
@@ -165,7 +174,7 @@ fn main() {
         }
     };
     println!(
-        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
+        "{:<13} {:>10} {:>8} {:>8} {:>8} {:>8} {:>9} {:>9} {:>7} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8} {:>9}",
         "workload",
         "instrs",
         "native",
@@ -182,24 +191,27 @@ fn main() {
         "calls",
         "locals",
         "lookups",
-        "searches"
+        "searches",
+        "committed"
     );
     // Beside each row, the `ops/instr`, the `regions` entered and the
-    // table `searches` it may not exceed under `--check`, and the
-    // `batched%` it may not fall below: what the committed lowering and
-    // memos produce, rounded (against the check) in the fourth
-    // significant place. All four repeat exactly, so any miss is a
-    // regression, not noise — a fold, a superblock or a counted loop
-    // that stopped forming, or a memo that stopped serving; move a bound
-    // when the code improves.
+    // table `searches` it may not exceed under `--check`, the `batched%`
+    // it may not fall below, and the `committed` KiB it may not exceed:
+    // what the committed lowering, memos and commit rule produce, rounded
+    // (against the check) in the fourth significant place. All five
+    // repeat exactly, so any miss is a regression, not noise — a fold, a
+    // superblock or a counted loop that stopped forming, a memo that
+    // stopped serving, or a region committing pages its guest never
+    // wrote; move a bound when the code improves.
     let runs = [
-        ("mc_copy", 0.003191, 136700, 61090, 99.21, mc_run()),
+        ("mc_copy", 0.003191, 136700, 61090, 99.21, 60.0, mc_run()),
         (
             "apache_edge",
             0.2607,
             4856,
             1947,
             0.0,
+            24.0,
             apache_run(Mode::FailureOblivious, 8),
         ),
         (
@@ -208,12 +220,14 @@ fn main() {
             7276,
             2617,
             0.0,
+            24.0,
             apache_run(Mode::BoundsCheck, 2),
         ),
-        ("pine_mail", 0.3144, 38170, 3466, 0.0, pine_run()),
+        ("pine_mail", 0.3144, 38170, 3466, 0.0, 132.0, pine_run()),
     ];
     let mut over = false;
-    for (name, ceiling, region_ceiling, search_ceiling, batched_floor, t) in runs {
+    for (name, ceiling, region_ceiling, search_ceiling, batched_floor, committed_ceiling, t) in runs
+    {
         let p = t.profile;
         let ops_per_instr = p.native_ops as f64 / t.instrs.max(1) as f64;
         if check && ops_per_instr > ceiling {
@@ -235,8 +249,13 @@ fn main() {
             eprintln!("residency --check: {name} retired {batched:.2}% of its instructions in counted-loop batches, committed floor {batched_floor}%");
             over = true;
         }
+        let committed = t.committed as f64 / t.processes.max(1) as f64 / 1024.0;
+        if check && committed > committed_ceiling {
+            eprintln!("residency --check: {name} commits {committed:.1} KiB per process, committed ceiling {committed_ceiling} KiB");
+            over = true;
+        }
         println!(
-            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>7} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8}",
+            "{:<13} {:>10} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>9} {:>9.4} {:>7} {:>9} {:>10} {:>9} {:>6} {:>7} {:>7} {:>8} {:>8} {:>9}",
             name,
             t.instrs,
             100.0 * p.native_instrs as f64 / t.instrs.max(1) as f64,
@@ -253,7 +272,8 @@ fn main() {
             t.calls,
             p.locals_registered,
             t.lookups.lookups,
-            searches
+            searches,
+            format!("{committed:.1}K")
         );
     }
     if over {
