@@ -17,7 +17,7 @@ const SLICE_INPUTS: usize = 4;
 
 /// The configurations the gate renders the whole matrix at, each a base
 /// spec constructor and an edge: what ships, the reference oracle
-/// (baseline tier over the splay table), and the socket edge.
+/// (baseline tier over the reference table), and the socket edge.
 type GatePoint = (&'static str, fn(ServerKind, Mode) -> BootSpec, Edge);
 
 fn gate_points() -> [GatePoint; 3] {
@@ -125,7 +125,7 @@ mod tests {
         let oracle = BootSpec::oracle(kind, mode);
         assert_eq!(
             (oracle.tier, oracle.table),
-            (ExecTier::Baseline, TableKind::Splay)
+            (ExecTier::Baseline, TableKind::Reference)
         );
         assert!(at(oracle, &Edge::InProcess), "the oracle tier and table");
         assert!(

@@ -8,7 +8,8 @@
 //!    line.
 //! 2. **The oracle reproduces what ships**: the object table (and the
 //!    tier) is a gate point, not a coordinate, so the same cells under
-//!    `BootSpec::oracle` are the same matrix.
+//!    `BootSpec::oracle` (baseline tier, reference table) are the same
+//!    matrix.
 //! 3. **Outcome classes are scheduling-invariant** (property test over
 //!    thread count and slice grain): classification is a pure function
 //!    of the cell coordinates.
@@ -81,8 +82,8 @@ fn same_grid_twice_renders_byte_identical_json() {
 
 #[test]
 fn backend_axis_never_changes_outcome_classes() {
-    // The object table is not a cell coordinate: the oracle (the splay
-    // tree, on the baseline tier) must reproduce what ships — classes,
+    // The object table is not a cell coordinate: the oracle (the
+    // reference table, on the baseline tier) must reproduce what ships — classes,
     // transcripts and reference alike. `mode_sweep --check` holds the
     // whole grid to this; here, the filtered cells.
     let cells = test_cells();

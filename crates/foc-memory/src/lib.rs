@@ -50,5 +50,5 @@ pub use space::{
     Run, SpaceStats, Sweep, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
-pub use table::{FlatTable, LookupProfile, Placement, SplayTable, Table, TableKind};
+pub use table::{FlatTable, LookupProfile, Placement, Table, TableKind};
 pub use unit::{DataUnit, UnitId, UnitKind};

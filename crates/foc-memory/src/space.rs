@@ -107,7 +107,7 @@ impl Default for MemConfig {
             sequence: ValueSequence::default(),
             // The oracle's, not `TableKind::default()`: a bare config
             // is what the equivalence batteries use as the reference.
-            table: TableKind::Splay,
+            table: TableKind::Reference,
             log_capacity: 4096,
         }
     }

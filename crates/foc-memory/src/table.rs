@@ -22,19 +22,20 @@
 //!   each shifting the tail once per call rather than once per local.
 //!   Nothing with pointers in it can beat that at this size, and a page
 //!   map in front of it only added a second structure to keep coherent.
-//! * [`SplayTable`] — the self-adjusting tree Jones & Kelly's runtime
-//!   (and CRED's) used because accesses have high temporal locality. It
-//!   is kept as the reference oracle: `BootSpec::oracle` (and so the
-//!   sweep's oracle gate point) runs on it, and every equivalence
-//!   battery compares the shipped table against it. It takes a run one
-//!   unit at a time, so those batteries also hold the run path to the
-//!   per-unit one.
+//! * [`Table::Reference`] — the reference oracle: an ordered map from
+//!   base to placement, whose lookup is the definition above written
+//!   out (`range(..=addr).next_back()`, then the bounds test).
+//!   `BootSpec::oracle` (and so the sweep's oracle gate point) runs on
+//!   it, and every equivalence battery compares the shipped table
+//!   against it. It takes a run one unit at a time, so those batteries
+//!   also hold the run path to the per-unit one.
 //!
 //! Both give byte-identical failure-oblivious semantics, so the choice
 //! never shows in a transcript, a counter or a log record. Only the
 //! [`LookupProfile`] — diagnostics, kept out of every equivalence
 //! relation — tells them apart.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::roomy::RoomyVec;
@@ -58,22 +59,21 @@ pub enum TableKind {
     /// default).
     #[default]
     Flat,
-    /// Self-adjusting splay tree (as in Jones & Kelly; the reference
-    /// oracle).
-    Splay,
+    /// Ordered map from base to placement (the reference oracle).
+    Reference,
 }
 
 impl TableKind {
     /// Both structures, oracle first (the order of the equivalence
     /// batteries' table loops).
-    pub const ALL: [TableKind; 2] = [TableKind::Splay, TableKind::Flat];
+    pub const ALL: [TableKind; 2] = [TableKind::Reference, TableKind::Flat];
 
     /// Stable lower-case name (test diagnostics and the end-to-end
     /// benchmark's description lines).
     pub fn name(self) -> &'static str {
         match self {
             TableKind::Flat => "flat",
-            TableKind::Splay => "splay",
+            TableKind::Reference => "reference",
         }
     }
 }
@@ -93,20 +93,25 @@ pub struct LookupProfile {
     /// Calls to [`Table::lookup`].
     pub lookups: u64,
     /// Lookups the table's own memo did not answer: a binary search on
-    /// the flat table, a splay on the oracle (which has no memo).
+    /// the flat table, every lookup on the oracle (which has no memo).
     pub searches: u64,
 }
 
 /// A space's object table, held by value.
 ///
-/// Lookup takes `&mut self` because both structures reorganise on a
-/// query (the splay tree rotates, the flat table moves its memo).
+/// Lookup takes `&mut self` because it counts into the
+/// [`LookupProfile`] (and the flat table moves its memo).
 #[derive(Debug, Clone)]
 pub enum Table {
     /// The shipped sorted vector.
     Flat(FlatTable),
-    /// The oracle splay tree.
-    Splay(SplayTable),
+    /// The oracle: live units by base.
+    Reference {
+        /// Every live unit, keyed by its base.
+        units: BTreeMap<u64, Placement>,
+        /// How its lookups were answered.
+        profile: LookupProfile,
+    },
 }
 
 impl Table {
@@ -116,14 +121,18 @@ impl Table {
     }
 
     /// An empty table that holds `units` entries before it reallocates
-    /// (the oracle allocates per node and ignores the hint).
+    /// (the oracle's map has no capacity to reserve and ignores the
+    /// hint).
     pub fn with_room(kind: TableKind, units: usize) -> Table {
         match kind {
             TableKind::Flat => Table::Flat(FlatTable {
                 entries: RoomyVec::with_capacity(units),
                 ..FlatTable::default()
             }),
-            TableKind::Splay => Table::Splay(SplayTable::new()),
+            TableKind::Reference => Table::Reference {
+                units: BTreeMap::new(),
+                profile: LookupProfile::default(),
+            },
         }
     }
 
@@ -132,7 +141,9 @@ impl Table {
     pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
         match self {
             Table::Flat(t) => t.insert(base, size, unit),
-            Table::Splay(t) => t.insert(base, size, unit),
+            Table::Reference { units, .. } => {
+                units.insert(base, Placement { base, size, unit });
+            }
         }
     }
 
@@ -143,7 +154,9 @@ impl Table {
     pub fn insert_run(&mut self, run: &[Placement]) {
         match self {
             Table::Flat(t) => t.insert_run(run),
-            Table::Splay(t) => run.iter().for_each(|p| t.insert(p.base, p.size, p.unit)),
+            Table::Reference { units, .. } => run.iter().for_each(|p| {
+                units.insert(p.base, *p);
+            }),
         }
     }
 
@@ -151,7 +164,7 @@ impl Table {
     pub fn remove(&mut self, base: u64) -> Option<Placement> {
         match self {
             Table::Flat(t) => t.remove(base),
-            Table::Splay(t) => t.remove(base),
+            Table::Reference { units, .. } => units.remove(&base),
         }
     }
 
@@ -162,7 +175,9 @@ impl Table {
     pub fn remove_run(&mut self, run: &[Placement]) -> bool {
         match self {
             Table::Flat(t) => t.remove_run(run),
-            Table::Splay(t) => run.iter().rev().all(|p| t.remove(p.base) == Some(*p)),
+            Table::Reference { units, .. } => {
+                run.iter().rev().all(|p| units.remove(&p.base) == Some(*p))
+            }
         }
     }
 
@@ -178,7 +193,12 @@ impl Table {
     pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
         match self {
             Table::Flat(t) => t.lookup(addr),
-            Table::Splay(t) => t.lookup(addr),
+            Table::Reference { units, profile } => {
+                profile.lookups += 1;
+                profile.searches += 1;
+                let (_, p) = units.range(..=addr).next_back()?;
+                (addr - p.base < p.size).then_some(*p)
+            }
         }
     }
 
@@ -186,7 +206,7 @@ impl Table {
     pub fn len(&self) -> usize {
         match self {
             Table::Flat(t) => t.len(),
-            Table::Splay(t) => t.len(),
+            Table::Reference { units, .. } => units.len(),
         }
     }
 
@@ -199,7 +219,7 @@ impl Table {
     pub fn lookup_profile(&self) -> LookupProfile {
         match self {
             Table::Flat(t) => t.profile,
-            Table::Splay(t) => t.profile,
+            Table::Reference { profile, .. } => *profile,
         }
     }
 }
@@ -208,8 +228,8 @@ impl Table {
 ///
 /// Entries live base-sorted in one contiguous `Vec`, so a lookup is a
 /// branch-light binary search over cache-dense memory, and the
-/// temporal-locality case the splay tree rotates for is served by a
-/// one-entry memo instead: the index of the last hit is probed first, in
+/// temporal locality of server traffic is served by a
+/// one-entry memo: the index of the last hit is probed first, in
 /// O(1) and with no structural writes. Inserts and removes shift the
 /// tail (`memmove`) — once per run of units, not once per unit — which
 /// is exactly the right trade for server-shaped tables: a few dozen
@@ -338,282 +358,6 @@ impl FlatTable {
     }
 }
 
-/// Index of a splay tree node, with `NONE` as the null sentinel.
-type NodeIdx = u32;
-const NONE: NodeIdx = u32::MAX;
-
-#[derive(Debug, Clone)]
-struct SplayNode {
-    base: u64,
-    size: u64,
-    unit: UnitId,
-    left: NodeIdx,
-    right: NodeIdx,
-}
-
-/// Self-adjusting object table, as in the Jones & Kelly runtime.
-///
-/// Nodes live in a `Vec` and are addressed by index; removed slots are
-/// recycled through a free list. Every lookup splays the closest entry to
-/// the root, so repeated accesses to the same data unit are O(1) after the
-/// first — the common case for server request processing.
-#[derive(Debug, Clone, Default)]
-pub struct SplayTable {
-    nodes: Vec<SplayNode>,
-    root: NodeIdx,
-    free: Vec<NodeIdx>,
-    len: usize,
-    profile: LookupProfile,
-}
-
-impl SplayTable {
-    /// Creates an empty table.
-    pub fn new() -> SplayTable {
-        SplayTable {
-            nodes: Vec::new(),
-            root: NONE,
-            free: Vec::new(),
-            len: 0,
-            profile: LookupProfile::default(),
-        }
-    }
-
-    fn node(&self, i: NodeIdx) -> &SplayNode {
-        &self.nodes[i as usize]
-    }
-
-    fn node_mut(&mut self, i: NodeIdx) -> &mut SplayNode {
-        &mut self.nodes[i as usize]
-    }
-
-    fn placement(&self, i: NodeIdx) -> Placement {
-        let n = self.node(i);
-        Placement {
-            base: n.base,
-            size: n.size,
-            unit: n.unit,
-        }
-    }
-
-    fn alloc_node(&mut self, base: u64, size: u64, unit: UnitId) -> NodeIdx {
-        let node = SplayNode {
-            base,
-            size,
-            unit,
-            left: NONE,
-            right: NONE,
-        };
-        if let Some(i) = self.free.pop() {
-            self.nodes[i as usize] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as NodeIdx
-        }
-    }
-
-    /// Top-down splay: reorganises the subtree rooted at `root` so the node
-    /// with key `key` (or the last node on the search path) becomes the
-    /// root. This is the classic Sleator–Tarjan top-down formulation.
-    fn splay(&mut self, mut root: NodeIdx, key: u64) -> NodeIdx {
-        if root == NONE {
-            return NONE;
-        }
-        // `left_tail` / `right_tail` are the attachment points of the
-        // assembled left and right trees; `header` slots stand in for the
-        // missing parent of each.
-        let mut left_head = NONE;
-        let mut left_tail = NONE;
-        let mut right_head = NONE;
-        let mut right_tail = NONE;
-
-        loop {
-            let rb = self.node(root).base;
-            if key < rb {
-                let mut child = self.node(root).left;
-                if child == NONE {
-                    break;
-                }
-                if key < self.node(child).base {
-                    // Zig-zig: rotate right.
-                    self.node_mut(root).left = self.node(child).right;
-                    self.node_mut(child).right = root;
-                    root = child;
-                    child = self.node(root).left;
-                    if child == NONE {
-                        break;
-                    }
-                }
-                // Link right.
-                if right_tail == NONE {
-                    right_head = root;
-                } else {
-                    self.node_mut(right_tail).left = root;
-                }
-                right_tail = root;
-                root = child;
-            } else if key > rb {
-                let mut child = self.node(root).right;
-                if child == NONE {
-                    break;
-                }
-                if key > self.node(child).base {
-                    // Zig-zig: rotate left.
-                    self.node_mut(root).right = self.node(child).left;
-                    self.node_mut(child).left = root;
-                    root = child;
-                    child = self.node(root).right;
-                    if child == NONE {
-                        break;
-                    }
-                }
-                // Link left.
-                if left_tail == NONE {
-                    left_head = root;
-                } else {
-                    self.node_mut(left_tail).right = root;
-                }
-                left_tail = root;
-                root = child;
-            } else {
-                break;
-            }
-        }
-
-        // Assemble.
-        let root_left = self.node(root).left;
-        let root_right = self.node(root).right;
-        if left_tail == NONE {
-            left_head = root_left;
-        } else {
-            self.node_mut(left_tail).right = root_left;
-        }
-        if right_tail == NONE {
-            right_head = root_right;
-        } else {
-            self.node_mut(right_tail).left = root_right;
-        }
-        self.node_mut(root).left = left_head;
-        self.node_mut(root).right = right_head;
-        root
-    }
-
-    #[cfg(test)]
-    fn check_bst(&self) {
-        fn walk(t: &SplayTable, n: NodeIdx, lo: Option<u64>, hi: Option<u64>, count: &mut usize) {
-            if n == NONE {
-                return;
-            }
-            let node = t.node(n);
-            if let Some(lo) = lo {
-                assert!(node.base > lo, "BST order violated");
-            }
-            if let Some(hi) = hi {
-                assert!(node.base < hi, "BST order violated");
-            }
-            *count += 1;
-            walk(t, node.left, lo, Some(node.base), count);
-            walk(t, node.right, Some(node.base), hi, count);
-        }
-        let mut count = 0;
-        walk(self, self.root, None, None, &mut count);
-        assert_eq!(count, self.len, "node count mismatch");
-    }
-
-    /// Registers a live unit (see [`Table::insert`]).
-    pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
-        let fresh = self.alloc_node(base, size, unit);
-        if self.root == NONE {
-            self.root = fresh;
-            self.len += 1;
-            return;
-        }
-        let root = self.splay(self.root, base);
-        let rb = self.node(root).base;
-        if base == rb {
-            // Replace in place (the caller never does this for live units,
-            // but replacement keeps the structure consistent regardless).
-            let (l, r) = (self.node(root).left, self.node(root).right);
-            self.node_mut(fresh).left = l;
-            self.node_mut(fresh).right = r;
-            self.free.push(root);
-            self.root = fresh;
-            return;
-        }
-        if base < rb {
-            self.node_mut(fresh).left = self.node(root).left;
-            self.node_mut(fresh).right = root;
-            self.node_mut(root).left = NONE;
-        } else {
-            self.node_mut(fresh).right = self.node(root).right;
-            self.node_mut(fresh).left = root;
-            self.node_mut(root).right = NONE;
-        }
-        self.root = fresh;
-        self.len += 1;
-    }
-
-    /// Removes the unit based at exactly `base`.
-    pub fn remove(&mut self, base: u64) -> Option<Placement> {
-        if self.root == NONE {
-            return None;
-        }
-        let root = self.splay(self.root, base);
-        self.root = root;
-        if self.node(root).base != base {
-            return None;
-        }
-        let removed = self.placement(root);
-        let (left, right) = (self.node(root).left, self.node(root).right);
-        self.root = if left == NONE {
-            right
-        } else {
-            // Splay the maximum of the left subtree to its root; it then
-            // has no right child and adopts `right`.
-            let new_root = self.splay(left, u64::MAX);
-            self.node_mut(new_root).right = right;
-            new_root
-        };
-        self.free.push(root);
-        self.len -= 1;
-        Some(removed)
-    }
-
-    /// Finds the unit whose range contains `addr`.
-    pub fn lookup(&mut self, addr: u64) -> Option<Placement> {
-        self.profile.lookups += 1;
-        if self.root == NONE {
-            return None;
-        }
-        self.profile.searches += 1;
-        let root = self.splay(self.root, addr);
-        self.root = root;
-        let mut at = root;
-        if self.node(root).base > addr {
-            // Root is the successor of `addr`; the containing unit, if any,
-            // is the maximum of the left subtree.
-            at = self.node(root).left;
-            if at == NONE {
-                return None;
-            }
-            while self.node(at).right != NONE {
-                at = self.node(at).right;
-            }
-        }
-        let p = self.placement(at);
-        (addr - p.base < p.size).then_some(p)
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -653,14 +397,6 @@ mod tests {
     }
 
     #[test]
-    fn splay_table_basics() {
-        let Table::Splay(t) = exercise(Table::new(TableKind::Splay)) else {
-            panic!("splay builds a splay tree");
-        };
-        t.check_bst();
-    }
-
-    #[test]
     fn flat_table_basics() {
         let t = exercise(Table::new(TableKind::Flat));
         assert!(matches!(t, Table::Flat(_)), "flat builds a sorted vector");
@@ -679,7 +415,7 @@ mod tests {
         for kind in TableKind::ALL {
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert_eq!(TableKind::ALL.map(TableKind::name), ["splay", "flat"]);
+        assert_eq!(TableKind::ALL.map(TableKind::name), ["reference", "flat"]);
         assert_eq!(TableKind::default(), TableKind::Flat);
     }
 
@@ -854,46 +590,5 @@ mod tests {
             let searches = if kind == TableKind::Flat { 2 } else { 5 };
             assert_eq!(profile.searches, searches, "{kind}");
         }
-    }
-
-    #[test]
-    fn splay_handles_many_interleaved_ops() {
-        let mut t = SplayTable::new();
-        // Insert 1000 spaced units, remove every third, verify lookups.
-        for i in 0..1000u64 {
-            t.insert(i * 16, 8, UnitId(i as u32));
-        }
-        t.check_bst();
-        for i in (0..1000u64).step_by(3) {
-            assert!(t.remove(i * 16).is_some());
-        }
-        t.check_bst();
-        for i in 0..1000u64 {
-            let hit = t.lookup(i * 16 + 4);
-            if i % 3 == 0 {
-                assert!(hit.is_none(), "unit {i} should be gone");
-            } else {
-                assert_eq!(hit.unwrap().unit, UnitId(i as u32));
-            }
-            // The 8-byte gap between units never resolves.
-            assert!(t.lookup(i * 16 + 12).is_none());
-        }
-        t.check_bst();
-    }
-
-    #[test]
-    fn splay_reuses_freed_slots() {
-        let mut t = SplayTable::new();
-        for i in 0..64u64 {
-            t.insert(i * 32, 16, UnitId(i as u32));
-        }
-        let nodes_before = t.nodes.len();
-        for i in 0..64u64 {
-            t.remove(i * 32);
-        }
-        for i in 0..64u64 {
-            t.insert(i * 32 + 4096, 16, UnitId(i as u32 + 100));
-        }
-        assert_eq!(t.nodes.len(), nodes_before, "slots must be recycled");
     }
 }

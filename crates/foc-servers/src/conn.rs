@@ -151,6 +151,12 @@ const RESP_HEADER: usize = 26;
 const STATUS_DONE: u8 = 0;
 const STATUS_CRASHED: u8 = 1;
 
+/// Largest request body or response payload a frame may carry, far
+/// above any real one (the request generator and the sweep's input
+/// library send bodies of at most 380 bytes and get payloads of at most
+/// 1 410), so that a header claiming more is refused at once instead of
+/// awaited until the session stalls. The encoders assert it.
+const MAX_BODY: usize = 64 << 10;
 /// Per-socket kernel buffer, deliberately small so realistic frames
 /// (Pine deliveries run past 300 bytes) need several readiness turns.
 const BUFFER_BYTES: usize = 256;
@@ -253,12 +259,13 @@ fn op_and_body(request: &Request) -> (u8, Vec<u8>) {
 /// Frames one request for the wire.
 fn encode_request(kind: ServerKind, seq: u32, request: &Request) -> Vec<u8> {
     let (op, body) = op_and_body(request);
+    assert!(body.len() <= MAX_BODY, "request body past MAX_BODY");
     let mut frame = Vec::with_capacity(REQ_HEADER + body.len());
     frame.push(REQ_MAGIC);
     frame.push(kind.index() as u8);
     frame.push(op);
     frame.extend_from_slice(&seq.to_le_bytes());
-    frame.extend_from_slice(&(u32::try_from(body.len()).expect("body fits u32")).to_le_bytes());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
     frame.extend_from_slice(&body);
     frame
 }
@@ -306,6 +313,10 @@ enum FrameError {
     Trailing,
     /// A response status that is neither done nor crashed.
     Status,
+    /// A body or payload length above [`MAX_BODY`].
+    Length,
+    /// A request frame other than the one the server awaits.
+    Sequence,
 }
 
 /// Decodes one complete request frame off the front of `buf`, returning
@@ -326,6 +337,9 @@ fn decode_request(
     let op = buf[2];
     let seq = read_u32(buf, 3);
     let body_len = read_u32(buf, 7) as usize;
+    if body_len > MAX_BODY {
+        return Err(FrameError::Length);
+    }
     let Some(body) = buf[REQ_HEADER..].get(..body_len) else {
         return Ok(None);
     };
@@ -411,6 +425,7 @@ fn encode_response(seq: u32, measured: &Measured, frame: &mut Vec<u8>) {
             (STATUS_CRASHED, 0, crash_text.as_bytes())
         }
     };
+    assert!(payload.len() <= MAX_BODY, "response payload past MAX_BODY");
     frame.clear();
     frame.reserve(RESP_HEADER + payload.len());
     frame.push(RESP_MAGIC);
@@ -418,9 +433,7 @@ fn encode_response(seq: u32, measured: &Measured, frame: &mut Vec<u8>) {
     frame.extend_from_slice(&seq.to_le_bytes());
     frame.extend_from_slice(&ret.to_le_bytes());
     frame.extend_from_slice(&measured.cycles.to_le_bytes());
-    frame.extend_from_slice(
-        &(u32::try_from(payload.len()).expect("payload fits u32")).to_le_bytes(),
-    );
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     frame.extend_from_slice(payload);
 }
 
@@ -443,6 +456,9 @@ fn decode_response(buf: &[u8]) -> Result<Option<(Response<'_>, usize)>, FrameErr
         _ => {}
     }
     let payload_len = read_u32(buf, 22) as usize;
+    if payload_len > MAX_BODY {
+        return Err(FrameError::Length);
+    }
     let Some(payload) = buf[RESP_HEADER..].get(..payload_len) else {
         return Ok(None);
     };
@@ -759,7 +775,9 @@ impl ConnSession {
 
     /// Server-side readable: assemble frames, apply each decoded
     /// request to the guest, queue and start flushing the response. A
-    /// corrupt frame stops the read with its error, unapplied.
+    /// corrupt frame, or one out of sequence (requests are closed-loop,
+    /// so only `seq` may arrive), stops the read with its error,
+    /// unapplied.
     fn server_read(
         &mut self,
         slot: usize,
@@ -773,7 +791,9 @@ impl ConnSession {
             decode_request(self.kind, &self.conns[slot].inbound)?
         {
             self.conns[slot].inbound.drain(..consumed);
-            assert_eq!(frame_seq, seq, "closed-loop requests arrive in order");
+            if frame_seq != seq {
+                return Err(FrameError::Sequence);
+            }
             // Wire-authoritative: the server applies what the frame
             // says, and the frame must say what the generator meant.
             debug_assert_eq!(
@@ -1058,7 +1078,8 @@ mod tests {
     /// Hostile bytes: one frame per request class (and a response of
     /// each status) with each byte flipped by a seeded mask, every
     /// prefix of each, decodes to a frame, "partial" or a refusal —
-    /// never a panic, never more bytes than arrived.
+    /// never a panic, never more bytes than arrived. A length whose top
+    /// byte is flipped is refused whole, not awaited.
     #[test]
     fn corrupt_frames_are_refused_not_panics() {
         use rand::rngs::StdRng;
@@ -1082,6 +1103,7 @@ mod tests {
                 match at {
                     0 => assert_eq!(whole, Err(FrameError::Magic)),
                     1 => assert_eq!(whole, Err(FrameError::Kind)),
+                    10 => assert_eq!(whole, Err(FrameError::Length)),
                     _ => {}
                 }
             }
@@ -1102,10 +1124,38 @@ mod tests {
                         assert!(used <= cut, "response byte {at}: read past the frame");
                     }
                 }
-                if at == 0 {
-                    assert!(matches!(decode_response(&bad), Err(FrameError::Magic)));
+                match at {
+                    0 => assert!(matches!(decode_response(&bad), Err(FrameError::Magic))),
+                    25 => assert!(matches!(decode_response(&bad), Err(FrameError::Length))),
+                    _ => {}
                 }
             }
+        }
+    }
+
+    /// A well-formed frame the server is not awaiting — here a stale
+    /// one ahead of the request in flight — is refused: the slot is
+    /// reset and the connection counted refused, and the session then
+    /// serves on every slot as an in-process twin does.
+    #[test]
+    fn a_frame_out_of_sequence_is_refused_not_a_panic() {
+        let kind = ServerKind::Apache;
+        let request = Request::ApacheGet {
+            path: Cow::Borrowed(b"/index.html"),
+        };
+        let mut wired = Server::boot(kind, &spec(kind), ServerEnv::standard());
+        let mut plain = wired.clone();
+        let mut session = ConnSession::new(kind, &SocketEdge::default());
+        let stale = encode_request(kind, 7, &request);
+        assert_eq!(
+            session.net.write(session.conns[0].client, &stale),
+            WriteOutcome::Wrote(stale.len())
+        );
+        assert_eq!(session.transact(&request, &mut wired), None);
+        assert_eq!(session.stats().refused, 1);
+        for _ in 0..=session.conns.len() {
+            let served = session.transact(&request, &mut wired);
+            assert_eq!(served, Some(request.apply(&mut plain)));
         }
     }
 

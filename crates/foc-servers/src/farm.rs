@@ -1198,12 +1198,12 @@ mod tests {
     fn farm_report_is_table_backend_invariant() {
         // The table is a pure performance knob: reports (stats,
         // per-server breakdowns, histograms) must compare equal on the
-        // shipped vector and the oracle tree, in a mode with restarts in
-        // play.
+        // shipped vector and the reference map, in a mode with restarts
+        // in play.
         let c = quick(ServerKind::Apache, Mode::BoundsCheck).with_attack_ratio(1, 4);
-        let splay = run_farm(&c.clone().with_table(TableKind::Splay));
+        let reference = run_farm(&c.clone().with_table(TableKind::Reference));
         let flat = run_farm(&c.with_table(TableKind::Flat));
-        assert_eq!(splay, flat);
+        assert_eq!(reference, flat);
     }
 
     #[test]

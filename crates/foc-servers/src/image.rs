@@ -356,7 +356,7 @@ mod tests {
         // A different axis is a different cell.
         let c = boot_checkpoint(
             ServerKind::Apache,
-            &spec.with_table(foc_memory::TableKind::Splay),
+            &spec.with_table(foc_memory::TableKind::Reference),
         );
         assert!(!Arc::ptr_eq(&a, &c));
     }

@@ -126,7 +126,7 @@ impl BootSpec {
     /// standard fuel budget, and the fast path `native`/`flat`
     /// ([`ExecTier::default`], [`TableKind::default`]). Every other
     /// configuration is named in code — [`BootSpec::oracle`] for the
-    /// `baseline`/`splay` reference every faster path is proven
+    /// `baseline`/`reference` oracle every faster path is proven
     /// against, the `with_*` builders for a single axis. This is the one
     /// place a default is decided: [`farm::FarmConfig::new`],
     /// [`ServerKind::image`], [`Process::boot_source`] and
@@ -149,13 +149,13 @@ impl BootSpec {
     }
 
     /// The reference oracle for `kind` under `mode`: the interpreted
-    /// `baseline` tier over a `splay` tree, Jones & Kelly's own
-    /// structure — the configuration every faster path is proven
+    /// `baseline` tier over the `reference` table, an ordered map from
+    /// base to unit — the configuration every faster path is proven
     /// observably identical to.
     pub fn oracle(kind: ServerKind, mode: Mode) -> BootSpec {
         BootSpec::new(kind, mode)
             .with_tier(ExecTier::Baseline)
-            .with_table(TableKind::Splay)
+            .with_table(TableKind::Reference)
     }
 
     /// Same spec on a different object-table backend.

@@ -19,7 +19,7 @@
 //!    anticipated error the paper reports.
 //!
 //! That the shipped default (`BootSpec::new`: `native`/`flat`) is the
-//! `baseline`/`splay` reference oracle, faster, is the equivalence
+//! `baseline`/`reference` oracle, faster, is the equivalence
 //! harness's lattice (`equiv::lattice`, driven over the whole input
 //! library in `native_equiv.rs`); here it also holds for a guest index
 //! that wraps the address space.

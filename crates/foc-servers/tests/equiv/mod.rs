@@ -1,7 +1,7 @@
 //! The one equivalence harness. Every execution path that ships — the
 //! native tier or the baseline interpreter, the flat object table or
-//! the splay tree, a boot restored from the cache or booted cold —
-//! must leave exactly what the `baseline`/`splay` oracle leaves: the
+//! the reference map, a boot restored from the cache or booted cold —
+//! must leave exactly what the `baseline`/`reference` oracle leaves: the
 //! same results, transcripts and [`Observation`]s, at every fuel
 //! budget. The relation is stated here once, in three entry points:
 //!
@@ -164,10 +164,11 @@ pub fn sweep(case: &Case, config: &MachineConfig) -> (Run, ExecProfile) {
 }
 
 /// The four points of `spec`'s tier × table lattice: native/flat,
-/// baseline/flat, native/splay, and the baseline/splay oracle last.
+/// baseline/flat, native/reference, and the baseline/reference oracle
+/// last.
 fn points(spec: BootSpec) -> [BootSpec; 4] {
     let tiers = [ExecTier::Native, ExecTier::Baseline];
-    let tables = [TableKind::Flat, TableKind::Splay];
+    let tables = [TableKind::Flat, TableKind::Reference];
     std::array::from_fn(|i| spec.with_tier(tiers[i % 2]).with_table(tables[i / 2]))
 }
 

@@ -1023,7 +1023,7 @@ proptest! {
     }
 
     /// Alloc/free churn reshapes the object table the in-block probe
-    /// resolves against (splay rotations, shifted vector entries and a
+    /// resolves against (map rebalancing, shifted vector entries and a
     /// stale memo, freed-unit tombstones). Random churn volumes crossed
     /// with random overrun depths and manufactured-value seeds must
     /// leave the native tier observationally invisible.
@@ -1210,7 +1210,7 @@ fn sweep_shim(roomy: bool, shapes: std::ops::Range<usize>, full: u64) {
                     vec![a as i64, b as i64, n]
                 });
                 let case = case.with_memory();
-                equiv::tiers(&case, &shim_config(mode, TableKind::Splay, roomy, full));
+                equiv::tiers(&case, &shim_config(mode, TableKind::Reference, roomy, full));
                 let config = shim_config(mode, TableKind::Flat, roomy, full);
                 spanned += equiv::sweep(&case, &config).1.span_instrs;
             }

@@ -1,6 +1,6 @@
 //! Shipped table against oracle: a space runs on the sorted vector
-//! ([`TableKind::Flat`]) or on Jones & Kelly's splay tree
-//! ([`TableKind::Splay`]), and the choice must be *invisible* to
+//! ([`TableKind::Flat`]) or on the reference ordered map
+//! ([`TableKind::Reference`]), and the choice must be *invisible* to
 //! everything but the wall clock.
 //!
 //! One session at a time that is a point of the equivalence harness's
@@ -41,7 +41,7 @@ fn transcripts_identical_across_backends_all_servers_all_modes() {
 fn farms(mut config: FarmConfig, requests: usize, attacks: (u32, u32)) -> [FarmReport; 2] {
     (config.servers, config.threads) = (2, 2);
     (config.requests_per_server, config.attack_ratio) = (requests, attacks);
-    [TableKind::Splay, TableKind::Flat].map(|table| run_farm(&config.clone().with_table(table)))
+    [TableKind::Reference, TableKind::Flat].map(|table| run_farm(&config.clone().with_table(table)))
 }
 
 /// Whole farms agree across backends for every server × mode cell.

@@ -133,7 +133,7 @@ fn the_tables_differ_in_their_lookup_profiles_and_agree_on_the_observation() {
             .expect_err("every run here ends in a fault");
         (m.observe(), m.space().lookup_profile())
     };
-    let (oracle, searched) = run_on(TableKind::Splay);
+    let (oracle, searched) = run_on(TableKind::Reference);
     let (shipped, memoised) = run_on(TableKind::Flat);
     assert_eq!(
         searched.lookups, memoised.lookups,

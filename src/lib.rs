@@ -16,7 +16,7 @@
 //!   vulnerable code verbatim (Figure 1 compiles essentially unmodified);
 //! * [`compiler`] — a bytecode compiler whose memory instructions are the
 //!   instrumentation points of the Jones & Kelly / CRED checking scheme;
-//! * [`memory`] — the runtime: object table (sorted vector, splay-tree
+//! * [`memory`] — the runtime: object table (sorted vector, ordered-map
 //!   oracle), out-of-bounds descriptor registry, and the access policies
 //!   ([`Mode::Standard`], [`Mode::BoundsCheck`], [`Mode::FailureOblivious`],
 //!   plus the §5.1 variants [`Mode::Boundless`] and [`Mode::Redirect`]);

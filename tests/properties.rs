@@ -16,74 +16,109 @@ use proptest::prelude::*;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 use failure_oblivious::memory::{
-    AccessCtx, AccessSize, FlatTable, Manufacturer, MemConfig, MemorySpace, Mode, Placement,
-    SplayTable, Table, TableKind, UnitId, ValueSequence,
+    AccessCtx, AccessSize, FlatTable, Manufacturer, MemConfig, MemorySpace, Mode, Placement, Table,
+    TableKind, UnitId, ValueSequence,
 };
 use failure_oblivious::{Machine, MachineConfig};
 
 const CTX: AccessCtx = AccessCtx { func: 0, pc: 0 };
 
+/// First byte of a 32-byte slot: the low 56 slots count up from 0, the
+/// top 8 end at `u64::MAX`, so the containment test runs at the top of
+/// the address space too. A slot's low half holds at most one run, its
+/// high half at most one unit registered on its own (in the top slot,
+/// one that ends at `u64::MAX`).
+fn slot_base(slot: u64) -> u64 {
+    if slot < 56 {
+        slot * 32
+    } else {
+        u64::MAX - (64 - slot) * 32 + 1
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Both table structures, driven directly and through the `Table`
-    /// enum a space holds, agree with an ordered-map model on arbitrary
-    /// op sequences.
+    /// Every table kind through the `Table` enum a space holds, and a
+    /// `FlatTable` built by its own constructor rather than with room,
+    /// agree with an ordered-map model on arbitrary interleavings of
+    /// unit inserts and removes, frame-shaped runs pushed and popped
+    /// like a stack, and lookups.
     #[test]
-    fn object_tables_agree(ops in proptest::collection::vec((0u8..3, 0u64..64), 1..200)) {
-        let mut splay = SplayTable::new();
-        let mut flat = FlatTable::new();
-        let mut held = TableKind::ALL.map(Table::new);
+    fn object_tables_agree(ops in proptest::collection::vec((0u8..5, 0u64..64, 0u64..16), 1..200)) {
+        let mut tables: Vec<Table> = TableKind::ALL
+            .map(Table::new)
+            .into_iter()
+            .chain([Table::Flat(FlatTable::new())])
+            .collect();
         // The reference: greatest base at or below the address, then the
         // bounds test.
         let mut model: BTreeMap<u64, Placement> = BTreeMap::new();
-        for (i, (op, slot)) in ops.into_iter().enumerate() {
-            // Non-overlapping 16-byte ranges at 32-byte strides.
-            let base = slot * 32;
+        // Live runs, most recent last, by the slot whose low half holds
+        // each.
+        let mut runs: Vec<(u64, Vec<Placement>)> = Vec::new();
+        for (i, (op, slot, shape)) in ops.into_iter().enumerate() {
+            let base = slot_base(slot);
+            let single = base + 16;
+            let unit = |j: u64| UnitId((i as u64 * 4 + j) as u32);
             match op {
                 0 => {
-                    if let Entry::Vacant(slot) = model.entry(base) {
-                        let unit = UnitId(i as u32);
-                        splay.insert(base, 16, unit);
-                        flat.insert(base, 16, unit);
-                        for t in &mut held {
-                            t.insert(base, 16, unit);
-                        }
-                        slot.insert(Placement {
-                            base,
-                            size: 16,
-                            unit,
-                        });
+                    if let Entry::Vacant(at) = model.entry(single) {
+                        let p = *at.insert(Placement { base: single, size: 16, unit: unit(0) });
+                        tables.iter_mut().for_each(|t| t.insert(p.base, p.size, p.unit));
                     }
                 }
                 1 => {
-                    let want = model.remove(&base);
-                    prop_assert_eq!(splay.remove(base), want);
-                    prop_assert_eq!(flat.remove(base), want);
-                    for t in &mut held {
-                        prop_assert_eq!(t.remove(base), want);
+                    let want = model.remove(&single);
+                    for t in &mut tables {
+                        prop_assert_eq!(t.remove(single), want);
                     }
                 }
-                _ => {
-                    // Probe a few addresses around the slot.
-                    for probe in [base, base + 8, base + 15, base + 16, base + 24] {
+                2 => {
+                    // Every third byte of the slot, its last, the byte
+                    // before it and the top of the address space.
+                    let probes = (0..32).step_by(3).chain([31]).map(|off| base + off);
+                    for probe in probes.chain([base.wrapping_sub(1), u64::MAX]) {
                         let want = model
                             .range(..=probe)
                             .next_back()
-                            .map(|(_, pl)| *pl)
-                            .filter(|pl| probe < pl.base + pl.size);
-                        prop_assert_eq!(splay.lookup(probe), want, "probe {}", probe);
-                        prop_assert_eq!(flat.lookup(probe), want, "probe {}", probe);
-                        for t in &mut held {
+                            .map(|(_, p)| *p)
+                            .filter(|p| probe - p.base < p.size);
+                        for t in &mut tables {
                             prop_assert_eq!(t.lookup(probe), want, "probe {}", probe);
+                        }
+                    }
+                }
+                3 => {
+                    // A frame: 1–4 base-sorted units of 1–4 bytes at
+                    // 4-byte strides in the slot's low half, a gap no
+                    // live unit is in.
+                    if runs.iter().all(|&(s, _)| s != slot) {
+                        let run: Vec<Placement> = (0..1 + shape % 4)
+                            .map(|j| Placement {
+                                base: base + 4 * j,
+                                size: 1 + (shape / 4 + j) % 4,
+                                unit: unit(j),
+                            })
+                            .collect();
+                        model.extend(run.iter().map(|p| (p.base, *p)));
+                        tables.iter_mut().for_each(|t| t.insert_run(&run));
+                        runs.push((slot, run));
+                    }
+                }
+                _ => {
+                    if let Some((_, run)) = runs.pop() {
+                        run.iter().for_each(|p| {
+                            model.remove(&p.base);
+                        });
+                        for t in &mut tables {
+                            prop_assert!(t.remove_run(&run), "the run is registered");
                         }
                     }
                 }
             }
         }
-        prop_assert_eq!(splay.len(), model.len());
-        prop_assert_eq!(flat.len(), model.len());
-        for t in &held {
+        for t in &tables {
             prop_assert_eq!(t.len(), model.len());
         }
     }
