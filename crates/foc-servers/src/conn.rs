@@ -160,10 +160,6 @@ const MAX_BODY: usize = 64 << 10;
 /// Per-socket kernel buffer, deliberately small so realistic frames
 /// (Pine deliveries run past 300 bytes) need several readiness turns.
 const BUFFER_BYTES: usize = 256;
-/// Event-loop turns a single transaction may take without completing
-/// before the session declares itself stalled (a framing bug, never
-/// data-dependent: the drip floor is 1 byte per turn).
-const STALL_TURNS: u32 = 1 << 20;
 /// First free port of the per-kind listener range.
 const PORT_BASE: u16 = 7000;
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -624,7 +620,8 @@ impl ConnSession {
     /// other's frame as corrupt: the connection is reset and counted
     /// refused, and the request goes unanswered. Closed-loop: the call
     /// does not return until the response frame is fully read back or
-    /// refused.
+    /// refused — as is a frame whose promised bytes never come (a header
+    /// claiming more body than follows it).
     pub(crate) fn transact(&mut self, request: &Request, process: &mut Server) -> Option<Measured> {
         debug_assert_eq!(
             request.kind(),
@@ -652,7 +649,6 @@ impl ConnSession {
 
         let mut sent = 0usize;
         let mut measured: Option<Measured> = None;
-        let mut turns = 0u32;
         loop {
             // Client side: push request bytes (dripped under slow-loris,
             // cut short by a full peer buffer — backpressure).
@@ -678,6 +674,7 @@ impl ConnSession {
             // stays proportional to actual work.
             let mut events = std::mem::take(&mut self.events);
             self.net.epoll_wait(self.epoll, &mut events);
+            let idle = events.is_empty();
             let mut refused = Ok(());
             for &ev in &events {
                 let token = ev.token();
@@ -719,16 +716,18 @@ impl ConnSession {
                     self.stats.frames += 1;
                     return Some(measured);
                 }
-                Ok(None) => {}
-                Err(_) => {
+                // Level-triggered: a turn with nothing ready, after the
+                // whole frame went out and with nothing owed either way,
+                // is one no later turn improves on — the server awaits
+                // bytes that will never come — so it is refused too.
+                Ok(None) if !idle || sent < frame.len() => {}
+                Ok(None) if self.conns[slot].out_sent < self.conns[slot].outbound.len() => {}
+                _ => {
                     self.reset_slot(slot);
                     self.stats.refused += 1;
                     return None;
                 }
             }
-
-            turns += 1;
-            assert!(turns < STALL_TURNS, "connection edge stalled mid-request");
         }
     }
 
@@ -874,7 +873,7 @@ impl ConnSession {
         debug_assert!(!prefix.is_empty());
         let client = self.conns[slot].client;
         let mut sent = 0usize;
-        let mut turns = 0u32;
+        // Each pass drains the server, so the next write moves bytes.
         while sent < prefix.len() {
             match self.net.write(client, &prefix[sent..]) {
                 WriteOutcome::Wrote(n) => {
@@ -885,8 +884,6 @@ impl ConnSession {
                 WriteOutcome::Broken => panic!("pool connection broke while dripping"),
             }
             self.drain_server(slot);
-            turns += 1;
-            assert!(turns < STALL_TURNS, "mid-frame drip stalled");
         }
         self.net.close(client);
         let closed = self.drain_server(slot);
@@ -1150,6 +1147,34 @@ mod tests {
         assert_eq!(
             session.net.write(session.conns[0].client, &stale),
             WriteOutcome::Wrote(stale.len())
+        );
+        assert_eq!(session.transact(&request, &mut wired), None);
+        assert_eq!(session.stats().refused, 1);
+        for _ in 0..=session.conns.len() {
+            let served = session.transact(&request, &mut wired);
+            assert_eq!(served, Some(request.apply(&mut plain)));
+        }
+    }
+
+    /// A header claiming a body under `MAX_BODY` whose bytes never come
+    /// is refused once the readiness loop falls idle, not awaited for
+    /// ever; the session then serves on as an in-process twin does.
+    #[test]
+    fn a_frame_that_stops_arriving_is_refused_not_a_panic() {
+        let kind = ServerKind::Apache;
+        let request = Request::ApacheGet {
+            path: Cow::Borrowed(b"/index.html"),
+        };
+        let long = Request::ApacheGet {
+            path: Cow::Owned(vec![b'a'; 1000]),
+        };
+        let mut wired = Server::boot(kind, &spec(kind), ServerEnv::standard());
+        let mut plain = wired.clone();
+        let mut session = ConnSession::new(kind, &SocketEdge::default());
+        let cut = &encode_request(kind, 0, &long)[..120];
+        assert_eq!(
+            session.net.write(session.conns[0].client, cut),
+            WriteOutcome::Wrote(cut.len())
         );
         assert_eq!(session.transact(&request, &mut wired), None);
         assert_eq!(session.stats().refused, 1);

@@ -3,7 +3,7 @@
 //! the reference map, a boot restored from the cache or booted cold —
 //! must leave exactly what the `baseline`/`reference` oracle leaves: the
 //! same results, transcripts and [`Observation`]s, at every fuel
-//! budget. The relation is stated here once, in three entry points:
+//! budget. The relation is stated here once, in four entry points:
 //!
 //! - [`tiers`] runs one [`Case`] (a program at both tiers, an entry, and
 //!   the host-side set-up that builds the call's arguments) on both
@@ -15,12 +15,18 @@
 //!   table points, the oracle booted cold and the rest restored from
 //!   the boot cache, and asserts every point equals the oracle;
 //!   [`seeded`] does the same for a farm stream drawn from
-//!   [`RequestGen`].
+//!   [`RequestGen`];
+//! - [`validate::image`] checks every region of a native image against
+//!   the bytecode it was lowered from, for every input at once
+//!   (translation validation); [`images`] runs it on every program it
+//!   compiles, so whatever a battery runs, its lowering is validated.
 //!
 //! A battery includes it as `mod equiv;` and is a list of cases.
 
 // Each battery uses part of the harness.
 #![allow(dead_code)]
+
+pub mod validate;
 
 use std::fmt::Debug;
 
@@ -36,10 +42,13 @@ use foc_vm::{ExecProfile, Machine, MachineConfig, Observation, VmFault};
 /// One program at both tiers: `[baseline, native]`.
 pub type Images = [ProgramImage; 2];
 
-/// Compiles `source` once per tier.
+/// Compiles `source` once per tier and validates every region of the
+/// native image.
 pub fn images(source: &str) -> Images {
-    [ExecTier::Baseline, ExecTier::Native]
-        .map(|tier| compile_image_tier(source, tier).expect("source builds"))
+    let images = [ExecTier::Baseline, ExecTier::Native]
+        .map(|tier| compile_image_tier(source, tier).expect("source builds"));
+    validate::image(&images[1]);
+    images
 }
 
 /// Builds host-side state on a fresh machine — allocation churn,

@@ -15,14 +15,15 @@
 //! and leaves at a side exit. Hand-assembled branchy shapes take an
 //! exit at each segment, fault inside a copied segment with a value
 //! live below the access, cross a fused loop latch, and reach one
-//! segment both inline and through its own region.
+//! segment both inline and through its own region. Every region of both
+//! programs is also validated against its bytecode (`equiv::validate`).
 
 mod equiv;
 
 use std::collections::HashMap;
 
 use equiv::{Case, Images};
-use foc_compiler::native::{FaultAt, NOp};
+use foc_compiler::native::NOp;
 use foc_compiler::{CompiledFunc, CompiledProgram, FrameLayout, Instr, ProgramImage};
 use foc_memory::{AccessSize, Mode};
 use foc_vm::MachineConfig;
@@ -228,12 +229,15 @@ fn program() -> CompiledProgram {
     }
 }
 
-/// A hand-assembled program at both tiers.
+/// A hand-assembled program at both tiers, every region of the native
+/// image validated.
 fn tiers_of(program: CompiledProgram) -> Images {
-    [
+    let images = [
         ProgramImage::new(program.clone()),
         ProgramImage::with_native(program),
-    ]
+    ];
+    equiv::validate::image(&images[1]);
+    images
 }
 
 /// Standard, then Failure Oblivious, with fuel to spare.
@@ -444,27 +448,10 @@ fn superblock_seams_latches_and_shared_segments_are_tier_blind() {
             .any(|w| matches!(w, [NOp::Inc { .. }, NOp::Exit { .. }]))),
         "the latch's IncBranch is crossed: {nf:?}"
     );
-    // `s3`'s load, wherever it was copied: one pc, `acc` spilled, and
-    // some copy behind two crossed branches.
-    let loads: Vec<(usize, FaultAt, u8)> = nf
-        .regions
-        .iter()
-        .flat_map(|r| {
-            let ahead = r.ops.iter().scan(0, |n, op| {
-                *n += matches!(op, NOp::Exit { .. }) as usize;
-                Some(*n)
-            });
-            ahead.zip(&r.ops).filter_map(|(n, op)| match *op {
-                NOp::IdxLoad { seam, spill, .. } => Some((n, seam, spill)),
-                _ => None,
-            })
-        })
-        .collect();
-    let load_pc = loads[0].1.pc;
-    assert!(loads
-        .iter()
-        .all(|&(_, s, spill)| (s.pc, spill) == (load_pc, 1)));
-    assert!(loads.iter().any(|&(n, ..)| n >= 2), "{loads:?}");
+    // `s3`'s load, its pc read off the stream.
+    let code = &images[0].funcs[1].code;
+    let load = code.iter().position(|i| matches!(i, Instr::Load(..)));
+    let load_pc = load.expect("s3 loads") as u32 + 1;
 
     // Standard dies at the load on pass 4 with `acc` spilled: passes 0–3
     // add 118, 108, 111 and 18, pass 4 adds 11 before it.

@@ -188,7 +188,9 @@ fn machines_and_restores_of_one_image_share_each_artifact() {
 #[test]
 fn racing_first_entries_publish_one_artifact() {
     const THREADS: usize = 8;
-    let [baseline, image] = equiv::images(SPIN_SOURCE);
+    // Not `equiv::images`, which lowers every function to validate it.
+    let [baseline, image] = [ExecTier::Baseline, ExecTier::Native]
+        .map(|tier| compile_image_tier(SPIN_SOURCE, tier).expect("compile"));
     let start = std::sync::Barrier::new(THREADS);
     let runs: Vec<_> = std::thread::scope(|scope| {
         let racers: Vec<_> = (0..THREADS)

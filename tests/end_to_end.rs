@@ -1,6 +1,10 @@
 //! End-to-end pipeline tests: MiniC source → front end → bytecode → VM →
 //! memory policy, exercised across crates.
 
+use std::collections::HashSet;
+use std::fs;
+use std::path::{Path, PathBuf};
+
 use failure_oblivious::memory::{ErrorKind, Mode};
 use failure_oblivious::{run, Machine, MachineConfig, RunError, VmFault};
 
@@ -215,4 +219,58 @@ fn all_five_modes_agree_on_correct_programs() {
     for mode in Mode::ALL {
         assert_eq!(run(src, mode).unwrap(), expected, "mode {mode:?}");
     }
+}
+
+/// The docs name only what exists: every backticked `*.rs` path in
+/// `README.md` and `bench/README.md` ends some file of the source tree,
+/// and the last segment of every backticked `a::b` item is an identifier
+/// in it (a prefix of one when `…` abbreviates the rest). It reads the
+/// tree and the two files, and writes nothing.
+#[test]
+fn the_readmes_name_only_what_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let (mut files, mut texts) = (Vec::new(), String::new());
+    let tree = "crates src tests examples bench/src bench/tests";
+    let mut dirs: Vec<PathBuf> = tree.split(' ').map(|dir| root.join(dir)).collect();
+    while let Some(dir) = dirs.pop() {
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                texts += &fs::read_to_string(&path).unwrap();
+                files.push(path);
+            }
+        }
+    }
+    let words: HashSet<&str> = texts.split(word_end).collect();
+    for doc in ["README.md", "bench/README.md"] {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        let mut fenced = false;
+        let prose: Vec<&str> = text
+            .lines()
+            .filter(|line| {
+                fenced ^= line.starts_with("```");
+                !fenced && !line.starts_with("```")
+            })
+            .collect();
+        for quoted in prose.join("\n").split('`').skip(1).step_by(2) {
+            let found = if quoted.ends_with(".rs") {
+                files.iter().any(|file| file.ends_with(quoted))
+            } else if let Some((_, last)) = quoted.rsplit_once("::") {
+                let name = &last[..last.find(word_end).unwrap_or(last.len())];
+                match last[name.len()..].starts_with('…') {
+                    true => words.iter().any(|w| w.starts_with(name)),
+                    false => words.contains(name),
+                }
+            } else {
+                true
+            };
+            assert!(found, "{doc} names `{quoted}`, which the tree lacks");
+        }
+    }
+}
+
+fn word_end(c: char) -> bool {
+    !(c.is_alphanumeric() || c == '_')
 }
