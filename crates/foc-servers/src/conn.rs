@@ -621,7 +621,8 @@ impl ConnSession {
     /// refused, and the request goes unanswered. Closed-loop: the call
     /// does not return until the response frame is fully read back or
     /// refused — as is a frame whose promised bytes never come (a header
-    /// claiming more body than follows it).
+    /// claiming more body than follows it), and a connection whose server
+    /// half has gone.
     pub(crate) fn transact(&mut self, request: &Request, process: &mut Server) -> Option<Measured> {
         debug_assert_eq!(
             request.kind(),
@@ -664,7 +665,13 @@ impl ConnSession {
                         self.stats.bytes_tx += n as u64;
                     }
                     WriteOutcome::WouldBlock => {}
-                    WriteOutcome::Broken => panic!("pool connection broke mid-request"),
+                    // The server half is gone: refused like a corrupt
+                    // frame, on a fresh connection.
+                    WriteOutcome::Broken => {
+                        self.reset_slot(slot);
+                        self.stats.refused += 1;
+                        return None;
+                    }
                 }
             }
 
@@ -898,7 +905,8 @@ impl ConnSession {
     }
 
     /// Tears down and reconnects one pool slot, discarding any partial
-    /// frame state on either side.
+    /// frame state on either side. A half already closed stays closed:
+    /// closing it again does nothing.
     fn reset_slot(&mut self, slot: usize) {
         let (old_client, old_server) = (self.conns[slot].client, self.conns[slot].server);
         self.net.epoll_del(self.epoll, old_client);
@@ -1176,6 +1184,26 @@ mod tests {
             session.net.write(session.conns[0].client, cut),
             WriteOutcome::Wrote(cut.len())
         );
+        assert_eq!(session.transact(&request, &mut wired), None);
+        assert_eq!(session.stats().refused, 1);
+        for _ in 0..=session.conns.len() {
+            let served = session.transact(&request, &mut wired);
+            assert_eq!(served, Some(request.apply(&mut plain)));
+        }
+    }
+
+    /// A pool connection whose server half has closed is refused and
+    /// reconnected, not a host panic; every slot serves on after it.
+    #[test]
+    fn a_closed_server_half_is_refused_not_a_panic() {
+        let kind = ServerKind::Apache;
+        let request = Request::ApacheGet {
+            path: Cow::Borrowed(b"/index.html"),
+        };
+        let mut wired = Server::boot(kind, &spec(kind), ServerEnv::standard());
+        let mut plain = wired.clone();
+        let mut session = ConnSession::new(kind, &SocketEdge::default());
+        session.net.close(session.conns[0].server);
         assert_eq!(session.transact(&request, &mut wired), None);
         assert_eq!(session.stats().refused, 1);
         for _ in 0..=session.conns.len() {

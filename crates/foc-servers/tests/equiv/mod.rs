@@ -3,7 +3,7 @@
 //! the reference map, a boot restored from the cache or booted cold —
 //! must leave exactly what the `baseline`/`reference` oracle leaves: the
 //! same results, transcripts and [`Observation`]s, at every fuel
-//! budget. The relation is stated here once, in four entry points:
+//! budget. The relation is stated here once, in five entry points:
 //!
 //! - [`tiers`] runs one [`Case`] (a program at both tiers, an entry, and
 //!   the host-side set-up that builds the call's arguments) on both
@@ -19,13 +19,17 @@
 //! - [`validate::image`] checks every region of a native image against
 //!   the bytecode it was lowered from, for every input at once
 //!   (translation validation); [`images`] runs it on every program it
-//!   compiles, so whatever a battery runs, its lowering is validated.
+//!   compiles, so whatever a battery runs, its lowering is validated;
+//! - [`gen`] writes random programs of loops over arrays indexed in and
+//!   out of bounds and judges each with [`tiers`] at every mode × table
+//!   point and [`sweep`] at one, shrinking a failure to a corpus file.
 //!
 //! A battery includes it as `mod equiv;` and is a list of cases.
 
 // Each battery uses part of the harness.
 #![allow(dead_code)]
 
+pub mod gen;
 pub mod validate;
 
 use std::fmt::Debug;
@@ -151,7 +155,9 @@ pub fn tiers(case: &Case, config: &MachineConfig) -> (Run, ExecProfile) {
 /// `config` or the called function's largest region charge, whichever
 /// is more: a region is entered only with fuel for its whole charge, so
 /// a sweep that stops below it never enters the longest superblock.
-/// Returns the top budget's native run and profile.
+/// Returns the top budget's native run and profile, with every budget's
+/// `fuel_short_exits` summed into it: those exits are what the lower
+/// budgets reach.
 pub fn sweep(case: &Case, config: &MachineConfig) -> (Run, ExecProfile) {
     let native = &case.images[1];
     let fid = native.func_index(case.entry).expect("function exists");
@@ -160,12 +166,14 @@ pub fn sweep(case: &Case, config: &MachineConfig) -> (Run, ExecProfile) {
     let (full, _) = run(case, &case.images[0], config);
     let top = full.seen.run.instrs.max(most) + 1;
     let mut config = config.clone();
+    let mut short = 0;
     for fuel in 0..top {
         config.fuel_per_call = fuel;
-        tiers(case, &config);
+        short += tiers(case, &config).1.fuel_short_exits;
     }
     config.fuel_per_call = top;
-    let (run, profile) = tiers(case, &config);
+    let (run, mut profile) = tiers(case, &config);
+    profile.fuel_short_exits += short;
     let (name, whole) = (case.entry, run.seen.run.instrs >= full.seen.run.instrs);
     assert!(whole && top > most, "{name}: the sweep stops short");
     assert!(profile.region_entries > 0, "{name}: no region entered");

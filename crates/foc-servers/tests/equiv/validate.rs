@@ -476,21 +476,35 @@ fn tail(f: &NativeFunc, term: Term) -> (Vec<NOp>, [Succ; 2]) {
 }
 
 /// Region `r` run symbolically: its events, and the successors it names.
+/// An exit whose condition the terms decide is no branch: one never
+/// taken is dropped, and one always taken ends the region, as the
+/// baseline's decided branch does.
 fn lowered<'a>(
     sym: &'a Sym,
     f: &NativeFunc,
     r: &NativeRegion,
 ) -> Result<(Run<'a>, Vec<Succ>), String> {
+    if r.dispatches as usize != r.ops.len() + 2 {
+        return Err(format!("{} dispatches", r.dispatches));
+    }
     let mut n = Run::new(sym, &[], 0, Vec::new());
     n.regs = (0..=255).map(|k| sym.mk(T::In(k))).collect();
     let mut succs = Vec::new();
     for (i, &op) in r.ops.iter().enumerate() {
         if let (Some((cond, _)), NOp::Exit { to, spent, ran, .. }) = (n.op(op)?, op) {
-            n.evs
-                .push(n.br(Some(cond), [to.pc, u32::MAX], spent as u64, n.stack.clone()));
-            succs.push(to);
             if ran as usize != i + 2 {
                 return Err(format!("exit {i} runs {ran} dispatches"));
+            }
+            let br = n.br(Some(cond), [to.pc, u32::MAX], spent as u64, n.stack.clone());
+            let decided = match br {
+                Ev::Br(None, [u32::MAX, _], ..) => continue,
+                Ev::Br(None, ..) => true,
+                _ => false,
+            };
+            n.evs.push(br);
+            succs.push(to);
+            if decided {
+                return Ok((n, succs));
             }
         }
     }
@@ -503,9 +517,6 @@ fn lowered<'a>(
     n.evs
         .push(n.br(cond, [to[0].pc, to[1].pc], r.charge, stack));
     succs.extend(to);
-    if r.dispatches as usize != r.ops.len() + 2 {
-        return Err(format!("{} dispatches", r.dispatches));
-    }
     Ok((n, succs))
 }
 
@@ -526,23 +537,21 @@ fn region(code: &[I], f: &NativeFunc, start: u32, r: &NativeRegion) -> Result<()
             return Err(format!("{s:?} lands at pc {} (region {at})", w.pc));
         }
     }
-    let mut exits = r
-        .ops
-        .iter()
-        .filter(|op| matches!(op, NOp::Exit { .. }))
-        .count();
-    let stop = match n.evs.last() {
-        Some(&Ev::Br(None, [pc, _], ..)) => Some(pc),
-        _ => None,
+    // Every branch but the last is a side exit; the last is where the
+    // stream stops, after what it charges.
+    let mut exits = n.evs.iter().filter(|e| matches!(e, Ev::Br(..))).count() - 1;
+    let Some(Ev::Br(cond, [pc, _], charge, _)) = n.evs.last() else {
+        unreachable!("a region ends in a branch");
     };
+    let (stop, charge) = (cond.is_none().then_some(*pc), *charge);
     let mut w = Run::new(
         sym,
         code,
         start,
         (0..r.consumes).map(|k| sym.mk(T::In(k))).collect(),
     );
-    while exits > 0 || stop != Some(w.pc) || w.n != r.charge {
-        if w.n >= r.charge {
+    while exits > 0 || stop != Some(w.pc) || w.n != charge {
+        if w.n >= charge {
             return Err(format!(
                 "the stream runs on past the charge, to pc {}",
                 w.pc

@@ -8,20 +8,20 @@
 //! pcs and sequence numbers, and the operand stack and frame pcs a
 //! fault leaves behind.
 //!
-//! The cases are direct-machine sources built to fault *inside* a
-//! region (earlier ops already retired, the probe misses, the access
-//! deopts at its pre-baked `FaultAt` seam), crossed with both object
-//! tables, alloc/free churn that reshapes the table under the probe,
-//! manufactured-value strategies, and every fuel budget of the run,
-//! which probes the whole-region pre-charge gate around the faulting
-//! region.
+//! Most of it is judged on generated programs (`equiv/gen.rs`): loops
+//! and `if` chains over local and global arrays indexed in and out of
+//! bounds, each at every mode × table point and swept over every fuel
+//! budget at one, under alloc/free churn and a manufactured-value
+//! sequence. Shrunk failures are replayed from `tests/corpus/gen/`, and
+//! a tally of what the programs reached holds a floor.
 //!
-//! One section holds the lowering's folding pass to its spill and alias
-//! rules: every folded operand mode and fused terminator with a live
-//! value below a faulting access, frame slots rewritten between an
-//! operand's read and its use, and a region too deep for the register
-//! file. Another validates every region of the five servers against the
-//! instruction stream it was lowered from (`equiv/validate.rs`).
+//! The hand-written cases are what the generator cannot write yet: a
+//! heap buffer freed mid-loop and a checked store into the frame, every
+//! folded operand mode through a pointer with a live value below a
+//! faulting access, frame slots rewritten between an operand's read and
+//! its use, and a region too deep for the register file. One test
+//! validates every region of the five servers (`equiv/validate.rs`), and
+//! one section holds each counted copy shape to the modes it batches in.
 //!
 //! The last section holds the libc shim to the same contract. On the
 //! native tier its string/memory builtins retire whole runs of in-bounds
@@ -37,52 +37,14 @@
 
 mod equiv;
 
-use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
-use equiv::Case;
+use equiv::{gen, Case};
 use foc_compiler::native::{NOp, Term};
 use foc_compiler::ExecTier;
 use foc_memory::{MemConfig, Mode, TableKind, ValueSequence};
 use foc_servers::ServerKind;
 use foc_vm::{Machine, MachineConfig};
-
-/// An in-bounds copy loop: the inner `dst[i] = src[i]` lowers to a
-/// pointer-arithmetic + checked-access pair that the native tier folds
-/// into `IdxLoad`/`IdxStore`, every access resolving on the probe's fast
-/// path (no deopt anywhere).
-const COPY_SOURCE: &str = "long spin(long n) {\n\
-     long src[32];\n\
-     long dst[32];\n\
-     long i;\n\
-     long j;\n\
-     long t = 0;\n\
-     for (i = 0; i < 32; i++) src[i] = i * 7;\n\
-     for (j = 0; j < n; j++) {\n\
-         for (i = 0; i < 32; i++) dst[i] = src[i];\n\
-         t = t + dst[31];\n\
-     }\n\
-     return t;\n\
- }";
-
-/// A copy loop that walks past both 8-element arrays when `n > 8`: the
-/// first out-of-bounds iteration faults *mid-block* — the block's
-/// pointer arithmetic has already retired in registers when the access
-/// probe misses — so the native tier must deopt at the access's seam,
-/// refund the unexecuted remainder of the region's pre-charge, and
-/// produce the identical log record (address, width, fault pc,
-/// sequence number) or crash fault as the baseline interpreter.
-const OVERRUN_SOURCE: &str = "long smash(long n) {\n\
-     long src[8];\n\
-     long dst[8];\n\
-     long i;\n\
-     long t = 0;\n\
-     for (i = 0; i < 8; i++) src[i] = i + 1;\n\
-     for (i = 0; i < n; i++) {\n\
-         dst[i] = src[i] + 1;\n\
-         t = t + dst[i];\n\
-     }\n\
-     return t;\n\
- }";
 
 /// `mode` on `table` with `fuel` to spend per call.
 fn config(mode: Mode, table: TableKind, fuel: u64) -> MachineConfig {
@@ -91,130 +53,54 @@ fn config(mode: Mode, table: TableKind, fuel: u64) -> MachineConfig {
         .with_fuel(fuel)
 }
 
-/// `rounds` of host-side allocate/free traffic before the call,
-/// reshaping the object table the in-block probe resolves against.
-/// Every other allocation is freed at once, so the table sees
-/// interleaved insert/remove traffic, not just growth.
-fn churn(m: &mut Machine, rounds: u32) {
-    for round in 0..rounds {
-        let addr = m.alloc_cstring(&[b'x'; 11]).expect("churn allocation fits");
-        if round % 2 == 0 {
-            m.free_guest(addr).expect("churn free");
-        }
-    }
-}
+// ---------------------------------------------------------------------
+// Generated programs, then the seams only pointers reach: the native
+// tier runs region after region over one borrowed view of the space, and
+// neither the chain, the view nor its placement memo may leak into what
+// a guest or an operator observes.
+// ---------------------------------------------------------------------
 
-/// The in-bounds copy loop is byte-identical across tiers, modes, and
-/// both object tables — and the two tables agree with *each other*,
-/// pinning that the in-block probe drives the substrate counters
-/// exactly as interpreted accesses do on the pure fast path.
+/// [`equiv::gen`]'s cases, each at every mode × table point and swept
+/// at one, then its corpus. The floors are on what the hand-drawn loops
+/// this replaced were written to reach: view misses (an index leaving
+/// its unit and coming back), faults and side exits refunded mid-region,
+/// fuel-short exits between chained regions, copy loops run as batches,
+/// calls with no violation (where every mode must agree), and Bounds
+/// Check dying at folded indexed accesses with live values below them.
 #[test]
-fn in_bounds_copy_loop_is_tier_and_lookup_blind() {
-    let images = equiv::images(COPY_SOURCE);
-    let case = Case::new(&images, "spin", &[6]);
-    for mode in Mode::ALL {
-        let per_table = TableKind::ALL.map(|table| {
-            let (run, _) = equiv::tiers(&case, &config(mode, table, 1_000_000));
-            assert_eq!(
-                run.result,
-                Ok(31 * 7 * 6),
-                "the copy loop is violation-free and must complete under {mode:?}/{table:?}"
-            );
-            assert_eq!(run.seen.log_total, 0, "no violations on the in-bounds loop");
-            run.seen
-        });
-        assert_eq!(
-            per_table[0], per_table[1],
-            "the tables must be mutually invisible under {mode:?}"
+fn generated_programs_are_tier_blind() {
+    let mut rng = TestRng::deterministic("generated_programs_are_tier_blind");
+    let mut tally = gen::Tally::default();
+    for c in 0..gen::CASES {
+        let (lines, params) = gen::case(&mut rng, c);
+        let src = lines.join("\n");
+        let accepted = foc_lang::frontend(&src);
+        assert!(
+            accepted.is_ok(),
+            "case {c} is no MiniC: {accepted:?}\n{src}"
         );
+        gen::judge(&lines, &params, &format!("case {c}"), &mut tally);
     }
-}
-
-/// Mid-block access faults: the overrun loop crosses its arrays' ends,
-/// so the fused in-block access deopts. Every mode's full observable
-/// surface — including the fault pc inside the log records and the
-/// refunded `RunStats` — must match the baseline interpreter at every
-/// fuel budget, on both object tables.
-#[test]
-fn mid_block_access_faults_are_tier_blind() {
-    let images = equiv::images(OVERRUN_SOURCE);
-    let case = Case::new(&images, "smash", &[12]);
-    for mode in Mode::ALL {
-        for table in TableKind::ALL {
-            // Standard's overrun rewrites the counter and never ends.
-            let (run, _) = equiv::sweep(&case, &config(mode, table, 2_000));
-            if mode == Mode::FailureOblivious {
-                assert!(
-                    run.result.is_ok(),
-                    "failure-oblivious execution must ride through the overrun"
-                );
-                assert!(
-                    run.seen.log_total > 0,
-                    "the overrun must be observable in the error log"
-                );
-                assert!(
-                    run.seen.log[0].pc > 0,
-                    "log records must carry the interpreter's fault pc"
-                );
-            }
-        }
-    }
-}
-
-/// Manufactured-value strategies decide what a deopted out-of-bounds
-/// read returns — and therefore which branches the guest takes after
-/// the fault. The in-block miss path draws from the same sequence at
-/// the same point as the interpreter, so every strategy must agree.
-#[test]
-fn manufactured_values_at_deopt_seams_are_tier_blind() {
-    let sequences = [
-        ValueSequence::Zero,
-        ValueSequence::Constant(0x41),
-        ValueSequence::Cycling { wrap: 3 },
-        ValueSequence::Cycling { wrap: 257 },
+    let floors = [
+        ("view misses", tally.view_misses, 1_500),
+        ("faults", tally.faults, 75),
+        ("side exits", tally.side_exits, 150),
+        ("fuel-short exits", tally.fuel_short_exits, 6_000),
+        ("batches", tally.batches, 35),
+        ("clean calls", tally.clean, 8),
+        ("Bounds Check deaths, live stack", tally.live_deaths, 34),
+        ("those at an IdxLoad", tally.live_idx_loads, 7),
+        ("those at an IdxStore", tally.live_idx_stores, 25),
+        ("IdxLoad", tally.emitted("IdxLoad"), 550),
+        ("IdxStore", tally.emitted("IdxStore"), 400),
+        ("Exit", tally.emitted("Exit"), 160),
+        ("IncBranch", tally.emitted("IncBranch"), 100),
+        ("Counted", tally.emitted("Counted"), 6),
     ];
-    let images = equiv::images(OVERRUN_SOURCE);
-    for sequence in sequences {
-        let config = MachineConfig::with_mode(Mode::FailureOblivious)
-            .with_sequence(sequence)
-            .with_fuel(1_000_000);
-        equiv::tiers(&Case::new(&images, "smash", &[20]), &config);
+    for (what, got, floor) in floors {
+        assert!(got >= floor, "{what}: {got} under {floor}\n{tally:#?}");
     }
-}
-
-// ---------------------------------------------------------------------
-// Chained-executor seams: the native tier runs region after region over
-// one borrowed view of the space. Each test aims at one place where the
-// chain, the view or its placement memo could leak into what a guest or
-// an operator observes.
-// ---------------------------------------------------------------------
-
-/// A loop of two chained regions (the compare head, then the body with
-/// a memory block and the increment latch), entered from a straight
-/// prologue and left through an epilogue.
-const TWO_REGION_LOOP: &str = "long walk(long n) {\n\
-     long xs[6];\n\
-     long i;\n\
-     long t = 0;\n\
-     for (i = 0; i < n; i++) { xs[i] = i + t; t = t + xs[i] * 3; }\n\
-     return t;\n\
- }";
-
-/// Every fuel budget from nothing to completion: exhaustion lands
-/// before the loop, between the chained head and body, inside the
-/// body's block (where only the interpreter's per-op seams can stop),
-/// on the latch, and — with `n` past the array — on either side of the
-/// view misses. Each budget must fuel out at the baseline's pc with the
-/// baseline's counters.
-#[test]
-fn every_fuel_budget_of_a_chained_loop_is_tier_blind() {
-    let images = equiv::images(TWO_REGION_LOOP);
-    let case = Case::new(&images, "walk", &[8]);
-    for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
-        let (run, _) = equiv::sweep(&case, &MachineConfig::with_mode(mode));
-        let instrs = run.seen.run.instrs;
-        assert!(instrs > 100, "the sweep must cross several iterations");
-    }
+    assert!(gen::replay_corpus() > 0, "the corpus is empty");
 }
 
 /// The loop reads its heap buffer, frees it half-way, and keeps
@@ -258,43 +144,6 @@ fn a_freed_buffer_is_not_remembered_across_the_free() {
     }
 }
 
-/// The index leaves the array on some iterations and comes back on the
-/// next: each excursion is a view miss that runs the full violation
-/// path and resumes behind the op, and the iterations after it must hit
-/// again with nothing stale (the memo is rebuilt, the frame window
-/// re-taken).
-const OFF_AND_BACK: &str = "long weave(long n) {\n\
-     long xs[4];\n\
-     long ys[4];\n\
-     long i;\n\
-     long t = 0;\n\
-     for (i = 0; i < 4; i++) { xs[i] = i + 1; ys[i] = 10 * i; }\n\
-     for (i = 0; i < n; i++) {\n\
-         t = t + xs[(i * 3) % 7];\n\
-         ys[(i * 5) % 6] = t;\n\
-         t = t + ys[i % 4];\n\
-     }\n\
-     return t;\n\
- }";
-
-#[test]
-fn excursions_off_a_unit_resume_on_the_hit_path() {
-    let images = equiv::images(OFF_AND_BACK);
-    let case = Case::new(&images, "weave", &[21]);
-    for mode in Mode::ALL {
-        for table in TableKind::ALL {
-            let (run, _) = equiv::sweep(&case, &config(mode, table, 1_000_000));
-            if mode == Mode::FailureOblivious {
-                assert!(run.result.is_ok());
-                // (i * 3) % 7 >= 4 on 9 of 21 iterations, (i * 5) % 6
-                // >= 4 on 8.
-                assert_eq!(run.seen.space.invalid_reads, 9, "{table:?}");
-                assert_eq!(run.seen.space.invalid_writes, 8, "{table:?}");
-            }
-        }
-    }
-}
-
 /// A pointer into the current frame, stored through and loaded through
 /// as checked guest accesses in the same block that reads and writes
 /// the slot as a direct local: the view's frame window and its checked
@@ -331,27 +180,21 @@ fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
 // The folding pass: folded operands, fused terminators, linked regions.
 // ----------------------------------------------------------------------
 
-/// One statement per folded operand mode and fused terminator, each
-/// with a live value below the access on the operand stack (`x`, a
-/// constant or a computed sum) when it faults: `k` indexes a 4-element
-/// array, `q` points `k` elements into it.
-const FOLDED_ACCESSES: [&str; 16] = [
-    // Indexed load: frame-address base, slot index; slot value below.
-    "t = x + a[k];",
+/// One statement per folded operand mode and fused terminator that
+/// goes through a pointer or divides, each with a live value below the
+/// access on the operand stack (`x`, a constant or a computed sum) when
+/// it faults: `p` points at a 4-element array `a`, `q` `k` elements
+/// into it. Indexing `a` itself is [`equiv::gen`]'s.
+const FOLDED_ACCESSES: [&str; 11] = [
     // Pointer-slot base, slot index.
     "t = x + p[k];",
-    // Constant index (out of bounds whatever `k` is).
-    "t = x + a[9];",
     // Computed (register) index; constant below.
     "t = 5 + p[k + 1];",
     // Plain load through a pointer slot.
     "t = x + *q;",
-    // Computed value below.
-    "t = (x + v) + a[k];",
     // Two live values below.
     "t = x + (v + p[k]);",
-    // Indexed stores: slot, constant and register values.
-    "t = x + (a[k] = v);",
+    // Indexed stores: constant and register values.
     "t = x + (p[k] = 7);",
     "t = x + (p[k] = v + 1);",
     // Plain store through a pointer slot.
@@ -362,7 +205,6 @@ const FOLDED_ACCESSES: [&str; 16] = [
     // Division by zero when k == 9.
     "t = x + v / (k - 9);",
     // The access feeds a comparison folded into the branch.
-    "if (x + a[k] > 3) t = 1;",
     "if (v - p[k] == 5 && x < v) t = 2; else t = 3;",
     // A counted loop walking off the array: the fault sits in a region
     // whose terminator is the fused latch.
@@ -397,8 +239,7 @@ fn folded_operands_fault_and_manufacture_like_the_interpreter() {
             for table in TableKind::ALL {
                 let config = config(mode, table, 100_000);
                 let (hit, _) = equiv::sweep(&inside, &config);
-                let always_out = statement.contains("a[9]") && mode == Mode::BoundsCheck;
-                assert_eq!(hit.result.is_ok(), !always_out, "`{statement}`: {hit:?}");
+                assert!(hit.result.is_ok(), "`{statement}`: {hit:?}");
                 let (miss, _) = equiv::sweep(&outside, &config);
                 if mode == Mode::BoundsCheck {
                     assert!(miss.result.is_err(), "`{statement}` must kill Bounds Check");
@@ -858,50 +699,6 @@ fn every_fuel_budget_across_a_batch_is_tier_blind() {
             let batched = profile.batched_instrs > 0;
             assert_eq!(batched, want, "{} under {mode:?}", shape.name);
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random points of the faulting copy loop: a native region is only
-    /// entered when remaining fuel covers its whole pre-charge, and a
-    /// mid-block deopt refunds `charge − spent` — so a drifted refund
-    /// (or a drifted entry decision) moves *where* tight budgets fuel
-    /// out. Every fuel point from boot-time exhaustion through full
-    /// completion must agree with baseline on the entire observable
-    /// surface.
-    #[test]
-    fn fuel_sweep_pins_identical_faults_and_refunds(
-        fuel in 0u64..6_000,
-        n in 0i64..24,
-        mode_index in 0usize..Mode::ALL.len(),
-    ) {
-        let images = equiv::images(OVERRUN_SOURCE);
-        let config = MachineConfig::with_mode(Mode::ALL[mode_index]).with_fuel(fuel);
-        equiv::tiers(&Case::new(&images, "smash", &[n]), &config);
-    }
-
-    /// Alloc/free churn reshapes the object table the in-block probe
-    /// resolves against (map rebalancing, shifted vector entries and a
-    /// stale memo, freed-unit tombstones). Random churn volumes crossed
-    /// with random overrun depths and manufactured-value seeds must
-    /// leave the native tier observationally invisible.
-    #[test]
-    fn alloc_free_churn_is_probe_blind(
-        rounds in 0u32..96,
-        n in 0i64..24,
-        wrap in 2u64..600,
-        table_index in 0usize..TableKind::ALL.len(),
-    ) {
-        let images = equiv::images(OVERRUN_SOURCE);
-        let config = config(Mode::FailureOblivious, TableKind::ALL[table_index], 1_000_000)
-            .with_sequence(ValueSequence::Cycling { wrap });
-        let case = Case::prep(&images, "smash", |m| {
-            churn(m, rounds);
-            vec![n]
-        });
-        equiv::tiers(&case, &config);
     }
 }
 

@@ -2,14 +2,16 @@
 //!
 //! The central claims under test:
 //!
-//! 1. a failure-oblivious execution **never faults** on memory errors —
-//!    arbitrary pointer abuse is survived;
-//! 2. bounds-checked executions **never corrupt** data outside the
+//! 1. bounds-checked executions **never corrupt** data outside the
 //!    accessed data unit, whatever the access pattern;
-//! 3. the object table is a faithful interval map under arbitrary
+//! 2. the object table is a faithful interval map under arbitrary
 //!    insert/remove/lookup interleavings;
-//! 4. the allocator never hands out overlapping blocks;
-//! 5. the manufactured-value sequence covers all small integers.
+//! 3. the allocator never hands out overlapping blocks;
+//! 4. the manufactured-value sequence covers all small integers.
+//!
+//! That a failure-oblivious guest never faults on its memory errors, and
+//! that a guest without any computes the same in every mode, is stated
+//! over generated programs (`crates/foc-servers/tests/equiv/gen.rs`).
 
 use proptest::prelude::*;
 
@@ -201,27 +203,6 @@ proptest! {
         prop_assert!(seen.into_iter().all(|s| s));
     }
 
-    /// Guest programs performing random in-bounds array traffic compute
-    /// identical results in every mode (checking is semantics-preserving).
-    #[test]
-    fn modes_agree_on_random_array_programs(
-        writes in proptest::collection::vec((0u8..32, 0i64..1000), 1..24),
-    ) {
-        let mut body = String::from("int main() { long xs[32]; int i; for (i = 0; i < 32; i++) xs[i] = 0;\n");
-        for (idx, val) in &writes {
-            body.push_str(&format!("xs[{idx}] = xs[{idx}] * 7 + {val};\n"));
-        }
-        body.push_str("long acc = 0; for (i = 0; i < 32; i++) acc = acc * 31 + xs[i]; return (int)(acc % 1000000); }");
-        let mut results = Vec::new();
-        for mode in Mode::ALL {
-            let mut m = Machine::from_source(&body, MachineConfig::with_mode(mode)).unwrap();
-            results.push(m.call("main", &[]).unwrap());
-        }
-        for w in results.windows(2) {
-            prop_assert_eq!(w[0], w[1]);
-        }
-    }
-
     /// For every `(size, signed)` and every 8 bytes of frame content, the
     /// operand the native executor decodes — the sealed 8-byte kind or a
     /// narrower slot — reads what `LoadLocal` pushes on the baseline tier.
@@ -257,24 +238,5 @@ proptest! {
                 prop_assert_eq!(run(native), run(ProgramImage::new(program)));
             }
         }
-    }
-
-    /// A failure-oblivious guest hammering a random out-of-bounds index
-    /// pattern never faults and always runs to completion.
-    #[test]
-    fn fo_guest_never_faults_on_wild_indices(
-        indices in proptest::collection::vec(-100i64..200, 1..24),
-    ) {
-        let mut body = String::from(
-            "int main() { int xs[8]; int acc = 0; int i; for (i = 0; i < 8; i++) xs[i] = i;\n",
-        );
-        for idx in &indices {
-            body.push_str(&format!("xs[{idx}] = acc; acc += xs[{idx}];\n"));
-        }
-        body.push_str("return acc & 0xFFFF; }");
-        let mut m =
-            Machine::from_source(&body, MachineConfig::with_mode(Mode::FailureOblivious)).unwrap();
-        let r = m.call("main", &[]);
-        prop_assert!(r.is_ok(), "FO must not fault: {:?}", r);
     }
 }
