@@ -22,8 +22,6 @@ pub enum Instr {
     Dup,
     /// Discard the top of stack.
     Drop,
-    /// Swap the top two values.
-    Swap,
     /// Rotate the top three values: `[a, b, c] → [b, c, a]` (top is `c`).
     Rot3,
 

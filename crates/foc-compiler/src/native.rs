@@ -305,13 +305,6 @@ pub enum NOp {
         /// The value.
         src: Src,
     },
-    /// Exchange two registers (a resolved `Swap`).
-    Swap {
-        /// One register.
-        a: u8,
-        /// The other.
-        b: u8,
-    },
     /// Rotate three registers (a resolved `Rot3`): `a←b, b←c, c←a`.
     Rot3 {
         /// Deepest slot.
@@ -638,10 +631,6 @@ impl NOp {
                 f(S(src));
                 f(Write(*dst));
             }
-            NOp::Swap { a, b } => [*a, *b].into_iter().for_each(|r| {
-                f(Read(r));
-                f(Write(r));
-            }),
             NOp::Rot3 { a, b, c } => [*a, *b, *c].into_iter().for_each(|r| {
                 f(Read(r));
                 f(Write(r));
@@ -1160,7 +1149,6 @@ fn stack_shape(instr: Instr) -> (i32, i32) {
         Instr::Drop | Instr::StoreLocal(..) | Instr::JumpIfZero(_) | Instr::JumpIfNotZero(_) => {
             (1, -1)
         }
-        Instr::Swap => (2, 0),
         Instr::Rot3 => (3, 0),
         Instr::Neg
         | Instr::BitNot
@@ -1562,7 +1550,6 @@ fn build_region(
                 d = after;
                 continue;
             }
-            Instr::Swap => NOp::Swap { a: top, b: under },
             Instr::Rot3 => NOp::Rot3 {
                 a: d - 3,
                 b: under,

@@ -20,8 +20,9 @@
 //!   the bytecode it was lowered from, for every input at once
 //!   (translation validation); [`images`] runs it on every program it
 //!   compiles, so whatever a battery runs, its lowering is validated;
-//! - [`gen`] writes random programs of loops over arrays indexed in and
-//!   out of bounds and judges each with [`tiers`] at every mode × table
+//! - [`gen`] writes random programs — a function and the helper it
+//!   calls, over arrays, buffers, strings and pointers indexed in and out
+//!   of bounds — and judges each with [`tiers`] at every mode × table
 //!   point and [`sweep`] at one, shrinking a failure to a corpus file.
 //!
 //! A battery includes it as `mod equiv;` and is a list of cases.

@@ -236,11 +236,8 @@ impl<'a> Run<'a> {
             I::LocalAddr(_) | I::GlobalAddr(_) | I::StrAddr(_) => self.c(T::Addr(instr)),
             I::LoadLocal(off, size, signed) => self.slot(off, size, signed),
             I::Dup => *self.stack.last().ok_or("a pop below the entry stack")?,
-            I::Swap | I::Rot3 => {
-                let k = self
-                    .stack
-                    .len()
-                    .checked_sub(2 + (instr == I::Rot3) as usize);
+            I::Rot3 => {
+                let k = self.stack.len().checked_sub(3);
                 self.stack[k.ok_or("a pop below the entry stack")?..].rotate_left(1);
                 return Ok(None);
             }
@@ -304,14 +301,7 @@ impl<'a> Run<'a> {
 
     /// Runs lowered `op`; a side exit hands back its condition.
     fn op(&mut self, op: NOp) -> Result<Option<(Id, u32)>, String> {
-        let (seam, spill) = match op {
-            NOp::Div { seam, spill, .. }
-            | NOp::Load { seam, spill, .. }
-            | NOp::Store { seam, spill, .. }
-            | NOp::IdxLoad { seam, spill, .. }
-            | NOp::IdxStore { seam, spill, .. } => (seam, spill),
-            _ => (FaultAt { pc: 0, spent: 0 }, 0),
-        };
+        let (seam, spill) = seam(op).unwrap_or((FaultAt { pc: 0, spent: 0 }, 0));
         let (srcs, code, dsts) = meaning(op);
         self.stack = self.regs[..spill as usize].to_vec();
         for s in srcs {
@@ -328,6 +318,18 @@ impl<'a> Run<'a> {
     }
 }
 
+/// `op`'s fault seam and the registers it spills there, if it can fault.
+pub fn seam(op: NOp) -> Option<(FaultAt, u8)> {
+    match op {
+        NOp::Div { seam, spill, .. }
+        | NOp::Load { seam, spill, .. }
+        | NOp::Store { seam, spill, .. }
+        | NOp::IdxLoad { seam, spill, .. }
+        | NOp::IdxStore { seam, spill, .. } => Some((seam, spill)),
+        _ => None,
+    }
+}
+
 /// What lowered `op` does as the instructions it stands for: the
 /// operands it pushes, the instructions, and the registers it pops the
 /// results into, top first.
@@ -337,7 +339,6 @@ fn meaning(op: NOp) -> (Vec<Src>, Vec<I>, Vec<u8>) {
     });
     match op {
         NOp::Mov { dst, src } => m(&[src], &[], &[dst]),
-        NOp::Swap { a, b } => m(&[r(a), r(b)], &[I::Swap], &[b, a]),
         NOp::Rot3 { a, b, c } => m(&[r(a), r(b), r(c)], &[I::Rot3], &[c, b, a]),
         NOp::GlobalAddr { dst, idx } => m(&[], &[I::GlobalAddr(idx)], &[dst]),
         NOp::StrAddr { dst, idx } => m(&[], &[I::StrAddr(idx)], &[dst]),

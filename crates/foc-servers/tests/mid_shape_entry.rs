@@ -8,22 +8,16 @@
 //! The front end never emits such a jump, so the program is assembled
 //! by hand. Each shape is reached both ways: from its head on even loop
 //! iterations, and — with the operand stack its skipped prefix would
-//! have left — at an interior slot on odd ones.
-//!
-//! The second half does the same for superblocks, where a segment is
-//! entered mid-chain: a region runs on through copies of its successors
-//! and leaves at a side exit. Hand-assembled branchy shapes take an
-//! exit at each segment, fault inside a copied segment with a value
-//! live below the access, cross a fused loop latch, and reach one
-//! segment both inline and through its own region. Every region of both
-//! programs is also validated against its bytecode (`equiv::validate`).
+//! have left — at an interior slot on odd ones. Every region is also
+//! validated against its bytecode (`equiv::validate`). Superblocks need
+//! no hand-assembled program: the front end's programs form them, and
+//! the generated ones in `native_mem_equiv` judge them.
 
 mod equiv;
 
 use std::collections::HashMap;
 
 use equiv::{Case, Images};
-use foc_compiler::native::NOp;
 use foc_compiler::{CompiledFunc, CompiledProgram, FrameLayout, Instr, ProgramImage};
 use foc_memory::{AccessSize, Mode};
 use foc_vm::MachineConfig;
@@ -268,204 +262,5 @@ fn mid_shape_entries_are_tier_blind_at_every_fuel_budget() {
         assert!(profile.native_instrs > 0, "regions must be in play");
         let standard = config.mem.mode == Mode::Standard;
         assert_eq!(run.result.is_err(), standard, "{run:?}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Superblocks: a region runs on through its successors' ops, and each
-// branch it crosses becomes a side exit that refunds what it skips.
-// ---------------------------------------------------------------------
-
-/// `slot += c;` as the front end emits the statement.
-fn add_to(a: &mut Asm, slot: u32, c: i64) {
-    a.emit(&[
-        Instr::LoadLocal(slot, B8, true),
-        Instr::Const(c),
-        Instr::Add,
-        Instr::StoreLocal(slot, B8),
-    ]);
-}
-
-/// `if (slot == c) goto target;`
-fn leave_if(a: &mut Asm, slot: u32, c: i64, target: &'static str) {
-    a.emit(&[Instr::LoadLocal(slot, B8, true), Instr::Const(c), Instr::Eq]);
-    a.branch(Instr::JumpIfNotZero, target);
-}
-
-/// Two functions over the frame `n, i, acc, xs[2]`.
-///
-/// `long h(long n)` is one superblock of four segments, leaving at the
-/// segment `n` names:
-///
-/// ```text
-/// acc = 0;   if (n == 0) goto out;
-/// acc += 1;  if (n == 1) goto out;
-/// acc += 10; if (n == 2) goto out;
-/// acc += 100; if (n == 3) goto out;
-/// acc += 1000;
-/// out: return acc;
-/// ```
-///
-/// `long g(long n)` is a loop whose body is four statement-shaped
-/// segments:
-///
-/// ```text
-/// head:  if (i >= n) goto done;
-/// s1:    acc += 1;  if (i == 1) goto s3;
-/// s2:    acc += 10; if (i == 2) goto s4;
-/// s3:    acc = acc + xs[(i & 4) << 30]; if (i == 3) goto latch;
-/// s4:    acc += 100;
-/// latch: i++; goto head;               // fused with head's compare
-/// done:  return acc;
-/// ```
-///
-/// Lowered, the entry, the head and the latch each run on through `s1`,
-/// `s2` and `s3`; the latch's compare is a crossed `IncBranch`; `s3` is
-/// reached inline and, from `s1`'s exit, through its own region; and
-/// from `i = 4` on its load leaves the object — with `acc` live below
-/// it — inside a copied segment.
-fn branchy_program() -> CompiledProgram {
-    let mut a = Asm::default();
-    a.emit(&[Instr::Const(0), Instr::StoreLocal(ACC, B8)]);
-    leave_if(&mut a, N, 0, "out");
-    for (seg, c) in [(1, 1), (2, 10), (3, 100)] {
-        add_to(&mut a, ACC, c);
-        leave_if(&mut a, N, seg, "out");
-    }
-    add_to(&mut a, ACC, 1000);
-    a.label("out");
-    a.emit(&[Instr::LoadLocal(ACC, B8, true), Instr::Ret]);
-    let h = a.finish();
-
-    let mut a = Asm::default();
-    a.emit(&[
-        Instr::Const(0),
-        Instr::StoreLocal(I, B8),
-        Instr::Const(0),
-        Instr::StoreLocal(ACC, B8),
-        Instr::Const(7),
-        Instr::LocalAddr(XS),
-        Instr::Store(B4),
-    ]);
-    a.label("head");
-    a.emit(&[
-        Instr::LoadLocal(I, B8, true),
-        Instr::LoadLocal(N, B8, true),
-        Instr::LtS,
-    ]);
-    a.branch(Instr::JumpIfZero, "done");
-    add_to(&mut a, ACC, 1);
-    leave_if(&mut a, I, 1, "s3");
-    add_to(&mut a, ACC, 10);
-    leave_if(&mut a, I, 2, "s4");
-    a.label("s3");
-    a.emit(&[
-        Instr::LoadLocal(ACC, B8, true),
-        Instr::LocalAddr(XS),
-        Instr::LoadLocal(I, B8, true),
-        Instr::Const(4),
-        Instr::And,
-        Instr::Const(30),
-        Instr::Shl,
-        Instr::PtrAdd(4),
-        Instr::Load(B4, true),
-        Instr::Add,
-        Instr::StoreLocal(ACC, B8),
-    ]);
-    leave_if(&mut a, I, 3, "latch");
-    a.label("s4");
-    add_to(&mut a, ACC, 100);
-    a.label("latch");
-    add_to(&mut a, I, 1);
-    a.branch(Instr::Jump, "head");
-    a.label("done");
-    a.emit(&[Instr::LoadLocal(ACC, B8, true), Instr::Ret]);
-    let g = a.finish();
-
-    let slots = [(N, 8), (I, 8), (ACC, 8), (XS, 8)];
-    let func = |name: &str, code| CompiledFunc {
-        name: name.to_owned(),
-        param_count: 1,
-        frame: FrameLayout {
-            slots: slots.map(|(off, size)| (off as u64, size)).to_vec(),
-            total: 32,
-        },
-        code,
-    };
-    CompiledProgram {
-        funcs: vec![func("h", h), func("g", g)],
-        ..CompiledProgram::default()
-    }
-}
-
-fn exits(ops: &[NOp]) -> usize {
-    ops.iter()
-        .filter(|op| matches!(op, NOp::Exit { .. }))
-        .count()
-}
-
-#[test]
-fn a_superblock_leaves_at_each_segment_as_the_stream_does() {
-    let images = tiers_of(branchy_program());
-    let nf = images[1].native_func(0).expect("native image");
-    let entry = &nf.regions[nf.entry[0] as usize];
-    assert_eq!(
-        exits(&entry.ops),
-        3,
-        "four segments, three exits: {entry:?}"
-    );
-    for n in 0..=4 {
-        let want = [0, 1, 11, 111, 1111][n as usize];
-        let case = Case::new(&images, "h", &[n]);
-        for config in configs() {
-            let (run, profile) = equiv::sweep(&case, &config);
-            assert_eq!(run.result, Ok(want));
-            // Segments 0–2 leave through an exit, 3 through the terminator.
-            assert_eq!(profile.side_exits, (n < 3) as u64, "h({n}): {profile:?}");
-            assert_eq!(
-                profile.region_entries,
-                2 + (n == 4) as u64,
-                "h({n}): {profile:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn superblock_seams_latches_and_shared_segments_are_tier_blind() {
-    let images = tiers_of(branchy_program());
-    let nf = images[1].native_func(1).expect("native image");
-    let longest = nf.regions.iter().map(|r| exits(&r.ops)).max();
-    assert_eq!(
-        longest,
-        Some(3),
-        "a superblock crosses three branches: {nf:?}"
-    );
-    assert!(
-        nf.regions.iter().any(|r| r
-            .ops
-            .windows(2)
-            .any(|w| matches!(w, [NOp::Inc { .. }, NOp::Exit { .. }]))),
-        "the latch's IncBranch is crossed: {nf:?}"
-    );
-    // `s3`'s load, its pc read off the stream.
-    let code = &images[0].funcs[1].code;
-    let load = code.iter().position(|i| matches!(i, Instr::Load(..)));
-    let load_pc = load.expect("s3 loads") as u32 + 1;
-
-    // Standard dies at the load on pass 4 with `acc` spilled: passes 0–3
-    // add 118, 108, 111 and 18, pass 4 adds 11 before it.
-    let [standard, _] = configs();
-    let (died, _) = equiv::tiers(&Case::new(&images, "g", &[6]), &standard);
-    assert!(died.result.is_err(), "{died:?}");
-    assert_eq!(died.seen.frames, [(1, load_pc)]);
-    assert_eq!(died.seen.stack, [118 + 108 + 111 + 18 + 11]);
-    // `g(0)` leaves the entry's superblock at its first exit.
-    for n in [0, 6] {
-        let case = Case::new(&images, "g", &[n]);
-        for config in configs() {
-            let (_, profile) = equiv::sweep(&case, &config);
-            assert!(profile.side_exits > 0, "g({n}): {profile:?}");
-        }
     }
 }

@@ -8,20 +8,20 @@
 //! pcs and sequence numbers, and the operand stack and frame pcs a
 //! fault leaves behind.
 //!
-//! Most of it is judged on generated programs (`equiv/gen.rs`): loops
-//! and `if` chains over local and global arrays indexed in and out of
-//! bounds, each at every mode × table point and swept over every fuel
-//! budget at one, under alloc/free churn and a manufactured-value
-//! sequence. Shrunk failures are replayed from `tests/corpus/gen/`, and
-//! a tally of what the programs reached holds a floor.
+//! Most of it is judged on generated programs (`equiv/gen.rs`): a
+//! function and the helper it calls, over local, global, heap and string
+//! arrays and pointers into them and into scalars, indexed in and out of
+//! bounds, with buffers freed mid-loop and copies whose counters wrap;
+//! each at every mode × table point and swept over every fuel budget at
+//! one, under alloc/free churn and a manufactured-value sequence. Shrunk
+//! failures are replayed from `tests/corpus/gen/`, and a tally of what
+//! the programs reached holds a floor on every lowered variant.
 //!
-//! The hand-written cases are what the generator cannot write yet: a
-//! heap buffer freed mid-loop and a checked store into the frame, every
-//! folded operand mode through a pointer with a live value below a
-//! faulting access, frame slots rewritten between an operand's read and
-//! its use, and a region too deep for the register file. One test
-//! validates every region of the five servers (`equiv/validate.rs`), and
-//! one section holds each counted copy shape to the modes it batches in.
+//! The hand-written cases are what the generator cannot write: a region
+//! too deep for the register file, and the counted copies its batch
+//! floors do not hold (through `&k`, through casts, other latches, and
+//! loops that are no copies), each held to the modes it batches in. One
+//! test validates every region of the five servers (`equiv/validate.rs`).
 //!
 //! The last section holds the libc shim to the same contract. On the
 //! native tier its string/memory builtins retire whole runs of in-bounds
@@ -42,31 +42,26 @@ use proptest::test_runner::TestRng;
 use equiv::{gen, Case};
 use foc_compiler::native::{NOp, Term};
 use foc_compiler::ExecTier;
-use foc_memory::{MemConfig, Mode, TableKind, ValueSequence};
+use foc_memory::{MemConfig, Mode, TableKind};
 use foc_servers::ServerKind;
 use foc_vm::{Machine, MachineConfig};
 
-/// `mode` on `table` with `fuel` to spend per call.
-fn config(mode: Mode, table: TableKind, fuel: u64) -> MachineConfig {
-    MachineConfig::with_mode(mode)
-        .with_table(table)
-        .with_fuel(fuel)
-}
-
 // ---------------------------------------------------------------------
-// Generated programs, then the seams only pointers reach: the native
-// tier runs region after region over one borrowed view of the space, and
-// neither the chain, the view nor its placement memo may leak into what
-// a guest or an operator observes.
+// Generated programs: the native tier runs region after region over one
+// borrowed view of the space, and neither the chain, the view nor its
+// placement memo may leak into what a guest or an operator observes.
 // ---------------------------------------------------------------------
 
 /// [`equiv::gen`]'s cases, each at every mode × table point and swept
-/// at one, then its corpus. The floors are on what the hand-drawn loops
+/// at one, then its corpus. The floors are on what the hand-drawn shapes
 /// this replaced were written to reach: view misses (an index leaving
 /// its unit and coming back), faults and side exits refunded mid-region,
-/// fuel-short exits between chained regions, copy loops run as batches,
-/// calls with no violation (where every mode must agree), and Bounds
-/// Check dying at folded indexed accesses with live values below them.
+/// fuel-short exits between chained regions, crossed latches, copies
+/// batched in each style and mode class (and a counter near the `i64`
+/// wrap over a base out of its unit batched in no checked mode), calls
+/// with no violation (where every mode must agree), Bounds Check dying
+/// with live values below each kind of seam, and every `NOp`, `Src` and
+/// `Term` variant emitted.
 #[test]
 fn generated_programs_are_tier_blind() {
     let mut rng = TestRng::deterministic("generated_programs_are_tier_blind");
@@ -82,221 +77,42 @@ fn generated_programs_are_tier_blind() {
         gen::judge(&lines, &params, &format!("case {c}"), &mut tally);
     }
     let floors = [
-        ("view misses", tally.view_misses, 1_500),
-        ("faults", tally.faults, 75),
-        ("side exits", tally.side_exits, 150),
-        ("fuel-short exits", tally.fuel_short_exits, 6_000),
-        ("batches", tally.batches, 35),
-        ("clean calls", tally.clean, 8),
-        ("Bounds Check deaths, live stack", tally.live_deaths, 34),
-        ("those at an IdxLoad", tally.live_idx_loads, 7),
-        ("those at an IdxStore", tally.live_idx_stores, 25),
-        ("IdxLoad", tally.emitted("IdxLoad"), 550),
-        ("IdxStore", tally.emitted("IdxStore"), 400),
-        ("Exit", tally.emitted("Exit"), 160),
-        ("IncBranch", tally.emitted("IncBranch"), 100),
-        ("Counted", tally.emitted("Counted"), 6),
+        ("view misses", 2_700),
+        ("faults", 160),
+        ("side exits", 150),
+        ("fuel-short exits", 7_000),
+        ("clean calls", 16),
+        ("live deaths", 52),
+        ("live deaths at IdxLoad", 11),
+        ("live deaths at IdxStore", 25),
+        ("live deaths at Load", 13),
+        ("live deaths at Store", 2),
+        ("live deaths at Div", 6),
+        ("live deaths past a side exit", 3),
+        ("crossed latches", 12),
+        ("array batches, Standard", 2),
+        ("array batches, checked", 12),
+        ("slot batches, Standard", 5),
+        ("slot batches, checked", 12),
+        ("wrap batches, Standard", 3),
+        ("IdxLoad", 1_400),
+        ("IdxStore", 400),
+        ("Exit", 160),
+        ("IncBranch", 100),
     ];
-    for (what, got, floor) in floors {
+    let variants = gen::variants().map(|v| (v, 8));
+    for (what, floor) in floors.into_iter().chain(variants) {
+        let got = tally.get(what);
         assert!(got >= floor, "{what}: {got} under {floor}\n{tally:#?}");
     }
+    // A base out of its unit is a descriptor there, which no batch proves.
+    assert_eq!(tally.get("wrap batches, checked"), 0, "{tally:#?}");
     assert!(gen::replay_corpus() > 0, "the corpus is empty");
 }
 
-/// The loop reads its heap buffer, frees it half-way, and keeps
-/// reading. `free` is a builtin, so it runs outside the native
-/// executor and its view: if anything remembered the buffer's placement
-/// across it, the reads after the free would be served from dead bytes
-/// instead of taking the violation path.
-const FREE_MID_LOOP: &str = "long reap(long n) {\n\
-     long *buf = (long *) malloc(64);\n\
-     long i;\n\
-     long t = 0;\n\
-     for (i = 0; i < 8; i++) buf[i] = i + 1;\n\
-     for (i = 0; i < n; i++) {\n\
-         if (i == 4) free(buf);\n\
-         t = t + buf[i % 8];\n\
-         buf[i % 8] = t;\n\
-     }\n\
-     return t;\n\
- }";
-
-#[test]
-fn a_freed_buffer_is_not_remembered_across_the_free() {
-    let images = equiv::images(FREE_MID_LOOP);
-    let case = Case::new(&images, "reap", &[11]);
-    for mode in Mode::ALL {
-        for table in TableKind::ALL {
-            let cycling = ValueSequence::Cycling { wrap: 5 };
-            let (run, _) = equiv::sweep(
-                &case,
-                &config(mode, table, 1_000_000).with_sequence(cycling),
-            );
-            if mode == Mode::FailureOblivious {
-                // Iterations 4..11 each read and write the dead buffer.
-                assert_eq!(run.seen.space.invalid_reads, 7, "{table:?}");
-                assert_eq!(run.seen.space.invalid_writes, 7, "{table:?}");
-                // 1 + 2 + 3 + 4 from the live buffer, then manufactured
-                // 0, 1, 2, 0, 1, 3, 0.
-                assert_eq!(run.result, Ok(10 + 7), "{table:?}");
-            }
-        }
-    }
-}
-
-/// A pointer into the current frame, stored through and loaded through
-/// as checked guest accesses in the same block that reads and writes
-/// the slot as a direct local: the view's frame window and its checked
-/// stack accesses must be the same bytes.
-const FRAME_ALIAS: &str = "long alias(long n) {\n\
-     long x = 1;\n\
-     long *p = &x;\n\
-     long i;\n\
-     long t = 0;\n\
-     for (i = 0; i < n; i++) {\n\
-         *p = x + i;\n\
-         x = x * 2;\n\
-         t = t + *p + x;\n\
-     }\n\
-     return t;\n\
- }";
-
-#[test]
-fn a_checked_store_into_the_frame_is_the_local_it_aliases() {
-    // x: 1 -> (1+0)*2 = 2 -> (2+1)*2 = 6 -> (6+2)*2 = 16; t sums 2x.
-    let expected = 2 * (2 + 6 + 16);
-    let images = equiv::images(FRAME_ALIAS);
-    let case = Case::new(&images, "alias", &[3]);
-    for mode in Mode::ALL {
-        for table in TableKind::ALL {
-            let (run, _) = equiv::sweep(&case, &config(mode, table, 1_000_000));
-            assert_eq!(run.result, Ok(expected), "{mode:?}/{table:?}");
-            assert_eq!(run.seen.log_total, 0);
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// The folding pass: folded operands, fused terminators, linked regions.
-// ----------------------------------------------------------------------
-
-/// One statement per folded operand mode and fused terminator that
-/// goes through a pointer or divides, each with a live value below the
-/// access on the operand stack (`x`, a constant or a computed sum) when
-/// it faults: `p` points at a 4-element array `a`, `q` `k` elements
-/// into it. Indexing `a` itself is [`equiv::gen`]'s.
-const FOLDED_ACCESSES: [&str; 11] = [
-    // Pointer-slot base, slot index.
-    "t = x + p[k];",
-    // Computed (register) index; constant below.
-    "t = 5 + p[k + 1];",
-    // Plain load through a pointer slot.
-    "t = x + *q;",
-    // Two live values below.
-    "t = x + (v + p[k]);",
-    // Indexed stores: constant and register values.
-    "t = x + (p[k] = 7);",
-    "t = x + (p[k] = v + 1);",
-    // Plain store through a pointer slot.
-    "t = x + (*q = v);",
-    // Post-increment through a pointer: the address register outlives
-    // the slot's update.
-    "t = x + (*q++ = v);",
-    // Division by zero when k == 9.
-    "t = x + v / (k - 9);",
-    // The access feeds a comparison folded into the branch.
-    "if (v - p[k] == 5 && x < v) t = 2; else t = 3;",
-    // A counted loop walking off the array: the fault sits in a region
-    // whose terminator is the fused latch.
-    "for (i = 0; i <= k; i++) t = t + p[i];",
-];
-
-fn folded_source(statement: &str) -> String {
-    format!(
-        "long f(long k) {{\n\
-             long a[4]; long *p = a; long *q = a + k;\n\
-             long x = 3; long v = 7; long t = 0; long i;\n\
-             for (i = 0; i < 4; i++) a[i] = i;\n\
-             {statement}\n\
-             return t + x + v + a[1] + (q - p);\n\
-         }}"
-    )
-}
-
-/// Case (a): every folded form, in bounds (`k = 2`) and out (`k = 9`),
-/// under every mode and both tables, at every fuel budget. Out of
-/// bounds, Bounds Check dies at the access with the live values still
-/// on its operand stack — `Observation` compares that stack and the
-/// fault pc — and Failure Oblivious manufactures and carries on. A pass
-/// that deleted the `Mov` of a value a later seam spills would show
-/// here as a stale register in the post-fault stack.
-#[test]
-fn folded_operands_fault_and_manufacture_like_the_interpreter() {
-    for statement in FOLDED_ACCESSES {
-        let images = equiv::images(&folded_source(statement));
-        let (inside, outside) = (Case::new(&images, "f", &[2]), Case::new(&images, "f", &[9]));
-        for mode in Mode::ALL {
-            for table in TableKind::ALL {
-                let config = config(mode, table, 100_000);
-                let (hit, _) = equiv::sweep(&inside, &config);
-                assert!(hit.result.is_ok(), "`{statement}`: {hit:?}");
-                let (miss, _) = equiv::sweep(&outside, &config);
-                if mode == Mode::BoundsCheck {
-                    assert!(miss.result.is_err(), "`{statement}` must kill Bounds Check");
-                    assert!(
-                        !miss.seen.stack.is_empty(),
-                        "`{statement}`: a live value sits below the faulting op: {miss:?}"
-                    );
-                }
-                if mode == Mode::FailureOblivious && !statement.contains('/') {
-                    assert!(miss.result.is_ok(), "`{statement}` must survive: {miss:?}");
-                    assert!(
-                        miss.seen.log_total > 0,
-                        "`{statement}` must log its violation"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Case (b): a frame slot read into an operand is rewritten — through a
-/// pointer, and by `k++` — before the op that consumes the operand, in
-/// the same region. The read may not move across the write: each
-/// program passes translation validation, whose frame reads are
-/// versioned by the writes that may reach them.
-const ALIASED_OPERANDS: [&str; 8] = [
-    // Alu operand.
-    "t = k + (*p = 3);",
-    "t = k + k++;",
-    // Compare operand, folded into the branch.
-    "if (k < (*p = 3)) t = 10; else t = 20;",
-    "if (k == k++) t = 10; else t = 20;",
-    // Stored value: the right-hand side is read before the index runs.
-    "a[(*p = 3)] = k; t = a[3];",
-    "a[k++] = k; t = a[1] * 10 + a[2];",
-    // Folded index, before and after the write.
-    "t = a[k] + (*p = 3) + a[k];",
-    "t = a[k] * 100 + a[k++] * 10 + a[k];",
-];
-
-#[test]
-fn a_frame_read_does_not_move_across_a_write_of_its_slot() {
-    for statement in ALIASED_OPERANDS {
-        equiv::images(&format!(
-            "long f(long n) {{\n\
-                 long a[8]; long k = 1; long t = 0; long i; long *p = &k;\n\
-                 for (i = 0; i < 8; i++) a[i] = 10 + i;\n\
-                 {statement}\n\
-                 return t;\n\
-             }}"
-        ));
-    }
-}
-
-/// Case (c): an expression nested deeper than the register file. Its
-/// region is not lowered; the interpreter runs it, and the regions
-/// around it still chain.
+/// An expression nested deeper than the register file, which the
+/// generator never writes. Its region is not lowered; the interpreter
+/// runs it, and the regions around it still chain.
 #[test]
 fn a_region_too_deep_for_the_register_file_runs_interpreted() {
     let depth = foc_compiler::native::NATIVE_REGS + 6;
@@ -371,49 +187,15 @@ fn every_region_of_the_five_servers_passes_translation_validation() {
 // Counted loops: a copy loop's passes run as one proven move.
 // ---------------------------------------------------------------------
 
-/// `2^63 − 6`: a counter that wraps six latches in.
-const NEAR_MAX: &str = "9223372036854775802";
-/// `2^60 − 3`: a long index whose `k·8` leaves `i64` three passes in.
-const NEAR_SCALED_MAX: &str = "1152921504606846973";
-
-/// One counted-loop shape: a function `f(n)` over units whose ends are
-/// `ends` elements in, and in which modes its copy loop must batch.
+/// One counted-loop shape: a function `f(n)` over units whose end is
+/// `end` elements in, and in which modes its copy loop must batch.
 struct Counted {
     name: &'static str,
     source: String,
-    ends: &'static [i64],
-    /// Batches fire in the checked modes (some length).
-    checked: bool,
-    /// Batches fire in Standard mode (some length).
-    standard: bool,
-}
-
-impl Counted {
-    /// The same shape batching in no mode.
-    fn unbatched(self) -> Counted {
-        Counted {
-            checked: false,
-            standard: false,
-            ..self
-        }
-    }
-
-    /// Whether batches fire under `mode`.
-    fn batches_in(&self, mode: Mode) -> bool {
-        if mode.is_checked() {
-            self.checked
-        } else {
-            self.standard
-        }
-    }
-
-    /// The same shape with `globals` declared above `f`.
-    fn with_globals(self, globals: &str) -> Counted {
-        Counted {
-            source: format!("{globals}\n{}", self.source),
-            ..self
-        }
-    }
+    end: i64,
+    /// Whether batches fire (at some length) in Standard mode, then in
+    /// the checked modes.
+    batches: [bool; 2],
 }
 
 /// `f(n)` fills `s`, runs `copy` and sums `d`'s `len` elements; `decls`
@@ -430,66 +212,19 @@ fn counted_source(decls: &str, copy: &str, len: i64) -> String {
     )
 }
 
+/// The shapes [`equiv::gen`]'s batch floors do not hold: copies through
+/// a pointer into the frame, through `long *`s cast from a `char`
+/// buffer, latches other than `k < C` on a signed `k`, and loops that
+/// are not copies.
 fn counted_shapes() -> Vec<Counted> {
     let up = "for (k = 0; k < n; k++) d[k] = s[k];";
-    let shape = |name, decls: &str, copy: &str, len, ends, checked| Counted {
+    let shape = |name, decls: &str, copy: &str, len, end, batches| Counted {
         name,
         source: counted_source(decls, copy, len),
-        ends,
-        checked,
-        standard: true,
+        end,
+        batches,
     };
     vec![
-        shape(
-            "local → local",
-            "long s[16]; long d[16]; long k;",
-            up,
-            16,
-            &[16],
-            true,
-        ),
-        shape(
-            "heap → heap",
-            "long *s = (long *) malloc(128); long *d = (long *) malloc(128); long k;",
-            up,
-            16,
-            &[16],
-            true,
-        ),
-        shape(
-            "char",
-            "char s[24]; char d[24]; long k;",
-            up,
-            24,
-            &[24],
-            true,
-        ),
-        shape(
-            "off the source first",
-            "long s[8]; long d[16]; long k;",
-            up,
-            8,
-            &[8, 16],
-            true,
-        ),
-        // Stores one element above the loads: only a last pass alone
-        // moves, as one element never overlaps its own store.
-        shape(
-            "forward overlap",
-            "long a[16]; long *s = a; long *d = a + 1; long k;",
-            up,
-            15,
-            &[15],
-            true,
-        ),
-        shape(
-            "backward overlap",
-            "long a[16]; long *s = a + 1; long *d = a; long k;",
-            up,
-            15,
-            &[15],
-            true,
-        ),
         // Four slots of `pad` and the gap below `k`, then `k` itself:
         // Standard batches the prefix, the checked modes see a pointer
         // out of its unit.
@@ -498,8 +233,8 @@ fn counted_shapes() -> Vec<Counted> {
             "long s[16]; long pad[8]; long k; long *d = &k - 6;",
             up,
             4,
-            &[6],
-            false,
+            6,
+            [true, false],
         ),
         // The same for a load: the batch holds `k` in a register.
         shape(
@@ -507,17 +242,8 @@ fn counted_shapes() -> Vec<Counted> {
             "long s[16]; long d[16]; long k; long *y = &k - 4;",
             "for (k = 0; k < n; k++) d[k] = y[k];",
             16,
-            &[4],
-            false,
-        ),
-        // Past `d` and the 16-byte gap between locals, `d[6]` is `k`.
-        shape(
-            "past the buffer into the frame",
-            "long s[16]; long d[4]; long k;",
-            up,
             4,
-            &[4, 6],
-            true,
+            [true, false],
         ),
         // A latch stepping down is not counted.
         shape(
@@ -525,32 +251,8 @@ fn counted_shapes() -> Vec<Counted> {
             "long s[16]; long d[16]; long k;",
             "for (k = n - 1; k >= 0; k--) d[k] = s[k];",
             16,
-            &[16],
-            false,
-        )
-        .unbatched(),
-        shape(
-            "counter near i64::MAX",
-            "char s[16]; char d[16]; long k; char *x = d; char *y = s;",
-            &format!(
-                "x = x - {NEAR_MAX}; y = y - {NEAR_MAX}; long end = {NEAR_MAX} + n; \
-                 for (k = {NEAR_MAX}; k != end; k++) x[k] = y[k];"
-            ),
             16,
-            &[16],
-            false,
-        ),
-        shape(
-            "k·esz past i64",
-            "long s[16]; long d[16]; long k; long *x = d; long *y = s;",
-            &format!(
-                "x = x - {NEAR_SCALED_MAX}; y = y - {NEAR_SCALED_MAX}; \
-                 long end = {NEAR_SCALED_MAX} + n; \
-                 for (k = {NEAR_SCALED_MAX}; k != end; k++) x[k] = y[k];"
-            ),
-            16,
-            &[16],
-            false,
+            [false, false],
         ),
         // Stores 3 and 5 bytes below the loads: each store overwrites part
         // of the element its own pass loaded, so the move must read the
@@ -560,16 +262,16 @@ fn counted_shapes() -> Vec<Counted> {
             "char c[136]; long *s = (long *) (c + 3); long *d = (long *) c; long k;",
             up,
             16,
-            &[16],
-            true,
+            16,
+            [true, true],
         ),
         shape(
             "stores 5 bytes below the loads",
             "char c[136]; long *s = (long *) (c + 5); long *d = (long *) c; long k;",
             up,
             16,
-            &[16],
-            true,
+            16,
+            [true, true],
         ),
         // Every pass's store overlaps its own load's element from above:
         // the loop runs pass by pass.
@@ -578,45 +280,8 @@ fn counted_shapes() -> Vec<Counted> {
             "char c[136]; long *s = (long *) c; long *d = (long *) (c + 3); long k;",
             up,
             16,
-            &[16],
-            false,
-        )
-        .unbatched(),
-        shape(
-            "global → heap",
-            "long *s = g; long *d = (long *) malloc(128); long k;",
-            up,
             16,
-            &[16],
-            true,
-        )
-        .with_globals("long g[16];"),
-        shape(
-            "stack → global",
-            "long s[16]; long *d = g; long k;",
-            up,
-            16,
-            &[16],
-            true,
-        )
-        .with_globals("long g[16];"),
-        shape(
-            "short",
-            "short s[20]; short d[20]; long k;",
-            up,
-            20,
-            &[20],
-            true,
-        ),
-        shape("int", "int s[20]; int d[20]; long k;", up, 20, &[20], true),
-        // `t` starts from the last value the loop loaded, sign-extended.
-        shape(
-            "char, last value returned",
-            "char s[24]; char d[24]; long k;",
-            "for (k = 0; k < n; k++) d[k] = s[k]; if (n > 0 && n <= 24) t = d[n - 1];",
-            24,
-            &[24],
-            true,
+            [false, false],
         ),
         // One byte of each 8-byte element: the passes do not tile, and
         // the loop is not counted.
@@ -625,31 +290,30 @@ fn counted_shapes() -> Vec<Counted> {
             "long s[16]; long d[16]; long k;",
             "for (k = 0; k < n; k++) *((char *) (d + k)) = *((char *) (s + k));",
             16,
-            &[16],
-            false,
-        )
-        .unbatched(),
+            16,
+            [false, false],
+        ),
         // Latches other than `k < n` that fail inside the proven span.
         shape(
             "k != n",
             "long s[16]; long d[16]; long k;",
             "for (k = 0; k != n; k++) d[k] = s[k];",
             16,
-            &[16],
-            true,
+            16,
+            [true, true],
         ),
         shape(
             "unsigned k",
             "long s[16]; long d[16]; unsigned long k;",
             up,
             16,
-            &[16],
-            true,
+            16,
+            [true, true],
         ),
     ]
 }
 
-/// Every shape × every mode × lengths straddling each unit's end: the
+/// Every shape × every mode × lengths straddling its unit's end: the
 /// native tier equals the baseline on the result and the `Observation`,
 /// and batches fire exactly in the modes the shape says — the checked
 /// modes refuse a base pointer out of its unit, and a loop nobody
@@ -658,24 +322,21 @@ fn counted_shapes() -> Vec<Counted> {
 fn counted_loops_batch_only_what_they_prove() {
     for shape in counted_shapes() {
         let images = equiv::images(&shape.source);
-        let mut lengths = vec![0, 1, 2, shape.ends[shape.ends.len() - 1] + 40];
-        for &end in shape.ends {
-            lengths.extend([end - 1, end, end + 1]);
-        }
+        let end = shape.end;
         for mode in Mode::ALL {
             let config = MachineConfig::with_mode(mode).with_fuel(100_000);
-            let batched: u64 = lengths
+            let batched: u64 = [0, 1, 2, end - 1, end, end + 1, end + 40]
                 .iter()
                 .map(|&n| equiv::tiers(&Case::new(&images, "f", &[n]), &config).1)
                 .map(|profile| profile.batched_instrs)
                 .sum();
-            let want = shape.batches_in(mode);
+            let want = shape.batches[mode.is_checked() as usize];
             assert_eq!(batched > 0, want, "{} under {mode:?}", shape.name);
         }
     }
 }
 
-/// Every fuel budget across every shape, run one element past its units
+/// Every fuel budget across every shape, run one element past its unit
 /// — a batch, then the violation, where the shape batches — in each of
 /// the sweep's three modes: each budget ends the batch one pass sooner
 /// (fuel covers `fuel / charge` passes), and the budgets about the
@@ -684,20 +345,20 @@ fn counted_loops_batch_only_what_they_prove() {
 fn every_fuel_budget_across_a_batch_is_tier_blind() {
     for shape in counted_shapes() {
         let images = equiv::images(&shape.source);
-        let case = Case::new(&images, "f", &[shape.ends[0] + 1]);
+        let case = Case::new(&images, "f", &[shape.end + 1]);
         for mode in [Mode::FailureOblivious, Mode::Standard, Mode::BoundsCheck] {
             // Every shape ends within 2 000 instructions but `a store
             // through &k` outside Bounds Check, whose store resets `k`:
             // it runs until this fuel is gone.
             let config = MachineConfig::with_mode(mode).with_fuel(4_000);
             let (_, profile) = equiv::sweep(&case, &config);
-            // Forward overlap batches only a last pass alone, and one
-            // element past the unit that pass leaves it in the checked
-            // modes.
-            let cut = mode.is_checked() && shape.name == "forward overlap";
-            let want = shape.batches_in(mode) && !cut;
             let batched = profile.batched_instrs > 0;
-            assert_eq!(batched, want, "{} under {mode:?}", shape.name);
+            assert_eq!(
+                batched,
+                shape.batches[mode.is_checked() as usize],
+                "{} under {mode:?}",
+                shape.name
+            );
         }
     }
 }

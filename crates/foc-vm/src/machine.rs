@@ -481,10 +481,6 @@ impl Machine {
                 Instr::Drop => {
                     self.stack.pop().expect("drop on empty stack");
                 }
-                Instr::Swap => {
-                    let n = self.stack.len();
-                    self.stack.swap(n - 1, n - 2);
-                }
                 Instr::Rot3 => {
                     // [a, b, c] (c on top) → [b, c, a].
                     let n = self.stack.len();
@@ -829,7 +825,6 @@ impl Machine {
             for op in &region.ops {
                 match *op {
                     NOp::Mov { dst, src } => regs[dst as usize] = val!(src),
-                    NOp::Swap { a, b } => regs.swap(a as usize, b as usize),
                     NOp::Rot3 { a, b, c } => {
                         let t = regs[a as usize];
                         regs[a as usize] = regs[b as usize];

@@ -108,10 +108,6 @@ fn reference_run(src: &str, func: &str, args: &[i64], mode: Mode, budget: u64) -
             Instr::Drop => {
                 stack.pop().unwrap();
             }
-            Instr::Swap => {
-                let n = stack.len();
-                stack.swap(n - 1, n - 2);
-            }
             Instr::LoadLocal(off, size, signed) => {
                 stack.push(extend(read(&frame, off as u64, size), size, signed));
             }

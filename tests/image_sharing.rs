@@ -167,32 +167,32 @@ fn cached_and_fresh_images_share_a_program_id() {
 const PINNED_IMAGES: [(ServerKind, u64, u64, usize); 5] = [
     (
         ServerKind::Apache,
-        0xa4b5_234e_eb32_6fa0,
-        0xe7e0_ca28_e346_4c04,
+        0x4937_28c3_f4b4_a6a5,
+        0x6db8_dfba_eaab_b55b,
         702,
     ),
     (
         ServerKind::Sendmail,
-        0x1e4a_7414_b54e_d330,
-        0x6d75_69c1_8469_8ed4,
+        0x3ea5_a0f9_f460_8f4d,
+        0x0f50_9b33_99c8_3183,
         868,
     ),
     (
         ServerKind::Pine,
-        0x2169_ae57_e18a_a30e,
-        0x251e_0f40_28ff_7b7a,
+        0x401e_317a_815c_df9c,
+        0x703f_0f74_8f17_3650,
         853,
     ),
     (
         ServerKind::Mutt,
-        0x0555_e68f_0086_2eb1,
-        0x694f_43a8_46bf_58a7,
+        0x2b85_f9f5_4a8d_bd75,
+        0x5684_cd4b_00d6_cd6b,
         1_170,
     ),
     (
         ServerKind::Mc,
-        0xb96d_4967_7925_afc2,
-        0xaed9_97ea_9bac_a66e,
+        0x271b_eb21_3694_bfcf,
+        0x0927_21ea_2049_71e5,
         703,
     ),
 ];
