@@ -33,7 +33,9 @@
 //!    placement lookup.
 //! 3. **Normalize.** Re-normalizing a value already in range (after a
 //!    same-or-narrower extending load, after a comparison) disappears;
-//!    `slot = normalize(slot ± c)` is one [`NOp::Inc`].
+//!    `slot = normalize(slot ± c)` is one [`NOp::Inc`], and its pointer
+//!    twin, the bump `p = p + n` of an 8-byte slot (`p++`, `p += n`), is
+//!    one [`NOp::PtrInc`].
 //! 4. **Terminator.** A region-tail comparison moves into the branch, a
 //!    branch on two constants becomes a jump, and a tail `Inc` rides in
 //!    the terminator ([`Term::IncBranch`], the loop latch).
@@ -44,7 +46,7 @@
 //! register dies — every register below a later seam's `spill` holds
 //! its interpreted value. *Alias:* a frame read never moves across a
 //! checked store (which may reach the slot through a pointer) nor
-//! across a `StoreLocal`/`Inc` of overlapping bytes.
+//! across a `StoreLocal`/`Inc`/`PtrInc` of overlapping bytes.
 //!
 //! ## Linked regions
 //!
@@ -442,6 +444,17 @@ pub enum NOp {
         /// Element size.
         esz: u32,
     },
+    /// `slot = ptr_add(slot, count * esz)` on an 8-byte frame slot: the
+    /// pointer bump `p++;`, `p += n;` (the [`NOp::PtrAdd`] a store back
+    /// to its own slot completes; touches no registers, cannot fault).
+    PtrInc {
+        /// Frame offset of the pointer.
+        off: u32,
+        /// Element count.
+        count: Src,
+        /// Element size.
+        esz: u32,
+    },
     /// Checked guest load. The executor completes it through its view
     /// of the space (placement memo, else one lookup); a view miss
     /// takes the full access path, violation continuation included.
@@ -636,7 +649,7 @@ impl NOp {
                 f(Write(r));
             }),
             NOp::GlobalAddr { dst, .. } | NOp::StrAddr { dst, .. } => f(Write(*dst)),
-            NOp::StoreLocal { src, .. } => f(S(src)),
+            NOp::StoreLocal { src, .. } | NOp::PtrInc { count: src, .. } => f(S(src)),
             NOp::Inc { .. } => {}
             NOp::Alu { dst, a, b, .. } | NOp::Cmp { dst, a, b, .. } => {
                 f(S(a));
@@ -729,16 +742,18 @@ impl NOp {
     /// Whether the op may change the `size` frame bytes at `off`: a
     /// checked store may reach any slot through a pointer.
     fn clobbers(&self, off: u32, size: AccessSize) -> bool {
-        match *self {
-            NOp::Store { .. } | NOp::IdxStore { .. } => true,
+        let (o, s) = match *self {
+            NOp::Store { .. } | NOp::IdxStore { .. } => return true,
             NOp::StoreLocal {
                 off: o, size: s, ..
             }
             | NOp::Inc {
                 off: o, size: s, ..
-            } => (o as u64) < off as u64 + size.bytes() && (off as u64) < o as u64 + s.bytes(),
-            _ => false,
-        }
+            } => (o, s),
+            NOp::PtrInc { off: o, .. } => (o, AccessSize::B8),
+            _ => return false,
+        };
+        (o as u64) < off as u64 + size.bytes() && (off as u64) < o as u64 + s.bytes()
     }
 }
 
@@ -821,6 +836,27 @@ impl Fold {
                 return;
             }
         }
+    }
+
+    /// `Drop` of register `r`. A store of `r` right before it is an
+    /// assignment statement's (`p += n;`, `p = p + n;`): with `r` dying
+    /// here, a pointer bump completes as in [`Fold::push`].
+    fn drop(&mut self, r: u8) {
+        if let Some(
+            &store @ NOp::StoreLocal {
+                src: Src::Reg(x),
+                off,
+                size,
+            },
+        ) = self.out.last()
+        {
+            if x == r {
+                self.out.pop();
+                let bump = self.bump_of(x, off, size);
+                self.out.push(bump.unwrap_or(store));
+            }
+        }
+        self.kill(r);
     }
 
     /// Whether register `r` already holds a value `Normalize(size,
@@ -922,8 +958,8 @@ impl Fold {
                 op = indexed;
             }
         }
-        // Fold 3: a re-normalization that changes nothing, and the
-        // increment statement `slot = normalize(slot ± c)`.
+        // Fold 3: a re-normalization that changes nothing, the increment
+        // statement `slot = normalize(slot ± c)` and its pointer twin.
         match op {
             NOp::Normalize { at, size, signed } if self.in_range(at, size, signed) => return,
             NOp::Normalize { at, size, .. } => {
@@ -939,7 +975,10 @@ impl Fold {
                 off,
                 size,
             } if x >= after => {
-                if let Some(inc) = self.inc_of(x, off, size) {
+                if let Some(inc) = self
+                    .inc_of(x, off, size)
+                    .or_else(|| self.bump_of(x, off, size))
+                {
                     op = inc;
                 }
             }
@@ -1012,6 +1051,31 @@ impl Fold {
             size,
             signed,
         })
+    }
+
+    /// The tail `PtrAdd { x = slot + count·esz }` that a store of `x`
+    /// back to the same 8-byte slot completes, taken off `out` as one
+    /// [`NOp::PtrInc`].
+    fn bump_of(&mut self, x: u8, off: u32, size: AccessSize) -> Option<NOp> {
+        let NOp::PtrAdd {
+            dst,
+            ptr:
+                Src::Slot {
+                    off: o,
+                    size: AccessSize::B8,
+                    ..
+                },
+            count,
+            esz,
+        } = *self.out.last()?
+        else {
+            return None;
+        };
+        if dst != x || o != off || size != AccessSize::B8 {
+            return None;
+        }
+        self.out.pop();
+        Some(NOp::PtrInc { off, count, esz })
     }
 
     /// Attaches a terminator that takes the depth from `before` to
@@ -1546,7 +1610,7 @@ fn build_region(
                 src: Src::Reg(top),
             },
             Instr::Drop => {
-                fold.kill(top);
+                fold.drop(top);
                 d = after;
                 continue;
             }

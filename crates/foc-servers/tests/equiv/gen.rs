@@ -7,9 +7,10 @@
 //! and two pointers `p q` into arrays or scalars of one element type.
 //! Statements: assignments, stores through an index or a pointer
 //! (`*q++ = E` among them), pointer moves (`p = &a[I]`, `q = a + c`,
-//! `p = &x`), a buffer `free`d mid-loop, `if` chains long enough to form
-//! superblocks, bounded loops nested two deep whose counters no statement
-//! assigns, and copies `d[k] = s[k]` run to either side of both ends. A
+//! `p = &x`, and after a store through one `p += E`, `q -= E`), a buffer
+//! `free`d mid-loop, `if` chains long enough to form superblocks, bounded
+//! loops nested two deep whose counters no statement assigns, and copies
+//! `d[k] = s[k]` run to either side of both ends. A
 //! case writes every copy in one of [`STYLES`]: between arrays, through
 //! a pointer slot (`p` re-pointed, so the two sides may overlap), or with
 //! a counter whose `k·size` leaves `i64`. An index is a constant in the
@@ -33,7 +34,7 @@
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 
-use foc_compiler::native::NOp;
+use foc_compiler::native::{NOp, Src};
 use foc_compiler::ProgramImage;
 use foc_memory::{Mode, TableKind, ValueSequence};
 use foc_vm::{ExecProfile, Machine, MachineConfig, VmFault};
@@ -73,8 +74,8 @@ const WRITES: [&str; 6] = ["t", "x", "v", "c", "s", "w"];
 const SRCS: [&str; 5] = ["Reg", "Slot", "Slot8", "Const", "Addr"];
 /// Every `NOp` and `Term` variant, as `{:?}` names them.
 const OPS_AND_TERMS: &str = "Mov Rot3 GlobalAddr StrAddr StoreLocal Inc Alu Cmp Div Neg BitNot \
-     Not Normalize EffAddr PtrDiff PtrAdd Load Store IdxLoad IdxStore Exit Goto Branch IncBranch \
-     Counted";
+     Not Normalize EffAddr PtrDiff PtrAdd PtrInc Load Store IdxLoad IdxStore Exit Goto Branch \
+     IncBranch Counted";
 
 /// Every `NOp`, `Src` and `Term` variant.
 pub fn variants() -> impl Iterator<Item = &'static str> {
@@ -165,6 +166,9 @@ struct Gen<'r> {
     scalars: Vec<(&'static str, String)>,
     /// What a call of `h` costs, once `h` is written.
     call: Option<i64>,
+    /// The stream [`Gen::bump`] draws from, and the lines it wrote.
+    bumps: TestRng,
+    bumped: usize,
 }
 
 /// Case `c`: a program, its lines in order, and how it runs.
@@ -182,14 +186,17 @@ pub fn case(rng: &mut TestRng, c: usize) -> (Vec<String>, Params) {
         pointee: String::new(),
         scalars: Vec::new(),
         call: None,
+        bumps: TestRng::deterministic(&format!("pointer bumps of case {c}")),
+        bumped: 0,
     };
     for a in 0..1 + g.below(2) {
         g.array(format!("g{a}"), Kind::Array);
     }
     g.func("h", &["n", "x"], HELPER);
     // A call also runs `h`'s declarations and return: about six
-    // instructions a line.
-    g.call = Some(6 * g.lines.len() as i64 + HELPER - g.budget);
+    // instructions a line (the bumps' few are left to `FUEL`'s margin).
+    let lines = (g.lines.len() - g.bumped) as i64;
+    g.call = Some(6 * lines + HELPER - g.budget);
     g.func("f", &["n"], BUDGET);
     let n = *g.pick(&[-1, 0, 1, 2, 3, 7, 15, 16, 17, i64::MAX, i64::MIN]);
     let (churn, sequence) = (g.below(97) as u32, g.below(4) as usize);
@@ -433,7 +440,9 @@ impl Gen<'_> {
             8 => format!("{} = {};", self.pick(&["p", "q"]), self.point()),
             9 | 10 if self.wild => {
                 let (p, step) = (self.pick(&["p", "q"]), self.pick(&["", "++"]));
-                format!("*{p}{step} = {};", self.expr(1))
+                let store = format!("*{p}{step} = {};", self.expr(1));
+                self.lines.push(store);
+                return self.bump(p);
             }
             9 | 10 => format!("*p = {};", self.expr(1)),
             11 if self.wild && !heap.is_empty() && !self.open.is_empty() => {
@@ -447,6 +456,26 @@ impl Gen<'_> {
             _ => format!("t = {};", self.expr(2)),
         };
         self.lines.push(line);
+    }
+
+    /// A third of the time, `p += E` or `p -= E` for a read or a constant
+    /// (an `i64` extreme among them): a pointer bump by a value, which may
+    /// walk `p` out of its unit and back. Drawn from the bumps' own stream
+    /// and left out of every cost estimate, so every other line of a case
+    /// stays as the main stream drew it.
+    fn bump(&mut self, p: &str) {
+        let r = &mut self.bumps;
+        if r.below(3) > 0 {
+            return;
+        }
+        let op = ["+=", "-="][r.below(2) as usize];
+        let by = match r.below(4) {
+            0 => EXTREMES[r.below(2) as usize].to_string(),
+            1 => r.below(24).to_string(),
+            _ => READS[r.below(READS.len() as u64) as usize].to_string(),
+        };
+        self.lines.push(format!("{p} {op} {by};"));
+        self.bumped += 1;
     }
 
     /// `if (E cmp E) S else if … else S`, two to four arms.
@@ -544,9 +573,10 @@ impl Gen<'_> {
 }
 
 /// What the cases reached, summed by name: each `NOp`, `Src` and `Term`
-/// variant lowering emitted, `ExecProfile` counters, batches per copy
-/// style and mode class, calls that logged no violation, and Bounds
-/// Check deaths that left values on the operand stack, by the seam's op.
+/// variant lowering emitted, pointer bumps by element size and by a
+/// value, `ExecProfile` counters, batches per copy style and mode class,
+/// calls that logged no violation, and Bounds Check deaths that left
+/// values on the operand stack, by the seam's op.
 #[derive(Debug, Default)]
 pub struct Tally(BTreeMap<String, u64>);
 
@@ -571,6 +601,13 @@ impl Tally {
                     let operands = words.filter(|w| SRCS.contains(w));
                     for name in operands.map(str::to_owned).chain([variant]) {
                         self.add(name, 1);
+                    }
+                }
+                for op in &region.ops {
+                    if let NOp::PtrInc { count, esz, .. } = *op {
+                        self.add(format!("PtrInc by {esz}"), 1);
+                        let by_value = !matches!(count, Src::Const(_));
+                        self.add("PtrInc by a value", by_value as u64);
                     }
                 }
                 let latch = |w: &&[NOp]| matches!(w, [NOp::Inc { .. }, NOp::Exit { .. }]);

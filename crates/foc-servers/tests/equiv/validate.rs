@@ -381,6 +381,11 @@ fn meaning(op: NOp) -> (Vec<Src>, Vec<I>, Vec<u8>) {
             count,
             esz,
         } => m(&[ptr, count], &[I::PtrAdd(esz as u64)], &[dst]),
+        NOp::PtrInc { off, count, esz } => m(
+            &[Src::Slot8(off), count],
+            &[I::PtrAdd(esz as u64), I::StoreLocal(off, B8)],
+            &[],
+        ),
         NOp::Load {
             dst,
             addr,

@@ -60,8 +60,9 @@ use foc_vm::{Machine, MachineConfig};
 /// batched in each style and mode class (and a counter near the `i64`
 /// wrap over a base out of its unit batched in no checked mode), calls
 /// with no violation (where every mode must agree), Bounds Check dying
-/// with live values below each kind of seam, and every `NOp`, `Src` and
-/// `Term` variant emitted.
+/// with live values below each kind of seam, pointer bumps (`PtrInc`) by
+/// a value and over `int` and `long` elements, and every `NOp`, `Src`
+/// and `Term` variant emitted.
 #[test]
 fn generated_programs_are_tier_blind() {
     let mut rng = TestRng::deterministic("generated_programs_are_tier_blind");
@@ -99,6 +100,9 @@ fn generated_programs_are_tier_blind() {
         ("IdxStore", 400),
         ("Exit", 160),
         ("IncBranch", 100),
+        ("PtrInc by a value", 12),
+        ("PtrInc by 4", 5),
+        ("PtrInc by 8", 4),
     ];
     let variants = gen::variants().map(|v| (v, 8));
     for (what, floor) in floors.into_iter().chain(variants) {

@@ -899,6 +899,16 @@ impl Machine {
                             None => full!(self.space.ptr_add(p, delta)),
                         } as i64;
                     }
+                    NOp::PtrInc { off, count, esz } => {
+                        let p = view.local_get(off, AccessSize::B8);
+                        let delta = val!(count).wrapping_mul(esz as i64);
+                        extras += ptr_extra;
+                        let out = match view.ptr_add(p, delta) {
+                            Some(out) => out,
+                            None => full!(self.space.ptr_add(p, delta)),
+                        };
+                        view.local_put(off, AccessSize::B8, out);
+                    }
                     NOp::Load {
                         dst,
                         addr,

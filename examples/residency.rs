@@ -29,7 +29,9 @@
 //! process retired: the count the lowering's folds and superblocks move
 //! (0.55 / 0.87 / 0.87 / 1.02 before the folds; 0.0034 / 0.341 / 0.331 /
 //! 0.403 before superblocks, which also cut `regions` from 193 720 /
-//! 12 818 / 21 948 / 120 501). `exits` are the superblocks' side exits
+//! 12 818 / 21 948 / 120 501; Pine 0.3144 before a pointer bump `p++`
+//! was one op, `NOp::PtrInc`, and 0.2790 since). `exits` are the
+//! superblocks' side exits
 //! taken: a branch a region ran on past that left it early after all.
 //! `batched%` is the share of all
 //! instructions retired in counted-loop batches: passes of a copy loop
@@ -223,7 +225,7 @@ fn main() {
             24.0,
             apache_run(Mode::BoundsCheck, 2),
         ),
-        ("pine_mail", 0.3144, 38170, 3466, 0.0, 132.0, pine_run()),
+        ("pine_mail", 0.2791, 38170, 3466, 0.0, 132.0, pine_run()),
     ];
     let mut over = false;
     for (name, ceiling, region_ceiling, search_ceiling, batched_floor, committed_ceiling, t) in runs
