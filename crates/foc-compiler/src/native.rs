@@ -114,14 +114,17 @@
 //!   `charge - spent`, pushes registers `0..spill` back as the operand
 //!   stack the interpreter would have left, and unwinds with the
 //!   baseline tier's exact counters, stack, and log.
-//! * **Boundaries.** Calls, builtins, returns, and any pc without a
-//!   region drop to the interpreter, which runs the very same bytecode
-//!   — the artifact is attached to the image's one instruction stream,
-//!   it never replaces it. A region whose depth envelope exceeds
-//!   [`NATIVE_REGS`] is simply not lowered.
+//! * **Boundaries.** Calls, returns, every builtin but `io_wait`, and
+//!   any pc without a region drop to the interpreter, which runs the
+//!   very same bytecode — the artifact is attached to the image's one
+//!   instruction stream, it never replaces it. `io_wait` touches no
+//!   guest memory and cannot fault, so it lowers in place
+//!   ([`NOp::IoWait`]) and the region runs on. A region whose depth
+//!   envelope exceeds [`NATIVE_REGS`] is simply not lowered.
 
 use std::sync::OnceLock;
 
+use foc_lang::hir::Builtin;
 use foc_memory::AccessSize;
 
 use crate::bytecode::{AluOp, CmpOp, Instr};
@@ -525,6 +528,13 @@ pub enum NOp {
         /// Live registers to spill on a fault.
         spill: u8,
     },
+    /// `io_wait(r[at])`: charges the modelled I/O of `r[at]` bytes and
+    /// leaves the call's void result, 0, in `r[at]` (touches no guest
+    /// memory, cannot fault).
+    IoWait {
+        /// The byte count in, the result out.
+        at: u8,
+    },
     /// A superblock's crossed branch: when `op` holds, refund as a seam
     /// would, take back the dispatches skipped, and leave for `to`.
     Exit {
@@ -547,9 +557,10 @@ const _: () = assert!(std::mem::size_of::<NOp>() <= 64);
 
 /// A terminator's successor: the pc, for the interpreter to resume at
 /// when the chain stops there, and the region the executor continues
-/// in (or [`NO_REGION`]: a call, builtin or return boundary, or a
-/// region too deep to lower). That is the region starting at `pc`
-/// unless it was an op-less jump, which the edge threads through:
+/// in (or [`NO_REGION`]: a call, return or builtin boundary — any
+/// builtin but `io_wait` — or a region too deep to lower). That is the
+/// region starting at `pc` unless it was an op-less jump, which the
+/// edge threads through:
 /// `skip` is what the skipped regions charge, taken (and gated) with
 /// the target's own charge.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -665,7 +676,8 @@ impl NOp {
             | NOp::BitNot { at }
             | NOp::Not { at }
             | NOp::Normalize { at, .. }
-            | NOp::EffAddr { at } => {
+            | NOp::EffAddr { at }
+            | NOp::IoWait { at } => {
                 f(Read(*at));
                 f(Write(*at));
             }
@@ -1194,9 +1206,13 @@ fn alu_op_of(instr: Instr) -> Option<AluOp> {
 }
 
 /// Whether the instruction forces a drop to the interpreter (frame and
-/// builtin machinery the region executor does not replicate).
+/// builtin machinery the region executor does not replicate): every
+/// call and return, and every builtin but `io_wait`.
 fn is_breaker(instr: Instr) -> bool {
-    matches!(instr, Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret)
+    match instr {
+        Instr::CallBuiltin(b) => b != Builtin::IoWait,
+        _ => matches!(instr, Instr::Call(_) | Instr::Ret),
+    }
 }
 
 /// How an instruction shapes the operand stack: `(consumed, effect)` —
@@ -1219,7 +1235,8 @@ fn stack_shape(instr: Instr) -> (i32, i32) {
         | Instr::Not
         | Instr::Normalize(..)
         | Instr::EffAddr
-        | Instr::Load(..) => (1, 0),
+        | Instr::Load(..)
+        | Instr::CallBuiltin(Builtin::IoWait) => (1, 0),
         Instr::Store(_) => (2, -2),
         Instr::Jump(_) | Instr::Call(_) | Instr::CallBuiltin(_) | Instr::Ret => (0, 0),
         // Binary arithmetic, comparisons and the pointer pair.
@@ -1652,6 +1669,7 @@ fn build_region(
                 signed,
             },
             Instr::EffAddr => NOp::EffAddr { at: top },
+            Instr::CallBuiltin(Builtin::IoWait) => NOp::IoWait { at: top },
             Instr::PtrAdd(esz) => NOp::PtrAdd {
                 dst: under,
                 ptr: Src::Reg(under),

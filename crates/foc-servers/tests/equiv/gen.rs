@@ -18,7 +18,9 @@
 //! or any expression; an expression adds `*p`, `p[I]`, `p - q`, `p < q`,
 //! `a[I]++`, `x--`, unary `- ~ !`, calls of `h`, `+ - * & | ^ == < >`,
 //! `<<` by a constant, and `/` and `%` by a constant or by a value that
-//! may be zero.
+//! may be zero. Inside loops, `io_wait(E)` comes before some statements,
+//! its byte count an `i64` extreme, negative, 0, a small constant or a
+//! scalar.
 //!
 //! The generator writes source text, one statement per line, because
 //! `foc-lang`'s arena builders are crate-private and a test does not
@@ -74,8 +76,8 @@ const WRITES: [&str; 6] = ["t", "x", "v", "c", "s", "w"];
 const SRCS: [&str; 5] = ["Reg", "Slot", "Slot8", "Const", "Addr"];
 /// Every `NOp` and `Term` variant, as `{:?}` names them.
 const OPS_AND_TERMS: &str = "Mov Rot3 GlobalAddr StrAddr StoreLocal Inc Alu Cmp Div Neg BitNot \
-     Not Normalize EffAddr PtrDiff PtrAdd PtrInc Load Store IdxLoad IdxStore Exit Goto Branch \
-     IncBranch Counted";
+     Not Normalize EffAddr PtrDiff PtrAdd PtrInc Load Store IdxLoad IdxStore IoWait Exit Goto \
+     Branch IncBranch Counted";
 
 /// Every `NOp`, `Src` and `Term` variant.
 pub fn variants() -> impl Iterator<Item = &'static str> {
@@ -166,9 +168,11 @@ struct Gen<'r> {
     scalars: Vec<(&'static str, String)>,
     /// What a call of `h` costs, once `h` is written.
     call: Option<i64>,
-    /// The stream [`Gen::bump`] draws from, and the lines it wrote.
+    /// The streams [`Gen::bump`] and [`Gen::wait`] draw from, and the
+    /// lines they wrote.
     bumps: TestRng,
-    bumped: usize,
+    waits: TestRng,
+    aside: usize,
 }
 
 /// Case `c`: a program, its lines in order, and how it runs.
@@ -187,15 +191,17 @@ pub fn case(rng: &mut TestRng, c: usize) -> (Vec<String>, Params) {
         scalars: Vec::new(),
         call: None,
         bumps: TestRng::deterministic(&format!("pointer bumps of case {c}")),
-        bumped: 0,
+        waits: TestRng::deterministic(&format!("I/O waits of case {c}")),
+        aside: 0,
     };
     for a in 0..1 + g.below(2) {
         g.array(format!("g{a}"), Kind::Array);
     }
     g.func("h", &["n", "x"], HELPER);
     // A call also runs `h`'s declarations and return: about six
-    // instructions a line (the bumps' few are left to `FUEL`'s margin).
-    let lines = (g.lines.len() - g.bumped) as i64;
+    // instructions a line (the bumps' and waits' few are left to
+    // `FUEL`'s margin).
+    let lines = (g.lines.len() - g.aside) as i64;
     g.call = Some(6 * lines + HELPER - g.budget);
     g.func("f", &["n"], BUDGET);
     let n = *g.pick(&[-1, 0, 1, 2, 3, 7, 15, 16, 17, i64::MAX, i64::MIN]);
@@ -427,6 +433,7 @@ impl Gen<'_> {
     }
 
     fn stmt(&mut self) {
+        self.wait();
         self.budget -= 3;
         let (compound, nested) = (self.budget > 40, self.open.len() < 2);
         let heap = self.arrays(|a| a.kind == Kind::Heap);
@@ -475,7 +482,29 @@ impl Gen<'_> {
             _ => READS[r.below(READS.len() as u64) as usize].to_string(),
         };
         self.lines.push(format!("{p} {op} {by};"));
-        self.bumped += 1;
+        self.aside += 1;
+    }
+
+    /// Inside a loop, half the time, `io_wait(E);` before the statement
+    /// about to be written, so that it sits between stores, before
+    /// accesses that may fault and before `if` chains: modelled I/O the
+    /// native tier runs inside its region, superblocks included. Drawn
+    /// from the waits' own stream and left out of every cost estimate,
+    /// like [`Gen::bump`].
+    fn wait(&mut self) {
+        let r = &mut self.waits;
+        if self.open.is_empty() || r.below(2) > 0 {
+            return;
+        }
+        let bytes = match r.below(5) {
+            0 => EXTREMES[r.below(2) as usize].to_string(),
+            1 => format!("-{}", 1 + r.below(8)),
+            2 => "0".into(),
+            3 => r.below(4097).to_string(),
+            _ => READS[r.below(READS.len() as u64) as usize].to_string(),
+        };
+        self.lines.push(format!("io_wait({bytes});"));
+        self.aside += 1;
     }
 
     /// `if (E cmp E) S else if … else S`, two to four arms.
@@ -574,9 +603,10 @@ impl Gen<'_> {
 
 /// What the cases reached, summed by name: each `NOp`, `Src` and `Term`
 /// variant lowering emitted, pointer bumps by element size and by a
-/// value, `ExecProfile` counters, batches per copy style and mode class,
-/// calls that logged no violation, and Bounds Check deaths that left
-/// values on the operand stack, by the seam's op.
+/// value, regions running an `io_wait` before a side exit, `ExecProfile`
+/// counters, batches per copy style and mode class, calls that logged
+/// no violation, and Bounds Check deaths that left values on the
+/// operand stack, by the seam's op.
 #[derive(Debug, Default)]
 pub struct Tally(BTreeMap<String, u64>);
 
@@ -610,6 +640,16 @@ impl Tally {
                         self.add("PtrInc by a value", by_value as u64);
                     }
                 }
+                let wait = region
+                    .ops
+                    .iter()
+                    .position(|op| matches!(op, NOp::IoWait { .. }));
+                let exit = |op: &NOp| matches!(op, NOp::Exit { .. });
+                let exits_after = wait.is_some_and(|at| region.ops[at..].iter().any(exit));
+                self.add(
+                    "IoWait in a superblock before a side exit",
+                    exits_after as u64,
+                );
                 let latch = |w: &&[NOp]| matches!(w, [NOp::Inc { .. }, NOp::Exit { .. }]);
                 let crossed = region.ops.windows(2).filter(latch).count();
                 self.add("crossed latches", crossed as u64);

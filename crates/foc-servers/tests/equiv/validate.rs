@@ -6,13 +6,14 @@
 //! consumed registers, frame slots at entry, what earlier pointer adds
 //! and loads returned — constants and addresses. For all inputs at once
 //! the two must agree on every effect in order (pointer add, checked
-//! load and store, division, frame write: its terms, and at a fault seam
-//! its pc, `spent` and registers `0..spill` against the operand stack
-//! below the instruction's operands), on each superblock exit (condition,
-//! target, `spent`, an empty stack) and on the terminator (condition,
-//! successors, `charge`, registers `0..produces`). A successor's `region`
-//! and `skip` must be where the baseline lands after `skip` instructions
-//! that do nothing; `ran` and `dispatches` must count the ops.
+//! load and store, division, frame write, `io_wait`: its terms, and at
+//! a fault seam its pc, `spent` and registers `0..spill` against the
+//! operand stack below the instruction's operands), on each superblock
+//! exit (condition, target, `spent`, an empty stack) and on the
+//! terminator (condition, successors, `charge`, registers
+//! `0..produces`). A successor's `region` and `skip` must be where the
+//! baseline lands after `skip` instructions that do nothing; `ran` and
+//! `dispatches` must count the ops.
 //!
 //! Terms normalise by the folding pass's four rules (`native.rs`, "The
 //! folding pass") and nothing more, so an unsound fold is a mismatch. A
@@ -29,6 +30,7 @@ use std::collections::HashMap;
 
 use foc_compiler::native::{extend, FaultAt, NOp, NativeFunc, NativeRegion, Src, Succ, Term};
 use foc_compiler::{native::NO_REGION, AluOp, CmpOp, Instr as I, ProgramImage};
+use foc_lang::hir::Builtin;
 use foc_memory::AccessSize::{self, B8};
 
 /// The instruction an ALU op or a comparison stands for (each enum
@@ -269,6 +271,11 @@ impl<'a> Run<'a> {
                 let op = [CmpOp::Ne, CmpOp::Eq][(instr == I::JumpIfZero(t)) as usize];
                 return Ok(Some((self.c(T::Cmp(op, flag, zero)), t)));
             }
+            // Modelled I/O: an effect over the count, which cannot fault.
+            I::CallBuiltin(Builtin::IoWait) => {
+                let x = self.pop()?;
+                self.eff(instr, [x; 2], None)
+            }
             I::Call(_) | I::CallBuiltin(_) | I::Ret => return Err("a call or return".into()),
             _ => {
                 let (b, a) = (self.pop()?, self.pop()?);
@@ -421,6 +428,7 @@ fn meaning(op: NOp) -> (Vec<Src>, Vec<I>, Vec<u8>) {
             &[I::PtrAdd(esz as u64), I::Store(size)],
             &[],
         ),
+        NOp::IoWait { at } => m(&[r(at)], &[I::CallBuiltin(Builtin::IoWait)], &[at]),
         NOp::Exit { a, b, op, to, .. } => m(&[a, b], &[cmp(op), I::JumpIfNotZero(to.pc)], &[]),
     }
 }

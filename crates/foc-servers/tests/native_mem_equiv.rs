@@ -61,8 +61,9 @@ use foc_vm::{Machine, MachineConfig};
 /// wrap over a base out of its unit batched in no checked mode), calls
 /// with no violation (where every mode must agree), Bounds Check dying
 /// with live values below each kind of seam, pointer bumps (`PtrInc`) by
-/// a value and over `int` and `long` elements, and every `NOp`, `Src`
-/// and `Term` variant emitted.
+/// a value and over `int` and `long` elements, `io_wait` run inside its
+/// region (`IoWait`, some in a superblock ahead of a side exit), and
+/// every `NOp`, `Src` and `Term` variant emitted.
 #[test]
 fn generated_programs_are_tier_blind() {
     let mut rng = TestRng::deterministic("generated_programs_are_tier_blind");
@@ -103,6 +104,8 @@ fn generated_programs_are_tier_blind() {
         ("PtrInc by a value", 12),
         ("PtrInc by 4", 5),
         ("PtrInc by 8", 4),
+        ("IoWait", 50),
+        ("IoWait in a superblock before a side exit", 3),
     ];
     let variants = gen::variants().map(|v| (v, 8));
     for (what, floor) in floors.into_iter().chain(variants) {

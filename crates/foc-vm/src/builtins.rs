@@ -224,7 +224,7 @@ pub(crate) fn dispatch(m: &mut Machine, b: Builtin) -> Result<i64, VmFault> {
             };
             let n = (chunk.len() as u64).min(cap);
             store_bytes(m, a0 as u64, 0, n, Fill::Bytes(&chunk))?;
-            m.charge_io(n);
+            m.charge_io(n as i64);
             Ok(n as i64)
         }
         Builtin::EmitOutput => {
@@ -236,11 +236,11 @@ pub(crate) fn dispatch(m: &mut Machine, b: Builtin) -> Result<i64, VmFault> {
                 Continue::<()>(())
             })?;
             m.push_output(&bytes);
-            m.charge_io(n);
+            m.charge_io(n as i64);
             Ok(0)
         }
         Builtin::IoWait => {
-            m.charge_io(a0.max(0) as u64);
+            m.charge_io(a0);
             Ok(0)
         }
     }

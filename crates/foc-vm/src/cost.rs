@@ -47,6 +47,19 @@ pub const IO_LATENCY: u64 = 2_000;
 /// Per-byte cost of modelled I/O.
 pub const IO_PER_BYTE: u64 = 10;
 
+/// The most bytes one modelled I/O operation is charged for: 4 GiB, so
+/// one charge stays below 2^36 cycles whatever count a guest passes.
+pub const IO_MAX_BYTES: u64 = 1 << 32;
+
+/// The cycles one modelled I/O operation of `bytes` bytes costs: the
+/// latency plus the per-byte charge, a negative count charged as none
+/// and a count past [`IO_MAX_BYTES`] as that many. Both tiers charge
+/// through this one function.
+#[inline]
+pub fn io(bytes: i64) -> u64 {
+    IO_LATENCY + (bytes.max(0) as u64).min(IO_MAX_BYTES) * IO_PER_BYTE
+}
+
 /// Cycles per reported millisecond.
 pub const CYCLES_PER_MS: u64 = 200_000;
 
@@ -64,6 +77,18 @@ mod tests {
         assert_eq!(cycles_to_ms(0), 0.0);
         assert!((cycles_to_ms(CYCLES_PER_MS) - 1.0).abs() < 1e-12);
         assert!((cycles_to_ms(CYCLES_PER_MS * 3 / 2) - 1.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_io_charge_is_bounded_whatever_the_count() {
+        assert_eq!(io(0), IO_LATENCY);
+        assert_eq!(io(-1), IO_LATENCY);
+        assert_eq!(io(i64::MIN), IO_LATENCY);
+        assert_eq!(io(2048), IO_LATENCY + 2048 * IO_PER_BYTE);
+        let most = IO_LATENCY + IO_MAX_BYTES * IO_PER_BYTE;
+        assert_eq!(io(IO_MAX_BYTES as i64), most);
+        assert_eq!(io(i64::MAX), most);
+        assert!(most < 1 << 36);
     }
 
     #[test]

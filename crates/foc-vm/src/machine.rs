@@ -77,6 +77,26 @@ pub struct RunStats {
     pub calls: u64,
 }
 
+impl RunStats {
+    /// Adds `c` to `cycles`. The sum saturates: a guest's modelled I/O
+    /// ([`cost::io`]) may charge up to 2^36 cycles a call, so a guest
+    /// that waits on nothing else could otherwise carry it past `u64`.
+    /// Saturating adds of non-negative charges end where the whole sum
+    /// would, clamped, whatever their order — so both tiers still agree.
+    #[inline]
+    fn add_cycles(&mut self, c: u64) {
+        self.cycles = self.cycles.saturating_add(c);
+    }
+
+    /// Charges `c` cycles of modelled I/O: to `cycles` and to
+    /// `io_cycles`, both saturating.
+    #[inline]
+    fn add_io(&mut self, c: u64) {
+        self.add_cycles(c);
+        self.io_cycles = self.io_cycles.saturating_add(c);
+    }
+}
+
 /// Everything a finished call lets a client or an operator see of a
 /// [`Machine`], beside the call's own result ([`Machine::observe`]).
 ///
@@ -141,7 +161,7 @@ pub struct ExecProfile {
     /// Their instructions: in `native_instrs`, but never dispatched.
     pub batched_instrs: u64,
     /// Stays on the native path that ended at a pc no region starts at
-    /// (call, builtin, return).
+    /// (call, return, a builtin other than `io_wait`).
     pub no_region_exits: u64,
     /// Stays that ended at a region whose charge exceeded the fuel left.
     pub fuel_short_exits: u64,
@@ -455,9 +475,10 @@ impl Machine {
             // remaining fuel covers the region's whole charge, the
             // native executor takes over and chains regions until it
             // reaches a pc it cannot enter: fuel short of a charge, or
-            // a call, builtin or return. That pc falls through to the
-            // interpreter below, which is the deopt path. A fault inside a region has already been
-            // written back to the architectural state.
+            // a call, return or builtin (`io_wait` runs inside its
+            // region). That pc falls through to the interpreter below,
+            // which is the deopt path. A fault inside a region has
+            // already been written back to the architectural state.
             if let Some(nf) = native {
                 (pc, fuel) = self.run_native(nf, func, base, frame_total, pc, fuel, &mut nregs)?;
             }
@@ -470,7 +491,7 @@ impl Machine {
             }
             fuel -= 1;
             self.stats.instrs += 1;
-            self.stats.cycles += cost::BASE;
+            self.stats.add_cycles(cost::BASE);
 
             match instr {
                 Instr::Const(v) => self.stack.push(v),
@@ -597,7 +618,7 @@ impl Machine {
                     let count = self.pop();
                     let ptr = self.pop() as u64;
                     if self.checked {
-                        self.stats.cycles += cost::PTR_CHECK_EXTRA;
+                        self.stats.add_cycles(cost::PTR_CHECK_EXTRA);
                     }
                     let delta = count.wrapping_mul(esz as i64);
                     let out = self.space.ptr_add(ptr, delta);
@@ -719,17 +740,6 @@ impl Machine {
         let fuel_in = fuel;
         let (mut extras, mut entries, mut ops) = (0u64, 0u64, 0u64);
 
-        // Writes the stay's bookkeeping to the machine.
-        macro_rules! settle {
-            () => {{
-                let retired = fuel_in - fuel;
-                self.stats.instrs += retired;
-                self.stats.cycles += retired * cost::BASE + extras;
-                self.profile.native_instrs += retired;
-                self.profile.region_entries += entries;
-                self.profile.native_ops += ops;
-            }};
-        }
         // The miss path. `$e` borrows the whole machine, which ends the
         // old view's borrows (and its memo) — it is never read again,
         // only replaced.
@@ -741,16 +751,11 @@ impl Machine {
                 out
             }};
         }
+        // A guest fault at `$seam`: leaves `$chain` for its one exit.
         macro_rules! fault {
-            ($seam:expr, $spill:expr, $e:expr) => {{
-                self.stack.extend_from_slice(&regs[..$spill as usize]);
-                fuel += region.charge - $seam.spent as u64;
-                settle!();
-                self.profile.faults += 1;
-                self.fuel = fuel;
-                self.frames.last_mut().expect("active frame").pc = $seam.pc;
-                return Err($e);
-            }};
+            ($chain:lifetime, $seam:expr, $spill:expr, $e:expr) => {
+                break $chain Err(($seam, $spill, $e))
+            };
         }
         // Continues `$chain` at `$next` if fuel covers the region there.
         macro_rules! chain {
@@ -764,10 +769,10 @@ impl Machine {
                     }
                     // A region starts there, but fuel does not cover it.
                     Some(_) => self.profile.fuel_short_exits += 1,
-                    // No region: a call, builtin or return boundary.
+                    // No region: a call, return or builtin boundary.
                     None => self.profile.no_region_exits += 1,
                 }
-                break $chain next.pc;
+                break $chain Ok(next.pc);
             }};
         }
         macro_rules! val {
@@ -778,7 +783,7 @@ impl Machine {
         // A guest load: `$hit` through the view, else the full access
         // at `$target` (evaluated on the whole machine).
         macro_rules! load {
-            ($hit:expr, $target:expr, $size:expr, $seam:expr, $spill:expr) => {
+            ($chain:lifetime, $hit:expr, $target:expr, $size:expr, $seam:expr, $spill:expr) => {
                 match $hit {
                     Some(raw) => {
                         extras += mem_extra;
@@ -791,14 +796,14 @@ impl Machine {
                             self.g_load_at(target, $size, ctx)
                         }) {
                             Ok(raw) => raw,
-                            Err(e) => fault!($seam, $spill, e),
+                            Err(e) => fault!($chain, $seam, $spill, e),
                         }
                     }
                 }
             };
         }
         macro_rules! store {
-            ($hit:expr, $target:expr, $size:expr, $value:expr, $seam:expr, $spill:expr) => {
+            ($chain:lifetime, $hit:expr, $target:expr, $size:expr, $value:expr, $seam:expr, $spill:expr) => {
                 if $hit {
                     extras += mem_extra;
                 } else {
@@ -807,14 +812,14 @@ impl Machine {
                         let target = $target;
                         self.g_store_at(target, $size, $value, ctx)
                     }) {
-                        fault!($seam, $spill, e)
+                        fault!($chain, $seam, $spill, e)
                     }
                 }
             };
         }
 
         fuel -= region.charge;
-        let next_pc = 'chain: loop {
+        let stay = 'chain: loop {
             entries += 1;
             ops += region.dispatches as u64;
             // One value at a time: a slice copy here is a libc `memcpy`
@@ -862,7 +867,7 @@ impl Machine {
                     } => {
                         let (a, b) = (regs[a as usize], regs[b as usize]);
                         if b == 0 {
-                            fault!(seam, spill, VmFault::DivideByZero);
+                            fault!('chain, seam, spill, VmFault::DivideByZero);
                         }
                         regs[dst as usize] = match (signed, rem) {
                             (true, false) => a.overflowing_div(b).0,
@@ -918,7 +923,7 @@ impl Machine {
                         spill,
                     } => {
                         let a = val!(addr) as u64;
-                        let raw = load!(view.load(a, size), a, size, seam, spill);
+                        let raw = load!('chain, view.load(a, size), a, size, seam, spill);
                         regs[dst as usize] = extend(raw, size, signed);
                     }
                     NOp::Store {
@@ -930,7 +935,7 @@ impl Machine {
                     } => {
                         let a = val!(addr) as u64;
                         let v = val!(val) as u64;
-                        store!(view.store(a, size, v), a, size, v, seam, spill);
+                        store!('chain, view.store(a, size, v), a, size, v, seam, spill);
                     }
                     NOp::IdxLoad {
                         dst,
@@ -946,6 +951,7 @@ impl Machine {
                         let delta = val!(count).wrapping_mul(esz as i64);
                         extras += ptr_extra;
                         let raw = load!(
+                            'chain,
                             view.idx_load(p, delta, size),
                             self.space.ptr_add(p, delta),
                             size,
@@ -968,6 +974,7 @@ impl Machine {
                         let v = val!(val) as u64;
                         extras += ptr_extra;
                         store!(
+                            'chain,
                             view.idx_store(p, delta, size, v),
                             self.space.ptr_add(p, delta),
                             size,
@@ -975,6 +982,13 @@ impl Machine {
                             seam,
                             spill
                         );
+                    }
+                    // The interpreter's `CallBuiltin(IoWait)`, charged in
+                    // place so the view and its memos survive it.
+                    NOp::IoWait { at } => {
+                        self.stats.add_io(cost::io(regs[at as usize]));
+                        self.profile.builtin_calls += 1;
+                        regs[at as usize] = 0;
                     }
                     NOp::Exit {
                         a,
@@ -1041,8 +1055,28 @@ impl Machine {
             }
             chain!('chain, next);
         };
-        settle!();
-        Ok((next_pc, fuel))
+        // A fault spills the live registers, refunds what its region did
+        // not run and surfaces at its seam, as the interpreter leaves it.
+        if let Err((seam, spill, _)) = stay {
+            self.stack.extend_from_slice(&regs[..spill as usize]);
+            fuel += region.charge - seam.spent as u64;
+            self.profile.faults += 1;
+            self.frames.last_mut().expect("active frame").pc = seam.pc;
+        }
+        // The stay's bookkeeping.
+        let retired = fuel_in - fuel;
+        self.stats.instrs += retired;
+        self.stats.add_cycles(retired * cost::BASE + extras);
+        self.profile.native_instrs += retired;
+        self.profile.region_entries += entries;
+        self.profile.native_ops += ops;
+        match stay {
+            Ok(next_pc) => Ok((next_pc, fuel)),
+            Err((.., e)) => {
+                self.fuel = fuel;
+                Err(e)
+            }
+        }
     }
 
     /// Enters `fid`, whose `argc` arguments are the top of the operand
@@ -1053,9 +1087,10 @@ impl Machine {
         let func = &program.funcs[fid as usize];
         let slots = &func.frame.slots;
         self.stats.calls += 1;
-        self.stats.cycles += cost::CALL_EXTRA;
+        self.stats.add_cycles(cost::CALL_EXTRA);
         if self.checked {
-            self.stats.cycles += slots.len() as u64 * cost::LOCAL_REG_EXTRA;
+            self.stats
+                .add_cycles(slots.len() as u64 * cost::LOCAL_REG_EXTRA);
             self.profile.locals_registered += slots.len() as u64;
         }
         let base = self.space.push_frame(func.frame.total, slots)?;
@@ -1120,11 +1155,11 @@ impl Machine {
         ctx: AccessCtx,
     ) -> Result<u64, VmFault> {
         if self.checked {
-            self.stats.cycles += cost::MEM_CHECK_EXTRA;
+            self.stats.add_cycles(cost::MEM_CHECK_EXTRA);
         }
         let out = self.space.load(addr, size, ctx)?;
         if out.violation {
-            self.stats.cycles += cost::VIOLATION_EXTRA;
+            self.stats.add_cycles(cost::VIOLATION_EXTRA);
         }
         Ok(out.value)
     }
@@ -1151,11 +1186,11 @@ impl Machine {
         ctx: AccessCtx,
     ) -> Result<(), VmFault> {
         if self.checked {
-            self.stats.cycles += cost::MEM_CHECK_EXTRA;
+            self.stats.add_cycles(cost::MEM_CHECK_EXTRA);
         }
         let out = self.space.store(addr, size, value, ctx)?;
         if out.violation {
-            self.stats.cycles += cost::VIOLATION_EXTRA;
+            self.stats.add_cycles(cost::VIOLATION_EXTRA);
         }
         Ok(())
     }
@@ -1163,7 +1198,7 @@ impl Machine {
     /// Checked pointer arithmetic (for pointers produced by builtins).
     pub(crate) fn g_ptr_add(&mut self, ptr: u64, delta: i64) -> u64 {
         if self.checked {
-            self.stats.cycles += cost::PTR_CHECK_EXTRA;
+            self.stats.add_cycles(cost::PTR_CHECK_EXTRA);
         }
         self.space.ptr_add(ptr, delta)
     }
@@ -1193,7 +1228,7 @@ impl Machine {
             0
         };
         self.stats.instrs += k;
-        self.stats.cycles += k * (cost::BASE + extras);
+        self.stats.add_cycles(k * (cost::BASE + extras));
         self.fuel -= k;
         self.space.count_run(k * loads, k * stores);
         self.profile.builtin_instrs += k;
@@ -1204,7 +1239,7 @@ impl Machine {
     pub(crate) fn charge(&mut self, n: u64) -> Result<(), VmFault> {
         self.profile.builtin_instrs += n;
         self.stats.instrs += n;
-        self.stats.cycles += n * cost::BASE;
+        self.stats.add_cycles(n * cost::BASE);
         if self.fuel < n {
             self.fuel = 0;
             return Err(VmFault::FuelExhausted);
@@ -1213,11 +1248,9 @@ impl Machine {
         Ok(())
     }
 
-    /// Charges modelled I/O time.
-    pub(crate) fn charge_io(&mut self, bytes: u64) {
-        let c = cost::IO_LATENCY + bytes * cost::IO_PER_BYTE;
-        self.stats.cycles += c;
-        self.stats.io_cycles += c;
+    /// Charges one modelled I/O operation of `bytes` bytes.
+    pub(crate) fn charge_io(&mut self, bytes: i64) {
+        self.stats.add_io(cost::io(bytes));
     }
 
     pub(crate) fn pop_input(&mut self) -> Option<Vec<u8>> {
@@ -1875,6 +1908,18 @@ mod tests {
             std.stats().instrs,
             "same instruction path"
         );
+    }
+
+    #[test]
+    fn run_stats_saturate_under_io_charges() {
+        let mut stats = RunStats {
+            cycles: u64::MAX - 5,
+            io_cycles: u64::MAX - 5,
+            ..RunStats::default()
+        };
+        stats.add_io(crate::cost::io(i64::MAX));
+        stats.add_cycles(crate::cost::BASE);
+        assert_eq!((stats.cycles, stats.io_cycles), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -146,3 +146,27 @@ fn the_tables_differ_in_their_lookup_profiles_and_agree_on_the_observation() {
     assert!(memoised.searches < memoised.lookups, "{memoised:?}");
     assert_eq!(oracle, shipped);
 }
+
+#[test]
+fn an_io_wait_of_any_count_is_charged_alike_at_both_tiers() {
+    // `LONG_MAX` bytes, a negative count and none, in one region on the
+    // native tier: each a bounded charge, the same on both, and no panic.
+    let source = "long f() { io_wait(9223372036854775807); io_wait(-1); io_wait(0); return 0; }";
+    let run = |tier| {
+        let image = compile_image_tier(source, tier).expect("source builds");
+        let mut m = Machine::load(image, base_config()).expect("load");
+        assert_eq!(m.call("f", &[]), Ok(0));
+        (m.observe(), m.exec_profile())
+    };
+    let (baseline, interpreted) = run(ExecTier::Baseline);
+    let (native, lowered) = run(ExecTier::Native);
+    assert_eq!(baseline, native);
+    let io = foc_vm::cost::io(i64::MAX) + 2 * foc_vm::cost::IO_LATENCY;
+    assert_eq!(native.run.io_cycles, io);
+    assert_eq!((interpreted.builtin_calls, lowered.builtin_calls), (3, 3));
+    assert_eq!(interpreted.native_instrs, 0);
+    assert_eq!(
+        lowered.region_entries, 1,
+        "the three waits run in one region: {lowered:?}"
+    );
+}

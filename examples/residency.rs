@@ -30,9 +30,15 @@
 //! (0.55 / 0.87 / 0.87 / 1.02 before the folds; 0.0034 / 0.341 / 0.331 /
 //! 0.403 before superblocks, which also cut `regions` from 193 720 /
 //! 12 818 / 21 948 / 120 501; Pine 0.3144 before a pointer bump `p++`
-//! was one op, `NOp::PtrInc`, and 0.2790 since). `exits` are the
-//! superblocks' side exits
+//! was one op, `NOp::PtrInc`, and 0.2790 since; MC 0.0032 before
+//! `io_wait` ran inside its region, `NOp::IoWait`, and 0.0028 since,
+//! which also cut `regions` from 136 686 / 4 856 / 7 276 / 38 161 to
+//! 59 886 / 4 776 / 7 236 / 38 144, `no-region` from 54 342 / 907 /
+//! 897 / 1 361 to 3 110 / 827 / 857 / 1 344 and MC's `searches` from
+//! 61 087 to 9 953). `exits` are the superblocks' side exits
 //! taken: a branch a region ran on past that left it early after all.
+//! `no-region` are stays that ended at a pc no region starts at: a
+//! call, a return or a builtin other than `io_wait`.
 //! `batched%` is the share of all
 //! instructions retired in counted-loop batches: passes of a copy loop
 //! proven in bounds and run without dispatch, so they count in `native`
@@ -42,8 +48,8 @@
 //! native view's memo did not answer, plus the interpreter's and the
 //! builtins'; `searches` those the table's own memo did not answer
 //! either. `-- --check` exits 1 when a row exceeds one of its committed
-//! ceilings (`ops/instr`, `regions`, `searches`, `committed`) or falls
-//! below its committed `batched%` floor.
+//! ceilings (`ops/instr`, `regions`, `no-region`, `searches`,
+//! `committed`) or falls below its committed `batched%` floor.
 
 use failure_oblivious::memory::LookupProfile;
 use failure_oblivious::servers::{apache, image, mc, pine, workload};
@@ -196,21 +202,32 @@ fn main() {
         "searches",
         "committed"
     );
-    // Beside each row, the `ops/instr`, the `regions` entered and the
-    // table `searches` it may not exceed under `--check`, the `batched%`
-    // it may not fall below, and the `committed` KiB it may not exceed:
-    // what the committed lowering, memos and commit rule produce, rounded
-    // (against the check) in the fourth significant place. All five
-    // repeat exactly, so any miss is a regression, not noise — a fold, a
-    // superblock or a counted loop that stopped forming, a memo that
-    // stopped serving, or a region committing pages its guest never
-    // wrote; move a bound when the code improves.
+    // Beside each row, the `ops/instr`, the `regions` entered, the
+    // `no-region` exits and the table `searches` it may not exceed under
+    // `--check`, the `batched%` it may not fall below, and the
+    // `committed` KiB it may not exceed: what the committed lowering,
+    // memos and commit rule produce, `ops/instr` rounded (against the
+    // check) in the fourth significant place. All six repeat exactly, so
+    // any miss is a regression, not noise — a fold, a superblock or a
+    // counted loop that stopped forming, an `io_wait` that ends its
+    // region again, a memo that stopped serving, or a region committing
+    // pages its guest never wrote; move a bound when the code improves.
     let runs = [
-        ("mc_copy", 0.003191, 136700, 61090, 99.21, 60.0, mc_run()),
+        (
+            "mc_copy",
+            0.002838,
+            59886,
+            3110,
+            9953,
+            99.21,
+            60.0,
+            mc_run(),
+        ),
         (
             "apache_edge",
-            0.2607,
-            4856,
+            0.2601,
+            4776,
+            827,
             1947,
             0.0,
             24.0,
@@ -218,17 +235,36 @@ fn main() {
         ),
         (
             "apache_flood",
-            0.2511,
-            7276,
+            0.2509,
+            7236,
+            857,
             2617,
             0.0,
             24.0,
             apache_run(Mode::BoundsCheck, 2),
         ),
-        ("pine_mail", 0.2791, 38170, 3466, 0.0, 132.0, pine_run()),
+        (
+            "pine_mail",
+            0.2790,
+            38144,
+            1344,
+            3466,
+            0.0,
+            132.0,
+            pine_run(),
+        ),
     ];
     let mut over = false;
-    for (name, ceiling, region_ceiling, search_ceiling, batched_floor, committed_ceiling, t) in runs
+    for (
+        name,
+        ceiling,
+        region_ceiling,
+        exit_ceiling,
+        search_ceiling,
+        batched_floor,
+        committed_ceiling,
+        t,
+    ) in runs
     {
         let p = t.profile;
         let ops_per_instr = p.native_ops as f64 / t.instrs.max(1) as f64;
@@ -239,6 +275,11 @@ fn main() {
         if check && p.region_entries > region_ceiling {
             let entries = p.region_entries;
             eprintln!("residency --check: {name} entered {entries} regions, committed ceiling {region_ceiling}");
+            over = true;
+        }
+        if check && p.no_region_exits > exit_ceiling {
+            let exits = p.no_region_exits;
+            eprintln!("residency --check: {name} left the native path {exits} times at a pc no region starts at, committed ceiling {exit_ceiling}");
             over = true;
         }
         let searches = t.lookups.searches;
