@@ -20,7 +20,11 @@
 //! `<<` by a constant, and `/` and `%` by a constant or by a value that
 //! may be zero. Inside loops, `io_wait(E)` comes before some statements,
 //! its byte count an `i64` extreme, negative, 0, a small constant or a
-//! scalar.
+//! scalar. `f` ends in [`Gen::tail`]: the counted copies a case without
+//! one lacks, in the rest of [`STYLES`], then calls of the libc shim over
+//! its arrays, buffers and literals. The pointer bumps, the waits and
+//! the tail come from streams of their own, so each leaves every other
+//! line as the main stream drew it.
 //!
 //! The generator writes source text, one statement per line, because
 //! `foc-lang`'s arena builders are crate-private and a test does not
@@ -33,12 +37,13 @@
 //! function and what the executor did, so a floor on it says what the
 //! cases reach.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 
 use foc_compiler::native::{NOp, Src};
 use foc_compiler::ProgramImage;
-use foc_memory::{Mode, TableKind, ValueSequence};
+use foc_memory::{HeapError, MemFault, MemorySpace, Mode, TableKind, ValueSequence};
 use foc_vm::{ExecProfile, Machine, MachineConfig, VmFault};
 use proptest::test_runner::TestRng;
 
@@ -61,10 +66,29 @@ const SEQUENCES: [ValueSequence; 4] = [
     ValueSequence::Cycling { wrap: 257 },
 ];
 /// How a case writes its copies: between arrays, through a pointer
-/// slot, or with a counter near the top of `i64`.
-pub const STYLES: [&str; 3] = ["array", "slot", "wrap"];
+/// slot, or with a counter near the top of `i64`; past those three, the
+/// copies [`Gen::tail`] writes in a case that wrote none.
+pub const STYLES: [&str; 9] = [
+    "array", "slot", "wrap", "cast", "!=", "unsigned", "&k", "k--", "strided",
+];
 const TYPES: [&str; 4] = ["char", "short", "int", "long"];
 const LETTERS: [char; 4] = ['a', 'n', 'z', '%'];
+/// The text of the literals [`Gen::tail`] writes.
+const TEXT: &[u8] = b"+- 0123456789azAZ%";
+/// The libc shim's builtins whose operands are guest memory, each with
+/// its operands: `d` written, `s` read, `h` a heap block, `n` a length,
+/// `c` a byte.
+const LIBC: &str = "strlen:s strcpy:ds strncpy:dsn strcat:ds strncat:dsn strcmp:ss \
+     strncmp:ssn strchr:sc strrchr:sc memcpy:dsn memmove:dsn memset:dcn memcmp:ssn print_str:s \
+     atoi:s read_input:dn emit_output:sn realloc:hn";
+/// The ctype family, called on values.
+const CTYPE: [&str; 6] = [
+    "isspace", "isdigit", "isalpha", "isprint", "toupper", "tolower",
+];
+/// Where a library call's operands reach, as it was written.
+pub const REACH: [&str; 4] = ["in bounds", "leaves its unit", "descriptor", "freed"];
+/// Bytes of `m`, whose pages past the first two no write commits.
+const PAGES: u64 = 5 << 12;
 /// `i64::MAX` and `i64::MIN`, the latter without a literal past
 /// `i64::MAX`.
 const EXTREMES: [&str; 2] = ["9223372036854775807", "(-9223372036854775807 - 1)"];
@@ -82,6 +106,12 @@ const OPS_AND_TERMS: &str = "Mov Rot3 GlobalAddr StrAddr StoreLocal Inc Alu Cmp 
 /// Every `NOp`, `Src` and `Term` variant.
 pub fn variants() -> impl Iterator<Item = &'static str> {
     OPS_AND_TERMS.split_whitespace().chain(SRCS)
+}
+
+/// The tally's key for each [`LIBC`] builtin at each [`REACH`].
+pub fn calls() -> impl Iterator<Item = String> {
+    let libc = LIBC.split_whitespace().filter_map(|c| c.split(':').next());
+    libc.flat_map(|name| REACH.map(|reach| format!("{name} calls, {reach}")))
 }
 
 /// How one program is called and swept.
@@ -112,10 +142,13 @@ fn point(p: usize) -> (Mode, TableKind) {
     (Mode::ALL[p / 2], TableKind::ALL[p % 2])
 }
 
+/// Regions small enough to compare every guest byte after every run,
+/// with heap for `m` and the buffers `h` leaves behind.
 fn config(mode: Mode, table: TableKind) -> MachineConfig {
-    MachineConfig::with_mode(mode)
-        .with_table(table)
-        .with_fuel(FUEL)
+    let mut config = MachineConfig::with_mode(mode).with_table(table);
+    let mem = &mut config.mem;
+    (mem.global_len, mem.heap_len, mem.stack_len) = (8 << 10, 64 << 10, 16 << 10);
+    config.with_fuel(FUEL)
 }
 
 /// `rounds` of host-side allocate/free traffic before the call,
@@ -168,11 +201,17 @@ struct Gen<'r> {
     scalars: Vec<(&'static str, String)>,
     /// What a call of `h` costs, once `h` is written.
     call: Option<i64>,
-    /// The streams [`Gen::bump`] and [`Gen::wait`] draw from, and the
-    /// lines they wrote.
+    /// The streams [`Gen::bump`], [`Gen::wait`] and [`Gen::tail`] draw
+    /// from, and the lines the first two wrote.
     bumps: TestRng,
     waits: TestRng,
+    libc: TestRng,
     aside: usize,
+    /// Copies the main stream wrote, and the line `f`'s tail goes before.
+    copies: usize,
+    tail: usize,
+    /// Whether [`Gen::call`] wrote a call of more than 64 bytes.
+    long: bool,
 }
 
 /// Case `c`: a program, its lines in order, and how it runs.
@@ -192,7 +231,11 @@ pub fn case(rng: &mut TestRng, c: usize) -> (Vec<String>, Params) {
         call: None,
         bumps: TestRng::deterministic(&format!("pointer bumps of case {c}")),
         waits: TestRng::deterministic(&format!("I/O waits of case {c}")),
+        libc: TestRng::deterministic(&format!("library calls of case {c}")),
         aside: 0,
+        copies: 0,
+        tail: 0,
+        long: false,
     };
     for a in 0..1 + g.below(2) {
         g.array(format!("g{a}"), Kind::Array);
@@ -206,12 +249,13 @@ pub fn case(rng: &mut TestRng, c: usize) -> (Vec<String>, Params) {
     g.func("f", &["n"], BUDGET);
     let n = *g.pick(&[-1, 0, 1, 2, 3, 7, 15, 16, 17, i64::MAX, i64::MIN]);
     let (churn, sequence) = (g.below(97) as u32, g.below(4) as usize);
+    g.tail(point(c % 10).0, SEQUENCES[sequence]);
     let params = Params {
         n,
         churn,
         sequence,
         point: c % 10,
-        style,
+        style: g.style,
     };
     (g.lines, params)
 }
@@ -235,6 +279,7 @@ impl Gen<'_> {
     /// `long name(long params…) { … }` over the globals and its own
     /// locals, its statements costing about `budget`.
     fn func(&mut self, name: &str, params: &[&str], budget: i64) {
+        self.arrays.retain(|a| a.name.starts_with('g'));
         let list: Vec<String> = params.iter().map(|p| format!("long {p}")).collect();
         self.lines
             .push(format!("long {name}({}) {{", list.join(", ")));
@@ -251,7 +296,6 @@ impl Gen<'_> {
             self.lines.push(format!("{ty} {s} = {c};"));
             self.scalars.push((s, ty));
         }
-        let globals = self.arrays.len();
         for a in 0..2 + self.below(2) {
             self.array(format!("a{a}"), Kind::Array);
         }
@@ -278,10 +322,11 @@ impl Gen<'_> {
             .iter()
             .map(|a| format!(" + {0}[0] + {0}[{1}]", a.name, a.len - 1))
             .collect();
+        // `f`'s tail goes here, over its arrays (`Gen::tail`).
+        self.tail = self.lines.len();
         self.lines
             .push(format!("return t + x * 3 + v * 5 + c + s + w{ends};"));
         self.lines.push("}".into());
-        self.arrays.truncate(globals);
     }
 
     fn sign(&mut self) -> &'static str {
@@ -553,6 +598,7 @@ impl Gen<'_> {
     /// A counted loop `d[k] = s[k]` over two sides of one width in the
     /// case's style, its pass count one either side of an end or on it.
     fn copy(&mut self) {
+        self.copies += 1;
         let (style, pointee) = (STYLES[self.style], self.pointee.clone());
         let (d, s) = match style {
             "array" => {
@@ -598,6 +644,223 @@ impl Gen<'_> {
             "for (k = {first}; {latch}; k++) {to}[k] = {from}[k];"
         ));
         self.budget -= 24 * passes as i64 + 12;
+    }
+
+    /// `f`'s last lines, once the case's point and sequence are drawn:
+    /// in a case that wrote no copy, two copies in a style past the first
+    /// three over `long *`s cast from a `char` literal at byte offsets 0–7
+    /// each side; then buffers for the libc shim — the literal `u`, `m` of
+    /// [`PAGES`], `r` freed at once, `hb` for `realloc` — and calls of it.
+    fn tail(&mut self, mode: Mode, sequence: ValueSequence) {
+        let end = self.lines.len();
+        let text = self.text(47);
+        let [to, from, near] = [self.lib(8), self.lib(8), 1 + self.lib(8)];
+        let room = (48 - to.max(from)) / 8;
+        self.lines.push(format!("char *cb = \"{text}\";"));
+        self.lines.push(format!("long *cd = (long *) (cb + {to});"));
+        self.lines
+            .push(format!("long *cs = (long *) (cb + {from});"));
+        self.lines.push("unsigned long ku = 0;".into());
+        self.lines.push(format!("long *kd = &k - {near};"));
+        // Through `&k - C`, out of `k`'s unit, only where indices leave
+        // theirs.
+        let style = match self.lib(4) {
+            0 => 7 + self.lib(2),
+            _ => 3 + self.lib(3 + self.wild as u64),
+        };
+        for _ in 0..2 * (self.copies == 0) as usize {
+            self.style = style as usize;
+            let passes = match self.wild {
+                true => [1, 2, room - 1, room, room + 1, room + 2][self.lib(6) as usize],
+                false => self.lib(room + 1),
+            };
+            let up = format!("k = 0; k < {passes}; k++");
+            let copy = match STYLES[self.style] {
+                "cast" => format!("for ({up}) cd[k] = cs[k];"),
+                "!=" => format!("for (k = 0; k != {passes}; k++) cd[k] = cs[k];"),
+                "unsigned" => format!("for (ku = 0; ku < {passes}; ku++) cd[ku] = cs[ku];"),
+                "&k" if near % 2 == 0 => format!("for ({up}) cd[k] = kd[k];"),
+                "&k" => format!("for ({up}) kd[k] = cs[k];"),
+                "k--" => format!("for (k = {passes} - 1; k >= 0; k--) cd[k] = cs[k];"),
+                _ => format!("for ({up}) *((char *) (cd + k)) = *((char *) (cs + k));"),
+            };
+            self.lines
+                .push(format!("{copy} // {} copies", STYLES[self.style]));
+        }
+        let (size, hb) = (1100 + self.lib(200), 16 + self.lib(48));
+        let text = self.text(size - 1);
+        self.lines.push(format!("char *u = \"{text}\";"));
+        self.lines
+            .push(format!("char *m = (char *) malloc({PAGES});"));
+        self.lines.push("char *r = (char *) malloc(24);".into());
+        self.lines.push("free(r);".into());
+        self.lines
+            .push(format!("char *hb = (char *) malloc({hb});"));
+        let wild = match self.lib(3) {
+            0 => format!("-{}", 1 + self.lib(8)),
+            _ => EXTREMES[self.lib(2) as usize].to_string(),
+        };
+        self.lines.push(format!("long wild = {wild};"));
+        let mut units: Vec<_> = (self.arrays.iter())
+            .map(|a| match a.width {
+                1 => (a.name.clone(), a.len),
+                _ => (format!("((char *) {})", a.name), a.len * a.width as u64),
+            })
+            .collect();
+        // Last, `m` past the two pages a write may commit.
+        let far = ("m + 8192".into(), PAGES - 8192);
+        units.extend([
+            ("hb".into(), hb),
+            ("u".into(), size),
+            ("m".into(), PAGES),
+            far,
+        ]);
+        // A call reads past its units up to a NUL unless the sweep goes on
+        // through errors in Redirect mode or with a constant sequence,
+        // which may never read one and run to the fuel; a length is wild
+        // only where the sweep runs at Bounds Check, which ends it at the
+        // unit's edge. Half the cases may write one call of over 64 bytes.
+        let endless = mode == Mode::Redirect || matches!(sequence, ValueSequence::Constant(_));
+        let bound = mode.continues_through_errors() && endless;
+        self.long = self.lib(2) > 0;
+        for _ in 0..3 + self.lib(6) {
+            self.call(&mut units, [!bound, mode == Mode::BoundsCheck]);
+        }
+        for _ in 0..2 {
+            let f = CTYPE[self.lib(6) as usize];
+            let values = ["-1", "0", "9", "32", "53", "65", "200", "255", "c", "x"];
+            let v = values[self.lib(10) as usize];
+            self.lines.push(format!("t = t + {f}({v});"));
+        }
+        let tail: Vec<String> = self.lines.drain(end..).collect();
+        self.lines.splice(self.tail..self.tail, tail);
+    }
+
+    fn lib(&mut self, n: u64) -> u64 {
+        self.libc.below(n)
+    }
+
+    /// `len` characters of [`TEXT`].
+    fn text(&mut self, len: u64) -> String {
+        let mut pick = || TEXT[self.lib(TEXT.len() as u64) as usize] as char;
+        (0..len).map(|_| pick()).collect()
+    }
+
+    /// One call of a builtin of [`LIBC`], its operands reaching as
+    /// [`REACH`] says — always in bounds where indices stay in. In bounds,
+    /// a read up to a NUL reads a literal that fits, and two pointers may
+    /// lie 0–511 bytes apart in `u`; leaving its unit, a length runs past
+    /// the room (`wild` where it may) and a read up to a NUL reads a unit
+    /// `memset` full first; otherwise the first pointer is past its unit
+    /// (a descriptor in the checked modes) or in the freed `r`. Once a
+    /// case, a copy of 513 bytes or more runs from `u` into `m`, to its
+    /// length or off `u`'s end. A source is now and then in `m`'s
+    /// never-written pages. The line ends in a comment naming what it
+    /// reached, which [`check`] tallies.
+    fn call(&mut self, units: &mut [(String, u64)], [unbounded, wild]: [bool; 2]) {
+        let reach = if self.wild { self.lib(4) as usize } else { 0 };
+        // Past its units, only a call whose reads stay bounded where others
+        // may not end.
+        let calls = LIBC.split_whitespace().filter_map(|c| c.split_once(':'));
+        let bounded = |&(name, ops): &(&str, &str)| ops.contains('n') && name != "strncat";
+        let calls: Vec<_> = calls
+            .filter(|c| reach == 0 || unbounded || bounded(c))
+            .collect();
+        let (name, ops) = calls[self.lib(calls.len() as u64) as usize];
+        let to_nul = !ops.contains('n') || name.starts_with("strn");
+        // Overlapping only in bounds; long in bounds or off `u`'s end.
+        let shape = match self.lib(3 - self.long as u64) {
+            1 if to_nul || reach > 0 => 0,
+            2 if reach > 1 || reach == 1 && to_nul => 0,
+            shape => shape * (ops.matches(['d', 's']).count() == 2) as u64,
+        };
+        let (first, ahead) = (self.lib(32), self.lib(2) as usize);
+        let apart = self.lib(if self.long { 17 } else { 512 });
+        self.long |= shape == 2 || shape == 1 && apart > 16;
+        let (mut args, mut room, mut far) = (Vec::<String>::new(), u64::MAX, false);
+        for (i, op) in ops.chars().enumerate() {
+            let (arg, fits) = match op {
+                'c' => (["0", "53", "97", "109"][self.lib(4) as usize].into(), room),
+                'n' if reach == 1 && wild => ("wild".into(), room),
+                'n' => {
+                    let n = match reach {
+                        0 if ops == "hn" => room + 1 + self.lib(64),
+                        0 if shape == 2 => 513 + self.lib(64),
+                        0 => [0, room - 1, room, self.lib(room + 1)][self.lib(4) as usize],
+                        1 => room + 1 + self.lib(40),
+                        _ => 1 + self.lib(16),
+                    };
+                    (n.to_string(), room)
+                }
+                _ if i == 0 && reach == 3 => (format!("r + {}", self.lib(24)), 0),
+                _ if i == 0 && reach == 2 => {
+                    let (base, bytes) = match self.lib(units.len() as u64 + 2) as usize {
+                        at if at < units.len() => units[at].clone(),
+                        at => (format!("(char *) {}", ["p", "q"][at % 2]), 128),
+                    };
+                    (format!("{base} + {}", bytes + 1 + self.lib(8)), 0)
+                }
+                'h' => ("hb".into(), units[units.len() - 4].1),
+                _ if shape == 1 => {
+                    let at = [first, first + apart][i ^ ahead];
+                    (format!("u + {at}"), apart + first + 1)
+                }
+                _ if shape == 2 => {
+                    // To `u`'s NUL, 513 bytes or more.
+                    let at = [self.lib(64), units[units.len() - 3].1 - 513 - self.lib(64)][i];
+                    (format!("{} + {at}", ["m", "u"][i]), 577)
+                }
+                's' if reach == 0 && to_nul => {
+                    let len = self.lib(room.min(16));
+                    (format!("\"{}\"", self.text(len)), room.min(16))
+                }
+                // Zeros no other call writes: past where a destination
+                // in `m` may reach, short of the never-written pages.
+                'd' if reach == 0 && name.contains("cat") => {
+                    (format!("m + {}", 4608 + self.lib(3072)), 24)
+                }
+                _ if reach == 1 && to_nul && (op == 's') != name.contains("cat") => {
+                    // An array with no NUL.
+                    let (base, bytes) = units[self.lib(units.len() as u64 - 4) as usize].clone();
+                    self.lines.push(format!("memset({base}, 49, {bytes});"));
+                    let at = self.lib(bytes);
+                    (format!("{base} + {at}"), bytes - at)
+                }
+                _ => {
+                    // Only a source in `m`'s never-written pages, and
+                    // nothing in `m` where the length leaves its unit.
+                    let skip = if reach == 1 { 2 } else { (op != 's') as u64 };
+                    let at = self.lib(units.len() as u64 - skip) as usize;
+                    far |= at == units.len() - 1;
+                    let (base, bytes) = &units[at];
+                    let at = self.lib(*bytes.min(&4096));
+                    (format!("{base} + {at}"), (bytes - at).min(64))
+                }
+            };
+            room = room.min(fits);
+            args.push(arg);
+        }
+        let copies = ["cpy", "cat", "move"].iter().any(|w| name.contains(w));
+        let mut tags = vec![format!("{name} calls, {}", REACH[reach])];
+        let kinds = [
+            (copies && shape == 1, "overlapping copies"),
+            (copies && shape == 2, "copies longer than 512"),
+            (far, "never-written sources"),
+            (args.contains(&"wild".into()), "wild lengths"),
+        ];
+        tags.extend(kinds.iter().filter(|k| k.0).map(|k| k.1.to_string()));
+        let call = format!("{name}({})", args.join(", "));
+        let line = match name {
+            "print_str" | "emit_output" => format!("{call};"),
+            "realloc" if reach < 2 => {
+                if let Ok(n) = args[1].parse() {
+                    units[units.len() - 4].1 = n;
+                }
+                format!("hb = {call};")
+            }
+            _ => format!("t = t + (long) {call};"),
+        };
+        self.lines.push(format!("{line} // {}", tags.join("; ")));
     }
 }
 
@@ -669,6 +932,7 @@ impl Tally {
         self.add("faults", profile.faults);
         self.add("side exits", profile.side_exits);
         self.add("fuel-short exits", profile.fuel_short_exits);
+        self.add("span instrs", profile.span_instrs);
         let class = ["Standard", "checked"][mode.is_checked() as usize];
         let batches = format!("{} batches, {class}", STYLES[style]);
         self.add(batches, profile.batches);
@@ -703,25 +967,49 @@ impl Tally {
 pub fn check(src: &str, params: &Params, tally: &mut Tally) {
     let images = super::images(src);
     tally.lowering(&images[1]);
-    let case = Case::prep(&images, "f", |m| {
-        churn(m, params.churn);
-        vec![params.n]
-    });
+    for line in src.lines().filter_map(|line| line.split_once("// ")) {
+        line.1.split("; ").for_each(|tag| tally.add(tag, 1));
+    }
+    // One case per configuration: its first run on each tier churns, and
+    // the rest start from a clone of that space — the space a replay
+    // leaves, since churn touches nothing else — as a sweep runs hundreds.
+    let case = || {
+        let spaces: RefCell<[Option<MemorySpace>; 2]> = RefCell::default();
+        let case = Case::prep(&images, "f", move |m| {
+            match &mut spaces.borrow_mut()[m.image().native().is_some() as usize] {
+                Some(space) => *m.space_mut() = space.clone(),
+                slot => {
+                    churn(m, params.churn);
+                    *slot = Some(m.space().clone());
+                }
+            }
+            for len in [1_000, 40, 700] {
+                m.push_input((0..len).map(|i| b'1' + (i % 9) as u8).collect::<Vec<_>>());
+            }
+            vec![params.n]
+        });
+        case.with_memory()
+    };
     let style = params.style;
     let runs = Mode::ALL.map(|mode| {
         let [reference, flat] = TableKind::ALL.map(|table| {
-            let (run, profile) = super::tiers(&case, &config(mode, table));
+            let (run, profile) = super::tiers(&case(), &config(mode, table));
             tally.ran(mode, style, &images[1], &run, &profile);
             run
         });
         assert_eq!(reference, flat, "the tables diverge under {mode:?}");
         (mode, flat)
     });
+    // A wild length or size runs to the fuel or out of heap.
     let (_, oblivious) = &runs[2];
+    let out = VmFault::Mem(MemFault::Heap(HeapError::OutOfMemory));
+    let ended = [Err(VmFault::FuelExhausted), Err(out)].contains(&oblivious.result);
+    let wild = src.contains(", wild)") && ended;
     assert!(
-        matches!(oblivious.result, Ok(_) | Err(VmFault::DivideByZero)),
+        matches!(oblivious.result, Ok(_) | Err(VmFault::DivideByZero)) || wild,
         "Failure Oblivious faults: {oblivious:?}"
     );
+    tally.add("wild calls ending Failure Oblivious", wild as u64);
     if oblivious.seen.log_total == 0 {
         tally.add("clean calls", 1);
         for (mode, run) in &runs {
@@ -733,7 +1021,7 @@ pub fn check(src: &str, params: &Params, tally: &mut Tally) {
     }
     let (mode, table) = point(params.point);
     let config = config(mode, table).with_sequence(SEQUENCES[params.sequence]);
-    let (run, profile) = super::sweep(&case, &config);
+    let (run, profile) = super::sweep(&case(), &config);
     tally.ran(mode, style, &images[1], &run, &profile);
 }
 

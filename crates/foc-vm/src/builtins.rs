@@ -196,19 +196,20 @@ pub(crate) fn dispatch(m: &mut Machine, b: Builtin) -> Result<i64, VmFault> {
         Builtin::Isdigit => Ok((a0 as u8).is_ascii_digit() as i64),
         Builtin::Isalpha => Ok((a0 as u8).is_ascii_alphabetic() as i64),
         Builtin::Isprint => Ok(matches!(a0 as u8, 0x20..=0x7E) as i64),
-        Builtin::Toupper => Ok((a0 as u8).to_ascii_uppercase() as i64),
-        Builtin::Tolower => Ok((a0 as u8).to_ascii_lowercase() as i64),
+        // A value outside `unsigned char` (EOF among them) comes back as is.
+        Builtin::Toupper => Ok(u8::try_from(a0).map_or(a0, |b| b.to_ascii_uppercase() as i64)),
+        Builtin::Tolower => Ok(u8::try_from(a0).map_or(a0, |b| b.to_ascii_lowercase() as i64)),
         Builtin::Atoi => {
-            let mut value: i64 = 0;
-            let mut sign = 1i64;
-            let mut seen_digit = false;
-            scan(m, a0 as u64, SCAN_CAP + 1, |i, _, b| {
+            // C's: any leading white space, at most one sign, then digits.
+            let (mut value, mut sign, mut begun) = (0i64, 1i64, false);
+            scan(m, a0 as u64, SCAN_CAP + 1, |_, _, b| {
                 match b {
-                    b' ' | b'\t' if !seen_digit && sign == 1 && value == 0 && i < 64 => {}
-                    b'-' if !seen_digit && value == 0 && sign == 1 => sign = -1,
-                    b'+' if !seen_digit && value == 0 => {}
+                    b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C if !begun => {}
+                    b'-' | b'+' if !begun => {
+                        (sign, begun) = (if b == b'-' { -1 } else { 1 }, true);
+                    }
                     b'0'..=b'9' => {
-                        seen_digit = true;
+                        begun = true;
                         value = value.wrapping_mul(10).wrapping_add((b - b'0') as i64);
                     }
                     _ => return Break(()),

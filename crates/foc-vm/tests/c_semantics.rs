@@ -220,3 +220,44 @@ fn do_while_and_nested_break_continue() {
         assert_eq!(m.call("f", &[]).unwrap(), expect, "mode {mode:?}");
     }
 }
+
+/// The libc shim's value builtins and `strncpy`'s padding, against C's
+/// (glibc, `gcc -O0`): both tiers share these walks, so no tier
+/// comparison can tell a wrong value from a right one.
+#[test]
+fn libc_values_match_c() {
+    let spaces = " ".repeat(100);
+    let atoi = [
+        ("++5", 0),
+        ("+ 5", 0),
+        ("+-5", 0),
+        ("-+5", 0),
+        ("\\n5", 5),
+        ("\\x0b 7", 7),
+        (&format!("{spaces}5"), 5),
+        (" \\t-12x", -12),
+        ("+7", 7),
+    ];
+    for (text, want) in atoi {
+        assert_eq!(eval(&format!("atoi(\"{text}\")")), want, "atoi(\"{text}\")");
+    }
+    for (call, want) in [
+        ("toupper(-1)", -1),
+        ("tolower(-1)", -1),
+        ("toupper(200)", 200),
+        ("toupper(97)", 65),
+        ("tolower(90)", 122),
+    ] {
+        assert_eq!(eval(call), want, "{call}");
+    }
+    // `strncpy` pads with NULs up to its count and writes nothing past.
+    let src = "long f() { char d[8]; long i; long t = 0; memset(d, 'x', 8);\n\
+               strncpy(d, \"ab\", 6);\n\
+               for (i = 0; i < 8; i++) t = t * 256 + d[i];\n\
+               return t; }";
+    let want = i64::from_be_bytes(*b"ab\0\0\0\0xx");
+    for mode in Mode::ALL {
+        let mut m = Machine::from_source(src, MachineConfig::with_mode(mode)).unwrap();
+        assert_eq!(m.call("f", &[]).unwrap(), want, "strncpy under {mode:?}");
+    }
+}
