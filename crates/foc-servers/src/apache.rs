@@ -375,6 +375,7 @@ mod tests {
 
     #[test]
     fn ten_captures_fit_eleven_do_not() {
+        assert_eq!(rewrite_url(12).iter().filter(|&&b| b == b'/').count(), 13);
         // Exactly ten segments: still in bounds everywhere.
         for mode in [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious] {
             let mut w = ApacheWorker::boot(mode);

@@ -22,8 +22,10 @@
 //! request in flight per server, the next generated only after this
 //! one's outcome is observed — so connection interleaving, drip
 //! schedules, and mid-frame disconnects can reorder *bytes* but never
-//! *decisions*. `FarmReport`s across edges therefore compare equal, and
-//! the transcript batteries in `tests/conn_equiv.rs` assert it.
+//! *decisions*. `FarmReport`s across edges therefore compare equal: the
+//! equivalence harness (`tests/equiv`) drives every library input at a
+//! socket point of its lattice and every farm case over a socket edge,
+//! and `tests/conn_equiv.rs` holds connection scale and disconnects.
 //!
 //! **Adversarial scenarios.** [`Scenario`] injects transport abuse the
 //! framing layer must shrug off: slow-loris drips (a few bytes per

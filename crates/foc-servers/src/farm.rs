@@ -98,8 +98,9 @@ pub struct FarmConfig {
     /// historical fast path) or carried over the simulated socket
     /// layer ([`crate::conn`]). A pure transport axis: the edge never
     /// changes what a stream contains or what a server computes (the
-    /// edge-equivalence battery asserts byte-identical reports), so,
-    /// like `threads`, it is excluded from [`FarmReport`] equality.
+    /// equivalence harness's farm cases assert byte-identical
+    /// reports), so, like `threads`, it is excluded from
+    /// [`FarmReport`] equality.
     pub edge: Edge,
 }
 
@@ -287,10 +288,9 @@ impl PartialEq for FarmReport {
         let b = &other.config;
         // Thread count, slice grain, object table, and the request
         // edge are excluded: they shape host wall time only, never the
-        // measured data — that is the determinism contract (the table
-        // half is asserted by the shipped-vs-oracle farm tests in
-        // `foc-servers/tests/table_backends.rs`, the edge half by the
-        // socket-vs-in-process battery in `tests/conn_equiv.rs`).
+        // measured data — that is the determinism contract, and the
+        // equivalence harness's `equiv::farm` asserts it, each axis
+        // against one oracle run (`foc-servers/tests/native_equiv.rs`).
         a.kind == b.kind
             && a.mode == b.mode
             && a.sequence == b.sequence
@@ -1167,17 +1167,6 @@ mod tests {
     }
 
     #[test]
-    fn farm_report_is_thread_count_invariant() {
-        let mut c = quick(ServerKind::Apache, Mode::BoundsCheck);
-        c.servers = 8;
-        let one = run_farm(&c.clone().with_threads(1));
-        let two = run_farm(&c.clone().with_threads(2));
-        let eight = run_farm(&c.with_threads(8));
-        assert_eq!(one, two);
-        assert_eq!(one, eight);
-    }
-
-    #[test]
     fn farm_boots_what_a_lone_driver_boots() {
         // One function owns the defaults: a farm built with
         // `FarmConfig::new` runs the spec `BootSpec::new` hands a lone
@@ -1192,18 +1181,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn farm_report_is_table_backend_invariant() {
-        // The table is a pure performance knob: reports (stats,
-        // per-server breakdowns, histograms) must compare equal on the
-        // shipped vector and the reference map, in a mode with restarts
-        // in play.
-        let c = quick(ServerKind::Apache, Mode::BoundsCheck).with_attack_ratio(1, 4);
-        let reference = run_farm(&c.clone().with_table(TableKind::Reference));
-        let flat = run_farm(&c.with_table(TableKind::Flat));
-        assert_eq!(reference, flat);
     }
 
     #[test]
@@ -1257,18 +1234,6 @@ mod tests {
                 "{what} p99.9"
             );
         }
-    }
-
-    #[test]
-    fn farm_report_is_slice_grain_invariant() {
-        // The scheduling grain decides how often servers hop threads,
-        // never what their streams compute.
-        let c = quick(ServerKind::Pine, Mode::FailureOblivious).with_attack_ratio(1, 4);
-        let fine = run_farm(&c.clone().with_slice(1));
-        let medium = run_farm(&c.clone().with_slice(5));
-        let whole = run_farm(&c.with_slice(usize::MAX));
-        assert_eq!(fine, medium);
-        assert_eq!(fine, whole);
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! `Arc` clones, so farm boots, restarts, and pool respawns never invoke
 //! the compiler again. The `boot_cost` bench quantifies the difference.
 //!
-//! [`ServerKind::fresh_image`] bypasses the cache; the image-sharing
-//! property tests use it to prove cached boots behave byte-identically
-//! to from-source boots.
+//! [`ServerKind::fresh_image`] bypasses the cache. The equivalence
+//! harness's oracle boots cold from such a compile, so every library
+//! input compares a cached boot against a from-source one.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -124,8 +124,8 @@ impl ServerKind {
     }
 
     /// Compiles a fresh, uncached image from source on the
-    /// shipped-default tier (cold-boot path; the image-sharing tests
-    /// compare it against the cache).
+    /// shipped-default tier (the cold-boot path; the image-sharing
+    /// tests compare its id against the cache's).
     ///
     /// # Panics
     ///

@@ -228,10 +228,17 @@ pub struct Pine {
     base_messages: usize,
 }
 
-/// A From field that triggers the quoting overflow: `quoted` characters
-/// that each grow by one byte.
+/// A From field that triggers the quoting overflow (§4.2: "From fields
+/// contain many quoted characters"): `quoted` characters that each grow
+/// by one byte.
 pub fn attack_from(quoted: usize) -> Vec<u8> {
-    workload::pine_attack_from(quoted)
+    let mut v = Vec::with_capacity(quoted * 2 + 16);
+    v.extend_from_slice(b"\"");
+    for _ in 0..quoted {
+        v.extend_from_slice(b"\\\"");
+    }
+    v.extend_from_slice(b"\" <attacker@evil.example>");
+    v
 }
 
 impl Pine {
@@ -456,6 +463,7 @@ mod tests {
 
     #[test]
     fn attack_mail_arriving_live_is_survived_only_by_fo() {
+        assert_eq!(attack_from(10).iter().filter(|&&b| b == b'"').count(), 12);
         // Standard dies when the poisoned message's index entry renders.
         let mut pine = Pine::boot(Mode::Standard, Pine::standard_mailbox(3));
         let r = pine.deliver(&attack_from(40), b"pwn", b"x");

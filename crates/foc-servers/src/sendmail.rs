@@ -28,7 +28,6 @@ use foc_compiler::ProgramImage;
 use foc_memory::Mode;
 
 use crate::image::{self, ServerKind};
-use crate::workload;
 use crate::{Arg, BootSpec, Measured, Outcome, Process, Server};
 
 /// MiniC source of the Sendmail model.
@@ -235,9 +234,16 @@ pub struct Sendmail {
     init_outcome: Outcome,
 }
 
-/// The §4.4 attack address: alternating `\` and `0xFF` bytes.
+/// The §4.4 attack address: an RFC-2821-ish address whose alternating
+/// `\` and `0xFF` bytes drive the prescan past its buffer.
 pub fn attack_address(pairs: usize) -> Vec<u8> {
-    workload::sendmail_attack_address(pairs)
+    let mut v = Vec::with_capacity(pairs * 2 + 16);
+    for _ in 0..pairs {
+        v.push(b'\\');
+        v.push(0xFF);
+    }
+    v.extend_from_slice(b"@evil.example");
+    v
 }
 
 impl Sendmail {
@@ -336,6 +342,7 @@ impl Sendmail {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload;
     use foc_memory::MemFault;
     use foc_vm::VmFault;
 
@@ -424,6 +431,9 @@ mod tests {
 
     #[test]
     fn fo_rejects_attack_as_address_too_long_and_continues() {
+        let shape = attack_address(5);
+        assert_eq!(shape.iter().filter(|&&b| b == 0xFF).count(), 5);
+        assert_eq!(shape.iter().filter(|&&b| b == b'\\').count(), 5);
         let mut sm = Sendmail::boot(Mode::FailureOblivious);
         let r = sm.mail_from(&attack_address(120));
         // 501: the anticipated "address too long" rejection (§4.4.2).

@@ -97,30 +97,6 @@ pub fn from_field_into(out: &mut Vec<u8>, seed: u64) {
     let _ = write!(out, "{first} {last} <{first}.{last}@example.org>");
 }
 
-/// A From field dense with characters Pine must quote — the §4.2 attack
-/// ("From fields contain many quoted characters").
-pub fn pine_attack_from(quoted: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(quoted * 2 + 16);
-    v.extend_from_slice(b"\"");
-    for _ in 0..quoted {
-        v.extend_from_slice(b"\\\"");
-    }
-    v.extend_from_slice(b"\" <attacker@evil.example>");
-    v
-}
-
-/// An RFC-2821-ish address whose `\`/`0xFF` alternation drives Sendmail's
-/// prescan past its buffer (§4.4).
-pub fn sendmail_attack_address(pairs: usize) -> Vec<u8> {
-    let mut v = Vec::with_capacity(pairs * 2 + 16);
-    for _ in 0..pairs {
-        v.push(b'\\');
-        v.push(0xFF);
-    }
-    v.extend_from_slice(b"@evil.example");
-    v
-}
-
 /// A legitimate SMTP address.
 pub fn sendmail_address(seed: u64) -> Vec<u8> {
     let mut out = Vec::new();
@@ -135,16 +111,6 @@ pub fn sendmail_address_into(out: &mut Vec<u8>, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let user = WORDS[rng.gen_range(0..WORDS.len())];
     let _ = write!(out, "{user}{}@example.org", rng.gen_range(0..100));
-}
-
-/// A rewrite-rule URL with the given number of capturable segments — more
-/// than ten triggers the Apache offsets-buffer overflow (§4.3).
-pub fn apache_url(segments: usize) -> Vec<u8> {
-    let mut v = b"/rw".to_vec();
-    for i in 0..segments {
-        v.extend_from_slice(format!("/s{i}").as_bytes());
-    }
-    v
 }
 
 #[cfg(test)]
@@ -166,16 +132,5 @@ mod tests {
     fn lorem_handles_tiny_sizes() {
         assert_eq!(lorem(1, 2).len(), 1);
         assert!(!lorem(5, 3).is_empty());
-    }
-
-    #[test]
-    fn attack_generators_shape() {
-        let p = pine_attack_from(10);
-        assert_eq!(p.iter().filter(|&&b| b == b'"').count(), 12);
-        let s = sendmail_attack_address(5);
-        assert_eq!(s.iter().filter(|&&b| b == 0xFF).count(), 5);
-        assert_eq!(s.iter().filter(|&&b| b == b'\\').count(), 5);
-        let u = apache_url(12);
-        assert_eq!(u.iter().filter(|&&b| b == b'/').count(), 13);
     }
 }

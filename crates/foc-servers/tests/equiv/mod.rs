@@ -1,9 +1,11 @@
 //! The one equivalence harness. Every execution path that ships — the
 //! native tier or the baseline interpreter, the flat object table or
-//! the reference map, a boot restored from the cache or booted cold —
-//! must leave exactly what the `baseline`/`reference` oracle leaves: the
-//! same results, transcripts and [`Observation`]s, at every fuel
-//! budget. The relation is stated here once, in five entry points:
+//! the reference map, a boot restored from the cache or booted cold
+//! from a fresh compile, in process or over the socket edge, on one
+//! thread or many — must leave exactly what the `baseline`/`reference`
+//! oracle leaves: the same results, transcripts, [`Observation`]s and
+//! farm reports, at every fuel budget. The relation is stated here
+//! once, in six entry points:
 //!
 //! - [`tiers`] runs one [`Case`] (a program at both tiers, an entry, and
 //!   the host-side set-up that builds the call's arguments) on both
@@ -12,10 +14,15 @@
 //!   run or the called function's largest region charge, whichever is
 //!   more, and asserts that the top budget entered a native region;
 //! - [`lattice`] drives one `INPUT_LIBRARY` entry at the four tier ×
-//!   table points, the oracle booted cold and the rest restored from
-//!   the boot cache, and asserts every point equals the oracle;
-//!   [`seeded`] does the same for a farm stream drawn from
-//!   [`RequestGen`];
+//!   table points and at the shipped point over [`SOCKET_EDGE`], the
+//!   rest restored from the boot cache and the oracle booted cold from
+//!   an image compiled afresh, and asserts every point equals the
+//!   oracle; [`seeded`] does the same at the four tier × table points
+//!   for a farm stream drawn from [`RequestGen`];
+//! - [`farm`] runs a whole farm at its oracle (one thread, one slice
+//!   per server, the reference table, in process) and at three points
+//!   that each move one axis off it — the table, the scheduling and the
+//!   edge — and asserts the reports equal;
 //! - [`validate::image`] checks every region of a native image against
 //!   the bytecode it was lowered from, for every input at once
 //!   (translation validation); [`images`] runs it on every program it
@@ -38,8 +45,8 @@ use std::fmt::Debug;
 use foc_compiler::{compile_image_tier, ExecTier, ProgramImage};
 use foc_memory::addr::{GLOBAL_BASE, HEAP_BASE, STACK_BASE};
 use foc_memory::TableKind;
-use foc_servers::conn::Edge;
-use foc_servers::farm::RequestGen;
+use foc_servers::conn::{Edge, Scenario, SocketEdge};
+use foc_servers::farm::{run_farm, FarmConfig, FarmReport, RequestGen};
 use foc_servers::sweep::{drive_booted, drive_input, Driven, SweepInput};
 use foc_servers::{BootSpec, Measured, Server, ServerEnv, ServerKind};
 use foc_vm::{ExecProfile, Machine, MachineConfig, Observation, VmFault};
@@ -181,6 +188,16 @@ pub fn sweep(case: &Case, config: &MachineConfig) -> (Run, ExecProfile) {
     (run, profile)
 }
 
+/// The edge of [`lattice`]'s socket point: a slow-loris drip of two
+/// bytes per event-loop turn, so every frame arrives as a run of
+/// partial reads.
+pub const SOCKET_EDGE: SocketEdge = SocketEdge {
+    connections: 4,
+    backlog: 8,
+    flood: 0,
+    scenario: Scenario::SlowLoris { chunk: 2 },
+};
+
 /// The four points of `spec`'s tier × table lattice: native/flat,
 /// baseline/flat, native/reference, and the baseline/reference oracle
 /// last.
@@ -190,42 +207,48 @@ fn points(spec: BootSpec) -> [BootSpec; 4] {
     std::array::from_fn(|i| spec.with_tier(tiers[i % 2]).with_table(tables[i / 2]))
 }
 
-/// Runs `drive` at the four points at once, the oracle's boot cold
-/// (`drive` is told which), and asserts each equals the oracle's.
-fn at_points<T>(spec: BootSpec, what: &str, drive: impl Fn(&BootSpec, bool) -> T + Sync) -> T
+/// Runs `drive` at every point at once (it is told which point is the
+/// last, the oracle) and asserts each result equals the oracle's.
+fn judge<P, T>(what: &str, points: &[P], drive: impl Fn(&P, bool) -> T + Sync) -> T
 where
+    P: Debug + Sync,
     T: PartialEq + Debug + Send,
 {
-    let points = points(spec);
+    let last = points.len() - 1;
     let mut seen: Vec<T> = std::thread::scope(|scope| {
         let drive = &drive;
-        let running: Vec<_> = (0..4)
-            .map(|i| scope.spawn(move || drive(&points[i], i == 3)))
+        let running: Vec<_> = points
+            .iter()
+            .enumerate()
+            .map(|(i, point)| scope.spawn(move || drive(point, i == last)))
             .collect();
         running
             .into_iter()
             .map(|r| r.join().expect("a point panicked"))
             .collect()
     });
-    let oracle = seen.pop().expect("four points");
+    let oracle = seen.pop().expect("an oracle point");
     for (point, got) in points.iter().zip(&seen) {
-        let (tier, table) = (point.tier, point.table);
-        assert_eq!(&oracle, got, "{what}: {tier:?}/{table:?} diverges");
+        assert_eq!(&oracle, got, "{what}: {point:?} diverges");
     }
     oracle
 }
 
-/// `input` under `spec` at the four tier × table points, over the
-/// in-process edge; returns the oracle's [`Driven`].
+/// `input` under `spec` at the four tier × table points over the
+/// in-process edge and at `spec` over [`SOCKET_EDGE`], the oracle
+/// booted cold from an image compiled afresh; returns the oracle's
+/// [`Driven`].
 pub fn lattice(input: &SweepInput, spec: BootSpec) -> Driven {
     let what = format!("{}/{} {:?}", input.kind.name(), input.name, spec.mode);
-    at_points(spec, &what, |spec, cold| {
+    let [a, b, c, oracle] = points(spec).map(|spec| (spec, Edge::InProcess));
+    let points = [a, b, c, (spec, Edge::Socket(SOCKET_EDGE)), oracle];
+    judge(&what, &points, |(spec, edge), cold| {
         if !cold {
-            return drive_input(input, spec, &Edge::InProcess);
+            return drive_input(input, spec, edge);
         }
-        let image = input.kind.image_tier(spec.tier);
+        let image = input.kind.fresh_image_tier(spec.tier);
         let boot = |env: &ServerEnv| Server::boot_cold(input.kind, &image, spec, env);
-        drive_booted(input, spec, &Edge::InProcess, boot)
+        drive_booted(input, spec, edge, boot)
     })
 }
 
@@ -233,8 +256,8 @@ pub fn lattice(input: &SweepInput, spec: BootSpec) -> Driven {
 const ATTACKS: (u32, u32) = (1, 4);
 
 /// The first `len` requests of `kind`'s seeded farm stream, while the
-/// server serves, at the four points as [`lattice`] drives them: the
-/// transcript and what the process left observable.
+/// server serves, at the four tier × table points as [`lattice`] drives
+/// them: the transcript and what the process left observable.
 pub fn seeded(
     kind: ServerKind,
     spec: BootSpec,
@@ -242,10 +265,10 @@ pub fn seeded(
     len: usize,
 ) -> (Vec<Measured>, Observation) {
     let what = format!("{} seed {seed} {:?}", kind.name(), spec.mode);
-    at_points(spec, &what, |spec, cold| {
+    judge(&what, &points(spec), |spec, cold| {
         let env = ServerEnv::standard();
         let mut server = if cold {
-            Server::boot_cold(kind, &kind.image_tier(spec.tier), spec, env)
+            Server::boot_cold(kind, &kind.fresh_image_tier(spec.tier), spec, env)
         } else {
             Server::boot(kind, spec, env)
         };
@@ -260,4 +283,32 @@ pub fn seeded(
         }
         (steps, server.process().machine().observe())
     })
+}
+
+/// `config`'s farm at its oracle — one thread, one slice per server,
+/// the reference table, in process — and at three points that each move
+/// one axis off it: the flat table, two threads at a slice of one
+/// request, and `socket`. Asserts every report equals the oracle's
+/// ([`FarmReport`]'s equality leaves out exactly these axes) and
+/// returns it.
+pub fn farm(config: &FarmConfig, socket: SocketEdge) -> FarmReport {
+    let what = format!(
+        "{} farm {:?} seed {}",
+        config.kind.name(),
+        config.mode,
+        config.seed
+    );
+    let oracle = config
+        .clone()
+        .with_threads(1)
+        .with_slice(usize::MAX)
+        .with_table(TableKind::Reference)
+        .with_edge(Edge::InProcess);
+    let points = [
+        oracle.clone().with_table(TableKind::Flat),
+        oracle.clone().with_threads(2).with_slice(1),
+        oracle.clone().with_edge(Edge::Socket(socket)),
+        oracle,
+    ];
+    judge(&what, &points, |config, _| run_farm(config))
 }

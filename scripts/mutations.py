@@ -30,10 +30,15 @@ NATIVE = "crates/foc-compiler/src/native.rs"
 MACHINE = "crates/foc-vm/src/machine.rs"
 BUILTINS = "crates/foc-vm/src/builtins.rs"
 COST = "crates/foc-vm/src/cost.rs"
+TABLE = "crates/foc-memory/src/table.rs"
+CONN = "crates/foc-servers/src/conn.rs"
+FARM = "crates/foc-servers/src/farm.rs"
 
 GEN = "generated_programs_are_tier_blind"
 REGIONS = "every_region_of_the_five_servers_passes_translation_validation"
 IO_ALIKE = "an_io_wait_of_any_count_is_charged_alike_at_both_tiers"
+LATTICE = "library_at_every_lattice_point"
+FARMS = "farms_at_every_table_scheduling_and_edge_point"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [
@@ -95,6 +100,16 @@ MUTATIONS = [
     (19, "strncpy does not pad",
      [(BUILTINS, "            store_bytes(m, a0 as u64, copied, n, Fill::Byte(0))?;\n",
        "            let _ = copied;\n")], ["libc_values_match_c"]),
+    (20, "the flat table's upper bound skips a unit based at the address",
+     [(TABLE, "partition_point(|p| p.base <= addr)", "partition_point(|p| p.base < addr)")],
+     [LATTICE, FARMS]),
+    (21, "the wire decodes every index one off",
+     [(CONN, "Some(i64::from_le_bytes(field.try_into().ok()?))",
+       "Some(i64::from_le_bytes(field.try_into().ok()?) ^ 1)")], [LATTICE, FARMS]),
+    (22, "a resumed server draws one extra attack before its slice",
+     [(FARM, "Task::Resume(run) => run,",
+       "Task::Resume(mut run) => {\n            run.gen.draw_attack(config.attack_ratio);\n"
+       "            run\n        }")], [FARMS]),
 ]
 
 
