@@ -24,8 +24,9 @@
 //! schedules, and mid-frame disconnects can reorder *bytes* but never
 //! *decisions*. `FarmReport`s across edges therefore compare equal: the
 //! equivalence harness (`tests/equiv`) drives every library input at a
-//! socket point of its lattice and every farm case over a socket edge,
-//! and `tests/conn_equiv.rs` holds connection scale and disconnects.
+//! socket point of its lattice, and `tests/conn_equiv.rs` runs every
+//! farm case over a socket edge and holds connection scale and
+//! disconnects.
 //!
 //! **Adversarial scenarios.** [`Scenario`] injects transport abuse the
 //! framing layer must shrug off: slow-loris drips (a few bytes per

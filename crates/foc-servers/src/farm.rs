@@ -290,7 +290,8 @@ impl PartialEq for FarmReport {
         // edge are excluded: they shape host wall time only, never the
         // measured data — that is the determinism contract, and the
         // equivalence harness's `equiv::farm` asserts it, each axis
-        // against one oracle run (`foc-servers/tests/native_equiv.rs`).
+        // against one oracle run (`foc-servers/tests/conn_equiv.rs` and
+        // `table_backends.rs`).
         a.kind == b.kind
             && a.mode == b.mode
             && a.sequence == b.sequence
@@ -1167,6 +1168,17 @@ mod tests {
     }
 
     #[test]
+    fn farm_report_is_thread_count_invariant() {
+        let mut c = quick(ServerKind::Apache, Mode::BoundsCheck);
+        c.servers = 8;
+        let one = run_farm(&c.clone().with_threads(1));
+        let two = run_farm(&c.clone().with_threads(2));
+        let eight = run_farm(&c.with_threads(8));
+        assert_eq!(one, two);
+        assert_eq!(one, eight);
+    }
+
+    #[test]
     fn farm_boots_what_a_lone_driver_boots() {
         // One function owns the defaults: a farm built with
         // `FarmConfig::new` runs the spec `BootSpec::new` hands a lone
@@ -1181,6 +1193,18 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn farm_report_is_table_backend_invariant() {
+        // The table is a pure performance knob: reports (stats,
+        // per-server breakdowns, histograms) must compare equal on the
+        // shipped vector and the reference map, in a mode with restarts
+        // in play.
+        let c = quick(ServerKind::Apache, Mode::BoundsCheck).with_attack_ratio(1, 4);
+        let reference = run_farm(&c.clone().with_table(TableKind::Reference));
+        let flat = run_farm(&c.with_table(TableKind::Flat));
+        assert_eq!(reference, flat);
     }
 
     #[test]
@@ -1234,6 +1258,18 @@ mod tests {
                 "{what} p99.9"
             );
         }
+    }
+
+    #[test]
+    fn farm_report_is_slice_grain_invariant() {
+        // The scheduling grain decides how often servers hop threads,
+        // never what their streams compute.
+        let c = quick(ServerKind::Pine, Mode::FailureOblivious).with_attack_ratio(1, 4);
+        let fine = run_farm(&c.clone().with_slice(1));
+        let medium = run_farm(&c.clone().with_slice(5));
+        let whole = run_farm(&c.with_slice(usize::MAX));
+        assert_eq!(fine, medium);
+        assert_eq!(fine, whole);
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! socket edge), its oracle booted cold from a fresh compile, with
 //! manufactured-value strategies and fuel limits swept on top, so a
 //! fuel-out point that drifts between tiers shows. Seeded farm streams
-//! of every server run at the tier × table points ([`equiv::seeded`]),
-//! and whole farms of every server × mode at the table, scheduling and
-//! edge points of [`equiv::farm`]. The rest pins the artifact: nothing
-//! lowered before a function is entered, one artifact per function
-//! however many machines, restores or threads enter it.
+//! of every server run at the tier × table points ([`equiv::seeded`]);
+//! whole farms meet [`equiv::farm`] in `conn_equiv` and
+//! `table_backends`. The rest pins the artifact: nothing lowered before
+//! a function is entered, one artifact per function however many
+//! machines, restores or threads enter it.
 
 mod equiv;
 
@@ -19,8 +19,6 @@ use proptest::prelude::*;
 
 use foc_compiler::{compile_image_tier, ExecTier, NativeFunc};
 use foc_memory::{Mode, ValueSequence};
-use foc_servers::conn::{Scenario, SocketEdge};
-use foc_servers::farm::FarmConfig;
 use foc_servers::sweep::{INPUT_LIBRARY, TIGHT_FUEL};
 use foc_servers::{BootSpec, ServerKind};
 use foc_vm::{Machine, MachineConfig};
@@ -117,51 +115,6 @@ fn seeded_streams_at_every_lattice_point() {
                 kind.name()
             );
         }
-    }
-}
-
-/// A farm small enough to run a hundred times in a test, big enough to
-/// see attacks, crashes, supervision restarts and two servers' streams
-/// change threads.
-fn small_farm(kind: ServerKind, mode: Mode, seed: u64) -> FarmConfig {
-    let mut config = FarmConfig::new(kind, mode).with_attack_ratio(1, 4);
-    config.servers = 2;
-    config.requests_per_server = 12;
-    config.seed = seed;
-    config
-}
-
-/// The socket edges the farm cells take in turn: clean, a one-byte
-/// slow-loris drip, mid-request disconnects with retransmission, and an
-/// accept-queue flood past a short backlog.
-fn socket_edges() -> [SocketEdge; 4] {
-    let abuse = |scenario| SocketEdge {
-        scenario,
-        ..SocketEdge::default()
-    };
-    [
-        SocketEdge::default(),
-        abuse(Scenario::SlowLoris { chunk: 1 }),
-        abuse(Scenario::Disconnect { every: 2 }),
-        SocketEdge {
-            backlog: 3,
-            flood: 9,
-            ..SocketEdge::default()
-        },
-    ]
-}
-
-/// Every server × mode's farm — crashes, supervision restarts and
-/// connections refused by dead servers included — reports what its
-/// oracle reports on the flat table, on two threads trading servers
-/// after every request, and over a socket edge.
-#[test]
-fn farms_at_every_table_scheduling_and_edge_point() {
-    let cells = ServerKind::ALL
-        .into_iter()
-        .flat_map(|kind| Mode::ALL.map(|mode| (kind, mode)));
-    for ((kind, mode), socket) in cells.zip(socket_edges().into_iter().cycle()) {
-        equiv::farm(&small_farm(kind, mode, 0xF0C_E001), socket);
     }
 }
 
@@ -312,25 +265,6 @@ proptest! {
     }
 }
 
-fn scenario_strategy() -> impl Strategy<Value = Scenario> {
-    prop_oneof![
-        Just(Scenario::Clean),
-        (1usize..5).prop_map(|chunk| Scenario::SlowLoris { chunk }),
-        (1u32..4).prop_map(|every| Scenario::Disconnect { every }),
-    ]
-}
-
-fn socket_strategy() -> impl Strategy<Value = SocketEdge> {
-    (1usize..6, 1usize..8, 0usize..10, scenario_strategy()).prop_map(
-        |(connections, backlog, flood, scenario)| SocketEdge {
-            connections,
-            backlog,
-            flood,
-            scenario,
-        },
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -344,24 +278,5 @@ proptest! {
     ) {
         let (kind, mode) = (ServerKind::ALL[kind_index], Mode::ALL[mode_index]);
         equiv::seeded(kind, BootSpec::new(kind, mode), seed, 10);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Farm reports hold for any seed, server, mode and socket edge —
-    /// pool shape, backlog, flood and transport scenario: the blindness
-    /// is structural (per-server streams, closed-loop generation,
-    /// wire-authoritative serving), not tuned to one configuration.
-    #[test]
-    fn random_farms_are_table_scheduling_and_edge_blind(
-        seed in any::<u64>(),
-        kind_index in 0usize..ServerKind::ALL.len(),
-        mode_index in 0usize..Mode::ALL.len(),
-        socket in socket_strategy(),
-    ) {
-        let (kind, mode) = (ServerKind::ALL[kind_index], Mode::ALL[mode_index]);
-        equiv::farm(&small_farm(kind, mode, seed), socket);
     }
 }

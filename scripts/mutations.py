@@ -38,7 +38,7 @@ GEN = "generated_programs_are_tier_blind"
 REGIONS = "every_region_of_the_five_servers_passes_translation_validation"
 IO_ALIKE = "an_io_wait_of_any_count_is_charged_alike_at_both_tiers"
 LATTICE = "library_at_every_lattice_point"
-FARMS = "farms_at_every_table_scheduling_and_edge_point"
+FARMS = "farm_reports_are_edge_invariant_across_servers_and_modes"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [

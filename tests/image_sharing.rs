@@ -7,12 +7,18 @@
 //! equivalence harness's: the oracle of its lattice boots cold from an
 //! image compiled afresh, so every library input in every mode compares
 //! the cache against a compile from source (`foc-servers`'
-//! `native_equiv`).
+//! `native_equiv`). Here seeded request streams, whose content the seed
+//! draws, hold the two boots to one transcript.
+
+use proptest::prelude::*;
 
 use failure_oblivious::compiler::{ExecTier, ProgramId};
 use failure_oblivious::lang::pretty::print_unit;
 use failure_oblivious::lang::{analyze, parse};
-use failure_oblivious::servers::farm::ServerKind;
+use failure_oblivious::memory::Mode;
+use failure_oblivious::servers::farm::{RequestGen, ServerKind};
+use failure_oblivious::servers::{BootSpec, Measured, Server, ServerEnv};
+use failure_oblivious::vm::Observation;
 
 /// Every server's compiled program, pinned: (kind, native-tier id,
 /// baseline-tier id, instructions). A front-end or lowering change that
@@ -129,6 +135,56 @@ fn concurrent_farm_threads_observe_one_program_id_per_kind() {
                 "{}: a farm thread observed a divergent ProgramId",
                 kind.name()
             );
+        }
+    }
+}
+
+/// The first ten requests of `kind`'s seeded farm stream, one in four an
+/// attack, while the server serves, on a boot restored from the image
+/// cache (`cached`) or booted cold from a fresh compile: the transcript
+/// and what the process left observable.
+fn stream(kind: ServerKind, mode: Mode, seed: u64, cached: bool) -> (Vec<Measured>, Observation) {
+    let (spec, env) = (BootSpec::new(kind, mode), ServerEnv::standard());
+    let mut server = if cached {
+        Server::boot(kind, &spec, env)
+    } else {
+        Server::boot_cold(kind, &kind.fresh_image(), &spec, env)
+    };
+    let mut gen = RequestGen::new(seed);
+    let mut steps = Vec::new();
+    while steps.len() < 10 && server.usable() {
+        let attack = gen.draw_attack((1, 4));
+        let request = gen.generate(kind, attack);
+        let measured = request.apply(&mut server);
+        gen.observe(&request, measured.outcome.survived());
+        steps.push(measured);
+    }
+    (steps, server.process().machine().observe())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The transcript equivalence holds for arbitrary workload seeds —
+    /// request *content* cannot drive the cached and from-source
+    /// programs apart. (Pine and Sendmail thread the seed through their
+    /// generated mail; one failure-oblivious and one terminating policy
+    /// cover both continuation behaviours.)
+    #[test]
+    fn transcripts_match_for_arbitrary_workload_seeds(seed in any::<u64>()) {
+        for kind in [ServerKind::Pine, ServerKind::Sendmail] {
+            for mode in [Mode::FailureOblivious, Mode::BoundsCheck] {
+                let cached = stream(kind, mode, seed, true);
+                let fresh = stream(kind, mode, seed, false);
+                prop_assert_eq!(
+                    cached,
+                    fresh,
+                    "{} under {:?} diverged at seed {:#x}",
+                    kind.name(),
+                    mode,
+                    seed
+                );
+            }
         }
     }
 }

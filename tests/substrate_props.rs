@@ -152,6 +152,24 @@ proptest! {
 // Farm determinism.
 // ---------------------------------------------------------------------
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// For arbitrary seeds, the farm's report is invariant under the
+    /// thread count (the unit of determinism is the server stream).
+    #[test]
+    fn farm_reports_are_thread_count_invariant_for_any_seed(seed in any::<u64>()) {
+        let mut config = FarmConfig::new(ServerKind::Apache, Mode::BoundsCheck);
+        config.servers = 3;
+        config.requests_per_server = 8;
+        config.seed = seed;
+        let sequential = run_farm(&config.clone().with_threads(1));
+        let parallel = run_farm(&config.with_threads(3));
+        prop_assert_eq!(&sequential, &parallel);
+        prop_assert_eq!(sequential.stats.requests, 24);
+    }
+}
+
 /// The acceptance-criteria configuration: at least 4 worker threads, at
 /// least 100 requests per server, identical reports at 1, 2, 4, and 8
 /// threads under the work-stealing scheduler — including repeated runs
