@@ -41,7 +41,6 @@ use netshim::{ConnectError, Fd, Interest, NetStack, ReadOutcome, WriteOutcome};
 
 use crate::farm::{Bytes, Request, Server};
 use crate::image::ServerKind;
-use crate::latency::LatencyHist;
 use crate::{Measured, Outcome};
 
 /// How requests reach a farm server.
@@ -942,31 +941,6 @@ impl ConnSession {
     }
 }
 
-// ---------------------------------------------------------------------
-// Connection-level SLO accounting.
-// ---------------------------------------------------------------------
-
-/// Basis points (1/100 of a percent, 0..=10000) of recorded latencies
-/// within `k`× the histogram's median. Resolution follows the
-/// histogram's: a value counts as "within" when its *bucket's* upper
-/// bound is ≤ `k × median` — deterministic, integer-only, and monotone
-/// in `k`. An empty histogram reports 10000 (the SLO is vacuously met;
-/// deadness is gated separately by completion counts).
-pub fn slo_within_basis_points(hist: &LatencyHist, k: u64) -> u64 {
-    let count = hist.count();
-    if count == 0 {
-        return 10_000;
-    }
-    let threshold = hist.quantile(1, 2).saturating_mul(k);
-    let within: u64 = hist
-        .nonzero_buckets()
-        .iter()
-        .filter(|&&(top, _)| top <= threshold)
-        .map(|&(_, n)| n)
-        .sum();
-    ((u128::from(within) * 10_000) / u128::from(count)) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1383,21 +1357,5 @@ mod tests {
         session.refused();
         session.refused();
         assert_eq!(session.stats().refused, 3);
-    }
-
-    #[test]
-    fn slo_counts_bucket_tops_within_k_times_median() {
-        let mut h = LatencyHist::new();
-        // 9 requests in the [64,128) bucket, one far outlier.
-        for _ in 0..9 {
-            h.record(100);
-        }
-        h.record(1_000_000);
-        // Median bucket top is 127; 4×127 = 508 covers only the fast 9.
-        assert_eq!(slo_within_basis_points(&h, 4), 9_000);
-        // A huge k covers everything.
-        assert_eq!(slo_within_basis_points(&h, 1 << 20), 10_000);
-        // Vacuous SLO on an empty histogram.
-        assert_eq!(slo_within_basis_points(&LatencyHist::new(), 4), 10_000);
     }
 }

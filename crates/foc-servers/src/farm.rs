@@ -46,7 +46,6 @@ use rand::{Rng, RngCore, SeedableRng};
 pub use crate::image::ServerKind;
 
 use crate::conn::{ConnSession, Edge};
-use crate::latency::LatencyHist;
 use crate::steal::{run_stealing, Slice};
 use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload, BootSpec, Measured, Outcome};
 
@@ -199,20 +198,18 @@ pub struct ServerStats {
     /// Whether the process was down (unusable, budget exhausted) when the
     /// stream ended.
     pub down_at_end: bool,
-    /// Virtual cycles spent serving plus restart overhead.
+    /// Virtual cycles spent serving plus restart overhead: every served
+    /// request's cycles (a completed one's also in `latencies`) plus
+    /// [`RESTART_COST_CYCLES`] per restart.
     pub total_cycles: u64,
-    /// The restart-overhead share of `total_cycles` (the §4.3.2
-    /// process-management cost; the boot/restart split in the reports).
-    pub restart_cycles: u64,
     /// Per-completed-request virtual latencies, in stream order.
     pub latencies: Vec<u64>,
-    /// Virtual cycles of each supervised restart burst (one entry per
-    /// time the supervisor had to step in), in stream order — the raw
-    /// material of the tail-attribution split.
-    pub restart_bursts: Vec<u64>,
 }
 
-/// Deterministic farm-wide aggregate.
+/// Deterministic farm-wide aggregate: the field-wise sum of the
+/// per-server counters (`servers_down` counts `down_at_end`), so it is a
+/// function of [`FarmReport::per_server`]. Latency distributions are
+/// read from the per-server `latencies`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FarmStats {
     /// Total requests attempted across the farm (refused connections
@@ -232,46 +229,14 @@ pub struct FarmStats {
     pub servers_down: u64,
     /// Virtual cycles spent farm-wide (serving + restarts).
     pub total_cycles: u64,
-    /// The restart-overhead share of `total_cycles`.
-    pub restart_cycles: u64,
-    /// Mean completed-request latency in millicycles (fixed point, so the
-    /// aggregate stays `Eq`-comparable).
-    pub latency_mean_millicycles: u64,
-    /// Median completed-request latency (virtual cycles).
-    pub latency_p50: u64,
-    /// 90th-percentile latency.
-    pub latency_p90: u64,
-    /// 99th-percentile latency.
-    pub latency_p99: u64,
-    /// 99.9th-percentile latency (exact, from the full latency set).
-    pub latency_p999: u64,
-    /// Worst completed-request latency.
-    pub latency_max: u64,
-    /// Log-bucket histogram of completed-request latencies.
-    pub service_hist: LatencyHist,
-    /// Log-bucket histogram of supervised restart bursts (cycles).
-    pub restart_hist: LatencyHist,
-    /// Cycle mass of *tail events* — the top ~1% by position of the
-    /// merged population of completed-request latencies and restart
-    /// bursts — owned by request service.
-    pub tail_service_cycles: u64,
-    /// Cycle mass of tail events owned by restart overhead — at farm
-    /// scale this is where the §4.3.2 process-management cost surfaces.
-    pub tail_restart_cycles: u64,
 }
 
-impl FarmStats {
-    /// Virtual cycles spent actually serving requests (total minus the
-    /// restart overhead — the other half of the boot/restart split).
-    pub fn service_cycles(&self) -> u64 {
-        self.total_cycles - self.restart_cycles
-    }
-}
-
-/// The result of one farm run: deterministic data only. `PartialEq`
-/// compares everything but the configuration's host-side knobs, so
-/// reports from runs with identical configs and seeds compare equal
-/// regardless of thread count, scheduling grain, object table or edge.
+/// The result of one farm run: deterministic data only — each server's
+/// counters, cycles and exact latencies, and their farm-wide sum.
+/// `PartialEq` compares everything but the configuration's host-side
+/// knobs, so reports from runs with identical configs and seeds compare
+/// equal regardless of thread count, scheduling grain, object table or
+/// edge.
 #[derive(Debug, Clone)]
 pub struct FarmReport {
     /// The configuration that produced this report.
@@ -891,12 +856,6 @@ fn supervise(process: &mut Server, stats: &mut ServerStats, config: &FarmConfig)
     );
     stats.restarts += u64::from(attempts);
     stats.total_cycles += u64::from(attempts) * RESTART_COST_CYCLES;
-    stats.restart_cycles += u64::from(attempts) * RESTART_COST_CYCLES;
-    if attempts > 0 {
-        stats
-            .restart_bursts
-            .push(u64::from(attempts) * RESTART_COST_CYCLES);
-    }
 }
 
 /// One server's in-flight execution state: the unit the work-stealing
@@ -1011,16 +970,10 @@ enum Task {
     Resume(Box<ServerRun>),
 }
 
-/// What became of one executed slice.
-enum SliceOutcome {
-    /// Stream unfinished: requeue the server.
-    Yield(Box<ServerRun>),
-    /// Stream complete: publish the stats for this server index.
-    Finished(usize, ServerStats),
-}
-
-/// Executes up to `slice` requests of `task`'s server.
-fn run_slice(config: &FarmConfig, task: Task, slice: usize) -> SliceOutcome {
+/// Executes up to `slice` requests of `task`'s server: the server
+/// yields back to the scheduler while its stream is unfinished and
+/// publishes its stats into its index's slot once it is.
+fn run_slice(config: &FarmConfig, task: Task, slice: usize) -> Slice<Task, ServerStats> {
     let mut run = match task {
         Task::Fresh(index) => ServerRun::boot(config, index),
         Task::Resume(run) => run,
@@ -1033,18 +986,15 @@ fn run_slice(config: &FarmConfig, task: Task, slice: usize) -> SliceOutcome {
     }
     if run.finished(config) {
         let (index, stats) = run.finish(config);
-        SliceOutcome::Finished(index, stats)
+        Slice::Done(index, stats)
     } else {
-        SliceOutcome::Yield(run)
+        Slice::Yield(Task::Resume(run))
     }
 }
 
-/// Aggregates per-server stats in server-index order (making the result
-/// independent of which thread ran which server).
+/// Sums per-server stats field by field.
 fn aggregate(per_server: &[ServerStats]) -> FarmStats {
     let mut agg = FarmStats::default();
-    let mut latencies: Vec<u64> = Vec::new();
-    let mut bursts: Vec<u64> = Vec::new();
     for s in per_server {
         agg.requests += s.requests;
         agg.completed += s.completed;
@@ -1054,54 +1004,6 @@ fn aggregate(per_server: &[ServerStats]) -> FarmStats {
         agg.restarts += s.restarts;
         agg.servers_down += u64::from(s.down_at_end);
         agg.total_cycles += s.total_cycles;
-        agg.restart_cycles += s.restart_cycles;
-        latencies.extend_from_slice(&s.latencies);
-        bursts.extend_from_slice(&s.restart_bursts);
-        for &l in &s.latencies {
-            agg.service_hist.record(l);
-        }
-        for &b in &s.restart_bursts {
-            agg.restart_hist.record(b);
-        }
-    }
-    if !latencies.is_empty() {
-        latencies.sort_unstable();
-        let total: u64 = latencies.iter().sum();
-        agg.latency_mean_millicycles = total * 1000 / latencies.len() as u64;
-        let pick = |num: usize, den: usize| latencies[(latencies.len() - 1) * num / den];
-        agg.latency_p50 = pick(50, 100);
-        agg.latency_p90 = pick(90, 100);
-        agg.latency_p99 = pick(99, 100);
-        agg.latency_p999 = pick(999, 1000);
-        agg.latency_max = *latencies.last().unwrap();
-    }
-    // Tail attribution: treat completed-request latencies and restart
-    // bursts as one event population and split the cycle mass of its top
-    // ~1% *by position* (the events above the merged p99 rank) between
-    // owners. Positional, not value-threshold: the simulator's quantized
-    // virtual cycles produce big tied classes, and a `>= p99-value`
-    // filter would sweep a whole tied class — potentially most of the
-    // run — into the "tail". A backward two-pointer walk over the two
-    // sorted arrays takes exactly the top events, attributing each as it
-    // goes (ties prefer service events, deterministically). Under
-    // attack, the restarting modes' tails are restart-owned (§4.3.2's
-    // process-management overhead); failure-oblivious tails stay
-    // service-owned.
-    let total_events = latencies.len() + bursts.len();
-    if total_events > 0 {
-        bursts.sort_unstable();
-        let rank = (total_events - 1) * 99 / 100;
-        let tail_count = total_events - rank;
-        let (mut i, mut j) = (latencies.len(), bursts.len());
-        for _ in 0..tail_count {
-            if i > 0 && (j == 0 || latencies[i - 1] >= bursts[j - 1]) {
-                i -= 1;
-                agg.tail_service_cycles += latencies[i];
-            } else {
-                j -= 1;
-                agg.tail_restart_cycles += bursts[j];
-            }
-        }
     }
     agg
 }
@@ -1125,12 +1027,8 @@ pub fn run_farm(config: &FarmConfig) -> FarmReport {
     let slice = config.slice_requests.max(1);
 
     let tasks: Vec<Task> = (0..config.servers).map(Task::Fresh).collect();
-    let per_server: Vec<ServerStats> = run_stealing(threads, tasks, |task| {
-        match run_slice(config, task, slice) {
-            SliceOutcome::Yield(run) => Slice::Yield(Task::Resume(run)),
-            SliceOutcome::Finished(index, stats) => Slice::Done(index, stats),
-        }
-    });
+    let per_server: Vec<ServerStats> =
+        run_stealing(threads, tasks, |task| run_slice(config, task, slice));
     let stats = aggregate(&per_server);
 
     FarmReport {
@@ -1161,10 +1059,9 @@ mod tests {
         assert_eq!(r.stats.completed, 24);
         assert_eq!(r.stats.deaths, 0);
         assert_eq!(r.stats.servers_down, 0);
-        assert_eq!(r.stats.restart_cycles, 0);
-        assert_eq!(r.stats.service_cycles(), r.stats.total_cycles);
-        assert!(r.stats.latency_p50 > 0);
-        assert!(r.stats.latency_max >= r.stats.latency_p99);
+        assert_eq!(r.stats.restarts, 0);
+        let service: u64 = r.per_server.iter().map(served).sum();
+        assert_eq!(service, r.stats.total_cycles);
     }
 
     #[test]
@@ -1198,7 +1095,7 @@ mod tests {
     #[test]
     fn farm_report_is_table_backend_invariant() {
         // The table is a pure performance knob: reports (stats,
-        // per-server breakdowns, histograms) must compare equal on the
+        // per-server breakdowns, latencies) must compare equal on the
         // shipped vector and the reference map, in a mode with restarts
         // in play.
         let c = quick(ServerKind::Apache, Mode::BoundsCheck).with_attack_ratio(1, 4);
@@ -1207,56 +1104,53 @@ mod tests {
         assert_eq!(reference, flat);
     }
 
+    /// Cycles one server's completed requests took: Σ `latencies`.
+    fn served(s: &ServerStats) -> u64 {
+        s.latencies.iter().sum()
+    }
+
+    /// Asserts the cycle ledger of every server in `farm`: each completed
+    /// request leaves one latency, and the latencies plus the restarts'
+    /// fixed charge stay within the cycles the server was charged (a
+    /// crashed request's cycles are the rest).
+    fn assert_ledger(what: &str, farm: &FarmReport) {
+        for (i, s) in farm.per_server.iter().enumerate() {
+            assert_eq!(s.latencies.len() as u64, s.completed, "{what} server {i}");
+            assert!(
+                served(s) + s.restarts * RESTART_COST_CYCLES <= s.total_cycles,
+                "{what} server {i}: service plus restarts exceed the ledger",
+            );
+        }
+    }
+
     #[test]
     fn tail_attribution_splits_restart_overhead_from_service() {
         // Bounds Check Apache under heavy attack: every attack kills the
-        // child, so the histograms carry both populations.
+        // child, so the ledger carries both service and restarts.
         let mut c = quick(ServerKind::Apache, Mode::BoundsCheck);
         c.requests_per_server = 20;
         c.attack_ratio = (1, 3);
         let r = run_farm(&c);
         assert!(r.stats.deaths > 0, "attacks must kill BC children");
-        assert!(r.stats.restart_hist.count() > 0);
-        assert_eq!(
-            r.stats.restart_hist.total(),
-            r.stats.restart_cycles,
-            "every restart cycle appears in the restart histogram"
-        );
-        assert_eq!(r.stats.service_hist.count(), r.stats.completed);
-        assert!(
-            r.stats.service_hist.total() + r.stats.restart_hist.total() <= r.stats.total_cycles,
-            "histogram mass stays within the cycle ledger",
-        );
+        assert!(r.stats.restarts > 0);
+        assert_ledger("bc", &r);
         // Bounds Check Sendmail is the §4.4.4 worst case: the farm never
-        // serves, every charged cycle is restart overhead, so the whole
-        // tail is restart-owned.
+        // serves, so every charged cycle is restart overhead.
         let dead = run_farm(&quick(ServerKind::Sendmail, Mode::BoundsCheck));
-        assert_eq!(dead.stats.service_hist.count(), 0);
-        assert_eq!(dead.stats.tail_service_cycles, 0);
-        assert!(
-            dead.stats.tail_restart_cycles > 0,
-            "a dead farm's tail is pure restart overhead"
-        );
-        // Failure-oblivious never restarts: its tail is pure service.
+        assert_ledger("dead", &dead);
+        for s in &dead.per_server {
+            assert_eq!(s.total_cycles, s.restarts * RESTART_COST_CYCLES);
+        }
+        // Failure-oblivious never restarts: every cycle is service.
         let fo = run_farm(&{
             let mut c = c.clone();
             c.mode = Mode::FailureOblivious;
             c
         });
-        assert_eq!(fo.stats.restart_hist.count(), 0);
-        assert_eq!(fo.stats.tail_restart_cycles, 0);
-        assert!(fo.stats.tail_service_cycles > 0);
-        assert!(fo.stats.latency_p999 >= fo.stats.latency_p99);
-        assert!(fo.stats.latency_max >= fo.stats.latency_p999);
-        // A bucket top rounds up, never down: each farm's service
-        // histogram bounds the exact percentiles it summarizes.
-        for (what, farm) in [("bc", &r), ("dead", &dead), ("fo", &fo)] {
-            let s = &farm.stats;
-            assert!(s.service_hist.quantile(1, 2) >= s.latency_p50, "{what} p50");
-            assert!(
-                s.service_hist.quantile(999, 1000) >= s.latency_p999,
-                "{what} p99.9"
-            );
+        assert_ledger("fo", &fo);
+        for s in &fo.per_server {
+            assert_eq!(s.restarts, 0);
+            assert_eq!(served(s), s.total_cycles);
         }
     }
 
@@ -1282,7 +1176,7 @@ mod tests {
         assert_eq!(r.stats.servers_down, 2);
         assert_eq!(r.stats.restarts, 2 * u64::from(c.restart_budget));
         assert_eq!(
-            r.stats.restart_cycles,
+            r.stats.total_cycles,
             r.stats.restarts * RESTART_COST_CYCLES,
             "every charged cycle of a dead farm is restart overhead",
         );
@@ -1307,34 +1201,33 @@ mod tests {
 
     #[test]
     fn aggregate_of_empty_and_zero_completion_stats_pins_defaults() {
-        // The empty-latency guard: an aggregate with no completed
-        // requests must leave every percentile, histogram, and tail
-        // field at its default instead of indexing an empty vector or
-        // dividing by zero.
+        // An empty farm sums to the default, and a server with no
+        // completed request (every request dropped, the §4.4.4
+        // dead-farm shape) passes its counters through unchanged.
         assert_eq!(aggregate(&[]), FarmStats::default());
-
-        // Zero completions with nonzero traffic (every request dropped,
-        // the §4.4.4 dead-farm shape): counters flow through, derived
-        // latency fields stay pinned at zero.
         let stats = ServerStats {
             requests: 5,
             dropped: 5,
             attacks: 2,
+            deaths: 1,
+            restarts: 3,
+            down_at_end: true,
+            total_cycles: 3 * RESTART_COST_CYCLES,
             ..ServerStats::default()
         };
-        let agg = aggregate(&[stats]);
-        assert_eq!(agg.requests, 5);
-        assert_eq!(agg.completed, 0);
-        assert_eq!(agg.latency_mean_millicycles, 0);
-        assert_eq!(agg.latency_p50, 0);
-        assert_eq!(agg.latency_p90, 0);
-        assert_eq!(agg.latency_p99, 0);
-        assert_eq!(agg.latency_p999, 0);
-        assert_eq!(agg.latency_max, 0);
-        assert_eq!(agg.service_hist, LatencyHist::default());
-        assert_eq!(agg.restart_hist, LatencyHist::default());
-        assert_eq!(agg.tail_service_cycles, 0);
-        assert_eq!(agg.tail_restart_cycles, 0);
+        assert_eq!(
+            aggregate(&[stats]),
+            FarmStats {
+                requests: 5,
+                completed: 0,
+                dropped: 5,
+                attacks: 2,
+                deaths: 1,
+                restarts: 3,
+                servers_down: 1,
+                total_cycles: 3 * RESTART_COST_CYCLES,
+            }
+        );
     }
 
     #[test]

@@ -27,7 +27,6 @@ pub mod apache;
 pub mod conn;
 pub mod farm;
 pub mod image;
-pub mod latency;
 pub mod mc;
 pub mod mutt;
 pub mod pine;

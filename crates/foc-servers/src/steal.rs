@@ -16,6 +16,15 @@
 //! callers that need determinism must make each task's computation a
 //! pure function of the task itself, as both the farm (per-server
 //! seeded streams) and the sweep (per-cell fresh processes) do.
+//!
+//! **Why deques and not one queue.** A single shared FIFO queue under a
+//! condvar would be 18 lines shorter, but measured against these deques
+//! on the `pine_mail` benchmark workload (6 alternating 8 s pairs, 2
+//! vCPUs) it read `peak_rss_mb` +7.9% (15.48 → 16.69 MiB, higher in all
+//! 6 pairs) and `throughput_rps` −1.5%. With one queue a server may
+//! move to another thread after every slice, and so, likely (not
+//! verified), between the allocator's per-thread arenas; a deque keeps
+//! a worker's servers on that worker until another worker steals them.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -110,6 +110,10 @@ MUTATIONS = [
      [(FARM, "Task::Resume(run) => run,",
        "Task::Resume(mut run) => {\n            run.gen.draw_attack(config.attack_ratio);\n"
        "            run\n        }")], [FARMS]),
+    (23, "a supervised restart charges no cycles",
+     [(FARM, "stats.total_cycles += u64::from(attempts) * RESTART_COST_CYCLES;",
+       "stats.total_cycles += u64::from(attempts);")],
+     ["tail_attribution_splits_restart_overhead_from_service", "bounds_check_sendmail_farm_is_down"]),
 ]
 
 
