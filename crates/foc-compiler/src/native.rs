@@ -65,15 +65,19 @@
 //! Then a region looping onto itself through a fused `k++` latch on an
 //! 8-byte counter `k`, its body exactly a copy `d[k] = s[k]` whose passes
 //! tile both ranges (`counted`), ends in [`Term::Counted`]; any other
-//! loop keeps its [`Term::IncBranch`]. When the latch points back, the
+//! loop keeps its [`Term::IncBranch`]. Lowering also fixes the frame
+//! bytes the loop reads, its holes ([`CountedLoop::holes`]: the counter's
+//! first, then the bound's and each base's), and counts the loop only if
+//! none but the first meets the counter. When the latch points back, the
 //! executor proves how many more passes are hits and moves them at once.
-//! Its proof (`NativeView::prove`) holds each pass to:
+//! Its one proof per batch (`NativeView::prove`, load and store together)
+//! holds each pass to:
 //!
 //! * **unit** — each access stays in its base's unit (Standard: window);
 //! * **window** — each access lies in the committed window;
-//! * **store alias** — no store meets a frame slot the loop reads
-//!   (counter, bound, base), no load the counter;
-//! * **counter and `k·esz` overflow** — both exact in `i64`;
+//! * **store alias** — no store meets a hole, no load the counter's;
+//! * **counter and `k·esz` overflow** — both exact in `i64`, bounded
+//!   once for both sides;
 //! * **fuel** — the fuel left covers each pass's whole charge.
 //!
 //! A batch stops before the first pass it cannot prove, and its trip
@@ -195,38 +199,41 @@ pub struct CountedLoop {
     pub back: Succ,
     /// Where the loop leaves to.
     pub exit: Succ,
+    /// The frame bytes `[start, end)` the loop reads, fixed at lowering:
+    /// the counter's, then the bound's and each base's (`from`, `to`).
+    /// A bound or base that is no frame slot holds the empty range at the
+    /// counter's end, which never limits a proof more than the counter's
+    /// own range does.
+    pub holes: [(u32, u32); 4],
 }
 
 impl CountedLoop {
-    /// The frame bytes `[start, end)` the loop over `ops` reads: the
-    /// counter's first, then the bound's and each base pointer's.
-    pub fn reads(self, ops: &[NOp]) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let bases = ops.iter().filter_map(|op| match *op {
-            NOp::IdxLoad { ptr, .. } | NOp::IdxStore { ptr, .. } => Some(ptr),
-            _ => None,
-        });
-        let srcs = [Src::Slot8(self.counter), self.bound].into_iter();
-        srcs.chain(bases).filter_map(|s| match s {
-            Src::Slot { off, size, .. } => Some((off as u64, off as u64 + size.bytes())),
-            Src::Slot8(off) => Some((off as u64, off as u64 + 8)),
-            _ => None,
-        })
-    }
-
     /// How many of up to `n` passes from counter `k` (the latch held for
     /// `k`) run: the first after which `k op bound` fails, and `exit`,
     /// else `n` and `back`; `k + n` must be exact in `i64` (the batch's
-    /// proof). The compare's truth changes only where the counter steps
-    /// onto 0 (the unsigned wrap), `bound` or `bound + 1`, so the first
-    /// failing pass is pass 1 or the one reaching one of those (a gap
-    /// past `u64::MAX` lies beyond `n`).
+    /// proof). Pass `i` leaves the counter at `k + i`, rising one a pass
+    /// without a signed wrap, so once the compare holds after pass 1 it
+    /// can fail at one pass only: the next (`==`), the one reaching
+    /// `bound` (`!=`, `<`) or `bound + 1` (`<=`), the unsigned wrap onto
+    /// 0 (unsigned `>`, `>=`), or none (signed `>`, `>=`). A pass that
+    /// steps onto a value behind the counter lies past `n`.
     pub fn trips(&self, k: i64, bound: i64, n: u64) -> (u64, Succ) {
-        let (k, b) = (k as i128, bound as i128);
-        let beyond = |p: i128| (p - k).clamp(0, u64::MAX as i128) as u64;
-        let fails = |i: &u64| (1..=n).contains(i) && !self.op.eval((k + *i as i128) as i64, bound);
-        let passes = [1, beyond(0), beyond(b), beyond(b + 1)];
-        let first = passes.into_iter().filter(fails).min();
-        first.map_or((n, self.back), |i| (i, self.exit))
+        let fails = |i: u64| (1..=n).contains(&i) && !self.op.eval(k.wrapping_add(i as i64), bound);
+        let onto = |p: i64| (p as u64).wrapping_sub(k as u64);
+        let then = match self.op {
+            CmpOp::Eq => 2,
+            CmpOp::Ne | CmpOp::LtS | CmpOp::LtU => onto(bound),
+            CmpOp::LeS | CmpOp::LeU => onto(bound.wrapping_add(1)),
+            CmpOp::GtU | CmpOp::GeU => onto(0),
+            CmpOp::GtS | CmpOp::GeS => 0,
+        };
+        if fails(1) {
+            (1, self.exit)
+        } else if fails(then) {
+            (then, self.exit)
+        } else {
+            (n, self.back)
+        }
     }
 }
 
@@ -1389,22 +1396,31 @@ fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
         && (esz, e, s) == (width, width, size)
         && base(from)
         && base(to);
-    let lp = CountedLoop {
-        counter: off,
-        bound,
-        op,
-        back,
-        exit,
-    };
-    let clear_of_k = |(lo, hi)| hi <= off as u64 || lo >= off as u64 + 8;
+    let mut holes = [(off + 8, off + 8); 4];
+    holes[0] = (off, off + 8);
+    for (hole, s) in holes[1..].iter_mut().zip([bound, from, to]) {
+        match s {
+            Src::Slot { off, size, .. } => *hole = (off, off + size.bytes() as u32),
+            Src::Slot8(off) => *hole = (off, off + 8),
+            _ => {}
+        }
+    }
+    let clear_of_k = |&(lo, hi): &(u32, u32)| hi <= off || lo >= off + 8;
     let fits = copy
         && (a == k || b == k)
         && (back.region, back.skip) == (at, 0)
         && exit.region != at
         && (region.consumes, region.produces) == (0, 0)
         && !matches!(bound, Src::Reg(_))
-        && lp.reads(&region.ops).skip(1).all(clear_of_k);
-    fits.then_some(lp)
+        && holes[1..].iter().all(clear_of_k);
+    fits.then_some(CountedLoop {
+        counter: off,
+        bound,
+        op,
+        back,
+        exit,
+        holes,
+    })
 }
 
 /// Most segments one superblock chains, and most ops it holds.
@@ -2000,6 +2016,7 @@ mod tests {
                 op,
                 back,
                 exit,
+                holes: [(0, 8); 4],
             };
             for k in counters {
                 let near = |c: i64| (-7..=7).map(move |j: i64| c.wrapping_add(j));
@@ -2038,6 +2055,7 @@ mod tests {
                 op,
                 back,
                 exit,
+                holes: [(0, 8); 4],
             };
             assert_eq!(
                 lp.trips(k, bound, n),

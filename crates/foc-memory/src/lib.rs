@@ -47,7 +47,7 @@ pub use report::{summarize, LogReport, SiteReport};
 pub use roomy::RoomyVec;
 pub use space::{
     AccessCtx, Footprint, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, ReadOutcome,
-    Run, SpaceStats, Sweep, WriteOutcome, FRAME_GUARD_SIZE,
+    Run, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
 pub use table::{FlatTable, LookupProfile, Placement, Table, TableKind};

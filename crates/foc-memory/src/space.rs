@@ -1320,12 +1320,13 @@ impl Span {
 /// descriptor pointer, an unmapped address, and an access no committed
 /// window holds, bar a read of the gap between two (zeros).
 ///
-/// **Proofs.** A counted loop's copy asks [`NativeView::prove`] how many
-/// iterations of its load and of its store are hits, then moves them at
-/// once with [`NativeView::proven_copy`] (the last element read first
-/// with [`NativeView::proven_load`]) and counts them with
+/// **Proofs.** A counted loop's copy asks [`NativeView::prove`] once per
+/// batch how many passes of its load and its store together are hits
+/// that meet none of the frame holes lowering fixed for the loop, then
+/// moves them at once with [`NativeView::proven_copy`] (the last element
+/// read first with [`NativeView::proven_load`]) and counts them with
 /// [`NativeView::count_run`]. A proof changes nothing observable either:
-/// it resolves the base pointer as the hit path would, so only the
+/// it resolves each base pointer as the hit path would, so only the
 /// table's [`LookupProfile`] moves.
 ///
 /// **Placement memo.** The view remembers the extent of the unit the
@@ -1498,48 +1499,70 @@ impl<'a> NativeView<'a> {
         self.oob.effective_addr(ptr)
     }
 
-    /// How many iterations of `s`, from the first, are each a hit of
-    /// [`NativeView::idx_load`] (`idx_store` for a store) that meets none
-    /// of the frame byte ranges `[lo, hi)` in `holes` (offsets from the
-    /// frame base): every target lies in the window the view tries first
-    /// and in the unit `s.ptr` resolves to, resolved as the hit path
-    /// resolves it (in Standard mode, anywhere in the window). Only iterations whose
+    /// How many passes of a counted loop's copy `d[k + i] = s[k + i]`,
+    /// from `i = 0`, are each a hit of [`NativeView::idx_load`] at `from`
+    /// and of [`NativeView::idx_store`] at `to` (both pointers fixed for
+    /// the loop, `size` the width and the element size): each target lies
+    /// in the window the view tries first and in the unit its base
+    /// resolves to, resolved as the hit path resolves it — the load
+    /// through `last_load`, the store through `last_store` — or, in
+    /// Standard mode, anywhere in the window. No load may meet the frame
+    /// bytes `holes[0]` (the counter) and no store any of `holes`
+    /// (offsets `[start, end)` from the frame base). Only passes whose
     /// counter after the latch, `k + i + 1`, and scaled index,
     /// `(k + i)·width`, are exact in `i64` count; inside one window the
     /// executor's wrapping targets then step by exactly the width.
-    pub fn prove(&mut self, s: Sweep, holes: &[(u64, u64)]) -> u64 {
-        let frame = (self.stack.held[0].0 + self.frame_at as u64) as i128;
-        let (k, n) = (s.k as i128, s.size.bytes() as i128);
-        let at = s.ptr.wrapping_add(s.k.wrapping_mul(n as i64) as u64);
-        let first = at as i128;
-        let (held, bytes) = &self.window(at).held[0];
-        let (mut lo, mut hi) = (*held as i128, *held as i128 + bytes.len() as i128);
-        if self.checked {
-            let memo = if s.store {
-                self.last_store
-            } else {
-                self.last_load
-            };
-            let Some(unit) = self.resolve(memo, s.ptr, at, s.size.bytes()) else {
-                return 0;
-            };
-            lo = lo.max(unit.base as i128);
-            hi = hi.min(unit.base as i128 + unit.size as i128);
+    #[inline]
+    pub fn prove(
+        &mut self,
+        from: u64,
+        to: u64,
+        k: i64,
+        size: AccessSize,
+        holes: &[(u32, u32); 4],
+    ) -> u64 {
+        let (width, shift) = (size.bytes(), size.bytes().trailing_zeros());
+        let index = k.wrapping_shl(shift);
+        if index >> shift != k {
+            return 0;
         }
-        for &(start, end) in holes {
-            let (start, end) = (frame + start as i128, frame + end as i128);
-            if end <= first {
-                lo = lo.max(end);
-            } else if start >= first + n {
-                hi = hi.min(start);
-            } else {
+        // Passes keeping `(k + i)·width` and `k + i + 1` at most
+        // `i64::MAX`: each distance to it lies in `[0, 2^64)`.
+        let max = i64::MAX as u64;
+        let by_index = (max.wrapping_sub(index as u64) >> shift).saturating_add(1);
+        let mut passes = by_index.min(max.wrapping_sub(k as u64));
+        let frame = self.stack.held[0].0 + self.frame_at as u64;
+        for (ptr, store) in [(from, false), (to, true)] {
+            let first = ptr.wrapping_add(index as u64);
+            let (held, bytes) = &self.window(first).held[0];
+            let (mut lo, mut hi) = (*held, *held + bytes.len() as u64);
+            if self.checked {
+                let memo = if store {
+                    self.last_store
+                } else {
+                    self.last_load
+                };
+                let Some(unit) = self.resolve(memo, ptr, first, width) else {
+                    return 0;
+                };
+                lo = lo.max(unit.base);
+                hi = hi.min(unit.base + unit.size);
+            }
+            if first < lo || first > hi {
                 return 0;
             }
+            let met = if store { &holes[..] } else { &holes[..1] };
+            for &(start, end) in met {
+                let (start, end) = (frame + start as u64, frame + end as u64);
+                if start >= first + width {
+                    hi = hi.min(start);
+                } else if end > first {
+                    return 0;
+                }
+            }
+            passes = passes.min((hi - first) >> shift);
         }
-        let word = (i64::MIN as i128, i64::MAX as i128);
-        reach(first, n, lo, hi - n)
-            .min(reach(k * n, n, word.0, word.1))
-            .min(reach(k + 1, 1, word.0, word.1))
+        passes
     }
 
     /// A load [`NativeView::prove`] admitted: no probe and no counter.
@@ -1592,30 +1615,6 @@ impl<'a> NativeView<'a> {
             self.stats.checked_accesses += loads + stores;
         }
     }
-}
-
-/// One indexed access of a counted loop's copy: at iteration `i ≥ 0` it
-/// touches the `size` bytes at `ptr + (k + i)·size`, scaled as an `i64`
-/// as the native executor scales it.
-#[derive(Debug, Clone, Copy)]
-pub struct Sweep {
-    /// The base pointer, fixed for the loop.
-    pub ptr: u64,
-    /// The counter at iteration 0.
-    pub k: i64,
-    /// Access width, and the element size.
-    pub size: AccessSize,
-    /// A store, resolved through the store memo (else a load).
-    pub store: bool,
-}
-
-/// How many `i ≥ 0`, from 0 up, keep `from + i·step` (`step > 0`) inside
-/// `[lo, hi]`.
-fn reach(from: i128, step: i128, lo: i128, hi: i128) -> u64 {
-    if from < lo || from > hi {
-        return 0;
-    }
-    u64::try_from((hi - from) / step + 1).unwrap_or(u64::MAX)
 }
 
 fn kind_for_read(kind: ErrorKind) -> ErrorKind {
@@ -2073,6 +2072,228 @@ mod tests {
             t.push(format!("{}", s.unit_store().slot_count()));
             t
         });
+    }
+
+    /// [`NativeView::prove`] against the passes it stands for. On a clone
+    /// of the space, pass `i` of the copy counts while `idx_load` at
+    /// `from` and `idx_store` at `to` both hit, the load meets no frame
+    /// bytes of `holes[0]` and the store none of `holes`, and `k + i + 1`
+    /// and `(k + i)·width` are exact in `i64`; the proof must count
+    /// exactly the leading passes that do. Seeded over the four widths,
+    /// Standard and checked spaces, units that end inside, at and past
+    /// their window's end, memo hits and misses, holes around the first
+    /// target and `k` at the edges of `i64`.
+    #[test]
+    fn the_copy_proof_matches_a_per_pass_scan() {
+        use proptest::test_runner::TestRng;
+        use std::cmp::Ordering::{Equal, Less};
+        use std::collections::BTreeMap;
+        const FRAME: u64 = 512;
+        const SLOTS: [(u64, u64); 4] = [(0, 64), (64, 200), (264, 120), (384, 144)];
+        let mut rng = TestRng::deterministic("the_copy_proof_matches_a_per_pass_scan");
+        let mut tally: BTreeMap<String, u32> = BTreeMap::new();
+        let mut note = |what: String| *tally.entry(what).or_default() += 1;
+        for _ in 0..6000 {
+            let mode =
+                [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious][rng.below(3) as usize];
+            let checked = if mode.is_checked() {
+                "checked"
+            } else {
+                "Standard"
+            };
+            let size = [
+                AccessSize::B1,
+                AccessSize::B2,
+                AccessSize::B4,
+                AccessSize::B8,
+            ][rng.below(4) as usize];
+            let (w, shift) = (size.bytes(), size.bytes().trailing_zeros());
+            let mut s = MemorySpace::new(MemConfig {
+                mode,
+                global_len: 4 << 10,
+                heap_len: 64 << 10,
+                stack_len: 16 << 10,
+                ..MemConfig::default()
+            });
+            // The first header commits the heap's one window, 8 KiB from
+            // its base: a small unit inside it, then one that ends at its
+            // end (8 112 bytes from `HEAP_BASE + 80`) or past it. The
+            // frame tops the stack and its window, and its last slot
+            // (the guard's bytes too) reaches that top.
+            let mut units = vec![(s.malloc(40).unwrap(), 40)];
+            let tail = [8112, 12_000][rng.below(2) as usize];
+            units.push((s.malloc(tail).unwrap(), tail));
+            let base = s.push_frame(FRAME, &SLOTS).unwrap();
+            units.extend(SLOTS.map(|(off, size)| (base + off, size)));
+            let ends = [&mut s.heap, &mut s.stack].map(|r| {
+                let at = r.base();
+                let [w] = r.windows_mut() else {
+                    panic!("one window");
+                };
+                at + w.end() as u64
+            });
+            let end_of = |a: u64| ends[(a >= addr::STACK_BASE) as usize];
+            assert_eq!(end_of(base), base + FRAME + FRAME_GUARD_SIZE);
+            // A first target near a unit's start or end or its window's.
+            let target = |rng: &mut TestRng| {
+                let (at, size) = units[rng.below(units.len() as u64) as usize];
+                let edge = [at, at + size, end_of(at)][rng.below(3) as usize];
+                let t = (edge + rng.below(72 * w + 8)).wrapping_sub(70 * w);
+                let class = match (at + size).cmp(&end_of(at)) {
+                    Less => "inside",
+                    Equal => "at",
+                    _ => "past",
+                };
+                (t, at, class)
+            };
+            let (t_from, from_unit, from_class) = target(&mut rng);
+            let (t_to, to_unit, to_class) = target(&mut rng);
+            let most = i64::MAX >> shift;
+            let (k, k_class) = match rng.below(10) {
+                0 => (0, "0"),
+                1 => (most - 1, "MAX / w - 1"),
+                2 => (most, "MAX / w"),
+                3 => (most.saturating_add(1), "MAX / w + 1"),
+                4 => (i64::MAX - 1, "MAX - 1"),
+                5 => (i64::MIN >> shift, "MIN / w"),
+                _ => (rng.below(9) as i64 - 4, "small"),
+            };
+            let from = t_from.wrapping_sub((k as u64).wrapping_mul(w));
+            let to = t_to.wrapping_sub((k as u64).wrapping_mul(w));
+            // Holes of 1–8 bytes: mostly within ten bytes of the target
+            // they are checked against, when that lies in the frame.
+            let hole = |rng: &mut TestRng, t: u64| {
+                let near = t.wrapping_sub(base);
+                let start = match near < FRAME && rng.below(4) > 0 {
+                    true => (near + rng.below(21)).saturating_sub(10),
+                    false => rng.below(FRAME),
+                };
+                let end = start + 1 + rng.below(8);
+                let class = match (base + start, base + end) {
+                    (_, hi) if hi <= t => ["elsewhere", "just below"][(hi + 8 > t) as usize],
+                    (lo, _) if lo >= t + w => {
+                        ["elsewhere", "just above"][(lo < t + w + 8) as usize]
+                    }
+                    _ => "on",
+                };
+                ((start as u32, end as u32), class)
+            };
+            let mut holes = [(0, 0); 4];
+            let mut classes = [""; 4];
+            for (i, (h, c)) in holes.iter_mut().zip(&mut classes).enumerate() {
+                (*h, *c) = hole(&mut rng, if i == 0 { t_from } else { t_to });
+            }
+            let mut twin = s.clone();
+            let mut view = s.native_view(base, FRAME);
+            // Prime each memo with the side's own unit, another, or none.
+            let prime = |rng: &mut TestRng, own: u64| match rng.below(3) {
+                0 => own,
+                1 => units[rng.below(units.len() as u64) as usize].0,
+                _ => 0,
+            };
+            let (a, b) = (prime(&mut rng, from_unit), prime(&mut rng, to_unit));
+            view.idx_load(a, 0, AccessSize::B1);
+            view.idx_store(b, 0, AccessSize::B1, 0);
+            let hit = |memo: Span, p: u64, t: u64| {
+                if memo.holds(p, 1) && memo.holds(t, w) {
+                    "hit"
+                } else {
+                    "miss"
+                }
+            };
+            let memos = [
+                hit(view.last_load, from, t_from),
+                hit(view.last_store, to, t_to),
+            ];
+            let proof = view.prove(from, to, k, size, &holes);
+            let meets = |t: u64, holes: &[(u32, u32)]| {
+                holes
+                    .iter()
+                    .any(|&(lo, hi)| t < base + u64::from(hi) && base + u64::from(lo) < t + w)
+            };
+            let mut v = twin.native_view(base, FRAME);
+            let mut scan = 0;
+            loop {
+                let i = scan as i64;
+                let Some(at) = k.checked_add(i).filter(|at| at.checked_add(1).is_some()) else {
+                    break;
+                };
+                let Some(index) = at.checked_mul(w as i64) else {
+                    break;
+                };
+                let (load, store) = (
+                    from.wrapping_add(index as u64),
+                    to.wrapping_add(index as u64),
+                );
+                if meets(load, &holes[..1]) || meets(store, &holes) {
+                    break;
+                }
+                if v.idx_load(from, index, size).is_none() || !v.idx_store(to, index, size, 0) {
+                    break;
+                }
+                scan += 1;
+            }
+            assert_eq!(
+                proof, scan,
+                "{mode:?} {w}-byte from {from:#x} to {to:#x} k {k} holes {holes:?} memos {memos:?}"
+            );
+            let ran = if scan == 0 {
+                "none"
+            } else if scan == 1 {
+                "one"
+            } else {
+                "several"
+            };
+            note(format!("{checked}, {w}-byte, {ran}"));
+            note(format!(
+                "k {k_class}, {}",
+                if scan > 0 { "some" } else { "none" }
+            ));
+            if scan > 0 {
+                note(format!("{checked}, load unit ends {from_class}"));
+                note(format!("{checked}, store unit ends {to_class}"));
+            }
+            if mode.is_checked() {
+                note(format!("load memo {}", memos[0]));
+                note(format!("store memo {}", memos[1]));
+            }
+            for c in classes {
+                note(format!("hole {c}"));
+            }
+        }
+        let mut want: Vec<String> = Vec::new();
+        for checked in ["Standard", "checked"] {
+            for w in [1, 2, 4, 8] {
+                want.extend(
+                    ["none", "one", "several"].map(|r| format!("{checked}, {w}-byte, {r}")),
+                );
+            }
+            for side in ["load", "store"] {
+                want.extend(
+                    ["inside", "at", "past"].map(|c| format!("{checked}, {side} unit ends {c}")),
+                );
+            }
+        }
+        want.extend(
+            [
+                "load memo hit",
+                "load memo miss",
+                "store memo hit",
+                "store memo miss",
+            ]
+            .map(String::from),
+        );
+        want.extend(["hole just below", "hole on", "hole just above"].map(String::from));
+        for k in ["0", "MAX / w - 1", "MAX / w", "MIN / w", "small"] {
+            want.push(format!("k {k}, some"));
+        }
+        want.extend(["k MAX / w + 1, none", "k MAX - 1, none"].map(String::from));
+        for what in want {
+            assert!(
+                tally.get(&what).is_some_and(|&n| n >= 7),
+                "{what}: {tally:#?}"
+            );
+        }
     }
 
     #[test]

@@ -482,11 +482,18 @@ mod tests {
             op: CmpOp::LtS,
             back,
             exit,
+            holes,
         }] = nf.loops[..]
         else {
             panic!("latch compares k < words, two sealed slots: {:?}", nf.loops);
         };
         assert!(counter == k && words != k, "{:?}", nf.loops);
+        let slot = |off: u32| (off, off + 8);
+        assert_eq!(
+            holes,
+            [k, words, s, d].map(slot),
+            "the frame bytes the loop reads"
+        );
         assert_eq!((back.region, back.skip), (at as u32, 0));
         assert_ne!(exit.region, at as u32);
     }

@@ -23,7 +23,9 @@
 //! one spelling — a negated compare swaps the successors, a mirrored one
 //! the operands — because a `Term::Counted` latch is spelt either way.
 //! That region is checked as one pass; the batch's proof is
-//! `NativeView::prove`'s.
+//! `NativeView::prove`'s, one per batch for the load and the store
+//! together, over the holes `counted` fixed at lowering (`foc-memory`'s
+//! `the_copy_proof_matches_a_per_pass_scan` holds it to the passes).
 
 use std::cell::RefCell;
 use std::collections::HashMap;

@@ -6,7 +6,7 @@ use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{
     AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView, RoomyVec,
-    SpaceStats, Sweep,
+    SpaceStats,
 };
 
 use crate::builtins;
@@ -1340,21 +1340,9 @@ fn run_counted(
     else {
         unreachable!("a counted loop's body is a copy");
     };
-    let [from, to] = [from, to].map(|p| operand(view, regs, base, p) as u64);
-    // The frame ranges the loop reads (counter, bound, two bases), the
-    // counter's first: the load may not meet the counter, the store none
-    // of them.
-    let mut holes = [(0, 0); 4];
-    let reads = lp.reads(ops).zip(&mut holes).map(|(r, h)| *h = r).count();
-    let sweep = |ptr, store| Sweep {
-        ptr,
-        k,
-        size,
-        store,
-    };
-    let n = n
-        .min(view.prove(sweep(from, false), &holes[..1]))
-        .min(view.prove(sweep(to, true), &holes[..reads]));
+    let from = operand(view, regs, base, from) as u64;
+    let to = operand(view, regs, base, to) as u64;
+    let n = n.min(view.prove(from, to, k, size, &lp.holes));
     if n < 2 {
         return (0, lp.back);
     }
@@ -2018,6 +2006,7 @@ mod tests {
             op: foc_compiler::CmpOp::LtS,
             back: succ(0),
             exit: succ(1),
+            holes: [(0, 8), (8, 8), (8, 8), (8, 8)],
         };
         let mut regs = [0; 256];
         let mut view = space.native_view(base, 64);

@@ -30,10 +30,14 @@
 //!
 //! (line tables do not change the generated code). Every reading comes
 //! with the link addresses of both executors, `Machine::run_native` and
-//! the counted-loop batch `run_counted`: placement alone moves `mc_copy`
-//! by 3–4% through `run_native`, and by more through `run_counted`
-//! (771 against 971 req/s between two builds of one source), so the
-//! table ends with them.
+//! the counted-loop batch `run_counted`: placement alone has moved
+//! `mc_copy` by 3–4% through `run_native` and by a fifth through
+//! `run_counted` (PR 31's builds), so the table ends with them. Since
+//! the batch's proof was inlined into `run_counted` (PR 50), three
+//! alternating 10 s runs read 15 879–16 772 req/s (median 15 900) on a
+//! placement-pinned build (`-C llvm-args=-align-all-functions=6`) and
+//! 15 245–16 590 (median 16 210) on an unpinned one, a spread within
+//! run-to-run noise.
 //!
 //! Linux on x86-64 only — the handler reads `rip`/`rsp` out of the
 //! kernel's `ucontext_t` — and dependency-free: `sigaction` and

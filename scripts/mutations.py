@@ -33,12 +33,14 @@ COST = "crates/foc-vm/src/cost.rs"
 TABLE = "crates/foc-memory/src/table.rs"
 CONN = "crates/foc-servers/src/conn.rs"
 FARM = "crates/foc-servers/src/farm.rs"
+SPACE = "crates/foc-memory/src/space.rs"
 
 GEN = "generated_programs_are_tier_blind"
 REGIONS = "every_region_of_the_five_servers_passes_translation_validation"
 IO_ALIKE = "an_io_wait_of_any_count_is_charged_alike_at_both_tiers"
 LATTICE = "library_at_every_lattice_point"
 FARMS = "farm_reports_are_edge_invariant_across_servers_and_modes"
+PROOF = "the_copy_proof_matches_a_per_pass_scan"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [
@@ -114,6 +116,15 @@ MUTATIONS = [
      [(FARM, "stats.total_cycles += u64::from(attempts) * RESTART_COST_CYCLES;",
        "stats.total_cycles += u64::from(attempts);")],
      ["tail_attribution_splits_restart_overhead_from_service", "bounds_check_sendmail_farm_is_down"]),
+    (24, "the copy proof's window and unit bound admits one pass more",
+     [(SPACE, "passes = passes.min((hi - first) >> shift);",
+       "passes = passes.min(((hi - first) >> shift) + 1);")], [PROOF, GEN]),
+    (25, "the copy proof's store skips the base-slot holes",
+     [(SPACE, "let met = if store { &holes[..] } else { &holes[..1] };",
+       "let met = if store { &holes[..2] } else { &holes[..1] };")], [PROOF]),
+    (26, "the copy proof drops the scaled-index exactness bound",
+     [(SPACE, "let by_index = (max.wrapping_sub(index as u64) >> shift).saturating_add(1);",
+       "let by_index = u64::MAX;")], [PROOF]),
 ]
 
 
