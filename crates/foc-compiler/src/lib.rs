@@ -28,13 +28,13 @@ pub mod native;
 
 pub use bytecode::{AluOp, CmpOp, CompiledFunc, CompiledProgram, FrameLayout, GlobalImage, Instr};
 pub use image::{Fnv1a, ProgramId, ProgramImage};
-pub use lower::{compile, CompileError};
+pub use lower::{compile, compile_moving, CompileError};
 pub use native::{NativeFunc, NativeProgram};
 
 /// Convenience: front end plus lowering in one call.
 pub fn compile_source(source: &str) -> Result<CompiledProgram, String> {
-    let program = foc_lang::frontend(source).map_err(|e| e.to_string())?;
-    compile(&program).map_err(|e| e.to_string())
+    let mut program = foc_lang::frontend(source).map_err(|e| e.to_string())?;
+    compile_moving(&mut program).map_err(|e| e.to_string())
 }
 
 /// Execution tier of a compiled image.

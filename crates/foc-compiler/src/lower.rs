@@ -27,17 +27,35 @@ impl fmt::Display for CompileError {
 
 /// Compiles a type-checked program to bytecode.
 pub fn compile(program: &hir::Program) -> Result<CompiledProgram, CompileError> {
+    let inits = program.globals.iter().map(|g| g.init.clone()).collect();
+    compile_with(program, inits)
+}
+
+/// [`compile`], moving each global's load image out of `program` instead
+/// of copying it (Pine's are 172 KB of zeros); the globals are left with
+/// empty images.
+pub fn compile_moving(program: &mut hir::Program) -> Result<CompiledProgram, CompileError> {
+    let globals = program.globals.iter_mut();
+    let inits = globals.map(|g| std::mem::take(&mut g.init)).collect();
+    compile_with(program, inits)
+}
+
+/// Compiles `program` with `inits`, one load image per global.
+fn compile_with(
+    program: &hir::Program,
+    inits: Vec<Vec<u8>>,
+) -> Result<CompiledProgram, CompileError> {
     let mut out = CompiledProgram {
         funcs: Vec::new(),
         globals: Vec::new(),
         strings: program.strings.clone(),
     };
-    for g in &program.globals {
+    for (g, init) in program.globals.iter().zip(inits) {
         let size = program.layouts.size_of(g.ty);
         out.globals.push(GlobalImage {
             name: g.name.clone(),
             size,
-            init: g.init.clone(),
+            init,
             relocs: g.relocs.iter().map(|&(o, s)| (o, s.0)).collect(),
         });
     }

@@ -62,33 +62,51 @@
 //!
 //! ## Counted loops
 //!
-//! Then a region looping onto itself through a fused `k++` latch on an
-//! 8-byte counter `k`, its body exactly a copy `d[k] = s[k]` whose passes
-//! tile both ranges (`counted`), ends in [`Term::Counted`]; any other
-//! loop keeps its [`Term::IncBranch`]. Lowering also fixes the frame
-//! bytes the loop reads, its holes ([`CountedLoop::holes`]: the counter's
-//! first, then the bound's and each base's), and counts the loop only if
-//! none but the first meets the counter. When the latch points back, the
-//! executor proves how many more passes are hits and moves them at once.
-//! Its one proof per batch (`NativeView::prove`, load and store together)
-//! holds each pass to:
+//! A region looping onto itself whose pass is a byte loop stopping at a
+//! sentinel, or a copy, ends in [`Term::Counted`] (`counted`); any other
+//! loop keeps its latch. The pass runs over a 4- or 8-byte counter `k`,
+//! stepped once by `k++`, and holds only indexed loads `a[k]` from one
+//! base (a load after the `k++` reads `a[k + 1]`), at most one store
+//! `d[k] = a[k]` into another, and exits comparing `k` with one bound or,
+//! over bytes, a loaded element with a constant ([`Test`]). A copy
+//! (`for (k = 0; k < n; k++) d[k] = s[k];`, any width) closes on its fused
+//! `k++` latch before superblocks, which would run it on into its exit; a
+//! sentinel loop — Apache's path copy `while (url[i] && url[i] != '?' && i
+//! < 127) { path[i] = url[i]; i++; }`, its rewrite scan `while (url[u] &&
+//! url[u] != '/') u++;`, MC's component scan — is closed onto one region
+//! by superblocks, and counts after them. Pointer walks (`while (*s) s++`)
+//! and sentinels wider than a byte keep their latches. Lowering also
+//! fixes the frame bytes the loop reads, its holes ([`CountedLoop::holes`]:
+//! the counter's first, then the bound's and each base's), and counts the
+//! loop only if none but the first meets the counter. When the latch
+//! loops back, the executor proves how many more passes are hits and runs
+//! them at once. Its one proof per batch ([`foc_memory::NativeView::prove`],
+//! loads and store together, [`Pass`]) holds each pass to:
 //!
 //! * **unit** — each access stays in its base's unit (Standard: window);
 //! * **window** — each access lies in the committed window;
 //! * **store alias** — no store meets a hole, no load the counter's;
-//! * **counter and `k·esz` overflow** — both exact in `i64`, bounded
-//!   once for both sides;
+//! * **counter and `k·esz` overflow** — the counter never passes its
+//!   type's largest value (a batch never crosses an `int`'s wrap), every
+//!   scaled index is exact in `i64`, bounded once for both sides;
 //! * **fuel** — the fuel left covers each pass's whole charge.
 //!
-//! A batch stops before the first pass it cannot prove, and its trip
-//! count is one closed form ([`CountedLoop::trips`]). It is one `memmove`
-//! when the stores start at or below the loads or miss them: no pass then
-//! reads a byte an earlier pass wrote, so moving the original bytes is
-//! what the passes store. The last pass's value, the one its register
-//! ends with, is loaded first, as the move may overwrite it (stores less
-//! than a width below the loads). Fewer than two proven passes, or stores
-//! above overlapping loads, run the region one pass at a time: violations,
-//! manufactured values, fault seams and fuel-short exits stay ordinary.
+//! The latch's own test ([`CountedLoop::latch_test`]) ends the pass the
+//! region ran. Then one scan of the proven bytes
+//! ([`foc_memory::NativeView::proven_bytes`], read only for a sentinel)
+//! finds the first pass an exit test leaves in ([`CountedLoop::trips`]; a
+//! bound's is one closed form). The passes before it run as one batch, and
+//! that pass too when only the latch leaves in it; it otherwise runs in
+//! the region,
+//! as does any pass the proof cannot cover, so violations, manufactured
+//! values, fault seams, side exits and fuel-short exits stay ordinary. A
+//! batch is one `memmove` (a scan moves nothing) when the stores start at
+//! or below the loads or miss them: no pass then reads a byte an earlier
+//! pass wrote, so moving the original bytes is what the passes store;
+//! stores above the loads cut the batch where a load would meet one. Each
+//! load's register ends with its last pass's value, read before the move
+//! may overwrite it. Fewer than two proven passes run the region one at a
+//! time.
 //!
 //! ## Superblocks
 //!
@@ -129,7 +147,7 @@
 use std::sync::OnceLock;
 
 use foc_lang::hir::Builtin;
-use foc_memory::AccessSize;
+use foc_memory::{AccessSize, Pass};
 
 use crate::bytecode::{AluOp, CmpOp, Instr};
 
@@ -186,19 +204,40 @@ pub struct NativeFunc {
     pub loops: Vec<CountedLoop>,
 }
 
-/// A counted loop's `k++` latch, kept aside so [`Term`] keeps its size.
+/// A counted loop ("Counted loops"): its region's latch and what one
+/// pass does, kept aside so [`Term`] keeps its size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CountedLoop {
-    /// Frame offset of the 8-byte counter `k`.
+    /// Frame offset of the counter `k`.
     pub counter: u32,
-    /// What the stepped `k` is compared against.
-    pub bound: Src,
-    /// `k op bound`: the loop goes round again when it holds.
-    pub op: CmpOp,
+    /// The counter's width (4 or 8 bytes) and signedness, its `Inc`'s.
+    pub size: AccessSize,
+    /// Whether the counter is signed.
+    pub signed: bool,
+    /// The region's own terminator, which ends each pass: a `k++` latch
+    /// ([`Term::IncBranch`]), a branch, or a jump back.
+    pub latch: Term,
     /// The region itself.
     pub back: Succ,
-    /// Where the loop leaves to.
+    /// Where the latch leaves to (`back` when it never leaves).
     pub exit: Succ,
+    /// What counter tests compare `k` with (unused without one).
+    pub bound: Src,
+    /// The loaded base.
+    pub from: Src,
+    /// The stored base, if a pass stores.
+    pub to: Option<Src>,
+    /// What a pass touches, for the proof.
+    pub pass: Pass,
+    /// A pass's loads in order: the registers a batch leaves.
+    pub loads: [Option<Loaded>; PASS_MOST],
+    /// A pass's exit tests in order, the latch's last.
+    pub tests: [Option<Test>; PASS_MOST],
+    /// The latch's own test, also the last of `tests` (none when the latch
+    /// only jumps back), kept where the executor reads it in one step.
+    pub latch_test: Option<Test>,
+    /// Checked accesses one pass makes: its loads and its store.
+    pub accesses: u8,
     /// The frame bytes `[start, end)` the loop reads, fixed at lowering:
     /// the counter's, then the bound's and each base's (`from`, `to`).
     /// A bound or base that is no frame slot holds the empty range at the
@@ -207,32 +246,124 @@ pub struct CountedLoop {
     pub holes: [(u32, u32); 4],
 }
 
+/// Most loads, and most exit tests, one counted pass holds.
+pub const PASS_MOST: usize = 4;
+
+/// One load of a counted pass: `r[dst]` = the element at offset `at`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Loaded {
+    /// Destination register.
+    pub dst: u8,
+    /// Element offset: 0 before the pass's `k++`, 1 after.
+    pub at: u8,
+    /// Sign-extend when set.
+    pub signed: bool,
+}
+
+/// One exit test of a counted pass, normalised to leave-when-true.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Test {
+    /// A sentinel: leaves when `op(e, c)` holds for the byte element `e`
+    /// loaded at offset `at`, extended as `signed` says.
+    Elem {
+        /// Element offset of the tested load.
+        at: u8,
+        /// Whether the load sign-extends.
+        signed: bool,
+        /// Comparison.
+        op: CmpOp,
+        /// The constant.
+        c: i64,
+    },
+    /// A bound: leaves when `op(k + at, bound)` holds.
+    Counter {
+        /// How many `k++` the pass ran before the test.
+        at: u8,
+        /// Comparison.
+        op: CmpOp,
+    },
+}
+
 impl CountedLoop {
-    /// How many of up to `n` passes from counter `k` (the latch held for
-    /// `k`) run: the first after which `k op bound` fails, and `exit`,
-    /// else `n` and `back`; `k + n` must be exact in `i64` (the batch's
-    /// proof). Pass `i` leaves the counter at `k + i`, rising one a pass
-    /// without a signed wrap, so once the compare holds after pass 1 it
-    /// can fail at one pass only: the next (`==`), the one reaching
-    /// `bound` (`!=`, `<`) or `bound + 1` (`<=`), the unsigned wrap onto
-    /// 0 (unsigned `>`, `>=`), or none (signed `>`, `>=`). A pass that
-    /// steps onto a value behind the counter lies past `n`.
-    pub fn trips(&self, k: i64, bound: i64, n: u64) -> (u64, Succ) {
-        let fails = |i: u64| (1..=n).contains(&i) && !self.op.eval(k.wrapping_add(i as i64), bound);
-        let onto = |p: i64| (p as u64).wrapping_sub(k as u64);
-        let then = match self.op {
-            CmpOp::Eq => 2,
-            CmpOp::Ne | CmpOp::LtS | CmpOp::LtU => onto(bound),
-            CmpOp::LeS | CmpOp::LeU => onto(bound.wrapping_add(1)),
-            CmpOp::GtU | CmpOp::GeU => onto(0),
-            CmpOp::GtS | CmpOp::GeS => 0,
-        };
-        if fails(1) {
-            (1, self.exit)
-        } else if fails(then) {
-            (then, self.exit)
-        } else {
-            (n, self.back)
+    /// How many of up to `n` passes from counter `k` (the pass before
+    /// continued) run as one batch, and whether the loop then leaves for
+    /// `exit` (else it goes `back`): every pass before the first in which
+    /// an exit test fires, and that pass too when the latch's test is the
+    /// only one firing in it (the pass then runs whole and leaves). A pass
+    /// whose side exit fires is left to the region. `elems(len)` are the
+    /// first `len` proven bytes, element `k + pass.loads.0` first, read
+    /// only for a sentinel, and `bound` is the counter tests' bound; `k +
+    /// n` must not pass the counter's [`Pass::max`] (the batch's proof). A counter test's first firing is one closed
+    /// form: stepping one a pass without a signed wrap, `k + i` that does
+    /// not leave at once can leave at one pass only — the next (`!=`), the
+    /// one reaching `bound` (`==`, `>=`) or `bound + 1` (`>`), the unsigned
+    /// wrap onto 0 (unsigned `<`, `<=`), or none (signed `<`, `<=`).
+    #[inline]
+    pub fn trips<'a>(
+        &self,
+        k: i64,
+        bound: i64,
+        elems: impl Fn(u64) -> &'a [u8],
+        n: u64,
+    ) -> (u64, bool) {
+        // The first pass a test fires in, the test, and how many there are.
+        let (mut first, mut fired, mut tests) = (n, 0, 0);
+        for (j, test) in self.tests.iter().enumerate() {
+            let Some(test) = *test else { break };
+            tests = j + 1;
+            let fires = match test {
+                Test::Counter { at, op } => {
+                    let start = k.wrapping_add(at as i64);
+                    let onto = |p: i64| (p as u64).wrapping_sub(start as u64);
+                    let (s, b) = (start as u64, bound as u64);
+                    let i = match op {
+                        CmpOp::Eq => onto(bound),
+                        CmpOp::Ne => (start == bound) as u64,
+                        CmpOp::LtS if start < bound => 0,
+                        CmpOp::LeS if start <= bound => 0,
+                        CmpOp::LtS | CmpOp::LeS => u64::MAX,
+                        CmpOp::GtS if start > bound => 0,
+                        CmpOp::GtS if bound == i64::MAX => u64::MAX,
+                        CmpOp::GtS => onto(bound + 1),
+                        CmpOp::GeS if start >= bound => 0,
+                        CmpOp::GeS => onto(bound),
+                        CmpOp::LtU if s < b => 0,
+                        CmpOp::LtU if b == 0 => u64::MAX,
+                        CmpOp::LeU if s <= b => 0,
+                        CmpOp::LtU | CmpOp::LeU => onto(0),
+                        CmpOp::GtU if s > b => 0,
+                        CmpOp::GtU if b == u64::MAX => u64::MAX,
+                        CmpOp::GtU => onto(bound.wrapping_add(1)),
+                        CmpOp::GeU if s >= b => 0,
+                        CmpOp::GeU => onto(bound),
+                    };
+                    Some(i)
+                }
+                Test::Elem { at, signed, op, c } => {
+                    let skip = (at - self.pass.loads.0) as u64;
+                    let seen = &elems(skip + first)[skip as usize..];
+                    let hit = |&e: &u8| op.eval(extend(e as u64, AccessSize::B1, signed), c);
+                    // A byte equal to a constant, the usual sentinel, is one
+                    // compare a byte (none can equal a constant out of range).
+                    let byte = c as u8;
+                    match op {
+                        CmpOp::Eq if extend(byte as u64, AccessSize::B1, signed) != c => None,
+                        CmpOp::Eq => seen.iter().position(|&e| e == byte),
+                        _ => seen.iter().position(hit),
+                    }
+                    .map(|i| i as u64)
+                }
+            };
+            if let Some(i) = fires.filter(|&i| i < first) {
+                (first, fired) = (i, j + 1);
+            }
+        }
+        // A side exit fired unless the last test, the latch's, did.
+        let side = fired != tests || self.latch_test.is_none();
+        match (first == n, side) {
+            (true, _) => (n, false),
+            (false, true) => (first, false),
+            (false, false) => (first + 1, true),
         }
     }
 }
@@ -1336,8 +1467,15 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
             loops.push(lp);
         }
     }
-    // Pass 5 — superblocks, which also count each region's dispatches.
+    // Pass 5 — superblocks, which also count each region's dispatches;
+    // then a loop they closed onto one region may count.
     superblocks(&mut regions);
+    for (at, region) in regions.iter_mut().enumerate() {
+        if let Some(lp) = counted(region, at as u32) {
+            region.term = Term::Counted(loops.len() as u32);
+            loops.push(lp);
+        }
+    }
     NativeFunc {
         entry,
         regions,
@@ -1345,82 +1483,229 @@ fn lower_func(code: &[Instr]) -> NativeFunc {
     }
 }
 
-/// The loop region `at` counts, if any: a `k++` latch on an 8-byte slot
-/// `k` back into `at` (unthreaded) and out elsewhere, no stack traffic,
-/// and a body that is exactly the copy `d[k] = s[k]` — an indexed load
-/// stored back, element size = width, each base an address or a slot
-/// clear of `k`, the bound a constant too.
+/// The loop region `at` counts, if any ("Counted loops"): its latch loops
+/// back into `at` (unthreaded) and out elsewhere, it moves no operand
+/// stack, and its ops and latch are one pass over a 4- or 8-byte counter
+/// `k` stepped once by `k++`: indexed loads `a[k]` of one width from one
+/// base, at most one store `d[k] = a[k]` of an element loaded at its own
+/// offset, and exits comparing `k` with one bound (a constant or a slot)
+/// or, over bytes, a loaded element with a constant. Each base is an
+/// address or a slot clear of `k`, and no load after the store reads the
+/// lowest offset loaded, so stores at or below the loads meet no later load.
 fn counted(region: &NativeRegion, at: u32) -> Option<CountedLoop> {
-    let Term::IncBranch {
+    let (taken, fall, test) = match region.term {
+        Term::Goto(back) => (back, back, None),
+        Term::Branch {
+            a,
+            b,
+            op,
+            taken,
+            fall,
+        }
+        | Term::IncBranch {
+            a,
+            b,
+            op,
+            taken,
+            fall,
+            ..
+        } => (taken, fall, Some((a, b, op))),
+        Term::Counted(_) => return None,
+    };
+    let (back, exit, stays) = if taken.region == at {
+        (taken, fall, true)
+    } else {
+        (fall, taken, false)
+    };
+    let closed = (back.region, back.skip) == (at, 0) && (exit.region != at || test.is_none());
+    if !closed || (region.consumes, region.produces) != (0, 0) {
+        return None;
+    }
+    // The latch as the ops it runs: its `k++`, then its exit.
+    let mut latch = [None, None];
+    if let Term::IncBranch {
         off,
-        delta: 1,
-        size: AccessSize::B8,
-        a,
-        b,
-        op,
-        taken,
-        fall,
+        delta,
+        size,
+        signed,
         ..
     } = region.term
-    else {
-        return None;
+    {
+        latch[0] = Some(NOp::Inc {
+            off,
+            delta,
+            size,
+            signed,
+        });
+    }
+    latch[1] = test.map(|(a, b, op)| NOp::Exit {
+        a,
+        b,
+        op: if stays { op.negate() } else { op },
+        to: exit,
+        spent: 0,
+        ran: 0,
+    });
+    let pass = region
+        .ops
+        .iter()
+        .copied()
+        .chain(latch.into_iter().flatten());
+    let (counter, size, signed) = pass.clone().find_map(|op| match op {
+        NOp::Inc {
+            off,
+            delta: 1,
+            size: size @ (AccessSize::B4 | AccessSize::B8),
+            signed,
+        } => Some((off, size, signed)),
+        _ => None,
+    })?;
+    let k = match size {
+        AccessSize::B8 => Src::Slot8(counter),
+        _ => Src::Slot {
+            off: counter,
+            size,
+            signed,
+        },
     };
-    let k = Src::Slot8(off);
-    let (op, bound) = if a == k { (op, b) } else { (op.mirror(), a) };
-    let (op, back, exit) = if taken.region == at {
-        (op, taken, fall)
-    } else {
-        (op.negate(), fall, taken)
-    };
-    let [NOp::IdxLoad {
-        dst,
-        ptr: from,
-        count: i,
-        esz,
+    let end = counter + size.bytes() as u32;
+    let mut lp = CountedLoop {
+        counter,
         size,
-        ..
-    }, NOp::IdxStore {
-        ptr: to,
-        count: j,
-        val,
-        esz: e,
-        size: s,
-        ..
-    }] = region.ops[..]
-    else {
-        return None;
+        signed,
+        latch: region.term,
+        back,
+        exit,
+        bound: Src::Const(0),
+        from: Src::Const(0),
+        to: None,
+        pass: Pass {
+            size: AccessSize::B1,
+            loads: (1, 0),
+            store: None,
+            max: match (size, signed) {
+                (AccessSize::B4, true) => i32::MAX as i64,
+                (AccessSize::B4, false) => u32::MAX as i64,
+                _ => i64::MAX,
+            },
+        },
+        loads: [None; PASS_MOST],
+        tests: [None; PASS_MOST],
+        latch_test: None,
+        accesses: 0,
+        holes: [(counter, end), (end, end), (end, end), (end, end)],
     };
     let base = |p: Src| !matches!(p, Src::Reg(_) | Src::Const(_));
-    let width = size.bytes() as u32;
-    let copy = (i, j, val) == (k, k, Src::Reg(dst))
-        && (esz, e, s) == (width, width, size)
-        && base(from)
-        && base(to);
-    let mut holes = [(off + 8, off + 8); 4];
-    holes[0] = (off, off + 8);
-    for (hole, s) in holes[1..].iter_mut().zip([bound, from, to]) {
+    let (mut width, mut bound, mut from) = (None, None, None);
+    let (mut offset, mut loads, mut tests, mut reload) = (0u8, 0, 0, None);
+    // The load each register last took in this pass.
+    let mut held: [Option<Loaded>; NATIVE_REGS] = [None; NATIVE_REGS];
+    for op in pass {
+        match op {
+            NOp::IdxLoad {
+                dst,
+                ptr,
+                count,
+                esz,
+                size,
+                signed,
+                ..
+            } => {
+                let fits = count == k && base(ptr) && esz == size.bytes() as u32;
+                if !fits || *width.get_or_insert(size) != size || *from.get_or_insert(ptr) != ptr {
+                    return None;
+                }
+                let l = Loaded {
+                    dst,
+                    at: offset,
+                    signed,
+                };
+                *lp.loads.get_mut(loads)? = Some(l);
+                *held.get_mut(dst as usize)? = Some(l);
+                loads += 1;
+                let (lo, hi) = lp.pass.loads;
+                lp.pass.loads = (lo.min(offset), hi.max(offset));
+                if lp.to.is_some() {
+                    reload = Some(reload.map_or(offset, |r: u8| r.min(offset)));
+                }
+            }
+            NOp::IdxStore {
+                ptr,
+                count,
+                val: Src::Reg(r),
+                esz,
+                size,
+                ..
+            } => {
+                let value = held.get(r as usize).copied().flatten()?;
+                let fits = count == k && base(ptr) && esz == size.bytes() as u32;
+                if !fits
+                    || lp.to.is_some()
+                    || value.at != offset
+                    || *width.get_or_insert(size) != size
+                {
+                    return None;
+                }
+                (lp.to, lp.pass.store) = (Some(ptr), Some(offset));
+            }
+            NOp::Inc {
+                off,
+                delta: 1,
+                size: s,
+                signed: sg,
+            } if (off, s, sg, offset) == (counter, size, signed, 0) => offset = 1,
+            NOp::Exit { a, b, op, .. } => {
+                // Normalised to `x op y`, the counter or a register first.
+                let (x, y, op) = match b == k || matches!(b, Src::Reg(_)) {
+                    true => (b, a, op.mirror()),
+                    false => (a, b, op),
+                };
+                let test = match (x, y) {
+                    (x, y) if x == k && !matches!(y, Src::Reg(_)) && y != k => {
+                        if *bound.get_or_insert(y) != y {
+                            return None;
+                        }
+                        Test::Counter { at: offset, op }
+                    }
+                    (Src::Reg(r), Src::Const(c)) => {
+                        let l = held.get(r as usize).copied().flatten()?;
+                        Test::Elem {
+                            at: l.at,
+                            signed: l.signed,
+                            op,
+                            c,
+                        }
+                    }
+                    _ => return None,
+                };
+                *lp.tests.get_mut(tests)? = Some(test);
+                tests += 1;
+            }
+            _ => return None,
+        }
+    }
+    let width = width?;
+    if test.is_some() {
+        lp.latch_test = lp.tests[tests - 1];
+    }
+    lp.accesses = loads as u8 + lp.to.is_some() as u8;
+    let sentinel = |t: &Option<Test>| matches!(t, Some(Test::Elem { .. }));
+    if offset != 1 || reload == Some(lp.pass.loads.0) {
+        return None;
+    }
+    if width != AccessSize::B1 && lp.tests.iter().any(sentinel) {
+        return None;
+    }
+    (lp.pass.size, lp.from, lp.bound) = (width, from?, bound.unwrap_or(Src::Const(0)));
+    for (hole, s) in lp.holes[1..].iter_mut().zip([bound, from, lp.to]) {
         match s {
-            Src::Slot { off, size, .. } => *hole = (off, off + size.bytes() as u32),
-            Src::Slot8(off) => *hole = (off, off + 8),
+            Some(Src::Slot { off, size, .. }) => *hole = (off, off + size.bytes() as u32),
+            Some(Src::Slot8(off)) => *hole = (off, off + 8),
             _ => {}
         }
     }
-    let clear_of_k = |&(lo, hi): &(u32, u32)| hi <= off || lo >= off + 8;
-    let fits = copy
-        && (a == k || b == k)
-        && (back.region, back.skip) == (at, 0)
-        && exit.region != at
-        && (region.consumes, region.produces) == (0, 0)
-        && !matches!(bound, Src::Reg(_))
-        && holes[1..].iter().all(clear_of_k);
-    fits.then_some(CountedLoop {
-        counter: off,
-        bound,
-        op,
-        back,
-        exit,
-        holes,
-    })
+    let clear_of_k = |&(lo, hi): &(u32, u32)| hi <= counter || lo >= end;
+    lp.holes[1..].iter().all(clear_of_k).then_some(lp)
 }
 
 /// Most segments one superblock chains, and most ops it holds.
@@ -1971,30 +2256,78 @@ mod tests {
         assert_eq!(i, Src::Slot8(counter));
     }
 
+    /// A loop over an 8-byte counter whose pass runs `tests` (the last
+    /// the latch's when `latched`), leaving for `exit` or looping on `back`.
+    fn test_loop(tests: &[Test], latched: bool, loads: (u8, u8)) -> CountedLoop {
+        let succ = |pc, region| Succ {
+            pc,
+            region,
+            skip: 0,
+        };
+        let (back, exit) = (succ(1, 2), succ(3, 4));
+        let latch = match latched {
+            true => Term::Branch {
+                a: Src::Slot8(0),
+                b: Src::Const(0),
+                op: CmpOp::Eq,
+                taken: exit,
+                fall: back,
+            },
+            false => Term::Goto(back),
+        };
+        let mut lp = CountedLoop {
+            counter: 0,
+            size: B8,
+            signed: true,
+            latch,
+            back,
+            exit: if latched { exit } else { back },
+            bound: Src::Const(0),
+            from: Src::Addr(8),
+            to: None,
+            pass: Pass {
+                size: AccessSize::B1,
+                loads,
+                store: None,
+                max: i64::MAX,
+            },
+            loads: [None; PASS_MOST],
+            tests: [None; PASS_MOST],
+            latch_test: tests.last().copied().filter(|_| latched),
+            accesses: 1,
+            holes: [(0, 8); 4],
+        };
+        for (slot, &t) in lp.tests.iter_mut().zip(tests) {
+            *slot = Some(t);
+        }
+        lp
+    }
+
     #[test]
     fn trips_match_a_per_pass_scan() {
         use CmpOp::*;
-        let (back, exit) = (
-            Succ {
-                pc: 1,
-                region: 2,
-                skip: 0,
-            },
-            Succ {
-                pc: 3,
-                region: 4,
-                skip: 0,
-            },
-        );
-        let scan = |lp: &CountedLoop, k: i64, bound: i64, n: u64| {
-            let mut at = k;
-            for i in 1..=n {
-                at += 1;
-                if !lp.op.eval(at, bound) {
-                    return (i, exit);
+        // Pass by pass: the first test to fire ends the batch before its
+        // pass, or after it when it is the latch's.
+        let scan = |lp: &CountedLoop, k: i64, bound: i64, elems: &[u8], n: u64| {
+            let tests: Vec<Test> = lp.tests.iter().flatten().copied().collect();
+            let latched = !matches!(lp.latch, Term::Goto(_));
+            for i in 0..n {
+                for (j, t) in tests.iter().enumerate() {
+                    let fires = match *t {
+                        Test::Counter { at, op } => op.eval(k + i as i64 + at as i64, bound),
+                        Test::Elem { at, signed, op, c } => {
+                            let e = elems[(i + (at - lp.pass.loads.0) as u64) as usize];
+                            op.eval(extend(e as u64, AccessSize::B1, signed), c)
+                        }
+                    };
+                    match (fires, latched && j + 1 == tests.len()) {
+                        (true, true) => return (i + 1, true),
+                        (true, false) => return (i, false),
+                        _ => {}
+                    }
                 }
             }
-            (n, back)
+            (n, false)
         };
         let counters = [
             0,
@@ -2005,19 +2338,14 @@ mod tests {
             40,
             i64::MIN,
             i64::MIN + 4,
-            i64::MAX,
-            i64::MAX - 4,
+            i64::MAX - 1,
+            i64::MAX - 5,
         ];
+        let ops = [Eq, Ne, LtS, LtU, LeS, LeU, GtS, GtU, GeS, GeU];
         let mut checked = 0;
-        for op in [Eq, Ne, LtS, LtU, LeS, LeU, GtS, GtU, GeS, GeU] {
-            let lp = CountedLoop {
-                counter: 0,
-                bound: Src::Const(0),
-                op,
-                back,
-                exit,
-                holes: [(0, 8); 4],
-            };
+        // A bound alone, read after the `k++` (the copy's latch) or before.
+        for (op, at) in ops.into_iter().flat_map(|op| [(op, 1), (op, 0)]) {
+            let lp = test_loop(&[Test::Counter { at, op }], true, (0, 0));
             for k in counters {
                 let near = |c: i64| (-7..=7).map(move |j: i64| c.wrapping_add(j));
                 let bounds = near(k)
@@ -2026,51 +2354,107 @@ mod tests {
                     .chain(near(i64::MAX));
                 for bound in bounds {
                     for n in 0..=12u64 {
-                        // `trips` asks that every stepped counter be exact.
+                        // The proof keeps every stepped counter exact.
                         if k.checked_add(n as i64).is_none() {
                             break;
                         }
-                        let want = scan(&lp, k, bound, n);
+                        let want = scan(&lp, k, bound, &[], n);
                         assert_eq!(
-                            lp.trips(k, bound, n),
+                            lp.trips(k, bound, |_| &[], n),
                             want,
-                            "{op:?} k={k} bound={bound} n={n}"
+                            "{op:?}@{at} k={k} bound={bound} n={n}"
                         );
                         checked += 1;
                     }
                 }
             }
         }
-        assert!(checked >= 66_000, "{checked}");
+        assert!(checked >= 130_000, "{checked}");
         // A first failure far into a long batch, a latch that holds across
         // the unsigned wrap, and one that fails at it.
         for (op, k, bound, n) in [
-            (LtS, 0, 1_000_000, 400_000),
-            (LtU, -600_000, -2, 300_000),
-            (GeU, -600_000, 7, 300_000),
+            (GeS, 0, 1_000_000, 400_000),
+            (GeU, -600_000, -2, 300_000),
+            (LtU, -600_000, 7, 300_000),
         ] {
-            let lp = CountedLoop {
-                counter: 0,
-                bound: Src::Const(0),
-                op,
-                back,
-                exit,
-                holes: [(0, 8); 4],
-            };
+            let lp = test_loop(&[Test::Counter { at: 1, op }], true, (0, 0));
             assert_eq!(
-                lp.trips(k, bound, n),
-                scan(&lp, k, bound, n),
+                lp.trips(k, bound, |_| &[], n),
+                scan(&lp, k, bound, &[], n),
                 "{op:?} k={k}"
             );
         }
+        // Sentinels: one or two byte tests at either offset, then a latch
+        // that tests a bound, a byte or nothing, over bytes holding each
+        // sentinel first, in the middle, last or nowhere.
+        let mut reached = [0u32; 3];
+        let alphabet = [0u8, b'?', b'/', 0x80, 0xff, b'a'];
+        for case in 0..4_000u64 {
+            let mut draw = {
+                let mut x = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                move |m: u64| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x % m
+                }
+            };
+            let elem = |draw: &mut dyn FnMut(u64) -> u64| Test::Elem {
+                at: draw(2) as u8,
+                signed: draw(2) == 0,
+                op: [Eq, Ne, LtS, GeU][draw(4) as usize],
+                c: [0, 63, 47, -128, 128, 255][draw(6) as usize],
+            };
+            let mut tests: Vec<Test> = (0..1 + draw(2)).map(|_| elem(&mut draw)).collect();
+            let latched = draw(3) > 0;
+            if latched {
+                tests.push(match draw(2) {
+                    0 => Test::Counter {
+                        at: draw(2) as u8,
+                        op: ops[draw(10) as usize],
+                    },
+                    _ => elem(&mut draw),
+                });
+            }
+            let lo = tests
+                .iter()
+                .map(|t| match *t {
+                    Test::Elem { at, .. } => at,
+                    Test::Counter { .. } => 1,
+                })
+                .min()
+                .unwrap_or(0);
+            let lp = test_loop(&tests, latched, (lo, 1));
+            let n = draw(40);
+            let mut elems: Vec<u8> = (0..=n).map(|_| b'a' + draw(3) as u8).collect();
+            let where_ = draw(4);
+            let at = match where_ {
+                0 => 0,
+                1 => draw(n + 1),
+                2 => n,
+                _ => u64::MAX,
+            };
+            if let Some(e) = elems.get_mut(at as usize) {
+                *e = alphabet[draw(alphabet.len() as u64) as usize];
+            }
+            let (k, bound) = ([0, 5, -3][draw(3) as usize], draw(50) as i64 - 5);
+            let got = lp.trips(k, bound, |len| &elems[..len as usize], n);
+            assert_eq!(got, scan(&lp, k, bound, &elems, n), "{lp:?} {elems:?}");
+            let class = match (got.1, got.0 == n) {
+                (true, _) => 2,
+                (false, all) => all as usize,
+            };
+            reached[class] += 1;
+        }
+        assert!(reached.iter().all(|&r| r > 200), "{reached:?}");
     }
 
     #[test]
     fn loops_outside_the_counted_shape_keep_their_latch() {
         // Each loop differs from the copy loop in one obligation.
         for body in [
-            // A 4-byte counter.
-            "int i; for (i = 0; i < n; i++) d[i] = s[i];",
+            // A 2-byte counter.
+            "short i; for (i = 0; i < n; i++) d[i] = s[i];",
             // An ALU op in the body.
             "long i; for (i = 0; i < n; i++) d[i] = s[i] + 1;",
             // Two regions: the body branches.
@@ -2085,6 +2469,8 @@ mod tests {
             "long e[4]; long i; for (i = 0; i < n; i++) { d[i] = s[i]; e[i] = s[i]; }",
             // A widening copy.
             "int w[4]; long i; for (i = 0; i < n; i++) d[i] = w[i];",
+            // A sentinel over elements wider than a byte.
+            "long i; for (i = 0; i < n && s[i]; i++) d[i] = s[i];",
         ] {
             let src = format!("long f(long n) {{ long s[4]; long d[4]; {body} return d[0]; }}");
             let native = lower(&src);
@@ -2100,19 +2486,36 @@ mod tests {
         let lp = nf.loops[0];
         let at = lp.back.region;
         let mut region = nf.regions[at as usize].clone();
-        let latch = |size, back: Succ| Term::IncBranch {
-            off: lp.counter,
-            delta: 1,
-            size,
-            signed: true,
-            a: Src::Slot8(lp.counter),
-            b: lp.bound,
-            op: lp.op,
-            taken: back,
-            fall: lp.exit,
-        };
-        region.term = latch(B8, lp.back);
+        region.term = lp.latch;
         assert_eq!(counted(&region, at), Some(lp));
+        // The latch on a `size` counter, looping back through `back`.
+        let latch = |size, back: Succ| match lp.latch {
+            Term::IncBranch {
+                off,
+                delta,
+                signed,
+                a,
+                b,
+                op,
+                taken,
+                fall,
+                ..
+            } => {
+                let back_of = |s: Succ| if s == lp.back { back } else { s };
+                Term::IncBranch {
+                    off,
+                    delta,
+                    size,
+                    signed,
+                    a,
+                    b,
+                    op,
+                    taken: back_of(taken),
+                    fall: back_of(fall),
+                }
+            }
+            _ => panic!("the copy's latch steps its counter: {lp:?}"),
+        };
         let threaded = Succ { skip: 1, ..lp.back };
         for term in [latch(B4, lp.back), latch(B8, threaded)] {
             let region = NativeRegion {

@@ -1307,6 +1307,23 @@ impl Span {
     }
 }
 
+/// What one pass of a counted loop touches, as [`NativeView::prove`]
+/// proves it: pass `i` from counter `k` loads the elements `k + i + at`
+/// of one base for `at` in `loads`, may store the element `k + i + at`
+/// of another for `at = store`, each offset 0 or 1 (read before or after
+/// the pass's `k++`), and leaves the counter at `k + i + 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pass {
+    /// Element width, also the element size.
+    pub size: AccessSize,
+    /// The lowest and highest element offset a pass loads.
+    pub loads: (u8, u8),
+    /// The element offset a pass stores, if it stores.
+    pub store: Option<u8>,
+    /// The counter type's largest value: no pass steps the counter past it.
+    pub max: i64,
+}
+
 /// The native tier's hit path: the space split field by field, borrowed
 /// for as long as the executor stays on in-bounds, committed accesses.
 ///
@@ -1320,11 +1337,16 @@ impl Span {
 /// descriptor pointer, an unmapped address, and an access no committed
 /// window holds, bar a read of the gap between two (zeros).
 ///
-/// **Proofs.** A counted loop's copy asks [`NativeView::prove`] once per
-/// batch how many passes of its load and its store together are hits
-/// that meet none of the frame holes lowering fixed for the loop, then
-/// moves them at once with [`NativeView::proven_copy`] (the last element
-/// read first with [`NativeView::proven_load`]) and counts them with
+/// **Proofs.** A counted loop — a copy, or a byte loop that stops at a
+/// sentinel, copying as it goes or not — asks [`NativeView::prove`] once
+/// per batch how many passes of its loads (at `k` and `k + 1`) and its
+/// store together are hits that meet none of the frame holes lowering
+/// fixed for the loop and step its counter short of its type's wrap
+/// ([`Pass`]). For a sentinel the executor then scans the bytes those
+/// passes load ([`NativeView::proven_bytes`]) for the first pass an exit
+/// test leaves in; the passes before it move at once with
+/// [`NativeView::proven_copy`] (each register's last element read first
+/// with [`NativeView::proven_load`]; a scan moves nothing) and count with
 /// [`NativeView::count_run`]. A proof changes nothing observable either:
 /// it resolves each base pointer as the hit path would, so only the
 /// table's [`LookupProfile`] moves.
@@ -1499,41 +1521,52 @@ impl<'a> NativeView<'a> {
         self.oob.effective_addr(ptr)
     }
 
-    /// How many passes of a counted loop's copy `d[k + i] = s[k + i]`,
-    /// from `i = 0`, are each a hit of [`NativeView::idx_load`] at `from`
-    /// and of [`NativeView::idx_store`] at `to` (both pointers fixed for
-    /// the loop, `size` the width and the element size): each target lies
-    /// in the window the view tries first and in the unit its base
-    /// resolves to, resolved as the hit path resolves it — the load
-    /// through `last_load`, the store through `last_store` — or, in
-    /// Standard mode, anywhere in the window. No load may meet the frame
-    /// bytes `holes[0]` (the counter) and no store any of `holes`
-    /// (offsets `[start, end)` from the frame base). Only passes whose
-    /// counter after the latch, `k + i + 1`, and scaled index,
-    /// `(k + i)·width`, are exact in `i64` count; inside one window the
-    /// executor's wrapping targets then step by exactly the width.
+    /// How many passes of a counted loop, from counter `k`, are each a
+    /// hit of [`NativeView::idx_load`] at `from` and of
+    /// [`NativeView::idx_store`] at `to` for every element [`Pass`] names
+    /// (`to` is read only if a pass stores). Each target lies in the
+    /// window the view tries first and in the unit its base resolves to,
+    /// resolved as the hit path resolves it — a load through `last_load`,
+    /// a store through `last_store` — or, in Standard mode, anywhere in
+    /// the window. No load may meet the frame bytes `holes[0]` (the
+    /// counter) and no store any of `holes` (offsets `[start, end)` from
+    /// the frame base; only a side in the stack's window can). Only passes
+    /// that leave the counter, `k + i + 1`, at most [`Pass::max`] count —
+    /// a batch never crosses the counter type's wrap — and whose scaled
+    /// indices are exact in `i64`; inside one window the executor's
+    /// wrapping targets then step by exactly the width. The bytes the
+    /// passes load are [`NativeView::proven_bytes`].
     #[inline]
     pub fn prove(
         &mut self,
         from: u64,
         to: u64,
         k: i64,
-        size: AccessSize,
+        pass: &Pass,
         holes: &[(u32, u32); 4],
     ) -> u64 {
-        let (width, shift) = (size.bytes(), size.bytes().trailing_zeros());
-        let index = k.wrapping_shl(shift);
-        if index >> shift != k {
+        let (width, shift) = (pass.size.bytes(), pass.size.bytes().trailing_zeros());
+        // Each side's lowest and highest element offset.
+        let loads = (pass.loads.0 as i64, pass.loads.1 as i64);
+        let stores = pass.store.map(|s| (s as i64, s as i64));
+        let (low, high) = stores.map_or(loads, |s| (loads.0.min(s.0), loads.1.max(s.1)));
+        let Some(index) = k.checked_add(low).and_then(|e| e.checked_mul(width as i64)) else {
             return 0;
-        }
-        // Passes keeping `(k + i)·width` and `k + i + 1` at most
-        // `i64::MAX`: each distance to it lies in `[0, 2^64)`.
+        };
+        // Passes keeping every `(k + i + at)·width` at most `i64::MAX` (each
+        // distance to it lies in `[0, 2^64)`), and the counter at most `max`.
         let max = i64::MAX as u64;
         let by_index = (max.wrapping_sub(index as u64) >> shift).saturating_add(1);
-        let mut passes = by_index.min(max.wrapping_sub(k as u64));
+        let by_counter = (pass.max as u64).wrapping_sub(k as u64);
+        let mut passes = by_counter.min(by_index.saturating_sub((high - low) as u64));
         let frame = self.stack.held[0].0 + self.frame_at as u64;
-        for (ptr, store) in [(from, false), (to, true)] {
-            let first = ptr.wrapping_add(index as u64);
+        let at = |ptr: u64, off: i64| ptr.wrapping_add((k.wrapping_add(off) as u64) << shift);
+        let sides = [(from, loads, false), (to, stores.unwrap_or(loads), true)];
+        for (ptr, (first_at, last_at), store) in sides {
+            if store && stores.is_none() {
+                break;
+            }
+            let first = at(ptr, first_at);
             let (held, bytes) = &self.window(first).held[0];
             let (mut lo, mut hi) = (*held, *held + bytes.len() as u64);
             if self.checked {
@@ -1551,7 +1584,9 @@ impl<'a> NativeView<'a> {
             if first < lo || first > hi {
                 return 0;
             }
+            // The holes are frame bytes: only a side in the stack meets them.
             let met = if store { &holes[..] } else { &holes[..1] };
+            let met = if first >= addr::STACK_BASE { met } else { &[] };
             for &(start, end) in met {
                 let (start, end) = (frame + start as u64, frame + end as u64);
                 if start >= first + width {
@@ -1560,9 +1595,30 @@ impl<'a> NativeView<'a> {
                     return 0;
                 }
             }
-            passes = passes.min((hi - first) >> shift);
+            let span = (last_at - first_at) as u64;
+            passes = passes.min(((hi - first) >> shift).saturating_sub(span));
         }
         passes
+    }
+
+    /// The `len` bytes from `a` of a run [`NativeView::prove`] admitted:
+    /// what its passes load, for the executor to scan.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the run is outside its window (it was not proven).
+    // Out of line: only a sentinel reads it, and inlined, its window choice
+    // was hoisted into every batch, copies' too.
+    #[inline(never)]
+    pub fn proven_bytes(&self, a: u64, len: u64) -> &[u8] {
+        let w = match a {
+            _ if a >= addr::STACK_BASE => &self.stack,
+            _ if a >= addr::HEAP_BASE => &self.heap,
+            _ => &self.globals,
+        };
+        let (held, bytes) = &w.held[0];
+        let start = (a - held) as usize;
+        &bytes[start..start + len as usize]
     }
 
     /// A load [`NativeView::prove`] admitted: no probe and no counter.
@@ -2205,7 +2261,13 @@ mod tests {
                 hit(view.last_load, from, t_from),
                 hit(view.last_store, to, t_to),
             ];
-            let proof = view.prove(from, to, k, size, &holes);
+            let copy = Pass {
+                size,
+                loads: (0, 0),
+                store: Some(0),
+                max: i64::MAX,
+            };
+            let proof = view.prove(from, to, k, &copy, &holes);
             let meets = |t: u64, holes: &[(u32, u32)]| {
                 holes
                     .iter()

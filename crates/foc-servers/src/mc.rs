@@ -445,7 +445,7 @@ mod tests {
         // pointer, count and compare operand an 8-byte slot sealed to
         // the one-step kind — and the latch a counted loop's, so its
         // passes run as one move.
-        use foc_compiler::native::{CountedLoop, NOp, Src, Term};
+        use foc_compiler::native::{CountedLoop, NOp, Src, Term, Test};
         use foc_compiler::CmpOp;
         let image = foc_compiler::compile_image_tier(MC_SOURCE, foc_compiler::ExecTier::Native)
             .expect("MC compiles");
@@ -479,14 +479,30 @@ mod tests {
         let [CountedLoop {
             counter,
             bound: Src::Slot8(words),
-            op: CmpOp::LtS,
+            latch:
+                Term::IncBranch {
+                    op: CmpOp::GeS,
+                    b: Src::Slot8(latched),
+                    taken: out,
+                    ..
+                },
+            tests:
+                [Some(Test::Counter {
+                    at: 1,
+                    op: CmpOp::GeS,
+                }), None, None, None],
             back,
             exit,
             holes,
+            ..
         }] = nf.loops[..]
         else {
-            panic!("latch compares k < words, two sealed slots: {:?}", nf.loops);
+            panic!(
+                "latch leaves once k >= words, two sealed slots: {:?}",
+                nf.loops
+            );
         };
+        assert_eq!((latched, out), (words, exit));
         assert!(counter == k && words != k, "{:?}", nf.loops);
         let slot = |off: u32| (off, off + 8);
         assert_eq!(

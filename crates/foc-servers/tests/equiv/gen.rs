@@ -49,8 +49,12 @@ use proptest::test_runner::TestRng;
 
 use super::{Case, Run};
 
-/// Cases per run of the generator test.
-pub const CASES: usize = 96;
+/// Cases per run of the generator test: the last [`SENTINEL_CASES`] end
+/// in a sentinel loop ([`Gen::sentinel`]) instead of tail copies.
+pub const CASES: usize = 120;
+/// Cases written in one of [`SENTINEL_STYLES`], after the others so
+/// that theirs stay as the main stream drew them.
+const SENTINEL_CASES: usize = 24;
 /// Fuel per call: every Failure Oblivious run ends well inside it, and
 /// it bounds a Standard run whose wild store reset a loop counter.
 const FUEL: u64 = 4_000;
@@ -68,9 +72,24 @@ const SEQUENCES: [ValueSequence; 4] = [
 /// How a case writes its copies: between arrays, through a pointer
 /// slot, or with a counter near the top of `i64`; past those three, the
 /// copies [`Gen::tail`] writes in a case that wrote none.
-pub const STYLES: [&str; 9] = [
-    "array", "slot", "wrap", "cast", "!=", "unsigned", "&k", "k--", "strided",
+pub const STYLES: [&str; 12] = [
+    "array",
+    "slot",
+    "wrap",
+    "cast",
+    "!=",
+    "unsigned",
+    "&k",
+    "k--",
+    "strided",
+    "scan",
+    "scan-copy",
+    "alias",
 ];
+/// Where [`Gen::sentinel`]'s styles start in [`STYLES`]: a byte loop that
+/// stops at a sentinel, one that copies as it goes, and a copy whose
+/// stores run onto its own base and bound slots.
+const SENTINEL_STYLES: usize = 9;
 const TYPES: [&str; 4] = ["char", "short", "int", "long"];
 const LETTERS: [char; 4] = ['a', 'n', 'z', '%'];
 /// The text of the literals [`Gen::tail`] writes.
@@ -206,9 +225,14 @@ struct Gen<'r> {
     bumps: TestRng,
     waits: TestRng,
     libc: TestRng,
+    sentinels: TestRng,
+    /// Whether this case ends in a sentinel loop: it writes no copy.
+    sentinel: bool,
     aside: usize,
-    /// Copies the main stream wrote, and the line `f`'s tail goes before.
+    /// Copies the main stream wrote, and the lines `f`'s sentinel loop and
+    /// its tail go before.
     copies: usize,
+    head: usize,
     tail: usize,
     /// Whether [`Gen::call`] wrote a call of more than 64 bytes.
     long: bool,
@@ -232,8 +256,11 @@ pub fn case(rng: &mut TestRng, c: usize) -> (Vec<String>, Params) {
         bumps: TestRng::deterministic(&format!("pointer bumps of case {c}")),
         waits: TestRng::deterministic(&format!("I/O waits of case {c}")),
         libc: TestRng::deterministic(&format!("library calls of case {c}")),
+        sentinels: TestRng::deterministic(&format!("sentinel loops of case {c}")),
+        sentinel: c >= CASES - SENTINEL_CASES,
         aside: 0,
         copies: 0,
+        head: 0,
         tail: 0,
         long: false,
     };
@@ -314,6 +341,8 @@ impl Gen<'_> {
                 .push(format!("{} *{p} = {name} + {c};", self.pointee));
         }
         self.budget = budget;
+        // A sentinel case's loop goes here, before any statement can fault.
+        self.head = self.lines.len();
         while self.budget > 0 {
             self.stmt();
         }
@@ -504,7 +533,7 @@ impl Gen<'_> {
             }
             12..=14 if compound => return self.branches(),
             15 | 16 if compound && nested => return self.looped(),
-            17 if compound && nested => return self.copy(),
+            17 if compound && nested && !self.sentinel => return self.copy(),
             _ => format!("t = {};", self.expr(2)),
         };
         self.lines.push(line);
@@ -652,7 +681,7 @@ impl Gen<'_> {
     /// each side; then buffers for the libc shim — the literal `u`, `m` of
     /// [`PAGES`], `r` freed at once, `hb` for `realloc` — and calls of it.
     fn tail(&mut self, mode: Mode, sequence: ValueSequence) {
-        let end = self.lines.len();
+        let mut end = self.lines.len();
         let text = self.text(47);
         let [to, from, near] = [self.lib(8), self.lib(8), 1 + self.lib(8)];
         let room = (48 - to.max(from)) / 8;
@@ -668,7 +697,14 @@ impl Gen<'_> {
             0 => 7 + self.lib(2),
             _ => 3 + self.lib(3 + self.wild as u64),
         };
-        for _ in 0..2 * (self.copies == 0) as usize {
+        if self.sentinel {
+            let start = self.lines.len();
+            self.sentinel_loop();
+            let lines: Vec<String> = self.lines.drain(start..).collect();
+            (end, self.tail) = (end + lines.len(), self.tail + lines.len());
+            self.lines.splice(self.head..self.head, lines);
+        }
+        for _ in 0..2 * (self.copies == 0 && !self.sentinel) as usize {
             self.style = style as usize;
             let passes = match self.wild {
                 true => [1, 2, room - 1, room, room + 1, room + 2][self.lib(6) as usize],
@@ -738,6 +774,90 @@ impl Gen<'_> {
 
     fn lib(&mut self, n: u64) -> u64 {
         self.libc.below(n)
+    }
+
+    /// A sentinel case's loop, drawn from its own stream and written
+    /// before `f`'s first statement, over a literal
+    /// `sa` of up to 23 of [`TEXT`]'s characters whose sentinel sits first,
+    /// in the middle or nowhere: a scan `while (sa[k] … ) k++;` or a copy
+    /// `while (…) { da[k] = sa[k]; k++; }` into a shorter or longer `da`,
+    /// over `long k` or `int w` (now and then started a few passes below
+    /// `INT_MAX` through a base moved down by as much), testing for the
+    /// NUL, one character or both, and a bound that may fire first or run
+    /// past `sa` (where violations and manufactured values follow); or a
+    /// copy `ap[k] = sa[k]` whose stores start in `ab` and run onto its own
+    /// base `ap` and bound `an`, the slots declared after it.
+    fn sentinel_loop(&mut self) {
+        let r = &mut self.sentinels;
+        self.style = SENTINEL_STYLES + r.below(3) as usize;
+        let len = 1 + r.below(23);
+        let mut text: Vec<u8> = (0..len)
+            .map(|_| TEXT[r.below(TEXT.len() as u64) as usize])
+            .collect();
+        let stop = [b'%', b'z', b' ', b'9'][r.below(4) as usize];
+        text.retain(|&b| b != stop);
+        match r.below(3) {
+            0 => text.insert(0, stop),
+            1 => text.insert(r.below(text.len() as u64 + 1) as usize, stop),
+            _ => {}
+        }
+        let text = String::from_utf8(text).expect("ASCII");
+        self.lines.push(format!("char *sa = \"{text}\";"));
+        let bound = r.below(text.len() as u64 + 10);
+        if STYLES[self.style] == "alias" {
+            // `ab`'s 16 bytes, then `ap` and `an` past their guards.
+            let at = r.below(16);
+            let passes = 32 - at + r.below(24);
+            self.lines.push("char ab[16];".into());
+            self.lines.push(format!("char *ap = ab + {at};"));
+            self.lines.push(format!("long an = {passes};"));
+            self.lines
+                .push("for (k = 0; k < an; k++) ap[k] = sa[k]; // alias copies".into());
+            return;
+        }
+        // `long k`, or a new `int sk`, now and then started below `INT_MAX`
+        // so that its passes would cross the wrap.
+        let (k, base) = match r.below(3) {
+            0 => {
+                let near = 2 + r.below(4);
+                self.lines.push(format!("int sk = 2147483647 - {near};"));
+                self.lines
+                    .push(format!("char *sw = sa - 2147483647 + {near};"));
+                ("sk", "sw")
+            }
+            1 => {
+                self.lines.push("int sk = 0;".into());
+                ("sk", "sa")
+            }
+            _ => {
+                self.lines.push("k = 0;".into());
+                ("k", "sa")
+            }
+        };
+        // The NUL, the character or both, and a bound unless a NUL test
+        // ends the loop (a Failure Oblivious run past `sa` reads a
+        // manufactured zero); a loop near the wrap has none to cross it.
+        let nul = base == "sw" || r.below(3) > 0;
+        let mut tests = Vec::new();
+        if nul {
+            tests.push(format!("{base}[{k}]"));
+        }
+        if !nul || r.below(3) > 0 {
+            tests.push(format!("{base}[{k}] != '{}'", stop as char));
+        }
+        if base != "sw" && (!nul || r.below(2) == 0) {
+            tests.push(format!("{k} < {bound}"));
+        }
+        let cond = tests.join(" && ");
+        let line = match STYLES[self.style] {
+            "scan" => format!("while ({cond}) {k}++; // scan copies"),
+            _ => {
+                let room = 1 + r.below(text.len() as u64 + 8);
+                self.lines.push(format!("char da[{room}];"));
+                format!("while ({cond}) {{ da[{k}] = {base}[{k}]; {k}++; }} // scan-copy copies")
+            }
+        };
+        self.lines.push(line);
     }
 
     /// `len` characters of [`TEXT`].

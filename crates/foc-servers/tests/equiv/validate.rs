@@ -474,20 +474,9 @@ fn tail(f: &NativeFunc, term: Term) -> (Vec<NOp>, [Succ; 2]) {
             };
             (vec![inc, exit(a, b, op, taken)], [taken, fall])
         }
-        Term::Counted(at) => {
-            let lp = f.loops[at as usize];
-            let (off, k) = (lp.counter, Src::Slot8(lp.counter));
-            let inc = NOp::Inc {
-                off,
-                delta: 1,
-                size: B8,
-                signed: true,
-            };
-            (
-                vec![inc, exit(k, lp.bound, lp.op, lp.back)],
-                [lp.back, lp.exit],
-            )
-        }
+        // A counted loop's passes are its region's: one is checked here,
+        // ending in the latch the batch stands in for.
+        Term::Counted(at) => tail(f, f.loops[at as usize].latch),
     }
 }
 

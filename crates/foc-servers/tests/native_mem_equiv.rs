@@ -33,7 +33,7 @@ mod equiv;
 use proptest::test_runner::TestRng;
 
 use equiv::{gen, Case};
-use foc_compiler::native::{NOp, Term};
+use foc_compiler::native::{NOp, Term, Test};
 use foc_compiler::ExecTier;
 use foc_memory::Mode;
 use foc_servers::ServerKind;
@@ -45,7 +45,7 @@ use foc_vm::MachineConfig;
 /// replaced were written to reach: view misses (an index leaving its
 /// unit and coming back), faults and side exits refunded mid-region,
 /// fuel-short exits between chained regions, crossed latches, batches by
-/// copy style and mode class, calls with no violation (every mode must
+/// copy or sentinel style and mode class, calls with no violation (every mode must
 /// agree), Bounds Check dying with live values below each kind of seam,
 /// pointer bumps (`PtrInc`) by a value and over `int` and `long`, each
 /// `io_wait` run in its region (some in a superblock ahead of a side
@@ -109,6 +109,12 @@ fn generated_programs_are_tier_blind() {
         ("wild lengths", 3),
         ("wild calls ending Failure Oblivious", 1),
         ("span instrs", 40_000),
+        ("scan batches, Standard", 3),
+        ("scan batches, checked", 9),
+        ("scan-copy batches, Standard", 5),
+        ("scan-copy batches, checked", 22),
+        ("alias batches, Standard", 24),
+        ("alias batches, checked", 44),
     ];
     let floors = floors.map(|(what, floor)| (what.to_string(), floor));
     let variants = gen::variants().map(|v| (v.to_string(), 8));
@@ -171,24 +177,47 @@ const ONCE_PINNED: [&str; 7] = [
 /// Every region of the five servers passes translation validation
 /// (`equiv/validate.rs`), as do [`ONCE_PINNED`]'s. Superblocks still
 /// form — 264 crossing 449 branches when written, a floor — and a
-/// counted loop's region is its copy alone.
+/// counted loop's region is one pass: indexed loads, at most a store, the
+/// `k++` and exits. Each byte loop that stops at a sentinel where a
+/// request spends its passes counts: Apache's path copy and rewrite
+/// scan, MC's component scan.
 #[test]
 fn every_region_of_the_five_servers_passes_translation_validation() {
     let (mut superblocks, mut exits) = (0, 0);
+    let mut sentinels = Vec::new();
     for kind in ServerKind::ALL {
         let image = kind.fresh_image_tier(ExecTier::Native);
         equiv::validate::image(&image);
-        for fid in 0..image.funcs.len() as u32 {
-            for region in &image.native_func(fid).expect("native image").regions {
+        for (fid, func) in image.funcs.iter().enumerate() {
+            let nf = image.native_func(fid as u32).expect("native image");
+            for region in &nf.regions {
                 let exit = |op: &&NOp| matches!(op, NOp::Exit { .. });
                 let crossed = region.ops.iter().filter(exit).count();
-                if matches!(region.term, Term::Counted(_)) {
-                    assert_eq!((region.ops.len(), crossed), (2, 0), "{region:?}");
+                if let Term::Counted(at) = region.term {
+                    let pass = |op: &NOp| {
+                        use NOp::*;
+                        matches!(
+                            op,
+                            IdxLoad { .. } | IdxStore { .. } | Inc { .. } | Exit { .. }
+                        )
+                    };
+                    assert!(region.ops.iter().all(pass), "{region:?}");
+                    let tests = nf.loops[at as usize].tests;
+                    if tests
+                        .iter()
+                        .flatten()
+                        .any(|t| matches!(t, Test::Elem { .. }))
+                    {
+                        sentinels.push(func.name.clone());
+                    }
                 }
                 superblocks += (crossed > 0) as usize;
                 exits += crossed;
             }
         }
+    }
+    for name in ["handle_request", "apply_rewrite", "mc_component_end"] {
+        assert!(sentinels.iter().any(|s| s == name), "{name}: {sentinels:?}");
     }
     assert!(
         superblocks > 200 && exits > superblocks,

@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term};
+use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term, Test};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{
     AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView, RoomyVec,
@@ -1041,13 +1041,17 @@ impl Machine {
                     }
                 }
                 Term::Counted(at) => {
-                    let (lp, most) = (&nf.loops[at as usize], fuel / region.charge);
-                    let (n, next) = run_counted(&mut view, lp, &region.ops, regs, base, most);
+                    let lp = &nf.loops[at as usize];
+                    let (n, leaves) = run_counted(&mut view, lp, regs, base, (fuel, region.charge));
                     fuel -= n * region.charge;
-                    extras += 2 * n * (ptr_extra + mem_extra);
+                    extras += n * lp.accesses as u64 * (ptr_extra + mem_extra);
                     self.profile.batches += (n > 0) as u64;
                     self.profile.batched_instrs += n * region.charge;
-                    next
+                    if leaves {
+                        lp.exit
+                    } else {
+                        lp.back
+                    }
                 }
             };
             for &v in &regs[..region.produces as usize] {
@@ -1310,61 +1314,109 @@ fn operand(view: &NativeView<'_>, regs: &RegFile, base: u64, s: Src) -> i64 {
     }
 }
 
-/// A counted loop's latch, then up to `n` passes of its copy as one move
-/// (`native.rs`, "Counted loops"): as many as the view proves hits, none
-/// below two, and none when the stores land above overlapping loads —
-/// those passes run one at a time. Returns the passes, for the caller to
-/// charge, and the successor. Out of line, so `run_native` keeps its size.
+/// Whether a counted loop's latch that tests a loaded byte leaves: its
+/// compare, over the register it names, not taken back into the loop.
+fn byte_latch_leaves(view: &NativeView<'_>, lp: &CountedLoop, regs: &RegFile, base: u64) -> bool {
+    let (Term::Branch {
+        a, b, op, taken, ..
+    }
+    | Term::IncBranch {
+        a, b, op, taken, ..
+    }) = lp.latch
+    else {
+        unreachable!("a latch that tests compares")
+    };
+    let (a, b) = (operand(view, regs, base, a), operand(view, regs, base, b));
+    op.eval(a, b) != (taken.region == lp.back.region)
+}
+
+/// A counted loop's latch, then its passes as one batch (`native.rs`,
+/// "Counted loops"): as many as `fuel` covers at `charge` a pass and the
+/// view proves hits, none below two, none once the stores would land
+/// above a pass's loads, and none from the first pass an exit test leaves
+/// in ([`CountedLoop::trips`]; that pass runs in the region). The passes move as one `memmove` (a scan
+/// moves nothing) and leave the counter, the counters and the registers
+/// as they would. Returns the passes, for the caller to charge (with
+/// [`CountedLoop::accesses`] each), and whether the loop leaves for its
+/// exit rather than going back. Out of line, so `run_native` keeps its
+/// size; the pair comes back in registers.
 #[inline(never)]
 fn run_counted(
     view: &mut NativeView<'_>,
     lp: &CountedLoop,
-    ops: &[NOp],
     regs: &mut RegFile,
     base: u64,
-    n: u64,
-) -> (u64, Succ) {
-    inc_local(view, lp.counter, 1, AccessSize::B8, true);
-    let k = view.local_get(lp.counter, AccessSize::B8) as i64;
-    let bound = operand(view, regs, base, lp.bound);
-    if !lp.op.eval(k, bound) {
-        return (0, lp.exit);
-    }
-    let [NOp::IdxLoad {
-        dst,
-        ptr: from,
-        size,
-        signed,
-        ..
-    }, NOp::IdxStore { ptr: to, .. }] = *ops
-    else {
-        unreachable!("a counted loop's body is a copy");
+    (fuel, charge): (u64, u64),
+) -> (u64, bool) {
+    let val = |view: &NativeView<'_>, s| operand(view, regs, base, s);
+    let bound = val(view, lp.bound);
+    // The latch ends the pass the region ran: its `k++`, then its test,
+    // the pass's last. A bound's reads the counter as it then stands. A
+    // `long` counter (every copy's) skips the width's decode.
+    let wide = lp.size == AccessSize::B8;
+    let mut k = match wide {
+        true => view.local_get(lp.counter, AccessSize::B8) as i64,
+        false => slot_get(view, lp.counter, lp.size, lp.signed),
     };
-    let from = operand(view, regs, base, from) as u64;
-    let to = operand(view, regs, base, to) as u64;
-    let n = n.min(view.prove(from, to, k, size, &lp.holes));
+    if let Term::IncBranch { .. } = lp.latch {
+        k = match wide {
+            true => k.wrapping_add(1),
+            false => extend(k.wrapping_add(1) as u64, lp.size, lp.signed),
+        };
+        view.local_put(lp.counter, lp.size, k as u64);
+    }
+    let leaves = match lp.latch_test {
+        Some(Test::Counter { op, .. }) => op.eval(k, bound),
+        Some(Test::Elem { .. }) => byte_latch_leaves(view, lp, regs, base),
+        None => false,
+    };
+    if leaves {
+        return (0, true);
+    }
+    let from = val(view, lp.from) as u64;
+    let to = lp.to.map_or(0, |to| val(view, to) as u64);
+    let pass = &lp.pass;
+    let (step, shift) = (pass.size.bytes(), pass.size.bytes().trailing_zeros());
+    let at = |ptr: u64, off: u8| ptr.wrapping_add((k.wrapping_add(off as i64) as u64) << shift);
+    let (lo, hi) = pass.loads;
+    let (loads, stores) = (at(from, lo), pass.store.map(|s| (at(to, s), at(from, s))));
+    // As many as the fuel covers, each pass charging `charge`; the
+    // division only when the proven passes do not fit.
+    let mut n = view.prove(from, to, k, pass, &lp.holes);
+    if n.saturating_mul(charge) > fuel {
+        n = fuel / charge;
+    }
+    // Stores above the loads: only passes whose loads all lie below them.
+    if let Some((stores, _)) = stores.filter(|&(stores, _)| stores > loads) {
+        n = n.min(((stores - loads) >> shift).saturating_sub((hi - lo) as u64));
+    }
     if n < 2 {
-        return (0, lp.back);
+        return (0, false);
     }
-    let (ran, next) = lp.trips(k, bound, n);
-    let step = size.bytes();
-    let at = |ptr: u64| ptr.wrapping_add((k as u64).wrapping_mul(step));
-    let (from, to, len) = (at(from), at(to), ran * step);
-    if from < to && to < from + len {
-        return (0, lp.back);
+    let elems = |len: u64| view.proven_bytes(loads, len << shift);
+    let (ran, leaves) = lp.trips(k, bound, elems, n);
+    if ran == 0 {
+        return (0, leaves);
     }
-    let last = view.proven_load(from + len - step, size);
-    regs[dst as usize] = extend(last, size, signed);
-    view.proven_copy(to, from, len);
-    let k = k.wrapping_add(ran as i64) as u64;
-    view.local_put(lp.counter, AccessSize::B8, k);
-    view.count_run(ran, ran);
-    (ran, next)
+    // Each load's register ends with its last pass's element.
+    let last = k.wrapping_add(ran as i64 - 1);
+    for l in lp.loads.iter().map_while(|l| *l) {
+        let a = from.wrapping_add((last.wrapping_add(l.at as i64) as u64) << shift);
+        regs[l.dst as usize] = extend(view.proven_load(a, pass.size), pass.size, l.signed);
+    }
+    if let Some((to, from)) = stores {
+        view.proven_copy(to, from, ran * step);
+    }
+    view.local_put(lp.counter, lp.size, k.wrapping_add(ran as i64) as u64);
+    let stores = stores.is_some() as u64;
+    view.count_run(ran * (lp.accesses as u64 - stores), ran * stores);
+    (ran, leaves)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use foc_compiler::CmpOp;
     use foc_memory::Mode;
 
     fn run(src: &str, func: &str, args: &[i64]) -> i64 {
@@ -1967,51 +2019,75 @@ mod tests {
     /// load, sign-extended, read before the move overwrote it.
     #[test]
     fn a_moved_batch_ends_as_its_passes_would() {
-        use foc_compiler::native::FaultAt;
+        use foc_compiler::native::{Loaded, Test};
         let mut space = MemorySpace::new(MemConfig::with_mode(foc_memory::Mode::Standard));
         let base = space.push_frame(64, &[]).expect("a frame");
         let mut bytes: Vec<u8> = (0..40).map(|b| 0x80 | b).collect();
         assert!(space.write_bytes_raw(base + 16, &bytes));
-        let (seam, size) = (FaultAt { pc: 0, spent: 0 }, AccessSize::B2);
-        let (count, esz, spill) = (Src::Slot8(0), 2, 0);
-        let ops = [
-            NOp::IdxLoad {
-                dst: 0,
-                ptr: Src::Addr(17),
-                count,
-                esz,
-                size,
-                signed: true,
-                seam,
-                spill,
-            },
-            NOp::IdxStore {
-                ptr: Src::Addr(16),
-                count,
-                val: Src::Reg(0),
-                esz,
-                size,
-                seam,
-                spill,
-            },
-        ];
+        // `d[k] = s[k]` over 2-byte elements, `d` one byte below `s`.
+        let (size, count) = (AccessSize::B2, Src::Slot8(0));
         let succ = |region| Succ {
             pc: 0,
             region,
             skip: 0,
         };
+        let (back, exit) = (succ(0), succ(1));
         let lp = CountedLoop {
             counter: 0,
+            size: AccessSize::B8,
+            signed: true,
+            latch: Term::IncBranch {
+                off: 0,
+                delta: 1,
+                size: AccessSize::B8,
+                signed: true,
+                a: count,
+                b: Src::Const(10),
+                op: CmpOp::LtS,
+                taken: back,
+                fall: exit,
+            },
+            back,
+            exit,
             bound: Src::Const(10),
-            op: foc_compiler::CmpOp::LtS,
-            back: succ(0),
-            exit: succ(1),
+            from: Src::Addr(17),
+            to: Some(Src::Addr(16)),
+            pass: foc_memory::Pass {
+                size,
+                loads: (0, 0),
+                store: Some(0),
+                max: i64::MAX,
+            },
+            loads: [
+                Some(Loaded {
+                    dst: 0,
+                    at: 0,
+                    signed: true,
+                }),
+                None,
+                None,
+                None,
+            ],
+            tests: [
+                Some(Test::Counter {
+                    at: 1,
+                    op: CmpOp::GeS,
+                }),
+                None,
+                None,
+                None,
+            ],
+            latch_test: Some(Test::Counter {
+                at: 1,
+                op: CmpOp::GeS,
+            }),
+            accesses: 2,
             holes: [(0, 8), (8, 8), (8, 8), (8, 8)],
         };
         let mut regs = [0; 256];
         let mut view = space.native_view(base, 64);
-        let (ran, next) = run_counted(&mut view, &lp, &ops, &mut regs, base, 100);
-        assert_eq!((ran, next), (9, lp.exit), "k = 1..=9");
+        let (ran, leaves) = run_counted(&mut view, &lp, &mut regs, base, (100, 1));
+        assert_eq!((ran, leaves), (9, true), "k = 1..=9");
         // The same passes over the host copy: `d[k] = s[k]`, `k` from 1.
         let mut last = 0;
         for k in 1..10 {
@@ -2023,5 +2099,424 @@ mod tests {
         assert_eq!(regs[0], last);
         assert_eq!(space.read_bytes_raw(base + 16, 40), Some(bytes));
         assert_eq!(space.read_raw(base, AccessSize::B8), Some(10), "k");
+    }
+
+    /// One pass of a counted loop's region and then its latch ([`latch_once`]), as
+    /// `run_native` runs them on hits: `Ok(Some(succ))` where the pass
+    /// leaves (a side exit or the latch's exit), `Ok(None)` where it loops
+    /// back. `Err` is a pass no batch may run: an access the view misses,
+    /// or, under `strict` (exits then ignored), a load of a byte `written`
+    /// holds, a load meeting the counter's frame bytes, a store meeting
+    /// any hole, or a `k++` that wraps the counter's type.
+    #[allow(clippy::too_many_arguments)]
+    fn pass_once(
+        view: &mut NativeView<'_>,
+        ops: &[NOp],
+        lp: &CountedLoop,
+        regs: &mut RegFile,
+        base: u64,
+        strict: bool,
+        written: &mut Vec<u64>,
+    ) -> Result<Option<(Succ, bool)>, ()> {
+        let frame = |(lo, hi): (u32, u32)| (base + lo as u64, base + hi as u64);
+        let meets = |t: u64, w: u64, holes: &[(u32, u32)]| {
+            holes
+                .iter()
+                .map(|&h| frame(h))
+                .any(|(lo, hi)| t < hi && lo < t + w)
+        };
+        let step = |view: &mut NativeView<'_>, off, delta, size, signed| {
+            let old = extend(view.local_get(off, size), size, signed);
+            inc_local(view, off, delta, size, signed);
+            let new = extend(view.local_get(off, size), size, signed);
+            if strict && new < old {
+                return Err(());
+            }
+            Ok(())
+        };
+        for &op in ops {
+            match op {
+                NOp::IdxLoad {
+                    dst,
+                    ptr,
+                    count,
+                    esz,
+                    size,
+                    signed,
+                    ..
+                } => {
+                    let p = operand(view, regs, base, ptr) as u64;
+                    let delta = operand(view, regs, base, count).wrapping_mul(esz as i64);
+                    let t = p.wrapping_add(delta as u64);
+                    let w = size.bytes();
+                    if strict
+                        && (meets(t, w, &lp.holes[..1]) || (t..t + w).any(|a| written.contains(&a)))
+                    {
+                        return Err(());
+                    }
+                    let raw = view.idx_load(p, delta, size).ok_or(())?;
+                    regs[dst as usize] = extend(raw, size, signed);
+                }
+                NOp::IdxStore {
+                    ptr,
+                    count,
+                    val,
+                    esz,
+                    size,
+                    ..
+                } => {
+                    let p = operand(view, regs, base, ptr) as u64;
+                    let delta = operand(view, regs, base, count).wrapping_mul(esz as i64);
+                    let t = p.wrapping_add(delta as u64);
+                    if strict && meets(t, size.bytes(), &lp.holes) {
+                        return Err(());
+                    }
+                    let v = operand(view, regs, base, val) as u64;
+                    if !view.idx_store(p, delta, size, v) {
+                        return Err(());
+                    }
+                    written.extend(t..t + size.bytes());
+                }
+                NOp::Inc {
+                    off,
+                    delta,
+                    size,
+                    signed,
+                } => step(view, off, delta, size, signed)?,
+                NOp::Exit { a, b, op, to, .. } => {
+                    let (a, b) = (operand(view, regs, base, a), operand(view, regs, base, b));
+                    if !strict && op.eval(a, b) {
+                        return Ok(Some((to, false)));
+                    }
+                }
+                _ => panic!("no counted pass holds {op:?}"),
+            }
+        }
+        Ok(latch_once(view, lp, regs, base, strict)?.map(|next| (next, true)))
+    }
+
+    /// A counted loop's latch as `run_native` runs it: where it leaves
+    /// to, or `None` when it loops back (or, under `strict`, always);
+    /// `Err` when its `k++` wraps the counter's type under `strict`.
+    fn latch_once(
+        view: &mut NativeView<'_>,
+        lp: &CountedLoop,
+        regs: &mut RegFile,
+        base: u64,
+        strict: bool,
+    ) -> Result<Option<Succ>, ()> {
+        let (a, b, op, taken, fall) = match lp.latch {
+            Term::Goto(_) => return Ok(None),
+            Term::Branch {
+                a,
+                b,
+                op,
+                taken,
+                fall,
+            } => (a, b, op, taken, fall),
+            Term::IncBranch {
+                off,
+                delta,
+                size,
+                signed,
+                a,
+                b,
+                op,
+                taken,
+                fall,
+            } => {
+                let old = extend(view.local_get(off, size), size, signed);
+                inc_local(view, off, delta, size, signed);
+                if strict && extend(view.local_get(off, size), size, signed) < old {
+                    return Err(());
+                }
+                (a, b, op, taken, fall)
+            }
+            Term::Counted(_) => unreachable!("a latch is a region's own terminator"),
+        };
+        let (a, b) = (operand(view, regs, base, a), operand(view, regs, base, b));
+        let next = if op.eval(a, b) { taken } else { fall };
+        Ok((!strict && next != lp.back).then_some(next))
+    }
+
+    /// Every batch `run_counted` runs — copies and sentinel loops over
+    /// `int` and `long` counters, lowered from source, each rotation its
+    /// superblocks close — leaves what the same passes leave run one at a
+    /// time on a clone: the passes (so the charges), the successor, the
+    /// counters, the registers, the counter and every byte. A batch runs
+    /// the passes that are hits meeting no hole, wrap no counter and load
+    /// no byte an earlier pass stored, up to the first an exit test leaves
+    /// in (that one too when only its latch leaves), and none unless two
+    /// passes are hits.
+    #[test]
+    fn the_sentinel_batch_matches_a_per_pass_scan() {
+        use foc_compiler::ExecTier;
+        use foc_memory::addr::HEAP_BASE;
+        use foc_memory::Mode;
+        use proptest::test_runner::TestRng;
+        use std::collections::BTreeMap;
+        // `K` a counter type, `C` a byte type.
+        const SHAPES: [&str; 4] = [
+            "long f(C *p, C *q, long n) { K k = 0; char pad[40]; \
+             while (p[k] && p[k] != '?' && k < n) { q[k] = p[k]; k++; } return k; }",
+            "long f(C *p, C *q, long n) { K k = 0; char pad[40]; \
+             while (p[k] && p[k] != '/') k++; return k; }",
+            "long f(C *p, C *q, long n) { K k; char pad[40]; \
+             for (k = 0; k < n; k++) q[k] = p[k]; return k; }",
+            "long f(C *p, C *q, long n) { K k = 0; char pad[40]; \
+             while (p[k] != '/') k++; return k; }",
+        ];
+        let mut loops = Vec::new();
+        for shape in SHAPES {
+            for (k, c) in [("long", "char"), ("int", "char"), ("int", "unsigned char")] {
+                let src = shape.replace('K', k).replace('C', c);
+                let image =
+                    foc_compiler::compile_image_tier(&src, ExecTier::Native).expect("MiniC");
+                let nf = image.native_func(0).expect("a native image");
+                assert!(!nf.loops.is_empty(), "{src}: no counted loop");
+                for lp in &nf.loops {
+                    let ops = nf.regions[lp.back.region as usize].ops.clone();
+                    let accesses = ops
+                        .iter()
+                        .filter(|op| matches!(op, NOp::IdxLoad { .. } | NOp::IdxStore { .. }));
+                    assert_eq!(lp.accesses as usize, accesses.count(), "{lp:?}");
+                    loops.push((*lp, ops, image.funcs[0].frame.clone(), k));
+                }
+            }
+        }
+        let mut rng = TestRng::deterministic("the_sentinel_batch_matches_a_per_pass_scan");
+        let mut tally: BTreeMap<String, u32> = BTreeMap::new();
+        let mut note = |what: String| *tally.entry(what).or_default() += 1;
+        for _ in 0..6000 {
+            let (lp, ops, frame, counter) = &loops[rng.below(loops.len() as u64) as usize];
+            let modes = [Mode::Standard, Mode::BoundsCheck, Mode::FailureOblivious];
+            let mode = modes[rng.below(3) as usize];
+            let class = ["Standard", "checked"][mode.is_checked() as usize];
+            let mut s = MemorySpace::new(MemConfig {
+                mode,
+                global_len: 4 << 10,
+                heap_len: 64 << 10,
+                stack_len: 16 << 10,
+                ..MemConfig::default()
+            });
+            // As in `foc-memory`'s `the_copy_proof_matches_a_per_pass_scan`:
+            // the heap's one window ends 8 KiB up; a unit inside it, one
+            // ending at its end or past it, and the frame's slots.
+            let heap_end = HEAP_BASE + 8192;
+            let tail = [8112, 12_000][rng.below(2) as usize];
+            let mut units = vec![(s.malloc(40).unwrap(), 40, "inside")];
+            let edge_class = if tail == 8112 { "at" } else { "past" };
+            units.push((s.malloc(tail).unwrap(), tail, edge_class));
+            let base = s.push_frame(frame.total, &frame.slots).unwrap();
+            let slots = frame.slots.iter();
+            units.extend(slots.map(|&(off, size)| (base + off, size, "frame")));
+            let mapped = |a: u64| {
+                (HEAP_BASE..heap_end).contains(&a) || (base..base + frame.total).contains(&a)
+            };
+            // The first load near a unit's start or end, its bytes drawn
+            // with a sentinel first, in the middle or nowhere.
+            let (unit, size, unit_class) = units[rng.below(units.len() as u64) as usize];
+            let t_from =
+                ([unit, unit + size][rng.below(2) as usize] + rng.below(48)).wrapping_sub(40);
+            let sentinel = [0u8, b'?', b'/'][rng.below(3) as usize];
+            let (place, placed) = match rng.below(3) {
+                0 => (0, "first"),
+                1 => (1 + rng.below(40), "mid-window"),
+                _ => (u64::MAX, "absent"),
+            };
+            for i in 0..96u64 {
+                let a = t_from.wrapping_add(i);
+                if mapped(a) {
+                    let b = if i == place {
+                        sentinel
+                    } else {
+                        b'a' + rng.below(20) as u8
+                    };
+                    assert!(s.write_bytes_raw(a, &[b]));
+                }
+            }
+            // The stores near a unit's edge, or just below a frame hole.
+            let holes: Vec<_> = lp.holes.iter().filter(|h| h.1 > h.0).collect();
+            let (t_to, store_class) = match rng.below(3) {
+                0 => {
+                    let (start, _) = *holes[rng.below(holes.len() as u64) as usize];
+                    (base + start as u64 - rng.below(12), "near a hole")
+                }
+                _ => {
+                    let (unit, size, _) = units[rng.below(units.len() as u64) as usize];
+                    let edge = [unit, unit + size][rng.below(2) as usize];
+                    (
+                        (edge + rng.below(48)).wrapping_sub(40),
+                        "near a unit's edge",
+                    )
+                }
+            };
+            let max = lp.pass.max;
+            let (k, k_class) = match rng.below(4) {
+                0 if *counter == "int" => (max - rng.below(6) as i64, "int near the wrap"),
+                _ => (rng.below(5) as i64 - 1, "small"),
+            };
+            // The counter as the latch finds it, the bases and the bound.
+            let stepped = matches!(lp.latch, Term::IncBranch { .. }) as i64;
+            let put = |s: &mut MemorySpace, src: Src, value: i64| match src {
+                Src::Slot8(off) => {
+                    assert!(s.write_raw(base + off as u64, AccessSize::B8, value as u64))
+                }
+                Src::Slot { off, size, .. } => {
+                    assert!(s.write_raw(base + off as u64, size, value as u64))
+                }
+                _ => {}
+            };
+            let k_src = match lp.size {
+                AccessSize::B8 => Src::Slot8(lp.counter),
+                size => Src::Slot {
+                    off: lp.counter,
+                    size,
+                    signed: lp.signed,
+                },
+            };
+            put(&mut s, k_src, k - stepped);
+            put(&mut s, lp.from, t_from.wrapping_sub(k as u64) as i64);
+            if let Some(to) = lp.to {
+                put(&mut s, to, t_to.wrapping_sub(k as u64) as i64);
+            }
+            put(&mut s, lp.bound, k.wrapping_add(rng.below(60) as i64 - 3));
+            // Both views' memos primed alike: with the loaded unit, another
+            // or none (a load, and a store of the byte already there).
+            let primed = match rng.below(3) {
+                0 => Some((unit, "memos primed with the loaded unit")),
+                1 => Some((
+                    units[rng.below(units.len() as u64) as usize].0,
+                    "memos primed elsewhere",
+                )),
+                _ => None,
+            };
+            let prime = |view: &mut NativeView<'_>| {
+                if let Some((a, _)) = primed {
+                    if let Some(b) = view.idx_load(a, 0, AccessSize::B1) {
+                        view.idx_store(a, 0, AccessSize::B1, b);
+                    }
+                }
+            };
+            let most = [2, 7, 1000][rng.below(3) as usize];
+            let mut twin = s.clone();
+            let mut regs: RegFile = [b'a' as i64; 256];
+            let mut want = regs;
+            let got = {
+                let mut view = s.native_view(base, frame.total);
+                prime(&mut view);
+                let (ran, leaves) = run_counted(&mut view, lp, &mut regs, base, (most, 1));
+                (ran, if leaves { lp.exit } else { lp.back })
+            };
+            // The same passes one at a time: first how many could batch and
+            // which one a test leaves in, each on a clone, then those passes.
+            let left = {
+                let mut view = twin.native_view(base, frame.total);
+                prime(&mut view);
+                latch_once(&mut view, lp, &mut want, base, false).expect("no strict latch")
+            };
+            let expected = match left {
+                Some(next) => (0, next),
+                None => {
+                    let mut space = twin.clone();
+                    let (mut view, mut r) = (space.native_view(base, frame.total), want);
+                    let mut written = Vec::new();
+                    let mut proven = 0;
+                    while proven < most
+                        && pass_once(&mut view, ops, lp, &mut r, base, true, &mut written).is_ok()
+                    {
+                        proven += 1;
+                    }
+                    let mut space = twin.clone();
+                    let (mut view, mut r) = (space.native_view(base, frame.total), want);
+                    let mut out = (proven, lp.back);
+                    for j in 0..proven {
+                        match pass_once(&mut view, ops, lp, &mut r, base, false, &mut Vec::new()) {
+                            Ok(Some((_, true))) => out = (j + 1, lp.exit),
+                            Ok(Some((_, false))) => out = (j, lp.back),
+                            _ => continue,
+                        }
+                        break;
+                    }
+                    match proven < 2 || out.0 == 0 {
+                        true => (0, lp.back),
+                        false => out,
+                    }
+                }
+            };
+            {
+                let mut view = twin.native_view(base, frame.total);
+                for _ in 0..expected.0 {
+                    pass_once(&mut view, ops, lp, &mut want, base, false, &mut Vec::new())
+                        .expect("a batched pass is a hit");
+                }
+            }
+            let what = format!("{class} {lp:?} k {k} from {t_from:#x} to {t_to:#x}");
+            assert_eq!(got, expected, "{what}");
+            assert_eq!(regs, want, "{what}");
+            assert_eq!(s.stats(), twin.stats(), "{what}");
+            let window = |s: &MemorySpace| {
+                let heap = s.read_bytes_raw(HEAP_BASE, 8192);
+                (heap, s.read_bytes_raw(base, frame.total))
+            };
+            assert_eq!(window(&s), window(&twin), "{what}");
+            let outcome = match (got.0, got.1 == lp.exit && got.1 != lp.back) {
+                (0, true) => "left at the latch",
+                (0, false) => "no batch",
+                (_, true) => "batched through the latch's exit",
+                (n, false) if n == most => "batched to the fuel",
+                _ => "batched up to a side exit or the proof's end",
+            };
+            let batched = if got.0 > 0 { "batched" } else { "not batched" };
+            note(format!("{class}, {outcome}"));
+            note(format!("sentinel {placed}, {batched}"));
+            note(format!(
+                "{class}, loads near a unit ending {unit_class}, {batched}"
+            ));
+            note(format!("{class}, stores {store_class}, {batched}"));
+            note(format!("{k_class} ({class}), {batched}"));
+            note(format!("{} counter, {batched}", counter));
+            if let Some((_, primed)) = primed {
+                note(format!("{class}, {primed}, {batched}"));
+            }
+        }
+        let mut want: Vec<String> = Vec::new();
+        for class in ["Standard", "checked"] {
+            for outcome in [
+                "no batch",
+                "batched through the latch's exit",
+                "batched to the fuel",
+                "batched up to a side exit or the proof's end",
+            ] {
+                want.push(format!("{class}, {outcome}"));
+            }
+            for unit in ["inside", "at", "past", "frame"] {
+                want.push(format!("{class}, loads near a unit ending {unit}, batched"));
+            }
+            for store in ["near a hole", "near a unit's edge"] {
+                want.push(format!("{class}, stores {store}, batched"));
+            }
+            for memo in [
+                "memos primed with the loaded unit",
+                "memos primed elsewhere",
+            ] {
+                want.push(format!("{class}, {memo}, batched"));
+            }
+        }
+        for placed in ["first", "mid-window", "absent"] {
+            for batched in ["batched", "not batched"] {
+                want.push(format!("sentinel {placed}, {batched}"));
+            }
+        }
+        want.push("Standard, left at the latch".into());
+        want.push("int near the wrap (Standard), batched".into());
+        want.push("small (checked), batched".into());
+        want.extend(["int counter, batched", "long counter, batched"].map(String::from));
+        for what in want {
+            assert!(
+                tally.get(&what).is_some_and(|&n| n >= 7),
+                "{what}: {tally:#?}"
+            );
+        }
     }
 }

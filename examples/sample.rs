@@ -30,7 +30,9 @@
 //!
 //! (line tables do not change the generated code). Every reading comes
 //! with the link addresses of both executors, `Machine::run_native` and
-//! the counted-loop batch `run_counted`: placement alone has moved
+//! the counted-loop batch `run_counted`, which runs MC's word copy and
+//! component scan and Apache's path copy and rewrite scan (the
+//! `apache_edge` and `apache_flood` shapes): placement alone has moved
 //! `mc_copy` by 3–4% through `run_native` and by a fifth through
 //! `run_counted` (PR 31's builds), so the table ends with them. Since
 //! the batch's proof was inlined into `run_counted` (PR 50), three
@@ -62,7 +64,7 @@ mod linux {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
     use std::time::{Duration, Instant};
 
-    use failure_oblivious::compiler::{compile, ExecTier, ProgramImage};
+    use failure_oblivious::compiler::{compile_moving, ExecTier, ProgramImage};
     use failure_oblivious::lang::{analyze, parse};
     use failure_oblivious::servers::conn::{Edge, SocketEdge};
     use failure_oblivious::servers::farm::{run_farm, FarmConfig};
@@ -476,9 +478,9 @@ mod linux {
                 };
                 let ast = parse(kind.source()).expect("server source parses");
                 done(0);
-                let hir = analyze(&ast).expect("server source type-checks");
+                let mut hir = analyze(&ast).expect("server source type-checks");
                 done(1);
-                let program = compile(&hir).expect("server source lowers");
+                let program = compile_moving(&mut hir).expect("server source lowers");
                 done(2);
                 drop(ast);
                 done(3);

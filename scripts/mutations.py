@@ -41,6 +41,8 @@ IO_ALIKE = "an_io_wait_of_any_count_is_charged_alike_at_both_tiers"
 LATTICE = "library_at_every_lattice_point"
 FARMS = "farm_reports_are_edge_invariant_across_servers_and_modes"
 PROOF = "the_copy_proof_matches_a_per_pass_scan"
+TRIPS = "trips_match_a_per_pass_scan"
+BATCH = "the_sentinel_batch_matches_a_per_pass_scan"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [
@@ -68,7 +70,7 @@ MUTATIONS = [
      [(MACHINE, "if fuel >= to.charge + next.skip as u64", "if fuel > to.charge + next.skip as u64")],
      []),
     (10, "a batch runs one pass more than its fuel",
-     [(MACHINE, "fuel / region.charge)", "fuel / region.charge + 1)")], [GEN]),
+     [(MACHINE, "n = fuel / charge;", "n = fuel / charge + 1;")], [GEN]),
     (11, "PtrInc writes the un-added pointer back",
      [(MACHINE, "view.local_put(off, AccessSize::B8, out);", "view.local_put(off, AccessSize::B8, p);")],
      [GEN]),
@@ -117,14 +119,26 @@ MUTATIONS = [
        "stats.total_cycles += u64::from(attempts);")],
      ["tail_attribution_splits_restart_overhead_from_service", "bounds_check_sendmail_farm_is_down"]),
     (24, "the copy proof's window and unit bound admits one pass more",
-     [(SPACE, "passes = passes.min((hi - first) >> shift);",
-       "passes = passes.min(((hi - first) >> shift) + 1);")], [PROOF, GEN]),
+     [(SPACE, "passes = passes.min(((hi - first) >> shift).saturating_sub(span));",
+       "passes = passes.min(((hi - first) >> shift).saturating_sub(span) + 1);")], [PROOF, GEN]),
     (25, "the copy proof's store skips the base-slot holes",
      [(SPACE, "let met = if store { &holes[..] } else { &holes[..1] };",
-       "let met = if store { &holes[..2] } else { &holes[..1] };")], [PROOF]),
+       "let met = if store { &holes[..2] } else { &holes[..1] };")], [PROOF, GEN, BATCH]),
     (26, "the copy proof drops the scaled-index exactness bound",
      [(SPACE, "let by_index = (max.wrapping_sub(index as u64) >> shift).saturating_add(1);",
        "let by_index = u64::MAX;")], [PROOF]),
+    (27, "the sentinel scan reads the element tested after k++ one element early",
+     [(NATIVE, "let skip = (at - self.pass.loads.0) as u64;", "let skip = 0u64;")],
+     [GEN, TRIPS, BATCH]),
+    (28, "the batch also runs the pass a side exit leaves in",
+     [(NATIVE, "(false, true) => (first, false),", "(false, true) => (first + 1, false),")],
+     [GEN, TRIPS, BATCH]),
+    (29, "the batch drops a pass's second exit test",
+     [(NATIVE, "if let Some(i) = fires.filter(|&i| i < first) {",
+       "if let Some(i) = fires.filter(|&i| i < first && j != 1) {")], [GEN, TRIPS, BATCH]),
+    (30, "an int counter's batch may cross its wrap",
+     [(NATIVE, "(AccessSize::B4, true) => i32::MAX as i64,", "(AccessSize::B4, true) => i64::MAX,")],
+     [GEN, BATCH]),
 ]
 
 
