@@ -17,6 +17,8 @@
 //! into the [`crate::oob::OobRegistry`], mirroring how CRED replaces
 //! out-of-bounds pointer values with pointers to descriptor objects.
 
+use crate::restore;
+
 /// Base address of the global data region.
 pub const GLOBAL_BASE: u64 = 0x0001_0000;
 
@@ -147,6 +149,14 @@ impl Window {
     pub(crate) fn end(&self) -> usize {
         self.at + self.bytes.len()
     }
+
+    /// Overwrites this window with `src` in its own storage
+    /// ([`crate::restore`]).
+    fn restore_from(&mut self, src: &Window) {
+        let Window { at, bytes } = self;
+        *at = src.at;
+        restore::vec(bytes, &src.bytes);
+    }
 }
 
 /// Commit granularity: window edges are aligned to it, or clipped to
@@ -177,6 +187,33 @@ impl Region {
             len,
             windows: Vec::new(),
         }
+    }
+
+    /// Overwrites this region with `src` in place: window `i` is copied
+    /// into the storage of this region's window `i`, so a restored
+    /// process allocates nothing unless its predecessor had fewer
+    /// windows ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &Region) {
+        let Region {
+            kind,
+            base,
+            len,
+            windows,
+        } = self;
+        *kind = src.kind;
+        *base = src.base;
+        *len = src.len;
+        restore::each(windows, &src.windows, Window::restore_from);
+    }
+
+    /// Bytes each buffer of this region holds: the window list, then
+    /// each window's storage.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> Vec<usize> {
+        let windows = self.windows.iter().map(|w| restore::held(&w.bytes));
+        std::iter::once(restore::held(&self.windows))
+            .chain(windows)
+            .collect()
     }
 
     /// Bytes of real storage currently committed (diagnostics).

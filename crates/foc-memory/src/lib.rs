@@ -31,6 +31,7 @@ pub mod manufacture;
 pub mod oob;
 pub mod policy;
 pub mod report;
+pub mod restore;
 pub mod roomy;
 pub mod space;
 pub mod store;

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use crate::addr::AccessSize;
+use crate::restore;
 use crate::unit::UnitId;
 
 /// Classification of a logged memory error.
@@ -108,6 +109,28 @@ impl MemoryErrorLog {
             reads: 0,
             writes: 0,
         }
+    }
+
+    /// Overwrites this log with `src` in place ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &MemoryErrorLog) {
+        let MemoryErrorLog {
+            buffer,
+            capacity,
+            next_seq,
+            reads,
+            writes,
+        } = self;
+        restore::vec(buffer, &src.buffer);
+        *capacity = src.capacity;
+        *next_seq = src.next_seq;
+        *reads = src.reads;
+        *writes = src.writes;
+    }
+
+    /// Bytes the record buffer holds.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        restore::held(&self.buffer)
     }
 
     /// Appends a record, logically evicting the oldest if at capacity

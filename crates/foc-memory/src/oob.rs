@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 
 use crate::addr::{OOB_STRIDE, OOB_ZONE_BASE};
+use crate::restore;
 use crate::roomy::RoomyVec;
 use crate::unit::UnitId;
 
@@ -74,6 +75,38 @@ impl OobRegistry {
     /// Creates an empty registry.
     pub fn new() -> OobRegistry {
         OobRegistry::default()
+    }
+
+    /// Overwrites this registry with `src` in place ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &OobRegistry) {
+        let OobRegistry {
+            entries,
+            dedup,
+            by_unit,
+            free,
+            live,
+        } = self;
+        restore::vec(entries, &src.entries);
+        restore::map(dedup, &src.dedup);
+        restore::each(by_unit, &src.by_unit, restore::vec);
+        restore::vec(free, &src.free);
+        *live = src.live;
+    }
+
+    /// Bytes each buffer of this registry holds, each descriptor list
+    /// included.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> Vec<usize> {
+        let lists = self.by_unit.iter().map(restore::held);
+        [
+            restore::held(&self.entries),
+            restore::held_map(&self.dedup),
+            restore::held(&self.by_unit),
+            restore::held(&self.free),
+        ]
+        .into_iter()
+        .chain(lists)
+        .collect()
     }
 
     /// Registers (or finds) the descriptor for `intended` relative to the

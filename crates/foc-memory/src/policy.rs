@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 
+use crate::restore;
 use crate::unit::UnitId;
 
 /// How memory accesses are checked and what happens on a violation.
@@ -85,6 +86,18 @@ impl BoundlessStore {
     /// Creates an empty store.
     pub fn new() -> BoundlessStore {
         BoundlessStore::default()
+    }
+
+    /// Overwrites this store with `src` in place ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &BoundlessStore) {
+        let BoundlessStore { bytes } = self;
+        restore::map(bytes, &src.bytes);
+    }
+
+    /// Bytes of entries the map has room for.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        restore::held_map(&self.bytes)
     }
 
     /// Stores `len` bytes of `value` at `offset` from the unit base.

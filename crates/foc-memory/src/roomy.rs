@@ -1,15 +1,23 @@
 //! A `Vec` whose clone keeps its spare capacity.
 //!
-//! `Vec::clone` allocates exactly `len`, so a process restored from a
-//! checkpoint met a full vector wherever the checkpointed one had grown
+//! `Vec::clone` allocates exactly `len`, so a process cloned from a
+//! checkpoint meets a full vector wherever the checkpointed one had grown
 //! headroom — the object table, the unit slab, the frame stacks — and
-//! its first guest call reallocated every one of them. Under
-//! `apache_flood`, where every attack ends in a restore, that was one
-//! sample in twenty. The fields that grow on a guest call are
-//! [`RoomyVec`]s instead; everything else about them is `Vec`'s, through
-//! `Deref`, and the structs holding them keep their derived `Clone`.
+//! its first guest call would reallocate every one of them. The fields
+//! that grow on a guest call are [`RoomyVec`]s instead; everything else
+//! about them is `Vec`'s, through `Deref`, and the structs holding them
+//! keep their derived `Clone`.
+//!
+//! That reason now holds for first boots only — a farm boot, a pool
+//! child, a sweep cell. A supervised restart no longer clones: it
+//! restores the dead process in place ([`crate::restore`]), and a
+//! restored vector keeps the allocation its predecessor already had.
+//! (While restarts cloned, the regrowth was one sample in twenty of
+//! `apache_flood`, where every attack ends in a restart.)
 
 use std::ops::{Deref, DerefMut};
+
+use crate::restore;
 
 /// A `Vec<T>` whose `clone` has the source's capacity.
 #[derive(Debug)]
@@ -19,6 +27,14 @@ impl<T> RoomyVec<T> {
     /// An empty vector with room for `capacity` elements.
     pub fn with_capacity(capacity: usize) -> RoomyVec<T> {
         RoomyVec(Vec::with_capacity(capacity))
+    }
+}
+
+impl<T: Clone> RoomyVec<T> {
+    /// Overwrites this vector with `src` in its own allocation
+    /// ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &RoomyVec<T>) {
+        restore::vec(&mut self.0, &src.0);
     }
 }
 

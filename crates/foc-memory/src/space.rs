@@ -11,7 +11,8 @@
 //!   of modes discards the write or manufactures a read value (§3 of the
 //!   paper), while Bounds Check mode returns a fatal [`MemFault`].
 //!
-//! The space owns its parts by value and derives `Clone`: the unit store
+//! The space owns its parts by value, derives `Clone` and restores in
+//! place (`restore_from`): the unit store
 //! (who the data units are), one [`Table`] (where they are — the only
 //! structure an in-bounds access consults, `table.lookup(a)`), the
 //! policy state (descriptors, boundless store, manufacturer) and the
@@ -21,8 +22,9 @@
 //! **A snapshot holds what the guest touched.** The three regions
 //! reserve 76 MB and commit page-granular windows around the pages
 //! actually written (`addr.rs`), so everything priced per committed
-//! byte — zeroing at boot, the `Clone` behind every checkpoint capture
-//! and restore, a cached checkpoint's residency — is priced by the
+//! byte — zeroing at boot, the `Clone` behind every checkpoint capture,
+//! the in-place copy behind every restore, a cached checkpoint's
+//! residency — is priced by the
 //! guest's footprint: 16–36 KiB for a booted server, 24 KiB for the
 //! Apache worker `apache_flood` restarts on every attack.
 //! [`MemorySpace::footprint`] reports the two sides of that rule.
@@ -286,12 +288,16 @@ struct FrameRec {
 /// `Clone` snapshots the entire space — committed region bytes, the
 /// unit store, the object table, out-of-bounds descriptors, allocator
 /// and manufacturer state, and the error log. A clone of a freshly
-/// booted space is the memory half of a boot checkpoint: restoring it
-/// is a memcpy of the committed windows — what the guest touched, not
-/// what the regions reserve — instead of a re-run of boot and
-/// environment replay, which is what makes a supervised restart cost
-/// microseconds. The derive is deliberate: a hand-written copy that
-/// missed a field would leak a dead process's state into its successor.
+/// booted space is the memory half of a boot checkpoint, and
+/// [`MemorySpace::restore_from`] copies it over a dead process's space
+/// in place: a memcpy of the committed windows — what the guest touched,
+/// not what the regions reserve — into buffers the dead process already
+/// holds, instead of a re-run of boot and environment replay, which is
+/// what makes a supervised restart cost about a microsecond. `Clone`
+/// stays derived and is the oracle the restore is tested against; the
+/// restore destructures every field, so one added later fails to build
+/// until it is restored too (a missed field would leak a dead process's
+/// state into its successor).
 #[derive(Debug, Clone)]
 pub struct MemorySpace {
     mode: Mode,
@@ -342,6 +348,69 @@ impl MemorySpace {
             frames: RoomyVec::default(),
             frame_units: RoomyVec::with_capacity(room),
         }
+    }
+
+    /// Overwrites this space with `src` in place: each region's windows,
+    /// each table and each log are copied into the buffers this space
+    /// already holds, so restoring a dead process's space over its
+    /// checkpoint allocates only where the dead process held less than
+    /// the checkpoint and frees only what it held beyond it
+    /// ([`crate::restore`]). It leaves what [`Clone`] would have built.
+    pub fn restore_from(&mut self, src: &MemorySpace) {
+        let MemorySpace {
+            mode,
+            globals,
+            heap,
+            stack,
+            store,
+            table,
+            oob,
+            allocator,
+            boundless,
+            manufacturer,
+            log,
+            stats,
+            global_brk,
+            sp,
+            frames,
+            frame_units,
+        } = self;
+        *mode = src.mode;
+        globals.restore_from(&src.globals);
+        heap.restore_from(&src.heap);
+        stack.restore_from(&src.stack);
+        store.restore_from(&src.store);
+        table.restore_from(&src.table);
+        oob.restore_from(&src.oob);
+        allocator.clone_from(&src.allocator);
+        boundless.restore_from(&src.boundless);
+        manufacturer.clone_from(&src.manufacturer);
+        log.restore_from(&src.log);
+        *stats = src.stats;
+        *global_brk = src.global_brk;
+        *sp = src.sp;
+        frames.restore_from(&src.frames);
+        frame_units.restore_from(&src.frame_units);
+    }
+
+    /// Bytes each buffer of this space holds, in a fixed order: the
+    /// three regions, the unit store, the table, the registry, the
+    /// boundless store, the log and the two frame lists.
+    #[cfg(test)]
+    fn held(&self) -> Vec<usize> {
+        let regions = [&self.globals, &self.heap, &self.stack].map(Region::held);
+        regions
+            .into_iter()
+            .flatten()
+            .chain(self.store.held())
+            .chain(self.table.held())
+            .chain(self.oob.held())
+            .chain([self.boundless.held(), self.log.held()])
+            .chain([
+                crate::restore::held(&self.frames),
+                crate::restore::held(&self.frame_units),
+            ])
+            .collect()
     }
 
     /// The configured access policy.
@@ -1702,6 +1771,57 @@ mod tests {
     }
 
     const CTX: AccessCtx = AccessCtx { func: 0, pc: 0 };
+
+    #[test]
+    fn a_restore_gives_back_what_a_runaway_grew() {
+        // The checkpoint already holds 200 descriptors, boundless bytes
+        // and log records, so each of its buffers is past the page every
+        // reused buffer may keep and the bound below is twice its own.
+        let mut checkpoint = MemorySpace::new(MemConfig {
+            mode: Mode::Boundless,
+            heap_len: 256 << 10,
+            stack_len: 64 << 10,
+            log_capacity: 256,
+            ..MemConfig::default()
+        });
+        let a = checkpoint.malloc(64).unwrap();
+        let run = |s: &mut MemorySpace, offsets: std::ops::Range<i64>| {
+            for off in offsets {
+                let p = s.ptr_add(a, 64 + 8 * off);
+                s.store(p, AccessSize::B8, off as u64, CTX).unwrap();
+            }
+        };
+        run(&mut checkpoint, 0..200);
+        // The runaway: 10 000 more descriptors, a full log, the
+        // checkpoint's heap window grown in place to 96 KiB and a deeper
+        // stack.
+        let mut runaway = checkpoint.clone();
+        run(&mut runaway, 200..10_200);
+        for _ in 0..24 {
+            let block = runaway.malloc(4 << 10).unwrap();
+            runaway
+                .store(block + (4 << 10) - 8, AccessSize::B8, 1, CTX)
+                .unwrap();
+        }
+        runaway.push_frame(32 << 10, &[(0, 8)]).unwrap();
+        let grown: usize = runaway.held().iter().sum();
+
+        runaway.restore_from(&checkpoint);
+        let (held, source) = (runaway.held(), checkpoint.held());
+        assert_eq!(held.len(), source.len());
+        for (i, (&held, &source)) in held.iter().zip(&source).enumerate() {
+            let bound = (2 * source).max(crate::restore::KEEP_FLOOR);
+            assert!(held <= bound, "buffer {i}: {held} bytes for {source}");
+        }
+        assert!(
+            held.iter().sum::<usize>() * 20 < grown,
+            "{held:?} of {grown}"
+        );
+        let clone = checkpoint.clone();
+        assert_eq!(runaway.stats(), clone.stats());
+        assert_eq!(runaway.footprint(), clone.footprint());
+        assert_eq!(runaway.error_log().records(), clone.error_log().records());
+    }
 
     #[test]
     fn in_bounds_round_trip_all_modes() {

@@ -24,6 +24,7 @@
 //! slot is actually reused, matching the behaviour the error log and the
 //! out-of-bounds registry were built against.
 
+use crate::restore;
 use crate::roomy::RoomyVec;
 use crate::unit::{DataUnit, UnitId, UnitKind};
 
@@ -85,6 +86,26 @@ impl UnitStore {
             live: 0,
             label_arena: String::new(),
         }
+    }
+
+    /// Overwrites this store with `src` in place ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &UnitStore) {
+        let UnitStore {
+            slots,
+            free_head,
+            live,
+            label_arena,
+        } = self;
+        slots.restore_from(&src.slots);
+        *free_head = src.free_head;
+        *live = src.live;
+        restore::text(label_arena, &src.label_arena);
+    }
+
+    /// Bytes each buffer of this store holds.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> [usize; 2] {
+        [restore::held(&self.slots), self.label_arena.capacity()]
     }
 
     /// Allocates a live unit, recycling a vacant slot when one exists.

@@ -136,6 +136,35 @@ impl Table {
         }
     }
 
+    /// Overwrites this table with `src` in place ([`crate::restore`]).
+    /// The oracle's map has no allocation to reuse and is cloned.
+    pub fn restore_from(&mut self, src: &Table) {
+        match (self, src) {
+            (Table::Flat(table), Table::Flat(src)) => table.restore_from(src),
+            (
+                Table::Reference { units, profile },
+                Table::Reference {
+                    units: src_units,
+                    profile: src_profile,
+                },
+            ) => {
+                units.clone_from(src_units);
+                *profile = *src_profile;
+            }
+            (table, src) => *table = src.clone(),
+        }
+    }
+
+    /// Bytes the flat table's entries hold (the oracle's map reuses
+    /// nothing and reports none).
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> Vec<usize> {
+        match self {
+            Table::Flat(table) => vec![crate::restore::held(&table.entries)],
+            Table::Reference { .. } => Vec::new(),
+        }
+    }
+
     /// Registers a live unit. The caller guarantees the range does not
     /// overlap any registered range.
     pub fn insert(&mut self, base: u64, size: u64, unit: UnitId) {
@@ -247,6 +276,18 @@ impl FlatTable {
     /// Creates an empty table.
     pub fn new() -> FlatTable {
         FlatTable::default()
+    }
+
+    /// Overwrites this table with `src` in place ([`crate::restore`]).
+    pub fn restore_from(&mut self, src: &FlatTable) {
+        let FlatTable {
+            entries,
+            last_hit,
+            profile,
+        } = self;
+        entries.restore_from(&src.entries);
+        *last_hit = src.last_hit;
+        *profile = src.profile;
     }
 
     /// Index of the first entry with `base > addr`.

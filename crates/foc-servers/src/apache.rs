@@ -240,9 +240,11 @@ impl ApacheWorker {
     }
 
     /// Boots one worker from a full [`BootSpec`]: a clone of the
-    /// per-spec frozen boot, so farm boots, pool respawns, and
-    /// supervised restarts cost a copy of the process instead of the
-    /// document/rewrite-rule replay.
+    /// per-spec frozen boot, so farm boots and pool respawns cost a copy
+    /// of the process instead of the document/rewrite-rule replay. A
+    /// supervised restart copies the same frozen boot over the dead
+    /// worker in place instead ([`ApacheWorker::restore_from`]), which
+    /// allocates nothing.
     pub fn boot_spec(spec: &BootSpec) -> ApacheWorker {
         let Server::Apache(worker) = &*image::boot_checkpoint(ServerKind::Apache, spec) else {
             unreachable!("Apache cache slot holds an Apache worker");
@@ -257,6 +259,13 @@ impl ApacheWorker {
         let mut proc = Process::boot_spec(image, spec);
         init_worker(&mut proc);
         ApacheWorker { proc }
+    }
+
+    /// Overwrites this worker with `src` in place
+    /// ([`Process::restore_from`]).
+    pub fn restore_from(&mut self, src: &ApacheWorker) {
+        let ApacheWorker { proc } = self;
+        proc.restore_from(&src.proc);
     }
 
     /// The underlying process.

@@ -36,7 +36,7 @@
 //! parallelism alone.
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use foc_compiler::ProgramImage;
 use foc_memory::{Mode, TableKind, ValueSequence};
@@ -47,7 +47,9 @@ pub use crate::image::ServerKind;
 
 use crate::conn::{ConnSession, Edge};
 use crate::steal::{run_stealing, Slice};
-use crate::{apache, mc, mutt, pine, sendmail, supervisor, workload, BootSpec, Measured, Outcome};
+use crate::{
+    apache, image, mc, mutt, pine, sendmail, supervisor, workload, BootSpec, Measured, Outcome,
+};
 
 /// Virtual cycles charged for forking and re-initialising a replacement
 /// process (shared with the Apache pool's accounting).
@@ -276,7 +278,8 @@ impl PartialEq for FarmReport {
 /// sweep scripts and both request edges apply [`Request`]s to.
 /// Driver-side workload state (Pine's mailbox-size view, MC's file
 /// counter) lives in `RequestGen`, not here: the process is pure
-/// service. `Clone` is the restore half of a frozen boot.
+/// service. `Clone` is how a first boot leaves a frozen boot, and
+/// [`Server::restore_from`] how a restart returns to it.
 #[derive(Clone)]
 pub enum Server {
     /// An Apache worker.
@@ -317,6 +320,20 @@ impl ServerEnv {
             mutt_seed: MUTT_SEED_MESSAGES,
         })
     }
+
+    /// Whether `kind` boots over this environment from its frozen boot
+    /// ([`image::boot_checkpoint`]): its part of the environment has the
+    /// standard *contents* (Apache and Sendmail read none). The sweep's
+    /// poisoned mailboxes and blank configurations boot cold — their
+    /// replay is the persistent trigger under study.
+    fn boots_frozen(&self, kind: ServerKind) -> bool {
+        match kind {
+            ServerKind::Apache | ServerKind::Sendmail => true,
+            ServerKind::Pine => &self.pine_mailbox == image::standard_pine_mailbox(),
+            ServerKind::Mutt => self.mutt_seed == MUTT_SEED_MESSAGES,
+            ServerKind::Mc => &self.mc_config == image::standard_mc_config(),
+        }
+    }
 }
 
 /// Messages every Pine farm process starts with (the standard seed
@@ -355,20 +372,18 @@ fn mc_attack() -> &'static [Vec<u8>] {
 
 impl Server {
     /// Boots one process over `env`. Over the standard environment
-    /// (every farm boot and supervised restart) the compiler runs at
-    /// most once per kind per host process and boot plus environment
-    /// replay at most once per `(kind, spec)`: the drivers' `boot_spec`
-    /// constructors clone [`crate::image::boot_checkpoint`] when the
-    /// environment's *contents* equal the interned standard one. The
-    /// sweep's poisoned mailboxes and blank configurations boot cold.
+    /// (every farm boot) the compiler runs at most once per kind per
+    /// host process and boot plus environment replay at most once per
+    /// `(kind, spec)`: the process is a clone of
+    /// [`image::boot_checkpoint`] when the environment's *contents*
+    /// equal the interned standard one, as the drivers' `boot_spec`
+    /// constructors decide too. The sweep's poisoned mailboxes and blank
+    /// configurations boot cold.
     pub fn boot(kind: ServerKind, spec: &BootSpec, env: &ServerEnv) -> Server {
-        match kind {
-            ServerKind::Apache => Server::Apache(apache::ApacheWorker::boot_spec(spec)),
-            ServerKind::Sendmail => Server::Sendmail(sendmail::Sendmail::boot_spec(spec)),
-            ServerKind::Pine => Server::Pine(pine::Pine::boot_spec(spec, env.pine_mailbox.clone())),
-            ServerKind::Mutt => Server::Mutt(mutt::Mutt::boot_spec(spec, env.mutt_seed)),
-            ServerKind::Mc => Server::Mc(mc::Mc::boot_spec(spec, &env.mc_config)),
+        if env.boots_frozen(kind) {
+            return Server::clone(&image::boot_checkpoint(kind, spec));
         }
+        Server::boot_cold(kind, &kind.image_tier(spec.tier), spec, env)
     }
 
     /// Boots one process of `image` over `env` from scratch — guest
@@ -437,13 +452,44 @@ impl Server {
     /// Replaces the dead process, preserving the persistent environment
     /// (the Pine mailbox survives restarts — it is the mail file on
     /// disk; MC re-reads the same configuration). Over the standard
-    /// environment both arms clone a frozen process: Pine its pre-index
-    /// restart base, replaying only the delivered delta; the others the
-    /// frozen boot of their environment.
+    /// environment every arm copies a frozen process over the dead one
+    /// in place: Pine its pre-index restart base,
+    /// replaying only the delivered delta ([`pine::Pine::restart`]); the
+    /// others the frozen boot of their environment
+    /// ([`Server::restart_from`]). Over a poisoned environment the
+    /// others boot cold.
     pub fn restart(&mut self, kind: ServerKind, spec: &BootSpec, env: &ServerEnv) {
         match self {
             Server::Pine(pine) => pine.restart(),
+            other if env.boots_frozen(kind) => {
+                other.restore_from(&image::boot_checkpoint(kind, spec));
+            }
             other => *other = Server::boot(kind, spec, env),
+        }
+    }
+
+    /// [`Server::restart`] over the standard environment, from the
+    /// frozen boot `frozen` the caller resolved once: no cache lookup.
+    pub fn restart_from(&mut self, frozen: &Server) {
+        match self {
+            Server::Pine(pine) => pine.restart(),
+            other => other.restore_from(frozen),
+        }
+    }
+
+    /// Overwrites this process with `src` in the allocations it already
+    /// holds ([`crate::Process::restore_from`]): what `src.clone()` would
+    /// leave, but a copy of the booted bytes instead of an allocation
+    /// and a free per buffer. Processes of two kinds are not restored
+    /// into each other; `src` is cloned.
+    pub fn restore_from(&mut self, src: &Server) {
+        match (self, src) {
+            (Server::Apache(w), Server::Apache(src)) => w.restore_from(src),
+            (Server::Sendmail(s), Server::Sendmail(src)) => s.restore_from(src),
+            (Server::Pine(pine), Server::Pine(src)) => pine.restore_from(src),
+            (Server::Mutt(m), Server::Mutt(src)) => m.restore_from(src),
+            (Server::Mc(mc), Server::Mc(src)) => mc.restore_from(src),
+            (other, src) => *other = src.clone(),
         }
     }
 }
@@ -839,20 +885,19 @@ fn server_seed(farm_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Restarts `process` until it serves again or the server's remaining
-/// budget runs out, charging each attempt to the server's stats. The
-/// attempt loop itself is the shared [`supervisor::restart_until_usable`]
-/// helper — one definition of supervision for the farm and the §4.7
-/// study.
-fn supervise(process: &mut Server, stats: &mut ServerStats, config: &FarmConfig) {
+/// Restarts `process` from `frozen`, its frozen boot, until it serves
+/// again or the server's remaining budget runs out, charging each
+/// attempt to the server's stats. The attempt loop itself is the shared
+/// [`supervisor::restart_until_usable`] helper — one definition of
+/// supervision for the farm and the §4.7 study.
+fn supervise(process: &mut Server, frozen: &Server, stats: &mut ServerStats, config: &FarmConfig) {
     let remaining = u64::from(config.restart_budget).saturating_sub(stats.restarts);
     let budget = u32::try_from(remaining).unwrap_or(u32::MAX);
-    let (kind, spec) = (config.kind, config.boot_spec());
     let attempts = supervisor::restart_until_usable(
         process,
         budget,
         |p| p.usable(),
-        |p| p.restart(kind, &spec, ServerEnv::standard()),
+        |p| p.restart_from(frozen),
     );
     stats.restarts += u64::from(attempts);
     stats.total_cycles += u64::from(attempts) * RESTART_COST_CYCLES;
@@ -866,6 +911,9 @@ struct ServerRun {
     index: usize,
     gen: RequestGen,
     process: Server,
+    /// The frozen boot `process` was cloned from, resolved once at boot:
+    /// every restart copies it back in place.
+    frozen: Arc<Server>,
     /// The socket session carrying this server's stream, when the farm
     /// runs behind [`Edge::Socket`]. `None` is the in-process edge:
     /// requests apply directly, no framing.
@@ -882,8 +930,9 @@ impl ServerRun {
     fn boot(config: &FarmConfig, index: usize) -> Box<ServerRun> {
         let gen = RequestGen::new(server_seed(config.seed, index));
         let mut stats = ServerStats::default();
-        let mut process = Server::boot(config.kind, &config.boot_spec(), ServerEnv::standard());
-        supervise(&mut process, &mut stats, config);
+        let frozen = image::boot_checkpoint(config.kind, &config.boot_spec());
+        let mut process = Server::clone(&frozen);
+        supervise(&mut process, &frozen, &mut stats, config);
         let conn = match &config.edge {
             Edge::InProcess => None,
             Edge::Socket(socket) => Some(Box::new(ConnSession::new(config.kind, socket))),
@@ -892,6 +941,7 @@ impl ServerRun {
             index,
             gen,
             process,
+            frozen,
             conn,
             stats,
             issued: 0,
@@ -943,7 +993,7 @@ impl ServerRun {
             Outcome::Crashed(_) => {
                 self.stats.dropped += 1;
                 self.stats.deaths += 1;
-                supervise(&mut self.process, &mut self.stats, config);
+                supervise(&mut self.process, &self.frozen, &mut self.stats, config);
             }
         }
     }

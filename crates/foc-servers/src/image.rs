@@ -259,11 +259,17 @@ pub fn checkpoint_cache_len() -> usize {
 /// booted over [`ServerEnv::standard`] — machine image, init outcome,
 /// driver bookkeeping — that nobody calls, so `Arc` is all the
 /// immutability it needs. Performed at most once per residency, then
-/// cloned by every farm boot, pool respawn, and supervised restart of
-/// that configuration: boots are pure functions of `(image, spec,
-/// environment)`, so the clone is byte-identical to re-running the
+/// cloned by every farm boot and pool respawn of that configuration and
+/// copied over the dead process in place by every supervised restart
+/// ([`Server::restore_from`]): boots are pure functions of `(image,
+/// spec, environment)`, so the copy is byte-identical to re-running the
 /// boot. Sits directly above [`ServerKind::image`] in the boot stack:
 /// compile → image → **frozen boot** → machine.
+///
+/// Each call takes the cache's lock and hashes `(kind, spec)`, so a
+/// caller that restarts one configuration many times — a farm server —
+/// resolves the `Arc` once and restarts from it
+/// ([`Server::restart_from`]).
 ///
 /// A boot that *dies* (Bounds Check Sendmail's wake-up, §4.4.4) is
 /// cached and cloned just the same: the clone is dead in exactly the

@@ -21,7 +21,8 @@
 //! byte arguments. And [`Process`] and the drivers are `Clone`, so a
 //! *frozen boot* is nothing but a booted [`Server`] nobody calls: the
 //! boot cache ([`image::boot_checkpoint`]) holds one `Arc<Server>` per
-//! `(kind, spec)` and restoring it is `clone()`.
+//! `(kind, spec)`, a first boot is its `clone()`, and a restart copies
+//! it over the dead process in place ([`Server::restore_from`]).
 
 pub mod apache;
 pub mod conn;
@@ -199,7 +200,8 @@ const MAX_ARGS: usize = 3;
 ///
 /// `Clone` copies the whole process (see [`Machine`]'s `Clone`): a
 /// process that is booted once and afterwards only cloned is a frozen
-/// boot, which is all a restart restores from.
+/// boot, which is all a restart restores from
+/// ([`Process::restore_from`], in place).
 #[derive(Clone)]
 pub struct Process {
     machine: Machine,
@@ -234,6 +236,15 @@ impl Process {
             machine,
             spec: *spec,
         }
+    }
+
+    /// Overwrites this process — a dead one, in a restart — with `src`,
+    /// its frozen boot, in the allocations it already holds
+    /// ([`Machine::restore_from`]). It leaves what `src.clone()` would.
+    pub fn restore_from(&mut self, src: &Process) {
+        let Process { machine, spec } = self;
+        machine.restore_from(&src.machine);
+        *spec = src.spec;
     }
 
     /// Compiles `source` cold on the shipped-default tier and boots it

@@ -258,6 +258,14 @@ impl Mc {
         mc
     }
 
+    /// Overwrites this process with `src` in place
+    /// ([`Process::restore_from`]).
+    pub fn restore_from(&mut self, src: &Mc) {
+        let Mc { proc, init_outcome } = self;
+        proc.restore_from(&src.proc);
+        init_outcome.clone_from(&src.init_outcome);
+    }
+
     /// How configuration loading went.
     pub fn init_outcome(&self) -> &Outcome {
         &self.init_outcome

@@ -289,6 +289,13 @@ impl Mutt {
         mutt
     }
 
+    /// Overwrites this reader with `src` in place
+    /// ([`Process::restore_from`]).
+    pub fn restore_from(&mut self, src: &Mutt) {
+        let Mutt { proc } = self;
+        proc.restore_from(&src.proc);
+    }
+
     /// The underlying process.
     pub fn process(&self) -> &Process {
         &self.proc

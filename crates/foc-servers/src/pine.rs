@@ -218,11 +218,11 @@ pub struct Pine {
     init_outcome: Outcome,
     /// The process frozen after `pine_init` plus the boot-time mailbox
     /// adds, *before* the index build: the restart base. A restart
-    /// clones it and replays only the messages delivered since boot
-    /// plus the index build — the exact call sequence a from-scratch
-    /// boot performs, so the restarted reader is byte-identical to one
-    /// that re-read the whole mail file, at O(delta) instead of
-    /// O(mailbox) cost.
+    /// copies it over the dead process and replays only the messages
+    /// delivered since boot plus the index build — the exact call
+    /// sequence a from-scratch boot performs, so the restarted reader
+    /// is byte-identical to one that re-read the whole mail file, at
+    /// O(delta) instead of O(mailbox) cost.
     restart_base: Option<Arc<Process>>,
     /// Messages of `mailbox` already loaded in `restart_base`.
     base_messages: usize,
@@ -328,6 +328,23 @@ impl Pine {
         self.init_outcome.survived() && !self.proc.is_dead()
     }
 
+    /// Overwrites this reader, mail file included, with `src` in place
+    /// ([`Process::restore_from`]).
+    pub fn restore_from(&mut self, src: &Pine) {
+        let Pine {
+            proc,
+            mailbox,
+            init_outcome,
+            restart_base,
+            base_messages,
+        } = self;
+        proc.restore_from(&src.proc);
+        mailbox.clone_from(&src.mailbox);
+        init_outcome.clone_from(&src.init_outcome);
+        restart_base.clone_from(&src.restart_base);
+        *base_messages = src.base_messages;
+    }
+
     /// The underlying process.
     pub fn process(&self) -> &Process {
         &self.proc
@@ -368,14 +385,15 @@ impl Pine {
     /// when the bad message is *in the mailbox*, restarting just dies
     /// again during initialization.
     ///
-    /// The replay clones the pre-index restart base (init plus the
-    /// boot-time mailbox, frozen at boot) and re-runs only the messages
+    /// The replay copies the pre-index restart base (init plus the
+    /// boot-time mailbox, frozen at boot) over the dead process in place
+    /// ([`Process::restore_from`]) and re-runs only the messages
     /// delivered since, then the index build — byte-identical to a
     /// from-scratch boot over the current mail file, but O(1) in the
     /// boot-time environment.
     pub fn restart(&mut self) {
         if let Some(base) = &self.restart_base {
-            self.proc = Process::clone(base);
+            self.proc.restore_from(base);
             self.add_messages(self.base_messages);
             self.finish_index();
             return;

@@ -273,6 +273,14 @@ impl Sendmail {
         Sendmail { proc, init_outcome }
     }
 
+    /// Overwrites this daemon with `src` in place
+    /// ([`Process::restore_from`]).
+    pub fn restore_from(&mut self, src: &Sendmail) {
+        let Sendmail { proc, init_outcome } = self;
+        proc.restore_from(&src.proc);
+        init_outcome.clone_from(&src.init_outcome);
+    }
+
     /// How daemon initialization went.
     pub fn init_outcome(&self) -> &Outcome {
         &self.init_outcome

@@ -6,14 +6,111 @@
 //!
 //! That a boot restored from the cache equals one booted cold is a
 //! point of every lattice the equivalence harness drives
-//! (`equiv::lattice`, in `native_equiv.rs`).
+//! (`equiv::lattice`, in `native_equiv.rs`). That a restart, which
+//! copies the frozen boot over the dead process in place, equals a
+//! fresh clone of it is `a_restart_in_place_equals_a_fresh_clone`.
 
 use proptest::prelude::*;
 
-use foc_memory::Mode;
-use foc_servers::image::ServerKind;
-use foc_servers::{pine, workload, BootSpec, Measured};
+use foc_memory::{Footprint, LookupProfile, Mode, SpaceStats};
+use foc_servers::farm::RequestGen;
+use foc_servers::image::{self, ServerKind};
+use foc_servers::{pine, workload, BootSpec, Measured, Outcome, Server};
 use foc_vm::Observation;
+
+// ---------------------------------------------------------------------
+// Restarts in place: a dead process overwritten with its frozen boot.
+// ---------------------------------------------------------------------
+
+/// What a process leaves to compare by: its [`Observation`] and, beside
+/// it, the counters that explain how it ran (`ExecProfile` by its
+/// `Debug` form: it has no `PartialEq`, by design), the init outcome and
+/// usability.
+type State = (
+    Observation,
+    SpaceStats,
+    String,
+    LookupProfile,
+    Footprint,
+    Option<Outcome>,
+    bool,
+);
+
+fn state(server: &Server) -> State {
+    let m = server.process().machine();
+    (
+        m.observe(),
+        *m.space().stats(),
+        format!("{:?}", m.exec_profile()),
+        m.space().lookup_profile(),
+        m.space().footprint(),
+        server.init_outcome().cloned(),
+        server.usable(),
+    )
+}
+
+/// Up to `len` requests of `seed`'s attack-mixed stream, while the
+/// server serves.
+fn drive(server: &mut Server, kind: ServerKind, seed: u64, len: usize) -> Vec<Measured> {
+    let mut gen = RequestGen::new(seed);
+    let mut steps = Vec::new();
+    while steps.len() < len && server.usable() {
+        let attack = gen.draw_attack((1, 3));
+        let request = gen.generate(kind, attack);
+        let measured = request.apply(server);
+        gen.observe(&request, measured.outcome.survived());
+        steps.push(measured);
+    }
+    steps
+}
+
+#[test]
+fn a_restart_in_place_equals_a_fresh_clone() {
+    // Which parts of a predecessor grew past its checkpoint somewhere:
+    // heap, descriptors, log, committed windows. Boundless bytes grow
+    // within an attack and are forgotten with the local they overflowed
+    // when its frame pops, so no predecessor ends a request holding
+    // any; the Boundless cells restore the room their maps grew to, and
+    // `foc-memory`'s `a_restore_gives_back_what_a_runaway_grew` restores
+    // over 10 000 bytes held.
+    let mut grew = [false; 4];
+    for kind in ServerKind::ALL {
+        for mode in [
+            Mode::Standard,
+            Mode::BoundsCheck,
+            Mode::FailureOblivious,
+            Mode::Boundless,
+        ] {
+            let what = format!("{} {mode:?}", kind.name());
+            let spec = BootSpec::new(kind, mode);
+            let checkpoint = image::boot_checkpoint(kind, &spec);
+            let mut restored = Server::clone(&checkpoint);
+            drive(&mut restored, kind, 0x5EED ^ kind as u64, 40);
+            let (old, new) = (
+                restored.process().machine().space(),
+                checkpoint.process().machine().space(),
+            );
+            let grown = [
+                old.footprint().handed_out > new.footprint().handed_out,
+                old.stats().oob_interned > new.stats().oob_interned,
+                old.error_log().total() > new.error_log().total(),
+                old.footprint().committed > new.footprint().committed,
+            ];
+            for (g, now) in grew.iter_mut().zip(grown) {
+                *g |= now;
+            }
+
+            restored.restore_from(&checkpoint);
+            let mut fresh = Server::clone(&checkpoint);
+            assert_eq!(state(&restored), state(&fresh), "{what}: restored");
+            let a = drive(&mut restored, kind, 0xF0C5, 12);
+            let b = drive(&mut fresh, kind, 0xF0C5, 12);
+            assert_eq!(a, b, "{what}: transcripts after the restore");
+            assert_eq!(state(&restored), state(&fresh), "{what}: after the suffix");
+        }
+    }
+    assert_eq!(grew, [true; 4], "heap, descriptors, log, windows");
+}
 
 // ---------------------------------------------------------------------
 // Pine restart chains: restore + delta replay vs full-replay reference.

@@ -5,12 +5,14 @@
 //! environment (configuration, spool, mailbox) before it can serve
 //! again. `Machine` is `Clone`, and a clone copies the whole process
 //! image — memory space, evaluation stack, counters — so a machine that
-//! is booted once and then only ever cloned is a checkpoint: every
-//! restart is a memcpy of the committed region windows (24 KiB for a
-//! booted Apache worker, 36 KiB for Pine; see `foc_memory::addr`)
-//! instead of re-interpreted initialization. Behind an `Arc` it is
-//! immutable and `Sync`, so one frozen machine serves concurrent
-//! restorers across farm worker threads.
+//! is booted once and then only ever cloned is a checkpoint. A first
+//! boot clones it; a restart copies it over the dead machine in place
+//! ([`Machine::restore_from`](crate::Machine::restore_from)), a memcpy
+//! of the committed region windows (24 KiB for a booted Apache worker,
+//! 36 KiB for Pine; see `foc_memory::addr`) into buffers the dead
+//! machine already holds, instead of re-interpreted initialization.
+//! Behind an `Arc` it is immutable and `Sync`, so one frozen machine
+//! serves concurrent restorers across farm worker threads.
 //!
 //! Determinism makes this sound: a boot is a pure function of
 //! `(image, config, environment)`, so the clone is *byte-identical* to
@@ -69,6 +71,28 @@ mod tests {
         let r = m.clone();
         assert!(r.is_dead());
         assert_eq!(r.dead_reason(), m.dead_reason());
+    }
+
+    #[test]
+    fn a_restore_in_place_continues_like_a_clone() {
+        // The dead machine grew past its checkpoint — more heap, a
+        // logged violation, a fault — and is overwritten in place.
+        let src =
+            "int n = 0; int bump() { n += 1; char *p = malloc(64 * n); p[64 * n] = 1; return n; }";
+        let config = MachineConfig::with_mode(Mode::BoundsCheck);
+        let mut m = Machine::from_source(src, config).unwrap();
+        let frozen = m.clone();
+        assert!(
+            m.call("bump", &[]).is_err(),
+            "the out-of-bounds store kills"
+        );
+        assert!(m.is_dead() && m.space().error_log().total() == 1);
+        m.restore_from(&frozen);
+        let mut fresh = frozen.clone();
+        assert_eq!(m.observe(), fresh.observe());
+        assert_eq!(m.call("bump", &[]), fresh.call("bump", &[]));
+        assert_eq!(m.observe(), fresh.observe());
+        assert_eq!(m.space().footprint(), fresh.space().footprint());
     }
 
     #[test]

@@ -23,7 +23,9 @@
 //!
 //! A [`Machine`] is `Clone`, and that is the whole restart layer: a
 //! booted machine kept behind an `Arc` and never called is a frozen
-//! boot, and restoring it is `clone()` (see [`checkpoint`]).
+//! boot, and restoring it is [`Machine::restore_from`], which copies it
+//! over the dead machine in place and leaves what `clone()` would (see
+//! [`checkpoint`]).
 
 pub mod builtins;
 pub mod checkpoint;

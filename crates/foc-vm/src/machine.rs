@@ -5,8 +5,8 @@ use std::collections::VecDeque;
 use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term, Test};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{
-    AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView, RoomyVec,
-    SpaceStats,
+    restore, AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView,
+    RoomyVec, SpaceStats,
 };
 
 use crate::builtins;
@@ -205,10 +205,13 @@ struct Frame {
 ///
 /// `Clone` snapshots the whole process image (memory space, evaluation
 /// stack, I/O queues, counters). A booted machine that is only ever
-/// cloned is a frozen boot ([`crate::checkpoint`]): supervised restarts
-/// clone it instead of re-running boot and environment replay. The
-/// derive is deliberate — a hand-written copy that missed a field would
-/// leak a dead process's state into its successor.
+/// cloned is a frozen boot ([`crate::checkpoint`]): a supervised restart
+/// copies it over the dead machine in place ([`Machine::restore_from`])
+/// instead of re-running boot and environment replay. `Clone` stays
+/// derived and is the oracle the restore is held to; the restore
+/// destructures every field, so a field added later fails to build until
+/// it is restored — a missed one would leak a dead process's state into
+/// its successor.
 #[derive(Clone)]
 pub struct Machine {
     program: ProgramImage,
@@ -268,6 +271,45 @@ impl Machine {
             dead: None,
             checked,
         })
+    }
+
+    /// Overwrites this machine with `src` — a dead process with its
+    /// frozen boot — in the allocations this machine already holds: the
+    /// operand and frame stacks, the I/O queues, the address tables and
+    /// the whole memory space ([`MemorySpace::restore_from`]). It leaves
+    /// what `src.clone()` would have built, and allocates nothing unless
+    /// `src` holds more than this machine ever did.
+    pub fn restore_from(&mut self, src: &Machine) {
+        let Machine {
+            program,
+            space,
+            global_addrs,
+            string_addrs,
+            stack,
+            frames,
+            input,
+            output,
+            fuel_per_call,
+            fuel,
+            stats,
+            profile,
+            dead,
+            checked,
+        } = self;
+        program.clone_from(&src.program);
+        space.restore_from(&src.space);
+        restore::vec(global_addrs, &src.global_addrs);
+        restore::vec(string_addrs, &src.string_addrs);
+        stack.restore_from(&src.stack);
+        frames.restore_from(&src.frames);
+        restore::deque(input, &src.input);
+        restore::vec(output, &src.output);
+        *fuel_per_call = src.fuel_per_call;
+        *fuel = src.fuel;
+        *stats = src.stats;
+        *profile = src.profile;
+        dead.clone_from(&src.dead);
+        *checked = src.checked;
     }
 
     /// Compiles and loads MiniC source in one step — a thin convenience

@@ -3,7 +3,9 @@
 workspace by anchored text replacement, then every test binary (or the
 ones named) runs under `ulimit -v 4000000; timeout 90`, and the tests that
 turned red and each binary's wall time are printed beside the tests the
-mutation is known to turn red.
+mutation is known to turn red. A known catcher that ran and stayed green
+prints `MISSED` and exits 1 (under `--bin`, catchers in binaries that did
+not run are not held).
 
     scripts/mutations.py --check                # every anchor matches once; builds nothing
     scripts/mutations.py                        # every mutation, every test binary
@@ -34,6 +36,7 @@ TABLE = "crates/foc-memory/src/table.rs"
 CONN = "crates/foc-servers/src/conn.rs"
 FARM = "crates/foc-servers/src/farm.rs"
 SPACE = "crates/foc-memory/src/space.rs"
+ADDR = "crates/foc-memory/src/addr.rs"
 
 GEN = "generated_programs_are_tier_blind"
 REGIONS = "every_region_of_the_five_servers_passes_translation_validation"
@@ -43,6 +46,8 @@ FARMS = "farm_reports_are_edge_invariant_across_servers_and_modes"
 PROOF = "the_copy_proof_matches_a_per_pass_scan"
 TRIPS = "trips_match_a_per_pass_scan"
 BATCH = "the_sentinel_batch_matches_a_per_pass_scan"
+RESTART = "a_restart_in_place_equals_a_fresh_clone"
+RUNAWAY = "a_restore_gives_back_what_a_runaway_grew"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [
@@ -139,6 +144,13 @@ MUTATIONS = [
     (30, "an int counter's batch may cross its wrap",
      [(NATIVE, "(AccessSize::B4, true) => i32::MAX as i64,", "(AccessSize::B4, true) => i64::MAX,")],
      [GEN, BATCH]),
+    (31, "MemorySpace's restore skips the error log",
+     [(SPACE, "        log.restore_from(&src.log);\n", "")], [RESTART, RUNAWAY]),
+    (32, "a reused window keeps its stale tail: it copies over a prefix without truncating",
+     [(ADDR, "        restore::vec(bytes, &src.bytes);\n",
+       "        let n = bytes.len().min(src.bytes.len());\n"
+       "        bytes[..n].copy_from_slice(&src.bytes[..n]);\n"
+       "        bytes.extend_from_slice(&src.bytes[n..]);\n")], [RESTART, RUNAWAY]),
 ]
 
 
@@ -191,8 +203,9 @@ def build(copy, target):
 
 
 def run(binaries, names):
-    """Runs each binary bounded; returns the red tests and prints times."""
-    red = []
+    """Runs each binary bounded; returns the red tests and every test
+    that ran, and prints times."""
+    red, ran = [], []
     for name, exe, cwd in binaries:
         if names and name not in names:
             continue
@@ -201,14 +214,16 @@ def run(binaries, names):
             ["bash", "-c", 'ulimit -v 4000000; exec timeout 90 "$0"', exe],
             cwd=cwd, capture_output=True, text=True, errors="replace")
         wall = time.monotonic() - start
-        failed = [line.split()[1] for line in out.stdout.splitlines()
-                  if line.startswith("test ") and line.rstrip().endswith("FAILED")]
+        tests = [line for line in out.stdout.splitlines()
+                 if line.startswith("test ") and " ... " in line]
+        ran += [f"{name}::{line.split()[1]}" for line in tests]
+        failed = [line.split()[1] for line in tests if line.rstrip().endswith("FAILED")]
         state = "timed out" if out.returncode == 124 else f"exit {out.returncode}"
         print(f"    {name}: {wall:.1f} s, {state}, {len(failed)} red")
         red += [f"{name}::{test}" for test in failed]
         if out.returncode == 124:
             red.append(f"{name} (timed out)")
-    return red
+    return red, ran
 
 
 def main():
@@ -241,13 +256,17 @@ def main():
             (copy / path).write_text((copy / path).read_text().replace(anchor, replacement))
         try:
             binaries = build(copy, target)
-            red = run(binaries, set(args.bin)) if binaries is not None else ["(build failed)"]
+            red, ran = run(binaries, set(args.bin)) if binaries is not None \
+                else (["(build failed)"], [])
         finally:
             for path, text in saved.items():
                 (copy / path).write_text(text)
         print("    red: " + (", ".join(red) or "none"))
-        # With `--bin`, a catcher may sit in a binary that did not run.
-        for test in expected if not args.bin else []:
+        # With `--bin`, a catcher may sit in a binary that did not run:
+        # only the catchers that ran are held to turning red.
+        for test in expected:
+            if args.bin and binaries is not None and not any(test in r for r in ran):
+                continue
             if not any(test in r for r in red):
                 missed.append(f"({number}) expected red: {test}")
                 print(f"    MISSED: {test}")
