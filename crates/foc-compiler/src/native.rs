@@ -137,12 +137,20 @@
 //!   stack the interpreter would have left, and unwinds with the
 //!   baseline tier's exact counters, stack, and log.
 //! * **Boundaries.** Calls, returns, every builtin but `io_wait`, and
-//!   any pc without a region drop to the interpreter, which runs the
-//!   very same bytecode — the artifact is attached to the image's one
-//!   instruction stream, it never replaces it. `io_wait` touches no
-//!   guest memory and cannot fault, so it lowers in place
-//!   ([`NOp::IoWait`]) and the region runs on. A region whose depth
-//!   envelope exceeds [`NATIVE_REGS`] is simply not lowered.
+//!   any pc without a region end a region. `io_wait` touches no guest
+//!   memory and cannot fault, so it lowers in place ([`NOp::IoWait`])
+//!   and the region runs on. At any other builtin call the executor
+//!   asks its view to complete the whole call on the operand stack the
+//!   region pushed (`foc-vm`'s `builtins::in_view`: every walk a hit
+//!   inside one run per operand, its verdict inside the run, fuel for
+//!   the call and each iteration) and chains on into the region after
+//!   it; otherwise — and at calls, returns and pcs without a region —
+//!   the stay drops to the interpreter, which runs the very same
+//!   bytecode: the artifact is attached to the image's one instruction
+//!   stream, it never replaces it. None of this needs a lowering of its
+//!   own: the call stays one bytecode instruction between two regions.
+//!   A region whose depth envelope exceeds [`NATIVE_REGS`] is simply not
+//!   lowered.
 
 use std::sync::OnceLock;
 
@@ -1343,9 +1351,10 @@ fn alu_op_of(instr: Instr) -> Option<AluOp> {
     })
 }
 
-/// Whether the instruction forces a drop to the interpreter (frame and
-/// builtin machinery the region executor does not replicate): every
-/// call and return, and every builtin but `io_wait`.
+/// Whether the instruction ends a region (frame and builtin machinery
+/// the region executor does not replicate): every call and return, and
+/// every builtin but `io_wait` — which the executor may still complete
+/// on its view between two regions ("Boundaries").
 fn is_breaker(instr: Instr) -> bool {
     match instr {
         Instr::CallBuiltin(b) => b != Builtin::IoWait,

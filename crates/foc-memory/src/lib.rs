@@ -48,7 +48,7 @@ pub use report::{summarize, LogReport, SiteReport};
 pub use roomy::RoomyVec;
 pub use space::{
     AccessCtx, Footprint, LookupLayer, MemConfig, MemFault, MemorySpace, NativeView, Pass,
-    ReadOutcome, Run, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
+    ReadOutcome, Run, Runs, SpaceStats, WriteOutcome, FRAME_GUARD_SIZE,
 };
 pub use store::UnitStore;
 pub use table::{FlatTable, LookupProfile, Placement, Table, TableKind};

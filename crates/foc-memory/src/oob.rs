@@ -88,7 +88,7 @@ impl OobRegistry {
         } = self;
         restore::vec(entries, &src.entries);
         restore::map(dedup, &src.dedup);
-        restore::each(by_unit, &src.by_unit, restore::vec);
+        restore::lists(by_unit, &src.by_unit);
         restore::vec(free, &src.free);
         *live = src.live;
     }

@@ -58,6 +58,26 @@ pub fn each<T: Clone>(dst: &mut Vec<T>, src: &Vec<T>, restore: impl Fn(&mut T, &
     dst.shrink_to(keep::<T>(src.capacity()));
 }
 
+/// [`each`] for lists indexed by a slot, where an empty list is room: a
+/// list past the source's is kept, emptied, up to [`keep`]'s bound on
+/// the lists and on each list's room, so the next process's first entry
+/// on that slot does not allocate the list the last process's freed.
+pub fn lists<T: Clone>(dst: &mut Vec<Vec<T>>, src: &Vec<Vec<T>>) {
+    dst.truncate(keep::<Vec<T>>(src.capacity()));
+    for (i, list) in dst.iter_mut().enumerate() {
+        match src.get(i) {
+            Some(from) => vec(list, from),
+            None => {
+                list.clear();
+                list.shrink_to(keep::<T>(0));
+            }
+        }
+    }
+    let reused = dst.len().min(src.len());
+    dst.extend_from_slice(&src[reused..]);
+    dst.shrink_to(keep::<Vec<T>>(src.capacity()));
+}
+
 /// [`vec()`] for a `String`.
 pub fn text(dst: &mut String, src: &String) {
     dst.clone_from(src);
@@ -135,6 +155,24 @@ mod tests {
         same.insert(7, 99);
         map(&mut same, &src);
         assert_eq!(same, src);
+    }
+
+    #[test]
+    fn restored_lists_keep_the_surplus_emptied() {
+        let src = vec![vec![1u32; 3]];
+        let mut dst = vec![vec![9u32; 10_000], vec![8; 2], vec![]];
+        let kept = dst[1].as_ptr();
+        lists(&mut dst, &src);
+        assert_eq!(dst, [vec![1; 3], vec![], vec![]]);
+        assert!(dst[0].capacity() <= keep::<u32>(3));
+        assert_eq!(dst[1].as_ptr(), kept, "a surplus list keeps its allocation");
+        // Past keep's bound, the surplus goes.
+        let mut runaway = vec![vec![1u32]; 10_000];
+        lists(&mut runaway, &src);
+        assert_eq!(runaway.len(), keep::<Vec<u32>>(src.capacity()));
+        let mut short = Vec::new();
+        lists(&mut short, &src);
+        assert_eq!(short, src);
     }
 
     #[test]

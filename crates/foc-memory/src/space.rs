@@ -237,6 +237,40 @@ pub struct Run {
     pub len: u64,
 }
 
+/// The run questions a byte walk asks, answered alike by the space and
+/// by a [`NativeView`] of it, so that a walker's span step is written
+/// once over either. The view's answers are never longer than the
+/// space's: a run it gives also lies in one window it holds, so a walk
+/// decided over the view's bytes is decided over the space's.
+pub trait Runs {
+    /// [`MemorySpace::run`].
+    fn run(&mut self, base: u64, off: u64, want: u64) -> Run;
+    /// [`MemorySpace::run_bytes`].
+    fn run_bytes(&self, run: Run) -> &[u8];
+    /// [`MemorySpace::run_bytes_mut`].
+    fn run_bytes_mut(&mut self, run: Run) -> &mut [u8];
+    /// [`MemorySpace::count_run`].
+    fn count_run(&mut self, loads: u64, stores: u64);
+}
+
+impl Runs for MemorySpace {
+    fn run(&mut self, base: u64, off: u64, want: u64) -> Run {
+        MemorySpace::run(self, base, off, want)
+    }
+
+    fn run_bytes(&self, run: Run) -> &[u8] {
+        MemorySpace::run_bytes(self, run)
+    }
+
+    fn run_bytes_mut(&mut self, run: Run) -> &mut [u8] {
+        MemorySpace::run_bytes_mut(self, run)
+    }
+
+    fn count_run(&mut self, loads: u64, stores: u64) {
+        MemorySpace::count_run(self, loads, stores)
+    }
+}
+
 /// Counters describing a space's activity. `PartialEq` so differential
 /// harnesses can assert two runs drove the substrate identically.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1296,6 +1330,12 @@ impl<'a> Windows<'a> {
         Some(&mut self.held[0])
     }
 
+    /// The index of the held window holding the byte at `a`.
+    #[inline]
+    fn holding(&self, a: u64) -> Option<usize> {
+        (self.held.iter()).position(|(lo, bytes)| fits(a, 1, *lo, bytes.len()))
+    }
+
     /// A load `held[0]` does not hold: another window's bytes, or zero
     /// in a never-written gap between two held windows.
     #[cold]
@@ -1420,6 +1460,16 @@ pub struct Pass {
 /// it resolves each base pointer as the hit path would, so only the
 /// table's [`LookupProfile`] moves.
 ///
+/// **Runs.** The view answers the run questions a libc-shim walk asks
+/// ([`Runs`]) as the space does, cut to the held window the run starts
+/// in, so a builtin call can complete inside a native stay: the caller
+/// decides every walk of the call over these runs first — each probe
+/// unobservable, like [`MemorySpace::run`]'s — and only when each walk
+/// ends inside its run writes the bytes ([`Runs::run_bytes_mut`]) and
+/// counts the accesses ([`NativeView::count_run`]). A call any walk of
+/// which does not end inside its run leaves the view as it found it,
+/// for the interpreter to run.
+///
 /// **Placement memo.** The view remembers the extent of the unit the
 /// last load and the last store resolved to. Units die only through
 /// `free`, `realloc` and `pop_frame`, all of which need
@@ -1477,6 +1527,18 @@ impl<'a> NativeView<'a> {
             &mut self.heap
         } else {
             &mut self.globals
+        }
+    }
+
+    /// [`NativeView::window`] for reading.
+    #[inline(always)]
+    fn windows(&self, a: u64) -> &Windows<'a> {
+        if a >= addr::STACK_BASE {
+            &self.stack
+        } else if a >= addr::HEAP_BASE {
+            &self.heap
+        } else {
+            &self.globals
         }
     }
 
@@ -1739,6 +1801,76 @@ impl<'a> NativeView<'a> {
         if self.checked {
             self.stats.checked_accesses += loads + stores;
         }
+    }
+}
+
+/// The view's runs: [`MemorySpace::run`]'s, cut at the end of the held
+/// window holding their first byte (empty where none does), so their
+/// bytes are that window's storage. A base is resolved through the
+/// placement memo, else by one lookup, as the hit path resolves it; the
+/// probe moves only the table's [`LookupProfile`].
+impl Runs for NativeView<'_> {
+    fn run(&mut self, base: u64, off: u64, want: u64) -> Run {
+        let addr = base.wrapping_add(off);
+        let none = Run { addr, len: 0 };
+        let unit_end = if !self.checked {
+            u64::MAX
+        } else {
+            let unit = if self.last_load.holds(base, 1) {
+                self.last_load
+            } else if self.last_store.holds(base, 1) {
+                self.last_store
+            } else if addr::is_oob_zone(base) {
+                return none;
+            } else {
+                match self.table.lookup(base) {
+                    Some(pl) => Span {
+                        base: pl.base,
+                        size: pl.size,
+                    },
+                    None => return none,
+                }
+            };
+            if !unit.holds(addr, 1) {
+                return none;
+            }
+            unit.base + unit.size
+        };
+        let w = self.windows(addr);
+        let Some(j) = w.holding(addr) else {
+            return none;
+        };
+        let (lo, bytes) = &w.held[j];
+        let end = unit_end.min(lo + bytes.len() as u64);
+        Run {
+            addr,
+            len: want.min(end - addr),
+        }
+    }
+
+    fn run_bytes(&self, run: Run) -> &[u8] {
+        if run.len == 0 {
+            return &[];
+        }
+        let w = self.windows(run.addr);
+        let (lo, bytes) = &w.held[w.holding(run.addr).expect("a run lies in a held window")];
+        let at = (run.addr - lo) as usize;
+        &bytes[at..at + run.len as usize]
+    }
+
+    fn run_bytes_mut(&mut self, run: Run) -> &mut [u8] {
+        if run.len == 0 {
+            return &mut [];
+        }
+        let w = self.window(run.addr);
+        let j = w.holding(run.addr).expect("a run lies in a held window");
+        let (lo, bytes) = &mut w.held[j];
+        let at = (run.addr - *lo) as usize;
+        &mut bytes[at..at + run.len as usize]
+    }
+
+    fn count_run(&mut self, loads: u64, stores: u64) {
+        NativeView::count_run(self, loads, stores)
     }
 }
 

@@ -2,14 +2,16 @@
 
 use std::collections::VecDeque;
 
-use foc_compiler::native::{extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term, Test};
+use foc_compiler::native::{
+    extend, CountedLoop, NOp, NativeFunc, Src, Succ, Term, Test, NO_REGION,
+};
 use foc_compiler::{Instr, ProgramImage};
 use foc_memory::{
     restore, AccessCtx, AccessSize, MemConfig, MemoryErrorRecord, MemorySpace, NativeView,
     RoomyVec, SpaceStats,
 };
 
-use crate::builtins;
+use crate::builtins::{self, Accesses};
 use crate::cost;
 use crate::fault::VmFault;
 
@@ -161,7 +163,7 @@ pub struct ExecProfile {
     /// Their instructions: in `native_instrs`, but never dispatched.
     pub batched_instrs: u64,
     /// Stays on the native path that ended at a pc no region starts at
-    /// (call, return, a builtin other than `io_wait`).
+    /// (call, return, a builtin the view did not complete).
     pub no_region_exits: u64,
     /// Stays that ended at a region whose charge exceeded the fuel left.
     pub fuel_short_exits: u64,
@@ -174,6 +176,10 @@ pub struct ExecProfile {
     pub side_exits: u64,
     /// Builtin calls dispatched.
     pub builtin_calls: u64,
+    /// The share of `builtin_calls` a native stay completed on its view
+    /// and ran on past (`builtins.rs`, "A call completed on the native
+    /// view"); `io_wait`, which lowers into its region, is not among them.
+    pub stay_builtins: u64,
     /// Instructions the builtins charged for their byte iterations,
     /// byte-wise and span-wise together.
     pub builtin_instrs: u64,
@@ -517,12 +523,14 @@ impl Machine {
             // remaining fuel covers the region's whole charge, the
             // native executor takes over and chains regions until it
             // reaches a pc it cannot enter: fuel short of a charge, or
-            // a call, return or builtin (`io_wait` runs inside its
-            // region). That pc falls through to the interpreter below,
+            // a call, return or builtin the view cannot complete
+            // (`io_wait` runs inside its region). That pc falls through
+            // to the interpreter below,
             // which is the deopt path. A fault inside a region has
             // already been written back to the architectural state.
             if let Some(nf) = native {
-                (pc, fuel) = self.run_native(nf, func, base, frame_total, pc, fuel, &mut nregs)?;
+                (pc, fuel) =
+                    self.run_native(nf, code, func, base, frame_total, pc, fuel, &mut nregs)?;
             }
 
             let instr = code[pc as usize];
@@ -760,6 +768,7 @@ impl Machine {
     fn run_native(
         &mut self,
         nf: &NativeFunc,
+        code: &[Instr],
         func: u32,
         base: u64,
         frame_total: u64,
@@ -781,6 +790,8 @@ impl Machine {
         let mut view = self.space.native_view(base, frame_total);
         let fuel_in = fuel;
         let (mut extras, mut entries, mut ops) = (0u64, 0u64, 0u64);
+        // Of the fuel spent, what builtin calls completed in the stay took.
+        let mut aside = 0u64;
 
         // The miss path. `$e` borrows the whole machine, which ends the
         // old view's borrows (and its memo) — it is never read again,
@@ -799,7 +810,8 @@ impl Machine {
                 break $chain Err(($seam, $spill, $e))
             };
         }
-        // Continues `$chain` at `$next` if fuel covers the region there.
+        // Continues `$chain` at `$next` if fuel covers the region there,
+        // else leaves it there for the boundary below.
         macro_rules! chain {
             ($chain:lifetime, $next:expr) => {{
                 let next: Succ = $next;
@@ -809,12 +821,8 @@ impl Machine {
                         region = to;
                         continue $chain;
                     }
-                    // A region starts there, but fuel does not cover it.
-                    Some(_) => self.profile.fuel_short_exits += 1,
-                    // No region: a call, return or builtin boundary.
-                    None => self.profile.no_region_exits += 1,
+                    _ => break $chain Ok(next.pc),
                 }
-                break $chain Ok(next.pc);
             }};
         }
         macro_rules! val {
@@ -861,245 +869,272 @@ impl Machine {
         }
 
         fuel -= region.charge;
-        let stay = 'chain: loop {
-            entries += 1;
-            ops += region.dispatches as u64;
-            // One value at a time: a slice copy here is a libc `memcpy`
-            // call for what is almost always zero to three values.
-            for r in (0..region.consumes as usize).rev() {
-                regs[r] = self.stack.pop().expect("evaluation stack underflow");
-            }
-            for op in &region.ops {
-                match *op {
-                    NOp::Mov { dst, src } => regs[dst as usize] = val!(src),
-                    NOp::Rot3 { a, b, c } => {
-                        let t = regs[a as usize];
-                        regs[a as usize] = regs[b as usize];
-                        regs[b as usize] = regs[c as usize];
-                        regs[c as usize] = t;
+        let stay = 'stay: loop {
+            let chained = 'chain: loop {
+                entries += 1;
+                ops += region.dispatches as u64;
+                // One value at a time: a slice copy here is a libc `memcpy`
+                // call for what is almost always zero to three values.
+                for r in (0..region.consumes as usize).rev() {
+                    regs[r] = self.stack.pop().expect("evaluation stack underflow");
+                }
+                for op in &region.ops {
+                    match *op {
+                        NOp::Mov { dst, src } => regs[dst as usize] = val!(src),
+                        NOp::Rot3 { a, b, c } => {
+                            let t = regs[a as usize];
+                            regs[a as usize] = regs[b as usize];
+                            regs[b as usize] = regs[c as usize];
+                            regs[c as usize] = t;
+                        }
+                        NOp::GlobalAddr { dst, idx } => {
+                            regs[dst as usize] = self.global_addrs[idx as usize] as i64;
+                        }
+                        NOp::StrAddr { dst, idx } => {
+                            regs[dst as usize] = self.string_addrs[idx as usize] as i64;
+                        }
+                        NOp::StoreLocal { src, off, size } => {
+                            let v = val!(src);
+                            view.local_put(off, size, v as u64);
+                        }
+                        NOp::Inc {
+                            off,
+                            delta,
+                            size,
+                            signed,
+                        } => inc_local(&mut view, off, delta, size, signed),
+                        NOp::Alu { dst, a, b, op } => {
+                            regs[dst as usize] = op.eval(val!(a), val!(b))
+                        }
+                        NOp::Cmp { dst, a, b, op } => {
+                            regs[dst as usize] = op.eval(val!(a), val!(b)) as i64;
+                        }
+                        NOp::Div {
+                            dst,
+                            a,
+                            b,
+                            signed,
+                            rem,
+                            seam,
+                            spill,
+                        } => {
+                            let (a, b) = (regs[a as usize], regs[b as usize]);
+                            if b == 0 {
+                                fault!('chain, seam, spill, VmFault::DivideByZero);
+                            }
+                            regs[dst as usize] = match (signed, rem) {
+                                (true, false) => a.overflowing_div(b).0,
+                                (false, false) => ((a as u64) / (b as u64)) as i64,
+                                (true, true) => a.overflowing_rem(b).0,
+                                (false, true) => ((a as u64) % (b as u64)) as i64,
+                            };
+                        }
+                        NOp::Neg { at } => regs[at as usize] = regs[at as usize].wrapping_neg(),
+                        NOp::BitNot { at } => regs[at as usize] = !regs[at as usize],
+                        NOp::Not { at } => regs[at as usize] = (regs[at as usize] == 0) as i64,
+                        NOp::Normalize { at, size, signed } => {
+                            regs[at as usize] = extend(regs[at as usize] as u64, size, signed);
+                        }
+                        NOp::EffAddr { at } => {
+                            regs[at as usize] =
+                                view.effective_addr(regs[at as usize] as u64) as i64;
+                        }
+                        NOp::PtrDiff { dst, a, b, esz } => {
+                            let l = view.effective_addr(regs[a as usize] as u64) as i64;
+                            let r = view.effective_addr(regs[b as usize] as u64) as i64;
+                            regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
+                        }
+                        NOp::PtrAdd {
+                            dst,
+                            ptr,
+                            count,
+                            esz,
+                        } => {
+                            let p = val!(ptr) as u64;
+                            let delta = val!(count).wrapping_mul(esz as i64);
+                            extras += ptr_extra;
+                            regs[dst as usize] = match view.ptr_add(p, delta) {
+                                Some(out) => out,
+                                None => full!(self.space.ptr_add(p, delta)),
+                            } as i64;
+                        }
+                        NOp::PtrInc { off, count, esz } => {
+                            let p = view.local_get(off, AccessSize::B8);
+                            let delta = val!(count).wrapping_mul(esz as i64);
+                            extras += ptr_extra;
+                            let out = match view.ptr_add(p, delta) {
+                                Some(out) => out,
+                                None => full!(self.space.ptr_add(p, delta)),
+                            };
+                            view.local_put(off, AccessSize::B8, out);
+                        }
+                        NOp::Load {
+                            dst,
+                            addr,
+                            size,
+                            signed,
+                            seam,
+                            spill,
+                        } => {
+                            let a = val!(addr) as u64;
+                            let raw = load!('chain, view.load(a, size), a, size, seam, spill);
+                            regs[dst as usize] = extend(raw, size, signed);
+                        }
+                        NOp::Store {
+                            addr,
+                            val,
+                            size,
+                            seam,
+                            spill,
+                        } => {
+                            let a = val!(addr) as u64;
+                            let v = val!(val) as u64;
+                            store!('chain, view.store(a, size, v), a, size, v, seam, spill);
+                        }
+                        NOp::IdxLoad {
+                            dst,
+                            ptr,
+                            count,
+                            esz,
+                            size,
+                            signed,
+                            seam,
+                            spill,
+                        } => {
+                            let p = val!(ptr) as u64;
+                            let delta = val!(count).wrapping_mul(esz as i64);
+                            extras += ptr_extra;
+                            let raw = load!(
+                                'chain,
+                                view.idx_load(p, delta, size),
+                                self.space.ptr_add(p, delta),
+                                size,
+                                seam,
+                                spill
+                            );
+                            regs[dst as usize] = extend(raw, size, signed);
+                        }
+                        NOp::IdxStore {
+                            ptr,
+                            count,
+                            val,
+                            esz,
+                            size,
+                            seam,
+                            spill,
+                        } => {
+                            let p = val!(ptr) as u64;
+                            let delta = val!(count).wrapping_mul(esz as i64);
+                            let v = val!(val) as u64;
+                            extras += ptr_extra;
+                            store!(
+                                'chain,
+                                view.idx_store(p, delta, size, v),
+                                self.space.ptr_add(p, delta),
+                                size,
+                                v,
+                                seam,
+                                spill
+                            );
+                        }
+                        // The interpreter's `CallBuiltin(IoWait)`, charged in
+                        // place so the view and its memos survive it.
+                        NOp::IoWait { at } => {
+                            self.stats.add_io(cost::io(regs[at as usize]));
+                            self.profile.builtin_calls += 1;
+                            regs[at as usize] = 0;
+                        }
+                        NOp::Exit {
+                            a,
+                            b,
+                            op,
+                            to,
+                            spent,
+                            ran,
+                        } => {
+                            if op.eval(val!(a), val!(b)) {
+                                fuel += region.charge - spent as u64;
+                                ops -= (region.dispatches - ran) as u64;
+                                self.profile.side_exits += 1;
+                                chain!('chain, to);
+                            }
+                        }
                     }
-                    NOp::GlobalAddr { dst, idx } => {
-                        regs[dst as usize] = self.global_addrs[idx as usize] as i64;
+                }
+                let next = match region.term {
+                    Term::Goto(next) => next,
+                    Term::Branch {
+                        a,
+                        b,
+                        op,
+                        taken,
+                        fall,
+                    } => {
+                        if op.eval(val!(a), val!(b)) {
+                            taken
+                        } else {
+                            fall
+                        }
                     }
-                    NOp::StrAddr { dst, idx } => {
-                        regs[dst as usize] = self.string_addrs[idx as usize] as i64;
-                    }
-                    NOp::StoreLocal { src, off, size } => {
-                        let v = val!(src);
-                        view.local_put(off, size, v as u64);
-                    }
-                    NOp::Inc {
+                    Term::IncBranch {
                         off,
                         delta,
                         size,
                         signed,
-                    } => inc_local(&mut view, off, delta, size, signed),
-                    NOp::Alu { dst, a, b, op } => regs[dst as usize] = op.eval(val!(a), val!(b)),
-                    NOp::Cmp { dst, a, b, op } => {
-                        regs[dst as usize] = op.eval(val!(a), val!(b)) as i64;
-                    }
-                    NOp::Div {
-                        dst,
-                        a,
-                        b,
-                        signed,
-                        rem,
-                        seam,
-                        spill,
-                    } => {
-                        let (a, b) = (regs[a as usize], regs[b as usize]);
-                        if b == 0 {
-                            fault!('chain, seam, spill, VmFault::DivideByZero);
-                        }
-                        regs[dst as usize] = match (signed, rem) {
-                            (true, false) => a.overflowing_div(b).0,
-                            (false, false) => ((a as u64) / (b as u64)) as i64,
-                            (true, true) => a.overflowing_rem(b).0,
-                            (false, true) => ((a as u64) % (b as u64)) as i64,
-                        };
-                    }
-                    NOp::Neg { at } => regs[at as usize] = regs[at as usize].wrapping_neg(),
-                    NOp::BitNot { at } => regs[at as usize] = !regs[at as usize],
-                    NOp::Not { at } => regs[at as usize] = (regs[at as usize] == 0) as i64,
-                    NOp::Normalize { at, size, signed } => {
-                        regs[at as usize] = extend(regs[at as usize] as u64, size, signed);
-                    }
-                    NOp::EffAddr { at } => {
-                        regs[at as usize] = view.effective_addr(regs[at as usize] as u64) as i64;
-                    }
-                    NOp::PtrDiff { dst, a, b, esz } => {
-                        let l = view.effective_addr(regs[a as usize] as u64) as i64;
-                        let r = view.effective_addr(regs[b as usize] as u64) as i64;
-                        regs[dst as usize] = l.wrapping_sub(r) / esz.max(1) as i64;
-                    }
-                    NOp::PtrAdd {
-                        dst,
-                        ptr,
-                        count,
-                        esz,
-                    } => {
-                        let p = val!(ptr) as u64;
-                        let delta = val!(count).wrapping_mul(esz as i64);
-                        extras += ptr_extra;
-                        regs[dst as usize] = match view.ptr_add(p, delta) {
-                            Some(out) => out,
-                            None => full!(self.space.ptr_add(p, delta)),
-                        } as i64;
-                    }
-                    NOp::PtrInc { off, count, esz } => {
-                        let p = view.local_get(off, AccessSize::B8);
-                        let delta = val!(count).wrapping_mul(esz as i64);
-                        extras += ptr_extra;
-                        let out = match view.ptr_add(p, delta) {
-                            Some(out) => out,
-                            None => full!(self.space.ptr_add(p, delta)),
-                        };
-                        view.local_put(off, AccessSize::B8, out);
-                    }
-                    NOp::Load {
-                        dst,
-                        addr,
-                        size,
-                        signed,
-                        seam,
-                        spill,
-                    } => {
-                        let a = val!(addr) as u64;
-                        let raw = load!('chain, view.load(a, size), a, size, seam, spill);
-                        regs[dst as usize] = extend(raw, size, signed);
-                    }
-                    NOp::Store {
-                        addr,
-                        val,
-                        size,
-                        seam,
-                        spill,
-                    } => {
-                        let a = val!(addr) as u64;
-                        let v = val!(val) as u64;
-                        store!('chain, view.store(a, size, v), a, size, v, seam, spill);
-                    }
-                    NOp::IdxLoad {
-                        dst,
-                        ptr,
-                        count,
-                        esz,
-                        size,
-                        signed,
-                        seam,
-                        spill,
-                    } => {
-                        let p = val!(ptr) as u64;
-                        let delta = val!(count).wrapping_mul(esz as i64);
-                        extras += ptr_extra;
-                        let raw = load!(
-                            'chain,
-                            view.idx_load(p, delta, size),
-                            self.space.ptr_add(p, delta),
-                            size,
-                            seam,
-                            spill
-                        );
-                        regs[dst as usize] = extend(raw, size, signed);
-                    }
-                    NOp::IdxStore {
-                        ptr,
-                        count,
-                        val,
-                        esz,
-                        size,
-                        seam,
-                        spill,
-                    } => {
-                        let p = val!(ptr) as u64;
-                        let delta = val!(count).wrapping_mul(esz as i64);
-                        let v = val!(val) as u64;
-                        extras += ptr_extra;
-                        store!(
-                            'chain,
-                            view.idx_store(p, delta, size, v),
-                            self.space.ptr_add(p, delta),
-                            size,
-                            v,
-                            seam,
-                            spill
-                        );
-                    }
-                    // The interpreter's `CallBuiltin(IoWait)`, charged in
-                    // place so the view and its memos survive it.
-                    NOp::IoWait { at } => {
-                        self.stats.add_io(cost::io(regs[at as usize]));
-                        self.profile.builtin_calls += 1;
-                        regs[at as usize] = 0;
-                    }
-                    NOp::Exit {
                         a,
                         b,
                         op,
-                        to,
-                        spent,
-                        ran,
+                        taken,
+                        fall,
                     } => {
+                        inc_local(&mut view, off, delta, size, signed);
                         if op.eval(val!(a), val!(b)) {
-                            fuel += region.charge - spent as u64;
-                            ops -= (region.dispatches - ran) as u64;
-                            self.profile.side_exits += 1;
-                            chain!('chain, to);
+                            taken
+                        } else {
+                            fall
                         }
                     }
-                }
-            }
-            let next = match region.term {
-                Term::Goto(next) => next,
-                Term::Branch {
-                    a,
-                    b,
-                    op,
-                    taken,
-                    fall,
-                } => {
-                    if op.eval(val!(a), val!(b)) {
-                        taken
-                    } else {
-                        fall
+                    Term::Counted(at) => {
+                        let lp = &nf.loops[at as usize];
+                        let (n, leaves) =
+                            run_counted(&mut view, lp, regs, base, (fuel, region.charge));
+                        fuel -= n * region.charge;
+                        extras += n * lp.accesses as u64 * (ptr_extra + mem_extra);
+                        self.profile.batches += (n > 0) as u64;
+                        self.profile.batched_instrs += n * region.charge;
+                        if leaves {
+                            lp.exit
+                        } else {
+                            lp.back
+                        }
                     }
+                };
+                for &v in &regs[..region.produces as usize] {
+                    self.stack.push(v);
                 }
-                Term::IncBranch {
-                    off,
-                    delta,
-                    size,
-                    signed,
-                    a,
-                    b,
-                    op,
-                    taken,
-                    fall,
-                } => {
-                    inc_local(&mut view, off, delta, size, signed);
-                    if op.eval(val!(a), val!(b)) {
-                        taken
-                    } else {
-                        fall
-                    }
-                }
-                Term::Counted(at) => {
-                    let lp = &nf.loops[at as usize];
-                    let (n, leaves) = run_counted(&mut view, lp, regs, base, (fuel, region.charge));
-                    fuel -= n * region.charge;
-                    extras += n * lp.accesses as u64 * (ptr_extra + mem_extra);
-                    self.profile.batches += (n > 0) as u64;
-                    self.profile.batched_instrs += n * region.charge;
-                    if leaves {
-                        lp.exit
-                    } else {
-                        lp.back
-                    }
-                }
+                chain!('chain, next);
             };
-            for &v in &regs[..region.produces as usize] {
-                self.stack.push(v);
+            // Where the chain stopped: the builtin calls there the view
+            // completes, then the region after them if fuel covers it.
+            let Ok(pc) = chained else { break chained };
+            let beside = Beside {
+                stack: &mut self.stack,
+                output: &mut self.output,
+                stats: &mut self.stats,
+                profile: &mut self.profile,
+                checked: self.checked,
+            };
+            let (next, spent) = builtins_in_stay(&mut view, nf, code, pc, fuel, beside);
+            fuel -= spent;
+            aside += spent;
+            match nf.regions.get(next.region as usize) {
+                Some(to) => {
+                    fuel -= to.charge;
+                    region = to;
+                    continue 'stay;
+                }
+                None => break Ok(next.pc),
             }
-            chain!('chain, next);
         };
         // A fault spills the live registers, refunds what its region did
         // not run and surfaces at its seam, as the interpreter leaves it.
@@ -1113,7 +1148,7 @@ impl Machine {
         let retired = fuel_in - fuel;
         self.stats.instrs += retired;
         self.stats.add_cycles(retired * cost::BASE + extras);
-        self.profile.native_instrs += retired;
+        self.profile.native_instrs += retired - aside;
         self.profile.region_entries += entries;
         self.profile.native_ops += ops;
         match stay {
@@ -1262,21 +1297,17 @@ impl Machine {
     }
 
     /// Retires `k` builtin iterations at once, each a `charge(1)` plus
-    /// `adds` checked pointer additions and `loads + stores` one-byte
-    /// accesses that all hit: exactly what `k` byte-wise rounds of
+    /// `each`'s checked pointer additions and one-byte accesses, all
+    /// hits: exactly what `k` byte-wise rounds of
     /// [`Machine::charge`], [`Machine::g_ptr_add`], [`Machine::g_load`]
     /// and [`Machine::g_store`] advance. `k` comes out of
     /// [`Machine::span_budget`], so fuel covers it.
-    pub(crate) fn retire_span(&mut self, k: u64, adds: u64, loads: u64, stores: u64) {
-        let extras = if self.checked {
-            adds * cost::PTR_CHECK_EXTRA + (loads + stores) * cost::MEM_CHECK_EXTRA
-        } else {
-            0
-        };
+    pub(crate) fn retire_span(&mut self, k: u64, each: Accesses) {
+        let extras = if self.checked { each.check_cycles() } else { 0 };
         self.stats.instrs += k;
         self.stats.add_cycles(k * (cost::BASE + extras));
         self.fuel -= k;
-        self.space.count_run(k * loads, k * stores);
+        self.space.count_run(k * each.loads, k * each.stores);
         self.profile.builtin_instrs += k;
         self.profile.span_instrs += k;
     }
@@ -1303,13 +1334,108 @@ impl Machine {
         self.input.pop_front()
     }
 
-    pub(crate) fn push_output(&mut self, bytes: &[u8]) {
-        self.output.extend_from_slice(bytes);
+    pub(crate) fn output_mut(&mut self) -> &mut Vec<u8> {
+        &mut self.output
     }
 
-    pub(crate) fn push_output_byte(&mut self, b: u8) {
-        self.output.push(b);
+    /// The space and the output at once: a span that echoes reads the
+    /// one into the other.
+    pub(crate) fn space_and_output(&mut self) -> (&mut MemorySpace, &mut Vec<u8>) {
+        (&mut self.space, &mut self.output)
     }
+}
+
+/// The machine state beside the space that a builtin call completed in
+/// a stay writes ([`builtins_in_stay`]).
+struct Beside<'m> {
+    stack: &'m mut RoomyVec<i64>,
+    output: &'m mut Vec<u8>,
+    stats: &'m mut RunStats,
+    profile: &'m mut ExecProfile,
+    checked: bool,
+}
+
+/// Where a stay's chain stopped at `pc`, short of fuel for the region
+/// there or at a pc no region starts at: completes the builtin calls from
+/// there on that the view completes with the `fuel` left
+/// ([`builtins::in_view`]), each as the interpreter's `CallBuiltin` arm
+/// and the call's walks would — the arguments popped and the result
+/// pushed, output, cycles, the I/O clock, the profile — until a region
+/// starts or a pc is no such call. Returns the successor there, its
+/// region [`NO_REGION`] unless the fuel left covers it (the stay's end,
+/// counted as a fuel-short or a no-region exit), and the fuel the calls
+/// took: 1 + their iterations each, which the stay retires beside its
+/// regions'. Out of line: `run_native` pays one call for its boundaries.
+#[inline(never)]
+fn builtins_in_stay(
+    view: &mut NativeView<'_>,
+    nf: &NativeFunc,
+    code: &[Instr],
+    mut pc: u32,
+    fuel: u64,
+    m: Beside<'_>,
+) -> (Succ, u64) {
+    let entry = |pc: u32| nf.entry.get(pc as usize).copied().unwrap_or(NO_REGION);
+    let mut region = entry(pc);
+    if region != NO_REGION {
+        // A region starts there, but fuel does not cover it and the jumps
+        // threaded on the way.
+        m.profile.fuel_short_exits += 1;
+        let next = Succ {
+            pc,
+            region: NO_REGION,
+            skip: 0,
+        };
+        return (next, 0);
+    }
+    let mut spent = 0u64;
+    while region == NO_REGION {
+        let Some(&Instr::CallBuiltin(b)) = code.get(pc as usize) else {
+            break;
+        };
+        // The call's own instruction comes first, so its walks get the rest.
+        let Some(left) = (fuel - spent).checked_sub(1) else {
+            break;
+        };
+        let floor = m.stack.len() - b.arity();
+        let mut args = [0i64; 3];
+        for (a, &v) in args.iter_mut().zip(&m.stack[floor..]) {
+            *a = v;
+        }
+        let Some(done) = builtins::in_view(view, b, args, left, m.output) else {
+            break;
+        };
+        m.stack.truncate(floor);
+        m.stack.push(done.result);
+        if m.checked {
+            m.stats.add_cycles(done.accesses.check_cycles());
+        }
+        if let Some(bytes) = done.io {
+            m.stats.add_io(cost::io(bytes));
+        }
+        m.profile.builtin_calls += 1;
+        m.profile.stay_builtins += 1;
+        m.profile.builtin_instrs += done.iters;
+        m.profile.span_instrs += done.iters;
+        spent += 1 + done.iters;
+        pc += 1;
+        region = entry(pc);
+    }
+    match nf.regions.get(region as usize) {
+        Some(to) if fuel - spent >= to.charge => {}
+        Some(_) => {
+            m.profile.fuel_short_exits += 1;
+            region = NO_REGION;
+        }
+        // No region: a call, return or builtin boundary.
+        None => m.profile.no_region_exits += 1,
+    }
+    let next = Succ {
+        pc,
+        region,
+        skip: 0,
+    };
+    (next, spent)
 }
 
 /// The native executor's scratch registers: one per `u8` register index,
@@ -1620,8 +1746,8 @@ mod tests {
 
     #[test]
     fn exec_profile_is_inert_and_accounts_for_native_work() {
-        // Hits, a view miss per out-of-bounds read, and a builtin
-        // boundary per iteration.
+        // Hits, a view miss per out-of-bounds read, and a builtin call
+        // per iteration that the stay completes and runs on past.
         let src = "long f(long n) { long xs[4]; long i; long t = 0; \
                    for (i = 0; i < n; i++) { xs[i % 4] = i; t = t + xs[i % 6]; print_int(t); } \
                    return t; }";
@@ -1649,9 +1775,15 @@ mod tests {
         assert!(profile.native_instrs > 0 && profile.native_instrs <= stats.instrs);
         assert!(profile.region_entries > 0);
         assert_eq!(profile.view_misses, space.invalid_reads);
-        assert!(profile.no_region_exits >= 15, "one per print_int call");
+        assert_eq!(profile.no_region_exits, 2, "one per return of f");
         assert_eq!(profile.faults, 0);
         assert_eq!(profile.builtin_calls, 15, "one per print_int call");
+        assert_eq!(profile.stay_builtins, 15, "every print_int in its stay");
+        assert_eq!(
+            stats.instrs - profile.native_instrs,
+            15 + 2,
+            "the print_int calls and the returns are not native"
+        );
         assert_eq!(profile.builtin_instrs, 0, "print_int walks no guest bytes");
         assert_eq!(
             (stats.calls, profile.locals_registered),
@@ -1666,7 +1798,7 @@ mod tests {
         let profile = base.exec_profile();
         assert_eq!(profile.native_instrs, 0);
         assert_eq!((profile.builtin_calls, profile.builtin_instrs), (2, 9));
-        assert_eq!(profile.span_instrs, 0);
+        assert_eq!((profile.span_instrs, profile.stay_builtins), (0, 0));
     }
 
     #[test]

@@ -48,6 +48,7 @@ TRIPS = "trips_match_a_per_pass_scan"
 BATCH = "the_sentinel_batch_matches_a_per_pass_scan"
 RESTART = "a_restart_in_place_equals_a_fresh_clone"
 RUNAWAY = "a_restore_gives_back_what_a_runaway_grew"
+STAY = "builtins_completed_in_a_stay_match_the_baseline"
 
 # (number, what it breaks, [(file, anchor, replacement)], tests it turns red)
 MUTATIONS = [
@@ -83,11 +84,11 @@ MUTATIONS = [
      [(NATIVE, "            NOp::PtrInc { off: o, .. } => (o, AccessSize::B8),\n", "")],
      [GEN, REGIONS]),
     (13, "PtrInc's miss arm stores p instead of full!'s result",
-     [(MACHINE, "None => full!(self.space.ptr_add(p, delta)),\n                        };\n"
-                "                        view.local_put",
-       "None => {\n                                full!(self.space.ptr_add(p, delta));\n"
-       "                                p\n                            }\n                        };\n"
-       "                        view.local_put")], [GEN]),
+     [(MACHINE, "None => full!(self.space.ptr_add(p, delta)),\n                            };\n"
+                "                            view.local_put",
+       "None => {\n                                    full!(self.space.ptr_add(p, delta));\n"
+       "                                    p\n                                }\n"
+       "                            };\n                            view.local_put")], [GEN]),
     (14, "the IoWait arm charges cycles but not io_cycles",
      [(MACHINE, "self.stats.add_io(cost::io(regs[at as usize]));",
        "self.stats.add_cycles(cost::io(regs[at as usize]));")], [GEN, IO_ALIKE]),
@@ -102,13 +103,14 @@ MUTATIONS = [
     (16, "cost::io drops the negative-count clamp",
      [(COST, "(bytes.max(0) as u64)", "(bytes as u64)")],
      ["an_io_charge_", IO_ALIKE]),
-    (17, "copy_span takes apart + 1 bytes",
-     [(BUILTINS, ".min(apart));", ".min(apart + 1));")], [GEN]),
-    (18, "store_bytes' span arm leaves each run's first byte unwritten",
-     [(BUILTINS, "Fill::Byte(b) => out.fill(b),", "Fill::Byte(b) => out[1..].fill(b),")], [GEN]),
+    (17, "copy_plan takes apart + 1 bytes",
+     [(BUILTINS, ".min(apart);", ".min(apart + 1);")], [GEN, STAY]),
+    (18, "fill_span leaves each store run's first byte unwritten",
+     [(BUILTINS, "Fill::Byte(b) => out.fill(b),", "Fill::Byte(b) => out[1..].fill(b),")],
+     [GEN, STAY]),
     (19, "strncpy does not pad",
-     [(BUILTINS, "            store_bytes(m, a0 as u64, copied, n, Fill::Byte(0))?;\n",
-       "            let _ = copied;\n")], ["libc_values_match_c"]),
+     [(BUILTINS, "            w.store_bytes(p0, copied, n, 0)?;\n",
+       "            let _ = copied;\n")], ["libc_values_match_c", STAY]),
     (20, "the flat table's upper bound skips a unit based at the address",
      [(TABLE, "partition_point(|p| p.base <= addr)", "partition_point(|p| p.base < addr)")],
      [LATTICE, FARMS]),
@@ -151,6 +153,19 @@ MUTATIONS = [
        "        let n = bytes.len().min(src.bytes.len());\n"
        "        bytes[..n].copy_from_slice(&src.bytes[..n]);\n"
        "        bytes.extend_from_slice(&src.bytes[n..]);\n")], [RESTART, RUNAWAY]),
+    (33, "a comparison decides at one operand's NUL: it compares the first run with itself",
+     [(BUILTINS, ".zip(ys)", ".zip(xs)")], [GEN, STAY]),
+    (34, "a copy span is no longer held to the distance between its operands",
+     [(BUILTINS, "let want = want.min(COPY_CHUNK as u64).min(apart);",
+       "let want = want.min(COPY_CHUNK as u64);")], [GEN, STAY]),
+    (35, "a builtin completes in its stay on fuel for its iterations, not one more",
+     [(MACHINE, "let Some(left) = (fuel - spent).checked_sub(1) else {",
+       "let Some(left) = Some(fuel - spent) else {")], [GEN, STAY]),
+    (36, "the view counts strncpy's padding as loads",
+     [(BUILTINS, "        let run = self.store_run(dst, from, to)?;\n        self.defer(",
+       "        let run = self.store_run(dst, from, to)?;\n"
+       "        if from > 0 {\n            self.accesses.loads += run.len;\n"
+       "            self.accesses.stores -= run.len;\n        }\n        self.defer(")], [GEN, STAY]),
 ]
 
 
